@@ -282,21 +282,11 @@ func (m *Model) results() *Results {
 			r.DiskUtilPct += sr.DiskUtilPct
 		}
 		collectClasses(s, classAgg, classLat)
-		for _, v := range s.Server.LatCommitted.Values() {
-			r.LatCommitted.Add(v)
-		}
-		for _, v := range s.Server.LatReadOnly.Values() {
-			r.LatReadOnly.Add(v)
-		}
-		for _, v := range s.Server.LatUpdate.Values() {
-			r.LatUpdate.Add(v)
-		}
-		for _, v := range s.Server.CertLat.Values() {
-			r.CertLat.Add(v)
-		}
-		for _, v := range s.Server.CertDecideLat.Values() {
-			r.CertDecideLat.Add(v)
-		}
+		r.LatCommitted.Merge(&s.Server.LatCommitted)
+		r.LatReadOnly.Merge(&s.Server.LatReadOnly)
+		r.LatUpdate.Merge(&s.Server.LatUpdate)
+		r.CertLat.Merge(&s.Server.CertLat)
+		r.CertDecideLat.Merge(&s.Server.CertDecideLat)
 		r.Inconsistencies += s.Server.Inconsistencies()
 		gcsStats := s.deadGCS
 		if s.Stack != nil {
@@ -307,9 +297,7 @@ func (m *Model) results() *Results {
 	for _, c := range m.clients {
 		r.Retries += c.Retries()
 		r.GiveUps += c.GiveUps()
-		for _, v := range c.RetryLat().Values() {
-			r.RetryLat.Add(v)
-		}
+		r.RetryLat.Merge(c.RetryLat())
 	}
 	// The aggregate client tier pools the same counters per site instead of
 	// per client; class-level outcome accounting stays where it always was,
@@ -318,9 +306,7 @@ func (m *Model) results() *Results {
 	for _, a := range m.aggs {
 		r.Retries += a.Retries()
 		r.GiveUps += a.GiveUps()
-		for _, v := range a.RetryLat().Values() {
-			r.RetryLat.Add(v)
-		}
+		r.RetryLat.Merge(a.RetryLat())
 	}
 	r.RejoinViolations = m.rejoinViolations
 	r.RejoinErr = m.rejoinViolation
@@ -556,9 +542,7 @@ func collectClasses(s *Site, agg map[string]*ClassResult, lat map[string]*metric
 		cr.AbortCert += cs.AbortCert
 		cr.AbortUser += cs.AbortUser
 		cr.Rejected += cs.Rejected
-		for _, v := range cs.Lat.Values() {
-			lat[name].Add(v)
-		}
+		lat[name].Merge(&cs.Lat)
 	})
 }
 
@@ -753,21 +737,11 @@ func AggregateRuns(runs []*Results) *Aggregate {
 	a.XHandovers = col(func(r *Results) float64 { return float64(r.XHandovers) })
 
 	for _, r := range runs {
-		for _, v := range r.LatCommitted.Values() {
-			a.LatCommitted.Add(v)
-		}
-		for _, v := range r.LatReadOnly.Values() {
-			a.LatReadOnly.Add(v)
-		}
-		for _, v := range r.LatUpdate.Values() {
-			a.LatUpdate.Add(v)
-		}
-		for _, v := range r.CertLat.Values() {
-			a.CertLat.Add(v)
-		}
-		for _, v := range r.CertDecideLat.Values() {
-			a.CertDecideLat.Add(v)
-		}
+		a.LatCommitted.Merge(r.LatCommitted)
+		a.LatReadOnly.Merge(r.LatReadOnly)
+		a.LatUpdate.Merge(r.LatUpdate)
+		a.CertLat.Merge(r.CertLat)
+		a.CertDecideLat.Merge(r.CertDecideLat)
 		if a.SafetyErr == nil {
 			a.SafetyErr = r.SafetyErr
 		}

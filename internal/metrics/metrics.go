@@ -27,6 +27,19 @@ func (s *Sample) Add(v float64) {
 	s.sumSq += v * v
 }
 
+// Merge adds every observation of o to s, in o's sorted order — exactly what
+// adding o.Values() one by one does (same floating-point accumulation order,
+// so Mean, StdDev and CI95 come out bit-identical), without the copy.
+func (s *Sample) Merge(o *Sample) {
+	o.ensureSorted()
+	for _, v := range o.values {
+		s.sum += v
+		s.sumSq += v * v
+	}
+	s.values = append(s.values, o.values...)
+	s.sorted = false
+}
+
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.values) }
 

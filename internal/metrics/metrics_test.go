@@ -27,6 +27,43 @@ func TestSampleSummary(t *testing.T) {
 	}
 }
 
+// TestSampleMergeMatchesAddLoop pins Merge to the loop it replaces — adding
+// the source's Values() one by one — with exact (bit-level) equality on every
+// summary, since experiment tables print means and CIs derived from them.
+func TestSampleMergeMatchesAddLoop(t *testing.T) {
+	// Irrational-ish values in unsorted order, so accumulation order shows.
+	fill := func(s *Sample, n int, seed float64) {
+		for i := 0; i < n; i++ {
+			s.Add(math.Mod(seed*float64(i+1)*math.Pi, 97) / 7)
+		}
+	}
+	for _, sizes := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {40, 1}, {3, 1000}, {500, 499}} {
+		var viaLoop, viaMerge, src1, src2 Sample
+		fill(&viaLoop, sizes[0], 1.3)
+		fill(&viaMerge, sizes[0], 1.3)
+		fill(&src1, sizes[1], 2.7)
+		fill(&src2, sizes[1], 2.7)
+		for _, v := range src1.Values() {
+			viaLoop.Add(v)
+		}
+		viaMerge.Merge(&src2)
+		if viaMerge.N() != viaLoop.N() || viaMerge.Mean() != viaLoop.Mean() ||
+			viaMerge.StdDev() != viaLoop.StdDev() || viaMerge.CI95() != viaLoop.CI95() {
+			t.Fatalf("sizes %v: n/mean/stddev/ci %d %v %v %v, loop gives %d %v %v %v", sizes,
+				viaMerge.N(), viaMerge.Mean(), viaMerge.StdDev(), viaMerge.CI95(),
+				viaLoop.N(), viaLoop.Mean(), viaLoop.StdDev(), viaLoop.CI95())
+		}
+		for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1} {
+			if viaMerge.Quantile(q) != viaLoop.Quantile(q) {
+				t.Fatalf("sizes %v: q%.2f = %v, loop gives %v", sizes, q, viaMerge.Quantile(q), viaLoop.Quantile(q))
+			}
+		}
+		if src2.N() != sizes[1] || src2.Mean() != src1.Mean() {
+			t.Fatalf("sizes %v: Merge changed its source", sizes)
+		}
+	}
+}
+
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
 	if s.Mean() != 0 || s.StdDev() != 0 || s.Quantile(0.5) != 0 || s.Min() != 0 || s.Max() != 0 {
