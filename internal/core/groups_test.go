@@ -61,6 +61,10 @@ func TestGroupsEndToEnd(t *testing.T) {
 			if r.MultiGroupCommitted == 0 {
 				t.Fatal("no cross-group transaction committed")
 			}
+			if r.GCS.RelaysSent == 0 || r.GCS.RelaysRecv == 0 {
+				t.Fatalf("cross-group rounds ran but the relay counters did not reach Results: sent=%d recv=%d",
+					r.GCS.RelaysSent, r.GCS.RelaysRecv)
+			}
 			if r.Groups != 3 {
 				t.Fatalf("Groups = %d, want 3", r.Groups)
 			}

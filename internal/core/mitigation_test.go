@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -105,5 +106,30 @@ func TestDedicatedSequencerOrders(t *testing.T) {
 	// it transmits despite casting no application messages.
 	if ded.Stack.Stats().Sent == 0 {
 		t.Fatal("dedicated sequencer sent nothing")
+	}
+}
+
+// The dedicated member's counters are part of the run totals: a malformed
+// datagram reaching node 0 must surface in Results.GCS.ParseErrors and in the
+// summary's DROPS block like one reaching any database site.
+func TestDedicatedSequencerCountersReachResults(t *testing.T) {
+	m, err := New(Config{Sites: 3, Clients: 60, TotalTxns: 200, Seed: 43, DedicatedSequencer: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ded := m.Dedicated()
+	m.Kernel().ScheduleAt(sim.Second, func() { ded.RT.Deliver(1, []byte{0xff}) })
+	r, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.GCS.ParseErrors != 1 {
+		t.Fatalf("GCS.ParseErrors = %d, want the one malformed datagram at node 0", r.GCS.ParseErrors)
+	}
+	if !strings.Contains(r.Summary(), "DROPS(cert=0 parse=1)") {
+		t.Fatalf("summary hides the drop: %s", r.Summary())
+	}
+	if r.GCS.UniformStalls == 0 {
+		t.Fatal("the sequencer's uniformity-gate stalls did not reach Results")
 	}
 }

@@ -320,19 +320,7 @@ func (m *Model) results() *Results {
 		r.MeanDowntimeMS /= float64(r.Recoveries)
 	}
 	if m.dedicated != nil && m.dedicated.Stack != nil {
-		st := m.dedicated.Stack.Stats()
-		r.GCS.Sent += st.Sent
-		r.GCS.Retransmits += st.Retransmits
-		r.GCS.Nacks += st.Nacks
-		r.GCS.Gossips += st.Gossips
-		r.GCS.Blocked += st.Blocked
-		r.GCS.BlockedTime += st.BlockedTime
-		r.GCS.CreditStalls += st.CreditStalls
-		r.GCS.AssignDeferred += st.AssignDeferred
-		r.GCS.FlowRejected += st.FlowRejected
-		if st.QueuePeakBytes > r.GCS.QueuePeakBytes {
-			r.GCS.QueuePeakBytes = st.QueuePeakBytes
-		}
+		accumulateGCS(&r.GCS, m.dedicated.Stack.Stats())
 	}
 	if duration > 0 {
 		r.TPM = float64(r.Committed) / (duration.Seconds() / 60)
@@ -452,6 +440,8 @@ func accumulateGCS(dst *gcs.Stats, s gcs.Stats) {
 	dst.QuorumLosses += s.QuorumLosses
 	dst.JoinRequests += s.JoinRequests
 	dst.Joins += s.Joins
+	dst.RelaysSent += s.RelaysSent
+	dst.RelaysRecv += s.RelaysRecv
 	dst.CreditStalls += s.CreditStalls
 	dst.AssignDeferred += s.AssignDeferred
 	dst.FlowRejected += s.FlowRejected
