@@ -95,7 +95,7 @@
 // The simulation critical path is engineered to allocate nothing in steady
 // state: certification runs against an inverted last-writer index
 // (O(|ReadSet|) per transaction, differential-tested against the paper's
-// history scan, which remains available via core.Config.ScanCertifier), the
+// history scan, kept as dbsm.NewScanCertifier for exactly that purpose), the
 // kernel schedules through a pointer-free 4-ary heap over pooled event
 // slots, and the wire path hands buffers zero-copy from sender to receivers
 // with pooled packets and thunks. On the fault-free 3-site TPC-C

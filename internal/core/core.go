@@ -117,10 +117,6 @@ type Config struct {
 	// rejections. Nil runs without admission control (rejections never
 	// happen and overload degrades the old way, by thrashing).
 	Admission *AdmissionConfig
-	// ScanCertifier runs certification with the reference history-scan
-	// procedure instead of the default inverted last-writer index (same
-	// verdicts, O(concurrent-history × read-set) cost per transaction).
-	ScanCertifier bool
 	// DedicatedSequencer adds a group member (node 0) that orders
 	// messages but hosts no database and originates no application
 	// traffic — the paper's Section 5.3 mitigation for sequencer
@@ -837,7 +833,6 @@ func (m *Model) buildReplica(s *Site, recovering bool) {
 	opts := replica.Options{
 		Optimistic:       m.cfg.Protocol == ProtocolOptimistic,
 		ReadSetThreshold: m.cfg.ReadSetThreshold,
-		ScanCertifier:    m.cfg.ScanCertifier,
 		Replicates:       replicatesFunc(int(s.ID)-1, m.cfg.Sites, m.cfg.ReplicationDegree),
 		Recovering:       recovering,
 	}

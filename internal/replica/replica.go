@@ -48,12 +48,6 @@ type Options struct {
 	// deterministic across replicas (a pure function of the certified
 	// stream). Defaults to 50000.
 	MaxHistory int
-	// ScanCertifier selects the reference history-scan certification
-	// procedure instead of the default inverted last-writer index. Both
-	// produce the identical outcome stream (differential-tested in
-	// internal/dbsm); the scan costs O(concurrent-history × read-set) per
-	// transaction and is kept as a fallback and for cross-checking.
-	ScanCertifier bool
 	// Replicates, when set, enables partial replication (the paper's
 	// Section 5.2 mitigation for the read-one/write-all disk bottleneck,
 	// evaluated as ongoing work in Section 7): only tuples for which it
@@ -227,15 +221,11 @@ type bufferedDelivery struct {
 // server. Call Start after the stack has started.
 func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Options) *Replica {
 	opts.fill()
-	cert := dbsm.NewCertifier()
-	if opts.ScanCertifier {
-		cert = dbsm.NewScanCertifier()
-	}
 	r := &Replica{
 		rt:         rt,
 		stack:      stack,
 		server:     server,
-		cert:       cert,
+		cert:       dbsm.NewCertifier(),
 		site:       server.Site(),
 		opts:       opts,
 		recovering: opts.Recovering,
