@@ -6,8 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dbsm"
 	"repro/internal/tpcc"
-	"repro/internal/xgroup"
 )
 
 // forEach fans fn(0..n-1) over GOMAXPROCS goroutines. The equivalence test
@@ -140,11 +140,8 @@ func TestAggregateSameSeedSameResults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(m.aggs) == 0 {
-					t.Fatal("aggregate threshold not honored: no aggregate tier built")
-				}
-				if len(m.clients) != 0 {
-					t.Fatal("aggregate mode still built individual clients")
+				if aggs, individual := tierCounts(m); aggs == 0 || individual != 0 {
+					t.Fatalf("aggregate threshold not honored: %d aggregates, %d individual clients", aggs, individual)
 				}
 				r, err := m.Run()
 				if err != nil {
@@ -179,77 +176,135 @@ func TestAggregateSameSeedSameResults(t *testing.T) {
 	}
 }
 
-// TestAggregatePlacement pins the dense-index→home-warehouse closures
-// against the individual tier's placement rules: the per-site populations
-// must partition the client count exactly, and the multiset of home
-// warehouses reached by a site's dense indices must equal the multiset of
-// home warehouses of the individual clients placed at that site — including
-// the partial trailing warehouse block.
-func TestAggregatePlacement(t *testing.T) {
-	for _, tc := range []struct {
+// TestPlacementClients states client placement as properties of the one
+// placement value both client tiers read: the per-site block descriptions
+// partition the client indices (every client lands at exactly one site, the
+// one siteOfClient names), and a site's dense index ↔ client index mapping
+// round-trips in order — including a trailing partial warehouse and sites
+// left without clients.
+func TestPlacementClients(t *testing.T) {
+	shapes := []struct {
 		name string
 		cfg  Config
-		// siteOf replicates the individual tier's placement: client i → site index.
-		siteOf func(cfg Config, i int) int
+		unit int
 	}{
-		{"round-robin", Config{Sites: 3, Clients: 127, AggregateClients: 1},
-			func(cfg Config, i int) int { return i % cfg.Sites }},
-		{"partial", Config{Sites: 3, Clients: 127, AggregateClients: 1, ReplicationDegree: 2},
-			func(cfg Config, i int) int {
-				return primarySiteIndex(i/tpcc.ClientsPerWarehouse, cfg.Sites)
-			}},
-		{"grouped", Config{Groups: 3, Sites: 2, Clients: 127, AggregateClients: 1},
-			func(cfg Config, i int) int {
-				return xgroup.HomeSite(i/tpcc.ClientsPerWarehouse, cfg.Groups, cfg.Sites) - 1
-			}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m, err := New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
+		{"round-robin", Config{Sites: 3}, 1},
+		{"primary-site", Config{Sites: 3, ReplicationDegree: 2}, tpcc.ClientsPerWarehouse},
+		{"primary-site-6", Config{Sites: 6, ReplicationDegree: 2}, tpcc.ClientsPerWarehouse},
+		{"group-homed", Config{Groups: 3, Sites: 2}, tpcc.ClientsPerWarehouse},
+		{"group-homed-3x3", Config{Groups: 3, Sites: 3}, tpcc.ClientsPerWarehouse},
+	}
+	for _, sh := range shapes {
+		for _, clients := range []int{1, 2, 9, 10, 11, 29, 30, 90, 127, 1000, 1003} {
+			cfg := sh.cfg
+			cfg.Clients = clients
+			p := newPlacement(&cfg)
+			if p.unit != sh.unit {
+				t.Fatalf("%s: clients placed in units of %d, want %d", sh.name, p.unit, sh.unit)
 			}
-			// Per-site home-warehouse multisets under the individual rule.
-			want := make([]map[int]int, len(m.sites))
-			pops := make([]int, len(m.sites))
-			for i := 0; i < tc.cfg.Clients; i++ {
-				s := tc.siteOf(tc.cfg, i)
-				if want[s] == nil {
-					want[s] = make(map[int]int)
-				}
-				want[s][i/tpcc.ClientsPerWarehouse]++
-				pops[s]++
-			}
-			total := 0
-			for _, a := range m.aggs {
-				total += a.Population
-				siteIdx := -1
-				for idx, s := range m.sites {
-					if s.Server == a.Server {
-						siteIdx = idx
-						break
+			seen := make([]int, clients) // how many sites claim each client
+			for idx := range p.home {
+				blocks := p.clientsAt(idx)
+				pop := blocks.population()
+				prev := -1
+				for k := 0; k < pop; k++ {
+					i := blocks.client(k)
+					if i <= prev || i >= clients {
+						t.Fatalf("%s/%d clients: site %d dense index %d maps to client %d (previous %d)",
+							sh.name, clients, idx+1, k, i, prev)
+					}
+					prev = i
+					seen[i]++
+					if got := p.siteOfClient(i); got != idx {
+						t.Fatalf("%s/%d clients: client %d is dense index %d of site %d, but siteOfClient says site %d",
+							sh.name, clients, i, k, idx+1, got+1)
 					}
 				}
-				if siteIdx < 0 {
-					t.Fatal("aggregate attached to an unknown server")
-				}
-				if a.Population != pops[siteIdx] {
-					t.Errorf("site %d population %d, individual placement puts %d clients there",
-						siteIdx+1, a.Population, pops[siteIdx])
-				}
-				got := make(map[int]int)
-				for k := 0; k < a.Population; k++ {
-					got[a.HomeWH(k)]++
-				}
-				if !reflect.DeepEqual(got, want[siteIdx]) {
-					t.Errorf("site %d home-warehouse multiset diverges from individual placement:\n got %v\nwant %v",
-						siteIdx+1, got, want[siteIdx])
+				// One past the population must leave the client range: the
+				// population is maximal, not merely a prefix.
+				if next := blocks.client(pop); next < clients {
+					t.Fatalf("%s/%d clients: site %d population %d stops short of its client %d",
+						sh.name, clients, idx+1, pop, next)
 				}
 			}
-			if total != tc.cfg.Clients {
-				t.Errorf("aggregate populations sum to %d, want %d", total, tc.cfg.Clients)
+			for i, n := range seen {
+				if n != 1 {
+					t.Fatalf("%s/%d clients: client %d lands at %d sites, want exactly 1", sh.name, clients, i, n)
+				}
 			}
-		})
+		}
 	}
+}
+
+// TestPlacementStorage ties the stored-here predicate and the owner
+// classifier to client placement: a warehouse's clients run at a site that
+// stores it, each warehouse is stored at exactly span sites of one group, the
+// owner is that group, and the catalog is stored everywhere and owned by
+// nobody.
+func TestPlacementStorage(t *testing.T) {
+	for _, cfg := range []Config{
+		{Sites: 3, Clients: 90},
+		{Sites: 6, ReplicationDegree: 2, Clients: 120},
+		{Sites: 5, ReplicationDegree: 4, Clients: 70},
+		{Groups: 3, Sites: 2, Clients: 120},
+		{Groups: 2, Sites: 5, Clients: 100},
+	} {
+		p := newPlacement(&cfg)
+		stores := make([]func(dbsm.TupleID) bool, len(p.home))
+		for idx := range stores {
+			if stores[idx] = p.stores(idx); stores[idx] == nil {
+				if !p.everywhere() {
+					t.Fatalf("%+v: site %d stores everything under partial placement", cfg, idx+1)
+				}
+				stores[idx] = func(dbsm.TupleID) bool { return true }
+			}
+		}
+		owner := p.owner()
+		for wh := 0; wh < 4*len(p.home); wh++ {
+			row := tpcc.StockRow(wh, 7)
+			holders, group := 0, 0
+			for idx := range stores {
+				if !stores[idx](row) {
+					continue
+				}
+				holders++
+				if group != 0 && group != p.group(idx) {
+					t.Fatalf("%+v: warehouse %d is stored in groups %d and %d", cfg, wh, group, p.group(idx))
+				}
+				group = p.group(idx)
+			}
+			if holders != p.span {
+				t.Fatalf("%+v: warehouse %d is stored at %d sites, want %d", cfg, wh, holders, p.span)
+			}
+			if owner(row) != group {
+				t.Fatalf("%+v: warehouse %d is owned by group %d but stored in group %d", cfg, wh, owner(row), group)
+			}
+			if !p.everywhere() && !stores[p.siteOfClient(wh*tpcc.ClientsPerWarehouse)](row) {
+				t.Fatalf("%+v: warehouse %d's clients run at a site that does not store it", cfg, wh)
+			}
+		}
+		item := tpcc.ItemRow(3)
+		for idx := range stores {
+			if !stores[idx](item) {
+				t.Fatalf("%+v: site %d does not store the catalog", cfg, idx+1)
+			}
+		}
+		if owner(item) != 0 {
+			t.Fatalf("%+v: the catalog is owned by group %d, want 0", cfg, owner(item))
+		}
+	}
+}
+
+// tierCounts splits a model's client tier by kind.
+func tierCounts(m *Model) (aggregates, individual int) {
+	for _, c := range m.clients {
+		if _, ok := c.(*tpcc.Aggregate); ok {
+			aggregates++
+		} else {
+			individual++
+		}
+	}
+	return
 }
 
 // TestAggregateThresholdGate pins the Config.AggregateClients contract:
@@ -263,13 +318,16 @@ func TestAggregateThresholdGate(t *testing.T) {
 		}
 		return m
 	}
-	if m := mk(90, 0); len(m.aggs) != 0 || len(m.clients) != 90 {
-		t.Fatalf("threshold 0 must disable aggregation: aggs=%d clients=%d", len(m.aggs), len(m.clients))
-	}
-	if m := mk(90, 91); len(m.aggs) != 0 || len(m.clients) != 90 {
-		t.Fatalf("below threshold must use individual clients: aggs=%d clients=%d", len(m.aggs), len(m.clients))
-	}
-	if m := mk(90, 90); len(m.aggs) != 3 || len(m.clients) != 0 {
-		t.Fatalf("at threshold must use the aggregate tier: aggs=%d clients=%d", len(m.aggs), len(m.clients))
+	for _, c := range []struct {
+		clients, threshold, aggs, individual int
+		rule                                 string
+	}{
+		{90, 0, 0, 90, "threshold 0 must disable aggregation"},
+		{90, 91, 0, 90, "below threshold must use individual clients"},
+		{90, 90, 3, 0, "at threshold must use the aggregate tier"},
+	} {
+		if aggs, individual := tierCounts(mk(c.clients, c.threshold)); aggs != c.aggs || individual != c.individual {
+			t.Fatalf("%s: aggs=%d clients=%d", c.rule, aggs, individual)
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/dbsm"
 	"repro/internal/faults"
 	"repro/internal/gcs"
+	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/replica"
 	"repro/internal/runtimeapi"
@@ -28,7 +29,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/tpcc"
 	"repro/internal/trace"
-	"repro/internal/xgroup"
 )
 
 // Protocol selects the replication termination variant.
@@ -235,6 +235,7 @@ type Site struct {
 	Gen     *tpcc.Generator
 	Life    *recovery.Lifecycle
 
+	group       int  // 1-based replication group (1 in the classic model)
 	partitioned bool // isolated in a partition minority at some point
 
 	// Counters of dead incarnations, folded into the site totals when the
@@ -260,26 +261,36 @@ func (s *Site) operational() bool {
 	return s.Stack == nil || !s.Stack.Stopped()
 }
 
+// clientTier is what the model needs from a client population — individual
+// tpcc.Clients, or one tpcc.Aggregate per site above the AggregateClients
+// threshold. Class-level outcome accounting stays in each server's
+// ClassStats, so no population-indexed structure exists in either tier.
+type clientTier interface {
+	Retries() int64
+	GiveUps() int64
+	RetryLat() *metrics.Sample
+	// RetryPending reports a backoff timer holding an unsubmitted retry: the
+	// run must stay open for the resubmission, or the retried transaction
+	// would be cut off mid-flight.
+	RetryPending() bool
+	SetLoadFactor(f float64)
+}
+
 // Model is a configured instance of the testing tool.
 type Model struct {
-	cfg     Config
-	k       *sim.Kernel
-	rng     *sim.RNG
-	net     *simnet.Network
-	lan     *simnet.LAN
-	members []runtimeapi.NodeID // full group universe (rebuilt stacks need it)
-
-	// Group-mode shape: groups is 1 for the classic model; perGroup is the
-	// per-group site count (== cfg.Sites in either mode).
-	groups   int
-	perGroup int
+	cfg   Config
+	k     *sim.Kernel
+	rng   *sim.RNG
+	net   *simnet.Network
+	lan   *simnet.LAN
+	place placement
+	// members[g-1] is group g's membership universe, the dedicated sequencer
+	// included (rebuilt stacks need it).
+	members [][]runtimeapi.NodeID
 
 	sites     []*Site
 	dedicated *Site // dedicated sequencer member, when configured
-	clients   []*tpcc.Client
-	// aggs replaces clients above the AggregateClients threshold: one
-	// compound arrival process per site with a nonzero population.
-	aggs []*tpcc.Aggregate
+	clients   []clientTier
 
 	issued   int
 	finished int64
@@ -297,129 +308,79 @@ type Model struct {
 	rejoinViolation  error
 }
 
-// New builds a model from a config.
-func New(cfg Config) (*Model, error) {
-	cfg.fill()
-	groups := cfg.Groups
-	if groups < 1 {
-		groups = 1
+// validate rejects configurations the model does not support.
+func (c *Config) validate() error {
+	groups := max(c.Groups, 1)
+	if total := c.Sites * groups; c.Sites < 1 || total > 32 {
+		return fmt.Errorf("core: unsupported site count %d (%d groups of %d)", total, groups, c.Sites)
 	}
-	total := cfg.Sites * groups
-	if cfg.Sites < 1 || total > 32 {
-		return nil, fmt.Errorf("core: unsupported site count %d (%d groups of %d)", total, groups, cfg.Sites)
-	}
-	if cfg.Protocol != ProtocolConservative && cfg.Protocol != ProtocolOptimistic {
-		return nil, fmt.Errorf("core: unknown protocol %q", cfg.Protocol)
+	if c.Protocol != ProtocolConservative && c.Protocol != ProtocolOptimistic {
+		return fmt.Errorf("core: unknown protocol %q", c.Protocol)
 	}
 	if groups > 1 {
 		// The cross-group commit path composes with the plain per-group
 		// protocol only; the orthogonal single-group features stay out of
 		// scope and are rejected rather than silently ignored.
 		switch {
-		case cfg.Sites < 2:
-			return nil, fmt.Errorf("core: groups need at least 2 sites each, got %d", cfg.Sites)
-		case cfg.DedicatedSequencer:
-			return nil, fmt.Errorf("core: dedicated sequencer is incompatible with %d groups", groups)
-		case cfg.ReplicationDegree > 0:
-			return nil, fmt.Errorf("core: replication degree is incompatible with %d groups", groups)
-		case cfg.ReadSetThreshold > 0:
-			return nil, fmt.Errorf("core: table-lock upgrade is incompatible with %d groups", groups)
-		case len(cfg.Faults.Recovers) > 0:
-			return nil, fmt.Errorf("core: crash recovery is incompatible with %d groups", groups)
+		case c.Sites < 2:
+			return fmt.Errorf("core: groups need at least 2 sites each, got %d", c.Sites)
+		case c.DedicatedSequencer:
+			return fmt.Errorf("core: dedicated sequencer is incompatible with %d groups", groups)
+		case c.ReplicationDegree > 0:
+			return fmt.Errorf("core: replication degree is incompatible with %d groups", groups)
+		case c.ReadSetThreshold > 0:
+			return fmt.Errorf("core: table-lock upgrade is incompatible with %d groups", groups)
+		case len(c.Faults.Recovers) > 0:
+			return fmt.Errorf("core: crash recovery is incompatible with %d groups", groups)
 		}
 	}
-	m := &Model{cfg: cfg, k: sim.NewKernel(), rng: sim.NewRNG(cfg.Seed),
-		groups: groups, perGroup: cfg.Sites}
+	return nil
+}
+
+// New builds a model from a config: validate, build the sites, arm the fault
+// load, start the clients.
+func New(cfg Config) (*Model, error) {
+	cfg.fill()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	m := &Model{cfg: cfg, k: sim.NewKernel(), rng: sim.NewRNG(cfg.Seed), place: newPlacement(&cfg)}
 	m.net = simnet.NewNetwork(m.k, m.rng.Fork("net"))
 	m.lan = m.net.NewLAN(cfg.LAN)
-
-	members := make([]runtimeapi.NodeID, total)
-	for i := range members {
-		members[i] = runtimeapi.NodeID(i + 1)
+	if err := m.buildSites(); err != nil {
+		return nil, err
 	}
-	if cfg.DedicatedSequencer && total > 1 && groups == 1 {
+	if err := m.armFaults(); err != nil {
+		return nil, err
+	}
+	m.startClients()
+	return m, nil
+}
+
+// buildSites registers the group memberships and assembles every member.
+func (m *Model) buildSites() error {
+	total := len(m.place.home)
+	m.members = make([][]runtimeapi.NodeID, m.place.groups)
+	for g := range m.members {
+		m.members[g] = m.place.members(g + 1)
+	}
+	first := 1
+	if m.cfg.DedicatedSequencer && total > 1 {
 		// Node 0 sorts first in the view, making it the sequencer.
-		members = append([]runtimeapi.NodeID{0}, members...)
+		m.members[0] = append([]runtimeapi.NodeID{0}, m.members[0]...)
+		first = 0
 	}
-	m.members = members
-	if groups == 1 {
-		m.net.SetGroup(1, members)
-	} else {
-		for g := 1; g <= groups; g++ {
-			m.net.SetGroup(runtimeapi.Group(g), m.groupMembers(g))
-		}
+	for g, members := range m.members {
+		m.net.SetGroup(runtimeapi.Group(g+1), members)
 	}
-
-	warehouses := cfg.Warehouses
+	warehouses := m.cfg.Warehouses
 	if warehouses == 0 {
-		warehouses = tpcc.Warehouses(cfg.Clients)
+		warehouses = tpcc.Warehouses(m.cfg.Clients)
 	}
-
-	for _, id := range members {
-		host, err := m.net.NewHost(id, m.lan)
+	for id := first; id <= total; id++ {
+		site, err := m.buildSite(runtimeapi.NodeID(id), total > 1, warehouses)
 		if err != nil {
-			return nil, fmt.Errorf("core: site %d: %w", id, err)
-		}
-		var prof csrt.Profiler = &csrt.ModelProfiler{}
-		if cfg.UseWallProfiler {
-			prof = &csrt.WallProfiler{}
-		}
-		rt := csrt.NewRuntime(m.k, id, prof, m.net.Port(id, 0), cfg.Costs,
-			m.rng.Fork(fmt.Sprintf("rt-%d", id)))
-		ncpu := cfg.CPUsPerSite
-		if id == 0 {
-			ncpu = 1 // the dedicated sequencer only runs protocol code
-		}
-		cpus := csrt.NewCPUSet(ncpu, m.k, nil)
-		rt.Bind(cpus)
-		host.SetDeliver(func(pkt *simnet.Packet) { rt.Deliver(pkt.Src, pkt.Data) })
-
-		site := &Site{ID: dbsm.SiteID(id), RT: rt, CPUs: cpus, Host: host,
-			Life: recovery.NewLifecycle(dbsm.SiteID(id))}
-
-		if len(members) > 1 {
-			if err := m.buildStack(site, false); err != nil {
-				return nil, err
-			}
-		}
-
-		if id != 0 {
-			storage := db.NewStorage(m.k, cfg.Storage, m.rng.Fork(fmt.Sprintf("disk-%d", id)))
-			server := db.NewServer(m.k, dbsm.SiteID(id), cpus, storage)
-			server.ReadSetThreshold = cfg.ReadSetThreshold
-			if cfg.Admission != nil {
-				server.MaxActive = cfg.Admission.MaxActivePerSite
-			}
-			site.Server = server
-			site.Gen = tpcc.NewGenerator(dbsm.SiteID(id), warehouses, cfg.Calibration,
-				m.rng.Fork(fmt.Sprintf("gen-%d", id)))
-			if site.Stack != nil {
-				m.buildReplica(site, false)
-			}
-		}
-		if site.Stack != nil {
-			site.Stack.Start()
-			if site.Replica != nil {
-				site.Replica.Start()
-			}
-		}
-
-		// Fault wiring.
-		if cfg.Faults.DriftsSite(int32(id)) {
-			rt.SetClockDrift(cfg.Faults.ClockDriftRate)
-		}
-		if cfg.Faults.DelaysSite(int32(id)) {
-			rt.SetSchedulingLatency(cfg.Faults.SchedLatencyGen(),
-				m.rng.Fork(fmt.Sprintf("lat-%d", id)))
-		}
-		if lm := cfg.Faults.Loss.NewModel(); lm != nil {
-			host.SetLoss(lm)
-		}
-		if in := cfg.Faults.Duplicate.NewInjector(); in != nil {
-			host.SetDuplicate(in)
-		}
-		if in := cfg.Faults.Reorder.NewInjector(); in != nil {
-			host.SetReorder(in)
+			return err
 		}
 		if id == 0 {
 			m.dedicated = site
@@ -427,38 +388,118 @@ func New(cfg Config) (*Model, error) {
 			m.sites = append(m.sites, site)
 		}
 	}
+	return nil
+}
 
+// buildSite assembles one member: host, runtime, CPUs, and — when the model
+// is replicated — its stack; every member but the dedicated sequencer (node
+// 0) also gets a database server, a generator and the replica glue.
+func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int) (*Site, error) {
+	cfg := m.cfg
+	host, err := m.net.NewHost(id, m.lan)
+	if err != nil {
+		return nil, fmt.Errorf("core: site %d: %w", id, err)
+	}
+	var prof csrt.Profiler = &csrt.ModelProfiler{}
+	if cfg.UseWallProfiler {
+		prof = &csrt.WallProfiler{}
+	}
+	rt := csrt.NewRuntime(m.k, id, prof, m.net.Port(id, 0), cfg.Costs,
+		m.rng.Fork(fmt.Sprintf("rt-%d", id)))
+	ncpu := cfg.CPUsPerSite
+	if id == 0 {
+		ncpu = 1 // the dedicated sequencer only runs protocol code
+	}
+	cpus := csrt.NewCPUSet(ncpu, m.k, nil)
+	rt.Bind(cpus)
+	host.SetDeliver(func(pkt *simnet.Packet) { rt.Deliver(pkt.Src, pkt.Data) })
+
+	site := &Site{ID: dbsm.SiteID(id), RT: rt, CPUs: cpus, Host: host,
+		Life: recovery.NewLifecycle(dbsm.SiteID(id)), group: m.place.group(max(int(id)-1, 0))}
+	if replicated {
+		if err := m.buildStack(site, false); err != nil {
+			return nil, err
+		}
+	}
+	if id != 0 {
+		storage := db.NewStorage(m.k, cfg.Storage, m.rng.Fork(fmt.Sprintf("disk-%d", id)))
+		server := db.NewServer(m.k, dbsm.SiteID(id), cpus, storage)
+		server.ReadSetThreshold = cfg.ReadSetThreshold
+		if cfg.Admission != nil {
+			server.MaxActive = cfg.Admission.MaxActivePerSite
+		}
+		site.Server = server
+		site.Gen = tpcc.NewGenerator(dbsm.SiteID(id), warehouses, cfg.Calibration,
+			m.rng.Fork(fmt.Sprintf("gen-%d", id)))
+		if site.Stack != nil {
+			m.buildReplica(site, false)
+		}
+	}
+	if site.Stack != nil {
+		site.Stack.Start()
+		if site.Replica != nil {
+			site.Replica.Start()
+		}
+	}
+
+	// Per-member fault wiring.
+	if cfg.Faults.DriftsSite(int32(id)) {
+		rt.SetClockDrift(cfg.Faults.ClockDriftRate)
+	}
+	if cfg.Faults.DelaysSite(int32(id)) {
+		rt.SetSchedulingLatency(cfg.Faults.SchedLatencyGen(),
+			m.rng.Fork(fmt.Sprintf("lat-%d", id)))
+	}
+	if lm := cfg.Faults.Loss.NewModel(); lm != nil {
+		host.SetLoss(lm)
+	}
+	if in := cfg.Faults.Duplicate.NewInjector(); in != nil {
+		host.SetDuplicate(in)
+	}
+	if in := cfg.Faults.Reorder.NewInjector(); in != nil {
+		host.SetReorder(in)
+	}
+	return site, nil
+}
+
+// siteByID resolves a fault's target site; fault names it in the error.
+func (m *Model) siteByID(id int32, fault string) (*Site, error) {
+	if id < 1 || int(id) > len(m.sites) {
+		return nil, fmt.Errorf("core: %s targets unknown site %d", fault, id)
+	}
+	return m.sites[id-1], nil
+}
+
+// armFaults validates the scheduled fault load and arms it on the kernel.
+func (m *Model) armFaults() error {
+	f := &m.cfg.Faults
 	crashAt := map[int32]sim.Time{}
-	for _, cr := range cfg.Faults.Crashes {
-		idx := int(cr.Site) - 1
-		if idx < 0 || idx >= len(m.sites) {
-			return nil, fmt.Errorf("core: crash targets unknown site %d", cr.Site)
+	for _, cr := range f.Crashes {
+		site, err := m.siteByID(cr.Site, "crash")
+		if err != nil {
+			return err
 		}
 		if _, dup := crashAt[cr.Site]; dup {
-			return nil, fmt.Errorf("core: site %d crashes twice", cr.Site)
+			return fmt.Errorf("core: site %d crashes twice", cr.Site)
 		}
 		crashAt[cr.Site] = cr.At
-		site := m.sites[idx]
 		m.k.ScheduleAt(cr.At, func() { m.crash(site) })
 	}
-	seenRecover := map[int32]bool{}
-	for _, rc := range cfg.Faults.Recovers {
-		idx := int(rc.Site) - 1
-		if idx < 0 || idx >= len(m.sites) {
-			return nil, fmt.Errorf("core: recovery targets unknown site %d", rc.Site)
+	for _, rc := range f.Recovers {
+		site, err := m.siteByID(rc.Site, "recovery")
+		if err != nil {
+			return err
 		}
 		at, crashed := crashAt[rc.Site]
 		if !crashed {
-			return nil, fmt.Errorf("core: recovery of site %d without a crash", rc.Site)
+			return fmt.Errorf("core: recovery of site %d without a crash", rc.Site)
 		}
 		if rc.At <= at {
-			return nil, fmt.Errorf("core: site %d recovers at %v, not after its crash at %v", rc.Site, rc.At, at)
+			return fmt.Errorf("core: site %d recovers at %v, not after its crash at %v", rc.Site, rc.At, at)
 		}
-		if seenRecover[rc.Site] {
-			return nil, fmt.Errorf("core: site %d recovers twice", rc.Site)
+		if m.pendingRecover[site] {
+			return fmt.Errorf("core: site %d recovers twice", rc.Site)
 		}
-		seenRecover[rc.Site] = true
-		site := m.sites[idx]
 		if m.pendingRecover == nil {
 			m.pendingRecover = make(map[*Site]bool)
 		}
@@ -468,86 +509,96 @@ func New(cfg Config) (*Model, error) {
 			m.recover(site)
 		})
 	}
+	if err := m.armPartitions(); err != nil {
+		return err
+	}
 
-	// The network supports one active cut at a time, so partitions must
-	// not overlap in time; and the combined structural faults (crashes
-	// plus partitioned minorities) must leave a strict majority of the
-	// group, or the primary-component rule would wedge every survivor.
-	if len(cfg.Faults.Partitions) > 0 {
-		parts := append([]faults.Partition(nil), cfg.Faults.Partitions...)
-		sort.Slice(parts, func(i, j int) bool { return parts[i].At < parts[j].At })
-		for i := 1; i < len(parts); i++ {
-			prev := parts[i-1]
-			if prev.Heal == 0 || prev.Heal > parts[i].At {
-				return nil, fmt.Errorf("core: partitions overlap: cut at %v starts before the cut at %v heals",
-					parts[i].At, prev.At)
-			}
+	// Overload faults. Saturation compresses every client's think time (the
+	// clients are started later; the closures fire only once the kernel runs).
+	if sat := f.Saturation; sat.Active() {
+		if sat.Until != 0 && sat.Until <= sat.At {
+			return fmt.Errorf("core: saturation ends at %v, not after its start %v", sat.Until, sat.At)
 		}
-		disabled := map[int32]bool{}
-		perG := make([]int, m.groups+1)
-		mark := func(sid int32) {
-			if !disabled[sid] {
-				disabled[sid] = true
-				if g := m.siteGroup(sid); g >= 1 && g <= m.groups {
-					perG[g]++
-				}
-			}
-		}
-		for _, cr := range cfg.Faults.Crashes {
-			mark(cr.Site)
-		}
-		for _, pt := range parts {
-			for _, sid := range pt.Sites {
-				mark(sid)
-			}
-		}
-		// The majority rule is per replication group: each group runs its
-		// own view, so each one individually must keep a strict majority.
-		for g := 1; g <= m.groups; g++ {
-			if 2*perG[g] >= m.perGroup {
-				if m.groups == 1 {
-					return nil, fmt.Errorf("core: crashes and partitions disable %d of %d sites; a strict majority must survive",
-						perG[g], m.perGroup)
-				}
-				return nil, fmt.Errorf("core: crashes and partitions disable %d of group %d's %d sites; a strict majority must survive in every group",
-					perG[g], g, m.perGroup)
-			}
+		m.k.ScheduleAt(sat.At, func() { m.setLoadFactor(sat.Factor) })
+		if sat.Until != 0 {
+			m.k.ScheduleAt(sat.Until, func() { m.setLoadFactor(1) })
 		}
 	}
-	for _, pt := range cfg.Faults.Partitions {
+	for _, sn := range f.SlowNodes {
+		if sn.Factor <= 1 {
+			continue
+		}
+		site, err := m.siteByID(sn.Site, "slow-node")
+		if err != nil {
+			return err
+		}
+		if sn.Until != 0 && sn.Until <= sn.At {
+			return fmt.Errorf("core: slow-node ends at %v, not after its start %v", sn.Until, sn.At)
+		}
+		m.k.ScheduleAt(sn.At, func() { m.setSlow(site, sn.Factor) })
+		if sn.Until != 0 {
+			m.k.ScheduleAt(sn.Until, func() { m.setSlow(site, 1) })
+		}
+	}
+	return nil
+}
+
+// armPartitions validates and arms the network cuts. The network supports
+// one active cut at a time, so partitions must not overlap in time; and the
+// structural faults combined (crashes plus partitioned minorities) must leave
+// every replication group a strict majority — each group runs its own view —
+// or the primary-component rule would wedge every survivor.
+func (m *Model) armPartitions() error {
+	f := &m.cfg.Faults
+	if len(f.Partitions) == 0 {
+		return nil
+	}
+	sorted := append([]faults.Partition(nil), f.Partitions...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
+	for i := 1; i < len(sorted); i++ {
+		if prev := sorted[i-1]; prev.Heal == 0 || prev.Heal > sorted[i].At {
+			return fmt.Errorf("core: partitions overlap: cut at %v starts before the cut at %v heals",
+				sorted[i].At, prev.At)
+		}
+	}
+	minorities := make([][]*Site, len(f.Partitions))
+	disabled := map[*Site]bool{}
+	for _, cr := range f.Crashes {
+		disabled[m.sites[cr.Site-1]] = true // ids validated by armFaults
+	}
+	for i, pt := range f.Partitions {
 		if len(pt.Sites) == 0 {
-			return nil, fmt.Errorf("core: partition isolates no sites")
-		}
-		cnt := make([]int, m.groups+1)
-		for _, sid := range pt.Sites {
-			if idx := int(sid) - 1; idx < 0 || idx >= total {
-				return nil, fmt.Errorf("core: partition targets unknown site %d", sid)
-			}
-			cnt[m.siteGroup(sid)]++
-		}
-		for g := 1; g <= m.groups; g++ {
-			if 2*cnt[g] < m.perGroup {
-				continue
-			}
-			if m.groups == 1 {
-				return nil, fmt.Errorf("core: partition isolates %d of %d sites; the isolated side must be a strict minority",
-					cnt[g], m.perGroup)
-			}
-			return nil, fmt.Errorf("core: partition isolates %d of group %d's %d sites; the isolated side must be a strict minority in every group",
-				cnt[g], g, m.perGroup)
+			return fmt.Errorf("core: partition isolates no sites")
 		}
 		if pt.Heal != 0 && pt.Heal <= pt.At {
-			return nil, fmt.Errorf("core: partition heals at %v, not after its start %v", pt.Heal, pt.At)
+			return fmt.Errorf("core: partition heals at %v, not after its start %v", pt.Heal, pt.At)
 		}
-		minority := make([]*Site, 0, len(pt.Sites))
-		ids := make([]runtimeapi.NodeID, 0, len(pt.Sites))
 		for _, sid := range pt.Sites {
-			idx := int(sid) - 1
-			if idx < 0 || idx >= len(m.sites) {
-				return nil, fmt.Errorf("core: partition targets unknown site %d", sid)
+			site, err := m.siteByID(sid, "partition")
+			if err != nil {
+				return err
 			}
-			minority = append(minority, m.sites[idx])
-			ids = append(ids, runtimeapi.NodeID(sid))
+			minorities[i] = append(minorities[i], site)
+			disabled[site] = true
+		}
+	}
+	down := make([]int, m.place.groups+1)
+	for _, s := range m.sites {
+		if disabled[s] {
+			down[s.group]++
+		}
+	}
+	for g := 1; g <= m.place.groups; g++ {
+		if 2*down[g] >= m.place.perGroup {
+			return fmt.Errorf("core: crashes and partitions disable %d of group %d's %d sites; a strict majority must survive in every group",
+				down[g], g, m.place.perGroup)
+		}
+	}
+	for i, pt := range f.Partitions {
+		minority := minorities[i]
+		ids := make([]runtimeapi.NodeID, len(minority))
+		for j, s := range minority {
+			ids[j] = runtimeapi.NodeID(s.ID)
 		}
 		m.k.ScheduleAt(pt.At, func() {
 			for _, s := range minority {
@@ -559,149 +610,59 @@ func New(cfg Config) (*Model, error) {
 			m.k.ScheduleAt(pt.Heal, func() { m.net.Heal() })
 		}
 	}
+	return nil
+}
 
-	// Overload faults. Saturation compresses every client's think time (the
-	// clients are built below; the closures fire only once the kernel runs).
-	if sat := cfg.Faults.Saturation; sat.Active() {
-		if sat.Until != 0 && sat.Until <= sat.At {
-			return nil, fmt.Errorf("core: saturation ends at %v, not after its start %v", sat.Until, sat.At)
-		}
-		factor := sat.Factor
-		m.k.ScheduleAt(sat.At, func() { m.setLoadFactor(factor) })
-		if sat.Until != 0 {
-			m.k.ScheduleAt(sat.Until, func() { m.setLoadFactor(1) })
-		}
+// startClients attaches the client population where placement puts it. At or
+// above the AggregateClients threshold each site's share becomes one compound
+// arrival process indexing into the same per-site description, so no
+// population-sized table is ever materialized.
+func (m *Model) startClients() {
+	cfg := m.cfg
+	var retry tpcc.RetryPolicy
+	if cfg.Admission != nil {
+		retry = cfg.Admission.Retry
 	}
-	for _, sn := range cfg.Faults.SlowNodes {
-		if sn.Factor <= 1 {
-			continue
-		}
-		idx := int(sn.Site) - 1
-		if idx < 0 || idx >= len(m.sites) {
-			return nil, fmt.Errorf("core: slow-node targets unknown site %d", sn.Site)
-		}
-		if sn.Until != 0 && sn.Until <= sn.At {
-			return nil, fmt.Errorf("core: slow-node ends at %v, not after its start %v", sn.Until, sn.At)
-		}
-		site := m.sites[idx]
-		factor := sn.Factor
-		m.k.ScheduleAt(sn.At, func() { m.setSlow(site, factor) })
-		if sn.Until != 0 {
-			m.k.ScheduleAt(sn.Until, func() { m.setSlow(site, 1) })
-		}
-	}
-
-	// Clients are assigned round-robin: the ten clients of one warehouse
-	// spread across sites, so hot-row conflicts that local locks would
-	// serialize on a single site surface as certification conflicts
-	// between sites — the replication effect of Table 1. Under partial
-	// replication, clients are instead routed to the primary site of
-	// their home warehouse, which stores their data.
-	// Under group mode, clients live at their home warehouse's group — the
-	// only sites storing their data; cross-group traffic then comes from
-	// payment's remote warehouse and new-order's remote stock lines.
-	partial := cfg.ReplicationDegree > 0 && cfg.ReplicationDegree < cfg.Sites
 	if cfg.AggregateClients > 0 && cfg.Clients >= cfg.AggregateClients {
-		m.buildAggregates(partial)
-		return m, nil
+		proc := cfg.Calibration.ArrivalProcess()
+		for idx, site := range m.sites {
+			blocks := m.place.clientsAt(idx)
+			if blocks.population() == 0 {
+				continue
+			}
+			a := &tpcc.Aggregate{
+				Server:     site.Server,
+				Gen:        site.Gen,
+				Proc:       proc,
+				Retry:      retry,
+				Population: blocks.population(),
+				HomeWH:     func(k int) int { return blocks.client(k) / tpcc.ClientsPerWarehouse },
+				Stop:       m.takeTxnSlot,
+				// No individual client exists: the log records client -1.
+				OnDone: func(t *db.Txn, o db.Outcome) { m.onDone(site, -1, t, o) },
+			}
+			m.clients = append(m.clients, a)
+			a.Start(m.k, m.rng.Fork(fmt.Sprintf("aggclients-%d", site.ID)))
+		}
+		return
+	}
+	done := make([]func(*tpcc.Client, *db.Txn, db.Outcome), len(m.sites))
+	for idx, site := range m.sites {
+		done[idx] = func(c *tpcc.Client, t *db.Txn, o db.Outcome) { m.onDone(site, c.ID, t, o) }
 	}
 	for i := 0; i < cfg.Clients; i++ {
-		var site *Site
-		switch {
-		case m.groups > 1:
-			site = m.sites[xgroup.HomeSite(i/tpcc.ClientsPerWarehouse, m.groups, m.perGroup)-1]
-		case partial:
-			site = m.sites[primarySiteIndex(i/tpcc.ClientsPerWarehouse, cfg.Sites)]
-		default:
-			site = m.sites[i%len(m.sites)]
-		}
+		idx := m.place.siteOfClient(i)
 		cl := &tpcc.Client{
 			ID:     i,
-			Server: site.Server,
-			Gen:    site.Gen,
+			Server: m.sites[idx].Server,
+			Gen:    m.sites[idx].Gen,
 			Think:  cfg.Calibration.ThinkTime,
+			Retry:  retry,
 			Stop:   m.takeTxnSlot,
-			OnDone: m.onDone,
-		}
-		if cfg.Admission != nil {
-			cl.Retry = cfg.Admission.Retry
+			OnDone: done[idx],
 		}
 		m.clients = append(m.clients, cl)
 		cl.Start(m.k, m.rng.Fork(fmt.Sprintf("client-%d", i)))
-	}
-	return m, nil
-}
-
-// buildAggregates assembles the aggregate client tier: one compound arrival
-// process per site, standing in for the site's share of the population under
-// the exact client-placement rule the individual tier uses. Each placement
-// mode admits an O(1) dense-index → home-warehouse closure, so no
-// population-sized table is ever materialized:
-//
-//   - round-robin: the clients at site index s are i = s + k·nsites;
-//   - primary-site (partial replication) and group-homed placements assign
-//     whole warehouse blocks of ClientsPerWarehouse clients, and the
-//     warehouses homed at one site form an arithmetic progression (stride
-//     nsites resp. groups·perGroup). Only the globally-last warehouse block
-//     can be partial, and it is the last block of its site's progression,
-//     so dense indexing by k/ClientsPerWarehouse is exact.
-func (m *Model) buildAggregates(partial bool) {
-	cfg := m.cfg
-	nsites := len(m.sites)
-	proc := cfg.Calibration.ArrivalProcess()
-	for idx, site := range m.sites {
-		var pop int
-		var homeWH func(k int) int
-		blockPop := func(start, stride int) int {
-			n := 0
-			for wh := start; wh*tpcc.ClientsPerWarehouse < cfg.Clients; wh += stride {
-				c := cfg.Clients - wh*tpcc.ClientsPerWarehouse
-				if c > tpcc.ClientsPerWarehouse {
-					c = tpcc.ClientsPerWarehouse
-				}
-				n += c
-			}
-			return n
-		}
-		switch {
-		case m.groups > 1:
-			// Invert xgroup.HomeSite: site idx+1 homes the warehouses
-			// wh = groups·(r + j·perGroup) + g0 with g0 = idx/perGroup,
-			// r = idx%perGroup.
-			g0, r := idx/m.perGroup, idx%m.perGroup
-			start, stride := m.groups*r+g0, m.groups*m.perGroup
-			pop = blockPop(start, stride)
-			homeWH = func(k int) int { return start + (k/tpcc.ClientsPerWarehouse)*stride }
-		case partial:
-			// Invert primarySiteIndex: wh ≡ idx (mod sites).
-			start, stride := idx, cfg.Sites
-			pop = blockPop(start, stride)
-			homeWH = func(k int) int { return start + (k/tpcc.ClientsPerWarehouse)*stride }
-		default:
-			if idx < cfg.Clients {
-				pop = (cfg.Clients-1-idx)/nsites + 1
-			}
-			s := idx
-			homeWH = func(k int) int { return (s + k*nsites) / tpcc.ClientsPerWarehouse }
-		}
-		if pop == 0 {
-			continue
-		}
-		a := &tpcc.Aggregate{
-			Server:     site.Server,
-			Gen:        site.Gen,
-			Proc:       proc,
-			Population: pop,
-			HomeWH:     homeWH,
-			Stop:       m.takeTxnSlot,
-		}
-		if cfg.Admission != nil {
-			a.Retry = cfg.Admission.Retry
-		}
-		s := site
-		a.OnDone = func(t *db.Txn, o db.Outcome) { m.onDoneAgg(s, t, o) }
-		m.aggs = append(m.aggs, a)
-		a.Start(m.k, m.rng.Fork(fmt.Sprintf("aggclients-%d", site.ID)))
 	}
 }
 
@@ -722,9 +683,6 @@ func (m *Model) Network() *simnet.Network { return m.net }
 func (m *Model) setLoadFactor(f float64) {
 	for _, c := range m.clients {
 		c.SetLoadFactor(f)
-	}
-	for _, a := range m.aggs {
-		a.SetLoadFactor(f)
 	}
 }
 
@@ -752,35 +710,8 @@ func (m *Model) takeTxnSlot() bool {
 	return false
 }
 
-func (m *Model) siteOf(server *db.Server) *Site {
-	for _, s := range m.sites {
-		if s.Server == server {
-			return s
-		}
-	}
-	return nil
-}
-
-func (m *Model) onDone(c *tpcc.Client, t *db.Txn, o db.Outcome) {
-	m.finished++
-	m.lastDone = m.k.Now()
-	if m.cfg.CollectTxnLog {
-		site := m.siteOf(c.Server)
-		m.txnLog.Add(trace.Record{
-			TID:     t.TID,
-			Class:   t.Class,
-			Site:    site.ID,
-			Client:  c.ID,
-			Submit:  t.SubmitAt,
-			End:     t.EndAt,
-			Outcome: o,
-		})
-	}
-}
-
-// onDoneAgg is the aggregate tier's completion hook: identical accounting,
-// but no individual client exists — the log records client -1.
-func (m *Model) onDoneAgg(s *Site, t *db.Txn, o db.Outcome) {
+// onDone is both client tiers' completion hook.
+func (m *Model) onDone(s *Site, client int, t *db.Txn, o db.Outcome) {
 	m.finished++
 	m.lastDone = m.k.Now()
 	if m.cfg.CollectTxnLog {
@@ -788,7 +719,7 @@ func (m *Model) onDoneAgg(s *Site, t *db.Txn, o db.Outcome) {
 			TID:     t.TID,
 			Class:   t.Class,
 			Site:    s.ID,
-			Client:  -1,
+			Client:  client,
 			Submit:  t.SubmitAt,
 			End:     t.EndAt,
 			Outcome: o,
@@ -800,15 +731,10 @@ func (m *Model) onDoneAgg(s *Site, t *db.Txn, o db.Outcome) {
 // time (joining false) or for a fresh incarnation rejoining after a crash
 // (joining true).
 func (m *Model) buildStack(s *Site, joining bool) error {
-	group, members := 1, m.members
-	if m.groups > 1 {
-		group = m.siteGroup(int32(s.ID))
-		members = m.groupMembers(group)
-	}
 	gcfg := gcs.Config{
 		Self:         runtimeapi.NodeID(s.ID),
-		Members:      members,
-		Group:        runtimeapi.Group(group),
+		Members:      m.members[s.group-1],
+		Group:        runtimeapi.Group(s.group),
 		UseMulticast: true,
 		Joining:      joining,
 		// Partitions need the primary-component rule: the minority side
@@ -833,14 +759,12 @@ func (m *Model) buildReplica(s *Site, recovering bool) {
 	opts := replica.Options{
 		Optimistic:       m.cfg.Protocol == ProtocolOptimistic,
 		ReadSetThreshold: m.cfg.ReadSetThreshold,
-		Replicates:       replicatesFunc(int(s.ID)-1, m.cfg.Sites, m.cfg.ReplicationDegree),
+		Replicates:       m.place.stores(int(s.ID) - 1),
 		Recovering:       recovering,
-	}
-	if m.groups > 1 {
-		opts.Group = m.siteGroup(int32(s.ID))
-		opts.GroupCount = m.groups
-		opts.SitesPerGroup = m.perGroup
-		opts.GroupOf = warehouseClassifier(m.groups)
+		Group:            s.group,
+		GroupCount:       m.place.groups,
+		SitesPerGroup:    m.place.perGroup,
+		GroupOf:          m.place.owner(),
 	}
 	if ad := m.cfg.Admission; ad != nil {
 		opts.BacklogHigh, opts.BacklogLow = ad.BacklogHigh, ad.BacklogLow
@@ -968,15 +892,7 @@ func (m *Model) quiesced() bool {
 		return false
 	}
 	for _, c := range m.clients {
-		// A backoff timer holds an unsubmitted retry: the run must stay
-		// open for the resubmission, or the retried transaction would be
-		// cut off mid-flight.
 		if c.RetryPending() {
-			return false
-		}
-	}
-	for _, a := range m.aggs {
-		if a.RetryPending() {
 			return false
 		}
 	}

@@ -3,49 +3,32 @@ package core
 import (
 	"testing"
 
-	"repro/internal/dbsm"
 	"repro/internal/sim"
 	"repro/internal/tpcc"
 )
 
-func TestReplicatesAtPlacement(t *testing.T) {
+// TestPlacementDegreeWindow pins degree-k placement on concrete cases (the
+// general properties are in TestPlacementStorage): a warehouse is stored at
+// its primary site and the next k-1, wrapping around; a degree of 0 or >=
+// Sites is full replication, which carries no predicate at all.
+func TestPlacementDegreeWindow(t *testing.T) {
+	p := newPlacement(&Config{Sites: 6, ReplicationDegree: 2})
+	at := func(wh, idx int) bool { return p.stores(idx)(tpcc.WarehouseRow(wh)) }
 	// 6 sites, degree 2: warehouse 0 at sites 0,1; warehouse 5 at 5,0.
-	if !replicatesAt(0, 0, 6, 2) || !replicatesAt(0, 1, 6, 2) || replicatesAt(0, 2, 6, 2) {
+	if !at(0, 0) || !at(0, 1) || at(0, 2) {
 		t.Fatal("warehouse 0 placement wrong")
 	}
-	if !replicatesAt(5, 5, 6, 2) || !replicatesAt(5, 0, 6, 2) || replicatesAt(5, 3, 6, 2) {
+	if !at(5, 5) || !at(5, 0) || at(5, 3) {
 		t.Fatal("wrap-around placement wrong")
 	}
-	// Degree >= sites: everywhere.
-	for idx := 0; idx < 3; idx++ {
-		if !replicatesAt(7, idx, 3, 3) || !replicatesAt(7, idx, 3, 0) {
-			t.Fatal("full replication must place everywhere")
+	if !at(11, 5) || !at(11, 0) || at(11, 1) {
+		t.Fatal("second-round warehouse must reuse its residue's window")
+	}
+	for _, degree := range []int{0, 3, 7} {
+		full := newPlacement(&Config{Sites: 3, ReplicationDegree: degree})
+		if full.stores(0) != nil {
+			t.Fatalf("degree %d of 3 sites must be full replication", degree)
 		}
-	}
-	// Every warehouse gets exactly `degree` replicas.
-	for wh := 0; wh < 30; wh++ {
-		n := 0
-		for idx := 0; idx < 6; idx++ {
-			if replicatesAt(wh, idx, 6, 2) {
-				n++
-			}
-		}
-		if n != 2 {
-			t.Fatalf("warehouse %d has %d replicas, want 2", wh, n)
-		}
-	}
-}
-
-func TestReplicatesFuncCatalogEverywhere(t *testing.T) {
-	f := replicatesFunc(2, 6, 2)
-	if f == nil {
-		t.Fatal("expected a predicate for partial replication")
-	}
-	if !f(dbsm.MakeTupleID(8 /* item */, 42)) {
-		t.Fatal("item catalog must be everywhere")
-	}
-	if replicatesFunc(0, 3, 0) != nil || replicatesFunc(0, 3, 3) != nil {
-		t.Fatal("full replication must return nil")
 	}
 }
 

@@ -214,13 +214,9 @@ func (m *Model) results() *Results {
 	for _, s := range m.sites {
 		sub, com, ab, rej := s.Server.Totals()
 		life := s.Life
-		group := 0
-		if m.groups > 1 {
-			group = m.siteGroup(int32(s.ID))
-		}
 		sr := SiteResult{
 			Site:          s.ID,
-			Group:         group,
+			Group:         m.place.reported(s.group),
 			State:         life.State().String(),
 			Crashed:       life.State() == recovery.StateCrashed,
 			Recovered:     life.Recoveries() > 0,
@@ -299,15 +295,6 @@ func (m *Model) results() *Results {
 		r.GiveUps += c.GiveUps()
 		r.RetryLat.Merge(c.RetryLat())
 	}
-	// The aggregate client tier pools the same counters per site instead of
-	// per client; class-level outcome accounting stays where it always was,
-	// in each server's ClassStats, so no population-indexed structure exists
-	// in either mode.
-	for _, a := range m.aggs {
-		r.Retries += a.Retries()
-		r.GiveUps += a.GiveUps()
-		r.RetryLat.Merge(a.RetryLat())
-	}
 	r.RejoinViolations = m.rejoinViolations
 	r.RejoinErr = m.rejoinViolation
 	if liveSites > 0 {
@@ -349,21 +336,19 @@ func (m *Model) results() *Results {
 
 	// Off-line safety check over commit logs (replicated runs only):
 	// crashed sites and partitioned-minority sites are held to the prefix
-	// condition, everyone else must agree exactly. Under group mode the
-	// one-copy condition holds per replication group (each group runs its
-	// own certified order); the cross-group conditions — atomic decisions
-	// and an acyclic cross-group serialization graph — are checked on top,
-	// over one canonical record stream per group.
-	if m.groups > 1 {
-		r.Groups = m.groups
+	// condition, everyone else must agree exactly. The one-copy condition
+	// holds per replication group (each group runs its own certified order);
+	// with several groups the cross-group conditions — atomic decisions and
+	// an acyclic cross-group serialization graph — are checked on top, over
+	// one canonical record stream per group.
+	r.Groups = m.place.reported(m.place.groups)
+	if len(m.sites) > 1 {
 		var xlogs []check.GroupXLog
-		for g := 1; g <= m.groups; g++ {
-			var siteLogs []check.SiteLog
+		for g := 1; g <= m.place.groups; g++ {
+			members := m.sites[(g-1)*m.place.perGroup : g*m.place.perGroup]
+			siteLogs := make([]check.SiteLog, 0, len(members))
 			var canonical *Site
-			for _, s := range m.sites {
-				if m.siteGroup(int32(s.ID)) != g {
-					continue
-				}
+			for _, s := range members {
 				siteLogs = append(siteLogs, check.SiteLog{
 					Site:        s.ID,
 					Operational: s.operational(),
@@ -375,7 +360,7 @@ func (m *Model) results() *Results {
 				}
 			}
 			if v := check.Logs(siteLogs); v != nil && r.SafetyErr == nil {
-				v.Group = g
+				v.Group = m.place.reported(g)
 				r.SafetyErr = v
 			}
 			if canonical == nil {
@@ -394,23 +379,12 @@ func (m *Model) results() *Results {
 				}
 			}
 		}
-		if v := check.CrossGroup(xlogs); v != nil && r.SafetyErr == nil {
-			r.SafetyErr = v
+		if m.place.groups > 1 {
+			if v := check.CrossGroup(xlogs); v != nil && r.SafetyErr == nil {
+				r.SafetyErr = v
+			}
 		}
 		r.MultiGroupPct = metrics.Rate(r.MultiGroupCommitted, r.Committed)
-	} else if len(m.sites) > 1 {
-		siteLogs := make([]check.SiteLog, 0, len(m.sites))
-		for _, s := range m.sites {
-			siteLogs = append(siteLogs, check.SiteLog{
-				Site:        s.ID,
-				Operational: s.operational(),
-				Recovered:   s.Life.Recoveries() > 0,
-				Entries:     s.Replica.CommitLog().Entries(),
-			})
-		}
-		if v := check.Logs(siteLogs); v != nil {
-			r.SafetyErr = v
-		}
 	}
 	if len(m.sites) > 1 && r.SafetyErr == nil && r.RejoinErr != nil {
 		// An install-time prefix violation is a safety violation even

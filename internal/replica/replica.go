@@ -48,12 +48,13 @@ type Options struct {
 	// deterministic across replicas (a pure function of the certified
 	// stream). Defaults to 50000.
 	MaxHistory int
-	// Replicates, when set, enables partial replication (the paper's
-	// Section 5.2 mitigation for the read-one/write-all disk bottleneck,
-	// evaluated as ongoing work in Section 7): only tuples for which it
-	// returns true are stored — and written back — at this site.
-	// Certification remains global, so the safety property is untouched;
-	// only the write-back fan-out shrinks.
+	// Replicates, when set, is this site's stored-here predicate under
+	// partial replication — degree-k placement (the paper's Section 5.2
+	// mitigation for the read-one/write-all disk bottleneck) and replication
+	// groups alike: only tuples for which it returns true are stored — and
+	// written back — at this site. Nil stores everything. Certification is
+	// untouched by it, so the safety property is too; only the write-back
+	// fan-out shrinks.
 	Replicates func(dbsm.TupleID) bool
 	// Recovering starts the replica in recovery mode: final deliveries are
 	// buffered (and speculation suppressed) until InstallSnapshot seeds
@@ -75,7 +76,7 @@ type Options struct {
 	// Group is this site's 1-based group; SitesPerGroup fixes the
 	// contiguous site numbering (group g owns sites (g-1)·S+1 .. g·S);
 	// GroupOf classifies a tuple's owning group (0 = replicated catalog).
-	// Incompatible with Replicates and Recovering.
+	// Incompatible with Recovering.
 	Group         int
 	GroupCount    int
 	SitesPerGroup int
@@ -249,7 +250,6 @@ func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Option
 		r.cert.Veto = r.x.veto
 		stack.OnRelay(r.x.onRelay)
 		stack.OnViewChange(r.x.onViewChange)
-		server.SectorFilter = r.x.localSectors
 	}
 	if opts.Replicates != nil {
 		server.SectorFilter = func(ws dbsm.ItemSet) int {
@@ -816,15 +816,25 @@ func (r *Replica) resolve(tc *dbsm.TxnCert, out dbsm.Outcome, preApplied bool) {
 }
 
 // localWrites narrows a write-set to the locally-stored rows under partial
-// replication. It returns tc unchanged under full replication, a filtered
-// copy when only some rows are stored here, and nil when none are.
+// replication. It returns tc itself when every row is stored here (always,
+// under full replication), a filtered copy when only some are, and nil when
+// none are.
 func (r *Replica) localWrites(tc *dbsm.TxnCert) *dbsm.TxnCert {
-	if r.opts.Replicates == nil {
+	stored := r.opts.Replicates
+	if stored == nil {
 		return tc
 	}
-	local := make(dbsm.ItemSet, 0, len(tc.WriteSet))
-	for _, id := range tc.WriteSet {
-		if r.opts.Replicates(id) {
+	skip := 0
+	for skip < len(tc.WriteSet) && stored(tc.WriteSet[skip]) {
+		skip++
+	}
+	if skip == len(tc.WriteSet) {
+		return tc
+	}
+	local := make(dbsm.ItemSet, skip, len(tc.WriteSet))
+	copy(local, tc.WriteSet)
+	for _, id := range tc.WriteSet[skip:] {
+		if stored(id) {
 			local = append(local, id)
 		}
 	}

@@ -759,19 +759,3 @@ func (x *xmgr) onViewChange(v gcs.View) {
 		}
 	}
 }
-
-// localSectors counts the write-set rows this site stores under group
-// partitioning: own-group tuples plus the replicated catalog.
-func (x *xmgr) localSectors(ws dbsm.ItemSet) int {
-	n := 0
-	for _, id := range ws {
-		g := x.r.opts.GroupOf(id)
-		if g == 0 || g == x.group {
-			n++
-		}
-	}
-	if n < 1 {
-		n = 1 // the commit record itself
-	}
-	return n
-}
