@@ -205,81 +205,129 @@ func (s Schedule) Describe() string {
 
 // New deterministically generates the schedule for a seed. All randomness
 // flows from the seed through a dedicated RNG stream, so equal seeds yield
-// equal schedules on every machine.
+// equal schedules on every machine. Classic and group-mode schedules draw
+// the same fault blocks in the same order; they differ in the site universe,
+// in how often the faults the cross-group relays care about are drawn, and in
+// the structural (crash/partition) section, which spends a per-group budget.
 func New(seed int64, p Params) Schedule {
 	p.fill()
+	b := builder{g: sim.NewRNG(seed).Fork("campaign"), p: p, s: Schedule{Seed: seed},
+		sites: p.Sites, lossRandom: 3, lossBursty: 6, chaos: 0.2}
 	if p.Groups > 1 {
-		return newGrouped(seed, p)
+		// Relays are raw datagrams recovered only by the coordinator's
+		// retransmit timer, and the relay round's idempotence under
+		// duplicated or reordered prepares, votes and decides is exactly what
+		// datagram chaos exercises — so loss and chaos are drawn oftener.
+		b.sites, b.lossRandom, b.lossBursty, b.chaos = p.Groups*p.Sites, 4, 7, 0.3
 	}
-	g := sim.NewRNG(seed).Fork("campaign")
-	s := Schedule{Seed: seed}
-	f := &s.Faults
+	b.timing()
+	b.loss()
+	b.datagramChaos()
+	if p.Groups > 1 {
+		b.groupStructural()
+	} else {
+		b.classicStructural()
+	}
+	b.overload()
+	// Never emit a fault-free schedule: a campaign run must stress
+	// something. Default to random loss at a mid rate.
+	if !b.s.Faults.Any() {
+		b.s.Faults.Loss = faults.Loss{Kind: faults.LossRandom, Rate: 0.01 + 0.09*b.g.Float64()}
+		b.add(KindLossRandom)
+	}
+	sortKinds(b.s.Kinds)
+	return b.s
+}
 
-	// Budget: crashed + partitioned sites must leave a strict majority of
-	// the current view at every step. Because views only shrink, keeping
-	// a strict majority of the *initial* membership alive is sufficient
-	// for every intermediate view.
-	budget := (p.Sites - 1) / 2
+// builder draws one schedule. sites is the site universe timing and overload
+// faults pick from; lossRandom and lossBursty are the cumulative tenths of
+// schedules that get random resp. bursty loss; chaos is the probability of
+// each datagram-chaos fault.
+type builder struct {
+	g *sim.RNG
+	p Params
+	s Schedule
 
-	// Timing faults compose freely with everything else.
+	sites                  int
+	lossRandom, lossBursty int
+	chaos                  float64
+}
+
+func (b *builder) add(kind string) { b.s.Kinds = append(b.s.Kinds, kind) }
+
+// timing draws the timing faults, which compose freely with everything else.
+func (b *builder) timing() {
+	g, f := b.g, &b.s.Faults
 	if g.Bool(0.35) {
 		f.ClockDriftRate = 0.01 + 0.09*g.Float64()
 		if g.Bool(0.5) {
-			f.ClockDriftSites = []int32{int32(1 + g.Intn(p.Sites))}
+			f.ClockDriftSites = []int32{int32(1 + g.Intn(b.sites))}
 		}
-		s.Kinds = append(s.Kinds, KindDrift)
+		b.add(KindDrift)
 	}
 	if g.Bool(0.35) {
 		f.SchedLatencyMean = g.UniformDur(1*sim.Millisecond, 8*sim.Millisecond)
-		s.Kinds = append(s.Kinds, KindLatency)
+		b.add(KindLatency)
 	}
+}
 
-	// At most one loss model (faults.Config carries a single Loss).
-	switch g.Intn(10) {
-	case 0, 1, 2:
+// loss draws at most one loss model (faults.Config carries a single Loss).
+func (b *builder) loss() {
+	g, f := b.g, &b.s.Faults
+	switch n := g.Intn(10); {
+	case n < b.lossRandom:
 		f.Loss = faults.Loss{Kind: faults.LossRandom, Rate: 0.01 + 0.09*g.Float64()}
-		s.Kinds = append(s.Kinds, KindLossRandom)
-	case 3, 4, 5:
+		b.add(KindLossRandom)
+	case n < b.lossBursty:
 		f.Loss = faults.Loss{
 			Kind:      faults.LossBursty,
 			Rate:      0.01 + 0.07*g.Float64(),
 			MeanBurst: 3 + 5*g.Float64(),
 		}
-		s.Kinds = append(s.Kinds, KindLossBursty)
+		b.add(KindLossBursty)
 	}
+}
 
-	// Datagram chaos composes freely: duplication and reordering target the
-	// unordered relay traffic and never consume quorum budget.
-	if g.Bool(0.2) {
+// datagramChaos draws duplication and reordering, which target the unordered
+// relay traffic and never consume quorum budget.
+func (b *builder) datagramChaos() {
+	g, f := b.g, &b.s.Faults
+	if g.Bool(b.chaos) {
 		d := faults.Duplicate{
 			Rate: 0.02 + 0.10*g.Float64(),
-			At:   g.UniformDur(2*sim.Second, p.Horizon/2),
+			At:   g.UniformDur(2*sim.Second, b.p.Horizon/2),
 		}
 		if g.Bool(0.4) {
 			d.Until = d.At + g.UniformDur(5*sim.Second, 20*sim.Second)
 		}
 		f.Duplicate = d
-		s.Kinds = append(s.Kinds, KindDuplicate)
+		b.add(KindDuplicate)
 	}
-	if g.Bool(0.2) {
+	if g.Bool(b.chaos) {
 		ro := faults.Reorder{
 			Rate:  0.02 + 0.10*g.Float64(),
 			Delay: g.UniformDur(1*sim.Millisecond, 5*sim.Millisecond),
-			At:    g.UniformDur(2*sim.Second, p.Horizon/2),
+			At:    g.UniformDur(2*sim.Second, b.p.Horizon/2),
 		}
 		if g.Bool(0.4) {
 			ro.Until = ro.At + g.UniformDur(5*sim.Second, 20*sim.Second)
 		}
 		f.Reorder = ro
-		s.Kinds = append(s.Kinds, KindReorder)
+		b.add(KindReorder)
 	}
+}
 
-	// Structural faults share the quorum budget. Partition minorities are
-	// the highest-numbered sites; crashes draw from the remainder — so
-	// the (replacement) sequencer always sits in the majority. Forced
-	// rejoin reserves one budget slot for the crash the schedule must
-	// contain.
-	remaining := budget
+// classicStructural draws the single-group crashes and partition, which share
+// one quorum budget: crashed + partitioned sites must leave a strict majority
+// of the current view at every step. Because views only shrink, keeping a
+// strict majority of the *initial* membership alive is sufficient for every
+// intermediate view. Partition minorities are the highest-numbered sites;
+// crashes draw from the remainder — so the (replacement) sequencer always
+// sits in the majority. Forced rejoin reserves one budget slot for the crash
+// the schedule must contain.
+func (b *builder) classicStructural() {
+	g, f, p := b.g, &b.s.Faults, b.p
+	remaining := (p.Sites - 1) / 2
 	partBudget := remaining
 	if p.Rejoin {
 		partBudget = remaining - 1
@@ -298,7 +346,7 @@ func New(seed int64, p Params) Schedule {
 		}
 		f.Partitions = []faults.Partition{pt}
 		remaining -= m
-		s.Kinds = append(s.Kinds, KindPartition)
+		b.add(KindPartition)
 	}
 	if remaining > 0 && (g.Bool(0.4) || p.Rejoin) {
 		c := 1 + g.Intn(remaining)
@@ -337,15 +385,18 @@ func New(seed int64, p Params) Schedule {
 		}
 		sort.Slice(f.Crashes, func(i, j int) bool { return f.Crashes[i].At < f.Crashes[j].At })
 		sort.Slice(f.Recovers, func(i, j int) bool { return f.Recovers[i].At < f.Recovers[j].At })
-		s.Kinds = append(s.Kinds, KindCrash)
+		b.add(KindCrash)
 		if rejoined {
-			s.Kinds = append(s.Kinds, KindRejoin)
+			b.add(KindRejoin)
 		}
 	}
+}
 
-	// Overload faults compose freely with everything above: saturation is
-	// global (think-time compression at every client) and a slow node
-	// degrades without crashing, so neither consumes quorum budget.
+// overload draws the overload faults, which compose freely with everything
+// above: saturation is global (think-time compression at every client) and a
+// slow node degrades without crashing, so neither consumes quorum budget.
+func (b *builder) overload() {
+	g, f, p := b.g, &b.s.Faults, b.p
 	if p.Overload || g.Bool(0.25) {
 		sat := faults.Saturation{
 			Factor: 1.5 + 1.5*g.Float64(),
@@ -358,11 +409,11 @@ func New(seed int64, p Params) Schedule {
 			sat.Until = sat.At + g.UniformDur(10*sim.Second, 20*sim.Second)
 		}
 		f.Saturation = sat
-		s.Kinds = append(s.Kinds, KindSaturation)
+		b.add(KindSaturation)
 	}
 	if p.Overload || g.Bool(0.25) {
 		sn := faults.SlowNode{
-			Site:   int32(1 + g.Intn(p.Sites)),
+			Site:   int32(1 + g.Intn(b.sites)),
 			Factor: 10, // the issue's canonical gray failure: x10 degradation
 			At:     g.UniformDur(5*sim.Second, p.Horizon/2),
 		}
@@ -370,17 +421,8 @@ func New(seed int64, p Params) Schedule {
 			sn.Until = sn.At + g.UniformDur(10*sim.Second, 20*sim.Second)
 		}
 		f.SlowNodes = []faults.SlowNode{sn}
-		s.Kinds = append(s.Kinds, KindSlowNode)
+		b.add(KindSlowNode)
 	}
-
-	// Never emit a fault-free schedule: a campaign run must stress
-	// something. Default to random loss at a mid rate.
-	if !f.Any() {
-		f.Loss = faults.Loss{Kind: faults.LossRandom, Rate: 0.01 + 0.09*g.Float64()}
-		s.Kinds = append(s.Kinds, KindLossRandom)
-	}
-	sortKinds(s.Kinds)
-	return s
 }
 
 // sortKinds orders kind labels by the canonical Kinds() report order.

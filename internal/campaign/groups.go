@@ -8,79 +8,16 @@ import (
 	"repro/internal/xgroup"
 )
 
-// newGrouped generates one schedule for a partial-replication model of
-// p.Groups groups × p.Sites sites. Timing, loss, and overload faults compose
-// exactly as in the classic generator (they are site- or network-scoped, not
-// group-scoped); structural faults are drawn per group against a per-group
-// quorum budget, so every group keeps a strict majority and the cross-group
-// commit round always has a surviving home member to hand rounds over to.
-func newGrouped(seed int64, p Params) Schedule {
-	g := sim.NewRNG(seed).Fork("campaign")
-	s := Schedule{Seed: seed}
-	f := &s.Faults
-	total := p.Groups * p.Sites
+// groupStructural draws the structural faults of a partial-replication model
+// of p.Groups groups × p.Sites sites: per group against a per-group quorum
+// budget, so every group keeps a strict majority and the cross-group commit
+// round always has a surviving home member to hand rounds over to.
+func (b *builder) groupStructural() {
+	g, f, p := b.g, &b.s.Faults, b.p
 	budget := (p.Sites - 1) / 2 // disabled sites tolerated per group
 
-	// Timing faults.
-	if g.Bool(0.35) {
-		f.ClockDriftRate = 0.01 + 0.09*g.Float64()
-		if g.Bool(0.5) {
-			f.ClockDriftSites = []int32{int32(1 + g.Intn(total))}
-		}
-		s.Kinds = append(s.Kinds, KindDrift)
-	}
-	if g.Bool(0.35) {
-		f.SchedLatencyMean = g.UniformDur(1*sim.Millisecond, 8*sim.Millisecond)
-		s.Kinds = append(s.Kinds, KindLatency)
-	}
-
-	// At most one loss model. Loss is the fault the cross-group relays care
-	// most about (relays are raw datagrams; only the coordinator's
-	// retransmit timer recovers them), so it is drawn more often than in
-	// the classic generator.
-	switch g.Intn(10) {
-	case 0, 1, 2, 3:
-		f.Loss = faults.Loss{Kind: faults.LossRandom, Rate: 0.01 + 0.09*g.Float64()}
-		s.Kinds = append(s.Kinds, KindLossRandom)
-	case 4, 5, 6:
-		f.Loss = faults.Loss{
-			Kind:      faults.LossBursty,
-			Rate:      0.01 + 0.07*g.Float64(),
-			MeanBurst: 3 + 5*g.Float64(),
-		}
-		s.Kinds = append(s.Kinds, KindLossBursty)
-	}
-
-	// Datagram chaos: drawn oftener than in the classic generator for the
-	// same reason loss is — the relay round (and its idempotence under
-	// duplicated or reordered prepares, votes, and decides) is exactly what
-	// these faults exercise.
-	if g.Bool(0.3) {
-		d := faults.Duplicate{
-			Rate: 0.02 + 0.10*g.Float64(),
-			At:   g.UniformDur(2*sim.Second, p.Horizon/2),
-		}
-		if g.Bool(0.4) {
-			d.Until = d.At + g.UniformDur(5*sim.Second, 20*sim.Second)
-		}
-		f.Duplicate = d
-		s.Kinds = append(s.Kinds, KindDuplicate)
-	}
-	if g.Bool(0.3) {
-		ro := faults.Reorder{
-			Rate:  0.02 + 0.10*g.Float64(),
-			Delay: g.UniformDur(1*sim.Millisecond, 5*sim.Millisecond),
-			At:    g.UniformDur(2*sim.Second, p.Horizon/2),
-		}
-		if g.Bool(0.4) {
-			ro.Until = ro.At + g.UniformDur(5*sim.Second, 20*sim.Second)
-		}
-		f.Reorder = ro
-		s.Kinds = append(s.Kinds, KindReorder)
-	}
-
-	// Structural faults, per-group budget. used[g] counts disabled sites of
-	// group g; crashed marks sites taken by a crash.
+	// used[g] counts disabled sites of group g; crashed marks sites taken by
+	// a crash.
 	used := make([]int, p.Groups+1)
 	crashed := map[int32]bool{}
 	crash := func(site int32, gr int) {
@@ -99,7 +36,7 @@ func newGrouped(seed int64, p Params) Schedule {
 		gr := 1 + g.Intn(p.Groups)
 		lo, _ := xgroup.GroupSites(gr, p.Sites)
 		crash(int32(lo), gr)
-		s.Kinds = append(s.Kinds, KindCoordCrash)
+		b.add(KindCoordCrash)
 	}
 
 	// Additional crashes scattered across groups within each group's
@@ -124,7 +61,7 @@ func newGrouped(seed int64, p Params) Schedule {
 			any = true
 		}
 		if any {
-			s.Kinds = append(s.Kinds, KindGroupCrash)
+			b.add(KindGroupCrash)
 		}
 	}
 	sort.Slice(f.Crashes, func(i, j int) bool { return f.Crashes[i].At < f.Crashes[j].At })
@@ -155,44 +92,8 @@ func newGrouped(seed int64, p Params) Schedule {
 				}
 				f.Partitions = []faults.Partition{pt}
 				used[gr] += len(minority)
-				s.Kinds = append(s.Kinds, KindGroupPartition)
+				b.add(KindGroupPartition)
 			}
 		}
 	}
-
-	// Overload faults, identical to the classic generator but drawing the
-	// slow node from the full site universe.
-	if p.Overload || g.Bool(0.25) {
-		sat := faults.Saturation{
-			Factor: 1.5 + 1.5*g.Float64(),
-			At:     g.UniformDur(5*sim.Second, p.Horizon/2),
-		}
-		if p.Overload {
-			sat.Factor = 2
-		}
-		if g.Bool(0.5) {
-			sat.Until = sat.At + g.UniformDur(10*sim.Second, 20*sim.Second)
-		}
-		f.Saturation = sat
-		s.Kinds = append(s.Kinds, KindSaturation)
-	}
-	if p.Overload || g.Bool(0.25) {
-		sn := faults.SlowNode{
-			Site:   int32(1 + g.Intn(total)),
-			Factor: 10,
-			At:     g.UniformDur(5*sim.Second, p.Horizon/2),
-		}
-		if g.Bool(0.4) {
-			sn.Until = sn.At + g.UniformDur(10*sim.Second, 20*sim.Second)
-		}
-		f.SlowNodes = []faults.SlowNode{sn}
-		s.Kinds = append(s.Kinds, KindSlowNode)
-	}
-
-	if !f.Any() {
-		f.Loss = faults.Loss{Kind: faults.LossRandom, Rate: 0.01 + 0.09*g.Float64()}
-		s.Kinds = append(s.Kinds, KindLossRandom)
-	}
-	sortKinds(s.Kinds)
-	return s
 }
