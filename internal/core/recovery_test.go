@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/recovery"
 	"repro/internal/sim"
 )
 
@@ -171,37 +170,5 @@ func TestRecoverValidation(t *testing.T) {
 		if err == nil {
 			t.Fatalf("bad schedule %d accepted", i)
 		}
-	}
-}
-
-// TestLifecycleStateMachine pins the transition rules.
-func TestLifecycleStateMachine(t *testing.T) {
-	l := recovery.NewLifecycle(1)
-	if l.State() != recovery.StateUp {
-		t.Fatal("new lifecycle not Up")
-	}
-	if err := l.BeginRecovery(0); err == nil {
-		t.Fatal("recovery from Up accepted")
-	}
-	if err := l.Crash(10, 5, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Crash(11, 5, nil); err == nil {
-		t.Fatal("double crash accepted")
-	}
-	if err := l.Complete(12, 0, 0); err == nil {
-		t.Fatal("complete from Crashed accepted")
-	}
-	if err := l.BeginRecovery(20); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Complete(30, 1024, 2); err != nil {
-		t.Fatal(err)
-	}
-	if l.State() != recovery.StateUp || l.Recoveries() != 1 {
-		t.Fatalf("state=%v recoveries=%d", l.State(), l.Recoveries())
-	}
-	if l.Downtime(99) != 20 || l.RecoveryTime(99) != 10 {
-		t.Fatalf("downtime=%d recovery=%d, want 20/10", l.Downtime(99), l.RecoveryTime(99))
 	}
 }

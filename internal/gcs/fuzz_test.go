@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -136,4 +137,97 @@ func TestUnicastFallbackTrafficCost(t *testing.T) {
 	if ucast <= mcast {
 		t.Fatalf("unicast fallback should cost more wire bytes: %d vs %d", ucast, mcast)
 	}
+}
+
+// FuzzParse drives every wire parser of message.go with mutated datagrams,
+// seeded from the package's own marshalers (one well-formed message per
+// kind, plus truncations and hostile counts). Properties: no input panics a
+// parser; an accepted input decodes to something that re-marshals within the
+// input's length and decodes again to the same message (counts were bounded
+// against the buffer, vectors lie inside it).
+func FuzzParse(f *testing.F) {
+	ids := []NodeID{1, 2, 3}
+	seeds := [][]byte{
+		(&dataMsg{Sender: 2, Seq: 7, Frag: fragFirst, Payload: payloadApp, Data: []byte("certification")}).marshal(kindData, nil),
+		(&dataMsg{Sender: 1, Seq: 9, Frag: fragFull, Payload: payloadSeq,
+			Data: marshalAssigns(nil, []seqAssign{{Sender: 2, Seq: 7, Global: 41}, {Sender: 3, Seq: 1, Global: 42}})}).marshal(kindRetrans, nil),
+		(&nackMsg{Target: 3, Ranges: []seqRange{{From: 4, To: 6}, {From: 9, To: 9}}}).marshal(nil),
+		(&gossipMsg{ViewID: 2, Round: 11, W: 0b101, M: []uint64{1, 2, 3}, S: []uint64{1, 1, 2}, H: []uint64{4, 5, 6}}).marshal(nil),
+		marshalAssigns(nil, []seqAssign{{Sender: 1, Seq: 2, Global: 3}}),
+		(&heartbeatMsg{ViewID: 5}).marshal(nil),
+		(&proposeMsg{NewViewID: 6, Proposer: 1, Members: ids[:2], Joiners: ids[2:]}).marshal(nil),
+		(&flushAckMsg{NewViewID: 6, Contig: []memberSeq{{Member: 1, Seq: 10}, {Member: 2, Seq: 12}}}).marshal(nil),
+		(&decideMsg{NewViewID: 6, Proposer: 1, Members: ids[:2], Joiners: ids[2:],
+			Targets: []flushTarget{{Member: 1, Seq: 10, Holder: 2}, {Member: 2, Seq: 12, Holder: 2}}}).marshal(nil),
+		(&joinReqMsg{Node: 3, Installed: 6}).marshal(nil),
+		(&joinSyncMsg{ViewID: 7, JoinSeq: 99}).marshal(nil),
+		(&assignAckMsg{ViewID: 7, Seq: 13}).marshal(nil),
+		(&installedMsg{NewViewID: 7}).marshal(nil),
+	}
+	for _, s := range seeds {
+		f.Add(s)
+		f.Add(s[:len(s)/2])
+		// The same header announcing the largest count its field can hold.
+		for _, at := range []int{5, 15, 17, 9} {
+			if at+2 <= len(s) {
+				hostile := append([]byte(nil), s...)
+				hostile[at], hostile[at+1] = 0xff, 0xff
+				f.Add(hostile)
+			}
+		}
+	}
+	f.Add([]byte{})
+
+	// roundTrip re-marshals an accepted message and decodes it again.
+	roundTrip := func(t *testing.T, name string, data []byte, msg any, wire []byte, reparse func([]byte) (any, error)) {
+		t.Helper()
+		if len(wire) > len(data) {
+			t.Fatalf("%s: accepted %d bytes but re-marshals to %d", name, len(data), len(wire))
+		}
+		again, err := reparse(wire)
+		if err != nil {
+			t.Fatalf("%s: re-marshaled message rejected: %v", name, err)
+		}
+		if !reflect.DeepEqual(msg, again) {
+			t.Fatalf("%s: round trip changed the message:\n %+v\n %+v", name, msg, again)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if m, err := parseData(data); err == nil {
+			roundTrip(t, "data", data, m, m.marshal(data[0], nil), func(b []byte) (any, error) { return parseData(b) })
+		}
+		if m, err := parseNack(data); err == nil {
+			roundTrip(t, "nack", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseNack(b) })
+		}
+		if m, err := parseGossip(data); err == nil {
+			roundTrip(t, "gossip", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseGossip(b) })
+		}
+		if m, err := parseAssigns(data); err == nil {
+			roundTrip(t, "assigns", data, m, marshalAssigns(nil, m), func(b []byte) (any, error) { return parseAssigns(b) })
+		}
+		if m, err := parseHeartbeat(data); err == nil {
+			roundTrip(t, "heartbeat", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseHeartbeat(b) })
+		}
+		if m, err := parsePropose(data); err == nil {
+			roundTrip(t, "propose", data, m, m.marshal(nil), func(b []byte) (any, error) { return parsePropose(b) })
+		}
+		if m, err := parseFlushAck(data); err == nil {
+			roundTrip(t, "flushack", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseFlushAck(b) })
+		}
+		if m, err := parseDecide(data); err == nil {
+			roundTrip(t, "decide", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseDecide(b) })
+		}
+		if m, err := parseJoinReq(data); err == nil {
+			roundTrip(t, "joinreq", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseJoinReq(b) })
+		}
+		if m, err := parseJoinSync(data); err == nil {
+			roundTrip(t, "joinsync", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseJoinSync(b) })
+		}
+		if m, err := parseAssignAck(data); err == nil {
+			roundTrip(t, "assignack", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseAssignAck(b) })
+		}
+		if m, err := parseInstalled(data); err == nil {
+			roundTrip(t, "installed", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseInstalled(b) })
+		}
+	})
 }
