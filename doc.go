@@ -53,7 +53,11 @@
 // Partial replication removes the full-replication wall the paper's Section
 // 5.2 measures: core.Config.Groups splits the sites into per-warehouse
 // replication groups, each with its own group-communication stack and total
-// order (internal/xgroup holds the placement arithmetic). Single-stripe
+// order. Groups, the paper's degree-k ReplicationDegree and full replication
+// are one placement in internal/core — a replica set per warehouse: homed at
+// one site, stored at a span of that site's group — which alone answers
+// where sites, clients and tuples live for the assembly, the replicas and
+// both client tiers (internal/xgroup holds the numbering). Single-stripe
 // transactions commit through their group's order alone, so aggregate
 // throughput scales with the group count; transactions spanning stripes run
 // a cross-group commit round on top of the existing orders — home-ordered
@@ -74,7 +78,7 @@
 // admission/retry/backpressure path individual clients use. Equivalence is
 // statistical, pinned within CI95 at 500 clients for both protocol
 // variants; memory and wall clock stay O(sites + in-flight) to 10^6
-// clients (cmd/experiments's "clients" table, BENCH_clients.json, and
+// clients (cmd/experiments's "clients" table, BenchmarkClients, and
 // README.md's "Scaling to millions of clients" section).
 //
 // Beyond randomized campaigns, cmd/faultsim's -explore mode runs an

@@ -415,7 +415,10 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 	host.SetDeliver(func(pkt *simnet.Packet) { rt.Deliver(pkt.Src, pkt.Data) })
 
 	site := &Site{ID: dbsm.SiteID(id), RT: rt, CPUs: cpus, Host: host,
-		Life: recovery.NewLifecycle(dbsm.SiteID(id)), group: m.place.group(max(int(id)-1, 0))}
+		Life: recovery.NewLifecycle(dbsm.SiteID(id)), group: 1}
+	if id != 0 { // the dedicated sequencer serves the single group
+		site.group = m.place.group(int(id) - 1)
+	}
 	if replicated {
 		if err := m.buildStack(site, false); err != nil {
 			return nil, err
@@ -561,25 +564,36 @@ func (m *Model) armPartitions() error {
 				sorted[i].At, prev.At)
 		}
 	}
-	minorities := make([][]*Site, len(f.Partitions))
 	disabled := map[*Site]bool{}
 	for _, cr := range f.Crashes {
 		disabled[m.sites[cr.Site-1]] = true // ids validated by armFaults
 	}
-	for i, pt := range f.Partitions {
+	for _, pt := range f.Partitions {
 		if len(pt.Sites) == 0 {
 			return fmt.Errorf("core: partition isolates no sites")
 		}
 		if pt.Heal != 0 && pt.Heal <= pt.At {
 			return fmt.Errorf("core: partition heals at %v, not after its start %v", pt.Heal, pt.At)
 		}
+		minority := make([]*Site, 0, len(pt.Sites))
+		ids := make([]runtimeapi.NodeID, 0, len(pt.Sites))
 		for _, sid := range pt.Sites {
 			site, err := m.siteByID(sid, "partition")
 			if err != nil {
 				return err
 			}
-			minorities[i] = append(minorities[i], site)
+			minority = append(minority, site)
+			ids = append(ids, runtimeapi.NodeID(sid))
 			disabled[site] = true
+		}
+		m.k.ScheduleAt(pt.At, func() {
+			for _, s := range minority {
+				s.partitioned = true
+			}
+			m.net.Partition(ids)
+		})
+		if pt.Heal != 0 {
+			m.k.ScheduleAt(pt.Heal, func() { m.net.Heal() })
 		}
 	}
 	down := make([]int, m.place.groups+1)
@@ -592,22 +606,6 @@ func (m *Model) armPartitions() error {
 		if 2*down[g] >= m.place.perGroup {
 			return fmt.Errorf("core: crashes and partitions disable %d of group %d's %d sites; a strict majority must survive in every group",
 				down[g], g, m.place.perGroup)
-		}
-	}
-	for i, pt := range f.Partitions {
-		minority := minorities[i]
-		ids := make([]runtimeapi.NodeID, len(minority))
-		for j, s := range minority {
-			ids[j] = runtimeapi.NodeID(s.ID)
-		}
-		m.k.ScheduleAt(pt.At, func() {
-			for _, s := range minority {
-				s.partitioned = true
-			}
-			m.net.Partition(ids)
-		})
-		if pt.Heal != 0 {
-			m.k.ScheduleAt(pt.Heal, func() { m.net.Heal() })
 		}
 	}
 	return nil
@@ -627,7 +625,8 @@ func (m *Model) startClients() {
 		proc := cfg.Calibration.ArrivalProcess()
 		for idx, site := range m.sites {
 			blocks := m.place.clientsAt(idx)
-			if blocks.population() == 0 {
+			pop := blocks.population()
+			if pop == 0 {
 				continue
 			}
 			a := &tpcc.Aggregate{
@@ -635,7 +634,7 @@ func (m *Model) startClients() {
 				Gen:        site.Gen,
 				Proc:       proc,
 				Retry:      retry,
-				Population: blocks.population(),
+				Population: pop,
 				HomeWH:     func(k int) int { return blocks.client(k) / tpcc.ClientsPerWarehouse },
 				Stop:       m.takeTxnSlot,
 				// No individual client exists: the log records client -1.

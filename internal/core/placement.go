@@ -74,12 +74,18 @@ func (p *placement) reported(g int) int {
 	return g
 }
 
+// sitesOf reports group g's sites as a half-open range of 0-based indices.
+func (p *placement) sitesOf(g int) (lo, hi int) {
+	first, last := xgroup.GroupSites(g, p.perGroup)
+	return first - 1, last
+}
+
 // members lists a group's node ids in ascending order.
 func (p *placement) members(g int) []runtimeapi.NodeID {
-	lo, hi := xgroup.GroupSites(g, p.perGroup)
-	out := make([]runtimeapi.NodeID, 0, hi-lo+1)
-	for id := lo; id <= hi; id++ {
-		out = append(out, runtimeapi.NodeID(id))
+	lo, hi := p.sitesOf(g)
+	out := make([]runtimeapi.NodeID, 0, hi-lo)
+	for idx := lo; idx < hi; idx++ {
+		out = append(out, runtimeapi.NodeID(idx+1))
 	}
 	return out
 }
@@ -90,8 +96,8 @@ func (p *placement) siteOfClient(i int) int { return p.home[(i/p.unit)%len(p.hom
 // clientBlocks describes the clients attached to one site as an arithmetic
 // progression of blocks — start, start+stride, start+2·stride, … — where
 // block b covers the client indices [b·unit, (b+1)·unit) that exist. It is
-// O(1) whatever the population: the individual tier walks it client by
-// client, the aggregate tier indexes into it.
+// O(1) whatever the population: the aggregate tier indexes into it, and
+// siteOfClient, which places the individual tier, is its inverse.
 type clientBlocks struct{ start, stride, unit, clients int }
 
 // clientsAt describes site idx's clients: home is a bijection over one

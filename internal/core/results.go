@@ -345,7 +345,8 @@ func (m *Model) results() *Results {
 	if len(m.sites) > 1 {
 		var xlogs []check.GroupXLog
 		for g := 1; g <= m.place.groups; g++ {
-			members := m.sites[(g-1)*m.place.perGroup : g*m.place.perGroup]
+			lo, hi := m.place.sitesOf(g)
+			members := m.sites[lo:hi]
 			siteLogs := make([]check.SiteLog, 0, len(members))
 			var canonical *Site
 			for _, s := range members {
