@@ -2,20 +2,17 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/expr"
 )
 
 // clients sweeps the emulated population from 10^3 to 10^6 under the
 // aggregate client tier (Config.AggregateClients): 3 sites, overload
-// protection on, a fixed transaction budget per row. Unlike every other
-// subcommand the rows run serially and directly — the columns of interest
-// are wall clock and memory, which a shared worker pool would contaminate.
-// The simulated metrics (tpm, committed) stay deterministic; the wall-clock
-// and memory columns are host measurements and vary run to run.
+// protection on, a fixed transaction budget per row. The table holds the
+// simulated side of the scaling claim — throughput and kernel events stay
+// flat while the population grows a thousandfold; what a population costs
+// the host (wall clock, memory) is the bench/ workload agg1m_shed.
 func (h *harness) clients() error {
 	header("Clients — population sweep under the aggregate client tier")
 	populations := []int{1_000, 10_000, 100_000, 1_000_000}
@@ -23,48 +20,31 @@ func (h *harness) clients() error {
 		populations = []int{1_000, 10_000, 100_000}
 	}
 
-	fmt.Printf("\n3 sites, conservative protocol, admission control on, %d-txn budget per row.\n", h.txns)
-	fmt.Println("wall/sim-min normalizes host wall clock by simulated duration; sys(MB) is")
-	fmt.Println("process-cumulative (runtime.MemStats.Sys), so it carries earlier rows' peak.")
-	fmt.Printf("\n%10s %12s %11s %12s %12s %14s %10s %10s\n",
-		"clients", "tpm", "committed", "events", "events/s", "wall/sim-min", "heap(MB)", "sys(MB)")
+	var tasks []expr.Task
 	for _, pop := range populations {
-		cfg := h.fill(core.Config{
-			Sites:            3,
-			CPUsPerSite:      1,
-			Clients:          pop,
-			AggregateClients: 1,
-			Admission:        core.DefaultAdmissionConfig(),
+		tasks = append(tasks, expr.Task{
+			Label: fmt.Sprintf("%d clients", pop),
+			Config: core.Config{
+				Sites:            3,
+				CPUsPerSite:      1,
+				Clients:          pop,
+				AggregateClients: 1,
+				Admission:        core.DefaultAdmissionConfig(),
+			},
 		})
-		m, err := core.New(cfg)
-		if err != nil {
-			return fmt.Errorf("clients %d: %w", pop, err)
-		}
-		runtime.GC()
-		start := time.Now()
-		r, err := m.Run()
-		wall := time.Since(start)
-		if err != nil {
-			return fmt.Errorf("clients %d: %w", pop, err)
-		}
-		if r.SafetyErr != nil {
-			return fmt.Errorf("clients %d: safety: %v", pop, r.SafetyErr)
-		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		simMin := r.Duration.Seconds() / 60
-		wallPerSimMin := time.Duration(0)
-		if simMin > 0 {
-			wallPerSimMin = time.Duration(float64(wall) / simMin)
-		}
-		fmt.Printf("%10d %12.0f %11d %12d %12.0f %14s %10.1f %10.1f\n",
-			pop, r.TPM, r.Committed, r.Events,
-			float64(r.Events)/wall.Seconds(),
-			wallPerSimMin.Round(time.Millisecond),
-			float64(ms.HeapInuse)/(1<<20), float64(ms.Sys)/(1<<20))
-		if h.progress {
-			fmt.Fprintf(os.Stderr, "clients %d: %s in %v wall\n", pop, r.Summary(), wall.Round(time.Millisecond))
-		}
+	}
+	pts, err := h.runAll(tasks)
+	if err != nil {
+		return fmt.Errorf("clients %w", err)
+	}
+
+	fmt.Printf("\n3 sites, conservative protocol, admission control on, %d-txn budget per row;\n", h.txns)
+	fmt.Printf("%d reps per point, mean±95%%CI; events is kernel events per replication.\n", h.reps)
+	fmt.Printf("\n%10s %14s %11s %12s\n", "clients", "tpm", "committed", "events")
+	for i, pop := range populations {
+		a := pts[i].Agg
+		fmt.Printf("%10d %14s %11.0f %12d\n",
+			pop, a.TPM.String(), a.Committed.Mean, a.Events/int64(a.Reps))
 	}
 	return nil
 }

@@ -21,8 +21,7 @@
 //	           resources — aggregate throughput, multi-group share, and a
 //	           full-replication comparison row (extension)
 //	clients    population sweep 10^3..10^6 under the aggregate client tier:
-//	           wall clock per simulated minute and memory footprint
-//	           (extension)
+//	           throughput and kernel events against population (extension)
 //	all     everything above
 //
 // Every grid point runs -reps independent replications (derived seeds) and
@@ -42,7 +41,12 @@ import (
 	"repro/internal/profiles"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command behind main: tables go to os.Stdout, progress and
+// errors to os.Stderr, and the exit status is returned so the golden test
+// can drive it in-process.
+func run(args []string) int {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	fast := fs.Bool("fast", false, "reduced scale: fewer transactions and sweep points")
 	seed := fs.Int64("seed", 42, "base random seed (replication seeds derive from it)")
@@ -56,17 +60,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: experiments [flags] fig3|fig4|fig5|fig6|table1|fig7|table2|protocols|recovery|overload|shard|clients|all")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(os.Args[1:]); err != nil {
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 	if fs.NArg() < 1 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 	stopProfiles, perr := profiles.Start(*cpuprofile, *memprofile)
 	if perr != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", perr)
-		os.Exit(1)
+		return 1
 	}
 	h := &harness{
 		fast:     *fast,
@@ -124,11 +128,12 @@ func main() {
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "experiments: unknown subcommand %q\n", fs.Arg(0))
-		os.Exit(2)
+		return 2
 	}
 	stopProfiles() // flush profiles before any exit path
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
