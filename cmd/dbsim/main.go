@@ -110,14 +110,11 @@ func run(args []string) error {
 		fmt.Printf("certification: %7.1f ms mean latency\n", r.CertLat.Mean())
 		fmt.Printf("gcs: sent=%d retrans=%d nacks=%d gossips=%d viewchanges=%d blocked=%d\n",
 			r.GCS.Sent, r.GCS.Retransmits, r.GCS.Nacks, r.GCS.Gossips, r.GCS.ViewChanges, r.GCS.Blocked)
-		if r.SafetyErr != nil {
-			fmt.Printf("SAFETY: VIOLATED: %v\n", r.SafetyErr)
-		} else {
-			fmt.Printf("safety: all operational sites committed identical sequences\n")
-		}
 	}
-	if r.Inconsistencies != 0 {
-		fmt.Printf("INCONSISTENCIES: %d\n", r.Inconsistencies)
+	if v := r.Verdict(); v != nil {
+		fmt.Printf("UNSAFE: %v\n", v)
+	} else if *sites > 1 {
+		fmt.Printf("safety: all operational sites committed identical sequences\n")
 	}
 	if *verbose {
 		fmt.Println("\nper class:")

@@ -98,8 +98,8 @@ func (h *harness) fill(cfg core.Config) core.Config {
 	return cfg
 }
 
-// runAll executes a batch of tasks on the pool and checks every point's
-// safety verdict.
+// runAll executes a batch of tasks on the pool and fails on any point whose
+// replications were not all clean (core.Aggregate.Verdict).
 func (h *harness) runAll(tasks []expr.Task) ([]expr.Point, error) {
 	for i := range tasks {
 		tasks[i].Config = h.fill(tasks[i].Config)
@@ -109,8 +109,8 @@ func (h *harness) runAll(tasks []expr.Task) ([]expr.Point, error) {
 		return nil, err
 	}
 	for _, p := range pts {
-		if p.Agg.SafetyErr != nil {
-			return nil, fmt.Errorf("%s: safety: %v", p.Task.Label, p.Agg.SafetyErr)
+		if v := p.Agg.Verdict(); v != nil {
+			return nil, fmt.Errorf("%s: %w", p.Task.Label, v)
 		}
 	}
 	return pts, nil

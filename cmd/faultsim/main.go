@@ -438,38 +438,28 @@ func verdictOf(pt expr.Point) (string, string) {
 		return "ERROR", pt.Err.Error()
 	}
 	r := pt.Agg.Runs[0]
-	switch {
-	case r.SafetyErr != nil:
-		return "UNSAFE", r.SafetyErr.Error()
-	case r.RejoinViolations != 0:
-		return "UNSAFE", fmt.Sprintf("%d rejoin prefix violations", r.RejoinViolations)
-	case r.Inconsistencies != 0:
-		return "UNSAFE", fmt.Sprintf("%d local/global inconsistencies", r.Inconsistencies)
-	case r.CertDrops != 0:
-		// Not a serializability violation, but a payload vanished: a
-		// marshaling bug the campaign must fail on, not swallow.
-		return "UNSAFE", fmt.Sprintf("%d certification payloads dropped on unmarshal", r.CertDrops)
-	default:
-		detail := fmt.Sprintf("committed=%d tpm=%.0f viewchanges=%d quorumlosses=%d",
-			r.Committed, r.TPM, r.GCS.ViewChanges, r.GCS.QuorumLosses)
-		if r.Protocol == core.ProtocolOptimistic {
-			detail += fmt.Sprintf(" rollbacks=%d mispred=%.1f%%", r.Rollbacks, r.OptMispredictPct)
-		}
-		if r.Recoveries > 0 {
-			detail += fmt.Sprintf(" recoveries=%d recovery=%.0fms transfer=%.0fKB delta=%d lag=%d",
-				r.Recoveries, r.MeanRecoveryMS, float64(r.TransferBytes)/1024,
-				r.DeltaApplied, maxRejoinLag(r))
-		}
-		if r.Rejected > 0 || r.Retries > 0 {
-			detail += fmt.Sprintf(" rejected=%d retries=%d backlogpeak=%d queuepeak=%dKB",
-				r.Rejected, r.Retries, r.BacklogPeak, r.GCS.QueuePeakBytes/1024)
-		}
-		if r.Groups > 1 {
-			detail += fmt.Sprintf(" multigroup=%.1f%% xretries=%d xhandovers=%d",
-				r.MultiGroupPct, r.XRetries, r.XHandovers)
-		}
-		return "SAFE", detail
+	if v := r.Verdict(); v != nil {
+		return "UNSAFE", v.Error()
 	}
+	detail := fmt.Sprintf("committed=%d tpm=%.0f viewchanges=%d quorumlosses=%d",
+		r.Committed, r.TPM, r.GCS.ViewChanges, r.GCS.QuorumLosses)
+	if r.Protocol == core.ProtocolOptimistic {
+		detail += fmt.Sprintf(" rollbacks=%d mispred=%.1f%%", r.Rollbacks, r.OptMispredictPct)
+	}
+	if r.Recoveries > 0 {
+		detail += fmt.Sprintf(" recoveries=%d recovery=%.0fms transfer=%.0fKB delta=%d lag=%d",
+			r.Recoveries, r.MeanRecoveryMS, float64(r.TransferBytes)/1024,
+			r.DeltaApplied, maxRejoinLag(r))
+	}
+	if r.Rejected > 0 || r.Retries > 0 {
+		detail += fmt.Sprintf(" rejected=%d retries=%d backlogpeak=%d queuepeak=%dKB",
+			r.Rejected, r.Retries, r.BacklogPeak, r.GCS.QueuePeakBytes/1024)
+	}
+	if r.Groups > 1 {
+		detail += fmt.Sprintf(" multigroup=%.1f%% xretries=%d xhandovers=%d",
+			r.MultiGroupPct, r.XRetries, r.XHandovers)
+	}
+	return "SAFE", detail
 }
 
 // maxRejoinLag reports the largest per-site commit lag at rejoin.

@@ -74,14 +74,8 @@ func main() {
 	if results.TransferBytes == 0 {
 		log.Fatal("expected a nonzero snapshot transfer")
 	}
-	if results.Inconsistencies != 0 {
-		log.Fatalf("local/global commit inconsistencies: %d", results.Inconsistencies)
-	}
-	if results.RejoinViolations != 0 {
-		log.Fatalf("rejoin prefix violations: %d", results.RejoinViolations)
-	}
-	if results.SafetyErr != nil {
-		log.Fatalf("SAFETY VIOLATION: %v", results.SafetyErr)
+	if v := results.Verdict(); v != nil {
+		log.Fatalf("SAFETY VIOLATION: %v", v)
 	}
 	fmt.Println("\nsafety: every operational site — the rejoined one included —")
 	fmt.Println("committed the identical sequence; the recovered site's pre-crash")

@@ -48,8 +48,8 @@ func main() {
 
 	// The paper's safety condition: all operational sites committed
 	// exactly the same sequence of transactions.
-	if results.SafetyErr != nil {
-		log.Fatalf("SAFETY VIOLATION: %v", results.SafetyErr)
+	if v := results.Verdict(); v != nil {
+		log.Fatalf("SAFETY VIOLATION: %v", v)
 	}
 	fmt.Println("\nsafety: all sites committed identical transaction sequences")
 }

@@ -93,13 +93,12 @@ func main() {
 			verdict, detail = "FAIL", err.Error()
 		} else {
 			r, err := m.Run()
+			if err == nil {
+				err = r.Verdict()
+			}
 			switch {
 			case err != nil:
 				verdict, detail = "FAIL", err.Error()
-			case r.SafetyErr != nil:
-				verdict, detail = "FAIL", fmt.Sprintf("safety: %v", r.SafetyErr)
-			case r.Inconsistencies != 0:
-				verdict, detail = "FAIL", fmt.Sprintf("%d inconsistencies", r.Inconsistencies)
 			case r.TPM < s.minTPM:
 				verdict, detail = "FAIL", fmt.Sprintf("throughput regression: %.0f tpm < %.0f", r.TPM, s.minTPM)
 			case r.AbortRatePct > s.maxAbrt:

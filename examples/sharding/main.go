@@ -86,11 +86,8 @@ func main() {
 	if results.XHandovers == 0 {
 		log.Fatal("expected the coordinator crash to hand rounds over")
 	}
-	if results.Inconsistencies != 0 {
-		log.Fatalf("local/global commit inconsistencies: %d", results.Inconsistencies)
-	}
-	if results.SafetyErr != nil {
-		log.Fatalf("SAFETY VIOLATION: %v", results.SafetyErr)
+	if v := results.Verdict(); v != nil {
+		log.Fatalf("SAFETY VIOLATION: %v", v)
 	}
 	fmt.Println("\nsafety: within every group each site committed the identical")
 	fmt.Println("sequence; across groups no transaction committed on one stripe and")

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/gcs"
+	"repro/internal/metrics"
 	"repro/internal/replica"
 )
 
@@ -39,4 +41,43 @@ func TestStatsFoldsAreTotal(t *testing.T) {
 	fill(reflect.ValueOf(&rsrc).Elem())
 	accumulateReplica(&rdst, rsrc)
 	check(reflect.ValueOf(rdst), reflect.ValueOf(rsrc))
+}
+
+// TestVerdict pins the one clean-run rule: each must-be-zero condition alone
+// makes Verdict non-nil on the run and on an aggregate that contains the run
+// next to a clean one; all zero is nil.
+func TestVerdict(t *testing.T) {
+	newClean := func() *Results {
+		return &Results{ // the samples AggregateRuns merges must exist
+			LatCommitted: &metrics.Sample{}, LatReadOnly: &metrics.Sample{}, LatUpdate: &metrics.Sample{},
+			CertLat: &metrics.Sample{}, CertDecideLat: &metrics.Sample{},
+		}
+	}
+	if v := newClean().Verdict(); v != nil {
+		t.Fatalf("clean run: %v", v)
+	}
+	if v := AggregateRuns([]*Results{newClean(), newClean()}).Verdict(); v != nil {
+		t.Fatalf("clean aggregate: %v", v)
+	}
+	violation := errors.New("site 2 diverges at position 7")
+	for _, c := range []struct {
+		name string
+		set  func(*Results)
+		want string
+	}{
+		{"safety", func(r *Results) { r.SafetyErr = violation }, violation.Error()},
+		{"rejoin", func(r *Results) { r.RejoinViolations = 1 }, "1 rejoin prefix violations"},
+		{"inconsistency", func(r *Results) { r.Inconsistencies = 2 }, "2 local/global inconsistencies"},
+		{"certdrop", func(r *Results) { r.CertDrops = 3 }, "3 certification payloads dropped on unmarshal"},
+		{"parse", func(r *Results) { r.GCS.ParseErrors = 4 }, "4 gcs wire messages dropped on parse"},
+	} {
+		r := newClean()
+		c.set(r)
+		if v := r.Verdict(); v == nil || v.Error() != c.want {
+			t.Errorf("%s: run verdict %v, want %q", c.name, v, c.want)
+		}
+		if v := AggregateRuns([]*Results{newClean(), r}).Verdict(); v == nil || v.Error() != c.want {
+			t.Errorf("%s: aggregate verdict %v, want %q", c.name, v, c.want)
+		}
+	}
 }

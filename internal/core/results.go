@@ -544,6 +544,33 @@ func (r *Results) Summary() string {
 	return b.String()
 }
 
+// Verdict is the one rule for "was this run clean?": nil, or the first
+// must-be-zero condition that fired — the safety checker's violation (the
+// *check.Violation itself, so callers can triage it), then rejoin prefix
+// violations, local/global inconsistencies, dropped certification payloads,
+// and malformed wire messages. The last two are not serializability
+// violations, but a payload vanished: a marshaling bug every campaign, table
+// and example must fail on, not swallow.
+func (r *Results) Verdict() error {
+	return verdict(r.SafetyErr, r.RejoinViolations, r.Inconsistencies, r.CertDrops, r.GCS.ParseErrors)
+}
+
+func verdict(safety error, rejoinViolations, inconsistencies, certDrops, parseErrors int64) error {
+	switch {
+	case safety != nil:
+		return safety
+	case rejoinViolations != 0:
+		return fmt.Errorf("%d rejoin prefix violations", rejoinViolations)
+	case inconsistencies != 0:
+		return fmt.Errorf("%d local/global inconsistencies", inconsistencies)
+	case certDrops != 0:
+		return fmt.Errorf("%d certification payloads dropped on unmarshal", certDrops)
+	case parseErrors != 0:
+		return fmt.Errorf("%d gcs wire messages dropped on parse", parseErrors)
+	}
+	return nil
+}
+
 // Stat is the mean ± 95% confidence interval of one scalar metric over R
 // replicated runs.
 type Stat struct {
@@ -772,4 +799,10 @@ func (a *Aggregate) Summary() string {
 		fmt.Fprintf(&b, " SAFETY-VIOLATION(%v)", a.SafetyErr)
 	}
 	return b.String()
+}
+
+// Verdict applies Results.Verdict's rule to the replications' first safety
+// violation and summed must-be-zero counters.
+func (a *Aggregate) Verdict() error {
+	return verdict(a.SafetyErr, a.RejoinViolations, a.Inconsistencies, a.CertDrops, a.GCSParseErrors)
 }

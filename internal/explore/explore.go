@@ -132,12 +132,12 @@ func Run(opts Options) (*Report, error) {
 				continue
 			}
 			res := pt.Agg.Runs[0]
-			if bad, detail := Unsafe(res); bad {
+			if v := res.Verdict(); v != nil {
 				rep.Found = append(rep.Found, &Found{
 					Genes:   cands[i],
 					Seed:    seeds[i],
 					Run:     runs + i + 1,
-					Detail:  detail,
+					Detail:  v.Error(),
 					Results: res,
 				})
 			}
@@ -200,23 +200,6 @@ func nextGen(rng *sim.RNG, space Space, corpus []Entry, prev [][]Gene, pop int) 
 		}
 	}
 	return out
-}
-
-// Unsafe classifies one run's verdict, mirroring the fault campaign's rule:
-// a safety-checker violation, a rejoin prefix violation, a local/global
-// inconsistency, or a dropped certification payload all count.
-func Unsafe(r *core.Results) (bool, string) {
-	switch {
-	case r.SafetyErr != nil:
-		return true, r.SafetyErr.Error()
-	case r.RejoinViolations != 0:
-		return true, fmt.Sprintf("%d rejoin prefix violations", r.RejoinViolations)
-	case r.Inconsistencies != 0:
-		return true, fmt.Sprintf("%d local/global inconsistencies", r.Inconsistencies)
-	case r.CertDrops != 0:
-		return true, fmt.Sprintf("%d certification payloads dropped on unmarshal", r.CertDrops)
-	}
-	return false, ""
 }
 
 func minInt(a, b int) int {

@@ -82,7 +82,7 @@ func TestExplorerBeatsRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("baseline run %d: %v", i, err)
 		}
-		if bad, _ := Unsafe(res); bad {
+		if res.Verdict() != nil {
 			baselineFirst = i + 1
 			break
 		}
@@ -150,8 +150,7 @@ func TestMinimizeProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bad, _ := Unsafe(res)
-		return bad
+		return res.Verdict() != nil
 	}
 
 	if !violates(min) {

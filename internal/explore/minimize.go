@@ -41,8 +41,7 @@ func Minimize(base core.Config, space Space, genes []Gene, seed int64) ([]Gene, 
 		if err != nil {
 			return false
 		}
-		bad, _ := Unsafe(res)
-		return bad
+		return res.Verdict() != nil
 	}
 
 	cur := space.repair(genes)

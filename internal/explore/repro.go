@@ -102,8 +102,8 @@ func NewRepro(base core.Config, space Space, genes []Gene, seed int64, res *core
 			r.Triage = t
 			r.Expect.Kind = t.Kind
 		}
-		if _, detail := Unsafe(res); detail != "" {
-			r.Description = detail
+		if v := res.Verdict(); v != nil {
+			r.Description = v.Error()
 		}
 	}
 	return r
@@ -142,10 +142,11 @@ func (r *Repro) Replay() (reproduced bool, detail string, err error) {
 	if err != nil {
 		return false, "", fmt.Errorf("explore: repro run: %w", err)
 	}
-	bad, detail := Unsafe(res)
-	if !bad {
+	v := res.Verdict()
+	if v == nil {
 		return false, "SAFE", nil
 	}
+	detail = v.Error()
 	if r.Expect.Kind != "" {
 		t := check.TriageOf(res.SafetyErr)
 		if t == nil || t.Kind != r.Expect.Kind {
