@@ -93,14 +93,9 @@ type Config struct {
 	Warehouses int
 	// Calibration is the workload cost model (nil for default).
 	Calibration *tpcc.Calibration
-	// Storage configures each site's disk.
-	Storage db.StorageConfig
 	// LAN configures the network segment (zero value for the paper's
 	// Ethernet-100).
 	LAN simnet.LANConfig
-	// Costs are the CSRT's four message-overhead parameters (zero for
-	// calibrated defaults).
-	Costs csrt.CostParams
 	// GCSTweak adjusts the group communication configuration (buffer
 	// pool, windows, timeouts) before stacks are built.
 	GCSTweak func(*gcs.Config)
@@ -132,9 +127,6 @@ type Config struct {
 	UseWallProfiler bool
 	// MaxSimTime bounds simulated time (default 2h).
 	MaxSimTime sim.Time
-	// DrainTime runs the model beyond the last completion so protocol
-	// activity quiesces before the safety check (default 2s).
-	DrainTime sim.Time
 	// CollectTxnLog records every transaction in Results.TxnLog.
 	CollectTxnLog bool
 }
@@ -209,14 +201,8 @@ func (c *Config) fill() {
 	if c.LAN.BandwidthBps == 0 && c.LAN.MTU == 0 {
 		c.LAN = simnet.DefaultLANConfig("lan0")
 	}
-	if c.Costs == (csrt.CostParams{}) {
-		c.Costs = csrt.DefaultCostParams()
-	}
 	if c.MaxSimTime == 0 {
 		c.MaxSimTime = 2 * sim.Hour
-	}
-	if c.DrainTime == 0 {
-		c.DrainTime = 2 * sim.Second
 	}
 }
 
@@ -404,7 +390,7 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 	if cfg.UseWallProfiler {
 		prof = &csrt.WallProfiler{}
 	}
-	rt := csrt.NewRuntime(m.k, id, prof, m.net.Port(id, 0), cfg.Costs,
+	rt := csrt.NewRuntime(m.k, id, prof, m.net.Port(id, 0), csrt.DefaultCostParams(),
 		m.rng.Fork(fmt.Sprintf("rt-%d", id)))
 	ncpu := cfg.CPUsPerSite
 	if id == 0 {
@@ -425,7 +411,7 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 		}
 	}
 	if id != 0 {
-		storage := db.NewStorage(m.k, cfg.Storage, m.rng.Fork(fmt.Sprintf("disk-%d", id)))
+		storage := db.NewStorage(m.k, db.StorageConfig{}, m.rng.Fork(fmt.Sprintf("disk-%d", id)))
 		server := db.NewServer(m.k, dbsm.SiteID(id), cpus, storage)
 		server.ReadSetThreshold = cfg.ReadSetThreshold
 		if cfg.Admission != nil {
@@ -853,6 +839,9 @@ func (m *Model) pickDonor(joiner *Site) recovery.Donor {
 func (m *Model) Run() (*Results, error) {
 	cfg := m.cfg
 	const chunk = 500 * sim.Millisecond
+	// drainTime runs the model beyond the last completion so protocol
+	// activity quiesces before the safety check.
+	const drainTime = 2 * sim.Second
 	var drainUntil sim.Time = -1
 	for cursor := sim.Time(0); ; {
 		cursor += chunk
@@ -870,7 +859,7 @@ func (m *Model) Run() (*Results, error) {
 		}
 		if m.quiesced() {
 			if drainUntil < 0 {
-				drainUntil = cursor + cfg.DrainTime
+				drainUntil = cursor + drainTime
 			}
 			if cursor >= drainUntil {
 				break

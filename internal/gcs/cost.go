@@ -2,47 +2,35 @@ package gcs
 
 import "repro/internal/sim"
 
-// CostModel declares the CPU consumption of the protocol's real code under
-// the deterministic profiler (see csrt.ModelProfiler). Under a wall-clock
-// profiler these charges are ignored and actual execution time is measured
-// instead. Values are calibrated so that protocol CPU usage lands in the
-// band the paper reports (Figure 7c: ~1.2% of one CPU at 3 sites and 750
-// clients, rising to ~1.9% under 5% message loss).
-type CostModel struct {
-	// PerMessage is the fixed cost of handling one protocol message
+// The CPU consumption of the protocol's real code under the deterministic
+// profiler (see csrt.ModelProfiler). Under a wall-clock profiler these
+// charges are ignored and actual execution time is measured instead. Values
+// are calibrated so that protocol CPU usage lands in the band the paper
+// reports (Figure 7c: ~1.2% of one CPU at 3 sites and 750 clients, rising to
+// ~1.9% under 5% message loss).
+const (
+	// costPerMessage is the fixed cost of handling one protocol message
 	// (demultiplex, header decode, bookkeeping).
-	PerMessage sim.Time
-	// PerByte is the marshaling/copy cost per payload byte, in
+	costPerMessage = 12 * sim.Microsecond
+	// costPerByte is the marshaling/copy cost per payload byte, in
 	// nanoseconds per byte.
-	PerByte float64
-	// PerGossip is the cost of merging one stability gossip round state.
-	PerGossip sim.Time
-	// PerAssign is the sequencer's cost of assigning one global sequence
+	costPerByte = 3.0
+	// costPerGossip is the cost of merging one stability gossip round state.
+	costPerGossip = 5 * sim.Microsecond
+	// costPerAssign is the sequencer's cost of assigning one global sequence
 	// number.
-	PerAssign sim.Time
-	// PerNack is the receiver's cost of scanning for gaps and building a
+	costPerAssign = 2 * sim.Microsecond
+	// costPerNack is the receiver's cost of scanning for gaps and building a
 	// repair request.
-	PerNack sim.Time
-	// PerRetrans is the sender's cost of serving one retransmission:
+	costPerNack = 60 * sim.Microsecond
+	// costPerRetrans is the sender's cost of serving one retransmission:
 	// locating the buffered message and rebuilding the packet. This is
 	// the "extra work by the protocol in retransmitting messages" behind
 	// the CPU increase of Figure 7(c).
-	PerRetrans sim.Time
-}
-
-// DefaultCostModel returns the calibrated model.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		PerMessage: 12 * sim.Microsecond,
-		PerByte:    3,
-		PerGossip:  5 * sim.Microsecond,
-		PerAssign:  2 * sim.Microsecond,
-		PerNack:    60 * sim.Microsecond,
-		PerRetrans: 150 * sim.Microsecond,
-	}
-}
+	costPerRetrans = 150 * sim.Microsecond
+)
 
 // msgCost computes the handling cost of an n-byte message.
-func (c CostModel) msgCost(n int) sim.Time {
-	return c.PerMessage + sim.Time(c.PerByte*float64(n))
+func msgCost(n int) sim.Time {
+	return costPerMessage + sim.Time(costPerByte*float64(n))
 }

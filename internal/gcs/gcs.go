@@ -46,7 +46,7 @@ type Config struct {
 	// BufferBytes is the total buffer pool; each member may own at most
 	// BufferBytes/len(Members) of unstable transmitted data (the "buffer
 	// share" whose exhaustion the paper observes under loss). Defaults to
-	// 96 KiB.
+	// 384 KiB.
 	BufferBytes int
 	// Window caps a sender's unstable (unacknowledged-stable) messages,
 	// the second-phase flow control. Defaults to 256.
@@ -67,23 +67,14 @@ type Config struct {
 	// gossip horizons). 0 selects the default (192, inside the stability
 	// Window so healthy receivers never bind); negative disables credits.
 	CreditsPerDest int
-	// AssignWindow caps the sequencer's assigned-but-undelivered span:
-	// when nextGlobal runs this far ahead of local delivery, further
-	// assignments are deferred until delivery catches up, throttling the
-	// total-order pipeline instead of buffering unbounded order state at
-	// every member. 0 selects the default (1024); negative disables the
-	// throttle.
-	AssignWindow int
 	// NackDelay is how long a receiver waits on a gap before requesting
-	// repair. Defaults to 2ms.
+	// repair. Defaults to 20ms.
 	NackDelay sim.Time
 	// RetransPeriod paces NACK re-sends and view-change message
-	// retransmissions. Defaults to 10ms.
+	// retransmissions. Defaults to 100ms.
 	RetransPeriod sim.Time
-	// StabilityPeriod paces stability gossip rounds. Defaults to 25ms.
+	// StabilityPeriod paces stability gossip rounds. Defaults to 100ms.
 	StabilityPeriod sim.Time
-	// HeartbeatPeriod paces liveness heartbeats. Defaults to 100ms.
-	HeartbeatPeriod sim.Time
 	// FailTimeout is the failure detector's silence threshold. Defaults
 	// to 1s.
 	FailTimeout sim.Time
@@ -113,8 +104,6 @@ type Config struct {
 	// the historical bug keep reproducing on a healthy tree. Never set it
 	// in production configurations.
 	NonUniformSequencer bool
-	// Costs is the deterministic CPU cost model for this real code.
-	Costs CostModel
 }
 
 func (c *Config) fill() {
@@ -136,9 +125,6 @@ func (c *Config) fill() {
 	if c.CreditsPerDest == 0 {
 		c.CreditsPerDest = 192
 	}
-	if c.AssignWindow == 0 {
-		c.AssignWindow = 1024
-	}
 	if c.NackDelay == 0 {
 		c.NackDelay = 20 * sim.Millisecond
 	}
@@ -148,14 +134,8 @@ func (c *Config) fill() {
 	if c.StabilityPeriod == 0 {
 		c.StabilityPeriod = 100 * sim.Millisecond
 	}
-	if c.HeartbeatPeriod == 0 {
-		c.HeartbeatPeriod = 100 * sim.Millisecond
-	}
 	if c.FailTimeout == 0 {
 		c.FailTimeout = 1 * sim.Second
-	}
-	if c.Costs == (CostModel{}) {
-		c.Costs = DefaultCostModel()
 	}
 }
 
@@ -236,7 +216,7 @@ type Stats struct {
 	// sender).
 	CreditStalls int64
 	// AssignDeferred counts sequencer assignments deferred because the
-	// assigned-but-undelivered span hit AssignWindow.
+	// assigned-but-undelivered span hit assignWindow.
 	AssignDeferred int64
 	// FlowRejected counts Multicasts refused because the unsent transmit
 	// queue was at MaxQueuedBytes. Every refusal is reported to the
@@ -475,7 +455,7 @@ func (s *Stack) receive(src NodeID, data []byte) {
 	if s.stopped || len(data) == 0 {
 		return
 	}
-	s.rt.Charge(s.cfg.Costs.msgCost(len(data)))
+	s.rt.Charge(msgCost(len(data)))
 	s.memb.heard(src)
 	if s.joining {
 		// Before admission the node holds no view state: group traffic is

@@ -80,8 +80,11 @@ func (mb *membership) scheduleFD() {
 	})
 }
 
+// heartbeatPeriod paces liveness heartbeats.
+const heartbeatPeriod = 100 * sim.Millisecond
+
 func (mb *membership) scheduleHB() {
-	mb.s.rt.Schedule(mb.s.cfg.HeartbeatPeriod, func() {
+	mb.s.rt.Schedule(heartbeatPeriod, func() {
 		mb.hbTick()
 		if !mb.s.stopped {
 			mb.scheduleHB()
@@ -113,7 +116,7 @@ func (mb *membership) hbTick() {
 		return
 	}
 	now := mb.s.rt.Now()
-	if now-mb.lastSent >= mb.s.cfg.HeartbeatPeriod {
+	if now-mb.lastSent >= heartbeatPeriod {
 		hb := heartbeatMsg{ViewID: mb.s.view.ID}
 		mb.s.transmit(hb.marshal(make([]byte, 0, 5)))
 		mb.lastSent = now

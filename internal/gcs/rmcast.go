@@ -140,7 +140,7 @@ func (rm *relMcast) share() int {
 func (rm *relMcast) cast(payloadKind byte, payload []byte) {
 	maxChunk := rm.s.cfg.MaxPacket - dataHeader
 	total := len(payload)
-	rm.s.rt.Charge(rm.s.cfg.Costs.msgCost(total))
+	rm.s.rt.Charge(msgCost(total))
 	if total == 0 {
 		payload = []byte{}
 	}
@@ -353,7 +353,7 @@ func (rm *relMcast) repairGaps(ps *peerState) {
 	if len(ranges) == 0 {
 		return
 	}
-	rm.s.rt.Charge(rm.s.cfg.Costs.PerNack)
+	rm.s.rt.Charge(costPerNack)
 	nack := nackMsg{Target: ps.id, Ranges: ranges}
 	target := ps.repairTarget
 	if target == rm.s.cfg.Self || target == 0 {
@@ -410,7 +410,7 @@ func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 				copy(rt, wire)
 				rt[0] = kindRetrans
 				rm.s.stats.Retransmits++
-				rm.s.rt.Charge(rm.s.cfg.Costs.PerRetrans)
+				rm.s.rt.Charge(costPerRetrans)
 				rm.s.transmitTo(src, rt)
 			}
 		}
@@ -427,7 +427,7 @@ func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 				continue
 			}
 			rm.s.stats.Retransmits++
-			rm.s.rt.Charge(rm.s.cfg.Costs.PerRetrans)
+			rm.s.rt.Charge(costPerRetrans)
 			rm.s.transmitTo(src, dm.marshal(kindRetrans, make([]byte, 0, dataHeader+len(dm.Data))))
 		}
 	}
@@ -489,7 +489,7 @@ func (rm *relMcast) sendAssignAck(sequencer NodeID, upto uint64) {
 		upto = c
 	}
 	ack := assignAckMsg{ViewID: rm.s.view.ID, Seq: upto}
-	rm.s.rt.Charge(rm.s.cfg.Costs.msgCost(assignAckLen))
+	rm.s.rt.Charge(msgCost(assignAckLen))
 	rm.s.stats.AssignAcks++
 	rm.s.transmitTo(sequencer, ack.marshal(make([]byte, 0, assignAckLen)))
 }

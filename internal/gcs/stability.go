@@ -103,7 +103,7 @@ func (st *stability) onGossip(src NodeID, g *gossipMsg) {
 	if g.ViewID != st.s.view.ID || len(g.M) != len(st.s.view.Members) {
 		return
 	}
-	st.s.rt.Charge(st.s.cfg.Costs.PerGossip)
+	st.s.rt.Charge(costPerGossip)
 	// Credit replenishment: g.H[my rank] is src's contiguous prefix of my
 	// own stream — its acknowledgement cursor for the sender-side credit
 	// gate. An advance may release chunks blocked on src's credit.

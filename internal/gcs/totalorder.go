@@ -35,7 +35,7 @@ type totalOrder struct {
 	renumberedTo uint64
 
 	// deferred holds messages the sequencer declined to assign because the
-	// assigned-but-undelivered span hit AssignWindow; they are assigned in
+	// assigned-but-undelivered span hit assignWindow; they are assigned in
 	// arrival order as delivery catches up.
 	deferred []msgKey
 
@@ -143,7 +143,7 @@ func (to *totalOrder) onAppData(sender NodeID, msgID, lastSeq uint64, data []byt
 	}
 	if to.s.IsSequencer() && !to.assigned[key] && !to.s.rm.frozen {
 		if to.assignWindowFull() {
-			// Assign-window throttle: delivery has fallen AssignWindow
+			// Assign-window throttle: delivery has fallen assignWindow
 			// behind assignment, so issuing more numbers would only grow
 			// every member's order buffers. Defer until delivery catches
 			// up (drainDeferred, below).
@@ -156,12 +156,16 @@ func (to *totalOrder) onAppData(sender NodeID, msgID, lastSeq uint64, data []byt
 	to.tryDeliver()
 }
 
+// assignWindow caps the sequencer's assigned-but-undelivered span: when
+// nextGlobal runs this far ahead of local delivery, further assignments are
+// deferred until delivery catches up, throttling the total-order pipeline
+// instead of buffering unbounded order state at every member.
+const assignWindow = 1024
+
 // assignWindowFull reports whether the sequencer's assigned-but-undelivered
-// span has reached the configured window (negative AssignWindow disables the
-// throttle).
+// span has reached assignWindow.
 func (to *totalOrder) assignWindowFull() bool {
-	w := to.s.cfg.AssignWindow
-	return w > 0 && to.nextGlobal >= to.nextDeliver+uint64(w)
+	return to.nextGlobal >= to.nextDeliver+assignWindow
 }
 
 // drainDeferred assigns deferred messages while the window has room. Runs
@@ -203,7 +207,7 @@ func (to *totalOrder) drainDeferred() {
 // assign issues the next global sequence number and batches the
 // announcement.
 func (to *totalOrder) assign(key msgKey) {
-	to.s.rt.Charge(to.s.cfg.Costs.PerAssign)
+	to.s.rt.Charge(costPerAssign)
 	g := to.nextGlobal + 1
 	to.nextGlobal = g
 	if g > to.maxAssigned {

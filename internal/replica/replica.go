@@ -29,6 +29,16 @@ import (
 	"repro/internal/xgroup"
 )
 
+// The real-code cost model of the replica glue under the deterministic
+// profiler.
+const (
+	// certCostPerItem is the CPU cost per identifier comparison during
+	// certification.
+	certCostPerItem = 40 * sim.Nanosecond
+	// marshalCostPerByte is the CPU cost per marshaled byte, in nanoseconds.
+	marshalCostPerByte = 2.0
+)
+
 // Options tune the replica glue.
 type Options struct {
 	// Optimistic selects the optimistic-delivery protocol variant: the
@@ -38,12 +48,6 @@ type Options struct {
 	// ReadSetThreshold upgrades large read-sets to table locks before
 	// multicasting (0 disables).
 	ReadSetThreshold int
-	// CertCostPerItem is the CPU cost per identifier comparison during
-	// certification (real-code cost model). Defaults to 40ns.
-	CertCostPerItem sim.Time
-	// MarshalCostPerByte is the CPU cost per marshaled byte. Defaults to
-	// 2ns.
-	MarshalCostPerByte float64
 	// MaxHistory bounds the certifier's retained write-sets. Pruning is
 	// deterministic across replicas (a pure function of the certified
 	// stream). Defaults to 50000.
@@ -81,18 +85,9 @@ type Options struct {
 	GroupCount    int
 	SitesPerGroup int
 	GroupOf       func(dbsm.TupleID) int
-	// XRetryPeriod is the cross-group coordinator's retransmit period.
-	// Defaults to 100ms.
-	XRetryPeriod sim.Time
 }
 
 func (o *Options) fill() {
-	if o.CertCostPerItem == 0 {
-		o.CertCostPerItem = 40 * sim.Nanosecond
-	}
-	if o.MarshalCostPerByte == 0 {
-		o.MarshalCostPerByte = 2
-	}
 	if o.MaxHistory == 0 {
 		o.MaxHistory = 50000
 	}
@@ -233,7 +228,7 @@ func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Option
 		backlog:    Watermark{High: opts.BacklogHigh, Low: opts.BacklogLow},
 	}
 	r.cert.Charge = func(items int) {
-		rt.Charge(sim.Time(items) * opts.CertCostPerItem)
+		rt.Charge(sim.Time(items) * certCostPerItem)
 	}
 	r.cert.MaxHistory = opts.MaxHistory
 	if opts.Optimistic {
@@ -524,7 +519,7 @@ func stageTerminate(r *Replica, t *db.Txn, _ []byte) {
 	}
 	wire := tc.MarshalTo(r.scratch)
 	r.scratch = wire
-	r.rt.Charge(sim.Time(r.opts.MarshalCostPerByte * float64(len(wire))))
+	r.rt.Charge(sim.Time(marshalCostPerByte * float64(len(wire))))
 	if !r.stack.Multicast(wire) {
 		// The bounded transmit queue is full: refuse the termination
 		// instead of queueing without bound. The server turns this into an
@@ -540,7 +535,7 @@ func stageTerminate(r *Replica, t *db.Txn, _ []byte) {
 
 // chargeUnmarshal accounts the CPU cost of decoding a payload.
 func (r *Replica) chargeUnmarshal(n int) {
-	r.rt.Charge(sim.Time(r.opts.MarshalCostPerByte * float64(n)))
+	r.rt.Charge(sim.Time(marshalCostPerByte * float64(n)))
 }
 
 // onOptimistic receives one tentatively-delivered message. The upcall runs

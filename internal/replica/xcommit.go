@@ -60,7 +60,6 @@ type xmgr struct {
 	group    int // own 1-based group
 	groups   int
 	perGroup int
-	retry    sim.Time
 
 	// pending retains every cross-group transaction this site ever saw, even
 	// after resolution — deliberately. Late retransmitted probes must be
@@ -158,13 +157,9 @@ func newXmgr(r *Replica) *xmgr {
 		group:    r.opts.Group,
 		groups:   r.opts.GroupCount,
 		perGroup: r.opts.SitesPerGroup,
-		retry:    r.opts.XRetryPeriod,
 		pending:  make(map[uint64]*xtxn),
 		stash:    make(map[uint64]bool),
 		frags:    make(map[uint64]*fragAsm),
-	}
-	if x.retry == 0 {
-		x.retry = 100 * sim.Millisecond
 	}
 	return x
 }
@@ -247,7 +242,7 @@ func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
 		wire := append(r.scratch[:0], xgroup.MsgTxn)
 		wire = append(wire, x.body...)
 		r.scratch = wire
-		r.rt.Charge(sim.Time(r.opts.MarshalCostPerByte * float64(len(wire))))
+		r.rt.Charge(sim.Time(marshalCostPerByte * float64(len(wire))))
 		if !r.stack.Multicast(wire) {
 			r.refused++
 			r.server.RejectPending(t.TID)
@@ -266,7 +261,7 @@ func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
 	}
 	wire := xgroup.AppendPrepare(r.scratch[:0], xgroup.MsgPrepare, prep, 0)
 	r.scratch = wire
-	r.rt.Charge(sim.Time(r.opts.MarshalCostPerByte * float64(len(wire))))
+	r.rt.Charge(sim.Time(marshalCostPerByte * float64(len(wire))))
 	if !r.stack.Multicast(wire) {
 		r.refused++
 		r.server.RejectPending(t.TID)
@@ -674,9 +669,12 @@ func (x *xmgr) checkComplete(e *xtxn) {
 	}
 }
 
+// xRetryPeriod is the cross-group coordinator's retransmit period.
+const xRetryPeriod = 100 * sim.Millisecond
+
 // armTimer schedules the coordinator's retransmit tick.
 func (x *xmgr) armTimer(e *xtxn) {
-	x.r.rt.Schedule(x.retry, func() { x.tick(e) })
+	x.r.rt.Schedule(xRetryPeriod, func() { x.tick(e) })
 }
 
 // tick retransmits whatever the round is still missing: prepares to groups
