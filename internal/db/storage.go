@@ -231,9 +231,6 @@ func (s *Storage) SetSlowdown(factor float64) {
 	s.lat = lat
 }
 
-// QueueLen reports currently queued sector operations.
-func (s *Storage) QueueLen() int { return len(s.queue) - s.qhead }
-
 // MaxQueueLen reports the high-water queue length.
 func (s *Storage) MaxQueueLen() int { return s.maxQueue }
 

@@ -20,17 +20,6 @@ func (s *Stack) SequencerLoad() (bytes, share int, msgs int) {
 	return s.rm.sendBufBytes, s.rm.share(), len(s.rm.sendBuf)
 }
 
-// BlockedNow reports whether the local sender is currently blocked by flow
-// control (buffer share, window, or rate).
-func (s *Stack) BlockedNow() bool { return s.rm.blocked }
-
-// FlowState exposes the sender-side flow control state for diagnosis: queued
-// chunks awaiting transmission, unstable transmitted chunks, and the local
-// stability horizon of this member's own stream.
-func (s *Stack) FlowState() (queued, unstable int, stableSelf, sendSeq uint64) {
-	return len(s.rm.outQ), len(s.rm.sendBuf), s.rm.stableSelf, s.rm.sendSeq
-}
-
 // StabilityState exposes the gossip round state for diagnosis.
 func (s *Stack) StabilityState() (round uint64, voters uint32, mSelf, sSelf uint64) {
 	return s.stab.round, s.stab.w, s.stab.m[s.cfg.Self], s.stab.stable[s.cfg.Self]

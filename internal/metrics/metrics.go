@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -153,27 +152,6 @@ func (s *Sample) ECDF(x float64) float64 {
 	return float64(i) / float64(len(s.values))
 }
 
-// ECDFPoints returns up to n (x, F(x)) points spanning the sample, suitable
-// for plotting the distribution as in the paper's Figure 7.
-func (s *Sample) ECDFPoints(n int) []Point {
-	if len(s.values) == 0 || n <= 0 {
-		return nil
-	}
-	s.ensureSorted()
-	if n > len(s.values) {
-		n = len(s.values)
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(s.values) - 1) / max(n-1, 1)
-		pts = append(pts, Point{
-			X: s.values[idx],
-			Y: float64(idx+1) / float64(len(s.values)),
-		})
-	}
-	return pts
-}
-
 // Values returns a copy of the observations in sorted order.
 func (s *Sample) Values() []float64 {
 	s.ensureSorted()
@@ -181,37 +159,6 @@ func (s *Sample) Values() []float64 {
 	copy(out, s.values)
 	return out
 }
-
-// Point is an (x, y) pair for plotted series.
-type Point struct{ X, Y float64 }
-
-// QQ returns n quantile-quantile pairs comparing two samples, as used by the
-// paper's Figure 4 model validation: X holds quantiles of a (simulation) and
-// Y quantiles of b (real system). Points near the diagonal indicate the
-// distributions agree.
-func QQ(a, b *Sample, n int) []Point {
-	if a.N() == 0 || b.N() == 0 || n <= 0 {
-		return nil
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		q := (float64(i) + 0.5) / float64(n)
-		pts = append(pts, Point{X: a.Quantile(q), Y: b.Quantile(q)})
-	}
-	return pts
-}
-
-// Counter is a labelled monotonically increasing count.
-type Counter struct{ n int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Addn adds delta.
-func (c *Counter) Addn(delta int64) { c.n += delta }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.n }
 
 // Rate computes a per-class numerator/denominator ratio as a percentage,
 // returning 0 when the denominator is zero.
@@ -221,7 +168,3 @@ func Rate(num, den int64) float64 {
 	}
 	return 100 * float64(num) / float64(den)
 }
-
-// FormatPct renders a percentage with two decimals, as in the paper's
-// tables.
-func FormatPct(p float64) string { return fmt.Sprintf("%.2f", p) }
