@@ -44,7 +44,7 @@
 // kinds drive it — think-time saturation and the never-suspected slow-node
 // gray failure — forced into every campaign schedule by `faultsim
 // -overload`, swept by cmd/experiments's "overload" table (graceful
-// degradation vs collapse at 2x), and pinned by the overload benchmarks.
+// degradation vs collapse at 2x), and pinned by internal/core's overload tests.
 // The sweep's faultload exposed a non-uniform sequencer delivery; the
 // sequencer now holds self-assigned globals until a majority of the view
 // acks the ordering announcement (README.md's "Overload and flow control"
@@ -78,8 +78,8 @@
 // admission/retry/backpressure path individual clients use. Equivalence is
 // statistical, pinned within CI95 at 500 clients for both protocol
 // variants; memory and wall clock stay O(sites + in-flight) to 10^6
-// clients (cmd/experiments's "clients" table, BenchmarkClients, and
-// README.md's "Scaling to millions of clients" section).
+// clients (cmd/experiments's "clients" table, the agg1m_shed workload of
+// bench/, and README.md's "Scaling to millions of clients" section).
 //
 // Beyond randomized campaigns, cmd/faultsim's -explore mode runs an
 // adversarial search (internal/explore): fault schedules are genomes,
@@ -102,10 +102,12 @@
 // history scan, kept as dbsm.NewScanCertifier for exactly that purpose), the
 // kernel schedules through a pointer-free 4-ary heap over pooled event
 // slots, and the wire path hands buffers zero-copy from sender to receivers
-// with pooled packets and thunks. On the fault-free 3-site TPC-C
-// configuration this doubled simulator throughput (≈0.89M → ≈1.87M
-// events/s); README.md's "Performance" section has the measurements and the
-// reproduction commands.
+// with pooled packets and thunks. What that costs the host is measured by
+// one command, `bash bench/run.sh all` (five workloads, eight end-to-end
+// metrics, a per-layer ledger; bench/README.md holds the committed
+// baseline); cmd/experiments prints simulated quantities only, so its
+// stdout is a pure function of its flags and the whole evaluation is pinned
+// by cmd/experiments/testdata/all.golden.
 //
 // These invariants — deterministic packages, zero-copy buffer ownership,
 // pool pairing, silent-drop accounting, allocation-free hot paths — are

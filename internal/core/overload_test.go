@@ -82,33 +82,42 @@ func TestAdmissionRejectsAndRetriesStaySafe(t *testing.T) {
 
 // TestSaturationBoundedQueues holds a 2x saturation for the whole run and
 // pins the flow-control bound end to end: the transmit queue's high-water
-// mark never exceeds its 1 MiB default bound, and safety holds.
+// mark never exceeds its 1 MiB default bound, and safety holds — also with
+// the sequencer site gray-failed (10x slow, never suspected) on top.
 func TestSaturationBoundedQueues(t *testing.T) {
-	for _, p := range Protocols() {
-		p := p
-		t.Run(string(p), func(t *testing.T) {
-			r := run(t, Config{
-				Sites:       3,
-				Clients:     120,
-				TotalTxns:   400,
-				Seed:        12,
-				Protocol:    p,
-				Calibration: overloadCalibration(),
-				Admission:   tightAdmission(),
-				Faults: faults.Config{
-					Saturation: faults.Saturation{Factor: 2, At: 2 * sim.Second},
-				},
+	for _, c := range []struct {
+		name string
+		slow []faults.SlowNode
+	}{
+		{"saturation", nil},
+		{"saturation+gray-sequencer", []faults.SlowNode{{Site: 1, Factor: 10, At: 2 * sim.Second}}},
+	} {
+		for _, p := range Protocols() {
+			t.Run(c.name+"/"+string(p), func(t *testing.T) {
+				r := run(t, Config{
+					Sites:       3,
+					Clients:     120,
+					TotalTxns:   400,
+					Seed:        12,
+					Protocol:    p,
+					Calibration: overloadCalibration(),
+					Admission:   tightAdmission(),
+					Faults: faults.Config{
+						Saturation: faults.Saturation{Factor: 2, At: 2 * sim.Second},
+						SlowNodes:  c.slow,
+					},
+				})
+				if r.SafetyErr != nil {
+					t.Fatalf("safety under saturation: %v", r.SafetyErr)
+				}
+				if r.GCS.QueuePeakBytes > 1<<20 {
+					t.Fatalf("transmit queue peaked at %d bytes, past the 1 MiB bound", r.GCS.QueuePeakBytes)
+				}
+				if r.Committed == 0 {
+					t.Fatal("nothing committed under saturation")
+				}
 			})
-			if r.SafetyErr != nil {
-				t.Fatalf("safety under saturation: %v", r.SafetyErr)
-			}
-			if r.GCS.QueuePeakBytes > 1<<20 {
-				t.Fatalf("transmit queue peaked at %d bytes, past the 1 MiB bound", r.GCS.QueuePeakBytes)
-			}
-			if r.Committed == 0 {
-				t.Fatal("nothing committed under saturation")
-			}
-		})
+		}
 	}
 }
 
