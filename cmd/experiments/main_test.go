@@ -22,9 +22,8 @@ func stdoutOf(t *testing.T, args ...string) []byte {
 	defer f.Close()
 	saved := os.Stdout
 	os.Stdout = f
-	status := run(args)
-	os.Stdout = saved
-	if status != 0 {
+	defer func() { os.Stdout = saved }()
+	if status := run(args); status != 0 {
 		t.Fatalf("experiments %v: exit status %d", args, status)
 	}
 	out, err := os.ReadFile(f.Name())
