@@ -43,8 +43,12 @@ func (h *harness) clients() error {
 	fmt.Printf("\n%10s %14s %11s %12s\n", "clients", "tpm", "committed", "events")
 	for i, pop := range populations {
 		a := pts[i].Agg
+		var events int64
+		for _, r := range a.Runs {
+			events += r.Events
+		}
 		fmt.Printf("%10d %14s %11.0f %12d\n",
-			pop, a.TPM.String(), a.Committed.Mean, a.Events/int64(a.Reps))
+			pop, a.Stat(tpm), a.Stat(committed).Mean, events/int64(a.Reps))
 	}
 	return nil
 }

@@ -56,7 +56,7 @@ func (h *harness) fig4() error {
 		}
 		fmt.Printf("max deviation below p95: %.1f%% (points near the diagonal => distributions agree)\n", worst*100)
 	}
-	show("read-only transactions", simAgg.LatReadOnly, refAgg.LatReadOnly)
-	show("update transactions", simAgg.LatUpdate, refAgg.LatUpdate)
+	show("read-only transactions", simAgg.Pool(latReadOnly), refAgg.Pool(latReadOnly))
+	show("update transactions", simAgg.Pool(latUpdate), refAgg.Pool(latUpdate))
 	return nil
 }

@@ -26,7 +26,7 @@ func (h *harness) fig5and6(wantFig5, wantFig6 bool) error {
 		}
 		return nil
 	}
-	printSeries := func(title, unit string, get func(*sweepPoint) core.Stat, skipCentral bool) {
+	printSeries := func(title, unit string, get func(*core.Results) float64, skipCentral bool) {
 		fmt.Printf("\n%s (%s, mean±95%%CI over %d reps):\n%8s", title, unit, h.reps, "clients")
 		for _, c := range cfgs {
 			fmt.Printf(" %14s", c.name)
@@ -39,7 +39,7 @@ func (h *harness) fig5and6(wantFig5, wantFig6 bool) error {
 					fmt.Printf(" %14s", "-")
 					continue
 				}
-				fmt.Printf(" %14s", get(cell(c, n)).String())
+				fmt.Printf(" %14s", cell(c, n).agg.Stat(get))
 			}
 			fmt.Println()
 		}
@@ -47,24 +47,18 @@ func (h *harness) fig5and6(wantFig5, wantFig6 bool) error {
 
 	if wantFig5 {
 		header("Figure 5 — performance")
-		printSeries("(a) Throughput", "committed tpm",
-			func(p *sweepPoint) core.Stat { return p.agg.TPM }, false)
-		printSeries("(b) Latency", "ms, mean of committed",
-			func(p *sweepPoint) core.Stat { return p.agg.MeanLatencyMS }, false)
-		printSeries("(c) Abort rate", "%",
-			func(p *sweepPoint) core.Stat { return p.agg.AbortRatePct }, false)
+		printSeries("(a) Throughput", "committed tpm", tpm, false)
+		printSeries("(b) Latency", "ms, mean of committed", meanLatMS, false)
+		printSeries("(c) Abort rate", "%", abortPct, false)
 		fmt.Println("\nshape checks: 1 CPU saturates near 500 clients (~3000 tpm);")
 		fmt.Println("3 sites track the 3-CPU server and 6 sites the 6-CPU server;")
 		fmt.Println("abort rate explodes only for the saturated 1-CPU configuration.")
 	}
 	if wantFig6 {
 		header("Figure 6 — resource usage")
-		printSeries("(a) CPU usage", "%",
-			func(p *sweepPoint) core.Stat { return p.agg.CPUUtilPct }, false)
-		printSeries("(b) Disk bandwidth usage", "%",
-			func(p *sweepPoint) core.Stat { return p.agg.DiskUtilPct }, false)
-		printSeries("(c) Network traffic", "KB/s",
-			func(p *sweepPoint) core.Stat { return p.agg.NetKBps }, true)
+		printSeries("(a) CPU usage", "%", cpuPct, false)
+		printSeries("(b) Disk bandwidth usage", "%", diskPct, false)
+		printSeries("(c) Network traffic", "KB/s", netKBps, true)
 		fmt.Println("\nshape checks: with 6 CPUs the disk, not the CPU, becomes the")
 		fmt.Println("bottleneck (read one/write all); network grows linearly with")
 		fmt.Println("clients and is slightly higher for 6 sites (group maintenance).")

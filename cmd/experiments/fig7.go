@@ -38,40 +38,44 @@ func (h *harness) fig7() error {
 	}
 
 	xs := []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000}
-	printECDF := func(title string, get func(*core.Aggregate) *metrics.Sample) {
+	printECDF := func(title string, get func(*core.Results) *metrics.Sample) {
 		fmt.Printf("\n%s — ECDF over %d pooled reps, ratio of latencies <= x:\n", title, h.reps)
 		fmt.Printf("%10s", "x (ms)")
 		for _, c := range cases {
 			fmt.Printf(" %14s", c.label)
 		}
 		fmt.Println()
+		pooled := make([]*metrics.Sample, len(aggs))
+		for i, a := range aggs {
+			pooled[i] = a.Pool(get)
+		}
 		for _, x := range xs {
 			fmt.Printf("%10.0f", x)
-			for _, a := range aggs {
-				fmt.Printf(" %14.3f", get(a).ECDF(x))
+			for _, s := range pooled {
+				fmt.Printf(" %14.3f", s.ECDF(x))
 			}
 			fmt.Println()
 		}
 	}
-	printECDF("(a) transaction latency distribution", func(a *core.Aggregate) *metrics.Sample { return a.LatCommitted })
-	printECDF("(b) certification latency distribution", func(a *core.Aggregate) *metrics.Sample { return a.CertLat })
+	printECDF("(a) transaction latency distribution", latCommitted)
+	printECDF("(b) certification latency distribution", certLat)
 
 	fmt.Printf("\n(c) CPU usage by protocol (real) jobs (mean±95%%CI over %d reps):\n", h.reps)
 	fmt.Printf("%-14s %14s\n", "Run", "Usage (%)")
 	for i, c := range cases {
-		st := aggs[i].CPURealUtil
+		st := aggs[i].Stat(cpuRealPct)
 		fmt.Printf("%-14s %14s\n", c.label, fmt.Sprintf("%.2f±%.2f", st.Mean, st.CI95))
 	}
 
 	fmt.Printf("\ngroup communication detail (Section 5.3's blocking analysis, per-run means):\n")
 	fmt.Printf("%-14s %14s %14s %14s %16s\n", "Run", "retrans", "nacks", "blocked", "blocked time")
 	for i, c := range cases {
-		a := aggs[i]
+		whole := func(get func(*core.Results) float64) string {
+			st := aggs[i].Stat(get)
+			return fmt.Sprintf("%.0f±%.0f", st.Mean, st.CI95)
+		}
 		fmt.Printf("%-14s %14s %14s %14s %16s\n", c.label,
-			fmt.Sprintf("%.0f±%.0f", a.GCSRetransmits.Mean, a.GCSRetransmits.CI95),
-			fmt.Sprintf("%.0f±%.0f", a.GCSNacks.Mean, a.GCSNacks.CI95),
-			fmt.Sprintf("%.0f±%.0f", a.GCSBlocked.Mean, a.GCSBlocked.CI95),
-			fmt.Sprintf("%.0f±%.0fms", a.GCSBlockedMS.Mean, a.GCSBlockedMS.CI95))
+			whole(retransmits), whole(nacks), whole(blocked), whole(blockedMS)+"ms")
 	}
 	fmt.Println("\nshape checks: random loss produces a much longer latency tail than")
 	fmt.Println("the same loss in bursts; the tail is caused by certification delays")

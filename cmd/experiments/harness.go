@@ -141,10 +141,6 @@ func (h *harness) ensureSweep() error {
 		return fmt.Errorf("sweep %w", err)
 	}
 	for i, p := range pts {
-		// The cached grid only ever reads the merged stats and pooled
-		// samples; drop the per-replication Results so the sweep cache
-		// doesn't pin every raw run for the process lifetime.
-		p.Agg.Runs = nil
 		h.sweep = append(h.sweep, sweepPoint{
 			cfg:     h.configs()[i/len(h.clientGrid())],
 			clients: h.clientGrid()[i%len(h.clientGrid())],

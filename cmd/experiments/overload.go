@@ -69,16 +69,17 @@ func (h *harness) overload() error {
 	for _, rw := range rows {
 		for _, p := range core.Protocols() {
 			a := pts[i].Agg
+			t := a.Stat(tpm)
 			i++
 			fmt.Printf("%-24s %-12s %12s %11.0f %10.1f %9.0f %10.0f %9.0f %11.1f\n",
-				rw.label, p, a.TPM.String(), a.Committed.Mean, a.P95LatencyMS.Mean,
-				a.Rejected.Mean, a.Retries.Mean, a.BacklogPeak.Mean, a.QueuePeakKB.Mean)
+				rw.label, p, t, a.Stat(committed).Mean, a.Stat(p95LatMS).Mean,
+				a.Stat(rejected).Mean, a.Stat(retries).Mean, a.Stat(backlogPeak).Mean, a.Stat(queuePeakKB).Mean)
 			if rw.admission != nil {
-				if a.TPM.Mean > peak[p] {
-					peak[p] = a.TPM.Mean
+				if t.Mean > peak[p] {
+					peak[p] = t.Mean
 				}
 				if rw.factor == 2 {
-					at2x[p] = a.TPM.Mean
+					at2x[p] = t.Mean
 				}
 			}
 		}

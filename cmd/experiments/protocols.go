@@ -65,11 +65,11 @@ func (h *harness) protocols() error {
 				i++
 				fmt.Printf("%-11s %-12s %8d %12s %12s %14s %14s %10.2f %10.1f %10.1f\n",
 					lc.label, p, c,
-					a.TPM.String(), a.MeanLatencyMS.String(),
-					a.MeanCertDecideMS.String(),
-					fmt.Sprintf("%.1f", a.CertLat.Mean()),
-					a.OptMispredictPct.Mean,
-					a.Rollbacks.Mean, a.Recertified.Mean)
+					a.Stat(tpm), a.Stat(meanLatMS),
+					a.Stat(certDecideMS),
+					fmt.Sprintf("%.1f", a.Pool(certLat).Mean()),
+					a.Stat(mispredPct).Mean,
+					a.Stat(rollbacks).Mean, a.Stat(recertified).Mean)
 			}
 		}
 		fmt.Println()

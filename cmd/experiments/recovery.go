@@ -67,9 +67,9 @@ func (h *harness) recovery() error {
 			a := pts[i].Agg
 			i++
 			fmt.Printf("%-17s %-12s %12s %11.0f %13s %13s %12s %8.1f\n",
-				row.label, p, a.TPM.String(), a.Committed.Mean,
-				a.MeanDowntimeMS.String(), a.MeanRecoveryMS.String(),
-				a.TransferKB.String(), a.DeltaApplied.Mean)
+				row.label, p, a.Stat(tpm), a.Stat(committed).Mean,
+				a.Stat(downtimeMS), a.Stat(recoveryMS),
+				a.Stat(transferKB), a.Stat(deltaApplied).Mean)
 		}
 		fmt.Println()
 	}

@@ -68,15 +68,16 @@ func (h *harness) shard() error {
 	for _, rw := range rows {
 		for _, p := range core.Protocols() {
 			a := pts[i].Agg
+			t := a.Stat(tpm)
 			i++
 			fmt.Printf("%-30s %-12s %14s %11.0f %10.1f %9.2f %11.2f %10.0f\n",
-				rw.label, p, a.TPM.String(), a.Committed.Mean, a.P95LatencyMS.Mean,
-				a.AbortRatePct.Mean, a.MultiGroupPct.Mean, a.NetKBps.Mean)
+				rw.label, p, t, a.Stat(committed).Mean, a.Stat(p95LatMS).Mean,
+				a.Stat(abortPct).Mean, a.Stat(multiGroupPct).Mean, a.Stat(netKBps).Mean)
 			if rw.groups == 1 && rw.sites == perGroup {
-				base[p] = a.TPM.Mean
+				base[p] = t.Mean
 			}
 			if rw.groups == 3 {
-				at3[p] = a.TPM.Mean
+				at3[p] = t.Mean
 			}
 		}
 		fmt.Println()

@@ -44,7 +44,7 @@ func printAbortTable(columns []string, aggs []*core.Aggregate, reps int) {
 	}
 	fmt.Printf("%-20s", "All")
 	for _, a := range aggs {
-		fmt.Printf(" %16s", pct(a.AbortRatePct))
+		fmt.Printf(" %16s", pct(a.Stat(abortPct)))
 	}
 	fmt.Println()
 }

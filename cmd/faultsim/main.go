@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,72 +31,62 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
-	fs := flag.NewFlagSet("faultsim", flag.ExitOnError)
-	seeds := fs.Int("seeds", 3, "seeds per fixed-matrix fault type")
-	txns := fs.Int("txns", 2000, "transactions per run")
-	clients := fs.Int("clients", 300, "clients per run")
-	aggClients := fs.Int("aggregate", 0, "AggregateClients threshold: at or above it the aggregate client tier replaces individual clients (0 = always individual)")
-	sites := fs.Int("sites", 3, "replica count (per group when -groups > 1)")
-	groups := fs.Int("groups", 1, "replication groups (partial replication); campaign mode only")
-	parallel := fs.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-	nCampaign := fs.Int("campaign", 0, "run N randomized fault schedules instead of the fixed matrix")
-	baseSeed := fs.Int64("seed", 1, "campaign base seed (schedule i uses a seed derived from it)")
-	replay := fs.Int64("replay", 0, "re-run the single campaign schedule with this seed")
-	replayFile := fs.String("replay-file", "", "replay a saved repro JSON file; exits non-zero when its violation reproduces")
-	doExplore := fs.Bool("explore", false, "run the coverage-guided adversarial explorer instead of the fixed matrix")
-	generations := fs.Int("generations", 8, "explorer generations")
-	population := fs.Int("population", 16, "explorer schedules per generation")
-	corpusDir := fs.String("corpus", "corpus", "explorer output directory (coverage corpus + minimized repros)")
-	list := fs.Bool("list", false, "print the resolved fault matrix or campaign schedule and exit without running")
-	rejoin := fs.Bool("rejoin", false, "force every campaign schedule to include a crash-and-rejoin")
-	overload := fs.Bool("overload", false, "force every campaign schedule to include saturation and a slow-node gray failure")
-	short := fs.Bool("short", false, "smoke mode for CI: small transaction counts, clients, and seeds")
-	protoFlag := fs.String("protocol", "both", "termination variant under test: conservative, optimistic, or both")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
-	if err := fs.Parse(os.Args[1:]); err != nil {
-		os.Exit(2)
-	}
-	stopProfiles, perr := profiles.Start(*cpuprofile, *memprofile)
-	if perr != nil {
-		fmt.Fprintln(os.Stderr, "faultsim:", perr)
-		os.Exit(1)
-	}
-	if *short {
-		*txns, *clients, *seeds = 300, 60, 2
-	}
-	var protocols []core.Protocol
-	switch *protoFlag {
-	case "both":
-		protocols = core.Protocols()
-	case string(core.ProtocolConservative), string(core.ProtocolOptimistic):
-		protocols = []core.Protocol{core.Protocol(*protoFlag)}
-	default:
-		fmt.Fprintf(os.Stderr, "faultsim: unknown -protocol %q\n", *protoFlag)
-		os.Exit(2)
-	}
+// options are the parsed command-line flags.
+type options struct {
+	seeds, txns, clients, aggregate, sites, groups int
+	parallel, campaign, generations, population    int
+	seed, replay                                   int64
+	replayFile, corpus, protocol                   string
+	cpuprofile, memprofile                         string
+	explore, list, rejoin, overload, short         bool
+}
 
-	if *replayFile != "" {
-		// A saved repro is self-contained (workload, schedule, seed,
-		// expected verdict): replay it and fail when the violation is
-		// still there, independent of every other flag.
-		stopProfiles()
-		os.Exit(runReplayFile(*replayFile))
+// parseFlags parses a faultsim command line (without the program name) and
+// applies -short, so everything derived from the result — the base
+// configuration, the campaign parameters, the reproduce hint — sees the
+// values the run actually uses.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
+	fs.IntVar(&o.seeds, "seeds", 3, "seeds per fixed-matrix fault type")
+	fs.IntVar(&o.txns, "txns", 2000, "transactions per run")
+	fs.IntVar(&o.clients, "clients", 300, "clients per run")
+	fs.IntVar(&o.aggregate, "aggregate", 0, "AggregateClients threshold: at or above it the aggregate client tier replaces individual clients (0 = always individual)")
+	fs.IntVar(&o.sites, "sites", 3, "replica count (per group when -groups > 1)")
+	fs.IntVar(&o.groups, "groups", 1, "replication groups (partial replication); campaign mode only")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.campaign, "campaign", 0, "run N randomized fault schedules instead of the fixed matrix")
+	fs.Int64Var(&o.seed, "seed", 1, "campaign base seed (schedule i uses a seed derived from it)")
+	fs.Int64Var(&o.replay, "replay", 0, "re-run the single campaign schedule with this seed")
+	fs.StringVar(&o.replayFile, "replay-file", "", "replay a saved repro JSON file; exits non-zero when its violation reproduces")
+	fs.BoolVar(&o.explore, "explore", false, "run the coverage-guided adversarial explorer instead of the fixed matrix")
+	fs.IntVar(&o.generations, "generations", 8, "explorer generations")
+	fs.IntVar(&o.population, "population", 16, "explorer schedules per generation")
+	fs.StringVar(&o.corpus, "corpus", "corpus", "explorer output directory (coverage corpus + minimized repros)")
+	fs.BoolVar(&o.list, "list", false, "print the resolved fault matrix or campaign schedule and exit without running")
+	fs.BoolVar(&o.rejoin, "rejoin", false, "force every campaign schedule to include a crash-and-rejoin")
+	fs.BoolVar(&o.overload, "overload", false, "force every campaign schedule to include saturation and a slow-node gray failure")
+	fs.BoolVar(&o.short, "short", false, "smoke mode for CI: small transaction counts, clients, and seeds")
+	fs.StringVar(&o.protocol, "protocol", "both", "termination variant under test: conservative, optimistic, or both")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
+	if o.short {
+		o.txns, o.clients, o.seeds = 300, 60, 2
+	}
+	return o, nil
+}
 
-	if *groups > 1 && *nCampaign == 0 && *replay == 0 && !*list && !*doExplore {
-		// The fixed matrix encodes single-group assumptions (rejoin rows,
-		// site numbering); group mode runs randomized campaigns only.
-		fmt.Fprintln(os.Stderr, "faultsim: -groups needs -campaign N (or -replay/-list)")
-		os.Exit(2)
-	}
-	base := core.Config{
-		Sites:            *sites,
-		Groups:           *groups,
-		Clients:          *clients,
-		TotalTxns:        *txns,
-		AggregateClients: *aggClients,
+// base is the workload every run shares; the protocol is set per pass.
+func (o *options) base() core.Config {
+	return core.Config{
+		Sites:            o.sites,
+		Groups:           o.groups,
+		Clients:          o.clients,
+		TotalTxns:        o.txns,
+		AggregateClients: o.aggregate,
 		MaxSimTime:       20 * sim.Minute,
 		// Overload protection on: saturation and slow-node rows must
 		// degrade gracefully (bounded queues, explicit rejections) rather
@@ -103,24 +94,94 @@ func main() {
 		// admission machinery in the loop.
 		Admission: core.DefaultAdmissionConfig(),
 	}
-	params := campaign.Params{Sites: *sites, Groups: *groups, Rejoin: *rejoin, Overload: *overload}
-	if *groups > 1 {
-		params.Rejoin = false // crash recovery is out of the group-mode scope
+}
+
+// params are the campaign generator's inputs: with a seed they determine a
+// schedule completely.
+func (o *options) params() campaign.Params {
+	p := campaign.Params{Sites: o.sites, Groups: o.groups, Rejoin: o.rejoin, Overload: o.overload}
+	if o.groups > 1 {
+		p.Rejoin = false // crash recovery is out of the group-mode scope
 	}
-	if *short {
+	if o.short {
 		// Shorter runs need faults that land while traffic still flows.
-		params.Horizon = 15 * sim.Second
+		p.Horizon = 15 * sim.Second
+	}
+	return p
+}
+
+// reproHint is the command line that re-runs one campaign schedule under
+// protocol p (the caller appends -replay <seed>). It carries every flag that
+// reaches base() or params() — parsing it back yields the same workload and
+// the same generator inputs, so the seed regenerates the same schedule.
+func (o *options) reproHint(p core.Protocol) string {
+	hint := fmt.Sprintf("faultsim -sites %d -clients %d -txns %d", o.sites, o.clients, o.txns)
+	if o.short {
+		hint = fmt.Sprintf("faultsim -short -sites %d", o.sites)
+	}
+	if o.groups > 1 {
+		hint += fmt.Sprintf(" -groups %d", o.groups)
+	}
+	if o.aggregate != 0 {
+		hint += fmt.Sprintf(" -aggregate %d", o.aggregate)
+	}
+	if o.rejoin {
+		hint += " -rejoin"
+	}
+	if o.overload {
+		hint += " -overload"
+	}
+	return hint + " -protocol " + string(p)
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(2) // the flag package already printed the error and usage
+	}
+	stopProfiles, perr := profiles.Start(o.cpuprofile, o.memprofile)
+	if perr != nil {
+		fmt.Fprintln(os.Stderr, "faultsim:", perr)
+		os.Exit(1)
+	}
+	var protocols []core.Protocol
+	switch o.protocol {
+	case "both":
+		protocols = core.Protocols()
+	case string(core.ProtocolConservative), string(core.ProtocolOptimistic):
+		protocols = []core.Protocol{core.Protocol(o.protocol)}
+	default:
+		fmt.Fprintf(os.Stderr, "faultsim: unknown -protocol %q\n", o.protocol)
+		os.Exit(2)
 	}
 
-	if *list {
+	if o.replayFile != "" {
+		// A saved repro is self-contained (workload, schedule, seed,
+		// expected verdict): replay it and fail when the violation is
+		// still there, independent of every other flag.
+		stopProfiles()
+		os.Exit(runReplayFile(o.replayFile))
+	}
+
+	if o.groups > 1 && o.campaign == 0 && o.replay == 0 && !o.list && !o.explore {
+		// The fixed matrix encodes single-group assumptions (rejoin rows,
+		// site numbering); group mode runs randomized campaigns only.
+		fmt.Fprintln(os.Stderr, "faultsim: -groups needs -campaign N (or -replay/-list)")
+		os.Exit(2)
+	}
+	base, params := o.base(), o.params()
+
+	if o.list {
 		// Replay debugging aid: show exactly what a seed resolves to —
 		// the full schedule of a campaign, or the fixed matrix — without
 		// running a single simulation.
 		switch {
-		case *replay != 0:
-			listSchedules([]campaign.Schedule{campaign.New(*replay, params)})
-		case *nCampaign > 0:
-			listSchedules(campaign.Plan(*baseSeed, *nCampaign, params))
+		case o.replay != 0:
+			listSchedules([]campaign.Schedule{campaign.New(o.replay, params)})
+		case o.campaign > 0:
+			listSchedules(campaign.Plan(o.seed, o.campaign, params))
 		default:
 			listMatrix()
 		}
@@ -132,33 +193,15 @@ func main() {
 	for _, p := range protocols {
 		cfg := base
 		cfg.Protocol = p
-
-		// The reproduce hint must carry every flag that shapes the
-		// schedule and the workload — in particular -short, which changes
-		// the campaign horizon and therefore the schedule a seed
-		// generates, and -protocol, which selects the pipeline under
-		// test.
-		repro := fmt.Sprintf("faultsim -sites %d -clients %d -txns %d", *sites, *clients, *txns)
-		if *short {
-			repro = "faultsim -short -sites " + fmt.Sprint(*sites)
-		}
-		if *groups > 1 {
-			repro += fmt.Sprintf(" -groups %d", *groups)
-		}
-		if *overload {
-			repro += " -overload"
-		}
-		repro += " -protocol " + string(p)
-
 		switch {
-		case *doExplore:
-			failures += runExplore(cfg, params, *baseSeed, *generations, *population, *parallel, *corpusDir)
-		case *replay != 0:
-			failures += runCampaign(cfg, []campaign.Schedule{campaign.New(*replay, params)}, *parallel, repro, true)
-		case *nCampaign > 0:
-			failures += runCampaign(cfg, campaign.Plan(*baseSeed, *nCampaign, params), *parallel, repro, false)
+		case o.explore:
+			failures += runExplore(cfg, params, o.seed, o.generations, o.population, o.parallel, o.corpus)
+		case o.replay != 0:
+			failures += runCampaign(cfg, []campaign.Schedule{campaign.New(o.replay, params)}, o.parallel, o.reproHint(p), true)
+		case o.campaign > 0:
+			failures += runCampaign(cfg, campaign.Plan(o.seed, o.campaign, params), o.parallel, o.reproHint(p), false)
 		default:
-			failures += runMatrix(cfg, *seeds, *parallel)
+			failures += runMatrix(cfg, o.seeds, o.parallel)
 		}
 	}
 	stopProfiles() // flush profiles before any exit path

@@ -2,6 +2,8 @@ package main
 
 import (
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -115,5 +117,48 @@ func TestRunReplayFile(t *testing.T) {
 	}
 	if got := runReplayFile(filepath.Join(t.TempDir(), "missing.json")); got != 2 {
 		t.Fatalf("runReplayFile(missing) = %d, want 2", got)
+	}
+}
+
+// TestReproHintRoundTrips pins the contract of the "reproduce:" line: for
+// every campaign CI runs (plus a non-short one), parsing the printed hint
+// back must yield the campaign parameters and workload of the original
+// command line — otherwise -replay <seed> regenerates a different schedule,
+// or runs it against a different workload, and the failure does not
+// reproduce. -rejoin changes campaign.Params (hence every draw after the
+// structural block) and -aggregate the client tier; both were once missing.
+func TestReproHintRoundTrips(t *testing.T) {
+	for _, cmdline := range []string{
+		"-short -campaign 12 -parallel 4",
+		"-short -campaign 8 -rejoin -parallel 4",
+		"-short -campaign 8 -overload -parallel 4",
+		"-short -groups 3 -sites 3 -campaign 8 -parallel 4",
+		"-short -campaign 8 -aggregate 1 -parallel 4",
+		"-sites 5 -clients 120 -txns 900 -campaign 4 -rejoin -overload -aggregate 50 -seed 9",
+	} {
+		orig, err := parseFlags(strings.Fields(cmdline))
+		if err != nil {
+			t.Fatalf("%q: %v", cmdline, err)
+		}
+		for _, p := range core.Protocols() {
+			hint := orig.reproHint(p) + " -replay 12345"
+			args := strings.Fields(hint)
+			if args[0] != "faultsim" {
+				t.Fatalf("%q: hint %q does not start with the command name", cmdline, hint)
+			}
+			back, err := parseFlags(args[1:])
+			if err != nil {
+				t.Fatalf("%q: hint %q does not parse: %v", cmdline, hint, err)
+			}
+			if got, want := back.params(), orig.params(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%q: hint %q regenerates params %+v, want %+v", cmdline, hint, got, want)
+			}
+			if got, want := back.base(), orig.base(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%q: hint %q runs workload %+v, want %+v", cmdline, hint, got, want)
+			}
+			if back.protocol != string(p) || back.replay != 12345 {
+				t.Errorf("%q: hint %q selects protocol %q replay %d", cmdline, hint, back.protocol, back.replay)
+			}
+		}
 	}
 }

@@ -33,8 +33,8 @@
 // incarnation's log must be a prefix of the donor's at install, and a
 // recovered site's log is held to full equality with the survivors' at the
 // end of the run. Per-site downtime, recovery duration, transfer bytes, and
-// post-rejoin commit lag surface through core.Results/Aggregate, the
-// faultsim verdict lines, and cmd/experiments's "recovery" table.
+// post-rejoin commit lag surface through core.Results, the faultsim verdict
+// lines, and cmd/experiments's "recovery" table.
 //
 // Overload is a first-class faultload: the group communication layer bounds
 // its transmit queue and gates transmission on per-destination credits, the
@@ -108,6 +108,14 @@
 // baseline); cmd/experiments prints simulated quantities only, so its
 // stdout is a pure function of its flags and the whole evaluation is pinned
 // by cmd/experiments/testdata/all.golden.
+//
+// A protocol counter is declared once: in gcs.Stats or replica.Stats, where
+// the layer increments it in place. core.Results carries both structs whole
+// (replica.Stats embedded, gcs.Stats as GCS), one reflection-driven fold in
+// internal/core merges sites and crash-rebuilt incarnations (sum, or max
+// for the two tagged peak gauges), and core.Aggregate computes a mean ± CI
+// column only when a table asks Stat for it — so adding a counter edits the
+// Stats struct and its increment, nothing in between.
 //
 // These invariants — deterministic packages, zero-copy buffer ownership,
 // pool pairing, silent-drop accounting, allocation-free hot paths — are

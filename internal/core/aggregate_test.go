@@ -87,25 +87,26 @@ func TestAggregateEquivalenceCI95(t *testing.T) {
 			}
 			ind := AggregateRuns(runs[:reps])
 			agg := AggregateRuns(runs[reps:])
-			for _, c := range []struct {
+			for _, col := range []struct {
 				name string
-				a, b Stat
+				get  func(*Results) float64
 			}{
-				{"tpmC", ind.TPM, agg.TPM},
-				{"abort rate %", ind.AbortRatePct, agg.AbortRatePct},
-				{"mean latency ms", ind.MeanLatencyMS, agg.MeanLatencyMS},
-				{"p95 latency ms", ind.P95LatencyMS, agg.P95LatencyMS},
+				{"tpmC", func(r *Results) float64 { return r.TPM }},
+				{"abort rate %", func(r *Results) float64 { return r.AbortRatePct }},
+				{"mean latency ms", func(r *Results) float64 { return r.MeanLatencyMS }},
+				{"p95 latency ms", func(r *Results) float64 { return r.P95LatencyMS }},
 			} {
-				diff := c.a.Mean - c.b.Mean
+				a, b := ind.Stat(col.get), agg.Stat(col.get)
+				diff := a.Mean - b.Mean
 				if diff < 0 {
 					diff = -diff
 				}
-				if tol := c.a.CI95 + c.b.CI95; diff > tol {
+				if tol := a.CI95 + b.CI95; diff > tol {
 					t.Errorf("%s: individual %s vs aggregate %s — means %.2f apart, CI95 overlap allows %.2f",
-						c.name, c.a, c.b, diff, tol)
+						col.name, a, b, diff, tol)
 				} else {
 					t.Logf("%-16s individual %-14s aggregate %-14s |Δ| %.2f ≤ %.2f",
-						c.name, c.a, c.b, diff, tol)
+						col.name, a, b, diff, tol)
 				}
 			}
 			// The aggregate runs must have carried the full budget through the

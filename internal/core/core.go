@@ -790,10 +790,10 @@ func (m *Model) recover(s *Site) {
 	// Fold the dead incarnation's protocol counters into the site totals
 	// before discarding it.
 	if s.Stack != nil {
-		accumulateGCS(&s.deadGCS, s.Stack.Stats())
+		fold(&s.deadGCS, s.Stack.Stats())
 	}
 	if s.Replica != nil {
-		accumulateReplica(&s.deadReplica, s.Replica.Stats())
+		fold(&s.deadReplica, s.Replica.Stats())
 	}
 	s.RT.Restart()
 	s.Host.SetDown(false)

@@ -84,16 +84,25 @@ type Results struct {
 	Submitted int64
 	Committed int64
 	Aborted   int64
+	// Stats is the run total of the replicas' termination counters, every
+	// site and incarnation folded together — CertDrops (must be zero: a
+	// delivered certification payload failed to decode), the optimistic
+	// pipeline's Tentative/Rollbacks/Recertified/PreApplied/PreApplyWasted,
+	// DeltaApplied, BacklogPeak, MulticastRefused, Backpressure, and the
+	// cross-group round's MultiGroupTxns/XRetries/XHandovers/XVetoes/
+	// XPrepFrags — promoted, so r.Rollbacks reads the field replica.Stats
+	// declares. Results declares no counter a layer's Stats already carries.
+	replica.Stats
+	// GCS is the same total over all protocol stacks.
+	GCS gcs.Stats
 	// Overload counters. Rejected sums explicit admission refusals (server
 	// side); Retries and GiveUps sum client resubmissions and abandoned
 	// transactions; RetryLat samples first-submit-to-final-outcome latency
-	// (ms) of transactions that needed at least one retry; BacklogPeak is
-	// the deepest replica termination backlog across sites.
-	Rejected    int64
-	Retries     int64
-	GiveUps     int64
-	RetryLat    *metrics.Sample
-	BacklogPeak int64
+	// (ms) of transactions that needed at least one retry.
+	Rejected int64
+	Retries  int64
+	GiveUps  int64
+	RetryLat *metrics.Sample
 	// TPM is committed transactions per minute — Figure 5(a).
 	TPM float64
 	// MeanLatencyMS and P95LatencyMS summarize committed latency —
@@ -125,54 +134,29 @@ type Results struct {
 	// the latency split the protocol comparison reports.
 	CertDecideLat    *metrics.Sample
 	MeanCertDecideMS float64
-	// CertDrops counts delivered certification payloads discarded on
-	// unmarshal failure, summed over replicas. Nonzero means a marshaling
-	// or wire-format bug — never silent.
-	CertDrops int64
-	// Optimistic-pipeline counters, summed over replicas (zero under the
-	// conservative protocol).
-	Tentative      int64 // tentative certifications (incl. re-certifications)
-	Rollbacks      int64 // tentative/final order divergences unwound
-	Recertified    int64 // transactions re-certified after rollbacks
-	PreApplied     int64 // remote write-sets speculatively pre-written
-	PreApplyWasted int64 // pre-writes whose transaction finally aborted
 	// OptMispredictPct is the stack-level tentative-order misprediction
 	// rate: final deliveries whose spontaneous position disagreed with the
 	// total order, in percent of tentative deliveries.
 	OptMispredictPct float64
 	// Recovery metrics, summed over sites: completed rejoins, snapshot
-	// bytes shipped, mean recovery duration and downtime per rejoin, the
-	// deliveries replayed as delta catch-up, and install-time prefix-check
-	// failures (RejoinViolations must be zero; RejoinErr carries the
-	// first one).
+	// bytes shipped, mean recovery duration and downtime per rejoin, and
+	// install-time prefix-check failures (RejoinViolations must be zero;
+	// RejoinErr carries the first one).
 	Recoveries       int
 	TransferBytes    int64
 	MeanRecoveryMS   float64
 	MeanDowntimeMS   float64
-	DeltaApplied     int64
 	RejoinViolations int64
 	RejoinErr        error
 	// Partial-replication (group mode) detail. Groups echoes the group
-	// count (0 for the classic model). MultiGroupTxns counts cross-group
-	// commit rounds initiated; MultiGroupCommitted/MultiGroupAborted count
-	// their decisions as recorded by the home group's canonical stream;
-	// MultiGroupPct is the committed-transaction share that spanned groups.
-	// XRetries counts coordinator retransmit ticks, XHandovers coordinator
-	// takeovers after a crash — both diagnostics, not errors.
+	// count (0 for the classic model). MultiGroupCommitted/MultiGroupAborted
+	// count the cross-group rounds' decisions as recorded by the home
+	// group's canonical stream; MultiGroupPct is the committed-transaction
+	// share that spanned groups.
 	Groups              int
-	MultiGroupTxns      int64
 	MultiGroupCommitted int64
 	MultiGroupAborted   int64
 	MultiGroupPct       float64
-	XRetries            int64
-	XHandovers          int64
-	// XVetoes counts certifications aborted by the cross-group reservation
-	// veto; XPrepFrags counts oversized prepare relays that had to ship as
-	// fragments. Both diagnostics.
-	XVetoes    int64
-	XPrepFrags int64
-	// GCS aggregates protocol counters over all stacks.
-	GCS gcs.Stats
 	// SafetyErr is the off-line commit-sequence comparison verdict
 	// (Section 5.3), produced by the internal/check consistency checker;
 	// nil means all operational sites committed identical sequences and
@@ -245,27 +229,17 @@ func (m *Model) results() *Results {
 		}
 		// Fold the live incarnation's counters on top of any dead
 		// incarnations' accumulated at recovery time.
-		repStats := s.deadReplica
+		repStats, gcsStats := s.deadReplica, s.deadGCS
 		if s.Replica != nil {
-			accumulateReplica(&repStats, s.Replica.Stats())
+			fold(&repStats, s.Replica.Stats())
 		}
-		r.CertDrops += repStats.Drops
-		r.Tentative += repStats.Tentative
-		r.Rollbacks += repStats.Rollbacks
-		r.Recertified += repStats.Recertified
-		r.PreApplied += repStats.PreApplied
-		r.PreApplyWasted += repStats.PreApplyWasted
-		r.DeltaApplied += repStats.DeltaApplied
-		r.MultiGroupTxns += repStats.XInitiated
-		r.XRetries += repStats.XRetries
-		r.XHandovers += repStats.XHandovers
-		r.XVetoes += repStats.XVetoes
-		r.XPrepFrags += repStats.XPrepFrags
+		if s.Stack != nil {
+			fold(&gcsStats, s.Stack.Stats())
+		}
+		fold(&r.Stats, repStats)
+		fold(&r.GCS, gcsStats)
 		sr.DeltaApplied = repStats.DeltaApplied
 		sr.BacklogPeak = repStats.BacklogPeak
-		if repStats.BacklogPeak > r.BacklogPeak {
-			r.BacklogPeak = repStats.BacklogPeak
-		}
 		r.Sites = append(r.Sites, sr)
 		r.Submitted += sub
 		r.Committed += com
@@ -284,11 +258,6 @@ func (m *Model) results() *Results {
 		r.CertLat.Merge(&s.Server.CertLat)
 		r.CertDecideLat.Merge(&s.Server.CertDecideLat)
 		r.Inconsistencies += s.Server.Inconsistencies()
-		gcsStats := s.deadGCS
-		if s.Stack != nil {
-			accumulateGCS(&gcsStats, s.Stack.Stats())
-		}
-		accumulateGCS(&r.GCS, gcsStats)
 	}
 	for _, c := range m.clients {
 		r.Retries += c.Retries()
@@ -307,7 +276,7 @@ func (m *Model) results() *Results {
 		r.MeanDowntimeMS /= float64(r.Recoveries)
 	}
 	if m.dedicated != nil && m.dedicated.Stack != nil {
-		accumulateGCS(&r.GCS, m.dedicated.Stack.Stats())
+		fold(&r.GCS, m.dedicated.Stack.Stats())
 	}
 	if duration > 0 {
 		r.TPM = float64(r.Committed) / (duration.Seconds() / 60)
@@ -393,63 +362,6 @@ func (m *Model) results() *Results {
 		r.SafetyErr = r.RejoinErr
 	}
 	return r
-}
-
-// accumulateGCS folds one stack's counters into an accumulator (used for
-// run totals and for preserving a dead incarnation's counters across a
-// crash-and-rejoin rebuild).
-func accumulateGCS(dst *gcs.Stats, s gcs.Stats) {
-	dst.Sent += s.Sent
-	dst.Retransmits += s.Retransmits
-	dst.Nacks += s.Nacks
-	dst.AssignAcks += s.AssignAcks
-	dst.Gossips += s.Gossips
-	dst.GossipsRecv += s.GossipsRecv
-	dst.Delivered += s.Delivered
-	dst.Optimistic += s.Optimistic
-	dst.Mispredicted += s.Mispredicted
-	dst.ParseErrors += s.ParseErrors
-	dst.Blocked += s.Blocked
-	dst.BlockedTime += s.BlockedTime
-	dst.ViewChanges += s.ViewChanges
-	dst.QuorumLosses += s.QuorumLosses
-	dst.JoinRequests += s.JoinRequests
-	dst.Joins += s.Joins
-	dst.RelaysSent += s.RelaysSent
-	dst.RelaysRecv += s.RelaysRecv
-	dst.CreditStalls += s.CreditStalls
-	dst.AssignDeferred += s.AssignDeferred
-	dst.FlowRejected += s.FlowRejected
-	dst.FlushAbandons += s.FlushAbandons
-	dst.UniformStalls += s.UniformStalls
-	// Peak gauges fold with max, not sum.
-	if s.QueuePeakBytes > dst.QueuePeakBytes {
-		dst.QueuePeakBytes = s.QueuePeakBytes
-	}
-}
-
-// accumulateReplica folds one replica's counters into an accumulator.
-func accumulateReplica(dst *replica.Stats, s replica.Stats) {
-	dst.Delivered += s.Delivered
-	dst.Drops += s.Drops
-	dst.Tentative += s.Tentative
-	dst.Rollbacks += s.Rollbacks
-	dst.Recertified += s.Recertified
-	dst.PreApplied += s.PreApplied
-	dst.PreApplyWasted += s.PreApplyWasted
-	dst.DeltaApplied += s.DeltaApplied
-	dst.MulticastRefused += s.MulticastRefused
-	dst.Backpressure += s.Backpressure
-	dst.XInitiated += s.XInitiated
-	dst.XCommitted += s.XCommitted
-	dst.XAborted += s.XAborted
-	dst.XRetries += s.XRetries
-	dst.XHandovers += s.XHandovers
-	dst.XVetoes += s.XVetoes
-	dst.XPrepFrags += s.XPrepFrags
-	if s.BacklogPeak > dst.BacklogPeak {
-		dst.BacklogPeak = s.BacklogPeak
-	}
 }
 
 // Features exports the run's protocol-state fingerprint: every counter that
@@ -552,21 +464,17 @@ func (r *Results) Summary() string {
 // violations, but a payload vanished: a marshaling bug every campaign, table
 // and example must fail on, not swallow.
 func (r *Results) Verdict() error {
-	return verdict(r.SafetyErr, r.RejoinViolations, r.Inconsistencies, r.CertDrops, r.GCS.ParseErrors)
-}
-
-func verdict(safety error, rejoinViolations, inconsistencies, certDrops, parseErrors int64) error {
 	switch {
-	case safety != nil:
-		return safety
-	case rejoinViolations != 0:
-		return fmt.Errorf("%d rejoin prefix violations", rejoinViolations)
-	case inconsistencies != 0:
-		return fmt.Errorf("%d local/global inconsistencies", inconsistencies)
-	case certDrops != 0:
-		return fmt.Errorf("%d certification payloads dropped on unmarshal", certDrops)
-	case parseErrors != 0:
-		return fmt.Errorf("%d gcs wire messages dropped on parse", parseErrors)
+	case r.SafetyErr != nil:
+		return r.SafetyErr
+	case r.RejoinViolations != 0:
+		return fmt.Errorf("%d rejoin prefix violations", r.RejoinViolations)
+	case r.Inconsistencies != 0:
+		return fmt.Errorf("%d local/global inconsistencies", r.Inconsistencies)
+	case r.CertDrops != 0:
+		return fmt.Errorf("%d certification payloads dropped on unmarshal", r.CertDrops)
+	case r.GCS.ParseErrors != 0:
+		return fmt.Errorf("%d gcs wire messages dropped on parse", r.GCS.ParseErrors)
 	}
 	return nil
 }
@@ -600,75 +508,16 @@ type ClassAggregate struct {
 	MeanLatencyMS Stat
 }
 
-// Aggregate merges R replicated Results of the same configuration (run with
-// different seeds) into mean ± 95% CI summaries per reported metric, plus
-// pooled latency samples for distribution plots. Aggregation order is the
-// replication order, so the same runs always produce the identical
-// aggregate regardless of how the runs themselves were scheduled.
+// Aggregate holds R replicated Results of the same configuration (run with
+// different seeds). It stores no per-metric column: a table asks Stat for
+// the mean ± 95% CI of exactly the quantity it prints, and Pool for a
+// latency distribution over all replications. Both walk Runs in replication
+// order, so the same runs always produce the identical numbers regardless of
+// how the runs themselves were scheduled.
 type Aggregate struct {
 	Reps int
-	// Headline metrics — Figures 5 and 6.
-	TPM           Stat
-	MeanLatencyMS Stat
-	P95LatencyMS  Stat
-	AbortRatePct  Stat
-	CPUUtilPct    Stat
-	CPURealUtil   Stat
-	DiskUtilPct   Stat
-	NetKBps       Stat
-	Committed     Stat
-	Aborted       Stat
-	// Group-communication detail — Figure 7 and Section 5.3.
-	GCSRetransmits Stat
-	GCSNacks       Stat
-	GCSBlocked     Stat
-	GCSBlockedMS   Stat
-	// Overload detail: admission rejections, client retries, flow-control
-	// refusals and credit stalls, and the peak queue/backlog gauges.
-	Rejected     Stat
-	Retries      Stat
-	CreditStalls Stat
-	FlowRejected Stat
-	BacklogPeak  Stat
-	QueuePeakKB  Stat
-	// Protocol-comparison detail: certification-decision latency, the
-	// optimistic pipeline's mismatch accounting, and the drop counters
-	// that must stay zero.
-	MeanCertDecideMS Stat
-	Rollbacks        Stat
-	Recertified      Stat
-	OptMispredictPct Stat
-	CertDrops        int64
-	GCSParseErrors   int64
-	// Recovery detail: rejoins completed, recovery duration and downtime
-	// per rejoin, snapshot transfer volume, delta catch-up size, and the
-	// summed install-time prefix violations (must stay zero).
-	Recoveries       Stat
-	MeanRecoveryMS   Stat
-	MeanDowntimeMS   Stat
-	TransferKB       Stat
-	DeltaApplied     Stat
-	RejoinViolations int64
-	// Partial-replication detail: the committed-transaction share that
-	// spanned groups, plus the cross-group round's retransmit and
-	// coordinator-handover diagnostics.
-	MultiGroupPct Stat
-	XRetries      Stat
-	XHandovers    Stat
 	// Classes aggregates abort-rate rows — Tables 1 and 2.
 	Classes []ClassAggregate
-	// Pooled latency samples over all replications — Figures 4 and 7.
-	LatCommitted  *metrics.Sample
-	LatReadOnly   *metrics.Sample
-	LatUpdate     *metrics.Sample
-	CertLat       *metrics.Sample
-	CertDecideLat *metrics.Sample
-	// SafetyErr is the first replication's safety violation, if any.
-	SafetyErr error
-	// Inconsistencies sums local-abort-vs-global-commit divergences.
-	Inconsistencies int64
-	// Events sums simulation events over all replications.
-	Events int64
 	// Runs holds the underlying per-replication results, in order.
 	Runs []*Results
 }
@@ -679,70 +528,7 @@ func AggregateRuns(runs []*Results) *Aggregate {
 	if len(runs) == 0 {
 		panic("core: AggregateRuns on empty run set")
 	}
-	a := &Aggregate{
-		Reps:          len(runs),
-		LatCommitted:  &metrics.Sample{},
-		LatReadOnly:   &metrics.Sample{},
-		LatUpdate:     &metrics.Sample{},
-		CertLat:       &metrics.Sample{},
-		CertDecideLat: &metrics.Sample{},
-		Runs:          runs,
-	}
-	col := func(get func(*Results) float64) Stat {
-		vals := make([]float64, len(runs))
-		for i, r := range runs {
-			vals[i] = get(r)
-		}
-		return statOf(vals)
-	}
-	a.TPM = col(func(r *Results) float64 { return r.TPM })
-	a.MeanLatencyMS = col(func(r *Results) float64 { return r.MeanLatencyMS })
-	a.P95LatencyMS = col(func(r *Results) float64 { return r.P95LatencyMS })
-	a.AbortRatePct = col(func(r *Results) float64 { return r.AbortRatePct })
-	a.CPUUtilPct = col(func(r *Results) float64 { return r.CPUUtilPct })
-	a.CPURealUtil = col(func(r *Results) float64 { return r.CPURealUtilPct })
-	a.DiskUtilPct = col(func(r *Results) float64 { return r.DiskUtilPct })
-	a.NetKBps = col(func(r *Results) float64 { return r.NetKBps })
-	a.Committed = col(func(r *Results) float64 { return float64(r.Committed) })
-	a.Aborted = col(func(r *Results) float64 { return float64(r.Aborted) })
-	a.GCSRetransmits = col(func(r *Results) float64 { return float64(r.GCS.Retransmits) })
-	a.GCSNacks = col(func(r *Results) float64 { return float64(r.GCS.Nacks) })
-	a.GCSBlocked = col(func(r *Results) float64 { return float64(r.GCS.Blocked) })
-	a.GCSBlockedMS = col(func(r *Results) float64 { return r.GCS.BlockedTime.Seconds() * 1e3 })
-	a.Rejected = col(func(r *Results) float64 { return float64(r.Rejected) })
-	a.Retries = col(func(r *Results) float64 { return float64(r.Retries) })
-	a.CreditStalls = col(func(r *Results) float64 { return float64(r.GCS.CreditStalls) })
-	a.FlowRejected = col(func(r *Results) float64 { return float64(r.GCS.FlowRejected) })
-	a.BacklogPeak = col(func(r *Results) float64 { return float64(r.BacklogPeak) })
-	a.QueuePeakKB = col(func(r *Results) float64 { return float64(r.GCS.QueuePeakBytes) / 1024 })
-	a.MeanCertDecideMS = col(func(r *Results) float64 { return r.MeanCertDecideMS })
-	a.Rollbacks = col(func(r *Results) float64 { return float64(r.Rollbacks) })
-	a.Recertified = col(func(r *Results) float64 { return float64(r.Recertified) })
-	a.OptMispredictPct = col(func(r *Results) float64 { return r.OptMispredictPct })
-	a.Recoveries = col(func(r *Results) float64 { return float64(r.Recoveries) })
-	a.MeanRecoveryMS = col(func(r *Results) float64 { return r.MeanRecoveryMS })
-	a.MeanDowntimeMS = col(func(r *Results) float64 { return r.MeanDowntimeMS })
-	a.TransferKB = col(func(r *Results) float64 { return float64(r.TransferBytes) / 1024 })
-	a.DeltaApplied = col(func(r *Results) float64 { return float64(r.DeltaApplied) })
-	a.MultiGroupPct = col(func(r *Results) float64 { return r.MultiGroupPct })
-	a.XRetries = col(func(r *Results) float64 { return float64(r.XRetries) })
-	a.XHandovers = col(func(r *Results) float64 { return float64(r.XHandovers) })
-
-	for _, r := range runs {
-		a.LatCommitted.Merge(r.LatCommitted)
-		a.LatReadOnly.Merge(r.LatReadOnly)
-		a.LatUpdate.Merge(r.LatUpdate)
-		a.CertLat.Merge(r.CertLat)
-		a.CertDecideLat.Merge(r.CertDecideLat)
-		if a.SafetyErr == nil {
-			a.SafetyErr = r.SafetyErr
-		}
-		a.CertDrops += r.CertDrops
-		a.GCSParseErrors += r.GCS.ParseErrors
-		a.RejoinViolations += r.RejoinViolations
-		a.Inconsistencies += r.Inconsistencies
-		a.Events += r.Events
-	}
+	a := &Aggregate{Reps: len(runs), Runs: runs}
 
 	// Class rows: union of class names in sorted order; a replication that
 	// never saw a class contributes a zero observation, keeping every
@@ -779,6 +565,26 @@ func AggregateRuns(runs []*Results) *Aggregate {
 	return a
 }
 
+// Stat summarizes one scalar of every replication, e.g.
+// a.Stat(func(r *Results) float64 { return float64(r.GCS.Nacks) }).
+func (a *Aggregate) Stat(get func(*Results) float64) Stat {
+	vals := make([]float64, len(a.Runs))
+	for i, r := range a.Runs {
+		vals[i] = get(r)
+	}
+	return statOf(vals)
+}
+
+// Pool concatenates one latency sample of every replication — the
+// distribution plots of Figures 4 and 7.
+func (a *Aggregate) Pool(get func(*Results) *metrics.Sample) *metrics.Sample {
+	pooled := &metrics.Sample{}
+	for _, r := range a.Runs {
+		pooled.Merge(get(r))
+	}
+	return pooled
+}
+
 // Class returns the aggregated row for a class name, or nil.
 func (a *Aggregate) Class(name string) *ClassAggregate {
 	for i := range a.Classes {
@@ -789,20 +595,13 @@ func (a *Aggregate) Class(name string) *ClassAggregate {
 	return nil
 }
 
-// Summary renders a one-line digest with confidence intervals.
-func (a *Aggregate) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "tpm=%.0f±%.0f latency=%.1f±%.1fms abort=%.2f±%.2f%% cpu=%.1f%% disk=%.1f%%",
-		a.TPM.Mean, a.TPM.CI95, a.MeanLatencyMS.Mean, a.MeanLatencyMS.CI95,
-		a.AbortRatePct.Mean, a.AbortRatePct.CI95, a.CPUUtilPct.Mean, a.DiskUtilPct.Mean)
-	if a.SafetyErr != nil {
-		fmt.Fprintf(&b, " SAFETY-VIOLATION(%v)", a.SafetyErr)
-	}
-	return b.String()
-}
-
-// Verdict applies Results.Verdict's rule to the replications' first safety
-// violation and summed must-be-zero counters.
+// Verdict is the first replication's Results.Verdict that is not nil: the
+// point is clean only when every replication was.
 func (a *Aggregate) Verdict() error {
-	return verdict(a.SafetyErr, a.RejoinViolations, a.Inconsistencies, a.CertDrops, a.GCSParseErrors)
+	for _, r := range a.Runs {
+		if v := r.Verdict(); v != nil {
+			return v
+		}
+	}
+	return nil
 }

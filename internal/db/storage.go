@@ -6,10 +6,7 @@
 // calibration data).
 package db
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // StorageConfig describes the disk subsystem. The paper's test system is a
 // RAID-5 fibre-channel box sustaining 9.486 MB/s of synchronous 4 KB writes
@@ -73,7 +70,6 @@ type Storage struct {
 	freeReqs []*ioReq
 
 	busyNS  int64 // integrated slot-busy time
-	bytes   metrics.ByteMeter
 	sectors int64
 }
 
@@ -137,7 +133,6 @@ func (s *Storage) WriteSectors(n int, done func()) {
 	if n < 1 {
 		n = 1
 	}
-	s.bytes.Add(n * s.cfg.SectorSize)
 	s.request(n, done)
 }
 
@@ -236,9 +231,6 @@ func (s *Storage) MaxQueueLen() int { return s.maxQueue }
 
 // Sectors reports total sector operations served.
 func (s *Storage) Sectors() int64 { return s.sectors }
-
-// BytesWritten reports total bytes written.
-func (s *Storage) BytesWritten() int64 { return s.bytes.Bytes() }
 
 // Utilization reports the fraction of device capacity used over elapsed
 // time, as a percentage — the paper's Figure 6(b) "disk bandwidth usage".

@@ -3,10 +3,12 @@ package expr
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // smallGrid is a reduced (configuration × clients) grid that runs in a few
@@ -51,10 +53,26 @@ func TestDeriveSeed(t *testing.T) {
 
 // aggKey projects the fields a figure consumes into a comparable value.
 func aggKey(a *core.Aggregate) string {
-	return fmt.Sprintf("%v|%v|%v|%v|%v|%v|%v|%d|%d|%v|%v",
-		a.TPM, a.MeanLatencyMS, a.P95LatencyMS, a.AbortRatePct,
-		a.CPUUtilPct, a.DiskUtilPct, a.NetKBps,
-		a.LatCommitted.N(), a.CertLat.N(), a.Classes, a.Reps)
+	var b strings.Builder
+	for _, get := range []func(*core.Results) float64{
+		func(r *core.Results) float64 { return r.TPM },
+		func(r *core.Results) float64 { return r.MeanLatencyMS },
+		func(r *core.Results) float64 { return r.P95LatencyMS },
+		func(r *core.Results) float64 { return r.AbortRatePct },
+		func(r *core.Results) float64 { return r.CPUUtilPct },
+		func(r *core.Results) float64 { return r.DiskUtilPct },
+		func(r *core.Results) float64 { return r.NetKBps },
+	} {
+		fmt.Fprintf(&b, "%v|", a.Stat(get))
+	}
+	fmt.Fprintf(&b, "%d|%d|%v|%v", pooledLat(a).N(),
+		a.Pool(func(r *core.Results) *metrics.Sample { return r.CertLat }).N(), a.Classes, a.Reps)
+	return b.String()
+}
+
+// pooledLat pools the committed-latency samples of a point's replications.
+func pooledLat(a *core.Aggregate) *metrics.Sample {
+	return a.Pool(func(r *core.Results) *metrics.Sample { return r.LatCommitted })
 }
 
 // TestRunnerWorkerCountInvariance is the tentpole invariant: a single-worker
@@ -78,7 +96,7 @@ func TestRunnerWorkerCountInvariance(t *testing.T) {
 			t.Errorf("%s: aggregates diverge between worker counts:\n  1 worker: %s\n  8 workers: %s",
 				tasks[i].Label, sk, pk)
 		}
-		if !reflect.DeepEqual(serial[i].Agg.LatCommitted.Values(), parallel[i].Agg.LatCommitted.Values()) {
+		if !reflect.DeepEqual(pooledLat(serial[i].Agg).Values(), pooledLat(parallel[i].Agg).Values()) {
 			t.Errorf("%s: pooled latency samples diverge between worker counts", tasks[i].Label)
 		}
 	}
@@ -117,7 +135,7 @@ func TestRunnerWorkerCountInvarianceAggregateClients(t *testing.T) {
 				t.Errorf("%s: aggregates diverge between worker counts:\n  1 worker: %s\n  %d workers: %s",
 					tasks[ti].Label, base, workers, k)
 			}
-			if !reflect.DeepEqual(points[0][ti].Agg.LatCommitted.Values(), points[i][ti].Agg.LatCommitted.Values()) {
+			if !reflect.DeepEqual(pooledLat(points[0][ti].Agg).Values(), pooledLat(points[i][ti].Agg).Values()) {
 				t.Errorf("%s: pooled latency samples diverge between 1 and %d workers", tasks[ti].Label, workers)
 			}
 		}
@@ -137,18 +155,19 @@ func TestRunnerReplicationsAggregate(t *testing.T) {
 	if a.Reps != 3 || len(a.Runs) != 3 {
 		t.Fatalf("want 3 replications, got Reps=%d Runs=%d", a.Reps, len(a.Runs))
 	}
-	if a.TPM.N != 3 {
-		t.Fatalf("TPM stat over %d observations, want 3", a.TPM.N)
+	tpm := a.Stat(func(r *core.Results) float64 { return r.TPM })
+	if tpm.N != 3 {
+		t.Fatalf("TPM stat over %d observations, want 3", tpm.N)
 	}
 	// Different derived seeds make real runs differ: a nonzero CI is
 	// evidence the replications were independent.
-	if a.TPM.CI95 == 0 && a.Runs[0].TPM == a.Runs[1].TPM && a.Runs[1].TPM == a.Runs[2].TPM {
+	if tpm.CI95 == 0 && a.Runs[0].TPM == a.Runs[1].TPM && a.Runs[1].TPM == a.Runs[2].TPM {
 		t.Fatal("all replications produced identical TPM; seeds not derived")
 	}
 	// Pooled latency sample is the concatenation of the replications'.
 	want := a.Runs[0].LatCommitted.N() + a.Runs[1].LatCommitted.N() + a.Runs[2].LatCommitted.N()
-	if a.LatCommitted.N() != want {
-		t.Fatalf("pooled latency sample n=%d want %d", a.LatCommitted.N(), want)
+	if got := pooledLat(a).N(); got != want {
+		t.Fatalf("pooled latency sample n=%d want %d", got, want)
 	}
 }
 

@@ -4,15 +4,14 @@ package gcs
 // control: each destination holds an acknowledgement cursor — the highest
 // sequence number of my stream it is known (via stability gossip horizons)
 // to have received contiguously — and a chunk may only be transmitted while
-// every live destination's cursor is within CreditsPerDest of it. A slow or
+// every live destination's cursor is within creditsPerDest of it. A slow or
 // gray-failed receiver therefore throttles the sender once it lags a full
 // credit window, instead of letting unstable traffic pile up in its receive
 // buffers without bound. Healthy receivers ack far faster than a window's
 // worth of traffic accumulates, so the gate binds only under genuine
 // receiver distress.
 type creditGate struct {
-	// limit is the per-destination credit window in chunks; 0 disables the
-	// gate (unlimited credit).
+	// limit is the per-destination credit window in chunks.
 	limit uint64
 	// acked maps destination to the contiguous prefix of my stream it has
 	// acknowledged. Monotone: merges never move backwards.
@@ -39,11 +38,7 @@ func (cg *creditGate) ack(dst NodeID, seq uint64) bool {
 //
 //hot:path
 func (cg *creditGate) allows(dst NodeID, seq uint64) bool {
-	if cg.limit == 0 {
-		return true
-	}
-	a := cg.acked[dst]
-	return seq <= a+cg.limit
+	return seq <= cg.acked[dst]+cg.limit
 }
 
 // ackedSeq reports dst's acknowledgement cursor (tests and introspection).
@@ -67,9 +62,6 @@ func (cg *creditGate) reset() {
 //
 //hot:path
 func (rm *relMcast) creditOK(seq uint64) bool {
-	if rm.credits.limit == 0 {
-		return true
-	}
 	for _, p := range rm.s.view.Members {
 		if p == rm.s.cfg.Self {
 			continue

@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -8,7 +9,7 @@ import (
 
 // TestCreditGateTable drives the credit-window state machine through its
 // transitions: exhaustion blocks, acknowledgements replenish monotonically,
-// a zero limit disables the gate, and forget/reset clear cursor state.
+// and forget/reset clear cursor state.
 func TestCreditGateTable(t *testing.T) {
 	tests := []struct {
 		name  string
@@ -26,7 +27,6 @@ func TestCreditGateTable(t *testing.T) {
 			setup: func(cg *creditGate) { cg.ack(2, 5) }, want: false},
 		{name: "stale ack does not regress", limit: 4, dst: 2, seq: 10,
 			setup: func(cg *creditGate) { cg.ack(2, 6); cg.ack(2, 3) }, want: true},
-		{name: "zero limit is unlimited", limit: 0, dst: 2, seq: 1 << 40, want: true},
 		{name: "forget drops the cursor", limit: 4, dst: 2, seq: 10,
 			setup: func(cg *creditGate) { cg.ack(2, 6); cg.forget(2) }, want: false},
 		{name: "reset drops every cursor", limit: 4, dst: 3, seq: 10,
@@ -130,10 +130,10 @@ func TestCreditOKAllocs(t *testing.T) {
 // (CreditStalls > 0) yet replenishment from stability gossip must drain the
 // whole burst — total order intact, no deadlock.
 func TestCreditWindowThrottlesSender(t *testing.T) {
-	c := newCluster(t, 3, 21, func(cfg *Config) {
-		cfg.CreditsPerDest = 2
-		cfg.MaxQueuedBytes = -1 // isolate the credit gate from the queue bound
-	})
+	c := newCluster(t, 3, 21, nil)
+	for _, st := range c.stacks {
+		st.rm.credits.limit = 2
+	}
 	for i := 0; i < 40; i++ {
 		c.castAt(sim.Second, 2, []byte{byte(i)})
 	}
@@ -144,28 +144,27 @@ func TestCreditWindowThrottlesSender(t *testing.T) {
 	}
 }
 
-// TestCreditDisabledNoStalls is the control for the throttle test: with the
-// gate disabled the identical burst records no credit stalls.
-func TestCreditDisabledNoStalls(t *testing.T) {
-	c := newCluster(t, 3, 21, func(cfg *Config) {
-		cfg.CreditsPerDest = -1
-		cfg.MaxQueuedBytes = -1
-	})
+// TestCreditDefaultNoStalls is the control for the throttle test: under the
+// production window the identical burst records no credit stalls.
+func TestCreditDefaultNoStalls(t *testing.T) {
+	c := newCluster(t, 3, 21, nil)
 	for i := 0; i < 40; i++ {
 		c.castAt(sim.Second, 2, []byte{byte(i)})
 	}
 	c.run(30 * sim.Second)
 	c.checkAgreement(nodes(3), 40)
 	if st := c.stacks[2].Stats(); st.CreditStalls != 0 {
-		t.Fatalf("disabled credit gate recorded %d stalls", st.CreditStalls)
+		t.Fatalf("the %d-chunk credit window recorded %d stalls", creditsPerDest, st.CreditStalls)
 	}
 }
 
 // burstOutcome submits a burst of large payloads at one instant and reports
 // how many Multicast accepted and refused, plus the sender's final stats.
-func burstOutcome(t *testing.T, tweak func(*Config), msgs, size int) (accepted, refused int, st Stats, c *cluster) {
+// queueLimit overrides the sender's transmit-queue bound.
+func burstOutcome(t *testing.T, queueLimit, msgs, size int) (accepted, refused int, st Stats, c *cluster) {
 	t.Helper()
-	c = newCluster(t, 3, 31, tweak)
+	c = newCluster(t, 3, 31, nil)
+	c.stacks[1].rm.outQLimit = queueLimit
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -189,7 +188,7 @@ func burstOutcome(t *testing.T, tweak func(*Config), msgs, size int) (accepted, 
 // TestTransmitQueueBound is the regression test for the unbounded transmit
 // queue: before the bound existed, a burst arriving faster than flow control
 // drains simply piled up in the unsent queue without limit. The first half
-// reproduces that baseline (bound disabled: every message accepted, queue
+// reproduces that baseline (bound lifted: every message accepted, queue
 // peak past a mebibyte); the second half pins the fix (queue peak bounded,
 // overflow refused and counted, everything accepted still delivered
 // everywhere in total order).
@@ -199,23 +198,21 @@ func TestTransmitQueueBound(t *testing.T) {
 		size = 8 << 10
 	)
 
-	// Baseline: bound disabled — the queue grows without limit.
-	accepted, refused, st, _ := burstOutcome(t, func(cfg *Config) {
-		cfg.MaxQueuedBytes = -1
-	}, msgs, size)
+	// Baseline: bound lifted — the queue grows without limit.
+	accepted, refused, st, _ := burstOutcome(t, math.MaxInt, msgs, size)
 	if refused != 0 || accepted != msgs {
 		t.Fatalf("unbounded queue refused %d of %d messages", refused, msgs)
 	}
 	if st.FlowRejected != 0 {
 		t.Fatalf("unbounded queue counted %d FlowRejected", st.FlowRejected)
 	}
-	if st.QueuePeakBytes <= 1<<20 {
+	if st.QueuePeakBytes <= maxQueuedBytes {
 		t.Fatalf("baseline queue peak %d bytes never exceeded the 1 MiB the bound would impose — burst too small to regress", st.QueuePeakBytes)
 	}
 
-	// Fix: default bound — refusals surface, the peak stays bounded, and
-	// every accepted message still reaches every member.
-	accepted, refused, st, c := burstOutcome(t, nil, msgs, size)
+	// Fix: the production bound — refusals surface, the peak stays bounded,
+	// and every accepted message still reaches every member.
+	accepted, refused, st, c := burstOutcome(t, maxQueuedBytes, msgs, size)
 	if refused == 0 {
 		t.Fatal("bounded queue accepted the whole burst; expected refusals")
 	}
@@ -227,7 +224,7 @@ func TestTransmitQueueBound(t *testing.T) {
 	}
 	// The bound checks payload bytes against the queue before appending;
 	// chunk wire headers may push the recorded peak slightly past the limit.
-	if lim := int64(1<<20 + size); st.QueuePeakBytes > lim {
+	if lim := int64(maxQueuedBytes + size); st.QueuePeakBytes > lim {
 		t.Fatalf("queue peak %d bytes exceeds bound %d", st.QueuePeakBytes, lim)
 	}
 	c.checkAgreement(nodes(3), accepted)

@@ -48,25 +48,9 @@ type Config struct {
 	// share" whose exhaustion the paper observes under loss). Defaults to
 	// 384 KiB.
 	BufferBytes int
-	// Window caps a sender's unstable (unacknowledged-stable) messages,
-	// the second-phase flow control. Defaults to 256.
-	Window int
 	// RateBps is the first-phase rate-based flow control in bytes/s.
 	// Defaults to 6 MB/s (about half of Ethernet-100).
 	RateBps int64
-	// MaxQueuedBytes bounds the unsent transmit queue: a Multicast whose
-	// payload would push the queued-but-unsent bytes past this limit is
-	// refused (Multicast returns false, Stats.FlowRejected counts it)
-	// instead of growing the queue without bound. 0 selects the default
-	// (1 MiB); negative disables the bound (the pre-flow-control
-	// behaviour, kept for regression baselines).
-	MaxQueuedBytes int
-	// CreditsPerDest is the per-destination credit window in chunks:
-	// transmission stalls once any live destination lags this far behind
-	// the send cursor (its acknowledgement is learned from stability
-	// gossip horizons). 0 selects the default (192, inside the stability
-	// Window so healthy receivers never bind); negative disables credits.
-	CreditsPerDest int
 	// NackDelay is how long a receiver waits on a gap before requesting
 	// repair. Defaults to 20ms.
 	NackDelay sim.Time
@@ -113,17 +97,8 @@ func (c *Config) fill() {
 	if c.BufferBytes == 0 {
 		c.BufferBytes = 384 * 1024
 	}
-	if c.Window == 0 {
-		c.Window = 256
-	}
 	if c.RateBps == 0 {
 		c.RateBps = 6_000_000
-	}
-	if c.MaxQueuedBytes == 0 {
-		c.MaxQueuedBytes = 1 << 20
-	}
-	if c.CreditsPerDest == 0 {
-		c.CreditsPerDest = 192
 	}
 	if c.NackDelay == 0 {
 		c.NackDelay = 20 * sim.Millisecond
@@ -138,6 +113,23 @@ func (c *Config) fill() {
 		c.FailTimeout = 1 * sim.Second
 	}
 }
+
+// Flow-control bounds no caller ever needed to vary.
+const (
+	// sendWindow caps a sender's unstable (unacknowledged-stable) chunks,
+	// the second-phase flow control.
+	sendWindow = 256
+	// maxQueuedBytes bounds the unsent transmit queue: a Multicast whose
+	// payload would push the queued-but-unsent bytes past it is refused
+	// (Multicast returns false, Stats.FlowRejected counts it) instead of
+	// growing the queue without bound.
+	maxQueuedBytes = 1 << 20
+	// creditsPerDest is the per-destination credit window in chunks:
+	// transmission stalls once any live destination lags this far behind
+	// the send cursor (its acknowledgement is learned from stability gossip
+	// horizons). Inside sendWindow, so healthy receivers never bind.
+	creditsPerDest = 192
+)
 
 // View is an installed membership.
 type View struct {
@@ -192,7 +184,10 @@ type OptDelivery struct {
 	Payload []byte
 }
 
-// Stats counts protocol activity for the experiment reports.
+// Stats counts protocol activity for the experiment reports. The stack
+// increments these fields in place and core's fold merges stacks and
+// incarnations field by field — sum, or max where a field is tagged
+// `fold:"max"` — so every field must be an integer.
 type Stats struct {
 	Sent        int64 // data chunks first-transmitted
 	Retransmits int64 // chunks retransmitted on NACK
@@ -219,12 +214,13 @@ type Stats struct {
 	// assigned-but-undelivered span hit assignWindow.
 	AssignDeferred int64
 	// FlowRejected counts Multicasts refused because the unsent transmit
-	// queue was at MaxQueuedBytes. Every refusal is reported to the
+	// queue was at its bound. Every refusal is reported to the
 	// caller (Multicast returns false); this counter keeps refusals
 	// visible in campaign reports.
 	FlowRejected int64
-	// QueuePeakBytes is the high-water mark of the unsent transmit queue.
-	QueuePeakBytes int64
+	// QueuePeakBytes is the high-water mark of the unsent transmit queue: a
+	// peak gauge, so totals take the maximum instead of the sum.
+	QueuePeakBytes int64 `fold:"max"`
 	ViewChanges    int64
 	// QuorumLosses counts wedges under the primary-component rule: the
 	// member found itself unable to reach a majority of its view and
@@ -432,7 +428,7 @@ func (s *Stack) BufferedBytes() int {
 // multicast to the group, including self-delivery. It never blocks the
 // caller: when flow control forbids transmission the message is queued and
 // sent when buffer share, window, or tokens free up. The queue itself is
-// bounded: when MaxQueuedBytes of unsent payload are already waiting the
+// bounded: when maxQueuedBytes of unsent payload are already waiting the
 // message is refused and Multicast returns false — the backpressure signal
 // the admission layer turns into an explicit client rejection. A stopped
 // stack still swallows the payload silently (returns true): a halted
@@ -441,7 +437,7 @@ func (s *Stack) Multicast(payload []byte) bool {
 	if s.stopped {
 		return true
 	}
-	if lim := s.cfg.MaxQueuedBytes; lim > 0 && s.rm.outQBytes+len(payload) > lim {
+	if s.rm.outQBytes+len(payload) > s.rm.outQLimit {
 		s.stats.FlowRejected++
 		return false
 	}

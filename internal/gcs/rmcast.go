@@ -20,7 +20,8 @@ type relMcast struct {
 	sendBufBytes int
 	stableSelf   uint64 // my stream is stable up to here (GC'd)
 	outQ         []outChunk
-	outQBytes    int // wire bytes queued but unsent (bounded by MaxQueuedBytes)
+	outQBytes    int // wire bytes queued but unsent
+	outQLimit    int // bound on outQBytes: maxQueuedBytes
 	frozen       bool
 	blockedAt    sim.Time
 	blocked      bool
@@ -70,16 +71,13 @@ type peerState struct {
 }
 
 func newRelMcast(s *Stack) *relMcast {
-	creditLimit := uint64(0) // negative CreditsPerDest: gate disabled
-	if s.cfg.CreditsPerDest > 0 {
-		creditLimit = uint64(s.cfg.CreditsPerDest)
-	}
 	rm := &relMcast{
-		s:       s,
-		sendBuf: make(map[uint64][]byte),
-		peers:   make(map[NodeID]*peerState),
-		tokens:  float64(s.cfg.MaxPacket * 2),
-		credits: newCreditGate(creditLimit),
+		s:         s,
+		outQLimit: maxQueuedBytes,
+		sendBuf:   make(map[uint64][]byte),
+		peers:     make(map[NodeID]*peerState),
+		tokens:    float64(s.cfg.MaxPacket * 2),
+		credits:   newCreditGate(creditsPerDest),
 	}
 	for _, m := range s.cfg.Members {
 		rm.peers[m] = &peerState{id: m, recvNext: 1, repairTarget: m}
@@ -192,7 +190,7 @@ func (rm *relMcast) drain() {
 		c := rm.outQ[0]
 		size := len(c.wire)
 		unstableCount := rm.sendSeq - rm.stableSelf - uint64(len(rm.outQ))
-		if rm.sendBufBytes+size > rm.share() || unstableCount >= uint64(rm.s.cfg.Window) {
+		if rm.sendBufBytes+size > rm.share() || unstableCount >= sendWindow {
 			rm.noteBlocked()
 			return // wait for stability to free share/window
 		}

@@ -5,7 +5,9 @@
 // (Stats.ParseErrors, Replica CertDrops).
 //
 // The analyzer inspects every call to a decode-shaped function — an
-// unexported parse* helper or an exported Unmarshal*/Peek* function — that
+// unexported parse* helper, an exported Unmarshal*/Peek* function, or an
+// exported Parse* function that takes a []byte (xgroup's relay and stream
+// parsers; strconv.ParseInt and the like take strings and stay out) — that
 // returns an error, and requires the caller's error path to do one of:
 //
 //   - propagate: return (or wrap and return) the error,
@@ -72,15 +74,30 @@ func isDecodeCall(info *types.Info, call *ast.CallExpr) bool {
 	if fn == nil {
 		return false
 	}
-	n := fn.Name()
-	if !strings.HasPrefix(n, "parse") && !strings.HasPrefix(n, "Unmarshal") && !strings.HasPrefix(n, "Peek") {
-		return false
-	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Results().Len() == 0 {
 		return false
 	}
+	n := fn.Name()
+	switch {
+	case strings.HasPrefix(n, "parse"), strings.HasPrefix(n, "Unmarshal"), strings.HasPrefix(n, "Peek"):
+	case strings.HasPrefix(n, "Parse") && takesBytes(sig):
+	default:
+		return false
+	}
 	return astq.IsErrorType(sig.Results().At(sig.Results().Len() - 1).Type())
+}
+
+// takesBytes reports whether any parameter is a []byte.
+func takesBytes(sig *types.Signature) bool {
+	for i := 0; i < sig.Params().Len(); i++ {
+		if sl, ok := sig.Params().At(i).Type().Underlying().(*types.Slice); ok {
+			if b, ok := sl.Elem().Underlying().(*types.Basic); ok && b.Kind() == types.Byte {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func checkFunc(pass *analysis.Pass, report func(token.Pos, string, ...any), fd *ast.FuncDecl) {

@@ -41,6 +41,22 @@ func PeekTID(b []byte) (uint64, error) {
 	return uint64(b[0]), nil
 }
 
+// ParseVote mimics xgroup's exported relay parsers: Parse* over a []byte.
+func ParseVote(b []byte) (uint64, bool, error) {
+	if len(b) < 9 {
+		return 0, false, errTruncated
+	}
+	return uint64(b[0]), b[8] != 0, nil
+}
+
+// ParseLevel is Parse* over a string — configuration, not wire bytes.
+func ParseLevel(s string) (int, error) {
+	if s == "" {
+		return 0, errTruncated
+	}
+	return len(s), nil
+}
+
 // helper is not decode-shaped: name does not match.
 func helper(b []byte) error {
 	if len(b) == 0 {
@@ -146,6 +162,26 @@ func (e *endpoint) recvPanic(b []byte) {
 // Non-decode callees are out of scope even when the error is dropped.
 func (e *endpoint) recvHelper(b []byte) {
 	_ = helper(b)
+	_, _ = ParseLevel(string(b))
+}
+
+// An exported Parse* over wire bytes falls under the rule: silent is a bug,
+func (e *endpoint) recvVoteSilent(b []byte) {
+	tid, _, err := ParseVote(b) // want `error path of ParseVote drops the message silently`
+	if err != nil {
+		return
+	}
+	_ = tid
+}
+
+// and counting satisfies it.
+func (e *endpoint) recvVoteCounted(b []byte) {
+	tid, _, err := ParseVote(b)
+	if err != nil {
+		e.stats.ParseErrors++
+		return
+	}
+	_ = tid
 }
 
 // Waived with a reason: the tentative stage already counted this drop.

@@ -130,23 +130,6 @@ func TestUsageMeter(t *testing.T) {
 	}
 }
 
-func TestByteMeter(t *testing.T) {
-	var b ByteMeter
-	b.Add(1024 * 10)
-	if got := b.KBPerSec(1e9); got != 10 {
-		t.Fatalf("KBPerSec = %v", got)
-	}
-	var m ByteMeter
-	m.Add(1e6 / 8) // 1 Mbit
-	if got := m.MBitPerSec(1e9); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("MBitPerSec = %v", got)
-	}
-	m.Add(-1)
-	if m.Bytes() != 1e6/8 {
-		t.Fatal("negative add must be ignored")
-	}
-}
-
 func TestRate(t *testing.T) {
 	if Rate(1, 4) != 25 {
 		t.Fatalf("Rate = %v", Rate(1, 4))

@@ -89,21 +89,3 @@ func (b *ByteMeter) Add(n int) {
 
 // Bytes reports the total.
 func (b *ByteMeter) Bytes() int64 { return b.bytes }
-
-// KBPerSec reports throughput in kilobytes per second over elapsed
-// nanoseconds, as plotted in the paper's Figure 6(c).
-func (b *ByteMeter) KBPerSec(elapsedNS int64) float64 {
-	if elapsedNS <= 0 {
-		return 0
-	}
-	return float64(b.bytes) / 1024 / (float64(elapsedNS) / 1e9)
-}
-
-// MBitPerSec reports throughput in megabits per second, as plotted in the
-// paper's Figure 3 validation graphs.
-func (b *ByteMeter) MBitPerSec(elapsedNS int64) float64 {
-	if elapsedNS <= 0 {
-		return 0
-	}
-	return float64(b.bytes) * 8 / 1e6 / (float64(elapsedNS) / 1e9)
-}

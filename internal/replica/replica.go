@@ -93,16 +93,20 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats counts replica-level termination activity.
+// Stats counts replica-level termination activity. It is the one place a
+// replica counter is declared: the replica increments these fields in place,
+// core.Results embeds the run total, and core's fold merges incarnations and
+// sites field by field — sum, or max where a field is tagged `fold:"max"`.
+// Every field must be an integer.
 type Stats struct {
 	// Delivered is the number of totally-ordered certification messages
 	// processed.
 	Delivered int64
-	// Drops counts delivered payloads discarded because dbsm.Unmarshal
-	// rejected them. Always zero in a healthy run: the reliable multicast
-	// only hands up complete messages, so a drop here means a marshaling
-	// or wire-format bug, not network loss.
-	Drops int64
+	// CertDrops counts delivered payloads discarded because dbsm.Unmarshal
+	// (or an xgroup parser) rejected them. Always zero in a healthy run: the
+	// reliable multicast only hands up complete messages, so a drop here
+	// means a marshaling or wire-format bug, not network loss.
+	CertDrops int64
 	// Tentative counts tentative certifications, including
 	// re-certifications after rollbacks (optimistic variant only).
 	Tentative int64
@@ -127,18 +131,18 @@ type Stats struct {
 	// watermark and engaged the server's admission gate.
 	Backpressure int64
 	// BacklogPeak is the high-water mark of the in-flight termination
-	// backlog.
-	BacklogPeak int64
-	// Cross-group commit round counters (group mode only). XInitiated
+	// backlog: a peak gauge, so totals take the maximum instead of the sum.
+	BacklogPeak int64 `fold:"max"`
+	// Cross-group commit round counters (group mode only). MultiGroupTxns
 	// counts multi-group transactions this site coordinated; XCommitted
 	// and XAborted count cross-group decisions applied at this site;
 	// XRetries counts coordinator retransmit ticks; XHandovers counts
 	// rounds inherited from a dead coordinator.
-	XInitiated int64
-	XCommitted int64
-	XAborted   int64
-	XRetries   int64
-	XHandovers int64
+	MultiGroupTxns int64
+	XCommitted     int64
+	XAborted       int64
+	XRetries       int64
+	XHandovers     int64
 	// XVetoes counts local certifications aborted by the cross-group veto:
 	// a transaction conflicted with an active prepare reservation.
 	XVetoes int64
@@ -184,19 +188,14 @@ type Replica struct {
 	// runtime's scheduler (terminate / tentative / discard stages).
 	freeThunks []*replicaThunk
 
-	// backlog gauges in-flight terminations (multicast but unresolved);
-	// refused counts terminations the bounded transmit queue turned away.
+	// backlog gauges in-flight terminations (multicast but unresolved).
 	backlog Watermark
-	refused int64
 
-	commitLog      trace.CommitLog
-	delivered      int64
-	drops          int64
-	recertified    int64
-	preApplied     int64
-	preApplyWasted int64
-	deltaApplied   int64
-	stopped        bool
+	commitLog trace.CommitLog
+	// stats is counted in place; Stats() adds the gauges other components
+	// own (the backlog watermark, the speculative certifier).
+	stats   Stats
+	stopped bool
 
 	// Recovery state: while recovering, final deliveries land in
 	// recoverBuf instead of being processed; lastGlobal tracks the highest
@@ -282,37 +281,14 @@ func (r *Replica) CommitLog() *trace.CommitLog { return &r.commitLog }
 // Certifier exposes the certification state (tests, introspection).
 func (r *Replica) Certifier() *dbsm.Certifier { return r.cert }
 
-// Delivered reports totally-ordered deliveries processed.
-func (r *Replica) Delivered() int64 { return r.delivered }
-
-// Drops reports delivered payloads discarded on unmarshal failure.
-func (r *Replica) Drops() int64 { return r.drops }
-
 // Stats reports the replica's termination counters.
 func (r *Replica) Stats() Stats {
-	s := Stats{
-		Delivered:        r.delivered,
-		Drops:            r.drops,
-		Recertified:      r.recertified,
-		PreApplied:       r.preApplied,
-		PreApplyWasted:   r.preApplyWasted,
-		DeltaApplied:     r.deltaApplied,
-		MulticastRefused: r.refused,
-		Backpressure:     r.backlog.Engages(),
-		BacklogPeak:      int64(r.backlog.Peak()),
-	}
+	s := r.stats
+	s.Backpressure = r.backlog.Engages()
+	s.BacklogPeak = int64(r.backlog.Peak())
 	if r.spec != nil {
 		s.Tentative = r.spec.Tentatives
 		s.Rollbacks = r.spec.Rollbacks
-	}
-	if r.x != nil {
-		s.XInitiated = r.x.initiated
-		s.XCommitted = r.x.committedX
-		s.XAborted = r.x.abortedX
-		s.XRetries = r.x.retries
-		s.XHandovers = r.x.handovers
-		s.XVetoes = r.x.vetoes
-		s.XPrepFrags = r.x.prepFrags
 	}
 	return s
 }
@@ -416,10 +392,7 @@ func (r *Replica) installSnapshot(snap *recovery.Snapshot) {
 	}
 	// Delta catch-up: replay deliveries that were certified group-wide
 	// while the transfer was in flight. Buffered entries at or below the
-	// snapshot's horizon are already reflected in it. No tentative
-	// certification ever ran for these (speculation is suppressed while
-	// recovering), so the speculative queue is empty and Final certifies
-	// them directly against the imported state.
+	// snapshot's horizon are already reflected in it.
 	buf := r.recoverBuf
 	r.recoverBuf = nil
 	r.recovering = false
@@ -434,34 +407,15 @@ func (r *Replica) installSnapshot(snap *recovery.Snapshot) {
 			// transfer raced a readmission). Count each as a drop —
 			// CertDrops is never silent and fails the campaign verdict
 			// — instead of diverging quietly.
-			r.drops += int64(bd.global - prev - 1)
+			r.stats.CertDrops += int64(bd.global - prev - 1)
 		}
 		prev = bd.global
-		r.deltaApplied++
-		r.applyFinal(bd.global, bd.payload)
+		r.stats.DeltaApplied++
+		if bd.global > r.lastGlobal {
+			r.lastGlobal = bd.global
+		}
+		r.certifyFinal(bd.payload)
 	}
-}
-
-// applyFinal certifies and resolves one final delivery outside the
-// two-stage pipeline (recovery catch-up: no tentative state can exist).
-func (r *Replica) applyFinal(global uint64, payload []byte) {
-	tc, err := dbsm.Unmarshal(payload)
-	if err != nil {
-		r.drops++
-		return
-	}
-	r.chargeUnmarshal(len(payload))
-	r.delivered++
-	if global > r.lastGlobal {
-		r.lastGlobal = global
-	}
-	var out dbsm.Outcome
-	if r.spec != nil {
-		out, _ = r.spec.Final(tc)
-	} else {
-		out = r.cert.Certify(tc)
-	}
-	r.resolve(tc, out, false)
 }
 
 // replicaThunk is a pooled one-shot job: the closure handed to the runtime
@@ -517,20 +471,27 @@ func stageTerminate(r *Replica, t *db.Txn, _ []byte) {
 		r.x.terminate(t, tc)
 		return
 	}
-	wire := tc.MarshalTo(r.scratch)
+	r.submit(t, tc.MarshalTo(r.scratch))
+}
+
+// submit hands one termination's wire form — built on r.scratch, which it
+// keeps for the next one — to the stack: charge the marshaling, multicast,
+// and count the termination into the backlog gauge. When the bounded
+// transmit queue is full the termination is refused instead of queued
+// without bound (the server turns that into an explicit rejection the
+// client can retry) and submit reports false.
+func (r *Replica) submit(t *db.Txn, wire []byte) bool {
 	r.scratch = wire
 	r.rt.Charge(sim.Time(marshalCostPerByte * float64(len(wire))))
 	if !r.stack.Multicast(wire) {
-		// The bounded transmit queue is full: refuse the termination
-		// instead of queueing without bound. The server turns this into an
-		// explicit rejection the client can retry.
-		r.refused++
+		r.stats.MulticastRefused++
 		r.server.RejectPending(t.TID)
-		return
+		return false
 	}
 	if r.backlog.Add(1) {
 		r.server.SetBackpressure(r.backlog.Engaged())
 	}
+	return true
 }
 
 // chargeUnmarshal accounts the CPU cost of decoding a payload.
@@ -573,7 +534,7 @@ func (r *Replica) tentative(payload []byte) {
 	}
 	tid, err := dbsm.PeekTID(payload)
 	if err != nil {
-		r.drops++
+		r.stats.CertDrops++
 		return
 	}
 	if r.done[tid] {
@@ -585,7 +546,7 @@ func (r *Replica) tentative(payload []byte) {
 	}
 	tc, err := dbsm.Unmarshal(payload)
 	if err != nil {
-		r.drops++
+		r.stats.CertDrops++
 		return
 	}
 	r.chargeUnmarshal(len(payload))
@@ -648,7 +609,7 @@ func (r *Replica) speculate(st *tentTxn) {
 	}
 	if apply := r.localWrites(st.tc); apply != nil {
 		st.preApplied = true
-		r.preApplied++
+		r.stats.PreApplied++
 		r.server.PreApplyRemote(apply.WriteSet)
 	}
 }
@@ -675,7 +636,7 @@ func (r *Replica) onDeliver(d gcs.Delivery) {
 		// Group mode: dispatch on the stream tag. Prepares and decisions
 		// are cross-group events; plain transactions continue below.
 		if len(payload) == 0 {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		switch payload[0] {
@@ -687,7 +648,7 @@ func (r *Replica) onDeliver(d gcs.Delivery) {
 			r.x.onStream(payload)
 			return
 		default:
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 	}
@@ -695,15 +656,28 @@ func (r *Replica) onDeliver(d gcs.Delivery) {
 		r.finalize(payload)
 		return
 	}
+	r.certifyFinal(payload)
+}
+
+// certifyFinal decodes, certifies and resolves one final delivery with no
+// tentative state behind it: every conservative delivery, and the recovery
+// catch-up under either variant (speculation is suppressed while recovering,
+// so the speculative queue is empty and Final certifies directly).
+func (r *Replica) certifyFinal(payload []byte) {
 	tc, err := dbsm.Unmarshal(payload)
 	if err != nil {
-		r.drops++
+		r.stats.CertDrops++
 		return
 	}
-	r.delivered++
+	r.stats.Delivered++
 	r.chargeUnmarshal(len(payload))
-	out := r.cert.Certify(tc)
-	r.resolve(tc, out, false)
+	var out dbsm.Outcome
+	if r.spec != nil {
+		out, _ = r.spec.Final(tc)
+	} else {
+		out = r.cert.Certify(tc)
+	}
+	r.settle(tc.TID, out, tc, false)
 }
 
 // finalize is stage two of the optimistic pipeline: confirm the queued
@@ -740,14 +714,14 @@ func (r *Replica) finalize(payload []byte) {
 		r.chargeUnmarshal(len(payload))
 		r.done[tid] = true
 	}
-	r.delivered++
+	r.stats.Delivered++
 	out, rolled := r.spec.Final(tc)
 	delete(r.tent, tid)
 	r.respeculate(rolled)
 	if st != nil && st.preApplied && !out.Commit {
-		r.preApplyWasted++
+		r.stats.PreApplyWasted++
 	}
-	r.resolve(tc, out, st != nil && st.preApplied)
+	r.settle(tid, out, tc, st != nil && st.preApplied)
 }
 
 // respeculate re-runs the tentative stage for a rolled-back suffix, in its
@@ -761,19 +735,23 @@ func (r *Replica) respeculate(rolled []*dbsm.TxnCert) {
 			continue
 		}
 		st.out = r.spec.Tentative(rtc)
-		r.recertified++
+		r.stats.Recertified++
 		r.speculate(st)
 	}
 }
 
-// resolve carries a final certification outcome to the server: local
-// transactions learn their fate, committed remote write-sets are installed.
-func (r *Replica) resolve(tc *dbsm.TxnCert, out dbsm.Outcome, preApplied bool) {
+// settle carries transaction tid's final outcome to the server. A commit is
+// appended to the commit log; a local transaction learns its fate and drains
+// the backlog gauge; a committed remote write-set is installed. ws holds the
+// rows the outcome writes — the whole certification message, or this group's
+// part of a cross-group transaction (nil when the group has none) — narrowed
+// here to the rows this site stores.
+func (r *Replica) settle(tid uint64, out dbsm.Outcome, ws *dbsm.TxnCert, preApplied bool) {
 	if out.Commit {
-		r.commitLog.Append(out.Seq, tc.TID)
+		r.commitLog.Append(out.Seq, tid)
 	}
-	if tc.Site == r.site {
-		if r.server.ResolveLocal(tc.TID, out.Commit, out.Seq) {
+	if dbsm.TIDSite(tid) == r.site {
+		if r.server.ResolveLocal(tid, out.Commit, out.Seq) {
 			// One in-flight termination resolved: drain the backlog gauge.
 			// Orphans (below) never counted an increment — their increment
 			// belonged to a previous incarnation's gauge — so only this
@@ -788,26 +766,24 @@ func (r *Replica) resolve(tc *dbsm.TxnCert, out dbsm.Outcome, preApplied bool) {
 		// will write its data back locally. If the group committed it,
 		// install it like a remote write-set or this site's storage
 		// silently diverges from the replicas that applied it.
-		if !out.Commit {
-			return
-		}
 		preApplied = false
 	}
 	if !out.Commit {
 		return
 	}
-	apply := r.localWrites(tc)
-	if apply == nil {
-		// Partial replication: nothing from this transaction is stored
-		// here — skip the install entirely (no locks, no disk).
+	if ws != nil {
+		ws = r.localWrites(ws)
+	}
+	switch {
+	case ws == nil || len(ws.WriteSet) == 0:
+		// Nothing from this transaction is stored here — skip the install
+		// entirely (no locks, no disk).
 		r.server.NoteApplied(out.Seq)
-		return
+	case preApplied:
+		r.server.ApplyRemotePrepared(ws, out.Seq)
+	default:
+		r.server.ApplyRemote(ws, out.Seq)
 	}
-	if preApplied {
-		r.server.ApplyRemotePrepared(apply, out.Seq)
-		return
-	}
-	r.server.ApplyRemote(apply, out.Seq)
 }
 
 // localWrites narrows a write-set to the locally-stored rows under partial

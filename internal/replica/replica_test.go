@@ -88,8 +88,8 @@ func TestLocalCommitPropagatesToAllReplicas(t *testing.T) {
 		t.Fatalf("outcome = %v", outcome)
 	}
 	for i, s := range sites {
-		if s.rep.Delivered() != 1 {
-			t.Fatalf("site %d delivered %d", i+1, s.rep.Delivered())
+		if s.rep.Stats().Delivered != 1 {
+			t.Fatalf("site %d delivered %d", i+1, s.rep.Stats().Delivered)
 		}
 		if s.rep.CommitLog().Len() != 1 {
 			t.Fatalf("site %d commit log %d", i+1, s.rep.CommitLog().Len())
@@ -203,11 +203,11 @@ func TestCorruptPayloadCountedNotSilent(t *testing.T) {
 			t.Fatalf("optimistic=%v: valid txn after garbage: %v", optimistic, outcome)
 		}
 		for i, s := range sites {
-			if s.rep.Drops() == 0 {
+			if s.rep.Stats().CertDrops == 0 {
 				t.Fatalf("optimistic=%v: site %d dropped the corrupt payload silently", optimistic, i+1)
 			}
-			if s.rep.Delivered() != 1 {
-				t.Fatalf("optimistic=%v: site %d delivered %d", optimistic, i+1, s.rep.Delivered())
+			if s.rep.Stats().Delivered != 1 {
+				t.Fatalf("optimistic=%v: site %d delivered %d", optimistic, i+1, s.rep.Stats().Delivered)
 			}
 		}
 	}
@@ -245,8 +245,8 @@ func TestOptimisticPipelineFaultFree(t *testing.T) {
 	op := map[dbsm.SiteID]bool{}
 	for i, s := range sites {
 		st := s.rep.Stats()
-		if st.Drops != 0 {
-			t.Fatalf("site %d drops = %d", i+1, st.Drops)
+		if st.CertDrops != 0 {
+			t.Fatalf("site %d drops = %d", i+1, st.CertDrops)
 		}
 		if st.Rollbacks != 0 {
 			t.Fatalf("site %d rollbacks = %d on a fault-free LAN", i+1, st.Rollbacks)

@@ -96,14 +96,6 @@ type xmgr struct {
 	buf  []byte
 
 	records []trace.XRecord
-
-	initiated  int64
-	committedX int64
-	abortedX   int64
-	retries    int64
-	handovers  int64
-	vetoes     int64
-	prepFrags  int64
 }
 
 // fragAsm is one oversized prepare's reassembly state: fragments land in
@@ -206,7 +198,7 @@ func (x *xmgr) veto(t *dbsm.TxnCert) bool {
 		}
 	}
 	if hit {
-		x.vetoes++
+		x.r.stats.XVetoes++
 	}
 	return hit
 }
@@ -239,18 +231,7 @@ func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
 	if len(parts) == 1 {
 		// Every tuple is home-owned: the classic path, tagged.
 		x.body = tc.MarshalTo(x.body)
-		wire := append(r.scratch[:0], xgroup.MsgTxn)
-		wire = append(wire, x.body...)
-		r.scratch = wire
-		r.rt.Charge(sim.Time(marshalCostPerByte * float64(len(wire))))
-		if !r.stack.Multicast(wire) {
-			r.refused++
-			r.server.RejectPending(t.TID)
-			return
-		}
-		if r.backlog.Add(1) {
-			r.server.SetBackpressure(r.backlog.Engaged())
-		}
+		r.submit(t, append(append(r.scratch[:0], xgroup.MsgTxn), x.body...))
 		return
 	}
 	prep := &xgroup.Prepare{
@@ -259,18 +240,10 @@ func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
 		HomeGroup:   x.group,
 		Parts:       parts,
 	}
-	wire := xgroup.AppendPrepare(r.scratch[:0], xgroup.MsgPrepare, prep, 0)
-	r.scratch = wire
-	r.rt.Charge(sim.Time(marshalCostPerByte * float64(len(wire))))
-	if !r.stack.Multicast(wire) {
-		r.refused++
-		r.server.RejectPending(t.TID)
+	if !r.submit(t, xgroup.AppendPrepare(r.scratch[:0], xgroup.MsgPrepare, prep, 0)) {
 		return
 	}
-	if r.backlog.Add(1) {
-		r.server.SetBackpressure(r.backlog.Engaged())
-	}
-	x.initiated++
+	r.stats.MultiGroupTxns++
 	e := &xtxn{tid: tc.TID, home: x.group, coordID: x.self(), coord: true, allCommit: true}
 	for i := range parts {
 		e.involved |= xbit(parts[i].Group)
@@ -297,18 +270,18 @@ func (x *xmgr) onStream(payload []byte) {
 	case xgroup.MsgPrepare:
 		p, err := xgroup.ParsePrepare(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 		} else {
-			r.delivered++
+			r.stats.Delivered++
 			r.chargeUnmarshal(len(payload))
 			x.prepareDelivered(p)
 		}
 	case xgroup.MsgDecide:
 		tid, commit, err := xgroup.ParseDecision(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 		} else {
-			r.delivered++
+			r.stats.Delivered++
 			x.decideDelivered(tid, commit)
 		}
 	}
@@ -375,7 +348,7 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 	r := x.r
 	e := x.pending[tid]
 	if e == nil || !e.voted {
-		r.drops++
+		r.stats.CertDrops++
 		return
 	}
 	if e.decided {
@@ -383,9 +356,9 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 	}
 	e.decided = true
 	e.commit = commit
+	out := dbsm.Outcome{Commit: commit}
 	if commit {
-		x.committedX++
-		var out dbsm.Outcome
+		r.stats.XCommitted++
 		if e.part != nil {
 			out = r.cert.ForceCommit(e.part)
 		} else {
@@ -393,9 +366,8 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 			out = r.cert.ForceCommit(&empty)
 		}
 		e.seq = out.Seq
-		r.commitLog.Append(out.Seq, tid)
 	} else {
-		x.abortedX++
+		r.stats.XAborted++
 	}
 	rec := trace.XRecord{
 		TID:       tid,
@@ -409,19 +381,7 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 		rec.ReadSet, rec.WriteSet = e.part.ReadSet, e.part.WriteSet
 	}
 	x.records = append(x.records, rec)
-	if dbsm.TIDSite(tid) == r.site {
-		if r.server.ResolveLocal(tid, commit, e.seq) {
-			if r.backlog.Add(-1) {
-				r.server.SetBackpressure(r.backlog.Engaged())
-			}
-		} else if commit {
-			// Orphaned local transaction (prior incarnation): install the
-			// part like a remote write-set or this site's storage diverges.
-			x.install(e.part, e.seq)
-		}
-	} else if commit {
-		x.install(e.part, e.seq)
-	}
+	r.settle(tid, out, e.part, false)
 	if e.home != x.group {
 		x.buf = xgroup.AppendAck(x.buf[:0], xgroup.MsgAck, tid, x.group)
 		r.stack.Relay(e.coordID, x.buf)
@@ -433,16 +393,6 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 	// duplicate relays get decision replies and re-acks.
 	e.prep = nil
 	e.part = nil
-}
-
-// install writes a committed part's rows back (remote member, or orphaned
-// local transaction).
-func (x *xmgr) install(part *dbsm.TxnCert, seq uint64) {
-	if part == nil || len(part.WriteSet) == 0 {
-		x.r.server.NoteApplied(seq)
-		return
-	}
-	x.r.server.ApplyRemote(part, seq)
 }
 
 // onRelay handles point-to-point cross-group datagrams. Strictly send-only:
@@ -457,7 +407,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	case xgroup.MsgPrepare:
 		p, err := xgroup.ParsePrepare(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		r.chargeUnmarshal(len(payload))
@@ -475,7 +425,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	case xgroup.MsgPrepFrag:
 		tid, total, idx, chunk, err := xgroup.ParsePrepFrag(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		if e := x.pending[tid]; e != nil {
@@ -512,7 +462,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	case xgroup.MsgVote:
 		tid, g, commit, err := xgroup.ParseVote(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		e := x.pending[tid]
@@ -523,7 +473,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	case xgroup.MsgDecide:
 		tid, commit, err := xgroup.ParseDecision(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		e := x.pending[tid]
@@ -552,7 +502,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	case xgroup.MsgAck:
 		tid, g, err := xgroup.ParseAck(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		e := x.pending[tid]
@@ -562,7 +512,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 		e.acksMask |= xbit(g)
 		x.checkComplete(e)
 	default:
-		r.drops++
+		r.stats.CertDrops++
 	}
 }
 
@@ -629,7 +579,7 @@ func (x *xmgr) sendPrepRelays(e *xtxn) {
 			// Padding trimming alone could not fit the datagram under the
 			// MTU — the item sets themselves overflow it. Ship fragments;
 			// receivers reassemble before treating it as a prepare.
-			x.prepFrags += int64(len(frames))
+			x.r.stats.XPrepFrags += int64(len(frames))
 			for _, f := range frames {
 				x.relayToGroup(g, f)
 			}
@@ -685,7 +635,7 @@ func (x *xmgr) tick(e *xtxn) {
 	if r.stopped || e.doneC || !e.coord {
 		return
 	}
-	x.retries++
+	r.stats.XRetries++
 	if !e.coordDecided {
 		if e.voted {
 			x.sendPrepRelays(e)
@@ -733,7 +683,7 @@ func (x *xmgr) onViewChange(v gcs.View) {
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
 	for _, tid := range tids {
 		e := x.pending[tid]
-		x.handovers++
+		r.stats.XHandovers++
 		e.coord = true
 		e.coordID = x.self()
 		if e.decided {

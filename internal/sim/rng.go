@@ -56,9 +56,6 @@ func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 // Exp returns an exponential draw with the given mean.
 func (g *RNG) Exp(mean float64) float64 { return g.r.ExpFloat64() * mean }
 
-// Normal returns a normal draw with the given mean and standard deviation.
-func (g *RNG) Normal(mean, sd float64) float64 { return g.r.NormFloat64()*sd + mean }
-
 // LogNormal returns a draw from a log-normal distribution parameterized by
 // the mean and standard deviation of the underlying normal.
 func (g *RNG) LogNormal(mu, sigma float64) float64 {
@@ -80,15 +77,6 @@ func (g *RNG) UniformDur(lo, hi Time) Time {
 		return lo
 	}
 	return lo + Time(g.r.Int63n(int64(hi-lo)+1))
-}
-
-// NormalDur returns a normal duration clamped at zero.
-func (g *RNG) NormalDur(mean, sd Time) Time {
-	d := g.r.NormFloat64()*float64(sd) + float64(mean)
-	if d < 0 {
-		return 0
-	}
-	return Time(d)
 }
 
 // Poisson returns a draw from a Poisson distribution with the given mean.

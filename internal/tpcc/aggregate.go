@@ -116,9 +116,6 @@ func (a *Aggregate) RetryLat() *metrics.Sample { return &a.retryLat }
 // retry; quiescence detection must hold the run open for them.
 func (a *Aggregate) RetryPending() bool { return a.retryPending > 0 }
 
-// Thinking reports the users currently between transactions.
-func (a *Aggregate) Thinking() int { return a.thinking }
-
 // SetLoadFactor scales the offered load: the arrival rate multiplies by f
 // (f <= 1 restores nominal load), mirroring Client.SetLoadFactor's think
 // compression.
