@@ -75,11 +75,17 @@
 // (internal/tpcc.Aggregate) — a state-dependent Poisson stream with a
 // binomially-thinned warmup pool, batched into one simulation event per
 // site per 10ms window, submitting through the identical
-// admission/retry/backpressure path individual clients use. Equivalence is
-// statistical, pinned within CI95 at 500 clients for both protocol
-// variants; memory and wall clock stay O(sites + in-flight) to 10^6
-// clients (cmd/experiments's "clients" table, the agg1m_shed workload of
-// bench/, and README.md's "Scaling to millions of clients" section).
+// admission/retry/backpressure path individual clients use. A transaction
+// is drawn (tpcc.Generator.Draw into a tpcc.Draft: every RNG draw and
+// counter step) apart from being built (Generator.Build: the script and the
+// item sets); db.Server.Submit calls the db.Txn.Build hook once, on the
+// attempt it admits, so a refused arrival is never built; and an arrival's
+// record is reused only if its transaction was never admitted and the
+// stream has not stopped. Equivalence is statistical, pinned within CI95 at
+// 500 clients for both protocol variants; memory and wall clock stay
+// O(sites + in-flight) to 10^6 clients (cmd/experiments's "clients" table,
+// the agg1m_shed workload of bench/, and README.md's "Scaling to millions of
+// clients" section).
 //
 // Beyond randomized campaigns, cmd/faultsim's -explore mode runs an
 // adversarial search (internal/explore): fault schedules are genomes,

@@ -118,3 +118,80 @@ func TestDuplicateSubmitRefused(t *testing.T) {
 		t.Fatalf("class stats: %+v", s.Class("w"))
 	}
 }
+
+// TestBuildHookRunsOnceOnAdmission pins the lazy-build contract: Submit calls
+// Txn.Build exactly once, on the attempt it admits and before anything reads
+// the sets — never while the site is down, never for a duplicate TID, never
+// for a refusal — and a resubmission of the built transaction does not call
+// it again.
+func TestBuildHookRunsOnceOnAdmission(t *testing.T) {
+	k, s := newTestServer(t, 1)
+	item := dbsm.MakeTupleID(1, 1)
+	builds := 0
+	lazy := func(tid uint64) *Txn {
+		txn := &Txn{TID: tid, Class: "w"}
+		txn.Build = func(b *Txn) {
+			if b != txn {
+				t.Fatal("hook called with another transaction")
+			}
+			builds++
+			full := simpleTxn(tid, "w", []dbsm.TupleID{item}, 5*sim.Millisecond)
+			b.Ops, b.ReadSet, b.WriteSet = full.Ops, full.ReadSet, full.WriteSet
+			b.WriteBytes, b.CommitCPU = full.WriteBytes, full.CommitCPU
+		}
+		return txn
+	}
+	run := func() {
+		t.Helper()
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got Outcome
+	note := func(_ *Txn, o Outcome) { got = o }
+
+	// Refused by the gate: not built.
+	txn := lazy(1)
+	txn.Done = note
+	s.SetBackpressure(true)
+	s.Submit(txn)
+	if got != Rejected || builds != 0 || txn.Build == nil || txn.Ops != nil {
+		t.Fatalf("gate refusal: outcome %v, %d builds, hook kept %v", got, builds, txn.Build != nil)
+	}
+	// Refused as a duplicate of a TID in flight: not built.
+	s.SetBackpressure(false)
+	orig := simpleTxn(1, "w", []dbsm.TupleID{item}, 5*sim.Millisecond)
+	s.Submit(orig)
+	txn.ResetForRetry()
+	s.Submit(txn)
+	if got != Rejected || builds != 0 {
+		t.Fatalf("duplicate refusal: outcome %v, %d builds", got, builds)
+	}
+	run()
+	// Swallowed by a down site: not built, and still not when the restart
+	// wakes it.
+	s.Crash()
+	txn.ResetForRetry()
+	s.Submit(txn)
+	s.Restart()
+	if got != AbortCrash || builds != 0 {
+		t.Fatalf("down site: outcome %v, %d builds", got, builds)
+	}
+	// Admitted: built once, with the write lock taken from the built set.
+	txn.ResetForRetry()
+	s.Submit(txn)
+	if builds != 1 || txn.Build != nil || s.Locks().HeldLocks() != 1 {
+		t.Fatalf("admission: %d builds, hook kept %v, %d locks held", builds, txn.Build != nil, s.Locks().HeldLocks())
+	}
+	run()
+	if got != Committed {
+		t.Fatalf("admitted transaction outcome = %v", got)
+	}
+	// Resubmitted after its outcome (the RejectPending road): not rebuilt.
+	txn.ResetForRetry()
+	s.Submit(txn)
+	run()
+	if got != Committed || builds != 1 {
+		t.Fatalf("resubmission: outcome %v, %d builds", got, builds)
+	}
+}

@@ -276,30 +276,27 @@ func (s *Server) Submit(t *Txn) {
 		s.blockedSubmits = append(s.blockedSubmits, t)
 		return
 	}
-	if _, dup := s.active[t.TID]; dup {
-		// Duplicate resubmission race: the same TID is still in flight. The
-		// original decides the transaction's fate; the duplicate is refused
-		// so it can never execute (and commit) twice.
-		t.server = s
-		t.SubmitAt = s.k.Now()
-		s.Class(t.Class).Submitted++
-		s.finish(t, Rejected)
+	// Admission control: explicit rejection instead of joining an
+	// already-thrashing pipeline; the client backs off and retries. A
+	// duplicate of a TID still in flight is refused the same way — the
+	// original decides the transaction's fate, so it can never execute (and
+	// commit) twice. Both refusals are one refusal, so testing the integer
+	// gate before probing the map cannot be observed.
+	if s.backpressured || (s.MaxActive > 0 && len(s.active) >= s.MaxActive) || s.active[t.TID] != nil {
+		s.refuse(t)
 		return
 	}
-	if s.backpressured || (s.MaxActive > 0 && len(s.active) >= s.MaxActive) {
-		// Admission control: explicit rejection instead of joining an
-		// already-thrashing pipeline. The client backs off and retries.
-		t.server = s
-		t.SubmitAt = s.k.Now()
-		s.Class(t.Class).Submitted++
-		s.finish(t, Rejected)
-		return
+	if t.Build != nil {
+		build := t.Build
+		t.Build = nil
+		build(t)
 	}
 	t.server = s
 	s.active[t.TID] = t
 	t.SubmitAt = s.k.Now()
 	t.Snapshot = s.lastApplied
-	s.Class(t.Class).Submitted++
+	t.stats = s.Class(t.Class)
+	t.stats.Submitted++
 	// One continuation closure serves every pipeline step of this
 	// transaction: stale callbacks (after preemption or crash) are fenced
 	// by the aborted/finished flags, which every abort path sets before
@@ -314,6 +311,19 @@ func (s *Server) Submit(t *Txn) {
 		t.LocksAt = s.k.Now()
 		s.step(t)
 	})
+}
+
+// refuse turns a submission away unexecuted: counted as submitted and
+// rejected, finished at once. It reads TID, Class and Done and nothing else
+// of the transaction, which is what lets a submitter leave the rest unbuilt.
+//
+//hot:path
+func (s *Server) refuse(t *Txn) {
+	t.server = s
+	t.SubmitAt = s.k.Now()
+	t.stats = s.Class(t.Class)
+	t.stats.Submitted++
+	s.finish(t, Rejected)
 }
 
 // step advances the operation pipeline.
@@ -572,7 +582,7 @@ func (s *Server) finish(t *Txn, outcome Outcome) {
 	if cur, ok := s.active[t.TID]; ok && cur == t {
 		delete(s.active, t.TID)
 	}
-	cs := s.Class(t.Class)
+	cs := t.stats
 	switch outcome {
 	case Committed:
 		cs.Committed++

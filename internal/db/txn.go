@@ -95,6 +95,12 @@ type Txn struct {
 
 	// Done receives the final outcome exactly once.
 	Done func(*Txn, Outcome)
+	// Build, if set, fills in the fields above other than TID and Class the
+	// first time a server admits the transaction; the server clears it as it
+	// calls it. A refused attempt reads only TID, Class and Done, so a
+	// submitter whose arrivals are mostly refused can leave the script and
+	// the sets unbuilt until one is let in.
+	Build func(*Txn)
 
 	// Measurement timestamps, filled by the server.
 	SubmitAt    sim.Time
@@ -114,7 +120,8 @@ type Txn struct {
 	finished  bool
 	holding   bool // currently holds its write locks
 	server    *Server
-	stepFn    func() // single pipeline continuation, bound once at Submit
+	stats     *ClassStats // Class's bucket, found once per Submit
+	stepFn    func()      // single pipeline continuation, bound once at Submit
 }
 
 // CertInfo builds the certification message for this transaction.
@@ -149,6 +156,7 @@ func (t *Txn) ResetForRetry() {
 	t.finished = false
 	t.holding = false
 	t.server = nil
+	t.stats = nil
 	t.stepFn = nil
 	t.SubmitAt = 0
 	t.LocksAt = 0

@@ -2,7 +2,7 @@ package tpcc
 
 import (
 	"repro/internal/db"
-	"repro/internal/metrics"
+	"repro/internal/dbsm"
 	"repro/internal/sim"
 )
 
@@ -24,6 +24,11 @@ import (
 // give-up accounting — so overload semantics are unchanged. Memory and
 // startup cost are O(sites + in-flight), not O(population): no per-client
 // object, RNG stream, or initial think-timer event exists.
+//
+// An arrival is drawn in full (Generator.Draw: same draws, same counters as
+// an individual client's) but built only if a server admits it, through the
+// db.Txn.Build hook; past saturation nearly every arrival is refused on
+// every attempt and abandoned, and that whole cycle allocates nothing.
 //
 // The equivalence is statistical, not per-seed: an aggregate run is a
 // different (equally valid) realization of the same workload, validated at
@@ -58,8 +63,13 @@ type Aggregate struct {
 	// event per site per window.
 	Window sim.Time
 
-	k   *sim.Kernel
-	rng *sim.RNG
+	retryLoop
+	// free holds the records of arrivals no server ever admitted, for reuse.
+	// An admitted transaction stays reachable from the server, its lock
+	// queues and the replica after its outcome, so its record is left to
+	// the collector; and once Stop ends the stream the list is dropped and
+	// stays nil, so a finished model a caller keeps does not pin it.
+	free []*arrival
 	// unfired is the warmup pool: users who have not submitted their first
 	// transaction yet. Individual clients de-synchronize by deferring their
 	// first issue uniformly over one think interval, so this pool drains by
@@ -75,18 +85,27 @@ type Aggregate struct {
 
 	issued        int64
 	issuedByClass [NumArrivalClasses]int64
-	retries       int64
-	giveUps       int64
-	retryPending  int
-	retryLat      metrics.Sample
+}
+
+// arrival is one emulated user's transaction from its draw to its final
+// outcome: the retry state, the db.Txn shell the server sees, and the draft
+// with backing for the largest key sets any class draws, with every
+// continuation bound when the record is first allocated. The keys come last
+// so the collector, which scans an object up to its last pointer, skips them.
+type arrival struct {
+	attempt
+	agg   *Aggregate
+	build func(*db.Txn)
+	txn   db.Txn
+	draft Draft
+	keys  [maxFetchOnly + maxReads + maxWrites]dbsm.TupleID
 }
 
 // Start begins the arrival process. The first tick is deferred by a uniform
 // fraction of the window, de-synchronizing sites the way individual clients
 // de-synchronize their first think time.
 func (a *Aggregate) Start(k *sim.Kernel, rng *sim.RNG) {
-	a.k = k
-	a.rng = rng
+	a.retryLoop = retryLoop{k: k, rng: rng, server: a.Server, policy: a.Retry}
 	a.unfired = a.Population
 	a.loadFactor = 1
 	if a.Window <= 0 {
@@ -101,20 +120,6 @@ func (a *Aggregate) Issued() int64 { return a.issued }
 
 // IssuedOfClass reports submissions of one top-level mix class.
 func (a *Aggregate) IssuedOfClass(c ArrivalClass) int64 { return a.issuedByClass[c] }
-
-// Retries reports resubmissions after rejections.
-func (a *Aggregate) Retries() int64 { return a.retries }
-
-// GiveUps reports transactions abandoned after exhausting MaxAttempts.
-func (a *Aggregate) GiveUps() int64 { return a.giveUps }
-
-// RetryLat exposes the first-submit-to-final-outcome latency sample (ms) of
-// transactions that needed at least one retry.
-func (a *Aggregate) RetryLat() *metrics.Sample { return &a.retryLat }
-
-// RetryPending reports whether any backoff timer holds an unsubmitted
-// retry; quiescence detection must hold the run open for them.
-func (a *Aggregate) RetryPending() bool { return a.retryPending > 0 }
 
 // SetLoadFactor scales the offered load: the arrival rate multiplies by f
 // (f <= 1 restores nominal load), mirroring Client.SetLoadFactor's think
@@ -156,6 +161,7 @@ func (a *Aggregate) tick() {
 	for i := n1 + n2; i > 0; i-- {
 		if a.Stop != nil && a.Stop() {
 			a.stopped = true
+			a.free = nil
 			return
 		}
 		a.arrive()
@@ -180,47 +186,61 @@ func (a *Aggregate) classOf() ArrivalClass {
 	return NumArrivalClasses - 1
 }
 
-// arrive materializes one emulated user's submission: a uniform population
-// index picks the home warehouse, the mix labels the class, and the
-// generator builds the transaction. The user was already removed from its
-// pool by tick; completion returns it to the thinking pool.
+// arrive is one emulated user's submission: a uniform population index
+// picks the home warehouse, the mix labels the class, and the generator
+// draws the transaction into a record; the first submission follows at once.
+// The user was already removed from its pool by tick; the final outcome
+// returns it to the thinking pool.
+//
+//hot:path
 func (a *Aggregate) arrive() {
 	a.issued++
 	class := a.classOf()
 	a.issuedByClass[class]++
 	wh := a.HomeWH(a.rng.Intn(a.Population))
-	t := a.Gen.NextOfClass(class, wh)
-	a.submit(t, 1, a.k.Now())
+	r := a.record()
+	a.Gen.Draw(&r.draft, class, wh)
+	r.txn = db.Txn{TID: r.draft.TID, Class: r.draft.Class, Build: r.build}
+	r.submit(&r.txn)
 }
 
-// submit runs one attempt of a transaction — the Client.submit contract: a
-// rejection within the retry budget schedules a backoff and resubmits the
-// same instance; every other outcome is final, returning the emulated user
-// to the thinking pool. Retries of an already-admitted transaction proceed
-// even after the arrival stream stops, exactly as an individual client
-// mid-transaction is not cut off by budget exhaustion.
-func (a *Aggregate) submit(t *db.Txn, attempt int, firstAt sim.Time) {
-	t.Done = func(t *db.Txn, o db.Outcome) {
-		if o == db.Rejected && attempt < a.Retry.MaxAttempts {
-			a.retries++
-			a.retryPending++
-			a.k.Schedule(a.Retry.Backoff(attempt, a.rng), func() {
-				a.retryPending--
-				t.ResetForRetry()
-				a.submit(t, attempt+1, firstAt)
-			})
-			return
-		}
-		if o == db.Rejected && a.Retry.Enabled() && attempt >= a.Retry.MaxAttempts {
-			a.giveUps++
-		}
-		if attempt > 1 {
-			a.retryLat.Add((a.k.Now() - firstAt).Millis())
-		}
-		if a.OnDone != nil {
-			a.OnDone(t, o)
-		}
-		a.thinking++
+// record takes an arrival record off the free list, or allocates one and
+// binds its continuations.
+func (a *Aggregate) record() *arrival {
+	if n := len(a.free); n > 0 {
+		r := a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
+		return r
 	}
-	a.Server.Submit(t)
+	r := &arrival{agg: a}
+	r.bind(&a.retryLoop, r.resolved)
+	r.build = r.admit
+	r.draft.FetchOnly = r.keys[:0:maxFetchOnly]
+	r.draft.Reads = r.keys[maxFetchOnly : maxFetchOnly : maxFetchOnly+maxReads]
+	r.draft.Writes = r.keys[maxFetchOnly+maxReads : maxFetchOnly+maxReads]
+	return r
+}
+
+// admit is the record's db.Txn.Build hook: a server let the transaction in,
+// so it is built now, from the draft drawn at arrival.
+func (r *arrival) admit(t *db.Txn) {
+	r.agg.Gen.Build(&r.draft, t)
+}
+
+// resolved receives the arrival's final outcome from the retry loop: report
+// it, return the emulated user to the thinking pool, and recycle the record
+// if no server ever held the transaction — which its unspent Build hook
+// tells, since the admitting Submit clears it.
+//
+//hot:path
+func (r *arrival) resolved(t *db.Txn, o db.Outcome) {
+	a := r.agg
+	if a.OnDone != nil {
+		a.OnDone(t, o)
+	}
+	a.thinking++
+	if t.Build != nil && !a.stopped {
+		a.free = append(a.free, r)
+	}
 }

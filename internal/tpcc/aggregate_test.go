@@ -2,10 +2,12 @@ package tpcc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/csrt"
 	"repro/internal/db"
+	"repro/internal/dbsm"
 	"repro/internal/sim"
 )
 
@@ -160,25 +162,294 @@ func TestAggregateDeterministic(t *testing.T) {
 
 func time30s() sim.Time { return 30 * sim.Second }
 
+// boundAgg is an aggregate bound to its kernel and server the way Start binds
+// it, minus the tick: the test calls arrive itself.
+func boundAgg(k *sim.Kernel, server *db.Server, retry RetryPolicy) *Aggregate {
+	a := newAggUnderTest(k, server, 100000, retry)
+	a.retryLoop = retryLoop{k: k, rng: sim.NewRNG(5).Fork("agg"), server: server, policy: retry}
+	return a
+}
+
 // TestAggregateDrawPathZeroAlloc pins the zero-allocation property of the
-// per-window draw path: the Poisson and Binomial samplers, the class
-// thinning, and the home-warehouse closure must not allocate. The per
-// transaction cost (building the db.Txn) is shared with individual mode
-// and is out of scope here.
+// arrival path past saturation. The per-window draws — the Poisson and
+// Binomial samplers, the class thinning, the home-warehouse closure — must
+// not allocate; and with a warm free list neither does one whole refused
+// arrival: draw, MaxAttempts refusals with their backoffs, give-up, OnDone,
+// record recycled. Only an admitted transaction is built, and Build
+// allocates what it needs.
 func TestAggregateDrawPathZeroAlloc(t *testing.T) {
-	rng := sim.NewRNG(5)
-	a := &Aggregate{
-		Proc:       DefaultCalibration().ArrivalProcess(),
-		Population: 100000,
-		HomeWH:     func(k int) int { return k / ClientsPerWarehouse },
-		rng:        rng,
-	}
+	k := sim.NewKernel()
+	server := newAggServer(k)
+	server.SetBackpressure(true)
+	a := boundAgg(k, server, RetryPolicy{MaxAttempts: 4})
 	if n := testing.AllocsPerRun(1000, func() {
-		_ = rng.Poisson(370)
-		_ = rng.Binomial(100000, 0.001)
+		_ = a.rng.Poisson(370)
+		_ = a.rng.Binomial(100000, 0.001)
 		_ = a.classOf()
-		_ = a.HomeWH(rng.Intn(a.Population))
+		_ = a.HomeWH(a.rng.Intn(a.Population))
 	}); n != 0 {
 		t.Fatalf("draw path allocates %v times per window", n)
+	}
+	var done int64
+	a.OnDone = func(*db.Txn, db.Outcome) { done++ }
+	cycle := func() {
+		a.arrive()
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ { // every class seen, every slice at its size
+		cycle()
+	}
+	if len(a.free) != 1 {
+		t.Fatalf("free list holds %d records after serial refused cycles, want the one reused", len(a.free))
+	}
+	if n := testing.AllocsPerRun(2000, cycle); n != 0 {
+		t.Fatalf("a refused arrival allocates %v times", n)
+	}
+	if done != a.Issued() || a.GiveUps() != a.Issued() || a.Retries() != 3*a.Issued() {
+		t.Fatalf("issued %d: done %d, give-ups %d, retries %d", a.Issued(), done, a.GiveUps(), a.Retries())
+	}
+}
+
+// arrivalClassOf maps a transaction class back to the top-level class it was
+// drawn as.
+func arrivalClassOf(class string) ArrivalClass {
+	switch class {
+	case ClassNewOrder:
+		return ArrivalNewOrder
+	case ClassPaymentLong, ClassPaymentShort:
+		return ArrivalPayment
+	case ClassOrderStatusLong, ClassOrderStatusShort:
+		return ArrivalOrderStatus
+	case ClassDelivery:
+		return ArrivalDelivery
+	}
+	return ArrivalStockLevel
+}
+
+// TestAggregateLazyBuildMatchesEagerTwin pins what deferring the build must
+// not change: a transaction refused k times and admitted on attempt k+1
+// executes with exactly the TID, keys and costs drawn at its arrival, though
+// other arrivals were drawn from the same generator in between. The
+// reference is an eager twin generator on the same seed, fed the same
+// (class, warehouse) sequence.
+func TestAggregateLazyBuildMatchesEagerTwin(t *testing.T) {
+	const pop = 600
+	k := sim.NewKernel()
+	server := newAggServer(k)
+	server.MaxActive = 1
+	// Backoff windows that cannot overlap — retry n waits [10,20]·2^(n-1) ms —
+	// so the time from arrival to the admitted submission tells the attempt.
+	retry := RetryPolicy{MaxAttempts: 4, BaseBackoff: 20 * sim.Millisecond, MaxBackoff: sim.Second}
+	a := newAggUnderTest(k, server, pop, retry)
+	type arrived struct {
+		at    sim.Time
+		wh    int
+		class string
+		txn   *db.Txn // nil unless admitted
+	}
+	var log []arrived // in draw order, which is TID order
+	a.HomeWH = func(i int) int {
+		wh := i / ClientsPerWarehouse
+		log = append(log, arrived{at: k.Now(), wh: wh})
+		return wh
+	}
+	a.OnDone = func(txn *db.Txn, o db.Outcome) {
+		e := &log[uint32(txn.TID)-1] // the TID's low half counts the site's draws
+		e.class = txn.Class
+		if txn.Ops != nil {
+			e.txn = txn // admitted: the record is never reused, so this stays valid
+		}
+	}
+	budget := 1500
+	a.Stop = func() bool { budget--; return budget < 0 }
+	a.Start(k, sim.NewRNG(29).Fork("agg"))
+	if err := k.RunUntil(10 * sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+
+	twin := NewGenerator(1, Warehouses(pop), DefaultCalibration(), sim.NewRNG(7).Fork("gen"))
+	var admittedAfter [4]int // by number of refusals before admission
+	for i, e := range log {
+		if e.class == "" {
+			t.Fatalf("arrival %d never resolved", i)
+		}
+		want := twin.NextOfClass(arrivalClassOf(e.class), e.wh)
+		got := e.txn
+		if got == nil {
+			continue
+		}
+		wait := got.SubmitAt - e.at
+		refusals := 0
+		for d := 10 * sim.Millisecond; wait >= d; d *= 2 {
+			wait -= d
+			refusals++
+		}
+		admittedAfter[refusals]++
+		if got.TID != want.TID || got.Class != want.Class || got.ReadOnly != want.ReadOnly ||
+			got.UserAbort != want.UserAbort || got.WriteBytes != want.WriteBytes || got.CommitCPU != want.CommitCPU ||
+			!reflect.DeepEqual(got.Ops, want.Ops) || !reflect.DeepEqual(got.ReadSet, want.ReadSet) || !reflect.DeepEqual(got.WriteSet, want.WriteSet) {
+			t.Fatalf("arrival %d (%s), admitted after %d refusals, differs from its eager twin:\n got %+v\nwant %+v",
+				i, e.class, refusals, got, want)
+		}
+	}
+	for refusals, n := range admittedAfter {
+		if n == 0 {
+			t.Fatalf("no transaction was admitted after exactly %d refusals (%v): the run does not cover the case", refusals, admittedAfter)
+		}
+	}
+}
+
+// TestAggregateCrashWakesParkedArrivalsOnce crashes the server with the
+// arrival stream running, so arrivals and retries park in the dead site's
+// blocked-submit list, then restarts it: every parked arrival is woken with
+// AbortCrash exactly once, no record reaches the free list twice, and every
+// emulated user is in exactly one pool at every tick of the run.
+func TestAggregateCrashWakesParkedArrivalsOnce(t *testing.T) {
+	const pop = 600
+	k := sim.NewKernel()
+	server := newAggServer(k)
+	server.MaxActive = 2
+	a := newAggUnderTest(k, server, pop, RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * sim.Millisecond, MaxBackoff: 200 * sim.Millisecond})
+	outcomes := map[uint64]db.Outcome{}
+	crashed := 0
+	a.OnDone = func(txn *db.Txn, o db.Outcome) {
+		if prev, dup := outcomes[txn.TID]; dup {
+			t.Fatalf("TID %x resolved twice: %v then %v", txn.TID, prev, o)
+		}
+		outcomes[txn.TID] = o
+		if o == db.AbortCrash {
+			crashed++
+		}
+	}
+	a.Start(k, sim.NewRNG(37).Fork("agg"))
+	var issuedAtCrash, issuedAtRestart int64
+	k.Schedule(2*sim.Second, func() { issuedAtCrash = a.Issued(); server.Crash() })
+	k.Schedule(3*sim.Second, func() { issuedAtRestart = a.Issued(); server.Restart() })
+	for tick := sim.Time(0); tick < 12*sim.Second; tick += a.Window {
+		if err := k.RunUntil(tick); err != nil {
+			t.Fatal(err)
+		}
+		inFlight := a.Issued() - int64(len(outcomes))
+		if got := int64(a.unfired+a.thinking) + inFlight; got != pop {
+			t.Fatalf("t=%v: unfired %d + thinking %d + in flight %d = %d, want %d", tick, a.unfired, a.thinking, inFlight, got, pop)
+		}
+		seen := map[*arrival]bool{}
+		for _, r := range a.free {
+			if seen[r] {
+				t.Fatalf("t=%v: a record is on the free list twice", tick)
+			}
+			seen[r] = true
+		}
+	}
+	if issuedAtRestart == issuedAtCrash {
+		t.Fatal("no arrival fell into the down window: the run does not cover the case")
+	}
+	// The generator serves this aggregate alone, so the n-th arrival carries
+	// the n-th TID of site 1.
+	for n := issuedAtCrash + 1; n <= issuedAtRestart; n++ {
+		if o := outcomes[dbsm.MakeTID(1, uint32(n))]; o != db.AbortCrash {
+			t.Fatalf("arrival %d parked while the site was down resolved %v, want abort-crash", n, o)
+		}
+	}
+	if parked := int(issuedAtRestart - issuedAtCrash); crashed <= parked {
+		t.Fatalf("%d AbortCrash outcomes for %d parked arrivals: none for the transactions and retries in flight at the crash", crashed, parked)
+	}
+}
+
+// TestAggregateRejectPendingRetriesBuiltTxn covers the one rejection that
+// comes after admission: the replication stack refuses the termination
+// multicast and the replica hands the transaction back through
+// RejectPending. The retry resubmits the same *db.Txn, already built — the
+// hook is spent — and its record never returns to the free list.
+func TestAggregateRejectPendingRetriesBuiltTxn(t *testing.T) {
+	k := sim.NewKernel()
+	server := newAggServer(k)
+	a := boundAgg(k, server, RetryPolicy{MaxAttempts: 3})
+	var seen []*db.Txn
+	var script []*db.Op
+	server.SetTerminator(func(txn *db.Txn) {
+		if txn.Build != nil {
+			t.Fatal("build hook still set on a transaction in termination")
+		}
+		seen = append(seen, txn)
+		script = append(script, &txn.Ops[0])
+		if len(seen) == 1 {
+			server.RejectPending(txn.TID)
+			return
+		}
+		server.ResolveLocal(txn.TID, true, 1)
+	})
+	var final []db.Outcome
+	a.OnDone = func(_ *db.Txn, o db.Outcome) { final = append(final, o) }
+	// Arrivals until one is an update that reaches termination; each runs to
+	// its outcome before the next is drawn.
+	for len(seen) == 0 {
+		final = final[:0]
+		a.arrive()
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) != 2 || seen[0] != seen[1] {
+		t.Fatalf("termination saw %d submissions of %d distinct transactions, want the same one twice", len(seen), len(seen))
+	}
+	if script[0] != script[1] {
+		t.Fatal("the retried transaction was built a second time")
+	}
+	if len(final) != 1 || final[0] != db.Committed {
+		t.Fatalf("final outcomes %v, want one commit", final)
+	}
+	if a.Retries() != 1 || a.RetryLat().N() != 1 {
+		t.Fatalf("retries %d, retry latencies %d, want 1 and 1", a.Retries(), a.RetryLat().N())
+	}
+	// A refused arrival now puts a record on the list: it must not be the
+	// admitted one's.
+	server.SetBackpressure(true)
+	a.arrive()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.free) != 1 || &a.free[0].txn == seen[0] {
+		t.Fatalf("free list %d long after one refused arrival, or holding the admitted transaction's record", len(a.free))
+	}
+}
+
+// TestAggregateFreeListDroppedAtStop pins the other half of the record
+// lifetime: when Stop ends the arrival stream the free list is released, and
+// the refusals still resolving afterwards do not refill it, so a finished
+// model a caller keeps alive holds no idle records.
+func TestAggregateFreeListDroppedAtStop(t *testing.T) {
+	k := sim.NewKernel()
+	server := newAggServer(k)
+	server.MaxActive = 1
+	a := newAggUnderTest(k, server, 600, RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * sim.Millisecond, MaxBackoff: 200 * sim.Millisecond})
+	budget, peak, afterStop := 800, 0, 0
+	a.Stop = func() bool {
+		peak = max(peak, len(a.free))
+		budget--
+		return budget < 0
+	}
+	a.OnDone = func(*db.Txn, db.Outcome) {
+		if a.stopped {
+			afterStop++
+			if a.free != nil {
+				t.Fatalf("free list refilled after Stop: %d records", len(a.free))
+			}
+		}
+	}
+	a.Start(k, sim.NewRNG(41).Fork("agg"))
+	if err := k.RunUntil(10 * sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if peak == 0 {
+		t.Fatal("free list never held a record while the stream ran")
+	}
+	if afterStop == 0 {
+		t.Fatal("no transaction resolved after Stop: the run does not cover the case")
+	}
+	if a.free != nil {
+		t.Fatalf("free list holds %d records after Stop", len(a.free))
 	}
 }

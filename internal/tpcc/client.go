@@ -2,7 +2,6 @@ package tpcc
 
 import (
 	"repro/internal/db"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -30,32 +29,24 @@ type Client struct {
 	// rejection and its resubmission.
 	OnDone func(c *Client, t *db.Txn, o db.Outcome)
 
-	k       *sim.Kernel
-	rng     *sim.RNG
-	homeWH  int
-	issued  int64
-	stopped bool
+	retryLoop
+	// cur is the one transaction a client has outstanding at a time.
+	cur    attempt
+	homeWH int
+	issued int64
 
 	// loadFactor > 1 compresses think times by that factor (sustained
 	// saturation: the same closed population offers load as if it were
 	// loadFactor times more eager).
 	loadFactor float64
-
-	retries  int64
-	giveUps  int64
-	retryLat metrics.Sample
-
-	// retryPending marks a scheduled backoff whose resubmission has not
-	// fired yet; quiescence detection must hold the run open for it.
-	retryPending bool
 }
 
 // Start begins the client's request stream. The first transaction is
 // deferred by a uniform fraction of the think time, de-synchronizing
 // clients.
 func (c *Client) Start(k *sim.Kernel, rng *sim.RNG) {
-	c.k = k
-	c.rng = rng
+	c.retryLoop = retryLoop{k: k, rng: rng, server: c.Server, policy: c.Retry}
+	c.cur.bind(&c.retryLoop, c.resolved)
 	c.homeWH = c.ID / ClientsPerWarehouse
 	k.Schedule(rng.UniformDur(0, c.Think), c.issue)
 }
@@ -63,19 +54,6 @@ func (c *Client) Start(k *sim.Kernel, rng *sim.RNG) {
 // Issued reports how many transactions this client has submitted (retries of
 // a rejected transaction do not count again).
 func (c *Client) Issued() int64 { return c.issued }
-
-// Retries reports resubmissions after rejections.
-func (c *Client) Retries() int64 { return c.retries }
-
-// GiveUps reports transactions abandoned after exhausting MaxAttempts.
-func (c *Client) GiveUps() int64 { return c.giveUps }
-
-// RetryLat exposes the first-submit-to-final-outcome latency sample (ms) of
-// transactions that needed at least one retry.
-func (c *Client) RetryLat() *metrics.Sample { return &c.retryLat }
-
-// RetryPending reports whether a backoff timer holds an unsubmitted retry.
-func (c *Client) RetryPending() bool { return c.retryPending }
 
 // SetLoadFactor scales the offered load: think times divide by f (f <= 1
 // restores nominal load). The think-time draw itself is unchanged, so the
@@ -93,46 +71,19 @@ func (c *Client) thinkDur() sim.Time {
 }
 
 func (c *Client) issue() {
-	if c.stopped || (c.Stop != nil && c.Stop()) {
-		c.stopped = true
+	if c.Stop != nil && c.Stop() {
 		return
 	}
 	t := c.Gen.Next(c.homeWH)
 	c.issued++
-	c.submit(t, 1, c.k.Now())
+	c.cur.submit(t)
 }
 
-// submit runs one attempt of a transaction. A rejection within the retry
-// budget schedules a backoff and resubmits the same instance (same TID —
-// idempotent resubmission); every other outcome is final.
-func (c *Client) submit(t *db.Txn, attempt int, firstAt sim.Time) {
-	t.Done = func(t *db.Txn, o db.Outcome) {
-		if o == db.Rejected && attempt < c.Retry.MaxAttempts && !c.stopped {
-			c.retries++
-			c.retryPending = true
-			c.k.Schedule(c.Retry.Backoff(attempt, c.rng), func() {
-				c.retryPending = false
-				if c.stopped {
-					return
-				}
-				t.ResetForRetry()
-				c.submit(t, attempt+1, firstAt)
-			})
-			return
-		}
-		if o == db.Rejected && c.Retry.Enabled() && attempt >= c.Retry.MaxAttempts {
-			c.giveUps++
-		}
-		if attempt > 1 {
-			c.retryLat.Add((c.k.Now() - firstAt).Millis())
-		}
-		if c.OnDone != nil {
-			c.OnDone(c, t, o)
-		}
-		// Think, then issue the next request. Aborted transactions
-		// are not resubmitted (Section 5.1); rejected ones were handled
-		// above.
-		c.k.Schedule(c.thinkDur(), c.issue)
+// resolved receives a transaction's final outcome from the retry loop:
+// report it, think, then issue the next request.
+func (c *Client) resolved(t *db.Txn, o db.Outcome) {
+	if c.OnDone != nil {
+		c.OnDone(c, t, o)
 	}
-	c.Server.Submit(t)
+	c.k.Schedule(c.thinkDur(), c.issue)
 }

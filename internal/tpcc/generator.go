@@ -9,6 +9,12 @@ import (
 // Generator produces transaction instances for one site. Every site owns a
 // generator so transaction and inserted-row identifiers never collide across
 // replicas.
+//
+// Generation is split where randomness ends. Draw spends every RNG draw and
+// counter step of one transaction and leaves the result in a Draft; Build
+// turns a draft into the db.Txn a server executes, and draws nothing. Next
+// and NextOfClass do both at once; the aggregate tier draws at arrival and
+// builds only if a server admits the transaction.
 type Generator struct {
 	cal        *Calibration
 	rng        *sim.RNG
@@ -17,7 +23,45 @@ type Generator struct {
 
 	tidCounter    uint32
 	insertCounter uint64
+
+	// scratch is the draft Next and NextOfClass draw into, and union the
+	// read-set-covers-write-set concatenation Build sorts a copy of: both
+	// keep their backing arrays from one transaction to the next.
+	scratch Draft
+	union   []dbsm.TupleID
 }
+
+// Draft is one drawn, unbuilt transaction: identity, flags, cost samples and
+// the keys it will touch, in draw order. Draw resets and refills it, reusing
+// the key slices' backing arrays.
+type Draft struct {
+	TID       uint64
+	Class     string
+	ReadOnly  bool
+	UserAbort bool
+	// WriteBytes is the total size of written values.
+	WriteBytes int
+	// CPU is the processing-time sample Build slices into quanta; CommitCPU
+	// the commit operation's.
+	CPU       sim.Time
+	CommitCPU sim.Time
+	// FetchOnly items are fetched during execution but excluded from the
+	// certification read-set: they model reads of columns no transaction
+	// class ever writes (e.g. new-order reading W_TAX and D_TAX while payment
+	// updates W_YTD and D_YTD), where row-granularity certification would
+	// manufacture conflicts that do not exist semantically.
+	FetchOnly []dbsm.TupleID
+	Reads     []dbsm.TupleID
+	Writes    []dbsm.TupleID
+}
+
+// Key-count maxima over the five classes: new-order fetches 2 unwritten rows
+// and writes 2 rows per order line plus 2 inserts; stock-level reads the most.
+const (
+	maxFetchOnly = 2
+	maxReads     = 1 + 2*20
+	maxWrites    = 2*15 + 2
+)
 
 // NewGenerator builds a generator for a site over a database of the given
 // scale.
@@ -31,55 +75,59 @@ func NewGenerator(site dbsm.SiteID, warehouses int, cal *Calibration, rng *sim.R
 // Warehouses reports the configured database scale.
 func (g *Generator) Warehouses() int { return g.warehouses }
 
-// Next draws the next transaction for a client whose home warehouse is
-// homeWH (0-based).
+// Next draws and builds the next transaction for a client whose home
+// warehouse is homeWH (0-based).
 func (g *Generator) Next(homeWH int) *db.Txn {
-	if homeWH >= g.warehouses {
-		homeWH = homeWH % g.warehouses
-	}
 	r := g.rng.Float64()
+	class := ArrivalStockLevel
 	switch c := g.cal; {
 	case r < c.MixNewOrder:
-		return g.newOrder(homeWH)
+		class = ArrivalNewOrder
 	case r < c.MixNewOrder+c.MixPayment:
-		return g.payment(homeWH)
+		class = ArrivalPayment
 	case r < c.MixNewOrder+c.MixPayment+c.MixOrderStatus:
-		return g.orderStatus(homeWH)
+		class = ArrivalOrderStatus
 	case r < c.MixNewOrder+c.MixPayment+c.MixOrderStatus+c.MixDelivery:
-		return g.delivery(homeWH)
-	default:
-		return g.stockLevel(homeWH)
+		class = ArrivalDelivery
 	}
+	return g.NextOfClass(class, homeWH)
 }
 
-// NextOfClass draws the next transaction of a fixed top-level class for a
-// client homed at homeWH. The aggregate client tier uses this after its own
-// per-class thinning of the arrival process; the long/short variant choice
-// and every other keying decision still come from this generator's stream,
-// exactly as under Next.
+// NextOfClass draws and builds the next transaction of a fixed top-level
+// class for a client homed at homeWH: Draw into the generator's own scratch
+// draft, then Build.
+func (g *Generator) NextOfClass(class ArrivalClass, homeWH int) *db.Txn {
+	g.Draw(&g.scratch, class, homeWH)
+	t := new(db.Txn)
+	g.Build(&g.scratch, t)
+	return t
+}
+
+// Draw fills d with the next transaction of a top-level class for a client
+// homed at homeWH. The long/short variant choice and every other keying
+// decision come from this generator's stream, and the transaction and
+// inserted-row counters advance, whether or not the draft is ever built: an
+// arrival a server refuses consumes exactly what an executed one does.
 //
 //hot:path
-func (g *Generator) NextOfClass(class ArrivalClass, homeWH int) *db.Txn {
+func (g *Generator) Draw(d *Draft, class ArrivalClass, homeWH int) {
 	if homeWH >= g.warehouses {
 		homeWH = homeWH % g.warehouses
 	}
+	d.ReadOnly, d.UserAbort, d.WriteBytes = false, false, 0
+	d.FetchOnly, d.Reads, d.Writes = d.FetchOnly[:0], d.Reads[:0], d.Writes[:0]
 	switch class {
 	case ArrivalNewOrder:
-		return g.newOrder(homeWH)
+		g.newOrder(d, homeWH)
 	case ArrivalPayment:
-		return g.payment(homeWH)
+		g.payment(d, homeWH)
 	case ArrivalOrderStatus:
-		return g.orderStatus(homeWH)
+		g.orderStatus(d, homeWH)
 	case ArrivalDelivery:
-		return g.delivery(homeWH)
+		g.delivery(d, homeWH)
 	default:
-		return g.stockLevel(homeWH)
+		g.stockLevel(d, homeWH)
 	}
-}
-
-func (g *Generator) nextTID() uint64 {
-	g.tidCounter++
-	return dbsm.MakeTID(g.site, g.tidCounter)
 }
 
 func (g *Generator) nextInsert(table uint16, wh int) dbsm.TupleID {
@@ -87,22 +135,32 @@ func (g *Generator) nextInsert(table uint16, wh int) dbsm.TupleID {
 	return insertRow(table, g.site, wh, g.insertCounter)
 }
 
-// build assembles a db.Txn: fetch operations for every read item, processing
-// sliced into round-robin quanta, and the commit cost sample. fetchOnly
-// items are fetched during execution but excluded from the certification
-// read-set: they model reads of columns no transaction class ever writes
-// (e.g. new-order reading W_TAX and D_TAX while payment updates W_YTD and
-// D_YTD), where row-granularity certification would manufacture conflicts
-// that do not exist semantically.
-func (g *Generator) build(class string, readOnly bool, reads, writes, fetchOnly []dbsm.TupleID, writeBytes int, cpu sim.Time) *db.Txn {
-	ops := make([]db.Op, 0, len(reads)+len(fetchOnly)+int(cpu/g.cal.Quantum)+2)
-	for _, id := range fetchOnly {
+// seal ends a class function's draw: the class's processing-time sample, the
+// transaction identifier, the commit cost sample — in that order, after the
+// keys.
+//
+//hot:path
+func (g *Generator) seal(d *Draft, class string) {
+	d.Class = class
+	d.CPU = g.cal.CPU[class].SampleDur(g.rng)
+	g.tidCounter++
+	d.TID = dbsm.MakeTID(g.site, g.tidCounter)
+	d.CommitCPU = g.cal.CommitCPU.SampleDur(g.rng)
+}
+
+// Build assembles the executable transaction a draft describes into t:
+// fetch operations for every read item, processing sliced into round-robin
+// quanta, the two certification sets and the cost fields. It is the only
+// place a script or an item set is constructed, and it draws nothing.
+func (g *Generator) Build(d *Draft, t *db.Txn) {
+	ops := make([]db.Op, 0, len(d.Reads)+len(d.FetchOnly)+int(d.CPU/g.cal.Quantum)+2)
+	for _, id := range d.FetchOnly {
 		ops = append(ops, db.Op{Kind: db.OpFetch, Item: id})
 	}
-	for _, id := range reads {
+	for _, id := range d.Reads {
 		ops = append(ops, db.Op{Kind: db.OpFetch, Item: id})
 	}
-	for remaining := cpu; remaining > 0; remaining -= g.cal.Quantum {
+	for remaining := d.CPU; remaining > 0; remaining -= g.cal.Quantum {
 		q := g.cal.Quantum
 		if remaining < q {
 			q = remaining
@@ -112,24 +170,25 @@ func (g *Generator) build(class string, readOnly bool, reads, writes, fetchOnly 
 	// The read-set always covers the write-set: a transaction reads what
 	// it updates. Certification correctness of the preemption rule relies
 	// on this (Section 3.1).
-	rs := dbsm.NewItemSet(append(append([]dbsm.TupleID{}, reads...), writes...)...)
-	return &db.Txn{
-		TID:        g.nextTID(),
-		Class:      class,
-		ReadOnly:   readOnly,
-		Ops:        ops,
-		ReadSet:    rs,
-		WriteSet:   dbsm.NewItemSet(writes...),
-		WriteBytes: writeBytes,
-		CommitCPU:  g.cal.CommitCPU.SampleDur(g.rng),
-	}
+	g.union = append(append(g.union[:0], d.Reads...), d.Writes...)
+	t.TID = d.TID
+	t.Class = d.Class
+	t.ReadOnly = d.ReadOnly
+	t.UserAbort = d.UserAbort
+	t.Ops = ops
+	t.ReadSet = dbsm.NewItemSet(g.union...)
+	t.WriteSet = dbsm.NewItemSet(d.Writes...)
+	t.WriteBytes = d.WriteBytes
+	t.CommitCPU = d.CommitCPU
 }
 
 // newOrder: reads warehouse, district, customer, items and stocks; updates
 // the stocks and inserts order, new-order and order lines. 1% of instances
 // are rolled back by the application (TPC-C 2.4.1.4); 1% of order lines
 // come from a remote warehouse.
-func (g *Generator) newOrder(wh int) *db.Txn {
+//
+//hot:path
+func (g *Generator) newOrder(t *Draft, wh int) {
 	c := g.cal
 	d := g.rng.Intn(DistrictsPerWarehouse)
 	cust := g.rng.NURand(1023, 0, CustomersPerDistrict-1)
@@ -137,33 +196,31 @@ func (g *Generator) newOrder(wh int) *db.Txn {
 
 	// W_TAX and D_TAX are read but never written by any class: they are
 	// fetched without entering the certification read-set.
-	fetchOnly := []dbsm.TupleID{WarehouseRow(wh), DistrictRow(wh, d)}
-	reads := []dbsm.TupleID{CustomerRow(wh, d, cust)}
-	writes := make([]dbsm.TupleID, 0, 2*olcnt+3)
-	bytes := c.RowOrder + c.RowNewOrder
+	t.FetchOnly = append(t.FetchOnly, WarehouseRow(wh), DistrictRow(wh, d))
+	t.Reads = append(t.Reads, CustomerRow(wh, d, cust))
+	t.WriteBytes = c.RowOrder + c.RowNewOrder
 	for i := 0; i < olcnt; i++ {
 		item := g.rng.NURand(8191, 0, ItemCount-1)
 		supplyWH := wh
 		if g.warehouses > 1 && g.rng.Bool(0.01) {
 			supplyWH = g.rng.Intn(g.warehouses)
 		}
-		reads = append(reads, ItemRow(item), StockRow(supplyWH, item))
-		writes = append(writes, StockRow(supplyWH, item))
-		writes = append(writes, g.nextInsert(TableOrderLine, wh))
-		bytes += c.RowStock + c.RowOrderLine
+		t.Reads = append(t.Reads, ItemRow(item), StockRow(supplyWH, item))
+		t.Writes = append(t.Writes, StockRow(supplyWH, item), g.nextInsert(TableOrderLine, wh))
+		t.WriteBytes += c.RowStock + c.RowOrderLine
 	}
-	writes = append(writes, g.nextInsert(TableOrder, wh), g.nextInsert(TableNewOrder, wh))
-
-	t := g.build(ClassNewOrder, false, reads, writes, fetchOnly, bytes, c.CPU[ClassNewOrder].SampleDur(g.rng))
+	t.Writes = append(t.Writes, g.nextInsert(TableOrder, wh), g.nextInsert(TableNewOrder, wh))
+	g.seal(t, ClassNewOrder)
 	t.UserAbort = g.rng.Bool(c.NewOrderUserAbortFraction)
-	return t
 }
 
 // payment: updates the warehouse (the hot, W-row table driving write-write
 // conflicts), district and customer rows and inserts a history record. 15%
 // of payments go to a remote warehouse; 60% select the customer by last
 // name (the long variant, more processing).
-func (g *Generator) payment(homeWH int) *db.Txn {
+//
+//hot:path
+func (g *Generator) payment(t *Draft, homeWH int) {
 	c := g.cal
 	wh := homeWH
 	if g.warehouses > 1 && g.rng.Bool(c.RemoteWarehouseFraction) {
@@ -171,46 +228,37 @@ func (g *Generator) payment(homeWH int) *db.Txn {
 	}
 	d := g.rng.Intn(DistrictsPerWarehouse)
 	cust := g.rng.NURand(1023, 0, CustomersPerDistrict-1)
-	long := g.rng.Bool(c.PaymentLongFraction)
 	class := ClassPaymentShort
-	if long {
+	if g.rng.Bool(c.PaymentLongFraction) {
 		class = ClassPaymentLong
 	}
-	reads := []dbsm.TupleID{
-		WarehouseRow(wh),
-		DistrictRow(wh, d),
-		CustomerRow(wh, d, cust),
-	}
-	writes := []dbsm.TupleID{
-		WarehouseRow(wh),
-		DistrictRow(wh, d),
-		CustomerRow(wh, d, cust),
-		g.nextInsert(TableHistory, wh),
-	}
-	bytes := c.RowWarehouse + c.RowDistrict + c.RowCustomer + c.RowHistory
-	return g.build(class, false, reads, writes, nil, bytes, c.CPU[class].SampleDur(g.rng))
+	t.Reads = append(t.Reads, WarehouseRow(wh), DistrictRow(wh, d), CustomerRow(wh, d, cust))
+	t.Writes = append(t.Writes, WarehouseRow(wh), DistrictRow(wh, d), CustomerRow(wh, d, cust), g.nextInsert(TableHistory, wh))
+	t.WriteBytes = c.RowWarehouse + c.RowDistrict + c.RowCustomer + c.RowHistory
+	g.seal(t, class)
 }
 
 // orderStatus: read-only; reads a customer (by name 60% of the time — the
 // long variant) plus their most recent order and its lines.
-func (g *Generator) orderStatus(wh int) *db.Txn {
+//
+//hot:path
+func (g *Generator) orderStatus(t *Draft, wh int) {
 	c := g.cal
 	d := g.rng.Intn(DistrictsPerWarehouse)
 	cust := g.rng.NURand(1023, 0, CustomersPerDistrict-1)
-	long := g.rng.Bool(c.OrderStatusLongFraction)
 	class := ClassOrderStatusShort
-	if long {
+	if g.rng.Bool(c.OrderStatusLongFraction) {
 		class = ClassOrderStatusLong
 	}
-	reads := []dbsm.TupleID{CustomerRow(wh, d, cust)}
 	// The last order and its lines: synthetic identifiers; reads never
 	// conflict under the multi-version policy.
 	order := g.rng.Int63n(1 << 32)
-	reads = append(reads, dbsm.MakeTupleID(TableOrder, uint64(order)))
+	t.Reads = append(t.Reads, CustomerRow(wh, d, cust), dbsm.MakeTupleID(TableOrder, uint64(order)))
 	for i := 0; i < 10; i++ {
-		reads = append(reads, dbsm.MakeTupleID(TableOrderLine, uint64(order)*16+uint64(i)))
+		t.Reads = append(t.Reads, dbsm.MakeTupleID(TableOrderLine, uint64(order)*16+uint64(i)))
 	}
-	return g.build(class, true, reads, nil, nil, 0, c.CPU[class].SampleDur(g.rng))
+	t.ReadOnly = true
+	g.seal(t, class)
 }
 
 // delivery: CPU-bound; processes each district's oldest new-order, updating
@@ -218,35 +266,35 @@ func (g *Generator) orderStatus(wh int) *db.Txn {
 // head is the contention point between concurrent deliveries; the carrier
 // batch anchors on the district it starts from, so two deliveries conflict
 // only when they start from the same district of the same warehouse.
-func (g *Generator) delivery(wh int) *db.Txn {
+//
+//hot:path
+func (g *Generator) delivery(t *Draft, wh int) {
 	c := g.cal
-	reads := make([]dbsm.TupleID, 0, 2*DistrictsPerWarehouse+1)
-	writes := make([]dbsm.TupleID, 0, 2*DistrictsPerWarehouse+1)
-	startDistrict := g.rng.Intn(DistrictsPerWarehouse)
-	queue := NewOrderQueueRow(wh, startDistrict)
-	reads = append(reads, queue)
-	writes = append(writes, queue)
-	bytes := c.RowNewOrder
+	queue := NewOrderQueueRow(wh, g.rng.Intn(DistrictsPerWarehouse))
+	t.Reads = append(t.Reads, queue)
+	t.Writes = append(t.Writes, queue)
+	t.WriteBytes = c.RowNewOrder
 	for d := 0; d < DistrictsPerWarehouse; d++ {
 		order := existingOrderRow(wh, uint64(g.rng.Int63n(1<<24)))
 		cust := CustomerRow(wh, d, g.rng.NURand(1023, 0, CustomersPerDistrict-1))
-		reads = append(reads, order, cust)
-		writes = append(writes, order, cust)
-		bytes += c.RowOrder + 100 // balance delta, not the full row
+		t.Reads = append(t.Reads, order, cust)
+		t.Writes = append(t.Writes, order, cust)
+		t.WriteBytes += c.RowOrder + 100 // balance delta, not the full row
 	}
-	return g.build(ClassDelivery, false, reads, writes, nil, bytes, c.CPU[ClassDelivery].SampleDur(g.rng))
+	g.seal(t, ClassDelivery)
 }
 
 // stockLevel: read-only; examines the district, recent order lines, and the
 // stock of their items.
-func (g *Generator) stockLevel(wh int) *db.Txn {
-	c := g.cal
+//
+//hot:path
+func (g *Generator) stockLevel(t *Draft, wh int) {
 	d := g.rng.Intn(DistrictsPerWarehouse)
-	reads := []dbsm.TupleID{DistrictRow(wh, d)}
+	t.Reads = append(t.Reads, DistrictRow(wh, d))
 	for i := 0; i < 20; i++ {
 		ol := g.rng.Int63n(1 << 32)
-		reads = append(reads, dbsm.MakeTupleID(TableOrderLine, uint64(ol)))
-		reads = append(reads, StockRow(wh, g.rng.Intn(ItemCount)))
+		t.Reads = append(t.Reads, dbsm.MakeTupleID(TableOrderLine, uint64(ol)), StockRow(wh, g.rng.Intn(ItemCount)))
 	}
-	return g.build(ClassStockLevel, true, reads, nil, nil, 0, c.CPU[ClassStockLevel].SampleDur(g.rng))
+	t.ReadOnly = true
+	g.seal(t, ClassStockLevel)
 }

@@ -3,6 +3,7 @@ package tpcc
 import (
 	"testing"
 
+	"repro/internal/db"
 	"repro/internal/sim"
 )
 
@@ -16,6 +17,77 @@ func TestRetryPolicyEnabled(t *testing.T) {
 		if got := (RetryPolicy{MaxAttempts: tc.attempts}).Enabled(); got != tc.want {
 			t.Fatalf("MaxAttempts=%d: Enabled = %v, want %v", tc.attempts, got, tc.want)
 		}
+	}
+}
+
+// TestClientRetryAndGiveUp is TestAggregateRetryAndGiveUp for the individual
+// tier, which runs the same retry loop: one Client against a server that
+// refuses everything until, in the middle of some backoff, the gate opens.
+// Refusals are retried within the budget, exhausted budgets are give-ups,
+// RetryLat samples exactly the transactions that needed a retry, and OnDone
+// fires once per transaction, never between a rejection and its resubmission.
+func TestClientRetryAndGiveUp(t *testing.T) {
+	k := sim.NewKernel()
+	server := newAggServer(k)
+	server.SetBackpressure(true)
+	cl := &Client{
+		Server: server,
+		Gen:    NewGenerator(1, 1, DefaultCalibration(), sim.NewRNG(2)),
+		Think:  100 * sim.Millisecond,
+		Retry:  RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * sim.Millisecond, MaxBackoff: 200 * sim.Millisecond},
+	}
+	var outcomes []db.Outcome
+	cl.OnDone = func(c *Client, _ *db.Txn, o db.Outcome) {
+		if c.RetryPending() {
+			t.Fatal("OnDone fired with a resubmission still pending")
+		}
+		outcomes = append(outcomes, o)
+	}
+	cl.Stop = func() bool { return cl.Issued() >= 12 }
+	cl.Start(k, sim.NewRNG(3))
+	var openGate func()
+	openGate = func() {
+		if cl.GiveUps() < 3 || !cl.RetryPending() {
+			k.Schedule(sim.Millisecond, openGate)
+			return
+		}
+		server.SetBackpressure(false)
+	}
+	k.Schedule(0, openGate)
+	if err := k.RunUntil(sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+
+	if cl.RetryPending() {
+		t.Fatal("retry still pending after a drained run")
+	}
+	if cl.Issued() != 12 || len(outcomes) != 12 {
+		t.Fatalf("issued %d, OnDone fired %d times, want 12 and 12", cl.Issued(), len(outcomes))
+	}
+	var refused int64
+	for _, o := range outcomes {
+		if o == db.Rejected {
+			refused++
+		}
+	}
+	if refused < 3 || refused != cl.GiveUps() {
+		t.Fatalf("%d transactions ended rejected, %d give-ups counted, want equal and >= 3", refused, cl.GiveUps())
+	}
+	// Each give-up spent the whole budget; the transaction in backoff when
+	// the gate opened got in on its second or third submission; every later
+	// one on its first.
+	if r := cl.Retries() - 2*refused; r != 1 && r != 2 {
+		t.Fatalf("%d retries for %d give-ups: the admitted-on-retry transaction used %d", cl.Retries(), refused, r)
+	}
+	if n := int64(cl.RetryLat().N()); n != refused+1 {
+		t.Fatalf("%d retry latencies, want one per give-up plus the one admitted on a retry (%d)", n, refused+1)
+	}
+	if min := cl.RetryLat().Min(); min < 10 {
+		t.Fatalf("shortest retried latency %.1fms, below the shortest first backoff", min)
+	}
+	if sub, _, _, rej := server.Totals(); sub != cl.Issued()+cl.Retries() || rej != refused+cl.Retries() {
+		t.Fatalf("server saw %d submissions and %d rejections, want issued %d + retries %d and give-ups %d + retries",
+			sub, rej, cl.Issued(), cl.Retries(), refused)
 	}
 }
 
