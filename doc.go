@@ -108,7 +108,14 @@
 // history scan, kept as dbsm.NewScanCertifier for exactly that purpose), the
 // kernel schedules through a pointer-free 4-ary heap over pooled event
 // slots, and the wire path hands buffers zero-copy from sender to receivers
-// with pooled packets and thunks. What that costs the host is measured by
+// with pooled packets and thunks. A multicast body is copied twice on its
+// way, and only the first copy allocates: gcs's cast copies it into the wire
+// chunks the send window keeps for retransmission (shared read-only with the
+// network and every receiver — many owners, so not pooled), and a receiver
+// puts a message of several chunks together once, in a buffer from a
+// per-stack free list that returns there when the delivery upcall does
+// (gcs.Delivery.Payload is valid for the upcall; a consumer copies what it
+// keeps). What that costs the host is measured by
 // one command, `bash bench/run.sh all` (five workloads, eight end-to-end
 // metrics, a per-layer ledger; bench/README.md holds the committed
 // baseline); cmd/experiments prints simulated quantities only, so its

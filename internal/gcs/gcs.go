@@ -162,7 +162,9 @@ type Delivery struct {
 	Global uint64
 	// Sender is the originating member.
 	Sender NodeID
-	// Payload is the application data.
+	// Payload is the application data, valid until the OnDeliver upcall
+	// returns: the stack reuses the bytes afterwards, so the consumer must
+	// copy anything it retains past the upcall.
 	Payload []byte
 }
 
@@ -180,7 +182,10 @@ type OptDelivery struct {
 	// MsgID identifies the message within the sender's stream; the final
 	// Delivery for the same message carries the same sender and payload.
 	MsgID uint64
-	// Payload is the application data.
+	// Payload is the application data, valid until the final Delivery or
+	// OnOptimisticDiscard upcall for the same message returns: the stack
+	// reuses the bytes afterwards, so the consumer must copy anything it
+	// retains past that.
 	Payload []byte
 }
 
@@ -311,19 +316,23 @@ func New(rt runtimeapi.Runtime, cfg Config) (*Stack, error) {
 	return s, nil
 }
 
-// OnDeliver installs the total-order delivery upcall. Must be set before
-// Start.
+// OnDeliver installs the total-order delivery upcall. Delivery.Payload is
+// valid until the upcall returns; the consumer must copy anything it retains
+// past it. Must be set before Start.
 func (s *Stack) OnDeliver(fn func(Delivery)) { s.onDeliver = fn }
 
 // OnOptimistic installs the tentative-delivery upcall, enabling optimistic
-// total order. Must be set before Start.
+// total order. OptDelivery.Payload is valid until the message's final
+// Delivery (or OnOptimisticDiscard) upcall returns; the consumer must copy
+// anything it retains past that. Must be set before Start.
 func (s *Stack) OnOptimistic(fn func(OptDelivery)) { s.onOpt = fn }
 
 // OnOptimisticDiscard installs the upcall for tentatively-delivered messages
 // the group discards during a view change (an excluded member's message
 // beyond the flush target): they will never reach final delivery, so a
-// consumer holding speculative state for them must cancel it. Must be set
-// before Start.
+// consumer holding speculative state for them must cancel it.
+// OptDelivery.Payload is valid until the upcall returns; the consumer must
+// copy anything it retains past it. Must be set before Start.
 func (s *Stack) OnOptimisticDiscard(fn func(OptDelivery)) { s.onOptDiscard = fn }
 
 // OnViewChange installs the view installation upcall.
@@ -380,10 +389,10 @@ func (s *Stack) Stop() { s.halt() }
 
 // halt is the single stop path — explicit Stop, exclusion from the view, and
 // quorum-loss wedging all land here. Beyond silencing the stack it releases
-// every receive- and send-side buffer immediately: a halted member never
-// reaches another stability GC round, so waiting for one would leak each
-// buffered message (and the wire bytes its payload aliases) for the rest of
-// the run.
+// every receive- and send-side buffer, and the free lists, immediately: a
+// halted member never reaches another stability GC round, so waiting for one
+// would leak each buffered message (and the wire bytes its payload aliases)
+// for the rest of the run.
 func (s *Stack) halt() {
 	if s.stopped {
 		return

@@ -62,7 +62,7 @@ func newCluster(t *testing.T, n int, seed int64, tweak func(*Config)) *cluster {
 		}
 		nodeID := id
 		st.OnDeliver(func(d Delivery) {
-			c.delivered[nodeID] = append(c.delivered[nodeID], d)
+			c.delivered[nodeID] = append(c.delivered[nodeID], keep(d))
 		})
 		st.OnViewChange(func(v View) {
 			c.views[nodeID] = append(c.views[nodeID], v)
@@ -72,6 +72,13 @@ func newCluster(t *testing.T, n int, seed int64, tweak func(*Config)) *cluster {
 		st.Start()
 	}
 	return c
+}
+
+// keep copies a delivery's payload so the test may hold it past the upcall:
+// the stack reuses the bytes as soon as the upcall returns.
+func keep(d Delivery) Delivery {
+	d.Payload = bytes.Clone(d.Payload)
+	return d
 }
 
 // castAt schedules an application multicast from a node at a simulated time.

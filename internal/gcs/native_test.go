@@ -65,12 +65,14 @@ func TestStackRunsOnNativeRuntime(t *testing.T) {
 		self := id
 		st.OnDeliver(func(d Delivery) {
 			mu.Lock()
-			delivered[self] = append(delivered[self], d)
+			delivered[self] = append(delivered[self], keep(d))
 			mu.Unlock()
 		})
 		natives[id] = nat
 		stacks[id] = st
-		st.Start()
+		// Start belongs to the dispatch context: a peer that is already up may
+		// be sending, and receive runs on the dispatch loop.
+		nat.StartJob(0, st.Start)
 	}
 
 	// Each member multicasts 10 payloads, injected through the runtime's

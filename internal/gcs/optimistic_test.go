@@ -17,6 +17,7 @@ func newOptCluster(t *testing.T, n int, seed int64) (*cluster, map[NodeID][]OptD
 	for id, st := range c.stacks {
 		nodeID := id
 		st.OnOptimistic(func(d OptDelivery) {
+			d.Payload = bytes.Clone(d.Payload) // held past the final delivery
 			opts[nodeID] = append(opts[nodeID], d)
 		})
 	}

@@ -1,0 +1,160 @@
+package gcs
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// pattern fills n bytes with a sequence that depends on salt, so two
+// messages of equal length never compare equal.
+func pattern(n int, salt byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i)*7 + salt
+	}
+	return b
+}
+
+// feed hands one message of sender's stream to st the way receive does once
+// the datagrams are parsed: chunk by chunk through onData, in pooled dataMsg
+// structs. It returns the sequence number of the last chunk.
+func feed(st *Stack, sender NodeID, firstSeq uint64, kind byte, payload []byte) uint64 {
+	maxChunk := st.cfg.MaxPacket - dataHeader
+	n := (len(payload) + maxChunk - 1) / maxChunk
+	for i := 0; i < n; i++ {
+		m := st.rm.newMsg()
+		m.Sender, m.Seq, m.Payload = sender, firstSeq+uint64(i), kind
+		switch {
+		case n == 1:
+			m.Frag = fragFull
+		case i == 0:
+			m.Frag = fragFirst
+		case i == n-1:
+			m.Frag = fragLast
+		default:
+			m.Frag = fragMid
+		}
+		m.Data = payload[i*maxChunk : min((i+1)*maxChunk, len(payload))]
+		st.rm.onData(m)
+	}
+	return firstSeq + uint64(n) - 1
+}
+
+// Two fragmented messages delivered back to back: each payload is intact
+// inside its own upcall, and the second is reassembled in the buffer the
+// first one gave back — the reassembly copy is the only one, and it lands in
+// recycled memory.
+func TestReassemblyBufferRecycled(t *testing.T) {
+	c := newCluster(t, 3, 71, nil)
+	want := [][]byte{pattern(5000, 1), pattern(4500, 2)}
+	var backing []*byte
+	c.stacks[3].OnDeliver(func(d Delivery) {
+		i := len(backing)
+		if i >= len(want) || !bytes.Equal(d.Payload, want[i]) {
+			t.Fatalf("delivery %d: payload corrupted inside its upcall", i)
+		}
+		backing = append(backing, &d.Payload[0])
+	})
+	c.castAt(10*sim.Millisecond, 1, want[0])
+	c.castAt(50*sim.Millisecond, 1, want[1])
+	c.run(1 * sim.Second)
+	if len(backing) != 2 {
+		t.Fatalf("node 3 delivered %d messages, want 2", len(backing))
+	}
+	if backing[0] != backing[1] {
+		t.Fatal("second fragmented message was not reassembled in the first one's buffer")
+	}
+	if n := len(c.stacks[3].rm.freeBodies); n != 1 {
+		t.Fatalf("free list holds %d buffers after both deliveries, want the one they shared", n)
+	}
+}
+
+// A warm receive of a fragmented message — three chunks through onData,
+// reassembly, ordering, the delivery upcall, the buffer's return — allocates
+// nothing.
+func TestFragmentedReceiveAllocFree(t *testing.T) {
+	c := newCluster(t, 3, 72, nil)
+	st := c.stacks[2] // not the sequencer: ordering arrives as an announcement
+	body := pattern(4096, 3)
+	delivered := 0
+	st.OnDeliver(func(d Delivery) {
+		if len(d.Payload) == len(body) && d.Payload[4095] == body[4095] {
+			delivered++
+		}
+	})
+	const sender, sequencer = NodeID(3), NodeID(1)
+	assign := make([]seqAssign, 1)
+	var seq, global uint64
+	receive := func() {
+		global++
+		assign[0] = seqAssign{Sender: sender, Seq: seq + 1, Global: global}
+		st.to.onAssigns(sequencer, global, assign)
+		seq = feed(st, sender, seq+1, payloadApp, body)
+		st.rm.gcStable(sender, seq) // what stability gossip does: vacate the receive buffer
+	}
+	allocs := testing.AllocsPerRun(100, receive)
+	if delivered != 101 {
+		t.Fatalf("delivered %d of 101 messages", delivered)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm fragmented receive: %v allocs/op, want 0", allocs)
+	}
+}
+
+// An assignment batch too large for one chunk is reassembled in a pooled
+// buffer like any other message, and gives it back as soon as it is decoded.
+func TestFragmentedAssignBatchReturnsBuffer(t *testing.T) {
+	c := newCluster(t, 3, 73, nil)
+	st := c.stacks[2]
+	batch := make([]seqAssign, 100) // 2+20*100 bytes: two chunks
+	for i := range batch {
+		batch[i] = seqAssign{Sender: 3, Seq: uint64(i + 1), Global: uint64(i + 1)}
+	}
+	c.k.ScheduleAt(10*sim.Millisecond, func() {
+		c.rts[2].CPUs().SubmitReal(func() {
+			feed(st, 1, 1, payloadSeq, marshalAssigns(nil, batch))
+		}, nil)
+	})
+	c.run(20 * sim.Millisecond)
+	if len(st.to.order) != len(batch) {
+		t.Fatalf("recorded %d of %d assignments", len(st.to.order), len(batch))
+	}
+	if n := len(st.rm.freeBodies); n != 1 {
+		t.Fatalf("free list holds %d buffers after the batch, want 1", n)
+	}
+	if st.rm.peers[1].body != nil {
+		t.Fatal("reassembly buffer still attached to the sequencer's stream")
+	}
+}
+
+// halt drops the free list with every other buffer, and a buffer that comes
+// back afterwards — the delivery upcall itself stopped the stack — is not
+// kept either.
+func TestHaltDropsFreeList(t *testing.T) {
+	c := newCluster(t, 3, 74, nil)
+	st := c.stacks[3]
+	deliveries := 0
+	st.OnDeliver(func(Delivery) {
+		if deliveries++; deliveries == 2 {
+			st.Stop()
+		}
+	})
+	c.castAt(10*sim.Millisecond, 1, pattern(5000, 4))
+	c.castAt(50*sim.Millisecond, 1, pattern(5000, 5))
+	c.run(40 * sim.Millisecond)
+	if deliveries != 1 || len(st.rm.freeBodies) != 1 {
+		t.Fatalf("before halt: %d deliveries, %d free buffers, want 1 and 1", deliveries, len(st.rm.freeBodies))
+	}
+	c.run(1 * sim.Second)
+	if deliveries != 2 || !st.Stopped() {
+		t.Fatalf("second delivery did not stop the stack (deliveries=%d)", deliveries)
+	}
+	if n := st.BufferedMessages(); n != 0 {
+		t.Fatalf("halted stack still buffers %d messages", n)
+	}
+	if n := len(st.rm.freeBodies); n != 0 {
+		t.Fatalf("halted stack keeps %d free reassembly buffers", n)
+	}
+}

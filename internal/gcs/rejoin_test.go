@@ -35,7 +35,7 @@ func (c *cluster) rejoinNode(at sim.Time, id NodeID, n int, joinSeq *uint64) {
 			c.t.Fatal(err)
 		}
 		st.OnDeliver(func(d Delivery) {
-			c.delivered[id] = append(c.delivered[id], d)
+			c.delivered[id] = append(c.delivered[id], keep(d))
 		})
 		st.OnViewChange(func(v View) {
 			c.views[id] = append(c.views[id], v)

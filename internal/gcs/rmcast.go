@@ -42,10 +42,29 @@ type relMcast struct {
 
 	// freeMsgs recycles dataMsg structs: a chunk's struct lives in a
 	// peer's receive buffer from reception until stability GC (or
-	// exclusion), then returns to the pool. The payload bytes are not
-	// pooled — they alias the sender's wire buffer (zero-copy path).
+	// exclusion), then returns to the pool. A chunk's Data aliases the
+	// sender's wire buffer (zero-copy path).
 	freeMsgs []*dataMsg
+
+	// freeBodies recycles reassembly buffers: a fragmented message is put
+	// together in one (fifoDeliver), travels with it through the total
+	// order layer, and the buffer comes back when the delivery upcall
+	// returns — which is why a Payload is only valid for the length of its
+	// upcall. Only the stack's dispatch context touches the list.
+	freeBodies [][]byte
 }
+
+const (
+	// bodyCap is what a free-list miss allocates: room for the typical
+	// fragmented certification message (about 4 KB); append grows the rare
+	// larger one, and the grown buffer is the one that returns to the list.
+	bodyCap = 4096
+	// maxFreeBodies bounds the list. Buffers in circulation track the
+	// reassembled-but-undelivered messages, tens in steady state; after a
+	// stall that queued hundreds the surplus goes to the collector instead
+	// of staying pinned for the rest of the run.
+	maxFreeBodies = 64
+)
 
 type outChunk struct {
 	seq  uint64
@@ -62,12 +81,12 @@ type peerState struct {
 	repairTarget NodeID // where to send NACKs (sender, or holder in flush)
 	excluded     bool
 
-	// Reassembly of fragmented application messages.
-	reasm        []byte
-	reasmMsgID   uint64
-	reasmKind    byte
-	reasmActive  bool
-	lastChunkSeq uint64 // of the message being reassembled
+	// Reassembly of a fragmented message: body is the pooled buffer its
+	// chunks are appended to, non-nil from the first chunk until the last
+	// hands it upward.
+	body       []byte
+	reasmMsgID uint64
+	reasmKind  byte
 }
 
 func newRelMcast(s *Stack) *relMcast {
@@ -105,6 +124,40 @@ func (rm *relMcast) newMsg() *dataMsg {
 func (rm *relMcast) recycleMsg(m *dataMsg) {
 	m.Data = nil
 	rm.freeMsgs = append(rm.freeMsgs, m)
+}
+
+// newBody takes an empty reassembly buffer from the free list (or allocates
+// one).
+//
+//hot:path
+func (rm *relMcast) newBody() []byte {
+	if n := len(rm.freeBodies); n > 0 {
+		b := rm.freeBodies[n-1]
+		rm.freeBodies[n-1] = nil
+		rm.freeBodies = rm.freeBodies[:n-1]
+		return b
+	}
+	//lint:hotalloc-ok pool miss; the buffer joins the free list after its first delivery
+	return make([]byte, 0, bodyCap)
+}
+
+// recycleBody returns a reassembly buffer nobody may read any more: the
+// delivery upcall it was lent to has returned, or its message was cut short.
+// A halted stack keeps no list (releaseAll), so an upcall that stopped the
+// stack drops its buffer here.
+//
+//hot:path
+func (rm *relMcast) recycleBody(b []byte) {
+	if poisonRecycled {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xFF
+		}
+	}
+	if rm.s.stopped || len(rm.freeBodies) >= maxFreeBodies {
+		return
+	}
+	rm.freeBodies = append(rm.freeBodies, b[:0])
 }
 
 func (rm *relMcast) peer(id NodeID) *peerState {
@@ -431,39 +484,59 @@ func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 	}
 }
 
-// fifoDeliver advances a sender's FIFO stream by one chunk, reassembling
-// fragmented messages and routing complete ones upward.
+// fifoDeliver advances a sender's FIFO stream by one chunk and routes
+// complete messages upward. A single-chunk message goes up aliasing the wire
+// buffer; a fragmented one is copied once, chunk by chunk, into a pooled
+// buffer that goes up as it is.
+//
+//hot:path
 func (rm *relMcast) fifoDeliver(ps *peerState, m *dataMsg) {
 	switch m.Frag {
 	case fragFull:
-		rm.complete(ps.id, m.Seq, m.Seq, m.Payload, m.Data)
+		rm.complete(ps.id, m.Seq, m.Seq, m.Payload, m.Data, false)
 	case fragFirst:
-		ps.reasmActive = true
+		buf := rm.newBody()
 		ps.reasmMsgID = m.Seq
 		ps.reasmKind = m.Payload
-		ps.reasm = append(ps.reasm[:0], m.Data...)
+		//lint:hotalloc-ok fills a pooled buffer; growth past its capacity is amortised over the buffer's reuse
+		ps.body = append(buf, m.Data...)
 	case fragMid:
-		if ps.reasmActive {
-			ps.reasm = append(ps.reasm, m.Data...)
+		if ps.body != nil {
+			ps.body = append(ps.body, m.Data...)
 		}
 	case fragLast:
-		if ps.reasmActive {
-			ps.reasm = append(ps.reasm, m.Data...)
-			data := make([]byte, len(ps.reasm))
-			copy(data, ps.reasm)
-			ps.reasmActive = false
-			rm.complete(ps.id, ps.reasmMsgID, m.Seq, ps.reasmKind, data)
+		if ps.body != nil {
+			//lint:hotalloc-ok same pooled buffer, leaving ps for the layer above
+			data := append(ps.body, m.Data...)
+			ps.body = nil
+			rm.complete(ps.id, ps.reasmMsgID, m.Seq, ps.reasmKind, data, true)
 		}
 	}
 }
 
+// dropPartial abandons the message p's stream was in the middle of: a view
+// change cut the stream, so its last chunk will never be accepted.
+func (rm *relMcast) dropPartial(ps *peerState) {
+	if ps.body != nil {
+		rm.recycleBody(ps.body)
+		ps.body = nil
+	}
+}
+
 // complete routes a fully reassembled message to the total order layer.
-func (rm *relMcast) complete(sender NodeID, msgID, lastSeq uint64, payloadKind byte, data []byte) {
+// recycled marks data as a free-list buffer (newBody) whose last reader must
+// hand it back.
+//
+//hot:path
+func (rm *relMcast) complete(sender NodeID, msgID, lastSeq uint64, payloadKind byte, data []byte, recycled bool) {
 	switch payloadKind {
 	case payloadApp:
-		rm.s.to.onAppData(sender, msgID, lastSeq, data)
+		rm.s.to.onAppData(sender, msgID, lastSeq, data, recycled)
 	case payloadSeq:
 		assigns, err := parseAssignsInto(rm.s.to.assignScratch, data)
+		if recycled {
+			rm.recycleBody(data) // decoded into assignScratch: nothing reads the bytes again
+		}
 		if err != nil {
 			rm.s.stats.ParseErrors++
 			return
@@ -541,8 +614,7 @@ func (rm *relMcast) resetPeer(p NodeID, upto uint64) {
 		// without it a rejoin would stall the sender for a gossip period.
 		rm.credits.ack(p, rm.stableSelf)
 	}
-	ps.reasmActive = false
-	ps.reasm = ps.reasm[:0]
+	rm.dropPartial(ps)
 	if ps.nackTimer != nil {
 		ps.nackTimer.Cancel()
 		ps.nackTimer = nil
@@ -576,8 +648,7 @@ func (rm *relMcast) resetSelf() {
 func (rm *relMcast) releaseAll() {
 	for _, ps := range rm.peers {
 		ps.recvBuf = nil
-		ps.reasm = nil
-		ps.reasmActive = false
+		ps.body = nil
 		if ps.nackTimer != nil {
 			ps.nackTimer.Cancel()
 			ps.nackTimer = nil
@@ -588,6 +659,7 @@ func (rm *relMcast) releaseAll() {
 	rm.outQ = nil
 	rm.outQBytes = 0
 	rm.freeMsgs = nil
+	rm.freeBodies = nil
 	if rm.rateTimer != nil {
 		rm.rateTimer.Cancel()
 		rm.rateTimer = nil
@@ -609,10 +681,7 @@ func (rm *relMcast) excludePeer(p NodeID, upto uint64) {
 	if ps.maxSeen > upto {
 		ps.maxSeen = upto
 	}
-	if ps.reasmActive {
-		ps.reasmActive = false
-		ps.reasm = ps.reasm[:0]
-	}
+	rm.dropPartial(ps)
 	if ps.nackTimer != nil {
 		ps.nackTimer.Cancel()
 		ps.nackTimer = nil

@@ -88,8 +88,9 @@ type msgKey struct {
 }
 
 type pendingMsg struct {
-	data    []byte
-	lastSeq uint64 // sequence number of the message's last chunk
+	data     []byte
+	lastSeq  uint64 // sequence number of the message's last chunk
+	recycled bool   // data is a free-list buffer: tryDeliver hands it back
 }
 
 // annMeta is one assignment's provenance: the member that announced it and
@@ -130,9 +131,11 @@ func newTotalOrder(s *Stack) *totalOrder {
 // an order for a body the other survivors repaired past and can never
 // obtain (the exclusion drops it), wedging their delivery forever.
 // Deferred messages are assigned at install, after the beyond-target purge.
-func (to *totalOrder) onAppData(sender NodeID, msgID, lastSeq uint64, data []byte) {
+//
+//hot:path
+func (to *totalOrder) onAppData(sender NodeID, msgID, lastSeq uint64, data []byte, recycled bool) {
 	key := msgKey{sender: sender, msgID: msgID}
-	to.pending[key] = pendingMsg{data: data, lastSeq: lastSeq}
+	to.pending[key] = pendingMsg{data: data, lastSeq: lastSeq, recycled: recycled}
 	if to.s.onOpt != nil {
 		// Optimistic total order: tentatively deliver in spontaneous
 		// (arrival) order, before the sequencer's assignment.
@@ -374,6 +377,13 @@ func (to *totalOrder) rollbackUnagreed(announcer NodeID, target uint64) {
 // cover a message the installed view discards (view synchrony would break —
 // this member would have delivered something the others never can).
 // Installation resumes delivery.
+//
+// The body is lent to the application for the length of the upcall: a
+// reassembled one returns to the reliable layer's free list as soon as the
+// upcall comes back. Bodies dropped undelivered — purgeSender, skipTo, the
+// catch-up skip in onAssigns, halt — are rare and left to the collector.
+//
+//hot:path
 func (to *totalOrder) tryDeliver() {
 	if to.s.rm.frozen {
 		return
@@ -416,6 +426,9 @@ func (to *totalOrder) tryDeliver() {
 			}
 		}
 		to.s.deliver(Delivery{Global: to.nextDeliver, Sender: key.sender, Payload: pm.data})
+		if pm.recycled {
+			to.s.rm.recycleBody(pm.data)
+		}
 	}
 	to.drainDeferred()
 }

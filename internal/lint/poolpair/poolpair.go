@@ -3,8 +3,9 @@
 // contract the type system cannot see:
 //
 // Named get/put pairs — sync.Pool Get/Put, the reliable layer's
-// newMsg/recycleMsg (pooled dataMsg structs), and simnet's
-// newPacket/release (refcounted packets). A value obtained from the pool
+// newMsg/recycleMsg (pooled dataMsg structs) and newBody/recycleBody
+// (reassembly buffers), and simnet's newPacket/release (refcounted
+// packets). A value obtained from the pool
 // must, on every path out of the function, either be handed back with the
 // matching put, be handed off to another function (scheduling it, storing
 // it into a receive buffer — the owner recycles later), or be returned to
@@ -50,6 +51,7 @@ var Analyzer = &analysis.Analyzer{
 var pairs = map[string][]string{
 	"Get":       {"Put"},
 	"newMsg":    {"recycleMsg"},
+	"newBody":   {"recycleBody"},
 	"newPacket": {"release"},
 	"newJob":    {},
 }

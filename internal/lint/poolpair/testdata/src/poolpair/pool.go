@@ -65,6 +65,35 @@ func globals(p *msgPool) {
 	global = m // want `pooled value from newMsg stored into package-level "global"`
 }
 
+// Reassembly buffers: a byte slice is a pooled value like any other.
+type bodyPool struct{ free [][]byte }
+
+func (p *bodyPool) newBody() []byte    { return make([]byte, 0, 64) }
+func (p *bodyPool) recycleBody([]byte) {}
+
+type stream struct{ body []byte }
+
+// Filling the buffer into the stream's state hands it off; a message that
+// turns out to be cut short gives it back.
+func reassemble(p *bodyPool, st *stream, chunk []byte, cut bool) {
+	buf := p.newBody()
+	if cut {
+		p.recycleBody(buf)
+		return
+	}
+	st.body = append(buf, chunk...)
+}
+
+// The cut-short path strands the buffer: the list drains one message at a
+// time and every reassembly allocates again.
+func strandedBody(p *bodyPool, st *stream, chunk []byte, cut bool) {
+	buf := p.newBody()
+	if cut {
+		return // want `return without releasing pooled value from newBody`
+	}
+	st.body = append(buf, chunk...)
+}
+
 // sync.Pool Get/Put through a type assertion.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 

@@ -19,6 +19,8 @@
 package replica
 
 import (
+	"bytes"
+
 	"repro/internal/db"
 	"repro/internal/dbsm"
 	"repro/internal/gcs"
@@ -172,12 +174,14 @@ type Replica struct {
 	x *xmgr
 
 	tent map[uint64]*tentTxn // TID -> outstanding tentative state
-	// done marks messages finalized before their tentative job ran. At the
-	// sequencer the total order is assigned in the very job that receives
-	// the data, so final delivery beats the scheduled tentative stage for
-	// every message — there is no speculation window to exploit there. The
-	// late tentative job must then skip the message entirely or it would
-	// poison the speculative queue with entries that can never finalize.
+	// done marks messages one optimistic stage settled without the other,
+	// which consumes the mark and skips. Final delivery or a discard can beat
+	// the scheduled tentative job — at a sequencer whose majority acks fast,
+	// or on a busy CPU — and the late job must then skip the message without
+	// reading its payload (the stack has the bytes back by then) or it would
+	// poison the speculative queue with an entry that can never finalize.
+	// The other way round, a tentative job that found the body malformed
+	// counted the drop, and final delivery must not count it again.
 	done map[uint64]bool
 
 	// scratch is the reusable certification-marshal buffer: the stack's
@@ -423,24 +427,25 @@ func (r *Replica) installSnapshot(snap *recovery.Snapshot) {
 // allocates nothing in steady state.
 type replicaThunk struct {
 	r       *Replica
-	stage   func(r *Replica, txn *db.Txn, payload []byte)
+	stage   func(r *Replica, txn *db.Txn, payload []byte, tid uint64)
 	txn     *db.Txn
 	payload []byte
+	tid     uint64
 	fire    func()
 }
 
 func (th *replicaThunk) run() {
-	r, stage, txn, payload := th.r, th.stage, th.txn, th.payload
+	r, stage, txn, payload, tid := th.r, th.stage, th.txn, th.payload, th.tid
 	th.stage, th.txn, th.payload = nil, nil, nil
 	r.freeThunks = append(r.freeThunks, th)
 	if r.stopped {
 		return
 	}
-	stage(r, txn, payload)
+	stage(r, txn, payload, tid)
 }
 
 // schedule queues a pipeline stage as its own zero-delay job.
-func (r *Replica) schedule(stage func(*Replica, *db.Txn, []byte), txn *db.Txn, payload []byte) {
+func (r *Replica) schedule(stage func(*Replica, *db.Txn, []byte, uint64), txn *db.Txn, payload []byte, tid uint64) {
 	var th *replicaThunk
 	if n := len(r.freeThunks); n > 0 {
 		th = r.freeThunks[n-1]
@@ -450,7 +455,7 @@ func (r *Replica) schedule(stage func(*Replica, *db.Txn, []byte), txn *db.Txn, p
 		th = &replicaThunk{r: r}
 		th.fire = th.run
 	}
-	th.stage, th.txn, th.payload = stage, txn, payload
+	th.stage, th.txn, th.payload, th.tid = stage, txn, payload, tid
 	r.rt.StartJob(0, th.fire)
 }
 
@@ -462,10 +467,10 @@ func (r *Replica) terminate(t *db.Txn) {
 	if r.stopped {
 		return
 	}
-	r.schedule(stageTerminate, t, nil)
+	r.schedule(stageTerminate, t, nil, 0)
 }
 
-func stageTerminate(r *Replica, t *db.Txn, _ []byte) {
+func stageTerminate(r *Replica, t *db.Txn, _ []byte, _ uint64) {
 	tc := t.CertInfo(r.site, r.opts.ReadSetThreshold)
 	if r.x != nil {
 		r.x.terminate(t, tc)
@@ -499,57 +504,71 @@ func (r *Replica) chargeUnmarshal(n int) {
 	r.rt.Charge(sim.Time(marshalCostPerByte * float64(n)))
 }
 
+// peekSpec reads, while the upcall still owns the payload, what the optimistic
+// stages need to know about a tentatively-delivered message: the
+// certification bytes (group-mode stream tag stripped) and the TID they carry.
+// It returns nil when there is nothing to speculate on — the replica is
+// recovering (the certifier state is in transit; the final delivery is
+// buffered and certified at install), the message is a cross-group prepare or
+// decision (final-only events: they mutate the reservation table tentative
+// outcomes depend on), or the header is too short to hold a TID.
+func (r *Replica) peekSpec(payload []byte) (cert []byte, tid uint64) {
+	if r.recovering {
+		return nil, 0
+	}
+	if r.x != nil {
+		if len(payload) == 0 || payload[0] != xgroup.MsgTxn {
+			return nil, 0
+		}
+		payload = payload[1:]
+	}
+	//lint:statcount-ok final delivery counts an unreadable header (finalize, certifyFinal); a discarded message never gets there
+	tid, err := dbsm.PeekTID(payload)
+	if err != nil {
+		return nil, 0
+	}
+	return payload, tid
+}
+
+// stageSkip is the empty stage: an optimistic upcall with nothing to do for
+// its message still takes its turn on the CPU, so the sequence of simulated
+// events does not depend on what the message was.
+func stageSkip(*Replica, *db.Txn, []byte, uint64) {}
+
 // onOptimistic receives one tentatively-delivered message. The upcall runs
 // inside the stack's receive job, where accrued CPU cost would delay the
 // sequencer's ordering announcement — so the certification work is handed
-// off to its own job and only the scheduling happens here.
+// off to its own job and only the header peek and the scheduling happen here.
 func (r *Replica) onOptimistic(o gcs.OptDelivery) {
 	if r.stopped {
 		return
 	}
-	r.schedule(stageTentative, nil, o.Payload)
+	if cert, tid := r.peekSpec(o.Payload); cert != nil {
+		r.schedule(stageTentative, nil, cert, tid)
+		return
+	}
+	r.schedule(stageSkip, nil, nil, 0)
 }
 
-func stageTentative(r *Replica, _ *db.Txn, payload []byte) { r.tentative(payload) }
-
-// tentative is stage one of the optimistic pipeline: decode, certify
+// stageTentative is stage one of the optimistic pipeline: decode, certify
 // speculatively, and act on the verdict while the sequencer's round is still
-// in flight.
-func (r *Replica) tentative(payload []byte) {
-	if r.stopped || r.recovering {
-		// While recovering there is nothing to speculate against: the
-		// certifier state is in transit. The final delivery is buffered
-		// and certified at install, so skipping here loses nothing.
-		return
-	}
-	if r.x != nil {
-		// Group mode: prepares and decisions are final-only events — they
-		// mutate the reservation table, which tentative outcomes depend
-		// on, so speculating on them would be unsound. Only plain
-		// transactions speculate.
-		if len(payload) == 0 || payload[0] != xgroup.MsgTxn {
-			return
-		}
-		payload = payload[1:]
-	}
-	tid, err := dbsm.PeekTID(payload)
-	if err != nil {
-		r.stats.CertDrops++
-		return
-	}
+// in flight. cert stays valid until the message's final delivery or discard,
+// and either of those leaves done[tid] behind when it beats this job.
+func stageTentative(r *Replica, _ *db.Txn, cert []byte, tid uint64) {
 	if r.done[tid] {
-		// Finalized before this job ran (sequencer-side delivery), or
-		// discarded at a view change: the message is settled, nothing
-		// to speculate on — and nothing to decode.
+		// Finalized (sequencer-side delivery) or discarded at a view change
+		// before this job ran: the message is settled, nothing to speculate
+		// on — and cert is no longer ours to decode.
 		delete(r.done, tid)
 		return
 	}
-	tc, err := dbsm.Unmarshal(payload)
+	tc, err := dbsm.Unmarshal(cert)
 	if err != nil {
 		r.stats.CertDrops++
+		r.done[tid] = true // counted here: final delivery skips it
 		return
 	}
-	r.chargeUnmarshal(len(payload))
+	r.chargeUnmarshal(len(cert))
 	st := &tentTxn{tc: tc}
 	st.out = r.spec.Tentative(tc)
 	r.tent[tc.TID] = st
@@ -559,36 +578,25 @@ func (r *Replica) tentative(payload []byte) {
 // onOptDiscard learns that a tentatively-delivered message was discarded at
 // a view change and will never reach final delivery: its speculative state
 // must be cancelled or it would wedge the queue head and force a rollback
-// on every subsequent final delivery.
+// on every subsequent final delivery. When the tentative job has not run yet
+// there is no state to cancel; the mark left here makes it skip the message.
 func (r *Replica) onOptDiscard(o gcs.OptDelivery) {
 	if r.stopped {
 		return
 	}
-	r.schedule(stageDiscard, nil, o.Payload)
+	if cert, tid := r.peekSpec(o.Payload); cert != nil {
+		if r.tent[tid] != nil {
+			r.schedule(stageDiscard, nil, nil, tid)
+			return
+		}
+		r.done[tid] = true
+	}
+	r.schedule(stageSkip, nil, nil, 0)
 }
 
-func stageDiscard(r *Replica, _ *db.Txn, payload []byte) { r.discard(payload) }
-
-// discard cancels the speculation on one never-to-finalize message.
-func (r *Replica) discard(payload []byte) {
-	if r.stopped || r.recovering {
-		return // no speculation exists while recovering
-	}
-	if r.x != nil {
-		if len(payload) == 0 || payload[0] != xgroup.MsgTxn {
-			return // prepares/decisions were never speculated on
-		}
-		payload = payload[1:]
-	}
-	//lint:statcount-ok the tentative stage saw the same bytes and counted the drop
-	tid, err := dbsm.PeekTID(payload)
-	if err != nil {
-		return // never speculated on: the tentative stage dropped it
-	}
-	st := r.tent[tid]
-	if st == nil {
-		// The tentative job has not run yet: make it skip this message.
-		r.done[tid] = true
+// stageDiscard cancels the speculation on one never-to-finalize message.
+func stageDiscard(r *Replica, _ *db.Txn, _ []byte, tid uint64) {
+	if r.tent[tid] == nil {
 		return
 	}
 	delete(r.tent, tid)
@@ -622,10 +630,10 @@ func (r *Replica) onDeliver(d gcs.Delivery) {
 		return
 	}
 	if r.recovering {
-		// The snapshot is still in transit: hold the delivery for the
-		// delta catch-up. The payload aliases the wire buffer, which
-		// receivers may retain (zero-copy contract).
-		r.recoverBuf = append(r.recoverBuf, bufferedDelivery{global: d.Global, payload: d.Payload})
+		// The snapshot is still in transit: hold a copy of the delivery for
+		// the delta catch-up — the stack reuses the payload bytes as soon as
+		// this upcall returns.
+		r.recoverBuf = append(r.recoverBuf, bufferedDelivery{global: d.Global, payload: bytes.Clone(d.Payload)})
 		return
 	}
 	if d.Global > r.lastGlobal {
@@ -684,15 +692,12 @@ func (r *Replica) certifyFinal(payload []byte) {
 // tentative verdict when the final order matches (the fast path decodes
 // nothing and certifies nothing), or roll the speculation back and
 // re-certify when it diverges. payload is the certification message bytes
-// (group-mode stream tag already stripped).
+// (group-mode stream tag already stripped). A malformed payload is counted
+// once: here, unless the tentative stage got to the body first.
 func (r *Replica) finalize(payload []byte) {
-	// Malformed payloads are not counted here: the tentative stage sees
-	// every payload this one does (same bytes) and already counted the
-	// drop — counting both stages would inflate CertDrops 2x relative to
-	// the conservative protocol.
-	//lint:statcount-ok tentative stage sees the same bytes and already counted
 	tid, err := dbsm.PeekTID(payload)
 	if err != nil {
+		r.stats.CertDrops++
 		return
 	}
 	st := r.tent[tid]
@@ -700,19 +705,21 @@ func (r *Replica) finalize(payload []byte) {
 	if st != nil {
 		tc = st.tc
 	} else {
-		// The tentative stage has not seen this payload — the final
-		// order was assigned in the receive job itself (sequencer), or
-		// the tentative decode failed. Decode now and mark the message
-		// finalized so a late tentative job skips it. On decode failure
-		// done[tid] stays unset, so the late tentative job decodes the
-		// same bytes, fails the same way, and counts the drop once.
-		//lint:statcount-ok the late tentative job re-decodes and counts this drop
+		if r.done[tid] {
+			// The tentative stage found the body malformed and counted it.
+			delete(r.done, tid)
+			return
+		}
+		// The tentative stage has not seen this payload — the final order
+		// beat its job. Decode now and mark the message settled, so the
+		// late job skips it without reading bytes the stack has reused.
+		r.done[tid] = true
 		tc, err = dbsm.Unmarshal(payload)
 		if err != nil {
+			r.stats.CertDrops++
 			return
 		}
 		r.chargeUnmarshal(len(payload))
-		r.done[tid] = true
 	}
 	r.stats.Delivered++
 	out, rolled := r.spec.Final(tc)

@@ -29,6 +29,14 @@ func buildCluster(t *testing.T, n int) (*sim.Kernel, []*testSite) {
 
 func buildClusterOpts(t *testing.T, n int, opts Options) (*sim.Kernel, []*testSite) {
 	t.Helper()
+	return buildClusterWith(t, n, func(int) Options { return opts }, nil)
+}
+
+// buildClusterWith is the general form: optsFor picks the replica options of
+// the i-th site (0-based) and tweak, when set, edits every stack's
+// configuration.
+func buildClusterWith(t *testing.T, n int, optsFor func(i int) Options, tweak func(*gcs.Config)) (*sim.Kernel, []*testSite) {
+	t.Helper()
 	k := sim.NewKernel()
 	rng := sim.NewRNG(5)
 	net := simnet.NewNetwork(k, rng.Fork("net"))
@@ -50,11 +58,15 @@ func buildClusterOpts(t *testing.T, n int, opts Options) (*sim.Kernel, []*testSi
 		host.SetDeliver(func(pkt *simnet.Packet) { rt.Deliver(pkt.Src, pkt.Data) })
 		storage := db.NewStorage(k, db.StorageConfig{}, rng.Fork(fmt.Sprintf("disk-%d", id)))
 		server := db.NewServer(k, dbsm.SiteID(id), rt.CPUs(), storage)
-		stack, err := gcs.New(rt, gcs.Config{Self: id, Members: members, Group: 1, UseMulticast: true})
+		cfg := gcs.Config{Self: id, Members: members, Group: 1, UseMulticast: true}
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		stack, err := gcs.New(rt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := New(rt, stack, server, opts)
+		rep := New(rt, stack, server, optsFor(len(sites)))
 		stack.Start()
 		rep.Start()
 		sites = append(sites, &testSite{rt: rt, server: server, stack: stack, rep: rep})
@@ -179,36 +191,138 @@ func TestReplicaStopsOnCrash(t *testing.T) {
 }
 
 // A corrupted certification payload must be counted at every replica, not
-// silently discarded: the drop counter is the only trace a marshaling or
-// wire-format bug leaves.
+// silently discarded — the drop counter is the only trace a marshaling or
+// wire-format bug leaves — and counted once, whichever optimistic stage meets
+// it first. At a non-uniform sequencer the final order is assigned in the
+// very job that receives the data, so final delivery beats the scheduled
+// tentative job there; everywhere else the tentative job runs first.
 func TestCorruptPayloadCountedNotSilent(t *testing.T) {
-	for _, optimistic := range []bool{false, true} {
-		k, sites := buildClusterOpts(t, 3, Options{Optimistic: optimistic})
-		// Too short for the TxnCert header: every replica's unmarshal
-		// rejects it on delivery.
-		k.ScheduleAt(10*sim.Millisecond, func() {
-			sites[0].rt.CPUs().SubmitReal(func() {
-				sites[0].stack.Multicast([]byte{0xde, 0xad, 0xbe, 0xef})
-			}, nil)
+	// Too short for the TxnCert header: PeekTID and Unmarshal both reject it.
+	truncated := []byte{0xde, 0xad, 0xbe, 0xef}
+	// A whole header whose set lengths overrun the bytes present: PeekTID
+	// reads a TID, Unmarshal rejects the body.
+	ws := dbsm.NewItemSet(dbsm.MakeTupleID(1, 1), dbsm.MakeTupleID(1, 2))
+	overrun := (&dbsm.TxnCert{TID: dbsm.MakeTID(1, 77), Site: 1, ReadSet: ws.Clone(), WriteSet: ws}).MarshalTo(nil)
+	overrun = overrun[:len(overrun)-8]
+	if _, err := dbsm.PeekTID(overrun); err != nil {
+		t.Fatal("overrun payload must keep a readable header")
+	}
+	if _, err := dbsm.Unmarshal(overrun); err == nil {
+		t.Fatal("overrun payload must fail to decode")
+	}
+	for _, tc := range []struct {
+		name       string
+		payload    []byte
+		optimistic bool
+		finalFirst bool // at site 1, the sequencer
+	}{
+		{"truncated/conservative", truncated, false, false},
+		{"truncated/optimistic", truncated, true, false},
+		{"truncated/optimistic/final-first", truncated, true, true},
+		{"overrun/conservative", overrun, false, false},
+		{"overrun/optimistic", overrun, true, false},
+		{"overrun/optimistic/final-first", overrun, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, sites := buildClusterWith(t, 3,
+				func(int) Options { return Options{Optimistic: tc.optimistic} },
+				func(c *gcs.Config) { c.NonUniformSequencer = tc.finalFirst })
+			k.ScheduleAt(10*sim.Millisecond, func() {
+				sites[0].rt.CPUs().SubmitReal(func() { sites[0].stack.Multicast(tc.payload) }, nil)
+			})
+			// A valid transaction afterwards still goes through. It spans three
+			// chunks, so a tentative job that lost the race would be reading a
+			// buffer the stack already has back.
+			var outcome db.Outcome
+			txn := txnFor(dbsm.MakeTID(1, 1), dbsm.MakeTupleID(1, 5))
+			txn.WriteBytes = 3000
+			txn.Done = func(_ *db.Txn, o db.Outcome) { outcome = o }
+			k.ScheduleAt(20*sim.Millisecond, func() { sites[0].server.Submit(txn) })
+			if err := k.RunUntil(5 * sim.Second); err != nil {
+				t.Fatal(err)
+			}
+			if outcome != db.Committed {
+				t.Fatalf("valid txn after garbage: %v", outcome)
+			}
+			for i, s := range sites {
+				st := s.rep.Stats()
+				if st.CertDrops != 1 {
+					t.Fatalf("site %d counted the corrupt payload %d times, want once", i+1, st.CertDrops)
+				}
+				if st.Delivered != 1 {
+					t.Fatalf("site %d delivered %d", i+1, st.Delivered)
+				}
+				if len(s.rep.done) != 0 || len(s.rep.tent) != 0 {
+					t.Fatalf("site %d keeps optimistic residue: done=%d tent=%d", i+1, len(s.rep.done), len(s.rep.tent))
+				}
+				if !tc.optimistic || i != 0 {
+					continue
+				}
+				// At the sequencer the valid transaction shows which stage
+				// came first: a tentative job that lost the race is skipped.
+				wantTent := int64(1)
+				if tc.finalFirst {
+					wantTent = 0
+				}
+				if st.Tentative != wantTent {
+					t.Fatalf("site 1 ran %d tentative certifications, want %d", st.Tentative, wantTent)
+				}
+			}
 		})
-		// A valid transaction afterwards still goes through.
-		var outcome db.Outcome
-		txn := txnFor(dbsm.MakeTID(1, 1), dbsm.MakeTupleID(1, 5))
-		txn.Done = func(_ *db.Txn, o db.Outcome) { outcome = o }
-		k.ScheduleAt(20*sim.Millisecond, func() { sites[0].server.Submit(txn) })
-		if err := k.RunUntil(5 * sim.Second); err != nil {
+	}
+}
+
+// A delivery held back during a recovery transfer is the replica's own copy:
+// the stack reuses the payload's buffer for the next fragmented message, a
+// hundred times over here, before the snapshot installs and the held
+// deliveries are certified.
+func TestRecoveryHoldBackSurvivesBufferReuse(t *testing.T) {
+	for _, optimistic := range []bool{false, true} {
+		k, sites := buildClusterWith(t, 3, func(i int) Options {
+			return Options{Optimistic: optimistic, Recovering: i == 2}
+		}, nil)
+		snap := sites[0].rep.ExportSnapshot(0) // before anything was delivered
+		const txns = 101
+		committed := 0
+		for i := 0; i < txns; i++ {
+			txn := txnFor(dbsm.MakeTID(dbsm.SiteID(i%2+1), uint32(i)), dbsm.MakeTupleID(1, uint64(100+i)))
+			txn.WriteBytes = 3000 // three chunks: reassembled in a recycled buffer
+			txn.Done = func(_ *db.Txn, o db.Outcome) {
+				if o == db.Committed {
+					committed++
+				}
+			}
+			site := sites[i%2]
+			k.ScheduleAt(sim.Time(i+1)*20*sim.Millisecond, func() { site.server.Submit(txn) })
+		}
+		installed := false
+		k.ScheduleAt(4*sim.Second, func() {
+			if n := len(sites[2].rep.recoverBuf); n != txns {
+				t.Fatalf("optimistic=%v: %d deliveries held back, want %d", optimistic, n, txns)
+			}
+			sites[2].rep.InstallSnapshot(snap, func() { installed = true })
+		})
+		if err := k.RunUntil(10 * sim.Second); err != nil {
 			t.Fatal(err)
 		}
-		if outcome != db.Committed {
-			t.Fatalf("optimistic=%v: valid txn after garbage: %v", optimistic, outcome)
+		if committed != txns || !installed {
+			t.Fatalf("optimistic=%v: committed %d of %d, installed=%v", optimistic, committed, txns, installed)
 		}
+		st := sites[2].rep.Stats()
+		if st.CertDrops != 0 || st.DeltaApplied != txns {
+			t.Fatalf("optimistic=%v: joiner drops=%d delta=%d, want 0 and %d", optimistic, st.CertDrops, st.DeltaApplied, txns)
+		}
+		logs := map[dbsm.SiteID]*trace.CommitLog{}
+		op := map[dbsm.SiteID]bool{}
 		for i, s := range sites {
-			if s.rep.Stats().CertDrops == 0 {
-				t.Fatalf("optimistic=%v: site %d dropped the corrupt payload silently", optimistic, i+1)
+			if s.rep.CommitLog().Len() != txns {
+				t.Fatalf("optimistic=%v: site %d committed %d of %d", optimistic, i+1, s.rep.CommitLog().Len(), txns)
 			}
-			if s.rep.Stats().Delivered != 1 {
-				t.Fatalf("optimistic=%v: site %d delivered %d", optimistic, i+1, s.rep.Stats().Delivered)
-			}
+			logs[dbsm.SiteID(i+1)] = s.rep.CommitLog()
+			op[dbsm.SiteID(i+1)] = true
+		}
+		if v := check.Logs(check.FromCommitLogs(logs, op)); v != nil {
+			t.Fatalf("optimistic=%v: logs diverged: %v", optimistic, v)
 		}
 	}
 }
