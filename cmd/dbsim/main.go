@@ -90,16 +90,14 @@ func run(args []string) error {
 			fmt.Fprintln(w, r.String())
 		})
 	}
-	start := time.Now()
 	r, err := m.Run()
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start)
 
 	fmt.Printf("config: sites=%d cpus=%d clients=%d txns=%d seed=%d\n",
 		*sites, *cpus, *clients, *txns, *seed)
-	fmt.Printf("simulated %v in %v (%d events)\n", r.Duration, wall.Round(time.Millisecond), r.Events)
+	fmt.Printf("simulated %v (%d events)\n", r.Duration, r.Events)
 	fmt.Printf("throughput:   %8.0f tpm\n", r.TPM)
 	fmt.Printf("latency:      %8.1f ms mean, %.1f ms p95\n", r.MeanLatencyMS, r.P95LatencyMS)
 	fmt.Printf("abort rate:   %8.2f %%\n", r.AbortRatePct)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/expr"
 )
 
 // clients sweeps the emulated population from 10^3 to 10^6 under the
@@ -19,36 +18,32 @@ func (h *harness) clients() error {
 	if h.fast {
 		populations = []int{1_000, 10_000, 100_000}
 	}
-
-	var tasks []expr.Task
+	g := grid{
+		name:      "clients",
+		protocols: []core.Protocol{core.ProtocolConservative},
+		cols: []column{
+			{head: "clients", width: 10, verb: "d"},
+			ci("tpm", 14, tpm), mean("committed", 11, ".0f", committed),
+			{"events", 12, "d", func(a *core.Aggregate) any {
+				var events int64
+				for _, r := range a.Runs {
+					events += r.Events
+				}
+				return events / int64(a.Reps)
+			}},
+		},
+		legend: fmt.Sprintf("\n3 sites, conservative protocol, admission control on, %d-txn budget per row;\n", h.txns) +
+			fmt.Sprintf("%d reps per point, mean±95%%CI; events is kernel events per replication.\n", h.reps),
+	}
 	for _, pop := range populations {
-		tasks = append(tasks, expr.Task{
-			Label: fmt.Sprintf("%d clients", pop),
-			Config: core.Config{
-				Sites:            3,
-				CPUsPerSite:      1,
-				Clients:          pop,
-				AggregateClients: 1,
-				Admission:        core.DefaultAdmissionConfig(),
-			},
-		})
+		g.rows = append(g.rows, row{[]any{pop}, core.Config{
+			Sites:            3,
+			CPUsPerSite:      1,
+			Clients:          pop,
+			AggregateClients: 1,
+			Admission:        core.DefaultAdmissionConfig(),
+		}})
 	}
-	pts, err := h.runAll(tasks)
-	if err != nil {
-		return fmt.Errorf("clients %w", err)
-	}
-
-	fmt.Printf("\n3 sites, conservative protocol, admission control on, %d-txn budget per row;\n", h.txns)
-	fmt.Printf("%d reps per point, mean±95%%CI; events is kernel events per replication.\n", h.reps)
-	fmt.Printf("\n%10s %14s %11s %12s\n", "clients", "tpm", "committed", "events")
-	for i, pop := range populations {
-		a := pts[i].Agg
-		var events int64
-		for _, r := range a.Runs {
-			events += r.Events
-		}
-		fmt.Printf("%10d %14s %11.0f %12d\n",
-			pop, a.Stat(tpm), a.Stat(committed).Mean, events/int64(a.Reps))
-	}
-	return nil
+	_, err := h.table(&g)
+	return err
 }

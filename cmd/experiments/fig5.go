@@ -6,62 +6,59 @@ import (
 	"repro/internal/core"
 )
 
-// fig5and6 prints the performance (Figure 5: throughput, latency, abort
-// rate) and resource usage (Figure 6: CPU, disk bandwidth, network) series
-// over the client grid, for the five configurations of the paper: 1/3/6-CPU
-// centralized servers and 3/6-site replicated databases. Every cell is the
-// mean ± 95% CI over -reps replications.
-func (h *harness) fig5and6(wantFig5, wantFig6 bool) error {
+// series prints one panel of Figures 5 and 6 from the cached sweep
+// (ensureSweep): a line per client count, a column per configuration of the
+// paper — 1/3/6-CPU centralized servers and 3/6-site replicated databases,
+// the centralized ones dashed out when skipCentral — every cell the mean ±
+// 95% CI over -reps replications.
+func (h *harness) series(title, unit string, get func(*core.Results) float64, skipCentral bool) {
+	cfgs := h.configs()
+	fmt.Printf("\n%s (%s, mean±95%%CI over %d reps):\n%8s", title, unit, h.reps, "clients")
+	for _, c := range cfgs {
+		fmt.Printf(" %14s", c.name)
+	}
+	fmt.Println()
+	for ni, n := range h.clientGrid() {
+		fmt.Printf("%8d", n)
+		for ci, c := range cfgs {
+			if skipCentral && c.sites == 1 {
+				fmt.Printf(" %14s", "-")
+				continue
+			}
+			fmt.Printf(" %14s", h.sweep[ci][ni].Stat(get))
+		}
+		fmt.Println()
+	}
+}
+
+// fig5 prints the performance series (Figure 5): throughput, latency, abort
+// rate.
+func (h *harness) fig5() error {
 	if err := h.ensureSweep(); err != nil {
 		return err
 	}
-	cfgs := h.configs()
-	grid := h.clientGrid()
-	cell := func(cfg config, clients int) *sweepPoint {
-		for i := range h.sweep {
-			p := &h.sweep[i]
-			if p.cfg.name == cfg.name && p.clients == clients {
-				return p
-			}
-		}
-		return nil
-	}
-	printSeries := func(title, unit string, get func(*core.Results) float64, skipCentral bool) {
-		fmt.Printf("\n%s (%s, mean±95%%CI over %d reps):\n%8s", title, unit, h.reps, "clients")
-		for _, c := range cfgs {
-			fmt.Printf(" %14s", c.name)
-		}
-		fmt.Println()
-		for _, n := range grid {
-			fmt.Printf("%8d", n)
-			for _, c := range cfgs {
-				if skipCentral && c.sites == 1 {
-					fmt.Printf(" %14s", "-")
-					continue
-				}
-				fmt.Printf(" %14s", cell(c, n).agg.Stat(get))
-			}
-			fmt.Println()
-		}
-	}
+	header("Figure 5 — performance")
+	h.series("(a) Throughput", "committed tpm", tpm, false)
+	h.series("(b) Latency", "ms, mean of committed", meanLatMS, false)
+	h.series("(c) Abort rate", "%", abortPct, false)
+	fmt.Println("\nshape checks: 1 CPU saturates near 500 clients (~3000 tpm);")
+	fmt.Println("3 sites track the 3-CPU server and 6 sites the 6-CPU server;")
+	fmt.Println("abort rate explodes only for the saturated 1-CPU configuration.")
+	return nil
+}
 
-	if wantFig5 {
-		header("Figure 5 — performance")
-		printSeries("(a) Throughput", "committed tpm", tpm, false)
-		printSeries("(b) Latency", "ms, mean of committed", meanLatMS, false)
-		printSeries("(c) Abort rate", "%", abortPct, false)
-		fmt.Println("\nshape checks: 1 CPU saturates near 500 clients (~3000 tpm);")
-		fmt.Println("3 sites track the 3-CPU server and 6 sites the 6-CPU server;")
-		fmt.Println("abort rate explodes only for the saturated 1-CPU configuration.")
+// fig6 prints the resource usage series (Figure 6): CPU, disk bandwidth,
+// network.
+func (h *harness) fig6() error {
+	if err := h.ensureSweep(); err != nil {
+		return err
 	}
-	if wantFig6 {
-		header("Figure 6 — resource usage")
-		printSeries("(a) CPU usage", "%", cpuPct, false)
-		printSeries("(b) Disk bandwidth usage", "%", diskPct, false)
-		printSeries("(c) Network traffic", "KB/s", netKBps, true)
-		fmt.Println("\nshape checks: with 6 CPUs the disk, not the CPU, becomes the")
-		fmt.Println("bottleneck (read one/write all); network grows linearly with")
-		fmt.Println("clients and is slightly higher for 6 sites (group maintenance).")
-	}
+	header("Figure 6 — resource usage")
+	h.series("(a) CPU usage", "%", cpuPct, false)
+	h.series("(b) Disk bandwidth usage", "%", diskPct, false)
+	h.series("(c) Network traffic", "KB/s", netKBps, true)
+	fmt.Println("\nshape checks: with 6 CPUs the disk, not the CPU, becomes the")
+	fmt.Println("bottleneck (read one/write all); network grows linearly with")
+	fmt.Println("clients and is slightly higher for 6 sites (group maintenance).")
 	return nil
 }

@@ -32,10 +32,6 @@ func (h *harness) fig7() error {
 	if err != nil {
 		return fmt.Errorf("fig7 %w", err)
 	}
-	aggs := make([]*core.Aggregate, len(cases))
-	for i, p := range pts {
-		aggs[i] = p.Agg
-	}
 
 	xs := []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000}
 	printECDF := func(title string, get func(*core.Results) *metrics.Sample) {
@@ -45,9 +41,9 @@ func (h *harness) fig7() error {
 			fmt.Printf(" %14s", c.label)
 		}
 		fmt.Println()
-		pooled := make([]*metrics.Sample, len(aggs))
-		for i, a := range aggs {
-			pooled[i] = a.Pool(get)
+		pooled := make([]*metrics.Sample, len(pts))
+		for i, p := range pts {
+			pooled[i] = p.Agg.Pool(get)
 		}
 		for _, x := range xs {
 			fmt.Printf("%10.0f", x)
@@ -63,7 +59,7 @@ func (h *harness) fig7() error {
 	fmt.Printf("\n(c) CPU usage by protocol (real) jobs (mean±95%%CI over %d reps):\n", h.reps)
 	fmt.Printf("%-14s %14s\n", "Run", "Usage (%)")
 	for i, c := range cases {
-		st := aggs[i].Stat(cpuRealPct)
+		st := pts[i].Agg.Stat(cpuRealPct)
 		fmt.Printf("%-14s %14s\n", c.label, fmt.Sprintf("%.2f±%.2f", st.Mean, st.CI95))
 	}
 
@@ -71,7 +67,7 @@ func (h *harness) fig7() error {
 	fmt.Printf("%-14s %14s %14s %14s %16s\n", "Run", "retrans", "nacks", "blocked", "blocked time")
 	for i, c := range cases {
 		whole := func(get func(*core.Results) float64) string {
-			st := aggs[i].Stat(get)
+			st := pts[i].Agg.Stat(get)
 			return fmt.Sprintf("%.0f±%.0f", st.Mean, st.CI95)
 		}
 		fmt.Printf("%-14s %14s %14s %14s %16s\n", c.label,

@@ -3,13 +3,10 @@ package main
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/faults"
-	"repro/internal/gcs"
 )
 
 // harness shares configuration and cached sweep results across subcommands.
@@ -24,7 +21,7 @@ type harness struct {
 	parallel int
 	progress bool
 
-	sweep []sweepPoint // cached Figure 5/6 grid
+	sweep [][]*core.Aggregate // cached Figure 5/6 grid, [configuration][client count]
 }
 
 // config labels one replication configuration of Figures 5 and 6.
@@ -51,34 +48,19 @@ func (h *harness) clientGrid() []int {
 	return []int{100, 250, 500, 750, 1000, 1250, 1500, 1750, 2000}
 }
 
-type sweepPoint struct {
-	cfg     config
-	clients int
-	agg     *core.Aggregate
-}
-
-// workers reports the effective pool size.
-func (h *harness) workers() int {
-	if h.parallel > 0 {
-		return h.parallel
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // runner builds a worker pool from the -parallel/-reps/-progress flags.
 // Progress goes to stderr so stdout — the tables themselves — stays
 // byte-identical whatever the worker count.
 func (h *harness) runner() *expr.Runner {
 	rn := &expr.Runner{Workers: h.parallel, Reps: h.reps}
 	if h.progress {
-		start := time.Now()
 		rn.OnRun = func(done, total int, t expr.Task, rep int, r *core.Results, err error) {
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "\n[%d/%d] %s rep %d: error: %v\n", done, total, t.Label, rep, err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "\r[%3d/%3d %6s] %-14s rep %d: %s        ",
-				done, total, time.Since(start).Round(time.Second), t.Label, rep, r.Summary())
+			fmt.Fprintf(os.Stderr, "\r[%3d/%3d] %-14s rep %d: %s        ",
+				done, total, t.Label, rep, r.Summary())
 			if done == total {
 				fmt.Fprintln(os.Stderr)
 			}
@@ -122,9 +104,10 @@ func (h *harness) ensureSweep() error {
 	if h.sweep != nil {
 		return nil
 	}
+	cfgs, grid := h.configs(), h.clientGrid()
 	var tasks []expr.Task
-	for _, cfg := range h.configs() {
-		for _, clients := range h.clientGrid() {
+	for _, cfg := range cfgs {
+		for _, clients := range grid {
 			tasks = append(tasks, expr.Task{
 				Label: fmt.Sprintf("%s/%dc", cfg.name, clients),
 				Config: core.Config{
@@ -135,21 +118,14 @@ func (h *harness) ensureSweep() error {
 			})
 		}
 	}
-	start := time.Now()
 	pts, err := h.runAll(tasks)
 	if err != nil {
 		return fmt.Errorf("sweep %w", err)
 	}
+	h.sweep = make([][]*core.Aggregate, len(cfgs))
 	for i, p := range pts {
-		h.sweep = append(h.sweep, sweepPoint{
-			cfg:     h.configs()[i/len(h.clientGrid())],
-			clients: h.clientGrid()[i%len(h.clientGrid())],
-			agg:     p.Agg,
-		})
+		h.sweep[i/len(grid)] = append(h.sweep[i/len(grid)], p.Agg)
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %d runs (%d points x %d reps) in %v on %d workers\n",
-		len(tasks)*h.reps, len(tasks), h.reps,
-		time.Since(start).Round(time.Second), h.workers())
 	return nil
 }
 
@@ -157,12 +133,11 @@ func (h *harness) ensureSweep() error {
 // the constrained buffer pool the paper's prototype ran with.
 func (h *harness) faultTask(label string, clients int, loss faults.Loss) expr.Task {
 	return expr.Task{Label: label, Config: core.Config{
-		Sites:         3,
-		CPUsPerSite:   1,
-		Clients:       clients,
-		Faults:        faults.Config{Loss: loss},
-		CollectTxnLog: true,
-		GCSTweak:      func(c *gcs.Config) { c.BufferBytes = 96 * 1024 },
+		Sites:          3,
+		CPUsPerSite:    1,
+		Clients:        clients,
+		Faults:         faults.Config{Loss: loss},
+		GCSBufferBytes: 96 * 1024,
 	}}
 }
 

@@ -37,8 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-
-	"repro/internal/profiles"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -47,15 +45,14 @@ func main() { os.Exit(run(os.Args[1:])) }
 // errors to os.Stderr, and the exit status is returned so the golden test
 // can drive it in-process.
 func run(args []string) int {
+	h := &harness{}
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
-	fast := fs.Bool("fast", false, "reduced scale: fewer transactions and sweep points")
-	seed := fs.Int64("seed", 42, "base random seed (replication seeds derive from it)")
-	txns := fs.Int("txns", 0, "transactions per run (0 = paper's 10000, or 2000 with -fast)")
-	reps := fs.Int("reps", 3, "replications per grid point (mean ± 95% CI)")
-	parallel := fs.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
-	progress := fs.Bool("progress", true, "report per-run progress on stderr")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	fs.BoolVar(&h.fast, "fast", false, "reduced scale: fewer transactions and sweep points")
+	fs.Int64Var(&h.seed, "seed", 42, "base random seed (replication seeds derive from it)")
+	fs.IntVar(&h.txns, "txns", 0, "transactions per run (0 = paper's 10000, or 2000 with -fast)")
+	fs.IntVar(&h.reps, "reps", 3, "replications per grid point (mean ± 95% CI)")
+	fs.IntVar(&h.parallel, "parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
+	fs.BoolVar(&h.progress, "progress", true, "report per-run progress on stderr")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: experiments [flags] fig3|fig4|fig5|fig6|table1|fig7|table2|protocols|recovery|overload|shard|clients|all")
 		fs.PrintDefaults()
@@ -67,19 +64,6 @@ func run(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	stopProfiles, perr := profiles.Start(*cpuprofile, *memprofile)
-	if perr != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", perr)
-		return 1
-	}
-	h := &harness{
-		fast:     *fast,
-		seed:     *seed,
-		txns:     *txns,
-		reps:     *reps,
-		parallel: *parallel,
-		progress: *progress,
-	}
 	if h.reps < 1 {
 		h.reps = 1
 	}
@@ -89,51 +73,29 @@ func run(args []string) int {
 			h.txns = 2000
 		}
 	}
-	var err error
-	switch fs.Arg(0) {
-	case "fig3":
-		err = h.fig3()
-	case "fig4":
-		err = h.fig4()
-	case "fig5":
-		err = h.fig5and6(true, false)
-	case "fig6":
-		err = h.fig5and6(false, true)
-	case "table1":
-		err = h.table1()
-	case "fig7":
-		err = h.fig7()
-	case "table2":
-		err = h.table2()
-	case "protocols":
-		err = h.protocols()
-	case "recovery":
-		err = h.recovery()
-	case "overload":
-		err = h.overload()
-	case "shard":
-		err = h.shard()
-	case "clients":
-		err = h.clients()
-	case "all":
-		steps := []func() error{
-			h.fig3, h.fig4,
-			func() error { return h.fig5and6(true, true) },
-			h.table1, h.fig7, h.table2, h.protocols, h.recovery, h.overload, h.shard, h.clients,
+	// The subcommands in `all` order; fig5 and fig6 share one cached sweep.
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig3", h.fig3}, {"fig4", h.fig4}, {"fig5", h.fig5}, {"fig6", h.fig6},
+		{"table1", h.table1}, {"fig7", h.fig7}, {"table2", h.table2}, {"protocols", h.protocols},
+		{"recovery", h.recovery}, {"overload", h.overload}, {"shard", h.shard}, {"clients", h.clients},
+	}
+	known := false
+	for _, s := range steps {
+		if fs.Arg(0) != s.name && fs.Arg(0) != "all" {
+			continue
 		}
-		for _, step := range steps {
-			if err = step(); err != nil {
-				break
-			}
+		known = true
+		if err := s.run(); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			return 1
 		}
-	default:
+	}
+	if !known {
 		fmt.Fprintf(os.Stderr, "experiments: unknown subcommand %q\n", fs.Arg(0))
 		return 2
-	}
-	stopProfiles() // flush profiles before any exit path
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
 	}
 	return 0
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
@@ -17,88 +16,59 @@ import (
 // shows the machinery is doing the work, not the workload being easy.
 func (h *harness) overload() error {
 	header("Overload — offered load vs committed throughput (3 sites)")
-	factors := []float64{1, 1.5, 2, 3}
-	satAt := 10 * sim.Second
-
-	type row struct {
-		label     string
-		factor    float64
-		admission *core.AdmissionConfig
+	g := grid{
+		name:      "overload",
+		protocols: core.Protocols(),
+		cols: []column{
+			{head: "offered load", width: -24, verb: "s"}, protocolColumn,
+			ci("tpm", 12, tpm), mean("committed", 11, ".0f", committed), mean("p95(ms)", 10, ".1f", p95LatMS),
+			mean("rejected", 9, ".0f", rejected), mean("retries", 10, ".0f", retries),
+			mean("backlog", 9, ".0f", backlogPeak), mean("queue(KB)", 11, ".1f", queuePeakKB),
+		},
+		legend: fmt.Sprintf("\n%d reps per point, mean±95%%CI; rejected are explicit admission refusals,\n", h.reps) +
+			"retries are client resubmissions, backlog/queue are peak depths (bounded queues).\n",
+		group: 1,
 	}
-	var rows []row
-	for _, f := range factors {
-		rows = append(rows, row{
-			label:     fmt.Sprintf("load x%.1f", f),
-			factor:    f,
-			admission: core.DefaultAdmissionConfig(),
-		})
-	}
-	rows = append(rows, row{label: "load x2.0 (no admission)", factor: 2})
-
-	var tasks []expr.Task
-	for _, rw := range rows {
-		for _, p := range core.Protocols() {
-			fc := faults.Config{}
-			if rw.factor > 1 {
-				fc.Saturation = faults.Saturation{Factor: rw.factor, At: satAt}
-			}
-			tasks = append(tasks, expr.Task{
-				Label: fmt.Sprintf("%s/%s", rw.label, p),
-				Config: core.Config{
-					Sites:     3,
-					Clients:   300,
-					Protocol:  p,
-					Faults:    fc,
-					Admission: rw.admission,
-				},
-			})
+	load := func(label string, factor float64, admission *core.AdmissionConfig) {
+		cfg := core.Config{Sites: 3, Clients: 300, Admission: admission}
+		if factor > 1 {
+			cfg.Faults.Saturation = faults.Saturation{Factor: factor, At: 10 * sim.Second}
 		}
+		g.rows = append(g.rows, row{[]any{label}, cfg})
 	}
-	pts, err := h.runAll(tasks)
+	for _, f := range []float64{1, 1.5, 2, 3} {
+		load(fmt.Sprintf("load x%.1f", f), f, core.DefaultAdmissionConfig())
+	}
+	load("load x2.0 (no admission)", 2, nil)
+	aggs, err := h.table(&g)
 	if err != nil {
-		return fmt.Errorf("overload %w", err)
-	}
-
-	fmt.Printf("\n%d reps per point, mean±95%%CI; rejected are explicit admission refusals,\n", h.reps)
-	fmt.Println("retries are client resubmissions, backlog/queue are peak depths (bounded queues).")
-	fmt.Printf("\n%-24s %-12s %12s %11s %10s %9s %10s %9s %11s\n",
-		"offered load", "protocol", "tpm", "committed", "p95(ms)", "rejected", "retries", "backlog", "queue(KB)")
-	peak := map[core.Protocol]float64{}
-	at2x := map[core.Protocol]float64{}
-	i := 0
-	for _, rw := range rows {
-		for _, p := range core.Protocols() {
-			a := pts[i].Agg
-			t := a.Stat(tpm)
-			i++
-			fmt.Printf("%-24s %-12s %12s %11.0f %10.1f %9.0f %10.0f %9.0f %11.1f\n",
-				rw.label, p, t, a.Stat(committed).Mean, a.Stat(p95LatMS).Mean,
-				a.Stat(rejected).Mean, a.Stat(retries).Mean, a.Stat(backlogPeak).Mean, a.Stat(queuePeakKB).Mean)
-			if rw.admission != nil {
-				if t.Mean > peak[p] {
-					peak[p] = t.Mean
-				}
-				if rw.factor == 2 {
-					at2x[p] = t.Mean
-				}
-			}
-		}
-		fmt.Println()
+		return err
 	}
 
 	// The graceful-degradation acceptance bar: at 2x saturation, committed
-	// throughput holds at least 80% of the sweep's peak.
-	for _, p := range core.Protocols() {
+	// throughput holds at least 80% of the sweep's peak (admission rows).
+	for pi, p := range g.protocols {
+		var peak, at2x float64
+		for ri, r := range g.rows {
+			if r.cfg.Admission == nil {
+				continue
+			}
+			t := aggs[ri][pi].Stat(tpm).Mean
+			peak = max(peak, t)
+			if r.cfg.Faults.Saturation.Factor == 2 {
+				at2x = t
+			}
+		}
 		pct := 0.0
-		if peak[p] > 0 {
-			pct = 100 * at2x[p] / peak[p]
+		if peak > 0 {
+			pct = 100 * at2x / peak
 		}
 		verdict := "GRACEFUL"
 		if pct < 80 {
 			verdict = "COLLAPSE"
 		}
 		fmt.Printf("%-12s at 2x saturation: %.0f tpm = %.0f%% of peak %.0f tpm -> %s\n",
-			p, at2x[p], pct, peak[p], verdict)
+			p, at2x, pct, peak, verdict)
 	}
 	return nil
 }

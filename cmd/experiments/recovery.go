@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
@@ -17,7 +16,20 @@ import (
 // and the residual commit lag at the instant the site returned to Up.
 func (h *harness) recovery() error {
 	header("Crash recovery — terminal crash vs crash-and-rejoin (3 sites)")
-	rows := []struct {
+	g := grid{
+		name:      "recovery",
+		protocols: core.Protocols(),
+		cols: []column{
+			{head: "faultload", width: -17, verb: "s"}, protocolColumn,
+			ci("tpm", 12, tpm), mean("committed", 11, ".0f", committed),
+			ci("downtime(ms)", 13, downtimeMS), ci("recovery(ms)", 13, recoveryMS),
+			ci("transfer(KB)", 12, transferKB), mean("delta", 8, ".1f", deltaApplied),
+		},
+		legend: fmt.Sprintf("\n%d reps per point, mean±95%%CI; downtime and recovery are per rejoin,\n", h.reps) +
+			"transfer is snapshot volume, delta is deliveries replayed at install.\n",
+		group: 1,
+	}
+	for _, r := range []struct {
 		label string
 		f     faults.Config
 	}{
@@ -37,41 +49,9 @@ func (h *harness) recovery() error {
 			Crashes:  []faults.Crash{{Site: 3, At: 15 * sim.Second}},
 			Recovers: []faults.Recover{{Site: 3, At: 30 * sim.Second}},
 		}},
+	} {
+		g.rows = append(g.rows, row{[]any{r.label}, core.Config{Sites: 3, Clients: 300, Faults: r.f}})
 	}
-	var tasks []expr.Task
-	for _, row := range rows {
-		for _, p := range core.Protocols() {
-			tasks = append(tasks, expr.Task{
-				Label: fmt.Sprintf("%s/%s", row.label, p),
-				Config: core.Config{
-					Sites:    3,
-					Clients:  300,
-					Protocol: p,
-					Faults:   row.f,
-				},
-			})
-		}
-	}
-	pts, err := h.runAll(tasks)
-	if err != nil {
-		return fmt.Errorf("recovery %w", err)
-	}
-
-	fmt.Printf("\n%d reps per point, mean±95%%CI; downtime and recovery are per rejoin,\n", h.reps)
-	fmt.Println("transfer is snapshot volume, delta is deliveries replayed at install.")
-	fmt.Printf("\n%-17s %-12s %12s %11s %13s %13s %12s %8s\n",
-		"faultload", "protocol", "tpm", "committed", "downtime(ms)", "recovery(ms)", "transfer(KB)", "delta")
-	i := 0
-	for _, row := range rows {
-		for _, p := range core.Protocols() {
-			a := pts[i].Agg
-			i++
-			fmt.Printf("%-17s %-12s %12s %11.0f %13s %13s %12s %8.1f\n",
-				row.label, p, a.Stat(tpm), a.Stat(committed).Mean,
-				a.Stat(downtimeMS), a.Stat(recoveryMS),
-				a.Stat(transferKB), a.Stat(deltaApplied).Mean)
-		}
-		fmt.Println()
-	}
-	return nil
+	_, err := h.table(&g)
+	return err
 }

@@ -27,26 +27,33 @@ func abortRow(a *core.Aggregate, class string) core.Stat {
 	return core.Stat{}
 }
 
-func printAbortTable(columns []string, aggs []*core.Aggregate, reps int) {
-	fmt.Printf("abort rates in %%, mean±95%%CI over %d reps\n", reps)
+// abortTable runs one task per column and prints the per-class abort rates
+// under the task labels.
+func (h *harness) abortTable(name string, tasks []expr.Task) error {
+	pts, err := h.runAll(tasks)
+	if err != nil {
+		return fmt.Errorf("%s %w", name, err)
+	}
+	fmt.Printf("abort rates in %%, mean±95%%CI over %d reps\n", h.reps)
 	fmt.Printf("%-20s", "Transaction")
-	for _, c := range columns {
-		fmt.Printf(" %16s", c)
+	for _, p := range pts {
+		fmt.Printf(" %16s", p.Task.Label)
 	}
 	fmt.Println()
 	pct := func(st core.Stat) string { return fmt.Sprintf("%.2f±%.2f", st.Mean, st.CI95) }
 	for _, row := range classOrder {
 		fmt.Printf("%-20s", row.label)
-		for _, a := range aggs {
-			fmt.Printf(" %16s", pct(abortRow(a, row.key)))
+		for _, p := range pts {
+			fmt.Printf(" %16s", pct(abortRow(p.Agg, row.key)))
 		}
 		fmt.Println()
 	}
 	fmt.Printf("%-20s", "All")
-	for _, a := range aggs {
-		fmt.Printf(" %16s", pct(a.Stat(abortPct)))
+	for _, p := range pts {
+		fmt.Printf(" %16s", pct(p.Agg.Stat(abortPct)))
 	}
 	fmt.Println()
+	return nil
 }
 
 // table1 reproduces the abort-rate breakdown (Table 1): 500 clients on a
@@ -76,17 +83,9 @@ func (h *harness) table1() error {
 			Clients:     c.clients,
 		}})
 	}
-	pts, err := h.runAll(tasks)
-	if err != nil {
-		return fmt.Errorf("table1 %w", err)
+	if err := h.abortTable("table1", tasks); err != nil {
+		return err
 	}
-	labels := make([]string, len(cols))
-	aggs := make([]*core.Aggregate, len(cols))
-	for i, p := range pts {
-		labels[i] = cols[i].label
-		aggs[i] = p.Agg
-	}
-	printAbortTable(labels, aggs, h.reps)
 	fmt.Println("\nshape checks: payment dominates aborts (hot Warehouse rows) and")
 	fmt.Println("grows with replication; neworder stays near its 1% user-abort")
 	fmt.Println("floor; read-only classes (orderstatus-short, stocklevel) are 0.")
@@ -109,17 +108,9 @@ func (h *harness) table2() error {
 	for _, c := range cols {
 		tasks = append(tasks, h.faultTask(c.label, 1000, c.loss))
 	}
-	pts, err := h.runAll(tasks)
-	if err != nil {
-		return fmt.Errorf("table2 %w", err)
+	if err := h.abortTable("table2", tasks); err != nil {
+		return err
 	}
-	labels := make([]string, len(cols))
-	aggs := make([]*core.Aggregate, len(cols))
-	for i, p := range pts {
-		labels[i] = cols[i].label
-		aggs[i] = p.Agg
-	}
-	printAbortTable(labels, aggs, h.reps)
 	fmt.Println("\nshape checks: loss extends certification latency, widening the")
 	fmt.Println("conflict window: every update class aborts more, random loss")
 	fmt.Println("hurting more than the same rate in bursts.")

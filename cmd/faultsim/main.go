@@ -11,7 +11,9 @@
 //     by the internal/expr runner, with verdicts aggregated per fault type.
 //
 // Every campaign schedule is reproducible from its printed seed via -replay.
-// The process exits non-zero when any run violates safety.
+// The process exits non-zero when any run violates safety. Stdout is a pure
+// function of the flags — nothing on the way to it reads the host clock, and
+// the worker count does not change a byte — so testdata/*.golden pins it.
 package main
 
 import (
@@ -20,14 +22,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/expr"
 	"repro/internal/faults"
-	"repro/internal/profiles"
 	"repro/internal/sim"
 )
 
@@ -37,7 +37,6 @@ type options struct {
 	parallel, campaign, generations, population    int
 	seed, replay                                   int64
 	replayFile, corpus, protocol                   string
-	cpuprofile, memprofile                         string
 	explore, list, rejoin, overload, short         bool
 }
 
@@ -68,8 +67,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.overload, "overload", false, "force every campaign schedule to include saturation and a slow-node gray failure")
 	fs.BoolVar(&o.short, "short", false, "smoke mode for CI: small transaction counts, clients, and seeds")
 	fs.StringVar(&o.protocol, "protocol", "both", "termination variant under test: conservative, optimistic, or both")
-	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -134,17 +131,17 @@ func (o *options) reproHint(p core.Protocol) string {
 	return hint + " -protocol " + string(p)
 }
 
-func main() {
-	o, err := parseFlags(os.Args[1:])
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the whole command behind main: verdicts go to os.Stdout, errors to
+// os.Stderr, and the exit status is returned so the golden test can drive it
+// in-process.
+func run(args []string) int {
+	o, err := parseFlags(args)
 	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(0)
+		return 0
 	} else if err != nil {
-		os.Exit(2) // the flag package already printed the error and usage
-	}
-	stopProfiles, perr := profiles.Start(o.cpuprofile, o.memprofile)
-	if perr != nil {
-		fmt.Fprintln(os.Stderr, "faultsim:", perr)
-		os.Exit(1)
+		return 2 // the flag package already printed the error and usage
 	}
 	var protocols []core.Protocol
 	switch o.protocol {
@@ -154,22 +151,21 @@ func main() {
 		protocols = []core.Protocol{core.Protocol(o.protocol)}
 	default:
 		fmt.Fprintf(os.Stderr, "faultsim: unknown -protocol %q\n", o.protocol)
-		os.Exit(2)
+		return 2
 	}
 
 	if o.replayFile != "" {
-		// A saved repro is self-contained (workload, schedule, seed,
-		// expected verdict): replay it and fail when the violation is
-		// still there, independent of every other flag.
-		stopProfiles()
-		os.Exit(runReplayFile(o.replayFile))
+		// A saved repro is self-contained (the whole Config, expected
+		// verdict): replay it and fail when the violation is still there,
+		// independent of every other flag.
+		return runReplayFile(o.replayFile)
 	}
 
 	if o.groups > 1 && o.campaign == 0 && o.replay == 0 && !o.list && !o.explore {
 		// The fixed matrix encodes single-group assumptions (rejoin rows,
 		// site numbering); group mode runs randomized campaigns only.
 		fmt.Fprintln(os.Stderr, "faultsim: -groups needs -campaign N (or -replay/-list)")
-		os.Exit(2)
+		return 2
 	}
 	base, params := o.base(), o.params()
 
@@ -185,8 +181,7 @@ func main() {
 		default:
 			listMatrix()
 		}
-		stopProfiles()
-		return
+		return 0
 	}
 
 	failures := 0
@@ -204,24 +199,24 @@ func main() {
 			failures += runMatrix(cfg, o.seeds, o.parallel)
 		}
 	}
-	stopProfiles() // flush profiles before any exit path
 	if failures > 0 {
 		fmt.Printf("\n%d run(s) violated safety or errored\n", failures)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("\nall runs safe (%v): every operational site committed the same sequence\n", protocols)
+	return 0
+}
+
+// matrixRow is one named fault load of the fixed matrix.
+type matrixRow struct {
+	name string
+	f    faults.Config
 }
 
 // matrix is the fixed dependability matrix: the paper's Section 5.3 fault
 // rows plus partition-and-heal rows for the network-split extension.
-func matrix() []struct {
-	name string
-	f    faults.Config
-} {
-	return []struct {
-		name string
-		f    faults.Config
-	}{
+func matrix() []matrixRow {
+	return []matrixRow{
 		{"clock-drift 5% (site 2)", faults.Config{ClockDriftRate: 0.05, ClockDriftSites: []int32{2}}},
 		{"clock-drift 5% (all sites)", faults.Config{ClockDriftRate: 0.05}},
 		{"sched-latency exp(5ms) (all)", faults.Config{SchedLatencyMean: 5 * sim.Millisecond}},
@@ -322,7 +317,6 @@ func runMatrix(base core.Config, seeds, parallel int) int {
 			}
 		}
 	}
-	start := time.Now()
 	points, _ := (&expr.Runner{Workers: parallel}).Run(tasks)
 	failures := 0
 	for _, pt := range points {
@@ -332,7 +326,7 @@ func runMatrix(base core.Config, seeds, parallel int) int {
 		}
 		fmt.Printf("%-33s seed=%-5d %-6s %s\n", pt.Task.Label, pt.Task.Config.Seed, verdict, detail)
 	}
-	fmt.Printf("\n%d runs in %v\n", len(points), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("\n%d runs\n", len(points))
 	return failures
 }
 
@@ -340,7 +334,6 @@ func runMatrix(base core.Config, seeds, parallel int) int {
 // verdict line per schedule, and aggregates verdicts per fault type.
 func runCampaign(base core.Config, plan []campaign.Schedule, parallel int, repro string, verbose bool) int {
 	fmt.Printf("\n=== campaign, protocol %s ===\n", base.Protocol)
-	start := time.Now()
 	points, _ := (&expr.Runner{Workers: parallel}).Run(campaign.Tasks(plan, base))
 
 	type tally struct{ runs, unsafe int }
@@ -371,7 +364,7 @@ func runCampaign(base core.Config, plan []campaign.Schedule, parallel int, repro
 		}
 	}
 
-	fmt.Printf("\nper-fault-type verdicts (%d schedules, %v):\n", len(points), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("\nper-fault-type verdicts (%d schedules):\n", len(points))
 	fmt.Printf("  %-15s %5s %7s\n", "fault type", "runs", "unsafe")
 	for _, k := range campaign.Kinds() {
 		t := perKind[k]
@@ -391,7 +384,6 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 	// One corpus per protocol: the searches are independent and would
 	// otherwise overwrite each other's corpus.json.
 	corpusDir = filepath.Join(corpusDir, string(base.Protocol))
-	start := time.Now()
 	space := explore.Space{
 		Sites:   params.Sites,
 		Groups:  params.Groups,
@@ -436,14 +428,18 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 			fmt.Fprintln(os.Stderr, "faultsim: rerun:", err)
 			res = f.Results
 		}
-		r := explore.NewRepro(base, space, min, f.Seed, res)
-		if path, err := r.Save(corpusDir); err != nil {
-			fmt.Fprintln(os.Stderr, "faultsim: repro:", err)
-		} else {
-			fmt.Printf("explore: repro -> %s (replay: faultsim -replay-file %s)\n", path, path)
+		r, err := explore.NewRepro(base, space, min, f.Seed, res)
+		var path string
+		if err == nil {
+			path, err = r.Save(corpusDir)
 		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "faultsim: repro:", err)
+			continue
+		}
+		fmt.Printf("explore: repro -> %s (replay: faultsim -replay-file %s)\n", path, path)
 	}
-	fmt.Printf("\nexplore done in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Println("\nexplore done")
 	return len(rep.Found)
 }
 
@@ -457,7 +453,7 @@ func runReplayFile(path string) int {
 		return 2
 	}
 	fmt.Printf("replaying %s: protocol=%s sites=%d groups=%d seed=%d expect=%s/%s\n",
-		path, r.Protocol, r.Sites, r.Groups, r.Seed, r.Expect.Verdict, r.Expect.Kind)
+		path, r.Config.Protocol, r.Config.Sites, r.Config.Groups, r.Config.Seed, r.Expect.Verdict, r.Expect.Kind)
 	reproduced, detail, err := r.Replay()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)

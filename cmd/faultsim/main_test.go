@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -8,7 +9,39 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/golden"
 )
+
+// goldenRuns are the invocations CI used to run as separate `go run` steps:
+// the five short campaigns and the fixed matrix.
+var goldenRuns = []struct{ name, args string }{
+	{"campaign", "-short -campaign 12"},
+	{"rejoin", "-short -campaign 8 -rejoin"},
+	{"overload", "-short -campaign 8 -overload"},
+	{"groups", "-short -groups 3 -sites 3 -campaign 8"},
+	{"aggregate", "-short -campaign 8 -aggregate 1"},
+	{"matrix", "-short"},
+}
+
+// TestGolden pins every verdict line faultsim prints for goldenRuns against
+// testdata/<name>.golden, byte for byte, and the first of them across worker
+// counts. Stdout is a pure function of the flags, so a diff here is a change
+// in simulated behaviour, in a campaign's draws, or in the layout — "did a
+// verdict line move?" is this test, not a hand diff. Regenerate with `go test
+// ./cmd/faultsim -run TestGolden -update` only for an intended change, and
+// say which lines moved and why.
+func TestGolden(t *testing.T) {
+	for i, g := range goldenRuns {
+		t.Run(g.name, func(t *testing.T) {
+			args := strings.Fields(g.args)
+			got := golden.Stdout(t, run, append(args, "-parallel", "4")...)
+			if i == 0 && !bytes.Equal(got, golden.Stdout(t, run, append(args, "-parallel", "1")...)) {
+				t.Fatal("stdout differs between -parallel 4 and -parallel 1")
+			}
+			golden.Check(t, filepath.Join("testdata", g.name+".golden"), got)
+		})
+	}
+}
 
 // goldenRepro is a minimized repro the explorer produced against the
 // pre-PR-7 uniform-delivery bug, resurrected through the test-only
@@ -23,8 +56,8 @@ func TestGoldenReproReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if !r.Hooks.NonUniformSequencer {
-		t.Fatalf("golden repro lost its hook: %+v", r.Hooks)
+	if !r.Config.Hooks.NonUniformSequencer {
+		t.Fatalf("golden repro lost its hook: %+v", r.Config.Hooks)
 	}
 	reproduced, detail, err := r.Replay()
 	if err != nil {
@@ -67,8 +100,8 @@ func TestResidualWindowReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if r.Hooks != (core.Hooks{}) {
-		t.Fatalf("residual-window repro must not need any hook: %+v", r.Hooks)
+	if r.Config.Hooks != (core.Hooks{}) {
+		t.Fatalf("residual-window repro must not need any hook: %+v", r.Config.Hooks)
 	}
 	reproduced, detail, err := r.Replay()
 	if err != nil {
@@ -93,8 +126,8 @@ func TestRenumberWedgeReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if r.Hooks != (core.Hooks{}) {
-		t.Fatalf("wedge repro must not need any hook: %+v", r.Hooks)
+	if r.Config.Hooks != (core.Hooks{}) {
+		t.Fatalf("wedge repro must not need any hook: %+v", r.Config.Hooks)
 	}
 	reproduced, detail, err := r.Replay()
 	if err != nil {
@@ -121,21 +154,18 @@ func TestRunReplayFile(t *testing.T) {
 }
 
 // TestReproHintRoundTrips pins the contract of the "reproduce:" line: for
-// every campaign CI runs (plus a non-short one), parsing the printed hint
-// back must yield the campaign parameters and workload of the original
+// every goldenRuns command line (plus a non-short one), parsing the printed
+// hint back must yield the campaign parameters and workload of the original
 // command line — otherwise -replay <seed> regenerates a different schedule,
 // or runs it against a different workload, and the failure does not
 // reproduce. -rejoin changes campaign.Params (hence every draw after the
 // structural block) and -aggregate the client tier; both were once missing.
 func TestReproHintRoundTrips(t *testing.T) {
-	for _, cmdline := range []string{
-		"-short -campaign 12 -parallel 4",
-		"-short -campaign 8 -rejoin -parallel 4",
-		"-short -campaign 8 -overload -parallel 4",
-		"-short -groups 3 -sites 3 -campaign 8 -parallel 4",
-		"-short -campaign 8 -aggregate 1 -parallel 4",
-		"-sites 5 -clients 120 -txns 900 -campaign 4 -rejoin -overload -aggregate 50 -seed 9",
-	} {
+	cmdlines := []string{"-sites 5 -clients 120 -txns 900 -campaign 4 -rejoin -overload -aggregate 50 -seed 9"}
+	for _, g := range goldenRuns {
+		cmdlines = append(cmdlines, g.args+" -parallel 4")
+	}
+	for _, cmdline := range cmdlines {
 		orig, err := parseFlags(strings.Fields(cmdline))
 		if err != nil {
 			t.Fatalf("%q: %v", cmdline, err)

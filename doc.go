@@ -95,12 +95,14 @@
 // internal/expr pool — deterministically, so the same seed and budget give
 // byte-identical results at any worker count. Every UNSAFE schedule is
 // delta-debugged down to a locally-minimal repro and saved as self-contained
-// JSON (replayed by `faultsim -replay-file`, triaged by internal/check); the
-// search cornered the residual n>=5 non-uniform delivery window documented
-// in gcs/totalorder.go and surfaced the sequencer-handover renumbering
-// divergence tracked in ROADMAP.md, both pinned as guarded repros under
-// cmd/faultsim/testdata (README.md's "Adversarial exploration" section has
-// the model and the corpus-directory convention).
+// JSON — format version 2 carries the run's core.Config whole, so a replay is
+// the run that failed whatever flags produced it (replayed by `faultsim
+// -replay-file`, triaged by internal/check); the search cornered the
+// residual n>=5 non-uniform delivery window documented in gcs/totalorder.go
+// and surfaced the sequencer-handover renumbering divergence tracked in
+// ROADMAP.md, both pinned as guarded repros under cmd/faultsim/testdata
+// (README.md's "Adversarial exploration" section has the model and the
+// corpus-directory convention).
 //
 // The simulation critical path is engineered to allocate nothing in steady
 // state: certification runs against an inverted last-writer index
@@ -118,9 +120,15 @@
 // keeps). What that costs the host is measured by
 // one command, `bash bench/run.sh all` (five workloads, eight end-to-end
 // metrics, a per-layer ledger; bench/README.md holds the committed
-// baseline); cmd/experiments prints simulated quantities only, so its
-// stdout is a pure function of its flags and the whole evaluation is pinned
-// by cmd/experiments/testdata/all.golden.
+// baseline) — profiles included, through its --trace 1 pass. Outside bench/,
+// cmd/validate's native column and runtimeapi.Native, nothing reads the host
+// clock on the way to stdout: what dbsim, faultsim and experiments print is a
+// pure function of their flags, so the whole evaluation is pinned by
+// cmd/experiments/testdata/all.golden and faultsim's verdict lines — five
+// short campaigns and the fixed matrix — by cmd/faultsim/testdata/*.golden,
+// and internal/lint's simdeterminism rule covers those three commands.
+// examples/wan assembles gcs, csrt and simnet by hand over two LANs and a
+// WAN link, the one topology no command builds.
 //
 // A protocol counter is declared once: in gcs.Stats or replica.Stats, where
 // the layer increments it in place. core.Results carries both structs whole

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/csrt"
 	"repro/internal/gcs"
@@ -23,6 +25,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example: the report goes to w, and a member that missed a
+// delivery is an error.
+func run(w io.Writer) error {
 	k := sim.NewKernel()
 	rng := sim.NewRNG(99)
 	net := simnet.NewNetwork(k, rng.Fork("net"))
@@ -48,7 +58,7 @@ func main() {
 	for _, id := range members {
 		host, err := net.NewHost(id, lanOf[id])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rt := csrt.NewRuntime(k, id, &csrt.ModelProfiler{}, net.Port(id, 1400),
 			csrt.DefaultCostParams(), rng.Fork(fmt.Sprintf("rt-%d", id)))
@@ -69,7 +79,7 @@ func main() {
 			BufferBytes: 1 << 20,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		self := id
 		stack.OnDeliver(func(d gcs.Delivery) {
@@ -110,19 +120,19 @@ func main() {
 		}
 	}
 	if err := k.RunUntil(30 * sim.Second); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("wide-area atomic multicast, observed at a west-coast member")
-	fmt.Println("(the fixed sequencer lives in the east datacenter):")
-	fmt.Printf("  east (cross-DC) senders : mean %6.1f ms, p95 %6.1f ms (n=%d)\n",
+	fmt.Fprintln(w, "wide-area atomic multicast, observed at a west-coast member")
+	fmt.Fprintln(w, "(the fixed sequencer lives in the east datacenter):")
+	fmt.Fprintf(w, "  east (cross-DC) senders : mean %6.1f ms, p95 %6.1f ms (n=%d)\n",
 		localLat.Mean(), localLat.Quantile(0.95), localLat.N())
-	fmt.Printf("  west (same-DC) senders  : mean %6.1f ms, p95 %6.1f ms (n=%d)\n",
+	fmt.Fprintf(w, "  west (same-DC) senders  : mean %6.1f ms, p95 %6.1f ms (n=%d)\n",
 		remoteLat.Mean(), remoteLat.Quantile(0.95), remoteLat.N())
-	fmt.Println("\neven same-LAN messages pay wide-area round trips, because the")
-	fmt.Println("fixed sequencer must order every message: the result that leads")
-	fmt.Println("the paper to call for relaxing total order (or optimistic total")
-	fmt.Println("order) before deploying the DBSM across wide-area networks.")
+	fmt.Fprintln(w, "\neven same-LAN messages pay wide-area round trips, because the")
+	fmt.Fprintln(w, "fixed sequencer must order every message: the result that leads")
+	fmt.Fprintln(w, "the paper to call for relaxing total order (or optimistic total")
+	fmt.Fprintln(w, "order) before deploying the DBSM across wide-area networks.")
 
 	final := &metrics.Sample{}
 	for _, v := range localLat.Values() {
@@ -135,17 +145,18 @@ func main() {
 	for _, id := range members {
 		mispred += stacks[id].Stats().Mispredicted
 	}
-	fmt.Printf("\noptimistic total order (the paper's §7 direction):\n")
-	fmt.Printf("  tentative delivery mean : %6.1f ms\n", optLat.Mean())
-	fmt.Printf("  final delivery mean     : %6.1f ms  (%.0f ms saved optimistically)\n",
+	fmt.Fprintf(w, "\noptimistic total order (the paper's §7 direction):\n")
+	fmt.Fprintf(w, "  tentative delivery mean : %6.1f ms\n", optLat.Mean())
+	fmt.Fprintf(w, "  final delivery mean     : %6.1f ms  (%.0f ms saved optimistically)\n",
 		final.Mean(), final.Mean()-optLat.Mean())
-	fmt.Printf("  order mispredictions    : %d of %d deliveries across all members\n",
+	fmt.Fprintf(w, "  order mispredictions    : %d of %d deliveries across all members\n",
 		mispred, 4*optLat.N())
 
 	for _, id := range members {
 		if d := stacks[id].Stats().Delivered; d != 400 {
-			log.Fatalf("member %d delivered %d messages, want 400", id, d)
+			return fmt.Errorf("member %d delivered %d messages, want 400", id, d)
 		}
 	}
-	fmt.Println("\nall 4 members delivered all 400 messages in the same total order.")
+	fmt.Fprintln(w, "\nall 4 members delivered all 400 messages in the same total order.")
+	return nil
 }

@@ -50,13 +50,14 @@ const (
 // Protocols lists the selectable variants in report order.
 func Protocols() []Protocol { return []Protocol{ProtocolConservative, ProtocolOptimistic} }
 
-// Config describes one experiment run.
+// Config describes one experiment run. Every field but Calibration is plain
+// data and travels in JSON (a saved repro carries its Config whole).
 type Config struct {
 	// Sites is the number of replicas; 1 runs the centralized baseline
 	// without any replication protocol. When Groups > 1, Sites is the
 	// number of replicas per group and the model runs Groups×Sites sites
 	// in total.
-	Sites int
+	Sites int `json:"sites,omitempty"`
 	// Groups partitions the replicas into this many independent
 	// replication groups (partial replication). Each group runs its own
 	// group-communication stack and certifies only its own warehouses'
@@ -65,18 +66,18 @@ type Config struct {
 	// classic single-group model. Incompatible with DedicatedSequencer,
 	// ReplicationDegree, ReadSetThreshold, and crash recovery
 	// (Faults.Recovers); requires Sites >= 2 per group.
-	Groups int
+	Groups int `json:"groups,omitempty"`
 	// Protocol selects the termination variant (default conservative).
 	// Ignored when Sites == 1 (no replication protocol runs at all).
-	Protocol Protocol
+	Protocol Protocol `json:"protocol,omitempty"`
 	// CPUsPerSite configures each site's processor count.
-	CPUsPerSite int
+	CPUsPerSite int `json:"cpusPerSite,omitempty"`
 	// Clients is the total emulated user count, split equally between
 	// sites in contiguous blocks (preserving warehouse locality).
-	Clients int
+	Clients int `json:"clients,omitempty"`
 	// TotalTxns bounds the run: clients stop issuing after this many
 	// submissions (the paper uses 10000).
-	TotalTxns int
+	TotalTxns int `json:"txns,omitempty"`
 	// AggregateClients is the population threshold at or above which the
 	// per-client objects are replaced by the aggregate client tier
 	// (internal/tpcc): one calibrated per-site, per-class arrival process
@@ -86,55 +87,54 @@ type Config struct {
 	// individual clients). Aggregate runs are statistically — not
 	// per-seed — equivalent to individual-client runs; equivalence is
 	// pinned within CI95 at 500 clients by the core tests.
-	AggregateClients int
+	AggregateClients int `json:"aggregateClients,omitempty"`
 	// Seed drives every random stream; same seed, same run.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Warehouses overrides the database scale (0 derives clients/10).
-	Warehouses int
-	// Calibration is the workload cost model (nil for default).
-	Calibration *tpcc.Calibration
+	Warehouses int `json:"warehouses,omitempty"`
+	// Calibration is the workload cost model (nil for default): empirical
+	// distributions with no serialized form, so the one field JSON does not
+	// carry.
+	Calibration *tpcc.Calibration `json:"-"`
 	// LAN configures the network segment (zero value for the paper's
 	// Ethernet-100).
-	LAN simnet.LANConfig
-	// GCSTweak adjusts the group communication configuration (buffer
-	// pool, windows, timeouts) before stacks are built.
-	GCSTweak func(*gcs.Config)
+	LAN simnet.LANConfig `json:"lan,omitzero"`
+	// GCSBufferBytes overrides the group communication buffer pool
+	// (gcs.Config.BufferBytes; 0 for its default).
+	GCSBufferBytes int `json:"gcsBufferBytes,omitempty"`
 	// Faults is the fault load.
-	Faults faults.Config
+	Faults faults.Config `json:"faults,omitzero"`
 	// Hooks are test-only protocol switches (see Hooks); the zero value —
 	// every hook off — is the only production configuration.
-	Hooks Hooks
+	Hooks Hooks `json:"hooks,omitzero"`
 	// ReadSetThreshold upgrades large read-sets to table locks.
-	ReadSetThreshold int
+	ReadSetThreshold int `json:"readSetThreshold,omitempty"`
 	// Admission enables the overload-protection machinery: a per-site
 	// active-transaction cap, replica backlog watermarks that gate
 	// admission, and client retry with exponential backoff after explicit
 	// rejections. Nil runs without admission control (rejections never
 	// happen and overload degrades the old way, by thrashing).
-	Admission *AdmissionConfig
+	Admission *AdmissionConfig `json:"admission,omitempty"`
 	// DedicatedSequencer adds a group member (node 0) that orders
 	// messages but hosts no database and originates no application
 	// traffic — the paper's Section 5.3 mitigation for sequencer
 	// buffer-share exhaustion. Only meaningful when Sites > 1.
-	DedicatedSequencer bool
+	DedicatedSequencer bool `json:"dedicatedSequencer,omitempty"`
 	// ReplicationDegree stores each warehouse at this many sites instead
 	// of all of them (partial replication, Section 5.2's disk-bottleneck
 	// mitigation). 0 or >= Sites means full replication. Clients are
 	// then routed to their home warehouse's primary site.
-	ReplicationDegree int
-	// UseWallProfiler measures real protocol code with the wall clock
-	// instead of the deterministic cost model (non-reproducible runs).
-	UseWallProfiler bool
-	// MaxSimTime bounds simulated time (default 2h).
-	MaxSimTime sim.Time
+	ReplicationDegree int `json:"replicationDegree,omitempty"`
+	// MaxSimTime bounds simulated time, in simulated nanoseconds (default
+	// 2h).
+	MaxSimTime sim.Time `json:"maxSimTimeNs,omitempty"`
 	// CollectTxnLog records every transaction in Results.TxnLog.
-	CollectTxnLog bool
+	CollectTxnLog bool `json:"collectTxnLog,omitempty"`
 }
 
 // Hooks re-open fixed protocol holes for the adversarial explorer's
 // self-tests and saved repros: a repro of a historical bug keeps reproducing
 // its violation on a healthy tree by naming the hook that resurrects it.
-// Hooks are serializable (unlike GCSTweak) so repro JSON can carry them.
 // Never set any hook outside tests and saved repros.
 type Hooks struct {
 	// NonUniformSequencer reverts the uniform sequencer delivery fix: the
@@ -143,9 +143,6 @@ type Hooks struct {
 	// safety hole (see internal/gcs/totalorder.go).
 	NonUniformSequencer bool `json:"nonUniformSequencer,omitempty"`
 }
-
-// Any reports whether any hook is set.
-func (h Hooks) Any() bool { return h.NonUniformSequencer }
 
 // AdmissionConfig tunes the overload-protection machinery.
 type AdmissionConfig struct {
@@ -386,11 +383,7 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 	if err != nil {
 		return nil, fmt.Errorf("core: site %d: %w", id, err)
 	}
-	var prof csrt.Profiler = &csrt.ModelProfiler{}
-	if cfg.UseWallProfiler {
-		prof = &csrt.WallProfiler{}
-	}
-	rt := csrt.NewRuntime(m.k, id, prof, m.net.Port(id, 0), csrt.DefaultCostParams(),
+	rt := csrt.NewRuntime(m.k, id, &csrt.ModelProfiler{}, m.net.Port(id, 0), csrt.DefaultCostParams(),
 		m.rng.Fork(fmt.Sprintf("rt-%d", id)))
 	ncpu := cfg.CPUsPerSite
 	if id == 0 {
@@ -721,15 +714,13 @@ func (m *Model) buildStack(s *Site, joining bool) error {
 		Members:      m.members[s.group-1],
 		Group:        runtimeapi.Group(s.group),
 		UseMulticast: true,
+		BufferBytes:  m.cfg.GCSBufferBytes,
 		Joining:      joining,
 		// Partitions need the primary-component rule: the minority side
 		// must wedge rather than split-brain.
 		PrimaryComponent: len(m.cfg.Faults.Partitions) > 0,
 
 		NonUniformSequencer: m.cfg.Hooks.NonUniformSequencer,
-	}
-	if m.cfg.GCSTweak != nil {
-		m.cfg.GCSTweak(&gcfg)
 	}
 	stack, err := gcs.New(s.RT, gcfg)
 	if err != nil {

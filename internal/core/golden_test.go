@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -14,10 +12,9 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/golden"
 	"repro/internal/sim"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current tree")
 
 // goldenRuns is the fixed matrix whose complete simulated outcome is pinned:
 // one row per assembly path (single site, both protocols, degree-k partial
@@ -143,28 +140,5 @@ func TestGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "== campaign %s\nschedules: %x\n", c.name, h.Sum(nil)[:16])
 	}
-	path := filepath.Join("testdata", "golden.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got.Bytes(), want) {
-		return
-	}
-	gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("golden.txt line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
-		}
-	}
-	t.Fatalf("golden.txt: %d lines, want %d", len(gl), len(wl))
+	golden.Check(t, filepath.Join("testdata", "golden.txt"), got.Bytes())
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/gcs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -147,11 +146,9 @@ func TestGroupsSmallMTUFragmentsPrepares(t *testing.T) {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
 			cfg := groupCfg(p, 11)
-			// The relay MTU is the LAN's; keep the stream's chunk bound
-			// (MaxPacket) at the same value so ordered-stream datagrams
-			// still fit their port.
+			// The relay MTU is the LAN's, and each stack derives its
+			// stream's chunk bound from the same port.
 			cfg.LAN = simnet.LANConfig{MTU: 96}
-			cfg.GCSTweak = func(g *gcs.Config) { g.MaxPacket = 96 }
 			r := runGroups(t, cfg)
 			if r.SafetyErr != nil {
 				t.Fatalf("safety: %v", r.SafetyErr)

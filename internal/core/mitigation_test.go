@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/gcs"
 	"repro/internal/sim"
 )
 
@@ -15,8 +14,8 @@ import (
 func TestSequencerMitigations(t *testing.T) {
 	base := Config{
 		Sites: 3, Clients: 300, TotalTxns: 1200, Seed: 41,
-		Faults:   faults.Config{Loss: faults.Loss{Kind: faults.LossRandom, Rate: 0.05}},
-		GCSTweak: func(c *gcs.Config) { c.BufferBytes = 24 * 1024 }, // tight pool
+		Faults:         faults.Config{Loss: faults.Loss{Kind: faults.LossRandom, Rate: 0.05}},
+		GCSBufferBytes: 24 * 1024, // tight pool
 	}
 	tight := run(t, base)
 	if tight.SafetyErr != nil {
@@ -28,7 +27,7 @@ func TestSequencerMitigations(t *testing.T) {
 
 	// Mitigation 1: more buffer space.
 	bigger := base
-	bigger.GCSTweak = func(c *gcs.Config) { c.BufferBytes = 512 * 1024 }
+	bigger.GCSBufferBytes = 512 * 1024
 	relaxed := run(t, bigger)
 	if relaxed.SafetyErr != nil {
 		t.Fatalf("safety: %v", relaxed.SafetyErr)
@@ -66,7 +65,7 @@ func TestSequencerMitigations(t *testing.T) {
 	tightSeqBlocked, _ := seqBlocked(base)
 	dedicated := base
 	dedicated.DedicatedSequencer = true
-	dedicated.GCSTweak = func(c *gcs.Config) { c.BufferBytes = 32 * 1024 }
+	dedicated.GCSBufferBytes = 32 * 1024
 	dsSeqBlocked, dsCommitted := seqBlocked(dedicated)
 	if dsSeqBlocked >= tightSeqBlocked {
 		t.Fatalf("dedicated sequencer still starves: blocked %v vs %v",

@@ -5,13 +5,12 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/faults"
-	"repro/internal/gcs"
 	"repro/internal/sim"
 )
 
 // tightBuffers reproduces the paper's constrained buffer pool, amplifying
 // retransmission-driven reordering under loss.
-func tightBuffers(c *gcs.Config) { c.BufferBytes = 96 * 1024 }
+const tightBuffers = 96 * 1024
 
 // TestOptimisticFaultFreeLowerDecisionLatency is the protocol-comparison
 // acceptance check: on a fault-free LAN the optimistic variant must decide
@@ -95,7 +94,7 @@ func TestOptimisticRollbackPathUnderBurstyLossAndDrift(t *testing.T) {
 			ClockDriftRate: 0.05,
 			Loss:           faults.Loss{Kind: faults.LossBursty, Rate: 0.08, MeanBurst: 5},
 		},
-		GCSTweak: tightBuffers,
+		GCSBufferBytes: tightBuffers,
 	})
 	if r.SafetyErr != nil {
 		t.Fatalf("safety under bursty loss + drift: %v", r.SafetyErr)

@@ -114,12 +114,9 @@ func Run(opts Options) (*Report, error) {
 		seeds := make([]int64, len(cands))
 		for i := range cands {
 			seeds[i] = expr.DeriveSeed(opts.Seed, runs+i)
-			cfg := base
-			cfg.Seed = seeds[i]
-			cfg.Faults = space.ToFaults(cands[i])
 			tasks[i] = expr.Task{
 				Label:  fmt.Sprintf("explore gen %d cand %d", gen, i),
-				Config: cfg,
+				Config: space.config(base, cands[i], seeds[i]),
 				Reps:   1,
 			}
 		}
@@ -186,7 +183,7 @@ func nextGen(rng *sim.RNG, space Space, corpus []Entry, prev [][]Gene, pop int) 
 		if len(corpus) == 0 {
 			return prev[rng.Intn(len(prev))]
 		}
-		if w := minInt(len(corpus), 8); rng.Bool(0.5) {
+		if w := min(len(corpus), 8); rng.Bool(0.5) {
 			return corpus[len(corpus)-1-rng.Intn(w)].Genes
 		}
 		return corpus[rng.Intn(len(corpus))].Genes
@@ -200,11 +197,4 @@ func nextGen(rng *sim.RNG, space Space, corpus []Entry, prev [][]Gene, pop int) 
 		}
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -62,6 +62,22 @@ func exploreWithWorkers(t *testing.T, workers int) *Report {
 	return rep
 }
 
+// minimizedRepro shrinks a found violation and packages the minimized
+// schedule's own run, the way faultsim -explore saves a repro.
+func minimizedRepro(t *testing.T, f *Found) *Repro {
+	t.Helper()
+	min, _ := Minimize(hookBase(), hookSpace(), f.Genes, f.Seed)
+	res, err := Rerun(hookBase(), hookSpace(), min, f.Seed)
+	if err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	r, err := NewRepro(hookBase(), hookSpace(), min, f.Seed, res)
+	if err != nil {
+		t.Fatalf("repro: %v", err)
+	}
+	return r
+}
+
 // TestExplorerBeatsRandom is the mutation self-test the issue's acceptance
 // criteria demand: with the uniform-delivery fix reverted behind the hook,
 // the coverage-guided explorer must find the violation in at most half the
@@ -107,12 +123,7 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		rep := exploreWithWorkers(t, workers)
 		f := rep.Found[0]
-		min, _ := Minimize(hookBase(), hookSpace(), f.Genes, f.Seed)
-		res, err := Rerun(hookBase(), hookSpace(), min, f.Seed)
-		if err != nil {
-			t.Fatalf("workers=%d: rerun: %v", workers, err)
-		}
-		b, err := NewRepro(hookBase(), hookSpace(), min, f.Seed, res).Marshal()
+		b, err := minimizedRepro(t, f).Marshal()
 		if err != nil {
 			t.Fatalf("workers=%d: marshal: %v", workers, err)
 		}
@@ -139,10 +150,7 @@ func TestMinimizeProperties(t *testing.T) {
 	t.Logf("minimized %d -> %d genes in %d probes", stats.From, stats.To, stats.Probes)
 
 	violates := func(genes []Gene) bool {
-		cfg := base
-		cfg.Seed = f.Seed
-		cfg.Faults = space.ToFaults(genes)
-		m, err := core.New(cfg)
+		m, err := core.New(space.config(base, genes, f.Seed))
 		if err != nil {
 			return false
 		}
@@ -171,14 +179,7 @@ func TestMinimizeProperties(t *testing.T) {
 // and replays it: the violation must reproduce with its recorded kind, and
 // the reload must be byte-stable.
 func TestReproReplayRoundTrip(t *testing.T) {
-	base, space := hookBase(), hookSpace()
-	f := exploreWithWorkers(t, 0).Found[0]
-	min, _ := Minimize(base, space, f.Genes, f.Seed)
-	res, err := Rerun(base, space, min, f.Seed)
-	if err != nil {
-		t.Fatalf("rerun: %v", err)
-	}
-	r := NewRepro(base, space, min, f.Seed, res)
+	r := minimizedRepro(t, exploreWithWorkers(t, 0).Found[0])
 
 	dir := t.TempDir()
 	path, err := r.Save(dir)

@@ -10,13 +10,7 @@ func TestGenFixture(t *testing.T) {
 	if os.Getenv("GEN_FIXTURE") == "" {
 		t.Skip("fixture generator")
 	}
-	f := exploreWithWorkers(t, 0).Found[0]
-	min, _ := Minimize(hookBase(), hookSpace(), f.Genes, f.Seed)
-	res, err := Rerun(hookBase(), hookSpace(), min, f.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRepro(hookBase(), hookSpace(), min, f.Seed, res)
+	r := minimizedRepro(t, exploreWithWorkers(t, 0).Found[0])
 	path, err := r.Save("../../cmd/faultsim/testdata")
 	if err != nil {
 		t.Fatal(err)

@@ -30,10 +30,7 @@ func Minimize(base core.Config, space Space, genes []Gene, seed int64) ([]Gene, 
 	probes := 0
 	violates := func(cand []Gene) bool {
 		probes++
-		cfg := base
-		cfg.Seed = seed
-		cfg.Faults = space.ToFaults(cand)
-		m, err := core.New(cfg)
+		m, err := core.New(space.config(base, cand, seed))
 		if err != nil {
 			return false
 		}
@@ -48,7 +45,7 @@ func Minimize(base core.Config, space Space, genes []Gene, seed int64) ([]Gene, 
 
 	// Phase 1: ddmin-style chunk removal, halving the chunk size until
 	// single-gene removals stop helping.
-	for chunk := maxInt(1, len(cur)/2); chunk >= 1; {
+	for chunk := max(1, len(cur)/2); chunk >= 1; {
 		removed := false
 		for i := 0; i+chunk <= len(cur); i++ {
 			cand := make([]Gene, 0, len(cur)-chunk)
@@ -64,7 +61,7 @@ func Minimize(base core.Config, space Space, genes []Gene, seed int64) ([]Gene, 
 		if !removed {
 			chunk /= 2
 		} else if chunk > len(cur) {
-			chunk = maxInt(1, len(cur))
+			chunk = max(1, len(cur))
 		}
 	}
 

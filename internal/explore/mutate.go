@@ -43,7 +43,7 @@ func (s Space) randomGene(g *sim.RNG) Gene {
 			gene.Recover = onset + g.UniformDur(5*sim.Second, 20*sim.Second)
 		}
 	case GenePartition:
-		m := 1 + g.Intn(maxInt(1, s.budget()))
+		m := 1 + g.Intn(max(1, s.budget()))
 		first := int32(1 + g.Intn(total))
 		gene.Sites = []int32{first}
 		for i := 1; i < m; i++ {
@@ -155,11 +155,4 @@ func (s Space) Splice(g *sim.RNG, a, b []Gene) []Gene {
 	child = append(child, a[:ca]...)
 	child = append(child, b[cb:]...)
 	return s.repair(child)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

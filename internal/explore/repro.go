@@ -8,12 +8,12 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/sim"
 )
 
-// ReproVersion is the saved-repro format version.
-const ReproVersion = 1
+// ReproVersion is the saved-repro format version. Version 1 mirrored a few
+// Config fields by hand and silently dropped the rest; version 2 carries the
+// Config whole.
+const ReproVersion = 2
 
 // Expect states what a repro must reproduce.
 type Expect struct {
@@ -24,33 +24,16 @@ type Expect struct {
 	Kind string `json:"kind,omitempty"`
 }
 
-// Repro is a self-contained, replayable violation: the full workload shape,
-// the exact fault schedule, the seed, and the expected verdict, with the
-// checker's first-divergence triage attached. A repro file needs nothing
-// but the binary to replay: `faultsim -replay-file <path>`.
+// Repro is a self-contained, replayable violation: the whole run
+// configuration — workload, topology, seed, hooks and the exact fault
+// schedule — and the expected verdict, with the checker's first-divergence
+// triage attached. A repro file needs nothing but the binary to replay:
+// `faultsim -replay-file <path>`.
 type Repro struct {
 	Version     int    `json:"version"`
 	Description string `json:"description,omitempty"`
-	Protocol    string `json:"protocol"`
-	Sites       int    `json:"sites"`
-	Groups      int    `json:"groups,omitempty"`
-	Clients     int    `json:"clients"`
-	Txns        int    `json:"txns"`
-	Seed        int64  `json:"seed"`
-	// Admission enables the default admission-control configuration.
-	Admission bool `json:"admission,omitempty"`
-	// MaxSimTime bounds the replay, in simulated nanoseconds (default 20
-	// simulated minutes, the campaign bound).
-	MaxSimTime sim.Time `json:"maxSimTimeNs,omitempty"`
-	// Hooks are the test-only protocol switches the violation needs (a
-	// repro of a since-fixed bug keeps failing through the hook that
-	// reintroduces it).
-	Hooks core.Hooks `json:"hooks,omitempty"`
-	// Faults is the exact (minimized) schedule.
-	Faults faults.Config `json:"faults"`
-	// Genes is the schedule's genome, kept for provenance and further
-	// mutation; Faults is what replays.
-	Genes []Gene `json:"genes,omitempty"`
+	// Config is the run that violated, under the (minimized) schedule.
+	Config core.Config `json:"config"`
 	// Expect is the verdict the replay must produce.
 	Expect Expect `json:"expect"`
 	// Triage is the checker's first-divergence annotation from the run
@@ -58,44 +41,36 @@ type Repro struct {
 	Triage *check.Triage `json:"triage,omitempty"`
 }
 
+// config is the run configuration of one schedule: the base workload under
+// the schedule's faults and seed.
+func (s Space) config(base core.Config, genes []Gene, seed int64) core.Config {
+	base.Seed = seed
+	base.Faults = s.ToFaults(genes)
+	return base
+}
+
 // Rerun executes one schedule under the base workload and returns its
 // results; repros are built from a fresh run of the exact (minimized)
 // schedule so the recorded triage matches what the file reproduces.
 func Rerun(base core.Config, space Space, genes []Gene, seed int64) (*core.Results, error) {
-	cfg := base
-	cfg.Seed = seed
-	cfg.Faults = space.filled().ToFaults(genes)
-	m, err := core.New(cfg)
+	m, err := core.New(space.config(base, genes, seed))
 	if err != nil {
 		return nil, err
 	}
 	return m.Run()
 }
 
-// NewRepro packages a violating schedule as a self-contained repro.
-func NewRepro(base core.Config, space Space, genes []Gene, seed int64, res *core.Results) *Repro {
-	space = space.filled()
+// NewRepro packages a violating schedule as a self-contained repro. A base
+// with a Calibration is refused: the file could not carry it, so the replay
+// would be a different run.
+func NewRepro(base core.Config, space Space, genes []Gene, seed int64, res *core.Results) (*Repro, error) {
+	if base.Calibration != nil {
+		return nil, fmt.Errorf("explore: a repro cannot carry Config.Calibration")
+	}
 	r := &Repro{
-		Version:  ReproVersion,
-		Protocol: string(base.Protocol),
-		Sites:    space.Sites,
-		Groups:   space.Groups,
-		Clients:  base.Clients,
-		Txns:     base.TotalTxns,
-		Seed:     seed,
-		Hooks:    base.Hooks,
-		Faults:   space.ToFaults(genes),
-		Genes:    genes,
-		Expect:   Expect{Verdict: "UNSAFE"},
-	}
-	if r.Groups <= 1 {
-		r.Groups = 0
-	}
-	if base.Admission != nil {
-		r.Admission = true
-	}
-	if base.MaxSimTime != 0 && base.MaxSimTime != 20*sim.Minute {
-		r.MaxSimTime = base.MaxSimTime
+		Version: ReproVersion,
+		Config:  space.config(base, genes, seed),
+		Expect:  Expect{Verdict: "UNSAFE"},
 	}
 	if res != nil {
 		if t := check.TriageOf(res.SafetyErr); t != nil {
@@ -106,35 +81,13 @@ func NewRepro(base core.Config, space Space, genes []Gene, seed int64, res *core
 			r.Description = v.Error()
 		}
 	}
-	return r
-}
-
-// Config rebuilds the replay configuration.
-func (r *Repro) Config() core.Config {
-	cfg := core.Config{
-		Sites:      r.Sites,
-		Groups:     r.Groups,
-		Protocol:   core.Protocol(r.Protocol),
-		Clients:    r.Clients,
-		TotalTxns:  r.Txns,
-		Seed:       r.Seed,
-		Faults:     r.Faults,
-		Hooks:      r.Hooks,
-		MaxSimTime: r.MaxSimTime,
-	}
-	if cfg.MaxSimTime == 0 {
-		cfg.MaxSimTime = 20 * sim.Minute
-	}
-	if r.Admission {
-		cfg.Admission = core.DefaultAdmissionConfig()
-	}
-	return cfg
+	return r, nil
 }
 
 // Replay runs the repro and reports whether the expected violation
 // reproduced, with the verdict detail.
 func (r *Repro) Replay() (reproduced bool, detail string, err error) {
-	m, err := core.New(r.Config())
+	m, err := core.New(r.Config)
 	if err != nil {
 		return false, "", fmt.Errorf("explore: repro config: %w", err)
 	}
@@ -187,11 +140,12 @@ func (r *Repro) Name() string {
 	if kind == "" {
 		kind = "unsafe"
 	}
-	topo := fmt.Sprintf("s%d", r.Sites)
-	if r.Groups > 1 {
-		topo = fmt.Sprintf("g%dx%d", r.Groups, r.Sites)
+	c := &r.Config
+	topo := fmt.Sprintf("s%d", c.Sites)
+	if c.Groups > 1 {
+		topo = fmt.Sprintf("g%dx%d", c.Groups, c.Sites)
 	}
-	return fmt.Sprintf("repro-%s-%s-%s-%d.json", r.Protocol, topo, kind, r.Seed)
+	return fmt.Sprintf("repro-%s-%s-%s-%d.json", c.Protocol, topo, kind, c.Seed)
 }
 
 // LoadRepro reads a repro file.
@@ -205,7 +159,7 @@ func LoadRepro(path string) (*Repro, error) {
 		return nil, fmt.Errorf("explore: %s: %w", path, err)
 	}
 	if r.Version != ReproVersion {
-		return nil, fmt.Errorf("explore: %s: unsupported repro version %d", path, r.Version)
+		return nil, fmt.Errorf("explore: %s: unsupported repro version %d (this tree reads version %d)", path, r.Version, ReproVersion)
 	}
 	return &r, nil
 }

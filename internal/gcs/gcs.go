@@ -40,9 +40,6 @@ type Config struct {
 	// UseMulticast selects IP multicast dissemination (LAN). When false
 	// the stack unicasts to every member (WAN fallback).
 	UseMulticast bool
-	// MaxPacket bounds a single wire datagram; app messages larger than
-	// this are fragmented. Defaults to 1400.
-	MaxPacket int
 	// BufferBytes is the total buffer pool; each member may own at most
 	// BufferBytes/len(Members) of unstable transmitted data (the "buffer
 	// share" whose exhaustion the paper observes under loss). Defaults to
@@ -91,9 +88,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.MaxPacket == 0 {
-		c.MaxPacket = 1400
-	}
 	if c.BufferBytes == 0 {
 		c.BufferBytes = 384 * 1024
 	}
@@ -129,6 +123,9 @@ const (
 	// the send cursor (its acknowledgement is learned from stability gossip
 	// horizons). Inside sendWindow, so healthy receivers never bind.
 	creditsPerDest = 192
+	// maxDatagram caps a single wire datagram; a runtime with a smaller MTU
+	// binds first (Stack.maxPacket).
+	maxDatagram = 1400
 )
 
 // View is an installed membership.
@@ -253,6 +250,9 @@ type Stats struct {
 type Stack struct {
 	rt  runtimeapi.Runtime
 	cfg Config
+	// maxPacket bounds a single wire datagram: min(maxDatagram, rt.MTU()).
+	// App messages larger than this are fragmented.
+	maxPacket int
 
 	view         View
 	rank         int // my index in view.Members
@@ -301,10 +301,11 @@ func New(rt runtimeapi.Runtime, cfg Config) (*Stack, error) {
 	if !found {
 		return nil, fmt.Errorf("gcs: self %d not in member list", cfg.Self)
 	}
-	if cfg.MaxPacket <= dataHeader+64 {
-		return nil, fmt.Errorf("gcs: MaxPacket %d too small", cfg.MaxPacket)
+	maxPacket := min(maxDatagram, rt.MTU())
+	if maxPacket <= dataHeader+64 {
+		return nil, fmt.Errorf("gcs: runtime MTU %d too small", rt.MTU())
 	}
-	s := &Stack{rt: rt, cfg: cfg}
+	s := &Stack{rt: rt, cfg: cfg, maxPacket: maxPacket}
 	s.view = View{ID: 0, Members: members}
 	s.rank = s.indexOf(cfg.Self)
 	s.joining = cfg.Joining

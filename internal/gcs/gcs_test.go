@@ -403,7 +403,8 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(rt, Config{Self: 9, Members: []runtimeapi.NodeID{1, 2}}); err == nil {
 		t.Fatal("self not in member list accepted")
 	}
-	if _, err := New(rt, Config{Self: 1, Members: []runtimeapi.NodeID{1}, MaxPacket: 10}); err == nil {
-		t.Fatal("absurd MaxPacket accepted")
+	tiny := csrt.NewRuntime(k, 1, &csrt.ModelProfiler{}, net.Port(1, 10), csrt.CostParams{}, rng)
+	if _, err := New(tiny, Config{Self: 1, Members: []runtimeapi.NodeID{1}}); err == nil {
+		t.Fatal("absurd port MTU accepted")
 	}
 }

@@ -21,7 +21,7 @@ func pattern(n int, salt byte) []byte {
 // the datagrams are parsed: chunk by chunk through onData, in pooled dataMsg
 // structs. It returns the sequence number of the last chunk.
 func feed(st *Stack, sender NodeID, firstSeq uint64, kind byte, payload []byte) uint64 {
-	maxChunk := st.cfg.MaxPacket - dataHeader
+	maxChunk := st.maxPacket - dataHeader
 	n := (len(payload) + maxChunk - 1) / maxChunk
 	for i := 0; i < n; i++ {
 		m := st.rm.newMsg()

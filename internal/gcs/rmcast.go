@@ -95,7 +95,7 @@ func newRelMcast(s *Stack) *relMcast {
 		outQLimit: maxQueuedBytes,
 		sendBuf:   make(map[uint64][]byte),
 		peers:     make(map[NodeID]*peerState),
-		tokens:    float64(s.cfg.MaxPacket * 2),
+		tokens:    float64(s.maxPacket * 2),
 		credits:   newCreditGate(creditsPerDest),
 	}
 	for _, m := range s.cfg.Members {
@@ -189,7 +189,7 @@ func (rm *relMcast) share() int {
 // flow-controlled transmission. All chunks of one message are enqueued
 // atomically so a view-change freeze cannot split a message.
 func (rm *relMcast) cast(payloadKind byte, payload []byte) {
-	maxChunk := rm.s.cfg.MaxPacket - dataHeader
+	maxChunk := rm.s.maxPacket - dataHeader
 	total := len(payload)
 	rm.s.rt.Charge(msgCost(total))
 	if total == 0 {
@@ -302,7 +302,7 @@ func (rm *relMcast) refillTokens() {
 		return
 	}
 	rm.lastRefill = now
-	burst := float64(max(2*rm.s.cfg.MaxPacket, int(rm.s.cfg.RateBps/50)))
+	burst := float64(max(2*rm.s.maxPacket, int(rm.s.cfg.RateBps/50)))
 	rm.tokens += float64(rm.s.cfg.RateBps) * dt.Seconds()
 	if rm.tokens > burst {
 		rm.tokens = burst

@@ -5,8 +5,14 @@
 // over maps are forbidden.
 //
 // The rule applies to the packages that execute under the simulation
-// kernel: sim, simnet, gcs, dbsm, core, campaign, faults, csrt, db,
-// replica, and xgroup. Code with a vetted reason opts out per line with
+// kernel — sim, simnet, gcs, dbsm, core, campaign, faults, csrt, db,
+// replica, xgroup, tpcc, recovery, explore, check, trace and metrics — and
+// to the commands whose stdout is pinned by golden files as a pure function
+// of their flags: dbsim, faultsim and experiments (a command's package is
+// matched by its directory, the final element of its import path). Outside
+// the rule stay expr (the worker pool is goroutines by design), runtimeapi
+// (the native runtime is the host clock), validate (its native column), the
+// linters, and bench/. Code with a vetted reason opts out per line with
 //
 //	//lint:simdeterminism-ok <reason>
 //
@@ -45,12 +51,15 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// deterministicPkgs are the packages executing under the simulation
-// kernel, matched by the final element of the import path.
+// deterministicPkgs are the packages executing under the simulation kernel
+// and the commands with golden stdout, matched by the final element of the
+// import path.
 var deterministicPkgs = map[string]bool{
 	"sim": true, "simnet": true, "gcs": true, "dbsm": true, "core": true,
 	"campaign": true, "faults": true, "csrt": true, "db": true, "replica": true,
-	"xgroup": true,
+	"xgroup": true, "tpcc": true, "recovery": true, "explore": true, "check": true,
+	"trace": true, "metrics": true,
+	"dbsim": true, "faultsim": true, "experiments": true,
 }
 
 // bannedTime are time-package functions that read or wait on the wall

@@ -20,6 +20,12 @@ func TestXGroupPackage(t *testing.T) {
 	linttest.Run(t, simdeterminism.Analyzer, "xgroup")
 }
 
+// TestMainPackage covers a command: package main under a directory named in
+// the deterministic set.
+func TestMainPackage(t *testing.T) {
+	linttest.Run(t, simdeterminism.Analyzer, "cmd/faultsim")
+}
+
 func TestBareDirective(t *testing.T) {
 	diags := linttest.Diagnostics(t, simdeterminism.Analyzer, "db")
 	if len(diags) != 1 || !strings.Contains(diags[0], "requires a reason") {
