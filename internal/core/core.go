@@ -96,9 +96,6 @@ type Config struct {
 	// distributions with no serialized form, so the one field JSON does not
 	// carry.
 	Calibration *tpcc.Calibration `json:"-"`
-	// LAN configures the network segment (zero value for the paper's
-	// Ethernet-100).
-	LAN simnet.LANConfig `json:"lan,omitzero"`
 	// GCSBufferBytes overrides the group communication buffer pool
 	// (gcs.Config.BufferBytes; 0 for its default).
 	GCSBufferBytes int `json:"gcsBufferBytes,omitempty"`
@@ -195,9 +192,6 @@ func (c *Config) fill() {
 	if c.Calibration == nil {
 		c.Calibration = tpcc.DefaultCalibration()
 	}
-	if c.LAN.BandwidthBps == 0 && c.LAN.MTU == 0 {
-		c.LAN = simnet.DefaultLANConfig("lan0")
-	}
 	if c.MaxSimTime == 0 {
 		c.MaxSimTime = 2 * sim.Hour
 	}
@@ -220,6 +214,10 @@ type Site struct {
 
 	group       int  // 1-based replication group (1 in the classic model)
 	partitioned bool // isolated in a partition minority at some point
+	// pendingRecover marks a crashed site whose scheduled recovery has not
+	// fired yet: the run must not quiesce before it does, or a
+	// crash-and-rejoin schedule would silently skip the rejoin under test.
+	pendingRecover bool
 
 	// Counters of dead incarnations, folded into the site totals when the
 	// current Stack/Replica are replaced at recovery.
@@ -280,11 +278,6 @@ type Model struct {
 	lastDone sim.Time
 	txnLog   trace.TxnLog
 
-	// pendingRecover marks crashed sites whose scheduled recovery has not
-	// fired yet: the run must not quiesce before it does, or a
-	// crash-and-rejoin schedule would silently skip the rejoin under test.
-	pendingRecover map[*Site]bool
-
 	// rejoinViolations counts install-time prefix-check failures: a dead
 	// incarnation's commit log that was not a prefix of its donor's.
 	rejoinViolations int64
@@ -320,16 +313,23 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// New builds a model from a config: validate, build the sites, arm the fault
-// load, start the clients.
+// New builds a model from a config: validate, build the sites on the paper's
+// Ethernet-100 segment, arm the fault load, start the clients.
 func New(cfg Config) (*Model, error) {
+	return newOnLAN(cfg, simnet.DefaultLANConfig("lan0"))
+}
+
+// newOnLAN is New on a segment of the caller's choosing. Every run uses the
+// one segment New names; the parameter stays for the in-package regression
+// test that squeezes the MTU until cross-group prepares must fragment.
+func newOnLAN(cfg Config, lan simnet.LANConfig) (*Model, error) {
 	cfg.fill()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	m := &Model{cfg: cfg, k: sim.NewKernel(), rng: sim.NewRNG(cfg.Seed), place: newPlacement(&cfg)}
 	m.net = simnet.NewNetwork(m.k, m.rng.Fork("net"))
-	m.lan = m.net.NewLAN(cfg.LAN)
+	m.lan = m.net.NewLAN(lan)
 	if err := m.buildSites(); err != nil {
 		return nil, err
 	}
@@ -479,15 +479,12 @@ func (m *Model) armFaults() error {
 		if rc.At <= at {
 			return fmt.Errorf("core: site %d recovers at %v, not after its crash at %v", rc.Site, rc.At, at)
 		}
-		if m.pendingRecover[site] {
+		if site.pendingRecover {
 			return fmt.Errorf("core: site %d recovers twice", rc.Site)
 		}
-		if m.pendingRecover == nil {
-			m.pendingRecover = make(map[*Site]bool)
-		}
-		m.pendingRecover[site] = true
+		site.pendingRecover = true
 		m.k.ScheduleAt(rc.At, func() {
-			delete(m.pendingRecover, site)
+			site.pendingRecover = false
 			m.recover(site)
 		})
 	}
@@ -877,7 +874,7 @@ func (m *Model) quiesced() bool {
 	}
 	live := int64(0)
 	for _, s := range m.sites {
-		if s.Life.State() == recovery.StateRecovering || m.pendingRecover[s] {
+		if s.Life.State() == recovery.StateRecovering || s.pendingRecover {
 			return false
 		}
 		if s.operational() {

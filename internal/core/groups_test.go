@@ -145,11 +145,16 @@ func TestGroupsSmallMTUFragmentsPrepares(t *testing.T) {
 	for _, p := range Protocols() {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
-			cfg := groupCfg(p, 11)
 			// The relay MTU is the LAN's, and each stack derives its
 			// stream's chunk bound from the same port.
-			cfg.LAN = simnet.LANConfig{MTU: 96}
-			r := runGroups(t, cfg)
+			m, err := newOnLAN(groupCfg(p, 11), simnet.LANConfig{MTU: 96})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			r, err := m.Run()
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
 			if r.SafetyErr != nil {
 				t.Fatalf("safety: %v", r.SafetyErr)
 			}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // SiteID identifies a replica site (matches runtimeapi.NodeID numerically).
@@ -199,7 +198,6 @@ type Certifier struct {
 	history     []histEntry
 	seq         uint64
 	pruned      uint64 // highest seq dropped by pruning
-	applied     map[SiteID]uint64
 
 	// Inverted last-writer index (unused in scan mode). lastWriter maps a
 	// tuple to the highest sequence number that committed a write to it;
@@ -239,7 +237,6 @@ const (
 // index.
 func NewCertifier() *Certifier {
 	return &Certifier{
-		applied:    make(map[SiteID]uint64),
 		lastWriter: make(map[TupleID]uint64),
 		tableLock:  make(map[uint16]uint64),
 		tableAny:   make(map[uint16]uint64),
@@ -249,7 +246,7 @@ func NewCertifier() *Certifier {
 // NewScanCertifier returns an empty certifier using the reference
 // history-scan procedure (O(concurrent-history × read-set) per transaction).
 func NewScanCertifier() *Certifier {
-	return &Certifier{scan: true, applied: make(map[SiteID]uint64)}
+	return &Certifier{scan: true}
 }
 
 // Scan reports whether this certifier uses the reference scan procedure.
@@ -358,7 +355,7 @@ func (c *Certifier) commit(t *TxnCert) {
 	}
 	c.history = append(c.history, e)
 	if c.MaxHistory > 0 && len(c.history) > c.MaxHistory {
-		c.dropOldest(len(c.history)-c.MaxHistory, true)
+		c.dropOldest(len(c.history) - c.MaxHistory)
 	}
 }
 
@@ -439,20 +436,19 @@ func (c *Certifier) truncate(histLen int, seqBefore uint64) {
 	c.seq = seqBefore
 }
 
-// dropOldest removes the oldest drop history entries. When prune is true the
-// pruning boundary advances to the newest dropped sequence (the MaxHistory
-// retention rule); when false the boundary is untouched (advisory GC). In
+// dropOldest removes the oldest drop history entries and advances the pruning
+// boundary to the newest dropped sequence (the MaxHistory retention rule). In
 // indexed mode, index cells still pointing at dropped sequences are deleted:
 // any transaction that survives the pruned-window abort rule has
 // LastCommitted at or above every dropped sequence, so those cells can never
 // produce a conflict again — removing them bounds the index to the live
 // history.
-func (c *Certifier) dropOldest(drop int, prune bool) {
+func (c *Certifier) dropOldest(drop int) {
 	if drop <= 0 {
 		return
 	}
 	boundary := c.history[drop-1].seq
-	if prune && boundary > c.pruned {
+	if boundary > c.pruned {
 		c.pruned = boundary
 	}
 	if !c.scan {
@@ -482,34 +478,6 @@ func (c *Certifier) dropOldest(drop int, prune bool) {
 		c.history[i] = histEntry{}
 	}
 	c.history = c.history[:n]
-}
-
-// NoteApplied records that a site has applied all transactions up to seq.
-//
-// CAUTION: GC based on these advisory values is only safe when the caller
-// can bound the age of in-flight snapshots; replica deployments use the
-// deterministic MaxHistory pruning instead, because timer-driven GC is not a
-// function of the certified stream and can diverge across replicas.
-func (c *Certifier) NoteApplied(site SiteID, seq uint64) {
-	if seq > c.applied[site] {
-		c.applied[site] = seq
-	}
-}
-
-// GC drops history entries every site has already applied. sites lists the
-// current replica membership.
-func (c *Certifier) GC(sites []SiteID) {
-	if len(sites) == 0 {
-		return
-	}
-	low := c.seq
-	for _, s := range sites {
-		if a := c.applied[s]; a < low {
-			low = a
-		}
-	}
-	idx := sort.Search(len(c.history), func(i int) bool { return c.history[i].seq > low })
-	c.dropOldest(idx, false)
 }
 
 // String aids debugging.

@@ -55,8 +55,7 @@ func randCertStream(rng *rand.Rand, n int, seqOf func() uint64) []*TxnCert {
 // TestCertifierDifferential proves the inverted-index certifier emits the
 // identical outcome stream (commit/abort and sequence numbers) as the
 // reference scan certifier over randomized transaction streams, across
-// unlimited and tight MaxHistory retention (the pruning paths) and advisory
-// GC.
+// unlimited and tight MaxHistory retention (the pruning paths).
 func TestCertifierDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -91,17 +90,6 @@ func TestCertifierDifferential(t *testing.T) {
 				}
 				if idx.HistoryLen() != scan.HistoryLen() {
 					t.Fatalf("txn %d: history diverged: indexed=%d scan=%d", i, idx.HistoryLen(), scan.HistoryLen())
-				}
-				// Occasionally run the advisory GC on both, with the
-				// same applied vector.
-				if tc.maxHistory == 0 && i%2500 == 2499 {
-					low := idx.Seq() - uint64(rng.Intn(100))
-					for _, s := range []SiteID{1, 2} {
-						idx.NoteApplied(s, low)
-						scan.NoteApplied(s, low)
-					}
-					idx.GC([]SiteID{1, 2})
-					scan.GC([]SiteID{1, 2})
 				}
 			}
 			if commits == 0 || aborts == 0 {

@@ -246,31 +246,6 @@ func TestCertifierDeterministicAcrossReplicas(t *testing.T) {
 	}
 }
 
-func TestCertifierGC(t *testing.T) {
-	c := NewCertifier()
-	for i := 0; i < 10; i++ {
-		ws := NewItemSet(MakeTupleID(1, uint64(i)))
-		out := c.Certify(&TxnCert{TID: uint64(i), ReadSet: ws, WriteSet: ws, LastCommitted: c.Seq()})
-		if !out.Commit {
-			t.Fatal("unexpected abort")
-		}
-	}
-	if c.HistoryLen() != 10 {
-		t.Fatalf("history = %d", c.HistoryLen())
-	}
-	c.NoteApplied(1, 10)
-	c.NoteApplied(2, 4)
-	c.GC([]SiteID{1, 2})
-	if c.HistoryLen() != 6 {
-		t.Fatalf("history after GC = %d, want 6", c.HistoryLen())
-	}
-	c.NoteApplied(2, 10)
-	c.GC([]SiteID{1, 2})
-	if c.HistoryLen() != 0 {
-		t.Fatalf("history after full GC = %d, want 0", c.HistoryLen())
-	}
-}
-
 func TestCertifierChargeHook(t *testing.T) {
 	c := NewCertifier()
 	var charged int

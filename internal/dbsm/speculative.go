@@ -160,7 +160,7 @@ func (s *SpecCertifier) prune() {
 	if drop <= 0 {
 		return
 	}
-	s.c.dropOldest(drop, true)
+	s.c.dropOldest(drop)
 	for i := range s.tent {
 		s.tent[i].histLen -= drop
 	}

@@ -55,8 +55,7 @@ func (c *Certifier) ExportState() *CertState {
 
 // ImportState replaces the certifier's state with a snapshot, rebuilding the
 // last-writer index (and, when undo logging is enabled, the restore logs) by
-// replaying the retained history. Any prior state is discarded; the applied
-// vector is kept, as it tracks sites rather than history.
+// replaying the retained history. Any prior state is discarded.
 func (c *Certifier) ImportState(st *CertState) {
 	for i := range c.history {
 		c.history[i] = histEntry{}

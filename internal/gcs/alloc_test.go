@@ -12,7 +12,7 @@ func TestDataMarshalAllocFree(t *testing.T) {
 	m := &dataMsg{Sender: 3, Seq: 99, Frag: fragFull, Payload: payloadApp, Data: payload}
 	buf := make([]byte, 0, dataHeader+len(payload))
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = m.marshal(kindData, buf[:0])
+		buf = m.marshal(buf[:0])
 	})
 	if allocs != 0 {
 		t.Fatalf("dataMsg.marshal into warm buffer: %v allocs/op, want 0", allocs)
@@ -27,7 +27,7 @@ func TestDataMarshalAllocFree(t *testing.T) {
 // pooled struct allocates nothing.
 func TestParseDataPooledAllocFree(t *testing.T) {
 	m := &dataMsg{Sender: 3, Seq: 99, Frag: fragFull, Payload: payloadApp, Data: make([]byte, 256)}
-	wire := m.marshal(kindData, nil)
+	wire := m.marshal(nil)
 	var into dataMsg
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := parseDataInto(&into, wire); err != nil {

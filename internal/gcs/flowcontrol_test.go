@@ -7,14 +7,35 @@ import (
 	"repro/internal/sim"
 )
 
-// TestCreditGateTable drives the credit-window state machine through its
-// transitions: exhaustion blocks, acknowledgements replenish monotonically,
-// and forget/reset clear cursor state.
+// creditRow builds an idle three-member stack (self 1, destinations 2 and 3)
+// whose credit columns the tests below drive directly, with the window set
+// to limit chunks.
+func creditRow(t *testing.T, limit uint64) *relMcast {
+	rm := newCluster(t, 3, 11, nil).stacks[1].rm
+	rm.creditLimit = limit
+	return rm
+}
+
+// allows asks the gate about dst alone: creditOK walks every live
+// destination, so the other one is given credit no test sequence reaches.
+func allows(rm *relMcast, dst NodeID, seq uint64) bool {
+	for id, ps := range rm.peers {
+		if id != dst {
+			ps.acked = 1 << 40
+		}
+	}
+	return rm.creditOK(seq)
+}
+
+// TestCreditGateTable drives the credit window through its transitions over
+// the peer rows: exhaustion blocks, acknowledgements replenish monotonically,
+// an excluded destination's cursor is forgotten (its next incarnation starts
+// from zero credit), and an own-stream restart clears every cursor.
 func TestCreditGateTable(t *testing.T) {
 	tests := []struct {
 		name  string
 		limit uint64
-		setup func(cg *creditGate)
+		setup func(rm *relMcast)
 		dst   NodeID
 		seq   uint64
 		want  bool
@@ -22,47 +43,51 @@ func TestCreditGateTable(t *testing.T) {
 		{name: "fresh gate allows within limit", limit: 4, dst: 2, seq: 4, want: true},
 		{name: "fresh gate blocks beyond limit", limit: 4, dst: 2, seq: 5, want: false},
 		{name: "ack advances the window", limit: 4, dst: 2, seq: 10,
-			setup: func(cg *creditGate) { cg.ack(2, 6) }, want: true},
+			setup: func(rm *relMcast) { rm.creditAck(2, 6) }, want: true},
 		{name: "window edge is inclusive", limit: 4, dst: 2, seq: 10,
-			setup: func(cg *creditGate) { cg.ack(2, 5) }, want: false},
+			setup: func(rm *relMcast) { rm.creditAck(2, 5) }, want: false},
 		{name: "stale ack does not regress", limit: 4, dst: 2, seq: 10,
-			setup: func(cg *creditGate) { cg.ack(2, 6); cg.ack(2, 3) }, want: true},
+			setup: func(rm *relMcast) { rm.creditAck(2, 6); rm.creditAck(2, 3) }, want: true},
 		{name: "forget drops the cursor", limit: 4, dst: 2, seq: 10,
-			setup: func(cg *creditGate) { cg.ack(2, 6); cg.forget(2) }, want: false},
+			setup: func(rm *relMcast) { rm.creditAck(2, 6); rm.excludePeer(2, 0); rm.reset(2, 0) }, want: false},
 		{name: "reset drops every cursor", limit: 4, dst: 3, seq: 10,
-			setup: func(cg *creditGate) { cg.ack(2, 6); cg.ack(3, 8); cg.reset() }, want: false},
+			setup: func(rm *relMcast) { rm.creditAck(2, 6); rm.creditAck(3, 8); rm.resetSelf() }, want: false},
 		{name: "cursors are per destination", limit: 4, dst: 3, seq: 10,
-			setup: func(cg *creditGate) { cg.ack(2, 100) }, want: false},
+			setup: func(rm *relMcast) { rm.creditAck(2, 100) }, want: false},
+		{name: "production window", limit: creditsPerDest, dst: 2, seq: creditsPerDest + 7,
+			setup: func(rm *relMcast) { rm.creditAck(2, 7) }, want: true},
+		{name: "production window edge", limit: creditsPerDest, dst: 2, seq: creditsPerDest + 8,
+			setup: func(rm *relMcast) { rm.creditAck(2, 7) }, want: false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			cg := newCreditGate(tc.limit)
+			rm := creditRow(t, tc.limit)
 			if tc.setup != nil {
-				tc.setup(cg)
+				tc.setup(rm)
 			}
-			if got := cg.allows(tc.dst, tc.seq); got != tc.want {
+			if got := allows(rm, tc.dst, tc.seq); got != tc.want {
 				t.Fatalf("allows(%d, %d) = %v, want %v", tc.dst, tc.seq, got, tc.want)
 			}
 		})
 	}
 }
 
-// TestCreditGateMonotone pins the merge semantics ack relies on: the return
-// value reports exactly the advances, and the cursor never moves backwards
-// however acknowledgements are reordered in flight.
+// TestCreditGateMonotone pins the merge semantics creditAck relies on: the
+// return value reports exactly the advances, and the cursor never moves
+// backwards however acknowledgements are reordered in flight.
 func TestCreditGateMonotone(t *testing.T) {
-	cg := newCreditGate(8)
+	rm := creditRow(t, 8)
 	steps := []struct {
 		seq  uint64
 		want bool
 	}{{5, true}, {5, false}, {3, false}, {9, true}, {1, false}, {9, false}, {10, true}}
 	for i, s := range steps {
-		if got := cg.ack(7, s.seq); got != s.want {
-			t.Fatalf("step %d: ack(7, %d) = %v, want %v", i, s.seq, got, s.want)
+		if got := rm.creditAck(2, s.seq); got != s.want {
+			t.Fatalf("step %d: creditAck(2, %d) = %v, want %v", i, s.seq, got, s.want)
 		}
 	}
-	if got := cg.ackedSeq(7); got != 10 {
-		t.Fatalf("ackedSeq = %d, want 10", got)
+	if got := rm.peers[2].acked; got != 10 {
+		t.Fatalf("acked = %d, want 10", got)
 	}
 }
 
@@ -71,12 +96,12 @@ func TestCreditGateMonotone(t *testing.T) {
 // same span of sequence numbers, run after run.
 func TestCreditGateReplenishDeterministic(t *testing.T) {
 	for run := 0; run < 2; run++ {
-		cg := newCreditGate(2)
+		rm := creditRow(t, 2)
 		var unblocked []uint64
 		next := uint64(1)
 		for ackTo := uint64(0); ackTo <= 10; ackTo += 2 {
-			cg.ack(2, ackTo)
-			for cg.allows(2, next) {
+			rm.creditAck(2, ackTo)
+			for allows(rm, 2, next) {
 				unblocked = append(unblocked, next)
 				next++
 			}
@@ -88,25 +113,23 @@ func TestCreditGateReplenishDeterministic(t *testing.T) {
 }
 
 // TestCreditGateHotPathAllocs pins the per-chunk gate operations at zero
-// allocations on a warm map: they run once per transmitted chunk and once
-// per gossip horizon merge.
+// allocations: they run once per transmitted chunk and once per
+// acknowledgement merge.
 func TestCreditGateHotPathAllocs(t *testing.T) {
-	cg := newCreditGate(192)
-	cg.ack(2, 1)
-	cg.ack(3, 1)
+	rm := creditRow(t, creditsPerDest)
 	seq := uint64(2)
 	if n := testing.AllocsPerRun(100, func() {
-		cg.ack(2, seq)
-		cg.ack(3, seq)
+		rm.creditAck(2, seq)
+		rm.creditAck(3, seq)
 		seq++
 	}); n != 0 {
-		t.Fatalf("ack allocates %v per run, want 0", n)
+		t.Fatalf("creditAck allocates %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		cg.allows(2, seq)
-		cg.allows(3, seq+200)
+		rm.creditOK(seq)
+		rm.creditOK(seq + 200)
 	}); n != 0 {
-		t.Fatalf("allows allocates %v per run, want 0", n)
+		t.Fatalf("creditOK allocates %v per run, want 0", n)
 	}
 }
 
@@ -132,7 +155,7 @@ func TestCreditOKAllocs(t *testing.T) {
 func TestCreditWindowThrottlesSender(t *testing.T) {
 	c := newCluster(t, 3, 21, nil)
 	for _, st := range c.stacks {
-		st.rm.credits.limit = 2
+		st.rm.creditLimit = 2
 	}
 	for i := 0; i < 40; i++ {
 		c.castAt(sim.Second, 2, []byte{byte(i)})

@@ -13,6 +13,20 @@
 // views when failures are detected; the sequencer is the first member of the
 // current view and is replaced when it fails.
 //
+// State. The stack keeps two kinds of record, and each sub-protocol writes
+// only its own columns. A peerState (rmcast.go) is the one row per peer: the
+// reliable layer writes the stream cursors, receive buffer and reassembly
+// state; flow control writes acked, the prefix of the own stream the peer has
+// acknowledged; stability writes stable and roundMin (its vectors S and M),
+// stable through gcStable alone, which has released every buffer at or below
+// it; membership writes lastHeard and suspected. A msgState (totalorder.go)
+// is the one record per in-flight message — body, assigned global, the
+// announcement that carried the assignment, tentative-arrival index — keyed
+// by (sender, first chunk), with order (global to key) as its only second
+// index. Two rules keep them in step: a message leaves the table through
+// forget, whatever the reason, and a peer's fresh incarnation restarts its
+// row through reset, so neither can be half cleaned.
+//
 // This is "real code" in the paper's sense: it is written against
 // runtimeapi.Runtime only and runs identically on the centralized simulation
 // runtime and on the native bridge.
@@ -410,9 +424,14 @@ func (s *Stack) Stopped() bool { return s.stopped }
 // BufferedMessages reports chunks held in receive and send buffers plus
 // queued unsent chunks (leak diagnostics: must drop to zero at halt).
 func (s *Stack) BufferedMessages() int {
-	n := len(s.rm.sendBuf) + len(s.rm.outQ) + len(s.to.pending)
+	n := len(s.rm.sendBuf) + len(s.rm.outQ)
 	for _, ps := range s.rm.peers {
 		n += len(ps.recvBuf)
+	}
+	for _, m := range s.to.msgs {
+		if m.held {
+			n++
+		}
 	}
 	return n
 }
@@ -428,8 +447,8 @@ func (s *Stack) BufferedBytes() int {
 			n += len(m.Data)
 		}
 	}
-	for _, pm := range s.to.pending {
-		n += len(pm.data)
+	for _, m := range s.to.msgs {
+		n += len(m.data)
 	}
 	return n
 }
@@ -463,32 +482,17 @@ func (s *Stack) receive(src NodeID, data []byte) {
 	}
 	s.rt.Charge(msgCost(len(data)))
 	s.memb.heard(src)
-	if s.joining {
+	if s.joining && data[0] != kindDecide && data[0] != kindJoinSync {
 		// Before admission the node holds no view state: group traffic is
 		// meaningless to it (stream cursors are set from the flush targets
 		// at install; anything dropped here that postdates them is
 		// repaired by the reliable layer afterwards). Only the admission
-		// decision and a possibly-early catch-up announcement matter.
-		switch data[0] {
-		case kindDecide:
-			m, err := parseDecide(data)
-			if err != nil {
-				s.stats.ParseErrors++
-				return
-			}
-			s.memb.onDecide(m)
-		case kindJoinSync:
-			m, err := parseJoinSync(data)
-			if err != nil {
-				s.stats.ParseErrors++
-				return
-			}
-			s.memb.onJoinSync(m)
-		}
+		// decision and a possibly-early catch-up announcement matter; the
+		// rest is dropped unparsed, so it cannot count as a parse error.
 		return
 	}
 	switch data[0] {
-	case kindData, kindRetrans:
+	case kindData:
 		m := s.rm.newMsg()
 		if err := parseDataInto(m, data); err != nil {
 			s.rm.recycleMsg(m)

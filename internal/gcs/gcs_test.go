@@ -242,8 +242,7 @@ func TestStabilityGarbageCollection(t *testing.T) {
 			t.Fatalf("node %d send buffer not GC'd: %d bytes, %d msgs",
 				id, rm.sendBufBytes, len(rm.sendBuf))
 		}
-		st := c.stacks[id].stab
-		if st.stableSeq(1) == 0 {
+		if rm.peers[1].stable == 0 {
 			t.Fatalf("node %d learned no stability for sender 1", id)
 		}
 	}

@@ -20,13 +20,14 @@ const (
 // flush the reliable layer so that all surviving members deliver the same
 // set of messages before the new view is installed (view synchrony), and the
 // sequencer is replaced if it failed.
+//
+// The failure detector's per-member evidence lives in the peer table:
+// peerState.lastHeard and peerState.suspected.
 type membership struct {
 	s *Stack
 
-	lastHeard map[NodeID]sim.Time
-	lastSent  sim.Time
-	suspected map[NodeID]bool
-	state     int
+	lastSent sim.Time
+	state    int
 
 	// Coordinator state.
 	proposing   bool
@@ -55,18 +56,13 @@ type membership struct {
 func newMembership(s *Stack) *membership {
 	return &membership{
 		s:              s,
-		lastHeard:      make(map[NodeID]sim.Time),
-		suspected:      make(map[NodeID]bool),
 		pendingJoiners: make(map[NodeID]bool),
 	}
 }
 
 // startTimers begins failure detection and heartbeating.
 func (mb *membership) startTimers() {
-	now := mb.s.rt.Now()
-	for _, p := range mb.s.view.Members {
-		mb.lastHeard[p] = now
-	}
+	mb.restartDetector()
 	mb.scheduleFD()
 	mb.scheduleHB()
 }
@@ -92,9 +88,24 @@ func (mb *membership) scheduleHB() {
 	})
 }
 
-// heard records liveness evidence for a peer.
+// heard records liveness evidence for a peer. Traffic from outside the member
+// universe (a relay from another group) has no row and needs none.
 func (mb *membership) heard(p NodeID) {
-	mb.lastHeard[p] = mb.s.rt.Now()
+	if ps := mb.s.rm.peers[p]; ps != nil {
+		ps.lastHeard = mb.s.rt.Now()
+	}
+}
+
+// restartDetector begins failure detection over a new view: nobody is
+// suspected and every member was heard from just now.
+func (mb *membership) restartDetector() {
+	for _, ps := range mb.s.rm.peers {
+		ps.suspected = false
+	}
+	now := mb.s.rt.Now()
+	for _, p := range mb.s.view.Members {
+		mb.s.rm.peer(p).lastHeard = now
+	}
 }
 
 // sentSomething suppresses the next heartbeat if other traffic flowed.
@@ -131,11 +142,12 @@ func (mb *membership) fdTick() {
 	now := mb.s.rt.Now()
 	changed := false
 	for _, p := range mb.s.view.Members {
-		if p == mb.s.cfg.Self || mb.suspected[p] {
+		ps := mb.s.rm.peer(p)
+		if p == mb.s.cfg.Self || ps.suspected {
 			continue
 		}
-		if now-mb.lastHeard[p] > mb.s.cfg.FailTimeout {
-			mb.suspected[p] = true
+		if now-ps.lastHeard > mb.s.cfg.FailTimeout {
+			ps.suspected = true
 			changed = true
 		}
 	}
@@ -144,7 +156,7 @@ func (mb *membership) fdTick() {
 	// proposal even arrived, in which case no later tick would ever flag a
 	// change while this member sits frozen waiting on a dead coordinator.
 	abandoned := false
-	if mb.state != membStable && mb.suspected[mb.flushProposer] {
+	if mb.state != membStable && mb.s.rm.peer(mb.flushProposer).suspected {
 		// The coordinator of the in-flight view change died mid-change:
 		// no decision (or no further retransmission) will ever come from
 		// it. Abandon the frozen change so the next coordinator's
@@ -182,7 +194,7 @@ func (mb *membership) quorumLost() bool {
 func (mb *membership) alive() []NodeID {
 	out := make([]NodeID, 0, len(mb.s.view.Members))
 	for _, p := range mb.s.view.Members {
-		if !mb.suspected[p] {
+		if !mb.s.rm.peer(p).suspected {
 			out = append(out, p)
 		}
 	}
@@ -194,7 +206,7 @@ func (mb *membership) alive() []NodeID {
 func (mb *membership) joinerList() []NodeID {
 	out := make([]NodeID, 0, len(mb.pendingJoiners))
 	for p := range mb.pendingJoiners {
-		if !mb.s.view.Contains(p) || mb.suspected[p] {
+		if !mb.s.view.Contains(p) || mb.s.rm.peer(p).suspected {
 			out = append(out, p)
 		}
 	}
@@ -267,7 +279,7 @@ func (mb *membership) retryTick() {
 	if mb.decision == nil {
 		kept := mb.proposal.Members[:0]
 		for _, p := range mb.proposal.Members {
-			if p == mb.s.cfg.Self || !mb.suspected[p] {
+			if p == mb.s.cfg.Self || !mb.s.rm.peer(p).suspected {
 				kept = append(kept, p)
 			}
 		}
@@ -282,14 +294,14 @@ func (mb *membership) retryTick() {
 	allInstalled := true
 	wire := mb.decision.marshal(make([]byte, 0, 128))
 	for _, p := range mb.decision.Members {
-		if p == mb.s.cfg.Self || mb.installAcks[p] || mb.suspected[p] {
+		if p == mb.s.cfg.Self || mb.installAcks[p] || mb.s.rm.peer(p).suspected {
 			continue
 		}
 		allInstalled = false
 		mb.s.transmitTo(p, wire)
 	}
 	for _, p := range mb.decision.Joiners {
-		if mb.installAcks[p] || mb.suspected[p] {
+		if mb.installAcks[p] || mb.s.rm.peer(p).suspected {
 			continue
 		}
 		allInstalled = false
@@ -324,7 +336,7 @@ func (mb *membership) onPropose(m *proposeMsg) {
 	}
 	for _, p := range mb.s.view.Members {
 		if !present[p] {
-			mb.suspected[p] = true
+			mb.s.rm.peer(p).suspected = true
 		}
 	}
 	ack := flushAckMsg{NewViewID: m.NewViewID}
@@ -484,16 +496,11 @@ func (mb *membership) checkInstall() {
 	mb.s.rank = mb.s.indexOf(mb.s.cfg.Self)
 	mb.s.stats.ViewChanges++
 	mb.state = membStable
-	mb.suspected = make(map[NodeID]bool)
-	now := mb.s.rt.Now()
-	for _, p := range newMembers {
-		mb.lastHeard[p] = now
-	}
+	mb.restartDetector()
 	// Admitted joiners start over: fresh incarnation, fresh stream, no
 	// stability carried over from their previous life.
 	for _, j := range m.Joiners {
-		mb.s.rm.resetPeer(j, 0)
-		mb.s.stab.resetPeer(j, 0)
+		mb.s.rm.reset(j, 0)
 		delete(mb.pendingJoiners, j)
 	}
 
@@ -546,12 +553,12 @@ func (mb *membership) onInstalled(src NodeID, m *installedMsg) {
 	}
 	mb.installAcks[src] = true
 	for _, p := range mb.decision.Members {
-		if !mb.installAcks[p] && p != mb.s.cfg.Self && !mb.suspected[p] {
+		if !mb.installAcks[p] && p != mb.s.cfg.Self && !mb.s.rm.peer(p).suspected {
 			return
 		}
 	}
 	for _, p := range mb.decision.Joiners {
-		if !mb.installAcks[p] && !mb.suspected[p] {
+		if !mb.installAcks[p] && !mb.s.rm.peer(p).suspected {
 			return
 		}
 	}
@@ -612,9 +619,9 @@ func (mb *membership) onJoinReq(src NodeID, m *joinReqMsg) {
 		// predecessor was never excluded (it restarted faster than the
 		// failure detector). Suspect the ghost so one view change both
 		// excludes it and admits the new incarnation.
-		if !mb.suspected[node] {
-			mb.suspected[node] = true
-			mb.lastHeard[node] = 0
+		if ps := mb.s.rm.peer(node); !ps.suspected {
+			ps.suspected = true
+			ps.lastHeard = 0
 		}
 	}
 	mb.pendingJoiners[node] = true
@@ -672,7 +679,7 @@ func (mb *membership) installJoin(m *decideMsg) {
 	s.stats.ViewChanges++
 	s.stats.Joins++
 	mb.state = membStable
-	mb.suspected = make(map[NodeID]bool)
+	mb.restartDetector()
 	// A second admission (a member mistook our still-joining requests for
 	// a fresh restart and excluded-plus-readmitted us) invalidates the
 	// earlier catch-up sequence: the cursor jumps below skip message
@@ -683,8 +690,7 @@ func (mb *membership) installJoin(m *decideMsg) {
 		if t.Member == s.cfg.Self {
 			continue
 		}
-		s.rm.resetPeer(t.Member, t.Seq)
-		s.stab.resetPeer(t.Member, t.Seq)
+		s.rm.reset(t.Member, t.Seq)
 	}
 	for _, j := range m.Joiners {
 		if j == s.cfg.Self {
@@ -693,12 +699,7 @@ func (mb *membership) installJoin(m *decideMsg) {
 			s.rm.resetSelf()
 			continue
 		}
-		s.rm.resetPeer(j, 0)
-		s.stab.resetPeer(j, 0)
-	}
-	now := s.rt.Now()
-	for _, p := range newMembers {
-		mb.lastHeard[p] = now
+		s.rm.reset(j, 0)
 	}
 	s.joining = false
 	s.stab.resetForView()

@@ -155,7 +155,7 @@ func TestAbandonDeadCoordinatorAlreadySuspected(t *testing.T) {
 	// suspicions) and freezes node 3 — and node 1 is dead.
 	c.k.ScheduleAt(300*sim.Millisecond, func() {
 		c.rts[3].CPUs().SubmitReal(func() {
-			st3.memb.suspected[1] = true
+			st3.rm.peers[1].suspected = true
 			st3.memb.onPropose(&proposeMsg{NewViewID: 1, Proposer: 1, Members: []NodeID{1, 2, 3}})
 			if st3.memb.state != membFlushing {
 				t.Error("premise broken: propose did not freeze the member")

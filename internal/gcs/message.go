@@ -10,8 +10,8 @@ import (
 
 // Wire message kinds.
 const (
-	kindData      byte = iota + 1 // sender-stream chunk (new transmission)
-	kindRetrans                   // sender-stream chunk (retransmission)
+	kindData      byte = iota + 1 // sender-stream chunk, first transmission or repair alike
+	_                             // reserved: was the retransmission kind, whose chunks now travel as kindData
 	kindNack                      // receiver-initiated repair request
 	kindGossip                    // stability detection round state
 	kindHeartbeat                 // liveness when otherwise idle
@@ -54,8 +54,8 @@ type dataMsg struct {
 const dataHeader = 1 + 4 + 8 + 1 + 1 + 2
 
 //hot:path
-func (m *dataMsg) marshal(kind byte, buf []byte) []byte {
-	buf = append(buf, kind)
+func (m *dataMsg) marshal(buf []byte) []byte {
+	buf = append(buf, kindData)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Sender))
 	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
 	buf = append(buf, m.Frag, m.Payload)
@@ -566,8 +566,6 @@ func kindName(k byte) string {
 	switch k {
 	case kindData:
 		return "data"
-	case kindRetrans:
-		return "retrans"
 	case kindNack:
 		return "nack"
 	case kindGossip:

@@ -20,7 +20,7 @@ func TestDataRoundTrip(t *testing.T) {
 			Payload: payload,
 			Data:    data,
 		}
-		wire := m.marshal(kindData, nil)
+		wire := m.marshal(nil)
 		got, err := parseData(wire)
 		if err != nil {
 			return false
@@ -125,7 +125,7 @@ func TestViewChangeMessagesRoundTrip(t *testing.T) {
 
 func TestParseRejectsTruncated(t *testing.T) {
 	msgs := [][]byte{
-		(&dataMsg{Data: []byte("abc")}).marshal(kindData, nil),
+		(&dataMsg{Data: []byte("abc")}).marshal(nil),
 		(&nackMsg{Target: 1, Ranges: []seqRange{{1, 2}}}).marshal(nil),
 		(&gossipMsg{M: []uint64{1}, S: []uint64{1}, H: []uint64{1}}).marshal(nil),
 		(&proposeMsg{Members: []runtimeapi.NodeID{1}}).marshal(nil),

@@ -292,3 +292,99 @@ func TestCrashReleasesBuffers(t *testing.T) {
 	c.run(10 * sim.Second)
 	c.checkAgreement([]NodeID{1, 2}, -1)
 }
+
+// TestPeerRowReset drives the one restart path of a peer row and checks every
+// column: the stream cursors and the stable prefix restart at upto, the
+// buffers of the dead incarnation are gone, the credit cursor is re-seeded,
+// and the failure detector's columns — which belong to the view install, not
+// to the stream — are left alone.
+func TestPeerRowReset(t *testing.T) {
+	// warm runs traffic from every member so the rows hold nonzero state,
+	// then leaves fresh chunks of node 1 in flight past the last gossip.
+	warm := func(t *testing.T) *cluster {
+		c := newCluster(t, 3, 81, nil)
+		for i := 0; i < 30; i++ {
+			c.castAt(sim.Time(i+1)*10*sim.Millisecond, NodeID(i%3+1), pattern(300, byte(i)))
+		}
+		c.run(sim.Second)
+		for i := 0; i < 5; i++ {
+			c.castAt(sim.Second+sim.Time(i+1)*sim.Millisecond, 1, pattern(300, byte(i)))
+		}
+		c.run(sim.Second + 20*sim.Millisecond)
+		return c
+	}
+
+	t.Run("readmitted joiner", func(t *testing.T) {
+		c := warm(t)
+		rm := c.stacks[1].rm
+		ps := rm.peers[3]
+		// Leave the dead incarnation's row as untidy as a crash can: chunks
+		// buffered past a gap (NACK timer armed), a half-reassembled
+		// message, repair redirected at a flush holder, excluded.
+		next := ps.recvNext
+		first := rm.newMsg()
+		first.Sender, first.Seq, first.Frag, first.Payload, first.Data = 3, next, fragFirst, payloadApp, []byte("half")
+		rm.onData(first)
+		feed(c.stacks[1], 3, next+2, payloadApp, []byte("past the gap"))
+		rm.requestRepairTo(3, next+2, 2)
+		ps.excluded, ps.acked = true, 0 // as excludePeer leaves them
+		ps.suspected = true
+		heard := ps.lastHeard
+		if len(ps.recvBuf) == 0 || ps.body == nil || ps.nackTimer == nil || ps.stable == 0 || ps.roundMin == 0 ||
+			rm.self.stable == 0 || heard == 0 {
+			t.Fatalf("test premise broken: row not warm: %+v (own stable %d)", ps, rm.self.stable)
+		}
+
+		rm.reset(3, 0)
+
+		if ps.recvNext != 1 || ps.maxSeen != 0 || ps.stable != 0 || ps.roundMin != 0 {
+			t.Errorf("cursors after reset(3, 0): recvNext=%d maxSeen=%d stable=%d roundMin=%d, want 1 0 0 0",
+				ps.recvNext, ps.maxSeen, ps.stable, ps.roundMin)
+		}
+		if len(ps.recvBuf) != 0 || ps.body != nil || ps.nackTimer != nil {
+			t.Errorf("buffers after reset: %d chunks, body %v, nackTimer %v", len(ps.recvBuf), ps.body != nil, ps.nackTimer != nil)
+		}
+		if ps.excluded || ps.repairTarget != 3 {
+			t.Errorf("excluded=%v repairTarget=%d after reset, want false 3", ps.excluded, ps.repairTarget)
+		}
+		if ps.acked != rm.self.stable {
+			t.Errorf("credit cursor seeded at %d, want my stable prefix %d", ps.acked, rm.self.stable)
+		}
+		if !ps.suspected || ps.lastHeard != heard {
+			t.Errorf("reset touched the failure detector's columns: suspected=%v lastHeard=%v", ps.suspected, ps.lastHeard)
+		}
+
+		// At the joiner itself the cursors restart at the flush target.
+		rm.reset(2, 40)
+		if p2 := rm.peers[2]; p2.recvNext != 41 || p2.maxSeen != 40 || p2.stable != 40 || p2.roundMin != 40 || len(p2.recvBuf) != 0 {
+			t.Errorf("after reset(2, 40): %+v", p2)
+		}
+	})
+
+	t.Run("own stream restart", func(t *testing.T) {
+		c := warm(t)
+		rm := c.stacks[1].rm
+		rm.frozen = true // queue the next cast unsent
+		rm.cast(payloadApp, []byte("queued"))
+		if len(rm.sendBuf) == 0 || len(rm.outQ) == 0 || rm.self.stable == 0 || rm.peers[2].acked == 0 || rm.peers[3].acked == 0 {
+			t.Fatalf("test premise broken: send side not warm: sendBuf=%d outQ=%d stable=%d acked=%d/%d",
+				len(rm.sendBuf), len(rm.outQ), rm.self.stable, rm.peers[2].acked, rm.peers[3].acked)
+		}
+
+		rm.resetSelf()
+
+		self := rm.self
+		if self.recvNext != 1 || self.maxSeen != 0 || self.stable != 0 || self.roundMin != 0 || len(self.recvBuf) != 0 {
+			t.Errorf("own row after resetSelf: %+v", self)
+		}
+		if rm.sendSeq != 0 || len(rm.sendBuf) != 0 || rm.sendBufBytes != 0 || len(rm.outQ) != 0 || rm.outQBytes != 0 {
+			t.Errorf("send side after resetSelf: sendSeq=%d sendBuf=%d/%dB outQ=%d/%dB",
+				rm.sendSeq, len(rm.sendBuf), rm.sendBufBytes, len(rm.outQ), rm.outQBytes)
+		}
+		for id, ps := range rm.peers {
+			if ps.acked != 0 {
+				t.Errorf("peer %d keeps credit cursor %d against the restarted stream", id, ps.acked)
+			}
+		}
+	})
+}

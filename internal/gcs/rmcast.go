@@ -18,7 +18,6 @@ type relMcast struct {
 	sendSeq      uint64 // next sequence number for my stream
 	sendBuf      map[uint64][]byte
 	sendBufBytes int
-	stableSelf   uint64 // my stream is stable up to here (GC'd)
 	outQ         []outChunk
 	outQBytes    int // wire bytes queued but unsent
 	outQLimit    int // bound on outQBytes: maxQueuedBytes
@@ -26,10 +25,10 @@ type relMcast struct {
 	blockedAt    sim.Time
 	blocked      bool
 
-	// Credit-based flow control: per-destination acknowledgement cursors
-	// learned from stability gossip horizons. creditBlocked marks an
-	// in-progress credit-stall episode.
-	credits       *creditGate
+	// Credit-based flow control (flowcontrol.go): creditLimit is the
+	// per-destination window in chunks, creditsPerDest outside tests.
+	// creditBlocked marks an in-progress credit-stall episode.
+	creditLimit   uint64
 	creditBlocked bool
 
 	// Rate-based flow control (phase one).
@@ -37,8 +36,10 @@ type relMcast struct {
 	lastRefill sim.Time
 	rateTimer  runtimeapi.Timer
 
-	// Receiver side.
+	// The peer table: one row per member of the configured universe, self
+	// included (self is the same row, kept at hand for the send path).
 	peers map[NodeID]*peerState
+	self  *peerState
 
 	// freeMsgs recycles dataMsg structs: a chunk's struct lives in a
 	// peer's receive buffer from reception until stability GC (or
@@ -71,12 +72,16 @@ type outChunk struct {
 	wire []byte
 }
 
+// peerState is the one record the stack keeps per peer: every sub-protocol's
+// per-member state is a column of this row, written by that sub-protocol
+// alone. A fresh incarnation of the peer restarts the row through reset.
 type peerState struct {
-	id           NodeID
+	id NodeID
+
+	// Reliable multicast: the receive side of the peer's stream.
 	recvNext     uint64 // next expected (contiguous prefix is recvNext-1)
 	maxSeen      uint64
 	recvBuf      map[uint64]*dataMsg // received chunks kept until stable
-	stableUpto   uint64              // GC'd boundary
 	nackTimer    runtimeapi.Timer
 	repairTarget NodeID // where to send NACKs (sender, or holder in flush)
 	excluded     bool
@@ -87,20 +92,37 @@ type peerState struct {
 	body       []byte
 	reasmMsgID uint64
 	reasmKind  byte
+
+	// Flow control (flowcontrol.go): the contiguous prefix of MY stream the
+	// peer has acknowledged. Monotone within an incarnation.
+	acked uint64
+
+	// Stability (stability.go): stable is S, the prefix of the peer's stream
+	// known received by all members — gcStable is its one writer and has
+	// released every buffer at or below it; on the own row it is also the
+	// boundary of the send buffer. roundMin is M, the minimum contiguous
+	// prefix among the current round's voters.
+	stable   uint64
+	roundMin uint64
+
+	// Membership (membership.go): failure-detector evidence.
+	lastHeard sim.Time
+	suspected bool
 }
 
 func newRelMcast(s *Stack) *relMcast {
 	rm := &relMcast{
-		s:         s,
-		outQLimit: maxQueuedBytes,
-		sendBuf:   make(map[uint64][]byte),
-		peers:     make(map[NodeID]*peerState),
-		tokens:    float64(s.maxPacket * 2),
-		credits:   newCreditGate(creditsPerDest),
+		s:           s,
+		outQLimit:   maxQueuedBytes,
+		sendBuf:     make(map[uint64][]byte),
+		peers:       make(map[NodeID]*peerState),
+		tokens:      float64(s.maxPacket * 2),
+		creditLimit: creditsPerDest,
 	}
 	for _, m := range s.cfg.Members {
 		rm.peers[m] = &peerState{id: m, recvNext: 1, repairTarget: m}
 	}
+	rm.self = rm.peers[s.cfg.Self]
 	return rm
 }
 
@@ -221,7 +243,7 @@ func (rm *relMcast) cast(payloadKind byte, payload []byte) {
 			Payload: payloadKind,
 			Data:    payload[lo:hi],
 		}
-		wire := m.marshal(kindData, make([]byte, 0, dataHeader+hi-lo))
+		wire := m.marshal(make([]byte, 0, dataHeader+hi-lo))
 		rm.outQ = append(rm.outQ, outChunk{seq: m.Seq, wire: wire})
 		rm.outQBytes += len(wire)
 	}
@@ -242,7 +264,7 @@ func (rm *relMcast) drain() {
 	for len(rm.outQ) > 0 {
 		c := rm.outQ[0]
 		size := len(c.wire)
-		unstableCount := rm.sendSeq - rm.stableSelf - uint64(len(rm.outQ))
+		unstableCount := rm.sendSeq - rm.self.stable - uint64(len(rm.outQ))
 		if rm.sendBufBytes+size > rm.share() || unstableCount >= sendWindow {
 			rm.noteBlocked()
 			return // wait for stability to free share/window
@@ -448,7 +470,10 @@ func (rm *relMcast) requestRepairTo(p NodeID, target uint64, holder NodeID) {
 }
 
 // onNack serves retransmissions from the send buffer (own stream) or the
-// receive buffer (relaying another member's stream during flush).
+// receive buffer (relaying another member's stream during flush). A
+// retransmission of an own chunk is the stored datagram itself: the receivers
+// of its first transmission already share that buffer read-only under the
+// zero-copy contract, and one more reader changes nothing.
 func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 	if m.Target == rm.s.cfg.Self {
 		for _, r := range m.Ranges {
@@ -457,12 +482,9 @@ func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 				if !ok {
 					continue
 				}
-				rt := make([]byte, len(wire))
-				copy(rt, wire)
-				rt[0] = kindRetrans
 				rm.s.stats.Retransmits++
 				rm.s.rt.Charge(costPerRetrans)
-				rm.s.transmitTo(src, rt)
+				rm.s.transmitTo(src, wire)
 			}
 		}
 		return
@@ -479,7 +501,7 @@ func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 			}
 			rm.s.stats.Retransmits++
 			rm.s.rt.Charge(costPerRetrans)
-			rm.s.transmitTo(src, dm.marshal(kindRetrans, make([]byte, 0, dataHeader+len(dm.Data))))
+			rm.s.transmitTo(src, dm.marshal(make([]byte, 0, dataHeader+len(dm.Data))))
 		}
 	}
 }
@@ -565,38 +587,45 @@ func (rm *relMcast) sendAssignAck(sequencer NodeID, upto uint64) {
 	rm.s.transmitTo(sequencer, ack.marshal(make([]byte, 0, assignAckLen)))
 }
 
-// gcStable discards buffered messages of p's stream up to seq, releasing
-// sender buffer share when p is self. Stability only ever advances over
-// contiguous prefixes received by all members, so this is safe.
+// gcStable raises the stable prefix of p's stream to upto (stability knowledge
+// is monotone: a lower value is ignored) and discards the chunks buffered at
+// or below it, releasing sender buffer share when p is self. Stability only
+// ever advances over contiguous prefixes received by all members, so this is
+// safe.
 func (rm *relMcast) gcStable(p NodeID, upto uint64) {
 	ps := rm.peer(p)
-	if upto <= ps.stableUpto {
+	if upto <= ps.stable {
 		return
 	}
-	for seq := ps.stableUpto + 1; seq <= upto; seq++ {
+	from := ps.stable + 1
+	ps.stable = upto
+	for seq := from; seq <= upto; seq++ {
 		if m, ok := ps.recvBuf[seq]; ok {
 			delete(ps.recvBuf, seq)
 			rm.recycleMsg(m)
 		}
 	}
-	ps.stableUpto = upto
-	if p == rm.s.cfg.Self && upto > rm.stableSelf {
-		for seq := rm.stableSelf + 1; seq <= upto; seq++ {
-			if wire, ok := rm.sendBuf[seq]; ok {
-				rm.sendBufBytes -= len(wire)
-				delete(rm.sendBuf, seq)
-			}
-		}
-		rm.stableSelf = upto
-		rm.drain() // share freed: release any blocked chunks
+	if ps != rm.self {
+		return
 	}
+	for seq := from; seq <= upto; seq++ {
+		if wire, ok := rm.sendBuf[seq]; ok {
+			rm.sendBufBytes -= len(wire)
+			delete(rm.sendBuf, seq)
+		}
+	}
+	rm.drain() // share freed: release any blocked chunks
 }
 
-// resetPeer re-initializes a peer's stream state for a fresh incarnation
-// admitted by a recovery join: buffered chunks of the dead incarnation are
-// recycled and the cursors restart at upto — the flush target covering the
-// old stream at survivors, or zero for the joiner's brand-new stream.
-func (rm *relMcast) resetPeer(p NodeID, upto uint64) {
+// reset restarts p's row for a fresh incarnation admitted by a recovery join:
+// buffered chunks of the dead incarnation are recycled and the stream cursors
+// restart at upto — the flush target covering the old stream at survivors and
+// at the joiner itself (everything below is covered by its snapshot and must
+// never be NACKed or buffered), or zero for a joiner's brand-new stream. The
+// stable prefix restarts with them: carrying the dead incarnation's stability
+// over would garbage-collect the new stream's chunks before delivery. The
+// failure detector's columns belong to the view install, not to the stream.
+func (rm *relMcast) reset(p NodeID, upto uint64) {
 	ps := rm.peer(p)
 	for seq, m := range ps.recvBuf {
 		delete(ps.recvBuf, seq)
@@ -604,15 +633,16 @@ func (rm *relMcast) resetPeer(p NodeID, upto uint64) {
 	}
 	ps.recvNext = upto + 1
 	ps.maxSeen = upto
-	ps.stableUpto = upto
+	ps.stable = upto
+	ps.roundMin = upto
 	ps.excluded = false
 	ps.repairTarget = p
-	if p != rm.s.cfg.Self {
+	if ps != rm.self {
 		// Seed the fresh incarnation's credit cursor at my stable prefix:
 		// its join targets cover at least everything stable, so this is a
 		// safe lower bound of the ack its first gossip will carry —
 		// without it a rejoin would stall the sender for a gossip period.
-		rm.credits.ack(p, rm.stableSelf)
+		rm.creditAck(p, rm.self.stable)
 	}
 	rm.dropPartial(ps)
 	if ps.nackTimer != nil {
@@ -629,16 +659,17 @@ func (rm *relMcast) resetPeer(p NodeID, upto uint64) {
 // Unsent queued chunks are dropped: while joining/recovering the server is
 // down, so nothing application-level is in flight.
 func (rm *relMcast) resetSelf() {
-	rm.resetPeer(rm.s.cfg.Self, 0)
+	rm.reset(rm.s.cfg.Self, 0)
 	rm.sendBuf = make(map[uint64][]byte)
 	rm.sendBufBytes = 0
 	rm.sendSeq = 0
-	rm.stableSelf = 0
 	rm.outQ = rm.outQ[:0]
 	rm.outQBytes = 0
 	// The new stream renumbers from 1: every old acknowledgement cursor
 	// would grant far too much credit against it.
-	rm.credits.reset()
+	for _, ps := range rm.peers {
+		ps.acked = 0
+	}
 }
 
 // releaseAll frees every receive- and send-side buffer at halt: the
@@ -671,7 +702,7 @@ func (rm *relMcast) releaseAll() {
 func (rm *relMcast) excludePeer(p NodeID, upto uint64) {
 	ps := rm.peer(p)
 	ps.excluded = true
-	rm.credits.forget(p) // excluded members never gate; drop the cursor
+	ps.acked = 0 // excluded members never gate, and a fresh incarnation starts from zero credit
 	for seq := upto + 1; seq <= ps.maxSeen; seq++ {
 		if m, ok := ps.recvBuf[seq]; ok {
 			delete(ps.recvBuf, seq)

@@ -11,13 +11,14 @@ import "repro/internal/runtimeapi"
 // contiguous received prefix, a round can only garbage collect contiguous
 // sequences of messages received by all participants — the property behind
 // the paper's observed blocking under independent random loss.
+//
+// The vectors are columns of the peer table: S is peerState.stable, M is
+// peerState.roundMin.
 type stability struct {
-	s      *Stack
-	round  uint64
-	w      uint32
-	m      map[NodeID]uint64 // min contiguous among voters
-	stable map[NodeID]uint64 // S
-	timer  runtimeapi.Timer
+	s     *Stack
+	round uint64
+	w     uint32
+	timer runtimeapi.Timer
 
 	// vecScratch backs the three wire vectors of a gossip tick. Only the
 	// pre-marshal staging is reused: the marshaled wire buffer itself is
@@ -30,10 +31,7 @@ type stability struct {
 }
 
 func newStability(s *Stack) *stability {
-	st := &stability{
-		s:      s,
-		stable: make(map[NodeID]uint64),
-	}
+	st := &stability{s: s}
 	st.beginRound(1)
 	return st
 }
@@ -50,17 +48,14 @@ func (st *stability) scheduleTick() {
 	})
 }
 
-// beginRound resets round state with only the local vote. The M map is
-// reused across rounds (keys left over from departed members are harmless:
-// every reader iterates the current view).
+// beginRound resets round state with only the local vote. Departed members
+// keep a stale M in their rows, harmlessly: every reader iterates the current
+// view.
 func (st *stability) beginRound(r uint64) {
 	st.round = r
 	st.w = 1 << uint(st.s.rank)
-	if st.m == nil {
-		st.m = make(map[NodeID]uint64, len(st.s.view.Members))
-	}
 	for _, p := range st.s.view.Members {
-		st.m[p] = st.s.rm.contiguous(p)
+		st.s.rm.peer(p).roundMin = st.s.rm.contiguous(p)
 	}
 }
 
@@ -89,8 +84,9 @@ func (st *stability) tick() {
 		H:      vs[2*n:],
 	}
 	for i, p := range members {
-		g.M[i] = st.m[p]
-		g.S[i] = st.stable[p]
+		ps := st.s.rm.peer(p)
+		g.M[i] = ps.roundMin
+		g.S[i] = ps.stable
 		g.H[i] = st.s.rm.contiguous(p)
 	}
 	st.s.stats.Gossips++
@@ -111,14 +107,6 @@ func (st *stability) onGossip(src NodeID, g *gossipMsg) {
 	if src != st.s.cfg.Self && len(g.H) == len(st.s.view.Members) &&
 		st.s.rank >= 0 && st.s.rank < len(g.H) {
 		creditAdvanced = st.s.rm.creditAck(src, g.H[st.s.rank])
-	}
-	// Stability knowledge is monotone: always merge S.
-	advanced := false
-	for i, p := range st.s.view.Members {
-		if g.S[i] > st.stable[p] {
-			st.stable[p] = g.S[i]
-			advanced = true
-		}
 	}
 	// Learn stream horizons: another member has received further into p's
 	// stream than we have — a tail loss no data packet would reveal.
@@ -143,30 +131,33 @@ func (st *stability) onGossip(src NodeID, g *gossipMsg) {
 			if lc := st.s.rm.contiguous(p); lc < v {
 				v = lc
 			}
-			st.m[p] = v
+			st.s.rm.peer(p).roundMin = v
 		}
 	case g.Round == st.round:
 		st.w |= g.W
 		for i, p := range st.s.view.Members {
-			v := g.M[i]
-			if cur, ok := st.m[p]; ok && cur < v {
-				v = cur
+			if ps := st.s.rm.peer(p); g.M[i] < ps.roundMin {
+				ps.roundMin = g.M[i]
 			}
-			st.m[p] = v
 		}
 	}
 	if st.w == st.fullMask() {
-		// Round complete: everything in M is stable.
-		for _, p := range st.s.view.Members {
-			if st.m[p] > st.stable[p] {
-				st.stable[p] = st.m[p]
-				advanced = true
+		// Round complete: everything in M is stable. It joins the received
+		// S (g is decoded scratch, consumed by this call) because beginRound
+		// overwrites M before the merge below runs.
+		for i, p := range st.s.view.Members {
+			if m := st.s.rm.peer(p).roundMin; m > g.S[i] {
+				g.S[i] = m
 			}
 		}
 		st.beginRound(st.round + 1)
 	}
-	if advanced {
-		st.gcAdvance()
+	// Stability knowledge is monotone: always merge S, releasing the buffers
+	// of every prefix it newly covers. The merge runs after the round logic
+	// because freed sender share transmits at once (gcStable drains), and
+	// the round's vectors are read before that traffic moves the cursors.
+	for i, p := range st.s.view.Members {
+		st.s.rm.gcStable(p, g.S[i])
 	}
 	if creditAdvanced {
 		// The horizon is also the uniform-delivery ack fallback: a lost
@@ -177,31 +168,8 @@ func (st *stability) onGossip(src NodeID, g *gossipMsg) {
 	}
 }
 
-// gcAdvance releases buffers for newly stable prefixes.
-func (st *stability) gcAdvance() {
-	for _, p := range st.s.view.Members {
-		st.s.rm.gcStable(p, st.stable[p])
-	}
-}
-
 // resetForView restarts rounds over the new membership. Stable knowledge for
 // surviving members carries over.
 func (st *stability) resetForView() {
 	st.beginRound(1)
 }
-
-// resetPeer pins a member's stable horizon — to zero at survivors admitting
-// a fresh incarnation (its new stream restarts at 1; carrying the dead
-// incarnation's stability over would garbage-collect the new chunks before
-// delivery), or to the flush target at the joiner itself (everything below
-// is covered by its snapshot and must never be NACKed or buffered).
-func (st *stability) resetPeer(p NodeID, upto uint64) {
-	st.stable[p] = upto
-	if st.m != nil {
-		st.m[p] = upto
-	}
-}
-
-// stableSeq reports the known-stable prefix of p's stream (for tests and
-// introspection).
-func (st *stability) stableSeq(p NodeID) uint64 { return st.stable[p] }

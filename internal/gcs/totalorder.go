@@ -14,22 +14,18 @@ type totalOrder struct {
 
 	nextGlobal  uint64 // sequencer only: next number to assign
 	maxAssigned uint64
-	nextDeliver uint64            // all members: delivered up to here
-	order       map[uint64]msgKey // global -> message
-	assigned    map[msgKey]bool
-	pending     map[msgKey]pendingMsg
+	nextDeliver uint64 // all members: delivered up to here
 
-	// annOf records the provenance of every undelivered remote assignment:
-	// which announcer's stream carried it and in which chunk. A view change
-	// that drops the announcer uses it to roll back assignments carried by
-	// chunks beyond the flush-agreed target — chunks a strict subset of the
-	// survivors may have processed mid-freeze — so every survivor renumbers
-	// from the same flush-agreed base (see rollbackUnagreed and onInstall).
-	annOf map[uint64]annMeta
+	// msgs is the message table: one record per in-flight message, from
+	// whichever of its body and its assignment arrives first until forget.
+	// order is its only second index, global -> message, holding exactly the
+	// assigned records.
+	msgs  map[msgKey]msgState
+	order map[uint64]msgKey
 
 	// renumberedTo is the highest global produced by install-time
 	// renumbering: those assignments are flush-agreed (every survivor made
-	// them identically from flush-covered state) but carry no annOf
+	// them identically from flush-covered state) but carry no announcement
 	// provenance, so the next sequencer handover anchors its renumbering
 	// base here when the dying sequencer assigned nothing beyond it.
 	renumberedTo uint64
@@ -39,10 +35,9 @@ type totalOrder struct {
 	// arrival order as delivery catches up.
 	deferred []msgKey
 
-	// Optimistic delivery bookkeeping: arrival positions, compared with
-	// the final order to count mispredictions.
+	// Optimistic delivery bookkeeping: arrival positions (msgState.optIdx),
+	// compared with the final order to count mispredictions.
 	optSeq     uint64
-	optIndex   map[msgKey]uint64
 	lastOptFin uint64
 
 	// Uniform delivery at the sequencer: a sequencer that delivered a
@@ -87,17 +82,35 @@ type msgKey struct {
 	msgID  uint64 // sequence number of the message's first chunk
 }
 
-type pendingMsg struct {
+// msgState is the whole of what the stack knows about one in-flight message.
+// The body and the assignment arrive independently and in either order; the
+// record exists while either is present and leaves through forget.
+type msgState struct {
+	// The body, written by onAppData. held is false while only the
+	// assignment has arrived.
+	held     bool
+	recycled bool // data is a free-list buffer: tryDeliver hands it back
 	data     []byte
 	lastSeq  uint64 // sequence number of the message's last chunk
-	recycled bool   // data is a free-list buffer: tryDeliver hands it back
-}
 
-// annMeta is one assignment's provenance: the member that announced it and
-// the last stream chunk of the announcement batch that carried it.
-type annMeta struct {
+	// global is the total-order number, 0 while unassigned; order[global]
+	// points back at the record.
+	global uint64
+
+	// Provenance of a remote assignment: the member that announced it and
+	// the last stream chunk of the announcement batch that carried it
+	// (chunkSeq is 0 for a self-assigned or install-renumbered global). A
+	// view change that drops the announcer uses it to roll back assignments
+	// carried by chunks beyond the flush-agreed target — chunks a strict
+	// subset of the survivors may have processed mid-freeze — so every
+	// survivor renumbers from the same flush-agreed base (see
+	// rollbackUnagreed and onInstall).
 	announcer NodeID
 	chunkSeq  uint64
+
+	// optIdx is the tentative-arrival position, 0 unless optimistic
+	// delivery is enabled.
+	optIdx uint64
 }
 
 // announceBatch tracks one multicast assignment batch awaiting majority
@@ -110,15 +123,47 @@ type announceBatch struct {
 
 func newTotalOrder(s *Stack) *totalOrder {
 	to := &totalOrder{
-		s:        s,
-		order:    make(map[uint64]msgKey),
-		assigned: make(map[msgKey]bool),
-		pending:  make(map[msgKey]pendingMsg),
-		optIndex: make(map[msgKey]uint64),
-		annOf:    make(map[uint64]annMeta),
+		s:     s,
+		msgs:  make(map[msgKey]msgState),
+		order: make(map[uint64]msgKey),
 	}
 	to.flushFn = to.flushBatch
 	return to
+}
+
+// record notes that key holds global g, announced by announcer in stream
+// chunk chunkSeq (0 for an assignment made locally).
+func (to *totalOrder) record(key msgKey, g uint64, announcer NodeID, chunkSeq uint64) {
+	m := to.msgs[key]
+	m.global, m.announcer, m.chunkSeq = g, announcer, chunkSeq
+	to.msgs[key] = m
+	to.order[g] = key
+	if g > to.maxAssigned {
+		to.maxAssigned = g
+	}
+}
+
+// unassign takes key's global back (a rolled-back announcement). The body, if
+// it arrived, stays for the renumbering to come.
+func (to *totalOrder) unassign(key msgKey) {
+	m := to.msgs[key]
+	delete(to.order, m.global)
+	if !m.held {
+		delete(to.msgs, key)
+		return
+	}
+	m.global, m.announcer, m.chunkSeq = 0, 0, 0
+	to.msgs[key] = m
+}
+
+// forget drops everything known about key: the one way a message leaves the
+// table, whether delivered, skipped by a catch-up cursor or purged with its
+// sender. An unassigned record has global 0, which order never holds.
+//
+//hot:path
+func (to *totalOrder) forget(key msgKey) {
+	delete(to.order, to.msgs[key].global)
+	delete(to.msgs, key)
 }
 
 // onAppData receives a complete (reassembled) application message from the
@@ -135,16 +180,20 @@ func newTotalOrder(s *Stack) *totalOrder {
 //hot:path
 func (to *totalOrder) onAppData(sender NodeID, msgID, lastSeq uint64, data []byte, recycled bool) {
 	key := msgKey{sender: sender, msgID: msgID}
-	to.pending[key] = pendingMsg{data: data, lastSeq: lastSeq, recycled: recycled}
+	m := to.msgs[key]
+	m.held, m.recycled, m.data, m.lastSeq = true, recycled, data, lastSeq
+	if to.s.onOpt != nil {
+		to.optSeq++
+		m.optIdx = to.optSeq
+	}
+	to.msgs[key] = m
 	if to.s.onOpt != nil {
 		// Optimistic total order: tentatively deliver in spontaneous
 		// (arrival) order, before the sequencer's assignment.
-		to.optSeq++
-		to.optIndex[key] = to.optSeq
 		to.s.stats.Optimistic++
 		to.s.onOpt(OptDelivery{Sender: sender, MsgID: msgID, Payload: data})
 	}
-	if to.s.IsSequencer() && !to.assigned[key] && !to.s.rm.frozen {
+	if to.s.IsSequencer() && to.msgs[key].global == 0 && !to.s.rm.frozen {
 		if to.assignWindowFull() {
 			// Assign-window throttle: delivery has fallen assignWindow
 			// behind assignment, so issuing more numbers would only grow
@@ -189,10 +238,11 @@ func (to *totalOrder) drainDeferred() {
 	n := 0
 	for i := 0; i < len(to.deferred); i++ {
 		key := to.deferred[i]
-		if to.assigned[key] {
+		m := to.msgs[key]
+		if m.global != 0 {
 			continue // ordered at install while we weren't looking
 		}
-		if _, ok := to.pending[key]; !ok {
+		if !m.held {
 			continue // purged with an excluded sender
 		}
 		if !to.s.view.Contains(key.sender) {
@@ -213,11 +263,7 @@ func (to *totalOrder) assign(key msgKey) {
 	to.s.rt.Charge(costPerAssign)
 	g := to.nextGlobal + 1
 	to.nextGlobal = g
-	if g > to.maxAssigned {
-		to.maxAssigned = g
-	}
-	to.order[g] = key
-	to.assigned[key] = true
+	to.record(key, g, 0, 0)
 	to.batch = append(to.batch, seqAssign{Sender: key.sender, Seq: key.msgID, Global: g})
 	if !to.batchScheduled {
 		to.batchScheduled = true
@@ -283,7 +329,7 @@ func (to *totalOrder) majorityHolds(lastSeq uint64) bool {
 		if p == to.s.cfg.Self {
 			continue
 		}
-		if to.s.rm.credits.ackedSeq(p) >= lastSeq {
+		if to.s.rm.peer(p).acked >= lastSeq {
 			have++
 			if have >= need {
 				return true
@@ -300,27 +346,22 @@ func (to *totalOrder) majorityHolds(lastSeq uint64) bool {
 func (to *totalOrder) onAssigns(announcer NodeID, chunkSeq uint64, assigns []seqAssign) {
 	for _, a := range assigns {
 		key := msgKey{sender: a.Sender, msgID: a.Seq}
-		if a.Global <= to.nextDeliver || to.assigned[key] {
+		m := to.msgs[key]
+		if a.Global <= to.nextDeliver || m.global != 0 {
 			// Already delivered (the sequencer delivers before its own
-			// announcement makes the loopback trip, and its assignment
-			// marker is dropped at delivery), or already recorded:
-			// re-adding would leak order/assigned entries forever.
-			if a.Global <= to.nextDeliver && !to.assigned[key] {
+			// announcement makes the loopback trip, and its record is
+			// forgotten at delivery), or already recorded: re-adding
+			// would leak a record and an order entry forever.
+			if a.Global <= to.nextDeliver && m.global == 0 {
 				// The global was passed over without a local delivery —
 				// a recovery catch-up cursor skipped it (the snapshot
 				// covers it). The body can never deliver here; drop it
-				// or the pending map would pin it for the whole run.
-				delete(to.pending, key)
-				delete(to.optIndex, key)
+				// or the table would pin it for the whole run.
+				to.forget(key)
 			}
 			continue
 		}
-		to.order[a.Global] = key
-		to.assigned[key] = true
-		to.annOf[a.Global] = annMeta{announcer: announcer, chunkSeq: chunkSeq}
-		if a.Global > to.maxAssigned {
-			to.maxAssigned = a.Global
-		}
+		to.record(key, a.Global, announcer, chunkSeq)
 	}
 	to.tryDeliver()
 }
@@ -340,23 +381,20 @@ func (to *totalOrder) onAssigns(announcer NodeID, chunkSeq uint64, assigns []seq
 // the assigned globals — announcements travel FIFO on the announcer's stream
 // with monotonically increasing globals — so removal leaves no holes.
 func (to *totalOrder) rollbackUnagreed(announcer NodeID, target uint64) {
-	var rollback []uint64
-	for g, meta := range to.annOf {
-		if meta.announcer == announcer && meta.chunkSeq > target {
-			rollback = append(rollback, g)
+	var rollback []msgKey
+	for key, m := range to.msgs {
+		if m.announcer == announcer && m.chunkSeq > target {
+			rollback = append(rollback, key)
 		}
 	}
 	if len(rollback) == 0 {
 		return
 	}
 	// The collected order is whatever the map range produced, but the
-	// deletions commute: each global removes its own order/assigned/annOf
-	// entries and nothing reads them in between.
-	for _, g := range rollback {
-		key := to.order[g]
-		delete(to.order, g)
-		delete(to.assigned, key)
-		delete(to.annOf, g)
+	// removals commute: each touches its own record and order entry and
+	// nothing reads them in between.
+	for _, key := range rollback {
+		to.unassign(key)
 	}
 	// Recompute the assignment high-water mark from what survived: delivery
 	// is contiguous, so everything delivered is <= nextDeliver and the rest
@@ -393,8 +431,8 @@ func (to *totalOrder) tryDeliver() {
 		if !ok {
 			break
 		}
-		pm, have := to.pending[key]
-		if !have {
+		m := to.msgs[key]
+		if !m.held {
 			break
 		}
 		g := to.nextDeliver + 1
@@ -407,27 +445,21 @@ func (to *totalOrder) tryDeliver() {
 			break
 		}
 		to.nextDeliver++
-		delete(to.pending, key)
-		delete(to.order, to.nextDeliver)
-		delete(to.annOf, to.nextDeliver)
 		// The reliable layer never hands the same message up twice (its
-		// FIFO cursor filters duplicates), so the assignment marker has
-		// served its purpose: dropping it keeps the map sized to
-		// in-flight messages instead of the whole run.
-		delete(to.assigned, key)
-		if to.s.onOpt != nil {
-			if idx, ok := to.optIndex[key]; ok {
-				if idx < to.lastOptFin {
-					to.s.stats.Mispredicted++
-				} else {
-					to.lastOptFin = idx
-				}
-				delete(to.optIndex, key)
+		// FIFO cursor filters duplicates), so the record has served its
+		// purpose: forgetting it keeps the table sized to in-flight
+		// messages instead of the whole run.
+		to.forget(key)
+		if m.optIdx != 0 {
+			if m.optIdx < to.lastOptFin {
+				to.s.stats.Mispredicted++
+			} else {
+				to.lastOptFin = m.optIdx
 			}
 		}
-		to.s.deliver(Delivery{Global: to.nextDeliver, Sender: key.sender, Payload: pm.data})
-		if pm.recycled {
-			to.s.rm.recycleBody(pm.data)
+		to.s.deliver(Delivery{Global: to.nextDeliver, Sender: key.sender, Payload: m.data})
+		if m.recycled {
+			to.s.rm.recycleBody(m.data)
 		}
 	}
 	to.drainDeferred()
@@ -439,14 +471,13 @@ func (to *totalOrder) tryDeliver() {
 // members excluded from the view and for fresh incarnations readmitted by a
 // recovery join (whose old-stream tail dies with the old incarnation).
 func (to *totalOrder) purgeSender(sender NodeID, upto uint64) {
-	for key, pm := range to.pending {
-		if key.sender != sender || to.assigned[key] || pm.lastSeq <= upto {
+	for key, m := range to.msgs {
+		if key.sender != sender || !m.held || m.global != 0 || m.lastSeq <= upto {
 			continue
 		}
-		delete(to.pending, key)
-		delete(to.optIndex, key)
+		to.forget(key)
 		if to.s.onOptDiscard != nil {
-			to.s.onOptDiscard(OptDelivery{Sender: key.sender, MsgID: key.msgID, Payload: pm.data})
+			to.s.onOptDiscard(OptDelivery{Sender: key.sender, MsgID: key.msgID, Payload: m.data})
 		}
 	}
 }
@@ -456,15 +487,9 @@ func (to *totalOrder) purgeSender(sender NodeID, upto uint64) {
 // transfers, so its local copy (if any arrived) is dropped, not delivered.
 func (to *totalOrder) skipTo(seq uint64) {
 	for g := to.nextDeliver + 1; g <= seq; g++ {
-		key, ok := to.order[g]
-		if !ok {
-			continue
+		if key, ok := to.order[g]; ok {
+			to.forget(key)
 		}
-		delete(to.order, g)
-		delete(to.assigned, key)
-		delete(to.pending, key)
-		delete(to.optIndex, key)
-		delete(to.annOf, g)
 	}
 	if seq > to.nextDeliver {
 		to.nextDeliver = seq
@@ -477,11 +502,8 @@ func (to *totalOrder) skipTo(seq uint64) {
 
 // releaseAll drops ordering state and buffered message bodies at halt.
 func (to *totalOrder) releaseAll() {
+	to.msgs = nil
 	to.order = nil
-	to.assigned = nil
-	to.pending = nil
-	to.optIndex = nil
-	to.annOf = nil
 	to.batch = nil
 	to.deferred = nil
 	to.unacked = nil
@@ -528,15 +550,15 @@ func (to *totalOrder) onInstall(oldSequencer NodeID, oldSequencerGone bool, targ
 		if to.renumberedTo > base {
 			base = to.renumberedTo
 		}
-		for g, meta := range to.annOf {
-			if meta.announcer == oldSequencer && g > base {
-				//lint:simdeterminism-ok max fold over map keys is commutative
-				base = g
+		for _, m := range to.msgs {
+			if m.chunkSeq != 0 && m.announcer == oldSequencer && m.global > base {
+				//lint:simdeterminism-ok max fold over map values is commutative
+				base = m.global
 			}
 		}
 		var leftovers []msgKey
-		for key, pm := range to.pending {
-			if to.assigned[key] {
+		for key, m := range to.msgs {
+			if !m.held || m.global != 0 {
 				continue
 			}
 			// Beyond-target messages of excluded or readmitted members
@@ -545,18 +567,14 @@ func (to *totalOrder) onInstall(oldSequencer NodeID, oldSequencerGone bool, targ
 			// flush target is a leftover to renumber. Surviving members'
 			// messages beyond the target stay pending; the new sequencer
 			// assigns them below or on arrival.
-			if t, hadTarget := targets[key.sender]; hadTarget && pm.lastSeq <= t {
+			if t, hadTarget := targets[key.sender]; hadTarget && m.lastSeq <= t {
 				leftovers = append(leftovers, key)
 			}
 		}
 		sortKeys(leftovers)
 		for _, key := range leftovers {
 			base++
-			to.order[base] = key
-			to.assigned[key] = true
-			if base > to.maxAssigned {
-				to.maxAssigned = base
-			}
+			to.record(key, base, 0, 0)
 		}
 		to.renumberedTo = base
 		if to.nextGlobal < to.maxAssigned {
@@ -576,8 +594,8 @@ func (to *totalOrder) onInstall(oldSequencer NodeID, oldSequencerGone bool, targ
 		// frozen mid-change, plus — after a sequencer replacement — the
 		// pending messages nobody ordered.
 		var rest []msgKey
-		for key := range to.pending {
-			if !to.assigned[key] && to.s.view.Contains(key.sender) {
+		for key, m := range to.msgs {
+			if m.held && m.global == 0 && to.s.view.Contains(key.sender) {
 				rest = append(rest, key)
 			}
 		}
