@@ -15,9 +15,9 @@
 // total-order delivery) and an optimistic-delivery variant (the Section 7
 // ongoing-work direction) that certifies on tentative, spontaneous-order
 // delivery one ordering round early — dbsm.SpecCertifier holds the
-// speculative state with undo, internal/replica runs the two-stage
-// pipeline, and tentative/final order mismatches roll back and re-certify
-// deterministically. cmd/experiments's "protocols" subcommand reports the
+// speculative state (one undo stack for the un-finalized suffix),
+// internal/replica runs the two-stage pipeline, and tentative/final order
+// mismatches roll back and re-certify deterministically. cmd/experiments's "protocols" subcommand reports the
 // resulting certification-latency split; cmd/faultsim campaigns verify
 // one-copy serializability for both variants under randomized fault
 // schedules.
@@ -77,8 +77,9 @@
 // site per 10ms window, submitting through the identical
 // admission/retry/backpressure path individual clients use. A transaction
 // is drawn (tpcc.Generator.Draw into a tpcc.Draft: every RNG draw and
-// counter step) apart from being built (Generator.Build: the script and the
-// item sets); db.Server.Submit calls the db.Txn.Build hook once, on the
+// counter step) apart from being built (Generator.Build: the script — a
+// fetch count, a processing time and a quantum — and the item sets);
+// db.Server.Submit calls the db.Txn.Build hook once, on the
 // attempt it admits, so a refused arrival is never built; and an arrival's
 // record is reused only if its transaction was never admitted and the
 // stream has not stopped. Equivalence is statistical, pinned within CI95 at

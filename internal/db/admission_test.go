@@ -136,7 +136,7 @@ func TestBuildHookRunsOnceOnAdmission(t *testing.T) {
 			}
 			builds++
 			full := simpleTxn(tid, "w", []dbsm.TupleID{item}, 5*sim.Millisecond)
-			b.Ops, b.ReadSet, b.WriteSet = full.Ops, full.ReadSet, full.WriteSet
+			b.CPU, b.ReadSet, b.WriteSet = full.CPU, full.ReadSet, full.WriteSet
 			b.WriteBytes, b.CommitCPU = full.WriteBytes, full.CommitCPU
 		}
 		return txn
@@ -155,7 +155,7 @@ func TestBuildHookRunsOnceOnAdmission(t *testing.T) {
 	txn.Done = note
 	s.SetBackpressure(true)
 	s.Submit(txn)
-	if got != Rejected || builds != 0 || txn.Build == nil || txn.Ops != nil {
+	if got != Rejected || builds != 0 || txn.Build == nil || txn.CPU != 0 {
 		t.Fatalf("gate refusal: outcome %v, %d builds, hook kept %v", got, builds, txn.Build != nil)
 	}
 	// Refused as a duplicate of a TID in flight: not built.

@@ -21,7 +21,7 @@ func simpleTxn(tid uint64, class string, items []dbsm.TupleID, cpu sim.Time) *Tx
 	return &Txn{
 		TID:        tid,
 		Class:      class,
-		Ops:        []Op{{Kind: OpProcess, CPU: cpu}},
+		CPU:        cpu,
 		ReadSet:    ws.Clone(),
 		WriteSet:   ws,
 		WriteBytes: 100,
@@ -58,7 +58,7 @@ func TestReadOnlySkipsDiskAndLocks(t *testing.T) {
 	k, s := newTestServer(t, 1)
 	txn := &Txn{
 		TID: 1, Class: "ro", ReadOnly: true,
-		Ops:       []Op{{Kind: OpFetch, Item: dbsm.MakeTupleID(1, 1)}, {Kind: OpProcess, CPU: 3 * sim.Millisecond}},
+		Fetches: 1, CPU: 3 * sim.Millisecond,
 		ReadSet:   dbsm.NewItemSet(dbsm.MakeTupleID(1, 1)),
 		CommitCPU: 2 * sim.Millisecond,
 	}
@@ -320,7 +320,7 @@ func TestMultiCPUParallelism(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		txn := &Txn{
 			TID: uint64(i), Class: "ro", ReadOnly: true,
-			Ops:       []Op{{Kind: OpProcess, CPU: 10 * sim.Millisecond}},
+			CPU:       10 * sim.Millisecond,
 			CommitCPU: 0,
 		}
 		txn.Done = func(*Txn, Outcome) { finished++ }
@@ -334,6 +334,51 @@ func TestMultiCPUParallelism(t *testing.T) {
 	}
 	if k.Now() != 10*sim.Millisecond {
 		t.Fatalf("3 CPUs should run 3 txns in parallel; took %v", k.Now())
+	}
+}
+
+// TestScriptRunsFetchesThenQuanta pins the sequence the server derives from
+// the three script numbers: every fetch, then the processing time in slices
+// of one quantum with a short last one — so on one CPU a later transaction
+// gets in after the first slice, not after the whole script — and nothing
+// allocated per step, however long the script is.
+func TestScriptRunsFetchesThenQuanta(t *testing.T) {
+	k := sim.NewKernel()
+	st := NewStorage(k, StorageConfig{CacheHitRatio: 0.5}, sim.NewRNG(1))
+	s := NewServer(k, 1, csrt.NewCPUSet(1, k, nil), st)
+	ends := map[uint64]sim.Time{}
+	done := func(txn *Txn, _ Outcome) { ends[txn.TID] = k.Now() }
+	long := &Txn{TID: 1, Class: "ro", ReadOnly: true, CPU: 2500 * sim.Microsecond, Quantum: sim.Millisecond, Done: done}
+	short := &Txn{TID: 2, Class: "ro", ReadOnly: true, CPU: 500 * sim.Microsecond, Done: done}
+	s.Submit(long)
+	s.Submit(short)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// long's slices are 1 ms, 1 ms, 0.5 ms. short's single slice runs between
+	// the first two and its commit job (a CPU job too) between the last two;
+	// behind an unsliced script it would have ended at 3 ms, and with the
+	// short slice first at 2 ms.
+	if ends[2] != 2500*sim.Microsecond || ends[1] != 3*sim.Millisecond {
+		t.Fatalf("short ended at %v, long at %v; want 2.5ms and 3ms", ends[2], ends[1])
+	}
+
+	run := func(txn *Txn) float64 {
+		return testing.AllocsPerRun(50, func() {
+			txn.ResetForRetry()
+			s.Submit(txn)
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	brief := &Txn{TID: 3, Class: "ro", ReadOnly: true, Fetches: 1, CPU: sim.Millisecond, Quantum: sim.Millisecond}
+	lengthy := &Txn{TID: 4, Class: "ro", ReadOnly: true, Fetches: 40, CPU: 30 * sim.Millisecond, Quantum: sim.Millisecond}
+	if a, b := run(brief), run(lengthy); a != b {
+		t.Fatalf("a 2-step script costs %v allocations, a 70-step script %v: something is allocated per step", a, b)
+	}
+	if st.Sectors() < 40 {
+		t.Fatalf("%d sectors read: the comparison did not cover fetches that miss the cache", st.Sectors())
 	}
 }
 

@@ -72,7 +72,7 @@ func TestUserAbortPath(t *testing.T) {
 	var outcome Outcome
 	txn := &Txn{
 		TID: 1, Class: "neworder", UserAbort: true,
-		Ops:     []Op{{Kind: db0pProcess(), CPU: 2 * sim.Millisecond}},
+		CPU:     2 * sim.Millisecond,
 		ReadSet: ws.Clone(), WriteSet: ws, WriteBytes: 100,
 		CommitCPU: sim.Millisecond,
 		Done:      nil,
@@ -95,8 +95,6 @@ func TestUserAbortPath(t *testing.T) {
 		t.Fatal("stats missing user abort")
 	}
 }
-
-func db0pProcess() OpKind { return OpProcess }
 
 func TestSectorFilterApplied(t *testing.T) {
 	k := sim.NewKernel()

@@ -21,7 +21,7 @@ func restartTxn(tid uint64, done func(*Txn, Outcome)) *Txn {
 		TID:      tid,
 		Class:    "t",
 		WriteSet: dbsm.NewItemSet(dbsm.MakeTupleID(0, tid)),
-		Ops:      []Op{{Kind: OpProcess, CPU: 10 * sim.Millisecond}},
+		CPU:      10 * sim.Millisecond,
 		Done:     done,
 	}
 }

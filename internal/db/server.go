@@ -326,28 +326,27 @@ func (s *Server) refuse(t *Txn) {
 	s.finish(t, Rejected)
 }
 
-// step advances the operation pipeline.
+// step advances the execution script: every fetch, then the processing time
+// a quantum at a time, then the commit phase.
 func (s *Server) step(t *Txn) {
 	if t.aborted || t.finished || s.down {
 		return
 	}
-	if t.opIdx >= len(t.Ops) {
-		s.commitPhase(t)
-		return
-	}
-	op := t.Ops[t.opIdx]
-	t.opIdx++
-	switch op.Kind {
-	case OpFetch:
+	switch {
+	case t.fetched < t.Fetches:
+		t.fetched++
 		if s.storage.Read(t.stepFn) {
 			t.stepFn() // cache hit: no storage resources consumed
 		}
-	case OpProcess:
-		s.cpus.SubmitSim(op.CPU, t.stepFn)
+	case t.cpuSpent < t.CPU:
+		q := t.CPU - t.cpuSpent
+		if t.Quantum > 0 && q > t.Quantum {
+			q = t.Quantum
+		}
+		t.cpuSpent += q
+		s.cpus.SubmitSim(q, t.stepFn)
 	default:
-		// OpWrite: write-back is deferred to commit (the value sizes are
-		// already summed in WriteBytes); the step itself is free.
-		t.stepFn()
+		s.commitPhase(t)
 	}
 }
 

@@ -5,28 +5,6 @@ import (
 	"repro/internal/sim"
 )
 
-// OpKind classifies transaction operations (Section 3.1): fetch a data item,
-// do some processing, or write back a data item.
-type OpKind int
-
-// Operation kinds.
-const (
-	OpFetch OpKind = iota + 1
-	OpProcess
-	OpWrite
-)
-
-// Op is one step of a transaction's execution.
-type Op struct {
-	Kind OpKind
-	// Item is the tuple accessed by fetch/write operations.
-	Item dbsm.TupleID
-	// CPU is the processing time of an OpProcess step.
-	CPU sim.Time
-	// Size is the value size in bytes of an OpWrite step.
-	Size int
-}
-
 // Outcome is a transaction's fate.
 type Outcome int
 
@@ -78,8 +56,17 @@ type Txn struct {
 	// ReadOnly transactions skip the distributed termination protocol;
 	// their latency is unaffected by replication (Section 5.1).
 	ReadOnly bool
-	// Ops is the execution script.
-	Ops []Op
+	// Fetches, CPU and Quantum are the execution script (Section 3.1: fetch
+	// a data item, do some processing, write back at commit). The server
+	// first performs Fetches storage reads, one after the other — which
+	// items they name does not matter to the storage model, only how many —
+	// and then spends CPU of processing time in slices of at most Quantum
+	// (the round-robin quantum; the last slice is the remainder, and a
+	// Quantum of 0 leaves CPU as one slice). Write-back happens at commit
+	// and is sized by WriteSet.
+	Fetches int
+	CPU     sim.Time
+	Quantum sim.Time
 	// ReadSet and WriteSet are known before execution starts, enabling
 	// atomic lock acquisition without deadlock detection (Section 3.1).
 	ReadSet  dbsm.ItemSet
@@ -113,7 +100,8 @@ type Txn struct {
 	Snapshot uint64
 
 	// internal state
-	opIdx     int
+	fetched   int      // script position: storage reads issued
+	cpuSpent  sim.Time // script position: processing time handed to the CPU
 	aborted   bool
 	certified bool
 	decided   bool // first certification verdict already sampled
@@ -149,7 +137,7 @@ func (t *Txn) Latency() sim.Time { return t.EndAt - t.SubmitAt }
 // resubmission idempotent: a duplicate of an already-active TID is refused at
 // admission, and the off-line checker verifies no TID ever commits twice.
 func (t *Txn) ResetForRetry() {
-	t.opIdx = 0
+	t.fetched, t.cpuSpent = 0, 0
 	t.aborted = false
 	t.certified = false
 	t.decided = false

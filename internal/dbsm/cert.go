@@ -98,43 +98,64 @@ func (t *TxnCert) MarshalTo(buf []byte) []byte {
 // errBadCert reports a malformed certification message.
 var errBadCert = errors.New("dbsm: malformed certification message")
 
-// Unmarshal decodes a certification message. The item sets are copied out,
-// so b may be reused or mutated afterwards. Length fields are validated
-// against len(b) before any offset arithmetic, so hostile values cannot
-// overflow the offset computations.
+// Unmarshal decodes a certification message into a fresh record that owns
+// both of its sets. Paths that decode per delivery keep one record and call
+// UnmarshalFrom.
+func Unmarshal(b []byte) (*TxnCert, error) {
+	t := new(TxnCert)
+	if err := t.UnmarshalFrom(b); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// UnmarshalFrom decodes a certification message into t, overwriting every
+// field. The read-set is decoded into t's own storage and so lives until the
+// next decode into t; the write-set is a fresh exact-size set — the one
+// allocation of a decode — that anyone may retain (see Ownership in the
+// package comment). b is not retained. Length fields are validated against
+// len(b) before any offset arithmetic, so hostile values cannot overflow the
+// offset computations; on error t is left as it was.
 //
 //hot:path
-func Unmarshal(b []byte) (*TxnCert, error) {
+func (t *TxnCert) UnmarshalFrom(b []byte) error {
 	if len(b) < certHeader {
-		return nil, errBadCert
-	}
-	//lint:hotalloc-ok decode returns a fresh message by contract; one struct per decode
-	t := &TxnCert{
-		TID:           binary.BigEndian.Uint64(b[0:8]),
-		Site:          SiteID(binary.BigEndian.Uint32(b[8:12])),
-		LastCommitted: binary.BigEndian.Uint64(b[12:20]),
+		return errBadCert
 	}
 	nr := int(binary.BigEndian.Uint32(b[20:24]))
 	nw := int(binary.BigEndian.Uint32(b[24:28]))
-	t.WriteBytes = int(binary.BigEndian.Uint32(b[28:32]))
+	wb := int(binary.BigEndian.Uint32(b[28:32]))
 	// Bound each count by the bytes actually present before computing any
 	// combined offset: nr+nw and the per-element products stay far below
 	// overflow once each is capped by len(b)/8. The sign checks matter on
 	// 32-bit platforms, where a hostile uint32 converts to a negative int.
 	avail := len(b) - certHeader
-	if nr < 0 || nw < 0 || t.WriteBytes < 0 ||
-		nr > avail/8 || nw > avail/8-nr || t.WriteBytes > avail-8*(nr+nw) {
-		return nil, errBadCert
+	if nr < 0 || nw < 0 || wb < 0 ||
+		nr > avail/8 || nw > avail/8-nr || wb > avail-8*(nr+nw) {
+		return errBadCert
 	}
-	// Both sets share one backing array: a single allocation per decode.
-	//lint:hotalloc-ok deliberate single allocation shared by both item sets
-	ids := make(ItemSet, nr+nw)
-	for i := range ids {
-		ids[i] = TupleID(binary.BigEndian.Uint64(b[certHeader+8*i:]))
+	if poisonRecycled {
+		stale := t.ReadSet[:cap(t.ReadSet)]
+		for i := range stale {
+			stale[i] = ^TupleID(0)
+		}
 	}
-	t.ReadSet = ids[:nr:nr]
-	t.WriteSet = ids[nr:]
-	return t, nil
+	t.TID = binary.BigEndian.Uint64(b[0:8])
+	t.Site = SiteID(binary.BigEndian.Uint32(b[8:12]))
+	t.LastCommitted = binary.BigEndian.Uint64(b[12:20])
+	t.WriteBytes = wb
+	t.ReadSet = t.ReadSet.sized(nr)
+	//lint:hotalloc-ok the write-set outlives the record: the history and the remote-apply surrogate retain it
+	t.WriteSet = make(ItemSet, nw)
+	b = b[certHeader:]
+	for i := range t.ReadSet {
+		t.ReadSet[i] = TupleID(binary.BigEndian.Uint64(b[8*i:]))
+	}
+	b = b[8*nr:]
+	for i := range t.WriteSet {
+		t.WriteSet[i] = TupleID(binary.BigEndian.Uint64(b[8*i:]))
+	}
+	return nil
 }
 
 // PeekTID extracts the transaction identifier from a marshaled certification
@@ -190,14 +211,21 @@ type Certifier struct {
 	Veto func(*TxnCert) bool
 
 	scan bool
-	// undoEnabled records index restore logs with each history entry.
-	// Only speculative (tentative) certification ever truncates, so the
-	// SpecCertifier wrapper enables it; a plain conservative certifier
-	// skips the bookkeeping entirely.
-	undoEnabled bool
-	history     []histEntry
-	seq         uint64
-	pruned      uint64 // highest seq dropped by pruning
+	// logUndo makes a commit push its index restore records on undo.
+	// SpecCertifier.Tentative sets it around its own certification: only a
+	// tentative commit is ever rolled back, so a conservative certifier —
+	// and a final-order certification under speculation — skips the
+	// bookkeeping entirely.
+	logUndo bool
+	// undo is the one restore stack of the un-finalized suffix: replaying
+	// its tail newest-first returns the index to an earlier state, which is
+	// how speculative rollback unwinds tentative certifications. The
+	// SpecCertifier remembers where each tentative entry's records start
+	// and cuts the stack as entries finalize.
+	undo   []undoRec
+	hist   history
+	seq    uint64
+	pruned uint64 // highest seq dropped by pruning
 
 	// Inverted last-writer index (unused in scan mode). lastWriter maps a
 	// tuple to the highest sequence number that committed a write to it;
@@ -209,14 +237,74 @@ type Certifier struct {
 	tableAny   map[uint16]uint64
 }
 
-// histEntry is one committed write-set. undo is the index restore log
-// (indexed mode only): replaying it newest-first returns the index to its
-// state before this commit, which is how speculative rollback unwinds
-// tentative certifications.
+// histEntry is one committed write-set, adopted from the certified message.
 type histEntry struct {
 	seq      uint64
 	writeSet ItemSet
-	undo     []undoRec
+}
+
+// histBlock is the number of entries in one block of the history.
+const histBlock = 256
+
+// history is the retained committed write-sets, oldest first: a deque of
+// fixed-size blocks, so appending never copies what is already stored and
+// dropping the oldest entries advances an index. A block drained at the front
+// goes to the back, so a history at its bound allocates nothing.
+type history struct {
+	blocks []*[histBlock]histEntry
+	head   int // position of the oldest entry in blocks[0]
+	n      int // retained entries
+}
+
+// at returns entry i, 0 being the oldest.
+func (h *history) at(i int) *histEntry {
+	i += h.head
+	return &h.blocks[i/histBlock][i%histBlock]
+}
+
+func (h *history) push(e histEntry) {
+	if h.head+h.n == len(h.blocks)*histBlock {
+		h.blocks = append(h.blocks, new([histBlock]histEntry))
+	}
+	h.n++
+	*h.at(h.n - 1) = e
+}
+
+// dropFront removes the k oldest entries.
+func (h *history) dropFront(k int) {
+	for ; k > 0; k-- {
+		*h.at(0) = histEntry{}
+		h.n--
+		if h.head++; h.head == histBlock {
+			drained := h.blocks[0]
+			h.blocks[copy(h.blocks, h.blocks[1:])] = drained
+			h.head = 0
+		}
+	}
+}
+
+// truncate removes the newest entries beyond the first n.
+func (h *history) truncate(n int) {
+	for h.n > n {
+		h.n--
+		*h.at(h.n) = histEntry{}
+	}
+}
+
+// firstAfter returns the position of the first entry committed after seq.
+// Open-coded binary search: a sort.Search closure is a heap allocation per
+// certification.
+func (h *history) firstAfter(seq uint64) int {
+	lo, hi := 0, h.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h.at(mid).seq > seq {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // undoRec records one index cell's value prior to an update. prev == 0 means
@@ -257,7 +345,7 @@ func (c *Certifier) Scan() bool { return c.scan }
 func (c *Certifier) Seq() uint64 { return c.seq }
 
 // HistoryLen reports retained committed write-sets (for GC tests).
-func (c *Certifier) HistoryLen() int { return len(c.history) }
+func (c *Certifier) HistoryLen() int { return c.hist.n }
 
 // Certify decides a transaction's fate: it aborts iff its read-set
 // intersects the write-set of any committed transaction that executed
@@ -310,21 +398,9 @@ func (c *Certifier) Certify(t *TxnCert) Outcome {
 //
 //hot:path
 func (c *Certifier) certifyScan(t *TxnCert) Outcome {
-	// Binary search for the first concurrent entry. Open-coded: a
-	// sort.Search closure is a heap allocation per certification.
-	lo, hi := 0, len(c.history)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.history[mid].seq > t.LastCommitted {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	idx := lo
 	comparisons := 0
-	for i := idx; i < len(c.history); i++ {
-		e := &c.history[i]
+	for i := c.hist.firstAfter(t.LastCommitted); i < c.hist.n; i++ {
+		e := c.hist.at(i)
 		comparisons += len(e.writeSet) + len(t.ReadSet)
 		if e.writeSet.Intersects(t.ReadSet) {
 			if c.Charge != nil {
@@ -340,8 +416,9 @@ func (c *Certifier) certifyScan(t *TxnCert) Outcome {
 	return Outcome{Commit: true, Seq: c.seq}
 }
 
-// commit advances the sequence, records the write-set, and applies the
-// in-certify MaxHistory pruning.
+// commit advances the sequence, adopts the write-set into the history (an
+// ItemSet is immutable, so the message's own set is kept, not a copy), and
+// applies the in-certify MaxHistory pruning.
 //
 //hot:path
 func (c *Certifier) commit(t *TxnCert) {
@@ -349,90 +426,80 @@ func (c *Certifier) commit(t *TxnCert) {
 	if len(t.WriteSet) == 0 {
 		return
 	}
-	e := histEntry{seq: c.seq, writeSet: t.WriteSet.Clone()}
 	if !c.scan {
-		e.undo = c.indexWrites(t.WriteSet)
+		c.indexWrites(t.WriteSet, c.logUndo)
 	}
-	c.history = append(c.history, e)
-	if c.MaxHistory > 0 && len(c.history) > c.MaxHistory {
-		c.dropOldest(len(c.history) - c.MaxHistory)
+	c.hist.push(histEntry{seq: c.seq, writeSet: t.WriteSet})
+	if c.MaxHistory > 0 && c.hist.n > c.MaxHistory {
+		c.dropOldest(c.hist.n - c.MaxHistory)
 	}
 }
 
 // indexWrites records ws as committed at the current sequence number and —
-// when undo logging is enabled — returns the log restoring the index cells
-// it displaced. ws is sorted, so same-table items are contiguous and the
-// table-level cells are updated once per table.
-func (c *Certifier) indexWrites(ws ItemSet) []undoRec {
-	var undo []undoRec
-	if c.undoEnabled {
-		undo = make([]undoRec, 0, len(ws)+2)
-	}
+// when log is set — pushes the records restoring the index cells it
+// displaced on the undo stack. ws is sorted, so same-table items are
+// contiguous and the table-level cells are updated once per table.
+//
+//hot:path
+func (c *Certifier) indexWrites(ws ItemSet, log bool) {
 	var curTable uint16
 	haveTable := false
 	for _, w := range ws {
 		tbl := w.Table()
 		if !haveTable || tbl != curTable {
-			if c.undoEnabled {
-				undo = append(undo, undoRec{key: w, prev: c.tableAny[tbl], kind: undoTAny})
+			if log {
+				c.undo = append(c.undo, undoRec{key: w, prev: c.tableAny[tbl], kind: undoTAny})
 			}
 			c.tableAny[tbl] = c.seq
 			curTable, haveTable = tbl, true
 		}
 		if w.IsTableLock() {
-			if c.undoEnabled {
-				undo = append(undo, undoRec{key: w, prev: c.tableLock[tbl], kind: undoTLock})
+			if log {
+				c.undo = append(c.undo, undoRec{key: w, prev: c.tableLock[tbl], kind: undoTLock})
 			}
 			c.tableLock[tbl] = c.seq
 		} else {
-			if c.undoEnabled {
-				undo = append(undo, undoRec{key: w, prev: c.lastWriter[w], kind: undoLW})
+			if log {
+				c.undo = append(c.undo, undoRec{key: w, prev: c.lastWriter[w], kind: undoLW})
 			}
 			c.lastWriter[w] = c.seq
 		}
 	}
-	return undo
 }
 
 // truncate restores the certifier to an earlier state: history cut back to
-// histLen entries and the sequence counter to seqBefore, with every index
-// update of the removed entries unwound (newest first). It is the undo
-// primitive of speculative rollback — only valid on a certifier whose undo
-// logging was enabled by its SpecCertifier wrapper; the removed suffix never
-// crosses the pruning boundary because SpecCertifier prunes only the
-// finalized region.
-func (c *Certifier) truncate(histLen int, seqBefore uint64) {
-	if !c.scan && !c.undoEnabled && len(c.history) > histLen {
-		panic("dbsm: truncate on an indexed certifier without undo logging")
-	}
-	for i := len(c.history) - 1; i >= histLen; i-- {
-		e := &c.history[i]
-		for j := len(e.undo) - 1; j >= 0; j-- {
-			u := e.undo[j]
-			switch u.kind {
-			case undoLW:
-				if u.prev == 0 {
-					delete(c.lastWriter, u.key)
-				} else {
-					c.lastWriter[u.key] = u.prev
-				}
-			case undoTLock:
-				if u.prev == 0 {
-					delete(c.tableLock, u.key.Table())
-				} else {
-					c.tableLock[u.key.Table()] = u.prev
-				}
-			case undoTAny:
-				if u.prev == 0 {
-					delete(c.tableAny, u.key.Table())
-				} else {
-					c.tableAny[u.key.Table()] = u.prev
-				}
+// histLen entries, the sequence counter to seqBefore and the undo stack to
+// undoLen records, with every index update above that mark unwound (newest
+// first). It is the undo primitive of speculative rollback: every entry it
+// removes was committed by SpecCertifier.Tentative, which logged it, and the
+// removed suffix never crosses the pruning boundary because SpecCertifier
+// prunes only the finalized region.
+func (c *Certifier) truncate(histLen int, seqBefore uint64, undoLen int) {
+	for j := len(c.undo) - 1; j >= undoLen; j-- {
+		u := c.undo[j]
+		switch u.kind {
+		case undoLW:
+			if u.prev == 0 {
+				delete(c.lastWriter, u.key)
+			} else {
+				c.lastWriter[u.key] = u.prev
+			}
+		case undoTLock:
+			if u.prev == 0 {
+				delete(c.tableLock, u.key.Table())
+			} else {
+				c.tableLock[u.key.Table()] = u.prev
+			}
+		case undoTAny:
+			if u.prev == 0 {
+				delete(c.tableAny, u.key.Table())
+			} else {
+				c.tableAny[u.key.Table()] = u.prev
 			}
 		}
-		c.history[i] = histEntry{}
 	}
-	c.history = c.history[:histLen]
+	c.undo = c.undo[:undoLen]
+	c.hist.truncate(histLen)
 	c.seq = seqBefore
 }
 
@@ -447,13 +514,13 @@ func (c *Certifier) dropOldest(drop int) {
 	if drop <= 0 {
 		return
 	}
-	boundary := c.history[drop-1].seq
+	boundary := c.hist.at(drop - 1).seq
 	if boundary > c.pruned {
 		c.pruned = boundary
 	}
 	if !c.scan {
 		for i := 0; i < drop; i++ {
-			ws := c.history[i].writeSet
+			ws := c.hist.at(i).writeSet
 			var curTable uint16
 			haveTable := false
 			for _, w := range ws {
@@ -473,14 +540,10 @@ func (c *Certifier) dropOldest(drop int) {
 			}
 		}
 	}
-	n := copy(c.history, c.history[drop:])
-	for i := n; i < len(c.history); i++ {
-		c.history[i] = histEntry{}
-	}
-	c.history = c.history[:n]
+	c.hist.dropFront(drop)
 }
 
 // String aids debugging.
 func (c *Certifier) String() string {
-	return fmt.Sprintf("certifier{seq=%d history=%d}", c.seq, len(c.history))
+	return fmt.Sprintf("certifier{seq=%d history=%d}", c.seq, c.hist.n)
 }

@@ -75,6 +75,14 @@ func TestCertifierDifferential(t *testing.T) {
 			stream := randCertStream(rng, tc.txns, idx.Seq)
 			commits, aborts := 0, 0
 			for i, cert := range stream {
+				if i == tc.txns/2 {
+					// A state transfer mid-stream: the importer carries on
+					// where the exporter stood, history bound included.
+					st := idx.ExportState()
+					idx = NewCertifier()
+					idx.MaxHistory = tc.maxHistory
+					idx.ImportState(st)
+				}
 				oi := idx.Certify(cert)
 				os := scan.Certify(cert)
 				if oi != os {
@@ -135,5 +143,115 @@ func TestSpecCertifierIndexedDifferential(t *testing.T) {
 		if spec.Rollbacks == 0 {
 			t.Fatal("permuted stream produced no rollbacks; test is vacuous")
 		}
+	}
+}
+
+// TestSpecSlidingWindowDifferential keeps the speculative queue from ever
+// draining: tentative deliveries run a few messages ahead of the final order
+// and now and then arrive swapped, so in one run the undo stack is cut at the
+// front (a matching Final pops the head's records while later ones stay), at
+// the back (a rollback unwinds the suffix) and compacted in between, while a
+// small MaxHistory makes the history deque wrap and prune under outstanding
+// tentatives. Half-way, the finalized prefix is state-transferred into a new
+// speculating certifier that carries on. Every final verdict must equal the
+// scan reference's.
+func TestSpecSlidingWindowDifferential(t *testing.T) {
+	for _, maxHistory := range []int{0, 64} {
+		rng := rand.New(rand.NewSource(int64(5 + maxHistory)))
+		newSpec := func() (*Certifier, *SpecCertifier) {
+			base := NewCertifier()
+			base.MaxHistory = maxHistory
+			return base, NewSpecCertifier(base)
+		}
+		base, spec := newSpec()
+		scan := NewScanCertifier()
+		scan.MaxHistory = maxHistory
+		stream := randCertStream(rng, 10000, scan.Seq)
+
+		const ahead = 5
+		tentNext, shifts, matches, rollbacks := 0, 0, int64(0), int64(0)
+		for fin, cert := range stream {
+			if fin == len(stream)/2 {
+				histLen, seq := spec.Finalized()
+				st := base.ExportState()
+				st.History, st.Seq = st.History[:histLen], seq
+				matches, rollbacks = matches+spec.Matches, rollbacks+spec.Rollbacks
+				base, spec = newSpec()
+				base.ImportState(st)
+				tentNext = fin // the importer has seen no tentative delivery
+			}
+			for tentNext < len(stream) && tentNext < fin+ahead {
+				if tentNext+1 < len(stream) && tentNext >= fin && rng.Intn(40) == 0 {
+					spec.Tentative(stream[tentNext+1])
+					spec.Tentative(stream[tentNext])
+					tentNext += 2
+					continue
+				}
+				spec.Tentative(stream[tentNext])
+				tentNext++
+			}
+			before := len(base.undo)
+			out, rolled := spec.Final(cert)
+			if spec.Pending() > 0 {
+				// Dead records below the head's mark never outnumber the
+				// live ones above it: the stack is bounded by the suffix.
+				dead := spec.tent[spec.head].undoLen
+				if dead != 0 && dead >= len(base.undo)-dead {
+					t.Fatalf("maxHistory=%d txn %d: %d of %d undo records are dead", maxHistory, fin, dead, len(base.undo))
+				}
+				if rolled == nil && len(base.undo) < before {
+					shifts++
+				}
+			}
+			for _, r := range rolled {
+				spec.Tentative(r) // re-speculate as the replica does
+			}
+			if want := scan.Certify(cert); out != want {
+				t.Fatalf("maxHistory=%d txn %d: spec=%+v scan=%+v", maxHistory, fin, out, want)
+			}
+		}
+		matches, rollbacks = matches+spec.Matches, rollbacks+spec.Rollbacks
+		if matches < 1000 || rollbacks < 100 || shifts < 100 {
+			t.Fatalf("maxHistory=%d: %d matches, %d rollbacks, %d front cuts with the queue non-empty: the run does not mix all three",
+				maxHistory, matches, rollbacks, shifts)
+		}
+		if base.HistoryLen() != scan.HistoryLen() || base.pruned != scan.pruned {
+			t.Fatalf("maxHistory=%d: history %d pruned %d, scan reference %d / %d",
+				maxHistory, base.HistoryLen(), base.pruned, scan.HistoryLen(), scan.pruned)
+		}
+	}
+}
+
+// TestHistoryBoundAcrossBlocks drives a tightly bounded certifier through
+// many times its bound — and several blocks of the history deque — and checks
+// after every commit that exactly the newest MaxHistory entries are retained,
+// that the pruning boundary follows, and that the index holds no cell of a
+// dropped entry.
+func TestHistoryBoundAcrossBlocks(t *testing.T) {
+	const bound, commits = 64, 10*histBlock + 17
+	c := NewCertifier()
+	c.MaxHistory = bound
+	for i := 1; i <= commits; i++ {
+		row := MakeTupleID(3, uint64(i))
+		out := c.Certify(&TxnCert{TID: uint64(i), LastCommitted: uint64(i - 1), ReadSet: NewItemSet(row), WriteSet: NewItemSet(row)})
+		if !out.Commit || out.Seq != uint64(i) {
+			t.Fatalf("commit %d: %+v", i, out)
+		}
+		retained, dropped := min(i, bound), max(0, i-bound)
+		if c.HistoryLen() != retained || c.pruned != uint64(dropped) {
+			t.Fatalf("after %d commits: history %d, pruned %d; want %d, %d", i, c.HistoryLen(), c.pruned, retained, dropped)
+		}
+		if len(c.lastWriter) != retained || c.lastWriter[MakeTupleID(3, uint64(dropped))] != 0 {
+			t.Fatalf("after %d commits: %d index cells for %d retained entries", i, len(c.lastWriter), retained)
+		}
+		if oldest := c.hist.at(0); oldest.seq != uint64(dropped+1) || oldest.writeSet[0].Row() != oldest.seq {
+			t.Fatalf("after %d commits: oldest retained entry is %+v", i, *oldest)
+		}
+		if len(c.hist.blocks) > 2 {
+			t.Fatalf("after %d commits: %d blocks hold %d entries", i, len(c.hist.blocks), retained)
+		}
+	}
+	if c.tableAny[3] != commits {
+		t.Fatalf("table cell %d, want the last commit", c.tableAny[3])
 	}
 }

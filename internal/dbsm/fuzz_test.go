@@ -2,6 +2,7 @@ package dbsm
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -44,10 +45,23 @@ func FuzzUnmarshal(f *testing.F) {
 	// Counts that fit the header but overrun the body.
 	f.Add(hostileLengthCert(3, 0, 0, 16))
 
+	// One record takes every input of the run, as a replica's does: what an
+	// earlier decode left in it must never show in a later one.
+	var reused TxnCert
 	f.Fuzz(func(t *testing.T, data []byte) {
+		before := reused
 		tc, err := Unmarshal(data)
+		if rerr := reused.UnmarshalFrom(data); (rerr == nil) != (err == nil) {
+			t.Fatalf("fresh decode: %v, decode into a reused record: %v", err, rerr)
+		}
 		if err != nil {
+			if !sameCert(&reused, &before) {
+				t.Fatal("a rejected input changed the record")
+			}
 			return
+		}
+		if !sameCert(&reused, tc) {
+			t.Fatalf("reused record decoded %+v, fresh record %+v", reused, *tc)
 		}
 		// Accepted input: the sets must lie within the buffer and the
 		// message must re-marshal to a decodable form.
@@ -66,6 +80,46 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatal("round trip mismatch")
 		}
 	})
+}
+
+// sameCert reports whether two records hold the same message.
+func sameCert(a, b *TxnCert) bool {
+	return a.TID == b.TID && a.Site == b.Site && a.LastCommitted == b.LastCommitted &&
+		a.WriteBytes == b.WriteBytes && slices.Equal(a.ReadSet, b.ReadSet) && slices.Equal(a.WriteSet, b.WriteSet)
+}
+
+// TestDecodedWriteSetSurvivesReuse: a write-set taken from one decode is the
+// holder's for good — ten further decodes into the same record, each of which
+// overwrites the record's read-set storage (with a poison pattern first, in
+// race builds), leave it bit-identical — while the read-set is the record's.
+func TestDecodedWriteSetSurvivesReuse(t *testing.T) {
+	msg := func(i uint64) *TxnCert {
+		return &TxnCert{
+			TID: i, Site: 2, LastCommitted: i / 2,
+			ReadSet:  NewItemSet(MakeTupleID(1, i), MakeTupleID(2, i+1), MakeTupleID(3, i+2)),
+			WriteSet: NewItemSet(MakeTupleID(1, i), MakeTupleID(3, i+2)),
+		}
+	}
+	var rec TxnCert
+	if err := rec.UnmarshalFrom(msg(1).Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	kept, want := rec.WriteSet, msg(1).WriteSet.Clone()
+	reads := rec.ReadSet
+	for i := uint64(2); i <= 11; i++ {
+		if err := rec.UnmarshalFrom(msg(i).Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		if !sameCert(&rec, msg(i)) {
+			t.Fatalf("decode %d into the reused record: %+v", i, rec)
+		}
+	}
+	if !slices.Equal(kept, want) {
+		t.Fatalf("write-set kept from the first decode is now %v, was %v", kept, want)
+	}
+	if &reads[0] != &rec.ReadSet[0] {
+		t.Fatal("read-set storage was not reused")
+	}
 }
 
 // TestUnmarshalHostileLengths is the non-fuzz pin of the overflow corpus, so

@@ -7,6 +7,19 @@
 // Like internal/gcs, this package is "real code" in the paper's sense: its
 // execution cost is accounted to the simulated CPU, and it runs unchanged on
 // the native runtime bridge.
+//
+// # Ownership
+//
+// An ItemSet is immutable after construction: every operation that changes a
+// set returns a new one, so a set may be shared by any number of messages,
+// certifiers and servers without a copy. The certifier relies on it — a
+// committed message's write-set is adopted into the history, not cloned —
+// and so may callers: the write-set of a decoded message is an allocation of
+// its own that anyone may retain. The read-set of a message decoded with
+// UnmarshalFrom lives in the record's reused storage and is valid only until
+// the next decode into the same record; nothing here keeps a read-set past
+// the Certify call that reads it. ExportState still deep-copies: a snapshot
+// is meant to leave the process.
 package dbsm
 
 import (
@@ -48,9 +61,9 @@ func (id TupleID) Row() uint64 { return uint64(id) & rowMask }
 // IsTableLock reports whether id locks a whole table.
 func (id TupleID) IsTableLock() bool { return uint64(id)&rowMask == tableLockRow }
 
-// ItemSet is a sorted, duplicate-free set of tuple identifiers. Keeping both
-// sets ordered lets certification conclude in a single traversal
-// (Section 3.3).
+// ItemSet is a sorted, duplicate-free set of tuple identifiers, immutable once
+// built (see Ownership in the package comment). Keeping both sets ordered
+// lets certification conclude in a single traversal (Section 3.3).
 type ItemSet []TupleID
 
 // NewItemSet builds a set from arbitrary identifiers, sorting and
@@ -67,18 +80,6 @@ func NewItemSet(ids ...TupleID) ItemSet {
 		}
 	}
 	return out
-}
-
-// Add inserts an identifier, keeping order; returns the updated set.
-func (s ItemSet) Add(id TupleID) ItemSet {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
 }
 
 // Contains reports set membership (exact identifier, not table-lock
@@ -159,6 +160,15 @@ func (s ItemSet) UpgradeToTableLocks(threshold int) ItemSet {
 		i = j
 	}
 	return out
+}
+
+// sized returns s's storage resliced to n items, whatever they held: the same
+// array while it is large enough, a new one of exactly n otherwise.
+func (s ItemSet) sized(n int) ItemSet {
+	if cap(s) < n {
+		return make(ItemSet, n)
+	}
+	return s[:n]
 }
 
 // Clone returns an independent copy.

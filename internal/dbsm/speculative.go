@@ -26,7 +26,11 @@ package dbsm
 type SpecCertifier struct {
 	c          *Certifier
 	maxHistory int
-	tent       []specEntry
+	// tent[head:] is the tentative queue, oldest first. Final pops by
+	// advancing head — reslicing would leave every later append without
+	// spare capacity — and the slice is reset when the queue drains.
+	tent []specEntry
+	head int
 
 	// Stats, exported for the replica's pipeline counters.
 	Tentatives int64 // tentative certifications (including re-certifications)
@@ -39,16 +43,15 @@ type specEntry struct {
 	out       Outcome
 	histLen   int    // certifier history length before this tentative certify
 	seqBefore uint64 // certifier seq before this tentative certify
+	undoLen   int    // certifier undo stack height before this tentative certify
 }
 
 // NewSpecCertifier wraps a certifier for speculative use. The certifier's
 // in-Certify pruning is disabled (see the type comment); the wrapper prunes
-// deterministically at finalization instead. Index undo logging is switched
-// on so rollbacks can restore the inverted index.
+// deterministically at finalization instead.
 func NewSpecCertifier(c *Certifier) *SpecCertifier {
 	s := &SpecCertifier{c: c, maxHistory: c.MaxHistory}
 	c.MaxHistory = 0
-	c.undoEnabled = true
 	return s
 }
 
@@ -61,21 +64,25 @@ func (s *SpecCertifier) Certifier() *Certifier { return s.c }
 // tentative commits can still be rolled back, and shipping them would leave
 // the importer with phantom commits no other replica has.
 func (s *SpecCertifier) Finalized() (histLen int, seq uint64) {
-	if len(s.tent) == 0 {
-		return len(s.c.history), s.c.seq
+	if s.Pending() == 0 {
+		return s.c.hist.n, s.c.seq
 	}
-	return s.tent[0].histLen, s.tent[0].seqBefore
+	return s.tent[s.head].histLen, s.tent[s.head].seqBefore
 }
 
 // Pending reports outstanding tentative decisions awaiting final order.
-func (s *SpecCertifier) Pending() int { return len(s.tent) }
+func (s *SpecCertifier) Pending() int { return len(s.tent) - s.head }
 
 // Tentative certifies t in tentative order and queues the decision. The
 // outcome is speculative: it becomes authoritative only when Final confirms
-// the order.
+// the order. t is held until then (or until a rollback returns it).
+//
+//hot:path
 func (s *SpecCertifier) Tentative(t *TxnCert) Outcome {
-	e := specEntry{t: t, histLen: len(s.c.history), seqBefore: s.c.seq}
+	e := specEntry{t: t, histLen: s.c.hist.n, seqBefore: s.c.seq, undoLen: len(s.c.undo)}
+	s.c.logUndo = true // a tentative commit is the only kind rolled back
 	e.out = s.c.Certify(t)
+	s.c.logUndo = false
 	s.tent = append(s.tent, e)
 	s.Tentatives++
 	return e.out
@@ -87,11 +94,15 @@ func (s *SpecCertifier) Tentative(t *TxnCert) Outcome {
 // tentative decision is undone, t is certified against the restored
 // finalized state, and the rolled-back transactions (t excluded) are
 // returned in tentative order for the caller to re-speculate.
+//
+//hot:path
 func (s *SpecCertifier) Final(t *TxnCert) (out Outcome, rolled []*TxnCert) {
-	if len(s.tent) > 0 && s.tent[0].t.TID == t.TID && !s.pruneInvalidated(&s.tent[0]) {
-		out = s.tent[0].out
-		s.tent = s.tent[1:]
+	if s.Pending() > 0 && s.tent[s.head].t.TID == t.TID && !s.pruneInvalidated(&s.tent[s.head]) {
+		out = s.tent[s.head].out
+		s.tent[s.head].t = nil
+		s.head++
 		s.Matches++
+		s.popUndo()
 		s.prune()
 		return out, nil
 	}
@@ -99,6 +110,27 @@ func (s *SpecCertifier) Final(t *TxnCert) (out Outcome, rolled []*TxnCert) {
 	out = s.c.Certify(t)
 	s.prune()
 	return out, rolled
+}
+
+// popUndo gives up the restore records of the entry Final just confirmed.
+// With nothing tentative left, the queue and the whole stack are reset — the
+// common case, one ordering round after each tentative delivery. Otherwise
+// the records below the new head's mark are dead, and they are shifted out
+// once they make up half the stack, which keeps the cost per record constant
+// and the stack bounded by twice the live suffix when the queue never drains.
+func (s *SpecCertifier) popUndo() {
+	if s.Pending() == 0 {
+		s.tent, s.head, s.c.undo = s.tent[:0], 0, s.c.undo[:0]
+		return
+	}
+	dead := s.tent[s.head].undoLen
+	if dead < len(s.c.undo)-dead {
+		return
+	}
+	s.c.undo = s.c.undo[:copy(s.c.undo, s.c.undo[dead:])]
+	for i := s.head; i < len(s.tent); i++ {
+		s.tent[i].undoLen -= dead
+	}
 }
 
 // pruneInvalidated reports whether pruning performed since e's tentative
@@ -116,7 +148,7 @@ func (s *SpecCertifier) pruneInvalidated(e *specEntry) bool {
 // whole queue is rolled back once; the survivors are returned in tentative
 // order for re-speculation. Returns nil when tid was never speculated on.
 func (s *SpecCertifier) Invalidate(tid uint64) []*TxnCert {
-	for _, e := range s.tent {
+	for _, e := range s.tent[s.head:] {
 		if e.t.TID == tid {
 			return s.rollback(tid)
 		}
@@ -128,18 +160,19 @@ func (s *SpecCertifier) Invalidate(tid uint64) []*TxnCert {
 // finalized state, and returns the rolled-back transactions in tentative
 // order minus the one being finalized (skip).
 func (s *SpecCertifier) rollback(skip uint64) []*TxnCert {
-	if len(s.tent) == 0 {
+	if s.Pending() == 0 {
 		return nil
 	}
-	e0 := s.tent[0]
-	s.c.truncate(e0.histLen, e0.seqBefore)
-	rolled := make([]*TxnCert, 0, len(s.tent))
-	for _, e := range s.tent {
-		if e.t.TID != skip {
-			rolled = append(rolled, e.t)
+	e0 := s.tent[s.head]
+	s.c.truncate(e0.histLen, e0.seqBefore, e0.undoLen)
+	rolled := make([]*TxnCert, 0, s.Pending())
+	for i := s.head; i < len(s.tent); i++ {
+		if t := s.tent[i].t; t.TID != skip {
+			rolled = append(rolled, t)
 		}
+		s.tent[i].t = nil
 	}
-	s.tent = s.tent[:0]
+	s.tent, s.head, s.c.undo = s.tent[:0], 0, s.c.undo[:0]
 	s.Rollbacks++
 	return rolled
 }
@@ -152,16 +185,13 @@ func (s *SpecCertifier) prune() {
 	if s.maxHistory <= 0 {
 		return
 	}
-	finalized := len(s.c.history)
-	if len(s.tent) > 0 {
-		finalized = s.tent[0].histLen
-	}
+	finalized, _ := s.Finalized()
 	drop := finalized - s.maxHistory
 	if drop <= 0 {
 		return
 	}
 	s.c.dropOldest(drop)
-	for i := range s.tent {
+	for i := s.head; i < len(s.tent); i++ {
 		s.tent[i].histLen -= drop
 	}
 }

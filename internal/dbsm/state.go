@@ -10,7 +10,8 @@ package dbsm
 // The inverted last-writer index is deliberately not serialized: it is a pure
 // function of the retained history (dropOldest deletes every index cell at or
 // below the pruning boundary), so ImportState rebuilds it by replaying the
-// entries — which also regenerates the undo logs a speculative wrapper needs.
+// entries. No undo records come with them: a snapshot holds finalized commits
+// only, which nothing will ever roll back.
 type CertState struct {
 	// Seq is the commit sequence number at export.
 	Seq uint64
@@ -44,23 +45,21 @@ func (c *Certifier) ExportState() *CertState {
 	st := &CertState{
 		Seq:     c.seq,
 		Pruned:  c.pruned,
-		History: make([]CommitRecord, len(c.history)),
+		History: make([]CommitRecord, c.hist.n),
 	}
-	for i := range c.history {
-		e := &c.history[i]
+	for i := range st.History {
+		e := c.hist.at(i)
 		st.History[i] = CommitRecord{Seq: e.seq, WriteSet: e.writeSet.Clone()}
 	}
 	return st
 }
 
 // ImportState replaces the certifier's state with a snapshot, rebuilding the
-// last-writer index (and, when undo logging is enabled, the restore logs) by
-// replaying the retained history. Any prior state is discarded.
+// last-writer index by replaying the retained history. Any prior state is
+// discarded; the write-sets are copied, so the snapshot stays the caller's.
 func (c *Certifier) ImportState(st *CertState) {
-	for i := range c.history {
-		c.history[i] = histEntry{}
-	}
-	c.history = c.history[:0]
+	c.hist = history{}
+	c.undo = c.undo[:0]
 	if !c.scan {
 		c.lastWriter = make(map[TupleID]uint64, len(st.History))
 		c.tableLock = make(map[uint16]uint64)
@@ -72,9 +71,9 @@ func (c *Certifier) ImportState(st *CertState) {
 		e := histEntry{seq: rec.Seq, writeSet: rec.WriteSet.Clone()}
 		c.seq = rec.Seq
 		if !c.scan {
-			e.undo = c.indexWrites(e.writeSet)
+			c.indexWrites(e.writeSet, false)
 		}
-		c.history = append(c.history, e)
+		c.hist.push(e)
 	}
 	c.seq = st.Seq
 }

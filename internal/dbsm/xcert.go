@@ -46,19 +46,10 @@ func (c *Certifier) CheckOnly(t *TxnCert) bool {
 
 // checkOnlyScan is the reference-procedure variant of CheckOnly.
 func (c *Certifier) checkOnlyScan(t *TxnCert) bool {
-	lo, hi := 0, len(c.history)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.history[mid].seq > t.LastCommitted {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
 	comparisons := 0
 	ok := true
-	for i := lo; i < len(c.history); i++ {
-		e := &c.history[i]
+	for i := c.hist.firstAfter(t.LastCommitted); i < c.hist.n; i++ {
+		e := c.hist.at(i)
 		comparisons += len(e.writeSet) + len(t.ReadSet)
 		if e.writeSet.Intersects(t.ReadSet) {
 			ok = false

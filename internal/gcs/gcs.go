@@ -208,6 +208,11 @@ type Stats struct {
 	Sent        int64 // data chunks first-transmitted
 	Retransmits int64 // chunks retransmitted on NACK
 	Nacks       int64 // NACKs sent
+	// NackMisses counts chunks a received NACK asked for that this member
+	// does not hold — its own chunk already garbage-collected as stable, or
+	// another member's it never buffered. Nothing is sent for them, so a
+	// requester whose cursor sits below such a chunk asks for ever.
+	NackMisses  int64
 	AssignAcks  int64 // assignment acks sent (uniform sequencer delivery)
 	Gossips     int64 // gossip messages sent
 	GossipsRecv int64 // gossip messages received and accepted
@@ -424,7 +429,7 @@ func (s *Stack) Stopped() bool { return s.stopped }
 // BufferedMessages reports chunks held in receive and send buffers plus
 // queued unsent chunks (leak diagnostics: must drop to zero at halt).
 func (s *Stack) BufferedMessages() int {
-	n := len(s.rm.sendBuf) + len(s.rm.outQ)
+	n := len(s.rm.sendBuf) + len(s.rm.outQ) - s.rm.outHead
 	for _, ps := range s.rm.peers {
 		n += len(ps.recvBuf)
 	}
@@ -439,7 +444,7 @@ func (s *Stack) BufferedMessages() int {
 // BufferedBytes reports the payload bytes those buffers pin.
 func (s *Stack) BufferedBytes() int {
 	n := s.rm.sendBufBytes
-	for _, c := range s.rm.outQ {
+	for _, c := range s.rm.outQ[s.rm.outHead:] {
 		n += len(c.wire)
 	}
 	for _, ps := range s.rm.peers {

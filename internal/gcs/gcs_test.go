@@ -248,6 +248,44 @@ func TestStabilityGarbageCollection(t *testing.T) {
 	}
 }
 
+// TestNackMissesCounted pins the one request the reliable layer drops without
+// an answer: a NACK for a chunk the asked member does not hold — its own
+// stream's, already garbage-collected as stable, or another member's, asked
+// of a relay whose receive buffer was collected too — counts one miss and
+// sends nothing. A fault-free run never produces one.
+func TestNackMissesCounted(t *testing.T) {
+	c := newCluster(t, 3, 8, nil)
+	for i := 0; i < 10; i++ {
+		c.castAt(sim.Time(i+1)*5*sim.Millisecond, 1, make([]byte, 500))
+	}
+	c.run(3 * sim.Second)
+	c.checkAgreement(nodes(3), 10)
+	for _, id := range nodes(3) {
+		if n := c.stacks[id].Stats().NackMisses; n != 0 {
+			t.Fatalf("fault-free run: node %d counted %d NACK misses", id, n)
+		}
+	}
+	ask := &nackMsg{Target: 1, Ranges: []seqRange{{From: 3, To: 3}}}
+	for _, tc := range []struct {
+		name  string
+		asked NodeID
+	}{{"own stream", 1}, {"relay", 3}} {
+		st := c.stacks[tc.asked]
+		if _, held := st.rm.sendBuf[3]; held || len(st.rm.peers[1].recvBuf) != 0 {
+			t.Fatalf("%s: test premise broken: node %d still holds chunk 3 of stream 1", tc.name, tc.asked)
+		}
+		before, sent := st.Stats(), c.net.Host(tc.asked).Sent().Bytes()
+		st.rm.onNack(2, ask)
+		after := st.Stats()
+		if after.NackMisses != before.NackMisses+1 {
+			t.Errorf("%s: %d misses counted for one uncollectable chunk", tc.name, after.NackMisses-before.NackMisses)
+		}
+		if after.Retransmits != before.Retransmits || c.net.Host(tc.asked).Sent().Bytes() != sent {
+			t.Errorf("%s: a chunk the member does not hold was answered", tc.name)
+		}
+	}
+}
+
 func TestBufferShareBlocksThenDrains(t *testing.T) {
 	// Tiny buffer pool: casts must block on the share and recover as
 	// stability advances.

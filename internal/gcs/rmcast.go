@@ -18,12 +18,16 @@ type relMcast struct {
 	sendSeq      uint64 // next sequence number for my stream
 	sendBuf      map[uint64][]byte
 	sendBufBytes int
-	outQ         []outChunk
-	outQBytes    int // wire bytes queued but unsent
-	outQLimit    int // bound on outQBytes: maxQueuedBytes
-	frozen       bool
-	blockedAt    sim.Time
-	blocked      bool
+	// outQ[outHead:] is queued but unsent. drain pops by advancing outHead
+	// (reslicing would leave every later append without spare capacity) and
+	// starts over at the front of the array once the queue is empty.
+	outQ      []outChunk
+	outHead   int
+	outQBytes int // wire bytes queued but unsent
+	outQLimit int // bound on outQBytes: maxQueuedBytes
+	frozen    bool
+	blockedAt sim.Time
+	blocked   bool
 
 	// Credit-based flow control (flowcontrol.go): creditLimit is the
 	// per-destination window in chunks, creditsPerDest outside tests.
@@ -261,10 +265,10 @@ func (rm *relMcast) drain() {
 		return
 	}
 	rm.refillTokens()
-	for len(rm.outQ) > 0 {
-		c := rm.outQ[0]
+	for rm.outHead < len(rm.outQ) {
+		c := rm.outQ[rm.outHead]
 		size := len(c.wire)
-		unstableCount := rm.sendSeq - rm.self.stable - uint64(len(rm.outQ))
+		unstableCount := rm.sendSeq - rm.self.stable - uint64(len(rm.outQ)-rm.outHead)
 		if rm.sendBufBytes+size > rm.share() || unstableCount >= sendWindow {
 			rm.noteBlocked()
 			return // wait for stability to free share/window
@@ -280,7 +284,8 @@ func (rm *relMcast) drain() {
 			return
 		}
 		rm.tokens -= float64(size)
-		rm.outQ = rm.outQ[1:]
+		rm.outQ[rm.outHead].wire = nil
+		rm.outHead++
 		rm.outQBytes -= size
 		rm.sendBuf[c.seq] = c.wire
 		rm.sendBufBytes += size
@@ -298,6 +303,7 @@ func (rm *relMcast) drain() {
 			rm.recycleMsg(m)
 		}
 	}
+	rm.outQ, rm.outHead = rm.outQ[:0], 0
 	rm.clearBlocked()
 }
 
@@ -480,6 +486,7 @@ func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 			for seq := r.From; seq <= r.To; seq++ {
 				wire, ok := rm.sendBuf[seq]
 				if !ok {
+					rm.s.stats.NackMisses++
 					continue
 				}
 				rm.s.stats.Retransmits++
@@ -497,6 +504,7 @@ func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 		for seq := r.From; seq <= r.To; seq++ {
 			dm, ok := ps.recvBuf[seq]
 			if !ok {
+				rm.s.stats.NackMisses++
 				continue
 			}
 			rm.s.stats.Retransmits++
@@ -663,7 +671,8 @@ func (rm *relMcast) resetSelf() {
 	rm.sendBuf = make(map[uint64][]byte)
 	rm.sendBufBytes = 0
 	rm.sendSeq = 0
-	rm.outQ = rm.outQ[:0]
+	clear(rm.outQ)
+	rm.outQ, rm.outHead = rm.outQ[:0], 0
 	rm.outQBytes = 0
 	// The new stream renumbers from 1: every old acknowledgement cursor
 	// would grant far too much credit against it.
@@ -687,7 +696,7 @@ func (rm *relMcast) releaseAll() {
 	}
 	rm.sendBuf = nil
 	rm.sendBufBytes = 0
-	rm.outQ = nil
+	rm.outQ, rm.outHead = nil, 0
 	rm.outQBytes = 0
 	rm.freeMsgs = nil
 	rm.freeBodies = nil

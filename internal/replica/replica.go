@@ -153,9 +153,12 @@ type Stats struct {
 	XPrepFrags int64
 }
 
-// tentTxn is the replica-side state of one tentatively-delivered message.
+// tentTxn is the replica-side state of one tentatively-delivered message:
+// the decoded record the speculative queue holds a pointer to, and what was
+// done on its tentative verdict. It comes from takeTent and goes back through
+// recycleTent where the message leaves r.tent.
 type tentTxn struct {
-	tc         *dbsm.TxnCert
+	tc         dbsm.TxnCert
 	out        dbsm.Outcome
 	preApplied bool
 }
@@ -173,7 +176,11 @@ type Replica struct {
 	// x runs the cross-group commit round in group mode (nil otherwise).
 	x *xmgr
 
-	tent map[uint64]*tentTxn // TID -> outstanding tentative state
+	tent     map[uint64]*tentTxn // TID -> outstanding tentative state
+	freeTent []*tentTxn          // recycled tentative states, records included
+	// finalRec is the one record every final delivery without tentative
+	// state decodes into: nothing keeps it past settle.
+	finalRec dbsm.TxnCert
 	// done marks messages one optimistic stage settled without the other,
 	// which consumes the mark and skips. Final delivery or a discard can beat
 	// the scheduled tentative job — at a sequencer whose majority acks fast,
@@ -562,17 +569,38 @@ func stageTentative(r *Replica, _ *db.Txn, cert []byte, tid uint64) {
 		delete(r.done, tid)
 		return
 	}
-	tc, err := dbsm.Unmarshal(cert)
-	if err != nil {
+	st := r.takeTent()
+	if err := st.tc.UnmarshalFrom(cert); err != nil {
+		r.recycleTent(st)
 		r.stats.CertDrops++
 		r.done[tid] = true // counted here: final delivery skips it
 		return
 	}
 	r.chargeUnmarshal(len(cert))
-	st := &tentTxn{tc: tc}
-	st.out = r.spec.Tentative(tc)
-	r.tent[tc.TID] = st
+	st.out = r.spec.Tentative(&st.tc)
+	r.tent[st.tc.TID] = st
 	r.speculate(st)
+}
+
+// takeTent returns a tentative state whose record the next decode overwrites.
+func (r *Replica) takeTent() *tentTxn {
+	n := len(r.freeTent)
+	if n == 0 {
+		return new(tentTxn)
+	}
+	st := r.freeTent[n-1]
+	r.freeTent[n-1] = nil
+	r.freeTent = r.freeTent[:n-1]
+	return st
+}
+
+// recycleTent takes back the state of a message that has left r.tent — and
+// with it the speculative queue, which Final and Invalidate empty of the
+// record before they return. The read-set storage stays for the next decode;
+// the write-set belongs to whoever retained it.
+func (r *Replica) recycleTent(st *tentTxn) {
+	st.tc.WriteSet, st.preApplied = nil, false
+	r.freeTent = append(r.freeTent, st)
 }
 
 // onOptDiscard learns that a tentatively-delivered message was discarded at
@@ -596,11 +624,13 @@ func (r *Replica) onOptDiscard(o gcs.OptDelivery) {
 
 // stageDiscard cancels the speculation on one never-to-finalize message.
 func stageDiscard(r *Replica, _ *db.Txn, _ []byte, tid uint64) {
-	if r.tent[tid] == nil {
+	st := r.tent[tid]
+	if st == nil {
 		return
 	}
 	delete(r.tent, tid)
 	r.respeculate(r.spec.Invalidate(tid))
+	r.recycleTent(st)
 }
 
 // speculate acts on a tentative verdict: local transactions learn their
@@ -615,7 +645,7 @@ func (r *Replica) speculate(st *tentTxn) {
 	if !st.out.Commit || st.preApplied {
 		return
 	}
-	if apply := r.localWrites(st.tc); apply != nil {
+	if apply := r.localWrites(&st.tc); apply != nil {
 		st.preApplied = true
 		r.stats.PreApplied++
 		r.server.PreApplyRemote(apply.WriteSet)
@@ -672,8 +702,8 @@ func (r *Replica) onDeliver(d gcs.Delivery) {
 // catch-up under either variant (speculation is suppressed while recovering,
 // so the speculative queue is empty and Final certifies directly).
 func (r *Replica) certifyFinal(payload []byte) {
-	tc, err := dbsm.Unmarshal(payload)
-	if err != nil {
+	tc := &r.finalRec
+	if err := tc.UnmarshalFrom(payload); err != nil {
 		r.stats.CertDrops++
 		return
 	}
@@ -701,9 +731,9 @@ func (r *Replica) finalize(payload []byte) {
 		return
 	}
 	st := r.tent[tid]
-	var tc *dbsm.TxnCert
+	tc := &r.finalRec
 	if st != nil {
-		tc = st.tc
+		tc = &st.tc
 	} else {
 		if r.done[tid] {
 			// The tentative stage found the body malformed and counted it.
@@ -714,8 +744,7 @@ func (r *Replica) finalize(payload []byte) {
 		// beat its job. Decode now and mark the message settled, so the
 		// late job skips it without reading bytes the stack has reused.
 		r.done[tid] = true
-		tc, err = dbsm.Unmarshal(payload)
-		if err != nil {
+		if err = tc.UnmarshalFrom(payload); err != nil {
 			r.stats.CertDrops++
 			return
 		}
@@ -729,6 +758,9 @@ func (r *Replica) finalize(payload []byte) {
 		r.stats.PreApplyWasted++
 	}
 	r.settle(tid, out, tc, st != nil && st.preApplied)
+	if st != nil {
+		r.recycleTent(st)
+	}
 }
 
 // respeculate re-runs the tentative stage for a rolled-back suffix, in its

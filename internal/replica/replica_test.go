@@ -79,7 +79,7 @@ func txnFor(tid uint64, item dbsm.TupleID) *db.Txn {
 	return &db.Txn{
 		TID:       tid,
 		Class:     "w",
-		Ops:       []db.Op{{Kind: db.OpProcess, CPU: 2 * sim.Millisecond}},
+		CPU:       2 * sim.Millisecond,
 		ReadSet:   ws.Clone(),
 		WriteSet:  ws,
 		CommitCPU: sim.Millisecond,
@@ -377,6 +377,11 @@ func TestOptimisticPipelineFaultFree(t *testing.T) {
 		}
 		if st.PreApplied == 0 {
 			t.Fatalf("site %d never pre-applied a remote write-set", i+1)
+		}
+		// Every tentative state came back when its message settled, and the
+		// twelve deliveries, 20 ms apart, shared a few records between them.
+		if n := len(s.rep.freeTent); len(s.rep.tent) != 0 || n == 0 || n >= 12 {
+			t.Fatalf("site %d: %d tentative states outstanding, %d on the free list", i+1, len(s.rep.tent), n)
 		}
 		logs[dbsm.SiteID(i+1)] = s.rep.CommitLog()
 		op[dbsm.SiteID(i+1)] = true

@@ -258,7 +258,7 @@ func TestAggregateLazyBuildMatchesEagerTwin(t *testing.T) {
 	a.OnDone = func(txn *db.Txn, o db.Outcome) {
 		e := &log[uint32(txn.TID)-1] // the TID's low half counts the site's draws
 		e.class = txn.Class
-		if txn.Ops != nil {
+		if txn.Quantum != 0 {
 			e.txn = txn // admitted: the record is never reused, so this stays valid
 		}
 	}
@@ -289,7 +289,7 @@ func TestAggregateLazyBuildMatchesEagerTwin(t *testing.T) {
 		admittedAfter[refusals]++
 		if got.TID != want.TID || got.Class != want.Class || got.ReadOnly != want.ReadOnly ||
 			got.UserAbort != want.UserAbort || got.WriteBytes != want.WriteBytes || got.CommitCPU != want.CommitCPU ||
-			!reflect.DeepEqual(got.Ops, want.Ops) || !reflect.DeepEqual(got.ReadSet, want.ReadSet) || !reflect.DeepEqual(got.WriteSet, want.WriteSet) {
+			got.Fetches != want.Fetches || got.CPU != want.CPU || got.Quantum != want.Quantum || !reflect.DeepEqual(got.ReadSet, want.ReadSet) || !reflect.DeepEqual(got.WriteSet, want.WriteSet) {
 			t.Fatalf("arrival %d (%s), admitted after %d refusals, differs from its eager twin:\n got %+v\nwant %+v",
 				i, e.class, refusals, got, want)
 		}
@@ -368,13 +368,13 @@ func TestAggregateRejectPendingRetriesBuiltTxn(t *testing.T) {
 	server := newAggServer(k)
 	a := boundAgg(k, server, RetryPolicy{MaxAttempts: 3})
 	var seen []*db.Txn
-	var script []*db.Op
+	var sets []*dbsm.TupleID // where each submission's read-set is stored
 	server.SetTerminator(func(txn *db.Txn) {
 		if txn.Build != nil {
 			t.Fatal("build hook still set on a transaction in termination")
 		}
 		seen = append(seen, txn)
-		script = append(script, &txn.Ops[0])
+		sets = append(sets, &txn.ReadSet[0])
 		if len(seen) == 1 {
 			server.RejectPending(txn.TID)
 			return
@@ -395,7 +395,7 @@ func TestAggregateRejectPendingRetriesBuiltTxn(t *testing.T) {
 	if len(seen) != 2 || seen[0] != seen[1] {
 		t.Fatalf("termination saw %d submissions of %d distinct transactions, want the same one twice", len(seen), len(seen))
 	}
-	if script[0] != script[1] {
+	if sets[0] != sets[1] {
 		t.Fatal("the retried transaction was built a second time")
 	}
 	if len(final) != 1 || final[0] != db.Committed {

@@ -148,25 +148,11 @@ func (g *Generator) seal(d *Draft, class string) {
 	d.CommitCPU = g.cal.CommitCPU.SampleDur(g.rng)
 }
 
-// Build assembles the executable transaction a draft describes into t:
-// fetch operations for every read item, processing sliced into round-robin
-// quanta, the two certification sets and the cost fields. It is the only
-// place a script or an item set is constructed, and it draws nothing.
+// Build assembles the executable transaction a draft describes into t: the
+// script — one fetch for every read item, processing sliced into round-robin
+// quanta — the two certification sets and the cost fields. It is the only
+// place an item set is constructed, and it draws nothing.
 func (g *Generator) Build(d *Draft, t *db.Txn) {
-	ops := make([]db.Op, 0, len(d.Reads)+len(d.FetchOnly)+int(d.CPU/g.cal.Quantum)+2)
-	for _, id := range d.FetchOnly {
-		ops = append(ops, db.Op{Kind: db.OpFetch, Item: id})
-	}
-	for _, id := range d.Reads {
-		ops = append(ops, db.Op{Kind: db.OpFetch, Item: id})
-	}
-	for remaining := d.CPU; remaining > 0; remaining -= g.cal.Quantum {
-		q := g.cal.Quantum
-		if remaining < q {
-			q = remaining
-		}
-		ops = append(ops, db.Op{Kind: db.OpProcess, CPU: q})
-	}
 	// The read-set always covers the write-set: a transaction reads what
 	// it updates. Certification correctness of the preemption rule relies
 	// on this (Section 3.1).
@@ -175,7 +161,9 @@ func (g *Generator) Build(d *Draft, t *db.Txn) {
 	t.Class = d.Class
 	t.ReadOnly = d.ReadOnly
 	t.UserAbort = d.UserAbort
-	t.Ops = ops
+	t.Fetches = len(d.FetchOnly) + len(d.Reads)
+	t.CPU = d.CPU
+	t.Quantum = g.cal.Quantum
 	t.ReadSet = dbsm.NewItemSet(g.union...)
 	t.WriteSet = dbsm.NewItemSet(d.Writes...)
 	t.WriteBytes = d.WriteBytes

@@ -180,17 +180,36 @@ func TestOpsSlicedIntoQuanta(t *testing.T) {
 	g := testGen(6, 10)
 	for i := 0; i < 100; i++ {
 		txn := g.Next(0)
-		var cpu sim.Time
-		for _, op := range txn.Ops {
-			if op.Kind == db.OpProcess {
-				if op.CPU > DefaultCalibration().Quantum {
-					t.Fatalf("quantum exceeded: %v", op.CPU)
-				}
-				cpu += op.CPU
+		if txn.Quantum != DefaultCalibration().Quantum {
+			t.Fatalf("quantum = %v, want the calibration's", txn.Quantum)
+		}
+		if txn.CPU <= 0 {
+			t.Fatal("no processing time generated")
+		}
+		if want := len(g.scratch.FetchOnly) + len(g.scratch.Reads); txn.Fetches != want || want == 0 {
+			t.Fatalf("%d fetches for %d read items", txn.Fetches, want)
+		}
+	}
+}
+
+// TestBuildAllocatesOnlyTheSets: the script is three numbers copied from the
+// draft, so what Build allocates is the two certification sets and no more.
+func TestBuildAllocatesOnlyTheSets(t *testing.T) {
+	g := testGen(6, 10)
+	for class := ArrivalNewOrder; class <= ArrivalStockLevel; class++ {
+		var d Draft
+		g.Draw(&d, class, 0)
+		var txn db.Txn
+		allocs := testing.AllocsPerRun(20, func() { g.Build(&d, &txn) })
+		sets := 0.0
+		for _, set := range []dbsm.ItemSet{txn.ReadSet, txn.WriteSet} {
+			if len(set) > 0 {
+				sets++
 			}
 		}
-		if cpu <= 0 {
-			t.Fatal("no processing time generated")
+		if allocs != sets || txn.Fetches == 0 || txn.CPU == 0 {
+			t.Errorf("class %d: Build made %v allocations for %v non-empty sets (script %d fetches, %v CPU)",
+				class, allocs, sets, txn.Fetches, txn.CPU)
 		}
 	}
 }
@@ -255,9 +274,13 @@ func TestGeneratorDeterminism(t *testing.T) {
 }
 
 // streamHash folds every field a draw decides — TID, Class, ReadOnly,
-// UserAbort, Ops, ReadSet, WriteSet, WriteBytes, CommitCPU — of the first n
-// transactions of a stream into one FNV-64a value.
-func streamHash(n int, next func(i int) *db.Txn) uint64 {
+// UserAbort, the script, ReadSet, WriteSet, WriteBytes, CommitCPU — of the
+// first n transactions g builds into one FNV-64a value. The script is hashed
+// in the form it had when the hashes were recorded, a list of (kind, item,
+// cpu, size) steps: a fetch (kind 1) per item in draw order, which g's draft
+// of the transaction just built still holds, then a processing step (kind 2)
+// per quantum.
+func streamHash(n int, g *Generator, next func(i int) *db.Txn) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {
@@ -283,12 +306,21 @@ func streamHash(n int, next func(i int) *db.Txn) uint64 {
 		h.Write([]byte(t.Class))
 		flag(t.ReadOnly)
 		flag(t.UserAbort)
-		put(uint64(len(t.Ops)))
-		for _, op := range t.Ops {
-			put(uint64(op.Kind))
-			put(uint64(op.Item))
-			put(uint64(op.CPU))
-			put(uint64(op.Size))
+		step := func(kind int, item dbsm.TupleID, cpu sim.Time) {
+			put(uint64(kind))
+			put(uint64(item))
+			put(uint64(cpu))
+			put(0)
+		}
+		put(uint64(t.Fetches) + uint64((t.CPU+t.Quantum-1)/t.Quantum))
+		for _, id := range g.scratch.FetchOnly {
+			step(1, id, 0)
+		}
+		for _, id := range g.scratch.Reads {
+			step(1, id, 0)
+		}
+		for left := t.CPU; left > 0; left -= t.Quantum {
+			step(2, 0, min(left, t.Quantum))
 		}
 		set(t.ReadSet)
 		set(t.WriteSet)
@@ -338,7 +370,7 @@ func TestDrawStreamPinned(t *testing.T) {
 		{4242, 50, ArrivalStockLevel, 0x4013f796ad2e5e7e},
 	} {
 		g := testGen(tc.seed, tc.wh)
-		got := streamHash(2000, func(i int) *db.Txn {
+		got := streamHash(2000, g, func(i int) *db.Txn {
 			if tc.class == mix {
 				return g.Next(i % tc.wh)
 			}
