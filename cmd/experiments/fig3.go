@@ -74,8 +74,8 @@ func floodAndRTT(size int, realSystem bool, seed int64) (outMbit, inMbit, rttUS 
 		rt1.Bind(csrt.NewCPUSet(1, k, nil))
 		rt2 := csrt.NewRuntime(k, 2, &csrt.ModelProfiler{}, net.Port(2, 65536), costs, rng.Fork("rt2"))
 		rt2.Bind(csrt.NewCPUSet(1, k, nil))
-		h1.SetDeliver(func(pkt *simnet.Packet) { rt1.Deliver(pkt.Src, pkt.Data) })
-		h2.SetDeliver(func(pkt *simnet.Packet) { rt2.Deliver(pkt.Src, pkt.Data) })
+		h1.DeliverTo(rt1.Deliver)
+		h2.DeliverTo(rt2.Deliver)
 		return k, rt1, rt2, net
 	}
 

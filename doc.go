@@ -121,9 +121,10 @@
 // keeps). What that costs the host is measured by
 // one command, `bash bench/run.sh all` (five workloads, eight end-to-end
 // metrics, a per-layer ledger; bench/README.md holds the committed
-// baseline) — profiles included, through its --trace 1 pass. Outside bench/,
-// cmd/validate's native column and runtimeapi.Native, nothing reads the host
-// clock on the way to stdout: what dbsim, faultsim and experiments print is a
+// baseline) — profiles included, through its --trace 1 pass. Outside bench/
+// and runtimeapi.Native (the paper's second bridge, run only by its own tests
+// and gcs/native_test.go), nothing reads the host clock, and no command reads
+// it at all: what dbsim, faultsim and experiments print is a
 // pure function of their flags, so the whole evaluation is pinned by
 // cmd/experiments/testdata/all.golden and faultsim's verdict lines — five
 // short campaigns and the fixed matrix — by cmd/faultsim/testdata/*.golden,

@@ -63,7 +63,7 @@ func run(w io.Writer) error {
 		rt := csrt.NewRuntime(k, id, &csrt.ModelProfiler{}, net.Port(id, 1400),
 			csrt.DefaultCostParams(), rng.Fork(fmt.Sprintf("rt-%d", id)))
 		rt.Bind(csrt.NewCPUSet(1, k, nil))
-		host.SetDeliver(func(pkt *simnet.Packet) { rt.Deliver(pkt.Src, pkt.Data) })
+		host.DeliverTo(rt.Deliver)
 
 		stack, err := gcs.New(rt, gcs.Config{
 			Self:    id,

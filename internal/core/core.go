@@ -391,7 +391,7 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 	}
 	cpus := csrt.NewCPUSet(ncpu, m.k, nil)
 	rt.Bind(cpus)
-	host.SetDeliver(func(pkt *simnet.Packet) { rt.Deliver(pkt.Src, pkt.Data) })
+	host.DeliverTo(rt.Deliver)
 
 	site := &Site{ID: dbsm.SiteID(id), RT: rt, CPUs: cpus, Host: host,
 		Life: recovery.NewLifecycle(dbsm.SiteID(id)), group: 1}

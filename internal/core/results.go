@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/check"
+	"repro/internal/csrt"
 	"repro/internal/db"
 	"repro/internal/dbsm"
 	"repro/internal/gcs"
@@ -223,8 +224,8 @@ func (m *Model) results() *Results {
 		}
 		if duration > 0 {
 			sr.CPUUtilPct = s.CPUs.Utilization(duration)
-			sr.CPUSimUtilPct = s.CPUs.ClassUtilization("sim", duration)
-			sr.CPURealUtil = s.CPUs.ClassUtilization("real", duration)
+			sr.CPUSimUtilPct = s.CPUs.ClassUtilization(csrt.ClassSim, duration)
+			sr.CPURealUtil = s.CPUs.ClassUtilization(csrt.ClassReal, duration)
 			sr.DiskUtilPct = s.Server.Storage().Utilization(duration)
 		}
 		// Fold the live incarnation's counters on top of any dead

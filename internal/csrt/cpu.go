@@ -3,53 +3,47 @@ package csrt
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
-// Work classes for CPU usage accounting, matching the paper's breakdown of
-// simulated transaction-processing jobs versus real protocol jobs
-// (Figures 6a and 7c).
+// Class is one of the two kinds of CPU work the paper's usage breakdown
+// tells apart (Figures 6a and 7c). A job is real iff it has an Fn.
+type Class uint8
+
 const (
-	ClassSim  = "sim"  // simulated jobs: transaction processing
-	ClassReal = "real" // real jobs: protocol code under test
+	ClassSim  Class = iota // simulated jobs: transaction processing
+	ClassReal              // real jobs: protocol code under test
 )
 
 // Job is one unit of CPU demand.
 //
 // A simulated job carries a known duration Dur. A real job carries a
 // function Fn whose cost is unknown beforehand: Fn is executed when the job
-// is dispatched, the profiler measures its cost, and the CPU stays busy for
-// exactly that long (Section 2.2, Figure 1a). Done, if set, fires when the
-// CPU completes the job.
+// is dispatched, its cost is the sum of what it charges, and the CPU stays
+// busy for exactly that long (Section 2.2, Figure 1a). Done, if set, fires
+// when the CPU completes the job.
 type Job struct {
 	// Dur is the duration of a simulated job. Ignored when Fn is set.
 	Dur sim.Time
-	// Fn is the body of a real job. Its measured cost becomes the busy
+	// Fn is the body of a real job. Its charged cost becomes the busy
 	// period.
 	Fn func()
 	// Done fires when the CPU finishes the job.
 	Done func()
-	// Class labels the job for usage accounting; defaults to ClassSim
-	// (ClassReal when Fn is set).
-	Class string
 
 	remaining sim.Time // for preempted simulated jobs
-	pooled    bool     // created by SubmitSim*/SubmitReal: recycled on completion
+	pooled    bool     // created by SubmitSim/SubmitReal: recycled on completion
 }
 
-func (j *Job) class() string {
-	if j.Class != "" {
-		return j.Class
-	}
+func (j *Job) class() Class {
 	if j.Fn != nil {
 		return ClassReal
 	}
 	return ClassSim
 }
 
-// runReal is installed by the Runtime: it executes a real job body under the
-// profiler and returns the measured cost.
+// runReal is installed by Runtime.Bind: it executes a real job body and
+// returns the cost it charged.
 type runReal func(fn func()) sim.Time
 
 // CPU is one simulated processor: a busy flag plus queues of pending jobs
@@ -59,7 +53,7 @@ type runReal func(fn func()) sim.Time
 type CPU struct {
 	id       int
 	k        *sim.Kernel
-	usage    *metrics.UsageMeter
+	busyNS   [2]int64 // by Class
 	exec     runReal
 	realQ    []*Job
 	simQ     []*Job
@@ -80,7 +74,7 @@ type CPU struct {
 // NewCPU returns an idle CPU attached to the kernel. exec may be nil when
 // the CPU will only ever run simulated jobs (e.g. a non-replicated server).
 func NewCPU(id int, k *sim.Kernel, exec runReal) *CPU {
-	c := &CPU{id: id, k: k, usage: metrics.NewUsageMeter(), exec: exec}
+	c := &CPU{id: id, k: k, exec: exec}
 	c.onComplete = func() { c.complete(c.cur) }
 	return c
 }
@@ -96,14 +90,11 @@ func (c *CPU) newJob() *Job {
 	return &Job{pooled: true}
 }
 
-// Usage exposes the busy-time accounting for this CPU.
-func (c *CPU) Usage() *metrics.UsageMeter { return c.usage }
+// BusyNS reports the busy nanoseconds this CPU has spent on one class.
+func (c *CPU) BusyNS(class Class) int64 { return c.busyNS[class] }
 
-// Busy reports whether the CPU is currently occupied.
-func (c *CPU) Busy() bool { return c.busy }
-
-// QueueLen reports the number of queued (not running) jobs.
-func (c *CPU) QueueLen() int { return len(c.realQ) + len(c.simQ) }
+// idle reports whether the CPU has nothing running and nothing queued.
+func (c *CPU) idle() bool { return !c.busy && len(c.realQ)+len(c.simQ) == 0 }
 
 // Stop makes the CPU drop all work, modeling a crashed host. Pending and
 // future jobs are discarded and Done callbacks never fire.
@@ -123,6 +114,8 @@ func (c *CPU) Stop() {
 func (c *CPU) Restart() { c.stopped = false }
 
 // Submit enqueues a job for execution, dispatching immediately if possible.
+//
+//hot:path
 func (c *CPU) Submit(j *Job) {
 	if c.stopped {
 		return
@@ -147,7 +140,7 @@ func (c *CPU) Submit(j *Job) {
 func (c *CPU) preemptCurrent() {
 	j := c.cur
 	now := c.k.Now()
-	c.usage.AddBusy(j.class(), int64(now-c.curStart))
+	c.busyNS[ClassSim] += int64(now - c.curStart)
 	j.remaining = c.curEnd - now
 	c.k.Cancel(c.curEvt)
 	// Resume at the front of the simulated queue (shift in place).
@@ -160,6 +153,8 @@ func (c *CPU) preemptCurrent() {
 }
 
 // dispatch starts the next pending job, real jobs first.
+//
+//hot:path
 func (c *CPU) dispatch() {
 	if c.busy || c.stopped {
 		return
@@ -199,8 +194,9 @@ func (c *CPU) dispatch() {
 	c.curEvt = c.k.SchedulePri(dur, sim.PriorityHigh, c.onComplete)
 }
 
+//hot:path
 func (c *CPU) complete(j *Job) {
-	c.usage.AddBusy(j.class(), int64(c.k.Now()-c.curStart))
+	c.busyNS[j.class()] += int64(c.k.Now() - c.curStart)
 	c.busy = false
 	c.cur = nil
 	c.curEvt = 0
@@ -228,19 +224,17 @@ type CPUSet struct {
 	simFactor float64
 }
 
-// NewCPUSet creates n CPUs attached to the kernel.
+// NewCPUSet creates n CPUs attached to the kernel. exec is nil for every
+// caller outside this package's tests: Runtime.Bind installs CPU 0's executor.
 func NewCPUSet(n int, k *sim.Kernel, exec runReal) *CPUSet {
 	if n < 1 {
 		n = 1
 	}
 	s := &CPUSet{cpus: make([]*CPU, n)}
 	for i := range s.cpus {
-		var e runReal
-		if i == 0 {
-			e = exec
-		}
-		s.cpus[i] = NewCPU(i, k, e)
+		s.cpus[i] = NewCPU(i, k, nil)
 	}
+	s.cpus[0].exec = exec
 	return s
 }
 
@@ -252,18 +246,15 @@ func (s *CPUSet) CPU(i int) *CPU { return s.cpus[i] }
 
 // SubmitSim schedules a simulated job of the given duration on the next
 // available CPU.
+//
+//hot:path
 func (s *CPUSet) SubmitSim(dur sim.Time, done func()) {
-	s.SubmitSimClass(ClassSim, dur, done)
-}
-
-// SubmitSimClass is SubmitSim with an explicit accounting class.
-func (s *CPUSet) SubmitSimClass(class string, dur sim.Time, done func()) {
 	if s.simFactor > 1 {
 		dur = sim.Time(float64(dur) * s.simFactor)
 	}
 	cpu := s.pick()
 	j := cpu.newJob()
-	j.Dur, j.Done, j.Class = dur, done, class
+	j.Dur, j.Done = dur, done
 	cpu.Submit(j)
 }
 
@@ -274,6 +265,8 @@ func (s *CPUSet) SubmitSimClass(class string, dur sim.Time, done func()) {
 func (s *CPUSet) SetSimSlowdown(factor float64) { s.simFactor = factor }
 
 // SubmitReal schedules a real job on CPU 0.
+//
+//hot:path
 func (s *CPUSet) SubmitReal(fn func(), done func()) {
 	cpu := s.cpus[0]
 	j := cpu.newJob()
@@ -285,7 +278,7 @@ func (s *CPUSet) SubmitReal(fn func(), done func()) {
 func (s *CPUSet) pick() *CPU {
 	for i := 0; i < len(s.cpus); i++ {
 		idx := (s.next + i) % len(s.cpus)
-		if !s.cpus[idx].Busy() && s.cpus[idx].QueueLen() == 0 {
+		if s.cpus[idx].idle() {
 			s.next = (idx + 1) % len(s.cpus)
 			return s.cpus[idx]
 		}
@@ -309,31 +302,30 @@ func (s *CPUSet) Restart() {
 	}
 }
 
-// BusyNS sums busy nanoseconds over all CPUs for one class ("" for all).
-func (s *CPUSet) BusyNS(class string) int64 {
+// BusyNS sums busy nanoseconds over all CPUs for one class.
+func (s *CPUSet) BusyNS(class Class) int64 {
 	var t int64
 	for _, c := range s.cpus {
-		if class == "" {
-			t += c.usage.TotalBusy()
-		} else {
-			t += c.usage.Busy(class)
-		}
+		t += c.busyNS[class]
 	}
 	return t
 }
 
-// Utilization reports aggregate CPU utilization over elapsed time.
-func (s *CPUSet) Utilization(elapsed sim.Time) float64 {
+// percent reports busy nanoseconds as a share of elapsed time on every CPU.
+func (s *CPUSet) percent(busyNS int64, elapsed sim.Time) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return 100 * float64(s.BusyNS("")) / (float64(elapsed) * float64(len(s.cpus)))
+	return 100 * float64(busyNS) / (float64(elapsed) * float64(len(s.cpus)))
+}
+
+// Utilization reports aggregate CPU utilization over elapsed time: the sum
+// of the two classes.
+func (s *CPUSet) Utilization(elapsed sim.Time) float64 {
+	return s.percent(s.BusyNS(ClassSim)+s.BusyNS(ClassReal), elapsed)
 }
 
 // ClassUtilization reports per-class utilization over elapsed time.
-func (s *CPUSet) ClassUtilization(class string, elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return 100 * float64(s.BusyNS(class)) / (float64(elapsed) * float64(len(s.cpus)))
+func (s *CPUSet) ClassUtilization(class Class, elapsed sim.Time) float64 {
+	return s.percent(s.BusyNS(class), elapsed)
 }

@@ -17,11 +17,11 @@ func TestCPUSetRoutesRealJobsToCPU0(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := set.CPU(0).Usage().Busy(ClassReal); got != int64(5*sim.Millisecond) {
+	if got := set.CPU(0).BusyNS(ClassReal); got != int64(5*sim.Millisecond) {
 		t.Fatalf("cpu0 real busy = %d", got)
 	}
 	for i := 1; i < 3; i++ {
-		if set.CPU(i).Usage().Busy(ClassReal) != 0 {
+		if set.CPU(i).BusyNS(ClassReal) != 0 {
 			t.Fatalf("cpu%d ran real work", i)
 		}
 	}
@@ -46,7 +46,7 @@ func TestCPUMultiplePreemptions(t *testing.T) {
 	if simDone != 12*sim.Millisecond {
 		t.Fatalf("sim job done at %v, want 12ms", simDone)
 	}
-	if got := cpu.Usage().Busy(ClassSim); got != int64(10*sim.Millisecond) {
+	if got := cpu.BusyNS(ClassSim); got != int64(10*sim.Millisecond) {
 		t.Fatalf("sim busy = %d, want 10ms", got)
 	}
 }
@@ -66,11 +66,47 @@ func TestCPUSetUtilizationAccounting(t *testing.T) {
 	if u := set.Utilization(20 * sim.Millisecond); u != 50 {
 		t.Fatalf("utilization = %v", u)
 	}
-	if set.Utilization(0) != 0 {
-		t.Fatal("zero-window utilization must be 0")
-	}
 	if set.N() != 2 {
 		t.Fatal("N wrong")
+	}
+
+	// Sim and real time split on CPU 0: 500us + 250us of transaction
+	// processing, 250us of protocol code, over windows of 1ms and 2ms.
+	for _, ncpu := range []int{1, 2, 4} {
+		k := sim.NewKernel()
+		rt, _ := newTestRuntime(k, ncpu)
+		set := rt.CPUs()
+		cpu := set.CPU(0)
+		cpu.Submit(&Job{Dur: 500 * sim.Microsecond})
+		cpu.Submit(&Job{Fn: func() { rt.Charge(250 * sim.Microsecond) }})
+		cpu.Submit(&Job{Dur: 250 * sim.Microsecond})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if simNS, realNS := set.BusyNS(ClassSim), set.BusyNS(ClassReal); simNS != 750_000 || realNS != 250_000 {
+			t.Fatalf("%d CPUs: busy sim %d real %d ns, want 750000 and 250000", ncpu, simNS, realNS)
+		}
+		n := float64(ncpu) // n CPUs divide the total
+		for _, c := range []struct {
+			window                    sim.Time
+			simPct, realPct, totalPct float64
+		}{
+			{sim.Millisecond, 75, 25, 100},
+			{2 * sim.Millisecond, 37.5, 12.5, 50},
+			{0, 0, 0, 0}, // zero-length window
+			{-sim.Millisecond, 0, 0, 0},
+		} {
+			if got := set.ClassUtilization(ClassSim, c.window); got != c.simPct/n {
+				t.Errorf("%d CPUs, %v: sim utilization %v, want %v", ncpu, c.window, got, c.simPct/n)
+			}
+			if got := set.ClassUtilization(ClassReal, c.window); got != c.realPct/n {
+				t.Errorf("%d CPUs, %v: real utilization %v, want %v", ncpu, c.window, got, c.realPct/n)
+			}
+			// Utilization = sim + real.
+			if got := set.Utilization(c.window); got != c.totalPct/n {
+				t.Errorf("%d CPUs, %v: utilization %v, want %v", ncpu, c.window, got, c.totalPct/n)
+			}
+		}
 	}
 }
 

@@ -1,147 +1,39 @@
 // Package csrt implements the centralized simulation runtime (CSRT) of the
 // paper's Section 2: real protocol code executes under control of the
-// discrete-event kernel, its CPU cost is measured by a profiling timer and
-// folded back into the simulated time line, and simulated CPUs arbitrate
-// between simulated jobs (transaction processing) and real jobs (protocol
-// work), with real jobs taking priority.
+// discrete-event kernel, its CPU cost is folded back into the simulated time
+// line, and simulated CPUs arbitrate between simulated jobs (transaction
+// processing) and real jobs (protocol work), with real jobs taking priority.
+//
+// One substitution: the paper times real code with virtualised hardware cycle
+// counters, stopped whenever the code re-enters the runtime; this
+// reproduction charges a cost the code declares (runtimeapi.Runtime.Charge),
+// so a seed is a run and runtime overhead has nothing to pollute.
 package csrt
 
-import (
-	"time"
+import "repro/internal/sim"
 
-	"repro/internal/sim"
-)
-
-// Profiler measures the CPU cost of one real job. The paper profiles real
-// code with virtualized hardware cycle counters; this reproduction provides
-// two implementations:
-//
-//   - ModelProfiler: a deterministic cost model in which real code declares
-//     its own CPU consumption via Charge. Default, fully reproducible.
-//   - WallProfiler: measures actual wall-clock execution of the Go code via
-//     the monotonic clock, scalable to emulate other CPU speeds, like the
-//     paper's perfctr-based timer. Non-deterministic across runs.
-//
-// Pause/Resume implement the paper's clock-stopping rule: when real code
-// re-enters the simulation runtime (to schedule an event, read the clock, or
-// send a message) the profiling timer is stopped so runtime overhead never
-// pollutes the measured cost (Section 2.2, Figure 1b).
-type Profiler interface {
-	// Begin starts measuring a new job.
-	Begin()
-	// Charge adds explicit model cost to the running job.
-	Charge(c sim.Time)
-	// Pause stops the timer upon re-entering the runtime from real code.
-	Pause()
-	// Resume restarts the timer upon returning to real code.
-	Resume()
-	// Elapsed reports the cost accumulated by the running job so far.
-	Elapsed() sim.Time
-	// End finishes the job and returns its total cost.
-	End() sim.Time
-}
-
-// ModelProfiler is the deterministic Profiler: cost accrues only via Charge.
+// ModelProfiler accumulates the declared CPU cost of the running real job.
 // The zero value is ready to use.
 type ModelProfiler struct {
 	acc sim.Time
 }
 
-var _ Profiler = (*ModelProfiler)(nil)
-
-// Begin implements Profiler.
+// Begin starts a new job at zero cost.
 func (p *ModelProfiler) Begin() { p.acc = 0 }
 
-// Charge implements Profiler.
+// Charge adds declared cost to the running job; a negative cost is ignored.
 func (p *ModelProfiler) Charge(c sim.Time) {
 	if c > 0 {
 		p.acc += c
 	}
 }
 
-// Pause implements Profiler (no-op: model cost is immune to runtime
-// overhead by construction).
-func (p *ModelProfiler) Pause() {}
-
-// Resume implements Profiler.
-func (p *ModelProfiler) Resume() {}
-
-// Elapsed implements Profiler.
+// Elapsed reports the cost accumulated by the running job so far.
 func (p *ModelProfiler) Elapsed() sim.Time { return p.acc }
 
-// End implements Profiler.
+// End finishes the job and returns its total cost.
 func (p *ModelProfiler) End() sim.Time {
 	c := p.acc
 	p.acc = 0
 	return c
-}
-
-// WallProfiler measures real execution with the Go monotonic clock. Scale
-// multiplies measured durations, emulating a simulated processor slower
-// (scale > 1) or faster (scale < 1) than the host, like the paper's scaled
-// cycle counts.
-type WallProfiler struct {
-	// Scale multiplies measured durations; 0 means 1.0.
-	Scale float64
-
-	started time.Time
-	running bool
-	acc     time.Duration
-}
-
-var _ Profiler = (*WallProfiler)(nil)
-
-func (p *WallProfiler) scale() float64 {
-	if p.Scale == 0 {
-		return 1
-	}
-	return p.Scale
-}
-
-// Begin implements Profiler.
-func (p *WallProfiler) Begin() {
-	p.acc = 0
-	//lint:simdeterminism-ok WallProfiler measures real host CPU, not simulation time
-	p.started = time.Now()
-	p.running = true
-}
-
-// Charge implements Profiler (no-op: the wall clock already measures the
-// real execution).
-func (p *WallProfiler) Charge(sim.Time) {}
-
-// Pause implements Profiler.
-func (p *WallProfiler) Pause() {
-	if p.running {
-		//lint:simdeterminism-ok WallProfiler measures real host CPU, not simulation time
-		p.acc += time.Since(p.started)
-		p.running = false
-	}
-}
-
-// Resume implements Profiler.
-func (p *WallProfiler) Resume() {
-	if !p.running {
-		//lint:simdeterminism-ok WallProfiler measures real host CPU, not simulation time
-		p.started = time.Now()
-		p.running = true
-	}
-}
-
-// Elapsed implements Profiler.
-func (p *WallProfiler) Elapsed() sim.Time {
-	d := p.acc
-	if p.running {
-		//lint:simdeterminism-ok WallProfiler measures real host CPU, not simulation time
-		d += time.Since(p.started)
-	}
-	return sim.Time(float64(d) * p.scale())
-}
-
-// End implements Profiler.
-func (p *WallProfiler) End() sim.Time {
-	p.Pause()
-	d := p.acc
-	p.acc = 0
-	return sim.Time(float64(d) * p.scale())
 }

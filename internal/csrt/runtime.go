@@ -56,15 +56,14 @@ type Runtime struct {
 	k    *sim.Kernel
 	node runtimeapi.NodeID
 	cpus *CPUSet
-	prof Profiler
+	prof *ModelProfiler
 	port Port
 	cost CostParams
 	rng  *sim.RNG
 	recv runtimeapi.Receiver
 
-	inJob    bool
-	jobStart sim.Time
-	extra    sim.Time // send/recv stack overhead accrued by the current job
+	inJob bool
+	extra sim.Time // send/recv stack overhead accrued by the current job
 
 	down bool
 
@@ -85,6 +84,7 @@ type oneShot struct {
 	fire func()
 }
 
+//hot:path
 func (o *oneShot) run() {
 	r, fn := o.r, o.fn
 	o.fn = nil
@@ -105,6 +105,7 @@ type delivery struct {
 	fire func()
 }
 
+//hot:path
 func (d *delivery) run() {
 	r, src, data := d.r, d.src, d.data
 	d.data = nil
@@ -117,22 +118,17 @@ func (d *delivery) run() {
 
 var _ runtimeapi.Runtime = (*Runtime)(nil)
 
-// NewRuntime creates the runtime for one node. cpus must have been created
-// with NewCPUSetFor(r) or have its executor wired via Bind.
-func NewRuntime(k *sim.Kernel, node runtimeapi.NodeID, prof Profiler, port Port, cost CostParams, rng *sim.RNG) *Runtime {
+// NewRuntime creates the runtime for one node. It runs nothing until Bind
+// gives it the CPU set its jobs execute on.
+func NewRuntime(k *sim.Kernel, node runtimeapi.NodeID, prof *ModelProfiler, port Port, cost CostParams, rng *sim.RNG) *Runtime {
 	return &Runtime{k: k, node: node, prof: prof, port: port, cost: cost, rng: rng}
 }
 
 // Bind attaches the CPU set that executes this node's jobs and installs this
-// runtime as its real-job executor. It must be called exactly once before
-// the simulation starts.
+// runtime as the real-job executor of CPU 0, where every real job runs. It
+// must be called exactly once before the simulation starts.
 func (r *Runtime) Bind(cpus *CPUSet) {
 	r.cpus = cpus
-	for _, c := range cpus.cpus {
-		if c.exec == nil && c.id == 0 {
-			c.exec = r.execReal
-		}
-	}
 	cpus.cpus[0].exec = r.execReal
 }
 
@@ -159,9 +155,6 @@ func (r *Runtime) Crash() {
 	}
 }
 
-// Down reports whether the node has crashed.
-func (r *Runtime) Down() bool { return r.down }
-
 // Restart brings a crashed node back up: the CPUs resume dispatching and the
 // node sends and receives again. Work dropped at crash time stays dropped —
 // timers armed by the dead incarnation that fire after the restart run their
@@ -180,8 +173,8 @@ func (r *Runtime) Restart() {
 
 func (r *Runtime) driftFactor() float64 { return 1 + r.driftRate }
 
-// scaleMeasured converts a profiler-measured duration into the simulated
-// time line, applying clock drift.
+// scaleMeasured converts a job's charged cost into the simulated time line,
+// applying clock drift.
 func (r *Runtime) scaleMeasured(d sim.Time) sim.Time {
 	if r.driftRate == 0 {
 		return d
@@ -189,19 +182,16 @@ func (r *Runtime) scaleMeasured(d sim.Time) sim.Time {
 	return sim.Time(float64(d) / r.driftFactor())
 }
 
-// execReal runs a real job body under the profiler and returns the total
-// busy duration to charge to the CPU: measured code cost plus the stack
-// overhead accrued by sends/receives during the job.
+// execReal runs a real job body and returns the total busy duration to
+// charge to the CPU: the cost the code declared plus the stack overhead
+// accrued by sends/receives during the job.
 func (r *Runtime) execReal(fn func()) sim.Time {
 	r.inJob = true
-	r.jobStart = r.k.Now()
 	r.extra = 0
 	r.prof.Begin()
 	fn()
-	total := r.scaleMeasured(r.prof.End()) + r.extra
 	r.inJob = false
-	r.extra = 0
-	return total
+	return r.scaleMeasured(r.prof.End()) + r.extra
 }
 
 // elapsedInJob reports the simulated CPU time consumed by the current job so
@@ -257,13 +247,12 @@ func (t *simTimer) Cancel() bool {
 	return true
 }
 
-// Schedule implements runtimeapi.Runtime. The callback executes as a real
-// job on the node's CPU. When called from within real code, the event is
-// offset by the job's elapsed cost so it cannot land in the simulation past
-// and never includes runtime overhead in the measurement (Section 2.2).
-func (r *Runtime) Schedule(d sim.Time, fn func()) runtimeapi.Timer {
-	r.prof.Pause()
-	defer r.prof.Resume()
+// delay is the one rule for when work requested d from now enters the kernel:
+// d is clamped at zero, stretched by clock drift, extended by the
+// scheduling-latency fault when it lies in the future, and offset by the
+// cost the current job has consumed so far, so an effect of real code cannot
+// land in the simulation past (Section 2.2, Figure 1b).
+func (r *Runtime) delay(d sim.Time) sim.Time {
 	if d < 0 {
 		d = 0
 	}
@@ -273,9 +262,14 @@ func (r *Runtime) Schedule(d sim.Time, fn func()) runtimeapi.Timer {
 	if d > 0 && r.schedLat != nil {
 		d += r.schedLat(r.latRNG)
 	}
-	delay := r.elapsedInJob() + d
+	return r.elapsedInJob() + d
+}
+
+// Schedule implements runtimeapi.Runtime. The callback executes as a real
+// job on the node's CPU, delay(d) from the current kernel time.
+func (r *Runtime) Schedule(d sim.Time, fn func()) runtimeapi.Timer {
 	t := &simTimer{k: r.k}
-	t.evt = r.k.Schedule(delay, func() {
+	t.evt = r.k.Schedule(r.delay(d), func() {
 		t.fired = true
 		if t.cancelled || r.down {
 			return
@@ -287,66 +281,66 @@ func (r *Runtime) Schedule(d sim.Time, fn func()) runtimeapi.Timer {
 
 // StartJob implements runtimeapi.Runtime: Schedule without a cancellation
 // handle. The scheduled thunk is pooled, so hot one-shot jobs allocate
-// nothing here (the kernel event is pooled too). Drift and scheduling-latency
-// faults apply exactly as in Schedule.
+// nothing here (the kernel event is pooled too).
+//
+//hot:path
 func (r *Runtime) StartJob(d sim.Time, fn func()) {
-	r.prof.Pause()
-	defer r.prof.Resume()
-	if d < 0 {
-		d = 0
-	}
-	if r.driftRate != 0 {
-		d = sim.Time(float64(d) * r.driftFactor())
-	}
-	if d > 0 && r.schedLat != nil {
-		d += r.schedLat(r.latRNG)
-	}
 	var o *oneShot
 	if n := len(r.freeJob); n > 0 {
 		o = r.freeJob[n-1]
 		r.freeJob[n-1] = nil
 		r.freeJob = r.freeJob[:n-1]
 	} else {
+		//lint:hotalloc-ok pool miss; the thunk joins the free list when it fires
 		o = &oneShot{r: r}
 		o.fire = o.run
 	}
 	o.fn = fn
-	r.k.Schedule(r.elapsedInJob()+d, o.fire)
+	r.k.Schedule(r.delay(d), o.fire)
 }
 
-// Send implements runtimeapi.Runtime: charges the configured send overhead
-// to the CPU and injects the datagram at now + elapsed job cost.
-func (r *Runtime) Send(dst runtimeapi.NodeID, data []byte) error {
+// chargeSend is the guard and the charge Send and Multicast share: a crashed
+// node and an oversize datagram are refused, the configured send overhead
+// goes to the CPU, and the datagram is injected at now + elapsed job cost.
+func (r *Runtime) chargeSend(n int) (sim.Time, error) {
 	if r.down {
-		return runtimeapi.ErrDown
+		return 0, runtimeapi.ErrDown
 	}
-	if len(data) > r.port.MTU() {
-		return runtimeapi.ErrTooBig
+	if n > r.port.MTU() {
+		return 0, runtimeapi.ErrTooBig
 	}
-	r.prof.Pause()
-	defer r.prof.Resume()
-	r.extra += r.cost.SendCost(len(data))
-	return r.port.Send(dst, data, r.elapsedInJob())
+	r.extra += r.cost.SendCost(n)
+	return r.elapsedInJob(), nil
+}
+
+// Send implements runtimeapi.Runtime.
+//
+//hot:path
+func (r *Runtime) Send(dst runtimeapi.NodeID, data []byte) error {
+	delay, err := r.chargeSend(len(data))
+	if err != nil {
+		return err
+	}
+	return r.port.Send(dst, data, delay)
 }
 
 // Multicast implements runtimeapi.Runtime. A LAN multicast is one wire
 // transmission, so the send overhead is charged once.
+//
+//hot:path
 func (r *Runtime) Multicast(g runtimeapi.Group, data []byte) error {
-	if r.down {
-		return runtimeapi.ErrDown
+	delay, err := r.chargeSend(len(data))
+	if err != nil {
+		return err
 	}
-	if len(data) > r.port.MTU() {
-		return runtimeapi.ErrTooBig
-	}
-	r.prof.Pause()
-	defer r.prof.Resume()
-	r.extra += r.cost.SendCost(len(data))
-	return r.port.Multicast(g, data, r.elapsedInJob())
+	return r.port.Multicast(g, data, delay)
 }
 
 // Deliver is called by the network adapter when a datagram arrives for this
 // node. Reception is a real job: the CPU is charged the receive overhead and
-// then the protocol's receiver upcall runs under the profiler.
+// then the protocol's receiver upcall runs.
+//
+//hot:path
 func (r *Runtime) Deliver(src runtimeapi.NodeID, data []byte) {
 	if r.down {
 		return
@@ -357,15 +351,10 @@ func (r *Runtime) Deliver(src runtimeapi.NodeID, data []byte) {
 		r.freeDlv[n-1] = nil
 		r.freeDlv = r.freeDlv[:n-1]
 	} else {
+		//lint:hotalloc-ok pool miss; the thunk joins the free list when it fires
 		d = &delivery{r: r}
 		d.fire = d.run
 	}
 	d.src, d.data = src, data
 	r.cpus.SubmitReal(d.fire, nil)
-}
-
-// Start schedules fn as the node's initialization job at time zero offsets;
-// protocol stacks use it to begin operation from within a profiled context.
-func (r *Runtime) Start(fn func()) {
-	r.Schedule(0, fn)
 }

@@ -2,12 +2,11 @@ package gcs
 
 import "repro/internal/sim"
 
-// The CPU consumption of the protocol's real code under the deterministic
-// profiler (see csrt.ModelProfiler). Under a wall-clock profiler these
-// charges are ignored and actual execution time is measured instead. Values
-// are calibrated so that protocol CPU usage lands in the band the paper
-// reports (Figure 7c: ~1.2% of one CPU at 3 sites and 750 clients, rising to
-// ~1.9% under 5% message loss).
+// The CPU consumption the protocol's real code declares to the simulation
+// runtime (runtimeapi.Runtime.Charge, accumulated by csrt.ModelProfiler);
+// the native runtime ignores the charges. Values are calibrated so that
+// protocol CPU usage lands in the band the paper reports (Figure 7c: ~1.2% of
+// one CPU at 3 sites and 750 clients, rising to ~1.9% under 5% message loss).
 const (
 	// costPerMessage is the fixed cost of handling one protocol message
 	// (demultiplex, header decode, bookkeeping).

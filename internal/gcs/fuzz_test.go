@@ -107,7 +107,7 @@ func TestUnicastFallbackTrafficCost(t *testing.T) {
 			}
 			rt := csrt.NewRuntime(k, id, &csrt.ModelProfiler{}, net.Port(id, 1400), csrt.CostParams{}, rng.Fork(string(rune('a'+id))))
 			rt.Bind(csrt.NewCPUSet(1, k, nil))
-			host.SetDeliver(func(pkt *simnet.Packet) { rt.Deliver(pkt.Src, pkt.Data) })
+			host.DeliverTo(rt.Deliver)
 			st, err := New(rt, Config{Self: id, Members: members, Group: 1, UseMulticast: useMulticast})
 			if err != nil {
 				t.Fatal(err)

@@ -51,7 +51,7 @@ func newCluster(t *testing.T, n int, seed int64, tweak func(*Config)) *cluster {
 		port := net.Port(id, 1400)
 		rt := csrt.NewRuntime(k, id, &csrt.ModelProfiler{}, port, csrt.DefaultCostParams(), rng.Fork(fmt.Sprintf("rt-%d", id)))
 		rt.Bind(csrt.NewCPUSet(1, k, nil))
-		host.SetDeliver(func(pkt *simnet.Packet) { rt.Deliver(pkt.Src, pkt.Data) })
+		host.DeliverTo(rt.Deliver)
 		cfg := Config{Self: id, Members: members, Group: 1, UseMulticast: true}
 		if tweak != nil {
 			tweak(&cfg)

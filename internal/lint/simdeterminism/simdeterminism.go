@@ -11,8 +11,8 @@
 // of their flags: dbsim, faultsim and experiments (a command's package is
 // matched by its directory, the final element of its import path). Outside
 // the rule stay expr (the worker pool is goroutines by design), runtimeapi
-// (the native runtime is the host clock), validate (its native column), the
-// linters, and bench/. Code with a vetted reason opts out per line with
+// (the native runtime is the host clock), the linters, and bench/. Code with
+// a vetted reason opts out per line with
 //
 //	//lint:simdeterminism-ok <reason>
 //

@@ -104,32 +104,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestUsageMeter(t *testing.T) {
-	u := NewUsageMeter()
-	u.AddBusy("sim", 500)
-	u.AddBusy("real", 250)
-	u.AddBusy("sim", 250)
-	if u.Busy("sim") != 750 {
-		t.Fatalf("sim busy = %d", u.Busy("sim"))
-	}
-	if u.TotalBusy() != 1000 {
-		t.Fatalf("total busy = %d", u.TotalBusy())
-	}
-	if got := u.Utilization(2000, 1); got != 50 {
-		t.Fatalf("utilization = %v, want 50", got)
-	}
-	if got := u.Utilization(1000, 2); got != 50 {
-		t.Fatalf("2-unit utilization = %v, want 50", got)
-	}
-	if got := u.ClassUtilization("real", 1000, 1); got != 25 {
-		t.Fatalf("class utilization = %v, want 25", got)
-	}
-	u.AddBusy("sim", -5) // ignored
-	if u.Busy("sim") != 750 {
-		t.Fatal("negative busy must be ignored")
-	}
-}
-
 func TestRate(t *testing.T) {
 	if Rate(1, 4) != 25 {
 		t.Fatalf("Rate = %v", Rate(1, 4))

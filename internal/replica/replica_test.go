@@ -55,7 +55,7 @@ func buildClusterWith(t *testing.T, n int, optsFor func(i int) Options, tweak fu
 		rt := csrt.NewRuntime(k, id, &csrt.ModelProfiler{}, net.Port(id, 1400),
 			csrt.DefaultCostParams(), rng.Fork(fmt.Sprintf("rt-%d", id)))
 		rt.Bind(csrt.NewCPUSet(1, k, nil))
-		host.SetDeliver(func(pkt *simnet.Packet) { rt.Deliver(pkt.Src, pkt.Data) })
+		host.DeliverTo(rt.Deliver)
 		storage := db.NewStorage(k, db.StorageConfig{}, rng.Fork(fmt.Sprintf("disk-%d", id)))
 		server := db.NewServer(k, dbsm.SiteID(id), rt.CPUs(), storage)
 		cfg := gcs.Config{Self: id, Members: members, Group: 1, UseMulticast: true}

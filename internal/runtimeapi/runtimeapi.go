@@ -7,11 +7,13 @@
 // single-threaded environment, and is implemented twice:
 //
 //   - internal/csrt bridges it onto the simulation kernel and simulated
-//     network, profiling the real code and folding its CPU cost into the
+//     network, folding the CPU cost the real code declares into the
 //     simulated time line;
-//   - the native implementation in this package bridges it onto the Go
-//     runtime (time.Timer, net.UDPConn), so the same protocol code can be
-//     deployed on a real network unchanged.
+//   - the native implementation in this package (Native) bridges it onto
+//     the Go runtime (time.Timer, net.UDPConn), so the same protocol code
+//     can be deployed on a real network unchanged. No command builds a
+//     Native: its readers are native_test.go here and gcs/native_test.go,
+//     which runs the whole group communication stack over loopback sockets.
 package runtimeapi
 
 import (
@@ -68,9 +70,9 @@ type Runtime interface {
 	// its timer bookkeeping. Prefer it for one-shot jobs on hot paths.
 	StartJob(d sim.Time, fn func())
 
-	// Charge accounts explicit model cost for the current job. Under a
-	// wall-clock profiler this is a no-op; under the deterministic cost
-	// model it is how real code declares its CPU consumption.
+	// Charge accounts explicit model cost for the current job: it is how
+	// real code declares its CPU consumption to the simulation runtime.
+	// The native runtime, where the code costs what it costs, ignores it.
 	Charge(cost sim.Time)
 
 	// Rand returns the node's deterministic random stream.

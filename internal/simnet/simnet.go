@@ -169,6 +169,13 @@ func (h *Host) ID() NodeID { return h.id }
 // SetDeliver installs the reception upcall.
 func (h *Host) SetDeliver(fn DeliverFunc) { h.deliver = fn }
 
+// DeliverTo installs fn as the reception upcall, unwrapped from the pooled
+// packet: the one place the wire hands a datagram to a node's runtime,
+// host.DeliverTo(rt.Deliver). data is read-only and may be retained.
+func (h *Host) DeliverTo(fn func(src NodeID, data []byte)) {
+	h.deliver = func(pkt *Packet) { fn(pkt.Src, pkt.Data) }
+}
+
 // SetLoss installs a receiver-side loss model ("each message is discarded
 // upon reception with the specified probability", Section 5.3).
 func (h *Host) SetLoss(m LossModel) { h.loss = m }
