@@ -69,12 +69,19 @@ func (t *TxnCert) Marshal() []byte {
 //
 //hot:path
 func (t *TxnCert) MarshalTo(buf []byte) []byte {
-	n := t.MarshaledSize()
-	if cap(buf) < n {
+	if n := t.MarshaledSize(); cap(buf) < n {
 		//lint:hotalloc-ok capacity miss grows the caller's scratch once, then amortised free
 		buf = make([]byte, 0, n)
 	}
-	buf = buf[:0]
+	return t.AppendTo(buf[:0])
+}
+
+// AppendTo is the appending form of MarshalTo: the encoding goes after what
+// buf already holds (a stream tag, the parts of a prepare before this one),
+// and buf grows as append grows it.
+//
+//hot:path
+func (t *TxnCert) AppendTo(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, t.TID)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(t.Site))
 	buf = binary.BigEndian.AppendUint64(buf, t.LastCommitted)

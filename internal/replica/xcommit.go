@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/db"
@@ -63,37 +65,41 @@ type xmgr struct {
 
 	// pending retains every cross-group transaction this site ever saw, even
 	// after resolution — deliberately. Late retransmitted probes must be
-	// answered with the fixed decision, and pruning a member's entry would
-	// let a delayed relayed prepare be re-injected into the stream and
+	// answered with the fixed vote or decision, and pruning a member's entry
+	// would let a delayed relayed prepare be re-injected into the stream and
 	// re-voted after decide (prepareDelivered treats an unknown TID as new).
-	// The heavy state (prep, part) is dropped at decide; the residue is a
-	// few words per multi-group transaction, so growth is linear in run
-	// length — fine for the bounded simulations this repo runs, revisit with
-	// an epoch-based retirement handshake if runs ever become open-ended.
+	// That lookup is its only job: no per-transaction path iterates it. The
+	// heavy state (prep, part) is dropped at decide; the residue is a few
+	// words per multi-group transaction, so memory — not CPU — grows with
+	// run length until an epoch-based retirement handshake prunes it.
 	pending map[uint64]*xtxn
+	// active is the reservation table: the entries holding a commit-voted,
+	// undecided part, in the order their prepares were delivered. It is what
+	// veto and the vote's conflict test scan — the transactions concurrent
+	// with the one being certified, almost always none. It changes only in
+	// prepareDelivered and decideDelivered; race builds recompute it from
+	// pending after each (checkActive).
+	active []*xtxn
 	// stash holds decisions that arrived by relay before this member
 	// delivered the prepare on its own stream. It only gates re-injection
 	// (a send), never certification state: the decision takes effect at its
 	// stream delivery like everywhere else. A fixed decision implies every
 	// involved group delivered the prepare on its stream, so the entry is
 	// cleared when this member reaches that delivery; entries outlive the
-	// run only on members that stop first, which the same bounded-run
-	// argument covers.
+	// run only on members that stop first.
 	stash map[uint64]bool
 
 	// frags accumulates fragments of oversized relayed prepares (one
 	// assembly per TID) until the whole prepare is restored; asm is the
-	// reassembly scratch. Incomplete assemblies persist like pending
-	// entries do — retransmitted frames complete them eventually, and the
-	// bounded-run argument above covers the residue.
+	// reassembly scratch. An incomplete assembly lives until retransmitted
+	// frames complete it or the prepare is delivered on this group's stream,
+	// whichever comes first.
 	frags map[uint64]*fragAsm
 	asm   []byte
 
-	// body is the cert-marshal scratch for the single-group fast path; buf
-	// is the control-message scratch (Relay and Multicast both copy the
+	// buf is the control-message scratch (Relay and Multicast both copy the
 	// payload out before returning).
-	body []byte
-	buf  []byte
+	buf []byte
 
 	records []trace.XRecord
 }
@@ -137,10 +143,6 @@ type xtxn struct {
 	doneC        bool
 }
 
-// reserved reports whether this entry holds an active reservation: a
-// commit-voted, undecided part that the veto predicate must protect.
-func (e *xtxn) reserved() bool { return e.voted && e.vote && !e.decided }
-
 func xbit(g int) uint32 { return 1 << uint(g) }
 
 func newXmgr(r *Replica) *xmgr {
@@ -167,59 +169,54 @@ func (x *xmgr) sequencing() bool {
 }
 
 // veto is the Certifier.Veto predicate: abort any transaction conflicting
-// with an active reservation. The result is an OR over reservations, so map
-// iteration order cannot affect it; reservations change only at stream
-// deliveries, so every group member vetoes identically at the same position.
-// The work charge is fixed before the scan — reservation count times set
-// size, a full count with no short-circuit — so the simulated CPU time it
-// advances is independent of the randomized map order the conflict scan
-// breaks out of.
+// with an active reservation. Reservations change only at stream deliveries,
+// so every group member vetoes identically at the same position. The work
+// charge is fixed before the scan — reservation count times set size, a full
+// count with no short-circuit — so the simulated CPU time it advances does
+// not depend on where the scan stops.
+//
+//hot:path
 func (x *xmgr) veto(t *dbsm.TxnCert) bool {
-	reserved := 0
-	for _, e := range x.pending {
-		if e.reserved() && e.part != nil {
-			reserved++
-		}
+	if len(x.active) == 0 {
+		return false
 	}
-	if reserved > 0 && x.r.cert.Charge != nil {
-		x.r.cert.Charge(reserved * (len(t.ReadSet) + len(t.WriteSet)))
+	if x.r.cert.Charge != nil {
+		x.r.cert.Charge(len(x.active) * (len(t.ReadSet) + len(t.WriteSet)))
 	}
-	hit := false
-	for _, e := range x.pending {
-		if !e.reserved() || e.part == nil {
-			continue
-		}
-		p := e.part
-		if t.WriteSet.Intersects(p.WriteSet) || t.WriteSet.Intersects(p.ReadSet) ||
-			t.ReadSet.Intersects(p.WriteSet) {
-			//lint:simdeterminism-ok boolean OR over all reservations is commutative; break only short-circuits
-			hit = true
-			break
-		}
+	if !x.conflicts(t) {
+		return false
 	}
-	if hit {
-		x.r.stats.XVetoes++
-	}
-	return hit
+	x.r.stats.XVetoes++
+	return true
 }
 
-// conflicts reports whether a part conflicts with any other active
-// reservation (the reservation half of the vote).
-func (x *xmgr) conflicts(tid uint64, p *dbsm.TxnCert) bool {
-	hit := false
-	for _, e := range x.pending {
-		if e.tid == tid || !e.reserved() || e.part == nil {
-			continue
-		}
+// conflicts reports whether a certification message or a part conflicts with
+// an active reservation (the veto, and the reservation half of the vote: a
+// part being voted on is not in the table yet).
+//
+//hot:path
+func (x *xmgr) conflicts(p *dbsm.TxnCert) bool {
+	for _, e := range x.active {
 		o := e.part
 		if p.WriteSet.Intersects(o.WriteSet) || p.WriteSet.Intersects(o.ReadSet) ||
 			p.ReadSet.Intersects(o.WriteSet) {
-			//lint:simdeterminism-ok boolean OR over all reservations is commutative; break only short-circuits
-			hit = true
-			break
+			return true
 		}
 	}
-	return hit
+	return false
+}
+
+// homeOnly reports whether every tuple of a set is this group's or catalog
+// data (0), replicated in every group.
+//
+//hot:path
+func (x *xmgr) homeOnly(s dbsm.ItemSet) bool {
+	for _, id := range s {
+		if g := x.r.opts.GroupOf(id); g != 0 && g != x.group {
+			return false
+		}
+	}
+	return true
 }
 
 // terminate is the group-mode termination path: route single-group
@@ -227,13 +224,12 @@ func (x *xmgr) conflicts(tid uint64, p *dbsm.TxnCert) bool {
 // for multi-group ones.
 func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
 	r := x.r
-	parts := xgroup.Split(tc, r.opts.GroupOf, x.group)
-	if len(parts) == 1 {
-		// Every tuple is home-owned: the classic path, tagged.
-		x.body = tc.MarshalTo(x.body)
-		r.submit(t, append(append(r.scratch[:0], xgroup.MsgTxn), x.body...))
+	if x.homeOnly(tc.ReadSet) && x.homeOnly(tc.WriteSet) {
+		// The classic path, tagged; nothing is split or copied.
+		r.submit(t, tc.AppendTo(append(r.scratch[:0], xgroup.MsgTxn)))
 		return
 	}
+	parts := xgroup.Split(tc, r.opts.GroupOf, x.group)
 	prep := &xgroup.Prepare{
 		TID:         tc.TID,
 		Coordinator: x.self(),
@@ -285,7 +281,28 @@ func (x *xmgr) onStream(payload []byte) {
 			x.decideDelivered(tid, commit)
 		}
 	}
+	if checkResv {
+		x.checkActive()
+	}
 	r.respeculate(rolled)
+}
+
+// checkActive panics unless active holds exactly the entries of pending with
+// a reservation — commit-voted, undecided, with a part — each once.
+func (x *xmgr) checkActive() {
+	n := 0
+	for tid, e := range x.pending {
+		held := e.voted && e.vote && !e.decided && e.part != nil
+		if held != slices.Contains(x.active, e) {
+			panic(fmt.Sprintf("replica: transaction %#x: reservation held %t, in the active table %t", tid, held, !held))
+		}
+		if held {
+			n++
+		}
+	}
+	if n != len(x.active) {
+		panic(fmt.Sprintf("replica: %d reservations, %d active entries", n, len(x.active)))
+	}
 }
 
 // prepareDelivered installs the reservation and computes this group's vote.
@@ -311,7 +328,7 @@ func (x *xmgr) prepareDelivered(p *xgroup.Prepare) {
 	}
 	vote := true
 	if e.part != nil {
-		vote = !x.conflicts(e.tid, e.part)
+		vote = !x.conflicts(e.part)
 		if vote && x.group == e.home {
 			// Home reads executed against the home snapshot: stale-check
 			// them. Remote parts execute at delivery — nothing to check.
@@ -319,6 +336,12 @@ func (x *xmgr) prepareDelivered(p *xgroup.Prepare) {
 		}
 	}
 	e.voted, e.vote = true, vote
+	if vote && e.part != nil {
+		x.active = append(x.active, e)
+	}
+	// Whatever fragments of a relayed copy got here first are moot now, and
+	// once the group has voted nobody retransmits the rest.
+	delete(x.frags, e.tid)
 	if e.coord {
 		x.recordVote(e, x.group, vote)
 		if !e.coordDecided {
@@ -389,8 +412,11 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 		e.homeDecided = true
 		x.checkComplete(e)
 	}
-	// Reservation resolved: drop the heavy state. The entry itself stays so
-	// duplicate relays get decision replies and re-acks.
+	// Reservation resolved: drop it and the heavy state. The entry itself
+	// stays so duplicate relays get decision replies and re-acks.
+	if i := slices.Index(x.active, e); i >= 0 {
+		x.active = slices.Delete(x.active, i, i+1)
+	}
 	e.prep = nil
 	e.part = nil
 }

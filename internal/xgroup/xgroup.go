@@ -15,7 +15,7 @@ package xgroup
 import (
 	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
 
 	"repro/internal/dbsm"
 	"repro/internal/runtimeapi"
@@ -55,17 +55,18 @@ type Part struct {
 // are copied into every part (LastCommitted is only meaningful to the home
 // group's certifier; remote votes skip the staleness test). WriteBytes is
 // distributed proportionally to each part's write count, remainder to the
-// home part. Parts are returned sorted by group with freshly built item
-// sets (sortedness carries over from t's, so the dbsm invariants hold).
+// home part. Parts are returned sorted by group; their item sets are carved
+// out of one array of exactly t's tuple count (sortedness carries over from
+// t's, so the dbsm invariants hold).
 func Split(t *dbsm.TxnCert, classify func(dbsm.TupleID) int, home int) []Part {
 	parts := make([]Part, 0, 2)
-	get := func(g int) *Part {
+	get := func(g int) *dbsm.TxnCert {
 		if g == 0 {
 			g = home
 		}
 		for i := range parts {
 			if parts[i].Group == g {
-				return &parts[i]
+				return &parts[i].Cert
 			}
 		}
 		parts = append(parts, Part{Group: g, Cert: dbsm.TxnCert{
@@ -73,30 +74,46 @@ func Split(t *dbsm.TxnCert, classify func(dbsm.TupleID) int, home int) []Part {
 			Site:          t.Site,
 			LastCommitted: t.LastCommitted,
 		}})
-		return &parts[len(parts)-1]
+		return &parts[len(parts)-1].Cert
 	}
 	// The home part exists even when the transaction touches no home tuple:
 	// the home group's ordered stream still carries the prepare and decide,
 	// and the client's outcome resolves there.
 	get(home)
+	// Count first: until the carve below a part's set is store[:n], n being
+	// the number of tuples it will hold.
+	store := make(dbsm.ItemSet, len(t.ReadSet)+len(t.WriteSet))
 	for _, r := range t.ReadSet {
-		p := get(classify(r))
-		p.Cert.ReadSet = append(p.Cert.ReadSet, r)
+		c := get(classify(r))
+		c.ReadSet = store[:len(c.ReadSet)+1]
 	}
 	for _, w := range t.WriteSet {
-		p := get(classify(w))
-		p.Cert.WriteSet = append(p.Cert.WriteSet, w)
+		c := get(classify(w))
+		c.WriteSet = store[:len(c.WriteSet)+1]
 	}
-	if nw := len(t.WriteSet); nw > 0 {
-		assigned := 0
-		for i := range parts {
-			wb := t.WriteBytes * len(parts[i].Cert.WriteSet) / nw
-			parts[i].Cert.WriteBytes = wb
-			assigned += wb
+	slices.SortFunc(parts, func(a, b Part) int { return a.Group - b.Group })
+	off, assigned := 0, 0
+	for i := range parts {
+		c := &parts[i].Cert
+		nr, nw := len(c.ReadSet), len(c.WriteSet)
+		c.ReadSet, off = store[off:off:off+nr], off+nr
+		c.WriteSet, off = store[off:off:off+nw], off+nw
+		if nw > 0 {
+			c.WriteBytes = t.WriteBytes * nw / len(t.WriteSet)
+			assigned += c.WriteBytes
 		}
-		parts[0].Cert.WriteBytes += t.WriteBytes - assigned
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].Group < parts[j].Group })
+	if len(t.WriteSet) > 0 {
+		get(home).WriteBytes += t.WriteBytes - assigned
+	}
+	for _, r := range t.ReadSet {
+		c := get(classify(r))
+		c.ReadSet = append(c.ReadSet, r)
+	}
+	for _, w := range t.WriteSet {
+		c := get(classify(w))
+		c.WriteSet = append(c.WriteSet, w)
+	}
 	return parts
 }
 
@@ -137,37 +154,30 @@ const partHeader = 1 + 4 + 4
 // path in internal/replica does). The true WriteBytes travels alongside and
 // is restored at parse.
 func AppendPrepare(buf []byte, lead byte, p *Prepare, maxSize int) []byte {
-	total := 1 + prepareHeader
+	total, padding := 1+prepareHeader, 0
 	for i := range p.Parts {
 		total += partHeader + p.Parts[i].Cert.MarshaledSize()
+		padding += p.Parts[i].Cert.WriteBytes
 	}
 	excess := 0
 	if maxSize > 0 && total > maxSize {
 		excess = total - maxSize
 	}
-	pads := make([]int, len(p.Parts))
-	for i := range p.Parts {
-		pads[i] = p.Parts[i].Cert.WriteBytes
-	}
-	for i := len(pads) - 1; i >= 0 && excess > 0; i-- {
-		cut := min(excess, pads[i])
-		pads[i] -= cut
-		excess -= cut
-	}
 	buf = append(buf, lead)
 	buf = binary.BigEndian.AppendUint64(buf, p.TID)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Coordinator))
 	buf = append(buf, byte(p.HomeGroup), byte(len(p.Parts)))
-	var scratch []byte
 	for i := range p.Parts {
 		pt := &p.Parts[i]
 		c := pt.Cert // value copy; the sets are shared, only WriteBytes differs
-		c.WriteBytes = pads[i]
-		scratch = c.MarshalTo(scratch)
+		// padding is now what the parts after this one carry: they are
+		// trimmed first, this one by whatever excess is left.
+		padding -= c.WriteBytes
+		c.WriteBytes -= min(c.WriteBytes, max(excess-padding, 0))
 		buf = append(buf, byte(pt.Group))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(pt.Cert.WriteBytes))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(scratch)))
-		buf = append(buf, scratch...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(c.MarshaledSize()))
+		buf = c.AppendTo(buf)
 	}
 	return buf
 }
