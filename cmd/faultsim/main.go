@@ -97,9 +97,6 @@ func (o *options) base() core.Config {
 // schedule completely.
 func (o *options) params() campaign.Params {
 	p := campaign.Params{Sites: o.sites, Groups: o.groups, Rejoin: o.rejoin, Overload: o.overload}
-	if o.groups > 1 {
-		p.Rejoin = false // crash recovery is out of the group-mode scope
-	}
 	if o.short {
 		// Shorter runs need faults that land while traffic still flows.
 		p.Horizon = 15 * sim.Second
@@ -165,6 +162,10 @@ func run(args []string) int {
 		// The fixed matrix encodes single-group assumptions (rejoin rows,
 		// site numbering); group mode runs randomized campaigns only.
 		fmt.Fprintln(os.Stderr, "faultsim: -groups needs -campaign N (or -replay/-list)")
+		return 2
+	}
+	if o.groups > 1 && o.rejoin {
+		fmt.Fprintln(os.Stderr, "faultsim: -rejoin needs one group: crash recovery is out of the group-mode scope")
 		return 2
 	}
 	base, params := o.base(), o.params()
@@ -408,8 +409,8 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 	if path, err := rep.WriteCorpus(corpusDir); err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim: corpus:", err)
 	} else {
-		fmt.Printf("explore: %d runs, %d coverage buckets, corpus (%d entries) -> %s\n",
-			rep.Runs, rep.Buckets, len(rep.Corpus), path)
+		fmt.Printf("explore: %d runs (%d errored), %d coverage buckets, corpus (%d entries) -> %s\n",
+			rep.Runs, rep.Errored, rep.Buckets, len(rep.Corpus), path)
 	}
 
 	// Minimize and persist the first few distinct violations; each probe
@@ -440,7 +441,7 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 		fmt.Printf("explore: repro -> %s (replay: faultsim -replay-file %s)\n", path, path)
 	}
 	fmt.Println("\nexplore done")
-	return len(rep.Found)
+	return len(rep.Found) + rep.Errored
 }
 
 // runReplayFile replays a saved repro and reports whether its violation is

@@ -153,6 +153,21 @@ func TestRunReplayFile(t *testing.T) {
 	}
 }
 
+// TestGroupModeUsageErrors pins the two flag combinations group mode cannot
+// honour: both exit 2 before a run starts, neither drops a flag silently.
+func TestGroupModeUsageErrors(t *testing.T) {
+	for _, cmdline := range []string{
+		"-short -groups 3 -sites 3",                         // the fixed matrix is single-group
+		"-short -groups 3 -sites 3 -campaign 2 -rejoin",     // no recovery inside groups
+		"-short -groups 3 -sites 3 -explore -rejoin",        // nor in the explorer's gene set
+		"-short -groups 3 -sites 3 -replay 7 -rejoin -list", // nor in a listed schedule
+	} {
+		if got := run(strings.Fields(cmdline)); got != 2 {
+			t.Errorf("faultsim %s = %d, want 2", cmdline, got)
+		}
+	}
+}
+
 // TestReproHintRoundTrips pins the contract of the "reproduce:" line: for
 // every goldenRuns command line (plus a non-short one), parsing the printed
 // hint back must yield the campaign parameters and workload of the original

@@ -111,7 +111,9 @@
 // history scan, kept as dbsm.NewScanCertifier for exactly that purpose), the
 // kernel schedules through a pointer-free 4-ary heap over pooled event
 // slots, and the wire path hands buffers zero-copy from sender to receivers
-// with pooled packets and thunks. A multicast body is copied twice on its
+// with pooled packets and thunks. Every pool of per-event records, in every
+// layer, is a sim.FreeList — recycling is written once, and race builds
+// panic on a record handed back twice. A multicast body is copied twice on its
 // way, and only the first copy allocates: gcs's cast copies it into the wire
 // chunks the send window keeps for retransmission (shared read-only with the
 // network and every receiver — many owners, so not pooled), and a receiver

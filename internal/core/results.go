@@ -383,6 +383,7 @@ func (r *Results) Features() map[string]int64 {
 		// Reliable-stream stress.
 		"retransmits":    r.GCS.Retransmits,
 		"nacks":          r.GCS.Nacks,
+		"nackmisses":     r.GCS.NackMisses,
 		"assignacks":     r.GCS.AssignAcks,
 		"creditstalls":   r.GCS.CreditStalls,
 		"assigndeferred": r.GCS.AssignDeferred,

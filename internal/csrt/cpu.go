@@ -68,7 +68,7 @@ type CPU struct {
 	// always applies to the running job, so dispatch schedules this
 	// instead of allocating a fresh closure per job.
 	onComplete func()
-	free       []*Job // recycled pooled jobs
+	free       sim.FreeList[*Job] // recycled pooled jobs
 }
 
 // NewCPU returns an idle CPU attached to the kernel. exec may be nil when
@@ -81,13 +81,11 @@ func NewCPU(id int, k *sim.Kernel, exec runReal) *CPU {
 
 // newJob takes a pooled Job (or allocates one) for the Submit* helpers.
 func (c *CPU) newJob() *Job {
-	if n := len(c.free); n > 0 {
-		j := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		return j
+	j := c.free.Get()
+	if j == nil {
+		j = &Job{pooled: true}
 	}
-	return &Job{pooled: true}
+	return j
 }
 
 // BusyNS reports the busy nanoseconds this CPU has spent on one class.
@@ -203,7 +201,7 @@ func (c *CPU) complete(j *Job) {
 	done := j.Done
 	if j.pooled {
 		*j = Job{pooled: true}
-		c.free = append(c.free, j)
+		c.free.Put(j)
 	}
 	if done != nil && !c.stopped {
 		done()

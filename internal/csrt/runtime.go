@@ -72,8 +72,8 @@ type Runtime struct {
 	schedLat  func(*sim.RNG) sim.Time // extra latency for future events
 	latRNG    *sim.RNG
 
-	freeDlv []*delivery // recycled reception thunks
-	freeJob []*oneShot  // recycled fire-and-forget job thunks
+	freeDlv sim.FreeList[*delivery] // recycled reception thunks
+	freeJob sim.FreeList[*oneShot]  // recycled fire-and-forget job thunks
 }
 
 // oneShot is a pooled fire-and-forget scheduled job (StartJob): no Timer
@@ -88,7 +88,7 @@ type oneShot struct {
 func (o *oneShot) run() {
 	r, fn := o.r, o.fn
 	o.fn = nil
-	r.freeJob = append(r.freeJob, o)
+	r.freeJob.Put(o)
 	if r.down {
 		return
 	}
@@ -109,7 +109,7 @@ type delivery struct {
 func (d *delivery) run() {
 	r, src, data := d.r, d.src, d.data
 	d.data = nil
-	r.freeDlv = append(r.freeDlv, d)
+	r.freeDlv.Put(d)
 	r.extra += r.cost.RecvCost(len(data))
 	if r.recv != nil {
 		r.recv(src, data)
@@ -285,12 +285,8 @@ func (r *Runtime) Schedule(d sim.Time, fn func()) runtimeapi.Timer {
 //
 //hot:path
 func (r *Runtime) StartJob(d sim.Time, fn func()) {
-	var o *oneShot
-	if n := len(r.freeJob); n > 0 {
-		o = r.freeJob[n-1]
-		r.freeJob[n-1] = nil
-		r.freeJob = r.freeJob[:n-1]
-	} else {
+	o := r.freeJob.Get()
+	if o == nil {
 		//lint:hotalloc-ok pool miss; the thunk joins the free list when it fires
 		o = &oneShot{r: r}
 		o.fire = o.run
@@ -345,12 +341,8 @@ func (r *Runtime) Deliver(src runtimeapi.NodeID, data []byte) {
 	if r.down {
 		return
 	}
-	var d *delivery
-	if n := len(r.freeDlv); n > 0 {
-		d = r.freeDlv[n-1]
-		r.freeDlv[n-1] = nil
-		r.freeDlv = r.freeDlv[:n-1]
-	} else {
+	d := r.freeDlv.Get()
+	if d == nil {
 		//lint:hotalloc-ok pool miss; the thunk joins the free list when it fires
 		d = &delivery{r: r}
 		d.fire = d.run

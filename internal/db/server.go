@@ -96,7 +96,7 @@ type Server struct {
 
 	remoteApplied   int64
 	inconsistencies int64
-	freeRemote      []*remoteApply
+	freeRemote      sim.FreeList[*remoteApply]
 
 	// epoch counts restarts; continuations captured by a dead incarnation
 	// (e.g. a remote-apply disk completion in flight at crash time) compare
@@ -501,12 +501,8 @@ func (s *Server) applyRemote(c *dbsm.TxnCert, seq uint64, sectors int) {
 	if seq > s.lastApplied {
 		s.lastApplied = seq
 	}
-	var ra *remoteApply
-	if n := len(s.freeRemote); n > 0 {
-		ra = s.freeRemote[n-1]
-		s.freeRemote[n-1] = nil
-		s.freeRemote = s.freeRemote[:n-1]
-	} else {
+	ra := s.freeRemote.Get()
+	if ra == nil {
 		ra = &remoteApply{s: s}
 		ra.granted = func() { ra.s.storage.WriteSectors(ra.sectors, ra.written) }
 		ra.written = ra.finish
@@ -546,7 +542,7 @@ func (ra *remoteApply) finish() {
 	s.lm.ReleaseCommit(&ra.t)
 	s.remoteApplied++
 	ra.t = Txn{}
-	s.freeRemote = append(s.freeRemote, ra)
+	s.freeRemote.Put(ra)
 }
 
 // PreApplyRemote speculatively writes a tentatively-certified remote

@@ -66,8 +66,8 @@ type Storage struct {
 	qhead    int         // consumed prefix of queue (popped lazily, O(1))
 	maxQueue int
 
-	freeOps  []*sectorOp
-	freeReqs []*ioReq
+	freeOps  sim.FreeList[*sectorOp]
+	freeReqs sim.FreeList[*ioReq]
 
 	busyNS  int64 // integrated slot-busy time
 	sectors int64
@@ -138,23 +138,15 @@ func (s *Storage) WriteSectors(n int, done func()) {
 
 // request issues n sector operations and calls done when all finish.
 func (s *Storage) request(n int, done func()) {
-	var req *ioReq
-	if ln := len(s.freeReqs); ln > 0 {
-		req = s.freeReqs[ln-1]
-		s.freeReqs[ln-1] = nil
-		s.freeReqs = s.freeReqs[:ln-1]
-	} else {
+	req := s.freeReqs.Get()
+	if req == nil {
 		req = &ioReq{}
 	}
 	req.remaining = n
 	req.done = done
 	for i := 0; i < n; i++ {
-		var op *sectorOp
-		if ln := len(s.freeOps); ln > 0 {
-			op = s.freeOps[ln-1]
-			s.freeOps[ln-1] = nil
-			s.freeOps = s.freeOps[:ln-1]
-		} else {
+		op := s.freeOps.Get()
+		if op == nil {
 			op = &sectorOp{s: s}
 			op.fire = op.complete
 		}
@@ -185,13 +177,13 @@ func (op *sectorOp) complete() {
 	s := op.s
 	req := op.req
 	op.req = nil
-	s.freeOps = append(s.freeOps, op)
+	s.freeOps.Put(op)
 	s.inFlight--
 	req.remaining--
 	if req.remaining == 0 {
 		done := req.done
 		req.done = nil
-		s.freeReqs = append(s.freeReqs, req)
+		s.freeReqs.Put(req)
 		if done != nil {
 			done()
 		}

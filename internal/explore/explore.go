@@ -65,6 +65,11 @@ type Report struct {
 	// Buckets is the number of distinct coverage keys seen.
 	Buckets     int
 	Generations int
+	// Errored counts the candidates the model rejected (core.New) or that
+	// died mid-run: repair promises a valid configuration for every gene
+	// set, so anything but 0 is a bug in repair or in the model, and the
+	// caller fails the search.
+	Errored int
 }
 
 // Run executes the coverage-guided search: generation zero replays the
@@ -124,8 +129,8 @@ func Run(opts Options) (*Report, error) {
 		newEntries := 0
 		for i, pt := range points {
 			if pt.Err != nil || pt.Agg == nil || len(pt.Agg.Runs) == 0 {
-				// A candidate the model rejected or that died mid-run
-				// contributes nothing; repair makes this rare.
+				rep.Errored++
+				logf("explore: gen %d cand %d (seed %d) did not run: %v", gen, i, seeds[i], pt.Err)
 				continue
 			}
 			res := pt.Agg.Runs[0]

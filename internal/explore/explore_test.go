@@ -58,8 +58,26 @@ func exploreWithWorkers(t *testing.T, workers int) *Report {
 	if len(rep.Found) == 0 {
 		t.Fatalf("explorer found no violation in %d runs", rep.Runs)
 	}
+	if rep.Errored != 0 {
+		t.Fatalf("%d of %d candidates did not run: repair let an invalid configuration through", rep.Errored, rep.Runs)
+	}
 	explored.reports[workers] = rep
 	return rep
+}
+
+// TestExploreCountsCandidatesThatDidNotRun: a candidate the model refuses is
+// counted, not skipped — here every one, since the base names no protocol
+// core.New knows.
+func TestExploreCountsCandidatesThatDidNotRun(t *testing.T) {
+	base := hookBase()
+	base.Protocol = "no-such-protocol"
+	rep, err := Run(Options{Base: base, Space: hookSpace(), Seed: hookSeed, Generations: 2, Population: 4})
+	if err != nil {
+		t.Fatalf("explore: %v", err)
+	}
+	if rep.Errored != 8 || rep.Runs != 8 || len(rep.Found) != 0 || rep.Buckets != 0 {
+		t.Fatalf("errored %d of %d runs, %d found, %d buckets; want 8 of 8, 0, 0", rep.Errored, rep.Runs, len(rep.Found), rep.Buckets)
+	}
 }
 
 // minimizedRepro shrinks a found violation and packages the minimized

@@ -66,7 +66,7 @@ func TestReassemblyBufferRecycled(t *testing.T) {
 	if backing[0] != backing[1] {
 		t.Fatal("second fragmented message was not reassembled in the first one's buffer")
 	}
-	if n := len(c.stacks[3].rm.freeBodies); n != 1 {
+	if n := c.stacks[3].rm.freeBodies.Len(); n != 1 {
 		t.Fatalf("free list holds %d buffers after both deliveries, want the one they shared", n)
 	}
 }
@@ -121,7 +121,7 @@ func TestFragmentedAssignBatchReturnsBuffer(t *testing.T) {
 	if len(st.to.order) != len(batch) {
 		t.Fatalf("recorded %d of %d assignments", len(st.to.order), len(batch))
 	}
-	if n := len(st.rm.freeBodies); n != 1 {
+	if n := st.rm.freeBodies.Len(); n != 1 {
 		t.Fatalf("free list holds %d buffers after the batch, want 1", n)
 	}
 	if st.rm.peers[1].body != nil {
@@ -144,8 +144,8 @@ func TestHaltDropsFreeList(t *testing.T) {
 	c.castAt(10*sim.Millisecond, 1, pattern(5000, 4))
 	c.castAt(50*sim.Millisecond, 1, pattern(5000, 5))
 	c.run(40 * sim.Millisecond)
-	if deliveries != 1 || len(st.rm.freeBodies) != 1 {
-		t.Fatalf("before halt: %d deliveries, %d free buffers, want 1 and 1", deliveries, len(st.rm.freeBodies))
+	if deliveries != 1 || st.rm.freeBodies.Len() != 1 {
+		t.Fatalf("before halt: %d deliveries, %d free buffers, want 1 and 1", deliveries, st.rm.freeBodies.Len())
 	}
 	c.run(1 * sim.Second)
 	if deliveries != 2 || !st.Stopped() {
@@ -154,7 +154,7 @@ func TestHaltDropsFreeList(t *testing.T) {
 	if n := st.BufferedMessages(); n != 0 {
 		t.Fatalf("halted stack still buffers %d messages", n)
 	}
-	if n := len(st.rm.freeBodies); n != 0 {
+	if n := st.rm.freeBodies.Len(); n != 0 {
 		t.Fatalf("halted stack keeps %d free reassembly buffers", n)
 	}
 }

@@ -49,14 +49,14 @@ type relMcast struct {
 	// peer's receive buffer from reception until stability GC (or
 	// exclusion), then returns to the pool. A chunk's Data aliases the
 	// sender's wire buffer (zero-copy path).
-	freeMsgs []*dataMsg
+	freeMsgs sim.FreeList[*dataMsg]
 
 	// freeBodies recycles reassembly buffers: a fragmented message is put
 	// together in one (fifoDeliver), travels with it through the total
 	// order layer, and the buffer comes back when the delivery upcall
 	// returns — which is why a Payload is only valid for the length of its
 	// upcall. Only the stack's dispatch context touches the list.
-	freeBodies [][]byte
+	freeBodies sim.FreeList[[]byte]
 }
 
 const (
@@ -134,14 +134,12 @@ func newRelMcast(s *Stack) *relMcast {
 //
 //hot:path
 func (rm *relMcast) newMsg() *dataMsg {
-	if n := len(rm.freeMsgs); n > 0 {
-		m := rm.freeMsgs[n-1]
-		rm.freeMsgs[n-1] = nil
-		rm.freeMsgs = rm.freeMsgs[:n-1]
-		return m
+	m := rm.freeMsgs.Get()
+	if m == nil {
+		//lint:hotalloc-ok pool miss; the struct joins the free list afterwards
+		m = &dataMsg{}
 	}
-	//lint:hotalloc-ok pool miss; the struct joins the free list afterwards
-	return &dataMsg{}
+	return m
 }
 
 // recycleMsg returns a struct whose buffer slot has been vacated.
@@ -149,7 +147,7 @@ func (rm *relMcast) newMsg() *dataMsg {
 //hot:path
 func (rm *relMcast) recycleMsg(m *dataMsg) {
 	m.Data = nil
-	rm.freeMsgs = append(rm.freeMsgs, m)
+	rm.freeMsgs.Put(m)
 }
 
 // newBody takes an empty reassembly buffer from the free list (or allocates
@@ -157,14 +155,12 @@ func (rm *relMcast) recycleMsg(m *dataMsg) {
 //
 //hot:path
 func (rm *relMcast) newBody() []byte {
-	if n := len(rm.freeBodies); n > 0 {
-		b := rm.freeBodies[n-1]
-		rm.freeBodies[n-1] = nil
-		rm.freeBodies = rm.freeBodies[:n-1]
-		return b
+	b := rm.freeBodies.Get()
+	if b == nil {
+		//lint:hotalloc-ok pool miss; the buffer joins the free list after its first delivery
+		b = make([]byte, 0, bodyCap)
 	}
-	//lint:hotalloc-ok pool miss; the buffer joins the free list after its first delivery
-	return make([]byte, 0, bodyCap)
+	return b
 }
 
 // recycleBody returns a reassembly buffer nobody may read any more: the
@@ -180,10 +176,10 @@ func (rm *relMcast) recycleBody(b []byte) {
 			b[i] = 0xFF
 		}
 	}
-	if rm.s.stopped || len(rm.freeBodies) >= maxFreeBodies {
+	if rm.s.stopped || rm.freeBodies.Len() >= maxFreeBodies {
 		return
 	}
-	rm.freeBodies = append(rm.freeBodies, b[:0])
+	rm.freeBodies.Put(b[:0])
 }
 
 func (rm *relMcast) peer(id NodeID) *peerState {
@@ -698,8 +694,8 @@ func (rm *relMcast) releaseAll() {
 	rm.sendBufBytes = 0
 	rm.outQ, rm.outHead = nil, 0
 	rm.outQBytes = 0
-	rm.freeMsgs = nil
-	rm.freeBodies = nil
+	rm.freeMsgs.Drop()
+	rm.freeBodies.Drop()
 	if rm.rateTimer != nil {
 		rm.rateTimer.Cancel()
 		rm.rateTimer = nil

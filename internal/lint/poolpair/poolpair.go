@@ -1,24 +1,20 @@
 // Package poolpair enforces pooled-object lifecycles. The repository
-// recycles hot-path objects through two idioms, and both have a hygiene
+// recycles hot-path objects through get/put pairs, and the pairing is a
 // contract the type system cannot see:
 //
-// Named get/put pairs — sync.Pool Get/Put, the reliable layer's
-// newMsg/recycleMsg (pooled dataMsg structs) and newBody/recycleBody
-// (reassembly buffers), and simnet's newPacket/release (refcounted
-// packets). A value obtained from the pool
+// Get/Put on a sync.Pool or a sim.FreeList, and the named wrappers that add
+// behaviour — the reliable layer's newMsg/recycleMsg (pooled dataMsg
+// structs) and newBody/recycleBody (reassembly buffers), simnet's
+// newPacket/release (refcounted packets). A value obtained from the pool
 // must, on every path out of the function, either be handed back with the
 // matching put, be handed off to another function (scheduling it, storing
 // it into a receive buffer — the owner recycles later), or be returned to
 // the caller. A return path that does none of these strands the object:
 // the pool drains and the "pooled" allocation quietly becomes a real one.
 //
-// Free-list slices — fields named free* popped with the
-// x.free = x.free[:n-1] idiom. Two rules: the popped slot must be cleared
-// (x.free[n-1] = nil) before the shrink when the element type holds
-// pointers, or the truncated tail pins the object for the garbage
-// collector; and a package that pops from a free list must somewhere push
-// back onto it (an append to the same field), or recycling was dropped in
-// a refactor and the list only drains.
+// Free-list slices — a field named free* popped by reslicing
+// (x.free = x.free[:n-1]) outside package sim is reported: sim.FreeList is
+// the one place that idiom, its slot clearing and its refill are written.
 //
 // Storing a pooled value into a package-level variable is flagged
 // unconditionally: the pool's lifetime discipline cannot follow a global.
@@ -57,10 +53,6 @@ var pairs = map[string][]string{
 }
 
 func run(pass *analysis.Pass) error {
-	popped := make(map[types.Object][]token.Pos) // free-list field -> pop sites
-	pushed := make(map[types.Object]bool)        // free-list field -> refilled
-	reports := make(map[token.Pos]func(token.Pos, string, ...any))
-
 	for _, file := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, file.Pos()) {
 			continue
@@ -80,19 +72,11 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			checkGets(pass, report, fd)
-			checkFreeLists(pass, report, fd, popped, pushed, reports)
+			if pass.Pkg.Name() != "sim" {
+				checkHandRolled(pass.TypesInfo, report, fd)
+			}
 			return true
 		})
-	}
-
-	// Package-wide: every drained free list must be refilled somewhere.
-	for field, sites := range popped {
-		if pushed[field] {
-			continue
-		}
-		for _, pos := range sites {
-			reports[pos](pos, "free list %s is popped but never refilled in this package: recycling was dropped", field.Name())
-		}
 	}
 	return nil
 }
@@ -127,19 +111,26 @@ func getCall(info *types.Info, st ast.Stmt) (obj types.Object, getName string, p
 	if _, isPair := pairs[fn.Name()]; !isPair {
 		return nil, "", token.NoPos
 	}
-	if fn.Name() == "Get" && !isSyncPool(sig.Recv().Type()) {
+	if fn.Name() == "Get" && !isPool(sig.Recv().Type()) {
 		return nil, "", token.NoPos
 	}
 	return astq.Obj(info, id), fn.Name(), as.Pos()
 }
 
-func isSyncPool(t types.Type) bool {
+// isPool reports whether t is (a pointer to) a sync.Pool or a sim.FreeList.
+func isPool(t types.Type) bool {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "Pool"
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	switch named.Obj().Pkg().Name() + "." + named.Obj().Name() {
+	case "sync.Pool", "sim.FreeList":
+		return true
+	}
+	return false
 }
 
 // checkGets applies the get/put pairing rule to one function.
@@ -371,61 +362,19 @@ func isPackageLevel(o types.Object) bool {
 	return o.Parent() == o.Pkg().Scope()
 }
 
-// checkFreeLists applies the free-list pop hygiene rules to one function
-// and records pop/push sites for the package-wide refill rule.
-func checkFreeLists(pass *analysis.Pass, report func(token.Pos, string, ...any), fd *ast.FuncDecl,
-	popped map[types.Object][]token.Pos, pushed map[types.Object]bool,
-	reports map[token.Pos]func(token.Pos, string, ...any)) {
-	info := pass.TypesInfo
+// checkHandRolled reports a free* slice field popped by reslicing.
+func checkHandRolled(info *types.Info, report func(token.Pos, string, ...any), fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		block, ok := n.(*ast.BlockStmt)
-		if !ok {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 			return true
 		}
-		for i, st := range block.List {
-			as, ok := st.(*ast.AssignStmt)
-			if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-				continue
-			}
-			field := freeListField(info, as.Lhs[0])
-			if field == nil {
-				continue
-			}
-			// Push: x.free = append(x.free, v)
-			if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok && astq.IsBuiltin(info, call, "append") {
-				if len(call.Args) >= 2 && sameField(info, call.Args[0], field) {
-					pushed[field] = true
-				}
-				continue
-			}
-			// Pop: x.free = x.free[:n-1]
-			sl, ok := ast.Unparen(as.Rhs[0]).(*ast.SliceExpr)
-			if !ok || !sameField(info, sl.X, field) {
-				continue
-			}
-			popped[field] = append(popped[field], as.Pos())
-			reports[as.Pos()] = report
-			if !elemHoldsPointers(field.Type()) {
-				continue
-			}
-			// The popped slot must have been cleared just before.
-			cleared := false
-			for j := 0; j < i; j++ {
-				prev, ok := block.List[j].(*ast.AssignStmt)
-				if !ok || len(prev.Lhs) != 1 || len(prev.Rhs) != 1 {
-					continue
-				}
-				ix, ok := ast.Unparen(prev.Lhs[0]).(*ast.IndexExpr)
-				if !ok || !sameField(info, ix.X, field) {
-					continue
-				}
-				if id, ok := ast.Unparen(prev.Rhs[0]).(*ast.Ident); ok && id.Name == "nil" {
-					cleared = true
-				}
-			}
-			if !cleared {
-				report(as.Pos(), "free-list pop without clearing the vacated slot (%s[n-1] = nil): the truncated tail pins the object", field.Name())
-			}
+		field := freeListField(info, as.Lhs[0])
+		if field == nil {
+			return true
+		}
+		if sl, ok := ast.Unparen(as.Rhs[0]).(*ast.SliceExpr); ok && sameField(info, sl.X, field) {
+			report(as.Pos(), "free list %s is popped by hand: use sim.FreeList", field.Name())
 		}
 		return true
 	})
@@ -459,41 +408,4 @@ func freeListField(info *types.Info, e ast.Expr) types.Object {
 func sameField(info *types.Info, e ast.Expr, field types.Object) bool {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	return ok && astq.Obj(info, sel.Sel) == field
-}
-
-// elemHoldsPointers reports whether the slice element type can pin memory.
-func elemHoldsPointers(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	switch e := s.Elem().Underlying().(type) {
-	case *types.Pointer, *types.Interface, *types.Slice, *types.Map, *types.Chan, *types.Signature:
-		return true
-	case *types.Struct:
-		for i := 0; i < e.NumFields(); i++ {
-			if elemHolds(e.Field(i).Type()) {
-				return true
-			}
-		}
-	case *types.Basic:
-		return e.Kind() == types.String
-	}
-	return false
-}
-
-func elemHolds(t types.Type) bool {
-	switch e := t.Underlying().(type) {
-	case *types.Pointer, *types.Interface, *types.Slice, *types.Map, *types.Chan, *types.Signature:
-		return true
-	case *types.Struct:
-		for i := 0; i < e.NumFields(); i++ {
-			if elemHolds(e.Field(i).Type()) {
-				return true
-			}
-		}
-	case *types.Basic:
-		return e.Kind() == types.String
-	}
-	return false
 }

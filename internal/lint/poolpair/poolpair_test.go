@@ -13,4 +13,5 @@ func TestGetPutPairing(t *testing.T) {
 
 func TestFreeListHygiene(t *testing.T) {
 	linttest.Run(t, poolpair.Analyzer, "freelist")
+	linttest.Run(t, poolpair.Analyzer, "sim") // no // want: package sim may pop by hand
 }

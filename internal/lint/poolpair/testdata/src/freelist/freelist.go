@@ -1,61 +1,41 @@
-// Package freelist exercises the free-list pop/push hygiene rules.
+// Package freelist exercises the one free-list rule: outside package sim a
+// free list is a sim.FreeList, not a slice popped by hand.
 package freelist
+
+import "sim"
 
 type job struct{ fn func() }
 
 type sched struct {
-	freeJobs  []*job  // popped with clear, pushed back: clean
-	freeDirty []*job  // popped without clearing the slot
-	freeDrain []*job  // popped but never refilled
-	freeIDs   []int32 // value elements need no clearing
+	freeJobs sim.FreeList[*job] // the one implementation: clean
+	freeHand []*job             // the idiom, written out again
+	pending  []*job             // not a free list by name: a queue may reslice
 }
 
 func (s *sched) take() *job {
-	if n := len(s.freeJobs); n > 0 {
-		j := s.freeJobs[n-1]
-		s.freeJobs[n-1] = nil
-		s.freeJobs = s.freeJobs[:n-1]
+	j := s.freeJobs.Get()
+	if j == nil {
+		j = &job{}
+	}
+	return j
+}
+
+func (s *sched) give(j *job) { s.freeJobs.Put(j) }
+
+func (s *sched) takeHand() *job {
+	if n := len(s.freeHand); n > 0 {
+		j := s.freeHand[n-1]
+		s.freeHand[n-1] = nil
+		s.freeHand = s.freeHand[:n-1] // want `free list freeHand is popped by hand: use sim.FreeList`
 		return j
 	}
 	return &job{}
 }
 
-func (s *sched) give(j *job) {
-	s.freeJobs = append(s.freeJobs, j)
-}
+func (s *sched) giveHand(j *job) { s.freeHand = append(s.freeHand, j) }
 
-func (s *sched) takeDirty() *job {
-	if n := len(s.freeDirty); n > 0 {
-		j := s.freeDirty[n-1]
-		s.freeDirty = s.freeDirty[:n-1] // want `free-list pop without clearing the vacated slot`
-		return j
-	}
-	return &job{}
-}
-
-func (s *sched) giveDirty(j *job) {
-	s.freeDirty = append(s.freeDirty, j)
-}
-
-func (s *sched) takeDrain() *job {
-	if n := len(s.freeDrain); n > 0 {
-		j := s.freeDrain[n-1]
-		s.freeDrain[n-1] = nil
-		s.freeDrain = s.freeDrain[:n-1] // want `free list freeDrain is popped but never refilled`
-		return j
-	}
-	return &job{}
-}
-
-func (s *sched) takeID() int32 {
-	if n := len(s.freeIDs); n > 0 {
-		id := s.freeIDs[n-1]
-		s.freeIDs = s.freeIDs[:n-1]
-		return id
-	}
-	return 0
-}
-
-func (s *sched) giveID(id int32) {
-	s.freeIDs = append(s.freeIDs, id)
+func (s *sched) next() *job {
+	j := s.pending[0]
+	s.pending = s.pending[1:]
+	return j
 }

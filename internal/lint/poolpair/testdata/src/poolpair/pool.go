@@ -1,7 +1,10 @@
 // Package poolpair exercises get/put pairing and free-list hygiene.
 package poolpair
 
-import "sync"
+import (
+	"sim"
+	"sync"
+)
 
 type msg struct{ data []byte }
 
@@ -105,7 +108,43 @@ func syncPoolLeak(bad bool) {
 	bufPool.Put(b)
 }
 
-// Get on a non-sync.Pool type is not a pool get.
+// sim.FreeList Get/Put: the miss branch allocates, every path then hands
+// the record on or back.
+type thunk struct{ fire func() }
+
+type runtime struct{ freeThunks sim.FreeList[*thunk] }
+
+func (r *runtime) schedule(fn func()) {}
+
+func freeListBalanced(r *runtime, down bool) {
+	th := r.freeThunks.Get()
+	if th == nil {
+		th = &thunk{}
+	}
+	if down {
+		r.freeThunks.Put(th)
+		return
+	}
+	r.schedule(th.fire)
+}
+
+func freeListLeak(r *runtime, down bool) {
+	th := r.freeThunks.Get()
+	if th == nil {
+		th = &thunk{}
+	}
+	if down {
+		return // want `return without releasing pooled value from Get`
+	}
+	r.schedule(th.fire)
+}
+
+func freeListLeakyEnd(r *runtime) {
+	th := r.freeThunks.Get()
+	_ = th.fire
+} // want `function ends without releasing pooled value from Get`
+
+// Get on a type that is neither is not a pool get.
 type registry struct{}
 
 func (r *registry) Get() *msg { return nil }

@@ -176,8 +176,8 @@ type Replica struct {
 	// x runs the cross-group commit round in group mode (nil otherwise).
 	x *xmgr
 
-	tent     map[uint64]*tentTxn // TID -> outstanding tentative state
-	freeTent []*tentTxn          // recycled tentative states, records included
+	tent     map[uint64]*tentTxn    // TID -> outstanding tentative state
+	freeTent sim.FreeList[*tentTxn] // recycled tentative states, records included
 	// finalRec is the one record every final delivery without tentative
 	// state decodes into: nothing keeps it past settle.
 	finalRec dbsm.TxnCert
@@ -197,7 +197,7 @@ type Replica struct {
 	scratch []byte
 	// freeThunks recycles the one-shot job closures handed to the
 	// runtime's scheduler (terminate / tentative / discard stages).
-	freeThunks []*replicaThunk
+	freeThunks sim.FreeList[*replicaThunk]
 
 	// backlog gauges in-flight terminations (multicast but unresolved).
 	backlog Watermark
@@ -444,7 +444,7 @@ type replicaThunk struct {
 func (th *replicaThunk) run() {
 	r, stage, txn, payload, tid := th.r, th.stage, th.txn, th.payload, th.tid
 	th.stage, th.txn, th.payload = nil, nil, nil
-	r.freeThunks = append(r.freeThunks, th)
+	r.freeThunks.Put(th)
 	if r.stopped {
 		return
 	}
@@ -453,12 +453,8 @@ func (th *replicaThunk) run() {
 
 // schedule queues a pipeline stage as its own zero-delay job.
 func (r *Replica) schedule(stage func(*Replica, *db.Txn, []byte, uint64), txn *db.Txn, payload []byte, tid uint64) {
-	var th *replicaThunk
-	if n := len(r.freeThunks); n > 0 {
-		th = r.freeThunks[n-1]
-		r.freeThunks[n-1] = nil
-		r.freeThunks = r.freeThunks[:n-1]
-	} else {
+	th := r.freeThunks.Get()
+	if th == nil {
 		th = &replicaThunk{r: r}
 		th.fire = th.run
 	}
@@ -584,13 +580,10 @@ func stageTentative(r *Replica, _ *db.Txn, cert []byte, tid uint64) {
 
 // takeTent returns a tentative state whose record the next decode overwrites.
 func (r *Replica) takeTent() *tentTxn {
-	n := len(r.freeTent)
-	if n == 0 {
-		return new(tentTxn)
+	st := r.freeTent.Get()
+	if st == nil {
+		st = new(tentTxn)
 	}
-	st := r.freeTent[n-1]
-	r.freeTent[n-1] = nil
-	r.freeTent = r.freeTent[:n-1]
 	return st
 }
 
@@ -600,7 +593,7 @@ func (r *Replica) takeTent() *tentTxn {
 // the write-set belongs to whoever retained it.
 func (r *Replica) recycleTent(st *tentTxn) {
 	st.tc.WriteSet, st.preApplied = nil, false
-	r.freeTent = append(r.freeTent, st)
+	r.freeTent.Put(st)
 }
 
 // onOptDiscard learns that a tentatively-delivered message was discarded at

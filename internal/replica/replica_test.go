@@ -380,7 +380,7 @@ func TestOptimisticPipelineFaultFree(t *testing.T) {
 		}
 		// Every tentative state came back when its message settled, and the
 		// twelve deliveries, 20 ms apart, shared a few records between them.
-		if n := len(s.rep.freeTent); len(s.rep.tent) != 0 || n == 0 || n >= 12 {
+		if n := s.rep.freeTent.Len(); len(s.rep.tent) != 0 || n == 0 || n >= 12 {
 			t.Fatalf("site %d: %d tentative states outstanding, %d on the free list", i+1, len(s.rep.tent), n)
 		}
 		logs[dbsm.SiteID(i+1)] = s.rep.CommitLog()

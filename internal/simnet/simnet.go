@@ -277,9 +277,9 @@ type Network struct {
 	groups  map[Group][]NodeID
 	tracer  func(TraceRecord)
 	seq     int64
-	free    []*Packet       // recycled Packet structs
-	freeArr []*arrival      // recycled arrival thunks
-	freeTx  []*transmission // recycled injection thunks
+	free    sim.FreeList[*Packet]       // recycled Packet structs
+	freeArr sim.FreeList[*arrival]      // recycled arrival thunks
+	freeTx  sim.FreeList[*transmission] // recycled injection thunks
 
 	// isolated holds the hosts on the cut-off side of the active network
 	// partition (nil when fully connected); partitionDrops counts packets
@@ -398,12 +398,8 @@ func (n *Network) scheduleArrival(at sim.Time, dst *Host, pkt *Packet) {
 //
 //hot:path
 func (n *Network) enqueueArrival(at sim.Time, dst *Host, pkt *Packet) {
-	var a *arrival
-	if ln := len(n.freeArr); ln > 0 {
-		a = n.freeArr[ln-1]
-		n.freeArr[ln-1] = nil
-		n.freeArr = n.freeArr[:ln-1]
-	} else {
+	a := n.freeArr.Get()
+	if a == nil {
 		//lint:hotalloc-ok pool miss; the thunk joins the free list after it fires
 		a = &arrival{n: n}
 		a.fire = a.run
@@ -415,7 +411,7 @@ func (n *Network) enqueueArrival(at sim.Time, dst *Host, pkt *Packet) {
 func (a *arrival) run() {
 	dst, pkt := a.dst, a.pkt
 	a.dst, a.pkt = nil, nil
-	a.n.freeArr = append(a.n.freeArr, a)
+	a.n.freeArr.Put(a)
 	a.n.arrive(dst, pkt)
 }
 
@@ -435,12 +431,8 @@ type transmission struct {
 //
 //hot:path
 func (n *Network) scheduleTransmission(delay sim.Time, src, dst *Host, members []NodeID, pkt *Packet) {
-	var tx *transmission
-	if ln := len(n.freeTx); ln > 0 {
-		tx = n.freeTx[ln-1]
-		n.freeTx[ln-1] = nil
-		n.freeTx = n.freeTx[:ln-1]
-	} else {
+	tx := n.freeTx.Get()
+	if tx == nil {
 		//lint:hotalloc-ok pool miss; the thunk joins the free list after it fires
 		tx = &transmission{n: n}
 		tx.fire = tx.run
@@ -452,7 +444,7 @@ func (n *Network) scheduleTransmission(delay sim.Time, src, dst *Host, members [
 func (tx *transmission) run() {
 	n, src, dst, members, pkt := tx.n, tx.src, tx.dst, tx.members, tx.pkt
 	tx.src, tx.dst, tx.members, tx.pkt = nil, nil, nil, nil
-	n.freeTx = append(n.freeTx, tx)
+	n.freeTx.Put(tx)
 	if members != nil {
 		n.transmitMulticast(src, members, pkt)
 	} else {
@@ -465,14 +457,12 @@ func (tx *transmission) run() {
 //
 //hot:path
 func (n *Network) newPacket() *Packet {
-	if ln := len(n.free); ln > 0 {
-		pkt := n.free[ln-1]
-		n.free[ln-1] = nil
-		n.free = n.free[:ln-1]
-		return pkt
+	pkt := n.free.Get()
+	if pkt == nil {
+		//lint:hotalloc-ok pool miss; the struct joins the free list on release
+		pkt = &Packet{}
 	}
-	//lint:hotalloc-ok pool miss; the struct joins the free list on release
-	return &Packet{}
+	return pkt
 }
 
 // release drops one reference; the last reference returns the struct (not
@@ -483,7 +473,7 @@ func (n *Network) release(pkt *Packet) {
 	pkt.refs--
 	if pkt.refs <= 0 {
 		*pkt = Packet{}
-		n.free = append(n.free, pkt)
+		n.free.Put(pkt)
 	}
 }
 

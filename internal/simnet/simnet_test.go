@@ -312,7 +312,7 @@ func TestPacketStructsArePooled(t *testing.T) {
 	if delivered != 4 {
 		t.Fatalf("delivered = %d", delivered)
 	}
-	if len(n.free) == 0 {
+	if n.free.Len() == 0 {
 		t.Fatal("expected released packets in the pool")
 	}
 }

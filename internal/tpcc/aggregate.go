@@ -68,8 +68,8 @@ type Aggregate struct {
 	// An admitted transaction stays reachable from the server, its lock
 	// queues and the replica after its outcome, so its record is left to
 	// the collector; and once Stop ends the stream the list is dropped and
-	// stays nil, so a finished model a caller keeps does not pin it.
-	free []*arrival
+	// stays empty, so a finished model a caller keeps does not pin it.
+	free sim.FreeList[*arrival]
 	// unfired is the warmup pool: users who have not submitted their first
 	// transaction yet. Individual clients de-synchronize by deferring their
 	// first issue uniformly over one think interval, so this pool drains by
@@ -161,7 +161,7 @@ func (a *Aggregate) tick() {
 	for i := n1 + n2; i > 0; i-- {
 		if a.Stop != nil && a.Stop() {
 			a.stopped = true
-			a.free = nil
+			a.free.Drop()
 			return
 		}
 		a.arrive()
@@ -207,13 +207,11 @@ func (a *Aggregate) arrive() {
 // record takes an arrival record off the free list, or allocates one and
 // binds its continuations.
 func (a *Aggregate) record() *arrival {
-	if n := len(a.free); n > 0 {
-		r := a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
+	r := a.free.Get()
+	if r != nil {
 		return r
 	}
-	r := &arrival{agg: a}
+	r = &arrival{agg: a}
 	r.bind(&a.retryLoop, r.resolved)
 	r.build = r.admit
 	r.draft.FetchOnly = r.keys[:0:maxFetchOnly]
@@ -241,6 +239,6 @@ func (r *arrival) resolved(t *db.Txn, o db.Outcome) {
 	}
 	a.thinking++
 	if t.Build != nil && !a.stopped {
-		a.free = append(a.free, r)
+		a.free.Put(r)
 	}
 }

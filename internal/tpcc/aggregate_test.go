@@ -201,8 +201,8 @@ func TestAggregateDrawPathZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ { // every class seen, every slice at its size
 		cycle()
 	}
-	if len(a.free) != 1 {
-		t.Fatalf("free list holds %d records after serial refused cycles, want the one reused", len(a.free))
+	if a.free.Len() != 1 {
+		t.Fatalf("free list holds %d records after serial refused cycles, want the one reused", a.free.Len())
 	}
 	if n := testing.AllocsPerRun(2000, cycle); n != 0 {
 		t.Fatalf("a refused arrival allocates %v times", n)
@@ -336,7 +336,7 @@ func TestAggregateCrashWakesParkedArrivalsOnce(t *testing.T) {
 			t.Fatalf("t=%v: unfired %d + thinking %d + in flight %d = %d, want %d", tick, a.unfired, a.thinking, inFlight, got, pop)
 		}
 		seen := map[*arrival]bool{}
-		for _, r := range a.free {
+		for r := range a.free.All() {
 			if seen[r] {
 				t.Fatalf("t=%v: a record is on the free list twice", tick)
 			}
@@ -411,8 +411,13 @@ func TestAggregateRejectPendingRetriesBuiltTxn(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.free) != 1 || &a.free[0].txn == seen[0] {
-		t.Fatalf("free list %d long after one refused arrival, or holding the admitted transaction's record", len(a.free))
+	if a.free.Len() != 1 {
+		t.Fatalf("free list %d long after one refused arrival", a.free.Len())
+	}
+	for r := range a.free.All() {
+		if &r.txn == seen[0] {
+			t.Fatal("free list holds the admitted transaction's record")
+		}
 	}
 }
 
@@ -427,15 +432,15 @@ func TestAggregateFreeListDroppedAtStop(t *testing.T) {
 	a := newAggUnderTest(k, server, 600, RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * sim.Millisecond, MaxBackoff: 200 * sim.Millisecond})
 	budget, peak, afterStop := 800, 0, 0
 	a.Stop = func() bool {
-		peak = max(peak, len(a.free))
+		peak = max(peak, a.free.Len())
 		budget--
 		return budget < 0
 	}
 	a.OnDone = func(*db.Txn, db.Outcome) {
 		if a.stopped {
 			afterStop++
-			if a.free != nil {
-				t.Fatalf("free list refilled after Stop: %d records", len(a.free))
+			if a.free.Len() != 0 {
+				t.Fatalf("free list refilled after Stop: %d records", a.free.Len())
 			}
 		}
 	}
@@ -449,7 +454,7 @@ func TestAggregateFreeListDroppedAtStop(t *testing.T) {
 	if afterStop == 0 {
 		t.Fatal("no transaction resolved after Stop: the run does not cover the case")
 	}
-	if a.free != nil {
-		t.Fatalf("free list holds %d records after Stop", len(a.free))
+	if a.free.Len() != 0 {
+		t.Fatalf("free list holds %d records after Stop", a.free.Len())
 	}
 }
