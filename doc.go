@@ -109,8 +109,11 @@
 // state: certification runs against an inverted last-writer index
 // (O(|ReadSet|) per transaction, differential-tested against the paper's
 // history scan, kept as dbsm.NewScanCertifier for exactly that purpose), the
-// kernel schedules through a pointer-free 4-ary heap over pooled event
-// slots, and the wire path hands buffers zero-copy from sender to receivers
+// kernel sorts only what is due soon — a pointer-free 4-ary heap over pooled
+// event slots holds what is due before a ~1 ms horizon, a two-level calendar
+// of ~1 ms buckets and ~4 s slots the rest, spilled into the heap bucket by
+// bucket so the heap still decides every dispatch in the exact (time,
+// priority, sequence) order — and the wire path hands buffers zero-copy from sender to receivers
 // with pooled packets and thunks. Every pool of per-event records, in every
 // layer, is a sim.FreeList — recycling is written once, and race builds
 // panic on a record handed back twice. A multicast body is copied twice on its

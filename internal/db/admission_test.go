@@ -195,3 +195,32 @@ func TestBuildHookRunsOnceOnAdmission(t *testing.T) {
 		t.Fatalf("resubmission: outcome %v, %d builds", got, builds)
 	}
 }
+
+// TestRetryKeepsClassBucketPerServer pins the class bucket a transaction
+// carries across retries: a resubmission to the server that refused it
+// counts in the same bucket without a second lookup, and the same instance
+// submitted to another server counts in that server's bucket.
+func TestRetryKeepsClassBucketPerServer(t *testing.T) {
+	_, s := newTestServer(t, 1)
+	_, other := newTestServer(t, 1)
+	txn := simpleTxn(3, "w", []dbsm.TupleID{dbsm.MakeTupleID(1, 1)}, sim.Millisecond)
+	s.SetBackpressure(true)
+	s.Submit(txn)
+	bucket := txn.stats
+	if bucket != s.Class("w") || txn.server != s {
+		t.Fatal("refusal did not resolve the class bucket at the refusing server")
+	}
+	txn.ResetForRetry()
+	if txn.stats != bucket {
+		t.Fatal("ResetForRetry dropped the resolved bucket")
+	}
+	s.Submit(txn)
+	if cs := s.Class("w"); cs.Submitted != 2 || cs.Rejected != 2 {
+		t.Fatalf("refusing server's bucket: %+v", cs)
+	}
+	txn.ResetForRetry()
+	other.Submit(txn)
+	if cs := other.Class("w"); txn.stats != cs || cs.Submitted != 1 || s.Class("w").Submitted != 2 {
+		t.Fatalf("second server's bucket %+v, first %+v", cs, s.Class("w"))
+	}
+}

@@ -272,7 +272,6 @@ func (s *Server) Submit(t *Txn) {
 		// The client blocks, as in the paper's crash model. The
 		// transaction is remembered so a restart can wake the client with
 		// AbortCrash; without a recovery event it stays blocked forever.
-		t.server = s
 		s.blockedSubmits = append(s.blockedSubmits, t)
 		return
 	}
@@ -291,12 +290,10 @@ func (s *Server) Submit(t *Txn) {
 		t.Build = nil
 		build(t)
 	}
-	t.server = s
 	s.active[t.TID] = t
 	t.SubmitAt = s.k.Now()
 	t.Snapshot = s.lastApplied
-	t.stats = s.Class(t.Class)
-	t.stats.Submitted++
+	s.classOf(t).Submitted++
 	// One continuation closure serves every pipeline step of this
 	// transaction: stale callbacks (after preemption or crash) are fenced
 	// by the aborted/finished flags, which every abort path sets before
@@ -319,11 +316,21 @@ func (s *Server) Submit(t *Txn) {
 //
 //hot:path
 func (s *Server) refuse(t *Txn) {
-	t.server = s
 	t.SubmitAt = s.k.Now()
-	t.stats = s.Class(t.Class)
-	t.stats.Submitted++
+	s.classOf(t).Submitted++
 	s.finish(t, Rejected)
+}
+
+// classOf is t's class bucket at s, looked up once per (transaction,
+// server): a refused transaction that backs off and comes back to the same
+// server finds it on itself instead of hashing its class name again.
+//
+//hot:path
+func (s *Server) classOf(t *Txn) *ClassStats {
+	if t.server != s {
+		t.server, t.stats = s, s.Class(t.Class)
+	}
+	return t.stats
 }
 
 // step advances the execution script: every fetch, then the processing time

@@ -106,9 +106,9 @@ type Txn struct {
 	certified bool
 	decided   bool // first certification verdict already sampled
 	finished  bool
-	holding   bool // currently holds its write locks
-	server    *Server
-	stats     *ClassStats // Class's bucket, found once per Submit
+	holding   bool        // currently holds its write locks
+	server    *Server     // the server stats belongs to
+	stats     *ClassStats // Class's bucket at server, found once per server
 	stepFn    func()      // single pipeline continuation, bound once at Submit
 }
 
@@ -136,6 +136,8 @@ func (t *Txn) Latency() sim.Time { return t.EndAt - t.SubmitAt }
 // resubmitted after a rejection. Identity surviving the retry is what makes
 // resubmission idempotent: a duplicate of an already-active TID is refused at
 // admission, and the off-line checker verifies no TID ever commits twice.
+// The class bucket the last server resolved stays: it belongs to the
+// transaction and that server, not to the attempt.
 func (t *Txn) ResetForRetry() {
 	t.fetched, t.cpuSpent = 0, 0
 	t.aborted = false
@@ -143,8 +145,6 @@ func (t *Txn) ResetForRetry() {
 	t.decided = false
 	t.finished = false
 	t.holding = false
-	t.server = nil
-	t.stats = nil
 	t.stepFn = nil
 	t.SubmitAt = 0
 	t.LocksAt = 0

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Priority orders events that share a timestamp. Lower values run first.
@@ -33,10 +34,11 @@ type EventID int64
 // explicitly via Stop.
 var ErrHalted = errors.New("sim: kernel halted")
 
-// event is one binary-heap node. It deliberately contains no pointers: heap
-// sifts are plain 24-byte moves with no write barriers, and the garbage
-// collector never scans the queue. The event body (its callback) lives in
-// the slot slab; gen detects stale nodes left behind by lazy cancellation.
+// event is one queue node. It deliberately contains no pointers: heap sifts
+// and calendar moves are plain 24-byte copies with no write barriers, and
+// the garbage collector never scans the queue. The event body (its
+// callback) lives in the slot slab; gen detects stale nodes left behind by
+// lazy cancellation.
 type event struct {
 	at   Time
 	key  int64 // priority<<48 | insertion sequence: total order tie-breaker
@@ -56,19 +58,61 @@ func (e event) before(o event) bool {
 
 // slotEntry holds a scheduled event's callback. gen increments every time
 // the slot is vacated (dispatch or cancel), invalidating outstanding
-// EventIDs and any stale heap node still referring to the slot.
+// EventIDs and any stale queue node still referring to the slot.
 type slotEntry struct {
 	fn  func()
 	gen uint32
 }
 
+// Calendar geometry. A tick is 2^tickShift ns (about 1 ms). Level 0 has one
+// bucket per tick of the current span, 2^l0Bits ticks (about 4.3 s); level 1
+// has one slot per span, 2^l1Bits of them (the next 1 023 spans, about
+// 73 min). The geometry is constants: there is no option and no heap-only path.
+const (
+	tickShift = 20
+	l0Bits    = 12
+	l1Bits    = 10
+	spanShift = tickShift + l0Bits
+	l0Len     = 1 << l0Bits
+	l1Len     = 1 << l1Bits
+)
+
+// wheelNode is an event waiting in a calendar bucket. Buckets are singly
+// linked lists threaded by index (0 is the nil link) through one node slab,
+// so the calendar's storage is sized by the events it holds, not by its
+// bucket count, and holds no pointer either. Vacant nodes form a free chain
+// through the same links.
+type wheelNode struct {
+	ev   event
+	next uint32
+}
+
+// nodeBlock is one fixed block of the node slab. The slab grows a block at
+// a time and never copies or frees one, so the calendar allocates what it
+// holds at its peak, once — a slice grown by append would allocate several
+// times that over a run.
+type nodeBlock [1 << nodeBlockBits]wheelNode
+
+const nodeBlockBits = 8 // 256 nodes, 8 KiB
+
 // Kernel is a single-threaded discrete-event scheduler.
+//
+// Pending events live in two places. A 4-ary heap holds every event due
+// before the horizon (a tick boundary at or just past the current time)
+// and anything beyond level 1's reach; a two-level calendar holds the rest,
+// unsorted, in tick buckets. The horizon invariant — every calendar event
+// is due at or after the horizon — makes the heap minimum the earliest
+// pending event whenever it lies before the horizon; when it does not (or
+// the heap is empty) the earliest occupied bucket spills into the heap and
+// the horizon moves past it. The heap therefore decides every dispatch, by
+// the same total (at, priority, seq) order as a heap holding everything:
+// the calendar only defers sorting what is not due soon.
 //
 // The zero value is not usable; construct with NewKernel. A Kernel must be
 // driven from a single goroutine; it performs no locking.
 type Kernel struct {
 	now       Time
-	events    []event // binary heap ordered by event.before
+	events    []event // 4-ary heap ordered by event.before
 	slots     []slotEntry
 	freeSlots []uint32
 	nextSeq   int64
@@ -76,11 +120,26 @@ type Kernel struct {
 	halted    bool
 	running   bool
 	executed  int64
+
+	// horizon is a tick boundary: calendar events are due at or after it,
+	// and it only moves forward, by spill.
+	horizon  Time
+	wheeled  int          // nodes in the calendar, cancelled ones included
+	nodes    []*nodeBlock // node slab, indexed through node
+	fresh    uint32       // next never-used node; node 0 is the nil link
+	freeNode uint32       // head of the vacant-node chain
+	// l0 holds the current span (horizon>>spanShift) by tick; l1 the next
+	// l1Len-1 spans by span. Heads index nodes; the bitmaps mark non-empty
+	// buckets so a spill skips empty ones a word at a time.
+	l0     [l0Len]uint32
+	l1     [l1Len]uint32
+	l0Used [l0Len / 64]uint64
+	l1Used [l1Len / 64]uint64
 }
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	return &Kernel{fresh: 1}
 }
 
 // Now reports the current simulated time.
@@ -144,15 +203,170 @@ func (k *Kernel) SchedulePriAt(at Time, pri Priority, fn func()) EventID {
 	s := &k.slots[slot]
 	s.fn = fn
 	k.nextSeq++
-	k.push(event{at: at, key: int64(pri)<<48 | k.nextSeq, slot: slot, gen: s.gen})
+	k.enqueue(event{at: at, key: int64(pri)<<48 | k.nextSeq, slot: slot, gen: s.gen})
 	k.live++
 	return EventID(int64(slot)<<32 | int64(s.gen))
 }
 
-// The queue is a 4-ary heap: half the depth of a binary heap, so pops — the
-// hot operation of the dispatch loop — touch fewer cache lines, and the four
-// children of a node share two cache lines. The comparator is total (seq
-// tie-break), so the dispatch order is identical whatever the arity.
+// enqueue files ev where the horizon invariant puts it: the heap if it is
+// due before the horizon, level 0 if it falls in the current span, level 1
+// if in one of the next l1Len-1 spans, and the heap again beyond that.
+//
+//hot:path
+func (k *Kernel) enqueue(ev event) {
+	if ev.at < k.horizon {
+		k.push(ev)
+		return
+	}
+	span, cur := ev.at>>spanShift, k.horizon>>spanShift
+	switch {
+	case span == cur:
+		b := int(ev.at>>tickShift) & (l0Len - 1)
+		k.l0[b] = k.link(ev, k.l0[b])
+		k.l0Used[b>>6] |= 1 << (b & 63)
+	case span-cur < l1Len:
+		s := int(span) & (l1Len - 1)
+		k.l1[s] = k.link(ev, k.l1[s])
+		k.l1Used[s>>6] |= 1 << (s & 63)
+	default:
+		k.push(ev)
+	}
+}
+
+// link stores ev in a vacant node ahead of next and returns its index.
+//
+//hot:path
+func (k *Kernel) link(ev event, next uint32) uint32 {
+	k.wheeled++
+	i := k.freeNode
+	if i != 0 {
+		k.freeNode = k.node(i).next
+	} else {
+		i = k.fresh
+		k.fresh++
+		if int(i>>nodeBlockBits) == len(k.nodes) {
+			//lint:hotalloc-ok one block per 256 events the calendar holds at its peak; never freed, reused through the vacant chain
+			k.nodes = append(k.nodes, new(nodeBlock))
+		}
+	}
+	*k.node(i) = wheelNode{ev: ev, next: next}
+	return i
+}
+
+// node returns node i of the slab.
+func (k *Kernel) node(i uint32) *wheelNode {
+	return &k.nodes[i>>nodeBlockBits][i&(1<<nodeBlockBits-1)]
+}
+
+// settle makes the heap minimum the next event due, and reports whether
+// any event is queued. Its test is the dispatch loop's only added cost
+// while the heap minimum lies before the horizon.
+//
+//hot:path
+func (k *Kernel) settle() bool {
+	if len(k.events) == 0 || k.events[0].at >= k.horizon {
+		k.spill()
+	}
+	return len(k.events) > 0
+}
+
+// spill runs while the heap is empty or its minimum is not before the
+// horizon — a bucket may hold something earlier — and the calendar is not
+// empty. Each round moves the earliest occupied level-0 bucket into the
+// heap and sets the horizon to the end of its tick; when the current span
+// has none left, the horizon first jumps to the next occupied span, whose
+// level-1 slot cascades into level 0.
+//
+//hot:path
+func (k *Kernel) spill() {
+	for k.wheeled > 0 && (len(k.events) == 0 || k.events[0].at >= k.horizon) {
+		cur := k.horizon >> spanShift
+		if b := nextUsed(k.l0Used[:], int(k.horizon>>tickShift)&(l0Len-1)); b >= 0 {
+			k.drain(b)
+			k.advance(cur<<spanShift + Time(b+1)<<tickShift)
+			continue
+		}
+		s := nextUsed(k.l1Used[:], int(cur+1)&(l1Len-1))
+		if s < 0 {
+			s = nextUsed(k.l1Used[:], 0)
+		}
+		ahead := Time(s-int(cur)) & (l1Len - 1) // 1 … l1Len-1 spans
+		k.advance((cur + ahead) << spanShift)
+	}
+}
+
+// drain empties level-0 bucket b into the heap. Cancelled events are
+// dropped here rather than carried into the heap, and every node returns
+// to the vacant chain.
+//
+//hot:path
+func (k *Kernel) drain(b int) {
+	i := k.l0[b]
+	k.l0[b] = 0
+	k.l0Used[b>>6] &^= 1 << (b & 63)
+	for i != 0 {
+		n := k.node(i)
+		if !k.stale(n.ev) {
+			k.push(n.ev)
+		}
+		next := n.next
+		n.next = k.freeNode
+		k.freeNode = i
+		k.wheeled--
+		i = next
+	}
+}
+
+// advance moves the horizon to h; entering a new span cascades that span's
+// level-1 slot into level 0. A jump over several spans only ever passes
+// empty slots.
+//
+//hot:path
+func (k *Kernel) advance(h Time) {
+	cur := k.horizon >> spanShift
+	k.horizon = h
+	if span := h >> spanShift; span != cur {
+		k.cascade(int(span) & (l1Len - 1))
+	}
+}
+
+// cascade relinks level-1 slot s, which holds exactly the span the horizon
+// just entered, into level 0 by tick. Nodes move; nothing is copied.
+//
+//hot:path
+func (k *Kernel) cascade(s int) {
+	i := k.l1[s]
+	k.l1[s] = 0
+	k.l1Used[s>>6] &^= 1 << (s & 63)
+	for i != 0 {
+		n := k.node(i)
+		next := n.next
+		b := int(n.ev.at>>tickShift) & (l0Len - 1)
+		n.next = k.l0[b]
+		k.l0[b] = i
+		k.l0Used[b>>6] |= 1 << (b & 63)
+		i = next
+	}
+}
+
+// nextUsed returns the first set bit of used at or after index from, or -1.
+func nextUsed(used []uint64, from int) int {
+	w := from >> 6
+	if m := used[w] >> (from & 63); m != 0 {
+		return from + bits.TrailingZeros64(m)
+	}
+	for w++; w < len(used); w++ {
+		if used[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(used[w])
+		}
+	}
+	return -1
+}
+
+// The heap is 4-ary: half the depth of a binary heap, so pops touch fewer
+// cache lines, and the four children of a node share two cache lines. The
+// comparator is total (seq tie-break), so the dispatch order is identical
+// whatever the arity — and whatever the calendar has not yet spilled.
 
 // push appends ev and restores the heap invariant (sift up).
 //
@@ -209,7 +423,7 @@ func (k *Kernel) pop() event {
 }
 
 // vacate clears a slot after dispatch or cancellation: the generation bump
-// invalidates the slot's EventID and any stale heap node, and the slot
+// invalidates the slot's EventID and any stale queue node, and the slot
 // returns to the free list for reuse.
 func (k *Kernel) vacate(slot uint32) {
 	s := &k.slots[slot]
@@ -224,9 +438,9 @@ func (k *Kernel) vacate(slot uint32) {
 
 // Cancel removes a pending event. It reports whether the event was still
 // pending (false if it already ran, was cancelled, or never existed).
-// Cancellation is lazy: the slot is freed immediately but the heap node
-// stays queued until popped, where the generation mismatch discards it —
-// keeping Cancel O(1) with no heap surgery.
+// Cancellation is lazy: the slot is freed immediately but the queue node
+// stays where it is — heap or calendar — until popped or spilled, where the
+// generation mismatch discards it, keeping Cancel O(1).
 //
 //hot:path
 func (k *Kernel) Cancel(id EventID) bool {
@@ -242,8 +456,7 @@ func (k *Kernel) Cancel(id EventID) bool {
 	return true
 }
 
-// stale reports whether a popped or peeked node was cancelled (its slot has
-// moved on).
+// stale reports whether a queued node was cancelled (its slot has moved on).
 func (k *Kernel) stale(ev event) bool {
 	s := &k.slots[ev.slot]
 	return s.gen != ev.gen || s.fn == nil
@@ -254,7 +467,7 @@ func (k *Kernel) stale(ev event) bool {
 //
 //hot:path
 func (k *Kernel) Step() bool {
-	for len(k.events) > 0 {
+	for k.settle() {
 		ev := k.pop()
 		if k.stale(ev) {
 			continue
@@ -288,7 +501,7 @@ func (k *Kernel) RunUntil(limit Time) error {
 	k.running = true
 	k.halted = false
 	defer func() { k.running = false }()
-	for len(k.events) > 0 && !k.halted {
+	for !k.halted && k.settle() {
 		next := k.events[0]
 		if k.stale(next) {
 			k.pop()

@@ -5,6 +5,18 @@
 // them in non-decreasing timestamp order. Determinism is guaranteed by a
 // total order on events (time, priority, insertion sequence) and by drawing
 // all randomness from seeded RNG streams (see rng.go).
+//
+// The kernel sorts only what is due soon. A 4-ary heap holds the events
+// due before the horizon — a ~1 ms tick boundary at or just past the
+// current time — and a two-level calendar holds the rest unsorted, in
+// ~1 ms buckets for the next ~4 s and ~4 s slots for the next ~73 min
+// (anything later stays in the heap). The horizon invariant: every event
+// in the calendar is due at or after the horizon. So whenever the heap's
+// minimum lies before the horizon it is the earliest pending event; when it
+// does not, the earliest occupied bucket spills into the heap and the
+// horizon moves past it. The heap compares every candidate by the same
+// total order, so the dispatch sequence is exactly that of one heap holding
+// everything — the calendar changes when an event is sorted, never where.
 package sim
 
 import (
