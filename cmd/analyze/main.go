@@ -1,5 +1,7 @@
 // Command analyze runs the repository's invariant linter suite
-// (simdeterminism, bufown, poolpair, statcount, hotalloc).
+// (simdeterminism, poolpair, statcount, hotalloc). Zero-copy buffer
+// ownership is not among them: race builds check it at the event, in
+// internal/simnet.
 //
 // It speaks two protocols:
 //

@@ -145,12 +145,14 @@
 // column only when a table asks Stat for it — so adding a counter edits the
 // Stats struct and its increment, nothing in between.
 //
-// These invariants — deterministic packages, zero-copy buffer ownership,
-// pool pairing, silent-drop accounting, allocation-free hot paths — are
-// enforced mechanically by the custom analyzer suite under internal/lint,
-// run in CI as cmd/analyze via `go vet -vettool` (README.md's "Static
-// analysis" section documents the rules and the //lint:<rule>-ok waiver
-// syntax).
+// Four invariants — deterministic packages, pool pairing, silent-drop
+// accounting, allocation-free hot paths — are enforced mechanically by the
+// custom analyzer suite under internal/lint, run in CI as cmd/analyze via
+// `go vet -vettool` (README.md's "Static analysis" section documents the
+// rules and the //lint:<rule>-ok waiver syntax). The zero-copy contract is
+// checked at the event instead: race builds digest every payload at
+// simnet's Send/Multicast and panic at the first arrival that sees it
+// changed, naming the sender, the packet and the receiver.
 //
 // See README.md and the per-package documentation under internal/.
 package repro

@@ -590,7 +590,8 @@ func (s *Stack) receive(src NodeID, data []byte) {
 }
 
 // transmit sends a raw wire message to the whole group (multicast or unicast
-// fan-out) honouring the configured dissemination mode.
+// fan-out) honouring the configured dissemination mode. The fan-out sends
+// one unchanged buffer to every member.
 func (s *Stack) transmit(wire []byte) {
 	if s.stopped {
 		return
@@ -603,7 +604,6 @@ func (s *Stack) transmit(wire []byte) {
 		if m == s.cfg.Self {
 			continue
 		}
-		//lint:bufown-ok exclusive branch with Multicast above; receivers share wire read-only per the zero-copy contract
 		_ = s.rt.Send(m, wire)
 	}
 }

@@ -25,14 +25,16 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, seed int64, tweak func(*Config)) *cluster {
 	t.Helper()
+	return newClusterOf(t, nodes(n), seed, tweak)
+}
+
+// newClusterOf is newCluster over explicit member IDs.
+func newClusterOf(t *testing.T, members []NodeID, seed int64, tweak func(*Config)) *cluster {
+	t.Helper()
 	k := sim.NewKernel()
 	rng := sim.NewRNG(seed)
 	net := simnet.NewNetwork(k, rng.Fork("net"))
 	lan := net.NewLAN(simnet.DefaultLANConfig("lan0"))
-	members := make([]NodeID, n)
-	for i := 0; i < n; i++ {
-		members[i] = NodeID(i + 1)
-	}
 	net.SetGroup(1, members)
 	c := &cluster{
 		t:         t,

@@ -178,6 +178,34 @@ func TestAbandonDeadCoordinatorAlreadySuspected(t *testing.T) {
 	c.checkAgreement([]NodeID{2, 3}, -1)
 }
 
+// deafWindow drops every datagram arriving in [from, until).
+type deafWindow struct{ from, until sim.Time }
+
+func (w deafWindow) Drop(_ *sim.RNG, now sim.Time) bool { return now >= w.from && now < w.until }
+
+// TestFlushRepairFromNodeZero: NodeID 0 is a member like any other (under
+// core's DedicatedSequencer it is the coordinator, and so usually the flush
+// holder). Node 1 misses the tail of node 2's stream, node 0 has it, and
+// node 2 dies before anyone repairs it: the flush names node 0 as the holder,
+// and node 1 must fetch the tail from it and install the view without node 2
+// — not NACK the dead owner forever.
+func TestFlushRepairFromNodeZero(t *testing.T) {
+	c := newClusterOf(t, []NodeID{0, 1, 2}, 35, func(cfg *Config) {
+		cfg.FailTimeout = 400 * sim.Millisecond
+	})
+	c.net.Host(1).SetLoss(deafWindow{from: 100 * sim.Millisecond, until: 105 * sim.Millisecond})
+	c.castAt(100*sim.Millisecond, 2, []byte("tail"))
+	c.crashNode(105*sim.Millisecond, 2)
+	c.run(5 * sim.Second)
+
+	for _, id := range []NodeID{0, 1} {
+		if v := c.stacks[id].View(); v.Contains(2) || len(v.Members) != 2 {
+			t.Fatalf("node %d view %+v, want {0,1}", id, v)
+		}
+	}
+	c.checkAgreement([]NodeID{0, 1}, 1)
+}
+
 // TestJoinRequestWireRoundTrip pins the new wire formats.
 func TestJoinRequestWireRoundTrip(t *testing.T) {
 	req := joinReqMsg{Node: 7, Installed: 3}

@@ -431,7 +431,7 @@ func (rm *relMcast) repairGaps(ps *peerState) {
 	rm.s.rt.Charge(costPerNack)
 	nack := nackMsg{Target: ps.id, Ranges: ranges}
 	target := ps.repairTarget
-	if target == rm.s.cfg.Self || target == 0 {
+	if target == rm.s.cfg.Self {
 		target = ps.id
 	}
 	rm.s.stats.Nacks++

@@ -78,17 +78,6 @@ func Obj(info *types.Info, id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-// RecvPkgName reports the base name of the package that declares the
-// called method's receiver type (or the method itself for package
-// functions); "" when unresolvable.
-func RecvPkgName(info *types.Info, call *ast.CallExpr) string {
-	fn := Callee(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Name()
-}
-
 // IsErrorType reports whether t is the built-in error interface.
 func IsErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())

@@ -36,7 +36,6 @@ import (
 	"sort"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/bufown"
 	"repro/internal/lint/hotalloc"
 	"repro/internal/lint/poolpair"
 	"repro/internal/lint/simdeterminism"
@@ -46,7 +45,6 @@ import (
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		bufown.Analyzer,
 		hotalloc.Analyzer,
 		poolpair.Analyzer,
 		simdeterminism.Analyzer,

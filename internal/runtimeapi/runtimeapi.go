@@ -78,17 +78,18 @@ type Runtime interface {
 	// Rand returns the node's deterministic random stream.
 	Rand() *sim.RNG
 
-	// Send transmits a unicast datagram (unreliable, unordered).
-	// Ownership of data passes to the runtime: the caller must not
-	// modify the buffer after the call. The simulated transport is
-	// zero-copy — receivers parse, and may retain, the sender's bytes.
+	// Send transmits a unicast datagram (unreliable, unordered). The
+	// simulated transport is zero-copy — receivers parse, and may retain,
+	// the sender's bytes — so no byte a receiver can read may change while
+	// a datagram carrying it is in flight (simnet.Send states the rule and
+	// race builds check it there).
 	Send(dst NodeID, data []byte) error
 
 	// Multicast transmits a datagram to every member of g, excluding the
 	// sender (unreliable). On LAN topologies this maps to one wire
 	// transmission (IP multicast); elsewhere the protocol layer falls
-	// back to unicast. As with Send, data is handed off and must not be
-	// modified by the caller afterwards.
+	// back to unicast. data is shared by every receiver, under Send's
+	// contract.
 	Multicast(g Group, data []byte) error
 
 	// SetReceiver installs the datagram upcall. It must be set before

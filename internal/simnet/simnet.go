@@ -8,6 +8,7 @@ package simnet
 
 import (
 	"fmt"
+	"hash/maphash"
 
 	"repro/internal/metrics"
 	"repro/internal/runtimeapi"
@@ -25,8 +26,7 @@ type (
 
 // Packet is one datagram in flight. Packet structs are pooled: a packet
 // handed to a DeliverFunc is valid only for the duration of the upcall, and
-// its Data must not be modified (it may be shared by every receiver of a
-// multicast and by the sender's retransmission buffer).
+// its Data is the sender's buffer, under Send's contract.
 type Packet struct {
 	Seq       int64 // global trace sequence number
 	Src       NodeID
@@ -39,8 +39,7 @@ type Packet struct {
 }
 
 // DeliverFunc receives packets that survived the trip. The *Packet is pooled
-// and only valid during the call; retain Data (which the callee must treat
-// as read-only), not the struct.
+// and only valid during the call; retain Data, not the struct.
 type DeliverFunc func(pkt *Packet)
 
 // LANConfig configures a shared-medium segment. Defaults model the paper's
@@ -171,7 +170,7 @@ func (h *Host) SetDeliver(fn DeliverFunc) { h.deliver = fn }
 
 // DeliverTo installs fn as the reception upcall, unwrapped from the pooled
 // packet: the one place the wire hands a datagram to a node's runtime,
-// host.DeliverTo(rt.Deliver). data is read-only and may be retained.
+// host.DeliverTo(rt.Deliver). data may be retained, under Send's contract.
 func (h *Host) DeliverTo(fn func(src NodeID, data []byte)) {
 	h.deliver = func(pkt *Packet) { fn(pkt.Src, pkt.Data) }
 }
@@ -286,17 +285,30 @@ type Network struct {
 	// discarded at the cut.
 	isolated       map[NodeID]bool
 	partitionDrops int64
+
+	// digests holds the payload digest of every packet in flight, taken at
+	// Send/Multicast, in race builds (checkPayload); nil otherwise. The last
+	// release deletes a packet's entry, so a drained network leaves it
+	// empty. The seed is random per network, which is harmless: a digest is
+	// only ever compared with another this network took.
+	digests map[*Packet]uint64
+	seed    maphash.Seed
 }
 
 // NewNetwork creates an empty topology on the kernel.
 func NewNetwork(k *sim.Kernel, rng *sim.RNG) *Network {
-	return &Network{
+	n := &Network{
 		k:      k,
 		rng:    rng,
 		hosts:  make(map[NodeID]*Host),
 		links:  make(map[[2]int]*link),
 		groups: make(map[Group][]NodeID),
 	}
+	if checkPayload {
+		n.digests = make(map[*Packet]uint64)
+		n.seed = maphash.MakeSeed()
+	}
+	return n
 }
 
 // SetTracer installs a packet trace sink (nil disables tracing).
@@ -388,7 +400,7 @@ func (n *Network) scheduleArrival(at sim.Time, dst *Host, pkt *Packet) {
 		at += in.drawDelay(dst.rng)
 	}
 	if in := dst.dup; in != nil && in.fires(at, dst.rng) {
-		pkt.refs++ //lint:bufown-ok the extra reference is handed to the copy's own scheduled arrival and released in arrive
+		pkt.refs++
 		n.enqueueArrival(at+in.drawDelay(dst.rng), dst, pkt)
 	}
 	n.enqueueArrival(at, dst, pkt)
@@ -465,23 +477,46 @@ func (n *Network) newPacket() *Packet {
 	return pkt
 }
 
-// release drops one reference; the last reference returns the struct (not
-// its Data, which receivers may retain) to the pool.
+// release drops one reference, held by the node at; the last reference
+// returns the struct (not its Data, which receivers may retain) to the pool.
 //
 //hot:path
-func (n *Network) release(pkt *Packet) {
+func (n *Network) release(pkt *Packet, at NodeID) {
 	pkt.refs--
 	if pkt.refs <= 0 {
+		if checkPayload {
+			n.checkDigest(pkt, at)
+			delete(n.digests, pkt)
+		}
 		*pkt = Packet{}
 		n.free.Put(pkt)
 	}
 }
 
+// sealDigest records the digest of pkt's payload as it leaves the sender.
+func (n *Network) sealDigest(pkt *Packet) {
+	n.digests[pkt] = maphash.Bytes(n.seed, pkt.Data)
+}
+
+// checkDigest panics when pkt's payload no longer matches the digest taken
+// at Send: a byte a receiver can read changed while the packet was in
+// flight. at is the node where the change was seen. A packet with no entry
+// was released already; the second release is the free list's double-put
+// panic to report.
+func (n *Network) checkDigest(pkt *Packet, at NodeID) {
+	if d, ok := n.digests[pkt]; ok && d != maphash.Bytes(n.seed, pkt.Data) {
+		panic(fmt.Sprintf("simnet: payload of packet #%d from node %d changed in flight (seen at node %d)", pkt.Seq, pkt.Src, at))
+	}
+}
+
 // Send injects a unicast datagram from src after delay (the sender's CPU
-// elapsed time; see csrt.Port). Ownership of data passes to the network: the
-// caller must not modify the buffer after the call (the paper's zero-copy
-// wire path — receivers parse, and may retain, the very bytes the sender
-// built).
+// elapsed time; see csrt.Port). The wire is zero-copy: receivers parse, and
+// may retain, the very bytes the sender built. The contract is that no byte
+// a receiver can read may change while a packet carrying it is in flight —
+// appending into spare capacity, reslicing, and sending the unchanged buffer
+// again are fine. Race builds (checkPayload) check it at every arrival and
+// at the last release, and panic naming the sender, the packet's trace Seq
+// and the receiver.
 //
 //hot:path
 func (n *Network) Send(src, dst NodeID, data []byte, delay sim.Time) error {
@@ -496,6 +531,9 @@ func (n *Network) Send(src, dst NodeID, data []byte, delay sim.Time) error {
 	n.seq++
 	pkt := n.newPacket()
 	pkt.Seq, pkt.Src, pkt.Dst, pkt.Data, pkt.refs = n.seq, src, dst, data, 1
+	if checkPayload {
+		n.sealDigest(pkt)
+	}
 	n.scheduleTransmission(delay, hs, hd, nil, pkt)
 	return nil
 }
@@ -503,8 +541,8 @@ func (n *Network) Send(src, dst NodeID, data []byte, delay sim.Time) error {
 // Multicast injects a LAN multicast from src to every member of g on the
 // same segment, excluding the sender. Members on other segments are not
 // reached: wide-area dissemination falls back to unicast at the protocol
-// layer, as in the paper's prototype. As with Send, data is handed off and
-// must not be modified by the caller afterwards; all receivers share it.
+// layer, as in the paper's prototype. Every receiver shares data, under
+// Send's contract.
 //
 //hot:path
 func (n *Network) Multicast(src NodeID, g Group, data []byte, delay sim.Time) error {
@@ -519,6 +557,9 @@ func (n *Network) Multicast(src NodeID, g Group, data []byte, delay sim.Time) er
 	n.seq++
 	pkt := n.newPacket()
 	pkt.Seq, pkt.Src, pkt.Group, pkt.Multicast, pkt.Data, pkt.refs = n.seq, src, g, true, data, 1
+	if checkPayload {
+		n.sealDigest(pkt)
+	}
 	n.scheduleTransmission(delay, hs, nil, members, pkt)
 	return nil
 }
@@ -526,7 +567,7 @@ func (n *Network) Multicast(src NodeID, g Group, data []byte, delay sim.Time) er
 // transmit performs the wire transmission of a unicast packet.
 func (n *Network) transmit(src, dst *Host, pkt *Packet) {
 	if src.down {
-		n.release(pkt)
+		n.release(pkt, src.id)
 		return
 	}
 	if n.tracer != nil {
@@ -547,7 +588,7 @@ func (n *Network) transmit(src, dst *Host, pkt *Packet) {
 	key := [2]int{min(ia, ib), max(ia, ib)}
 	lk, ok := n.links[key]
 	if !ok {
-		n.release(pkt)
+		n.release(pkt, src.id)
 		return // no route: silently dropped, like a misconfigured WAN
 	}
 	dir := 0
@@ -577,7 +618,7 @@ func (n *Network) transmit(src, dst *Host, pkt *Packet) {
 //hot:path
 func (n *Network) transmitMulticast(src *Host, members []NodeID, pkt *Packet) {
 	if src.down {
-		n.release(pkt)
+		n.release(pkt, src.id)
 		return
 	}
 	if n.tracer != nil {
@@ -594,7 +635,7 @@ func (n *Network) transmitMulticast(src *Host, members []NodeID, pkt *Packet) {
 		pkt.refs++
 		n.scheduleArrival(arrive, dst, pkt)
 	}
-	n.release(pkt)
+	n.release(pkt, src.id)
 }
 
 // lanTransmit serializes a frame burst on the shared medium and returns the
@@ -613,11 +654,15 @@ func (n *Network) lanTransmit(l *LAN, wire int) sim.Time {
 // then delivers. Whatever the fate, the receiver's packet reference is
 // dropped on the way out. Drop, cut, and receive accounting is identical
 // with and without a tracer attached — only the trace records themselves
-// are conditional.
+// are conditional. Race builds check the payload against its digest first,
+// whatever the fate.
 //
 //hot:path
 func (n *Network) arrive(dst *Host, pkt *Packet) {
-	defer n.release(pkt)
+	if checkPayload {
+		n.checkDigest(pkt, dst.id)
+	}
+	defer n.release(pkt, dst.id)
 	if dst.down {
 		return
 	}
