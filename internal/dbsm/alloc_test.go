@@ -1,6 +1,9 @@
 package dbsm
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestMarshalToAllocFree pins the zero-allocation budget of the hot marshal
 // path: with a warm scratch buffer, TxnCert.MarshalTo must not allocate —
@@ -52,27 +55,41 @@ func TestUnmarshalAllocBudget(t *testing.T) {
 }
 
 // steadyStream is a certification stream that always commits — each
-// transaction reads and writes two rows of a 4096-row table and has seen
+// transaction reads and writes row i%4096 of two tables and has seen
 // everything before it — so a certifier bounded well below 4096 entries
-// reaches a steady state in which the history is full and the index neither
-// grows nor shrinks.
+// reaches a steady state in which the history is full, and every index
+// generation holds the same number of cells: two per commit.
 func steadyStream(n int) []*TxnCert {
 	stream := make([]*TxnCert, n)
 	for i := range stream {
-		ws := NewItemSet(MakeTupleID(1, uint64(i%4096)), MakeTupleID(1, uint64((i*7+1)%4096)))
+		ws := NewItemSet(MakeTupleID(1, uint64(i%4096)), MakeTupleID(2, uint64(i%4096)))
 		stream[i] = &TxnCert{TID: uint64(i + 1), LastCommitted: uint64(i), ReadSet: ws, WriteSet: ws}
 	}
 	return stream
 }
 
+// mallocs is testing.AllocsPerRun without the integer average: the heap
+// allocations of runs calls of f, after one warm-up call, in total.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestCertifySteadyStateAllocs pins what a commit costs once the history is
-// at its bound: the certifier adopts the message's write-set and reuses the
-// block the pruning just drained, and the speculative wrapper's queue and
-// undo stack are cut back to the same arrays — nothing is allocated per
-// transaction (AllocsPerRun's integer average absorbs the index map's rare
-// rehash).
+// at its bound and both index generations have grown once: the certifier
+// adopts the message's write-set and reuses the block the pruning just
+// drained, a generation change clears a map that keeps its storage, and the
+// speculative wrapper's queue and undo stack are cut back to the same arrays.
+// Through four generation changes, not one allocation.
 func TestCertifySteadyStateAllocs(t *testing.T) {
-	const warm, runs = 4 * histBlock, 8 * histBlock
+	const warm, runs = 3 * indexWindow, 4*indexWindow + 1
 	stream := steadyStream(warm + runs + 1)
 
 	plain := NewCertifier()
@@ -82,12 +99,16 @@ func TestCertifySteadyStateAllocs(t *testing.T) {
 	for i < warm {
 		plain.Certify(next())
 	}
-	if allocs := testing.AllocsPerRun(runs, func() {
+	_, horizon := plain.IndexCells()
+	if n := mallocs(runs, func() {
 		if !plain.Certify(next()).Commit {
 			t.Fatal("steady stream aborted")
 		}
-	}); allocs != 0 {
-		t.Fatalf("Certify at the history bound: %v allocs/op, want 0", allocs)
+	}); n != 0 {
+		t.Fatalf("Certify at the history bound: %d allocs in %d commits, want 0", n, runs)
+	}
+	if _, h := plain.IndexCells(); h < horizon+4*indexWindow {
+		t.Fatalf("horizon %d -> %d: fewer than four generation changes", horizon, h)
 	}
 
 	base := NewCertifier()
@@ -104,11 +125,69 @@ func TestCertifySteadyStateAllocs(t *testing.T) {
 	for i < warm {
 		both()
 	}
-	if allocs := testing.AllocsPerRun(runs, both); allocs != 0 {
-		t.Fatalf("Tentative + matching Final at the history bound: %v allocs/op, want 0", allocs)
+	if n := mallocs(runs, both); n != 0 {
+		t.Fatalf("Tentative + matching Final at the history bound: %d allocs in %d commits, want 0", n, runs)
 	}
 	if len(base.undo) != 0 || len(spec.tent) != 0 {
 		t.Fatalf("drained queue left %d undo records and %d queue slots", len(base.undo), len(spec.tent))
+	}
+}
+
+// TestStaleSnapshotAllocFree pins the history-scan answer: every snapshot
+// here is older than the index's horizon but inside MaxHistory, so each
+// certification scans ~2 500 retained entries — and allocates nothing.
+func TestStaleSnapshotAllocFree(t *testing.T) {
+	const lag, runs = 2500, 256
+	stream := steadyStream(3*indexWindow + runs + 1)
+	c := NewCertifier()
+	c.MaxHistory = 3000
+	i := 0
+	stale := func() {
+		tc := stream[i]
+		i++
+		tc.LastCommitted = c.Seq() - min(c.Seq(), lag)
+		if !c.Certify(tc).Commit {
+			t.Fatal("steady stream aborted")
+		}
+	}
+	for i < 3*indexWindow {
+		stale()
+	}
+	before := c.StaleAnswers()
+	if n := mallocs(runs, stale); n != 0 {
+		t.Fatalf("stale-snapshot Certify: %d allocs in %d commits, want 0", n, runs)
+	}
+	if got := c.StaleAnswers() - before; got != runs+1 {
+		t.Fatalf("%d of %d certifications answered from the history", got, runs+1)
+	}
+}
+
+// TestScanCertifierAllocFree pins the reference procedure at its history
+// bound, and PeekTID.
+func TestScanCertifierAllocFree(t *testing.T) {
+	const warm, runs = 4 * histBlock, 8 * histBlock
+	stream := steadyStream(warm + runs + 1)
+	c := NewScanCertifier()
+	c.MaxHistory = 300
+	i := 0
+	next := func() *TxnCert { i++; return stream[i-1] }
+	for i < warm {
+		c.Certify(next())
+	}
+	if n := mallocs(runs, func() {
+		if !c.Certify(next()).Commit {
+			t.Fatal("steady stream aborted")
+		}
+	}); n != 0 {
+		t.Fatalf("scan Certify at the history bound: %d allocs in %d commits, want 0", n, runs)
+	}
+	wire := stream[0].Marshal()
+	if n := mallocs(100, func() {
+		if tid, err := PeekTID(wire); err != nil || tid != 1 {
+			t.Fatalf("PeekTID = %d, %v", tid, err)
+		}
+	}); n != 0 {
+		t.Fatalf("PeekTID: %d allocs, want 0", n)
 	}
 }
 

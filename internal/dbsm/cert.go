@@ -195,10 +195,13 @@ type Outcome struct {
 // The default (NewCertifier) maintains an inverted last-writer index — per
 // tuple, the highest sequence number that committed a write to it, with
 // table-level entries carrying the table-lock semantics — so certifying a
-// transaction costs O(|ReadSet|) lookups regardless of history depth. The
-// reference implementation (NewScanCertifier) scans the retained history as
-// the paper formulates the procedure; it is kept behind this switch for
-// differential testing and as a fallback.
+// transaction costs O(|ReadSet|) lookups. The index covers only the last one
+// or two windows of indexWindow commits, which is all a live snapshot reaches
+// back; a snapshot older than that (and not already refused by MaxHistory
+// pruning) is answered from the retained history, with the same verdict and
+// the same Charge. The reference implementation (NewScanCertifier) scans the
+// retained history as the paper formulates the procedure; it is kept behind
+// this switch for differential testing and as a fallback.
 type Certifier struct {
 	// Charge, if set, is invoked with the number of set items the
 	// certification actually touched (index lookups and insertions, or
@@ -234,15 +237,33 @@ type Certifier struct {
 	seq    uint64
 	pruned uint64 // highest seq dropped by pruning
 
-	// Inverted last-writer index (unused in scan mode). lastWriter maps a
-	// tuple to the highest sequence number that committed a write to it;
-	// tableLock and tableAny carry the table-lock semantics per table:
-	// the highest committing sequence holding a whole-table lock, and the
+	// Inverted last-writer index (unused in scan mode), in two generations.
+	// lastWriter maps a tuple to the highest sequence number at or after
+	// genStart that committed a write to it, older does the same for
+	// [horizon, genStart), and a tuple last written before horizon has no
+	// cell (a cell restored by rollback may still hold such a value, exact).
+	// When a commit reaches genStart+window, lastWriter becomes older and
+	// the old older, cleared, the new lastWriter: clear keeps a map's
+	// storage, so a steady index allocates nothing. tableLock and tableAny
+	// carry the table-lock semantics per table, for the whole run: the
+	// highest committing sequence holding a whole-table lock, and the
 	// highest committing sequence that wrote anything in the table.
 	lastWriter map[TupleID]uint64
+	older      map[TupleID]uint64
+	genStart   uint64
+	horizon    uint64
+	window     uint64 // commits per generation: indexWindow outside tests
 	tableLock  map[uint16]uint64
 	tableAny   map[uint16]uint64
+
+	staleAnswers int64 // certifications answered from the history (StaleAnswers)
 }
+
+// indexWindow is the number of commits in one generation of the last-writer
+// index. The stalest snapshot the benchmark workloads certify is a few
+// hundred commits old, so the index answers them all; an older one costs a
+// history scan, never a different verdict.
+const indexWindow = 1024
 
 // histEntry is one committed write-set, adopted from the certified message.
 type histEntry struct {
@@ -333,6 +354,8 @@ const (
 func NewCertifier() *Certifier {
 	return &Certifier{
 		lastWriter: make(map[TupleID]uint64),
+		older:      make(map[TupleID]uint64),
+		window:     indexWindow,
 		tableLock:  make(map[uint16]uint64),
 		tableAny:   make(map[uint16]uint64),
 	}
@@ -354,6 +377,17 @@ func (c *Certifier) Seq() uint64 { return c.seq }
 // HistoryLen reports retained committed write-sets (for GC tests).
 func (c *Certifier) HistoryLen() int { return c.hist.n }
 
+// IndexCells reports the last-writer index's tuple cells, both generations,
+// and the horizon: the oldest commit the index is sure to know about.
+func (c *Certifier) IndexCells() (cells int, horizon uint64) {
+	return len(c.lastWriter) + len(c.older), c.horizon
+}
+
+// StaleAnswers reports how many certifications (Certify or CheckOnly) had a
+// snapshot older than the index's horizon and were answered by scanning the
+// retained history.
+func (c *Certifier) StaleAnswers() int64 { return c.staleAnswers }
+
 // Certify decides a transaction's fate: it aborts iff its read-set
 // intersects the write-set of any committed transaction that executed
 // concurrently (certification sequence number greater than the
@@ -374,30 +408,79 @@ func (c *Certifier) Certify(t *TxnCert) Outcome {
 	if c.scan {
 		return c.certifyScan(t)
 	}
-	work := 0
-	for _, r := range t.ReadSet {
-		work++
+	if pos := c.firstConflict(t); pos > 0 {
+		if c.Charge != nil {
+			c.Charge(pos)
+		}
+		return Outcome{Commit: false}
+	}
+	if c.Charge != nil {
+		c.Charge(len(t.ReadSet) + len(t.WriteSet))
+	}
+	c.commit(t)
+	return Outcome{Commit: true, Seq: c.seq}
+}
+
+// firstConflict returns the 1-based position in t's read-set of the first
+// read that a write committed after t's snapshot conflicts with, or 0 when
+// none does: a tuple conflicts with a write of itself or a lock of its table,
+// a table lock with any write in its table. t must not be refused by the
+// pruning rule, so every write after its snapshot is still in the history.
+//
+//hot:path
+func (c *Certifier) firstConflict(t *TxnCert) int {
+	if t.LastCommitted+1 < c.horizon && len(t.ReadSet) > 0 {
+		return c.firstConflictStale(t)
+	}
+	for i, r := range t.ReadSet {
 		var last uint64
 		if r.IsTableLock() {
 			last = c.tableAny[r.Table()]
 		} else {
-			last = c.lastWriter[r]
+			last = c.lastWrite(r)
 			if ls := c.tableLock[r.Table()]; ls > last {
 				last = ls
 			}
 		}
 		if last > t.LastCommitted {
-			if c.Charge != nil {
-				c.Charge(work)
-			}
-			return Outcome{Commit: false}
+			return i + 1
 		}
 	}
-	if c.Charge != nil {
-		c.Charge(work + len(t.WriteSet))
+	return 0
+}
+
+// firstConflictStale is firstConflict for a snapshot older than the index's
+// horizon: it scans the retained entries after the snapshot, narrowing the
+// candidate reads to those before the first conflict found so far.
+//
+//hot:path
+func (c *Certifier) firstConflictStale(t *TxnCert) int {
+	c.staleAnswers++
+	first := len(t.ReadSet) // reads[:first] have not been seen to conflict
+	for i := c.hist.firstAfter(t.LastCommitted); i < c.hist.n && first > 0; i++ {
+		ws := c.hist.at(i).writeSet
+		if !ws.Intersects(t.ReadSet[:first]) {
+			continue
+		}
+		for j := range first {
+			if ws.Intersects(t.ReadSet[j : j+1]) {
+				first = j
+				break
+			}
+		}
 	}
-	c.commit(t)
-	return Outcome{Commit: true, Seq: c.seq}
+	if first == len(t.ReadSet) {
+		return 0
+	}
+	return first + 1
+}
+
+// lastWrite looks a tuple up in the index, current generation first.
+func (c *Certifier) lastWrite(k TupleID) uint64 {
+	if s, ok := c.lastWriter[k]; ok {
+		return s
+	}
+	return c.older[k]
 }
 
 // certifyScan is the reference procedure: scan every retained write-set that
@@ -445,10 +528,16 @@ func (c *Certifier) commit(t *TxnCert) {
 // indexWrites records ws as committed at the current sequence number and —
 // when log is set — pushes the records restoring the index cells it
 // displaced on the undo stack. ws is sorted, so same-table items are
-// contiguous and the table-level cells are updated once per table.
+// contiguous and the table-level cells are updated once per table. A commit
+// that reaches the end of the current generation starts the next one first.
 //
 //hot:path
 func (c *Certifier) indexWrites(ws ItemSet, log bool) {
+	if c.seq >= c.genStart+c.window {
+		c.older, c.lastWriter = c.lastWriter, c.older
+		clear(c.lastWriter)
+		c.horizon, c.genStart = c.genStart, c.seq
+	}
 	var curTable uint16
 	haveTable := false
 	for _, w := range ws {
@@ -467,7 +556,7 @@ func (c *Certifier) indexWrites(ws ItemSet, log bool) {
 			c.tableLock[tbl] = c.seq
 		} else {
 			if log {
-				c.undo = append(c.undo, undoRec{key: w, prev: c.lastWriter[w], kind: undoLW})
+				c.undo = append(c.undo, undoRec{key: w, prev: c.lastWrite(w), kind: undoLW})
 			}
 			c.lastWriter[w] = c.seq
 		}
@@ -481,6 +570,10 @@ func (c *Certifier) indexWrites(ws ItemSet, log bool) {
 // removes was committed by SpecCertifier.Tentative, which logged it, and the
 // removed suffix never crosses the pruning boundary because SpecCertifier
 // prunes only the finalized region.
+//
+// A generation change inside the removed suffix stays: the cells it moved to
+// older that the suffix wrote are shadowed by the value restored into
+// lastWriter, or — for a tuple the index had no cell for — deleted from both.
 func (c *Certifier) truncate(histLen int, seqBefore uint64, undoLen int) {
 	for j := len(c.undo) - 1; j >= undoLen; j-- {
 		u := c.undo[j]
@@ -488,6 +581,7 @@ func (c *Certifier) truncate(histLen int, seqBefore uint64, undoLen int) {
 		case undoLW:
 			if u.prev == 0 {
 				delete(c.lastWriter, u.key)
+				delete(c.older, u.key)
 			} else {
 				c.lastWriter[u.key] = u.prev
 			}
@@ -511,41 +605,16 @@ func (c *Certifier) truncate(histLen int, seqBefore uint64, undoLen int) {
 }
 
 // dropOldest removes the oldest drop history entries and advances the pruning
-// boundary to the newest dropped sequence (the MaxHistory retention rule). In
-// indexed mode, index cells still pointing at dropped sequences are deleted:
-// any transaction that survives the pruned-window abort rule has
-// LastCommitted at or above every dropped sequence, so those cells can never
-// produce a conflict again — removing them bounds the index to the live
-// history.
+// boundary to the newest dropped sequence (the MaxHistory retention rule).
+// The index is left alone: its generations bound it, and a cell at or below
+// the boundary can never produce a conflict again, since any transaction that
+// survives the pruned-window abort rule has LastCommitted at or above it.
 func (c *Certifier) dropOldest(drop int) {
 	if drop <= 0 {
 		return
 	}
-	boundary := c.hist.at(drop - 1).seq
-	if boundary > c.pruned {
+	if boundary := c.hist.at(drop - 1).seq; boundary > c.pruned {
 		c.pruned = boundary
-	}
-	if !c.scan {
-		for i := 0; i < drop; i++ {
-			ws := c.hist.at(i).writeSet
-			var curTable uint16
-			haveTable := false
-			for _, w := range ws {
-				tbl := w.Table()
-				if !haveTable || tbl != curTable {
-					if c.tableAny[tbl] <= boundary {
-						delete(c.tableAny, tbl)
-					}
-					if c.tableLock[tbl] <= boundary {
-						delete(c.tableLock, tbl)
-					}
-					curTable, haveTable = tbl, true
-				}
-				if !w.IsTableLock() && c.lastWriter[w] <= boundary {
-					delete(c.lastWriter, w)
-				}
-			}
-		}
 	}
 	c.hist.dropFront(drop)
 }

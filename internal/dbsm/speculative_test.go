@@ -140,10 +140,15 @@ func TestSpecInvalidateUnwedgesQueue(t *testing.T) {
 // Randomized equivalence: whatever permutation the final order applies to
 // the tentative order, outcomes must match a conservative certifier fed the
 // final stream, and the Seq numbering must be identical.
+// Small index windows put generation changes inside the tentative suffix.
 func TestSpecRandomizedPermutationEquivalence(t *testing.T) {
+	forWindows(t, specRandomizedPermutationEquivalence)
+}
+
+func specRandomizedPermutationEquivalence(t *testing.T, window uint64) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 200; round++ {
-		spec := NewSpecCertifier(NewCertifier())
+		spec := NewSpecCertifier(newWindowed(window))
 		ref := NewCertifier()
 		n := 2 + rng.Intn(6)
 		txns := make([]*TxnCert, n)

@@ -7,11 +7,13 @@ package dbsm
 // importing the state and then feeding the post-snapshot stream yields
 // verdicts identical to having processed the whole stream.
 //
-// The inverted last-writer index is deliberately not serialized: it is a pure
-// function of the retained history (dropOldest deletes every index cell at or
-// below the pruning boundary), so ImportState rebuilds it by replaying the
-// entries. No undo records come with them: a snapshot holds finalized commits
-// only, which nothing will ever roll back.
+// The inverted last-writer index is deliberately not serialized: every cell
+// that can still decide a verdict — a write after the pruning boundary — is
+// derived from the retained history, so ImportState rebuilds the index by
+// replaying the entries, generations included; a snapshot older than what
+// the rebuilt index covers is answered from the history. No undo records come
+// with them: a snapshot holds finalized commits only, which nothing will ever
+// roll back.
 type CertState struct {
 	// Seq is the commit sequence number at export.
 	Seq uint64
@@ -60,11 +62,11 @@ func (c *Certifier) ExportState() *CertState {
 func (c *Certifier) ImportState(st *CertState) {
 	c.hist = history{}
 	c.undo = c.undo[:0]
-	if !c.scan {
-		c.lastWriter = make(map[TupleID]uint64, len(st.History))
-		c.tableLock = make(map[uint16]uint64)
-		c.tableAny = make(map[uint16]uint64)
-	}
+	clear(c.lastWriter)
+	clear(c.older)
+	clear(c.tableLock)
+	clear(c.tableAny)
+	c.genStart, c.horizon = 0, 0
 	c.pruned = st.Pruned
 	for i := range st.History {
 		rec := &st.History[i]

@@ -20,28 +20,15 @@ func (c *Certifier) CheckOnly(t *TxnCert) bool {
 	if c.scan {
 		return c.checkOnlyScan(t)
 	}
-	work := 0
-	ok := true
-	for _, r := range t.ReadSet {
-		work++
-		var last uint64
-		if r.IsTableLock() {
-			last = c.tableAny[r.Table()]
-		} else {
-			last = c.lastWriter[r]
-			if ls := c.tableLock[r.Table()]; ls > last {
-				last = ls
-			}
-		}
-		if last > t.LastCommitted {
-			ok = false
-			break
-		}
-	}
+	pos := c.firstConflict(t)
 	if c.Charge != nil {
-		c.Charge(work)
+		if pos > 0 {
+			c.Charge(pos)
+		} else {
+			c.Charge(len(t.ReadSet))
+		}
 	}
-	return ok
+	return pos == 0
 }
 
 // checkOnlyScan is the reference-procedure variant of CheckOnly.

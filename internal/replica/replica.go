@@ -50,7 +50,10 @@ type Options struct {
 	// ReadSetThreshold upgrades large read-sets to table locks before
 	// multicasting (0 disables).
 	ReadSetThreshold int
-	// MaxHistory bounds the certifier's retained write-sets. Pruning is
+	// MaxHistory bounds the certifier's retained write-sets — the history
+	// a stale snapshot is certified against, and so the pages a recovery
+	// transfers. It does not bound the last-writer index, which covers a
+	// fixed window of recent commits whatever MaxHistory is. Pruning is
 	// deterministic across replicas (a pure function of the certified
 	// stream). Defaults to 50000.
 	MaxHistory int
