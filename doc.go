@@ -113,17 +113,20 @@
 // event slots holds what is due before a ~1 ms horizon, a two-level calendar
 // of ~1 ms buckets and ~4 s slots the rest, spilled into the heap bucket by
 // bucket so the heap still decides every dispatch in the exact (time,
-// priority, sequence) order — and the wire path hands buffers zero-copy from sender to receivers
-// with pooled packets and thunks. Every pool of per-event records, in every
-// layer, is a sim.FreeList — recycling is written once, and race builds
-// panic on a record handed back twice. A multicast body is copied twice on its
-// way, and only the first copy allocates: gcs's cast copies it into the wire
-// chunks the send window keeps for retransmission (shared read-only with the
-// network and every receiver — many owners, so not pooled), and a receiver
-// puts a message of several chunks together once, in a buffer from a
-// per-stack free list that returns there when the delivery upcall does
+// priority, sequence) order — and the wire path has socket semantics with
+// pooled buffers at every layer. A datagram belongs to its sender until Send
+// returns and to its receiver only for the upcall: simnet copies a payload
+// into the pooled packet that carries it (one copy per transmission, shared
+// by a multicast's receivers), csrt copies an arrival into the pooled
+// reception job that waits for the CPU, and gcs keeps what it needs past an
+// upcall in buffers it owns — a received chunk in its pooled dataMsg until
+// stability, a message in a pooled body until its delivery upcall returns
 // (gcs.Delivery.Payload is valid for the upcall; a consumer copies what it
-// keeps). What that costs the host is measured by
+// keeps), and its own stream's chunks in a per-stack free list from cast to
+// stability. Every pool of per-event records, in every layer, is a
+// sim.FreeList — recycling is written once, and race builds panic on a
+// record handed back twice; in gcs, dbsm and simnet they also fill a
+// recycled buffer with 0xFF. What that costs the host is measured by
 // one command, `bash bench/run.sh all` (five workloads, eight end-to-end
 // metrics, a per-layer ledger; bench/README.md holds the committed
 // baseline) — profiles included, through its --trace 1 pass. Outside bench/
@@ -149,10 +152,10 @@
 // accounting, allocation-free hot paths — are enforced mechanically by the
 // custom analyzer suite under internal/lint, run in CI as cmd/analyze via
 // `go vet -vettool` (README.md's "Static analysis" section documents the
-// rules and the //lint:<rule>-ok waiver syntax). The zero-copy contract is
-// checked at the event instead: race builds digest every payload at
-// simnet's Send/Multicast and panic at the first arrival that sees it
-// changed, naming the sender, the packet and the receiver.
+// rules and the //lint:<rule>-ok waiver syntax). The wire's read-only rule
+// is checked at the event instead: race builds digest every packet's payload
+// at simnet's Send/Multicast and panic at the first arrival that sees a
+// receiver changed it, naming the sender, the packet and the receiver.
 //
 // See README.md and the per-package documentation under internal/.
 package repro

@@ -386,14 +386,21 @@ func TestModelProfilerIgnoresNegativeCharge(t *testing.T) {
 // TestRuntimeSteadyStateAllocs pins the per-message budget of the runtime:
 // once the thunk, job and kernel-event pools have warmed up, starting a job,
 // receiving a datagram whose handler charges and sends, and running a
-// simulated job allocate nothing. (Schedule allocates its timer by design.)
+// simulated job allocate nothing. That includes Deliver's copy of the
+// datagram: the reception waits behind a busy CPU while the caller
+// overwrites its buffer, and the receiver still reads what was delivered.
+// (Schedule allocates its timer by design.)
 func TestRuntimeSteadyStateAllocs(t *testing.T) {
 	k := sim.NewKernel()
 	port := &fakePort{}
 	rt := NewRuntime(k, 1, &ModelProfiler{}, port, DefaultCostParams(), sim.NewRNG(1))
 	rt.Bind(NewCPUSet(2, k, nil))
 	payload := make([]byte, 256)
+	var sent byte
 	rt.SetReceiver(func(src runtimeapi.NodeID, data []byte) {
+		if len(data) != len(payload) || data[0] != sent || data[255] != sent {
+			t.Fatalf("receiver read %d, %d: the datagram changed after Deliver returned", data[0], data[255])
+		}
 		rt.Charge(20 * sim.Microsecond)
 		_ = rt.Send(src, data)
 		_ = rt.Multicast(1, data)
@@ -403,7 +410,11 @@ func TestRuntimeSteadyStateAllocs(t *testing.T) {
 	step := func() {
 		port.sends = port.sends[:0]
 		rt.StartJob(sim.Microsecond, job)
+		rt.CPUs().SubmitReal(job, nil) // the CPU is busy: the reception queues
+		sent++
+		payload[0], payload[255] = sent, sent
 		rt.Deliver(2, payload)
+		payload[0], payload[255] = 0, 0
 		rt.CPUs().SubmitSim(50*sim.Microsecond, done)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)

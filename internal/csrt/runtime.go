@@ -6,7 +6,8 @@ import (
 )
 
 // Port is the network attachment point the Runtime injects packets into.
-// It is implemented by the simulated network (internal/simnet adapter).
+// It is implemented by the simulated network (internal/simnet adapter), and
+// Send and Multicast copy data before returning, under runtimeapi's contract.
 // delay offsets the injection from the current kernel time, carrying the
 // paper's δ′q = ∆1 + δq correction: effects of real code appear only after
 // the CPU time the code has consumed so far.
@@ -96,7 +97,8 @@ func (o *oneShot) run() {
 }
 
 // delivery is one pooled pending reception job: its closure is bound once at
-// allocation, so handing a datagram to the CPU allocates nothing in steady
+// allocation and data is its own copy of the datagram, kept with the struct
+// across uses, so handing a datagram to the CPU allocates nothing in steady
 // state.
 type delivery struct {
 	r    *Runtime
@@ -105,15 +107,18 @@ type delivery struct {
 	fire func()
 }
 
+// run charges the receive overhead and lends data to the receiver for the
+// upcall; the record goes back to the pool, bytes and all, when it returns.
+//
 //hot:path
 func (d *delivery) run() {
-	r, src, data := d.r, d.src, d.data
-	d.data = nil
-	r.freeDlv.Put(d)
-	r.extra += r.cost.RecvCost(len(data))
+	r := d.r
+	r.extra += r.cost.RecvCost(len(d.data))
 	if r.recv != nil {
-		r.recv(src, data)
+		r.recv(d.src, d.data)
 	}
+	d.data = d.data[:0]
+	r.freeDlv.Put(d)
 }
 
 var _ runtimeapi.Runtime = (*Runtime)(nil)
@@ -334,7 +339,10 @@ func (r *Runtime) Multicast(g runtimeapi.Group, data []byte) error {
 
 // Deliver is called by the network adapter when a datagram arrives for this
 // node. Reception is a real job: the CPU is charged the receive overhead and
-// then the protocol's receiver upcall runs.
+// then the protocol's receiver upcall runs. data is copied into a pooled
+// buffer before Deliver returns, because the job may wait in the CPU queue
+// long after the network has reused the packet; the receiver's data is
+// valid for its upcall only.
 //
 //hot:path
 func (r *Runtime) Deliver(src runtimeapi.NodeID, data []byte) {
@@ -347,6 +355,7 @@ func (r *Runtime) Deliver(src runtimeapi.NodeID, data []byte) {
 		d = &delivery{r: r}
 		d.fire = d.run
 	}
-	d.src, d.data = src, data
+	d.src = src
+	d.data = append(d.data, data...)
 	r.cpus.SubmitReal(d.fire, nil)
 }

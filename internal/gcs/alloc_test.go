@@ -3,10 +3,7 @@ package gcs
 import "testing"
 
 // TestDataMarshalAllocFree pins the wire encoder's budget: marshaling a data
-// chunk into a warm buffer allocates nothing. (The cast path still allocates
-// one exact-size buffer per chunk by design — the buffer is retained in the
-// send window and handed zero-copy to the network — so the encoder itself
-// must stay allocation-free.)
+// chunk into a warm buffer allocates nothing.
 func TestDataMarshalAllocFree(t *testing.T) {
 	payload := make([]byte, 512)
 	m := &dataMsg{Sender: 3, Seq: 99, Frag: fragFull, Payload: payloadApp, Data: payload}

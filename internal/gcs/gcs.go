@@ -288,6 +288,12 @@ type Stack struct {
 	memb  *membership
 	stats Stats
 
+	// wire is the marshal buffer of every datagram sent outside the own
+	// stream's chunks — NACKs, relayed repairs, assign acks, gossip,
+	// membership traffic and relays. Send and Multicast copy before they
+	// return, so one buffer serves them all.
+	wire []byte
+
 	started bool
 	stopped bool
 
@@ -324,7 +330,7 @@ func New(rt runtimeapi.Runtime, cfg Config) (*Stack, error) {
 	if maxPacket <= dataHeader+64 {
 		return nil, fmt.Errorf("gcs: runtime MTU %d too small", rt.MTU())
 	}
-	s := &Stack{rt: rt, cfg: cfg, maxPacket: maxPacket}
+	s := &Stack{rt: rt, cfg: cfg, maxPacket: maxPacket, wire: make([]byte, 0, maxPacket)}
 	s.view = View{ID: 0, Members: members}
 	s.rank = s.indexOf(cfg.Self)
 	s.joining = cfg.Joining
@@ -359,9 +365,9 @@ func (s *Stack) OnOptimisticDiscard(fn func(OptDelivery)) { s.onOptDiscard = fn 
 func (s *Stack) OnViewChange(fn func(View)) { s.onView = fn }
 
 // OnRelay installs the upcall for point-to-point relay payloads (see Relay).
-// The payload slice aliases the received datagram per the zero-copy contract;
-// the consumer must copy anything it retains past the upcall. Must be set
-// before Start.
+// The payload slice is the received datagram, which the runtime lends for
+// the upcall only; the consumer must copy anything it retains past it. Must
+// be set before Start.
 func (s *Stack) OnRelay(fn func(src NodeID, payload []byte)) { s.onRelay = fn }
 
 // OnJoined installs the recovery-join upcall: it fires once, when a joining
@@ -411,8 +417,7 @@ func (s *Stack) Stop() { s.halt() }
 // quorum-loss wedging all land here. Beyond silencing the stack it releases
 // every receive- and send-side buffer, and the free lists, immediately: a
 // halted member never reaches another stability GC round, so waiting for one
-// would leak each buffered message (and the wire bytes its payload aliases)
-// for the rest of the run.
+// would leak each buffered message for the rest of the run.
 func (s *Stack) halt() {
 	if s.stopped {
 		return
@@ -612,18 +617,16 @@ func (s *Stack) transmit(wire []byte) {
 // stream — the destination may belong to a different group. Delivery is
 // best-effort datagram: no ordering and no retransmission; the cross-group
 // commit round layers its own retransmit-until-resolved loop on top. The
-// payload is copied into a fresh wire buffer, so the caller keeps ownership.
+// payload is framed in the stack's scratch buffer, which Send copies, so the
+// caller keeps ownership.
 func (s *Stack) Relay(dst NodeID, payload []byte) {
 	if s.stopped || dst == s.cfg.Self {
 		return
 	}
-	//lint:hotalloc-ok relays are rare (multi-group commit control traffic), one wire buffer each
-	wire := make([]byte, 0, 1+len(payload))
-	wire = append(wire, kindRelay)
-	wire = append(wire, payload...)
+	s.wire = append(append(s.wire[:0], kindRelay), payload...)
 	s.stats.RelaysSent++
 	s.memb.sentSomething()
-	_ = s.rt.Send(dst, wire)
+	_ = s.rt.Send(dst, s.wire)
 }
 
 // transmitTo unicasts a raw wire message.

@@ -129,7 +129,7 @@ func (mb *membership) hbTick() {
 	now := mb.s.rt.Now()
 	if now-mb.lastSent >= heartbeatPeriod {
 		hb := heartbeatMsg{ViewID: mb.s.view.ID}
-		mb.s.transmit(hb.marshal(make([]byte, 0, 5)))
+		mb.s.transmit(hb.marshal(mb.s.wire[:0]))
 		mb.lastSent = now
 	}
 }
@@ -244,7 +244,7 @@ func (mb *membership) maybeInitiate() {
 }
 
 func (mb *membership) broadcastProposal() {
-	wire := mb.proposal.marshal(make([]byte, 0, 64))
+	wire := mb.proposal.marshal(mb.s.wire[:0])
 	for _, p := range mb.proposal.Members {
 		if p == mb.s.cfg.Self {
 			continue
@@ -292,7 +292,7 @@ func (mb *membership) retryTick() {
 		return
 	}
 	allInstalled := true
-	wire := mb.decision.marshal(make([]byte, 0, 128))
+	wire := mb.decision.marshal(mb.s.wire[:0])
 	for _, p := range mb.decision.Members {
 		if p == mb.s.cfg.Self || mb.installAcks[p] || mb.s.rm.peer(p).suspected {
 			continue
@@ -320,7 +320,7 @@ func (mb *membership) onPropose(m *proposeMsg) {
 	if m.NewViewID <= mb.s.view.ID {
 		// Stale: that view is already installed here.
 		ack := installedMsg{NewViewID: m.NewViewID}
-		mb.s.transmitTo(m.Proposer, ack.marshal(make([]byte, 0, 5)))
+		mb.s.transmitTo(m.Proposer, ack.marshal(mb.s.wire[:0]))
 		return
 	}
 	if mb.state == membDeciding {
@@ -346,7 +346,7 @@ func (mb *membership) onPropose(m *proposeMsg) {
 	if m.Proposer == mb.s.cfg.Self {
 		mb.onFlushAck(mb.s.cfg.Self, &ack)
 	} else {
-		mb.s.transmitTo(m.Proposer, ack.marshal(make([]byte, 0, 7+12*len(ack.Contig))))
+		mb.s.transmitTo(m.Proposer, ack.marshal(mb.s.wire[:0]))
 	}
 }
 
@@ -394,7 +394,7 @@ func (mb *membership) checkFlushComplete() {
 		Joiners:   mb.proposal.Joiners,
 		Targets:   targets,
 	}
-	wire := mb.decision.marshal(make([]byte, 0, 128))
+	wire := mb.decision.marshal(mb.s.wire[:0])
 	for _, p := range mb.decision.Members {
 		if p != mb.s.cfg.Self {
 			mb.s.transmitTo(p, wire)
@@ -414,7 +414,7 @@ func (mb *membership) checkFlushComplete() {
 func (mb *membership) onDecide(m *decideMsg) {
 	if m.NewViewID <= mb.s.view.ID {
 		ack := installedMsg{NewViewID: m.NewViewID}
-		mb.s.transmitTo(m.Proposer, ack.marshal(make([]byte, 0, 5)))
+		mb.s.transmitTo(m.Proposer, ack.marshal(mb.s.wire[:0]))
 		return
 	}
 	for _, j := range m.Joiners {
@@ -528,7 +528,7 @@ func (mb *membership) checkInstall() {
 	mb.s.to.onInstall(oldSequencer, !inNew[oldSequencer], targets)
 	if m.Proposer != mb.s.cfg.Self {
 		ack := installedMsg{NewViewID: m.NewViewID}
-		mb.s.transmitTo(m.Proposer, ack.marshal(make([]byte, 0, 5)))
+		mb.s.transmitTo(m.Proposer, ack.marshal(mb.s.wire[:0]))
 	} else {
 		mb.installAcks[mb.s.cfg.Self] = true
 	}
@@ -595,7 +595,7 @@ func (mb *membership) joinTick() {
 		req.Installed = s.view.ID
 	}
 	s.stats.JoinRequests++
-	s.transmit(req.marshal(make([]byte, 0, 9)))
+	s.transmit(req.marshal(s.wire[:0]))
 	s.rt.StartJob(s.cfg.RetransPeriod, func() { mb.joinTick() })
 }
 
@@ -635,7 +635,7 @@ func (mb *membership) onJoinReq(src NodeID, m *joinReqMsg) {
 // retries simply use the current one.
 func (mb *membership) sendJoinSync(dst NodeID) {
 	sync := joinSyncMsg{ViewID: mb.s.view.ID, JoinSeq: mb.s.to.maxAssigned}
-	mb.s.transmitTo(dst, sync.marshal(make([]byte, 0, 13)))
+	mb.s.transmitTo(dst, sync.marshal(mb.s.wire[:0]))
 }
 
 // onJoinSync handles the catch-up announcement at the joiner. It can arrive
@@ -712,7 +712,7 @@ func (mb *membership) installJoin(m *decideMsg) {
 		mb.scheduleHB()
 	}
 	ack := installedMsg{NewViewID: m.NewViewID}
-	s.transmitTo(m.Proposer, ack.marshal(make([]byte, 0, 5)))
+	s.transmitTo(m.Proposer, ack.marshal(s.wire[:0]))
 	if s.onView != nil {
 		s.onView(s.view)
 	}

@@ -65,7 +65,9 @@ func (m *dataMsg) marshal(buf []byte) []byte {
 }
 
 // parseDataInto decodes a stream chunk into a caller-provided (typically
-// pooled) struct. Data aliases b.
+// pooled) struct, copying the chunk into the buffer m.Data already owns: a
+// received datagram is only lent for its upcall, and the chunk is kept until
+// it is stable.
 //
 //hot:path
 func parseDataInto(m *dataMsg, b []byte) error {
@@ -80,7 +82,7 @@ func parseDataInto(m *dataMsg, b []byte) error {
 	m.Seq = binary.BigEndian.Uint64(b[5:13])
 	m.Frag = b[13]
 	m.Payload = b[14]
-	m.Data = b[dataHeader : dataHeader+n]
+	m.Data = append(m.Data[:0], b[dataHeader:dataHeader+n]...)
 	return nil
 }
 

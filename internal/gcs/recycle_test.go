@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/csrt"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // pattern fills n bytes with a sequence that depends on salt, so two
@@ -18,8 +20,9 @@ func pattern(n int, salt byte) []byte {
 }
 
 // feed hands one message of sender's stream to st the way receive does once
-// the datagrams are parsed: chunk by chunk through onData, in pooled dataMsg
-// structs. It returns the sequence number of the last chunk.
+// the datagrams are parsed: chunk by chunk through onData, each copied into
+// the buffer of a pooled dataMsg. It returns the sequence number of the last
+// chunk.
 func feed(st *Stack, sender NodeID, firstSeq uint64, kind byte, payload []byte) uint64 {
 	maxChunk := st.maxPacket - dataHeader
 	n := (len(payload) + maxChunk - 1) / maxChunk
@@ -36,7 +39,7 @@ func feed(st *Stack, sender NodeID, firstSeq uint64, kind byte, payload []byte) 
 		default:
 			m.Frag = fragMid
 		}
-		m.Data = payload[i*maxChunk : min((i+1)*maxChunk, len(payload))]
+		m.Data = append(m.Data[:0], payload[i*maxChunk:min((i+1)*maxChunk, len(payload))]...)
 		st.rm.onData(m)
 	}
 	return firstSeq + uint64(n) - 1
@@ -66,8 +69,8 @@ func TestReassemblyBufferRecycled(t *testing.T) {
 	if backing[0] != backing[1] {
 		t.Fatal("second fragmented message was not reassembled in the first one's buffer")
 	}
-	if n := c.stacks[3].rm.freeBodies.Len(); n != 1 {
-		t.Fatalf("free list holds %d buffers after both deliveries, want the one they shared", n)
+	if n := c.stacks[3].rm.freeBodies.Len(); n != 2 {
+		t.Fatalf("free list holds %d buffers after both deliveries, want the one they shared and the one their assignments were decoded from", n)
 	}
 }
 
@@ -100,6 +103,60 @@ func TestFragmentedReceiveAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("warm fragmented receive: %v allocs/op, want 0", allocs)
+	}
+}
+
+// A warm cast of a two-chunk message allocates nothing from end to end: the
+// marshal into pooled chunks, drain, the network's copy, self-delivery into
+// pooled dataMsgs, reassembly, the sequencer's assignment batch (a third
+// chunk), the delivery upcall, and the stability GC that hands the chunks
+// back. The lone member sequences for itself; its stack is not started, so
+// no gossip or failure-detector timer (which allocates by design) runs, and
+// gcStable stands in for the gossip round that would call it.
+func TestCastAllocFree(t *testing.T) {
+	k := sim.NewKernel()
+	rng := sim.NewRNG(75)
+	net := simnet.NewNetwork(k, rng.Fork("net"))
+	net.SetGroup(1, []NodeID{1})
+	host, err := net.NewHost(1, net.NewLAN(simnet.DefaultLANConfig("lan0")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := csrt.NewRuntime(k, 1, &csrt.ModelProfiler{}, net.Port(1, 1400), csrt.DefaultCostParams(), rng.Fork("rt"))
+	rt.Bind(csrt.NewCPUSet(1, k, nil))
+	host.DeliverTo(rt.Deliver)
+	st, err := New(rt, Config{Self: 1, Members: []NodeID{1}, Group: 1, UseMulticast: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := pattern(2000, 6)
+	delivered := 0
+	st.OnDeliver(func(d Delivery) {
+		if bytes.Equal(d.Payload, body) {
+			delivered++
+		}
+	})
+	cast := func() { st.Multicast(body) }
+	submit := func() { rt.CPUs().SubmitReal(cast, nil) }
+	step := func() {
+		k.Schedule(sim.Millisecond, submit) // a millisecond refills the rate tokens
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		st.rm.gcStable(1, st.rm.sendSeq)
+	}
+	for range 16 {
+		step()
+	}
+	allocs := testing.AllocsPerRun(100, step)
+	if delivered != 16+101 || st.BufferedMessages() != 0 {
+		t.Fatalf("delivered %d of %d messages, %d chunks still buffered", delivered, 16+101, st.BufferedMessages())
+	}
+	if n := st.rm.freeChunks.Len(); n != 3 {
+		t.Fatalf("%d chunks on the free list, want the 3 every cast reuses", n)
+	}
+	if allocs != 0 {
+		t.Fatalf("warm two-chunk cast through stability: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -144,8 +201,8 @@ func TestHaltDropsFreeList(t *testing.T) {
 	c.castAt(10*sim.Millisecond, 1, pattern(5000, 4))
 	c.castAt(50*sim.Millisecond, 1, pattern(5000, 5))
 	c.run(40 * sim.Millisecond)
-	if deliveries != 1 || st.rm.freeBodies.Len() != 1 {
-		t.Fatalf("before halt: %d deliveries, %d free buffers, want 1 and 1", deliveries, st.rm.freeBodies.Len())
+	if deliveries != 1 || st.rm.freeBodies.Len() != 2 { // the message's and its assignment's
+		t.Fatalf("before halt: %d deliveries, %d free buffers, want 1 and 2", deliveries, st.rm.freeBodies.Len())
 	}
 	c.run(1 * sim.Second)
 	if deliveries != 2 || !st.Stopped() {

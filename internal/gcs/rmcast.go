@@ -45,14 +45,20 @@ type relMcast struct {
 	peers map[NodeID]*peerState
 	self  *peerState
 
-	// freeMsgs recycles dataMsg structs: a chunk's struct lives in a
-	// peer's receive buffer from reception until stability GC (or
-	// exclusion), then returns to the pool. A chunk's Data aliases the
-	// sender's wire buffer (zero-copy path).
+	// freeMsgs recycles dataMsg structs with the buffer each one's Data
+	// owns: receive and self-delivery copy a chunk into it (a datagram is
+	// only lent for its upcall), it lives in a peer's receive buffer until
+	// stability GC (or exclusion), then returns to the pool.
 	freeMsgs sim.FreeList[*dataMsg]
 
-	// freeBodies recycles reassembly buffers: a fragmented message is put
-	// together in one (fifoDeliver), travels with it through the total
+	// freeChunks recycles the own stream's wire chunks: cast marshals into
+	// one, it waits in outQ and then in sendBuf for retransmission, and
+	// gcStable(self) hands it back once every member holds it. The network
+	// copies what it sends, so no other stack ever reads a chunk.
+	freeChunks sim.FreeList[[]byte]
+
+	// freeBodies recycles message bodies: every message is put together in
+	// one from its chunks (fifoDeliver), travels with it through the total
 	// order layer, and the buffer comes back when the delivery upcall
 	// returns — which is why a Payload is only valid for the length of its
 	// upcall. Only the stack's dispatch context touches the list.
@@ -69,6 +75,10 @@ const (
 	// stall that queued hundreds the surplus goes to the collector instead
 	// of staying pinned for the rest of the run.
 	maxFreeBodies = 64
+	// maxFreeChunks bounds the chunk list the same way: at most sendWindow
+	// chunks are unstable, so only a transmit queue that backed up under
+	// overload puts more in circulation.
+	maxFreeChunks = sendWindow
 )
 
 type outChunk struct {
@@ -130,24 +140,50 @@ func newRelMcast(s *Stack) *relMcast {
 	return rm
 }
 
-// newMsg takes a dataMsg from the pool (or allocates one).
+// newMsg takes a dataMsg from the pool (or allocates one whose Data has room
+// for any chunk, so it never grows).
 //
 //hot:path
 func (rm *relMcast) newMsg() *dataMsg {
 	m := rm.freeMsgs.Get()
 	if m == nil {
-		//lint:hotalloc-ok pool miss; the struct joins the free list afterwards
-		m = &dataMsg{}
+		//lint:hotalloc-ok pool miss; the struct and its buffer join the free list afterwards
+		m = &dataMsg{Data: make([]byte, 0, rm.s.maxPacket-dataHeader)}
 	}
 	return m
 }
 
-// recycleMsg returns a struct whose buffer slot has been vacated.
+// recycleMsg returns a struct whose buffer slot has been vacated, keeping
+// the storage of its Data.
 //
 //hot:path
 func (rm *relMcast) recycleMsg(m *dataMsg) {
-	m.Data = nil
+	m.Data = poison(m.Data)
 	rm.freeMsgs.Put(m)
+}
+
+// newChunk takes an empty wire chunk from the free list (or allocates one
+// with room for a whole datagram).
+//
+//hot:path
+func (rm *relMcast) newChunk() []byte {
+	b := rm.freeChunks.Get()
+	if b == nil {
+		//lint:hotalloc-ok pool miss; the chunk joins the free list once it is stable
+		b = make([]byte, 0, rm.s.maxPacket)
+	}
+	return b
+}
+
+// recycleChunk returns a stable chunk of the own stream, which no member
+// will ask for again.
+//
+//hot:path
+func (rm *relMcast) recycleChunk(b []byte) {
+	b = poison(b)
+	if rm.freeChunks.Len() < maxFreeChunks {
+		rm.freeChunks.Put(b)
+	}
 }
 
 // newBody takes an empty reassembly buffer from the free list (or allocates
@@ -170,16 +206,24 @@ func (rm *relMcast) newBody() []byte {
 //
 //hot:path
 func (rm *relMcast) recycleBody(b []byte) {
+	b = poison(b)
+	if rm.s.stopped || rm.freeBodies.Len() >= maxFreeBodies {
+		return
+	}
+	rm.freeBodies.Put(b)
+}
+
+// poison empties a buffer on its way back to a free list. Race builds
+// (poisonRecycled) first overwrite its whole capacity with 0xFF, so a reader
+// that kept the bytes past their owner's recycle sees garbage.
+func poison(b []byte) []byte {
 	if poisonRecycled {
 		b = b[:cap(b)]
 		for i := range b {
 			b[i] = 0xFF
 		}
 	}
-	if rm.s.stopped || rm.freeBodies.Len() >= maxFreeBodies {
-		return
-	}
-	rm.freeBodies.Put(b[:0])
+	return b[:0]
 }
 
 func (rm *relMcast) peer(id NodeID) *peerState {
@@ -209,7 +253,8 @@ func (rm *relMcast) share() int {
 
 // cast fragments a payload into stream chunks and queues them for
 // flow-controlled transmission. All chunks of one message are enqueued
-// atomically so a view-change freeze cannot split a message.
+// atomically so a view-change freeze cannot split a message. The chunks come
+// from freeChunks, so the caller keeps its payload buffer.
 func (rm *relMcast) cast(payloadKind byte, payload []byte) {
 	maxChunk := rm.s.maxPacket - dataHeader
 	total := len(payload)
@@ -243,7 +288,7 @@ func (rm *relMcast) cast(payloadKind byte, payload []byte) {
 			Payload: payloadKind,
 			Data:    payload[lo:hi],
 		}
-		wire := m.marshal(make([]byte, 0, dataHeader+hi-lo))
+		wire := m.marshal(rm.newChunk())
 		rm.outQ = append(rm.outQ, outChunk{seq: m.Seq, wire: wire})
 		rm.outQBytes += len(wire)
 	}
@@ -435,7 +480,7 @@ func (rm *relMcast) repairGaps(ps *peerState) {
 		target = ps.id
 	}
 	rm.s.stats.Nacks++
-	rm.s.transmitTo(target, nack.marshal(make([]byte, 0, 7+16*len(ranges))))
+	rm.s.transmitTo(target, nack.marshal(rm.s.wire[:0]))
 	// Re-arm: keep nagging until the gap closes.
 	ps.nackTimer = rm.s.rt.Schedule(rm.s.cfg.RetransPeriod, func() {
 		ps.nackTimer = nil
@@ -473,9 +518,8 @@ func (rm *relMcast) requestRepairTo(p NodeID, target uint64, holder NodeID) {
 
 // onNack serves retransmissions from the send buffer (own stream) or the
 // receive buffer (relaying another member's stream during flush). A
-// retransmission of an own chunk is the stored datagram itself: the receivers
-// of its first transmission already share that buffer read-only under the
-// zero-copy contract, and one more reader changes nothing.
+// retransmission of an own chunk is the stored datagram itself, which Send
+// copies; a relayed one is marshalled into the stack's scratch buffer.
 func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 	if m.Target == rm.s.cfg.Self {
 		for _, r := range m.Ranges {
@@ -505,21 +549,24 @@ func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 			}
 			rm.s.stats.Retransmits++
 			rm.s.rt.Charge(costPerRetrans)
-			rm.s.transmitTo(src, dm.marshal(make([]byte, 0, dataHeader+len(dm.Data))))
+			rm.s.transmitTo(src, dm.marshal(rm.s.wire[:0]))
 		}
 	}
 }
 
 // fifoDeliver advances a sender's FIFO stream by one chunk and routes
-// complete messages upward. A single-chunk message goes up aliasing the wire
-// buffer; a fragmented one is copied once, chunk by chunk, into a pooled
-// buffer that goes up as it is.
+// complete messages upward. Every message goes up in a pooled body buffer,
+// copied from its chunks (one or several), because a chunk's buffer returns
+// to freeMsgs at stability GC while the message may still wait for its
+// order.
 //
 //hot:path
 func (rm *relMcast) fifoDeliver(ps *peerState, m *dataMsg) {
 	switch m.Frag {
 	case fragFull:
-		rm.complete(ps.id, m.Seq, m.Seq, m.Payload, m.Data, false)
+		//lint:hotalloc-ok fills a pooled buffer, which holds any single chunk
+		body := append(rm.newBody(), m.Data...)
+		rm.complete(ps.id, m.Seq, m.Seq, m.Payload, body)
 	case fragFirst:
 		buf := rm.newBody()
 		ps.reasmMsgID = m.Seq
@@ -535,7 +582,7 @@ func (rm *relMcast) fifoDeliver(ps *peerState, m *dataMsg) {
 			//lint:hotalloc-ok same pooled buffer, leaving ps for the layer above
 			data := append(ps.body, m.Data...)
 			ps.body = nil
-			rm.complete(ps.id, ps.reasmMsgID, m.Seq, ps.reasmKind, data, true)
+			rm.complete(ps.id, ps.reasmMsgID, m.Seq, ps.reasmKind, data)
 		}
 	}
 }
@@ -549,20 +596,17 @@ func (rm *relMcast) dropPartial(ps *peerState) {
 	}
 }
 
-// complete routes a fully reassembled message to the total order layer.
-// recycled marks data as a free-list buffer (newBody) whose last reader must
-// hand it back.
+// complete routes a fully reassembled message, in a body buffer whose last
+// reader hands it back, to the total order layer.
 //
 //hot:path
-func (rm *relMcast) complete(sender NodeID, msgID, lastSeq uint64, payloadKind byte, data []byte, recycled bool) {
+func (rm *relMcast) complete(sender NodeID, msgID, lastSeq uint64, payloadKind byte, data []byte) {
 	switch payloadKind {
 	case payloadApp:
-		rm.s.to.onAppData(sender, msgID, lastSeq, data, recycled)
+		rm.s.to.onAppData(sender, msgID, lastSeq, data)
 	case payloadSeq:
 		assigns, err := parseAssignsInto(rm.s.to.assignScratch, data)
-		if recycled {
-			rm.recycleBody(data) // decoded into assignScratch: nothing reads the bytes again
-		}
+		rm.recycleBody(data) // decoded into assignScratch: nothing reads the bytes again
 		if err != nil {
 			rm.s.stats.ParseErrors++
 			return
@@ -588,11 +632,11 @@ func (rm *relMcast) sendAssignAck(sequencer NodeID, upto uint64) {
 	ack := assignAckMsg{ViewID: rm.s.view.ID, Seq: upto}
 	rm.s.rt.Charge(msgCost(assignAckLen))
 	rm.s.stats.AssignAcks++
-	rm.s.transmitTo(sequencer, ack.marshal(make([]byte, 0, assignAckLen)))
+	rm.s.transmitTo(sequencer, ack.marshal(rm.s.wire[:0]))
 }
 
 // gcStable raises the stable prefix of p's stream to upto (stability knowledge
-// is monotone: a lower value is ignored) and discards the chunks buffered at
+// is monotone: a lower value is ignored) and recycles the chunks buffered at
 // or below it, releasing sender buffer share when p is self. Stability only
 // ever advances over contiguous prefixes received by all members, so this is
 // safe.
@@ -616,6 +660,7 @@ func (rm *relMcast) gcStable(p NodeID, upto uint64) {
 		if wire, ok := rm.sendBuf[seq]; ok {
 			rm.sendBufBytes -= len(wire)
 			delete(rm.sendBuf, seq)
+			rm.recycleChunk(wire)
 		}
 	}
 	rm.drain() // share freed: release any blocked chunks
@@ -695,6 +740,7 @@ func (rm *relMcast) releaseAll() {
 	rm.outQ, rm.outHead = nil, 0
 	rm.outQBytes = 0
 	rm.freeMsgs.Drop()
+	rm.freeChunks.Drop()
 	rm.freeBodies.Drop()
 	if rm.rateTimer != nil {
 		rm.rateTimer.Cancel()

@@ -20,10 +20,8 @@ type stability struct {
 	w     uint32
 	timer runtimeapi.Timer
 
-	// vecScratch backs the three wire vectors of a gossip tick. Only the
-	// pre-marshal staging is reused: the marshaled wire buffer itself is
-	// owned by the network after transmit (zero-copy handoff) and is
-	// allocated per message.
+	// vecScratch backs the three wire vectors of a gossip tick; they are
+	// marshalled into the stack's scratch buffer.
 	vecScratch []uint64
 	// gossipScratch is the reusable decode target for incoming gossip;
 	// onGossip consumes it synchronously.
@@ -90,7 +88,7 @@ func (st *stability) tick() {
 		g.H[i] = st.s.rm.contiguous(p)
 	}
 	st.s.stats.Gossips++
-	st.s.transmit(g.marshal(make([]byte, 0, 19+24*n)))
+	st.s.transmit(g.marshal(st.s.wire[:0]))
 	st.s.memb.sentSomething()
 }
 

@@ -86,12 +86,11 @@ type msgKey struct {
 // The body and the assignment arrive independently and in either order; the
 // record exists while either is present and leaves through forget.
 type msgState struct {
-	// The body, written by onAppData. held is false while only the
-	// assignment has arrived.
-	held     bool
-	recycled bool // data is a free-list buffer: tryDeliver hands it back
-	data     []byte
-	lastSeq  uint64 // sequence number of the message's last chunk
+	// The body, written by onAppData: a free-list buffer that tryDeliver
+	// hands back. held is false while only the assignment has arrived.
+	held    bool
+	data    []byte
+	lastSeq uint64 // sequence number of the message's last chunk
 
 	// global is the total-order number, 0 while unassigned; order[global]
 	// points back at the record.
@@ -178,10 +177,10 @@ func (to *totalOrder) forget(key msgKey) {
 // Deferred messages are assigned at install, after the beyond-target purge.
 //
 //hot:path
-func (to *totalOrder) onAppData(sender NodeID, msgID, lastSeq uint64, data []byte, recycled bool) {
+func (to *totalOrder) onAppData(sender NodeID, msgID, lastSeq uint64, data []byte) {
 	key := msgKey{sender: sender, msgID: msgID}
 	m := to.msgs[key]
-	m.held, m.recycled, m.data, m.lastSeq = true, recycled, data, lastSeq
+	m.held, m.data, m.lastSeq = true, data, lastSeq
 	if to.s.onOpt != nil {
 		to.optSeq++
 		m.optIdx = to.optSeq
@@ -303,19 +302,15 @@ func (to *totalOrder) advanceAnnounceSafe() {
 		to.unacked = to.unacked[:0]
 		return
 	}
-	advanced := false
-	for len(to.unacked) > 0 {
-		b := to.unacked[0]
-		if !to.majorityHolds(b.lastSeq) {
-			break
-		}
-		if b.maxGlobal > to.announceSafe {
-			to.announceSafe = b.maxGlobal
-		}
-		to.unacked = to.unacked[1:]
-		advanced = true
+	n := 0
+	for n < len(to.unacked) && to.majorityHolds(to.unacked[n].lastSeq) {
+		to.announceSafe = max(to.announceSafe, to.unacked[n].maxGlobal)
+		n++
 	}
-	if advanced {
+	if n > 0 {
+		// Shift down rather than reslice, so flushBatch's append keeps
+		// reusing the array.
+		to.unacked = to.unacked[:copy(to.unacked, to.unacked[n:])]
 		to.tryDeliver()
 	}
 }
@@ -416,10 +411,10 @@ func (to *totalOrder) rollbackUnagreed(announcer NodeID, target uint64) {
 // this member would have delivered something the others never can).
 // Installation resumes delivery.
 //
-// The body is lent to the application for the length of the upcall: a
-// reassembled one returns to the reliable layer's free list as soon as the
-// upcall comes back. Bodies dropped undelivered — purgeSender, skipTo, the
-// catch-up skip in onAssigns, halt — are rare and left to the collector.
+// The body is lent to the application for the length of the upcall and
+// returns to the reliable layer's free list as soon as the upcall comes
+// back. Bodies dropped undelivered — purgeSender, skipTo, the catch-up skip
+// in onAssigns, halt — are rare and left to the collector.
 //
 //hot:path
 func (to *totalOrder) tryDeliver() {
@@ -458,9 +453,7 @@ func (to *totalOrder) tryDeliver() {
 			}
 		}
 		to.s.deliver(Delivery{Global: to.nextDeliver, Sender: key.sender, Payload: m.data})
-		if m.recycled {
-			to.s.rm.recycleBody(m.data)
-		}
+		to.s.rm.recycleBody(m.data)
 	}
 	to.drainDeferred()
 }

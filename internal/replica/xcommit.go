@@ -468,9 +468,9 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 			x.frags[tid] = a
 		}
 		if a.parts[idx] == nil {
-			// Relay wire buffers are per-send allocations the receiver may
-			// retain read-only, so the chunk can be held as-is.
-			a.parts[idx] = chunk
+			// The relay's bytes are lent for this upcall only (OnRelay):
+			// the assembly keeps a copy.
+			a.parts[idx] = slices.Clone(chunk)
 			a.got++
 		}
 		if a.got < a.total {

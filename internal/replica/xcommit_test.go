@@ -2,6 +2,7 @@ package replica
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/db"
@@ -191,6 +192,46 @@ func TestXPrepareDeliveryDropsPartialAssembly(t *testing.T) {
 	}
 	if len(x.active) != 1 || sites[1].rep.Stats().CertDrops != 0 {
 		t.Fatalf("stream delivery did not reserve: %d active", len(x.active))
+	}
+}
+
+// TestXFragmentsOutliveTheirUpcall: a relayed fragment is lent for its
+// upcall only — the runtime reuses the datagram's buffer as soon as the
+// upcall returns — so the assembly keeps copies. Fragments delivered last
+// first, from one buffer that is overwritten after every upcall, still
+// restore the prepare, which the sequencer injects into its group's stream
+// and reserves intact.
+func TestXFragmentsOutliveTheirUpcall(t *testing.T) {
+	k, sites := buildGroupCluster(t, 1)
+	x := sites[0].rep.x // the group's sequencer
+	p := prepFor(remoteTID(1), rows(1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), rows(1, 1))
+	enc := xgroup.AppendPrepare(nil, xgroup.MsgPrepare, p, 0)
+	frames := xgroup.FragmentPrepare(enc, p.TID, len(enc)/3)
+	if len(frames) < 3 {
+		t.Fatalf("prepare of %d bytes made %d fragments", len(enc), len(frames))
+	}
+	var lent []byte
+	k.ScheduleAt(10*sim.Millisecond, func() {
+		sites[0].rt.CPUs().SubmitReal(func() {
+			for i := len(frames) - 1; i >= 0; i-- {
+				lent = append(lent[:0], frames[i]...)
+				x.onRelay(4, lent)
+				for j := range lent {
+					lent[j] = 0xFF
+				}
+			}
+		}, nil)
+	})
+	if err := k.RunUntil(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	e := x.pending[p.TID]
+	if e == nil || e.part == nil || sites[0].rep.Stats().CertDrops != 0 {
+		t.Fatalf("the reassembled prepare was not reserved (entry %v, %d drops)", e, sites[0].rep.Stats().CertDrops)
+	}
+	want := p.Parts[0].Cert
+	if !slices.Equal(e.part.ReadSet, want.ReadSet) || !slices.Equal(e.part.WriteSet, want.WriteSet) {
+		t.Fatalf("reserved part reads %v writes %v, want %v and %v", e.part.ReadSet, e.part.WriteSet, want.ReadSet, want.WriteSet)
 	}
 }
 

@@ -30,7 +30,9 @@ type Group int32
 
 // Receiver is the upcall invoked when a datagram arrives. Implementations
 // must treat it as real code: it runs single-threaded and its execution cost
-// is accounted to the node's CPU.
+// is accounted to the node's CPU. data is lent for the upcall only — the
+// runtime reuses the buffer once the upcall returns — so a receiver copies
+// whatever it keeps.
 type Receiver func(src NodeID, data []byte)
 
 // Timer is a cancellable pending callback.
@@ -78,18 +80,15 @@ type Runtime interface {
 	// Rand returns the node's deterministic random stream.
 	Rand() *sim.RNG
 
-	// Send transmits a unicast datagram (unreliable, unordered). The
-	// simulated transport is zero-copy — receivers parse, and may retain,
-	// the sender's bytes — so no byte a receiver can read may change while
-	// a datagram carrying it is in flight (simnet.Send states the rule and
-	// race builds check it there).
+	// Send transmits a unicast datagram (unreliable, unordered). It has
+	// socket semantics: data is copied before Send returns, so the caller
+	// may reuse the buffer at once, and the receiver gets its own bytes.
 	Send(dst NodeID, data []byte) error
 
 	// Multicast transmits a datagram to every member of g, excluding the
 	// sender (unreliable). On LAN topologies this maps to one wire
 	// transmission (IP multicast); elsewhere the protocol layer falls
-	// back to unicast. data is shared by every receiver, under Send's
-	// contract.
+	// back to unicast. data is copied before Multicast returns, as by Send.
 	Multicast(g Group, data []byte) error
 
 	// SetReceiver installs the datagram upcall. It must be set before

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -57,30 +58,30 @@ func (f from) multicast(buf []byte) {
 	}
 }
 
-// TestPayloadChangedInFlight: under the zero-copy contract a sender may not
-// write a byte a receiver can read while a packet carrying it is in flight,
-// and neither may a receiver. Race builds (checkPayload) panic at the
-// arrival, or the last release, that sees the change; ordinary builds
-// compile the check out. What looks like reuse but writes nothing a receiver
-// can read — appending into spare capacity, reslicing, sending the unchanged
-// buffer again — never panics.
+// TestPayloadChangedInFlight: Send and Multicast copy the payload before
+// they return, so nothing the sender does with its buffer afterwards —
+// writing it, appending over it, sending it again — changes a byte a
+// receiver reads. A receiver may not write the packet's copy, though: the
+// receivers of a multicast share it, and it is read-only to the last one
+// too. Race builds (checkPayload) panic at the arrival, or the last release,
+// that sees a receiver's write; ordinary builds compile the check out.
 func TestPayloadChangedInFlight(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		changes bool
 		run     func(h1 from)
 	}{
-		{"write after send", true, func(h1 from) {
+		{"write after send", false, func(h1 from) {
 			buf := make([]byte, 8)
 			h1.send(2, buf)
 			buf[0] = 1
 		}},
-		{"copy after send", true, func(h1 from) {
+		{"copy after send", false, func(h1 from) {
 			buf := make([]byte, 16)
 			h1.send(2, buf)
 			copy(buf, "overwritten")
 		}},
-		{"reslice then append over the sent bytes", true, func(h1 from) {
+		{"reslice then append over the sent bytes", false, func(h1 from) {
 			buf := make([]byte, 16)
 			h1.multicast(buf)
 			buf = buf[:0]
@@ -131,22 +132,86 @@ func TestPayloadChangedInFlight(t *testing.T) {
 }
 
 // TestPayloadPanicNamesThePacket: the check fails at the arrival, before the
-// receiver is handed the changed bytes, and the panic names the sender, the
-// packet's trace sequence number, and that receiver.
+// next receiver is handed the changed bytes, and the panic names the sender,
+// the packet's trace sequence number, and that receiver.
 func TestPayloadPanicNamesThePacket(t *testing.T) {
 	if !checkPayload {
 		t.Skip("the payload digest is armed in race builds only")
 	}
 	k, n := newPayloadLAN(t)
 	h1 := from{t, n}
-	n.Host(3).SetDeliver(func(*Packet) { t.Error("node 3 was handed changed bytes") })
-	h1.send(2, []byte{1}) // #1, unchanged
-	buf := []byte{1, 2}
-	h1.send(3, buf) // #2
-	buf[1] = 0
+	n.Host(2).SetDeliver(func(pkt *Packet) {
+		if pkt.Seq == 2 {
+			pkt.Data[1] = 0
+		}
+	})
+	n.Host(3).SetDeliver(func(pkt *Packet) {
+		if pkt.Seq == 2 {
+			t.Error("node 3 was handed changed bytes")
+		}
+	})
+	h1.multicast([]byte{1})    // #1, unchanged
+	h1.multicast([]byte{1, 2}) // #2, written by node 2
 	msg, _ := runPanic(t, k).(string)
 	if want := "packet #2 from node 1 changed in flight (seen at node 3)"; !strings.Contains(msg, want) {
 		t.Fatalf("panic %q does not contain %q", msg, want)
+	}
+}
+
+// TestKeptPayloadReadsPoison: a DeliverFunc that keeps pkt.Data past its
+// upcall — a unicast's, or a multicast's that both receivers share — reads
+// 0xFF in race builds once the packet's last reference is gone.
+func TestKeptPayloadReadsPoison(t *testing.T) {
+	k, n := newPayloadLAN(t)
+	var kept [][]byte
+	for id := NodeID(2); id <= 3; id++ {
+		n.Host(id).SetDeliver(func(pkt *Packet) { kept = append(kept, pkt.Data) })
+	}
+	h1 := from{t, n}
+	h1.send(2, []byte{1, 2, 3})
+	h1.multicast([]byte{4, 5, 6})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != 3 {
+		t.Fatalf("kept %d payloads, want 3", len(kept))
+	}
+	for _, data := range kept {
+		if poisoned := bytes.Count(data, []byte{0xFF}) == len(data); poisoned != checkPayload {
+			t.Fatalf("kept payload %v: poisoned = %v, want %v", data, poisoned, checkPayload)
+		}
+	}
+}
+
+// TestWirePathAllocFree pins the wire path: once the packet, thunk and
+// kernel pools are warm, a unicast and a multicast — the copy into the
+// packet, injection, transmission, arrivals (every one at node 3
+// duplicated), delivery and the last release — allocate nothing.
+func TestWirePathAllocFree(t *testing.T) {
+	k, n := newPayloadLAN(t)
+	n.Host(3).SetDuplicate(&Injector{Rate: 1})
+	delivered := 0
+	for id := NodeID(2); id <= 3; id++ {
+		n.Host(id).SetDeliver(func(*Packet) { delivered++ })
+	}
+	h1 := from{t, n}
+	buf := make([]byte, 1024)
+	step := func() {
+		h1.send(3, buf)
+		h1.multicast(buf)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 16 {
+		step()
+	}
+	delivered = 0
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("warm Send+Multicast through arrival and release: %v allocs/op, want 0", allocs)
+	}
+	if want := 101 * 5; delivered != want { // node 3 twice per datagram, node 2 once
+		t.Fatalf("delivered %d, want %d", delivered, want)
 	}
 }
 
@@ -199,8 +264,7 @@ func TestDigestTableDrains(t *testing.T) {
 // referenced is a free-list double put, which race builds refuse.
 func TestDoubleReleasePanics(t *testing.T) {
 	_, n := newPayloadLAN(t)
-	pkt := n.newPacket()
-	pkt.refs = 1
+	pkt := n.newPacket(nil)
 	n.release(pkt, 2)
 	got := func() (did bool) {
 		defer func() { did = recover() != nil }()

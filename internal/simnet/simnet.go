@@ -24,9 +24,11 @@ type (
 	Group = runtimeapi.Group
 )
 
-// Packet is one datagram in flight. Packet structs are pooled: a packet
-// handed to a DeliverFunc is valid only for the duration of the upcall, and
-// its Data is the sender's buffer, under Send's contract.
+// Packet is one datagram in flight. Packet structs are pooled together with
+// their payload: Data is the packet's own copy of what the sender passed to
+// Send or Multicast. A packet handed to a DeliverFunc, Data included, is
+// valid only for the duration of the upcall and is read-only there, since
+// every receiver of a multicast reads the same bytes.
 type Packet struct {
 	Seq       int64 // global trace sequence number
 	Src       NodeID
@@ -35,11 +37,11 @@ type Packet struct {
 	Multicast bool
 	Data      []byte
 
-	refs int32 // outstanding deliveries before the struct returns to the pool
+	refs int32 // outstanding deliveries before the struct and Data return to the pool
 }
 
-// DeliverFunc receives packets that survived the trip. The *Packet is pooled
-// and only valid during the call; retain Data, not the struct.
+// DeliverFunc receives packets that survived the trip. The *Packet and its
+// Data are pooled and only valid during the call; copy what is kept.
 type DeliverFunc func(pkt *Packet)
 
 // LANConfig configures a shared-medium segment. Defaults model the paper's
@@ -170,7 +172,8 @@ func (h *Host) SetDeliver(fn DeliverFunc) { h.deliver = fn }
 
 // DeliverTo installs fn as the reception upcall, unwrapped from the pooled
 // packet: the one place the wire hands a datagram to a node's runtime,
-// host.DeliverTo(rt.Deliver). data may be retained, under Send's contract.
+// host.DeliverTo(rt.Deliver). data is the packet's payload, valid and
+// read-only for the call only (csrt.Runtime.Deliver copies it).
 func (h *Host) DeliverTo(fn func(src NodeID, data []byte)) {
 	h.deliver = func(pkt *Packet) { fn(pkt.Src, pkt.Data) }
 }
@@ -286,11 +289,12 @@ type Network struct {
 	isolated       map[NodeID]bool
 	partitionDrops int64
 
-	// digests holds the payload digest of every packet in flight, taken at
-	// Send/Multicast, in race builds (checkPayload); nil otherwise. The last
-	// release deletes a packet's entry, so a drained network leaves it
-	// empty. The seed is random per network, which is harmless: a digest is
-	// only ever compared with another this network took.
+	// digests holds the payload digest of every packet in flight, taken when
+	// Send/Multicast copy the payload, in race builds (checkPayload); nil
+	// otherwise. The last release deletes a packet's entry, so a drained
+	// network leaves it empty. The seed is random per network, which is
+	// harmless: a digest is only ever compared with another this network
+	// took.
 	digests map[*Packet]uint64
 	seed    maphash.Seed
 }
@@ -464,21 +468,29 @@ func (tx *transmission) run() {
 	}
 }
 
-// newPacket takes a Packet from the free list (or allocates one) with a
-// single reference held by the in-flight transmission.
+// newPacket takes a Packet from the free list (or allocates one) holding a
+// copy of data, with a single reference held by the in-flight transmission.
+// A recycled packet copies into the payload buffer it came back with.
 //
 //hot:path
-func (n *Network) newPacket() *Packet {
+func (n *Network) newPacket(data []byte) *Packet {
 	pkt := n.free.Get()
 	if pkt == nil {
 		//lint:hotalloc-ok pool miss; the struct joins the free list on release
 		pkt = &Packet{}
 	}
+	pkt.Data = append(pkt.Data[:0], data...)
+	pkt.refs = 1
+	if checkPayload {
+		n.digests[pkt] = maphash.Bytes(n.seed, pkt.Data)
+	}
 	return pkt
 }
 
 // release drops one reference, held by the node at; the last reference
-// returns the struct (not its Data, which receivers may retain) to the pool.
+// returns the struct and its payload buffer to the pool. Race builds check
+// the payload against its digest first and then overwrite the whole buffer
+// with 0xFF, so a DeliverFunc that kept Data past its upcall reads garbage.
 //
 //hot:path
 func (n *Network) release(pkt *Packet, at NodeID) {
@@ -487,22 +499,21 @@ func (n *Network) release(pkt *Packet, at NodeID) {
 		if checkPayload {
 			n.checkDigest(pkt, at)
 			delete(n.digests, pkt)
+			poison := pkt.Data[:cap(pkt.Data)]
+			for i := range poison {
+				poison[i] = 0xFF
+			}
 		}
-		*pkt = Packet{}
+		*pkt = Packet{Data: pkt.Data[:0]}
 		n.free.Put(pkt)
 	}
 }
 
-// sealDigest records the digest of pkt's payload as it leaves the sender.
-func (n *Network) sealDigest(pkt *Packet) {
-	n.digests[pkt] = maphash.Bytes(n.seed, pkt.Data)
-}
-
 // checkDigest panics when pkt's payload no longer matches the digest taken
-// at Send: a byte a receiver can read changed while the packet was in
-// flight. at is the node where the change was seen. A packet with no entry
-// was released already; the second release is the free list's double-put
-// panic to report.
+// at Send: a receiver wrote bytes that another receiver of the same packet,
+// or a later arrival, can read. at is the node where the change was seen. A
+// packet with no entry was released already; the second release is the free
+// list's double-put panic to report.
 func (n *Network) checkDigest(pkt *Packet, at NodeID) {
 	if d, ok := n.digests[pkt]; ok && d != maphash.Bytes(n.seed, pkt.Data) {
 		panic(fmt.Sprintf("simnet: payload of packet #%d from node %d changed in flight (seen at node %d)", pkt.Seq, pkt.Src, at))
@@ -510,13 +521,12 @@ func (n *Network) checkDigest(pkt *Packet, at NodeID) {
 }
 
 // Send injects a unicast datagram from src after delay (the sender's CPU
-// elapsed time; see csrt.Port). The wire is zero-copy: receivers parse, and
-// may retain, the very bytes the sender built. The contract is that no byte
-// a receiver can read may change while a packet carrying it is in flight —
-// appending into spare capacity, reslicing, and sending the unchanged buffer
-// again are fine. Race builds (checkPayload) check it at every arrival and
-// at the last release, and panic naming the sender, the packet's trace Seq
-// and the receiver.
+// elapsed time; see csrt.Port). It has socket semantics: data is copied into
+// the packet before Send returns, so the sender may reuse its buffer at
+// once, and the receiver reads the packet's copy, read-only and only for
+// its upcall. Race builds (checkPayload) check at every arrival and at the
+// last release that no receiver wrote the copy, and panic naming the
+// sender, the packet's trace Seq and the receiver.
 //
 //hot:path
 func (n *Network) Send(src, dst NodeID, data []byte, delay sim.Time) error {
@@ -529,11 +539,8 @@ func (n *Network) Send(src, dst NodeID, data []byte, delay sim.Time) error {
 		return fmt.Errorf("simnet: unknown destination %d", dst)
 	}
 	n.seq++
-	pkt := n.newPacket()
-	pkt.Seq, pkt.Src, pkt.Dst, pkt.Data, pkt.refs = n.seq, src, dst, data, 1
-	if checkPayload {
-		n.sealDigest(pkt)
-	}
+	pkt := n.newPacket(data)
+	pkt.Seq, pkt.Src, pkt.Dst = n.seq, src, dst
 	n.scheduleTransmission(delay, hs, hd, nil, pkt)
 	return nil
 }
@@ -541,8 +548,8 @@ func (n *Network) Send(src, dst NodeID, data []byte, delay sim.Time) error {
 // Multicast injects a LAN multicast from src to every member of g on the
 // same segment, excluding the sender. Members on other segments are not
 // reached: wide-area dissemination falls back to unicast at the protocol
-// layer, as in the paper's prototype. Every receiver shares data, under
-// Send's contract.
+// layer, as in the paper's prototype. data is copied once, before Multicast
+// returns, and every receiver reads that one copy, under Send's contract.
 //
 //hot:path
 func (n *Network) Multicast(src NodeID, g Group, data []byte, delay sim.Time) error {
@@ -555,11 +562,8 @@ func (n *Network) Multicast(src NodeID, g Group, data []byte, delay sim.Time) er
 		return fmt.Errorf("simnet: unknown group %d", g)
 	}
 	n.seq++
-	pkt := n.newPacket()
-	pkt.Seq, pkt.Src, pkt.Group, pkt.Multicast, pkt.Data, pkt.refs = n.seq, src, g, true, data, 1
-	if checkPayload {
-		n.sealDigest(pkt)
-	}
+	pkt := n.newPacket(data)
+	pkt.Seq, pkt.Src, pkt.Group, pkt.Multicast = n.seq, src, g, true
 	n.scheduleTransmission(delay, hs, nil, members, pkt)
 	return nil
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -278,22 +279,28 @@ func TestTraceRecords(t *testing.T) {
 	}
 }
 
+// TestDeliveredDataIsHandedOff pins the copy: Send takes the bytes before it
+// returns, so the sender's write right after it is invisible to the
+// receiver, which reads the packet's buffer, not the sender's.
 func TestDeliveredDataIsHandedOff(t *testing.T) {
-	// The wire path is zero-copy: Send transfers ownership of the buffer,
-	// and every receiver sees the very bytes the sender built. This test
-	// pins the handoff contract (and that nothing in between clones).
 	k, n, _, h2 := newLANPair(t, LANConfig{})
 	payload := []byte{1, 2, 3}
 	var got []byte
-	h2.SetDeliver(func(pkt *Packet) { got = pkt.Data })
+	h2.SetDeliver(func(pkt *Packet) {
+		if &pkt.Data[0] == &payload[0] {
+			t.Error("the receiver was handed the sender's buffer")
+		}
+		got = append(got, pkt.Data...)
+	})
 	if err := n.Send(1, 2, payload, 0); err != nil {
 		t.Fatal(err)
 	}
+	payload[0] = 9
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if &got[0] != &payload[0] || got[0] != 1 {
-		t.Fatal("network should hand the sender's buffer to the receiver unchanged")
+	if !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("receiver got %v, want the bytes as they were at Send", got)
 	}
 }
 
