@@ -148,14 +148,17 @@
 // column only when a table asks Stat for it — so adding a counter edits the
 // Stats struct and its increment, nothing in between.
 //
-// Four invariants — deterministic packages, pool pairing, silent-drop
-// accounting, allocation-free hot paths — are enforced mechanically by the
-// custom analyzer suite under internal/lint, run in CI as cmd/analyze via
-// `go vet -vettool` (README.md's "Static analysis" section documents the
-// rules and the //lint:<rule>-ok waiver syntax). The wire's read-only rule
-// is checked at the event instead: race builds digest every packet's payload
-// at simnet's Send/Multicast and panic at the first arrival that sees a
-// receiver changed it, naming the sender, the packet and the receiver.
+// Two invariants — deterministic packages and silent-drop accounting — are
+// enforced mechanically by the custom analyzer suite under internal/lint,
+// run by the tier-1 test TestAnalyzeCleanTree (README.md's "Static
+// analysis" section documents the rules and the //lint:<rule>-ok waiver
+// syntax). The rest are checked by running the code: allocation-free hot
+// paths by testing.AllocsPerRun pins, pooled records by sim.FreeList's
+// count of what it has lent, which each owner's tests hold at zero once
+// its work drains, and the wire's read-only rule at the event: race builds
+// digest every packet's payload at simnet's Send/Multicast and panic at the
+// first arrival that sees a receiver changed it, naming the sender, the
+// packet and the receiver.
 //
 // See README.md and the per-package documentation under internal/.
 package repro

@@ -112,8 +112,6 @@ func (c *CPU) Stop() {
 func (c *CPU) Restart() { c.stopped = false }
 
 // Submit enqueues a job for execution, dispatching immediately if possible.
-//
-//hot:path
 func (c *CPU) Submit(j *Job) {
 	if c.stopped {
 		return
@@ -151,8 +149,6 @@ func (c *CPU) preemptCurrent() {
 }
 
 // dispatch starts the next pending job, real jobs first.
-//
-//hot:path
 func (c *CPU) dispatch() {
 	if c.busy || c.stopped {
 		return
@@ -192,7 +188,6 @@ func (c *CPU) dispatch() {
 	c.curEvt = c.k.SchedulePri(dur, sim.PriorityHigh, c.onComplete)
 }
 
-//hot:path
 func (c *CPU) complete(j *Job) {
 	c.busyNS[j.class()] += int64(c.k.Now() - c.curStart)
 	c.busy = false
@@ -244,8 +239,6 @@ func (s *CPUSet) CPU(i int) *CPU { return s.cpus[i] }
 
 // SubmitSim schedules a simulated job of the given duration on the next
 // available CPU.
-//
-//hot:path
 func (s *CPUSet) SubmitSim(dur sim.Time, done func()) {
 	if s.simFactor > 1 {
 		dur = sim.Time(float64(dur) * s.simFactor)
@@ -263,8 +256,6 @@ func (s *CPUSet) SubmitSim(dur sim.Time, done func()) {
 func (s *CPUSet) SetSimSlowdown(factor float64) { s.simFactor = factor }
 
 // SubmitReal schedules a real job on CPU 0.
-//
-//hot:path
 func (s *CPUSet) SubmitReal(fn func(), done func()) {
 	cpu := s.cpus[0]
 	j := cpu.newJob()

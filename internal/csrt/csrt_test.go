@@ -389,7 +389,10 @@ func TestModelProfilerIgnoresNegativeCharge(t *testing.T) {
 // simulated job allocate nothing. That includes Deliver's copy of the
 // datagram: the reception waits behind a busy CPU while the caller
 // overwrites its buffer, and the receiver still reads what was delivered.
-// (Schedule allocates its timer by design.)
+// (Schedule allocates its timer by design.) The pin holds Runtime.StartJob,
+// Deliver, Send and Multicast, oneShot.run, delivery.run, CPUSet.SubmitReal
+// and SubmitSim, and CPU.Submit, dispatch and complete. Once the kernel
+// drains, the three pools (CPU.free, freeJob, freeDlv) have nothing lent.
 func TestRuntimeSteadyStateAllocs(t *testing.T) {
 	k := sim.NewKernel()
 	port := &fakePort{}
@@ -428,5 +431,13 @@ func TestRuntimeSteadyStateAllocs(t *testing.T) {
 	}
 	if len(port.sends) != 2 {
 		t.Fatalf("receiver sent %d datagrams per step, want 2", len(port.sends))
+	}
+	for i := range rt.CPUs().N() {
+		if n := rt.CPUs().CPU(i).free.Out(); n != 0 {
+			t.Errorf("CPU %d: %d pooled jobs lent after the kernel drained", i, n)
+		}
+	}
+	if j, d := rt.freeJob.Out(), rt.freeDlv.Out(); j != 0 || d != 0 {
+		t.Errorf("%d job thunks and %d receptions lent after the kernel drained", j, d)
 	}
 }

@@ -85,7 +85,6 @@ type oneShot struct {
 	fire func()
 }
 
-//hot:path
 func (o *oneShot) run() {
 	r, fn := o.r, o.fn
 	o.fn = nil
@@ -109,8 +108,6 @@ type delivery struct {
 
 // run charges the receive overhead and lends data to the receiver for the
 // upcall; the record goes back to the pool, bytes and all, when it returns.
-//
-//hot:path
 func (d *delivery) run() {
 	r := d.r
 	r.extra += r.cost.RecvCost(len(d.data))
@@ -287,12 +284,9 @@ func (r *Runtime) Schedule(d sim.Time, fn func()) runtimeapi.Timer {
 // StartJob implements runtimeapi.Runtime: Schedule without a cancellation
 // handle. The scheduled thunk is pooled, so hot one-shot jobs allocate
 // nothing here (the kernel event is pooled too).
-//
-//hot:path
 func (r *Runtime) StartJob(d sim.Time, fn func()) {
 	o := r.freeJob.Get()
 	if o == nil {
-		//lint:hotalloc-ok pool miss; the thunk joins the free list when it fires
 		o = &oneShot{r: r}
 		o.fire = o.run
 	}
@@ -315,8 +309,6 @@ func (r *Runtime) chargeSend(n int) (sim.Time, error) {
 }
 
 // Send implements runtimeapi.Runtime.
-//
-//hot:path
 func (r *Runtime) Send(dst runtimeapi.NodeID, data []byte) error {
 	delay, err := r.chargeSend(len(data))
 	if err != nil {
@@ -327,8 +319,6 @@ func (r *Runtime) Send(dst runtimeapi.NodeID, data []byte) error {
 
 // Multicast implements runtimeapi.Runtime. A LAN multicast is one wire
 // transmission, so the send overhead is charged once.
-//
-//hot:path
 func (r *Runtime) Multicast(g runtimeapi.Group, data []byte) error {
 	delay, err := r.chargeSend(len(data))
 	if err != nil {
@@ -343,15 +333,12 @@ func (r *Runtime) Multicast(g runtimeapi.Group, data []byte) error {
 // buffer before Deliver returns, because the job may wait in the CPU queue
 // long after the network has reused the packet; the receiver's data is
 // valid for its upcall only.
-//
-//hot:path
 func (r *Runtime) Deliver(src runtimeapi.NodeID, data []byte) {
 	if r.down {
 		return
 	}
 	d := r.freeDlv.Get()
 	if d == nil {
-		//lint:hotalloc-ok pool miss; the thunk joins the free list when it fires
 		d = &delivery{r: r}
 		d.fire = d.run
 	}

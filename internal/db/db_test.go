@@ -402,3 +402,37 @@ func TestClassStatsRates(t *testing.T) {
 		t.Fatalf("rate = %v", cs.AbortRate())
 	}
 }
+
+// TestRemoteApplyAllocFree pins the remote write-set install: once the
+// pools are warm, Server.ApplyRemote through its lock grant, the write-back
+// and remoteApply.finish allocates nothing. When the kernel drains, the
+// server's remote-apply pool and the storage's sector and request pools
+// have nothing lent.
+func TestRemoteApplyAllocFree(t *testing.T) {
+	k, s := newTestServer(t, 1)
+	cert := &dbsm.TxnCert{
+		TID: 99, Site: 2,
+		WriteSet:   dbsm.NewItemSet(dbsm.MakeTupleID(1, 1), dbsm.MakeTupleID(1, 2), dbsm.MakeTupleID(2, 7)),
+		WriteBytes: 300,
+	}
+	var seq uint64
+	apply := func() {
+		seq++
+		s.ApplyRemote(cert, seq)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 16 {
+		apply()
+	}
+	if n := testing.AllocsPerRun(100, apply); n != 0 {
+		t.Fatalf("warm remote apply: %v allocs/op, want 0", n)
+	}
+	if s.RemoteApplied() != 16+101 || s.Locks().HeldLocks() != 0 {
+		t.Fatalf("%d remote applies, %d locks held; want %d and 0", s.RemoteApplied(), s.Locks().HeldLocks(), 16+101)
+	}
+	if r, o, q := s.freeRemote.Out(), s.storage.freeOps.Out(), s.storage.freeReqs.Out(); r != 0 || o != 0 || q != 0 {
+		t.Fatalf("after the kernel drained: %d remote applies, %d sector ops, %d requests lent", r, o, q)
+	}
+}

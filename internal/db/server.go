@@ -313,8 +313,6 @@ func (s *Server) Submit(t *Txn) {
 // refuse turns a submission away unexecuted: counted as submitted and
 // rejected, finished at once. It reads TID, Class and Done and nothing else
 // of the transaction, which is what lets a submitter leave the rest unbuilt.
-//
-//hot:path
 func (s *Server) refuse(t *Txn) {
 	t.SubmitAt = s.k.Now()
 	s.classOf(t).Submitted++
@@ -324,8 +322,6 @@ func (s *Server) refuse(t *Txn) {
 // classOf is t's class bucket at s, looked up once per (transaction,
 // server): a refused transaction that backs off and comes back to the same
 // server finds it on itself instead of hashing its class name again.
-//
-//hot:path
 func (s *Server) classOf(t *Txn) *ClassStats {
 	if t.server != s {
 		t.server, t.stats = s, s.Class(t.Class)

@@ -6,9 +6,9 @@ import (
 )
 
 // TestMarshalToAllocFree pins the zero-allocation budget of the hot marshal
-// path: with a warm scratch buffer, TxnCert.MarshalTo must not allocate —
-// the zero padding comes from the shared chunk and the encoding reuses the
-// caller's buffer.
+// path: with a warm scratch buffer, TxnCert.MarshalTo (and AppendTo, which
+// it calls) must not allocate — the zero padding comes from the shared chunk
+// and the encoding reuses the caller's buffer.
 func TestMarshalToAllocFree(t *testing.T) {
 	tc := &TxnCert{
 		TID: 7, Site: 2, LastCommitted: 40,
@@ -29,8 +29,9 @@ func TestMarshalToAllocFree(t *testing.T) {
 }
 
 // TestUnmarshalAllocBudget pins the decode path at its fixed budget: into a
-// reused record, the write-set and nothing else; through the fresh-record
-// wrapper, the record and its read-set storage on top.
+// reused record (TxnCert.UnmarshalFrom), the write-set and nothing else;
+// through the fresh-record wrapper, the record and its read-set storage on
+// top.
 func TestUnmarshalAllocBudget(t *testing.T) {
 	tc := &TxnCert{
 		TID: 7, ReadSet: NewItemSet(1, 2, 3), WriteSet: NewItemSet(9),
@@ -87,7 +88,9 @@ func mallocs(runs int, f func()) uint64 {
 // adopts the message's write-set and reuses the block the pruning just
 // drained, a generation change clears a map that keeps its storage, and the
 // speculative wrapper's queue and undo stack are cut back to the same arrays.
-// Through four generation changes, not one allocation.
+// Through four generation changes, not one allocation. It holds
+// Certifier.Certify, commit, indexWrites and firstConflict, and
+// SpecCertifier.Tentative and Final.
 func TestCertifySteadyStateAllocs(t *testing.T) {
 	const warm, runs = 3 * indexWindow, 4*indexWindow + 1
 	stream := steadyStream(warm + runs + 1)
@@ -135,7 +138,8 @@ func TestCertifySteadyStateAllocs(t *testing.T) {
 
 // TestStaleSnapshotAllocFree pins the history-scan answer: every snapshot
 // here is older than the index's horizon but inside MaxHistory, so each
-// certification scans ~2 500 retained entries — and allocates nothing.
+// certification scans ~2 500 retained entries — and allocates nothing. It
+// holds Certifier.firstConflictStale.
 func TestStaleSnapshotAllocFree(t *testing.T) {
 	const lag, runs = 2500, 256
 	stream := steadyStream(3*indexWindow + runs + 1)
@@ -162,8 +166,8 @@ func TestStaleSnapshotAllocFree(t *testing.T) {
 	}
 }
 
-// TestScanCertifierAllocFree pins the reference procedure at its history
-// bound, and PeekTID.
+// TestScanCertifierAllocFree pins the reference procedure,
+// Certifier.certifyScan, at its history bound, and PeekTID.
 func TestScanCertifierAllocFree(t *testing.T) {
 	const warm, runs = 4 * histBlock, 8 * histBlock
 	stream := steadyStream(warm + runs + 1)

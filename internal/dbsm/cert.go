@@ -66,11 +66,9 @@ func (t *TxnCert) Marshal() []byte {
 //
 // The returned slice aliases buf when it fits: the caller must finish using
 // (or copying) the encoding before reusing the scratch.
-//
-//hot:path
 func (t *TxnCert) MarshalTo(buf []byte) []byte {
 	if n := t.MarshaledSize(); cap(buf) < n {
-		//lint:hotalloc-ok capacity miss grows the caller's scratch once, then amortised free
+		// capacity miss grows the caller's scratch once, then amortised free
 		buf = make([]byte, 0, n)
 	}
 	return t.AppendTo(buf[:0])
@@ -79,8 +77,6 @@ func (t *TxnCert) MarshalTo(buf []byte) []byte {
 // AppendTo is the appending form of MarshalTo: the encoding goes after what
 // buf already holds (a stream tag, the parts of a prepare before this one),
 // and buf grows as append grows it.
-//
-//hot:path
 func (t *TxnCert) AppendTo(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, t.TID)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(t.Site))
@@ -123,8 +119,6 @@ func Unmarshal(b []byte) (*TxnCert, error) {
 // package comment). b is not retained. Length fields are validated against
 // len(b) before any offset arithmetic, so hostile values cannot overflow the
 // offset computations; on error t is left as it was.
-//
-//hot:path
 func (t *TxnCert) UnmarshalFrom(b []byte) error {
 	if len(b) < certHeader {
 		return errBadCert
@@ -152,7 +146,7 @@ func (t *TxnCert) UnmarshalFrom(b []byte) error {
 	t.LastCommitted = binary.BigEndian.Uint64(b[12:20])
 	t.WriteBytes = wb
 	t.ReadSet = t.ReadSet.sized(nr)
-	//lint:hotalloc-ok the write-set outlives the record: the history and the remote-apply surrogate retain it
+	// the write-set outlives the record: the history and the remote-apply surrogate retain it
 	t.WriteSet = make(ItemSet, nw)
 	b = b[certHeader:]
 	for i := range t.ReadSet {
@@ -169,8 +163,6 @@ func (t *TxnCert) UnmarshalFrom(b []byte) error {
 // message without decoding the item sets — the optimistic final-delivery fast
 // path, which already holds the fully decoded message from the tentative
 // stage and only needs the key to look it up.
-//
-//hot:path
 func PeekTID(b []byte) (uint64, error) {
 	if len(b) < certHeader {
 		return 0, errBadCert
@@ -392,8 +384,6 @@ func (c *Certifier) StaleAnswers() int64 { return c.staleAnswers }
 // intersects the write-set of any committed transaction that executed
 // concurrently (certification sequence number greater than the
 // transaction's LastCommitted snapshot).
-//
-//hot:path
 func (c *Certifier) Certify(t *TxnCert) Outcome {
 	if c.Veto != nil && c.Veto(t) {
 		return Outcome{Commit: false}
@@ -426,8 +416,6 @@ func (c *Certifier) Certify(t *TxnCert) Outcome {
 // none does: a tuple conflicts with a write of itself or a lock of its table,
 // a table lock with any write in its table. t must not be refused by the
 // pruning rule, so every write after its snapshot is still in the history.
-//
-//hot:path
 func (c *Certifier) firstConflict(t *TxnCert) int {
 	if t.LastCommitted+1 < c.horizon && len(t.ReadSet) > 0 {
 		return c.firstConflictStale(t)
@@ -452,8 +440,6 @@ func (c *Certifier) firstConflict(t *TxnCert) int {
 // firstConflictStale is firstConflict for a snapshot older than the index's
 // horizon: it scans the retained entries after the snapshot, narrowing the
 // candidate reads to those before the first conflict found so far.
-//
-//hot:path
 func (c *Certifier) firstConflictStale(t *TxnCert) int {
 	c.staleAnswers++
 	first := len(t.ReadSet) // reads[:first] have not been seen to conflict
@@ -485,8 +471,6 @@ func (c *Certifier) lastWrite(k TupleID) uint64 {
 
 // certifyScan is the reference procedure: scan every retained write-set that
 // committed after the transaction's snapshot.
-//
-//hot:path
 func (c *Certifier) certifyScan(t *TxnCert) Outcome {
 	comparisons := 0
 	for i := c.hist.firstAfter(t.LastCommitted); i < c.hist.n; i++ {
@@ -509,8 +493,6 @@ func (c *Certifier) certifyScan(t *TxnCert) Outcome {
 // commit advances the sequence, adopts the write-set into the history (an
 // ItemSet is immutable, so the message's own set is kept, not a copy), and
 // applies the in-certify MaxHistory pruning.
-//
-//hot:path
 func (c *Certifier) commit(t *TxnCert) {
 	c.seq++
 	if len(t.WriteSet) == 0 {
@@ -530,8 +512,6 @@ func (c *Certifier) commit(t *TxnCert) {
 // displaced on the undo stack. ws is sorted, so same-table items are
 // contiguous and the table-level cells are updated once per table. A commit
 // that reaches the end of the current generation starts the next one first.
-//
-//hot:path
 func (c *Certifier) indexWrites(ws ItemSet, log bool) {
 	if c.seq >= c.genStart+c.window {
 		c.older, c.lastWriter = c.lastWriter, c.older

@@ -76,8 +76,6 @@ func (s *SpecCertifier) Pending() int { return len(s.tent) - s.head }
 // Tentative certifies t in tentative order and queues the decision. The
 // outcome is speculative: it becomes authoritative only when Final confirms
 // the order. t is held until then (or until a rollback returns it).
-//
-//hot:path
 func (s *SpecCertifier) Tentative(t *TxnCert) Outcome {
 	e := specEntry{t: t, histLen: s.c.hist.n, seqBefore: s.c.seq, undoLen: len(s.c.undo)}
 	s.c.logUndo = true // a tentative commit is the only kind rolled back
@@ -94,8 +92,6 @@ func (s *SpecCertifier) Tentative(t *TxnCert) Outcome {
 // tentative decision is undone, t is certified against the restored
 // finalized state, and the rolled-back transactions (t excluded) are
 // returned in tentative order for the caller to re-speculate.
-//
-//hot:path
 func (s *SpecCertifier) Final(t *TxnCert) (out Outcome, rolled []*TxnCert) {
 	if s.Pending() > 0 && s.tent[s.head].t.TID == t.TID && !s.pruneInvalidated(&s.tent[s.head]) {
 		out = s.tent[s.head].out

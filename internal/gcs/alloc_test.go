@@ -3,7 +3,7 @@ package gcs
 import "testing"
 
 // TestDataMarshalAllocFree pins the wire encoder's budget: marshaling a data
-// chunk into a warm buffer allocates nothing.
+// chunk into a warm buffer (dataMsg.marshal) allocates nothing.
 func TestDataMarshalAllocFree(t *testing.T) {
 	payload := make([]byte, 512)
 	m := &dataMsg{Sender: 3, Seq: 99, Frag: fragFull, Payload: payloadApp, Data: payload}
@@ -21,7 +21,7 @@ func TestDataMarshalAllocFree(t *testing.T) {
 }
 
 // TestParseDataPooledAllocFree pins the receive-side decode: parsing into a
-// pooled struct allocates nothing.
+// pooled struct (parseDataInto) allocates nothing.
 func TestParseDataPooledAllocFree(t *testing.T) {
 	m := &dataMsg{Sender: 3, Seq: 99, Frag: fragFull, Payload: payloadApp, Data: make([]byte, 256)}
 	wire := m.marshal(nil)
@@ -37,8 +37,9 @@ func TestParseDataPooledAllocFree(t *testing.T) {
 }
 
 // TestAssignsMarshalAllocFree pins the sequencer's batch path: marshaling
-// and parsing assignment batches through warm scratch buffers allocates
-// nothing — this runs once per ordering batch on the sequencer hot path.
+// and parsing assignment batches through warm scratch buffers
+// (marshalAssigns, parseAssignsInto) allocates nothing — this runs once per
+// ordering batch on the sequencer hot path.
 func TestAssignsMarshalAllocFree(t *testing.T) {
 	batch := []seqAssign{{Sender: 1, Seq: 5, Global: 10}, {Sender: 2, Seq: 6, Global: 11}}
 	wire := marshalAssigns(nil, batch)

@@ -14,8 +14,6 @@ package gcs
 // creditOK reports whether every live destination has credit for seq. Self
 // and excluded peers never gate: self-delivery is immediate and an excluded
 // member will never ack again.
-//
-//hot:path
 func (rm *relMcast) creditOK(seq uint64) bool {
 	for _, p := range rm.s.view.Members {
 		if p == rm.s.cfg.Self {
@@ -41,8 +39,6 @@ func (rm *relMcast) noteCreditStall() {
 // horizon — into its cursor and reports whether it advanced (an advance may
 // unblock the drain loop). Merges never move the cursor backwards, however
 // acknowledgements are reordered in flight.
-//
-//hot:path
 func (rm *relMcast) creditAck(src NodeID, seq uint64) bool {
 	ps := rm.peer(src)
 	if seq <= ps.acked {

@@ -112,9 +112,9 @@ func TestCreditGateReplenishDeterministic(t *testing.T) {
 	}
 }
 
-// TestCreditGateHotPathAllocs pins the per-chunk gate operations at zero
-// allocations: they run once per transmitted chunk and once per
-// acknowledgement merge.
+// TestCreditGateHotPathAllocs pins the per-chunk gate operations,
+// relMcast.creditOK and creditAck, at zero allocations: they run once per
+// transmitted chunk and once per acknowledgement merge.
 func TestCreditGateHotPathAllocs(t *testing.T) {
 	rm := creditRow(t, creditsPerDest)
 	seq := uint64(2)
@@ -133,9 +133,10 @@ func TestCreditGateHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestCreditOKAllocs pins the full per-chunk admission check — a walk over
-// the live view consulting every destination's cursor — at zero allocations
-// against a real three-member stack.
+// TestCreditOKAllocs pins the full per-chunk admission check,
+// relMcast.creditOK — a walk over the live view consulting every
+// destination's cursor — at zero allocations against a real three-member
+// stack.
 func TestCreditOKAllocs(t *testing.T) {
 	c := newCluster(t, 3, 11, nil)
 	c.castAt(10*sim.Millisecond, 1, []byte("warm"))

@@ -90,10 +90,15 @@ func (c *cluster) castAt(at sim.Time, id NodeID, payload []byte) {
 	})
 }
 
+// run advances the cluster to until, then holds every stack's free lists to
+// the buffers it still holds (checkLent).
 func (c *cluster) run(until sim.Time) {
 	c.t.Helper()
 	if err := c.k.RunUntil(until); err != nil {
 		c.t.Fatal(err)
+	}
+	for id, st := range c.stacks {
+		checkLent(c.t, id, st)
 	}
 }
 

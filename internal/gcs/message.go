@@ -53,7 +53,6 @@ type dataMsg struct {
 
 const dataHeader = 1 + 4 + 8 + 1 + 1 + 2
 
-//hot:path
 func (m *dataMsg) marshal(buf []byte) []byte {
 	buf = append(buf, kindData)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Sender))
@@ -68,8 +67,6 @@ func (m *dataMsg) marshal(buf []byte) []byte {
 // pooled) struct, copying the chunk into the buffer m.Data already owns: a
 // received datagram is only lent for its upcall, and the chunk is kept until
 // it is stable.
-//
-//hot:path
 func parseDataInto(m *dataMsg, b []byte) error {
 	if len(b) < dataHeader {
 		return errTruncated
@@ -221,11 +218,9 @@ type seqAssign struct {
 // marshalAssigns encodes a batch of assignments, appending to buf[:0] (the
 // sequencer passes its reusable scratch; the result aliases it when it
 // fits). The caller must finish using the encoding before reusing buf.
-//
-//hot:path
 func marshalAssigns(buf []byte, assigns []seqAssign) []byte {
 	if need := 2 + 20*len(assigns); cap(buf) < need {
-		//lint:hotalloc-ok capacity miss grows the sequencer's scratch once, then amortised free
+		// capacity miss grows the sequencer's scratch once, then amortised free
 		buf = make([]byte, 0, need)
 	}
 	buf = buf[:0]
@@ -240,8 +235,6 @@ func marshalAssigns(buf []byte, assigns []seqAssign) []byte {
 
 // parseAssignsInto decodes an assignment batch, appending to buf[:0] (a
 // reusable scratch — the decoded batch is consumed synchronously).
-//
-//hot:path
 func parseAssignsInto(buf []seqAssign, b []byte) ([]seqAssign, error) {
 	if len(b) < 2 {
 		return nil, errTruncated

@@ -76,7 +76,8 @@ func TestReassemblyBufferRecycled(t *testing.T) {
 
 // A warm receive of a fragmented message — three chunks through onData,
 // reassembly, ordering, the delivery upcall, the buffer's return — allocates
-// nothing.
+// nothing. It holds relMcast.newMsg, recycleMsg, newBody, recycleBody,
+// fifoDeliver and complete, and totalOrder.onAppData, tryDeliver and forget.
 func TestFragmentedReceiveAllocFree(t *testing.T) {
 	c := newCluster(t, 3, 72, nil)
 	st := c.stacks[2] // not the sequencer: ordering arrives as an announcement
@@ -112,7 +113,8 @@ func TestFragmentedReceiveAllocFree(t *testing.T) {
 // chunk), the delivery upcall, and the stability GC that hands the chunks
 // back. The lone member sequences for itself; its stack is not started, so
 // no gossip or failure-detector timer (which allocates by design) runs, and
-// gcStable stands in for the gossip round that would call it.
+// gcStable stands in for the gossip round that would call it. It holds
+// relMcast.newChunk and recycleChunk on top of the receive path.
 func TestCastAllocFree(t *testing.T) {
 	k := sim.NewKernel()
 	rng := sim.NewRNG(75)
@@ -157,6 +159,81 @@ func TestCastAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("warm two-chunk cast through stability: %v allocs/op, want 0", allocs)
+	}
+}
+
+// checkLent holds a stack's three free lists to the buffers it still holds:
+// every dataMsg lent sits in a receive buffer, every own chunk is queued or
+// awaits stability, and every body is a reassembly in progress or a message
+// awaiting its order. A halted stack holds none and has dropped its lists.
+func checkLent(t *testing.T, id NodeID, st *Stack) {
+	t.Helper()
+	msgs, bodies := 0, 0
+	for _, ps := range st.rm.peers {
+		msgs += len(ps.recvBuf)
+		if ps.body != nil {
+			bodies++
+		}
+	}
+	for _, m := range st.to.msgs {
+		if m.held {
+			bodies++
+		}
+	}
+	chunks := len(st.rm.sendBuf) + len(st.rm.outQ) - st.rm.outHead
+	if got := st.rm.freeMsgs.Out(); got != msgs {
+		t.Errorf("node %d: %d dataMsgs lent, %d buffered", id, got, msgs)
+	}
+	if got := st.rm.freeChunks.Out(); got != chunks {
+		t.Errorf("node %d: %d chunks lent, %d queued or unstable", id, got, chunks)
+	}
+	if got := st.rm.freeBodies.Out(); got != bodies {
+		t.Errorf("node %d: %d bodies lent, %d held", id, got, bodies)
+	}
+}
+
+// Every buffer a stack lends comes back once the traffic is stable: after a
+// burst of one-chunk and fragmented messages from every member, each
+// received dataMsg (freeMsgs), own wire chunk (freeChunks) and message body
+// (freeBodies) is on its free list again, at every stack.
+func TestFreeListsDrain(t *testing.T) {
+	c := newCluster(t, 3, 76, nil)
+	const msgs = 30
+	for i := range msgs {
+		size := 300
+		if i%3 == 0 {
+			size = 5000 // four chunks
+		}
+		c.castAt(sim.Time(10+i)*sim.Millisecond, NodeID(i%3+1), pattern(size, byte(i)))
+	}
+	c.run(2 * sim.Second)
+	c.checkAgreement(nodes(3), msgs)
+	for _, id := range nodes(3) {
+		st := c.stacks[id]
+		if n := st.BufferedMessages(); n != 0 {
+			t.Fatalf("node %d still buffers %d chunks: the run did not drain", id, n)
+		}
+		if m, ch, b := st.rm.freeMsgs.Out(), st.rm.freeChunks.Out(), st.rm.freeBodies.Out(); m != 0 || ch != 0 || b != 0 {
+			t.Errorf("node %d: %d dataMsgs, %d chunks, %d bodies lent after the traffic drained", id, m, ch, b)
+		}
+	}
+}
+
+// A restarted own stream hands its unstable and unsent chunks back: the
+// readmitted joiner's resetSelf leaves no chunk lent that nothing holds.
+func TestResetSelfReturnsChunks(t *testing.T) {
+	c := newCluster(t, 3, 77, func(cfg *Config) { cfg.StabilityPeriod = 10 * sim.Second })
+	for i := range 8 {
+		c.castAt(sim.Time(10+i)*sim.Millisecond, 1, pattern(3000, byte(i)))
+	}
+	c.run(100 * sim.Millisecond)
+	st := c.stacks[1]
+	if st.rm.freeChunks.Out() == 0 {
+		t.Fatal("test premise broken: no chunk awaits stability")
+	}
+	st.rm.resetSelf()
+	if n := st.rm.freeChunks.Out(); n != 0 {
+		t.Fatalf("%d chunks lent after the stream restarted", n)
 	}
 }
 

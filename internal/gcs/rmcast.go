@@ -142,12 +142,9 @@ func newRelMcast(s *Stack) *relMcast {
 
 // newMsg takes a dataMsg from the pool (or allocates one whose Data has room
 // for any chunk, so it never grows).
-//
-//hot:path
 func (rm *relMcast) newMsg() *dataMsg {
 	m := rm.freeMsgs.Get()
 	if m == nil {
-		//lint:hotalloc-ok pool miss; the struct and its buffer join the free list afterwards
 		m = &dataMsg{Data: make([]byte, 0, rm.s.maxPacket-dataHeader)}
 	}
 	return m
@@ -155,8 +152,6 @@ func (rm *relMcast) newMsg() *dataMsg {
 
 // recycleMsg returns a struct whose buffer slot has been vacated, keeping
 // the storage of its Data.
-//
-//hot:path
 func (rm *relMcast) recycleMsg(m *dataMsg) {
 	m.Data = poison(m.Data)
 	rm.freeMsgs.Put(m)
@@ -164,12 +159,9 @@ func (rm *relMcast) recycleMsg(m *dataMsg) {
 
 // newChunk takes an empty wire chunk from the free list (or allocates one
 // with room for a whole datagram).
-//
-//hot:path
 func (rm *relMcast) newChunk() []byte {
 	b := rm.freeChunks.Get()
 	if b == nil {
-		//lint:hotalloc-ok pool miss; the chunk joins the free list once it is stable
 		b = make([]byte, 0, rm.s.maxPacket)
 	}
 	return b
@@ -177,23 +169,20 @@ func (rm *relMcast) newChunk() []byte {
 
 // recycleChunk returns a stable chunk of the own stream, which no member
 // will ask for again.
-//
-//hot:path
 func (rm *relMcast) recycleChunk(b []byte) {
 	b = poison(b)
-	if rm.freeChunks.Len() < maxFreeChunks {
-		rm.freeChunks.Put(b)
+	if rm.freeChunks.Len() >= maxFreeChunks {
+		rm.freeChunks.Discard()
+		return
 	}
+	rm.freeChunks.Put(b)
 }
 
 // newBody takes an empty reassembly buffer from the free list (or allocates
 // one).
-//
-//hot:path
 func (rm *relMcast) newBody() []byte {
 	b := rm.freeBodies.Get()
 	if b == nil {
-		//lint:hotalloc-ok pool miss; the buffer joins the free list after its first delivery
 		b = make([]byte, 0, bodyCap)
 	}
 	return b
@@ -203,14 +192,15 @@ func (rm *relMcast) newBody() []byte {
 // delivery upcall it was lent to has returned, or its message was cut short.
 // A halted stack keeps no list (releaseAll), so an upcall that stopped the
 // stack drops its buffer here.
-//
-//hot:path
 func (rm *relMcast) recycleBody(b []byte) {
 	b = poison(b)
-	if rm.s.stopped || rm.freeBodies.Len() >= maxFreeBodies {
-		return
+	switch {
+	case rm.s.stopped:
+	case rm.freeBodies.Len() >= maxFreeBodies:
+		rm.freeBodies.Discard()
+	default:
+		rm.freeBodies.Put(b)
 	}
-	rm.freeBodies.Put(b)
 }
 
 // poison empties a buffer on its way back to a free list. Race builds
@@ -559,19 +549,17 @@ func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 // copied from its chunks (one or several), because a chunk's buffer returns
 // to freeMsgs at stability GC while the message may still wait for its
 // order.
-//
-//hot:path
 func (rm *relMcast) fifoDeliver(ps *peerState, m *dataMsg) {
 	switch m.Frag {
 	case fragFull:
-		//lint:hotalloc-ok fills a pooled buffer, which holds any single chunk
+		// a pooled body holds any single chunk, so this copy never grows it
 		body := append(rm.newBody(), m.Data...)
 		rm.complete(ps.id, m.Seq, m.Seq, m.Payload, body)
 	case fragFirst:
 		buf := rm.newBody()
 		ps.reasmMsgID = m.Seq
 		ps.reasmKind = m.Payload
-		//lint:hotalloc-ok fills a pooled buffer; growth past its capacity is amortised over the buffer's reuse
+		// growth past the pooled buffer's capacity is amortised over the buffer's reuse
 		ps.body = append(buf, m.Data...)
 	case fragMid:
 		if ps.body != nil {
@@ -579,7 +567,6 @@ func (rm *relMcast) fifoDeliver(ps *peerState, m *dataMsg) {
 		}
 	case fragLast:
 		if ps.body != nil {
-			//lint:hotalloc-ok same pooled buffer, leaving ps for the layer above
 			data := append(ps.body, m.Data...)
 			ps.body = nil
 			rm.complete(ps.id, ps.reasmMsgID, m.Seq, ps.reasmKind, data)
@@ -598,8 +585,6 @@ func (rm *relMcast) dropPartial(ps *peerState) {
 
 // complete routes a fully reassembled message, in a body buffer whose last
 // reader hands it back, to the total order layer.
-//
-//hot:path
 func (rm *relMcast) complete(sender NodeID, msgID, lastSeq uint64, payloadKind byte, data []byte) {
 	switch payloadKind {
 	case payloadApp:
@@ -709,9 +694,15 @@ func (rm *relMcast) reset(p NodeID, upto uint64) {
 // down, so nothing application-level is in flight.
 func (rm *relMcast) resetSelf() {
 	rm.reset(rm.s.cfg.Self, 0)
-	rm.sendBuf = make(map[uint64][]byte)
+	for seq, wire := range rm.sendBuf {
+		delete(rm.sendBuf, seq)
+		rm.recycleChunk(wire)
+	}
 	rm.sendBufBytes = 0
 	rm.sendSeq = 0
+	for _, c := range rm.outQ[rm.outHead:] {
+		rm.recycleChunk(c.wire)
+	}
 	clear(rm.outQ)
 	rm.outQ, rm.outHead = rm.outQ[:0], 0
 	rm.outQBytes = 0

@@ -155,11 +155,18 @@ func (to *totalOrder) unassign(key msgKey) {
 	to.msgs[key] = m
 }
 
+// discard forgets a message that will never be delivered here and recycles
+// its body, if the body arrived.
+func (to *totalOrder) discard(key msgKey) {
+	if m := to.msgs[key]; m.held {
+		to.s.rm.recycleBody(m.data)
+	}
+	to.forget(key)
+}
+
 // forget drops everything known about key: the one way a message leaves the
 // table, whether delivered, skipped by a catch-up cursor or purged with its
 // sender. An unassigned record has global 0, which order never holds.
-//
-//hot:path
 func (to *totalOrder) forget(key msgKey) {
 	delete(to.order, to.msgs[key].global)
 	delete(to.msgs, key)
@@ -175,8 +182,6 @@ func (to *totalOrder) forget(key msgKey) {
 // an order for a body the other survivors repaired past and can never
 // obtain (the exclusion drops it), wedging their delivery forever.
 // Deferred messages are assigned at install, after the beyond-target purge.
-//
-//hot:path
 func (to *totalOrder) onAppData(sender NodeID, msgID, lastSeq uint64, data []byte) {
 	key := msgKey{sender: sender, msgID: msgID}
 	m := to.msgs[key]
@@ -352,7 +357,7 @@ func (to *totalOrder) onAssigns(announcer NodeID, chunkSeq uint64, assigns []seq
 				// a recovery catch-up cursor skipped it (the snapshot
 				// covers it). The body can never deliver here; drop it
 				// or the table would pin it for the whole run.
-				to.forget(key)
+				to.discard(key)
 			}
 			continue
 		}
@@ -414,9 +419,8 @@ func (to *totalOrder) rollbackUnagreed(announcer NodeID, target uint64) {
 // The body is lent to the application for the length of the upcall and
 // returns to the reliable layer's free list as soon as the upcall comes
 // back. Bodies dropped undelivered — purgeSender, skipTo, the catch-up skip
-// in onAssigns, halt — are rare and left to the collector.
-//
-//hot:path
+// in onAssigns — go back the same way (discard); only a halted stack, which
+// keeps no free list, leaves them to the collector.
 func (to *totalOrder) tryDeliver() {
 	if to.s.rm.frozen {
 		return
@@ -472,6 +476,7 @@ func (to *totalOrder) purgeSender(sender NodeID, upto uint64) {
 		if to.s.onOptDiscard != nil {
 			to.s.onOptDiscard(OptDelivery{Sender: key.sender, MsgID: key.msgID, Payload: m.data})
 		}
+		to.s.rm.recycleBody(m.data)
 	}
 }
 
@@ -481,7 +486,7 @@ func (to *totalOrder) purgeSender(sender NodeID, upto uint64) {
 func (to *totalOrder) skipTo(seq uint64) {
 	for g := to.nextDeliver + 1; g <= seq; g++ {
 		if key, ok := to.order[g]; ok {
-			to.forget(key)
+			to.discard(key)
 		}
 	}
 	if seq > to.nextDeliver {

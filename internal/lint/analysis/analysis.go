@@ -52,28 +52,10 @@ type Diagnostic struct {
 	Message  string
 }
 
-// Validate checks the analyzer set for driver use: non-empty unique names.
-func Validate(analyzers []*Analyzer) error {
-	seen := make(map[string]bool)
-	for _, a := range analyzers {
-		if a.Name == "" {
-			return fmt.Errorf("analysis: analyzer with empty name")
-		}
-		if a.Run == nil {
-			return fmt.Errorf("analysis: analyzer %s has no Run", a.Name)
-		}
-		if seen[a.Name] {
-			return fmt.Errorf("analysis: duplicate analyzer name %q", a.Name)
-		}
-		seen[a.Name] = true
-	}
-	return nil
-}
-
 // RunAll applies every analyzer to the package described by the template
 // pass (Report in the template is ignored) and returns the diagnostics
-// sorted by position. It is the single entry point shared by the test
-// harness and both driver modes.
+// sorted by position. It is the single entry point shared by the fixture
+// harness (linttest) and the driver.
 func RunAll(analyzers []*Analyzer, tmpl Pass) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {

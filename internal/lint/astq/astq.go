@@ -82,21 +82,3 @@ func Obj(info *types.Info, id *ast.Ident) types.Object {
 func IsErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
-
-// Terminates reports whether the statement unconditionally leaves the
-// enclosing block: return, branch (break/continue/goto), or a call to
-// panic or os.Exit.
-func Terminates(s ast.Stmt) bool {
-	switch st := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			switch name := CalleeName(call); name {
-			case "panic", "Exit", "Fatal", "Fatalf":
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -1,8 +1,7 @@
-// Package directive parses the comment directives understood by the
+// Package directive parses the suppression directive understood by the
 // invariant linter suite:
 //
 //	//lint:<rule>-ok <reason>   suppress the named rule on this line or the next
-//	//hot:path                  mark a function as allocation-free hot path
 //
 // A suppression must carry a non-empty reason; the analyzers report bare
 // directives as violations in their own right, so every waiver is
@@ -65,19 +64,3 @@ func (s *Suppressions) Suppressed(pos token.Pos) bool {
 // Bare returns the positions of directives missing a reason. Analyzers
 // report these so a waiver can never be anonymous.
 func (s *Suppressions) Bare() []token.Pos { return s.bare }
-
-// hotMarker is the hot-path function annotation.
-const hotMarker = "//hot:path"
-
-// IsHot reports whether fn carries a //hot:path marker in its doc comment.
-func IsHot(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if c.Text == hotMarker || strings.HasPrefix(c.Text, hotMarker+" ") {
-			return true
-		}
-	}
-	return false
-}

@@ -1,22 +1,12 @@
 // Package driver loads Go packages and runs the repository's analyzers
 // over them, without depending on golang.org/x/tools.
 //
-// Two loading modes share the analysis core:
-//
-//   - Standalone: Analyze shells out to `go list -export -json -deps`,
-//     type-checks every non-dependency package from source against the
-//     export data the go command produced, and runs every analyzer.
-//     This is what `analyze ./...` does.
-//
-//   - Unitchecker: RunConfig consumes the JSON .cfg file that `go vet
-//     -vettool` hands the tool for a single package, using the
-//     ImportMap/PackageFile tables from the config instead of invoking
-//     the go command. This is what makes `go vet -vettool=analyze`
-//     work.
-//
-// Both modes resolve imports with the stdlib gc importer fed by a
-// lookup over compiled export files, so no network or source checkout
-// of dependencies is needed.
+// Analyze shells out to `go list -export -json -deps`, type-checks every
+// non-dependency package from source against the export data the go
+// command produced, and runs every analyzer. Imports resolve through the
+// stdlib gc importer fed by a lookup over those export files, so no
+// network or source checkout of dependencies is needed. The suite's one
+// entry point is this package's TestAnalyzeCleanTree.
 package driver
 
 import (
@@ -36,8 +26,6 @@ import (
 	"sort"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/hotalloc"
-	"repro/internal/lint/poolpair"
 	"repro/internal/lint/simdeterminism"
 	"repro/internal/lint/statcount"
 )
@@ -45,8 +33,6 @@ import (
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		hotalloc.Analyzer,
-		poolpair.Analyzer,
 		simdeterminism.Analyzer,
 		statcount.Analyzer,
 	}
@@ -71,7 +57,6 @@ type listPackage struct {
 	Export     string
 	Standard   bool
 	DepOnly    bool
-	Incomplete bool
 }
 
 // Analyze loads the packages matching patterns (relative to dir) and
@@ -105,7 +90,14 @@ func Analyze(dir string, patterns ...string) ([]Diagnostic, error) {
 		}
 	}
 
-	imp := newExportImporter(func(path string) string { return exports[path] })
+	// The gc importer reads the compiled export data `go list -export` named.
+	imp := importer.ForCompiler(token.NewFileSet(), "gc", func(path string) (io.ReadCloser, error) {
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 	var diags []Diagnostic
 	for _, p := range targets {
 		files := make([]string, len(p.GoFiles))
@@ -118,60 +110,17 @@ func Analyze(dir string, patterns ...string) ([]Diagnostic, error) {
 		}
 		diags = append(diags, ds...)
 	}
-	sortDiags(diags)
-	return diags, nil
-}
-
-// Config mirrors the JSON configuration cmd/go writes for vet tools.
-type Config struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// RunConfig executes the suite for one vet unit described by cfgFile.
-// It always writes the VetxOutput facts file (empty; the suite exports
-// no facts) so cmd/go's caching contract holds.
-func RunConfig(cfgFile string) ([]Diagnostic, error) {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		return nil, err
-	}
-	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return nil, fmt.Errorf("parsing vet config %s: %v", cfgFile, err)
-	}
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			return nil, err
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
+		if a.Position.Filename != b.Position.Filename {
+			return a.Position.Filename < b.Position.Filename
 		}
-	}
-	if cfg.VetxOnly || len(cfg.GoFiles) == 0 {
-		return nil, nil
-	}
-	imp := newExportImporter(func(path string) string {
-		if canon, ok := cfg.ImportMap[path]; ok {
-			path = canon
+		if a.Position.Offset != b.Position.Offset {
+			return a.Position.Offset < b.Position.Offset
 		}
-		return cfg.PackageFile[path]
+		return a.Analyzer < b.Analyzer
 	})
-	diags, err := checkAndRun(imp, cfg.ImportPath, cfg.GoFiles, Analyzers())
-	if err != nil && cfg.SucceedOnTypecheckFailure {
-		return nil, nil
-	}
-	sortDiags(diags)
-	return diags, err
+	return diags, nil
 }
 
 // checkAndRun parses and type-checks one package, then runs the suite.
@@ -219,45 +168,4 @@ func checkAndRun(imp types.Importer, importPath string, files []string, analyzer
 		}
 	}
 	return diags, typeErr
-}
-
-func sortDiags(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Position.Filename != b.Position.Filename {
-			return a.Position.Filename < b.Position.Filename
-		}
-		if a.Position.Offset != b.Position.Offset {
-			return a.Position.Offset < b.Position.Offset
-		}
-		return a.Analyzer < b.Analyzer
-	})
-}
-
-// exportImporter resolves imports through compiled export data files,
-// as produced by `go list -export` or recorded in a vet config.
-type exportImporter struct {
-	gc   types.ImporterFrom
-	find func(path string) string
-}
-
-func newExportImporter(find func(path string) string) *exportImporter {
-	ei := &exportImporter{find: find}
-	fset := token.NewFileSet()
-	ei.gc = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file := find(path)
-		if file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}).(types.ImporterFrom)
-	return ei
-}
-
-func (ei *exportImporter) Import(path string) (*types.Package, error) {
-	return ei.gc.ImportFrom(path, "", 0)
-}
-
-func (ei *exportImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	return ei.gc.ImportFrom(path, dir, mode)
 }

@@ -383,11 +383,55 @@ func TestOptimisticPipelineFaultFree(t *testing.T) {
 		if n := s.rep.freeTent.Len(); len(s.rep.tent) != 0 || n == 0 || n >= 12 {
 			t.Fatalf("site %d: %d tentative states outstanding, %d on the free list", i+1, len(s.rep.tent), n)
 		}
+		if ts, th := s.rep.freeTent.Out(), s.rep.freeThunks.Out(); ts != 0 || th != 0 {
+			t.Fatalf("site %d: %d tentative states and %d stage thunks lent after the run drained", i+1, ts, th)
+		}
 		logs[dbsm.SiteID(i+1)] = s.rep.CommitLog()
 		op[dbsm.SiteID(i+1)] = true
 	}
 	if v := check.Logs(check.FromCommitLogs(logs, op)); v != nil {
 		t.Fatalf("logs diverged: %v", v)
+	}
+}
+
+// TestScheduleAllocFree pins the pipeline's job hand-off: once the thunk,
+// job and kernel-event pools are warm, Replica.schedule through
+// replicaThunk.run allocates nothing, and the drained kernel leaves no thunk
+// lent. The lone replica's stack is never started, so no gcs timer runs.
+func TestScheduleAllocFree(t *testing.T) {
+	k := sim.NewKernel()
+	rng := sim.NewRNG(5)
+	net := simnet.NewNetwork(k, rng.Fork("net"))
+	net.SetGroup(1, []gcs.NodeID{1})
+	if _, err := net.NewHost(1, net.NewLAN(simnet.DefaultLANConfig("lan"))); err != nil {
+		t.Fatal(err)
+	}
+	rt := csrt.NewRuntime(k, 1, &csrt.ModelProfiler{}, net.Port(1, 1400), csrt.DefaultCostParams(), rng.Fork("rt"))
+	rt.Bind(csrt.NewCPUSet(1, k, nil))
+	stack, err := gcs.New(rt, gcs.Config{Self: 1, Members: []gcs.NodeID{1}, Group: 1, UseMulticast: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(rt, stack, db.NewServer(k, 1, rt.CPUs(), db.NewStorage(k, db.StorageConfig{}, rng.Fork("disk"))), Options{})
+	ran := 0
+	stage := func(*Replica, *db.Txn, []byte, uint64) { ran++ }
+	step := func() {
+		r.schedule(stage, nil, nil, 0)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 16 {
+		step()
+	}
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("warm schedule→run: %v allocs/op, want 0", n)
+	}
+	if ran != 16+101 {
+		t.Fatalf("%d stages ran, want %d", ran, 16+101)
+	}
+	if n := r.freeThunks.Out(); n != 0 {
+		t.Fatalf("%d stage thunks lent after the kernel drained", n)
 	}
 }
 

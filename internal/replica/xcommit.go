@@ -174,8 +174,6 @@ func (x *xmgr) sequencing() bool {
 // charge is fixed before the scan — reservation count times set size, a full
 // count with no short-circuit — so the simulated CPU time it advances does
 // not depend on where the scan stops.
-//
-//hot:path
 func (x *xmgr) veto(t *dbsm.TxnCert) bool {
 	if len(x.active) == 0 {
 		return false
@@ -193,8 +191,6 @@ func (x *xmgr) veto(t *dbsm.TxnCert) bool {
 // conflicts reports whether a certification message or a part conflicts with
 // an active reservation (the veto, and the reservation half of the vote: a
 // part being voted on is not in the table yet).
-//
-//hot:path
 func (x *xmgr) conflicts(p *dbsm.TxnCert) bool {
 	for _, e := range x.active {
 		o := e.part
@@ -208,8 +204,6 @@ func (x *xmgr) conflicts(p *dbsm.TxnCert) bool {
 
 // homeOnly reports whether every tuple of a set is this group's or catalog
 // data (0), replicated in every group.
-//
-//hot:path
 func (x *xmgr) homeOnly(s dbsm.ItemSet) bool {
 	for _, id := range s {
 		if g := x.r.opts.GroupOf(id); g != 0 && g != x.group {

@@ -235,6 +235,9 @@ func TestXFragmentsOutliveTheirUpcall(t *testing.T) {
 	}
 }
 
+// TestXHotPathsDoNotAllocate pins the per-transaction checks of a group's
+// cross-group manager — xmgr.veto, conflicts and homeOnly — at zero
+// allocations against three reservations in flight.
 func TestXHotPathsDoNotAllocate(t *testing.T) {
 	_, sites := buildGroupCluster(t, 1)
 	x := sites[0].rep.x

@@ -10,7 +10,9 @@ var farDelays = []Time{Microsecond, 100 * Millisecond, 10 * Second, Hour}
 // TestKernelScheduleAllocFree pins the scheduler's steady-state budget:
 // once the slot slab, calendar nodes and heap have warmed up, Schedule plus
 // dispatch of a prebound callback performs zero allocations, however far
-// ahead the event is due.
+// ahead the event is due. It holds Kernel.Schedule, SchedulePri,
+// SchedulePriAt, ScheduleAt and Step, and the calendar and heap beneath them:
+// enqueue, link, settle, spill, drain, advance, cascade, push and pop.
 func TestKernelScheduleAllocFree(t *testing.T) {
 	for _, d := range farDelays {
 		t.Run(d.String(), func(t *testing.T) {
@@ -38,7 +40,7 @@ func TestKernelScheduleAllocFree(t *testing.T) {
 	}
 }
 
-// TestKernelCancelAllocFree pins cancellation at zero allocations: lazy
+// TestKernelCancelAllocFree pins Kernel.Cancel at zero allocations: lazy
 // cancel is a slot vacate plus free-list push, and the stale node is
 // dropped when its bucket spills (or popped off the heap). A live event at
 // the same delay moves the clock, so the next timer lands in the calendar

@@ -57,6 +57,31 @@ func TestFreeListDrop(t *testing.T) {
 	}
 }
 
+// TestFreeListOut: the count owners' drain tests read. A miss is lent like a
+// hit, Put and Discard take a value back, a Get without either leaves it
+// counted, and Drop forgets it.
+func TestFreeListOut(t *testing.T) {
+	var f FreeList[*rec]
+	r := f.Get() // a miss: the caller allocates
+	if r != nil || f.Out() != 1 {
+		t.Fatalf("after a missed Get: Out = %d, want 1", f.Out())
+	}
+	f.Put(&rec{})
+	if f.Out() != 0 {
+		t.Fatalf("after the Put: Out = %d, want 0", f.Out())
+	}
+	f.Get()
+	f.Get()
+	f.Discard()
+	if f.Out() != 1 {
+		t.Fatalf("two Gets and a Discard: Out = %d, want 1 (the leaked one)", f.Out())
+	}
+	f.Drop()
+	if f.Out() != 0 {
+		t.Fatalf("after Drop: Out = %d, want 0", f.Out())
+	}
+}
+
 func TestFreeListWarmCycleAllocFree(t *testing.T) {
 	var f FreeList[*rec]
 	f.Put(&rec{})

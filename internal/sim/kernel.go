@@ -155,23 +155,17 @@ func (k *Kernel) Pending() int { return k.live }
 // priority, returning an ID usable with Cancel. Negative delays are an
 // error: scheduling into the past would break causality, so Schedule panics,
 // as this always indicates a bug in the calling model.
-//
-//hot:path
 func (k *Kernel) Schedule(delay Time, fn func()) EventID {
 	return k.SchedulePri(delay, PriorityNormal, fn)
 }
 
 // ScheduleAt is Schedule with an absolute timestamp, which must not precede
 // the current time.
-//
-//hot:path
 func (k *Kernel) ScheduleAt(at Time, fn func()) EventID {
 	return k.SchedulePriAt(at, PriorityNormal, fn)
 }
 
 // SchedulePri is Schedule with an explicit priority band.
-//
-//hot:path
 func (k *Kernel) SchedulePri(delay Time, pri Priority, fn func()) EventID {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
@@ -180,8 +174,6 @@ func (k *Kernel) SchedulePri(delay Time, pri Priority, fn func()) EventID {
 }
 
 // SchedulePriAt is ScheduleAt with an explicit priority band.
-//
-//hot:path
 func (k *Kernel) SchedulePriAt(at Time, pri Priority, fn func()) EventID {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at=%v now=%v", at, k.now))
@@ -211,8 +203,6 @@ func (k *Kernel) SchedulePriAt(at Time, pri Priority, fn func()) EventID {
 // enqueue files ev where the horizon invariant puts it: the heap if it is
 // due before the horizon, level 0 if it falls in the current span, level 1
 // if in one of the next l1Len-1 spans, and the heap again beyond that.
-//
-//hot:path
 func (k *Kernel) enqueue(ev event) {
 	if ev.at < k.horizon {
 		k.push(ev)
@@ -234,8 +224,6 @@ func (k *Kernel) enqueue(ev event) {
 }
 
 // link stores ev in a vacant node ahead of next and returns its index.
-//
-//hot:path
 func (k *Kernel) link(ev event, next uint32) uint32 {
 	k.wheeled++
 	i := k.freeNode
@@ -245,7 +233,7 @@ func (k *Kernel) link(ev event, next uint32) uint32 {
 		i = k.fresh
 		k.fresh++
 		if int(i>>nodeBlockBits) == len(k.nodes) {
-			//lint:hotalloc-ok one block per 256 events the calendar holds at its peak; never freed, reused through the vacant chain
+			// one block per 256 events the calendar holds at its peak; never freed, reused through the vacant chain
 			k.nodes = append(k.nodes, new(nodeBlock))
 		}
 	}
@@ -261,8 +249,6 @@ func (k *Kernel) node(i uint32) *wheelNode {
 // settle makes the heap minimum the next event due, and reports whether
 // any event is queued. Its test is the dispatch loop's only added cost
 // while the heap minimum lies before the horizon.
-//
-//hot:path
 func (k *Kernel) settle() bool {
 	if len(k.events) == 0 || k.events[0].at >= k.horizon {
 		k.spill()
@@ -276,8 +262,6 @@ func (k *Kernel) settle() bool {
 // heap and sets the horizon to the end of its tick; when the current span
 // has none left, the horizon first jumps to the next occupied span, whose
 // level-1 slot cascades into level 0.
-//
-//hot:path
 func (k *Kernel) spill() {
 	for k.wheeled > 0 && (len(k.events) == 0 || k.events[0].at >= k.horizon) {
 		cur := k.horizon >> spanShift
@@ -298,8 +282,6 @@ func (k *Kernel) spill() {
 // drain empties level-0 bucket b into the heap. Cancelled events are
 // dropped here rather than carried into the heap, and every node returns
 // to the vacant chain.
-//
-//hot:path
 func (k *Kernel) drain(b int) {
 	i := k.l0[b]
 	k.l0[b] = 0
@@ -320,8 +302,6 @@ func (k *Kernel) drain(b int) {
 // advance moves the horizon to h; entering a new span cascades that span's
 // level-1 slot into level 0. A jump over several spans only ever passes
 // empty slots.
-//
-//hot:path
 func (k *Kernel) advance(h Time) {
 	cur := k.horizon >> spanShift
 	k.horizon = h
@@ -332,8 +312,6 @@ func (k *Kernel) advance(h Time) {
 
 // cascade relinks level-1 slot s, which holds exactly the span the horizon
 // just entered, into level 0 by tick. Nodes move; nothing is copied.
-//
-//hot:path
 func (k *Kernel) cascade(s int) {
 	i := k.l1[s]
 	k.l1[s] = 0
@@ -369,10 +347,8 @@ func nextUsed(used []uint64, from int) int {
 // whatever the arity — and whatever the calendar has not yet spilled.
 
 // push appends ev and restores the heap invariant (sift up).
-//
-//hot:path
 func (k *Kernel) push(ev event) {
-	//lint:hotalloc-ok amortised heap growth; the backing array is reused across pops
+	// amortised heap growth; the backing array is reused across pops
 	h := append(k.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -389,8 +365,6 @@ func (k *Kernel) push(ev event) {
 
 // pop removes and returns the heap minimum (sift down). The heap must be
 // non-empty.
-//
-//hot:path
 func (k *Kernel) pop() event {
 	h := k.events
 	top := h[0]
@@ -441,8 +415,6 @@ func (k *Kernel) vacate(slot uint32) {
 // Cancellation is lazy: the slot is freed immediately but the queue node
 // stays where it is — heap or calendar — until popped or spilled, where the
 // generation mismatch discards it, keeping Cancel O(1).
-//
-//hot:path
 func (k *Kernel) Cancel(id EventID) bool {
 	slot := uint32(id >> 32)
 	gen := uint32(id)
@@ -464,8 +436,6 @@ func (k *Kernel) stale(ev event) bool {
 
 // Step dispatches the next pending event, if any, and reports whether one
 // was dispatched.
-//
-//hot:path
 func (k *Kernel) Step() bool {
 	for k.settle() {
 		ev := k.pop()

@@ -186,7 +186,9 @@ func TestKeptPayloadReadsPoison(t *testing.T) {
 // TestWirePathAllocFree pins the wire path: once the packet, thunk and
 // kernel pools are warm, a unicast and a multicast — the copy into the
 // packet, injection, transmission, arrivals (every one at node 3
-// duplicated), delivery and the last release — allocate nothing.
+// duplicated), delivery and the last release — allocate nothing. It holds
+// Network.Send, Multicast, newPacket, release, scheduleTransmission,
+// transmitMulticast, lanTransmit, scheduleArrival, enqueueArrival and arrive.
 func TestWirePathAllocFree(t *testing.T) {
 	k, n := newPayloadLAN(t)
 	n.Host(3).SetDuplicate(&Injector{Rate: 1})
@@ -218,7 +220,9 @@ func TestWirePathAllocFree(t *testing.T) {
 // TestDigestTableDrains: every packet's entry leaves the table with its last
 // reference, whatever its fate — delivered, duplicated, dropped by loss, cut
 // at a partition, or sent from a crashed host — so an empty table after a
-// drained run proves that no packet reference leaked.
+// drained run proves that no packet reference leaked. The three pools
+// (packets, arrival and transmission thunks) have nothing lent by then, in
+// every build.
 func TestDigestTableDrains(t *testing.T) {
 	k, n := newPayloadLAN(t)
 	h1 := from{t, n}
@@ -257,6 +261,9 @@ func TestDigestTableDrains(t *testing.T) {
 	}
 	if len(n.digests) != 0 {
 		t.Fatalf("%d digests left after the network drained: a packet reference leaked", len(n.digests))
+	}
+	if p, a, tx := n.free.Out(), n.freeArr.Out(), n.freeTx.Out(); p != 0 || a != 0 || tx != 0 {
+		t.Fatalf("after the network drained: %d packets, %d arrivals, %d transmissions lent", p, a, tx)
 	}
 }
 

@@ -397,8 +397,6 @@ type arrival struct {
 // duplicated datagram gets a second, later arrival holding its own packet
 // reference. Both decisions are made once, here, so the copies themselves
 // are not re-duplicated.
-//
-//hot:path
 func (n *Network) scheduleArrival(at sim.Time, dst *Host, pkt *Packet) {
 	if in := dst.reorder; in != nil && in.fires(at, dst.rng) {
 		at += in.drawDelay(dst.rng)
@@ -411,12 +409,9 @@ func (n *Network) scheduleArrival(at sim.Time, dst *Host, pkt *Packet) {
 }
 
 // enqueueArrival binds a pooled arrival thunk and schedules it.
-//
-//hot:path
 func (n *Network) enqueueArrival(at sim.Time, dst *Host, pkt *Packet) {
 	a := n.freeArr.Get()
 	if a == nil {
-		//lint:hotalloc-ok pool miss; the thunk joins the free list after it fires
 		a = &arrival{n: n}
 		a.fire = a.run
 	}
@@ -444,12 +439,9 @@ type transmission struct {
 }
 
 // scheduleTransmission queues pkt's injection after delay.
-//
-//hot:path
 func (n *Network) scheduleTransmission(delay sim.Time, src, dst *Host, members []NodeID, pkt *Packet) {
 	tx := n.freeTx.Get()
 	if tx == nil {
-		//lint:hotalloc-ok pool miss; the thunk joins the free list after it fires
 		tx = &transmission{n: n}
 		tx.fire = tx.run
 	}
@@ -471,12 +463,9 @@ func (tx *transmission) run() {
 // newPacket takes a Packet from the free list (or allocates one) holding a
 // copy of data, with a single reference held by the in-flight transmission.
 // A recycled packet copies into the payload buffer it came back with.
-//
-//hot:path
 func (n *Network) newPacket(data []byte) *Packet {
 	pkt := n.free.Get()
 	if pkt == nil {
-		//lint:hotalloc-ok pool miss; the struct joins the free list on release
 		pkt = &Packet{}
 	}
 	pkt.Data = append(pkt.Data[:0], data...)
@@ -491,8 +480,6 @@ func (n *Network) newPacket(data []byte) *Packet {
 // returns the struct and its payload buffer to the pool. Race builds check
 // the payload against its digest first and then overwrite the whole buffer
 // with 0xFF, so a DeliverFunc that kept Data past its upcall reads garbage.
-//
-//hot:path
 func (n *Network) release(pkt *Packet, at NodeID) {
 	pkt.refs--
 	if pkt.refs <= 0 {
@@ -527,8 +514,6 @@ func (n *Network) checkDigest(pkt *Packet, at NodeID) {
 // its upcall. Race builds (checkPayload) check at every arrival and at the
 // last release that no receiver wrote the copy, and panic naming the
 // sender, the packet's trace Seq and the receiver.
-//
-//hot:path
 func (n *Network) Send(src, dst NodeID, data []byte, delay sim.Time) error {
 	hs, ok := n.hosts[src]
 	if !ok {
@@ -550,8 +535,6 @@ func (n *Network) Send(src, dst NodeID, data []byte, delay sim.Time) error {
 // reached: wide-area dissemination falls back to unicast at the protocol
 // layer, as in the paper's prototype. data is copied once, before Multicast
 // returns, and every receiver reads that one copy, under Send's contract.
-//
-//hot:path
 func (n *Network) Multicast(src NodeID, g Group, data []byte, delay sim.Time) error {
 	hs, ok := n.hosts[src]
 	if !ok {
@@ -618,8 +601,6 @@ func (n *Network) transmit(src, dst *Host, pkt *Packet) {
 // transmitMulticast performs one wire transmission reaching all same-LAN
 // group members. Every receiver holds a reference on the shared packet; the
 // injection reference is dropped once the arrivals are scheduled.
-//
-//hot:path
 func (n *Network) transmitMulticast(src *Host, members []NodeID, pkt *Packet) {
 	if src.down {
 		n.release(pkt, src.id)
@@ -644,8 +625,6 @@ func (n *Network) transmitMulticast(src *Host, members []NodeID, pkt *Packet) {
 
 // lanTransmit serializes a frame burst on the shared medium and returns the
 // arrival instant at same-segment receivers.
-//
-//hot:path
 func (n *Network) lanTransmit(l *LAN, wire int) sim.Time {
 	start := max(n.k.Now(), l.busyUntil)
 	end := start + l.txTime(wire)
@@ -660,8 +639,6 @@ func (n *Network) lanTransmit(l *LAN, wire int) sim.Time {
 // with and without a tracer attached — only the trace records themselves
 // are conditional. Race builds check the payload against its digest first,
 // whatever the fate.
-//
-//hot:path
 func (n *Network) arrive(dst *Host, pkt *Packet) {
 	if checkPayload {
 		n.checkDigest(pkt, dst.id)

@@ -82,6 +82,9 @@ type Aggregate struct {
 	thinking   int
 	loadFactor float64
 	stopped    bool
+	// fire is tick as a func value, bound once by Start: a method value
+	// handed to the kernel would allocate at every window.
+	fire func()
 
 	issued        int64
 	issuedByClass [NumArrivalClasses]int64
@@ -111,7 +114,8 @@ func (a *Aggregate) Start(k *sim.Kernel, rng *sim.RNG) {
 	if a.Window <= 0 {
 		a.Window = 10 * sim.Millisecond
 	}
-	k.Schedule(rng.UniformDur(0, a.Window), a.tick)
+	a.fire = a.tick
+	k.Schedule(rng.UniformDur(0, a.Window), a.fire)
 }
 
 // Issued reports how many transactions this aggregate has submitted
@@ -132,8 +136,6 @@ func (a *Aggregate) SetLoadFactor(f float64) { a.loadFactor = f }
 // at the window start (a tau-leap step, exact in the window→0 limit and
 // accurate while the window is far below the think time) and clamped to the
 // pool. The drawn total then drains through the submission path.
-//
-//hot:path
 func (a *Aggregate) tick() {
 	if a.stopped {
 		return
@@ -166,14 +168,12 @@ func (a *Aggregate) tick() {
 		}
 		a.arrive()
 	}
-	a.k.Schedule(a.Window, a.tick)
+	a.k.Schedule(a.Window, a.fire)
 }
 
 // classOf labels one arrival with a top-level class by the calibrated mix
 // weights — the same single uniform draw Generator.Next spends on its mix
 // dispatch, so per-transaction draw cost matches individual mode.
-//
-//hot:path
 func (a *Aggregate) classOf() ArrivalClass {
 	r := a.rng.Float64()
 	acc := 0.0
@@ -191,8 +191,6 @@ func (a *Aggregate) classOf() ArrivalClass {
 // draws the transaction into a record; the first submission follows at once.
 // The user was already removed from its pool by tick; the final outcome
 // returns it to the thinking pool.
-//
-//hot:path
 func (a *Aggregate) arrive() {
 	a.issued++
 	class := a.classOf()
@@ -229,16 +227,19 @@ func (r *arrival) admit(t *db.Txn) {
 // resolved receives the arrival's final outcome from the retry loop: report
 // it, return the emulated user to the thinking pool, and recycle the record
 // if no server ever held the transaction — which its unspent Build hook
-// tells, since the admitting Submit clears it.
-//
-//hot:path
+// tells, since the admitting Submit clears it. An admitted record stays
+// reachable from the server and is left to the collector.
 func (r *arrival) resolved(t *db.Txn, o db.Outcome) {
 	a := r.agg
 	if a.OnDone != nil {
 		a.OnDone(t, o)
 	}
 	a.thinking++
-	if t.Build != nil && !a.stopped {
+	switch {
+	case a.stopped: // the list is dropped
+	case t.Build != nil:
 		a.free.Put(r)
+	default:
+		a.free.Discard()
 	}
 }

@@ -176,7 +176,10 @@ func boundAgg(k *sim.Kernel, server *db.Server, retry RetryPolicy) *Aggregate {
 // not allocate; and with a warm free list neither does one whole refused
 // arrival: draw, MaxAttempts refusals with their backoffs, give-up, OnDone,
 // record recycled. Only an admitted transaction is built, and Build
-// allocates what it needs.
+// allocates what it needs. It holds Aggregate.arrive and classOf,
+// arrival.resolved, attempt.submit, onDone and resubmit, Generator.Draw with
+// every class's drawer (newOrder, payment, orderStatus, delivery, stockLevel)
+// and seal, and the server's refusal, db.Server.refuse and classOf.
 func TestAggregateDrawPathZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
 	server := newAggServer(k)
@@ -209,6 +212,65 @@ func TestAggregateDrawPathZeroAlloc(t *testing.T) {
 	}
 	if done != a.Issued() || a.GiveUps() != a.Issued() || a.Retries() != 3*a.Issued() {
 		t.Fatalf("issued %d: done %d, give-ups %d, retries %d", a.Issued(), done, a.GiveUps(), a.Retries())
+	}
+	if n := a.free.Out(); n != 0 {
+		t.Fatalf("%d arrival records lent after every arrival resolved", n)
+	}
+}
+
+// TestAggregateTickAllocFree pins the window event past warmup: against a
+// server that refuses every arrival for good, a whole window — Aggregate.tick
+// with its Poisson draw, every arrival drawn, refused and recycled, and the
+// next window scheduled — allocates nothing.
+func TestAggregateTickAllocFree(t *testing.T) {
+	k := sim.NewKernel()
+	server := newAggServer(k)
+	server.SetBackpressure(true)
+	a := newAggUnderTest(k, server, 100000, RetryPolicy{})
+	a.Start(k, sim.NewRNG(47).Fork("agg"))
+	if err := k.RunUntil(a.Proc.Think + a.Window); err != nil {
+		t.Fatal(err)
+	}
+	before := a.Issued()
+	window := func() {
+		if err := k.RunUntil(k.Now() + a.Window); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, window); n != 0 {
+		t.Fatalf("a warm window: %v allocs/op, want 0", n)
+	}
+	if a.unfired != 0 || a.Issued()-before < 101*10 {
+		t.Fatalf("%d unfired, %d arrivals in 101 windows: the pin did not cover the steady pool", a.unfired, a.Issued()-before)
+	}
+	if a.free.Len() != 1 || a.free.Out() != 0 {
+		t.Fatalf("free list: %d waiting, %d lent; want the one record every arrival reuses", a.free.Len(), a.free.Out())
+	}
+}
+
+// TestAggregateFreeListDrains: once every arrival has its final outcome, no
+// record is lent — a refused one went back on the list and an admitted one,
+// which the server keeps reachable, was left to the collector.
+func TestAggregateFreeListDrains(t *testing.T) {
+	k := sim.NewKernel()
+	server := newAggServer(k)
+	server.MaxActive = 2
+	a := boundAgg(k, server, RetryPolicy{})
+	outcomes := map[db.Outcome]int{}
+	a.OnDone = func(_ *db.Txn, o db.Outcome) { outcomes[o]++ }
+	for range 20 {
+		for range 6 { // more than MaxActive at once: some are refused
+			a.arrive()
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outcomes[db.Rejected] == 0 || outcomes[db.Committed] == 0 {
+		t.Fatalf("outcomes %v: the run does not cover both fates", outcomes)
+	}
+	if n := a.free.Out(); n != 0 {
+		t.Fatalf("%d arrival records lent after every arrival resolved (outcomes %v)", n, outcomes)
 	}
 }
 

@@ -108,8 +108,6 @@ func (g *Generator) NextOfClass(class ArrivalClass, homeWH int) *db.Txn {
 // decision come from this generator's stream, and the transaction and
 // inserted-row counters advance, whether or not the draft is ever built: an
 // arrival a server refuses consumes exactly what an executed one does.
-//
-//hot:path
 func (g *Generator) Draw(d *Draft, class ArrivalClass, homeWH int) {
 	if homeWH >= g.warehouses {
 		homeWH = homeWH % g.warehouses
@@ -138,8 +136,6 @@ func (g *Generator) nextInsert(table uint16, wh int) dbsm.TupleID {
 // seal ends a class function's draw: the class's processing-time sample, the
 // transaction identifier, the commit cost sample — in that order, after the
 // keys.
-//
-//hot:path
 func (g *Generator) seal(d *Draft, class string) {
 	d.Class = class
 	d.CPU = g.cal.CPU[class].SampleDur(g.rng)
@@ -174,8 +170,6 @@ func (g *Generator) Build(d *Draft, t *db.Txn) {
 // the stocks and inserts order, new-order and order lines. 1% of instances
 // are rolled back by the application (TPC-C 2.4.1.4); 1% of order lines
 // come from a remote warehouse.
-//
-//hot:path
 func (g *Generator) newOrder(t *Draft, wh int) {
 	c := g.cal
 	d := g.rng.Intn(DistrictsPerWarehouse)
@@ -206,8 +200,6 @@ func (g *Generator) newOrder(t *Draft, wh int) {
 // conflicts), district and customer rows and inserts a history record. 15%
 // of payments go to a remote warehouse; 60% select the customer by last
 // name (the long variant, more processing).
-//
-//hot:path
 func (g *Generator) payment(t *Draft, homeWH int) {
 	c := g.cal
 	wh := homeWH
@@ -228,8 +220,6 @@ func (g *Generator) payment(t *Draft, homeWH int) {
 
 // orderStatus: read-only; reads a customer (by name 60% of the time — the
 // long variant) plus their most recent order and its lines.
-//
-//hot:path
 func (g *Generator) orderStatus(t *Draft, wh int) {
 	c := g.cal
 	d := g.rng.Intn(DistrictsPerWarehouse)
@@ -254,8 +244,6 @@ func (g *Generator) orderStatus(t *Draft, wh int) {
 // head is the contention point between concurrent deliveries; the carrier
 // batch anchors on the district it starts from, so two deliveries conflict
 // only when they start from the same district of the same warehouse.
-//
-//hot:path
 func (g *Generator) delivery(t *Draft, wh int) {
 	c := g.cal
 	queue := NewOrderQueueRow(wh, g.rng.Intn(DistrictsPerWarehouse))
@@ -274,8 +262,6 @@ func (g *Generator) delivery(t *Draft, wh int) {
 
 // stockLevel: read-only; examines the district, recent order lines, and the
 // stock of their items.
-//
-//hot:path
 func (g *Generator) stockLevel(t *Draft, wh int) {
 	d := g.rng.Intn(DistrictsPerWarehouse)
 	t.Reads = append(t.Reads, DistrictRow(wh, d))

@@ -104,8 +104,6 @@ func (at *attempt) bind(l *retryLoop, resolved func(*db.Txn, db.Outcome)) {
 }
 
 // submit makes the first submission of t.
-//
-//hot:path
 func (at *attempt) submit(t *db.Txn) {
 	at.txn, at.n, at.firstAt = t, 1, at.loop.k.Now()
 	t.Done = at.done
@@ -116,8 +114,6 @@ func (at *attempt) submit(t *db.Txn) {
 // schedules a backoff and a resubmission of the same instance (same TID —
 // idempotent resubmission); every other outcome is final. Aborted
 // transactions are not resubmitted (Section 5.1).
-//
-//hot:path
 func (at *attempt) onDone(t *db.Txn, o db.Outcome) {
 	l := at.loop
 	if o == db.Rejected && at.n < l.policy.MaxAttempts {
@@ -139,8 +135,6 @@ func (at *attempt) onDone(t *db.Txn, o db.Outcome) {
 // resubmit fires when a backoff ends. It proceeds whether or not the tier
 // has stopped issuing: a transaction mid-retry is not cut off by budget
 // exhaustion.
-//
-//hot:path
 func (at *attempt) resubmit() {
 	at.loop.pending--
 	at.n++
