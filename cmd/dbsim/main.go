@@ -1,83 +1,75 @@
 // Command dbsim runs a single replicated-database experiment and prints the
 // metrics the paper reports: throughput, latency, abort rates per class,
-// resource usage and the safety verdict.
+// resource usage and the safety verdict. The run is a file: a plain
+// configuration (configs/*.json) or a saved repro, whose expected verdict is
+// ignored.
 //
 // Examples:
 //
-//	dbsim -sites 3 -clients 750 -txns 10000
-//	dbsim -sites 3 -clients 750 -loss random -loss-rate 0.05
-//	dbsim -sites 3 -clients 300 -crash-site 3 -crash-at 30s
+//	dbsim -config configs/lan3_cons.json -v
+//	dbsim -config configs/lossy_rejoin.json -seed 29
+//	dbsim -config configs/smoke.json -trace smoke.trace
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/sim"
+	"repro/internal/explore"
 	"repro/internal/simnet"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "dbsim:", err)
-		os.Exit(1)
-	}
-}
+func main() { os.Exit(run(os.Args[1:])) }
 
-func run(args []string) error {
+// run is the whole command behind main, returning its exit status: 0 after a
+// run, 1 when the run fails, 2 on a usage or run-file error.
+func run(args []string) int {
 	fs := flag.NewFlagSet("dbsim", flag.ContinueOnError)
 	var (
-		sites     = fs.Int("sites", 3, "replica count (1 = centralized)")
-		cpus      = fs.Int("cpus", 1, "CPUs per site")
-		clients   = fs.Int("clients", 500, "total emulated clients")
-		txns      = fs.Int("txns", 10000, "total transactions to submit")
-		seed      = fs.Int64("seed", 42, "random seed")
-		lossKind  = fs.String("loss", "none", "loss model: none|random|bursty")
-		lossRate  = fs.Float64("loss-rate", 0.05, "loss fraction")
-		lossBurst = fs.Float64("loss-burst", 5, "mean burst length (bursty)")
-		drift     = fs.Float64("drift", 0, "clock drift rate (applied to all sites)")
-		schedLat  = fs.Duration("sched-latency", 0, "mean scheduling latency fault")
-		crashSite = fs.Int("crash-site", 0, "site to crash (0 = none)")
-		crashAt   = fs.Duration("crash-at", 30*time.Second, "crash time")
+		config    = fs.String("config", "", "run file: a configuration (configs/*.json) or a saved repro")
+		seed      = fs.Int64("seed", 0, "random seed, replacing the file's when given")
 		verbose   = fs.Bool("v", false, "per-site and per-class detail")
 		traceFile = fs.String("trace", "", "write a tcpdump-style packet trace to this file")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2 // the flag package already printed the error and usage
 	}
-
-	fcfg := faults.Config{ClockDriftRate: *drift, SchedLatencyMean: sim.FromDuration(*schedLat)}
-	switch *lossKind {
-	case "none":
-	case "random":
-		fcfg.Loss = faults.Loss{Kind: faults.LossRandom, Rate: *lossRate}
-	case "bursty":
-		fcfg.Loss = faults.Loss{Kind: faults.LossBursty, Rate: *lossRate, MeanBurst: *lossBurst}
-	default:
-		return fmt.Errorf("unknown loss model %q", *lossKind)
+	if *config == "" {
+		fmt.Fprintln(os.Stderr, "dbsim: -config is required")
+		return 2
 	}
-	if *crashSite > 0 {
-		fcfg.Crashes = append(fcfg.Crashes, faults.Crash{Site: int32(*crashSite), At: sim.FromDuration(*crashAt)})
+	file, err := explore.LoadRepro(*config)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dbsim:", err)
+		return 2
 	}
-
-	m, err := core.New(core.Config{
-		Sites:       *sites,
-		CPUsPerSite: *cpus,
-		Clients:     *clients,
-		TotalTxns:   *txns,
-		Seed:        *seed,
-		Faults:      fcfg,
+	cfg := file.Config
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			cfg.Seed = *seed
+		}
 	})
+	if err := simulate(cfg, *config, *verbose, *traceFile); err != nil {
+		fmt.Fprintln(os.Stderr, "dbsim:", err)
+		return 1
+	}
+	return 0
+}
+
+// simulate runs cfg and prints its report.
+func simulate(cfg core.Config, name string, verbose bool, traceFile string) error {
+	m, err := core.New(cfg)
 	if err != nil {
 		return err
 	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+	if traceFile != "" {
+		f, err := os.Create(traceFile)
 		if err != nil {
 			return fmt.Errorf("trace file: %w", err)
 		}
@@ -95,8 +87,8 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("config: sites=%d cpus=%d clients=%d txns=%d seed=%d\n",
-		*sites, *cpus, *clients, *txns, *seed)
+	fmt.Printf("config: %s protocol=%s sites=%d groups=%d clients=%d txns=%d seed=%d\n",
+		name, r.Protocol, cfg.Sites, cfg.Groups, cfg.Clients, cfg.TotalTxns, cfg.Seed)
 	fmt.Printf("simulated %v (%d events)\n", r.Duration, r.Events)
 	fmt.Printf("throughput:   %8.0f tpm\n", r.TPM)
 	fmt.Printf("latency:      %8.1f ms mean, %.1f ms p95\n", r.MeanLatencyMS, r.P95LatencyMS)
@@ -104,17 +96,17 @@ func run(args []string) error {
 	fmt.Printf("cpu usage:    %8.1f %% (protocol %.2f %%)\n", r.CPUUtilPct, r.CPURealUtilPct)
 	fmt.Printf("disk usage:   %8.1f %%\n", r.DiskUtilPct)
 	fmt.Printf("network:      %8.1f KB/s\n", r.NetKBps)
-	if *sites > 1 {
+	if cfg.Sites > 1 {
 		fmt.Printf("certification: %7.1f ms mean latency\n", r.CertLat.Mean())
 		fmt.Printf("gcs: sent=%d retrans=%d nacks=%d gossips=%d viewchanges=%d blocked=%d\n",
 			r.GCS.Sent, r.GCS.Retransmits, r.GCS.Nacks, r.GCS.Gossips, r.GCS.ViewChanges, r.GCS.Blocked)
 	}
 	if v := r.Verdict(); v != nil {
 		fmt.Printf("UNSAFE: %v\n", v)
-	} else if *sites > 1 {
+	} else if cfg.Sites > 1 {
 		fmt.Printf("safety: all operational sites committed identical sequences\n")
 	}
-	if *verbose {
+	if verbose {
 		fmt.Println("\nper class:")
 		fmt.Printf("  %-18s %9s %9s %7s %7s %7s %8s %9s\n",
 			"class", "submitted", "committed", "w/w", "cert", "user", "abort%", "lat(ms)")

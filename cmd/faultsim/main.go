@@ -10,10 +10,14 @@
 //     internal/campaign composing every fault type, fanned out across cores
 //     by the internal/expr runner, with verdicts aggregated per fault type.
 //
-// Every campaign schedule is reproducible from its printed seed via -replay.
-// The process exits non-zero when any run violates safety. Stdout is a pure
-// function of the flags — nothing on the way to it reads the host clock, and
-// the worker count does not change a byte — so testdata/*.golden pins it.
+// The workload comes from a run file (-config; configs/faultsim.json, or
+// configs/smoke.json for CI): matrix rows, campaign schedules and explorer
+// candidates replace its seed, faults and protocol per run. A failing
+// campaign schedule or explorer find is saved under -corpus as a repro file,
+// and -replay-file runs any run file again. The process exits non-zero when
+// any run violates safety. Stdout is a pure function of the flags and the
+// file — nothing on the way to it reads the host clock, and the worker count
+// does not change a byte — so testdata/*.golden pins it.
 package main
 
 import (
@@ -33,99 +37,50 @@ import (
 
 // options are the parsed command-line flags.
 type options struct {
-	seeds, txns, clients, aggregate, sites, groups int
-	parallel, campaign, generations, population    int
-	seed, replay                                   int64
-	replayFile, corpus, protocol                   string
-	explore, list, rejoin, overload, short         bool
+	seeds, parallel, campaign, generations, population int
+	seed                                               int64
+	config, replayFile, corpus, protocol               string
+	explore, list, rejoin, overload, short             bool
 }
 
 // parseFlags parses a faultsim command line (without the program name) and
-// applies -short, so everything derived from the result — the base
-// configuration, the campaign parameters, the reproduce hint — sees the
-// values the run actually uses.
+// applies -short.
 func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
+	fs.StringVar(&o.config, "config", "", "run file holding the workload (configs/faultsim.json, configs/smoke.json, or a repro); required unless -replay-file")
 	fs.IntVar(&o.seeds, "seeds", 3, "seeds per fixed-matrix fault type")
-	fs.IntVar(&o.txns, "txns", 2000, "transactions per run")
-	fs.IntVar(&o.clients, "clients", 300, "clients per run")
-	fs.IntVar(&o.aggregate, "aggregate", 0, "AggregateClients threshold: at or above it the aggregate client tier replaces individual clients (0 = always individual)")
-	fs.IntVar(&o.sites, "sites", 3, "replica count (per group when -groups > 1)")
-	fs.IntVar(&o.groups, "groups", 1, "replication groups (partial replication); campaign mode only")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.campaign, "campaign", 0, "run N randomized fault schedules instead of the fixed matrix")
-	fs.Int64Var(&o.seed, "seed", 1, "campaign base seed (schedule i uses a seed derived from it)")
-	fs.Int64Var(&o.replay, "replay", 0, "re-run the single campaign schedule with this seed")
-	fs.StringVar(&o.replayFile, "replay-file", "", "replay a saved repro JSON file; exits non-zero when its violation reproduces")
+	fs.Int64Var(&o.seed, "seed", 1, "campaign and explorer base seed (schedule i uses a seed derived from it)")
+	fs.StringVar(&o.replayFile, "replay-file", "", "run a run file: a repro exits 1 when its violation reproduces, a plain config when its verdict is not clean")
 	fs.BoolVar(&o.explore, "explore", false, "run the coverage-guided adversarial explorer instead of the fixed matrix")
 	fs.IntVar(&o.generations, "generations", 8, "explorer generations")
 	fs.IntVar(&o.population, "population", 16, "explorer schedules per generation")
-	fs.StringVar(&o.corpus, "corpus", "corpus", "explorer output directory (coverage corpus + minimized repros)")
+	fs.StringVar(&o.corpus, "corpus", "corpus", "output directory: the explorer's coverage corpus, and a repro of every failing campaign schedule or explorer find")
 	fs.BoolVar(&o.list, "list", false, "print the resolved fault matrix or campaign schedule and exit without running")
 	fs.BoolVar(&o.rejoin, "rejoin", false, "force every campaign schedule to include a crash-and-rejoin")
 	fs.BoolVar(&o.overload, "overload", false, "force every campaign schedule to include saturation and a slow-node gray failure")
-	fs.BoolVar(&o.short, "short", false, "smoke mode for CI: small transaction counts, clients, and seeds")
+	fs.BoolVar(&o.short, "short", false, "smoke mode for CI: 2 matrix seeds and a 15 s fault horizon")
 	fs.StringVar(&o.protocol, "protocol", "both", "termination variant under test: conservative, optimistic, or both")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if o.short {
-		o.txns, o.clients, o.seeds = 300, 60, 2
+		o.seeds = 2
 	}
 	return o, nil
 }
 
-// base is the workload every run shares; the protocol is set per pass.
-func (o *options) base() core.Config {
-	return core.Config{
-		Sites:            o.sites,
-		Groups:           o.groups,
-		Clients:          o.clients,
-		TotalTxns:        o.txns,
-		AggregateClients: o.aggregate,
-		MaxSimTime:       20 * sim.Minute,
-		// Overload protection on: saturation and slow-node rows must
-		// degrade gracefully (bounded queues, explicit rejections) rather
-		// than thrash, and every other row must stay safe with the
-		// admission machinery in the loop.
-		Admission: core.DefaultAdmissionConfig(),
-	}
-}
-
 // params are the campaign generator's inputs: with a seed they determine a
-// schedule completely.
-func (o *options) params() campaign.Params {
-	p := campaign.Params{Sites: o.sites, Groups: o.groups, Rejoin: o.rejoin, Overload: o.overload}
+// schedule completely. The topology is the workload's.
+func (o *options) params(base core.Config) campaign.Params {
+	p := campaign.Params{Sites: base.Sites, Groups: base.Groups, Rejoin: o.rejoin, Overload: o.overload}
 	if o.short {
 		// Shorter runs need faults that land while traffic still flows.
 		p.Horizon = 15 * sim.Second
 	}
 	return p
-}
-
-// reproHint is the command line that re-runs one campaign schedule under
-// protocol p (the caller appends -replay <seed>). It carries every flag that
-// reaches base() or params() — parsing it back yields the same workload and
-// the same generator inputs, so the seed regenerates the same schedule.
-func (o *options) reproHint(p core.Protocol) string {
-	hint := fmt.Sprintf("faultsim -sites %d -clients %d -txns %d", o.sites, o.clients, o.txns)
-	if o.short {
-		hint = fmt.Sprintf("faultsim -short -sites %d", o.sites)
-	}
-	if o.groups > 1 {
-		hint += fmt.Sprintf(" -groups %d", o.groups)
-	}
-	if o.aggregate != 0 {
-		hint += fmt.Sprintf(" -aggregate %d", o.aggregate)
-	}
-	if o.rejoin {
-		hint += " -rejoin"
-	}
-	if o.overload {
-		hint += " -overload"
-	}
-	return hint + " -protocol " + string(p)
 }
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -152,34 +107,40 @@ func run(args []string) int {
 	}
 
 	if o.replayFile != "" {
-		// A saved repro is self-contained (the whole Config, expected
-		// verdict): replay it and fail when the violation is still there,
-		// independent of every other flag.
+		// A run file is self-contained (the whole Config, and for a repro
+		// the expected verdict): run it, independent of every other flag.
 		return runReplayFile(o.replayFile)
 	}
-
-	if o.groups > 1 && o.campaign == 0 && o.replay == 0 && !o.list && !o.explore {
-		// The fixed matrix encodes single-group assumptions (rejoin rows,
-		// site numbering); group mode runs randomized campaigns only.
-		fmt.Fprintln(os.Stderr, "faultsim: -groups needs -campaign N (or -replay/-list)")
+	if o.config == "" {
+		fmt.Fprintln(os.Stderr, "faultsim: -config is required (or -replay-file)")
 		return 2
 	}
-	if o.groups > 1 && o.rejoin {
+	file, err := explore.LoadRepro(o.config)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "faultsim:", err)
+		return 2
+	}
+	base := file.Config
+
+	if base.Groups > 1 && o.campaign == 0 && !o.list && !o.explore {
+		// The fixed matrix encodes single-group assumptions (rejoin rows,
+		// site numbering); group mode runs randomized campaigns only.
+		fmt.Fprintln(os.Stderr, "faultsim: a config with groups needs -campaign N (or -list)")
+		return 2
+	}
+	if base.Groups > 1 && o.rejoin {
 		fmt.Fprintln(os.Stderr, "faultsim: -rejoin needs one group: crash recovery is out of the group-mode scope")
 		return 2
 	}
-	base, params := o.base(), o.params()
+	params := o.params(base)
 
 	if o.list {
-		// Replay debugging aid: show exactly what a seed resolves to —
-		// the full schedule of a campaign, or the fixed matrix — without
-		// running a single simulation.
-		switch {
-		case o.replay != 0:
-			listSchedules([]campaign.Schedule{campaign.New(o.replay, params)})
-		case o.campaign > 0:
+		// Debugging aid: show exactly what a seed resolves to — the full
+		// schedule of a campaign, or the fixed matrix — without running a
+		// single simulation.
+		if o.campaign > 0 {
 			listSchedules(campaign.Plan(o.seed, o.campaign, params))
-		default:
+		} else {
 			listMatrix()
 		}
 		return 0
@@ -189,13 +150,14 @@ func run(args []string) int {
 	for _, p := range protocols {
 		cfg := base
 		cfg.Protocol = p
+		// One corpus per protocol: the searches are independent and would
+		// otherwise overwrite each other's corpus.json.
+		corpus := filepath.Join(o.corpus, string(p))
 		switch {
 		case o.explore:
-			failures += runExplore(cfg, params, o.seed, o.generations, o.population, o.parallel, o.corpus)
-		case o.replay != 0:
-			failures += runCampaign(cfg, []campaign.Schedule{campaign.New(o.replay, params)}, o.parallel, o.reproHint(p), true)
+			failures += runExplore(cfg, params, o.seed, o.generations, o.population, o.parallel, corpus)
 		case o.campaign > 0:
-			failures += runCampaign(cfg, campaign.Plan(o.seed, o.campaign, params), o.parallel, o.reproHint(p), false)
+			failures += runCampaign(cfg, campaign.Plan(o.seed, o.campaign, params), o.parallel, corpus)
 		default:
 			failures += runMatrix(cfg, o.seeds, o.parallel)
 		}
@@ -303,7 +265,7 @@ func runMatrix(base core.Config, seeds, parallel int) int {
 	}
 	// The aggregate client tier must stay safe under faults too: re-run a
 	// loss row and a crash row with the tier forced on (unless the whole
-	// matrix already runs aggregated via -aggregate).
+	// matrix already runs aggregated: the config sets aggregateClients).
 	if base.AggregateClients == 0 {
 		for _, row := range rows {
 			if row.name != "random loss 5%" && row.name != "crash non-sequencer @20s" {
@@ -332,8 +294,10 @@ func runMatrix(base core.Config, seeds, parallel int) int {
 }
 
 // runCampaign executes randomized schedules through the pool, prints one
-// verdict line per schedule, and aggregates verdicts per fault type.
-func runCampaign(base core.Config, plan []campaign.Schedule, parallel int, repro string, verbose bool) int {
+// verdict line per schedule, and aggregates verdicts per fault type. A
+// failing schedule is saved under corpusDir, and its reproduce: line names
+// the file.
+func runCampaign(base core.Config, plan []campaign.Schedule, parallel int, corpusDir string) int {
 	fmt.Printf("\n=== campaign, protocol %s ===\n", base.Protocol)
 	points, _ := (&expr.Runner{Workers: parallel}).Run(campaign.Tasks(plan, base))
 
@@ -357,11 +321,15 @@ func runCampaign(base core.Config, plan []campaign.Schedule, parallel int, repro
 			}
 		}
 		fmt.Printf("campaign[%3d] seed=%-20d %-40s %-6s %s\n", i, sched.Seed, sched.Label(), verdict, detail)
-		if verbose {
-			fmt.Printf("  faults: %+v\n", sched.Faults)
+		if safe {
+			continue
 		}
-		if !safe {
-			fmt.Printf("  reproduce: %s -replay %d\n", repro, sched.Seed)
+		var res *core.Results
+		if pt.Err == nil {
+			res = pt.Agg.Runs[0]
+		}
+		if path := saveRepro(pt.Task.Config, res, corpusDir); path != "" {
+			fmt.Printf("  reproduce: faultsim -replay-file %s\n", path)
 		}
 	}
 
@@ -382,9 +350,6 @@ func runCampaign(base core.Config, plan []campaign.Schedule, parallel int, repro
 // saved as corpus.json.
 func runExplore(base core.Config, params campaign.Params, seed int64, generations, population, parallel int, corpusDir string) int {
 	fmt.Printf("\n=== explore, protocol %s ===\n", base.Protocol)
-	// One corpus per protocol: the searches are independent and would
-	// otherwise overwrite each other's corpus.json.
-	corpusDir = filepath.Join(corpusDir, string(base.Protocol))
 	space := explore.Space{
 		Sites:   params.Sites,
 		Groups:  params.Groups,
@@ -424,41 +389,64 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 		fmt.Printf("explore: violation at run %d (seed %d): %s\n", f.Run, f.Seed, f.Detail)
 		min, stats := explore.Minimize(base, space, f.Genes, f.Seed)
 		fmt.Printf("explore: minimized %d -> %d gene(s) in %d probes\n", stats.From, stats.To, stats.Probes)
-		res, err := explore.Rerun(base, space, min, f.Seed)
+		cfg := space.Config(base, min, f.Seed)
+		res, err := explore.Rerun(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faultsim: rerun:", err)
 			res = f.Results
 		}
-		r, err := explore.NewRepro(base, space, min, f.Seed, res)
-		var path string
-		if err == nil {
-			path, err = r.Save(corpusDir)
+		if path := saveRepro(cfg, res, corpusDir); path != "" {
+			fmt.Printf("explore: repro -> %s (replay: faultsim -replay-file %s)\n", path, path)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultsim: repro:", err)
-			continue
-		}
-		fmt.Printf("explore: repro -> %s (replay: faultsim -replay-file %s)\n", path, path)
 	}
 	fmt.Println("\nexplore done")
 	return len(rep.Found) + rep.Errored
 }
 
-// runReplayFile replays a saved repro and reports whether its violation is
+// saveRepro writes a failing run under dir as a repro file and returns its
+// path, or "" after reporting why it could not.
+func saveRepro(cfg core.Config, res *core.Results, dir string) string {
+	r, err := explore.ReproOf(cfg, res)
+	var path string
+	if err == nil {
+		path, err = r.Save(dir)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "faultsim: repro:", err)
+		return ""
+	}
+	return path
+}
+
+// runReplayFile runs a run file. A repro reports whether its violation is
 // still present: 1 (with the triage annotation) when it reproduces, 0 when
-// the tree no longer exhibits it, 2 on file or config errors.
+// the tree no longer exhibits it. A plain configuration exits 0 on a clean
+// verdict and 1 otherwise. Either exits 2 on a file or config error.
 func runReplayFile(path string) int {
 	r, err := explore.LoadRepro(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
 		return 2
 	}
-	fmt.Printf("replaying %s: protocol=%s sites=%d groups=%d seed=%d expect=%s/%s\n",
-		path, r.Config.Protocol, r.Config.Sites, r.Config.Groups, r.Config.Seed, r.Expect.Verdict, r.Expect.Kind)
+	c := &r.Config
+	fmt.Printf("replaying %s: protocol=%s sites=%d groups=%d seed=%d", path, c.Protocol, c.Sites, c.Groups, c.Seed)
+	if r.Expect != nil {
+		fmt.Printf(" expect=%s/%s", r.Expect.Verdict, r.Expect.Kind)
+	}
+	fmt.Println()
 	reproduced, detail, err := r.Replay()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
 		return 2
+	}
+	if r.Expect == nil {
+		// A plain configuration: any violation fails it.
+		if reproduced {
+			fmt.Printf("UNSAFE: %s\n", detail)
+			return 1
+		}
+		fmt.Println("SAFE")
+		return 0
 	}
 	if !reproduced {
 		fmt.Printf("did not reproduce: %s\n", detail)

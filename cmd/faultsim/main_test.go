@@ -2,25 +2,30 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/golden"
 )
 
+// smoke is the CI workload; the groups and aggregate goldens run its
+// variants in testdata.
+const smoke = "../../configs/smoke.json"
+
 // goldenRuns are the invocations CI used to run as separate `go run` steps:
 // the five short campaigns and the fixed matrix.
 var goldenRuns = []struct{ name, args string }{
-	{"campaign", "-short -campaign 12"},
-	{"rejoin", "-short -campaign 8 -rejoin"},
-	{"overload", "-short -campaign 8 -overload"},
-	{"groups", "-short -groups 3 -sites 3 -campaign 8"},
-	{"aggregate", "-short -campaign 8 -aggregate 1"},
-	{"matrix", "-short"},
+	{"campaign", "-config " + smoke + " -short -campaign 12"},
+	{"rejoin", "-config " + smoke + " -short -campaign 8 -rejoin"},
+	{"overload", "-config " + smoke + " -short -campaign 8 -overload"},
+	{"groups", "-config testdata/smoke_groups.json -short -campaign 8"},
+	{"aggregate", "-config testdata/smoke_aggregate.json -short -campaign 8"},
+	{"matrix", "-config " + smoke + " -short"},
 }
 
 // TestGolden pins every verdict line faultsim prints for goldenRuns against
@@ -66,7 +71,7 @@ func TestGoldenReproReproduces(t *testing.T) {
 	if !reproduced {
 		t.Fatalf("golden repro no longer reproduces (verdict %q)", detail)
 	}
-	if r.Expect.Kind != "non-prefix" || r.Triage == nil || r.Triage.Kind != "non-prefix" {
+	if r.Expect == nil || r.Expect.Kind != "non-prefix" || r.Triage == nil || r.Triage.Kind != "non-prefix" {
 		t.Fatalf("golden repro triage drifted: expect=%+v triage=%+v", r.Expect, r.Triage)
 	}
 }
@@ -142,68 +147,93 @@ func TestRenumberWedgeReproduces(t *testing.T) {
 	}
 }
 
-// TestRunReplayFile pins the command-level exit codes: 1 when the violation
-// reproduces, 2 on a missing file.
+// TestRunReplayFile pins the command-level exit codes: 1 when a repro's
+// violation reproduces, 0 when a plain config runs clean, 2 on a missing
+// file, a misspelled key, or no run file at all.
 func TestRunReplayFile(t *testing.T) {
 	if got := runReplayFile(goldenRepro); got != 1 {
 		t.Fatalf("runReplayFile(golden) = %d, want 1 (violation reproduces)", got)
 	}
+	if got := runReplayFile(smoke); got != 0 {
+		t.Fatalf("runReplayFile(smoke) = %d, want 0 (a clean config)", got)
+	}
 	if got := runReplayFile(filepath.Join(t.TempDir(), "missing.json")); got != 2 {
 		t.Fatalf("runReplayFile(missing) = %d, want 2", got)
 	}
-}
-
-// TestGroupModeUsageErrors pins the two flag combinations group mode cannot
-// honour: both exit 2 before a run starts, neither drops a flag silently.
-func TestGroupModeUsageErrors(t *testing.T) {
-	for _, cmdline := range []string{
-		"-short -groups 3 -sites 3",                         // the fixed matrix is single-group
-		"-short -groups 3 -sites 3 -campaign 2 -rejoin",     // no recovery inside groups
-		"-short -groups 3 -sites 3 -explore -rejoin",        // nor in the explorer's gene set
-		"-short -groups 3 -sites 3 -replay 7 -rejoin -list", // nor in a listed schedule
-	} {
+	typo := filepath.Join(t.TempDir(), "typo.json")
+	if err := os.WriteFile(typo, []byte(`{"version": 2, "config": {"sites": 3, "clinets": 60}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmdline := range []string{"-replay-file " + typo, "-config " + typo + " -short", "-short -campaign 2"} {
 		if got := run(strings.Fields(cmdline)); got != 2 {
 			t.Errorf("faultsim %s = %d, want 2", cmdline, got)
 		}
 	}
 }
 
-// TestReproHintRoundTrips pins the contract of the "reproduce:" line: for
-// every goldenRuns command line (plus a non-short one), parsing the printed
-// hint back must yield the campaign parameters and workload of the original
-// command line — otherwise -replay <seed> regenerates a different schedule,
-// or runs it against a different workload, and the failure does not
-// reproduce. -rejoin changes campaign.Params (hence every draw after the
-// structural block) and -aggregate the client tier; both were once missing.
-func TestReproHintRoundTrips(t *testing.T) {
-	cmdlines := []string{"-sites 5 -clients 120 -txns 900 -campaign 4 -rejoin -overload -aggregate 50 -seed 9"}
-	for _, g := range goldenRuns {
-		cmdlines = append(cmdlines, g.args+" -parallel 4")
-	}
-	for _, cmdline := range cmdlines {
-		orig, err := parseFlags(strings.Fields(cmdline))
+// TestRunFilesLoadStrictly: every committed run file — the configs and the
+// repros — loads under the strict reader, so none carries a key that a run
+// would silently ignore.
+func TestRunFilesLoadStrictly(t *testing.T) {
+	var paths []string
+	for _, pattern := range []string{"../../configs/*.json", "testdata/*.json"} {
+		m, err := filepath.Glob(pattern)
 		if err != nil {
-			t.Fatalf("%q: %v", cmdline, err)
+			t.Fatal(err)
 		}
-		for _, p := range core.Protocols() {
-			hint := orig.reproHint(p) + " -replay 12345"
-			args := strings.Fields(hint)
-			if args[0] != "faultsim" {
-				t.Fatalf("%q: hint %q does not start with the command name", cmdline, hint)
-			}
-			back, err := parseFlags(args[1:])
-			if err != nil {
-				t.Fatalf("%q: hint %q does not parse: %v", cmdline, hint, err)
-			}
-			if got, want := back.params(), orig.params(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%q: hint %q regenerates params %+v, want %+v", cmdline, hint, got, want)
-			}
-			if got, want := back.base(), orig.base(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%q: hint %q runs workload %+v, want %+v", cmdline, hint, got, want)
-			}
-			if back.protocol != string(p) || back.replay != 12345 {
-				t.Errorf("%q: hint %q selects protocol %q replay %d", cmdline, hint, back.protocol, back.replay)
-			}
+		paths = append(paths, m...)
+	}
+	if len(paths) < 14 {
+		t.Fatalf("found %d run files, want the 7 configs, 2 smoke variants and 5 repros: %v", len(paths), paths)
+	}
+	for _, path := range paths {
+		if _, err := explore.LoadRepro(path); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
+// TestCampaignFailureSavesRepro drives runCampaign's failure branch: a
+// one-schedule plan built from the golden repro (its seed, its faults, its
+// config with the hook) fails, is saved under the corpus directory, and its
+// reproduce: line names that file, which -replay-file then reproduces.
+func TestCampaignFailureSavesRepro(t *testing.T) {
+	r, err := explore.LoadRepro(goldenRepro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := []campaign.Schedule{{Seed: r.Config.Seed, Kinds: []string{campaign.KindPartition}, Faults: r.Config.Faults}}
+	dir := t.TempDir()
+	out := golden.Stdout(t, func([]string) int {
+		if n := runCampaign(r.Config, plan, 1, dir); n != 1 {
+			t.Errorf("runCampaign = %d failures, want 1", n)
+		}
+		return 0
+	})
+	saved, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(saved) != 1 {
+		t.Fatalf("corpus holds %v (%v), want one repro", saved, err)
+	}
+	if want := "  reproduce: faultsim -replay-file " + saved[0] + "\n"; !strings.Contains(string(out), want) {
+		t.Fatalf("stdout does not name the saved repro:\n%s", out)
+	}
+	if got := runReplayFile(saved[0]); got != 1 {
+		t.Fatalf("runReplayFile(saved) = %d, want 1 (violation reproduces)", got)
+	}
+}
+
+// TestGroupModeUsageErrors pins the two flag combinations group mode cannot
+// honour: both exit 2 before a run starts, neither drops a flag silently.
+func TestGroupModeUsageErrors(t *testing.T) {
+	const groups = "-config testdata/smoke_groups.json -short"
+	for _, cmdline := range []string{
+		groups,                                // the fixed matrix is single-group
+		groups + " -campaign 2 -rejoin",       // no recovery inside groups
+		groups + " -explore -rejoin",          // nor in the explorer's gene set
+		groups + " -campaign 2 -rejoin -list", // nor in a listed schedule
+	} {
+		if got := run(strings.Fields(cmdline)); got != 2 {
+			t.Errorf("faultsim %s = %d, want 2", cmdline, got)
 		}
 	}
 }

@@ -7,13 +7,11 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/explore"
-	"repro/internal/faults"
-	"repro/internal/sim"
 )
 
-// The rejoin-under-loss wedge (ROADMAP item 1): bench's lossy_rejoin
-// configuration — 3 sites, 300 clients, 10 000 transactions, 5 % random
-// loss, site 3 crashes at 30 s and recovers at 60 s, conservative — stops
+// The rejoin-under-loss wedge (ROADMAP item 1): configs/lossy_rejoin.json —
+// 3 sites, 300 clients, 10 000 transactions, 5 % random loss, site 3
+// crashes at 30 s and recovers at 60 s — under the conservative protocol stops
 // total-order delivery at every member on about one seed in 200, while a
 // NACK is sent tens of thousands of times and answered never. Two seeds end
 // with one survivor ahead, a length-mismatch verdict; they are saved as
@@ -24,38 +22,29 @@ const (
 	wedgeRepro29   = "testdata/repro-conservative-s3-length-mismatch-29.json"
 )
 
-// lossyRejoin is bench/workloads.go's lossy_rejoin configuration at seed.
-func lossyRejoin(seed int64) core.Config {
-	return core.Config{Sites: 3, CPUsPerSite: 1, Clients: 300, Protocol: core.ProtocolConservative,
-		Admission: core.DefaultAdmissionConfig(), TotalTxns: 10000, Seed: seed,
-		Faults: faults.Config{
-			Loss:     faults.Loss{Kind: faults.LossRandom, Rate: 0.05},
-			Crashes:  []faults.Crash{{Site: 3, At: 30 * sim.Second}},
-			Recovers: []faults.Recover{{Site: 3, At: 60 * sim.Second}},
-		}}
-}
-
-// TestGenWedgeFixtures writes the two wedge repros; a one-time generator:
+// TestGenWedgeFixtures writes the two wedge repros from configs/lossy_rejoin.json
+// under the conservative protocol; a one-time generator:
 // GEN_FIXTURE=1 go test ./cmd/faultsim -run TestGenWedgeFixtures
 func TestGenWedgeFixtures(t *testing.T) {
 	if os.Getenv("GEN_FIXTURE") == "" {
 		t.Skip("fixture generator")
 	}
+	lossy, err := explore.LoadRepro("../../configs/lossy_rejoin.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, seed := range []int64{1029, 29} {
-		cfg := lossyRejoin(seed)
+		cfg := lossy.Config
+		cfg.Protocol, cfg.Seed = core.ProtocolConservative, seed
 		res := runConfig(t, cfg)
-		v := res.Verdict()
-		triage := check.TriageOf(res.SafetyErr)
-		if v == nil || triage == nil {
-			t.Fatalf("seed %d: no violation to save (verdict %v)", seed, v)
+		if res.Verdict() == nil || check.TriageOf(res.SafetyErr) == nil {
+			t.Fatalf("seed %d: no violation to save (verdict %v)", seed, res.Verdict())
 		}
-		r := &explore.Repro{
-			Version:     explore.ReproVersion,
-			Description: "ROADMAP item 1: rejoin under loss wedges total-order delivery; " + v.Error(),
-			Config:      cfg,
-			Expect:      explore.Expect{Verdict: "UNSAFE", Kind: triage.Kind},
-			Triage:      triage,
+		r, err := explore.ReproOf(cfg, res)
+		if err != nil {
+			t.Fatal(err)
 		}
+		r.Description = "ROADMAP item 1: rejoin under loss wedges total-order delivery; " + r.Description
 		path, err := r.Save("testdata")
 		if err != nil {
 			t.Fatal(err)
@@ -87,8 +76,8 @@ func TestLossyRejoinWedgeReproduces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
-		if r.Config.Hooks != (core.Hooks{}) || r.Expect.Kind != "length-mismatch" {
-			t.Fatalf("%s: hooks %+v, expected kind %q", path, r.Config.Hooks, r.Expect.Kind)
+		if r.Config.Hooks != (core.Hooks{}) || r.Expect == nil || r.Expect.Kind != "length-mismatch" {
+			t.Fatalf("%s: hooks %+v, expect %+v", path, r.Config.Hooks, r.Expect)
 		}
 		reproduced, detail, err := r.Replay()
 		if err != nil {

@@ -65,7 +65,7 @@
 // group, AND decision, with coordinator retransmits and crash handover.
 // internal/check extends the safety verdict across groups (atomicity plus
 // acyclic cross-group serialization), the campaign generator draws
-// group-targeted faults under `faultsim -groups`, and cmd/experiments's
+// group-targeted faults for a config with groups, and cmd/experiments's
 // "shard" table prints the scaling verdict (README.md's "Partial
 // replication" section has the protocol walk-through).
 //
@@ -98,12 +98,15 @@
 // delta-debugged down to a locally-minimal repro and saved as self-contained
 // JSON — format version 2 carries the run's core.Config whole, so a replay is
 // the run that failed whatever flags produced it (replayed by `faultsim
-// -replay-file`, triaged by internal/check); the search cornered the
-// residual n>=5 non-uniform delivery window documented in gcs/totalorder.go
-// and surfaced the sequencer-handover renumbering divergence tracked in
-// ROADMAP.md, both pinned as guarded repros under cmd/faultsim/testdata
-// (README.md's "Adversarial exploration" section has the model and the
-// corpus-directory convention).
+// -replay-file`, triaged by internal/check). It is the one run-file format:
+// without an expected verdict the same file is a plain configuration, which
+// is how dbsim and faultsim take their workload (-config configs/*.json),
+// and a failing random-campaign schedule is saved the same way. The search
+// cornered the residual n>=5 non-uniform delivery window documented in
+// gcs/totalorder.go and surfaced the sequencer-handover renumbering
+// divergence tracked in ROADMAP.md, both pinned as guarded repros under
+// cmd/faultsim/testdata (README.md's "Adversarial exploration" section has
+// the model and the corpus-directory convention).
 //
 // The simulation critical path is engineered to allocate nothing in steady
 // state: certification runs against an inverted last-writer index
@@ -132,13 +135,12 @@
 // baseline) — profiles included, through its --trace 1 pass. Outside bench/
 // and runtimeapi.Native (the paper's second bridge, run only by its own tests
 // and gcs/native_test.go), nothing reads the host clock, and no command reads
-// it at all: what dbsim, faultsim and experiments print is a
-// pure function of their flags, so the whole evaluation is pinned by
-// cmd/experiments/testdata/all.golden and faultsim's verdict lines — five
-// short campaigns and the fixed matrix — by cmd/faultsim/testdata/*.golden,
-// and internal/lint's simdeterminism rule covers those three commands.
-// examples/wan assembles gcs, csrt and simnet by hand over two LANs and a
-// WAN link, the one topology no command builds.
+// it at all: what dbsim, faultsim and experiments print is a pure function
+// of their flags and run files, so the whole evaluation is pinned by
+// cmd/experiments/testdata/all.golden, faultsim's verdict lines — five short
+// campaigns and the fixed matrix — by cmd/faultsim/testdata/*.golden, a
+// dbsim report by cmd/dbsim/testdata/smoke.golden, and internal/lint's
+// simdeterminism rule covers those three commands.
 //
 // A protocol counter is declared once: in gcs.Stats or replica.Stats, where
 // the layer increments it in place. core.Results carries both structs whole

@@ -121,7 +121,7 @@ func Run(opts Options) (*Report, error) {
 			seeds[i] = expr.DeriveSeed(opts.Seed, runs+i)
 			tasks[i] = expr.Task{
 				Label:  fmt.Sprintf("explore gen %d cand %d", gen, i),
-				Config: space.config(base, cands[i], seeds[i]),
+				Config: space.Config(base, cands[i], seeds[i]),
 				Reps:   1,
 			}
 		}

@@ -85,11 +85,12 @@ func TestExploreCountsCandidatesThatDidNotRun(t *testing.T) {
 func minimizedRepro(t *testing.T, f *Found) *Repro {
 	t.Helper()
 	min, _ := Minimize(hookBase(), hookSpace(), f.Genes, f.Seed)
-	res, err := Rerun(hookBase(), hookSpace(), min, f.Seed)
+	cfg := hookSpace().Config(hookBase(), min, f.Seed)
+	res, err := Rerun(cfg)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
-	r, err := NewRepro(hookBase(), hookSpace(), min, f.Seed, res)
+	r, err := ReproOf(cfg, res)
 	if err != nil {
 		t.Fatalf("repro: %v", err)
 	}
@@ -168,7 +169,7 @@ func TestMinimizeProperties(t *testing.T) {
 	t.Logf("minimized %d -> %d genes in %d probes", stats.From, stats.To, stats.Probes)
 
 	violates := func(genes []Gene) bool {
-		m, err := core.New(space.config(base, genes, f.Seed))
+		m, err := core.New(space.Config(base, genes, f.Seed))
 		if err != nil {
 			return false
 		}

@@ -30,7 +30,7 @@ func Minimize(base core.Config, space Space, genes []Gene, seed int64) ([]Gene, 
 	probes := 0
 	violates := func(cand []Gene) bool {
 		probes++
-		m, err := core.New(space.config(base, cand, seed))
+		m, err := core.New(space.Config(base, cand, seed))
 		if err != nil {
 			return false
 		}

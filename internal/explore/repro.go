@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/core"
 )
 
-// ReproVersion is the saved-repro format version. Version 1 mirrored a few
+// ReproVersion is the run-file format version. Version 1 mirrored a few
 // Config fields by hand and silently dropped the rest; version 2 carries the
 // Config whole.
 const ReproVersion = 2
@@ -24,53 +25,57 @@ type Expect struct {
 	Kind string `json:"kind,omitempty"`
 }
 
-// Repro is a self-contained, replayable violation: the whole run
-// configuration — workload, topology, seed, hooks and the exact fault
-// schedule — and the expected verdict, with the checker's first-divergence
-// triage attached. A repro file needs nothing but the binary to replay:
+// Repro is the one file format of a run: the whole run configuration —
+// workload, topology, seed, hooks and the exact fault schedule. A file with
+// an expected verdict is a self-contained, replayable violation, with the
+// checker's first-divergence triage attached; a file without one is a plain
+// configuration (configs/*.json). Either needs nothing but the binary to run:
 // `faultsim -replay-file <path>`.
 type Repro struct {
 	Version     int    `json:"version"`
 	Description string `json:"description,omitempty"`
-	// Config is the run that violated, under the (minimized) schedule.
+	// Config is the run: for a repro, the one that violated, under the
+	// (minimized) schedule.
 	Config core.Config `json:"config"`
-	// Expect is the verdict the replay must produce.
-	Expect Expect `json:"expect"`
+	// Expect is the verdict the replay must produce; nil for a plain
+	// configuration.
+	Expect *Expect `json:"expect,omitempty"`
 	// Triage is the checker's first-divergence annotation from the run
 	// that produced the repro.
 	Triage *check.Triage `json:"triage,omitempty"`
 }
 
-// config is the run configuration of one schedule: the base workload under
+// Config is the run configuration of one schedule: the base workload under
 // the schedule's faults and seed.
-func (s Space) config(base core.Config, genes []Gene, seed int64) core.Config {
+func (s Space) Config(base core.Config, genes []Gene, seed int64) core.Config {
 	base.Seed = seed
 	base.Faults = s.ToFaults(genes)
 	return base
 }
 
-// Rerun executes one schedule under the base workload and returns its
-// results; repros are built from a fresh run of the exact (minimized)
-// schedule so the recorded triage matches what the file reproduces.
-func Rerun(base core.Config, space Space, genes []Gene, seed int64) (*core.Results, error) {
-	m, err := core.New(space.config(base, genes, seed))
+// Rerun executes one configuration and returns its results; repros are built
+// from a fresh run of the exact (minimized) schedule so the recorded triage
+// matches what the file reproduces.
+func Rerun(cfg core.Config) (*core.Results, error) {
+	m, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return m.Run()
 }
 
-// NewRepro packages a violating schedule as a self-contained repro. A base
-// with a Calibration is refused: the file could not carry it, so the replay
-// would be a different run.
-func NewRepro(base core.Config, space Space, genes []Gene, seed int64, res *core.Results) (*Repro, error) {
-	if base.Calibration != nil {
+// ReproOf packages a violating run as a self-contained repro: its whole
+// configuration, the expected verdict and, when res is given, the triage and
+// description of its violation. A config with a Calibration is refused: the
+// file could not carry it, so the replay would be a different run.
+func ReproOf(cfg core.Config, res *core.Results) (*Repro, error) {
+	if cfg.Calibration != nil {
 		return nil, fmt.Errorf("explore: a repro cannot carry Config.Calibration")
 	}
 	r := &Repro{
 		Version: ReproVersion,
-		Config:  space.config(base, genes, seed),
-		Expect:  Expect{Verdict: "UNSAFE"},
+		Config:  cfg,
+		Expect:  &Expect{Verdict: "UNSAFE"},
 	}
 	if res != nil {
 		if t := check.TriageOf(res.SafetyErr); t != nil {
@@ -84,8 +89,9 @@ func NewRepro(base core.Config, space Space, genes []Gene, seed int64, res *core
 	return r, nil
 }
 
-// Replay runs the repro and reports whether the expected violation
-// reproduced, with the verdict detail.
+// Replay runs the file and reports whether the expected violation
+// reproduced (for a plain configuration, any violation), with the verdict
+// detail.
 func (r *Repro) Replay() (reproduced bool, detail string, err error) {
 	m, err := core.New(r.Config)
 	if err != nil {
@@ -100,7 +106,7 @@ func (r *Repro) Replay() (reproduced bool, detail string, err error) {
 		return false, "SAFE", nil
 	}
 	detail = v.Error()
-	if r.Expect.Kind != "" {
+	if r.Expect != nil && r.Expect.Kind != "" {
 		t := check.TriageOf(res.SafetyErr)
 		if t == nil || t.Kind != r.Expect.Kind {
 			return false, detail, nil
@@ -136,9 +142,9 @@ func (r *Repro) Save(dir string) (string, error) {
 // Name is the repro's canonical file name: protocol, topology, seed, and
 // violation kind, so a corpus directory reads as an index.
 func (r *Repro) Name() string {
-	kind := r.Expect.Kind
-	if kind == "" {
-		kind = "unsafe"
+	kind := "unsafe"
+	if r.Expect != nil && r.Expect.Kind != "" {
+		kind = r.Expect.Kind
 	}
 	c := &r.Config
 	topo := fmt.Sprintf("s%d", c.Sites)
@@ -148,18 +154,28 @@ func (r *Repro) Name() string {
 	return fmt.Sprintf("repro-%s-%s-%s-%d.json", c.Protocol, topo, kind, c.Seed)
 }
 
-// LoadRepro reads a repro file.
+// LoadRepro reads a run file, repro or plain configuration. It is strict: a
+// key the format does not have (a misspelled "clinets", say) is an error
+// naming it, not a field silently left at its default.
 func LoadRepro(path string) (*Repro, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var r Repro
-	if err := json.Unmarshal(b, &r); err != nil {
+	// The version first, so a file of another version is refused by its
+	// number rather than by the first key this version lacks.
+	var v struct{ Version int }
+	if err := json.Unmarshal(b, &v); err != nil {
 		return nil, fmt.Errorf("explore: %s: %w", path, err)
 	}
-	if r.Version != ReproVersion {
-		return nil, fmt.Errorf("explore: %s: unsupported repro version %d (this tree reads version %d)", path, r.Version, ReproVersion)
+	if v.Version != ReproVersion {
+		return nil, fmt.Errorf("explore: %s: unsupported repro version %d (this tree reads version %d)", path, v.Version, ReproVersion)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	var r Repro
+	if err := dec.Decode(&r); err != nil {
+		return nil, fmt.Errorf("explore: %s: %w", path, err)
 	}
 	return &r, nil
 }

@@ -47,8 +47,8 @@ func fillNonZero(t *testing.T, v reflect.Value, n *int64) {
 
 // TestReproCarriesWholeConfig is the guard against a repro that replays a
 // different run than the one that failed: with every JSON-carried Config
-// field set, what LoadRepro hands back must be exactly what NewRepro was
-// given (under the schedule and seed it packaged). Version 1 mirrored nine
+// field set, what LoadRepro hands back must be exactly what ReproOf was
+// given. Version 1 mirrored nine
 // fields by hand and lost the rest; a field added to core.Config later is
 // covered here without anyone remembering to.
 func TestReproCarriesWholeConfig(t *testing.T) {
@@ -59,7 +59,11 @@ func TestReproCarriesWholeConfig(t *testing.T) {
 	space := Space{Sites: 3, Horizon: 15 * sim.Second}
 	genes := []Gene{{Kind: GenePartition, Sites: []int32{1}, At: 10 * sim.Second, Until: 12 * sim.Second}}
 	const seed = 77
-	r, err := NewRepro(base, space, genes, seed, nil)
+	want := space.Config(base, genes, seed)
+	if len(want.Faults.Partitions) != 1 {
+		t.Fatalf("the schedule did not reach the config: %+v", want.Faults)
+	}
+	r, err := ReproOf(want, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +75,14 @@ func TestReproCarriesWholeConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := space.config(base, genes, seed)
-	if len(want.Faults.Partitions) != 1 {
-		t.Fatalf("the schedule did not reach the config: %+v", want.Faults)
-	}
 	if !reflect.DeepEqual(loaded.Config, want) {
 		t.Fatalf("repro lost part of the run:\n got %+v\nwant %+v", loaded.Config, want)
 	}
 
 	// The one field JSON does not carry is refused, not dropped.
-	base.Calibration = tpcc.DefaultCalibration()
-	if _, err := NewRepro(base, space, genes, seed, nil); err == nil {
-		t.Fatal("NewRepro accepted a base with a Calibration the file cannot carry")
+	want.Calibration = tpcc.DefaultCalibration()
+	if _, err := ReproOf(want, nil); err == nil {
+		t.Fatal("ReproOf accepted a config with a Calibration the file cannot carry")
 	}
 }
 
@@ -95,5 +95,17 @@ func TestLoadReproRejectsVersion1(t *testing.T) {
 	}
 	if _, err := LoadRepro(path); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("LoadRepro(v1) = %v, want an error naming version 1", err)
+	}
+}
+
+// TestLoadReproRejectsUnknownKey: a misspelled key in a hand-edited file is
+// an error naming it, not a run of the default it failed to set.
+func TestLoadReproRejectsUnknownKey(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "typo.json")
+	if err := os.WriteFile(path, []byte(`{"version": 2, "config": {"sites": 3, "clinets": 60}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadRepro(path); err == nil || !strings.Contains(err.Error(), `"clinets"`) {
+		t.Fatalf("LoadRepro(typo) = %v, want an error naming \"clinets\"", err)
 	}
 }

@@ -59,9 +59,6 @@ type Config struct {
 	// share" whose exhaustion the paper observes under loss). Defaults to
 	// 384 KiB.
 	BufferBytes int
-	// RateBps is the first-phase rate-based flow control in bytes/s.
-	// Defaults to 6 MB/s (about half of Ethernet-100).
-	RateBps int64
 	// NackDelay is how long a receiver waits on a gap before requesting
 	// repair. Defaults to 20ms.
 	NackDelay sim.Time
@@ -105,9 +102,6 @@ func (c *Config) fill() {
 	if c.BufferBytes == 0 {
 		c.BufferBytes = 384 * 1024
 	}
-	if c.RateBps == 0 {
-		c.RateBps = 6_000_000
-	}
 	if c.NackDelay == 0 {
 		c.NackDelay = 20 * sim.Millisecond
 	}
@@ -140,6 +134,9 @@ const (
 	// maxDatagram caps a single wire datagram; a runtime with a smaller MTU
 	// binds first (Stack.maxPacket).
 	maxDatagram = 1400
+	// rateBps is the first-phase rate-based flow control in bytes/s: 6 MB/s,
+	// about half of Ethernet-100.
+	rateBps = 6_000_000
 )
 
 // View is an installed membership.

@@ -361,8 +361,8 @@ func (rm *relMcast) refillTokens() {
 		return
 	}
 	rm.lastRefill = now
-	burst := float64(max(2*rm.s.maxPacket, int(rm.s.cfg.RateBps/50)))
-	rm.tokens += float64(rm.s.cfg.RateBps) * dt.Seconds()
+	burst := float64(max(2*rm.s.maxPacket, rateBps/50))
+	rm.tokens += float64(rateBps) * dt.Seconds()
 	if rm.tokens > burst {
 		rm.tokens = burst
 	}
@@ -373,7 +373,7 @@ func (rm *relMcast) scheduleRateTimer(need int) {
 		return
 	}
 	deficit := float64(need) - rm.tokens
-	wait := sim.FromSeconds(deficit / float64(rm.s.cfg.RateBps))
+	wait := sim.FromSeconds(deficit / float64(rateBps))
 	if wait < sim.Microsecond {
 		wait = sim.Microsecond
 	}

@@ -1,9 +1,8 @@
 // Package simnet is the network simulator substrate, standing in for SSFNet
 // in the paper's architecture. It models hosts attached to shared-medium
-// LANs (bandwidth, propagation delay, MTU, frame overhead), point-to-point
-// WAN links between LANs, unreliable UDP-like datagram delivery, IP
-// multicast on LANs, receiver-side loss injection, and tcpdump-style packet
-// tracing.
+// LANs (bandwidth, propagation delay, MTU, frame overhead), unreliable
+// UDP-like datagram delivery, IP multicast on LANs, receiver-side loss
+// injection, and tcpdump-style packet tracing.
 package simnet
 
 import (
@@ -117,31 +116,6 @@ func (l *LAN) wireSize(payload int) int {
 
 // txTime is the serialization time of wire bytes at the LAN's bandwidth.
 func (l *LAN) txTime(wire int) sim.Time {
-	return sim.Time(float64(wire) * 8 * 1e9 / float64(l.cfg.BandwidthBps))
-}
-
-// LinkConfig configures a point-to-point WAN link between two LANs.
-type LinkConfig struct {
-	BandwidthBps int64    // default 10e6
-	Delay        sim.Time // one-way propagation (default 20ms)
-}
-
-func (c *LinkConfig) fill() {
-	if c.BandwidthBps == 0 {
-		c.BandwidthBps = 10e6
-	}
-	if c.Delay == 0 {
-		c.Delay = 20 * sim.Millisecond
-	}
-}
-
-type link struct {
-	cfg       LinkConfig
-	busyUntil [2]sim.Time // per direction
-	bytes     metrics.ByteMeter
-}
-
-func (l *link) txTime(wire int) sim.Time {
 	return sim.Time(float64(wire) * 8 * 1e9 / float64(l.cfg.BandwidthBps))
 }
 
@@ -275,7 +249,6 @@ type Network struct {
 	rng     *sim.RNG
 	hosts   map[NodeID]*Host
 	lans    []*LAN
-	links   map[[2]int]*link // indexed by LAN indices (lo, hi)
 	groups  map[Group][]NodeID
 	tracer  func(TraceRecord)
 	seq     int64
@@ -305,7 +278,6 @@ func NewNetwork(k *sim.Kernel, rng *sim.RNG) *Network {
 		k:      k,
 		rng:    rng,
 		hosts:  make(map[NodeID]*Host),
-		links:  make(map[[2]int]*link),
 		groups: make(map[Group][]NodeID),
 	}
 	if checkPayload {
@@ -340,25 +312,6 @@ func (n *Network) NewHost(id NodeID, lan *LAN) (*Host, error) {
 // Host looks up a host by ID.
 func (n *Network) Host(id NodeID) *Host { return n.hosts[id] }
 
-// Connect adds a bidirectional WAN link between two LANs.
-func (n *Network) Connect(a, b *LAN, cfg LinkConfig) {
-	cfg.fill()
-	ia, ib := n.lanIndex(a), n.lanIndex(b)
-	if ia > ib {
-		ia, ib = ib, ia
-	}
-	n.links[[2]int{ia, ib}] = &link{cfg: cfg}
-}
-
-func (n *Network) lanIndex(l *LAN) int {
-	for i, x := range n.lans {
-		if x == l {
-			return i
-		}
-	}
-	return -1
-}
-
 // SetGroup registers multicast group membership.
 func (n *Network) SetGroup(g Group, members []NodeID) {
 	m := make([]NodeID, len(members))
@@ -369,14 +322,11 @@ func (n *Network) SetGroup(g Group, members []NodeID) {
 // Group reports the members of g.
 func (n *Network) Group(g Group) []NodeID { return n.groups[g] }
 
-// TotalBytes sums wire bytes over all LANs and links (Figure 6c).
+// TotalBytes sums wire bytes over all LANs (Figure 6c).
 func (n *Network) TotalBytes() int64 {
 	var t int64
 	for _, l := range n.lans {
 		t += l.bytes.Bytes()
-	}
-	for _, lk := range n.links {
-		t += lk.bytes.Bytes()
 	}
 	return t
 }
@@ -532,8 +482,7 @@ func (n *Network) Send(src, dst NodeID, data []byte, delay sim.Time) error {
 
 // Multicast injects a LAN multicast from src to every member of g on the
 // same segment, excluding the sender. Members on other segments are not
-// reached: wide-area dissemination falls back to unicast at the protocol
-// layer, as in the paper's prototype. data is copied once, before Multicast
+// reached. data is copied once, before Multicast
 // returns, and every receiver reads that one copy, under Send's contract.
 func (n *Network) Multicast(src NodeID, g Group, data []byte, delay sim.Time) error {
 	hs, ok := n.hosts[src]
@@ -561,41 +510,12 @@ func (n *Network) transmit(src, dst *Host, pkt *Packet) {
 		n.tracer(TraceRecord{At: n.k.Now(), Event: TraceSend, Seq: pkt.Seq, Src: pkt.Src, Dst: pkt.Dst, Size: len(pkt.Data)})
 	}
 	src.sent.Add(len(pkt.Data))
-	if src.lan == dst.lan {
-		wire := src.lan.wireSize(len(pkt.Data))
-		n.scheduleArrival(n.lanTransmit(src.lan, wire), dst, pkt)
-		return
-	}
-	// Cross-LAN: source segment, WAN link, destination segment —
-	// store-and-forward. Each hop contends for the next medium only when
-	// the packet physically reaches it; reserving a future slot at
-	// injection time would stall unrelated local traffic behind phantom
-	// reservations.
-	ia, ib := n.lanIndex(src.lan), n.lanIndex(dst.lan)
-	key := [2]int{min(ia, ib), max(ia, ib)}
-	lk, ok := n.links[key]
-	if !ok {
+	if src.lan != dst.lan {
 		n.release(pkt, src.id)
-		return // no route: silently dropped, like a misconfigured WAN
+		return // no route between segments: silently dropped
 	}
-	dir := 0
-	if ia > ib {
-		dir = 1
-	}
-	wireSrc := src.lan.wireSize(len(pkt.Data))
-	t1 := n.lanTransmit(src.lan, wireSrc)
-	n.k.ScheduleAt(t1, func() {
-		// At the gateway: serialize on the link, per direction.
-		start := max(n.k.Now(), lk.busyUntil[dir])
-		t2 := start + lk.txTime(wireSrc) + lk.cfg.Delay
-		lk.busyUntil[dir] = start + lk.txTime(wireSrc)
-		lk.bytes.Add(wireSrc)
-		n.k.ScheduleAt(t2, func() {
-			// At the remote gateway: final-hop transmission.
-			wireDst := dst.lan.wireSize(len(pkt.Data))
-			n.scheduleArrival(n.lanTransmit(dst.lan, wireDst), dst, pkt)
-		})
-	})
+	wire := src.lan.wireSize(len(pkt.Data))
+	n.scheduleArrival(n.lanTransmit(src.lan, wire), dst, pkt)
 }
 
 // transmitMulticast performs one wire transmission reaching all same-LAN
