@@ -343,22 +343,17 @@ func runCampaign(base core.Config, plan []campaign.Schedule, parallel int, corpu
 }
 
 // runExplore runs the coverage-guided adversarial explorer: generation zero
-// replays the random campaign's schedules, later generations mutate the
-// coverage corpus. Every violation found is delta-debugged to a locally
-// minimal schedule and saved under the corpus directory as a self-contained
-// repro JSON (replayable with -replay-file); the coverage corpus itself is
-// saved as corpus.json.
+// is the plan -campaign would run with the same params (so -rejoin and
+// -overload shape it too), later generations mutate the coverage corpus.
+// Every violation found is delta-debugged to a locally minimal schedule and
+// saved under the corpus directory as a self-contained repro JSON
+// (replayable with -replay-file); the coverage corpus itself is saved as
+// corpus.json.
 func runExplore(base core.Config, params campaign.Params, seed int64, generations, population, parallel int, corpusDir string) int {
 	fmt.Printf("\n=== explore, protocol %s ===\n", base.Protocol)
-	space := explore.Space{
-		Sites:   params.Sites,
-		Groups:  params.Groups,
-		Horizon: params.Horizon,
-		Rejoin:  params.Rejoin,
-	}
 	rep, err := explore.Run(explore.Options{
 		Base:        base,
-		Space:       space,
+		Params:      params,
 		Seed:        seed,
 		Generations: generations,
 		Population:  population,
@@ -387,9 +382,9 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 			break
 		}
 		fmt.Printf("explore: violation at run %d (seed %d): %s\n", f.Run, f.Seed, f.Detail)
-		min, stats := explore.Minimize(base, space, f.Genes, f.Seed)
+		min, stats := explore.Minimize(base, params, f.Genes, f.Seed)
 		fmt.Printf("explore: minimized %d -> %d gene(s) in %d probes\n", stats.From, stats.To, stats.Probes)
-		cfg := space.Config(base, min, f.Seed)
+		cfg := explore.Config(base, params, min, f.Seed)
 		res, err := explore.Rerun(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faultsim: rerun:", err)

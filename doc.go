@@ -139,8 +139,8 @@
 // of their flags and run files, so the whole evaluation is pinned by
 // cmd/experiments/testdata/all.golden, faultsim's verdict lines — five short
 // campaigns and the fixed matrix — by cmd/faultsim/testdata/*.golden, a
-// dbsim report by cmd/dbsim/testdata/smoke.golden, and internal/lint's
-// simdeterminism rule covers those three commands.
+// dbsim report by cmd/dbsim/testdata/smoke.golden, and the simdeterminism
+// rule in internal/lint covers those three commands.
 //
 // A protocol counter is declared once: in gcs.Stats or replica.Stats, where
 // the layer increments it in place. core.Results carries both structs whole
@@ -151,8 +151,9 @@
 // Stats struct and its increment, nothing in between.
 //
 // Two invariants — deterministic packages and silent-drop accounting — are
-// enforced mechanically by the custom analyzer suite under internal/lint,
-// run by the tier-1 test TestAnalyzeCleanTree (README.md's "Static
+// enforced mechanically by two rules in the one package internal/lint,
+// whose loader the tier-1 test TestAnalyzeCleanTree runs over the module and
+// the fixture tests run over internal/lint/testdata (README.md's "Static
 // analysis" section documents the rules and the //lint:<rule>-ok waiver
 // syntax). The rest are checked by running the code: allocation-free hot
 // paths by testing.AllocsPerRun pins, pooled records by sim.FreeList's

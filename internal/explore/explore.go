@@ -14,8 +14,12 @@ type Options struct {
 	// Base is the workload shape (protocol, sites, clients, transaction
 	// count, admission); its Seed and Faults are overwritten per candidate.
 	Base core.Config
-	// Space bounds the schedules searched; zero values are filled from Base.
-	Space Space
+	// Params is the fault space, as a campaign describes it; its Sites and
+	// Groups must be Base's. Generation zero is campaign.Plan(Seed,
+	// Population, Params), so Rejoin and Overload shape it as they shape a
+	// campaign. Later generations draw onsets within Horizon, and only under
+	// Rejoin does mutation give a new crash a recovery.
+	Params campaign.Params
 	// Seed drives every random choice: candidate run seeds (derived with
 	// the campaign's splitmix scheme, so generation zero replays the random
 	// campaign exactly) and the mutation stream.
@@ -43,8 +47,8 @@ type Entry struct {
 
 // Found is one violating schedule the search hit.
 type Found struct {
-	// Genes is the repaired schedule; ToFaults(Genes) with Seed reproduces
-	// the violation.
+	// Genes is the repaired schedule; Config(base, params, Genes, Seed)
+	// reproduces the violation.
 	Genes []Gene
 	Seed  int64
 	// Run is the 1-based global run index the violation appeared at — the
@@ -80,14 +84,7 @@ type Report struct {
 // Options, never on worker scheduling.
 func Run(opts Options) (*Report, error) {
 	base := opts.Base
-	space := opts.Space
-	if space.Sites == 0 {
-		space.Sites = base.Sites
-	}
-	if space.Groups == 0 {
-		space.Groups = base.Groups
-	}
-	space = space.filled()
+	s := spaceOf(opts.Params)
 	gens := opts.Generations
 	if gens <= 0 {
 		gens = 8
@@ -102,15 +99,7 @@ func Run(opts Options) (*Report, error) {
 	}
 	rng := sim.NewRNG(opts.Seed).Fork("explore")
 
-	// Generation zero: the random campaign's own schedules, so the search
-	// starts from the same distribution it is benchmarked against.
-	params := campaign.Params{Sites: space.Sites, Groups: space.Groups, Horizon: space.Horizon}
-	cands := make([][]Gene, pop)
-	for i := range cands {
-		sched := campaign.New(expr.DeriveSeed(opts.Seed, i), params)
-		cands[i] = space.repair(FromFaults(sched.Faults))
-	}
-
+	cands := generationZero(opts.Params, opts.Seed, pop)
 	rep := &Report{}
 	cover := map[string]bool{}
 	runs := 0
@@ -121,7 +110,7 @@ func Run(opts Options) (*Report, error) {
 			seeds[i] = expr.DeriveSeed(opts.Seed, runs+i)
 			tasks[i] = expr.Task{
 				Label:  fmt.Sprintf("explore gen %d cand %d", gen, i),
-				Config: space.Config(base, cands[i], seeds[i]),
+				Config: s.config(base, cands[i], seeds[i]),
 				Reps:   1,
 			}
 		}
@@ -164,7 +153,7 @@ func Run(opts Options) (*Report, error) {
 		if opts.StopOnFirst && len(rep.Found) > 0 {
 			break
 		}
-		cands = nextGen(rng, space, rep.Corpus, cands, pop)
+		cands = nextGen(rng, s, rep.Corpus, cands, pop)
 	}
 	if len(rep.Found) > 0 {
 		// Runs as a search cost: the index the first violation appeared at.
@@ -179,11 +168,22 @@ func Run(opts Options) (*Report, error) {
 	return rep, nil
 }
 
+// generationZero is the random campaign's own plan for the search's seed,
+// so the search starts from the distribution it is benchmarked against.
+func generationZero(p campaign.Params, seed int64, pop int) [][]Gene {
+	s := spaceOf(p)
+	cands := make([][]Gene, pop)
+	for i, sched := range campaign.Plan(seed, pop, p) {
+		cands[i] = s.repair(FromFaults(sched.Faults))
+	}
+	return cands
+}
+
 // nextGen breeds the next candidate set from the corpus: mostly single
 // mutations of corpus schedules (biased toward recent entries, which carry
 // the newest coverage), sometimes a splice of two, falling back to the
 // previous generation while the corpus is empty.
-func nextGen(rng *sim.RNG, space Space, corpus []Entry, prev [][]Gene, pop int) [][]Gene {
+func nextGen(rng *sim.RNG, s space, corpus []Entry, prev [][]Gene, pop int) [][]Gene {
 	pick := func() []Gene {
 		if len(corpus) == 0 {
 			return prev[rng.Intn(len(prev))]
@@ -196,9 +196,9 @@ func nextGen(rng *sim.RNG, space Space, corpus []Entry, prev [][]Gene, pop int) 
 	out := make([][]Gene, 0, pop)
 	for len(out) < pop {
 		if rng.Bool(0.2) {
-			out = append(out, space.Splice(rng, pick(), pick()))
+			out = append(out, s.splice(rng, pick(), pick()))
 		} else {
-			out = append(out, space.Mutate(rng, pick()))
+			out = append(out, s.mutate(rng, pick()))
 		}
 	}
 	return out

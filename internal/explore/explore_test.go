@@ -26,7 +26,7 @@ func hookBase() core.Config {
 	}
 }
 
-func hookSpace() Space { return Space{Sites: 3, Horizon: 15 * sim.Second} }
+func hookParams() campaign.Params { return campaign.Params{Sites: 3, Horizon: 15 * sim.Second} }
 
 const hookSeed = 3
 
@@ -45,7 +45,7 @@ func exploreWithWorkers(t *testing.T, workers int) *Report {
 	}
 	rep, err := Run(Options{
 		Base:        hookBase(),
-		Space:       hookSpace(),
+		Params:      hookParams(),
 		Seed:        hookSeed,
 		Generations: 8,
 		Population:  16,
@@ -71,7 +71,7 @@ func exploreWithWorkers(t *testing.T, workers int) *Report {
 func TestExploreCountsCandidatesThatDidNotRun(t *testing.T) {
 	base := hookBase()
 	base.Protocol = "no-such-protocol"
-	rep, err := Run(Options{Base: base, Space: hookSpace(), Seed: hookSeed, Generations: 2, Population: 4})
+	rep, err := Run(Options{Base: base, Params: hookParams(), Seed: hookSeed, Generations: 2, Population: 4})
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
@@ -84,8 +84,8 @@ func TestExploreCountsCandidatesThatDidNotRun(t *testing.T) {
 // schedule's own run, the way faultsim -explore saves a repro.
 func minimizedRepro(t *testing.T, f *Found) *Repro {
 	t.Helper()
-	min, _ := Minimize(hookBase(), hookSpace(), f.Genes, f.Seed)
-	cfg := hookSpace().Config(hookBase(), min, f.Seed)
+	min, _ := Minimize(hookBase(), hookParams(), f.Genes, f.Seed)
+	cfg := Config(hookBase(), hookParams(), min, f.Seed)
 	res, err := Rerun(cfg)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
@@ -106,7 +106,7 @@ func TestExplorerBeatsRandom(t *testing.T) {
 	const budget = 100
 	// Random baseline: the campaign's schedules in plan order, exactly the
 	// runs the explorer's generation zero replays.
-	params := campaign.Params{Sites: 3, Horizon: 15 * sim.Second}
+	params := hookParams()
 	baselineFirst := budget + 1 // not found within the budget
 	for i, task := range campaign.Tasks(campaign.Plan(hookSeed, budget, params), hookBase()) {
 		m, err := core.New(task.Config)
@@ -163,13 +163,13 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 // schedule still violates, is small, and is locally minimal — removing any
 // single remaining fault makes the violation disappear.
 func TestMinimizeProperties(t *testing.T) {
-	base, space := hookBase(), hookSpace()
+	base, params := hookBase(), hookParams()
 	f := exploreWithWorkers(t, 0).Found[0]
-	min, stats := Minimize(base, space, f.Genes, f.Seed)
+	min, stats := Minimize(base, params, f.Genes, f.Seed)
 	t.Logf("minimized %d -> %d genes in %d probes", stats.From, stats.To, stats.Probes)
 
 	violates := func(genes []Gene) bool {
-		m, err := core.New(space.Config(base, genes, f.Seed))
+		m, err := core.New(Config(base, params, genes, f.Seed))
 		if err != nil {
 			return false
 		}
@@ -188,7 +188,7 @@ func TestMinimizeProperties(t *testing.T) {
 	}
 	for i := range min {
 		cand := append(append([]Gene{}, min[:i]...), min[i+1:]...)
-		if violates(space.repair(cand)) {
+		if violates(spaceOf(params).repair(cand)) {
 			t.Fatalf("not locally minimal: still violates without gene %d (%+v)", i, min[i])
 		}
 	}

@@ -12,6 +12,7 @@ package explore
 import (
 	"sort"
 
+	"repro/internal/campaign"
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/xgroup"
@@ -66,21 +67,16 @@ type Gene struct {
 	Bursty  bool     `json:"bursty,omitempty"`
 }
 
-// Space bounds the schedules the explorer searches: the topology the genes
-// target and the onset horizon mutations draw times from.
-type Space struct {
-	// Sites is the per-group site count (total under full replication).
-	Sites int
-	// Groups is the replication-group count; 0 or 1 means full replication.
-	Groups int
-	// Horizon bounds fault onset times.
-	Horizon sim.Time
-	// Rejoin permits crash-recovery genes (full replication only; the
-	// recovery path is incompatible with replication groups).
-	Rejoin bool
-}
+// space is the genome's view of a campaign's parameters: the topology the
+// genes target (Sites per group, Groups) and the onset horizon mutations draw
+// times from. A crash may carry a recovery in classic mode, as in a campaign;
+// Rejoin makes the search add one to a new crash gene now and then.
+// spaceOf builds every space.
+type space campaign.Params
 
-func (s Space) filled() Space {
+// spaceOf fills the campaign's defaults into p.
+func spaceOf(p campaign.Params) space {
+	s := space(p)
 	if s.Sites <= 0 {
 		s.Sites = 3
 	}
@@ -90,20 +86,17 @@ func (s Space) filled() Space {
 	if s.Horizon <= 0 {
 		s.Horizon = 40 * sim.Second
 	}
-	if s.Groups > 1 {
-		s.Rejoin = false
-	}
 	return s
 }
 
 // total is the site-universe size.
-func (s Space) total() int { return s.Groups * s.Sites }
+func (s space) total() int { return s.Groups * s.Sites }
 
 // budget is the number of disabled sites each group tolerates while keeping
 // a strict majority.
-func (s Space) budget() int { return (s.Sites - 1) / 2 }
+func (s space) budget() int { return (s.Sites - 1) / 2 }
 
-func (s Space) groupOf(site int32) int {
+func (s space) groupOf(site int32) int {
 	if s.Groups <= 1 {
 		return 1
 	}
@@ -141,7 +134,7 @@ func clampF(v, lo, hi float64) float64 {
 // clampGene forces one gene's parameters into model-legal, search-sensible
 // ranges. Structural consistency across genes (budgets, duplicates) is
 // repair's job; this is per-gene only.
-func (s Space) clampGene(g Gene) Gene {
+func (s space) clampGene(g Gene) Gene {
 	total := s.total()
 	g.At = clampTime(g.At, sim.Second, s.Horizon)
 	if g.Until != 0 {
@@ -163,8 +156,8 @@ func (s Space) clampGene(g Gene) Gene {
 	case GeneCrash:
 		g.Site = wrapSite(g.Site, total)
 		if g.Recover != 0 {
-			if !s.Rejoin {
-				g.Recover = 0
+			if s.Groups > 1 {
+				g.Recover = 0 // crash recovery is out of the group-mode scope
 			} else {
 				g.Recover = clampTime(g.Recover, g.At+sim.Second, g.At+60*sim.Second)
 			}
@@ -190,8 +183,7 @@ func (s Space) clampGene(g Gene) Gene {
 // single-group minority, ...). Repair is deterministic and idempotent, so a
 // repaired list re-repairs to itself and the shrinker's single-gene removals
 // stay meaningful.
-func (s Space) repair(genes []Gene) []Gene {
-	s = s.filled()
+func (s space) repair(genes []Gene) []Gene {
 	budget := s.budget()
 	out := make([]Gene, 0, len(genes))
 	var seen [numGeneKinds]bool
@@ -261,7 +253,7 @@ func (s Space) repair(genes []Gene) []Gene {
 
 // normalizePartition wraps, dedupes, and sorts a partition's site list,
 // dropping sites already taken by a crash or an earlier cut.
-func normalizePartition(sites []int32, s Space, crashed, parted map[int32]bool) []int32 {
+func normalizePartition(sites []int32, s space, crashed, parted map[int32]bool) []int32 {
 	total := s.total()
 	uniq := map[int32]bool{}
 	out := make([]int32, 0, len(sites))
@@ -277,11 +269,10 @@ func normalizePartition(sites []int32, s Space, crashed, parted map[int32]bool) 
 	return out
 }
 
-// ToFaults maps a gene list onto the fault configuration it encodes,
+// toFaults maps a gene list onto the fault configuration it encodes,
 // repairing it first. The result always passes the model's structural
 // validation for this space's topology.
-func (s Space) ToFaults(genes []Gene) faults.Config {
-	s = s.filled()
+func (s space) toFaults(genes []Gene) faults.Config {
 	var f faults.Config
 	for _, g := range s.repair(genes) {
 		switch g.Kind {
@@ -323,7 +314,7 @@ func (s Space) ToFaults(genes []Gene) faults.Config {
 	return f
 }
 
-// FromFaults inverts ToFaults for configurations produced by the campaign
+// FromFaults inverts toFaults for configurations produced by the campaign
 // generators, so campaign schedules can seed generation zero.
 func FromFaults(f faults.Config) []Gene {
 	var out []Gene

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -24,13 +25,13 @@ const maxShrinkProbes = 200
 // passes — so removing any single fault from the result makes the violation
 // disappear. Runs are serial and every probe uses the same seed, so the
 // result is a pure function of the inputs.
-func Minimize(base core.Config, space Space, genes []Gene, seed int64) ([]Gene, MinStats) {
-	space = space.filled()
+func Minimize(base core.Config, p campaign.Params, genes []Gene, seed int64) ([]Gene, MinStats) {
+	s := spaceOf(p)
 	stats := MinStats{From: len(genes)}
 	probes := 0
 	violates := func(cand []Gene) bool {
 		probes++
-		m, err := core.New(space.Config(base, cand, seed))
+		m, err := core.New(s.config(base, cand, seed))
 		if err != nil {
 			return false
 		}
@@ -41,7 +42,7 @@ func Minimize(base core.Config, space Space, genes []Gene, seed int64) ([]Gene, 
 		return res.Verdict() != nil
 	}
 
-	cur := space.repair(genes)
+	cur := s.repair(genes)
 
 	// Phase 1: ddmin-style chunk removal, halving the chunk size until
 	// single-gene removals stop helping.
@@ -51,7 +52,7 @@ func Minimize(base core.Config, space Space, genes []Gene, seed int64) ([]Gene, 
 			cand := make([]Gene, 0, len(cur)-chunk)
 			cand = append(cand, cur[:i]...)
 			cand = append(cand, cur[i+chunk:]...)
-			cand = space.repair(cand)
+			cand = s.repair(cand)
 			if violates(cand) {
 				cur = cand
 				removed = true
@@ -75,7 +76,7 @@ func Minimize(base core.Config, space Space, genes []Gene, seed int64) ([]Gene, 
 		cand := make([]Gene, len(cur))
 		copy(cand, cur)
 		edit(&cand[i])
-		cand = space.repair(cand)
+		cand = s.repair(cand)
 		if violates(cand) {
 			cur = cand
 			return true
@@ -112,7 +113,7 @@ func Minimize(base core.Config, space Space, genes []Gene, seed int64) ([]Gene, 
 			cand := make([]Gene, 0, len(cur)-1)
 			cand = append(cand, cur[:i]...)
 			cand = append(cand, cur[i+1:]...)
-			cand = space.repair(cand)
+			cand = s.repair(cand)
 			if violates(cand) {
 				cur = cand
 				changed = true

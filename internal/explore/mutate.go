@@ -18,8 +18,7 @@ var snapDeltas = []sim.Time{
 
 // randomGene draws a fresh gene of a random kind with plausible parameters;
 // clamping and structural repair happen downstream.
-func (s Space) randomGene(g *sim.RNG) Gene {
-	s = s.filled()
+func (s space) randomGene(g *sim.RNG) Gene {
 	total := s.total()
 	onset := g.UniformDur(sim.Second, s.Horizon)
 	gene := Gene{Kind: GeneKind(g.Intn(int(numGeneKinds))), At: onset}
@@ -73,12 +72,11 @@ func (s Space) randomGene(g *sim.RNG) Gene {
 	return gene
 }
 
-// Mutate returns a structurally repaired copy of the gene list with one
+// mutate returns a structurally repaired copy of the gene list with one
 // random edit applied: add, drop, retime, retarget, rerate, or snap (align
 // one gene's onset to another's plus a protocol-constant delta). The input
 // is never modified.
-func (s Space) Mutate(g *sim.RNG, genes []Gene) []Gene {
-	s = s.filled()
+func (s space) mutate(g *sim.RNG, genes []Gene) []Gene {
 	out := make([]Gene, len(genes))
 	copy(out, genes)
 	op := g.Intn(6)
@@ -146,9 +144,8 @@ func (s Space) Mutate(g *sim.RNG, genes []Gene) []Gene {
 	return s.repair(out)
 }
 
-// Splice crosses two parents at random cut points and repairs the child.
-func (s Space) Splice(g *sim.RNG, a, b []Gene) []Gene {
-	s = s.filled()
+// splice crosses two parents at random cut points and repairs the child.
+func (s space) splice(g *sim.RNG, a, b []Gene) []Gene {
 	ca := g.Intn(len(a) + 1)
 	cb := g.Intn(len(b) + 1)
 	child := make([]Gene, 0, ca+len(b)-cb)

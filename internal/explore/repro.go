@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/campaign"
 	"repro/internal/check"
 	"repro/internal/core"
 )
@@ -45,11 +46,15 @@ type Repro struct {
 	Triage *check.Triage `json:"triage,omitempty"`
 }
 
-// Config is the run configuration of one schedule: the base workload under
-// the schedule's faults and seed.
-func (s Space) Config(base core.Config, genes []Gene, seed int64) core.Config {
+// Config is the run configuration of one schedule in the fault space p
+// describes: the base workload under the schedule's faults and seed.
+func Config(base core.Config, p campaign.Params, genes []Gene, seed int64) core.Config {
+	return spaceOf(p).config(base, genes, seed)
+}
+
+func (s space) config(base core.Config, genes []Gene, seed int64) core.Config {
 	base.Seed = seed
-	base.Faults = s.ToFaults(genes)
+	base.Faults = s.toFaults(genes)
 	return base
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/tpcc"
@@ -56,10 +57,10 @@ func TestReproCarriesWholeConfig(t *testing.T) {
 	var n int64
 	fillNonZero(t, reflect.ValueOf(&base).Elem(), &n)
 
-	space := Space{Sites: 3, Horizon: 15 * sim.Second}
+	params := campaign.Params{Sites: 3, Horizon: 15 * sim.Second}
 	genes := []Gene{{Kind: GenePartition, Sites: []int32{1}, At: 10 * sim.Second, Until: 12 * sim.Second}}
 	const seed = 77
-	want := space.Config(base, genes, seed)
+	want := Config(base, params, genes, seed)
 	if len(want.Faults.Partitions) != 1 {
 		t.Fatalf("the schedule did not reach the config: %+v", want.Faults)
 	}

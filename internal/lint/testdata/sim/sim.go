@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"time"
 )
@@ -16,7 +17,27 @@ func clocks() time.Duration {
 	d := 5 * time.Millisecond    // duration arithmetic is fine
 	//lint:simdeterminism-ok startup banner timestamp never feeds the simulation
 	_ = time.Now()
+	_ = time.Now() //lint:simdeterminism-ok a trailing waiver covers its own line only
+	_ = time.Now() // want `time.Now in deterministic package`
+	//lint:simdeterminism-okay a different token waives nothing
+	time.Sleep(time.Millisecond) // want `time.Sleep in deterministic package`
 	return d
+}
+
+func parseFrame(b []byte) (int, error) {
+	if len(b) < 2 {
+		return 0, errors.New("short")
+	}
+	return int(b[0]), nil
+}
+
+// recv drops a malformed frame without counting it: statcount runs here too.
+func recv(b []byte) int {
+	n, err := parseFrame(b) // want `error path of parseFrame drops the message silently`
+	if err != nil {
+		return 0
+	}
+	return n
 }
 
 func randoms(seed int64) int {
@@ -67,8 +88,8 @@ func mapRanges(k *kernel, m map[int]int, ch chan int) ([]int, int) {
 	for _, v := range m {
 		total += float64(v) // want `order-sensitive write to "total"`
 	}
-	for _, v := range m { //lint:simdeterminism-ok single-element map by construction
-		last = v
+	for _, v := range m {
+		last = v //lint:simdeterminism-ok single-element map by construction
 	}
 	_ = total
 	_ = last

@@ -41,6 +41,13 @@ const (
 	marshalCostPerByte = 2.0
 )
 
+// maxHistory bounds the certifier's retained write-sets — the history a
+// stale snapshot is certified against, and so the pages a recovery
+// transfers. It does not bound the last-writer index, which covers a fixed
+// window of recent commits whatever maxHistory is. Pruning is deterministic
+// across replicas (a pure function of the certified stream).
+const maxHistory = 50000
+
 // Options tune the replica glue.
 type Options struct {
 	// Optimistic selects the optimistic-delivery protocol variant: the
@@ -50,13 +57,6 @@ type Options struct {
 	// ReadSetThreshold upgrades large read-sets to table locks before
 	// multicasting (0 disables).
 	ReadSetThreshold int
-	// MaxHistory bounds the certifier's retained write-sets — the history
-	// a stale snapshot is certified against, and so the pages a recovery
-	// transfers. It does not bound the last-writer index, which covers a
-	// fixed window of recent commits whatever MaxHistory is. Pruning is
-	// deterministic across replicas (a pure function of the certified
-	// stream). Defaults to 50000.
-	MaxHistory int
 	// Replicates, when set, is this site's stored-here predicate under
 	// partial replication — degree-k placement (the paper's Section 5.2
 	// mitigation for the read-one/write-all disk bottleneck) and replication
@@ -90,12 +90,6 @@ type Options struct {
 	GroupCount    int
 	SitesPerGroup int
 	GroupOf       func(dbsm.TupleID) int
-}
-
-func (o *Options) fill() {
-	if o.MaxHistory == 0 {
-		o.MaxHistory = 50000
-	}
 }
 
 // Stats counts replica-level termination activity. It is the one place a
@@ -229,7 +223,6 @@ type bufferedDelivery struct {
 // New builds the replica glue and installs its hooks on the stack and the
 // server. Call Start after the stack has started.
 func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Options) *Replica {
-	opts.fill()
 	r := &Replica{
 		rt:         rt,
 		stack:      stack,
@@ -243,7 +236,7 @@ func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Option
 	r.cert.Charge = func(items int) {
 		rt.Charge(sim.Time(items) * certCostPerItem)
 	}
-	r.cert.MaxHistory = opts.MaxHistory
+	r.cert.MaxHistory = maxHistory
 	if opts.Optimistic {
 		r.spec = dbsm.NewSpecCertifier(r.cert)
 		r.tent = make(map[uint64]*tentTxn)

@@ -473,11 +473,9 @@ func TestProtocolsDecideIdentically(t *testing.T) {
 }
 
 func TestCertifierHistoryBounded(t *testing.T) {
-	k, sites := buildCluster(t, 3)
-	// MaxHistory default is large; set small via options on a fresh
-	// replica is awkward mid-test, so check the wired default.
-	if sites[0].rep.Certifier().MaxHistory != 50000 {
-		t.Fatalf("default MaxHistory = %d", sites[0].rep.Certifier().MaxHistory)
+	_, sites := buildCluster(t, 3)
+	// The replica wires its history bound into the certifier it builds.
+	if got := sites[0].rep.Certifier().MaxHistory; got != 50000 {
+		t.Fatalf("certifier MaxHistory = %d, want 50000", got)
 	}
-	_ = k
 }
