@@ -46,7 +46,7 @@ func TestDumpConfigs(t *testing.T) {
 // TestConfigsMatchBench holds configs/<workload>.json to bench's Go literal
 // of the same name while the two coexist. It builds bench's tests with one
 // more file, laid in by a build overlay so nothing under bench/ changes, that
-// dumps bench's own workload table. ROADMAP item 14(c) deletes this test once
+// dumps bench's own workload table. ROADMAP item 7(g) deletes this test once
 // bench loads configs/.
 func TestConfigsMatchBench(t *testing.T) {
 	dir := t.TempDir()

@@ -86,8 +86,8 @@ func TestGoldenReproReproduces(t *testing.T) {
 const residualWindowRepro = "testdata/repro-conservative-s5-non-prefix--3610918436655193305.json"
 
 // renumberWedgeRepro is the explorer's minimized reproduction of the FIXED
-// sequencer-handover renumbering divergence (ROADMAP item 0): a member that
-// installed the post-crash view late had processed the new sequencer's first
+// sequencer-handover renumbering divergence: a member that installed the
+// post-crash view late had processed the new sequencer's first
 // announcements while frozen, anchored its leftover renumbering past them
 // (base 56 vs the survivors' flush-agreed 44), and wedged with permanent
 // holes in its global->message map — a length-mismatch verdict. The fix

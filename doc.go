@@ -129,7 +129,14 @@
 // stability. Every pool of per-event records, in every layer, is a
 // sim.FreeList — recycling is written once, and race builds panic on a
 // record handed back twice; in gcs, dbsm and simnet they also fill a
-// recycled buffer with 0xFF. What that costs the host is measured by
+// recycled buffer with 0xFF. A replication pays for its transactions, not
+// its setup: core.Model.Run is the model's end of life, and what the model
+// sized for its run — about 4.9 KB of math/rand state per RNG stream (one
+// per client, host, disk and generator), the kernel's slot and node slabs,
+// each certifier's index maps and history blocks — goes to process-wide
+// sim.Shelf shelves for the next core.New, reseeded or emptied, so the run
+// that takes it back is byte-identical to one on fresh storage. What that
+// costs the host is measured by
 // one command, `bash bench/run.sh all` (five workloads, eight end-to-end
 // metrics, a per-layer ledger; bench/README.md holds the committed
 // baseline) — profiles included, through its --trace 1 pass. Outside bench/

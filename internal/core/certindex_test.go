@@ -8,9 +8,18 @@ import "testing"
 // checks that the index answered every certification — not one snapshot was
 // old enough to need the history scan — while holding no more cells than the
 // writes committed since its horizon. A smaller index window that starts
-// paying for scans on this traffic fails here.
+// paying for scans on this traffic fails here. It calls run, not Run: the
+// certifiers must outlive the run to be read.
 func TestCertifierIndexAnswersLiveSnapshots(t *testing.T) {
-	m, r := runModel(t, Config{Sites: 3, CPUsPerSite: 1, Clients: 500, TotalTxns: 3000, Seed: 1})
+	m, err := New(Config{Sites: 3, CPUsPerSite: 1, Clients: 500, TotalTxns: 3000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.release()
+	r, err := m.run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := r.Verdict(); err != nil {
 		t.Fatal(err)
 	}

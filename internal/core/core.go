@@ -330,10 +330,12 @@ func newOnLAN(cfg Config, lan simnet.LANConfig) (*Model, error) {
 	m := &Model{cfg: cfg, k: sim.NewKernel(), rng: sim.NewRNG(cfg.Seed), place: newPlacement(&cfg)}
 	m.net = simnet.NewNetwork(m.k, m.rng.Fork("net"))
 	m.lan = m.net.NewLAN(lan)
-	if err := m.buildSites(); err != nil {
-		return nil, err
+	err := m.buildSites()
+	if err == nil {
+		err = m.armFaults()
 	}
-	if err := m.armFaults(); err != nil {
+	if err != nil {
+		m.release()
 		return nil, err
 	}
 	m.startClients()
@@ -823,8 +825,33 @@ func (m *Model) pickDonor(joiner *Site) recovery.Donor {
 	return nil
 }
 
-// Run executes the model to completion and assembles results.
+// Run executes the model to completion and assembles results. It is the
+// model's end of life, error or not: the RNG streams, the kernel's pending
+// events and the sites' certifiers are released, and what they had sized for
+// the run goes to the next New. Afterwards the Results, and the model's
+// servers, hosts, lifecycles, stack Stats, commit logs and network counters,
+// stay readable; nothing can run on the model again.
 func (m *Model) Run() (*Results, error) {
+	defer m.release()
+	return m.run()
+}
+
+// release frees what the model took for its run: the RNG family, the kernel
+// and each site's current certifier. A dead incarnation's certifier is left
+// to the collector.
+func (m *Model) release() {
+	m.rng.Release()
+	m.k.Release()
+	for _, s := range m.sites {
+		if s.Replica != nil {
+			s.Replica.Certifier().Release()
+		}
+	}
+}
+
+// run executes the model to completion and assembles results, releasing
+// nothing: tests that look inside the model afterwards call it.
+func (m *Model) run() (*Results, error) {
 	cfg := m.cfg
 	const chunk = 500 * sim.Millisecond
 	// drainTime runs the model beyond the last completion so protocol

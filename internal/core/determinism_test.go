@@ -2,7 +2,9 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/faults"
 	"repro/internal/sim"
@@ -12,7 +14,13 @@ import (
 // parallel experiment runner relies on: a Model run is a pure function of
 // its Config (including Seed), so two runs with the same seed must produce
 // identical Results — counts, latency sample moments, and per-class rows.
+// A differently shaped run B (three groups of two sites, with loss) comes in
+// between the two: what B leaves on the shelves when its Run returns — RNG
+// sources, kernel storage, certifier index maps — must not carry into the
+// second run of A.
 func TestSameSeedSameResults(t *testing.T) {
+	other := Config{Sites: 2, Groups: 3, Clients: 60, TotalTxns: 200, Seed: 7,
+		Faults: faults.Config{Loss: faults.Loss{Kind: faults.LossRandom, Rate: 0.05}}}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -21,8 +29,8 @@ func TestSameSeedSameResults(t *testing.T) {
 		{"replicated", Config{Sites: 3, Clients: 30, TotalTxns: 200, Seed: 99}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func() *Results {
-				m, err := New(tc.cfg)
+			run := func(cfg Config) *Results {
+				m, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -32,7 +40,9 @@ func TestSameSeedSameResults(t *testing.T) {
 				}
 				return r
 			}
-			a, b := run(), run()
+			a := run(tc.cfg)
+			run(other)
+			b := run(tc.cfg)
 
 			if a.Issued != b.Issued || a.Submitted != b.Submitted ||
 				a.Committed != b.Committed || a.Aborted != b.Aborted {
@@ -74,6 +84,20 @@ func TestSameSeedSameResults(t *testing.T) {
 				t.Fatalf("GCS stats diverge: %+v vs %+v", a.GCS, b.GCS)
 			}
 		})
+	}
+}
+
+// TestRunLeavesTheModelCollectable: once Run returns, nothing the model put
+// on a shelf — a kernel slot's callback, a history block's write-set — keeps
+// the model reachable, so the collector takes it.
+func TestRunLeavesTheModelCollectable(t *testing.T) {
+	ref := func() weak.Pointer[Model] {
+		m, _ := runModel(t, Config{Sites: 3, Clients: 30, TotalTxns: 200, Seed: 99, Protocol: ProtocolOptimistic})
+		return weak.Make(m)
+	}()
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("a model that has run is still reachable after a collection")
 	}
 }
 

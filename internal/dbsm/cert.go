@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/sim"
 )
 
 // SiteID identifies a replica site (matches runtimeapi.NodeID numerically).
@@ -249,7 +251,20 @@ type Certifier struct {
 	tableAny   map[uint16]uint64
 
 	staleAnswers int64 // certifications answered from the history (StaleAnswers)
+	released     bool
 }
+
+// certStore is the storage a released indexed certifier leaves for the next
+// NewCertifier: emptied, with the capacity its run grew.
+type certStore struct {
+	lastWriter, older   map[TupleID]uint64
+	tableLock, tableAny map[uint16]uint64
+	blocks              []*[histBlock]histEntry
+	undo                []undoRec
+}
+
+// certStores holds the storage of released certifiers.
+var certStores sim.Shelf[certStore]
 
 // indexWindow is the number of commits in one generation of the last-writer
 // index. The stalest snapshot the benchmark workloads certify is a few
@@ -311,6 +326,13 @@ func (h *history) truncate(n int) {
 	}
 }
 
+// reset removes every entry and keeps the blocks, all zero: dropFront zeroes
+// what it drops, truncate the rest.
+func (h *history) reset() {
+	h.truncate(0)
+	h.head = 0
+}
+
 // firstAfter returns the position of the first entry committed after seq.
 // Open-coded binary search: a sort.Search closure is a heap allocation per
 // certification.
@@ -342,14 +364,57 @@ const (
 )
 
 // NewCertifier returns an empty certifier using the inverted last-writer
-// index.
+// index, on the storage of a released certifier when one is waiting.
 func NewCertifier() *Certifier {
+	st, ok := certStores.Get()
+	if !ok {
+		st = certStore{
+			lastWriter: make(map[TupleID]uint64),
+			older:      make(map[TupleID]uint64),
+			tableLock:  make(map[uint16]uint64),
+			tableAny:   make(map[uint16]uint64),
+		}
+	}
 	return &Certifier{
-		lastWriter: make(map[TupleID]uint64),
-		older:      make(map[TupleID]uint64),
+		lastWriter: st.lastWriter,
+		older:      st.older,
 		window:     indexWindow,
-		tableLock:  make(map[uint16]uint64),
-		tableAny:   make(map[uint16]uint64),
+		tableLock:  st.tableLock,
+		tableAny:   st.tableAny,
+		hist:       history{blocks: st.blocks},
+		undo:       st.undo,
+	}
+}
+
+// Release ends the certifier's life: its index, history and undo storage,
+// emptied, go to the next NewCertifier, so no write-set stays reachable
+// through it. Seq and StaleAnswers stay readable; Certify and CheckOnly
+// panic. Releasing again does nothing.
+func (c *Certifier) Release() {
+	if c.released {
+		return
+	}
+	c.released = true
+	if !c.scan {
+		clear(c.lastWriter)
+		clear(c.older)
+		clear(c.tableLock)
+		clear(c.tableAny)
+		c.hist.reset()
+		certStores.Put(certStore{
+			lastWriter: c.lastWriter, older: c.older,
+			tableLock: c.tableLock, tableAny: c.tableAny,
+			blocks: c.hist.blocks, undo: c.undo[:0],
+		})
+	}
+	c.lastWriter, c.older, c.tableLock, c.tableAny = nil, nil, nil, nil
+	c.hist, c.undo = history{}, nil
+}
+
+// checkLive panics on a released certifier.
+func (c *Certifier) checkLive() {
+	if c.released {
+		panic("dbsm: certification on a released certifier")
 	}
 }
 
@@ -385,6 +450,7 @@ func (c *Certifier) StaleAnswers() int64 { return c.staleAnswers }
 // concurrently (certification sequence number greater than the
 // transaction's LastCommitted snapshot).
 func (c *Certifier) Certify(t *TxnCert) Outcome {
+	c.checkLive()
 	if c.Veto != nil && c.Veto(t) {
 		return Outcome{Commit: false}
 	}

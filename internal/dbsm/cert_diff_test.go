@@ -263,8 +263,9 @@ func specCertifierIndexedDifferential(t *testing.T, window uint64) {
 // the back (a rollback unwinds the suffix) and compacted in between, while a
 // small MaxHistory makes the history deque wrap and prune under outstanding
 // tentatives. Half-way, the finalized prefix is state-transferred into a new
-// speculating certifier that carries on. Every final verdict must equal the
-// scan reference's.
+// speculating certifier that carries on, on the storage of the old one,
+// released with tentative records on its undo stack. Every final verdict must
+// equal the scan reference's.
 func TestSpecSlidingWindowDifferential(t *testing.T) {
 	forWindows(t, specSlidingWindowDifferential)
 }
@@ -291,8 +292,16 @@ func specSlidingWindowDifferential(t *testing.T, window uint64) {
 				st := base.ExportState()
 				st.History, st.Seq = st.History[:histLen], seq
 				matches, rollbacks = matches+spec.Matches, rollbacks+spec.Rollbacks
+				if len(base.undo) == 0 {
+					t.Fatalf("maxHistory=%d: the undo stack is empty at the hand-over", maxHistory)
+				}
+				block := base.hist.blocks[0]
+				base.Release()
 				base, spec = newSpec()
 				base.ImportState(st)
+				if base.hist.blocks[0] != block {
+					t.Fatalf("maxHistory=%d: the new certifier does not run on the released one's storage", maxHistory)
+				}
 				tentNext = fin // the importer has seen no tentative delivery
 			}
 			for tentNext < stream.n && tentNext < fin+ahead {
@@ -334,6 +343,59 @@ func specSlidingWindowDifferential(t *testing.T, window uint64) {
 			t.Fatalf("maxHistory=%d: history %d pruned %d, scan reference %d / %d",
 				maxHistory, base.HistoryLen(), base.pruned, scan.HistoryLen(), scan.pruned)
 		}
+	}
+}
+
+// TestReleasedCertifier: a released certifier keeps its counters, refuses
+// to certify, and leaves its storage to the next NewCertifier emptied — no
+// index cell, history entry or undo record of the old run in it.
+func TestReleasedCertifier(t *testing.T) {
+	c := newWindowed(64) // both generations hold cells
+	spec := NewSpecCertifier(c)
+	row := MakeTupleID(4, 1)
+	for i := uint64(1); i <= 3*histBlock; i++ {
+		ws := NewItemSet(row, MakeTupleID(5, i), MakeTableLock(6))
+		spec.Tentative(&TxnCert{TID: i, LastCommitted: i - 1, ReadSet: NewItemSet(row), WriteSet: ws})
+	}
+	if len(c.older) == 0 || len(c.tableLock) == 0 {
+		t.Fatal("the run filled neither the older generation nor a table-lock cell")
+	}
+	seq := c.Seq()
+	c.Release()
+	c.Release()
+	if c.Seq() != seq {
+		t.Fatalf("Seq %d after release, want %d", c.Seq(), seq)
+	}
+	tc := &TxnCert{TID: 9, ReadSet: NewItemSet(row)}
+	for name, use := range map[string]func(){
+		"Certify":   func() { c.Certify(tc) },
+		"CheckOnly": func() { c.CheckOnly(tc) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released certifier did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+	next := NewCertifier()
+	if len(next.hist.blocks) != 3 || cap(next.undo) == 0 {
+		t.Fatalf("next certifier: %d history blocks, undo capacity %d; want the released 3 and some", len(next.hist.blocks), cap(next.undo))
+	}
+	if cells, _ := next.IndexCells(); cells != 0 || len(next.tableAny) != 0 || len(next.tableLock) != 0 || next.HistoryLen() != 0 || len(next.undo) != 0 {
+		t.Fatalf("next certifier starts with %d cells, %d table cells, %d entries, %d undo records", cells, len(next.tableAny)+len(next.tableLock), next.HistoryLen(), len(next.undo))
+	}
+	for _, b := range next.hist.blocks {
+		for _, e := range b {
+			if e.seq != 0 || e.writeSet != nil {
+				t.Fatalf("a shelved history block still holds commit %d", e.seq)
+			}
+		}
+	}
+	if next.Charge != nil || next.Veto != nil || next.MaxHistory != 0 || next.Seq() != 0 {
+		t.Fatal("next certifier carries the released one's settings")
 	}
 }
 

@@ -60,7 +60,7 @@ func (c *Certifier) ExportState() *CertState {
 // last-writer index by replaying the retained history. Any prior state is
 // discarded; the write-sets are copied, so the snapshot stays the caller's.
 func (c *Certifier) ImportState(st *CertState) {
-	c.hist = history{}
+	c.hist.reset()
 	c.undo = c.undo[:0]
 	clear(c.lastWriter)
 	clear(c.older)

@@ -14,6 +14,7 @@ package dbsm
 // the commit itself waits for the decide. The Veto predicate is NOT
 // consulted; the caller combines this test with its own reservation check.
 func (c *Certifier) CheckOnly(t *TxnCert) bool {
+	c.checkLive()
 	if t.LastCommitted < c.pruned && len(t.ReadSet) > 0 {
 		return false
 	}

@@ -4,10 +4,14 @@
 // grid point with deterministically derived seeds, and merges each point's
 // replications into mean ± 95% confidence-interval aggregates.
 //
-// Every core.Model run is deterministic and fully independent (its own
-// kernel, RNG, network, and sites), so the grid is embarrassingly parallel:
-// results depend only on the task list and seeds, never on worker count or
-// scheduling, and a -parallel 1 run is byte-identical to a multi-worker run.
+// Every core.Model run is deterministic and fully independent, so the grid
+// is embarrassingly parallel: results depend only on the task list and
+// seeds, never on worker count or scheduling, and a -parallel 1 run is
+// byte-identical to a multi-worker run. Runs do share storage: when a
+// model's Run returns, its RNG sources, kernel slabs and certifier index go
+// to process-wide shelves, and the next core.New on any worker takes them
+// back. They stay independent because that storage is reset before reuse —
+// a source reseeded, a slab or map emptied — not because it is separate.
 package expr
 
 import (

@@ -90,7 +90,8 @@ type wheelNode struct {
 // nodeBlock is one fixed block of the node slab. The slab grows a block at
 // a time and never copies or frees one, so the calendar allocates what it
 // holds at its peak, once — a slice grown by append would allocate several
-// times that over a run.
+// times that over a run — and a released kernel hands its blocks to the
+// next.
 type nodeBlock [1 << nodeBlockBits]wheelNode
 
 const nodeBlockBits = 8 // 256 nodes, 8 KiB
@@ -119,6 +120,7 @@ type Kernel struct {
 	live      int // scheduled and not yet dispatched or cancelled
 	halted    bool
 	running   bool
+	released  bool
 	executed  int64
 
 	// horizon is a tick boundary: calendar events are due at or after it,
@@ -137,9 +139,39 @@ type Kernel struct {
 	l1Used [l1Len / 64]uint64
 }
 
-// NewKernel returns an empty kernel at time zero.
+// kernelStore is the storage a released kernel leaves for the next one:
+// emptied, with the capacity its run grew.
+type kernelStore struct {
+	slots     []slotEntry
+	events    []event
+	freeSlots []uint32
+	nodes     []*nodeBlock
+}
+
+// kernels holds the storage of released kernels.
+var kernels Shelf[kernelStore]
+
+// NewKernel returns an empty kernel at time zero, on the storage of a
+// released kernel when one is waiting.
 func NewKernel() *Kernel {
-	return &Kernel{fresh: 1}
+	k := &Kernel{fresh: 1}
+	if st, ok := kernels.Get(); ok {
+		k.slots, k.events, k.freeSlots, k.nodes = st.slots, st.events, st.freeSlots, st.nodes
+	}
+	return k
+}
+
+// Release ends the kernel's life. Every pending callback is dropped — they
+// close over whatever the kernel was driving — and the slot slab, the heap,
+// the free-slot stack and the node blocks go to the next NewKernel. Now and
+// Executed stay readable; Schedule panics. Releasing again does nothing.
+func (k *Kernel) Release() {
+	if k.released {
+		return
+	}
+	clear(k.slots)
+	kernels.Put(kernelStore{slots: k.slots[:0], events: k.events[:0], freeSlots: k.freeSlots[:0], nodes: k.nodes})
+	*k = Kernel{now: k.now, executed: k.executed, released: true}
 }
 
 // Now reports the current simulated time.
@@ -177,6 +209,9 @@ func (k *Kernel) SchedulePri(delay Time, pri Priority, fn func()) EventID {
 func (k *Kernel) SchedulePriAt(at Time, pri Priority, fn func()) EventID {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at=%v now=%v", at, k.now))
+	}
+	if k.released {
+		panic("sim: Schedule on a released kernel")
 	}
 	if fn == nil {
 		panic("sim: nil event function")
@@ -233,7 +268,7 @@ func (k *Kernel) link(ev event, next uint32) uint32 {
 		i = k.fresh
 		k.fresh++
 		if int(i>>nodeBlockBits) == len(k.nodes) {
-			// one block per 256 events the calendar holds at its peak; never freed, reused through the vacant chain
+			// one block per 256 events the calendar holds at its peak, beyond those a released kernel left; never freed, reused through the vacant chain
 			k.nodes = append(k.nodes, new(nodeBlock))
 		}
 	}

@@ -187,10 +187,10 @@ func (sc *orderScript) checkPending() {
 	}
 }
 
-// runOrderScript interprets in against a fresh kernel and fails t on the
-// first dispatch the reference disagrees with.
-func runOrderScript(t testing.TB, in []byte) {
-	sc := &orderScript{t: t, k: NewKernel(), in: in, stopAt: -1}
+// runOrderScript interprets in against k, an empty kernel, and fails t on
+// the first dispatch the reference disagrees with.
+func runOrderScript(t testing.TB, k *Kernel, in []byte) {
+	sc := &orderScript{t: t, k: k, in: in, stopAt: -1}
 	for !sc.done() {
 		switch op := sc.next(); op % 10 {
 		case 0, 1, 2, 3:
@@ -266,20 +266,26 @@ func FuzzKernelOrder(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		runOrderScript(t, in)
+		runOrderScript(t, NewKernel(), in)
 	})
 }
 
-// TestKernelOrderRandomized is the differential test at scale: random
-// scripts long enough to cross spans and level-1 slots many times.
+// randomScript is a random order script long enough to cross spans and
+// level-1 slots many times.
+func randomScript(seed int64) []byte {
+	rng := NewRNG(seed)
+	in := make([]byte, 6000)
+	for i := range in {
+		in[i] = byte(rng.Intn(256))
+	}
+	return in
+}
+
+// TestKernelOrderRandomized is the differential test at scale.
 func TestKernelOrderRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
-		rng := NewRNG(seed)
-		in := make([]byte, 6000)
-		for i := range in {
-			in[i] = byte(rng.Intn(256))
-		}
-		t.Run(fmt.Sprint(seed), func(t *testing.T) { runOrderScript(t, in) })
+		in := randomScript(seed)
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { runOrderScript(t, NewKernel(), in) })
 	}
 }
 

@@ -10,18 +10,46 @@ import (
 // the simulator draws from an RNG derived from the run seed, so a run is a
 // pure function of its configuration. Streams are forked by label so that
 // adding a consumer does not perturb the draws seen by existing consumers.
+//
+// NewRNG starts a family and Fork adds to it; Release ends the whole family
+// at once and shelves its sources for the next NewRNG or Fork, which
+// reseeds one in place — (*rand.Rand).Seed rebuilds exactly the state
+// rand.NewSource builds, so a stream is the same whether its source is
+// fresh or shelved.
 type RNG struct {
-	r    *rand.Rand
+	r    *rand.Rand // nil once the family is released: a draw panics
 	seed int64
+	fam  *family
 }
 
-// NewRNG returns a stream seeded with seed.
+// family is every stream one NewRNG started: the root and all forks of it
+// or of its forks.
+type family struct{ members []*RNG }
+
+// sources holds the sources of released families.
+var sources Shelf[*rand.Rand]
+
+// NewRNG returns a stream seeded with seed, the first of a new family.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed)), seed: seed}
+	return (&family{}).add(seed)
 }
 
-// Fork derives an independent stream identified by label. Forking the same
-// (seed, label) pair always yields the same stream.
+// add returns a member of f seeded with seed, on a shelved source when one
+// is waiting.
+func (f *family) add(seed int64) *RNG {
+	r, ok := sources.Get()
+	if ok {
+		r.Seed(seed)
+	} else {
+		r = rand.New(rand.NewSource(seed))
+	}
+	g := &RNG{r: r, seed: seed, fam: f}
+	f.members = append(f.members, g)
+	return g
+}
+
+// Fork derives an independent stream identified by label, in g's family.
+// Forking the same (seed, label) pair always yields the same stream.
 func (g *RNG) Fork(label string) *RNG {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(label))
@@ -30,7 +58,17 @@ func (g *RNG) Fork(label string) *RNG {
 	if derived == 0 {
 		derived = int64(h.Sum64()) | 1
 	}
-	return NewRNG(derived)
+	return g.fam.add(derived)
+}
+
+// Release ends g's family: every member's source goes to the shelf, and a
+// later draw from any member panics. Releasing again does nothing.
+func (g *RNG) Release() {
+	for _, m := range g.fam.members {
+		sources.Put(m.r)
+		m.r = nil
+	}
+	g.fam.members = nil
 }
 
 // Float64 returns a uniform draw in [0, 1).
