@@ -81,8 +81,9 @@
 // fetch count, a processing time and a quantum — and the item sets);
 // db.Server.Submit calls the db.Txn.Build hook once, on the
 // attempt it admits, so a refused arrival is never built; and an arrival's
-// record is reused only if its transaction was never admitted and the
-// stream has not stopped. Equivalence is statistical, pinned within CI95 at
+// record, like an individual client's last transaction, is reused once the
+// server lets go of its transaction (db.Txn.Held) unless the stream has
+// stopped. Equivalence is statistical, pinned within CI95 at
 // 500 clients for both protocol variants; memory and wall clock stay
 // O(sites + in-flight) to 10^6 clients (cmd/experiments's "clients" table,
 // the agg1m_shed workload of bench/, and README.md's "Scaling to millions of

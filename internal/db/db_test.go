@@ -341,7 +341,8 @@ func TestMultiCPUParallelism(t *testing.T) {
 // the three script numbers: every fetch, then the processing time in slices
 // of one quantum with a short last one — so on one CPU a later transaction
 // gets in after the first slice, not after the whole script — and nothing
-// allocated per step, however long the script is.
+// allocated at all when an already-bound transaction is resubmitted, however
+// long its script is (Server.Submit, bind, step, commitPhase, finish).
 func TestScriptRunsFetchesThenQuanta(t *testing.T) {
 	k := sim.NewKernel()
 	st := NewStorage(k, StorageConfig{CacheHitRatio: 0.5}, sim.NewRNG(1))
@@ -374,8 +375,10 @@ func TestScriptRunsFetchesThenQuanta(t *testing.T) {
 	}
 	brief := &Txn{TID: 3, Class: "ro", ReadOnly: true, Fetches: 1, CPU: sim.Millisecond, Quantum: sim.Millisecond}
 	lengthy := &Txn{TID: 4, Class: "ro", ReadOnly: true, Fetches: 40, CPU: 30 * sim.Millisecond, Quantum: sim.Millisecond}
-	if a, b := run(brief), run(lengthy); a != b {
-		t.Fatalf("a 2-step script costs %v allocations, a 70-step script %v: something is allocated per step", a, b)
+	run(brief)
+	run(lengthy) // both now bound to s
+	if a, b := run(brief), run(lengthy); a != 0 || b != 0 {
+		t.Fatalf("a resubmitted, bound transaction allocates %v times on a 2-step script and %v on a 70-step one, want 0", a, b)
 	}
 	if st.Sectors() < 40 {
 		t.Fatalf("%d sectors read: the comparison did not cover fetches that miss the cache", st.Sectors())

@@ -209,6 +209,7 @@ func (s *Server) Restart() {
 		t.aborted = true
 		t.finished = true
 		t.EndAt = s.k.Now()
+		t.holds--
 		if t.Done != nil {
 			t.Done(t, AbortCrash)
 		}
@@ -266,8 +267,9 @@ func (s *Server) Backpressured() bool { return s.backpressured }
 func (s *Server) ActiveCount() int { return len(s.active) }
 
 // Submit starts a transaction: take the snapshot, acquire all write locks
-// atomically, then execute.
+// atomically, then execute. s holds t from here on (see Txn).
 func (s *Server) Submit(t *Txn) {
+	t.holds++ // the submission's own hold, given back as Done fires
 	if s.down {
 		// The client blocks, as in the paper's crash model. The
 		// transaction is remembered so a restart can wake the client with
@@ -294,20 +296,40 @@ func (s *Server) Submit(t *Txn) {
 	t.SubmitAt = s.k.Now()
 	t.Snapshot = s.lastApplied
 	s.classOf(t).Submitted++
-	// One continuation closure serves every pipeline step of this
-	// transaction: stale callbacks (after preemption or crash) are fenced
-	// by the aborted/finished flags, which every abort path sets before
-	// any further event can fire.
+	if t.bound != s {
+		s.bind(t)
+	}
+	s.lm.AcquireAll(t, t.granted)
+}
+
+// bind closes t's pipeline continuations over s, once per (transaction,
+// server): a retry at the same server and the next transaction built into a
+// recycled t reuse them. A continuation that fires late — after a preemption
+// or a crash — is fenced by the aborted/finished flags, which every abort
+// path sets before any further event can fire; each one that was handed off
+// under a hold gives it back first.
+func (s *Server) bind(t *Txn) {
+	t.bound = s
 	t.stepFn = func() {
-		if t.aborted || t.finished || s.down {
-			return
-		}
+		t.holds--
 		s.step(t)
 	}
-	s.lm.AcquireAll(t, func() {
+	t.granted = func() {
 		t.LocksAt = s.k.Now()
 		s.step(t)
-	})
+	}
+	t.committed = func() {
+		t.holds--
+		s.commitPhase(t)
+	}
+	t.written = func() {
+		t.holds--
+		if s.down || t.finished {
+			return
+		}
+		s.lm.ReleaseCommit(t)
+		s.finish(t, Committed)
+	}
 }
 
 // refuse turns a submission away unexecuted: counted as submitted and
@@ -330,11 +352,13 @@ func (s *Server) classOf(t *Txn) *ClassStats {
 }
 
 // step advances the execution script: every fetch, then the processing time
-// a quantum at a time, then the commit phase.
+// a quantum at a time, then the commit operation's CPU cost. Each hand-off
+// takes a hold its continuation gives back.
 func (s *Server) step(t *Txn) {
 	if t.aborted || t.finished || s.down {
 		return
 	}
+	t.holds++
 	switch {
 	case t.fetched < t.Fetches:
 		t.fetched++
@@ -349,43 +373,37 @@ func (s *Server) step(t *Txn) {
 		t.cpuSpent += q
 		s.cpus.SubmitSim(q, t.stepFn)
 	default:
-		s.commitPhase(t)
+		s.cpus.SubmitSim(t.CommitCPU, t.committed)
 	}
 }
 
-// commitPhase runs the commit operation's CPU cost, then finishes locally
-// (read-only or centralized) or enters the distributed termination protocol.
+// commitPhase runs once the commit operation's CPU cost is spent: finish
+// locally (read-only or centralized) or enter the distributed termination
+// protocol.
 func (s *Server) commitPhase(t *Txn) {
-	s.cpus.SubmitSim(t.CommitCPU, func() {
-		if t.aborted || t.finished || s.down {
-			return
-		}
-		switch {
-		case t.UserAbort:
-			// Application rollback at the end of execution.
-			s.lm.ReleaseAbort(t)
-			s.finish(t, AbortUser)
-		case t.ReadOnly:
-			// Read-only transactions commit locally; no I/O is
-			// performed at commit (Section 4.1).
-			s.finish(t, Committed)
-		case s.terminator == nil:
-			// Centralized baseline: write back and release. One
-			// sector per written row: updated tuples live on
-			// distinct pages.
-			s.storage.WriteSectors(len(t.WriteSet), func() {
-				if s.down || t.finished {
-					return
-				}
-				s.lm.ReleaseCommit(t)
-				s.finish(t, Committed)
-			})
-		default:
-			t.CommitReqAt = s.k.Now()
-			s.pendingCert[t.TID] = t
-			s.terminator(t)
-		}
-	})
+	if t.aborted || t.finished || s.down {
+		return
+	}
+	switch {
+	case t.UserAbort:
+		// Application rollback at the end of execution.
+		s.lm.ReleaseAbort(t)
+		s.finish(t, AbortUser)
+	case t.ReadOnly:
+		// Read-only transactions commit locally; no I/O is performed at
+		// commit (Section 4.1).
+		s.finish(t, Committed)
+	case s.terminator == nil:
+		// Centralized baseline: write back and release. One sector per
+		// written row: updated tuples live on distinct pages.
+		t.holds++
+		s.storage.WriteSectors(len(t.WriteSet), t.written)
+	default:
+		t.CommitReqAt = s.k.Now()
+		t.holds++ // given back where the entry is deleted
+		s.pendingCert[t.TID] = t
+		s.terminator(t)
+	}
 }
 
 // NoteCertDecision records the first certification verdict for a pending
@@ -417,6 +435,7 @@ func (s *Server) ResolveLocal(tid uint64, commit bool, seq uint64) bool {
 		return true
 	}
 	delete(s.pendingCert, tid)
+	t.holds--
 	lat := (s.k.Now() - t.CommitReqAt).Millis()
 	s.CertLat.Add(lat)
 	if !t.decided {
@@ -442,13 +461,8 @@ func (s *Server) ResolveLocal(tid uint64, commit bool, seq uint64) bool {
 	if seq > s.lastApplied {
 		s.lastApplied = seq
 	}
-	s.storage.WriteSectors(s.writeSectors(t.WriteSet), func() {
-		if s.down || t.finished {
-			return
-		}
-		s.lm.ReleaseCommit(t)
-		s.finish(t, Committed)
-	})
+	t.holds++
+	s.storage.WriteSectors(s.writeSectors(t.WriteSet), t.written)
 	return true
 }
 
@@ -464,6 +478,7 @@ func (s *Server) RejectPending(tid uint64) {
 		return
 	}
 	delete(s.pendingCert, tid)
+	t.holds--
 	if t.finished {
 		return
 	}
@@ -568,7 +583,9 @@ func (s *Server) writeSectors(ws dbsm.ItemSet) int {
 	return len(ws)
 }
 
-// finish records the outcome exactly once and notifies the issuer.
+// finish records the outcome exactly once and notifies the issuer. The
+// submission's hold ends as Done fires, so inside Done Held reports only the
+// continuations still in flight; nothing touches t after Done returns.
 func (s *Server) finish(t *Txn, outcome Outcome) {
 	if t.finished {
 		return
@@ -603,6 +620,7 @@ func (s *Server) finish(t *Txn, outcome Outcome) {
 	case Rejected:
 		cs.Rejected++
 	}
+	t.holds--
 	if t.Done != nil {
 		t.Done(t, outcome)
 	}

@@ -47,6 +47,17 @@ func (o Outcome) String() string {
 }
 
 // Txn is one transaction instance flowing through a server.
+//
+// A server holds t from Submit until Done has fired and every continuation
+// it handed out for t has run: a storage read that missed the cache, a CPU
+// slice, the commit CPU job, the write-back, and the pendingCert entry, which
+// outlives the replica's queued termination stage. Held reports it. While t
+// is held only the server changes it; once it is not, the submitter may
+// Recycle it and build its next transaction into the same memory. A hold that
+// is never given back — a pendingCert entry Restart forgets, a job a crashed
+// CPU drops — keeps t held for good, which costs its submitter one fresh
+// allocation and never correctness: no continuation of an old attempt can
+// ever run against a new one.
 type Txn struct {
 	// TID is the global transaction identifier.
 	TID uint64
@@ -107,18 +118,71 @@ type Txn struct {
 	decided   bool // first certification verdict already sampled
 	finished  bool
 	holding   bool        // currently holds its write locks
+	holds     int         // the submission until Done fires, plus each continuation in flight
 	server    *Server     // the server stats belongs to
 	stats     *ClassStats // Class's bucket at server, found once per server
-	stepFn    func()      // single pipeline continuation, bound once at Submit
+
+	// The pipeline's continuations, bound once per (transaction, server) by
+	// Server.bind and kept across retries and Recycle.
+	bound     *Server
+	stepFn    func() // after a fetch or a CPU slice
+	granted   func() // all write locks held
+	committed func() // the commit CPU job ran
+	written   func() // the commit write-back landed
 }
 
-// CertInfo builds the certification message for this transaction.
+// Held reports whether a server still holds t (see the type comment).
+func (t *Txn) Held() bool { return t.holds > 0 }
+
+// Recycle clears t for the next transaction its submitter builds into it. It
+// keeps the continuations a server bound and the backing arrays of the two
+// sets (race builds fill them with all-ones first), and clears everything
+// else, the cached class bucket included. t must not be held.
+func (t *Txn) Recycle() {
+	if t.holds != 0 {
+		panic("db: Recycle of a transaction a server still holds")
+	}
+	if poisonRecycled {
+		poison(t.ReadSet)
+		poison(t.WriteSet)
+	}
+	*t = Txn{
+		ReadSet:   t.ReadSet[:0],
+		WriteSet:  t.WriteSet[:0],
+		bound:     t.bound,
+		stepFn:    t.stepFn,
+		granted:   t.granted,
+		committed: t.committed,
+		written:   t.written,
+	}
+}
+
+// poison fills s's whole array with all-ones.
+func poison(s dbsm.ItemSet) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = ^dbsm.TupleID(0)
+	}
+}
+
+// CertInfo builds the certification message for this transaction into a new
+// record.
 func (t *Txn) CertInfo(site dbsm.SiteID, readSetThreshold int) *dbsm.TxnCert {
+	c := new(dbsm.TxnCert)
+	t.CertInfoInto(c, site, readSetThreshold)
+	return c
+}
+
+// CertInfoInto builds the certification message for this transaction into c,
+// overwriting every field. c's sets alias t's unless the read-set is upgraded
+// to table locks: a reader copies what it keeps, since t's arrays are reused
+// once the server lets go of t.
+func (t *Txn) CertInfoInto(c *dbsm.TxnCert, site dbsm.SiteID, readSetThreshold int) {
 	rs := t.ReadSet
 	if readSetThreshold > 0 {
 		rs = rs.UpgradeToTableLocks(readSetThreshold)
 	}
-	return &dbsm.TxnCert{
+	*c = dbsm.TxnCert{
 		TID:           t.TID,
 		Site:          site,
 		LastCommitted: t.Snapshot,
@@ -136,8 +200,8 @@ func (t *Txn) Latency() sim.Time { return t.EndAt - t.SubmitAt }
 // resubmitted after a rejection. Identity surviving the retry is what makes
 // resubmission idempotent: a duplicate of an already-active TID is refused at
 // admission, and the off-line checker verifies no TID ever commits twice.
-// The class bucket the last server resolved stays: it belongs to the
-// transaction and that server, not to the attempt.
+// The class bucket the last server resolved and the continuations it bound
+// stay: they belong to the transaction and that server, not to the attempt.
 func (t *Txn) ResetForRetry() {
 	t.fetched, t.cpuSpent = 0, 0
 	t.aborted = false
@@ -145,7 +209,6 @@ func (t *Txn) ResetForRetry() {
 	t.decided = false
 	t.finished = false
 	t.holding = false
-	t.stepFn = nil
 	t.SubmitAt = 0
 	t.LocksAt = 0
 	t.CommitReqAt = 0

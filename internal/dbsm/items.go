@@ -19,7 +19,10 @@
 // UnmarshalFrom lives in the record's reused storage and is valid only until
 // the next decode into the same record; nothing here keeps a read-set past
 // the Certify call that reads it. ExportState still deep-copies: a snapshot
-// is meant to leave the process.
+// is meant to leave the process. The one set that is not immutable is one
+// AppendItemSet built into an array its owner reuses — a db.Txn's sets, once
+// the server lets go of the transaction — so a message built from it is read,
+// encoded or split, never kept.
 package dbsm
 
 import (
@@ -69,8 +72,16 @@ type ItemSet []TupleID
 // NewItemSet builds a set from arbitrary identifiers, sorting and
 // deduplicating.
 func NewItemSet(ids ...TupleID) ItemSet {
-	s := make(ItemSet, len(ids))
-	copy(s, ids)
+	return AppendItemSet(make(ItemSet, 0, len(ids)), ids...)
+}
+
+// AppendItemSet appends ids to dst and returns the whole, sorted and
+// deduplicated, in dst's array while it is large enough. It is the one
+// constructor that writes into storage the caller already had: whoever owns
+// dst's array owns the result, and must not hand it to a reader that keeps it
+// past the array's next reuse.
+func AppendItemSet(dst ItemSet, ids ...TupleID) ItemSet {
+	s := append(dst, ids...)
 	slices.Sort(s)
 	// Deduplicate in place.
 	out := s[:0]

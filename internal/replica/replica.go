@@ -192,6 +192,11 @@ type Replica struct {
 	// Multicast copies the payload into stream chunks before returning,
 	// so the buffer is free again by the next termination.
 	scratch []byte
+	// term is the certification message stageTerminate builds. Its sets
+	// alias the local transaction's, whose arrays are reused once the
+	// server lets go of it, so every reader — MarshalTo, xgroup.Split,
+	// xgroup.AppendPrepare — copies what it keeps.
+	term dbsm.TxnCert
 	// freeThunks recycles the one-shot job closures handed to the
 	// runtime's scheduler (terminate / tentative / discard stages).
 	freeThunks sim.FreeList[*replicaThunk]
@@ -470,7 +475,8 @@ func (r *Replica) terminate(t *db.Txn) {
 }
 
 func stageTerminate(r *Replica, t *db.Txn, _ []byte, _ uint64) {
-	tc := t.CertInfo(r.site, r.opts.ReadSetThreshold)
+	tc := &r.term
+	t.CertInfoInto(tc, r.site, r.opts.ReadSetThreshold)
 	if r.x != nil {
 		r.x.terminate(t, tc)
 		return

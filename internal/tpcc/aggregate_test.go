@@ -2,7 +2,7 @@ package tpcc
 
 import (
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/csrt"
@@ -249,8 +249,8 @@ func TestAggregateTickAllocFree(t *testing.T) {
 }
 
 // TestAggregateFreeListDrains: once every arrival has its final outcome, no
-// record is lent — a refused one went back on the list and an admitted one,
-// which the server keeps reachable, was left to the collector.
+// record is lent — each went back on the list, or was left to the collector
+// if a server still held its transaction.
 func TestAggregateFreeListDrains(t *testing.T) {
 	k := sim.NewKernel()
 	server := newAggServer(k)
@@ -309,7 +309,7 @@ func TestAggregateLazyBuildMatchesEagerTwin(t *testing.T) {
 		at    sim.Time
 		wh    int
 		class string
-		txn   *db.Txn // nil unless admitted
+		txn   *db.Txn // a copy of it as admitted, nil unless admitted
 	}
 	var log []arrived // in draw order, which is TID order
 	a.HomeWH = func(i int) int {
@@ -321,7 +321,11 @@ func TestAggregateLazyBuildMatchesEagerTwin(t *testing.T) {
 		e := &log[uint32(txn.TID)-1] // the TID's low half counts the site's draws
 		e.class = txn.Class
 		if txn.Quantum != 0 {
-			e.txn = txn // admitted: the record is never reused, so this stays valid
+			// Admitted. The record is reused once the server lets go of it,
+			// so keep a copy that owns its sets.
+			cp := *txn
+			cp.ReadSet, cp.WriteSet = slices.Clone(txn.ReadSet), slices.Clone(txn.WriteSet)
+			e.txn = &cp
 		}
 	}
 	budget := 1500
@@ -351,7 +355,7 @@ func TestAggregateLazyBuildMatchesEagerTwin(t *testing.T) {
 		admittedAfter[refusals]++
 		if got.TID != want.TID || got.Class != want.Class || got.ReadOnly != want.ReadOnly ||
 			got.UserAbort != want.UserAbort || got.WriteBytes != want.WriteBytes || got.CommitCPU != want.CommitCPU ||
-			got.Fetches != want.Fetches || got.CPU != want.CPU || got.Quantum != want.Quantum || !reflect.DeepEqual(got.ReadSet, want.ReadSet) || !reflect.DeepEqual(got.WriteSet, want.WriteSet) {
+			got.Fetches != want.Fetches || got.CPU != want.CPU || got.Quantum != want.Quantum || !slices.Equal(got.ReadSet, want.ReadSet) || !slices.Equal(got.WriteSet, want.WriteSet) {
 			t.Fatalf("arrival %d (%s), admitted after %d refusals, differs from its eager twin:\n got %+v\nwant %+v",
 				i, e.class, refusals, got, want)
 		}
@@ -424,7 +428,8 @@ func TestAggregateCrashWakesParkedArrivalsOnce(t *testing.T) {
 // comes after admission: the replication stack refuses the termination
 // multicast and the replica hands the transaction back through
 // RejectPending. The retry resubmits the same *db.Txn, already built — the
-// hook is spent — and its record never returns to the free list.
+// hook is spent — and once it commits and the server lets go of it, its
+// record goes back on the free list and the next arrival is drawn into it.
 func TestAggregateRejectPendingRetriesBuiltTxn(t *testing.T) {
 	k := sim.NewKernel()
 	server := newAggServer(k)
@@ -466,8 +471,12 @@ func TestAggregateRejectPendingRetriesBuiltTxn(t *testing.T) {
 	if a.Retries() != 1 || a.RetryLat().N() != 1 {
 		t.Fatalf("retries %d, retry latencies %d, want 1 and 1", a.Retries(), a.RetryLat().N())
 	}
-	// A refused arrival now puts a record on the list: it must not be the
-	// admitted one's.
+	if seen[0].Held() {
+		t.Fatal("the server still holds the committed transaction")
+	}
+	// The next arrival reuses the admitted one's record, a fresh
+	// transaction in the same memory.
+	committed := seen[0].TID
 	server.SetBackpressure(true)
 	a.arrive()
 	if err := k.Run(); err != nil {
@@ -477,8 +486,8 @@ func TestAggregateRejectPendingRetriesBuiltTxn(t *testing.T) {
 		t.Fatalf("free list %d long after one refused arrival", a.free.Len())
 	}
 	for r := range a.free.All() {
-		if &r.txn == seen[0] {
-			t.Fatal("free list holds the admitted transaction's record")
+		if &r.txn != seen[0] || r.txn.TID == committed || r.txn.Build == nil {
+			t.Fatalf("free list holds another record, or the reused one still carries TID %x", committed)
 		}
 	}
 }

@@ -30,10 +30,16 @@ type Client struct {
 	OnDone func(c *Client, t *db.Txn, o db.Outcome)
 
 	retryLoop
-	// cur is the one transaction a client has outstanding at a time.
+	// cur is the one transaction a client has outstanding at a time, and txn
+	// the memory it is built in: the last one, recycled once the server lets
+	// go of it (db.Txn.Held).
 	cur    attempt
+	txn    *db.Txn
 	homeWH int
 	issued int64
+	// fire is issue as a func value, bound once by Start: a method value
+	// handed to the kernel would allocate at every think.
+	fire func()
 
 	// loadFactor > 1 compresses think times by that factor (sustained
 	// saturation: the same closed population offers load as if it were
@@ -48,7 +54,8 @@ func (c *Client) Start(k *sim.Kernel, rng *sim.RNG) {
 	c.retryLoop = retryLoop{k: k, rng: rng, server: c.Server, policy: c.Retry}
 	c.cur.bind(&c.retryLoop, c.resolved)
 	c.homeWH = c.ID / ClientsPerWarehouse
-	k.Schedule(rng.UniformDur(0, c.Think), c.issue)
+	c.fire = c.issue
+	k.Schedule(rng.UniformDur(0, c.Think), c.fire)
 }
 
 // Issued reports how many transactions this client has submitted (retries of
@@ -74,7 +81,14 @@ func (c *Client) issue() {
 	if c.Stop != nil && c.Stop() {
 		return
 	}
-	t := c.Gen.Next(c.homeWH)
+	t := c.txn
+	if t == nil || t.Held() {
+		t = new(db.Txn)
+		c.txn = t
+	} else {
+		t.Recycle()
+	}
+	c.Gen.NextInto(t, c.homeWH)
 	c.issued++
 	c.cur.submit(t)
 }
@@ -85,5 +99,5 @@ func (c *Client) resolved(t *db.Txn, o db.Outcome) {
 	if c.OnDone != nil {
 		c.OnDone(c, t, o)
 	}
-	c.k.Schedule(c.thinkDur(), c.issue)
+	c.k.Schedule(c.thinkDur(), c.fire)
 }

@@ -1,6 +1,8 @@
 package tpcc
 
 import (
+	"slices"
+
 	"repro/internal/db"
 	"repro/internal/dbsm"
 	"repro/internal/sim"
@@ -12,9 +14,9 @@ import (
 //
 // Generation is split where randomness ends. Draw spends every RNG draw and
 // counter step of one transaction and leaves the result in a Draft; Build
-// turns a draft into the db.Txn a server executes, and draws nothing. Next
-// and NextOfClass do both at once; the aggregate tier draws at arrival and
-// builds only if a server admits the transaction.
+// turns a draft into the db.Txn a server executes, and draws nothing. Next,
+// NextInto and NextOfClass do both at once; the aggregate tier draws at
+// arrival and builds only if a server admits the transaction.
 type Generator struct {
 	cal        *Calibration
 	rng        *sim.RNG
@@ -24,11 +26,9 @@ type Generator struct {
 	tidCounter    uint32
 	insertCounter uint64
 
-	// scratch is the draft Next and NextOfClass draw into, and union the
-	// read-set-covers-write-set concatenation Build sorts a copy of: both
-	// keep their backing arrays from one transaction to the next.
+	// scratch is the draft Next, NextInto and NextOfClass draw into; it
+	// keeps its backing arrays from one transaction to the next.
 	scratch Draft
-	union   []dbsm.TupleID
 }
 
 // Draft is one drawn, unbuilt transaction: identity, flags, cost samples and
@@ -78,6 +78,14 @@ func (g *Generator) Warehouses() int { return g.warehouses }
 // Next draws and builds the next transaction for a client whose home
 // warehouse is homeWH (0-based).
 func (g *Generator) Next(homeWH int) *db.Txn {
+	t := new(db.Txn)
+	g.NextInto(t, homeWH)
+	return t
+}
+
+// NextInto is Next building into t, which is new or recycled (db.Txn.Recycle):
+// a recycled t's sets are rebuilt in their own arrays.
+func (g *Generator) NextInto(t *db.Txn, homeWH int) {
 	r := g.rng.Float64()
 	class := ArrivalStockLevel
 	switch c := g.cal; {
@@ -90,7 +98,8 @@ func (g *Generator) Next(homeWH int) *db.Txn {
 	case r < c.MixNewOrder+c.MixPayment+c.MixOrderStatus+c.MixDelivery:
 		class = ArrivalDelivery
 	}
-	return g.NextOfClass(class, homeWH)
+	g.Draw(&g.scratch, class, homeWH)
+	g.Build(&g.scratch, t)
 }
 
 // NextOfClass draws and builds the next transaction of a fixed top-level
@@ -147,12 +156,10 @@ func (g *Generator) seal(d *Draft, class string) {
 // Build assembles the executable transaction a draft describes into t: the
 // script — one fetch for every read item, processing sliced into round-robin
 // quanta — the two certification sets and the cost fields. It is the only
-// place an item set is constructed, and it draws nothing.
+// place an item set is constructed, and it draws nothing. The sets are built
+// in t's own arrays (dbsm.AppendItemSet), so building into a recycled t
+// allocates nothing once its arrays have grown to the classes it carries.
 func (g *Generator) Build(d *Draft, t *db.Txn) {
-	// The read-set always covers the write-set: a transaction reads what
-	// it updates. Certification correctness of the preemption rule relies
-	// on this (Section 3.1).
-	g.union = append(append(g.union[:0], d.Reads...), d.Writes...)
 	t.TID = d.TID
 	t.Class = d.Class
 	t.ReadOnly = d.ReadOnly
@@ -160,8 +167,12 @@ func (g *Generator) Build(d *Draft, t *db.Txn) {
 	t.Fetches = len(d.FetchOnly) + len(d.Reads)
 	t.CPU = d.CPU
 	t.Quantum = g.cal.Quantum
-	t.ReadSet = dbsm.NewItemSet(g.union...)
-	t.WriteSet = dbsm.NewItemSet(d.Writes...)
+	// The read-set always covers the write-set: a transaction reads what
+	// it updates. Certification correctness of the preemption rule relies
+	// on this (Section 3.1).
+	rs := slices.Grow(t.ReadSet[:0], len(d.Reads)+len(d.Writes))
+	t.ReadSet = dbsm.AppendItemSet(append(rs, d.Reads...), d.Writes...)
+	t.WriteSet = dbsm.AppendItemSet(t.WriteSet[:0], d.Writes...)
 	t.WriteBytes = d.WriteBytes
 	t.CommitCPU = d.CommitCPU
 }

@@ -128,7 +128,7 @@ func (at *attempt) onDone(t *db.Txn, o db.Outcome) {
 	if at.n > 1 {
 		l.retryLat.Add((l.k.Now() - at.firstAt).Millis())
 	}
-	at.txn = nil // a thinking client does not pin its last transaction
+	at.txn = nil
 	at.resolved(t, o)
 }
 

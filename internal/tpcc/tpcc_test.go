@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/csrt"
@@ -192,24 +193,29 @@ func TestOpsSlicedIntoQuanta(t *testing.T) {
 	}
 }
 
-// TestBuildAllocatesOnlyTheSets: the script is three numbers copied from the
-// draft, so what Build allocates is the two certification sets and no more.
-func TestBuildAllocatesOnlyTheSets(t *testing.T) {
+// TestBuildIntoRecycledTxnAllocatesNothing pins Generator.Build and
+// dbsm.AppendItemSet on a client's path: once a transaction's arrays have
+// carried a class, recycling it (db.Txn.Recycle) and building that class into
+// it again allocates nothing, for each of the five classes, and yields what a
+// build into a new transaction does.
+func TestBuildIntoRecycledTxnAllocatesNothing(t *testing.T) {
 	g := testGen(6, 10)
 	for class := ArrivalNewOrder; class <= ArrivalStockLevel; class++ {
 		var d Draft
 		g.Draw(&d, class, 0)
-		var txn db.Txn
-		allocs := testing.AllocsPerRun(20, func() { g.Build(&d, &txn) })
-		sets := 0.0
-		for _, set := range []dbsm.ItemSet{txn.ReadSet, txn.WriteSet} {
-			if len(set) > 0 {
-				sets++
-			}
+		var txn, fresh db.Txn
+		g.Build(&d, &fresh)
+		g.Build(&d, &txn)
+		allocs := testing.AllocsPerRun(20, func() {
+			txn.Recycle()
+			g.Build(&d, &txn)
+		})
+		if allocs != 0 || txn.Fetches == 0 || txn.CPU == 0 {
+			t.Errorf("class %d: a build into a recycled transaction made %v allocations (script %d fetches, %v CPU)",
+				class, allocs, txn.Fetches, txn.CPU)
 		}
-		if allocs != sets || txn.Fetches == 0 || txn.CPU == 0 {
-			t.Errorf("class %d: Build made %v allocations for %v non-empty sets (script %d fetches, %v CPU)",
-				class, allocs, sets, txn.Fetches, txn.CPU)
+		if !slices.Equal(txn.ReadSet, fresh.ReadSet) || !slices.Equal(txn.WriteSet, fresh.WriteSet) || txn.TID != fresh.TID {
+			t.Errorf("class %d: recycled build %+v differs from a fresh one %+v", class, txn, fresh)
 		}
 	}
 }
@@ -245,6 +251,32 @@ func TestClientLifecycle(t *testing.T) {
 	}
 	if done != issuedLimit {
 		t.Fatalf("done = %d, want %d", done, issuedLimit)
+	}
+}
+
+// TestClientLoopAllocFree pins an individual client's loop on a centralized
+// server: Client.issue through the think timer bound once at Start,
+// db.Txn.Recycle, Generator.NextInto and Client.resolved allocate nothing
+// once the client's transaction has carried every class.
+func TestClientLoopAllocFree(t *testing.T) {
+	k := sim.NewKernel()
+	server := db.NewServer(k, 1, csrt.NewCPUSet(1, k, nil), db.NewStorage(k, db.StorageConfig{}, sim.NewRNG(1)))
+	cl := &Client{Server: server, Gen: NewGenerator(1, 1, DefaultCalibration(), sim.NewRNG(2)), Think: 100 * sim.Millisecond}
+	cl.Start(k, sim.NewRNG(3))
+	second := func() {
+		if err := k.RunUntil(k.Now() + sim.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 120 {
+		second()
+	}
+	warm := cl.Issued()
+	if n := testing.AllocsPerRun(20, second); n != 0 {
+		t.Fatalf("a client's loop: %v allocs per simulated second, want 0", n)
+	}
+	if cl.Issued()-warm < 20 {
+		t.Fatalf("%d transactions in the measured seconds: the loop did not run", cl.Issued()-warm)
 	}
 }
 
