@@ -439,3 +439,45 @@ func TestRemoteApplyAllocFree(t *testing.T) {
 		t.Fatalf("after the kernel drained: %d remote applies, %d sector ops, %d requests lent", r, o, q)
 	}
 }
+
+// TestRecycledSurrogateAllocFree pins the remote install as the replica
+// drives it: each write-set is decoded into one reused record, and the next
+// decode overwrites it while the install still holds its locks. The pooled
+// surrogate locks and releases its own copy of the set, kept in its array
+// for the next install, so every lock is released — a surrogate that aliased
+// the record would release the next message's rows instead — and, warm,
+// ApplyRemote through the release allocates nothing (remoteApply.ws).
+func TestRecycledSurrogateAllocFree(t *testing.T) {
+	k, s := newTestServer(t, 1)
+	wires := [2][]byte{
+		(&dbsm.TxnCert{TID: 98, Site: 2, WriteSet: dbsm.NewItemSet(dbsm.MakeTupleID(1, 1), dbsm.MakeTupleID(1, 2), dbsm.MakeTupleID(2, 7))}).Marshal(),
+		(&dbsm.TxnCert{TID: 99, Site: 3, WriteSet: dbsm.NewItemSet(dbsm.MakeTupleID(3, 1), dbsm.MakeTupleID(3, 2))}).Marshal(),
+	}
+	var rec dbsm.TxnCert
+	var seq uint64
+	apply := func() {
+		seq++
+		if err := rec.UnmarshalFrom(wires[seq%2]); err != nil {
+			t.Fatal(err)
+		}
+		s.ApplyRemote(&rec, seq)
+		if err := rec.UnmarshalFrom(wires[(seq+1)%2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Locks().HeldLocks(); n != 0 {
+			t.Fatalf("install %d left %d locks held", seq, n)
+		}
+	}
+	for range 16 {
+		apply()
+	}
+	if n := testing.AllocsPerRun(100, apply); n != 0 {
+		t.Fatalf("warm decode and remote apply: %v allocs/op, want 0", n)
+	}
+	if s.RemoteApplied() != 16+101 || s.freeRemote.Out() != 0 {
+		t.Fatalf("%d remote applies, %d surrogates lent; want %d and 0", s.RemoteApplied(), s.freeRemote.Out(), 16+101)
+	}
+}

@@ -497,7 +497,8 @@ func (s *Server) NoteApplied(seq uint64) {
 }
 
 // ApplyRemote installs a remotely-certified transaction: acquire its locks
-// (preempting conflicting local transactions), write back, release.
+// (preempting conflicting local transactions), write back, release. c is only
+// read: the install takes and releases its locks on a copy of the write-set.
 func (s *Server) ApplyRemote(c *dbsm.TxnCert, seq uint64) {
 	s.applyRemote(c, seq, s.writeSectors(c.WriteSet))
 }
@@ -526,10 +527,11 @@ func (s *Server) applyRemote(c *dbsm.TxnCert, seq uint64, sectors int) {
 		ra.written = ra.finish
 	}
 	ra.epoch = s.epoch
+	ra.ws = append(ra.ws[:0], c.WriteSet...)
 	ra.t = Txn{
 		TID:        c.TID,
 		Class:      "(remote)",
-		WriteSet:   c.WriteSet,
+		WriteSet:   ra.ws,
 		WriteBytes: c.WriteBytes,
 		certified:  true,
 	}
@@ -538,11 +540,13 @@ func (s *Server) applyRemote(c *dbsm.TxnCert, seq uint64, sectors int) {
 }
 
 // remoteApply is the pooled state of one remote write-set install: the
-// surrogate transaction holding the locks plus the two continuations
-// (lock-grant → write-back → release), bound once at allocation.
+// surrogate transaction holding the locks, the copy of the write-set it locks,
+// and the two continuations (lock-grant → write-back → release), bound once
+// at allocation.
 type remoteApply struct {
 	s       *Server
 	t       Txn
+	ws      dbsm.ItemSet // t.WriteSet, kept for the next install
 	sectors int
 	epoch   int // incarnation that issued the install
 	granted func()

@@ -28,26 +28,31 @@ func TestMarshalToAllocFree(t *testing.T) {
 	}
 }
 
-// TestUnmarshalAllocBudget pins the decode path at its fixed budget: into a
-// reused record (TxnCert.UnmarshalFrom), the write-set and nothing else;
-// through the fresh-record wrapper, the record and its read-set storage on
-// top.
+// TestUnmarshalAllocBudget pins the decode path: into a reused record
+// (TxnCert.UnmarshalFrom) whose arrays have held sets as large, nothing at
+// all, whichever message comes next; through the fresh-record wrapper, the
+// record and its two sets.
 func TestUnmarshalAllocBudget(t *testing.T) {
-	tc := &TxnCert{
-		TID: 7, ReadSet: NewItemSet(1, 2, 3), WriteSet: NewItemSet(9),
+	big := (&TxnCert{
+		TID: 7, ReadSet: NewItemSet(1, 2, 3), WriteSet: NewItemSet(9, 10),
 		WriteBytes: 128,
-	}
-	wire := tc.Marshal()
+	}).Marshal()
+	small := (&TxnCert{TID: 8, ReadSet: NewItemSet(4), WriteSet: NewItemSet(11)}).Marshal()
 	var rec TxnCert
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := rec.UnmarshalFrom(wire); err != nil {
-			t.Fatal(err)
+		for _, w := range [2][]byte{small, big} {
+			if err := rec.UnmarshalFrom(w); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); allocs != 1 {
-		t.Fatalf("UnmarshalFrom into a reused record: %v allocs/op, want 1 (the write-set)", allocs)
+	}); allocs != 0 {
+		t.Fatalf("UnmarshalFrom into a reused record: %v allocs/op, want 0", allocs)
+	}
+	if rec.TID != 7 || len(rec.ReadSet) != 3 || len(rec.WriteSet) != 2 {
+		t.Fatalf("last decode left %+v", rec)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := Unmarshal(wire); err != nil {
+		if _, err := Unmarshal(big); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 3 {
@@ -85,12 +90,13 @@ func mallocs(runs int, f func()) uint64 {
 
 // TestCertifySteadyStateAllocs pins what a commit costs once the history is
 // at its bound and both index generations have grown once: the certifier
-// adopts the message's write-set and reuses the block the pruning just
-// drained, a generation change clears a map that keeps its storage, and the
-// speculative wrapper's queue and undo stack are cut back to the same arrays.
-// Through four generation changes, not one allocation. It holds
-// Certifier.Certify, commit, indexWrites and firstConflict, and
-// SpecCertifier.Tentative and Final.
+// copies the message's write-set into an arena block and reuses the history
+// and arena blocks the pruning just drained, a generation change clears a map
+// that keeps its storage, and the speculative wrapper's queue and undo stack
+// are cut back to the same arrays. Through four generation changes and
+// several arena blocks, not one allocation. It holds Certifier.Certify,
+// commit, indexWrites and firstConflict, history.push and dropFront,
+// arena.copy and keep, and SpecCertifier.Tentative and Final.
 func TestCertifySteadyStateAllocs(t *testing.T) {
 	const warm, runs = 3 * indexWindow, 4*indexWindow + 1
 	stream := steadyStream(warm + runs + 1)
@@ -138,11 +144,12 @@ func TestCertifySteadyStateAllocs(t *testing.T) {
 
 // TestStaleSnapshotAllocFree pins the history-scan answer: every snapshot
 // here is older than the index's horizon but inside MaxHistory, so each
-// certification scans ~2 500 retained entries — and allocates nothing. It
-// holds Certifier.firstConflictStale.
+// certification scans ~2 500 retained entries — and allocates nothing, with
+// the history's 6 000 items spread over arena blocks it recycles. It holds
+// Certifier.firstConflictStale.
 func TestStaleSnapshotAllocFree(t *testing.T) {
-	const lag, runs = 2500, 256
-	stream := steadyStream(3*indexWindow + runs + 1)
+	const warm, lag, runs = 2 * arenaBlock, 2500, 1024
+	stream := steadyStream(warm + runs + 1)
 	c := NewCertifier()
 	c.MaxHistory = 3000
 	i := 0
@@ -154,7 +161,7 @@ func TestStaleSnapshotAllocFree(t *testing.T) {
 			t.Fatal("steady stream aborted")
 		}
 	}
-	for i < 3*indexWindow {
+	for i < warm {
 		stale()
 	}
 	before := c.StaleAnswers()
@@ -167,9 +174,10 @@ func TestStaleSnapshotAllocFree(t *testing.T) {
 }
 
 // TestScanCertifierAllocFree pins the reference procedure,
-// Certifier.certifyScan, at its history bound, and PeekTID.
+// Certifier.certifyScan, at its history bound, warmed through two arena
+// blocks, and PeekTID.
 func TestScanCertifierAllocFree(t *testing.T) {
-	const warm, runs = 4 * histBlock, 8 * histBlock
+	const warm, runs = arenaBlock, 8 * histBlock
 	stream := steadyStream(warm + runs + 1)
 	c := NewScanCertifier()
 	c.MaxHistory = 300
@@ -192,6 +200,51 @@ func TestScanCertifierAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("PeekTID: %d allocs, want 0", n)
+	}
+}
+
+// TestSpecRollbackAllocFree pins a rollback at the history bound: each pair
+// of messages arrives swapped in tentative order, so its first final delivery
+// rolls the queue back and certifies, and the second re-speculates and
+// matches. The two undone tentative commits give their arena items back
+// (history.truncate rewinds the fill point), so each pair advances the arena
+// by its two finalized sets only, and the rolled-back slice is the
+// certifier's own. Through four generation changes, not one allocation. It
+// holds SpecCertifier.rollback and Final's mismatch path, Certifier.truncate
+// and history.truncate.
+func TestSpecRollbackAllocFree(t *testing.T) {
+	const warm, runs = arenaBlock, 2 * indexWindow // pairs
+	stream := steadyStream(2*(warm+runs+1) + 1)
+	base := NewCertifier()
+	base.MaxHistory = 300
+	spec := NewSpecCertifier(base)
+	i := 0
+	swapped := func() {
+		a, b := stream[i], stream[i+1]
+		i += 2
+		spec.Tentative(a)
+		spec.Tentative(b)
+		if out, rolled := spec.Final(b); !out.Commit || len(rolled) != 1 || rolled[0] != a {
+			t.Fatalf("swapped final: %+v, rolled back %d", out, len(rolled))
+		}
+		spec.Tentative(a) // re-speculate as the replica does
+		if out, rolled := spec.Final(a); !out.Commit || rolled != nil {
+			t.Fatalf("re-speculated final: %+v, rolled back %d", out, len(rolled))
+		}
+	}
+	for i < 2*warm {
+		swapped()
+	}
+	fill := base.hist.items.fill
+	if n := mallocs(runs, swapped); n != 0 {
+		t.Fatalf("swapped pair at the history bound: %d allocs in %d pairs, want 0", n, runs)
+	}
+	// Two-item sets fill a block exactly, so no set skipped a block's tail.
+	if got, want := base.hist.items.fill-fill, 4*(runs+1); got != want {
+		t.Fatalf("the arena advanced %d items in %d pairs, want %d: rolled-back sets kept their space", got, runs+1, want)
+	}
+	if spec.Rollbacks != int64(warm+runs+1) {
+		t.Fatalf("%d rollbacks in %d pairs", spec.Rollbacks, warm+runs+1)
 	}
 }
 

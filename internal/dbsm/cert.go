@@ -115,12 +115,12 @@ func Unmarshal(b []byte) (*TxnCert, error) {
 }
 
 // UnmarshalFrom decodes a certification message into t, overwriting every
-// field. The read-set is decoded into t's own storage and so lives until the
-// next decode into t; the write-set is a fresh exact-size set — the one
-// allocation of a decode — that anyone may retain (see Ownership in the
-// package comment). b is not retained. Length fields are validated against
-// len(b) before any offset arithmetic, so hostile values cannot overflow the
-// offset computations; on error t is left as it was.
+// field. Both sets are decoded into t's own storage, which grows only when a
+// set is larger than any t held before, and so live until the next decode
+// into t: a reader copies what it keeps (see Ownership in the package
+// comment). b is not retained. Length fields are validated against len(b)
+// before any offset arithmetic, so hostile values cannot overflow the offset
+// computations; on error t is left as it was.
 func (t *TxnCert) UnmarshalFrom(b []byte) error {
 	if len(b) < certHeader {
 		return errBadCert
@@ -138,18 +138,15 @@ func (t *TxnCert) UnmarshalFrom(b []byte) error {
 		return errBadCert
 	}
 	if poisonRecycled {
-		stale := t.ReadSet[:cap(t.ReadSet)]
-		for i := range stale {
-			stale[i] = ^TupleID(0)
-		}
+		poison(t.ReadSet)
+		poison(t.WriteSet)
 	}
 	t.TID = binary.BigEndian.Uint64(b[0:8])
 	t.Site = SiteID(binary.BigEndian.Uint32(b[8:12]))
 	t.LastCommitted = binary.BigEndian.Uint64(b[12:20])
 	t.WriteBytes = wb
 	t.ReadSet = t.ReadSet.sized(nr)
-	// the write-set outlives the record: the history and the remote-apply surrogate retain it
-	t.WriteSet = make(ItemSet, nw)
+	t.WriteSet = t.WriteSet.sized(nw)
 	b = b[certHeader:]
 	for i := range t.ReadSet {
 		t.ReadSet[i] = TupleID(binary.BigEndian.Uint64(b[8*i:]))
@@ -260,6 +257,7 @@ type certStore struct {
 	lastWriter, older   map[TupleID]uint64
 	tableLock, tableAny map[uint16]uint64
 	blocks              []*[histBlock]histEntry
+	items               []*[arenaBlock]TupleID
 	undo                []undoRec
 }
 
@@ -272,10 +270,11 @@ var certStores sim.Shelf[certStore]
 // history scan, never a different verdict.
 const indexWindow = 1024
 
-// histEntry is one committed write-set, adopted from the certified message.
+// histEntry is one committed write-set, in the history's own storage.
 type histEntry struct {
 	seq      uint64
 	writeSet ItemSet
+	end      int // the arena's fill point once writeSet was copied in
 }
 
 // histBlock is the number of entries in one block of the history.
@@ -284,11 +283,13 @@ const histBlock = 256
 // history is the retained committed write-sets, oldest first: a deque of
 // fixed-size blocks, so appending never copies what is already stored and
 // dropping the oldest entries advances an index. A block drained at the front
-// goes to the back, so a history at its bound allocates nothing.
+// goes to the back, so a history at its bound allocates nothing. The sets
+// themselves are copies in items, which recycles its blocks the same way.
 type history struct {
 	blocks []*[histBlock]histEntry
 	head   int // position of the oldest entry in blocks[0]
 	n      int // retained entries
+	items  arena
 }
 
 // at returns entry i, 0 being the oldest.
@@ -297,15 +298,19 @@ func (h *history) at(i int) *histEntry {
 	return &h.blocks[i/histBlock][i%histBlock]
 }
 
-func (h *history) push(e histEntry) {
+// push appends a copy of ws, committed at seq: the caller's set is only read.
+func (h *history) push(seq uint64, ws ItemSet) {
 	if h.head+h.n == len(h.blocks)*histBlock {
 		h.blocks = append(h.blocks, new([histBlock]histEntry))
 	}
 	h.n++
-	*h.at(h.n - 1) = e
+	e := h.at(h.n - 1)
+	e.seq = seq
+	e.writeSet, e.end = h.items.copy(ws)
 }
 
-// dropFront removes the k oldest entries.
+// dropFront removes the k oldest entries, and gives the arena blocks only
+// they used back to the arena.
 func (h *history) dropFront(k int) {
 	for ; k > 0; k-- {
 		*h.at(0) = histEntry{}
@@ -316,21 +321,79 @@ func (h *history) dropFront(k int) {
 			h.head = 0
 		}
 	}
+	if h.n > 0 {
+		h.items.keep(h.at(0).end)
+	}
 }
 
-// truncate removes the newest entries beyond the first n.
+// truncate removes the newest entries beyond the first n, and rewinds the
+// arena to the end of the newest that remains.
 func (h *history) truncate(n int) {
 	for h.n > n {
 		h.n--
 		*h.at(h.n) = histEntry{}
 	}
+	if n > 0 {
+		h.items.fill = h.at(n - 1).end
+	} else {
+		h.items.fill = h.items.first * arenaBlock
+	}
 }
 
 // reset removes every entry and keeps the blocks, all zero: dropFront zeroes
-// what it drops, truncate the rest.
+// what it drops, truncate the rest. The arena keeps its blocks, all free.
 func (h *history) reset() {
 	h.truncate(0)
 	h.head = 0
+	h.items = arena{blocks: h.items.blocks}
+}
+
+// arenaBlock is the number of items in one block of a history's arena.
+const arenaBlock = 4096
+
+// arena is the storage a history copies its write-sets into: a deque of
+// fixed blocks of items, filled in order. A position counts items from the
+// arena's start, so position p is item p%arenaBlock of block number
+// p/arenaBlock, and blocks[0] is block number first; the blocks after the one
+// being filled are free. A set never spans two blocks: one that does not fit
+// in what is left of the current block starts the next. A set larger than a
+// block gets an allocation of its own and takes no position.
+type arena struct {
+	blocks []*[arenaBlock]TupleID
+	first  int // block number of blocks[0]
+	fill   int // position of the next item
+}
+
+// copy stores a copy of ws and returns it with the fill point after it.
+func (a *arena) copy(ws ItemSet) (ItemSet, int) {
+	n := len(ws)
+	if n == 0 || n > arenaBlock {
+		return ws.Clone(), a.fill
+	}
+	off := a.fill % arenaBlock
+	if off+n > arenaBlock {
+		a.fill += arenaBlock - off
+		off = 0
+	}
+	i := a.fill/arenaBlock - a.first
+	if i == len(a.blocks) {
+		a.blocks = append(a.blocks, new([arenaBlock]TupleID))
+	}
+	dst := ItemSet(a.blocks[i][off : off+n : off+n])
+	copy(dst, ws)
+	a.fill += n
+	return dst, a.fill
+}
+
+// keep moves the blocks before the one holding position end-1 to the back of
+// the deque, free: end is the fill point after the oldest set still retained,
+// so no retained set sits in them. For a set with no position, the block
+// before it is kept too, which is never wrong.
+func (a *arena) keep(end int) {
+	for b := max(end-1, 0) / arenaBlock; a.first < b; a.first++ {
+		drained := a.blocks[0]
+		a.blocks[copy(a.blocks, a.blocks[1:])] = drained
+	}
 }
 
 // firstAfter returns the position of the first entry committed after seq.
@@ -381,15 +444,14 @@ func NewCertifier() *Certifier {
 		window:     indexWindow,
 		tableLock:  st.tableLock,
 		tableAny:   st.tableAny,
-		hist:       history{blocks: st.blocks},
+		hist:       history{blocks: st.blocks, items: arena{blocks: st.items}},
 		undo:       st.undo,
 	}
 }
 
-// Release ends the certifier's life: its index, history and undo storage,
-// emptied, go to the next NewCertifier, so no write-set stays reachable
-// through it. Seq and StaleAnswers stay readable; Certify and CheckOnly
-// panic. Releasing again does nothing.
+// Release ends the certifier's life: its index, history, arena and undo
+// storage, emptied, go to the next NewCertifier. Seq and StaleAnswers stay
+// readable; Certify and CheckOnly panic. Releasing again does nothing.
 func (c *Certifier) Release() {
 	if c.released {
 		return
@@ -404,7 +466,7 @@ func (c *Certifier) Release() {
 		certStores.Put(certStore{
 			lastWriter: c.lastWriter, older: c.older,
 			tableLock: c.tableLock, tableAny: c.tableAny,
-			blocks: c.hist.blocks, undo: c.undo[:0],
+			blocks: c.hist.blocks, items: c.hist.items.blocks, undo: c.undo[:0],
 		})
 	}
 	c.lastWriter, c.older, c.tableLock, c.tableAny = nil, nil, nil, nil
@@ -556,9 +618,9 @@ func (c *Certifier) certifyScan(t *TxnCert) Outcome {
 	return Outcome{Commit: true, Seq: c.seq}
 }
 
-// commit advances the sequence, adopts the write-set into the history (an
-// ItemSet is immutable, so the message's own set is kept, not a copy), and
-// applies the in-certify MaxHistory pruning.
+// commit advances the sequence, copies the write-set into the history's own
+// storage (the message's set lives in storage its owner reuses, so it is
+// read here and never kept), and applies the in-certify MaxHistory pruning.
 func (c *Certifier) commit(t *TxnCert) {
 	c.seq++
 	if len(t.WriteSet) == 0 {
@@ -567,7 +629,7 @@ func (c *Certifier) commit(t *TxnCert) {
 	if !c.scan {
 		c.indexWrites(t.WriteSet, c.logUndo)
 	}
-	c.hist.push(histEntry{seq: c.seq, writeSet: t.WriteSet})
+	c.hist.push(c.seq, t.WriteSet)
 	if c.MaxHistory > 0 && c.hist.n > c.MaxHistory {
 		c.dropOldest(c.hist.n - c.MaxHistory)
 	}

@@ -3,6 +3,7 @@ package dbsm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -381,8 +382,12 @@ func TestReleasedCertifier(t *testing.T) {
 		}()
 	}
 	next := NewCertifier()
-	if len(next.hist.blocks) != 3 || cap(next.undo) == 0 {
-		t.Fatalf("next certifier: %d history blocks, undo capacity %d; want the released 3 and some", len(next.hist.blocks), cap(next.undo))
+	if len(next.hist.blocks) != 3 || len(next.hist.items.blocks) != 1 || cap(next.undo) == 0 {
+		t.Fatalf("next certifier: %d history blocks, %d arena blocks, undo capacity %d; want the released 3, 1 and some",
+			len(next.hist.blocks), len(next.hist.items.blocks), cap(next.undo))
+	}
+	if a := next.hist.items; a.first != 0 || a.fill != 0 {
+		t.Fatalf("next certifier's arena starts at block %d, position %d", a.first, a.fill)
 	}
 	if cells, _ := next.IndexCells(); cells != 0 || len(next.tableAny) != 0 || len(next.tableLock) != 0 || next.HistoryLen() != 0 || len(next.undo) != 0 {
 		t.Fatalf("next certifier starts with %d cells, %d table cells, %d entries, %d undo records", cells, len(next.tableAny)+len(next.tableLock), next.HistoryLen(), len(next.undo))
@@ -397,6 +402,87 @@ func TestReleasedCertifier(t *testing.T) {
 	if next.Charge != nil || next.Veto != nil || next.MaxHistory != 0 || next.Seq() != 0 {
 		t.Fatal("next certifier carries the released one's settings")
 	}
+}
+
+// TestHistoryArenaDifferential drives a history through pushes from one
+// scratch set that is refilled for every push, as a decoded record is, with
+// drops from the front and truncations from the back interleaved, in phases
+// that grow it past four arena blocks and shrink it again. Some sets fill a
+// whole block and some are larger than one. After every drop and truncation,
+// and every sixteenth push, the history must hold exactly the Clone of every
+// set still retained (the newest after every push), and after a drop the
+// arena's front block must be the one the oldest retained set sits in.
+func TestHistoryArenaDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type kept struct {
+		seq uint64
+		ws  ItemSet
+	}
+	var (
+		h       history
+		ref     []kept
+		scratch ItemSet
+		seq     uint64
+		peak    int
+	)
+	check := func(step int, what string) {
+		t.Helper()
+		if h.n != len(ref) {
+			t.Fatalf("step %d (%s): %d entries, want %d", step, what, h.n, len(ref))
+		}
+		full := step%16 == 0 || what != "push"
+		for i := range ref {
+			if !full && i < len(ref)-1 {
+				continue
+			}
+			if e := h.at(i); e.seq != ref[i].seq || !slices.Equal(e.writeSet, ref[i].ws) {
+				t.Fatalf("step %d (%s): entry %d of %d is seq %d %v, want seq %d %v",
+					step, what, i, len(ref), e.seq, e.writeSet, ref[i].seq, ref[i].ws)
+			}
+		}
+	}
+	for step := range 20000 {
+		grow := (step/1500)%2 == 0
+		switch r := rng.Intn(10); {
+		case r < 3 || (grow && r < 8) || len(ref) == 0:
+			n := 1 + rng.Intn(300)
+			switch rng.Intn(60) {
+			case 0:
+				n = arenaBlock
+			case 1:
+				n = arenaBlock + 1 + rng.Intn(50)
+			}
+			scratch = scratch[:0]
+			for j := range n {
+				scratch = append(scratch, MakeTupleID(uint16(j%5), uint64(step)<<16|uint64(j)))
+			}
+			seq++
+			h.push(seq, scratch)
+			ref = append(ref, kept{seq, scratch.Clone()})
+			poison(scratch) // the record's next decode
+			check(step, "push")
+		case r < 6:
+			k := 1 + rng.Intn(min(len(ref), 6))
+			h.dropFront(k)
+			ref = ref[k:]
+			check(step, "dropFront")
+			if h.n > 0 && len(h.at(0).writeSet) <= arenaBlock {
+				if b := (h.at(0).end - 1) / arenaBlock; b != h.items.first {
+					t.Fatalf("step %d: the oldest set sits in block %d, the arena starts at block %d", step, b, h.items.first)
+				}
+			}
+		default:
+			n := len(ref) - rng.Intn(min(len(ref), 6)+1)
+			h.truncate(n)
+			ref = ref[:n]
+			check(step, "truncate")
+		}
+		peak = max(peak, h.items.fill/arenaBlock-h.items.first+1)
+	}
+	if peak <= 4 {
+		t.Fatalf("the history never spanned more than %d arena blocks", peak)
+	}
+	t.Logf("at most %d arena blocks in use, %d allocated", peak, len(h.items.blocks))
 }
 
 // TestHistoryBoundAcrossBlocks drives a certifier, unbounded and tightly

@@ -88,11 +88,13 @@ func sameCert(a, b *TxnCert) bool {
 		a.WriteBytes == b.WriteBytes && slices.Equal(a.ReadSet, b.ReadSet) && slices.Equal(a.WriteSet, b.WriteSet)
 }
 
-// TestDecodedWriteSetSurvivesReuse: a write-set taken from one decode is the
-// holder's for good — ten further decodes into the same record, each of which
-// overwrites the record's read-set storage (with a poison pattern first, in
-// race builds), leave it bit-identical — while the read-set is the record's.
-func TestDecodedWriteSetSurvivesReuse(t *testing.T) {
+// TestHistoryKeepsItsOwnCopy: both sets of a decoded message live in the
+// record's storage — ten further decodes into the same record overwrite them
+// in place (with a poison pattern first, in race builds) — so the certifier's
+// history must hold a copy of a committed write-set: after A is decoded and
+// certified and B decoded into the same record, ExportState still shows A's
+// write-set, for the indexed and the scan certifier alike.
+func TestHistoryKeepsItsOwnCopy(t *testing.T) {
 	msg := func(i uint64) *TxnCert {
 		return &TxnCert{
 			TID: i, Site: 2, LastCommitted: i / 2,
@@ -100,25 +102,30 @@ func TestDecodedWriteSetSurvivesReuse(t *testing.T) {
 			WriteSet: NewItemSet(MakeTupleID(1, i), MakeTupleID(3, i+2)),
 		}
 	}
-	var rec TxnCert
-	if err := rec.UnmarshalFrom(msg(1).Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	kept, want := rec.WriteSet, msg(1).WriteSet.Clone()
-	reads := rec.ReadSet
-	for i := uint64(2); i <= 11; i++ {
-		if err := rec.UnmarshalFrom(msg(i).Marshal()); err != nil {
+	for _, c := range []*Certifier{NewCertifier(), NewScanCertifier()} {
+		var rec TxnCert
+		if err := rec.UnmarshalFrom(msg(1).Marshal()); err != nil {
 			t.Fatal(err)
 		}
-		if !sameCert(&rec, msg(i)) {
-			t.Fatalf("decode %d into the reused record: %+v", i, rec)
+		if out := c.Certify(&rec); !out.Commit {
+			t.Fatalf("scan=%v: A aborted", c.Scan())
 		}
-	}
-	if !slices.Equal(kept, want) {
-		t.Fatalf("write-set kept from the first decode is now %v, was %v", kept, want)
-	}
-	if &reads[0] != &rec.ReadSet[0] {
-		t.Fatal("read-set storage was not reused")
+		reads, writes := rec.ReadSet, rec.WriteSet
+		for i := uint64(2); i <= 11; i++ {
+			if err := rec.UnmarshalFrom(msg(i).Marshal()); err != nil {
+				t.Fatal(err)
+			}
+			if !sameCert(&rec, msg(i)) {
+				t.Fatalf("decode %d into the reused record: %+v", i, rec)
+			}
+		}
+		if &reads[0] != &rec.ReadSet[0] || &writes[0] != &rec.WriteSet[0] {
+			t.Fatal("the record's set storage was not reused")
+		}
+		st := c.ExportState()
+		if len(st.History) != 1 || !slices.Equal(st.History[0].WriteSet, msg(1).WriteSet) {
+			t.Fatalf("scan=%v: history after ten more decodes holds %+v, want A's write-set %v", c.Scan(), st.History, msg(1).WriteSet)
+		}
 	}
 }
 

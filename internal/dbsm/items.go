@@ -10,19 +10,15 @@
 //
 // # Ownership
 //
-// An ItemSet is immutable after construction: every operation that changes a
-// set returns a new one, so a set may be shared by any number of messages,
-// certifiers and servers without a copy. The certifier relies on it — a
-// committed message's write-set is adopted into the history, not cloned —
-// and so may callers: the write-set of a decoded message is an allocation of
-// its own that anyone may retain. The read-set of a message decoded with
-// UnmarshalFrom lives in the record's reused storage and is valid only until
-// the next decode into the same record; nothing here keeps a read-set past
-// the Certify call that reads it. ExportState still deep-copies: a snapshot
-// is meant to leave the process. The one set that is not immutable is one
-// AppendItemSet built into an array its owner reuses — a db.Txn's sets, once
-// the server lets go of the transaction — so a message built from it is read,
-// encoded or split, never kept.
+// An operation on a set returns a new one rather than change it, but a set
+// may live in storage its owner reuses: both sets of a message decoded with
+// UnmarshalFrom, until the next decode into the same record, and a set
+// AppendItemSet built into an array its owner reuses, such as a db.Txn's once
+// the server lets go of the transaction. Every set handed over is therefore
+// read, encoded, split or copied, never kept: whoever keeps one past the call
+// that hands it over copies it into storage of its own. The certifier's
+// history copies a committed write-set into an arena it recycles, and
+// ExportState deep-copies, since a snapshot is meant to leave the process.
 package dbsm
 
 import (
@@ -64,9 +60,10 @@ func (id TupleID) Row() uint64 { return uint64(id) & rowMask }
 // IsTableLock reports whether id locks a whole table.
 func (id TupleID) IsTableLock() bool { return uint64(id)&rowMask == tableLockRow }
 
-// ItemSet is a sorted, duplicate-free set of tuple identifiers, immutable once
-// built (see Ownership in the package comment). Keeping both sets ordered
-// lets certification conclude in a single traversal (Section 3.3).
+// ItemSet is a sorted, duplicate-free set of tuple identifiers; how long one
+// lives depends on whose storage it is in (see Ownership in the package
+// comment). Keeping both sets ordered lets certification conclude in a single
+// traversal (Section 3.3).
 type ItemSet []TupleID
 
 // NewItemSet builds a set from arbitrary identifiers, sorting and
@@ -180,6 +177,14 @@ func (s ItemSet) sized(n int) ItemSet {
 		return make(ItemSet, n)
 	}
 	return s[:n]
+}
+
+// poison fills s's whole array with all-ones (poisonRecycled).
+func poison(s ItemSet) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = ^TupleID(0)
+	}
 }
 
 // Clone returns an independent copy.

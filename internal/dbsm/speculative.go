@@ -31,6 +31,8 @@ type SpecCertifier struct {
 	// spare capacity — and the slice is reset when the queue drains.
 	tent []specEntry
 	head int
+	// rolled is what rollback returns, reused from call to call.
+	rolled []*TxnCert
 
 	// Stats, exported for the replica's pipeline counters.
 	Tentatives int64 // tentative certifications (including re-certifications)
@@ -91,7 +93,9 @@ func (s *SpecCertifier) Tentative(t *TxnCert) Outcome {
 // certification work and rolled is nil. Otherwise every outstanding
 // tentative decision is undone, t is certified against the restored
 // finalized state, and the rolled-back transactions (t excluded) are
-// returned in tentative order for the caller to re-speculate.
+// returned in tentative order for the caller to re-speculate, in a slice the
+// SpecCertifier owns: it is valid until the next Final, Invalidate or
+// InvalidateAll.
 func (s *SpecCertifier) Final(t *TxnCert) (out Outcome, rolled []*TxnCert) {
 	if s.Pending() > 0 && s.tent[s.head].t.TID == t.TID && !s.pruneInvalidated(&s.tent[s.head]) {
 		out = s.tent[s.head].out
@@ -142,7 +146,8 @@ func (s *SpecCertifier) pruneInvalidated(e *specEntry) bool {
 // final delivery — the group discarded it during a view change. A stuck
 // entry would otherwise mismatch every subsequent Final forever, so the
 // whole queue is rolled back once; the survivors are returned in tentative
-// order for re-speculation. Returns nil when tid was never speculated on.
+// order for re-speculation, in the slice Final also returns. Returns nil when
+// tid was never speculated on.
 func (s *SpecCertifier) Invalidate(tid uint64) []*TxnCert {
 	for _, e := range s.tent[s.head:] {
 		if e.t.TID == tid {
@@ -154,23 +159,25 @@ func (s *SpecCertifier) Invalidate(tid uint64) []*TxnCert {
 
 // rollback undoes every tentative decision, restoring the certifier to the
 // finalized state, and returns the rolled-back transactions in tentative
-// order minus the one being finalized (skip).
+// order minus the one being finalized (skip), in s.rolled: the caller
+// consumes them before the next rollback reuses the slice.
 func (s *SpecCertifier) rollback(skip uint64) []*TxnCert {
 	if s.Pending() == 0 {
 		return nil
 	}
 	e0 := s.tent[s.head]
 	s.c.truncate(e0.histLen, e0.seqBefore, e0.undoLen)
-	rolled := make([]*TxnCert, 0, s.Pending())
+	clear(s.rolled)
+	s.rolled = s.rolled[:0]
 	for i := s.head; i < len(s.tent); i++ {
 		if t := s.tent[i].t; t.TID != skip {
-			rolled = append(rolled, t)
+			s.rolled = append(s.rolled, t)
 		}
 		s.tent[i].t = nil
 	}
 	s.tent, s.head, s.c.undo = s.tent[:0], 0, s.c.undo[:0]
 	s.Rollbacks++
-	return rolled
+	return s.rolled
 }
 
 // prune drops the oldest finalized history entries beyond the retention

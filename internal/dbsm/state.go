@@ -58,7 +58,8 @@ func (c *Certifier) ExportState() *CertState {
 
 // ImportState replaces the certifier's state with a snapshot, rebuilding the
 // last-writer index by replaying the retained history. Any prior state is
-// discarded; the write-sets are copied, so the snapshot stays the caller's.
+// discarded; the history copies the write-sets, so the snapshot stays the
+// caller's.
 func (c *Certifier) ImportState(st *CertState) {
 	c.hist.reset()
 	c.undo = c.undo[:0]
@@ -70,12 +71,11 @@ func (c *Certifier) ImportState(st *CertState) {
 	c.pruned = st.Pruned
 	for i := range st.History {
 		rec := &st.History[i]
-		e := histEntry{seq: rec.Seq, writeSet: rec.WriteSet.Clone()}
 		c.seq = rec.Seq
 		if !c.scan {
-			c.indexWrites(e.writeSet, false)
+			c.indexWrites(rec.WriteSet, false)
 		}
-		c.hist.push(e)
+		c.hist.push(rec.Seq, rec.WriteSet)
 	}
 	c.seq = st.Seq
 }

@@ -65,11 +65,12 @@ func (c *Certifier) ForceCommit(t *TxnCert) Outcome {
 }
 
 // InvalidateAll rolls back every outstanding tentative decision and returns
-// the rolled-back transactions in tentative order for re-speculation. The
-// cross-commit manager calls it before mutating shared certifier state at a
-// final-order event (reservation install, forced commit): tentative outcomes
-// computed against the pre-event state would otherwise be served by Final's
-// head-match fast path after the state changed under them.
+// the rolled-back transactions in tentative order for re-speculation, in the
+// slice Final also returns. The cross-commit manager calls it before mutating
+// shared certifier state at a final-order event (reservation install, forced
+// commit): tentative outcomes computed against the pre-event state would
+// otherwise be served by Final's head-match fast path after the state changed
+// under them.
 func (s *SpecCertifier) InvalidateAll() []*TxnCert {
 	return s.rollback(0)
 }

@@ -178,6 +178,10 @@ type Replica struct {
 	// finalRec is the one record every final delivery without tentative
 	// state decodes into: nothing keeps it past settle.
 	finalRec dbsm.TxnCert
+	// narrow is the record localWrites builds a partly stored write-set
+	// into: PreApplyRemote reads it and ApplyRemote copies it before either
+	// returns, so it is free again by the next call.
+	narrow dbsm.TxnCert
 	// done marks messages one optimistic stage settled without the other,
 	// which consumes the mark and skips. Final delivery or a discard can beat
 	// the scheduled tentative job — at a sequencer whose majority acks fast,
@@ -591,10 +595,11 @@ func (r *Replica) takeTent() *tentTxn {
 
 // recycleTent takes back the state of a message that has left r.tent — and
 // with it the speculative queue, which Final and Invalidate empty of the
-// record before they return. The read-set storage stays for the next decode;
-// the write-set belongs to whoever retained it.
+// record before they return. The storage of both sets stays for the next
+// decode: the certifier's history and the server's install copy what they
+// keep.
 func (r *Replica) recycleTent(st *tentTxn) {
-	st.tc.WriteSet, st.preApplied = nil, false
+	st.preApplied = false
 	r.freeTent.Put(st)
 }
 
@@ -822,8 +827,8 @@ func (r *Replica) settle(tid uint64, out dbsm.Outcome, ws *dbsm.TxnCert, preAppl
 
 // localWrites narrows a write-set to the locally-stored rows under partial
 // replication. It returns tc itself when every row is stored here (always,
-// under full replication), a filtered copy when only some are, and nil when
-// none are.
+// under full replication), nil when none are, and r.narrow when only some
+// are: a copy of tc with the stored rows, valid until the next call.
 func (r *Replica) localWrites(tc *dbsm.TxnCert) *dbsm.TxnCert {
 	stored := r.opts.Replicates
 	if stored == nil {
@@ -836,17 +841,16 @@ func (r *Replica) localWrites(tc *dbsm.TxnCert) *dbsm.TxnCert {
 	if skip == len(tc.WriteSet) {
 		return tc
 	}
-	local := make(dbsm.ItemSet, skip, len(tc.WriteSet))
-	copy(local, tc.WriteSet)
+	local := append(r.narrow.WriteSet[:0], tc.WriteSet[:skip]...)
 	for _, id := range tc.WriteSet[skip:] {
 		if stored(id) {
 			local = append(local, id)
 		}
 	}
+	r.narrow = *tc
+	r.narrow.WriteSet = local
 	if len(local) == 0 {
 		return nil
 	}
-	filtered := *tc
-	filtered.WriteSet = local
-	return &filtered
+	return &r.narrow
 }

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/check"
@@ -477,5 +478,95 @@ func TestCertifierHistoryBounded(t *testing.T) {
 	// The replica wires its history bound into the certifier it builds.
 	if got := sites[0].rep.Certifier().MaxHistory; got != 50000 {
 		t.Fatalf("certifier MaxHistory = %d, want 50000", got)
+	}
+}
+
+// TestPartialReplicationNarrowsIntoScratch runs a degree-2 placement over
+// three sites — row r is stored everywhere but at the site with index r%3 —
+// where every write-set is partly stored at every site, under both protocol
+// variants: all sites commit the same sequence, every remote install leaves
+// no lock behind, and a conservative site writes back exactly the rows it
+// stores. Then the pin: Replica.localWrites narrows a partly stored set into
+// the replica's own record without allocating once warm, and returns the
+// message itself when every row is stored here and nil when none is.
+func TestPartialReplicationNarrowsIntoScratch(t *testing.T) {
+	storedAt := func(i int) func(dbsm.TupleID) bool {
+		return func(id dbsm.TupleID) bool { return int(id.Row()%3) != i }
+	}
+	rows := func(from, n uint64) []dbsm.TupleID {
+		ids := make([]dbsm.TupleID, n)
+		for j := range ids {
+			ids[j] = dbsm.MakeTupleID(1, from+uint64(j))
+		}
+		return ids
+	}
+	for _, optimistic := range []bool{false, true} {
+		k, sites := buildClusterWith(t, 3, func(i int) Options {
+			return Options{Optimistic: optimistic, Replicates: storedAt(i)}
+		}, nil)
+		const txns = 12
+		wantSectors := make([]int64, len(sites))
+		for i := range txns {
+			ws := dbsm.NewItemSet(rows(uint64(10*i), 4)...)
+			for j := range sites {
+				for _, id := range ws {
+					if storedAt(j)(id) {
+						wantSectors[j]++
+					}
+				}
+			}
+			txn := &db.Txn{
+				TID: dbsm.MakeTID(dbsm.SiteID(i%3+1), uint32(i)), Class: "w",
+				CPU: 2 * sim.Millisecond, ReadSet: ws.Clone(), WriteSet: ws, CommitCPU: sim.Millisecond,
+			}
+			site := sites[i%3]
+			k.ScheduleAt(sim.Time(i+1)*20*sim.Millisecond, func() { site.server.Submit(txn) })
+		}
+		if err := k.RunUntil(10 * sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		logs := map[dbsm.SiteID]*trace.CommitLog{}
+		op := map[dbsm.SiteID]bool{}
+		for i, s := range sites {
+			if n := s.rep.CommitLog().Len(); n != txns {
+				t.Fatalf("optimistic=%v: site %d committed %d of %d", optimistic, i+1, n, txns)
+			}
+			if s.server.RemoteApplied() != 2*txns/3 || s.server.Locks().HeldLocks() != 0 {
+				t.Fatalf("optimistic=%v: site %d installed %d remote write-sets and holds %d locks; want %d and 0",
+					optimistic, i+1, s.server.RemoteApplied(), s.server.Locks().HeldLocks(), 2*txns/3)
+			}
+			if got := s.server.Storage().Sectors(); !optimistic && got != wantSectors[i] {
+				t.Fatalf("site %d wrote %d sectors, stores %d of the rows written", i+1, got, wantSectors[i])
+			}
+			logs[dbsm.SiteID(i+1)] = s.rep.CommitLog()
+			op[dbsm.SiteID(i+1)] = true
+		}
+		if v := check.Logs(check.FromCommitLogs(logs, op)); v != nil {
+			t.Fatalf("optimistic=%v: logs diverged: %v", optimistic, v)
+		}
+	}
+
+	_, sites := buildClusterWith(t, 3, func(i int) Options { return Options{Replicates: storedAt(i)} }, nil)
+	r := sites[0].rep // stores every row but those with r%3 == 0
+	decode := func(ids ...dbsm.TupleID) *dbsm.TxnCert {
+		var rec dbsm.TxnCert
+		wire := (&dbsm.TxnCert{TID: 7, Site: 2, WriteSet: dbsm.NewItemSet(ids...)}).Marshal()
+		if err := rec.UnmarshalFrom(wire); err != nil {
+			t.Fatal(err)
+		}
+		return &rec
+	}
+	all, none := decode(rows(1, 2)...), decode(dbsm.MakeTupleID(1, 0), dbsm.MakeTupleID(1, 3))
+	if r.localWrites(all) != all || r.localWrites(none) != nil {
+		t.Fatal("a set stored whole is not passed through, or one stored nowhere is not dropped")
+	}
+	part := decode(rows(0, 6)...)
+	var got *dbsm.TxnCert
+	if n := testing.AllocsPerRun(100, func() { got = r.localWrites(part) }); n != 0 {
+		t.Fatalf("narrowing a partly stored write-set: %v allocs/op, want 0", n)
+	}
+	want := dbsm.NewItemSet(dbsm.MakeTupleID(1, 1), dbsm.MakeTupleID(1, 2), dbsm.MakeTupleID(1, 4), dbsm.MakeTupleID(1, 5))
+	if got != &r.narrow || got.TID != part.TID || !slices.Equal(got.WriteSet, want) || len(part.WriteSet) != 6 {
+		t.Fatalf("narrowed %+v from %v, want %v in the replica's own record", got, part.WriteSet, want)
 	}
 }
