@@ -225,10 +225,10 @@ func matrix() []matrixRow {
 			SlowNodes:  []faults.SlowNode{{Site: 3, Factor: 10, At: 15 * sim.Second}},
 		}},
 		{"duplicate 10% (all)", faults.Config{
-			Duplicate: faults.Duplicate{Rate: 0.10, At: 5 * sim.Second},
+			Duplicate: faults.Chaos{Rate: 0.10, At: 5 * sim.Second},
 		}},
 		{"reorder 10% (all)", faults.Config{
-			Reorder: faults.Reorder{Rate: 0.10, At: 5 * sim.Second},
+			Reorder: faults.Chaos{Rate: 0.10, At: 5 * sim.Second},
 		}},
 	}
 }
@@ -384,8 +384,10 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 		fmt.Printf("explore: violation at run %d (seed %d): %s\n", f.Run, f.Seed, f.Detail)
 		min, stats := explore.Minimize(base, params, f.Genes, f.Seed)
 		fmt.Printf("explore: minimized %d -> %d gene(s) in %d probes\n", stats.From, stats.To, stats.Probes)
+		// Rerun the minimized schedule, so the saved triage is what the
+		// file reproduces.
 		cfg := explore.Config(base, params, min, f.Seed)
-		res, err := explore.Rerun(cfg)
+		res, err := core.Run(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faultsim: rerun:", err)
 			res = f.Results

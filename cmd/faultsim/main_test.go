@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/gcs"
 	"repro/internal/golden"
 )
 
@@ -105,7 +105,7 @@ func TestResidualWindowReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if r.Config.Hooks != (core.Hooks{}) {
+	if r.Config.Hooks != (gcs.Hooks{}) {
 		t.Fatalf("residual-window repro must not need any hook: %+v", r.Config.Hooks)
 	}
 	reproduced, detail, err := r.Replay()
@@ -131,7 +131,7 @@ func TestRenumberWedgeReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if r.Config.Hooks != (core.Hooks{}) {
+	if r.Config.Hooks != (gcs.Hooks{}) {
 		t.Fatalf("wedge repro must not need any hook: %+v", r.Config.Hooks)
 	}
 	reproduced, detail, err := r.Replay()

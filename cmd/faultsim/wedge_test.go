@@ -7,6 +7,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/gcs"
 )
 
 // The rejoin-under-loss wedge (ROADMAP item 1): configs/lossy_rejoin.json —
@@ -55,11 +56,7 @@ func TestGenWedgeFixtures(t *testing.T) {
 
 func runConfig(t *testing.T, cfg core.Config) *core.Results {
 	t.Helper()
-	m, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
+	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +73,7 @@ func TestLossyRejoinWedgeReproduces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
-		if r.Config.Hooks != (core.Hooks{}) || r.Expect == nil || r.Expect.Kind != "length-mismatch" {
+		if r.Config.Hooks != (gcs.Hooks{}) || r.Expect == nil || r.Expect.Kind != "length-mismatch" {
 			t.Fatalf("%s: hooks %+v, expect %+v", path, r.Config.Hooks, r.Expect)
 		}
 		reproduced, detail, err := r.Replay()

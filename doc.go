@@ -129,8 +129,8 @@
 // keeps), and its own stream's chunks in a per-stack free list from cast to
 // stability. Every pool of per-event records, in every layer, is a
 // sim.FreeList — recycling is written once, and race builds panic on a
-// record handed back twice; in gcs, dbsm and simnet they also fill a
-// recycled buffer with 0xFF. A replication pays for its transactions, not
+// record handed back twice; in gcs, dbsm, db and simnet they also fill a
+// recycled buffer or item set with all-ones (sim.RaceBuild, sim.Poison). A replication pays for its transactions, not
 // its setup: core.Model.Run is the model's end of life, and what the model
 // sized for its run — about 4.9 KB of math/rand state per RNG stream (one
 // per client, host, disk and generator), the kernel's slot and node slabs,

@@ -293,7 +293,7 @@ func (b *builder) loss() {
 func (b *builder) datagramChaos() {
 	g, f := b.g, &b.s.Faults
 	if g.Bool(b.chaos) {
-		d := faults.Duplicate{
+		d := faults.Chaos{
 			Rate: 0.02 + 0.10*g.Float64(),
 			At:   g.UniformDur(2*sim.Second, b.p.Horizon/2),
 		}
@@ -304,7 +304,7 @@ func (b *builder) datagramChaos() {
 		b.add(KindDuplicate)
 	}
 	if g.Bool(b.chaos) {
-		ro := faults.Reorder{
+		ro := faults.Chaos{
 			Rate:  0.02 + 0.10*g.Float64(),
 			Delay: g.UniformDur(1*sim.Millisecond, 5*sim.Millisecond),
 			At:    g.UniformDur(2*sim.Second, b.p.Horizon/2),

@@ -101,9 +101,9 @@ type Config struct {
 	GCSBufferBytes int `json:"gcsBufferBytes,omitempty"`
 	// Faults is the fault load.
 	Faults faults.Config `json:"faults,omitzero"`
-	// Hooks are test-only protocol switches (see Hooks); the zero value —
-	// every hook off — is the only production configuration.
-	Hooks Hooks `json:"hooks,omitzero"`
+	// Hooks are test-only protocol switches (see gcs.Hooks); the zero
+	// value — every hook off — is the only production configuration.
+	Hooks gcs.Hooks `json:"hooks,omitzero"`
 	// ReadSetThreshold upgrades large read-sets to table locks.
 	ReadSetThreshold int `json:"readSetThreshold,omitempty"`
 	// Admission enables the overload-protection machinery: a per-site
@@ -127,18 +127,6 @@ type Config struct {
 	MaxSimTime sim.Time `json:"maxSimTimeNs,omitempty"`
 	// CollectTxnLog records every transaction in Results.TxnLog.
 	CollectTxnLog bool `json:"collectTxnLog,omitempty"`
-}
-
-// Hooks re-open fixed protocol holes for the adversarial explorer's
-// self-tests and saved repros: a repro of a historical bug keeps reproducing
-// its violation on a healthy tree by naming the hook that resurrects it.
-// Never set any hook outside tests and saved repros.
-type Hooks struct {
-	// NonUniformSequencer reverts the uniform sequencer delivery fix: the
-	// sequencer delivers its self-assigned messages without waiting for a
-	// majority to hold the assignment, resurrecting the lost-announcement
-	// safety hole (see internal/gcs/totalorder.go).
-	NonUniformSequencer bool `json:"nonUniformSequencer,omitempty"`
 }
 
 // AdmissionConfig tunes the overload-protection machinery.
@@ -276,7 +264,7 @@ type Model struct {
 	issued   int
 	finished int64
 	lastDone sim.Time
-	txnLog   trace.TxnLog
+	txnLog   *trace.TxnLog // handed to Results, so a kept Results does not pin the model
 
 	// rejoinViolations counts install-time prefix-check failures: a dead
 	// incarnation's commit log that was not a prefix of its donor's.
@@ -319,6 +307,15 @@ func New(cfg Config) (*Model, error) {
 	return newOnLAN(cfg, simnet.DefaultLANConfig("lan0"))
 }
 
+// Run builds a model from cfg and runs it (New, then Model.Run).
+func Run(cfg Config) (*Results, error) {
+	m, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run()
+}
+
 // newOnLAN is New on a segment of the caller's choosing. Every run uses the
 // one segment New names; the parameter stays for the in-package regression
 // test that squeezes the MTU until cross-group prepares must fragment.
@@ -327,7 +324,7 @@ func newOnLAN(cfg Config, lan simnet.LANConfig) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := &Model{cfg: cfg, k: sim.NewKernel(), rng: sim.NewRNG(cfg.Seed), place: newPlacement(&cfg)}
+	m := &Model{cfg: cfg, k: sim.NewKernel(), rng: sim.NewRNG(cfg.Seed), place: newPlacement(&cfg), txnLog: new(trace.TxnLog)}
 	m.net = simnet.NewNetwork(m.k, m.rng.Fork("net"))
 	m.lan = m.net.NewLAN(lan)
 	err := m.buildSites()
@@ -408,7 +405,6 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 	if id != 0 {
 		storage := db.NewStorage(m.k, db.StorageConfig{}, m.rng.Fork(fmt.Sprintf("disk-%d", id)))
 		server := db.NewServer(m.k, dbsm.SiteID(id), cpus, storage)
-		server.ReadSetThreshold = cfg.ReadSetThreshold
 		if cfg.Admission != nil {
 			server.MaxActive = cfg.Admission.MaxActivePerSite
 		}
@@ -421,9 +417,6 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 	}
 	if site.Stack != nil {
 		site.Stack.Start()
-		if site.Replica != nil {
-			site.Replica.Start()
-		}
 	}
 
 	// Per-member fault wiring.
@@ -718,8 +711,7 @@ func (m *Model) buildStack(s *Site, joining bool) error {
 		// Partitions need the primary-component rule: the minority side
 		// must wedge rather than split-brain.
 		PrimaryComponent: len(m.cfg.Faults.Partitions) > 0,
-
-		NonUniformSequencer: m.cfg.Hooks.NonUniformSequencer,
+		Hooks:            m.cfg.Hooks,
 	}
 	stack, err := gcs.New(s.RT, gcfg)
 	if err != nil {
@@ -736,7 +728,6 @@ func (m *Model) buildReplica(s *Site, recovering bool) {
 		ReadSetThreshold: m.cfg.ReadSetThreshold,
 		Replicates:       m.place.stores(int(s.ID) - 1),
 		Recovering:       recovering,
-		Group:            s.group,
 		GroupCount:       m.place.groups,
 		SitesPerGroup:    m.place.perGroup,
 		GroupOf:          m.place.owner(),
@@ -809,7 +800,6 @@ func (m *Model) recover(s *Site) {
 	})
 	s.Stack.OnJoined(mgr.OnJoined)
 	s.Stack.Start()
-	s.Replica.Start()
 }
 
 // pickDonor selects the snapshot donor for a joiner: the lowest-numbered

@@ -101,6 +101,23 @@ func TestRunLeavesTheModelCollectable(t *testing.T) {
 	}
 }
 
+// TestKeptResultsLeaveTheModelCollectable: a caller that keeps a run's
+// Results — expr keeps every replication's for the aggregate — does not keep
+// its model, so a long campaign holds results, not models.
+func TestKeptResultsLeaveTheModelCollectable(t *testing.T) {
+	ref, res := func() (weak.Pointer[Model], *Results) {
+		m, r := runModel(t, Config{Sites: 3, Clients: 30, TotalTxns: 200, Seed: 99, CollectTxnLog: true})
+		return weak.Make(m), r
+	}()
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("a kept Results keeps its model reachable")
+	}
+	if res.TxnLog.Len() == 0 {
+		t.Fatal("the kept Results lost its transaction log")
+	}
+}
+
 // TestDifferentSeedDifferentResults is the counterpart sanity check: seeds
 // actually steer the run (otherwise replication CIs would be meaningless).
 func TestDifferentSeedDifferentResults(t *testing.T) {
@@ -135,8 +152,8 @@ func TestDatagramChaosSafeAndDeterministic(t *testing.T) {
 			cfg.Sites = 2
 			cfg.Clients = 60
 		}
-		cfg.Faults.Duplicate = faults.Duplicate{Rate: 0.3, At: sim.Second}
-		cfg.Faults.Reorder = faults.Reorder{Rate: 0.3, Delay: 3 * sim.Millisecond, At: sim.Second}
+		cfg.Faults.Duplicate = faults.Chaos{Rate: 0.3, At: sim.Second}
+		cfg.Faults.Reorder = faults.Chaos{Rate: 0.3, Delay: 3 * sim.Millisecond, At: sim.Second}
 		return cfg
 	}
 	for _, tc := range []struct {

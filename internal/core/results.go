@@ -183,7 +183,7 @@ func (m *Model) results() *Results {
 		CertLat:       &metrics.Sample{},
 		CertDecideLat: &metrics.Sample{},
 		RetryLat:      &metrics.Sample{},
-		TxnLog:        &m.txnLog,
+		TxnLog:        m.txnLog,
 		Events:        m.k.Executed(),
 	}
 	duration := m.lastDone

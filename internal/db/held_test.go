@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/csrt"
@@ -252,5 +253,24 @@ func TestRecycledSubmitAllocFree(t *testing.T) {
 	var c dbsm.TxnCert
 	if n := testing.AllocsPerRun(100, func() { txn.CertInfoInto(&c, 1, 0) }); n != 0 || c.TID != tid || len(c.WriteSet) != 2 {
 		t.Fatalf("CertInfoInto: %v allocs/op, record %+v", n, c)
+	}
+}
+
+// TestRecyclePoisonsKeptSets: Recycle keeps the sets' arrays for the next
+// transaction, so race builds fill them with all-ones first — a reader that
+// kept a set past the server's hold sees garbage — and other builds leave
+// them alone.
+func TestRecyclePoisonsKeptSets(t *testing.T) {
+	txn := &Txn{
+		ReadSet:  dbsm.NewItemSet(dbsm.MakeTupleID(1, 1), heldHot),
+		WriteSet: dbsm.NewItemSet(heldHot),
+	}
+	kept := []dbsm.ItemSet{txn.ReadSet, txn.WriteSet}
+	txn.Recycle()
+	for i, s := range kept {
+		poisoned := !slices.ContainsFunc(s, func(id dbsm.TupleID) bool { return id != ^dbsm.TupleID(0) })
+		if poisoned != sim.RaceBuild {
+			t.Errorf("kept set %d after Recycle: %v, poisoned = %v, want %v", i, s, poisoned, sim.RaceBuild)
+		}
 	}
 }

@@ -49,10 +49,6 @@ type Server struct {
 	storage *Storage
 	lm      *LockManager
 
-	// ReadSetThreshold upgrades large read-sets to table locks before
-	// certification (0 disables).
-	ReadSetThreshold int
-
 	// MaxActive caps concurrently-active transactions: a Submit that would
 	// exceed it is rejected outright (admission control). 0 disables the
 	// cap. Bounding concurrency below the thrash point is what keeps

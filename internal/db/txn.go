@@ -142,9 +142,9 @@ func (t *Txn) Recycle() {
 	if t.holds != 0 {
 		panic("db: Recycle of a transaction a server still holds")
 	}
-	if poisonRecycled {
-		poison(t.ReadSet)
-		poison(t.WriteSet)
+	if sim.RaceBuild { // a reader that kept a set past the hold sees garbage
+		sim.Poison(t.ReadSet)
+		sim.Poison(t.WriteSet)
 	}
 	*t = Txn{
 		ReadSet:   t.ReadSet[:0],
@@ -154,14 +154,6 @@ func (t *Txn) Recycle() {
 		granted:   t.granted,
 		committed: t.committed,
 		written:   t.written,
-	}
-}
-
-// poison fills s's whole array with all-ones.
-func poison(s dbsm.ItemSet) {
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = ^dbsm.TupleID(0)
 	}
 }
 

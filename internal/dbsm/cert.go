@@ -137,9 +137,9 @@ func (t *TxnCert) UnmarshalFrom(b []byte) error {
 		nr > avail/8 || nw > avail/8-nr || wb > avail-8*(nr+nw) {
 		return errBadCert
 	}
-	if poisonRecycled {
-		poison(t.ReadSet)
-		poison(t.WriteSet)
+	if sim.RaceBuild { // a reader that kept a decoded set sees garbage
+		sim.Poison(t.ReadSet)
+		sim.Poison(t.WriteSet)
 	}
 	t.TID = binary.BigEndian.Uint64(b[0:8])
 	t.Site = SiteID(binary.BigEndian.Uint32(b[8:12]))

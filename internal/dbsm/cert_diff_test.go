@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // testWindows are the index generation sizes the differential tests run at.
@@ -459,7 +461,7 @@ func TestHistoryArenaDifferential(t *testing.T) {
 			seq++
 			h.push(seq, scratch)
 			ref = append(ref, kept{seq, scratch.Clone()})
-			poison(scratch) // the record's next decode
+			sim.Poison(scratch) // the record's next decode
 			check(step, "push")
 		case r < 6:
 			k := 1 + rng.Intn(min(len(ref), 6))

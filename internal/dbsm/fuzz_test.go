@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"slices"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // hostileLengthCert builds a certification message whose header carries the
@@ -125,6 +127,31 @@ func TestHistoryKeepsItsOwnCopy(t *testing.T) {
 		st := c.ExportState()
 		if len(st.History) != 1 || !slices.Equal(st.History[0].WriteSet, msg(1).WriteSet) {
 			t.Fatalf("scan=%v: history after ten more decodes holds %+v, want A's write-set %v", c.Scan(), st.History, msg(1).WriteSet)
+		}
+	}
+}
+
+// TestRedecodePoisonsKeptSets: a set kept from one decode lives in the
+// record's storage, so race builds fill both arrays with all-ones before the
+// next decode into that record — even one that writes no item there — and
+// other builds leave the old items in place.
+func TestRedecodePoisonsKeptSets(t *testing.T) {
+	a := &TxnCert{TID: 1, Site: 2,
+		ReadSet:  NewItemSet(MakeTupleID(1, 1), MakeTupleID(1, 2)),
+		WriteSet: NewItemSet(MakeTupleID(1, 2)),
+	}
+	var rec TxnCert
+	if err := rec.UnmarshalFrom(a.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	kept := []ItemSet{rec.ReadSet, rec.WriteSet}
+	if err := rec.UnmarshalFrom((&TxnCert{TID: 2, Site: 2}).Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range kept {
+		poisoned := !slices.ContainsFunc(s, func(id TupleID) bool { return id != ^TupleID(0) })
+		if poisoned != sim.RaceBuild {
+			t.Errorf("kept set %d after a redecode: %v, poisoned = %v, want %v", i, s, poisoned, sim.RaceBuild)
 		}
 	}
 }

@@ -179,14 +179,6 @@ func (s ItemSet) sized(n int) ItemSet {
 	return s[:n]
 }
 
-// poison fills s's whole array with all-ones (poisonRecycled).
-func poison(s ItemSet) {
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = ^TupleID(0)
-	}
-}
-
 // Clone returns an independent copy.
 func (s ItemSet) Clone() ItemSet {
 	out := make(ItemSet, len(s))

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/gcs"
 	"repro/internal/sim"
 )
 
@@ -22,7 +23,7 @@ func hookBase() core.Config {
 		Protocol:   core.ProtocolConservative,
 		MaxSimTime: 20 * sim.Minute,
 		Admission:  core.DefaultAdmissionConfig(),
-		Hooks:      core.Hooks{NonUniformSequencer: true},
+		Hooks:      gcs.Hooks{NonUniformSequencer: true},
 	}
 }
 
@@ -86,7 +87,7 @@ func minimizedRepro(t *testing.T, f *Found) *Repro {
 	t.Helper()
 	min, _ := Minimize(hookBase(), hookParams(), f.Genes, f.Seed)
 	cfg := Config(hookBase(), hookParams(), min, f.Seed)
-	res, err := Rerun(cfg)
+	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
@@ -109,11 +110,7 @@ func TestExplorerBeatsRandom(t *testing.T) {
 	params := hookParams()
 	baselineFirst := budget + 1 // not found within the budget
 	for i, task := range campaign.Tasks(campaign.Plan(hookSeed, budget, params), hookBase()) {
-		m, err := core.New(task.Config)
-		if err != nil {
-			t.Fatalf("baseline run %d: %v", i, err)
-		}
-		res, err := m.Run()
+		res, err := core.Run(task.Config)
 		if err != nil {
 			t.Fatalf("baseline run %d: %v", i, err)
 		}
@@ -169,15 +166,8 @@ func TestMinimizeProperties(t *testing.T) {
 	t.Logf("minimized %d -> %d genes in %d probes", stats.From, stats.To, stats.Probes)
 
 	violates := func(genes []Gene) bool {
-		m, err := core.New(Config(base, params, genes, f.Seed))
-		if err != nil {
-			return false
-		}
-		res, err := m.Run()
-		if err != nil {
-			return false
-		}
-		return res.Verdict() != nil
+		res, err := core.Run(Config(base, params, genes, f.Seed))
+		return err == nil && res.Verdict() != nil
 	}
 
 	if !violates(min) {

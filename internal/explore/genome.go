@@ -35,19 +35,6 @@ const (
 	numGeneKinds
 )
 
-var geneKindNames = [numGeneKinds]string{
-	"drift", "latency", "loss", "crash", "partition",
-	"saturation", "slownode", "dup", "reorder",
-}
-
-// String names the kind as in campaign fault-kind tags.
-func (k GeneKind) String() string {
-	if int(k) < len(geneKindNames) {
-		return geneKindNames[k]
-	}
-	return "unknown"
-}
-
 // Gene is one fault primitive with its full parameter set. Unused fields
 // stay zero; repair clamps the used ones into model-legal ranges. The field
 // meanings follow the corresponding faults type: Until is the window end
@@ -304,9 +291,9 @@ func (s space) toFaults(genes []Gene) faults.Config {
 				Site: g.Site, Factor: g.Factor, At: g.At, Until: g.Until,
 			})
 		case GeneDuplicate:
-			f.Duplicate = faults.Duplicate{Rate: g.Rate, Delay: g.Dur, At: g.At, Until: g.Until}
+			f.Duplicate = faults.Chaos{Rate: g.Rate, Delay: g.Dur, At: g.At, Until: g.Until}
 		case GeneReorder:
-			f.Reorder = faults.Reorder{Rate: g.Rate, Delay: g.Dur, At: g.At, Until: g.Until}
+			f.Reorder = faults.Chaos{Rate: g.Rate, Delay: g.Dur, At: g.At, Until: g.Until}
 		}
 	}
 	sort.Slice(f.Crashes, func(i, j int) bool { return f.Crashes[i].At < f.Crashes[j].At })

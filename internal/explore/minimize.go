@@ -31,15 +31,8 @@ func Minimize(base core.Config, p campaign.Params, genes []Gene, seed int64) ([]
 	probes := 0
 	violates := func(cand []Gene) bool {
 		probes++
-		m, err := core.New(s.config(base, cand, seed))
-		if err != nil {
-			return false
-		}
-		res, err := m.Run()
-		if err != nil {
-			return false
-		}
-		return res.Verdict() != nil
+		res, err := core.Run(s.config(base, cand, seed))
+		return err == nil && res.Verdict() != nil
 	}
 
 	cur := s.repair(genes)

@@ -58,17 +58,6 @@ func (s space) config(base core.Config, genes []Gene, seed int64) core.Config {
 	return base
 }
 
-// Rerun executes one configuration and returns its results; repros are built
-// from a fresh run of the exact (minimized) schedule so the recorded triage
-// matches what the file reproduces.
-func Rerun(cfg core.Config) (*core.Results, error) {
-	m, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run()
-}
-
 // ReproOf packages a violating run as a self-contained repro: its whole
 // configuration, the expected verdict and, when res is given, the triage and
 // description of its violation. A config with a Calibration is refused: the
@@ -98,13 +87,9 @@ func ReproOf(cfg core.Config, res *core.Results) (*Repro, error) {
 // reproduced (for a plain configuration, any violation), with the verdict
 // detail.
 func (r *Repro) Replay() (reproduced bool, detail string, err error) {
-	m, err := core.New(r.Config)
+	res, err := core.Run(r.Config)
 	if err != nil {
-		return false, "", fmt.Errorf("explore: repro config: %w", err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		return false, "", fmt.Errorf("explore: repro run: %w", err)
+		return false, "", fmt.Errorf("explore: repro: %w", err)
 	}
 	v := res.Verdict()
 	if v == nil {

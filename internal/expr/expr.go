@@ -115,7 +115,7 @@ func (rn *Runner) Run(tasks []Task) ([]Point, error) {
 		t := tasks[u.task]
 		cfg := t.Config
 		cfg.Seed = DeriveSeed(t.Config.Seed, u.rep)
-		res, err := runOne(cfg)
+		res, err := core.Run(cfg)
 		results[u.task][u.rep] = res
 		errs[u.task][u.rep] = err
 		mu.Lock()
@@ -143,15 +143,6 @@ func (rn *Runner) Run(tasks []Task) ([]Point, error) {
 		}
 	}
 	return points, firstErr
-}
-
-// runOne builds and runs one model.
-func runOne(cfg core.Config) (*core.Results, error) {
-	m, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run()
 }
 
 // ForEach runs fn(0..n-1) on a pool of the given size (<= 0 uses

@@ -123,58 +123,34 @@ type SlowNode struct {
 	Until sim.Time
 }
 
-// Duplicate re-delivers random datagrams at every receiver: within the
-// window each inbound datagram is independently delivered a second time
-// shortly after the first, as a flapping route or retransmitting middlebox
-// would. Ordered streams dedupe by sequence number, so this fault really
-// targets the raw-datagram relay traffic — the cross-group prepare / vote /
-// decide round must be idempotent under it.
-type Duplicate struct {
-	// Rate is the per-datagram duplication probability; 0 disables.
+// Chaos is a receiver-side datagram fault: within the window each inbound
+// datagram is independently re-delivered a second time shortly after the
+// first, as a flapping route or retransmitting middlebox would
+// (Config.Duplicate), or held back long enough for traffic sent later to
+// overtake it (Config.Reorder). Ordered streams dedupe by sequence number and
+// absorb the delay as ordinary jitter, so both really target the raw-datagram
+// relay traffic — the cross-group prepare / vote / decide round must be
+// idempotent under them.
+type Chaos struct {
+	// Rate is the per-datagram probability; 0 disables.
 	Rate float64
-	// Delay bounds the lag of the duplicate copy (default 2ms).
+	// Delay bounds the duplicate's lag or the hold-back (default 2ms).
 	Delay sim.Time
-	// At is the instant duplication begins.
+	// At is the instant the fault begins.
 	At sim.Time
 	// Until is the instant it stops; zero means the rest of the run.
 	Until sim.Time
 }
 
 // Active reports whether the fault injects anything.
-func (d Duplicate) Active() bool { return d.Rate > 0 }
+func (c Chaos) Active() bool { return c.Rate > 0 }
 
 // NewInjector builds the receiver-side injector, or nil when inactive.
-func (d Duplicate) NewInjector() *simnet.Injector {
-	if !d.Active() {
+func (c Chaos) NewInjector() *simnet.Injector {
+	if !c.Active() {
 		return nil
 	}
-	return &simnet.Injector{Rate: d.Rate, Delay: d.Delay, From: d.At, Until: d.Until}
-}
-
-// Reorder delays random datagrams at every receiver: within the window each
-// inbound datagram is independently held back long enough for traffic sent
-// later to overtake it. Like Duplicate this mostly exercises the unordered
-// relay traffic; the ordered streams absorb it as ordinary jitter.
-type Reorder struct {
-	// Rate is the per-datagram reordering probability; 0 disables.
-	Rate float64
-	// Delay bounds the hold-back (default 2ms).
-	Delay sim.Time
-	// At is the instant reordering begins.
-	At sim.Time
-	// Until is the instant it stops; zero means the rest of the run.
-	Until sim.Time
-}
-
-// Active reports whether the fault injects anything.
-func (r Reorder) Active() bool { return r.Rate > 0 }
-
-// NewInjector builds the receiver-side injector, or nil when inactive.
-func (r Reorder) NewInjector() *simnet.Injector {
-	if !r.Active() {
-		return nil
-	}
-	return &simnet.Injector{Rate: r.Rate, Delay: r.Delay, From: r.At, Until: r.Until}
+	return &simnet.Injector{Rate: c.Rate, Delay: c.Delay, From: c.At, Until: c.Until}
 }
 
 // Config is a complete fault load for one run.
@@ -203,9 +179,9 @@ type Config struct {
 	// SlowNodes degrade sites into gray failures.
 	SlowNodes []SlowNode
 	// Duplicate re-delivers random datagrams at every receiver.
-	Duplicate Duplicate
+	Duplicate Chaos
 	// Reorder delays random datagrams past later traffic at every receiver.
-	Reorder Reorder
+	Reorder Chaos
 }
 
 // Any reports whether the configuration injects any fault.

@@ -14,8 +14,8 @@ func TestDataMarshalAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("dataMsg.marshal into warm buffer: %v allocs/op, want 0", allocs)
 	}
-	got, err := parseData(buf)
-	if err != nil || got.Seq != 99 || len(got.Data) != len(payload) {
+	var got dataMsg
+	if err := parseDataInto(&got, buf); err != nil || got.Seq != 99 || len(got.Data) != len(payload) {
 		t.Fatalf("round trip: %+v err=%v", got, err)
 	}
 }

@@ -14,11 +14,10 @@ import (
 // or garbage traffic must be dropped, not crash a replica.
 func TestParsersNeverPanicOnArbitraryBytes(t *testing.T) {
 	parsers := []func([]byte){
-		func(b []byte) { _, _ = parseData(b) },
+		func(b []byte) { _ = parseDataInto(&dataMsg{}, b) },
 		func(b []byte) { _, _ = parseNack(b) },
-		func(b []byte) { _, _ = parseGossip(b) },
-		func(b []byte) { _, _ = parseAssigns(b) },
-		func(b []byte) { _, _ = parseHeartbeat(b) },
+		func(b []byte) { _ = parseGossipInto(&gossipMsg{}, b) },
+		func(b []byte) { _, _ = parseAssignsInto(nil, b) },
 		func(b []byte) { _, _ = parsePropose(b) },
 		func(b []byte) { _, _ = parseFlushAck(b) },
 		func(b []byte) { _, _ = parseDecide(b) },
@@ -193,20 +192,17 @@ func FuzzParse(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if m, err := parseData(data); err == nil {
-			roundTrip(t, "data", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseData(b) })
+		if m := new(dataMsg); parseDataInto(m, data) == nil {
+			roundTrip(t, "data", data, m, m.marshal(nil), func(b []byte) (any, error) { m := new(dataMsg); return m, parseDataInto(m, b) })
 		}
 		if m, err := parseNack(data); err == nil {
 			roundTrip(t, "nack", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseNack(b) })
 		}
-		if m, err := parseGossip(data); err == nil {
-			roundTrip(t, "gossip", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseGossip(b) })
+		if m := new(gossipMsg); parseGossipInto(m, data) == nil {
+			roundTrip(t, "gossip", data, m, m.marshal(nil), func(b []byte) (any, error) { m := new(gossipMsg); return m, parseGossipInto(m, b) })
 		}
-		if m, err := parseAssigns(data); err == nil {
-			roundTrip(t, "assigns", data, m, marshalAssigns(nil, m), func(b []byte) (any, error) { return parseAssigns(b) })
-		}
-		if m, err := parseHeartbeat(data); err == nil {
-			roundTrip(t, "heartbeat", data, m, m.marshal(nil), func(b []byte) (any, error) { return parseHeartbeat(b) })
+		if m, err := parseAssignsInto(nil, data); err == nil {
+			roundTrip(t, "assigns", data, m, marshalAssigns(nil, m), func(b []byte) (any, error) { return parseAssignsInto(nil, b) })
 		}
 		if m, err := parsePropose(data); err == nil {
 			roundTrip(t, "propose", data, m, m.marshal(nil), func(b []byte) (any, error) { return parsePropose(b) })

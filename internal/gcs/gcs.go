@@ -59,17 +59,6 @@ type Config struct {
 	// share" whose exhaustion the paper observes under loss). Defaults to
 	// 384 KiB.
 	BufferBytes int
-	// NackDelay is how long a receiver waits on a gap before requesting
-	// repair. Defaults to 20ms.
-	NackDelay sim.Time
-	// RetransPeriod paces NACK re-sends and view-change message
-	// retransmissions. Defaults to 100ms.
-	RetransPeriod sim.Time
-	// StabilityPeriod paces stability gossip rounds. Defaults to 100ms.
-	StabilityPeriod sim.Time
-	// FailTimeout is the failure detector's silence threshold. Defaults
-	// to 1s.
-	FailTimeout sim.Time
 	// Joining starts the stack in recovery-join mode: instead of assuming
 	// the configured membership is live, the node periodically requests
 	// admission from the current view. The membership layer runs a view
@@ -88,31 +77,45 @@ type Config struct {
 	// continues. Off by default: crash-only runs never lose quorum and
 	// keep the paper's original behaviour.
 	PrimaryComponent bool
-	// NonUniformSequencer is a test-only hook reverting the uniform
-	// sequencer delivery fix: the sequencer delivers self-assigned messages
-	// without waiting for a majority to hold the assignment, resurrecting
-	// the lost-announcement safety hole documented in totalorder.go. It
-	// exists so the adversarial explorer's self-tests and saved repros of
-	// the historical bug keep reproducing on a healthy tree. Never set it
-	// in production configurations.
-	NonUniformSequencer bool
+	// Hooks are test-only protocol switches; the zero value is the only
+	// production configuration.
+	Hooks Hooks
+
+	// The protocol's timers, which no caller varies: fill sets the
+	// defaults and only this package's tests override them.
+	nackDelay       sim.Time // a receiver's wait on a gap before a repair request: 20ms
+	retransPeriod   sim.Time // paces NACK re-sends and view-change retransmissions: 100ms
+	stabilityPeriod sim.Time // paces stability gossip rounds: 100ms
+	failTimeout     sim.Time // the failure detector's silence threshold: 1s
+}
+
+// Hooks re-open fixed protocol holes for the adversarial explorer's
+// self-tests and saved repros: a repro of a historical bug keeps reproducing
+// its violation on a healthy tree by naming the hook that resurrects it.
+// Never set any hook outside tests and saved repros.
+type Hooks struct {
+	// NonUniformSequencer reverts the uniform sequencer delivery fix: the
+	// sequencer delivers its self-assigned messages without waiting for a
+	// majority to hold the assignment, resurrecting the lost-announcement
+	// safety hole documented in totalorder.go.
+	NonUniformSequencer bool `json:"nonUniformSequencer,omitempty"`
 }
 
 func (c *Config) fill() {
 	if c.BufferBytes == 0 {
 		c.BufferBytes = 384 * 1024
 	}
-	if c.NackDelay == 0 {
-		c.NackDelay = 20 * sim.Millisecond
+	if c.nackDelay == 0 {
+		c.nackDelay = 20 * sim.Millisecond
 	}
-	if c.RetransPeriod == 0 {
-		c.RetransPeriod = 100 * sim.Millisecond
+	if c.retransPeriod == 0 {
+		c.retransPeriod = 100 * sim.Millisecond
 	}
-	if c.StabilityPeriod == 0 {
-		c.StabilityPeriod = 100 * sim.Millisecond
+	if c.stabilityPeriod == 0 {
+		c.stabilityPeriod = 100 * sim.Millisecond
 	}
-	if c.FailTimeout == 0 {
-		c.FailTimeout = 1 * sim.Second
+	if c.failTimeout == 0 {
+		c.failTimeout = 1 * sim.Second
 	}
 }
 

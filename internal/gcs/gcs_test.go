@@ -298,7 +298,7 @@ func TestBufferShareBlocksThenDrains(t *testing.T) {
 	// stability advances.
 	c := newCluster(t, 3, 9, func(cfg *Config) {
 		cfg.BufferBytes = 9 * 1024 // 3 KiB per member
-		cfg.StabilityPeriod = 5 * sim.Millisecond
+		cfg.stabilityPeriod = 5 * sim.Millisecond
 	})
 	for i := 0; i < 20; i++ {
 		c.castAt(10*sim.Millisecond, 1, make([]byte, 1000)) // all at once
@@ -315,7 +315,7 @@ func TestBufferShareBlocksThenDrains(t *testing.T) {
 
 func TestCrashNonSequencerInstallsNewView(t *testing.T) {
 	c := newCluster(t, 3, 10, func(cfg *Config) {
-		cfg.FailTimeout = 500 * sim.Millisecond
+		cfg.failTimeout = 500 * sim.Millisecond
 	})
 	for i := 0; i < 5; i++ {
 		c.castAt(sim.Time(i+1)*10*sim.Millisecond, 1, []byte(fmt.Sprintf("pre%d", i)))
@@ -344,7 +344,7 @@ func TestCrashNonSequencerInstallsNewView(t *testing.T) {
 
 func TestCrashSequencerReplacedAndOrderContinues(t *testing.T) {
 	c := newCluster(t, 3, 11, func(cfg *Config) {
-		cfg.FailTimeout = 500 * sim.Millisecond
+		cfg.failTimeout = 500 * sim.Millisecond
 	})
 	for i := 0; i < 5; i++ {
 		c.castAt(sim.Time(i+1)*10*sim.Millisecond, 2, []byte(fmt.Sprintf("pre%d", i)))
@@ -375,7 +375,7 @@ func TestCrashSequencerReplacedAndOrderContinues(t *testing.T) {
 
 func TestCrashDuringHeavyTrafficAgreement(t *testing.T) {
 	c := newCluster(t, 5, 12, func(cfg *Config) {
-		cfg.FailTimeout = 400 * sim.Millisecond
+		cfg.failTimeout = 400 * sim.Millisecond
 	})
 	for r := 0; r < 40; r++ {
 		for _, id := range nodes(5) {

@@ -68,7 +68,7 @@ func (mb *membership) startTimers() {
 }
 
 func (mb *membership) scheduleFD() {
-	mb.s.rt.Schedule(mb.s.cfg.FailTimeout/4, func() {
+	mb.s.rt.Schedule(mb.s.cfg.failTimeout/4, func() {
 		mb.fdTick()
 		if !mb.s.stopped {
 			mb.scheduleFD()
@@ -146,7 +146,7 @@ func (mb *membership) fdTick() {
 		if p == mb.s.cfg.Self || ps.suspected {
 			continue
 		}
-		if now-ps.lastHeard > mb.s.cfg.FailTimeout {
+		if now-ps.lastHeard > mb.s.cfg.failTimeout {
 			ps.suspected = true
 			changed = true
 		}
@@ -261,7 +261,7 @@ func (mb *membership) armRetry() {
 	if mb.retryTimer != nil {
 		return
 	}
-	mb.retryTimer = mb.s.rt.Schedule(mb.s.cfg.RetransPeriod, func() {
+	mb.retryTimer = mb.s.rt.Schedule(mb.s.cfg.retransPeriod, func() {
 		mb.retryTimer = nil
 		mb.retryTick()
 	})
@@ -596,7 +596,7 @@ func (mb *membership) joinTick() {
 	}
 	s.stats.JoinRequests++
 	s.transmit(req.marshal(s.wire[:0]))
-	s.rt.StartJob(s.cfg.RetransPeriod, func() { mb.joinTick() })
+	s.rt.StartJob(s.cfg.retransPeriod, func() { mb.joinTick() })
 }
 
 // onJoinReq handles an admission request at a live member.

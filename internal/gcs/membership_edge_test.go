@@ -16,7 +16,7 @@ import (
 // delivery sequences.
 func TestConcurrentViewProposals(t *testing.T) {
 	c := newCluster(t, 4, 31, func(cfg *Config) {
-		cfg.FailTimeout = 400 * sim.Millisecond
+		cfg.failTimeout = 400 * sim.Millisecond
 	})
 	for i := 0; i < 10; i++ {
 		c.castAt(sim.Time(i+1)*10*sim.Millisecond, NodeID(i%4+1), []byte(fmt.Sprintf("pre%d", i)))
@@ -52,7 +52,7 @@ func TestConcurrentViewProposals(t *testing.T) {
 // touching its current view or ordering state.
 func TestStaleDecideAfterNewerInstall(t *testing.T) {
 	c := newCluster(t, 3, 32, func(cfg *Config) {
-		cfg.FailTimeout = 400 * sim.Millisecond
+		cfg.failTimeout = 400 * sim.Millisecond
 	})
 	for i := 0; i < 6; i++ {
 		c.castAt(sim.Time(i+1)*10*sim.Millisecond, NodeID(i%3+1), []byte(fmt.Sprintf("m%d", i)))
@@ -108,8 +108,8 @@ func TestRetryTickUnderSustainedLoss(t *testing.T) {
 		// live member's heartbeats (15 consecutive losses), so the only
 		// suspicion is the real crash; short retransmission period so the
 		// retry loop, not luck, carries the view change.
-		cfg.FailTimeout = 1500 * sim.Millisecond
-		cfg.RetransPeriod = 50 * sim.Millisecond
+		cfg.failTimeout = 1500 * sim.Millisecond
+		cfg.retransPeriod = 50 * sim.Millisecond
 	})
 	for _, id := range nodes(4) {
 		c.net.Host(id).SetLoss(&simnet.RandomLoss{P: 0.30})
@@ -144,7 +144,7 @@ func TestRetryTickUnderSustainedLoss(t *testing.T) {
 // every failure-detector tick, not only when a fresh suspicion appears.
 func TestAbandonDeadCoordinatorAlreadySuspected(t *testing.T) {
 	c := newCluster(t, 3, 34, func(cfg *Config) {
-		cfg.FailTimeout = 400 * sim.Millisecond
+		cfg.failTimeout = 400 * sim.Millisecond
 	})
 	c.castAt(10*sim.Millisecond, 2, []byte("warm"))
 	c.run(200 * sim.Millisecond)
@@ -191,7 +191,7 @@ func (w deafWindow) Drop(_ *sim.RNG, now sim.Time) bool { return now >= w.from &
 // — not NACK the dead owner forever.
 func TestFlushRepairFromNodeZero(t *testing.T) {
 	c := newClusterOf(t, []NodeID{0, 1, 2}, 35, func(cfg *Config) {
-		cfg.FailTimeout = 400 * sim.Millisecond
+		cfg.failTimeout = 400 * sim.Millisecond
 	})
 	c.net.Host(1).SetLoss(deafWindow{from: 100 * sim.Millisecond, until: 105 * sim.Millisecond})
 	c.castAt(100*sim.Millisecond, 2, []byte("tail"))

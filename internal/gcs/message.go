@@ -3,7 +3,6 @@ package gcs
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/runtimeapi"
 )
@@ -81,14 +80,6 @@ func parseDataInto(m *dataMsg, b []byte) error {
 	m.Payload = b[14]
 	m.Data = append(m.Data[:0], b[dataHeader:dataHeader+n]...)
 	return nil
-}
-
-func parseData(b []byte) (*dataMsg, error) {
-	m := &dataMsg{}
-	if err := parseDataInto(m, b); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // seqRange is a [From, To] inclusive range of missing sequence numbers.
@@ -199,14 +190,6 @@ func growUint64(v []uint64, n int) []uint64 {
 	return v[:n]
 }
 
-func parseGossip(b []byte) (*gossipMsg, error) {
-	m := &gossipMsg{}
-	if err := parseGossipInto(m, b); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // seqAssign is one total-order assignment: global sequence number for the
 // message identified by (Sender, Seq).
 type seqAssign struct {
@@ -255,23 +238,12 @@ func parseAssignsInto(buf []seqAssign, b []byte) ([]seqAssign, error) {
 	return buf, nil
 }
 
-func parseAssigns(b []byte) ([]seqAssign, error) {
-	return parseAssignsInto(nil, b)
-}
-
 // heartbeatMsg keeps failure detectors quiet during idle periods.
 type heartbeatMsg struct{ ViewID uint32 }
 
 func (m *heartbeatMsg) marshal(buf []byte) []byte {
 	buf = append(buf, kindHeartbeat)
 	return binary.BigEndian.AppendUint32(buf, m.ViewID)
-}
-
-func parseHeartbeat(b []byte) (*heartbeatMsg, error) {
-	if len(b) < 5 {
-		return nil, errTruncated
-	}
-	return &heartbeatMsg{ViewID: binary.BigEndian.Uint32(b[1:5])}, nil
 }
 
 // proposeMsg starts a view change: the coordinator proposes a new membership.
@@ -555,35 +527,4 @@ func parseInstalled(b []byte) (*installedMsg, error) {
 		return nil, errTruncated
 	}
 	return &installedMsg{NewViewID: binary.BigEndian.Uint32(b[1:5])}, nil
-}
-
-func kindName(k byte) string {
-	switch k {
-	case kindData:
-		return "data"
-	case kindNack:
-		return "nack"
-	case kindGossip:
-		return "gossip"
-	case kindHeartbeat:
-		return "heartbeat"
-	case kindPropose:
-		return "propose"
-	case kindFlushAck:
-		return "flushack"
-	case kindDecide:
-		return "decide"
-	case kindInstalled:
-		return "installed"
-	case kindJoinReq:
-		return "joinreq"
-	case kindJoinSync:
-		return "joinsync"
-	case kindAssignAck:
-		return "assignack"
-	case kindRelay:
-		return "relay"
-	default:
-		return fmt.Sprintf("kind(%d)", k)
-	}
 }

@@ -55,9 +55,9 @@ func TestStackRunsOnNativeRuntime(t *testing.T) {
 			Group:        1,
 			UseMulticast: true, // iterated unicast on the native bridge
 			// Tighten timers: this is a real-time test.
-			NackDelay:       5 * sim.Millisecond,
-			RetransPeriod:   20 * sim.Millisecond,
-			StabilityPeriod: 25 * sim.Millisecond,
+			nackDelay:       5 * sim.Millisecond,
+			retransPeriod:   20 * sim.Millisecond,
+			stabilityPeriod: 25 * sim.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

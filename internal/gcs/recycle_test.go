@@ -219,10 +219,33 @@ func TestFreeListsDrain(t *testing.T) {
 	}
 }
 
+// TestRecycledBuffersReadPoison: every buffer the reliable layer takes back —
+// a received chunk's dataMsg, a stable chunk of the own stream, a delivered
+// body — is filled with 0xFF in race builds, so a reader that kept one sees
+// garbage, and is left alone in other builds.
+func TestRecycledBuffersReadPoison(t *testing.T) {
+	c := newCluster(t, 3, 79, nil)
+	rm := c.stacks[1].rm
+	m := rm.newMsg()
+	m.Data = append(m.Data[:0], pattern(100, 1)...)
+	chunk := append(rm.newChunk(), pattern(100, 2)...)
+	body := append(rm.newBody(), pattern(100, 3)...)
+	kept := map[string][]byte{"dataMsg": m.Data, "chunk": chunk, "body": body}
+	rm.recycleMsg(m)
+	rm.recycleChunk(chunk)
+	rm.recycleBody(body)
+	for name, b := range kept {
+		b = b[:cap(b)]
+		if poisoned := bytes.Count(b, []byte{0xFF}) == len(b); poisoned != sim.RaceBuild {
+			t.Errorf("recycled %s: poisoned = %v, want %v", name, poisoned, sim.RaceBuild)
+		}
+	}
+}
+
 // A restarted own stream hands its unstable and unsent chunks back: the
 // readmitted joiner's resetSelf leaves no chunk lent that nothing holds.
 func TestResetSelfReturnsChunks(t *testing.T) {
-	c := newCluster(t, 3, 77, func(cfg *Config) { cfg.StabilityPeriod = 10 * sim.Second })
+	c := newCluster(t, 3, 77, func(cfg *Config) { cfg.stabilityPeriod = 10 * sim.Second })
 	for i := range 8 {
 		c.castAt(sim.Time(10+i)*sim.Millisecond, 1, pattern(3000, byte(i)))
 	}

@@ -29,7 +29,7 @@ func (c *cluster) rejoinNode(at sim.Time, id NodeID, n int, joinSeq *uint64) {
 		c.delivered[id] = nil // fresh incarnation, fresh delivery log
 		members := nodes(n)
 		cfg := Config{Self: id, Members: members, Group: 1, UseMulticast: true,
-			Joining: true, FailTimeout: 500 * sim.Millisecond}
+			Joining: true, failTimeout: 500 * sim.Millisecond}
 		st, err := New(c.rts[id], cfg)
 		if err != nil {
 			c.t.Fatal(err)
@@ -70,7 +70,7 @@ func checkSuffixAgreement(t *testing.T, survivor, joiner []Delivery, joinSeq uin
 
 func TestRejoinNonSequencerCatchesUp(t *testing.T) {
 	c := newCluster(t, 3, 21, func(cfg *Config) {
-		cfg.FailTimeout = 500 * sim.Millisecond
+		cfg.failTimeout = 500 * sim.Millisecond
 	})
 	// Pre-crash traffic.
 	for i := 0; i < 10; i++ {
@@ -128,7 +128,7 @@ func TestRejoinNonSequencerCatchesUp(t *testing.T) {
 
 func TestRejoinSequencerComesBackAsFollower(t *testing.T) {
 	c := newCluster(t, 3, 22, func(cfg *Config) {
-		cfg.FailTimeout = 500 * sim.Millisecond
+		cfg.failTimeout = 500 * sim.Millisecond
 	})
 	for i := 0; i < 8; i++ {
 		c.castAt(sim.Time(i+1)*10*sim.Millisecond, NodeID(i%3+1), []byte(fmt.Sprintf("pre%d", i)))
@@ -165,7 +165,7 @@ func TestRejoinSequencerComesBackAsFollower(t *testing.T) {
 
 func TestRejoinUnderLoss(t *testing.T) {
 	c := newCluster(t, 3, 23, func(cfg *Config) {
-		cfg.FailTimeout = 500 * sim.Millisecond
+		cfg.failTimeout = 500 * sim.Millisecond
 	})
 	for _, id := range nodes(3) {
 		c.net.Host(id).SetLoss(&simnet.RandomLoss{P: 0.08})
@@ -207,7 +207,7 @@ func TestRejoinUnderHeavyLossManySeeds(t *testing.T) {
 			// needed for a false suspicion: only the real crash trips
 			// the detector, while the admission traffic still suffers
 			// heavy loss.
-			cfg.FailTimeout = 2 * sim.Second
+			cfg.failTimeout = 2 * sim.Second
 		})
 		for _, id := range nodes(3) {
 			c.net.Host(id).SetLoss(&simnet.RandomLoss{P: 0.25})
@@ -266,9 +266,9 @@ func TestRejoinUnderHeavyLossManySeeds(t *testing.T) {
 // stack never runs.
 func TestCrashReleasesBuffers(t *testing.T) {
 	c := newCluster(t, 3, 24, func(cfg *Config) {
-		cfg.FailTimeout = 500 * sim.Millisecond
+		cfg.failTimeout = 500 * sim.Millisecond
 		// Slow stability so buffers are guaranteed nonempty at crash time.
-		cfg.StabilityPeriod = 10 * sim.Second
+		cfg.stabilityPeriod = 10 * sim.Second
 	})
 	for i := 0; i < 20; i++ {
 		c.castAt(sim.Time(i+1)*2*sim.Millisecond, NodeID(i%3+1), make([]byte, 600))

@@ -153,7 +153,10 @@ func (rm *relMcast) newMsg() *dataMsg {
 // recycleMsg returns a struct whose buffer slot has been vacated, keeping
 // the storage of its Data.
 func (rm *relMcast) recycleMsg(m *dataMsg) {
-	m.Data = poison(m.Data)
+	if sim.RaceBuild { // a reader that kept the chunk sees garbage
+		sim.Poison(m.Data)
+	}
+	m.Data = m.Data[:0]
 	rm.freeMsgs.Put(m)
 }
 
@@ -170,12 +173,14 @@ func (rm *relMcast) newChunk() []byte {
 // recycleChunk returns a stable chunk of the own stream, which no member
 // will ask for again.
 func (rm *relMcast) recycleChunk(b []byte) {
-	b = poison(b)
+	if sim.RaceBuild { // a reader that kept the chunk sees garbage
+		sim.Poison(b)
+	}
 	if rm.freeChunks.Len() >= maxFreeChunks {
 		rm.freeChunks.Discard()
 		return
 	}
-	rm.freeChunks.Put(b)
+	rm.freeChunks.Put(b[:0])
 }
 
 // newBody takes an empty reassembly buffer from the free list (or allocates
@@ -193,27 +198,16 @@ func (rm *relMcast) newBody() []byte {
 // A halted stack keeps no list (releaseAll), so an upcall that stopped the
 // stack drops its buffer here.
 func (rm *relMcast) recycleBody(b []byte) {
-	b = poison(b)
+	if sim.RaceBuild { // an upcall that kept the body sees garbage
+		sim.Poison(b)
+	}
 	switch {
 	case rm.s.stopped:
 	case rm.freeBodies.Len() >= maxFreeBodies:
 		rm.freeBodies.Discard()
 	default:
-		rm.freeBodies.Put(b)
+		rm.freeBodies.Put(b[:0])
 	}
-}
-
-// poison empties a buffer on its way back to a free list. Race builds
-// (poisonRecycled) first overwrite its whole capacity with 0xFF, so a reader
-// that kept the bytes past their owner's recycle sees garbage.
-func poison(b []byte) []byte {
-	if poisonRecycled {
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = 0xFF
-		}
-	}
-	return b[:0]
 }
 
 func (rm *relMcast) peer(id NodeID) *peerState {
@@ -431,7 +425,7 @@ func (rm *relMcast) armNackTimer(ps *peerState) {
 	if ps.nackTimer != nil {
 		return
 	}
-	ps.nackTimer = rm.s.rt.Schedule(rm.s.cfg.NackDelay, func() {
+	ps.nackTimer = rm.s.rt.Schedule(rm.s.cfg.nackDelay, func() {
 		ps.nackTimer = nil
 		rm.repairGaps(ps)
 	})
@@ -472,7 +466,7 @@ func (rm *relMcast) repairGaps(ps *peerState) {
 	rm.s.stats.Nacks++
 	rm.s.transmitTo(target, nack.marshal(rm.s.wire[:0]))
 	// Re-arm: keep nagging until the gap closes.
-	ps.nackTimer = rm.s.rt.Schedule(rm.s.cfg.RetransPeriod, func() {
+	ps.nackTimer = rm.s.rt.Schedule(rm.s.cfg.retransPeriod, func() {
 		ps.nackTimer = nil
 		rm.repairGaps(ps)
 	})

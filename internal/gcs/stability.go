@@ -38,7 +38,7 @@ func newStability(s *Stack) *stability {
 func (st *stability) startTimer() { st.scheduleTick() }
 
 func (st *stability) scheduleTick() {
-	st.timer = st.s.rt.Schedule(st.s.cfg.StabilityPeriod, func() {
+	st.timer = st.s.rt.Schedule(st.s.cfg.stabilityPeriod, func() {
 		st.tick()
 		if !st.s.stopped {
 			st.scheduleTick()

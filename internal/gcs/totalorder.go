@@ -436,7 +436,7 @@ func (to *totalOrder) tryDeliver() {
 		}
 		g := to.nextDeliver + 1
 		if to.s.IsSequencer() && g > to.selfAssignedFloor && g > to.announceSafe &&
-			!to.s.cfg.NonUniformSequencer {
+			!to.s.cfg.Hooks.NonUniformSequencer {
 			// Uniform delivery: wait for a majority to hold the
 			// announcement. The NonUniformSequencer escape is a test-only
 			// hook resurrecting the pre-fix behaviour for saved repros.

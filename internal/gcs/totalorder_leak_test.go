@@ -68,7 +68,7 @@ func TestTotalOrderMapsDrainAfterDelivery(t *testing.T) {
 	// beyond the flush target, so nobody can order it: the install purges
 	// the record (telling the optimistic consumer) instead of pinning it.
 	t.Run("purged beyond the flush target", func(t *testing.T) {
-		c := newCluster(t, 3, 32, func(cfg *Config) { cfg.FailTimeout = 500 * sim.Millisecond })
+		c := newCluster(t, 3, 32, func(cfg *Config) { cfg.failTimeout = 500 * sim.Millisecond })
 		burst(c, 0, 3, "pre")
 		c.crashNode(300*sim.Millisecond, 3)
 		st2 := c.stacks[2]
@@ -100,7 +100,7 @@ func TestTotalOrderMapsDrainAfterDelivery(t *testing.T) {
 
 	// The joiner's catch-up cursor skips records instead of delivering them.
 	t.Run("crash and rejoin", func(t *testing.T) {
-		c := newCluster(t, 3, 33, func(cfg *Config) { cfg.FailTimeout = 500 * sim.Millisecond })
+		c := newCluster(t, 3, 33, func(cfg *Config) { cfg.failTimeout = 500 * sim.Millisecond })
 		burst(c, 0, 3, "pre")
 		dead := c.stacks[3]
 		c.crashNode(300*sim.Millisecond, 3)

@@ -16,7 +16,7 @@ func TestUniformDeliveryGatesSequencer(t *testing.T) {
 	c := newCluster(t, 3, 41, func(cfg *Config) {
 		// Far beyond the blackout window: the view must not change, or a
 		// two-member (even single-member) majority would release delivery.
-		cfg.FailTimeout = 30 * sim.Second
+		cfg.failTimeout = 30 * sim.Second
 	})
 	c.k.ScheduleAt(sim.Second, func() {
 		c.net.Host(2).SetDown(true)
@@ -44,7 +44,7 @@ func TestUniformDeliveryGatesSequencer(t *testing.T) {
 // Now its delivered log must stay a prefix of the survivors': here, empty.
 func TestUniformDeliveryCrashLeavesNoSuffix(t *testing.T) {
 	c := newCluster(t, 3, 43, func(cfg *Config) {
-		cfg.FailTimeout = 500 * sim.Millisecond
+		cfg.failTimeout = 500 * sim.Millisecond
 	})
 	c.k.ScheduleAt(sim.Second, func() {
 		c.net.Host(2).SetDown(true)

@@ -82,11 +82,10 @@ type Options struct {
 	// enables it: this stack orders only its own group's transactions,
 	// stream payloads carry a one-byte xgroup tag, and multi-group
 	// transactions run the cross-group commit round (see xcommit.go).
-	// Group is this site's 1-based group; SitesPerGroup fixes the
-	// contiguous site numbering (group g owns sites (g-1)·S+1 .. g·S);
-	// GroupOf classifies a tuple's owning group (0 = replicated catalog).
-	// Incompatible with Recovering.
-	Group         int
+	// SitesPerGroup fixes the contiguous site numbering (group g owns sites
+	// (g-1)·S+1 .. g·S), and with it this site's group; GroupOf classifies
+	// a tuple's owning group (0 = replicated catalog). Incompatible with
+	// Recovering.
 	GroupCount    int
 	SitesPerGroup int
 	GroupOf       func(dbsm.TupleID) int
@@ -230,7 +229,7 @@ type bufferedDelivery struct {
 }
 
 // New builds the replica glue and installs its hooks on the stack and the
-// server. Call Start after the stack has started.
+// server.
 func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Options) *Replica {
 	r := &Replica{
 		rt:         rt,
@@ -283,9 +282,6 @@ func (r *Replica) replicatedCount(ws dbsm.ItemSet) int {
 	}
 	return n
 }
-
-// Start completes initialization (reserved for future periodic work).
-func (r *Replica) Start() {}
 
 // Stop ceases activity (site crash).
 func (r *Replica) Stop() { r.stopped = true }

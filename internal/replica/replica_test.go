@@ -69,7 +69,6 @@ func buildClusterWith(t *testing.T, n int, optsFor func(i int) Options, tweak fu
 		}
 		rep := New(rt, stack, server, optsFor(len(sites)))
 		stack.Start()
-		rep.Start()
 		sites = append(sites, &testSite{rt: rt, server: server, stack: stack, rep: rep})
 	}
 	return k, sites
@@ -227,7 +226,7 @@ func TestCorruptPayloadCountedNotSilent(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k, sites := buildClusterWith(t, 3,
 				func(int) Options { return Options{Optimistic: tc.optimistic} },
-				func(c *gcs.Config) { c.NonUniformSequencer = tc.finalFirst })
+				func(c *gcs.Config) { c.Hooks.NonUniformSequencer = tc.finalFirst })
 			k.ScheduleAt(10*sim.Millisecond, func() {
 				sites[0].rt.CPUs().SubmitReal(func() { sites[0].stack.Multicast(tc.payload) }, nil)
 			})

@@ -148,7 +148,7 @@ func xbit(g int) uint32 { return 1 << uint(g) }
 func newXmgr(r *Replica) *xmgr {
 	x := &xmgr{
 		r:        r,
-		group:    r.opts.Group,
+		group:    xgroup.GroupOfSite(int(r.site), r.opts.SitesPerGroup),
 		groups:   r.opts.GroupCount,
 		perGroup: r.opts.SitesPerGroup,
 		pending:  make(map[uint64]*xtxn),
@@ -275,7 +275,7 @@ func (x *xmgr) onStream(payload []byte) {
 			x.decideDelivered(tid, commit)
 		}
 	}
-	if checkResv {
+	if sim.RaceBuild { // active must be the set a full scan of pending finds
 		x.checkActive()
 	}
 	r.respeculate(rolled)

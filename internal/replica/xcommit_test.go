@@ -19,7 +19,7 @@ import (
 func buildGroupCluster(t *testing.T, n int) (*sim.Kernel, []*testSite) {
 	t.Helper()
 	return buildClusterOpts(t, n, Options{
-		Group: 1, GroupCount: 2, SitesPerGroup: n,
+		GroupCount: 2, SitesPerGroup: n,
 		GroupOf: func(id dbsm.TupleID) int { return int(id.Table()) },
 	})
 }
@@ -311,5 +311,23 @@ func TestXReservationLifecycleOnTheStream(t *testing.T) {
 	}
 	if sites[0].rep.Stats().MultiGroupTxns != 1 {
 		t.Fatal("site 1 did not coordinate the crossing transaction")
+	}
+}
+
+// TestOnStreamChecksTheReservationTable: race builds recompute the
+// reservation table from pending after every stream delivery (checkActive),
+// so an active entry no pending round holds panics at the next decide;
+// other builds skip the scan.
+func TestOnStreamChecksTheReservationTable(t *testing.T) {
+	_, sites := buildGroupCluster(t, 1)
+	x := sites[0].rep.x
+	x.active = append(x.active, &xtxn{})
+	panicked := func() (did bool) {
+		defer func() { did = recover() != nil }()
+		x.onStream(xgroup.AppendDecision(nil, xgroup.MsgDecide, remoteTID(1), true))
+		return
+	}()
+	if panicked != sim.RaceBuild {
+		t.Fatalf("a stray active entry panicked = %v, want %v", panicked, sim.RaceBuild)
 	}
 }

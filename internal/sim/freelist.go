@@ -18,7 +18,7 @@ type FreeList[T any] struct {
 	free []T
 	out  int // Gets, misses included, minus Puts and Discards since the last Drop
 	// waiting is the set of addresses on free in race builds
-	// (checkDoublePut), so the check costs a map probe however long the
+	// (RaceBuild), so the check costs a map probe however long the
 	// list is; nil otherwise. The list keeps every keyed address alive.
 	waiting map[uintptr]struct{}
 }
@@ -37,18 +37,18 @@ func (f *FreeList[T]) Get() T {
 	v := f.free[n-1]
 	f.free[n-1] = zero
 	f.free = f.free[:n-1]
-	if checkDoublePut {
+	if RaceBuild {
 		delete(f.waiting, address(v))
 	}
 	return v
 }
 
-// Put hands v back for the next Get. Race builds (freelist_race.go) panic
-// when v is already waiting: a record recycled twice is a double free of a
-// simulation event — two owners would later share it.
+// Put hands v back for the next Get. Race builds panic when v is already
+// waiting: a record recycled twice is a double free of a simulation event —
+// two owners would later share it.
 func (f *FreeList[T]) Put(v T) {
 	f.out--
-	if checkDoublePut {
+	if RaceBuild {
 		p := address(v)
 		if _, dup := f.waiting[p]; dup {
 			panic("sim: FreeList.Put of a value that is already on the list")
@@ -84,3 +84,13 @@ func (f *FreeList[T]) All() iter.Seq[T] { return slices.Values(f.free) }
 // address is v's identity: the pointer it is, or the backing array of the
 // slice it is whatever its length — the first word of either.
 func address[T any](v T) uintptr { return *(*uintptr)(unsafe.Pointer(&v)) }
+
+// Poison fills s's whole backing array with all-ones, so a reader that kept
+// a recycled buffer or set sees garbage rather than the next owner's data.
+// Callers run it only when RaceBuild.
+func Poison[S ~[]E, E ~uint8 | ~uint64](s S) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = ^E(0)
+	}
+}

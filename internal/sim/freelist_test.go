@@ -108,17 +108,34 @@ func TestFreeListDoublePut(t *testing.T) {
 	r := &rec{}
 	f.Put(&rec{})
 	f.Put(r)
-	if got := panics(func() { f.Put(r) }); got != checkDoublePut {
-		t.Fatalf("second Put of a pointer panicked = %v, want %v", got, checkDoublePut)
+	if got := panics(func() { f.Put(r) }); got != RaceBuild {
+		t.Fatalf("second Put of a pointer panicked = %v, want %v", got, RaceBuild)
 	}
 	var b FreeList[[]byte]
 	buf := make([]byte, 4, 8)
 	b.Put(buf[:0])
-	if got := panics(func() { b.Put(buf) }); got != checkDoublePut {
-		t.Fatalf("second Put of a buffer panicked = %v, want %v", got, checkDoublePut)
+	if got := panics(func() { b.Put(buf) }); got != RaceBuild {
+		t.Fatalf("second Put of a buffer panicked = %v, want %v", got, RaceBuild)
 	}
 	f.Get()
 	if panics(func() { f.Put(r) }) {
 		t.Fatal("Put of a value that had been taken out again panicked")
+	}
+}
+
+// TestPoisonFillsTheWholeArray: Poison overwrites every element of the
+// backing array, past the slice's length too, with all-ones, for bytes and
+// for a defined slice of 64-bit identifiers alike.
+func TestPoisonFillsTheWholeArray(t *testing.T) {
+	b := []byte{1, 2, 3, 4, 5}[:2]
+	Poison(b)
+	if b = b[:cap(b)]; !slices.Equal(b, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) {
+		t.Fatalf("bytes after Poison: %v", b)
+	}
+	type ids []uint64
+	s := ids{7, 8, 9}[:0]
+	Poison(s)
+	if s = s[:cap(s)]; !slices.Equal(s, ids{^uint64(0), ^uint64(0), ^uint64(0)}) {
+		t.Fatalf("identifiers after Poison: %v", s)
 	}
 }

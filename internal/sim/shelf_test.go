@@ -15,11 +15,7 @@ func TestShelfHoldsOneModel(t *testing.T) {
 	cfg := core.Config{Sites: 3, Clients: 30, TotalTxns: 100, Seed: 5}
 	var after []int
 	for range 3 {
-		m, err := core.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Run(); err != nil {
+		if _, err := core.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
 		after = append(after, sim.ShelvedSources())

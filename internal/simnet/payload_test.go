@@ -63,7 +63,7 @@ func (f from) multicast(buf []byte) {
 // writing it, appending over it, sending it again — changes a byte a
 // receiver reads. A receiver may not write the packet's copy, though: the
 // receivers of a multicast share it, and it is read-only to the last one
-// too. Race builds (checkPayload) panic at the arrival, or the last release,
+// too. Race builds (sim.RaceBuild) panic at the arrival, or the last release,
 // that sees a receiver's write; ordinary builds compile the check out.
 func TestPayloadChangedInFlight(t *testing.T) {
 	for _, tc := range []struct {
@@ -124,7 +124,7 @@ func TestPayloadChangedInFlight(t *testing.T) {
 			k, n := newPayloadLAN(t)
 			tc.run(from{t, n})
 			got := runPanic(t, k)
-			if want := tc.changes && checkPayload; (got != nil) != want {
+			if want := tc.changes && sim.RaceBuild; (got != nil) != want {
 				t.Fatalf("panic = %v, want a panic: %v", got, want)
 			}
 		})
@@ -135,7 +135,7 @@ func TestPayloadChangedInFlight(t *testing.T) {
 // next receiver is handed the changed bytes, and the panic names the sender,
 // the packet's trace sequence number, and that receiver.
 func TestPayloadPanicNamesThePacket(t *testing.T) {
-	if !checkPayload {
+	if !sim.RaceBuild {
 		t.Skip("the payload digest is armed in race builds only")
 	}
 	k, n := newPayloadLAN(t)
@@ -177,8 +177,8 @@ func TestKeptPayloadReadsPoison(t *testing.T) {
 		t.Fatalf("kept %d payloads, want 3", len(kept))
 	}
 	for _, data := range kept {
-		if poisoned := bytes.Count(data, []byte{0xFF}) == len(data); poisoned != checkPayload {
-			t.Fatalf("kept payload %v: poisoned = %v, want %v", data, poisoned, checkPayload)
+		if poisoned := bytes.Count(data, []byte{0xFF}) == len(data); poisoned != sim.RaceBuild {
+			t.Fatalf("kept payload %v: poisoned = %v, want %v", data, poisoned, sim.RaceBuild)
 		}
 	}
 }
@@ -239,7 +239,7 @@ func TestDigestTableDrains(t *testing.T) {
 		h1.send(3, buf)
 		h1.multicast(buf)
 	}
-	if got, want := len(n.digests) > 0, checkPayload; got != want {
+	if got, want := len(n.digests) > 0, sim.RaceBuild; got != want {
 		t.Fatalf("digests held in flight = %v, want %v", got, want)
 	}
 	if err := k.Run(); err != nil {
@@ -278,7 +278,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 		n.release(pkt, 2)
 		return
 	}()
-	if got != checkPayload {
-		t.Fatalf("second release panicked = %v, want %v", got, checkPayload)
+	if got != sim.RaceBuild {
+		t.Fatalf("second release panicked = %v, want %v", got, sim.RaceBuild)
 	}
 }

@@ -263,7 +263,7 @@ type Network struct {
 	partitionDrops int64
 
 	// digests holds the payload digest of every packet in flight, taken when
-	// Send/Multicast copy the payload, in race builds (checkPayload); nil
+	// Send/Multicast copy the payload, in race builds (sim.RaceBuild); nil
 	// otherwise. The last release deletes a packet's entry, so a drained
 	// network leaves it empty. The seed is random per network, which is
 	// harmless: a digest is only ever compared with another this network
@@ -280,7 +280,7 @@ func NewNetwork(k *sim.Kernel, rng *sim.RNG) *Network {
 		hosts:  make(map[NodeID]*Host),
 		groups: make(map[Group][]NodeID),
 	}
-	if checkPayload {
+	if sim.RaceBuild { // receivers that write a payload panic
 		n.digests = make(map[*Packet]uint64)
 		n.seed = maphash.MakeSeed()
 	}
@@ -420,7 +420,7 @@ func (n *Network) newPacket(data []byte) *Packet {
 	}
 	pkt.Data = append(pkt.Data[:0], data...)
 	pkt.refs = 1
-	if checkPayload {
+	if sim.RaceBuild {
 		n.digests[pkt] = maphash.Bytes(n.seed, pkt.Data)
 	}
 	return pkt
@@ -433,13 +433,10 @@ func (n *Network) newPacket(data []byte) *Packet {
 func (n *Network) release(pkt *Packet, at NodeID) {
 	pkt.refs--
 	if pkt.refs <= 0 {
-		if checkPayload {
+		if sim.RaceBuild {
 			n.checkDigest(pkt, at)
 			delete(n.digests, pkt)
-			poison := pkt.Data[:cap(pkt.Data)]
-			for i := range poison {
-				poison[i] = 0xFF
-			}
+			sim.Poison(pkt.Data)
 		}
 		*pkt = Packet{Data: pkt.Data[:0]}
 		n.free.Put(pkt)
@@ -461,7 +458,7 @@ func (n *Network) checkDigest(pkt *Packet, at NodeID) {
 // elapsed time; see csrt.Port). It has socket semantics: data is copied into
 // the packet before Send returns, so the sender may reuse its buffer at
 // once, and the receiver reads the packet's copy, read-only and only for
-// its upcall. Race builds (checkPayload) check at every arrival and at the
+// its upcall. Race builds (sim.RaceBuild) check at every arrival and at the
 // last release that no receiver wrote the copy, and panic naming the
 // sender, the packet's trace Seq and the receiver.
 func (n *Network) Send(src, dst NodeID, data []byte, delay sim.Time) error {
@@ -560,7 +557,7 @@ func (n *Network) lanTransmit(l *LAN, wire int) sim.Time {
 // are conditional. Race builds check the payload against its digest first,
 // whatever the fate.
 func (n *Network) arrive(dst *Host, pkt *Packet) {
-	if checkPayload {
+	if sim.RaceBuild {
 		n.checkDigest(pkt, dst.id)
 	}
 	defer n.release(pkt, dst.id)

@@ -336,12 +336,15 @@ func TestAggregateLazyBuildMatchesEagerTwin(t *testing.T) {
 	}
 
 	twin := NewGenerator(1, Warehouses(pop), DefaultCalibration(), sim.NewRNG(7).Fork("gen"))
+	var draft Draft
 	var admittedAfter [4]int // by number of refusals before admission
 	for i, e := range log {
 		if e.class == "" {
 			t.Fatalf("arrival %d never resolved", i)
 		}
-		want := twin.NextOfClass(arrivalClassOf(e.class), e.wh)
+		twin.Draw(&draft, arrivalClassOf(e.class), e.wh)
+		want := new(db.Txn)
+		twin.Build(&draft, want)
 		got := e.txn
 		if got == nil {
 			continue

@@ -14,9 +14,9 @@ import (
 //
 // Generation is split where randomness ends. Draw spends every RNG draw and
 // counter step of one transaction and leaves the result in a Draft; Build
-// turns a draft into the db.Txn a server executes, and draws nothing. Next,
-// NextInto and NextOfClass do both at once; the aggregate tier draws at
-// arrival and builds only if a server admits the transaction.
+// turns a draft into the db.Txn a server executes, and draws nothing. Next
+// and NextInto do both at once; the aggregate tier draws at arrival and
+// builds only if a server admits the transaction.
 type Generator struct {
 	cal        *Calibration
 	rng        *sim.RNG
@@ -26,7 +26,7 @@ type Generator struct {
 	tidCounter    uint32
 	insertCounter uint64
 
-	// scratch is the draft Next, NextInto and NextOfClass draw into; it
+	// scratch is the draft Next and NextInto draw into; it
 	// keeps its backing arrays from one transaction to the next.
 	scratch Draft
 }
@@ -100,16 +100,6 @@ func (g *Generator) NextInto(t *db.Txn, homeWH int) {
 	}
 	g.Draw(&g.scratch, class, homeWH)
 	g.Build(&g.scratch, t)
-}
-
-// NextOfClass draws and builds the next transaction of a fixed top-level
-// class for a client homed at homeWH: Draw into the generator's own scratch
-// draft, then Build.
-func (g *Generator) NextOfClass(class ArrivalClass, homeWH int) *db.Txn {
-	g.Draw(&g.scratch, class, homeWH)
-	t := new(db.Txn)
-	g.Build(&g.scratch, t)
-	return t
 }
 
 // Draw fills d with the next transaction of a top-level class for a client

@@ -364,7 +364,7 @@ func streamHash(n int, g *Generator, next func(i int) *db.Txn) uint64 {
 
 // TestDrawStreamPinned holds the generator's draw stream where it lives: the
 // hashes were recorded on the commit before generation was split into Draw
-// and Build, over the first 2000 transactions of Next and of NextOfClass for
+// and Build, over the first 2000 transactions of Next and of Draw then Build for
 // each top-level class. A draw that moves, a counter that steps out of order
 // or a key that lands in another set fails here, at the class that moved it,
 // instead of as a golden diff three packages up.
@@ -406,7 +406,10 @@ func TestDrawStreamPinned(t *testing.T) {
 			if tc.class == mix {
 				return g.Next(i % tc.wh)
 			}
-			return g.NextOfClass(tc.class, i%tc.wh)
+			t := new(db.Txn) // streamHash reads the draft from g.scratch
+			g.Draw(&g.scratch, tc.class, i%tc.wh)
+			g.Build(&g.scratch, t)
+			return t
 		})
 		if got != tc.want {
 			t.Errorf("seed %d, %d warehouses, class %d: stream hash %#x, want %#x", tc.seed, tc.wh, tc.class, got, tc.want)
