@@ -769,12 +769,14 @@ func (m *Model) recover(s *Site) {
 		panic(err)
 	}
 	// Fold the dead incarnation's protocol counters into the site totals
-	// before discarding it.
+	// before discarding it, and release its certifier: the new replica's
+	// certifier takes that storage instead of growing its own from empty.
 	if s.Stack != nil {
 		fold(&s.deadGCS, s.Stack.Stats())
 	}
 	if s.Replica != nil {
 		fold(&s.deadReplica, s.Replica.Stats())
+		s.Replica.Certifier().Release()
 	}
 	s.RT.Restart()
 	s.Host.SetDown(false)
@@ -827,8 +829,9 @@ func (m *Model) Run() (*Results, error) {
 }
 
 // release frees what the model took for its run: the RNG family, the kernel
-// and each site's current certifier. A dead incarnation's certifier is left
-// to the collector.
+// and each site's current certifier. A dead incarnation's certifier goes
+// when its site recovers (recover); that of a site still down at the end
+// goes here with the rest.
 func (m *Model) release() {
 	m.rng.Release()
 	m.k.Release()

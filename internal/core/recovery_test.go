@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/dbsm"
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
@@ -170,5 +171,40 @@ func TestRecoverValidation(t *testing.T) {
 		if err == nil {
 			t.Fatalf("bad schedule %d accepted", i)
 		}
+	}
+}
+
+// TestRecoverReleasesTheDeadCertifier: a recovering site releases its dead
+// incarnation's certifier, so the new one starts on that storage instead of
+// growing its own from empty, and nothing of the dead incarnation certifies
+// afterwards (a released certifier panics on use). It captures the dead
+// certifier between crash and rejoin and calls run, not Run, so that only
+// recover can have released it.
+func TestRecoverReleasesTheDeadCertifier(t *testing.T) {
+	for _, protocol := range []Protocol{ProtocolConservative, ProtocolOptimistic} {
+		m, err := New(rejoinConfig(protocol, 3, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		site := m.Sites()[2]
+		var dead *dbsm.Certifier
+		m.k.ScheduleAt(20*sim.Second, func() { dead = site.Replica.Certifier() })
+		r, err := m.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRejoinResults(t, r, 3)
+		if dead == nil || dead == site.Replica.Certifier() {
+			t.Fatalf("protocol %v: no dead incarnation's certifier captured", protocol)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("protocol %v: the dead incarnation's certifier was not released at recovery", protocol)
+				}
+			}()
+			dead.CheckOnly(&dbsm.TxnCert{})
+		}()
+		m.release()
 	}
 }

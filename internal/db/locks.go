@@ -12,10 +12,13 @@ import "repro/internal/dbsm"
 // certified transactions (remote or local) preempt and abort uncertified
 // local holders — those would abort in certification anyway.
 //
-// Holders and waiters live in flat maps keyed by tuple, with entries removed
-// on release: the uncontended acquire/release cycle allocates nothing, and
-// the maps stay sized to the locks actually held rather than every tuple
-// ever touched.
+// Holders live in a dbsm.TupleMap, an open-addressed table whose empty cell
+// is a nil holder, and a release deletes the cell: the uncontended
+// acquire/release cycle hashes each tuple into one array and allocates
+// nothing, and the table stays sized to the locks held at once rather than
+// every tuple ever touched. Waiters live in a Go map keyed by tuple, with an
+// entry only while a tuple is contended, so the uncontended cycle never
+// touches it.
 type LockManager struct {
 	// OnPreempt is invoked when an uncertified holder is aborted by a
 	// certified transaction; the server finalizes the abort.
@@ -24,7 +27,7 @@ type LockManager struct {
 	// committed.
 	OnWaiterAbort func(*Txn)
 
-	holders map[dbsm.TupleID]*Txn
+	holders dbsm.TupleMap[*Txn]
 	waiters map[dbsm.TupleID][]*lockWaiter
 	dirty   []dbsm.TupleID // released locks pending waiter processing
 	busy    bool           // re-entrancy guard for processDirty
@@ -39,10 +42,7 @@ type lockWaiter struct {
 
 // NewLockManager builds an empty manager.
 func NewLockManager() *LockManager {
-	return &LockManager{
-		holders: make(map[dbsm.TupleID]*Txn),
-		waiters: make(map[dbsm.TupleID][]*lockWaiter),
-	}
+	return &LockManager{waiters: make(map[dbsm.TupleID][]*lockWaiter)}
 }
 
 // Waits reports how many acquisitions had to block.
@@ -66,7 +66,7 @@ func (lm *LockManager) tryAcquire(t *Txn, grant func()) {
 		// Preempt uncertified holders: they would fail certification
 		// against this already-certified transaction anyway.
 		for _, id := range t.WriteSet {
-			if h := lm.holders[id]; h != nil && !h.certified && h != t {
+			if h := lm.holders.Get(id); h != nil && !h.certified && h != t {
 				lm.releaseHolder(h)
 				if lm.OnPreempt != nil {
 					lm.OnPreempt(h)
@@ -76,14 +76,14 @@ func (lm *LockManager) tryAcquire(t *Txn, grant func()) {
 	}
 	// Atomic check: all free or none taken.
 	for _, id := range t.WriteSet {
-		if h := lm.holders[id]; h != nil && h != t {
+		if h := lm.holders.Get(id); h != nil && h != t {
 			lm.waiters[id] = append(lm.waiters[id], &lockWaiter{t: t, grant: grant})
 			lm.waits++
 			return
 		}
 	}
 	for _, id := range t.WriteSet {
-		lm.holders[id] = t
+		lm.holders.Put(id, t)
 	}
 	t.holding = true
 	grant()
@@ -93,8 +93,8 @@ func (lm *LockManager) tryAcquire(t *Txn, grant func()) {
 // waiters yet (the caller batches that via processDirty).
 func (lm *LockManager) releaseHolder(t *Txn) {
 	for _, id := range t.WriteSet {
-		if lm.holders[id] == t {
-			delete(lm.holders, id)
+		if lm.holders.Get(id) == t {
+			lm.holders.Delete(id)
 			lm.dirty = append(lm.dirty, id)
 		}
 	}
@@ -109,10 +109,10 @@ func (lm *LockManager) ReleaseCommit(t *Txn) {
 		return
 	}
 	for _, id := range t.WriteSet {
-		if lm.holders[id] != t {
+		if lm.holders.Get(id) != t {
 			continue
 		}
-		delete(lm.holders, id)
+		lm.holders.Delete(id)
 		if ws, ok := lm.waiters[id]; ok {
 			kept := ws[:0]
 			for _, w := range ws {
@@ -176,13 +176,17 @@ func (lm *LockManager) processDirty() {
 	if lm.busy {
 		return
 	}
+	if len(lm.waiters) == 0 { // the uncontended path: no one to retry
+		lm.dirty = lm.dirty[:0]
+		return
+	}
 	lm.busy = true
 	// Index cursor, not head reslicing: the queue may grow while draining
 	// (retrying the next waiter), and keeping the base pointer lets the
 	// backing array be reused run-long instead of reallocated per append.
 	for i := 0; i < len(lm.dirty); i++ {
 		id := lm.dirty[i]
-		if lm.holders[id] != nil {
+		if lm.holders.Get(id) != nil {
 			continue
 		}
 		ws, ok := lm.waiters[id]
@@ -202,7 +206,7 @@ func (lm *LockManager) processDirty() {
 }
 
 // HeldLocks reports how many locks are currently held (for tests).
-func (lm *LockManager) HeldLocks() int { return len(lm.holders) }
+func (lm *LockManager) HeldLocks() int { return lm.holders.Len() }
 
 // WaiterCount reports how many waiters are queued (for tests).
 func (lm *LockManager) WaiterCount() int {

@@ -127,3 +127,62 @@ func TestNoteApplied(t *testing.T) {
 		t.Fatalf("lastApplied = %d", s.LastApplied())
 	}
 }
+
+// lockCycle is a lock manager holding the write locks of 64 transactions, and
+// 256 more transactions whose write-sets take none of those locks, each the
+// size of a new-order's: ten stock rows, ten order lines, an order and a
+// new-order row.
+func lockCycle() (*LockManager, []*Txn) {
+	lm := NewLockManager()
+	txns := make([]*Txn, 64+256)
+	for i := range txns {
+		ws := make([]dbsm.TupleID, 0, 22)
+		for j := range 10 {
+			ws = append(ws, dbsm.MakeTupleID(5, uint64(i*10+j)*7), dbsm.MakeTupleID(8, uint64(i*10+j)))
+		}
+		ws = append(ws, dbsm.MakeTupleID(6, uint64(i)), dbsm.MakeTupleID(7, uint64(i)))
+		txns[i] = &Txn{TID: uint64(i + 1), WriteSet: dbsm.NewItemSet(ws...)}
+	}
+	for _, t := range txns[:64] {
+		lm.AcquireAll(t, func() {})
+	}
+	return lm, txns[64:]
+}
+
+// TestLockCycleAllocFree pins the uncontended lock cycle, AcquireAll then
+// ReleaseCommit of a new-order-sized write-set beside 64 other holders, at 0
+// allocations once the holder table has grown. It holds
+// LockManager.AcquireAll, tryAcquire, ReleaseCommit and processDirty.
+func TestLockCycleAllocFree(t *testing.T) {
+	lm, txns := lockCycle()
+	held := lm.HeldLocks()
+	granted := 0
+	grant := func() { granted++ }
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		tx := txns[i%len(txns)]
+		lm.AcquireAll(tx, grant)
+		lm.ReleaseCommit(tx)
+		i++
+	}); n != 0 {
+		t.Fatalf("lock cycle: %v allocs, want 0", n)
+	}
+	if granted != 1001 || lm.HeldLocks() != held {
+		t.Fatalf("%d grants for 1001 cycles, %d locks held, want %d", granted, lm.HeldLocks(), held)
+	}
+}
+
+// BenchmarkLockCycle times the uncontended lock cycle TestLockCycleAllocFree
+// pins.
+func BenchmarkLockCycle(b *testing.B) {
+	lm, txns := lockCycle()
+	grant := func() {}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		tx := txns[i%len(txns)]
+		lm.AcquireAll(tx, grant)
+		lm.ReleaseCommit(tx)
+		i++
+	}
+}

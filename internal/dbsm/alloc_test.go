@@ -91,8 +91,8 @@ func mallocs(runs int, f func()) uint64 {
 // TestCertifySteadyStateAllocs pins what a commit costs once the history is
 // at its bound and both index generations have grown once: the certifier
 // copies the message's write-set into an arena block and reuses the history
-// and arena blocks the pruning just drained, a generation change clears a map
-// that keeps its storage, and the speculative wrapper's queue and undo stack
+// and arena blocks the pruning just drained, a generation change clears a
+// TupleMap's array in place, and the speculative wrapper's queue and undo stack
 // are cut back to the same arrays. Through four generation changes and
 // several arena blocks, not one allocation. It holds Certifier.Certify,
 // commit, indexWrites and firstConflict, history.push and dropFront,

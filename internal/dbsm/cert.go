@@ -233,19 +233,22 @@ type Certifier struct {
 	// genStart that committed a write to it, older does the same for
 	// [horizon, genStart), and a tuple last written before horizon has no
 	// cell (a cell restored by rollback may still hold such a value, exact).
-	// When a commit reaches genStart+window, lastWriter becomes older and
-	// the old older, cleared, the new lastWriter: clear keeps a map's
-	// storage, so a steady index allocates nothing. tableLock and tableAny
-	// carry the table-lock semantics per table, for the whole run: the
+	// Sequence numbers are 1-based, so a TupleMap's empty cell, 0, reads as
+	// "never written". When a commit reaches genStart+window, lastWriter
+	// becomes older and the old older, cleared in place, the new lastWriter:
+	// both arrays keep the size one generation grew them to, so a steady
+	// index allocates nothing. tableLock and tableAny carry the table-lock
+	// semantics per table, for the whole run, indexed by table number: the
 	// highest committing sequence holding a whole-table lock, and the
-	// highest committing sequence that wrote anything in the table.
-	lastWriter map[TupleID]uint64
-	older      map[TupleID]uint64
+	// highest committing sequence that wrote anything in the table, 0 for
+	// none. Each is as long as the highest table written, at most 64 Ki.
+	lastWriter TupleMap[uint64]
+	older      TupleMap[uint64]
 	genStart   uint64
 	horizon    uint64
 	window     uint64 // commits per generation: indexWindow outside tests
-	tableLock  map[uint16]uint64
-	tableAny   map[uint16]uint64
+	tableLock  []uint64
+	tableAny   []uint64
 
 	staleAnswers int64 // certifications answered from the history (StaleAnswers)
 	released     bool
@@ -254,8 +257,8 @@ type Certifier struct {
 // certStore is the storage a released indexed certifier leaves for the next
 // NewCertifier: emptied, with the capacity its run grew.
 type certStore struct {
-	lastWriter, older   map[TupleID]uint64
-	tableLock, tableAny map[uint16]uint64
+	lastWriter, older   TupleMap[uint64]
+	tableLock, tableAny []uint64
 	blocks              []*[histBlock]histEntry
 	items               []*[arenaBlock]TupleID
 	undo                []undoRec
@@ -413,7 +416,7 @@ func (h *history) firstAfter(seq uint64) int {
 }
 
 // undoRec records one index cell's value prior to an update. prev == 0 means
-// the cell was absent (sequence numbers are 1-based).
+// the cell was empty (sequence numbers are 1-based).
 type undoRec struct {
 	key  TupleID
 	prev uint64
@@ -429,15 +432,7 @@ const (
 // NewCertifier returns an empty certifier using the inverted last-writer
 // index, on the storage of a released certifier when one is waiting.
 func NewCertifier() *Certifier {
-	st, ok := certStores.Get()
-	if !ok {
-		st = certStore{
-			lastWriter: make(map[TupleID]uint64),
-			older:      make(map[TupleID]uint64),
-			tableLock:  make(map[uint16]uint64),
-			tableAny:   make(map[uint16]uint64),
-		}
-	}
+	st, _ := certStores.Get()
 	return &Certifier{
 		lastWriter: st.lastWriter,
 		older:      st.older,
@@ -458,18 +453,17 @@ func (c *Certifier) Release() {
 	}
 	c.released = true
 	if !c.scan {
-		clear(c.lastWriter)
-		clear(c.older)
-		clear(c.tableLock)
-		clear(c.tableAny)
+		c.lastWriter.Clear()
+		c.older.Clear()
 		c.hist.reset()
 		certStores.Put(certStore{
 			lastWriter: c.lastWriter, older: c.older,
-			tableLock: c.tableLock, tableAny: c.tableAny,
+			tableLock: c.tableLock[:0], tableAny: c.tableAny[:0],
 			blocks: c.hist.blocks, items: c.hist.items.blocks, undo: c.undo[:0],
 		})
 	}
-	c.lastWriter, c.older, c.tableLock, c.tableAny = nil, nil, nil, nil
+	c.lastWriter, c.older = TupleMap[uint64]{}, TupleMap[uint64]{}
+	c.tableLock, c.tableAny = nil, nil
 	c.hist, c.undo = history{}, nil
 }
 
@@ -499,7 +493,7 @@ func (c *Certifier) HistoryLen() int { return c.hist.n }
 // IndexCells reports the last-writer index's tuple cells, both generations,
 // and the horizon: the oldest commit the index is sure to know about.
 func (c *Certifier) IndexCells() (cells int, horizon uint64) {
-	return len(c.lastWriter) + len(c.older), c.horizon
+	return c.lastWriter.Len() + c.older.Len(), c.horizon
 }
 
 // StaleAnswers reports how many certifications (Certify or CheckOnly) had a
@@ -551,10 +545,10 @@ func (c *Certifier) firstConflict(t *TxnCert) int {
 	for i, r := range t.ReadSet {
 		var last uint64
 		if r.IsTableLock() {
-			last = c.tableAny[r.Table()]
+			last = tableCell(c.tableAny, r.Table())
 		} else {
 			last = c.lastWrite(r)
-			if ls := c.tableLock[r.Table()]; ls > last {
+			if ls := tableCell(c.tableLock, r.Table()); ls > last {
 				last = ls
 			}
 		}
@@ -591,10 +585,27 @@ func (c *Certifier) firstConflictStale(t *TxnCert) int {
 
 // lastWrite looks a tuple up in the index, current generation first.
 func (c *Certifier) lastWrite(k TupleID) uint64 {
-	if s, ok := c.lastWriter[k]; ok {
+	if s := c.lastWriter.Get(k); s != 0 {
 		return s
 	}
-	return c.older[k]
+	return c.older.Get(k)
+}
+
+// tableCell reads table t's cell of tableLock or tableAny: 0 past the end.
+func tableCell(cells []uint64, t uint16) uint64 {
+	if int(t) < len(cells) {
+		return cells[t]
+	}
+	return 0
+}
+
+// tableSlot returns table t's cell of tableLock or tableAny for writing,
+// lengthening the cells to reach it.
+func tableSlot(cells *[]uint64, t uint16) *uint64 {
+	if n := int(t) + 1 - len(*cells); n > 0 {
+		*cells = append(*cells, make([]uint64, n)...)
+	}
+	return &(*cells)[t]
 }
 
 // certifyScan is the reference procedure: scan every retained write-set that
@@ -643,7 +654,7 @@ func (c *Certifier) commit(t *TxnCert) {
 func (c *Certifier) indexWrites(ws ItemSet, log bool) {
 	if c.seq >= c.genStart+c.window {
 		c.older, c.lastWriter = c.lastWriter, c.older
-		clear(c.lastWriter)
+		c.lastWriter.Clear()
 		c.horizon, c.genStart = c.genStart, c.seq
 	}
 	var curTable uint16
@@ -651,22 +662,24 @@ func (c *Certifier) indexWrites(ws ItemSet, log bool) {
 	for _, w := range ws {
 		tbl := w.Table()
 		if !haveTable || tbl != curTable {
+			cell := tableSlot(&c.tableAny, tbl)
 			if log {
-				c.undo = append(c.undo, undoRec{key: w, prev: c.tableAny[tbl], kind: undoTAny})
+				c.undo = append(c.undo, undoRec{key: w, prev: *cell, kind: undoTAny})
 			}
-			c.tableAny[tbl] = c.seq
+			*cell = c.seq
 			curTable, haveTable = tbl, true
 		}
 		if w.IsTableLock() {
+			cell := tableSlot(&c.tableLock, tbl)
 			if log {
-				c.undo = append(c.undo, undoRec{key: w, prev: c.tableLock[tbl], kind: undoTLock})
+				c.undo = append(c.undo, undoRec{key: w, prev: *cell, kind: undoTLock})
 			}
-			c.tableLock[tbl] = c.seq
+			*cell = c.seq
 		} else {
 			if log {
 				c.undo = append(c.undo, undoRec{key: w, prev: c.lastWrite(w), kind: undoLW})
 			}
-			c.lastWriter[w] = c.seq
+			c.lastWriter.Put(w, c.seq)
 		}
 	}
 }
@@ -687,24 +700,14 @@ func (c *Certifier) truncate(histLen int, seqBefore uint64, undoLen int) {
 		u := c.undo[j]
 		switch u.kind {
 		case undoLW:
+			c.lastWriter.Put(u.key, u.prev) // prev 0 deletes
 			if u.prev == 0 {
-				delete(c.lastWriter, u.key)
-				delete(c.older, u.key)
-			} else {
-				c.lastWriter[u.key] = u.prev
+				c.older.Delete(u.key)
 			}
-		case undoTLock:
-			if u.prev == 0 {
-				delete(c.tableLock, u.key.Table())
-			} else {
-				c.tableLock[u.key.Table()] = u.prev
-			}
+		case undoTLock: // the commit being undone lengthened the cells
+			c.tableLock[u.key.Table()] = u.prev
 		case undoTAny:
-			if u.prev == 0 {
-				delete(c.tableAny, u.key.Table())
-			} else {
-				c.tableAny[u.key.Table()] = u.prev
-			}
+			c.tableAny[u.key.Table()] = u.prev
 		}
 	}
 	c.undo = c.undo[:undoLen]

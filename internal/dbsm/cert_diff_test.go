@@ -360,7 +360,7 @@ func TestReleasedCertifier(t *testing.T) {
 		ws := NewItemSet(row, MakeTupleID(5, i), MakeTableLock(6))
 		spec.Tentative(&TxnCert{TID: i, LastCommitted: i - 1, ReadSet: NewItemSet(row), WriteSet: ws})
 	}
-	if len(c.older) == 0 || len(c.tableLock) == 0 {
+	if c.older.Len() == 0 || tableCell(c.tableLock, 6) == 0 {
 		t.Fatal("the run filled neither the older generation nor a table-lock cell")
 	}
 	seq := c.Seq()
@@ -566,8 +566,8 @@ func TestRollbackPastRotation(t *testing.T) {
 			t.Fatalf("txn %d: tentative abort", tc.TID)
 		}
 	}
-	if base.genStart != 4 || base.older[k] != 3 {
-		t.Fatalf("no generation change inside the suffix: genStart %d, older[k] %d", base.genStart, base.older[k])
+	if base.genStart != 4 || base.older.Get(k) != 3 {
+		t.Fatalf("no generation change inside the suffix: genStart %d, older[k] %d", base.genStart, base.older.Get(k))
 	}
 	f := specTxn(20, 1, nil, []TupleID{MakeTupleID(1, 9)})
 	if _, rolled := final(f); len(rolled) != 4 {

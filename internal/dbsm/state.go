@@ -63,10 +63,9 @@ func (c *Certifier) ExportState() *CertState {
 func (c *Certifier) ImportState(st *CertState) {
 	c.hist.reset()
 	c.undo = c.undo[:0]
-	clear(c.lastWriter)
-	clear(c.older)
-	clear(c.tableLock)
-	clear(c.tableAny)
+	c.lastWriter.Clear()
+	c.older.Clear()
+	c.tableLock, c.tableAny = c.tableLock[:0], c.tableAny[:0]
 	c.genStart, c.horizon = 0, 0
 	c.pruned = st.Pruned
 	for i := range st.History {
