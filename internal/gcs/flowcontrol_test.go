@@ -19,8 +19,8 @@ func creditRow(t *testing.T, limit uint64) *relMcast {
 // allows asks the gate about dst alone: creditOK walks every live
 // destination, so the other one is given credit no test sequence reaches.
 func allows(rm *relMcast, dst NodeID, seq uint64) bool {
-	for id, ps := range rm.peers {
-		if id != dst {
+	for _, ps := range rm.peers {
+		if ps.id != dst {
 			ps.acked = 1 << 40
 		}
 	}
@@ -86,7 +86,7 @@ func TestCreditGateMonotone(t *testing.T) {
 			t.Fatalf("step %d: creditAck(2, %d) = %v, want %v", i, s.seq, got, s.want)
 		}
 	}
-	if got := rm.peers[2].acked; got != 10 {
+	if got := rm.peer(2).acked; got != 10 {
 		t.Fatalf("acked = %d, want 10", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/csrt"
 	"repro/internal/sim"
@@ -55,6 +56,77 @@ func TestStackSurvivesGarbageTraffic(t *testing.T) {
 	// its malformed datagrams.
 	if c.stacks[2].Stats().ParseErrors == 0 {
 		t.Fatal("garbage traffic dropped without incrementing Stats.ParseErrors")
+	}
+}
+
+// TestFarSequenceNumbersDoNotStall sends one stack a sequence number no
+// flow-controlled peer could produce, 2^40, in each of the three places the
+// wire names one: a data chunk's Seq (the gap scan would walk to it), a NACK
+// range (the retransmission loop would), and a gossip's stable vector S (the
+// stability GC would). Each loop walks only what the buffers hold, so the two
+// simulated seconds run in milliseconds of wall time, and the ten legitimate
+// casts around the input are delivered in agreement. The refused chunk counts
+// as a parse error.
+func TestFarSequenceNumbersDoNotStall(t *testing.T) {
+	const far = 1 << 40
+	for _, tc := range []struct {
+		name  string
+		to    NodeID // the stack that receives the input, from node 2 or 1
+		wire  func(c *cluster) []byte
+		check func(t *testing.T, st Stats) // the receiver's counters afterwards
+	}{
+		{"data chunk", 2, func(*cluster) []byte {
+			m := dataMsg{Sender: 1, Seq: far, Frag: fragFull, Payload: payloadApp, Data: []byte("far")}
+			return m.marshal(nil)
+		}, func(t *testing.T, st Stats) {
+			if st.ParseErrors != 1 {
+				t.Errorf("refused chunk: ParseErrors = %d, want 1", st.ParseErrors)
+			}
+		}},
+		{"nack", 1, func(*cluster) []byte {
+			m := nackMsg{Target: 1, Ranges: []seqRange{{From: 1, To: far}}}
+			return m.marshal(nil)
+		}, func(t *testing.T, st Stats) {
+			if st.NackMisses+st.Retransmits != far {
+				t.Errorf("NACK for [1, 2^40]: %d misses + %d retransmissions, want 2^40", st.NackMisses, st.Retransmits)
+			}
+		}},
+		{"gossip", 1, func(c *cluster) []byte {
+			// Round 0 joins no round; S claims node 3's stream stable
+			// through 2^40.
+			m := gossipMsg{ViewID: c.stacks[1].View().ID, M: make([]uint64, 3), S: []uint64{0, 0, far}, H: make([]uint64, 3)}
+			return m.marshal(nil)
+		}, func(*testing.T, Stats) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 3, 61, nil)
+			for i := 0; i < 10; i++ {
+				// Nodes 1 and 2 cast: the poisoned S stalls node 3's own
+				// stream, whose send window it voids.
+				c.castAt(sim.Time(i+1)*10*sim.Millisecond, NodeID(i%2+1), []byte{byte(i)})
+			}
+			src := NodeID(2)
+			if tc.to == 2 {
+				src = 1
+			}
+			c.k.ScheduleAt(35*sim.Millisecond, func() { c.rts[tc.to].Deliver(src, tc.wire(c)) })
+			done := make(chan error, 1)
+			go func() { done <- c.k.RunUntil(2 * sim.Second) }()
+			const wall = 5 * time.Second
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(wall):
+				t.Fatalf("two simulated seconds took more than %v of wall time", wall)
+			}
+			for id, st := range c.stacks {
+				checkLent(t, id, st)
+			}
+			c.checkAgreement(nodes(3), 10)
+			tc.check(t, c.stacks[tc.to].Stats())
+		})
 	}
 }
 

@@ -22,10 +22,11 @@
 // it; membership writes lastHeard and suspected. A msgState (totalorder.go)
 // is the one record per in-flight message — body, assigned global, the
 // announcement that carried the assignment, tentative-arrival index — keyed
-// by (sender, first chunk), with order (global to key) as its only second
-// index. Two rules keep them in step: a message leaves the table through
-// forget, whatever the reason, and a peer's fresh incarnation restarts its
-// row through reset, so neither can be half cleaned.
+// by (sender, first chunk), with order (global to key, a seqRing over the
+// assigned-but-undelivered globals) as its only second index. Two rules keep
+// them in step: a message leaves the table through forget, whatever the
+// reason, and a peer's fresh incarnation restarts its row through reset, so
+// neither can be half cleaned.
 //
 // This is "real code" in the paper's sense: it is written against
 // runtimeapi.Runtime only and runs identically on the centralized simulation
@@ -434,9 +435,9 @@ func (s *Stack) Stopped() bool { return s.stopped }
 // BufferedMessages reports chunks held in receive and send buffers plus
 // queued unsent chunks (leak diagnostics: must drop to zero at halt).
 func (s *Stack) BufferedMessages() int {
-	n := len(s.rm.sendBuf) + len(s.rm.outQ) - s.rm.outHead
+	n := s.rm.sendBuf.len() + len(s.rm.outQ) - s.rm.outHead
 	for _, ps := range s.rm.peers {
-		n += len(ps.recvBuf)
+		n += ps.recvBuf.len()
 	}
 	for _, m := range s.to.msgs {
 		if m.held {
@@ -453,7 +454,7 @@ func (s *Stack) BufferedBytes() int {
 		n += len(c.wire)
 	}
 	for _, ps := range s.rm.peers {
-		for _, m := range ps.recvBuf {
+		for _, m := range ps.recvBuf.all() {
 			n += len(m.Data)
 		}
 	}

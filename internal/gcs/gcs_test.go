@@ -245,11 +245,11 @@ func TestStabilityGarbageCollection(t *testing.T) {
 	c.checkAgreement(nodes(3), 10)
 	for _, id := range nodes(3) {
 		rm := c.stacks[id].rm
-		if rm.sendBufBytes != 0 || len(rm.sendBuf) != 0 {
+		if rm.sendBufBytes != 0 || rm.sendBuf.len() != 0 {
 			t.Fatalf("node %d send buffer not GC'd: %d bytes, %d msgs",
-				id, rm.sendBufBytes, len(rm.sendBuf))
+				id, rm.sendBufBytes, rm.sendBuf.len())
 		}
-		if rm.peers[1].stable == 0 {
+		if rm.peer(1).stable == 0 {
 			t.Fatalf("node %d learned no stability for sender 1", id)
 		}
 	}
@@ -278,7 +278,7 @@ func TestNackMissesCounted(t *testing.T) {
 		asked NodeID
 	}{{"own stream", 1}, {"relay", 3}} {
 		st := c.stacks[tc.asked]
-		if _, held := st.rm.sendBuf[3]; held || len(st.rm.peers[1].recvBuf) != 0 {
+		if _, held := st.rm.sendBuf.get(3); held || st.rm.peer(1).recvBuf.len() != 0 {
 			t.Fatalf("%s: test premise broken: node %d still holds chunk 3 of stream 1", tc.name, tc.asked)
 		}
 		before, sent := st.Stats(), c.net.Host(tc.asked).Sent().Bytes()

@@ -91,7 +91,7 @@ func (mb *membership) scheduleHB() {
 // heard records liveness evidence for a peer. Traffic from outside the member
 // universe (a relay from another group) has no row and needs none.
 func (mb *membership) heard(p NodeID) {
-	if ps := mb.s.rm.peers[p]; ps != nil {
+	if ps := mb.s.rm.find(p); ps != nil {
 		ps.lastHeard = mb.s.rt.Now()
 	}
 }

@@ -170,7 +170,7 @@ func checkLent(t *testing.T, id NodeID, st *Stack) {
 	t.Helper()
 	msgs, bodies := 0, 0
 	for _, ps := range st.rm.peers {
-		msgs += len(ps.recvBuf)
+		msgs += ps.recvBuf.len()
 		if ps.body != nil {
 			bodies++
 		}
@@ -180,7 +180,7 @@ func checkLent(t *testing.T, id NodeID, st *Stack) {
 			bodies++
 		}
 	}
-	chunks := len(st.rm.sendBuf) + len(st.rm.outQ) - st.rm.outHead
+	chunks := st.rm.sendBuf.len() + len(st.rm.outQ) - st.rm.outHead
 	if got := st.rm.freeMsgs.Out(); got != msgs {
 		t.Errorf("node %d: %d dataMsgs lent, %d buffered", id, got, msgs)
 	}
@@ -275,13 +275,13 @@ func TestFragmentedAssignBatchReturnsBuffer(t *testing.T) {
 		}, nil)
 	})
 	c.run(20 * sim.Millisecond)
-	if len(st.to.order) != len(batch) {
-		t.Fatalf("recorded %d of %d assignments", len(st.to.order), len(batch))
+	if st.to.order.len() != len(batch) {
+		t.Fatalf("recorded %d of %d assignments", st.to.order.len(), len(batch))
 	}
 	if n := st.rm.freeBodies.Len(); n != 1 {
 		t.Fatalf("free list holds %d buffers after the batch, want 1", n)
 	}
-	if st.rm.peers[1].body != nil {
+	if st.rm.peer(1).body != nil {
 		t.Fatal("reassembly buffer still attached to the sequencer's stream")
 	}
 }

@@ -317,7 +317,7 @@ func TestPeerRowReset(t *testing.T) {
 	t.Run("readmitted joiner", func(t *testing.T) {
 		c := warm(t)
 		rm := c.stacks[1].rm
-		ps := rm.peers[3]
+		ps := rm.peer(3)
 		// Leave the dead incarnation's row as untidy as a crash can: chunks
 		// buffered past a gap (NACK timer armed), a half-reassembled
 		// message, repair redirected at a flush holder, excluded.
@@ -330,7 +330,7 @@ func TestPeerRowReset(t *testing.T) {
 		ps.excluded, ps.acked = true, 0 // as excludePeer leaves them
 		ps.suspected = true
 		heard := ps.lastHeard
-		if len(ps.recvBuf) == 0 || ps.body == nil || ps.nackTimer == nil || ps.stable == 0 || ps.roundMin == 0 ||
+		if ps.recvBuf.len() == 0 || ps.body == nil || ps.nackTimer == nil || ps.stable == 0 || ps.roundMin == 0 ||
 			rm.self.stable == 0 || heard == 0 {
 			t.Fatalf("test premise broken: row not warm: %+v (own stable %d)", ps, rm.self.stable)
 		}
@@ -341,8 +341,8 @@ func TestPeerRowReset(t *testing.T) {
 			t.Errorf("cursors after reset(3, 0): recvNext=%d maxSeen=%d stable=%d roundMin=%d, want 1 0 0 0",
 				ps.recvNext, ps.maxSeen, ps.stable, ps.roundMin)
 		}
-		if len(ps.recvBuf) != 0 || ps.body != nil || ps.nackTimer != nil {
-			t.Errorf("buffers after reset: %d chunks, body %v, nackTimer %v", len(ps.recvBuf), ps.body != nil, ps.nackTimer != nil)
+		if ps.recvBuf.len() != 0 || ps.body != nil || ps.nackTimer != nil {
+			t.Errorf("buffers after reset: %d chunks, body %v, nackTimer %v", ps.recvBuf.len(), ps.body != nil, ps.nackTimer != nil)
 		}
 		if ps.excluded || ps.repairTarget != 3 {
 			t.Errorf("excluded=%v repairTarget=%d after reset, want false 3", ps.excluded, ps.repairTarget)
@@ -356,7 +356,7 @@ func TestPeerRowReset(t *testing.T) {
 
 		// At the joiner itself the cursors restart at the flush target.
 		rm.reset(2, 40)
-		if p2 := rm.peers[2]; p2.recvNext != 41 || p2.maxSeen != 40 || p2.stable != 40 || p2.roundMin != 40 || len(p2.recvBuf) != 0 {
+		if p2 := rm.peer(2); p2.recvNext != 41 || p2.maxSeen != 40 || p2.stable != 40 || p2.roundMin != 40 || p2.recvBuf.len() != 0 {
 			t.Errorf("after reset(2, 40): %+v", p2)
 		}
 	})
@@ -366,24 +366,24 @@ func TestPeerRowReset(t *testing.T) {
 		rm := c.stacks[1].rm
 		rm.frozen = true // queue the next cast unsent
 		rm.cast(payloadApp, []byte("queued"))
-		if len(rm.sendBuf) == 0 || len(rm.outQ) == 0 || rm.self.stable == 0 || rm.peers[2].acked == 0 || rm.peers[3].acked == 0 {
+		if rm.sendBuf.len() == 0 || len(rm.outQ) == 0 || rm.self.stable == 0 || rm.peer(2).acked == 0 || rm.peer(3).acked == 0 {
 			t.Fatalf("test premise broken: send side not warm: sendBuf=%d outQ=%d stable=%d acked=%d/%d",
-				len(rm.sendBuf), len(rm.outQ), rm.self.stable, rm.peers[2].acked, rm.peers[3].acked)
+				rm.sendBuf.len(), len(rm.outQ), rm.self.stable, rm.peer(2).acked, rm.peer(3).acked)
 		}
 
 		rm.resetSelf()
 
 		self := rm.self
-		if self.recvNext != 1 || self.maxSeen != 0 || self.stable != 0 || self.roundMin != 0 || len(self.recvBuf) != 0 {
+		if self.recvNext != 1 || self.maxSeen != 0 || self.stable != 0 || self.roundMin != 0 || self.recvBuf.len() != 0 {
 			t.Errorf("own row after resetSelf: %+v", self)
 		}
-		if rm.sendSeq != 0 || len(rm.sendBuf) != 0 || rm.sendBufBytes != 0 || len(rm.outQ) != 0 || rm.outQBytes != 0 {
+		if rm.sendSeq != 0 || rm.sendBuf.len() != 0 || rm.sendBufBytes != 0 || len(rm.outQ) != 0 || rm.outQBytes != 0 {
 			t.Errorf("send side after resetSelf: sendSeq=%d sendBuf=%d/%dB outQ=%d/%dB",
-				rm.sendSeq, len(rm.sendBuf), rm.sendBufBytes, len(rm.outQ), rm.outQBytes)
+				rm.sendSeq, rm.sendBuf.len(), rm.sendBufBytes, len(rm.outQ), rm.outQBytes)
 		}
-		for id, ps := range rm.peers {
+		for _, ps := range rm.peers {
 			if ps.acked != 0 {
-				t.Errorf("peer %d keeps credit cursor %d against the restarted stream", id, ps.acked)
+				t.Errorf("peer %d keeps credit cursor %d against the restarted stream", ps.id, ps.acked)
 			}
 		}
 	})

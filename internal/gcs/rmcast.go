@@ -11,12 +11,22 @@ import (
 // and window based afterwards). Messages are buffered — at the sender for
 // retransmission and at receivers for relay during view changes — until the
 // stability protocol declares them received by all members.
+//
+// Each of those buffers is a window of consecutive sequence numbers above
+// the stream's stable mark, so each is a seqRing keyed by sequence number:
+// sendBuf at the sender, peerState.recvBuf at every receiver. Every loop over
+// a range of sequence numbers — a NACK's ranges, a stability advance, a flush
+// target, a gap scan — visits the chunks a ring holds, never the numbers in
+// between, so its work is bounded by the window and not by a number taken
+// from the wire.
 type relMcast struct {
 	s *Stack
 
-	// Sender side.
-	sendSeq      uint64 // next sequence number for my stream
-	sendBuf      map[uint64][]byte
+	// Sender side. sendBuf holds the own stream's transmitted chunks, from
+	// first transmission until gcStable(self) finds them stable: at most
+	// sendWindow of them (drain's gate).
+	sendSeq      uint64 // last sequence number of my stream
+	sendBuf      seqRing[[]byte]
 	sendBufBytes int
 	// outQ[outHead:] is queued but unsent. drain pops by advancing outHead
 	// (reslicing would leave every later append without spare capacity) and
@@ -41,8 +51,10 @@ type relMcast struct {
 	rateTimer  runtimeapi.Timer
 
 	// The peer table: one row per member of the configured universe, self
-	// included (self is the same row, kept at hand for the send path).
-	peers map[NodeID]*peerState
+	// included (self is the same row, kept at hand for the send path), plus
+	// a row for any other sender whose stream reached this stack. A universe
+	// is a handful of sites, so a lookup scans the rows.
+	peers []*peerState
 	self  *peerState
 
 	// freeMsgs recycles dataMsg structs with the buffer each one's Data
@@ -92,10 +104,14 @@ type outChunk struct {
 type peerState struct {
 	id NodeID
 
-	// Reliable multicast: the receive side of the peer's stream.
+	// Reliable multicast: the receive side of the peer's stream. recvBuf
+	// holds every chunk received above the stable mark: delivered ones
+	// below recvNext, kept to relay during a flush, and ones past a gap,
+	// kept until the gap closes. A chunk seqWindowCap or more past recvNext
+	// is refused on arrival.
 	recvNext     uint64 // next expected (contiguous prefix is recvNext-1)
 	maxSeen      uint64
-	recvBuf      map[uint64]*dataMsg // received chunks kept until stable
+	recvBuf      seqRing[*dataMsg]
 	nackTimer    runtimeapi.Timer
 	repairTarget NodeID // where to send NACKs (sender, or holder in flush)
 	excluded     bool
@@ -128,15 +144,13 @@ func newRelMcast(s *Stack) *relMcast {
 	rm := &relMcast{
 		s:           s,
 		outQLimit:   maxQueuedBytes,
-		sendBuf:     make(map[uint64][]byte),
-		peers:       make(map[NodeID]*peerState),
 		tokens:      float64(s.maxPacket * 2),
 		creditLimit: creditsPerDest,
 	}
 	for _, m := range s.cfg.Members {
-		rm.peers[m] = &peerState{id: m, recvNext: 1, repairTarget: m}
+		rm.peer(m)
 	}
-	rm.self = rm.peers[s.cfg.Self]
+	rm.self = rm.peer(s.cfg.Self)
 	return rm
 }
 
@@ -210,12 +224,23 @@ func (rm *relMcast) recycleBody(b []byte) {
 	}
 }
 
-func (rm *relMcast) peer(id NodeID) *peerState {
-	p := rm.peers[id]
-	if p == nil {
-		p = &peerState{id: id, recvNext: 1, repairTarget: id}
-		rm.peers[id] = p
+// find returns id's row, or nil when id has none.
+func (rm *relMcast) find(id NodeID) *peerState {
+	for _, p := range rm.peers {
+		if p.id == id {
+			return p
+		}
 	}
+	return nil
+}
+
+// peer returns id's row, creating it for a sender the stack has not met.
+func (rm *relMcast) peer(id NodeID) *peerState {
+	if p := rm.find(id); p != nil {
+		return p
+	}
+	p := &peerState{id: id, recvNext: 1, repairTarget: id}
+	rm.peers = append(rm.peers, p)
 	return p
 }
 
@@ -312,7 +337,7 @@ func (rm *relMcast) drain() {
 		rm.outQ[rm.outHead].wire = nil
 		rm.outHead++
 		rm.outQBytes -= size
-		rm.sendBuf[c.seq] = c.wire
+		rm.sendBuf.put(c.seq, c.wire) // inside sendWindow: never refused
 		rm.sendBufBytes += size
 		rm.s.stats.Sent++
 		rm.s.transmit(c.wire)
@@ -388,26 +413,29 @@ func (rm *relMcast) unfreeze() {
 }
 
 // onData handles an incoming (or self-delivered) stream chunk: duplicate
-// filtering, FIFO advance, gap detection.
+// filtering, FIFO advance, gap detection. A chunk no flow-controlled sender
+// could have sent — seqWindowCap or more past the FIFO cursor, or widening
+// the receive buffer past it — is dropped as a parse error.
 func (rm *relMcast) onData(m *dataMsg) {
 	ps := rm.peer(m.Sender)
 	if ps.excluded || m.Seq < ps.recvNext {
 		rm.recycleMsg(m)
 		return
 	}
-	if _, dup := ps.recvBuf[m.Seq]; dup {
+	if _, dup := ps.recvBuf.get(m.Seq); dup {
 		rm.recycleMsg(m)
 		return
 	}
-	if ps.recvBuf == nil {
-		ps.recvBuf = make(map[uint64]*dataMsg)
+	if m.Seq-ps.recvNext >= seqWindowCap || !ps.recvBuf.put(m.Seq, m) {
+		rm.s.stats.ParseErrors++
+		rm.recycleMsg(m)
+		return
 	}
-	ps.recvBuf[m.Seq] = m
 	if m.Seq > ps.maxSeen {
 		ps.maxSeen = m.Seq
 	}
 	for {
-		next, ok := ps.recvBuf[ps.recvNext]
+		next, ok := ps.recvBuf.get(ps.recvNext)
 		if !ok {
 			break
 		}
@@ -431,27 +459,29 @@ func (rm *relMcast) armNackTimer(ps *peerState) {
 	})
 }
 
-// repairGaps sends a NACK listing missing ranges and re-arms while gaps
-// persist (receiver-initiated repair).
+// maxNackRanges bounds the ranges one NACK lists.
+const maxNackRanges = 16
+
+// repairGaps sends a NACK listing missing ranges — the holes between the
+// chunks buffered past the FIFO cursor, up to maxNackRanges, the last one
+// open to maxSeen — and re-arms while gaps persist (receiver-initiated
+// repair).
 func (rm *relMcast) repairGaps(ps *peerState) {
 	if rm.s.stopped || ps.excluded || ps.recvNext > ps.maxSeen {
 		return
 	}
 	var ranges []seqRange
-	var from uint64
-	inGap := false
-	for seq := ps.recvNext; seq <= ps.maxSeen && len(ranges) < 16; seq++ {
-		_, have := ps.recvBuf[seq]
-		if !have && !inGap {
-			inGap = true
-			from = seq
-		}
-		if have && inGap {
-			inGap = false
+	from := ps.recvNext // lowest sequence number not yet known held or missing
+	for seq := range ps.recvBuf.visit(ps.recvNext, ps.maxSeen) {
+		if seq > from {
 			ranges = append(ranges, seqRange{From: from, To: seq - 1})
+			if len(ranges) == maxNackRanges {
+				break
+			}
 		}
+		from = seq + 1
 	}
-	if inGap && len(ranges) < 16 {
+	if len(ranges) < maxNackRanges && from <= ps.maxSeen {
 		ranges = append(ranges, seqRange{From: from, To: ps.maxSeen})
 	}
 	if len(ranges) == 0 {
@@ -501,41 +531,48 @@ func (rm *relMcast) requestRepairTo(p NodeID, target uint64, holder NodeID) {
 }
 
 // onNack serves retransmissions from the send buffer (own stream) or the
-// receive buffer (relaying another member's stream during flush). A
-// retransmission of an own chunk is the stored datagram itself, which Send
-// copies; a relayed one is marshalled into the stack's scratch buffer.
+// receive buffer (relaying another member's stream during flush), in
+// ascending order within each range. A retransmission of an own chunk is the
+// stored datagram itself, which Send copies; a relayed one is marshalled into
+// the stack's scratch buffer. Every asked-for chunk the buffer does not hold
+// counts as a miss.
 func (rm *relMcast) onNack(src NodeID, m *nackMsg) {
 	if m.Target == rm.s.cfg.Self {
 		for _, r := range m.Ranges {
-			for seq := r.From; seq <= r.To; seq++ {
-				wire, ok := rm.sendBuf[seq]
-				if !ok {
-					rm.s.stats.NackMisses++
-					continue
-				}
+			held := 0
+			for _, wire := range rm.sendBuf.visit(r.From, r.To) {
+				held++
 				rm.s.stats.Retransmits++
 				rm.s.rt.Charge(costPerRetrans)
 				rm.s.transmitTo(src, wire)
 			}
+			rm.s.stats.NackMisses += rangeLen(r) - int64(held)
 		}
 		return
 	}
-	ps := rm.peers[m.Target]
+	ps := rm.find(m.Target)
 	if ps == nil {
 		return
 	}
 	for _, r := range m.Ranges {
-		for seq := r.From; seq <= r.To; seq++ {
-			dm, ok := ps.recvBuf[seq]
-			if !ok {
-				rm.s.stats.NackMisses++
-				continue
-			}
+		held := 0
+		for _, dm := range ps.recvBuf.visit(r.From, r.To) {
+			held++
 			rm.s.stats.Retransmits++
 			rm.s.rt.Charge(costPerRetrans)
 			rm.s.transmitTo(src, dm.marshal(rm.s.wire[:0]))
 		}
+		rm.s.stats.NackMisses += rangeLen(r) - int64(held)
 	}
+}
+
+// rangeLen is the count of sequence numbers r names; an inverted range names
+// none.
+func rangeLen(r seqRange) int64 {
+	if r.To < r.From {
+		return 0
+	}
+	return int64(r.To - r.From + 1)
 }
 
 // fifoDeliver advances a sender's FIFO stream by one chunk and routes
@@ -626,21 +663,17 @@ func (rm *relMcast) gcStable(p NodeID, upto uint64) {
 	}
 	from := ps.stable + 1
 	ps.stable = upto
-	for seq := from; seq <= upto; seq++ {
-		if m, ok := ps.recvBuf[seq]; ok {
-			delete(ps.recvBuf, seq)
-			rm.recycleMsg(m)
-		}
+	for seq, m := range ps.recvBuf.visit(from, upto) {
+		ps.recvBuf.del(seq)
+		rm.recycleMsg(m)
 	}
 	if ps != rm.self {
 		return
 	}
-	for seq := from; seq <= upto; seq++ {
-		if wire, ok := rm.sendBuf[seq]; ok {
-			rm.sendBufBytes -= len(wire)
-			delete(rm.sendBuf, seq)
-			rm.recycleChunk(wire)
-		}
+	for seq, wire := range rm.sendBuf.visit(from, upto) {
+		rm.sendBufBytes -= len(wire)
+		rm.sendBuf.del(seq)
+		rm.recycleChunk(wire)
 	}
 	rm.drain() // share freed: release any blocked chunks
 }
@@ -655,10 +688,10 @@ func (rm *relMcast) gcStable(p NodeID, upto uint64) {
 // failure detector's columns belong to the view install, not to the stream.
 func (rm *relMcast) reset(p NodeID, upto uint64) {
 	ps := rm.peer(p)
-	for seq, m := range ps.recvBuf {
-		delete(ps.recvBuf, seq)
+	for _, m := range ps.recvBuf.all() {
 		rm.recycleMsg(m)
 	}
+	ps.recvBuf.clear()
 	ps.recvNext = upto + 1
 	ps.maxSeen = upto
 	ps.stable = upto
@@ -688,10 +721,10 @@ func (rm *relMcast) reset(p NodeID, upto uint64) {
 // down, so nothing application-level is in flight.
 func (rm *relMcast) resetSelf() {
 	rm.reset(rm.s.cfg.Self, 0)
-	for seq, wire := range rm.sendBuf {
-		delete(rm.sendBuf, seq)
+	for _, wire := range rm.sendBuf.all() {
 		rm.recycleChunk(wire)
 	}
+	rm.sendBuf.clear()
 	rm.sendBufBytes = 0
 	rm.sendSeq = 0
 	for _, c := range rm.outQ[rm.outHead:] {
@@ -713,14 +746,14 @@ func (rm *relMcast) resetSelf() {
 // resurrect repair traffic.
 func (rm *relMcast) releaseAll() {
 	for _, ps := range rm.peers {
-		ps.recvBuf = nil
+		ps.recvBuf.release()
 		ps.body = nil
 		if ps.nackTimer != nil {
 			ps.nackTimer.Cancel()
 			ps.nackTimer = nil
 		}
 	}
-	rm.sendBuf = nil
+	rm.sendBuf.release()
 	rm.sendBufBytes = 0
 	rm.outQ, rm.outHead = nil, 0
 	rm.outQBytes = 0
@@ -739,11 +772,9 @@ func (rm *relMcast) excludePeer(p NodeID, upto uint64) {
 	ps := rm.peer(p)
 	ps.excluded = true
 	ps.acked = 0 // excluded members never gate, and a fresh incarnation starts from zero credit
-	for seq := upto + 1; seq <= ps.maxSeen; seq++ {
-		if m, ok := ps.recvBuf[seq]; ok {
-			delete(ps.recvBuf, seq)
-			rm.recycleMsg(m)
-		}
+	for seq, m := range ps.recvBuf.visit(upto+1, ps.maxSeen) {
+		ps.recvBuf.del(seq)
+		rm.recycleMsg(m)
 	}
 	if ps.maxSeen > upto {
 		ps.maxSeen = upto

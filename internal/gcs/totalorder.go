@@ -18,10 +18,16 @@ type totalOrder struct {
 
 	// msgs is the message table: one record per in-flight message, from
 	// whichever of its body and its assignment arrives first until forget.
+	// It stays a Go map because its keys are not one window: a readmitted
+	// sender's new stream restarts at msgID 1 while records of its old
+	// incarnation can still wait for delivery.
+	//
 	// order is its only second index, global -> message, holding exactly the
-	// assigned records.
+	// assigned records. Those globals are one window above nextDeliver — at
+	// most assignWindow wide at the sequencer — so order is a seqRing, and a
+	// global seqWindowCap or more past nextDeliver is refused on arrival.
 	msgs  map[msgKey]msgState
-	order map[uint64]msgKey
+	order seqRing[msgKey]
 
 	// renumberedTo is the highest global produced by install-time
 	// renumbering: those assignments are flush-agreed (every survivor made
@@ -122,21 +128,25 @@ type announceBatch struct {
 
 func newTotalOrder(s *Stack) *totalOrder {
 	to := &totalOrder{
-		s:     s,
-		msgs:  make(map[msgKey]msgState),
-		order: make(map[uint64]msgKey),
+		s:    s,
+		msgs: make(map[msgKey]msgState),
 	}
 	to.flushFn = to.flushBatch
 	return to
 }
 
 // record notes that key holds global g, announced by announcer in stream
-// chunk chunkSeq (0 for an assignment made locally).
+// chunk chunkSeq (0 for an assignment made locally). A global that would
+// widen order past seqWindowCap is refused — nothing is recorded — and
+// counted as a parse error.
 func (to *totalOrder) record(key msgKey, g uint64, announcer NodeID, chunkSeq uint64) {
+	if !to.order.put(g, key) {
+		to.s.stats.ParseErrors++
+		return
+	}
 	m := to.msgs[key]
 	m.global, m.announcer, m.chunkSeq = g, announcer, chunkSeq
 	to.msgs[key] = m
-	to.order[g] = key
 	if g > to.maxAssigned {
 		to.maxAssigned = g
 	}
@@ -146,7 +156,7 @@ func (to *totalOrder) record(key msgKey, g uint64, announcer NodeID, chunkSeq ui
 // it arrived, stays for the renumbering to come.
 func (to *totalOrder) unassign(key msgKey) {
 	m := to.msgs[key]
-	delete(to.order, m.global)
+	to.order.del(m.global)
 	if !m.held {
 		delete(to.msgs, key)
 		return
@@ -168,7 +178,7 @@ func (to *totalOrder) discard(key msgKey) {
 // table, whether delivered, skipped by a catch-up cursor or purged with its
 // sender. An unassigned record has global 0, which order never holds.
 func (to *totalOrder) forget(key msgKey) {
-	delete(to.order, to.msgs[key].global)
+	to.order.del(to.msgs[key].global)
 	delete(to.msgs, key)
 }
 
@@ -361,6 +371,10 @@ func (to *totalOrder) onAssigns(announcer NodeID, chunkSeq uint64, assigns []seq
 			}
 			continue
 		}
+		if a.Global-to.nextDeliver >= seqWindowCap {
+			to.s.stats.ParseErrors++ // no sequencer numbers this far ahead
+			continue
+		}
 		to.record(key, a.Global, announcer, chunkSeq)
 	}
 	to.tryDeliver()
@@ -390,23 +404,19 @@ func (to *totalOrder) rollbackUnagreed(announcer NodeID, target uint64) {
 	if len(rollback) == 0 {
 		return
 	}
-	// The collected order is whatever the map range produced, but the
-	// removals commute: each touches its own record and order entry and
-	// nothing reads them in between.
+	// The records are collected in map order, but the removals commute:
+	// each takes back its own record's global, and nothing reads the table
+	// in between.
 	for _, key := range rollback {
 		to.unassign(key)
 	}
 	// Recompute the assignment high-water mark from what survived: delivery
 	// is contiguous, so everything delivered is <= nextDeliver and the rest
-	// is keyed in order.
-	max := to.nextDeliver
-	for g := range to.order {
-		if g > max {
-			//lint:simdeterminism-ok max fold over map keys is commutative
-			max = g
-		}
+	// is keyed in order, whose top key is the highest global still held.
+	to.maxAssigned = to.nextDeliver
+	if g, ok := to.order.top(); ok && g > to.maxAssigned {
+		to.maxAssigned = g
 	}
-	to.maxAssigned = max
 }
 
 // tryDeliver hands messages to the application in global sequence order,
@@ -426,7 +436,7 @@ func (to *totalOrder) tryDeliver() {
 		return
 	}
 	for {
-		key, ok := to.order[to.nextDeliver+1]
+		key, ok := to.order.get(to.nextDeliver + 1)
 		if !ok {
 			break
 		}
@@ -484,10 +494,8 @@ func (to *totalOrder) purgeSender(sender NodeID, upto uint64) {
 // global at or below seq is covered by the database snapshot the joiner
 // transfers, so its local copy (if any arrived) is dropped, not delivered.
 func (to *totalOrder) skipTo(seq uint64) {
-	for g := to.nextDeliver + 1; g <= seq; g++ {
-		if key, ok := to.order[g]; ok {
-			to.discard(key)
-		}
+	for _, key := range to.order.visit(to.nextDeliver+1, seq) {
+		to.discard(key)
 	}
 	if seq > to.nextDeliver {
 		to.nextDeliver = seq
@@ -501,7 +509,7 @@ func (to *totalOrder) skipTo(seq uint64) {
 // releaseAll drops ordering state and buffered message bodies at halt.
 func (to *totalOrder) releaseAll() {
 	to.msgs = nil
-	to.order = nil
+	to.order.release()
 	to.batch = nil
 	to.deferred = nil
 	to.unacked = nil

@@ -15,14 +15,14 @@ func checkTablesDrained(t *testing.T, id NodeID, st *Stack) {
 	t.Helper()
 	to := st.to
 	if st.Stopped() {
-		if to.msgs != nil || to.order != nil {
+		if to.msgs != nil || to.order.slots != nil {
 			t.Fatalf("halted node %d keeps its ordering tables", id)
 		}
 		return
 	}
-	if len(to.msgs) != 0 || len(to.order) != 0 {
+	if len(to.msgs) != 0 || to.order.len() != 0 {
 		t.Fatalf("node %d leaks ordering state after full delivery: msgs=%d order=%d",
-			id, len(to.msgs), len(to.order))
+			id, len(to.msgs), to.order.len())
 	}
 }
 

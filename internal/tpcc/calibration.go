@@ -23,7 +23,7 @@ const (
 // per-class CPU time distributions, row sizes, mix probabilities, and client
 // pacing.
 //
-// SUBSTITUTION (documented in DESIGN.md): the paper obtains these by
+// SUBSTITUTION (README.md, "Substitutions"): the paper obtains these by
 // profiling PostgreSQL with virtualized CPU cycle counters on a PIII-1GHz
 // and fitting empirical distributions per class (5000 transactions, initial
 // 15 minutes discarded). Without that testbed we embed synthetic empirical
