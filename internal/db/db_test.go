@@ -435,8 +435,8 @@ func TestRemoteApplyAllocFree(t *testing.T) {
 	if s.RemoteApplied() != 16+101 || s.Locks().HeldLocks() != 0 {
 		t.Fatalf("%d remote applies, %d locks held; want %d and 0", s.RemoteApplied(), s.Locks().HeldLocks(), 16+101)
 	}
-	if r, o, q := s.freeRemote.Out(), s.storage.freeOps.Out(), s.storage.freeReqs.Out(); r != 0 || o != 0 || q != 0 {
-		t.Fatalf("after the kernel drained: %d remote applies, %d sector ops, %d requests lent", r, o, q)
+	if r, o, q := s.freeRemote.Out(), s.storage.freeBatches.Out(), s.storage.freeReqs.Out(); r != 0 || o != 0 || q != 0 {
+		t.Fatalf("after the kernel drained: %d remote applies, %d sector batches, %d requests lent", r, o, q)
 	}
 }
 

@@ -52,9 +52,20 @@ func (c StorageConfig) Latency() sim.Time {
 // per-sector latency; excess requests queue. A cache hit ratio short-cuts
 // reads.
 //
-// Sector operations and their owning requests are pooled, and each pooled
-// operation carries a completion closure bound once at creation — so the
-// steady-state hot path allocates nothing per sector.
+// Sectors that start completing at the same instant share one kernel event:
+// a sector whose completion falls at the instant of the batch started last
+// joins it through Kernel.Again, so long as nothing was scheduled in
+// between, and takes exactly the dispatch its own event would have had.
+// Batches and requests are pooled, and each batch carries a completion
+// closure bound once at creation — so the steady-state hot path allocates
+// nothing per sector.
+//
+// The queue is not FIFO for a request issued from inside another's done():
+// the completing sector runs done() before it starts the next queued one, so
+// the new request's first sector takes the slot just freed, ahead of sectors
+// already waiting (a lock grant from ReleaseCommit to a waiting remote apply,
+// recovery's chained writes). Fixing it moves simulated behaviour, so it
+// stays, pinned by TestStorageCompletionTrace.
 type Storage struct {
 	k   *sim.Kernel
 	cfg StorageConfig
@@ -62,12 +73,18 @@ type Storage struct {
 	lat sim.Time // cached per-sector latency
 
 	inFlight int
-	queue    []*sectorOp // sector operations awaiting a free slot
-	qhead    int         // consumed prefix of queue (popped lazily, O(1))
+	queue    []*ioReq // one entry per sector awaiting a free slot
+	qhead    int      // consumed prefix of queue (popped lazily, O(1))
 	maxQueue int
 
-	freeOps  sim.FreeList[*sectorOp]
-	freeReqs sim.FreeList[*ioReq]
+	// last is the batch started most recently, id its kernel event. A sector
+	// joins it only while Again(id) holds, which ends with its last sector:
+	// a recycled batch is never joined.
+	last *sectorBatch
+	id   sim.EventID
+
+	freeBatches sim.FreeList[*sectorBatch]
+	freeReqs    sim.FreeList[*ioReq]
 
 	busyNS  int64 // integrated slot-busy time
 	sectors int64
@@ -79,13 +96,19 @@ type ioReq struct {
 	done      func()
 }
 
-// sectorOp is one sector's occupancy of a device slot. fire is the
-// completion event callback, bound once when the op is first allocated and
-// reused across recycles.
-type sectorOp struct {
-	s    *Storage
-	req  *ioReq
-	fire func()
+// sectorBatch is the sectors that complete at one instant under one kernel
+// event, each entry the request of one sector, in start order: each
+// dispatch of the event completes the next. A batch holds only its own
+// sectors, because completion order is not start order across batches: a
+// sector started after SetSlowdown restores the latency finishes before
+// ones started under the slowdown. complete is bound once, when the batch
+// is first allocated, and reused across recycles.
+type sectorBatch struct {
+	s        *Storage
+	at       sim.Time
+	reqs     []*ioReq
+	next     int
+	complete func()
 }
 
 // NewStorage builds the device.
@@ -145,16 +168,10 @@ func (s *Storage) request(n int, done func()) {
 	req.remaining = n
 	req.done = done
 	for i := 0; i < n; i++ {
-		op := s.freeOps.Get()
-		if op == nil {
-			op = &sectorOp{s: s}
-			op.fire = op.complete
-		}
-		op.req = req
 		if s.inFlight < s.cfg.MaxConcurrent {
-			op.start()
+			s.start(req)
 		} else {
-			s.queue = append(s.queue, op)
+			s.queue = append(s.queue, req)
 			if q := len(s.queue) - s.qhead; q > s.maxQueue {
 				s.maxQueue = q
 			}
@@ -162,22 +179,40 @@ func (s *Storage) request(n int, done func()) {
 	}
 }
 
-// start occupies a device slot for one sector service time.
-func (op *sectorOp) start() {
-	s := op.s
+// start occupies a device slot for one sector service time: the sector
+// joins the batch started last when it completes at the same instant and
+// the kernel still lets that batch's event take one more dispatch, and
+// starts a batch of its own otherwise.
+func (s *Storage) start(req *ioReq) {
 	s.inFlight++
 	s.sectors++
 	s.busyNS += int64(s.lat)
-	s.k.Schedule(s.lat, op.fire)
+	at := s.k.Now() + s.lat
+	if b := s.last; b != nil && b.at == at && s.k.Again(s.id) {
+		b.reqs = append(b.reqs, req)
+		return
+	}
+	b := s.freeBatches.Get()
+	if b == nil {
+		b = &sectorBatch{s: s}
+		b.complete = b.completeNext
+	}
+	b.at = at
+	b.reqs = append(b.reqs, req)
+	s.last, s.id = b, s.k.Schedule(s.lat, b.complete)
 }
 
-// complete finishes one sector: the owning request resolves when its last
-// sector lands, and the op (and, then, the request) return to the pool.
-func (op *sectorOp) complete() {
-	s := op.s
-	req := op.req
-	op.req = nil
-	s.freeOps.Put(op)
+// completeNext finishes the batch's next sector: the owning request
+// resolves when its last sector lands and returns to the pool, as does the
+// batch after its last sector.
+func (b *sectorBatch) completeNext() {
+	s := b.s
+	req := b.reqs[b.next]
+	b.reqs[b.next] = nil
+	if b.next++; b.next == len(b.reqs) {
+		b.reqs, b.next = b.reqs[:0], 0
+		s.freeBatches.Put(b)
+	}
 	s.inFlight--
 	req.remaining--
 	if req.remaining == 0 {
@@ -192,14 +227,14 @@ func (op *sectorOp) complete() {
 }
 
 // dispatch starts queued sectors while slots are free. The queue pops via a
-// head cursor — O(1) per op — and the backing array resets for reuse
+// head cursor — O(1) per sector — and the backing array resets for reuse
 // whenever the queue fully drains.
 func (s *Storage) dispatch() {
 	for s.inFlight < s.cfg.MaxConcurrent && s.qhead < len(s.queue) {
-		op := s.queue[s.qhead]
+		req := s.queue[s.qhead]
 		s.queue[s.qhead] = nil
 		s.qhead++
-		op.start()
+		s.start(req)
 	}
 	if s.qhead == len(s.queue) {
 		s.queue = s.queue[:0]

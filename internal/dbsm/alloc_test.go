@@ -1,6 +1,7 @@
 package dbsm
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -265,5 +266,53 @@ func BenchmarkCertifyAtHistoryBound(b *testing.B) {
 		if !c.Certify(tc).Commit {
 			b.Fatal("steady stream aborted")
 		}
+	}
+}
+
+// BenchmarkCertifyNewOrderShape times Certify on the shape that dominates
+// the TPC-C commit stream: a new-order reading 10 ITEM rows (a table no
+// commit writes), 10 STOCK rows, the 12 rows it inserts and a customer
+// (never written either), writing the STOCK rows and the insertions, with a
+// snapshot 1–3 commits old, against an index at its steady size (both
+// generations full) and a history at its bound. BENCH_38.json has its ns/op
+// before and after certification learned to skip unwritten tables.
+func BenchmarkCertifyNewOrderShape(b *testing.B) {
+	const (
+		tCustomer, tNewOrder, tOrder, tOrderLine, tItem, tStock = 3, 5, 6, 7, 8, 9
+		shapes                                                  = 4096
+	)
+	rng := rand.New(rand.NewSource(1))
+	stream := make([]*TxnCert, shapes)
+	for i := range stream {
+		var rs, ws []TupleID
+		for range 10 {
+			item := uint64(rng.Intn(100000))
+			stock := MakeTupleID(tStock, uint64(rng.Intn(30))*100000+item)
+			rs = append(rs, MakeTupleID(tItem, item), stock)
+			ws = append(ws, stock)
+		}
+		ins := []TupleID{MakeTupleID(tOrder, uint64(i)), MakeTupleID(tNewOrder, 1<<40|uint64(i))}
+		for l := range 10 {
+			ins = append(ins, MakeTupleID(tOrderLine, uint64(i)*16+uint64(l)))
+		}
+		rs = append(append(rs, ins...), MakeTupleID(tCustomer, uint64(rng.Intn(900000))))
+		ws = append(ws, ins...)
+		stream[i] = &TxnCert{TID: uint64(i + 1), ReadSet: NewItemSet(rs...), WriteSet: NewItemSet(ws...)}
+	}
+	c := NewCertifier()
+	c.MaxHistory = 2 * indexWindow // the history at its bound too
+	certify := func(i int) {
+		tc := stream[i%shapes]
+		tc.LastCommitted = c.Seq() - min(c.Seq(), uint64(1+i%3))
+		c.Certify(tc)
+	}
+	for i := range 3 * indexWindow {
+		certify(i)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		certify(i)
+		i++
 	}
 }

@@ -242,6 +242,18 @@ type Certifier struct {
 	// highest committing sequence holding a whole-table lock, and the
 	// highest committing sequence that wrote anything in the table, 0 for
 	// none. Each is as long as the highest table written, at most 64 Ki.
+	//
+	// firstConflict rests on two invariants, which every commit, rotation
+	// and rollback keeps:
+	//   - no tuple's lastWrite and no tableLock cell exceeds its table's
+	//     tableAny cell (an older cell that a rollback shadowed with a
+	//     lastWriter cell may, but lastWrite never reads it), so a table
+	//     whose tableAny cell is at or below a snapshot holds no conflict;
+	//   - when lastWriter has no cell for a tuple, its older cell is below
+	//     genStart: older only takes cells at a rotation, all below the
+	//     new genStart, and a rollback that leaves lastWriter without a
+	//     cell deletes the older one too (see truncate). So a snapshot at
+	//     or after genStart-1 needs no older probe.
 	lastWriter TupleMap[uint64]
 	older      TupleMap[uint64]
 	genStart   uint64
@@ -538,22 +550,42 @@ func (c *Certifier) Certify(t *TxnCert) Outcome {
 // none does: a tuple conflicts with a write of itself or a lock of its table,
 // a table lock with any write in its table. t must not be refused by the
 // pruning rule, so every write after its snapshot is still in the history.
+//
+// The sorted read-set is walked one table at a time, and a table nothing
+// wrote since the snapshot (its tableAny cell at or below it) is skipped
+// without a probe; older is probed only for a snapshot before genStart-1.
+// Both rest on the invariants in Certifier's comment.
 func (c *Certifier) firstConflict(t *TxnCert) int {
-	if t.LastCommitted+1 < c.horizon && len(t.ReadSet) > 0 {
+	rs, snap := t.ReadSet, t.LastCommitted
+	if snap+1 < c.horizon && len(rs) > 0 {
 		return c.firstConflictStale(t)
 	}
-	for i, r := range t.ReadSet {
-		var last uint64
-		if r.IsTableLock() {
-			last = tableCell(c.tableAny, r.Table())
-		} else {
-			last = c.lastWrite(r)
-			if ls := tableCell(c.tableLock, r.Table()); ls > last {
-				last = ls
-			}
+	probeOlder := snap+1 < c.genStart
+	for i := 0; i < len(rs); {
+		tbl := rs[i].Table()
+		end := i + 1
+		for end < len(rs) && rs[end].Table() == tbl {
+			end++
 		}
-		if last > t.LastCommitted {
-			return i + 1
+		if tableCell(c.tableAny, tbl) <= snap {
+			i = end
+			continue
+		}
+		if tableCell(c.tableLock, tbl) > snap {
+			return i + 1 // every read of the table conflicts with the lock
+		}
+		for ; i < end; i++ {
+			r := rs[i]
+			if r.IsTableLock() {
+				return i + 1 // something in the table was written since
+			}
+			last := c.lastWriter.Get(r)
+			if last == 0 && probeOlder {
+				last = c.older.Get(r)
+			}
+			if last > snap {
+				return i + 1
+			}
 		}
 	}
 	return 0

@@ -56,11 +56,30 @@ func indexRule(ref *Certifier, t *TxnCert) (refused bool, pos int) {
 // whole-table locks, and stale snapshots that exercise the history-scan path
 // and the pruned-window abort rule. Transaction i is drawn the first time
 // at(i) asks for it, so its snapshot trails the sequence seqOf reports then.
+//
+// A stream with edges set also aims at the index's own boundaries: one
+// snapshot in six is one of the values edges returns when it is drawn (those
+// not past the sequence), and one read-set in four gains a read of a table
+// no commit ever writes. Those choices come from a second source, so the
+// rest of the stream draws what it would without them.
 type certStream struct {
 	rng   *rand.Rand
 	n     int
 	seqOf func() uint64
 	certs []*TxnCert
+	edges func() []uint64
+	aim   *rand.Rand // the edge choices
+	// edgeSnaps counts the snapshots taken from edges.
+	edgeSnaps int
+}
+
+// indexEdges are the snapshots at the edges of c's index: the two commits
+// before the current generation starts, its start, and the horizon.
+func indexEdges(c func() *Certifier) func() []uint64 {
+	return func() []uint64 {
+		g := c().genStart
+		return []uint64{g - 2, g - 1, g, c().horizon}
+	}
 }
 
 func randCertStream(rng *rand.Rand, n int, seqOf func() uint64) *certStream {
@@ -100,14 +119,31 @@ func (s *certStream) at(i int) *TxnCert {
 		if seq > lag {
 			lc = seq - lag
 		}
-		s.certs = append(s.certs, &TxnCert{
+		tc := &TxnCert{
 			TID:           uint64(len(s.certs) + 1),
 			Site:          SiteID(rng.Intn(4) + 1),
 			LastCommitted: lc,
 			ReadSet:       mkSet(20, 4),
 			WriteSet:      mkSet(12, 4),
 			WriteBytes:    rng.Intn(512),
-		})
+		}
+		if s.edges != nil {
+			if s.aim == nil {
+				s.aim = rand.New(rand.NewSource(1))
+			}
+			if s.aim.Intn(6) == 0 {
+				e := s.edges()
+				if x := e[s.aim.Intn(len(e))]; x <= seq {
+					tc.LastCommitted = x
+					s.edgeSnaps++
+				}
+			}
+			if s.aim.Intn(4) == 0 {
+				unwritten := MakeTupleID(tables+1, uint64(s.aim.Intn(rowsPerTable)))
+				tc.ReadSet = NewItemSet(append(slices.Clone(tc.ReadSet), unwritten)...)
+			}
+		}
+		s.certs = append(s.certs, tc)
 	}
 	return s.certs[i]
 }
@@ -120,6 +156,9 @@ func (s *certStream) at(i int) *TxnCert {
 // says whether the index or the history answered it. Each transaction is
 // first put to CheckOnly, the cross-group vote, on both; one in fifty is then
 // installed by ForceCommit, the cross-group decide, instead of certified.
+// The stream aims snapshots at the index's edges (genStart-2, genStart-1,
+// genStart, the horizon) and reads at a table nothing writes; whole-table
+// locks are read and written throughout.
 func TestCertifierDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -151,6 +190,7 @@ func certifierDifferential(t *testing.T, maxHistory, txns int, window uint64) {
 	scan := NewScanCertifier()
 	scan.MaxHistory = maxHistory
 	stream := randCertStream(rng, txns, scan.Seq)
+	stream.edges = indexEdges(func() *Certifier { return idx })
 	commits, aborts := 0, 0
 	for i := range txns {
 		cert := stream.at(i)
@@ -203,8 +243,8 @@ func certifierDifferential(t *testing.T, maxHistory, txns int, window uint64) {
 			t.Fatalf("txn %d: history diverged: indexed=%d scan=%d", i, idx.HistoryLen(), scan.HistoryLen())
 		}
 	}
-	if commits == 0 || aborts == 0 {
-		t.Fatalf("degenerate stream: %d commits, %d aborts", commits, aborts)
+	if commits == 0 || aborts == 0 || stream.edgeSnaps < txns/20 {
+		t.Fatalf("degenerate stream: %d commits, %d aborts, %d snapshots at the index's edges", commits, aborts, stream.edgeSnaps)
 	}
 	// The pruning rule refuses a snapshot older than MaxHistory entries
 	// before the index could miss it, so only a window well under the bound
@@ -267,8 +307,11 @@ func specCertifierIndexedDifferential(t *testing.T, window uint64) {
 // small MaxHistory makes the history deque wrap and prune under outstanding
 // tentatives. Half-way, the finalized prefix is state-transferred into a new
 // speculating certifier that carries on, on the storage of the old one,
-// released with tentative records on its undo stack. Every final verdict must
-// equal the scan reference's.
+// released with tentative records on its undo stack. Snapshots aim at the
+// index's edges and reads at a table nothing writes, as in
+// TestCertifierDifferential, and at the small windows rollbacks cross
+// generation changes (counted). Every final verdict must equal the scan
+// reference's.
 func TestSpecSlidingWindowDifferential(t *testing.T) {
 	forWindows(t, specSlidingWindowDifferential)
 }
@@ -285,9 +328,11 @@ func specSlidingWindowDifferential(t *testing.T, window uint64) {
 		scan := NewScanCertifier()
 		scan.MaxHistory = maxHistory
 		stream := randCertStream(rng, 10000, scan.Seq)
+		stream.edges = indexEdges(func() *Certifier { return base })
 
 		const ahead = 5
 		tentNext, shifts, matches, rollbacks := 0, 0, int64(0), int64(0)
+		flips := 0 // rollbacks that undid a generation change
 		for fin := range stream.n {
 			cert := stream.at(fin)
 			if fin == stream.n/2 {
@@ -317,8 +362,11 @@ func specSlidingWindowDifferential(t *testing.T, window uint64) {
 				spec.Tentative(stream.at(tentNext))
 				tentNext++
 			}
-			before := len(base.undo)
+			before, gen := len(base.undo), base.genStart
 			out, rolled := spec.Final(cert)
+			if rolled != nil && base.genStart == gen && base.seq < gen {
+				flips++
+			}
 			if spec.Pending() > 0 {
 				// Dead records below the head's mark never outnumber the
 				// live ones above it: the stack is bounded by the suffix.
@@ -338,9 +386,12 @@ func specSlidingWindowDifferential(t *testing.T, window uint64) {
 			}
 		}
 		matches, rollbacks = matches+spec.Matches, rollbacks+spec.Rollbacks
-		if matches < 1000 || rollbacks < 100 || shifts < 100 {
-			t.Fatalf("maxHistory=%d: %d matches, %d rollbacks, %d front cuts with the queue non-empty: the run does not mix all three",
-				maxHistory, matches, rollbacks, shifts)
+		if matches < 1000 || rollbacks < 100 || shifts < 100 || stream.edgeSnaps < stream.n/20 {
+			t.Fatalf("maxHistory=%d: %d matches, %d rollbacks, %d front cuts with the queue non-empty, %d snapshots at the index's edges: the run does not mix them all",
+				maxHistory, matches, rollbacks, shifts, stream.edgeSnaps)
+		}
+		if window <= 7 && flips == 0 {
+			t.Fatalf("maxHistory=%d: no rollback crossed a generation change", maxHistory)
 		}
 		if base.HistoryLen() != scan.HistoryLen() || base.pruned != scan.pruned {
 			t.Fatalf("maxHistory=%d: history %d pruned %d, scan reference %d / %d",

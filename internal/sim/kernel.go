@@ -57,11 +57,16 @@ func (e event) before(o event) bool {
 }
 
 // slotEntry holds a scheduled event's callback. gen increments every time
-// the slot is vacated (dispatch or cancel), invalidating outstanding
-// EventIDs and any stale queue node still referring to the slot.
+// the slot is vacated (last dispatch or cancel), invalidating outstanding
+// EventIDs and any stale queue node still referring to the slot. An event
+// owes one dispatch per insertion sequence number in [next, last] (low 32
+// bits of each): one unless Again gave it more. Its queue node stands for
+// the dispatch numbered next, and each dispatch but the last hands on a node
+// one number on.
 type slotEntry struct {
-	fn  func()
-	gen uint32
+	fn         func()
+	gen        uint32
+	next, last uint32
 }
 
 // Calendar geometry. A tick is 2^tickShift ns (about 1 ms). Level 0 has one
@@ -109,6 +114,13 @@ const nodeBlockBits = 8 // 256 nodes, 8 KiB
 // the same total (at, priority, seq) order as a heap holding everything:
 // the calendar only defers sorting what is not due soon.
 //
+// A dispatch an event still owes after one has run (see Again) waits in a
+// one-event front register, not in the heap: it is due now, and only an
+// event at the same instant with a smaller key — a PriorityHigh scheduled at
+// delay 0 by the dispatch before it — can precede it. Such an event is in the
+// heap once the horizon lies past now, which it does unless the calendar was
+// empty when the last dispatch left the heap.
+//
 // The zero value is not usable; construct with NewKernel. A Kernel must be
 // driven from a single goroutine; it performs no locking.
 type Kernel struct {
@@ -117,11 +129,17 @@ type Kernel struct {
 	slots     []slotEntry
 	freeSlots []uint32
 	nextSeq   int64
-	live      int // scheduled and not yet dispatched or cancelled
+	latest    EventID // the event scheduled last: the one Again may extend
+	live      int     // dispatches owed: scheduled, Again'd, not yet run or cancelled
 	halted    bool
 	running   bool
 	released  bool
 	executed  int64
+
+	// front is the next owed dispatch of an event that has run at least
+	// once; owing reports that it holds one.
+	front event
+	owing bool
 
 	// horizon is a tick boundary: calendar events are due at or after it,
 	// and it only moves forward, by spill.
@@ -177,10 +195,12 @@ func (k *Kernel) Release() {
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Executed reports how many events have been dispatched so far.
+// Executed reports how many events have been dispatched so far, counting
+// every dispatch of an event Again extended.
 func (k *Kernel) Executed() int64 { return k.executed }
 
-// Pending reports how many events are currently scheduled.
+// Pending reports how many dispatches are owed: one per scheduled event,
+// plus one per Again not yet run.
 func (k *Kernel) Pending() int { return k.live }
 
 // Schedule arranges for fn to run after delay (which may be zero) at normal
@@ -230,9 +250,44 @@ func (k *Kernel) SchedulePriAt(at Time, pri Priority, fn func()) EventID {
 	s := &k.slots[slot]
 	s.fn = fn
 	k.nextSeq++
+	s.next, s.last = uint32(k.nextSeq), uint32(k.nextSeq)
 	k.enqueue(event{at: at, key: int64(pri)<<48 | k.nextSeq, slot: slot, gen: s.gen})
 	k.live++
-	return EventID(int64(slot)<<32 | int64(s.gen))
+	k.latest = EventID(int64(slot)<<32 | int64(s.gen))
+	return k.latest
+}
+
+// Again gives the most recently scheduled event one more dispatch, right
+// after the ones it already owes: exactly what scheduling the same callback
+// again at the same time and priority would do, since the extra dispatch
+// takes the next insertion sequence number, but without a second slot, queue
+// node or heap pop. It reports false, and does nothing, when anything was
+// scheduled since id or id is no longer pending. Cancel(id) drops every
+// dispatch the event owes.
+func (k *Kernel) Again(id EventID) bool {
+	if id != k.latest {
+		return false
+	}
+	s := k.pending(id)
+	if s == nil {
+		return false
+	}
+	k.nextSeq++
+	s.last = uint32(k.nextSeq)
+	k.live++
+	return true
+}
+
+// pending returns id's slot while id is scheduled, nil otherwise.
+func (k *Kernel) pending(id EventID) *slotEntry {
+	slot := uint32(id >> 32)
+	if int(slot) >= len(k.slots) {
+		return nil
+	}
+	if s := &k.slots[slot]; s.gen == uint32(id) && s.fn != nil {
+		return s
+	}
+	return nil
 }
 
 // enqueue files ev where the horizon invariant puts it: the heap if it is
@@ -445,21 +500,19 @@ func (k *Kernel) vacate(slot uint32) {
 	k.live--
 }
 
-// Cancel removes a pending event. It reports whether the event was still
-// pending (false if it already ran, was cancelled, or never existed).
-// Cancellation is lazy: the slot is freed immediately but the queue node
-// stays where it is — heap or calendar — until popped or spilled, where the
-// generation mismatch discards it, keeping Cancel O(1).
+// Cancel removes a pending event, with every dispatch it still owes. It
+// reports whether the event was still pending (false if its last dispatch
+// ran, it was cancelled, or it never existed). Cancellation is lazy: the
+// slot is freed immediately but the queue node stays where it is — front
+// register, heap or calendar — until reached, where the generation mismatch
+// discards it, keeping Cancel O(1).
 func (k *Kernel) Cancel(id EventID) bool {
-	slot := uint32(id >> 32)
-	gen := uint32(id)
-	if int(slot) >= len(k.slots) {
+	s := k.pending(id)
+	if s == nil {
 		return false
 	}
-	if s := &k.slots[slot]; s.gen != gen || s.fn == nil {
-		return false
-	}
-	k.vacate(slot)
+	k.live -= int(s.last - s.next)
+	k.vacate(uint32(id >> 32))
 	return true
 }
 
@@ -469,25 +522,74 @@ func (k *Kernel) stale(ev event) bool {
 	return s.gen != ev.gen || s.fn == nil
 }
 
+// take removes and returns the next live node due at or before limit —
+// the front register's unless a heap node precedes it — dropping cancelled
+// nodes on the way. It reports false, leaving the node queued, when the next
+// one is due after limit or nothing is queued.
+func (k *Kernel) take(limit Time) (event, bool) {
+	for {
+		if k.owing && k.front.at >= k.horizon {
+			k.settle() // an event at the front's instant may still wait in the calendar
+		}
+		front := k.owing && (len(k.events) == 0 || !k.events[0].before(k.front))
+		var ev event
+		switch {
+		case front:
+			ev = k.front
+		case k.settle():
+			ev = k.events[0]
+		default:
+			return event{}, false
+		}
+		stale := k.stale(ev)
+		if !stale && ev.at > limit {
+			return ev, false
+		}
+		if front {
+			k.owing = false
+		} else {
+			k.pop()
+		}
+		if !stale {
+			return ev, true
+		}
+	}
+}
+
+// dispatch runs the dispatch node ev stands for. Unless it is the event's
+// last, the node one sequence number on goes to the front register, and one
+// already there — a later key, whose event this one preceded — back into the
+// heap.
+func (k *Kernel) dispatch(ev event) {
+	if ev.at < k.now {
+		panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", ev.at, k.now))
+	}
+	s := &k.slots[ev.slot]
+	fn := s.fn
+	if uint32(ev.key) == s.last {
+		k.vacate(ev.slot)
+	} else {
+		k.live--
+		ev.key++
+		s.next = uint32(ev.key)
+		if k.owing && !k.stale(k.front) {
+			k.push(k.front)
+		}
+		k.front, k.owing = ev, true
+	}
+	k.now = ev.at
+	k.executed++
+	fn()
+}
+
 // Step dispatches the next pending event, if any, and reports whether one
 // was dispatched.
 func (k *Kernel) Step() bool {
-	for k.settle() {
-		ev := k.pop()
-		if k.stale(ev) {
-			continue
-		}
-		if ev.at < k.now {
-			panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", ev.at, k.now))
-		}
-		fn := k.slots[ev.slot].fn
-		k.vacate(ev.slot)
-		k.now = ev.at
-		k.executed++
-		fn()
-		return true
+	ev, ok := k.take(Time(1<<63 - 1))
+	if ok {
+		k.dispatch(ev)
 	}
-	return false
+	return ok
 }
 
 // Run dispatches events until none remain or Stop is called. It returns
@@ -506,23 +608,17 @@ func (k *Kernel) RunUntil(limit Time) error {
 	k.running = true
 	k.halted = false
 	defer func() { k.running = false }()
-	for !k.halted && k.settle() {
-		next := k.events[0]
-		if k.stale(next) {
-			k.pop()
-			continue
-		}
-		if next.at > limit {
+	for !k.halted {
+		ev, ok := k.take(limit)
+		if !ok {
 			return nil
 		}
-		k.Step()
+		k.dispatch(ev)
 	}
-	if k.halted {
-		return ErrHalted
-	}
-	return nil
+	return ErrHalted
 }
 
-// Stop halts Run/RunUntil after the current event completes. It is safe to
-// call from within an event handler.
+// Stop halts Run/RunUntil after the current dispatch completes, also
+// between two dispatches of an event Again extended. It is safe to call
+// from within an event handler.
 func (k *Kernel) Stop() { k.halted = true }

@@ -3,19 +3,22 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
 // The kernel's dispatch order is proven against a reference: every pending
 // event kept in a plain list, the next dispatch being its minimum by (at,
 // priority, insertion sequence). An orderScript reads a byte string as a
-// stream of schedule, cancel, reschedule, Step, RunUntil, Stop and Run
-// operations — handlers schedule and cancel too — with delays drawn from
+// stream of schedule, Again, cancel, reschedule, Step, RunUntil, Stop and Run
+// operations — handlers schedule, Again and cancel too — with delays drawn from
 // every region of the queue: before the horizon (the bucket already
 // spilled), level 0, level 1, beyond level 1, and exactly on or one
 // nanosecond before a tick, span or horizon boundary. Every dispatch must be
 // the reference minimum, at its time, and Pending() must equal the
-// reference count after every operation and inside every handler.
+// reference count after every operation and inside every handler. An Again
+// is one more reference event: the same tag, time and priority, the next
+// sequence; a Cancel drops every reference event of its ID.
 
 type refEvent struct {
 	at    Time
@@ -35,6 +38,8 @@ type orderScript struct {
 	tags int
 	pend []refEvent
 	gone []EventID // IDs already dispatched or cancelled
+	// latest is the ID scheduled last, the one Again may extend.
+	latest EventID
 	// stopAt is the tag whose handler calls Stop, or -1; stopped records
 	// that it did.
 	stopAt  int
@@ -106,12 +111,59 @@ func (sc *orderScript) delay() Time {
 func (sc *orderScript) schedule(child byte) {
 	d := sc.delay()
 	pri := [...]Priority{PriorityHigh, PriorityNormal, PriorityLow}[sc.next()%3]
+	sc.scheduleWith(d, pri, child)
+}
+
+// scheduleWith schedules an event after d at pri, in the kernel and the
+// reference.
+func (sc *orderScript) scheduleWith(d Time, pri Priority, child byte) {
 	tag := sc.tags
 	sc.tags++
 	sc.seq++
 	ev := refEvent{at: sc.k.now + d, pri: pri, seq: sc.seq, tag: tag, child: child}
 	ev.id = sc.k.SchedulePri(d, pri, func() { sc.fire(tag) })
 	sc.pend = append(sc.pend, ev)
+	sc.latest = ev.id
+}
+
+// owes returns the index of a reference event of id, or -1 when it owes
+// no dispatch.
+func (sc *orderScript) owes(id EventID) int {
+	for i, e := range sc.pend {
+		if e.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// again calls Again on the ID scheduled last or — one time in four — on any
+// other pending or spent ID, which must report false unless it is the
+// latest one still pending. An Again that holds adds the reference event
+// with the next sequence and a child byte of its own.
+func (sc *orderScript) again() {
+	b := sc.next()
+	id := sc.latest
+	if b%4 == 3 {
+		if ids := len(sc.pend) + len(sc.gone); ids > 0 {
+			if j := int(b) % ids; j < len(sc.pend) {
+				id = sc.pend[j].id
+			} else {
+				id = sc.gone[j-len(sc.pend)]
+			}
+		}
+	}
+	i := sc.owes(id)
+	want := id == sc.latest && i >= 0
+	if got := sc.k.Again(id); got != want {
+		sc.fail("Again = %v, want %v (latest %v)", got, want, id == sc.latest)
+	}
+	if want {
+		sc.seq++
+		ev := sc.pend[i]
+		ev.seq, ev.child = sc.seq, sc.next()
+		sc.pend = append(sc.pend, ev)
+	}
 }
 
 // cancel cancels the pending event the next byte picks, or — one time in
@@ -124,12 +176,12 @@ func (sc *orderScript) cancel() (ok bool) {
 		}
 		return false
 	}
-	i := int(b) % len(sc.pend)
-	if !sc.k.Cancel(sc.pend[i].id) {
-		sc.fail("Cancel of pending tag %d reported false", sc.pend[i].tag)
+	e := sc.pend[int(b)%len(sc.pend)]
+	if !sc.k.Cancel(e.id) {
+		sc.fail("Cancel of pending tag %d reported false", e.tag)
 	}
-	sc.gone = append(sc.gone, sc.pend[i].id)
-	sc.pend = append(sc.pend[:i], sc.pend[i+1:]...)
+	sc.gone = append(sc.gone, e.id)
+	sc.pend = slices.DeleteFunc(sc.pend, func(p refEvent) bool { return p.id == e.id })
 	return true
 }
 
@@ -157,7 +209,9 @@ func (sc *orderScript) fire(tag int) {
 		sc.fail("dispatched tag %d at %v, want tag %d at %v", tag, sc.k.Now(), want.tag, want.at)
 	}
 	sc.pend = append(sc.pend[:i], sc.pend[i+1:]...)
-	sc.gone = append(sc.gone, want.id)
+	if sc.owes(want.id) < 0 {
+		sc.gone = append(sc.gone, want.id)
+	}
 	sc.checkPending()
 	if tag == sc.stopAt {
 		sc.k.Stop()
@@ -176,6 +230,11 @@ func (sc *orderScript) fire(tag int) {
 		if sc.cancel() {
 			sc.schedule(0)
 		}
+	case 4: // ahead of an owed dispatch at this instant: the front register's one rival
+		sc.scheduleWith(0, PriorityHigh, sc.next()/2)
+		sc.again()
+	case 5:
+		sc.again()
 	}
 	sc.checkPending()
 }
@@ -192,7 +251,7 @@ func (sc *orderScript) checkPending() {
 func runOrderScript(t testing.TB, k *Kernel, in []byte) {
 	sc := &orderScript{t: t, k: k, in: in, stopAt: -1}
 	for !sc.done() {
-		switch op := sc.next(); op % 10 {
+		switch op := sc.next(); op % 11 {
 		case 0, 1, 2, 3:
 			sc.schedule(sc.next())
 		case 4:
@@ -215,15 +274,20 @@ func runOrderScript(t testing.TB, k *Kernel, in []byte) {
 			if len(sc.pend) > 0 && sc.pend[sc.min()].at <= limit {
 				sc.fail("RunUntil(%v) left tag %d due at %v", limit, sc.pend[sc.min()].tag, sc.pend[sc.min()].at)
 			}
-		case 9: // Stop from a handler, possibly mid-bucket
+		case 9: // Stop from a handler, possibly mid-bucket or with dispatches still owed
 			sc.stopAt, sc.stopped = sc.tags, false
 			sc.schedule(0)
+			for n := sc.next() % 3; n > 0; n-- {
+				sc.again()
+			}
 			err := sc.k.Run()
 			// A handler may have cancelled the stopper: Run then drains.
 			if sc.stopped && !errors.Is(err, ErrHalted) || !sc.stopped && (err != nil || len(sc.pend) > 0) {
 				sc.fail("Run with a stopper = %v (stopped %v, %d pending)", err, sc.stopped, len(sc.pend))
 			}
 			sc.stopAt = -1
+		case 10:
+			sc.again()
 		}
 		sc.checkPending()
 	}
@@ -257,6 +321,18 @@ func orderSeeds() [][]byte {
 		[]byte{0, 0, 9, 1, 1, 1, 0, 0, 10, 2, 2, 2, 4, 0, 5, 0, 0, 10, 0, 1, 1, 6, 0, 0, 11, 0, 1, 1, 4, 0, 6},
 		// stop mid-bucket with ties at the same instant
 		[]byte{0, 0, 9, 0, 40, 1, 0, 0, 13, 0, 0, 2, 0, 0, 13, 0, 0, 0, 9, 1, 13, 0, 0, 6, 6, 9, 2, 9, 0, 10, 0},
+		// Again twice right after a schedule, a tie scheduled after it, Steps
+		[]byte{0, 0, 9, 1, 1, 1, 10, 0, 0, 10, 0, 0, 0, 0, 13, 0, 0, 1, 6, 6, 6, 6},
+		// Again refused: after another schedule, on a spent ID, on an older pending one
+		[]byte{0, 0, 9, 1, 1, 1, 0, 0, 9, 2, 2, 1, 0, 0, 9, 3, 3, 1, 10, 3, 6, 10, 7, 10, 11, 6, 6, 6},
+		// a handler schedules PriorityHigh at delay 0 and Agains it while its own dispatches are owed
+		[]byte{0, 4, 9, 1, 1, 1, 10, 4, 0, 10, 4, 0, 12, 10, 5, 6, 6, 6, 6, 6, 6},
+		// Stop while the stopper still owes two dispatches, then Run on
+		[]byte{0, 0, 13, 0, 0, 1, 9, 2, 0, 0, 0, 0, 0, 0, 6},
+		// Cancel of an Again'd event drops every owed dispatch; the slot is reused
+		[]byte{0, 0, 9, 1, 1, 1, 10, 0, 0, 10, 0, 0, 4, 0, 0, 0, 9, 1, 1, 1, 10, 0, 0, 6, 6},
+		// cancel an Again'd event between its dispatches, from a tie's handler
+		[]byte{0, 0, 13, 0, 0, 1, 10, 0, 2, 0, 2, 13, 0, 0, 1, 6, 6, 6, 6},
 	)
 	return seeds
 }
