@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/dbsm"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -139,8 +140,10 @@ func Logs(sites []SiteLog) *Violation {
 	// Per-site duplicate scan first: a double commit poisons every other
 	// comparison (the same TID at two positions can make two divergent logs
 	// look like a permutation), so it is reported with its own kind.
+	sc := takeScratch()
+	defer scratches.Put(sc)
 	for i := range ordered {
-		if v := findDuplicate(&ordered[i]); v != nil {
+		if v := findDuplicate(&ordered[i], sc); v != nil {
 			return v
 		}
 	}
@@ -216,19 +219,50 @@ func compare(s, ref *SiteLog) *Violation {
 // Retried submissions make this reachable in principle: the client resubmits
 // the same TID after a rejection, and both the original and the resubmission
 // must never certify. The scan turns that bug into a first-class verdict.
-func findDuplicate(s *SiteLog) *Violation {
-	seen := make(map[uint64]int, len(s.Entries))
-	for i, e := range s.Entries {
-		if first, dup := seen[e.TID]; dup {
-			return &Violation{
-				Kind: KindDuplicate, Site: s.Site, Ref: s.Site, Pos: i,
-				Detail: fmt.Sprintf("tid=%x committed at position %d and again at position %d",
-					e.TID, first, i),
-			}
-		}
-		seen[e.TID] = i
+func findDuplicate(s *SiteLog, sc *scratch) *Violation {
+	first, i := sc.firstRepeat(len(s.Entries), func(i int) uint64 { return s.Entries[i].TID })
+	if i < 0 {
+		return nil
 	}
-	return nil
+	return &Violation{
+		Kind: KindDuplicate, Site: s.Site, Ref: s.Site, Pos: i,
+		Detail: fmt.Sprintf("tid=%x committed at position %d and again at position %d",
+			s.Entries[i].TID, first, i),
+	}
+}
+
+// scratch is the storage one check works in. It is emptied per site or group
+// and shelved between checks, so a check reuses the tables an earlier one
+// grew instead of allocating tables sized to the run.
+type scratch struct {
+	seen dbsm.TupleMap[int] // TID → position+1, for the duplicate scans
+	x    xIndex             // CrossGroup's serialization graph
+}
+
+// scratches holds the storage of finished checks.
+var scratches sim.Shelf[*scratch]
+
+// takeScratch returns shelved storage, or new storage when none is shelved.
+func takeScratch() *scratch {
+	if sc, ok := scratches.Get(); ok {
+		return sc
+	}
+	return new(scratch)
+}
+
+// firstRepeat scans the TIDs tid(0), …, tid(n-1) and returns the first
+// position at whose TID is also at an earlier position, and that earlier
+// position first; at is -1 when the n TIDs all differ.
+func (sc *scratch) firstRepeat(n int, tid func(int) uint64) (first, at int) {
+	sc.seen.Clear()
+	for i := range n {
+		k := dbsm.TupleID(tid(i))
+		if f := sc.seen.Get(k); f != 0 {
+			return f - 1, i
+		}
+		sc.seen.Put(k, i+1)
+	}
+	return -1, -1
 }
 
 // sameTxnSet reports whether two histories commit the same multiset of

@@ -172,3 +172,21 @@ func TestFromCommitLogs(t *testing.T) {
 		t.Fatalf("operational length mismatch not flagged: %v", v)
 	}
 }
+
+// TestDuplicateCommitNamesBothPositions: a TID committed at positions 1 and
+// 3 of site 2 is reported at position 3 with both positions in the detail.
+// Site 1 commits tid 0x30 too, and site 2 commits it once: the scan is per
+// site.
+func TestDuplicateCommitNamesBothPositions(t *testing.T) {
+	v := Logs([]SiteLog{
+		site(1, true, [2]uint64{1, 0x30}),
+		site(2, true, [2]uint64{1, 0x30}, [2]uint64{2, 0x2a}, [2]uint64{3, 0x40}, [2]uint64{4, 0x2a}),
+	})
+	want := Violation{
+		Kind: KindDuplicate, Site: 2, Ref: 2, Pos: 3,
+		Detail: "tid=2a committed at position 1 and again at position 3",
+	}
+	if v == nil || *v != want {
+		t.Fatalf("Logs = %+v, want %+v", v, want)
+	}
+}
