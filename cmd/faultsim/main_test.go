@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/explore"
-	"repro/internal/gcs"
 	"repro/internal/golden"
 )
 
@@ -49,30 +48,35 @@ func TestGolden(t *testing.T) {
 }
 
 // goldenRepro is a minimized repro the explorer produced against the
-// pre-PR-7 uniform-delivery bug, resurrected through the test-only
-// NonUniformSequencer hook: one partition gene isolating the sequencer
-// mid-run makes it commit a transaction the survivors renumber. The file is
-// self-contained, so this pins the whole -replay-file path: load, rebuild
-// the config (hook included), replay, classify.
+// uniform-delivery bug, since fixed, which internal/mutants'
+// non-uniform-sequencer mutant reopens: one partition gene isolating the
+// sequencer mid-run made it commit a transaction the survivors renumber. The file is self-contained, so
+// it pins the whole -replay-file path: load, rebuild the config, replay,
+// classify.
 const goldenRepro = "testdata/repro-conservative-s3-non-prefix--2362459762591223984.json"
 
+// TestGoldenReproReproduces is the regression guard for the uniform-delivery
+// fix: on the tree the repro must replay SAFE (faultsim -replay-file exits 0
+// on it) while keeping its expected non-prefix verdict and triage. It is the
+// non-uniform-sequencer mutant's killer: with the fix reverted it reproduces.
 func TestGoldenReproReproduces(t *testing.T) {
 	r, err := explore.LoadRepro(goldenRepro)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if !r.Config.Hooks.NonUniformSequencer {
-		t.Fatalf("golden repro lost its hook: %+v", r.Config.Hooks)
+	if r.Expect == nil || r.Expect.Kind != "non-prefix" || r.Triage == nil || r.Triage.Kind != "non-prefix" {
+		t.Fatalf("golden repro triage drifted: expect=%+v triage=%+v", r.Expect, r.Triage)
 	}
 	reproduced, detail, err := r.Replay()
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if !reproduced {
-		t.Fatalf("golden repro no longer reproduces (verdict %q)", detail)
+	if reproduced {
+		t.Fatalf("the fixed non-uniform sequencer divergence reproduced again (%s) — "+
+			"the uniform-delivery gate in gcs/totalorder.go regressed", detail)
 	}
-	if r.Expect == nil || r.Expect.Kind != "non-prefix" || r.Triage == nil || r.Triage.Kind != "non-prefix" {
-		t.Fatalf("golden repro triage drifted: expect=%+v triage=%+v", r.Expect, r.Triage)
+	if got := runReplayFile(goldenRepro); got != 0 {
+		t.Fatalf("runReplayFile(golden) = %d, want 0 (violation fixed)", got)
 	}
 }
 
@@ -105,9 +109,6 @@ func TestResidualWindowReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if r.Config.Hooks != (gcs.Hooks{}) {
-		t.Fatalf("residual-window repro must not need any hook: %+v", r.Config.Hooks)
-	}
 	reproduced, detail, err := r.Replay()
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -124,15 +125,11 @@ func TestResidualWindowReproduces(t *testing.T) {
 // TestRenumberWedgeReproduces is the regression guard for the fixed
 // renumbering-divergence finding: the minimized schedule that used to wedge
 // one survivor must now run to a SAFE verdict (faultsim -replay-file exits 0
-// on it). The repro must not need any resurrection hook — the fix lives in
-// the production path.
+// on it).
 func TestRenumberWedgeReproduces(t *testing.T) {
 	r, err := explore.LoadRepro(renumberWedgeRepro)
 	if err != nil {
 		t.Fatalf("load: %v", err)
-	}
-	if r.Config.Hooks != (gcs.Hooks{}) {
-		t.Fatalf("wedge repro must not need any hook: %+v", r.Config.Hooks)
 	}
 	reproduced, detail, err := r.Replay()
 	if err != nil {
@@ -151,8 +148,8 @@ func TestRenumberWedgeReproduces(t *testing.T) {
 // violation reproduces, 0 when a plain config runs clean, 2 on a missing
 // file, a misspelled key, or no run file at all.
 func TestRunReplayFile(t *testing.T) {
-	if got := runReplayFile(goldenRepro); got != 1 {
-		t.Fatalf("runReplayFile(golden) = %d, want 1 (violation reproduces)", got)
+	if got := runReplayFile(residualWindowRepro); got != 1 {
+		t.Fatalf("runReplayFile(residual window) = %d, want 1 (violation reproduces)", got)
 	}
 	if got := runReplayFile(smoke); got != 0 {
 		t.Fatalf("runReplayFile(smoke) = %d, want 0 (a clean config)", got)
@@ -194,11 +191,11 @@ func TestRunFilesLoadStrictly(t *testing.T) {
 }
 
 // TestCampaignFailureSavesRepro drives runCampaign's failure branch: a
-// one-schedule plan built from the golden repro (its seed, its faults, its
-// config with the hook) fails, is saved under the corpus directory, and its
+// one-schedule plan built from the residual-window repro (its seed, its
+// faults, its config) fails, is saved under the corpus directory, and its
 // reproduce: line names that file, which -replay-file then reproduces.
 func TestCampaignFailureSavesRepro(t *testing.T) {
-	r, err := explore.LoadRepro(goldenRepro)
+	r, err := explore.LoadRepro(residualWindowRepro)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,9 +101,6 @@ type Config struct {
 	GCSBufferBytes int `json:"gcsBufferBytes,omitempty"`
 	// Faults is the fault load.
 	Faults faults.Config `json:"faults,omitzero"`
-	// Hooks are test-only protocol switches (see gcs.Hooks); the zero
-	// value — every hook off — is the only production configuration.
-	Hooks gcs.Hooks `json:"hooks,omitzero"`
 	// ReadSetThreshold upgrades large read-sets to table locks.
 	ReadSetThreshold int `json:"readSetThreshold,omitempty"`
 	// Admission enables the overload-protection machinery: a per-site
@@ -711,7 +708,6 @@ func (m *Model) buildStack(s *Site, joining bool) error {
 		// Partitions need the primary-component rule: the minority side
 		// must wedge rather than split-brain.
 		PrimaryComponent: len(m.cfg.Faults.Partitions) > 0,
-		Hooks:            m.cfg.Hooks,
 	}
 	stack, err := gcs.New(s.RT, gcfg)
 	if err != nil {

@@ -7,29 +7,32 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/gcs"
+	"repro/internal/mutants"
 	"repro/internal/sim"
 )
 
-// The self-test workload: the PR-7 uniform-delivery fix reverted through the
-// test-only NonUniformSequencer hook, under the short-campaign shape. The
-// resurrected bug needs a sequencer crash landing inside the narrow window
-// between the sequencer's non-uniform local delivery and the survivors
-// learning the assignment — exactly the kind of timing coincidence random
-// campaigning almost never draws and coverage-guided mutation homes in on.
-func hookBase() core.Config {
+// The self-test workload, under the short-campaign shape. With
+// internal/mutants' non-uniform-sequencer mutant applied (the uniform-delivery
+// fix reverted) it has a bug to find: a sequencer cut off inside the narrow
+// window between its non-uniform local delivery and the survivors learning
+// the assignment — exactly the kind of timing coincidence random campaigning
+// almost never draws and coverage-guided mutation homes in on.
+func shortBase() core.Config {
 	return core.Config{
 		Sites: 3, Clients: 60, TotalTxns: 300,
 		Protocol:   core.ProtocolConservative,
 		MaxSimTime: 20 * sim.Minute,
 		Admission:  core.DefaultAdmissionConfig(),
-		Hooks:      gcs.Hooks{NonUniformSequencer: true},
 	}
 }
 
-func hookParams() campaign.Params { return campaign.Params{Sites: 3, Horizon: 15 * sim.Second} }
+func shortParams() campaign.Params { return campaign.Params{Sites: 3, Horizon: 15 * sim.Second} }
 
-const hookSeed = 3
+const shortSeed = 3
+
+// nonUniform is the mutant the self-tests need: they run only where it is
+// applied (mutants.Require).
+const nonUniform = "non-uniform-sequencer"
 
 // explored caches one exploration per worker count, shared across tests.
 var explored = struct {
@@ -45,9 +48,9 @@ func exploreWithWorkers(t *testing.T, workers int) *Report {
 		return rep
 	}
 	rep, err := Run(Options{
-		Base:        hookBase(),
-		Params:      hookParams(),
-		Seed:        hookSeed,
+		Base:        shortBase(),
+		Params:      shortParams(),
+		Seed:        shortSeed,
 		Generations: 8,
 		Population:  16,
 		Workers:     workers,
@@ -70,9 +73,9 @@ func exploreWithWorkers(t *testing.T, workers int) *Report {
 // counted, not skipped — here every one, since the base names no protocol
 // core.New knows.
 func TestExploreCountsCandidatesThatDidNotRun(t *testing.T) {
-	base := hookBase()
+	base := shortBase()
 	base.Protocol = "no-such-protocol"
-	rep, err := Run(Options{Base: base, Params: hookParams(), Seed: hookSeed, Generations: 2, Population: 4})
+	rep, err := Run(Options{Base: base, Params: shortParams(), Seed: shortSeed, Generations: 2, Population: 4})
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
@@ -85,8 +88,8 @@ func TestExploreCountsCandidatesThatDidNotRun(t *testing.T) {
 // schedule's own run, the way faultsim -explore saves a repro.
 func minimizedRepro(t *testing.T, f *Found) *Repro {
 	t.Helper()
-	min, _ := Minimize(hookBase(), hookParams(), f.Genes, f.Seed)
-	cfg := Config(hookBase(), hookParams(), min, f.Seed)
+	min, _ := Minimize(shortBase(), shortParams(), f.Genes, f.Seed)
+	cfg := Config(shortBase(), shortParams(), min, f.Seed)
 	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
@@ -98,18 +101,21 @@ func minimizedRepro(t *testing.T, f *Found) *Repro {
 	return r
 }
 
-// TestExplorerBeatsRandom is the mutation self-test the issue's acceptance
-// criteria demand: with the uniform-delivery fix reverted behind the hook,
-// the coverage-guided explorer must find the violation in at most half the
-// runs random campaigning needs, under the same run budget and seeds
-// (generation zero IS the random campaign's schedule sequence).
+// TestExplorerBeatsRandom is the explorer's mutation self-test: with the
+// uniform-delivery fix reverted, the coverage-guided explorer must find the
+// violation in at most half the runs random campaigning needs, under the same
+// run budget and seeds (generation zero IS the random campaign's schedule
+// sequence).
 func TestExplorerBeatsRandom(t *testing.T) {
+	if !mutants.Require(t, nonUniform) {
+		return
+	}
 	const budget = 100
 	// Random baseline: the campaign's schedules in plan order, exactly the
 	// runs the explorer's generation zero replays.
-	params := hookParams()
+	params := shortParams()
 	baselineFirst := budget + 1 // not found within the budget
-	for i, task := range campaign.Tasks(campaign.Plan(hookSeed, budget, params), hookBase()) {
+	for i, task := range campaign.Tasks(campaign.Plan(shortSeed, budget, params), shortBase()) {
 		res, err := core.Run(task.Config)
 		if err != nil {
 			t.Fatalf("baseline run %d: %v", i, err)
@@ -134,6 +140,9 @@ func TestExplorerBeatsRandom(t *testing.T) {
 // schedule, its seed, the run index, and the minimized repro's exact bytes —
 // across worker-pool sizes 1, 4, and 8.
 func TestExploreDeterministicAcrossWorkers(t *testing.T) {
+	if !mutants.Require(t, nonUniform) {
+		return
+	}
 	var repro []byte
 	var run int
 	for _, workers := range []int{1, 4, 8} {
@@ -160,7 +169,10 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 // schedule still violates, is small, and is locally minimal — removing any
 // single remaining fault makes the violation disappear.
 func TestMinimizeProperties(t *testing.T) {
-	base, params := hookBase(), hookParams()
+	if !mutants.Require(t, nonUniform) {
+		return
+	}
+	base, params := shortBase(), shortParams()
 	f := exploreWithWorkers(t, 0).Found[0]
 	min, stats := Minimize(base, params, f.Genes, f.Seed)
 	t.Logf("minimized %d -> %d genes in %d probes", stats.From, stats.To, stats.Probes)
@@ -188,6 +200,9 @@ func TestMinimizeProperties(t *testing.T) {
 // and replays it: the violation must reproduce with its recorded kind, and
 // the reload must be byte-stable.
 func TestReproReplayRoundTrip(t *testing.T) {
+	if !mutants.Require(t, nonUniform) {
+		return
+	}
 	r := minimizedRepro(t, exploreWithWorkers(t, 0).Found[0])
 
 	dir := t.TempDir()

@@ -27,7 +27,7 @@ type Expect struct {
 }
 
 // Repro is the one file format of a run: the whole run configuration —
-// workload, topology, seed, hooks and the exact fault schedule. A file with
+// workload, topology, seed and the exact fault schedule. A file with
 // an expected verdict is a self-contained, replayable violation, with the
 // checker's first-divergence triage attached; a file without one is a plain
 // configuration (configs/*.json). Either needs nothing but the binary to run:

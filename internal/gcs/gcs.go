@@ -18,15 +18,15 @@
 // reliable layer writes the stream cursors, receive buffer and reassembly
 // state; flow control writes acked, the prefix of the own stream the peer has
 // acknowledged; stability writes stable and roundMin (its vectors S and M),
-// stable through gcStable alone, which has released every buffer at or below
-// it; membership writes lastHeard and suspected. A msgState (totalorder.go)
-// is the one record per in-flight message — body, assigned global, the
-// announcement that carried the assignment, tentative-arrival index — keyed
-// by (sender, first chunk), with order (global to key, a seqRing over the
-// assigned-but-undelivered globals) as its only second index. Two rules keep
-// them in step: a message leaves the table through forget, whatever the
-// reason, and a peer's fresh incarnation restarts its row through reset, so
-// neither can be half cleaned.
+// stable outside a restart through gcStable alone, which has released every
+// buffer at or below it; membership writes lastHeard and suspected. A
+// msgState (totalorder.go) is the one record per in-flight message — body,
+// assigned global, the announcement that carried the assignment,
+// tentative-arrival index — keyed by (sender, first chunk), with order
+// (global to key, a seqRing over the assigned-but-undelivered globals) as its
+// only second index. Two rules keep them in step: a message leaves the table
+// through forget, whatever the reason, and a peer's fresh incarnation
+// restarts its row through reset, so neither can be half cleaned.
 //
 // This is "real code" in the paper's sense: it is written against
 // runtimeapi.Runtime only and runs identically on the centralized simulation
@@ -78,9 +78,6 @@ type Config struct {
 	// continues. Off by default: crash-only runs never lose quorum and
 	// keep the paper's original behaviour.
 	PrimaryComponent bool
-	// Hooks are test-only protocol switches; the zero value is the only
-	// production configuration.
-	Hooks Hooks
 
 	// The protocol's timers, which no caller varies: fill sets the
 	// defaults and only this package's tests override them.
@@ -88,18 +85,6 @@ type Config struct {
 	retransPeriod   sim.Time // paces NACK re-sends and view-change retransmissions: 100ms
 	stabilityPeriod sim.Time // paces stability gossip rounds: 100ms
 	failTimeout     sim.Time // the failure detector's silence threshold: 1s
-}
-
-// Hooks re-open fixed protocol holes for the adversarial explorer's
-// self-tests and saved repros: a repro of a historical bug keeps reproducing
-// its violation on a healthy tree by naming the hook that resurrects it.
-// Never set any hook outside tests and saved repros.
-type Hooks struct {
-	// NonUniformSequencer reverts the uniform sequencer delivery fix: the
-	// sequencer delivers its self-assigned messages without waiting for a
-	// majority to hold the assignment, resurrecting the lost-announcement
-	// safety hole documented in totalorder.go.
-	NonUniformSequencer bool `json:"nonUniformSequencer,omitempty"`
 }
 
 func (c *Config) fill() {

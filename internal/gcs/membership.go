@@ -691,6 +691,10 @@ func (mb *membership) installJoin(m *decideMsg) {
 			continue
 		}
 		s.rm.reset(t.Member, t.Seq)
+		// Stability is a claim about every member, and a joiner cannot
+		// vouch for a survivor still repairing toward t.Seq. roundMin may
+		// stay: only members that installed the view vote in its rounds.
+		s.rm.peer(t.Member).stable = 0
 	}
 	for _, j := range m.Joiners {
 		if j == s.cfg.Self {

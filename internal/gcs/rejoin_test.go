@@ -388,3 +388,72 @@ func TestPeerRowReset(t *testing.T) {
 		}
 	})
 }
+
+// TestJoinerDoesNotVouchForRepairingSurvivor admits a joiner while one
+// survivor lacks the tail of a flush target. Node 2 receives none of node 1's
+// stream chunks from just before the join until well after node 1 and the
+// joiner have installed, so it sits in membDeciding, NACKing the target's
+// last chunks. The joiner's first gossip must not report those chunks as
+// stable: node 1 would free them on its word, and node 2 would NACK for them
+// for the rest of the run and never install — the rejoin-under-loss wedge.
+// Every survivor must install the join view, the delivered sequences must
+// agree, and no NACK may go unanswered.
+func TestJoinerDoesNotVouchForRepairingSurvivor(t *testing.T) {
+	c := newCluster(t, 3, 25, func(cfg *Config) {
+		cfg.failTimeout = 500 * sim.Millisecond
+	})
+	for r := 0; r < 10; r++ {
+		for _, id := range nodes(3) {
+			c.castAt(sim.Time(r+1)*10*sim.Millisecond, id, []byte(fmt.Sprintf("%d-%d", id, r)))
+		}
+	}
+	c.crashNode(400*sim.Millisecond, 3)
+
+	// From deafFrom to deafUntil node 2 drops every chunk of node 1's
+	// stream numbered past the last one sent before deafFrom, first
+	// transmissions and repairs alike; everything else gets through.
+	const deafFrom, deafUntil = 3 * sim.Second, 6 * sim.Second
+	var tail uint64
+	c.k.ScheduleAt(deafFrom, func() { tail = c.stacks[1].rm.sendSeq })
+	deliver := c.rts[2].Deliver
+	c.net.Host(2).DeliverTo(func(src NodeID, data []byte) {
+		if now := c.k.Now(); now >= deafFrom && now < deafUntil && len(data) >= dataHeader && data[0] == kindData {
+			var m dataMsg
+			if parseDataInto(&m, data) == nil && m.Sender == 1 && m.Seq > tail {
+				return
+			}
+		}
+		deliver(src, data)
+	})
+	c.castAt(deafFrom+10*sim.Millisecond, 1, []byte("tail"))
+	var repairing bool // node 2 still repairing once node 1 has installed the join view
+	c.k.ScheduleAt(deafUntil-sim.Millisecond, func() {
+		repairing = c.stacks[2].memb.state == membDeciding && len(c.stacks[1].View().Members) == 3
+	})
+	var joinSeq uint64
+	c.rejoinNode(deafFrom+100*sim.Millisecond, 3, 3, &joinSeq)
+	for r := 0; r < 10; r++ {
+		for _, id := range nodes(3) {
+			c.castAt(8*sim.Second+sim.Time(r+1)*10*sim.Millisecond, id, []byte(fmt.Sprintf("p%d-%d", id, r)))
+		}
+	}
+	c.run(15 * sim.Second)
+
+	if !repairing {
+		t.Fatal("test premise broken: node 2 was not repairing toward the join view's targets")
+	}
+	join := c.stacks[1].View()
+	if len(join.Members) != 3 {
+		t.Fatalf("node 1 ends in view %+v, want the join view", join)
+	}
+	for _, id := range nodes(3) {
+		if v := c.stacks[id].View(); v.ID != join.ID {
+			t.Fatalf("node %d ends in view %d, node 1 in view %d", id, v.ID, join.ID)
+		}
+		if n := c.stacks[id].Stats().NackMisses; n != 0 {
+			t.Fatalf("node %d counted %d NACK misses", id, n)
+		}
+	}
+	c.checkAgreement([]NodeID{1, 2}, -1)
+	checkSuffixAgreement(t, c.delivered[1], c.delivered[3], joinSeq)
+}

@@ -128,10 +128,11 @@ type peerState struct {
 	acked uint64
 
 	// Stability (stability.go): stable is S, the prefix of the peer's stream
-	// known received by all members — gcStable is its one writer and has
-	// released every buffer at or below it; on the own row it is also the
-	// boundary of the send buffer. roundMin is M, the minimum contiguous
-	// prefix among the current round's voters.
+	// known received by all members — outside a restart (reset, installJoin)
+	// gcStable is its one writer and has released every buffer at or below
+	// it; on the own row it is also the boundary of the send buffer.
+	// roundMin is M, the minimum contiguous prefix among the current round's
+	// voters.
 	stable   uint64
 	roundMin uint64
 

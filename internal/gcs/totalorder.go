@@ -445,11 +445,9 @@ func (to *totalOrder) tryDeliver() {
 			break
 		}
 		g := to.nextDeliver + 1
-		if to.s.IsSequencer() && g > to.selfAssignedFloor && g > to.announceSafe &&
-			!to.s.cfg.Hooks.NonUniformSequencer {
+		if to.s.IsSequencer() && g > to.selfAssignedFloor && g > to.announceSafe {
 			// Uniform delivery: wait for a majority to hold the
-			// announcement. The NonUniformSequencer escape is a test-only
-			// hook resurrecting the pre-fix behaviour for saved repros.
+			// announcement.
 			to.s.stats.UniformStalls++
 			break
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/dbsm"
 	"repro/internal/gcs"
+	"repro/internal/mutants"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -30,13 +31,12 @@ func buildCluster(t *testing.T, n int) (*sim.Kernel, []*testSite) {
 
 func buildClusterOpts(t *testing.T, n int, opts Options) (*sim.Kernel, []*testSite) {
 	t.Helper()
-	return buildClusterWith(t, n, func(int) Options { return opts }, nil)
+	return buildClusterWith(t, n, func(int) Options { return opts })
 }
 
 // buildClusterWith is the general form: optsFor picks the replica options of
-// the i-th site (0-based) and tweak, when set, edits every stack's
-// configuration.
-func buildClusterWith(t *testing.T, n int, optsFor func(i int) Options, tweak func(*gcs.Config)) (*sim.Kernel, []*testSite) {
+// the i-th site (0-based).
+func buildClusterWith(t *testing.T, n int, optsFor func(i int) Options) (*sim.Kernel, []*testSite) {
 	t.Helper()
 	k := sim.NewKernel()
 	rng := sim.NewRNG(5)
@@ -59,11 +59,7 @@ func buildClusterWith(t *testing.T, n int, optsFor func(i int) Options, tweak fu
 		host.DeliverTo(rt.Deliver)
 		storage := db.NewStorage(k, db.StorageConfig{}, rng.Fork(fmt.Sprintf("disk-%d", id)))
 		server := db.NewServer(k, dbsm.SiteID(id), rt.CPUs(), storage)
-		cfg := gcs.Config{Self: id, Members: members, Group: 1, UseMulticast: true}
-		if tweak != nil {
-			tweak(&cfg)
-		}
-		stack, err := gcs.New(rt, cfg)
+		stack, err := gcs.New(rt, gcs.Config{Self: id, Members: members, Group: 1, UseMulticast: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,10 +189,39 @@ func TestReplicaStopsOnCrash(t *testing.T) {
 // A corrupted certification payload must be counted at every replica, not
 // silently discarded — the drop counter is the only trace a marshaling or
 // wire-format bug leaves — and counted once, whichever optimistic stage meets
-// it first. At a non-uniform sequencer the final order is assigned in the
-// very job that receives the data, so final delivery beats the scheduled
-// tentative job there; everywhere else the tentative job runs first.
+// it first. Everywhere the tentative job runs first here;
+// TestCorruptPayloadCountedFinalFirst has final delivery win the race.
 func TestCorruptPayloadCountedNotSilent(t *testing.T) {
+	for _, tc := range corruptPayloads(t) {
+		for _, optimistic := range []bool{false, true} {
+			name := tc.name + "/conservative"
+			if optimistic {
+				name = tc.name + "/optimistic"
+			}
+			t.Run(name, func(t *testing.T) { checkCorruptPayloadCounted(t, tc.payload, optimistic, false) })
+		}
+	}
+}
+
+// TestCorruptPayloadCountedFinalFirst is the optimistic case at a
+// non-uniform sequencer, which the non-uniform-sequencer mutant makes: the
+// final order is assigned in the very job that receives the data, so final
+// delivery beats the scheduled tentative job there.
+func TestCorruptPayloadCountedFinalFirst(t *testing.T) {
+	if !mutants.Require(t, "non-uniform-sequencer") {
+		return
+	}
+	for _, tc := range corruptPayloads(t) {
+		t.Run(tc.name, func(t *testing.T) { checkCorruptPayloadCounted(t, tc.payload, true, true) })
+	}
+}
+
+// corruptPayloads are the two ways a certification payload fails to decode.
+func corruptPayloads(t *testing.T) []struct {
+	name    string
+	payload []byte
+} {
+	t.Helper()
 	// Too short for the TxnCert header: PeekTID and Unmarshal both reject it.
 	truncated := []byte{0xde, 0xad, 0xbe, 0xef}
 	// A whole header whose set lengths overrun the bytes present: PeekTID
@@ -210,65 +235,58 @@ func TestCorruptPayloadCountedNotSilent(t *testing.T) {
 	if _, err := dbsm.Unmarshal(overrun); err == nil {
 		t.Fatal("overrun payload must fail to decode")
 	}
-	for _, tc := range []struct {
-		name       string
-		payload    []byte
-		optimistic bool
-		finalFirst bool // at site 1, the sequencer
-	}{
-		{"truncated/conservative", truncated, false, false},
-		{"truncated/optimistic", truncated, true, false},
-		{"truncated/optimistic/final-first", truncated, true, true},
-		{"overrun/conservative", overrun, false, false},
-		{"overrun/optimistic", overrun, true, false},
-		{"overrun/optimistic/final-first", overrun, true, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			k, sites := buildClusterWith(t, 3,
-				func(int) Options { return Options{Optimistic: tc.optimistic} },
-				func(c *gcs.Config) { c.Hooks.NonUniformSequencer = tc.finalFirst })
-			k.ScheduleAt(10*sim.Millisecond, func() {
-				sites[0].rt.CPUs().SubmitReal(func() { sites[0].stack.Multicast(tc.payload) }, nil)
-			})
-			// A valid transaction afterwards still goes through. It spans three
-			// chunks, so a tentative job that lost the race would be reading a
-			// buffer the stack already has back.
-			var outcome db.Outcome
-			txn := txnFor(dbsm.MakeTID(1, 1), dbsm.MakeTupleID(1, 5))
-			txn.WriteBytes = 3000
-			txn.Done = func(_ *db.Txn, o db.Outcome) { outcome = o }
-			k.ScheduleAt(20*sim.Millisecond, func() { sites[0].server.Submit(txn) })
-			if err := k.RunUntil(5 * sim.Second); err != nil {
-				t.Fatal(err)
-			}
-			if outcome != db.Committed {
-				t.Fatalf("valid txn after garbage: %v", outcome)
-			}
-			for i, s := range sites {
-				st := s.rep.Stats()
-				if st.CertDrops != 1 {
-					t.Fatalf("site %d counted the corrupt payload %d times, want once", i+1, st.CertDrops)
-				}
-				if st.Delivered != 1 {
-					t.Fatalf("site %d delivered %d", i+1, st.Delivered)
-				}
-				if len(s.rep.done) != 0 || len(s.rep.tent) != 0 {
-					t.Fatalf("site %d keeps optimistic residue: done=%d tent=%d", i+1, len(s.rep.done), len(s.rep.tent))
-				}
-				if !tc.optimistic || i != 0 {
-					continue
-				}
-				// At the sequencer the valid transaction shows which stage
-				// came first: a tentative job that lost the race is skipped.
-				wantTent := int64(1)
-				if tc.finalFirst {
-					wantTent = 0
-				}
-				if st.Tentative != wantTent {
-					t.Fatalf("site 1 ran %d tentative certifications, want %d", st.Tentative, wantTent)
-				}
-			}
-		})
+	return []struct {
+		name    string
+		payload []byte
+	}{{"truncated", truncated}, {"overrun", overrun}}
+}
+
+// checkCorruptPayloadCounted multicasts payload from site 1, the sequencer,
+// then a valid transaction, and requires every site to count the payload
+// once and commit the transaction. finalFirst says which optimistic stage
+// meets the valid transaction first at the sequencer.
+func checkCorruptPayloadCounted(t *testing.T, payload []byte, optimistic, finalFirst bool) {
+	k, sites := buildClusterWith(t, 3, func(int) Options { return Options{Optimistic: optimistic} })
+	k.ScheduleAt(10*sim.Millisecond, func() {
+		sites[0].rt.CPUs().SubmitReal(func() { sites[0].stack.Multicast(payload) }, nil)
+	})
+	// A valid transaction afterwards still goes through. It spans three
+	// chunks, so a tentative job that lost the race would be reading a
+	// buffer the stack already has back.
+	var outcome db.Outcome
+	txn := txnFor(dbsm.MakeTID(1, 1), dbsm.MakeTupleID(1, 5))
+	txn.WriteBytes = 3000
+	txn.Done = func(_ *db.Txn, o db.Outcome) { outcome = o }
+	k.ScheduleAt(20*sim.Millisecond, func() { sites[0].server.Submit(txn) })
+	if err := k.RunUntil(5 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if outcome != db.Committed {
+		t.Fatalf("valid txn after garbage: %v", outcome)
+	}
+	for i, s := range sites {
+		st := s.rep.Stats()
+		if st.CertDrops != 1 {
+			t.Fatalf("site %d counted the corrupt payload %d times, want once", i+1, st.CertDrops)
+		}
+		if st.Delivered != 1 {
+			t.Fatalf("site %d delivered %d", i+1, st.Delivered)
+		}
+		if len(s.rep.done) != 0 || len(s.rep.tent) != 0 {
+			t.Fatalf("site %d keeps optimistic residue: done=%d tent=%d", i+1, len(s.rep.done), len(s.rep.tent))
+		}
+		if !optimistic || i != 0 {
+			continue
+		}
+		// At the sequencer the valid transaction shows which stage came
+		// first: a tentative job that lost the race is skipped.
+		wantTent := int64(1)
+		if finalFirst {
+			wantTent = 0
+		}
+		if st.Tentative != wantTent {
+			t.Fatalf("site 1 ran %d tentative certifications, want %d", st.Tentative, wantTent)
+		}
 	}
 }
 
@@ -280,7 +298,7 @@ func TestRecoveryHoldBackSurvivesBufferReuse(t *testing.T) {
 	for _, optimistic := range []bool{false, true} {
 		k, sites := buildClusterWith(t, 3, func(i int) Options {
 			return Options{Optimistic: optimistic, Recovering: i == 2}
-		}, nil)
+		})
 		snap := sites[0].rep.ExportSnapshot(0) // before anything was delivered
 		const txns = 101
 		committed := 0
@@ -502,7 +520,7 @@ func TestPartialReplicationNarrowsIntoScratch(t *testing.T) {
 	for _, optimistic := range []bool{false, true} {
 		k, sites := buildClusterWith(t, 3, func(i int) Options {
 			return Options{Optimistic: optimistic, Replicates: storedAt(i)}
-		}, nil)
+		})
 		const txns = 12
 		wantSectors := make([]int64, len(sites))
 		for i := range txns {
@@ -545,7 +563,7 @@ func TestPartialReplicationNarrowsIntoScratch(t *testing.T) {
 		}
 	}
 
-	_, sites := buildClusterWith(t, 3, func(i int) Options { return Options{Replicates: storedAt(i)} }, nil)
+	_, sites := buildClusterWith(t, 3, func(i int) Options { return Options{Replicates: storedAt(i)} })
 	r := sites[0].rep // stores every row but those with r%3 == 0
 	decode := func(ids ...dbsm.TupleID) *dbsm.TxnCert {
 		var rec dbsm.TxnCert
