@@ -15,8 +15,8 @@ import (
 	"repro/internal/golden"
 )
 
-// A test is named by its package, relative to the repository, and its
-// top-level name.
+// A test is named by its package, relative to the repository, and its name
+// as go test prints it, a subtest's with its parents'.
 type test struct {
 	Pkg string `json:"pkg"`
 	Run string `json:"run"`
@@ -82,6 +82,7 @@ func apply(m mutant) ([]byte, error) {
 // TestMutants applies each mutant in turn through a build overlay and runs,
 // per package, its killers and needs in one child `go test -v` with
 // REPRO_MUTANT naming it. A killer must print `--- FAIL`, a need `--- PASS`.
+// A subtest runs with all of its top-level test.
 // The child builds without -race, whatever flags this test has. Each
 // killer's outcome goes to testdata/kills.golden, so a surviving mutant shows
 // in the diff.
@@ -120,7 +121,7 @@ func TestMutants(t *testing.T) {
 						continue
 					}
 					verdict := "SURVIVED"
-					if bytes.Contains(out, []byte("\n--- FAIL: "+k.Run+" (")) {
+					if reported(out, "FAIL", k.Run) {
 						verdict = "killed"
 					} else {
 						t.Errorf("killer %s %s passed with the mutant applied", pkg, k.Run)
@@ -131,7 +132,7 @@ func TestMutants(t *testing.T) {
 					if n.Pkg != pkg {
 						continue
 					}
-					if !bytes.Contains(out, []byte("\n--- PASS: "+n.Run+" (")) {
+					if !reported(out, "PASS", n.Run) {
 						t.Errorf("need %s %s did not pass with the mutant applied:\n%s", pkg, n.Run, out)
 						continue
 					}
@@ -181,8 +182,9 @@ func childTest(t *testing.T, m mutant, overlay, pkg string) []byte {
 	t.Helper()
 	var runs []string
 	for _, x := range m.tests() {
-		if x.Pkg == pkg {
-			runs = append(runs, regexp.QuoteMeta(x.Run))
+		top, _, _ := strings.Cut(x.Run, "/")
+		if top = regexp.QuoteMeta(top); x.Pkg == pkg && !slices.Contains(runs, top) {
+			runs = append(runs, top)
 		}
 	}
 	cmd := exec.Command("go", "test", "-overlay", overlay, "-count=1", "-vet=off", "-v",
@@ -197,6 +199,12 @@ func childTest(t *testing.T, m mutant, overlay, pkg string) []byte {
 		t.Fatalf("%s under mutant %s: %v\n%s", pkg, m.Name, err, out)
 	}
 	return append([]byte("\n"), out...)
+}
+
+// reported says whether verbose go test output shows the test called name,
+// top-level or subtest, ending with verdict.
+func reported(out []byte, verdict, name string) bool {
+	return regexp.MustCompile(`\n *--- ` + verdict + `: ` + regexp.QuoteMeta(name) + ` \(`).Match(out)
 }
 
 // TestStaleSnippetFailsByName: an old snippet edited by one character no

@@ -189,30 +189,19 @@ func TestReplicaStopsOnCrash(t *testing.T) {
 // A corrupted certification payload must be counted at every replica, not
 // silently discarded — the drop counter is the only trace a marshaling or
 // wire-format bug leaves — and counted once, whichever optimistic stage meets
-// it first. Everywhere the tentative job runs first here;
-// TestCorruptPayloadCountedFinalFirst has final delivery win the race.
+// it first. Everywhere the tentative job runs first here. The final-first
+// cases need a non-uniform sequencer, which the non-uniform-sequencer mutant
+// makes: the final order is assigned in the very job that receives the data,
+// so final delivery beats the scheduled tentative job there.
 func TestCorruptPayloadCountedNotSilent(t *testing.T) {
 	for _, tc := range corruptPayloads(t) {
-		for _, optimistic := range []bool{false, true} {
-			name := tc.name + "/conservative"
-			if optimistic {
-				name = tc.name + "/optimistic"
+		t.Run(tc.name+"/conservative", func(t *testing.T) { checkCorruptPayloadCounted(t, tc.payload, false, false) })
+		t.Run(tc.name+"/optimistic", func(t *testing.T) { checkCorruptPayloadCounted(t, tc.payload, true, false) })
+		t.Run(tc.name+"/optimistic/final-first", func(t *testing.T) {
+			if mutants.Require(t, "non-uniform-sequencer") {
+				checkCorruptPayloadCounted(t, tc.payload, true, true)
 			}
-			t.Run(name, func(t *testing.T) { checkCorruptPayloadCounted(t, tc.payload, optimistic, false) })
-		}
-	}
-}
-
-// TestCorruptPayloadCountedFinalFirst is the optimistic case at a
-// non-uniform sequencer, which the non-uniform-sequencer mutant makes: the
-// final order is assigned in the very job that receives the data, so final
-// delivery beats the scheduled tentative job there.
-func TestCorruptPayloadCountedFinalFirst(t *testing.T) {
-	if !mutants.Require(t, "non-uniform-sequencer") {
-		return
-	}
-	for _, tc := range corruptPayloads(t) {
-		t.Run(tc.name, func(t *testing.T) { checkCorruptPayloadCounted(t, tc.payload, true, true) })
+		})
 	}
 }
 
