@@ -14,24 +14,30 @@
 // configs/smoke.json for CI): matrix rows, campaign schedules and explorer
 // candidates replace its seed, faults and protocol per run. A failing
 // campaign schedule or explorer find is saved under -corpus as a repro file,
-// and -replay-file runs any run file again. The process exits non-zero when
-// any run violates safety. Stdout is a pure function of the flags and the
-// file — nothing on the way to it reads the host clock, and the worker count
-// does not change a byte — so testdata/*.golden pins it.
+// and -replay-file runs any run file again, or, with -seeds N, over N seeds
+// derived from -seed as a failure-rate sweep. The process exits non-zero when
+// any run fails its verdict: unsafe, or wedged (it never quiesced). Stdout is
+// a pure function of the flags and the file — nothing on the way to it reads
+// the host clock, and the worker count does not change a byte — so
+// testdata/*.golden pins it.
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/expr"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -49,10 +55,10 @@ func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
 	fs.StringVar(&o.config, "config", "", "run file holding the workload (configs/faultsim.json, configs/smoke.json, or a repro); required unless -replay-file")
-	fs.IntVar(&o.seeds, "seeds", 3, "seeds per fixed-matrix fault type")
+	fs.IntVar(&o.seeds, "seeds", 3, "seeds per fixed-matrix fault type; with -replay-file, sweep the file over N seeds derived from -seed (without it, one run at the file's own seed)")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.campaign, "campaign", 0, "run N randomized fault schedules instead of the fixed matrix")
-	fs.Int64Var(&o.seed, "seed", 1, "campaign and explorer base seed (schedule i uses a seed derived from it)")
+	fs.Int64Var(&o.seed, "seed", 1, "base seed of a campaign, the explorer and a -replay-file -seeds sweep (run i uses a seed derived from it)")
 	fs.StringVar(&o.replayFile, "replay-file", "", "run a run file: a repro exits 1 when its violation reproduces, a plain config when its verdict is not clean")
 	fs.BoolVar(&o.explore, "explore", false, "run the coverage-guided adversarial explorer instead of the fixed matrix")
 	fs.IntVar(&o.generations, "generations", 8, "explorer generations")
@@ -68,6 +74,11 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.short {
 		o.seeds = 2
+	}
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if o.replayFile != "" && !given["seeds"] {
+		o.seeds = 0 // a run file is one fault load: one run, at its own seed
 	}
 	return o, nil
 }
@@ -109,7 +120,7 @@ func run(args []string) int {
 	if o.replayFile != "" {
 		// A run file is self-contained (the whole Config, and for a repro
 		// the expected verdict): run it, independent of every other flag.
-		return runReplayFile(o.replayFile)
+		return runReplayFile(o.replayFile, o.seeds, o.seed, o.parallel)
 	}
 	if o.config == "" {
 		fmt.Fprintln(os.Stderr, "faultsim: -config is required (or -replay-file)")
@@ -163,7 +174,7 @@ func run(args []string) int {
 		}
 	}
 	if failures > 0 {
-		fmt.Printf("\n%d run(s) violated safety or errored\n", failures)
+		fmt.Printf("\n%d run(s) were unsafe, wedged or errored\n", failures)
 		return 1
 	}
 	fmt.Printf("\nall runs safe (%v): every operational site committed the same sequence\n", protocols)
@@ -415,46 +426,88 @@ func saveRepro(cfg core.Config, res *core.Results, dir string) string {
 	return path
 }
 
-// runReplayFile runs a run file. A repro reports whether its violation is
-// still present: 1 (with the triage annotation) when it reproduces, 0 when
-// the tree no longer exhibits it. A plain configuration exits 0 on a clean
-// verdict and 1 otherwise. Either exits 2 on a file or config error.
-func runReplayFile(path string) int {
+// runReplayFile runs a run file: once at its own seed when seeds is 0, else
+// at expr.DeriveSeed(base, 0…seeds-1) on the pool, tallying the verdict kinds
+// with Wilson 95 % intervals. A run fails when its verdict is not clean, or,
+// for a repro, when its violation reproduces. It exits 1 if a run failed, 0
+// if none did, and 2 on a file or config error.
+func runReplayFile(path string, seeds int, base int64, parallel int) int {
 	r, err := explore.LoadRepro(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
 		return 2
 	}
 	c := &r.Config
-	fmt.Printf("replaying %s: protocol=%s sites=%d groups=%d seed=%d", path, c.Protocol, c.Sites, c.Groups, c.Seed)
+	seed := fmt.Sprintf("seed=%d", c.Seed)
+	if seeds > 0 {
+		seed = fmt.Sprintf("seeds=DeriveSeed(%d, 0..%d)", base, seeds-1)
+	}
+	fmt.Printf("replaying %s: protocol=%s sites=%d groups=%d %s", path, c.Protocol, c.Sites, c.Groups, seed)
 	if r.Expect != nil {
 		fmt.Printf(" expect=%s/%s", r.Expect.Verdict, r.Expect.Kind)
 	}
 	fmt.Println()
-	reproduced, detail, err := r.Replay()
-	if err != nil {
+	n := max(seeds, 1)
+	kinds, details, errs := make([]string, n), make([]string, n), make([]error, n)
+	expr.ForEach(parallel, n, func(i int) {
+		one := *r
+		if seeds > 0 {
+			one.Config.Seed = expr.DeriveSeed(base, i)
+		}
+		kinds[i], details[i], errs[i] = one.Replay()
+	})
+	if err := errors.Join(errs...); err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
 		return 2
 	}
-	if r.Expect == nil {
-		// A plain configuration: any violation fails it.
-		if reproduced {
-			fmt.Printf("UNSAFE: %s\n", detail)
+	if seeds == 0 {
+		switch kind, detail := kinds[0], details[0]; {
+		case r.Expect == nil && kind == "":
+			fmt.Println("SAFE")
+		case r.Expect == nil:
+			fmt.Printf("%s: %s\n", verdictWord(kind), detail)
+		case !r.Reproduces(kind):
+			fmt.Printf("did not reproduce: %s\n", detail)
+		default:
+			fmt.Printf("REPRODUCED: %s\n", detail)
+			if t := r.Triage; t != nil {
+				fmt.Printf("triage: kind=%s site=%d ref=%d group=%d pos=%d detail=%q\n",
+					t.Kind, t.Site, t.Ref, t.Group, t.Pos, t.Detail)
+			}
+		}
+		if r.Reproduces(kinds[0]) {
 			return 1
 		}
-		fmt.Println("SAFE")
 		return 0
 	}
-	if !reproduced {
-		fmt.Printf("did not reproduce: %s\n", detail)
-		return 0
+
+	count := map[string]int{}
+	for _, k := range kinds {
+		count[k]++
 	}
-	fmt.Printf("REPRODUCED: %s\n", detail)
-	if t := r.Triage; t != nil {
-		fmt.Printf("triage: kind=%s site=%d ref=%d group=%d pos=%d detail=%q\n",
-			t.Kind, t.Site, t.Ref, t.Group, t.Pos, t.Detail)
+	fmt.Printf("  %-17s %5s %8s  %s\n", "verdict kind", "runs", "rate", "Wilson 95%")
+	for _, k := range slices.Sorted(maps.Keys(count)) { // "" (clean) first
+		lo, hi := metrics.Wilson95(count[k], n)
+		fmt.Printf("  %-17s %5d %7.2f%%  [%.2f%%, %.2f%%]\n", cmp.Or(k, "clean"), count[k],
+			metrics.Rate(int64(count[k]), int64(n)), lo, hi)
 	}
-	return 1
+	failed := 0
+	for i, k := range kinds {
+		if r.Reproduces(k) {
+			failed++
+			fmt.Printf("  run %4d seed=%-20d %-15s %s\n", i, expr.DeriveSeed(base, i), k, details[i])
+		}
+	}
+	fmt.Printf("\n%d of %d run(s) failed\n", failed, n)
+	return min(failed, 1) // 1 when any run failed
+}
+
+// verdictWord is the verdict column's word for a failing verdict kind.
+func verdictWord(kind string) string {
+	if kind == "wedged" {
+		return "WEDGED"
+	}
+	return "UNSAFE"
 }
 
 // verdictOf classifies one completed grid point.
@@ -463,8 +516,8 @@ func verdictOf(pt expr.Point) (string, string) {
 		return "ERROR", pt.Err.Error()
 	}
 	r := pt.Agg.Runs[0]
-	if v := r.Verdict(); v != nil {
-		return "UNSAFE", v.Error()
+	if kind, v := r.VerdictKind(); v != nil {
+		return verdictWord(kind), v.Error()
 	}
 	detail := fmt.Sprintf("committed=%d tpm=%.0f viewchanges=%d quorumlosses=%d",
 		r.Committed, r.TPM, r.GCS.ViewChanges, r.GCS.QuorumLosses)

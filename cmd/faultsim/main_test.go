@@ -10,6 +10,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/explore"
 	"repro/internal/golden"
+	"repro/internal/sim"
 )
 
 // smoke is the CI workload; the groups and aggregate goldens run its
@@ -25,21 +26,25 @@ var goldenRuns = []struct{ name, args string }{
 	{"groups", "-config testdata/smoke_groups.json -short -campaign 8"},
 	{"aggregate", "-config testdata/smoke_aggregate.json -short -campaign 8"},
 	{"matrix", "-config " + smoke + " -short"},
+	{"sweep", "-replay-file ../../configs/lossy_rejoin.json -seeds 20"},
 }
 
 // TestGolden pins every verdict line faultsim prints for goldenRuns against
-// testdata/<name>.golden, byte for byte, and the first of them across worker
-// counts. Stdout is a pure function of the flags, so a diff here is a change
-// in simulated behaviour, in a campaign's draws, or in the layout — "did a
-// verdict line move?" is this test, not a hand diff. Regenerate with `go test
-// ./cmd/faultsim -run TestGolden -update` only for an intended change, and
-// say which lines moved and why.
+// testdata/<name>.golden, byte for byte, and the first campaign and the sweep
+// across worker counts. Stdout is a pure function of the flags, so a diff
+// here is a change in simulated behaviour, in a campaign's draws, or in the
+// layout — "did a verdict line move?" is this test, not a hand diff.
+// Regenerate with `go test ./cmd/faultsim -run TestGolden -update` only for
+// an intended change, and say which lines moved and why. Race builds compare
+// the sweep at one worker count only: its 20 lossy_rejoin runs take about
+// 13 s each there (against 0.2 s), and the output does not depend on the
+// build, so the plain build's comparison covers it.
 func TestGolden(t *testing.T) {
 	for i, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
 			args := strings.Fields(g.args)
 			got := golden.Stdout(t, run, append(args, "-parallel", "4")...)
-			if i == 0 && !bytes.Equal(got, golden.Stdout(t, run, append(args, "-parallel", "1")...)) {
+			if (i == 0 || g.name == "sweep" && !sim.RaceBuild) && !bytes.Equal(got, golden.Stdout(t, run, append(args, "-parallel", "1")...)) {
 				t.Fatal("stdout differs between -parallel 4 and -parallel 1")
 			}
 			golden.Check(t, filepath.Join("testdata", g.name+".golden"), got)
@@ -67,15 +72,15 @@ func TestGoldenReproReproduces(t *testing.T) {
 	if r.Expect == nil || r.Expect.Kind != "non-prefix" || r.Triage == nil || r.Triage.Kind != "non-prefix" {
 		t.Fatalf("golden repro triage drifted: expect=%+v triage=%+v", r.Expect, r.Triage)
 	}
-	reproduced, detail, err := r.Replay()
+	kind, detail, err := r.Replay()
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if reproduced {
+	if r.Reproduces(kind) {
 		t.Fatalf("the fixed non-uniform sequencer divergence reproduced again (%s) — "+
 			"the uniform-delivery gate in gcs/totalorder.go regressed", detail)
 	}
-	if got := runReplayFile(goldenRepro); got != 0 {
+	if got := runReplayFile(goldenRepro, 0, 0, 0); got != 0 {
 		t.Fatalf("runReplayFile(golden) = %d, want 0 (violation fixed)", got)
 	}
 }
@@ -109,11 +114,11 @@ func TestResidualWindowReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	reproduced, detail, err := r.Replay()
+	kind, detail, err := r.Replay()
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if !reproduced {
+	if !r.Reproduces(kind) {
 		t.Fatalf("the documented n>=5 window no longer reproduces (verdict %q) — "+
 			"if it was closed on purpose, update gcs/totalorder.go's comment and this guard", detail)
 	}
@@ -131,30 +136,33 @@ func TestRenumberWedgeReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	reproduced, detail, err := r.Replay()
+	kind, detail, err := r.Replay()
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if reproduced {
+	if r.Reproduces(kind) {
 		t.Fatalf("the fixed renumbering divergence reproduced again (%s) — "+
 			"the flush-agreed renumbering base in gcs/totalorder.go regressed", detail)
 	}
-	if got := runReplayFile(renumberWedgeRepro); got != 0 {
+	if got := runReplayFile(renumberWedgeRepro, 0, 0, 0); got != 0 {
 		t.Fatalf("runReplayFile(wedge) = %d, want 0 (violation fixed)", got)
 	}
 }
 
-// TestRunReplayFile pins the command-level exit codes: 1 when a repro's
-// violation reproduces, 0 when a plain config runs clean, 2 on a missing
-// file, a misspelled key, or no run file at all.
+// TestRunReplayFile pins the command-level exit codes, at the file's seed
+// and swept over two derived seeds: 1 when a repro's violation reproduces, 0
+// when a plain config runs clean, 2 on a missing file, a misspelled key, or
+// no run file at all.
 func TestRunReplayFile(t *testing.T) {
-	if got := runReplayFile(residualWindowRepro); got != 1 {
-		t.Fatalf("runReplayFile(residual window) = %d, want 1 (violation reproduces)", got)
+	for _, seeds := range []int{0, 2} {
+		if got := runReplayFile(residualWindowRepro, seeds, 1, 0); got != 1 {
+			t.Fatalf("runReplayFile(residual window, %d seeds) = %d, want 1 (violation reproduces)", seeds, got)
+		}
+		if got := runReplayFile(smoke, seeds, 1, 0); got != 0 {
+			t.Fatalf("runReplayFile(smoke, %d seeds) = %d, want 0 (a clean config)", seeds, got)
+		}
 	}
-	if got := runReplayFile(smoke); got != 0 {
-		t.Fatalf("runReplayFile(smoke) = %d, want 0 (a clean config)", got)
-	}
-	if got := runReplayFile(filepath.Join(t.TempDir(), "missing.json")); got != 2 {
+	if got := runReplayFile(filepath.Join(t.TempDir(), "missing.json"), 0, 0, 0); got != 2 {
 		t.Fatalf("runReplayFile(missing) = %d, want 2", got)
 	}
 	typo := filepath.Join(t.TempDir(), "typo.json")
@@ -214,7 +222,7 @@ func TestCampaignFailureSavesRepro(t *testing.T) {
 	if want := "  reproduce: faultsim -replay-file " + saved[0] + "\n"; !strings.Contains(string(out), want) {
 		t.Fatalf("stdout does not name the saved repro:\n%s", out)
 	}
-	if got := runReplayFile(saved[0]); got != 1 {
+	if got := runReplayFile(saved[0], 0, 0, 0); got != 1 {
 		t.Fatalf("runReplayFile(saved) = %d, want 1 (violation reproduces)", got)
 	}
 }

@@ -34,7 +34,9 @@
 // recovered site's log is held to full equality with the survivors' at the
 // end of the run. Per-site downtime, recovery duration, transfer bytes, and
 // post-rejoin commit lag surface through core.Results, the faultsim verdict
-// lines, and cmd/experiments's "recovery" table.
+// lines, and cmd/experiments's "recovery" table. A run that stops before it
+// quiesces fails its verdict as wedged, and `faultsim -replay-file F -seeds
+// N` turns any run file into a failure rate with a Wilson interval.
 //
 // Overload is a first-class faultload: the group communication layer bounds
 // its transmit queue and gates transmission on per-destination credits, the

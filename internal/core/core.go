@@ -847,6 +847,7 @@ func (m *Model) run() (*Results, error) {
 	// activity quiesces before the safety check.
 	const drainTime = 2 * sim.Second
 	var drainUntil sim.Time = -1
+	wedged := false
 	for cursor := sim.Time(0); ; {
 		cursor += chunk
 		if cursor > cfg.MaxSimTime {
@@ -855,10 +856,10 @@ func (m *Model) run() (*Results, error) {
 		if err := m.k.RunUntil(cursor); err != nil {
 			return nil, fmt.Errorf("core: run: %w", err)
 		}
-		if m.k.Pending() == 0 {
-			break
-		}
-		if cursor >= cfg.MaxSimTime {
+		if m.k.Pending() == 0 || cursor >= cfg.MaxSimTime {
+			// Out of events or out of time: a run that has not quiesced
+			// stops with work unfinished, and its verdict says so.
+			wedged = !m.quiesced()
 			break
 		}
 		if m.quiesced() {
@@ -870,7 +871,9 @@ func (m *Model) run() (*Results, error) {
 			}
 		}
 	}
-	return m.results(), nil
+	r := m.results()
+	r.Wedged = wedged
+	return r, nil
 }
 
 // quiesced reports whether issuance stopped and no live site has work in

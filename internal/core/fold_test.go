@@ -1,12 +1,16 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/gcs"
 	"repro/internal/replica"
+	"repro/internal/sim"
 )
 
 // foldEachField drives fold over one Stats type field by field: with only
@@ -130,7 +134,7 @@ func TestStatsReachResults(t *testing.T) {
 
 // TestVerdict pins the one clean-run rule: each must-be-zero condition alone
 // makes Verdict non-nil on the run and on an aggregate that contains the run
-// next to a clean one; all zero is nil.
+// next to a clean one, and VerdictKind names it; all zero is nil.
 func TestVerdict(t *testing.T) {
 	if v := (&Results{}).Verdict(); v != nil {
 		t.Fatalf("clean run: %v", v)
@@ -139,24 +143,60 @@ func TestVerdict(t *testing.T) {
 		t.Fatalf("clean aggregate: %v", v)
 	}
 	violation := errors.New("site 2 diverges at position 7")
+	reorder := &check.Violation{Kind: check.KindReorder, Site: 2, Ref: 1, Pos: 7}
 	for _, c := range []struct {
-		name string
-		set  func(*Results)
-		want string
+		name, kind string
+		set        func(*Results)
+		want       string
 	}{
-		{"safety", func(r *Results) { r.SafetyErr = violation }, violation.Error()},
-		{"rejoin", func(r *Results) { r.RejoinViolations = 1 }, "1 rejoin prefix violations"},
-		{"inconsistency", func(r *Results) { r.Inconsistencies = 2 }, "2 local/global inconsistencies"},
-		{"certdrop", func(r *Results) { r.CertDrops = 3 }, "3 certification payloads dropped on unmarshal"},
-		{"parse", func(r *Results) { r.GCS.ParseErrors = 4 }, "4 gcs wire messages dropped on parse"},
+		{"safety", "unknown", func(r *Results) { r.SafetyErr = violation }, violation.Error()},
+		{"violation", "reorder", func(r *Results) { r.SafetyErr = reorder }, reorder.Error()},
+		{"rejoin", "rejoin-prefix", func(r *Results) { r.RejoinViolations = 1 }, "1 rejoin prefix violations"},
+		{"inconsistency", "inconsistency", func(r *Results) { r.Inconsistencies = 2 }, "2 local/global inconsistencies"},
+		{"certdrop", "cert-drop", func(r *Results) { r.CertDrops = 3 }, "3 certification payloads dropped on unmarshal"},
+		{"parse", "parse-error", func(r *Results) { r.GCS.ParseErrors = 4 }, "4 gcs wire messages dropped on parse"},
+		{"wedged", "wedged", func(r *Results) { r.Wedged, r.Committed, r.Issued = true, 5, 7 },
+			"stopped before quiescing: 5 of 7 issued transactions committed"},
 	} {
 		r := &Results{}
 		c.set(r)
 		if v := r.Verdict(); v == nil || v.Error() != c.want {
 			t.Errorf("%s: run verdict %v, want %q", c.name, v, c.want)
 		}
+		if kind, _ := r.VerdictKind(); kind != c.kind {
+			t.Errorf("%s: verdict kind %q, want %q", c.name, kind, c.kind)
+		}
 		if v := AggregateRuns([]*Results{{}, r}).Verdict(); v == nil || v.Error() != c.want {
 			t.Errorf("%s: aggregate verdict %v, want %q", c.name, v, c.want)
+		}
+	}
+}
+
+// TestVerdictWedged pins the liveness leg: configs/smoke.json cut off at 2 s
+// of simulated time, with most of its transactions still to issue, is
+// "wedged"; the same file under its own bound runs to quiescence and is
+// clean.
+func TestVerdictWedged(t *testing.T) {
+	b, err := os.ReadFile("../../configs/smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct{ Config Config }
+	if err := json.Unmarshal(b, &file); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		bound sim.Time
+		want  string
+	}{{2 * sim.Second, "wedged"}, {file.Config.MaxSimTime, ""}} {
+		cfg := file.Config
+		cfg.MaxSimTime = c.bound
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind, v := res.VerdictKind(); kind != c.want || res.Wedged != (c.want == "wedged") {
+			t.Errorf("bound %v: verdict %q (%v), Wedged %v; want %q", c.bound, kind, v, res.Wedged, c.want)
 		}
 	}
 }

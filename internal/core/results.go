@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -166,6 +167,9 @@ type Results struct {
 	SafetyErr error
 	// Inconsistencies must be zero (local abort vs global commit).
 	Inconsistencies int64
+	// Wedged: the run stopped, at MaxSimTime or out of events, before it
+	// quiesced (Model.quiesced), leaving work unfinished.
+	Wedged bool
 	// TxnLog holds per-transaction records when CollectTxnLog was set.
 	TxnLog *trace.TxnLog
 	// Events is the number of simulation events dispatched.
@@ -462,23 +466,36 @@ func (r *Results) Summary() string {
 // must-be-zero condition that fired — the safety checker's violation (the
 // *check.Violation itself, so callers can triage it), then rejoin prefix
 // violations, local/global inconsistencies, dropped certification payloads,
-// and malformed wire messages. The last two are not serializability
-// violations, but a payload vanished: a marshaling bug every campaign, table
-// and example must fail on, not swallow.
+// malformed wire messages, and the liveness leg: a run that never quiesced.
+// The drops are not serializability violations, but a payload vanished: a
+// marshaling bug every campaign, table and example must fail on.
 func (r *Results) Verdict() error {
+	_, v := r.VerdictKind()
+	return v
+}
+
+// VerdictKind is Verdict with the name of the leg that fired: the
+// check.Kind's name for a safety violation, then "rejoin-prefix",
+// "inconsistency", "cert-drop", "parse-error" and "wedged"; "" when the run
+// is clean. Sweeps tally by it and a repro's expect.kind holds it.
+func (r *Results) VerdictKind() (string, error) {
 	switch {
 	case r.SafetyErr != nil:
-		return r.SafetyErr
+		v := &check.Violation{} // kind "unknown" unless the error is one
+		errors.As(r.SafetyErr, &v)
+		return v.Kind.String(), r.SafetyErr
 	case r.RejoinViolations != 0:
-		return fmt.Errorf("%d rejoin prefix violations", r.RejoinViolations)
+		return "rejoin-prefix", fmt.Errorf("%d rejoin prefix violations", r.RejoinViolations)
 	case r.Inconsistencies != 0:
-		return fmt.Errorf("%d local/global inconsistencies", r.Inconsistencies)
+		return "inconsistency", fmt.Errorf("%d local/global inconsistencies", r.Inconsistencies)
 	case r.CertDrops != 0:
-		return fmt.Errorf("%d certification payloads dropped on unmarshal", r.CertDrops)
+		return "cert-drop", fmt.Errorf("%d certification payloads dropped on unmarshal", r.CertDrops)
 	case r.GCS.ParseErrors != 0:
-		return fmt.Errorf("%d gcs wire messages dropped on parse", r.GCS.ParseErrors)
+		return "parse-error", fmt.Errorf("%d gcs wire messages dropped on parse", r.GCS.ParseErrors)
+	case r.Wedged:
+		return "wedged", fmt.Errorf("stopped before quiescing: %d of %d issued transactions committed", r.Committed, r.Issued)
 	}
-	return nil
+	return "", nil
 }
 
 // Stat is the mean ± 95% confidence interval of one scalar metric over R

@@ -219,11 +219,11 @@ func TestReproReplayRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("repro not byte-stable across save/load:\n%s\n--- vs ---\n%s", a, b)
 	}
-	reproduced, detail, err := loaded.Replay()
+	kind, detail, err := loaded.Replay()
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if !reproduced {
+	if !loaded.Reproduces(kind) {
 		t.Fatalf("saved repro did not reproduce (verdict %q)", detail)
 	}
 }

@@ -19,10 +19,11 @@ const ReproVersion = 2
 
 // Expect states what a repro must reproduce.
 type Expect struct {
-	// Verdict is the expected classification, always "UNSAFE".
+	// Verdict is the expected classification, always "UNSAFE": the run
+	// fails its verdict.
 	Verdict string `json:"verdict"`
-	// Kind is the expected violation kind name (empty accepts any
-	// violation — rejoin and inconsistency verdicts carry no kind).
+	// Kind is the expected verdict kind, core.Results.VerdictKind's name
+	// for it (empty accepts any failing verdict).
 	Kind string `json:"kind,omitempty"`
 }
 
@@ -72,37 +73,34 @@ func ReproOf(cfg core.Config, res *core.Results) (*Repro, error) {
 		Expect:  &Expect{Verdict: "UNSAFE"},
 	}
 	if res != nil {
-		if t := check.TriageOf(res.SafetyErr); t != nil {
-			r.Triage = t
-			r.Expect.Kind = t.Kind
-		}
-		if v := res.Verdict(); v != nil {
-			r.Description = v.Error()
+		r.Triage = check.TriageOf(res.SafetyErr)
+		if kind, v := res.VerdictKind(); v != nil {
+			r.Expect.Kind, r.Description = kind, v.Error()
 		}
 	}
 	return r, nil
 }
 
-// Replay runs the file and reports whether the expected violation
-// reproduced (for a plain configuration, any violation), with the verdict
-// detail.
-func (r *Repro) Replay() (reproduced bool, detail string, err error) {
+// Replay runs the file and returns its verdict's kind ("" when clean) and
+// detail ("SAFE" when clean); Reproduces says whether the kind is the one
+// the file expects.
+func (r *Repro) Replay() (kind, detail string, err error) {
 	res, err := core.Run(r.Config)
 	if err != nil {
-		return false, "", fmt.Errorf("explore: repro: %w", err)
+		return "", "", fmt.Errorf("explore: repro: %w", err)
 	}
-	v := res.Verdict()
+	kind, v := res.VerdictKind()
 	if v == nil {
-		return false, "SAFE", nil
+		return "", "SAFE", nil
 	}
-	detail = v.Error()
-	if r.Expect != nil && r.Expect.Kind != "" {
-		t := check.TriageOf(res.SafetyErr)
-		if t == nil || t.Kind != r.Expect.Kind {
-			return false, detail, nil
-		}
-	}
-	return true, detail, nil
+	return kind, v.Error(), nil
+}
+
+// Reproduces reports whether a run whose verdict has the given kind
+// reproduces the file: any failing kind for a plain configuration or a
+// repro without a kind, else exactly the repro's.
+func (r *Repro) Reproduces(kind string) bool {
+	return kind != "" && (r.Expect == nil || r.Expect.Kind == "" || kind == r.Expect.Kind)
 }
 
 // Marshal renders the repro as stable, indented JSON (struct field order,

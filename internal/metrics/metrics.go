@@ -168,3 +168,13 @@ func Rate(num, den int64) float64 {
 	}
 	return 100 * float64(num) / float64(den)
 }
+
+// Wilson95 is the Wilson score 95% interval of a rate of k in n, as
+// percentages; it stays inside [0, 100] and is not empty at k = 0 or n.
+func Wilson95(k, n int) (lo, hi float64) {
+	const z = 1.96
+	p, nf := float64(k)/float64(n), float64(n)
+	centre := (p + z*z/(2*nf)) / (1 + z*z/nf)
+	half := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / (1 + z*z/nf)
+	return 100 * max(0, centre-half), 100 * min(1, centre+half)
+}

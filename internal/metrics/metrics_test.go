@@ -112,3 +112,27 @@ func TestRate(t *testing.T) {
 		t.Fatal("Rate with zero denominator must be 0")
 	}
 }
+
+// TestWilson95 pins the interval at the edges a failure-rate sweep reports:
+// none failed, all failed, and a rate inside, against values computed
+// independently, and its mirror symmetry k ↔ n−k.
+func TestWilson95(t *testing.T) {
+	for _, c := range []struct {
+		k, n   int
+		lo, hi float64
+	}{
+		{3000, 3000, 99.872110, 100},
+		{0, 20, 0, 16.113013},
+		{17, 3000, 0.354103, 0.905671},
+		{10, 3000, 0.181161, 0.612542},
+	} {
+		lo, hi := Wilson95(c.k, c.n)
+		if math.Abs(lo-c.lo) > 1e-5 || math.Abs(hi-c.hi) > 1e-5 {
+			t.Errorf("Wilson95(%d, %d) = [%v, %v], want [%v, %v]", c.k, c.n, lo, hi, c.lo, c.hi)
+		}
+		mlo, mhi := Wilson95(c.n-c.k, c.n)
+		if math.Abs(lo-(100-mhi)) > 1e-9 || math.Abs(hi-(100-mlo)) > 1e-9 {
+			t.Errorf("Wilson95(%d, %d) = [%v, %v] is not the mirror of [%v, %v]", c.k, c.n, lo, hi, mlo, mhi)
+		}
+	}
+}
