@@ -55,23 +55,28 @@ func run(args []string) int {
 			cfg.Seed = *seed
 		}
 	})
-	if err := simulate(cfg, *config, *verbose, *traceFile); err != nil {
+	failed, err := simulate(cfg, *config, *verbose, *traceFile)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dbsim:", err)
+		return 1
+	}
+	if failed {
 		return 1
 	}
 	return 0
 }
 
-// simulate runs cfg and prints its report.
-func simulate(cfg core.Config, name string, verbose bool, traceFile string) error {
+// simulate runs cfg, prints its report and reports whether the run's verdict
+// failed.
+func simulate(cfg core.Config, name string, verbose bool, traceFile string) (failed bool, err error) {
 	m, err := core.New(cfg)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if traceFile != "" {
 		f, err := os.Create(traceFile)
 		if err != nil {
-			return fmt.Errorf("trace file: %w", err)
+			return false, fmt.Errorf("trace file: %w", err)
 		}
 		defer f.Close()
 		w := bufio.NewWriter(f)
@@ -84,7 +89,7 @@ func simulate(cfg core.Config, name string, verbose bool, traceFile string) erro
 	}
 	r, err := m.Run()
 	if err != nil {
-		return err
+		return false, err
 	}
 
 	fmt.Printf("config: %s protocol=%s sites=%d groups=%d clients=%d txns=%d seed=%d\n",
@@ -101,8 +106,9 @@ func simulate(cfg core.Config, name string, verbose bool, traceFile string) erro
 		fmt.Printf("gcs: sent=%d retrans=%d nacks=%d gossips=%d viewchanges=%d blocked=%d\n",
 			r.GCS.Sent, r.GCS.Retransmits, r.GCS.Nacks, r.GCS.Gossips, r.GCS.ViewChanges, r.GCS.Blocked)
 	}
-	if v := r.Verdict(); v != nil {
-		fmt.Printf("UNSAFE: %v\n", v)
+	kind, v := r.VerdictKind()
+	if v != nil {
+		fmt.Printf("%s: %v\n", core.VerdictWord(kind), v)
 	} else if cfg.Sites > 1 {
 		fmt.Printf("safety: all operational sites committed identical sequences\n")
 	}
@@ -125,5 +131,5 @@ func simulate(cfg core.Config, name string, verbose bool, traceFile string) erro
 				s.Site, status, s.Committed, s.Aborted, s.RemoteApplied, s.CPUUtilPct, s.DiskUtilPct)
 		}
 	}
-	return nil
+	return v != nil, nil
 }

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/golden"
+	"repro/internal/sim"
 )
 
 const smoke = "../../configs/smoke.json"
@@ -43,6 +45,46 @@ func TestUsageErrors(t *testing.T) {
 	} {
 		if got := run(args); got != 2 {
 			t.Errorf("dbsim %v = %d, want 2", args, got)
+		}
+	}
+}
+
+// failingRun runs dbsim on args and returns its stdout, requiring exit
+// status 1.
+func failingRun(t *testing.T, args ...string) string {
+	t.Helper()
+	return string(golden.Stdout(t, func(args []string) int {
+		if got := run(args); got != 1 {
+			t.Errorf("dbsim %v = %d, want 1", args, got)
+		}
+		return 0
+	}, args...))
+}
+
+// TestFailedVerdictExitsOne: a run whose verdict fails prints the verdict
+// word faultsim prints for it and exits 1. Cut at 2 simulated seconds, the
+// smoke run stops before quiescing (WEDGED); the n = 5 non-prefix repro
+// breaks the safety check (UNSAFE).
+func TestFailedVerdictExitsOne(t *testing.T) {
+	r, err := explore.LoadRepro(smoke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Config.MaxSimTime = 2 * sim.Second
+	cut, err := r.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := filepath.Join(t.TempDir(), "smoke-2s.json")
+	if err := os.WriteFile(short, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ file, word string }{
+		{short, "WEDGED: stopped before quiescing"},
+		{"../faultsim/testdata/repro-conservative-s5-non-prefix--3610918436655193305.json", "UNSAFE: "},
+	} {
+		if out := failingRun(t, "-config", c.file); !strings.Contains(out, "\n"+c.word) {
+			t.Errorf("dbsim -config %s does not print %q:\n%s", c.file, c.word, out)
 		}
 	}
 }

@@ -465,7 +465,7 @@ func runReplayFile(path string, seeds int, base int64, parallel int) int {
 		case r.Expect == nil && kind == "":
 			fmt.Println("SAFE")
 		case r.Expect == nil:
-			fmt.Printf("%s: %s\n", verdictWord(kind), detail)
+			fmt.Printf("%s: %s\n", core.VerdictWord(kind), detail)
 		case !r.Reproduces(kind):
 			fmt.Printf("did not reproduce: %s\n", detail)
 		default:
@@ -502,14 +502,6 @@ func runReplayFile(path string, seeds int, base int64, parallel int) int {
 	return min(failed, 1) // 1 when any run failed
 }
 
-// verdictWord is the verdict column's word for a failing verdict kind.
-func verdictWord(kind string) string {
-	if kind == "wedged" {
-		return "WEDGED"
-	}
-	return "UNSAFE"
-}
-
 // verdictOf classifies one completed grid point.
 func verdictOf(pt expr.Point) (string, string) {
 	if pt.Err != nil {
@@ -517,7 +509,7 @@ func verdictOf(pt expr.Point) (string, string) {
 	}
 	r := pt.Agg.Runs[0]
 	if kind, v := r.VerdictKind(); v != nil {
-		return verdictWord(kind), v.Error()
+		return core.VerdictWord(kind), v.Error()
 	}
 	detail := fmt.Sprintf("committed=%d tpm=%.0f viewchanges=%d quorumlosses=%d",
 		r.Committed, r.TPM, r.GCS.ViewChanges, r.GCS.QuorumLosses)

@@ -61,19 +61,22 @@ func TestLossyRejoinWedgeReproduces(t *testing.T) {
 	}
 }
 
-// lostTerminationRepro is ROADMAP item 27, open: conservative campaign[62] of
-// `faultsim -config configs/faultsim.json -campaign 100 -rejoin -seed 7` with
-// its Recovers entry removed. Site 1, the initial sequencer, crashes under 8 %
-// random loss; update transactions at site 2 that enter commit just past the
-// 1 s failure timeout stay in pendingCert, holding their locks, until the
-// 20 min bound. The commit logs pass the safety check, so only the liveness
-// leg sees it.
+// lostTerminationRepro is the lost-termination wedge, fixed: conservative
+// campaign[62] of `faultsim -config configs/faultsim.json -campaign 100
+// -rejoin -seed 7` with its Recovers entry removed. Site 1, the initial
+// sequencer, crashes under 8 % loss while site 2 has chunks of its own
+// queued behind the flush. The install's unfreeze self-delivered them at
+// site 2, now the sequencer, before onInstall anchored its counter, so one
+// got global 1 while delivery stood near 1 750; site 3 discarded the body as
+// already passed, and the transaction sat in pendingCert, holding its locks,
+// until the 20 min bound. The commit logs passed the safety check, so only
+// the liveness leg saw it.
 const lostTerminationRepro = "testdata/repro-conservative-s3-wedged-6836129103706797786.json"
 
-// TestLostTerminationWedgeReproduces keeps the open wedge honest (the
-// TestResidualWindowReproduces pattern): the repro must keep reproducing,
-// wedged, while item 27 is open. A fix flips this guard into a regression
-// test.
+// TestLostTerminationWedgeReproduces is the regression guard for the fixed
+// wedge (the TestLossyRejoinWedgeReproduces pattern): the repro keeps its
+// expected wedged verdict and replays clean, so faultsim -replay-file exits
+// 0 on it. It is the handover-assigns-before-anchor mutant's killer.
 func TestLostTerminationWedgeReproduces(t *testing.T) {
 	r, err := explore.LoadRepro(lostTerminationRepro)
 	if err != nil {
@@ -86,11 +89,10 @@ func TestLostTerminationWedgeReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if !r.Reproduces(kind) {
-		t.Fatalf("the lost-termination wedge no longer reproduces (verdict %q) — "+
-			"if it was fixed on purpose, close ROADMAP item 27 and flip this guard", detail)
+	if kind != "" {
+		t.Fatalf("the lost-termination wedge is back: %s", detail)
 	}
-	if got := runReplayFile(lostTerminationRepro, 0, 0, 0); got != 1 {
-		t.Fatalf("runReplayFile(lost termination) = %d, want 1 (wedge reproduces)", got)
+	if got := runReplayFile(lostTerminationRepro, 0, 0, 0); got != 0 {
+		t.Fatalf("runReplayFile(lost termination) = %d, want 0 (wedge fixed)", got)
 	}
 }

@@ -38,15 +38,17 @@
 // quiesces fails its verdict as wedged, and `faultsim -replay-file F -seeds
 // N` turns any run file into a failure rate with a Wilson interval.
 //
-// Overload is a first-class faultload: the group communication layer bounds
-// its transmit queue and gates transmission on per-destination credits, the
-// replica turns backlog into hysteresis backpressure, and the database
-// refuses past-capacity work with an explicit Rejected outcome that clients
-// retry idempotently (same TID, deterministic jittered backoff). Two fault
-// kinds drive it — think-time saturation and the never-suspected slow-node
-// gray failure — forced into every campaign schedule by `faultsim
-// -overload`, swept by cmd/experiments's "overload" table (graceful
-// degradation vs collapse at 2x), and pinned by internal/core's overload tests.
+// Overload is a first-class faultload. The protection is one per-site
+// admission cap: the database refuses past-capacity work with an explicit
+// Rejected outcome that clients retry idempotently (same TID, deterministic
+// jittered backoff). An admitted transaction stays active until its
+// termination settles or a certified transaction preempts it, so the cap
+// also bounds, up to preemptions, the replica's termination backlog and
+// what it queues in the group communication layer. Two fault kinds drive it
+// — think-time saturation and the never-suspected slow-node gray failure —
+// forced into every campaign schedule by `faultsim -overload`, swept by
+// cmd/experiments's "overload" table (graceful degradation vs collapse at
+// 2x), and pinned by internal/core's overload tests.
 // The sweep's faultload exposed a non-uniform sequencer delivery; the
 // sequencer now holds self-assigned globals until a majority of the view
 // acks the ordering announcement (README.md's "Overload and flow control"
@@ -77,7 +79,7 @@
 // (internal/tpcc.Aggregate) — a state-dependent Poisson stream with a
 // binomially-thinned warmup pool, batched into one simulation event per
 // site per 10ms window, submitting through the identical
-// admission/retry/backpressure path individual clients use. A transaction
+// admission/retry path individual clients use. A transaction
 // is drawn (tpcc.Generator.Draw into a tpcc.Draft: every RNG draw and
 // counter step) apart from being built (Generator.Build: the script — a
 // fetch count, a processing time and a quantum — and the item sets);

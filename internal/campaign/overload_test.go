@@ -25,8 +25,6 @@ func overloadBase(protocol core.Protocol) core.Config {
 		Calibration: cal,
 		Admission: &core.AdmissionConfig{
 			MaxActivePerSite: 4,
-			BacklogHigh:      96,
-			BacklogLow:       32,
 			Retry: tpcc.RetryPolicy{
 				MaxAttempts: 4,
 				BaseBackoff: 20 * sim.Millisecond,
@@ -53,8 +51,11 @@ func overloadTasks(plan []Schedule, protocol core.Protocol) []expr.Task {
 // seeded sweep with every schedule carrying both overload faults — sustained
 // saturation and a slow-node gray failure, composed with whatever else the
 // generator draws — must finish with zero safety violations under both
-// protocols, transmit queues bounded everywhere, and the admission machinery
-// demonstrably firing (rejections and retries over the sweep, not inert).
+// protocols, and the admission cap demonstrably firing (rejections and
+// retries over the sweep, not inert). The cap is what bounds the queues: a
+// replica's termination backlog passes it only by the local transactions a
+// certified one preempted while their terminations were in flight (each an
+// abort), and the transmit queue stays under 1 MiB.
 func TestOverloadCampaignSweep(t *testing.T) {
 	n := 30
 	if testing.Short() {
@@ -79,7 +80,8 @@ func TestOverloadCampaignSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			var rejected, retries int64
-			var queuePeak int64
+			var queuePeak, backlogPeak int64
+			maxActive := int64(overloadBase(protocol).Admission.MaxActivePerSite)
 			for i, pt := range points {
 				r := pt.Agg.Runs[0]
 				if r.SafetyErr != nil {
@@ -90,17 +92,22 @@ func TestOverloadCampaignSweep(t *testing.T) {
 					t.Fatalf("schedule %d: %d inconsistencies", i, r.Inconsistencies)
 				}
 				if r.GCS.QueuePeakBytes > 1<<20 {
-					t.Fatalf("schedule %d (seed %d): transmit queue peaked at %d bytes, past the 1 MiB bound",
+					t.Fatalf("schedule %d (seed %d): transmit queue peaked at %d bytes, past 1 MiB",
 						i, plan[i].Seed, r.GCS.QueuePeakBytes)
+				}
+				for _, s := range r.Sites {
+					if s.BacklogPeak > maxActive+s.Aborted {
+						t.Fatalf("schedule %d (seed %d) site %d: termination backlog peaked at %d, past the admission cap %d plus its %d aborts",
+							i, plan[i].Seed, s.Site, s.BacklogPeak, maxActive, s.Aborted)
+					}
 				}
 				if r.Committed == 0 {
 					t.Fatalf("schedule %d (seed %d): nothing committed", i, plan[i].Seed)
 				}
 				rejected += r.Rejected
 				retries += r.Retries
-				if r.GCS.QueuePeakBytes > queuePeak {
-					queuePeak = r.GCS.QueuePeakBytes
-				}
+				queuePeak = max(queuePeak, r.GCS.QueuePeakBytes)
+				backlogPeak = max(backlogPeak, r.BacklogPeak)
 			}
 			if rejected == 0 {
 				t.Fatal("no schedule in the sweep ever rejected a transaction — admission control inert")
@@ -108,8 +115,8 @@ func TestOverloadCampaignSweep(t *testing.T) {
 			if retries == 0 {
 				t.Fatal("rejections occurred but no client ever retried")
 			}
-			t.Logf("%d schedules: rejected=%d retries=%d queuepeak=%dKB",
-				len(points), rejected, retries, queuePeak/1024)
+			t.Logf("%d schedules: rejected=%d retries=%d queuepeak=%dKB backlogpeak=%d",
+				len(points), rejected, retries, queuePeak/1024, backlogPeak)
 		})
 	}
 }

@@ -81,7 +81,7 @@ type Config struct {
 	// AggregateClients is the population threshold at or above which the
 	// per-client objects are replaced by the aggregate client tier
 	// (internal/tpcc): one calibrated per-site, per-class arrival process
-	// submitting through the identical admission/retry/backpressure path.
+	// submitting through the identical admission/retry path.
 	// Memory and startup cost become O(sites + in-flight) instead of
 	// O(population), making 10^6+ client runs cheap. 0 disables (always
 	// individual clients). Aggregate runs are statistically — not
@@ -103,9 +103,8 @@ type Config struct {
 	Faults faults.Config `json:"faults,omitzero"`
 	// ReadSetThreshold upgrades large read-sets to table locks.
 	ReadSetThreshold int `json:"readSetThreshold,omitempty"`
-	// Admission enables the overload-protection machinery: a per-site
-	// active-transaction cap, replica backlog watermarks that gate
-	// admission, and client retry with exponential backoff after explicit
+	// Admission enables overload protection: a per-site active-transaction
+	// cap and client retry with exponential backoff after explicit
 	// rejections. Nil runs without admission control (rejections never
 	// happen and overload degrades the old way, by thrashing).
 	Admission *AdmissionConfig `json:"admission,omitempty"`
@@ -126,30 +125,27 @@ type Config struct {
 	CollectTxnLog bool `json:"collectTxnLog,omitempty"`
 }
 
-// AdmissionConfig tunes the overload-protection machinery.
+// AdmissionConfig tunes overload protection.
 type AdmissionConfig struct {
 	// MaxActivePerSite caps concurrently-active transactions per server; a
 	// Submit that would exceed it is rejected outright. 0 disables the cap.
+	// A local transaction stays active from submission until its
+	// termination settles (or a certified transaction preempts it), so the
+	// cap also bounds the replica's termination backlog
+	// (Results.BacklogPeak) up to preemptions, and with it the messages the
+	// replica queues in gcs.
 	MaxActivePerSite int
-	// BacklogHigh and BacklogLow are the replica termination-backlog
-	// watermarks: admission closes when the backlog reaches BacklogHigh and
-	// reopens when it drains to BacklogLow (hysteresis — the gate never
-	// oscillates under constant load). BacklogHigh 0 disables the gate.
-	BacklogHigh int
-	BacklogLow  int
 	// Retry governs client resubmission after rejections; the zero value
 	// makes every rejection final.
 	Retry tpcc.RetryPolicy
 }
 
 // DefaultAdmissionConfig returns the tuning the fault campaigns run with:
-// 64 active transactions per site, backlog watermarks 96/32, and up to 4
-// attempts with 50ms-to-2s exponential backoff.
+// 64 active transactions per site and up to 4 attempts with 50ms-to-2s
+// exponential backoff.
 func DefaultAdmissionConfig() *AdmissionConfig {
 	return &AdmissionConfig{
 		MaxActivePerSite: 64,
-		BacklogHigh:      96,
-		BacklogLow:       32,
 		Retry: tpcc.RetryPolicy{
 			MaxAttempts: 4,
 			BaseBackoff: 50 * sim.Millisecond,
@@ -727,9 +723,6 @@ func (m *Model) buildReplica(s *Site, recovering bool) {
 		GroupCount:       m.place.groups,
 		SitesPerGroup:    m.place.perGroup,
 		GroupOf:          m.place.owner(),
-	}
-	if ad := m.cfg.Admission; ad != nil {
-		opts.BacklogHigh, opts.BacklogLow = ad.BacklogHigh, ad.BacklogLow
 	}
 	s.Replica = replica.New(s.RT, s.Stack, s.Server, opts)
 }

@@ -23,8 +23,6 @@ func overloadCalibration() *tpcc.Calibration {
 func tightAdmission() *AdmissionConfig {
 	return &AdmissionConfig{
 		MaxActivePerSite: 4,
-		BacklogHigh:      96,
-		BacklogLow:       32,
 		Retry: tpcc.RetryPolicy{
 			MaxAttempts: 4,
 			BaseBackoff: 20 * sim.Millisecond,
@@ -39,7 +37,10 @@ func tightAdmission() *AdmissionConfig {
 // (submitted = committed + aborted + rejected), and the safety checker —
 // which scans every site log for double commits — finds nothing. A retried
 // transaction keeps its TID, so a single duplicate certification would fail
-// the run.
+// the run. The cap also bounds each replica's termination backlog, up to
+// preemption: a local transaction stays active until its termination
+// settles, unless a certified transaction preempts it while it waits — an
+// abort that frees its slot with the termination still in flight.
 func TestAdmissionRejectsAndRetriesStaySafe(t *testing.T) {
 	r := run(t, Config{
 		Sites:       3,
@@ -75,15 +76,23 @@ func TestAdmissionRejectsAndRetriesStaySafe(t *testing.T) {
 	if r.Committed == 0 {
 		t.Fatal("nothing committed under admission pressure")
 	}
+	maxActive := int64(tightAdmission().MaxActivePerSite)
+	for _, s := range r.Sites {
+		if s.BacklogPeak > maxActive+s.Aborted {
+			t.Fatalf("site %d: termination backlog peaked at %d, past the admission cap %d plus its %d aborts",
+				s.Site, s.BacklogPeak, maxActive, s.Aborted)
+		}
+	}
 	if r.RetryLat.N() == 0 {
 		t.Fatal("no retry-latency samples despite retries")
 	}
 }
 
 // TestSaturationBoundedQueues holds a 2x saturation for the whole run and
-// pins the flow-control bound end to end: the transmit queue's high-water
-// mark never exceeds its 1 MiB default bound, and safety holds — also with
-// the sequencer site gray-failed (10x slow, never suspected) on top.
+// pins the transmit queue end to end: its high-water mark stays under 1 MiB,
+// because every queued message belongs to one of the admission cap's active
+// transactions, and safety holds — also with the sequencer site gray-failed
+// (10x slow, never suspected) on top.
 func TestSaturationBoundedQueues(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -111,7 +120,7 @@ func TestSaturationBoundedQueues(t *testing.T) {
 					t.Fatalf("safety under saturation: %v", r.SafetyErr)
 				}
 				if r.GCS.QueuePeakBytes > 1<<20 {
-					t.Fatalf("transmit queue peaked at %d bytes, past the 1 MiB bound", r.GCS.QueuePeakBytes)
+					t.Fatalf("transmit queue peaked at %d bytes, past 1 MiB", r.GCS.QueuePeakBytes)
 				}
 				if r.Committed == 0 {
 					t.Fatal("nothing committed under saturation")

@@ -90,10 +90,10 @@ type Results struct {
 	// site and incarnation folded together — CertDrops (must be zero: a
 	// delivered certification payload failed to decode), the optimistic
 	// pipeline's Tentative/Rollbacks/Recertified/PreApplied/PreApplyWasted,
-	// DeltaApplied, BacklogPeak, MulticastRefused, Backpressure, and the
-	// cross-group round's MultiGroupTxns/XRetries/XHandovers/XVetoes/
-	// XPrepFrags — promoted, so r.Rollbacks reads the field replica.Stats
-	// declares. Results declares no counter a layer's Stats already carries.
+	// DeltaApplied, BacklogPeak, and the cross-group round's
+	// MultiGroupTxns/XRetries/XHandovers/XVetoes/XPrepFrags — promoted, so
+	// r.Rollbacks reads the field replica.Stats declares. Results declares no
+	// counter a layer's Stats already carries.
 	replica.Stats
 	// GCS is the same total over all protocol stacks.
 	GCS gcs.Stats
@@ -389,9 +389,7 @@ func (r *Results) Features() map[string]int64 {
 		"nacks":          r.GCS.Nacks,
 		"nackmisses":     r.GCS.NackMisses,
 		"assignacks":     r.GCS.AssignAcks,
-		"creditstalls":   r.GCS.CreditStalls,
 		"assigndeferred": r.GCS.AssignDeferred,
-		"flowrejected":   r.GCS.FlowRejected,
 		// Optimistic-pipeline divergence.
 		"mispredicted": r.GCS.Mispredicted,
 		"rollbacks":    r.Rollbacks,
@@ -449,9 +447,8 @@ func (r *Results) Summary() string {
 		fmt.Fprintf(&b, " rejected=%d retries=%d giveups=%d backlogpeak=%d",
 			r.Rejected, r.Retries, r.GiveUps, r.BacklogPeak)
 	}
-	if r.GCS.CreditStalls > 0 || r.GCS.FlowRejected > 0 || r.GCS.AssignDeferred > 0 {
-		fmt.Fprintf(&b, " creditstalls=%d flowrejected=%d assigndeferred=%d queuepeak=%dKB",
-			r.GCS.CreditStalls, r.GCS.FlowRejected, r.GCS.AssignDeferred, r.GCS.QueuePeakBytes/1024)
+	if r.GCS.AssignDeferred > 0 {
+		fmt.Fprintf(&b, " assigndeferred=%d queuepeak=%dKB", r.GCS.AssignDeferred, r.GCS.QueuePeakBytes/1024)
 	}
 	if r.CertDrops > 0 || r.GCS.ParseErrors > 0 {
 		fmt.Fprintf(&b, " DROPS(cert=%d parse=%d)", r.CertDrops, r.GCS.ParseErrors)
@@ -496,6 +493,15 @@ func (r *Results) VerdictKind() (string, error) {
 		return "wedged", fmt.Errorf("stopped before quiescing: %d of %d issued transactions committed", r.Committed, r.Issued)
 	}
 	return "", nil
+}
+
+// VerdictWord is the word a command prints before a failing verdict of the
+// given kind: WEDGED for the liveness leg, UNSAFE for every other leg.
+func VerdictWord(kind string) string {
+	if kind == "wedged" {
+		return "WEDGED"
+	}
+	return "UNSAFE"
 }
 
 // Stat is the mean ± 95% confidence interval of one scalar metric over R

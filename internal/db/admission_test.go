@@ -44,7 +44,7 @@ func TestMaxActiveCapRejects(t *testing.T) {
 	}
 }
 
-// TestBackpressureGateRejects pins the replica-driven gate: while set, every
+// TestBackpressureGateRejects pins the refusal hook: while set, every
 // submission is refused; once cleared, admission resumes; a restart clears a
 // stale gate.
 func TestBackpressureGateRejects(t *testing.T) {
@@ -187,7 +187,7 @@ func TestBuildHookRunsOnceOnAdmission(t *testing.T) {
 	if got != Committed {
 		t.Fatalf("admitted transaction outcome = %v", got)
 	}
-	// Resubmitted after its outcome (the RejectPending road): not rebuilt.
+	// Resubmitted after its outcome: not rebuilt.
 	txn.ResetForRetry()
 	s.Submit(txn)
 	run()

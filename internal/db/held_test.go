@@ -102,28 +102,12 @@ func TestHeldUntilEveryContinuationRuns(t *testing.T) {
 }
 
 // TestHeldThroughRejectPendingAndRestart covers the other roads out: a
-// RejectPending deletes the pendingCert entry before Done fires; a
 // submission swallowed by a down site is held until Restart wakes it; a
 // transaction in a storage read at the crash is held until the read lands;
 // and one in pendingCert at the crash stays held for good, because Restart
 // forgets the entry — which costs its submitter a fresh transaction, never a
 // stale continuation.
 func TestHeldThroughRejectPendingAndRestart(t *testing.T) {
-	t.Run("RejectPending", func(t *testing.T) {
-		k, s := heldServer(1)
-		var got Outcome
-		var heldInDone bool
-		txn := heldTxn(0, sim.Millisecond, sim.Millisecond, &got, &heldInDone)
-		s.SetTerminator(func(*Txn) {})
-		s.Submit(txn)
-		k.Schedule(3*sim.Millisecond, func() { s.RejectPending(txn.TID) })
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if got != Rejected || heldInDone || txn.Held() {
-			t.Fatalf("outcome %v, held as Done fired %v, held after %v; want rejected and let go of", got, heldInDone, txn.Held())
-		}
-	})
 	t.Run("blocked submit", func(t *testing.T) {
 		_, s := heldServer(1)
 		var got Outcome

@@ -54,8 +54,7 @@ type Server struct {
 	// cap. Bounding concurrency below the thrash point is what keeps
 	// committed throughput up when the offered load passes saturation.
 	MaxActive int
-	// backpressured gates admission from below: the replica asserts it
-	// while its termination backlog sits above the high watermark.
+	// backpressured refuses every submission while set (SetBackpressure).
 	backpressured bool
 
 	// SectorFilter, if set, maps a committed write-set to the number of
@@ -184,8 +183,7 @@ func (s *Server) Restart() {
 	s.lm = NewLockManager()
 	s.wireLockHooks()
 	s.pendingCert = make(map[uint64]*Txn)
-	// The backpressure assertion belonged to the dead incarnation's
-	// replica; the rebuilt one starts with an empty backlog.
+	// A refusal set on the dead incarnation does not outlive it.
 	s.backpressured = false
 	// Resolve in-flight transactions in TID order so restart is
 	// deterministic regardless of map iteration.
@@ -251,9 +249,9 @@ func (s *Server) Totals() (submitted, committed, aborted, rejected int64) {
 	return
 }
 
-// SetBackpressure gates admission from the replication layer: while set,
-// every new submission is rejected. The replica toggles it as its
-// termination backlog crosses the high/low watermarks.
+// SetBackpressure is a refuse-every-submission hook: while set, every new
+// submission is rejected, as a full admission cap would reject it. Drivers
+// that time or test the refusal path set it; no layer of the model does.
 func (s *Server) SetBackpressure(on bool) { s.backpressured = on }
 
 // Backpressured reports the admission gate state (tests, introspection).
@@ -460,27 +458,6 @@ func (s *Server) ResolveLocal(tid uint64, commit bool, seq uint64) bool {
 	t.holds++
 	s.storage.WriteSectors(s.writeSectors(t.WriteSet), t.written)
 	return true
-}
-
-// RejectPending turns a pending-certification transaction back into an
-// explicit rejection — the replica calls it when the replication stack's
-// bounded transmit queue refused the termination multicast. The transaction
-// never entered the group-wide certification stream, so dropping it is safe:
-// locks release and the client sees Rejected, exactly as if admission had
-// refused it up front.
-func (s *Server) RejectPending(tid uint64) {
-	t, ok := s.pendingCert[tid]
-	if !ok || s.down {
-		return
-	}
-	delete(s.pendingCert, tid)
-	t.holds--
-	if t.finished {
-		return
-	}
-	t.aborted = true
-	s.lm.ReleaseAbort(t)
-	s.finish(t, Rejected)
 }
 
 // NoteApplied advances the local snapshot horizon without installing

@@ -19,9 +19,8 @@ const (
 	AbortCert
 	AbortUser
 	AbortCrash
-	// Rejected is an explicit admission-control refusal: the server (or the
-	// replication stack beneath it) was overloaded and declined the
-	// transaction without executing it to completion. Unlike the aborts it
+	// Rejected is an explicit admission-control refusal: the server was
+	// overloaded and declined the transaction without executing it. Unlike the aborts it
 	// carries a retry invitation — the client may resubmit the same
 	// transaction (same TID) after a backoff.
 	Rejected

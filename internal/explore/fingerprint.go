@@ -10,9 +10,9 @@ import (
 
 // Fingerprint reduces one run to the set of coverage keys it hit: every
 // protocol counter the results expose (view changes, flush abandons, commit
-// retries and handovers, rollbacks, vetoes, credit stalls, quorum losses,
-// recoveries, uniform-delivery stalls, ...) paired with the counter's
-// order-of-magnitude bucket. Two runs with the same fingerprint exercised
+// retries and handovers, rollbacks, vetoes, quorum losses, recoveries,
+// uniform-delivery stalls, ...) paired with the counter's order-of-magnitude
+// bucket. Two runs with the same fingerprint exercised
 // the protocol the same way at the same intensity; a schedule whose run
 // lights up a key no earlier run produced is interesting and enters the
 // corpus. Keys are sorted, so fingerprints are deterministic.

@@ -5,7 +5,7 @@
 // list onto a fault configuration the model accepts, so every mutation
 // yields a runnable schedule. Coverage is a fingerprint of the protocol
 // counters a run exercised (view changes, flush abandons, commit retries,
-// rollbacks, credit stalls, ...), bucketed by order of magnitude; schedules
+// rollbacks, quorum losses, ...), bucketed by order of magnitude; schedules
 // that light up new buckets enter the corpus and seed the next generation.
 package explore
 

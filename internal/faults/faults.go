@@ -108,8 +108,8 @@ func (s Saturation) Active() bool { return s.Factor > 1 }
 // simulated CPU work, disk service time, and inbound link all slow by
 // Factor, while the protocol's real jobs — and with them heartbeats and
 // gossip — stay timely, so the failure detector never suspects it. The slow
-// site lags (and throttles its senders through flow-control credits) but the
-// system must keep committing with zero safety violations.
+// site lags but the system must keep committing with zero safety
+// violations.
 type SlowNode struct {
 	// Site is the degraded site number.
 	Site int32

@@ -16,9 +16,9 @@
 // State. The stack keeps two kinds of record, and each sub-protocol writes
 // only its own columns. A peerState (rmcast.go) is the one row per peer: the
 // reliable layer writes the stream cursors, receive buffer and reassembly
-// state; flow control writes acked, the prefix of the own stream the peer has
-// acknowledged; stability writes stable and roundMin (its vectors S and M),
-// stable outside a restart through gcStable alone, which has released every
+// state, and acked, the prefix of the own stream the peer has acknowledged;
+// stability writes stable and roundMin (its vectors S and M), stable
+// outside a restart through gcStable alone, which has released every
 // buffer at or below it; membership writes lastHeard and suspected. A
 // msgState (totalorder.go) is the one record per in-flight message — body,
 // assigned global, the announcement that carried the assignment,
@@ -110,16 +110,6 @@ const (
 	// sendWindow caps a sender's unstable (unacknowledged-stable) chunks,
 	// the second-phase flow control.
 	sendWindow = 256
-	// maxQueuedBytes bounds the unsent transmit queue: a Multicast whose
-	// payload would push the queued-but-unsent bytes past it is refused
-	// (Multicast returns false, Stats.FlowRejected counts it) instead of
-	// growing the queue without bound.
-	maxQueuedBytes = 1 << 20
-	// creditsPerDest is the per-destination credit window in chunks:
-	// transmission stalls once any live destination lags this far behind
-	// the send cursor (its acknowledgement is learned from stability gossip
-	// horizons). Inside sendWindow, so healthy receivers never bind.
-	creditsPerDest = 192
 	// maxDatagram caps a single wire datagram; a runtime with a smaller MTU
 	// binds first (Stack.maxPacket).
 	maxDatagram = 1400
@@ -213,18 +203,9 @@ type Stats struct {
 	ParseErrors int64
 	Blocked     int64 // times a cast had to queue on flow control
 	BlockedTime sim.Time
-	// CreditStalls counts transmission episodes blocked on an exhausted
-	// per-destination credit window (a lagging receiver throttling the
-	// sender).
-	CreditStalls int64
 	// AssignDeferred counts sequencer assignments deferred because the
 	// assigned-but-undelivered span hit assignWindow.
 	AssignDeferred int64
-	// FlowRejected counts Multicasts refused because the unsent transmit
-	// queue was at its bound. Every refusal is reported to the
-	// caller (Multicast returns false); this counter keeps refusals
-	// visible in campaign reports.
-	FlowRejected int64
 	// QueuePeakBytes is the high-water mark of the unsent transmit queue: a
 	// peak gauge, so totals take the maximum instead of the sum.
 	QueuePeakBytes int64 `fold:"max"`
@@ -452,22 +433,14 @@ func (s *Stack) BufferedBytes() int {
 // Multicast submits an application payload for atomic (totally ordered)
 // multicast to the group, including self-delivery. It never blocks the
 // caller: when flow control forbids transmission the message is queued and
-// sent when buffer share, window, or tokens free up. The queue itself is
-// bounded: when maxQueuedBytes of unsent payload are already waiting the
-// message is refused and Multicast returns false — the backpressure signal
-// the admission layer turns into an explicit client rejection. A stopped
-// stack still swallows the payload silently (returns true): a halted
-// member's messages are lost by definition, not refused.
-func (s *Stack) Multicast(payload []byte) bool {
-	if s.stopped {
-		return true
+// sent when buffer share, window, or tokens free up. The queue has no bound
+// of its own: its callers' admission limits its depth, which
+// Stats.QueuePeakBytes records. A stopped stack swallows the payload: a
+// halted member's messages are lost by definition.
+func (s *Stack) Multicast(payload []byte) {
+	if !s.stopped {
+		s.rm.cast(payloadApp, payload)
 	}
-	if s.rm.outQBytes+len(payload) > s.rm.outQLimit {
-		s.stats.FlowRejected++
-		return false
-	}
-	s.rm.cast(payloadApp, payload)
-	return true
 }
 
 // receive is the runtime datagram upcall: the single entry point of all
@@ -563,7 +536,7 @@ func (s *Stack) receive(src NodeID, data []byte) {
 		if m.ViewID != s.view.ID {
 			return // stale view: the gossip fallback re-carries the cursor
 		}
-		if s.rm.creditAck(src, m.Seq) {
+		if s.rm.mergeAck(src, m.Seq) {
 			s.to.advanceAnnounceSafe()
 			s.rm.drain()
 		}

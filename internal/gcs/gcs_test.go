@@ -373,6 +373,63 @@ func TestCrashSequencerReplacedAndOrderContinues(t *testing.T) {
 	}
 }
 
+// TestNewSequencerNumbersQueuedOwnMessagesAfterAnchor crashes the sequencer
+// while the survivor that takes over, never a sequencer before, has chunks of
+// its own queued behind the flush. The install's unfreeze self-delivers
+// them; each must be numbered only after onInstall anchors the new
+// sequencer's counter past the old numbering, so it gets a global above
+// what was delivered and delivers at every survivor. Numbered from the
+// takeover's fresh counter instead, one lands on a global both survivors
+// passed long ago and never delivers.
+func TestNewSequencerNumbersQueuedOwnMessagesAfterAnchor(t *testing.T) {
+	c := newCluster(t, 3, 11, func(cfg *Config) {
+		cfg.failTimeout = 500 * sim.Millisecond
+	})
+	casts := 0
+	for i := 0; i < 30; i++ {
+		c.castAt(sim.Time(i+1)*5*sim.Millisecond, NodeID(2+i%2), []byte(fmt.Sprintf("pre%d", i)))
+		casts++
+	}
+	c.k.ScheduleAt(200*sim.Millisecond, func() {
+		c.rts[1].Crash()
+		c.net.Host(1).SetDown(true)
+	})
+	// Node 2 casts the moment it freezes for the flush: its chunks queue
+	// until the install unfreezes it.
+	cast, queuedInFlush := false, 0
+	for at := 500 * sim.Millisecond; at < 2*sim.Second; at += 10 * sim.Microsecond {
+		c.k.ScheduleAt(at, func() {
+			if cast || !c.stacks[2].rm.frozen {
+				return
+			}
+			cast = true
+			for i := 0; i < 3; i++ {
+				payload := []byte(fmt.Sprintf("flush%d", i))
+				c.rts[2].CPUs().SubmitReal(func() {
+					if c.stacks[2].rm.frozen {
+						queuedInFlush++
+					}
+					c.stacks[2].Multicast(payload)
+				}, nil)
+				casts++
+			}
+		})
+	}
+	c.run(10 * sim.Second)
+	if queuedInFlush == 0 {
+		t.Fatal("no cast of node 2 queued behind the flush: the test no longer reaches the takeover path")
+	}
+	if v := c.stacks[2].View(); v.Sequencer() != 2 {
+		t.Fatalf("sequencer = %d, want 2", v.Sequencer())
+	}
+	c.checkAgreement([]NodeID{2, 3}, casts)
+	for i, d := range c.delivered[2] {
+		if d.Global != uint64(i+1) {
+			t.Fatalf("global sequence has gaps: position %d = %d", i, d.Global)
+		}
+	}
+}
+
 func TestCrashDuringHeavyTrafficAgreement(t *testing.T) {
 	c := newCluster(t, 5, 12, func(cfg *Config) {
 		cfg.failTimeout = 400 * sim.Millisecond

@@ -519,6 +519,9 @@ func (mb *membership) checkInstall() {
 		if t, agreed := targets[oldSequencer]; agreed {
 			mb.s.to.rollbackUnagreed(oldSequencer, t)
 		}
+		// The new sequencer's counter is anchored in onInstall: until then
+		// it numbers nothing, not even its own chunks unfreeze delivers.
+		mb.s.to.handover = true
 	}
 	// Unfreeze before the ordering layer runs: deliveries paused for the
 	// view change resume only once the reliable layer accepts traffic

@@ -486,8 +486,8 @@ func parseJoinSync(b []byte) (*joinSyncMsg, error) {
 
 // assignAckMsg is a receiver's positive acknowledgement of the sequencer's
 // stream, sent whenever an ordering announcement is processed: Seq is the
-// receiver's contiguous prefix of the sequencer's stream, which doubles as
-// its credit cursor. The sequencer gates delivery of its self-assigned
+// receiver's contiguous prefix of the sequencer's stream, its ack cursor at
+// the sequencer. The sequencer gates delivery of its self-assigned
 // globals on a majority of these (uniform delivery); stability gossip
 // horizons carry the same cursor as the slow-path fallback, so a lost ack
 // costs at most one gossip period.

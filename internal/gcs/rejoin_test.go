@@ -295,7 +295,7 @@ func TestCrashReleasesBuffers(t *testing.T) {
 
 // TestPeerRowReset drives the one restart path of a peer row and checks every
 // column: the stream cursors and the stable prefix restart at upto, the
-// buffers of the dead incarnation are gone, the credit cursor is re-seeded,
+// buffers of the dead incarnation are gone, the ack cursor is re-seeded,
 // and the failure detector's columns — which belong to the view install, not
 // to the stream — are left alone.
 func TestPeerRowReset(t *testing.T) {
@@ -348,7 +348,7 @@ func TestPeerRowReset(t *testing.T) {
 			t.Errorf("excluded=%v repairTarget=%d after reset, want false 3", ps.excluded, ps.repairTarget)
 		}
 		if ps.acked != rm.self.stable {
-			t.Errorf("credit cursor seeded at %d, want my stable prefix %d", ps.acked, rm.self.stable)
+			t.Errorf("ack cursor seeded at %d, want my stable prefix %d", ps.acked, rm.self.stable)
 		}
 		if !ps.suspected || ps.lastHeard != heard {
 			t.Errorf("reset touched the failure detector's columns: suspected=%v lastHeard=%v", ps.suspected, ps.lastHeard)
@@ -383,7 +383,7 @@ func TestPeerRowReset(t *testing.T) {
 		}
 		for _, ps := range rm.peers {
 			if ps.acked != 0 {
-				t.Errorf("peer %d keeps credit cursor %d against the restarted stream", ps.id, ps.acked)
+				t.Errorf("peer %d keeps ack cursor %d against the restarted stream", ps.id, ps.acked)
 			}
 		}
 	})

@@ -34,16 +34,9 @@ type relMcast struct {
 	outQ      []outChunk
 	outHead   int
 	outQBytes int // wire bytes queued but unsent
-	outQLimit int // bound on outQBytes: maxQueuedBytes
 	frozen    bool
 	blockedAt sim.Time
 	blocked   bool
-
-	// Credit-based flow control (flowcontrol.go): creditLimit is the
-	// per-destination window in chunks, creditsPerDest outside tests.
-	// creditBlocked marks an in-progress credit-stall episode.
-	creditLimit   uint64
-	creditBlocked bool
 
 	// Rate-based flow control (phase one).
 	tokens     float64
@@ -123,8 +116,10 @@ type peerState struct {
 	reasmMsgID uint64
 	reasmKind  byte
 
-	// Flow control (flowcontrol.go): the contiguous prefix of MY stream the
-	// peer has acknowledged. Monotone within an incarnation.
+	// The contiguous prefix of MY stream the peer has acknowledged, through
+	// assign-acks and stability gossip horizons (mergeAck). Monotone within
+	// an incarnation; uniform delivery at the sequencer counts it
+	// (totalOrder.majorityHolds).
 	acked uint64
 
 	// Stability (stability.go): stable is S, the prefix of the peer's stream
@@ -143,10 +138,8 @@ type peerState struct {
 
 func newRelMcast(s *Stack) *relMcast {
 	rm := &relMcast{
-		s:           s,
-		outQLimit:   maxQueuedBytes,
-		tokens:      float64(s.maxPacket * 2),
-		creditLimit: creditsPerDest,
+		s:      s,
+		tokens: float64(s.maxPacket * 2),
 	}
 	for _, m := range s.cfg.Members {
 		rm.peer(m)
@@ -324,11 +317,6 @@ func (rm *relMcast) drain() {
 			rm.noteBlocked()
 			return // wait for stability to free share/window
 		}
-		if !rm.creditOK(c.seq) {
-			rm.noteBlocked()
-			rm.noteCreditStall()
-			return // wait for gossip to advance the lagging destination
-		}
 		if rm.tokens < float64(size) {
 			rm.noteBlocked()
 			rm.scheduleRateTimer(size)
@@ -358,6 +346,19 @@ func (rm *relMcast) drain() {
 	rm.clearBlocked()
 }
 
+// mergeAck merges an acknowledgement from src — an assign-ack or a gossip
+// horizon — into its ack cursor and reports whether it advanced (an advance
+// may make an announcement batch majority-held). Merges never move the
+// cursor backwards, however acknowledgements are reordered in flight.
+func (rm *relMcast) mergeAck(src NodeID, seq uint64) bool {
+	ps := rm.peer(src)
+	if seq <= ps.acked {
+		return false
+	}
+	ps.acked = seq
+	return true
+}
+
 func (rm *relMcast) noteBlocked() {
 	if !rm.blocked {
 		rm.blocked = true
@@ -371,7 +372,6 @@ func (rm *relMcast) clearBlocked() {
 		rm.blocked = false
 		rm.s.stats.BlockedTime += rm.s.rt.Now() - rm.blockedAt
 	}
-	rm.creditBlocked = false
 }
 
 func (rm *relMcast) refillTokens() {
@@ -637,11 +637,10 @@ func (rm *relMcast) complete(sender NodeID, msgID, lastSeq uint64, payloadKind b
 }
 
 // sendAssignAck tells the sequencer how far this member contiguously holds
-// its stream, unblocking the sequencer's uniform-delivery gate (and its
-// credit window) without waiting for the next stability gossip. upto is the
-// announcement's own last chunk: the FIFO cursor has not advanced past the
-// message being handed up yet, so contiguous() alone would leave the latest
-// batch un-acked.
+// its stream, unblocking the sequencer's uniform-delivery gate without
+// waiting for the next stability gossip. upto is the announcement's own last
+// chunk: the FIFO cursor has not advanced past the message being handed up
+// yet, so contiguous() alone would leave the latest batch un-acked.
 func (rm *relMcast) sendAssignAck(sequencer NodeID, upto uint64) {
 	if c := rm.contiguous(sequencer); c > upto {
 		upto = c
@@ -700,11 +699,10 @@ func (rm *relMcast) reset(p NodeID, upto uint64) {
 	ps.excluded = false
 	ps.repairTarget = p
 	if ps != rm.self {
-		// Seed the fresh incarnation's credit cursor at my stable prefix:
-		// its join targets cover at least everything stable, so this is a
-		// safe lower bound of the ack its first gossip will carry —
-		// without it a rejoin would stall the sender for a gossip period.
-		rm.creditAck(p, rm.self.stable)
+		// Seed the fresh incarnation's ack cursor at my stable prefix: its
+		// join targets cover at least everything stable, so this is a safe
+		// lower bound of the ack its first gossip will carry.
+		rm.mergeAck(p, rm.self.stable)
 	}
 	rm.dropPartial(ps)
 	if ps.nackTimer != nil {
@@ -735,7 +733,7 @@ func (rm *relMcast) resetSelf() {
 	rm.outQ, rm.outHead = rm.outQ[:0], 0
 	rm.outQBytes = 0
 	// The new stream renumbers from 1: every old acknowledgement cursor
-	// would grant far too much credit against it.
+	// would claim chunks of it no peer has seen.
 	for _, ps := range rm.peers {
 		ps.acked = 0
 	}
@@ -772,7 +770,7 @@ func (rm *relMcast) releaseAll() {
 func (rm *relMcast) excludePeer(p NodeID, upto uint64) {
 	ps := rm.peer(p)
 	ps.excluded = true
-	ps.acked = 0 // excluded members never gate, and a fresh incarnation starts from zero credit
+	ps.acked = 0 // a fresh incarnation has acknowledged nothing
 	for seq, m := range ps.recvBuf.visit(upto+1, ps.maxSeen) {
 		ps.recvBuf.del(seq)
 		rm.recycleMsg(m)

@@ -98,13 +98,12 @@ func (st *stability) onGossip(src NodeID, g *gossipMsg) {
 		return
 	}
 	st.s.rt.Charge(costPerGossip)
-	// Credit replenishment: g.H[my rank] is src's contiguous prefix of my
-	// own stream — its acknowledgement cursor for the sender-side credit
-	// gate. An advance may release chunks blocked on src's credit.
-	creditAdvanced := false
+	// g.H[my rank] is src's contiguous prefix of my own stream: its
+	// acknowledgement cursor.
+	ackAdvanced := false
 	if src != st.s.cfg.Self && len(g.H) == len(st.s.view.Members) &&
 		st.s.rank >= 0 && st.s.rank < len(g.H) {
-		creditAdvanced = st.s.rm.creditAck(src, g.H[st.s.rank])
+		ackAdvanced = st.s.rm.mergeAck(src, g.H[st.s.rank])
 	}
 	// Learn stream horizons: another member has received further into p's
 	// stream than we have — a tail loss no data packet would reveal.
@@ -157,7 +156,7 @@ func (st *stability) onGossip(src NodeID, g *gossipMsg) {
 	for i, p := range st.s.view.Members {
 		st.s.rm.gcStable(p, g.S[i])
 	}
-	if creditAdvanced {
+	if ackAdvanced {
 		// The horizon is also the uniform-delivery ack fallback: a lost
 		// assign-ack delays the sequencer's delivery by at most one gossip
 		// period.

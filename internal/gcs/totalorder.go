@@ -35,6 +35,10 @@ type totalOrder struct {
 	// provenance, so the next sequencer handover anchors its renumbering
 	// base here when the dying sequencer assigned nothing beyond it.
 	renumberedTo uint64
+	// handover is set from the view switch that drops the sequencer until
+	// onInstall: the new sequencer's nextGlobal is not anchored yet, so its
+	// own chunks that unfreeze delivers wait for onInstall to number them.
+	handover bool
 
 	// deferred holds messages the sequencer declined to assign because the
 	// assigned-but-undelivered span hit assignWindow; they are assigned in
@@ -207,7 +211,7 @@ func (to *totalOrder) onAppData(sender NodeID, msgID, lastSeq uint64, data []byt
 		to.s.stats.Optimistic++
 		to.s.onOpt(OptDelivery{Sender: sender, MsgID: msgID, Payload: data})
 	}
-	if to.s.IsSequencer() && to.msgs[key].global == 0 && !to.s.rm.frozen {
+	if to.s.IsSequencer() && to.msgs[key].global == 0 && !to.s.rm.frozen && !to.handover {
 		if to.assignWindowFull() {
 			// Assign-window throttle: delivery has fallen assignWindow
 			// behind assignment, so issuing more numbers would only grow
@@ -540,6 +544,7 @@ func (to *totalOrder) releaseAll() {
 // the snapshot its donor exports (the donor delivers them before reaching
 // the joiner's catch-up sequence), and the skipTo at sync discards them.
 func (to *totalOrder) onInstall(oldSequencer NodeID, oldSequencerGone bool, targets map[NodeID]uint64) {
+	to.handover = false
 	if !to.s.joinSynced {
 		return
 	}

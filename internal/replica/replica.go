@@ -70,13 +70,6 @@ type Options struct {
 	// the certifier and commit log from a donor and replays the buffered
 	// delta. Used for a site rejoining after a crash.
 	Recovering bool
-	// BacklogHigh/BacklogLow are the hysteresis watermarks over this
-	// replica's in-flight termination backlog (multicast but unresolved
-	// local transactions). Crossing High asserts backpressure on the
-	// server's admission gate; the signal releases once the backlog
-	// drains to Low. BacklogHigh == 0 disables the gauge.
-	BacklogHigh int
-	BacklogLow  int
 
 	// Group mode (partial replication by replication group). GroupCount > 1
 	// enables it: this stack orders only its own group's transactions,
@@ -122,14 +115,11 @@ type Stats struct {
 	// DeltaApplied counts deliveries buffered during a recovery transfer
 	// and replayed at snapshot install (the delta catch-up cost).
 	DeltaApplied int64
-	// MulticastRefused counts terminations the stack's bounded transmit
-	// queue refused; each one surfaced as an explicit client rejection.
-	MulticastRefused int64
-	// Backpressure counts times the termination backlog crossed the high
-	// watermark and engaged the server's admission gate.
-	Backpressure int64
 	// BacklogPeak is the high-water mark of the in-flight termination
-	// backlog: a peak gauge, so totals take the maximum instead of the sum.
+	// backlog (local transactions multicast but not yet settled): a peak
+	// gauge, so totals take the maximum instead of the sum. The server
+	// keeps each such transaction active unless a certified transaction
+	// preempts it, so admission's MaxActive bounds it up to preemptions.
 	BacklogPeak int64 `fold:"max"`
 	// Cross-group commit round counters (group mode only). MultiGroupTxns
 	// counts multi-group transactions this site coordinated; XCommitted
@@ -204,12 +194,13 @@ type Replica struct {
 	// runtime's scheduler (terminate / tentative / discard stages).
 	freeThunks sim.FreeList[*replicaThunk]
 
-	// backlog gauges in-flight terminations (multicast but unresolved).
-	backlog Watermark
+	// backlog counts in-flight terminations (multicast but unresolved);
+	// stats.BacklogPeak is its high-water mark.
+	backlog int
 
 	commitLog trace.CommitLog
-	// stats is counted in place; Stats() adds the gauges other components
-	// own (the backlog watermark, the speculative certifier).
+	// stats is counted in place; Stats() adds the counters the speculative
+	// certifier owns.
 	stats   Stats
 	stopped bool
 
@@ -239,7 +230,6 @@ func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Option
 		site:       server.Site(),
 		opts:       opts,
 		recovering: opts.Recovering,
-		backlog:    Watermark{High: opts.BacklogHigh, Low: opts.BacklogLow},
 	}
 	r.cert.Charge = func(items int) {
 		rt.Charge(sim.Time(items) * certCostPerItem)
@@ -296,8 +286,6 @@ func (r *Replica) Certifier() *dbsm.Certifier { return r.cert }
 // Stats reports the replica's termination counters.
 func (r *Replica) Stats() Stats {
 	s := r.stats
-	s.Backpressure = r.backlog.Engages()
-	s.BacklogPeak = int64(r.backlog.Peak())
 	if r.spec != nil {
 		s.Tentative = r.spec.Tentatives
 		s.Rollbacks = r.spec.Rollbacks
@@ -478,30 +466,21 @@ func stageTerminate(r *Replica, t *db.Txn, _ []byte, _ uint64) {
 	tc := &r.term
 	t.CertInfoInto(tc, r.site, r.opts.ReadSetThreshold)
 	if r.x != nil {
-		r.x.terminate(t, tc)
+		r.x.terminate(tc)
 		return
 	}
-	r.submit(t, tc.MarshalTo(r.scratch))
+	r.submit(tc.MarshalTo(r.scratch))
 }
 
 // submit hands one termination's wire form — built on r.scratch, which it
 // keeps for the next one — to the stack: charge the marshaling, multicast,
-// and count the termination into the backlog gauge. When the bounded
-// transmit queue is full the termination is refused instead of queued
-// without bound (the server turns that into an explicit rejection the
-// client can retry) and submit reports false.
-func (r *Replica) submit(t *db.Txn, wire []byte) bool {
+// and count the termination into the backlog.
+func (r *Replica) submit(wire []byte) {
 	r.scratch = wire
 	r.rt.Charge(sim.Time(marshalCostPerByte * float64(len(wire))))
-	if !r.stack.Multicast(wire) {
-		r.stats.MulticastRefused++
-		r.server.RejectPending(t.TID)
-		return false
-	}
-	if r.backlog.Add(1) {
-		r.server.SetBackpressure(r.backlog.Engaged())
-	}
-	return true
+	r.stack.Multicast(wire)
+	r.backlog++
+	r.stats.BacklogPeak = max(r.stats.BacklogPeak, int64(r.backlog))
 }
 
 // chargeUnmarshal accounts the CPU cost of decoding a payload.
@@ -777,7 +756,7 @@ func (r *Replica) respeculate(rolled []*dbsm.TxnCert) {
 
 // settle carries transaction tid's final outcome to the server. A commit is
 // appended to the commit log; a local transaction learns its fate and drains
-// the backlog gauge; a committed remote write-set is installed. ws holds the
+// the backlog; a committed remote write-set is installed. ws holds the
 // rows the outcome writes — the whole certification message, or this group's
 // part of a cross-group transaction (nil when the group has none) — narrowed
 // here to the rows this site stores.
@@ -787,13 +766,10 @@ func (r *Replica) settle(tid uint64, out dbsm.Outcome, ws *dbsm.TxnCert, preAppl
 	}
 	if dbsm.TIDSite(tid) == r.site {
 		if r.server.ResolveLocal(tid, out.Commit, out.Seq) {
-			// One in-flight termination resolved: drain the backlog gauge.
-			// Orphans (below) never counted an increment — their increment
-			// belonged to a previous incarnation's gauge — so only this
-			// path decrements.
-			if r.backlog.Add(-1) {
-				r.server.SetBackpressure(r.backlog.Engaged())
-			}
+			// One in-flight termination resolved. Orphans (below) never
+			// counted an increment — their increment belonged to a previous
+			// incarnation's replica — so only this path decrements.
+			r.backlog = max(r.backlog-1, 0)
 			return
 		}
 		// Orphaned local transaction: the incarnation that submitted it

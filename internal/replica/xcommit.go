@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/db"
 	"repro/internal/dbsm"
 	"repro/internal/gcs"
 	"repro/internal/runtimeapi"
@@ -138,7 +137,6 @@ type xtxn struct {
 	acksMask     uint32
 	allCommit    bool
 	coordDecided bool // decision fixed (all votes in, or adopted)
-	decideSent   bool // home decide multicast accepted by flow control
 	homeDecided  bool
 	doneC        bool
 }
@@ -216,11 +214,11 @@ func (x *xmgr) homeOnly(s dbsm.ItemSet) bool {
 // terminate is the group-mode termination path: route single-group
 // transactions onto the group's ordered stream, open the cross-group round
 // for multi-group ones.
-func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
+func (x *xmgr) terminate(tc *dbsm.TxnCert) {
 	r := x.r
 	if x.homeOnly(tc.ReadSet) && x.homeOnly(tc.WriteSet) {
 		// The classic path, tagged; nothing is split or copied.
-		r.submit(t, tc.AppendTo(append(r.scratch[:0], xgroup.MsgTxn)))
+		r.submit(tc.AppendTo(append(r.scratch[:0], xgroup.MsgTxn)))
 		return
 	}
 	parts := xgroup.Split(tc, r.opts.GroupOf, x.group)
@@ -230,9 +228,7 @@ func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
 		HomeGroup:   x.group,
 		Parts:       parts,
 	}
-	if !r.submit(t, xgroup.AppendPrepare(r.scratch[:0], xgroup.MsgPrepare, prep, 0)) {
-		return
-	}
+	r.submit(xgroup.AppendPrepare(r.scratch[:0], xgroup.MsgPrepare, prep, 0))
 	r.stats.MultiGroupTxns++
 	e := &xtxn{tid: tc.TID, home: x.group, coordID: x.self(), coord: true, allCommit: true}
 	for i := range parts {
@@ -351,7 +347,7 @@ func (x *xmgr) prepareDelivered(p *xgroup.Prepare) {
 		delete(x.stash, e.tid)
 		if x.sequencing() {
 			x.buf = xgroup.AppendDecision(x.buf[:0], xgroup.MsgDecide, e.tid, commit)
-			_ = r.stack.Multicast(x.buf)
+			r.stack.Multicast(x.buf)
 		}
 	}
 }
@@ -437,7 +433,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 			// Multicast copies the payload before returning, so handing it
 			// the relay's bytes (tag included) is safe.
 			if x.sequencing() {
-				_ = r.stack.Multicast(payload)
+				r.stack.Multicast(payload)
 			}
 			return
 		}
@@ -513,7 +509,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 		if !e.decided {
 			if x.sequencing() {
 				x.buf = xgroup.AppendDecision(x.buf[:0], xgroup.MsgDecide, tid, commit)
-				_ = r.stack.Multicast(x.buf)
+				r.stack.Multicast(x.buf)
 			}
 		} else if e.home != x.group {
 			x.buf = xgroup.AppendAck(x.buf[:0], xgroup.MsgAck, tid, x.group)
@@ -576,7 +572,7 @@ func (x *xmgr) adoptDecision(e *xtxn, commit bool) {
 	e.coordDecided = true
 	e.allCommit = commit
 	x.buf = xgroup.AppendDecision(x.buf[:0], xgroup.MsgDecide, e.tid, commit)
-	e.decideSent = x.r.stack.Multicast(x.buf)
+	x.r.stack.Multicast(x.buf)
 	x.relayDecides(e)
 }
 
@@ -648,8 +644,7 @@ func (x *xmgr) armTimer(e *xtxn) {
 }
 
 // tick retransmits whatever the round is still missing: prepares to groups
-// without votes, the home decide if flow control refused it, decisions to
-// groups without acks.
+// without votes, decisions to groups without acks.
 func (x *xmgr) tick(e *xtxn) {
 	r := x.r
 	if r.stopped || e.doneC || !e.coord {
@@ -663,10 +658,6 @@ func (x *xmgr) tick(e *xtxn) {
 		// Before the home prepare delivers there is nothing to retransmit:
 		// the reliable stream is still carrying it.
 	} else {
-		if !e.decided && !e.decideSent {
-			x.buf = xgroup.AppendDecision(x.buf[:0], xgroup.MsgDecide, e.tid, e.allCommit)
-			e.decideSent = r.stack.Multicast(x.buf)
-		}
 		x.relayDecides(e)
 	}
 	x.armTimer(e)
@@ -710,7 +701,6 @@ func (x *xmgr) onViewChange(v gcs.View) {
 			// The decision already reached the home stream: only remote
 			// acks can be missing.
 			e.coordDecided = true
-			e.decideSent = true
 			e.homeDecided = true
 			e.allCommit = e.commit
 			x.relayDecides(e)

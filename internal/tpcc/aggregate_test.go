@@ -427,75 +427,7 @@ func TestAggregateCrashWakesParkedArrivalsOnce(t *testing.T) {
 	}
 }
 
-// TestAggregateRejectPendingRetriesBuiltTxn covers the one rejection that
-// comes after admission: the replication stack refuses the termination
-// multicast and the replica hands the transaction back through
-// RejectPending. The retry resubmits the same *db.Txn, already built — the
-// hook is spent — and once it commits and the server lets go of it, its
-// record goes back on the free list and the next arrival is drawn into it.
-func TestAggregateRejectPendingRetriesBuiltTxn(t *testing.T) {
-	k := sim.NewKernel()
-	server := newAggServer(k)
-	a := boundAgg(k, server, RetryPolicy{MaxAttempts: 3})
-	var seen []*db.Txn
-	var sets []*dbsm.TupleID // where each submission's read-set is stored
-	server.SetTerminator(func(txn *db.Txn) {
-		if txn.Build != nil {
-			t.Fatal("build hook still set on a transaction in termination")
-		}
-		seen = append(seen, txn)
-		sets = append(sets, &txn.ReadSet[0])
-		if len(seen) == 1 {
-			server.RejectPending(txn.TID)
-			return
-		}
-		server.ResolveLocal(txn.TID, true, 1)
-	})
-	var final []db.Outcome
-	a.OnDone = func(_ *db.Txn, o db.Outcome) { final = append(final, o) }
-	// Arrivals until one is an update that reaches termination; each runs to
-	// its outcome before the next is drawn.
-	for len(seen) == 0 {
-		final = final[:0]
-		a.arrive()
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(seen) != 2 || seen[0] != seen[1] {
-		t.Fatalf("termination saw %d submissions of %d distinct transactions, want the same one twice", len(seen), len(seen))
-	}
-	if sets[0] != sets[1] {
-		t.Fatal("the retried transaction was built a second time")
-	}
-	if len(final) != 1 || final[0] != db.Committed {
-		t.Fatalf("final outcomes %v, want one commit", final)
-	}
-	if a.Retries() != 1 || a.RetryLat().N() != 1 {
-		t.Fatalf("retries %d, retry latencies %d, want 1 and 1", a.Retries(), a.RetryLat().N())
-	}
-	if seen[0].Held() {
-		t.Fatal("the server still holds the committed transaction")
-	}
-	// The next arrival reuses the admitted one's record, a fresh
-	// transaction in the same memory.
-	committed := seen[0].TID
-	server.SetBackpressure(true)
-	a.arrive()
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if a.free.Len() != 1 {
-		t.Fatalf("free list %d long after one refused arrival", a.free.Len())
-	}
-	for r := range a.free.All() {
-		if &r.txn != seen[0] || r.txn.TID == committed || r.txn.Build == nil {
-			t.Fatalf("free list holds another record, or the reused one still carries TID %x", committed)
-		}
-	}
-}
-
-// TestAggregateFreeListDroppedAtStop pins the other half of the record
+// TestAggregateFreeListDroppedAtStop pins the end of the record
 // lifetime: when Stop ends the arrival stream the free list is released, and
 // the refusals still resolving afterwards do not refill it, so a finished
 // model a caller keeps alive holds no idle records.
