@@ -90,7 +90,7 @@ func TestConfigsMatchBench(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if file.Expect != nil || !reflect.DeepEqual(file.Config, want) {
+		if file.Expect != "" || !reflect.DeepEqual(file.Config, want) {
 			got, _ := json.Marshal(file)
 			lit, _ := json.Marshal(want)
 			t.Errorf("configs/%s.json differs from bench's literal:\n file %s\nbench %s", name, got, lit)

@@ -50,7 +50,7 @@ type options struct {
 }
 
 // parseFlags parses a faultsim command line (without the program name) and
-// applies -short.
+// resolves -seeds when it was not given: 0 with -replay-file, 2 with -short.
 func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
@@ -67,18 +67,19 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.list, "list", false, "print the resolved fault matrix or campaign schedule and exit without running")
 	fs.BoolVar(&o.rejoin, "rejoin", false, "force every campaign schedule to include a crash-and-rejoin")
 	fs.BoolVar(&o.overload, "overload", false, "force every campaign schedule to include saturation and a slow-node gray failure")
-	fs.BoolVar(&o.short, "short", false, "smoke mode for CI: 2 matrix seeds and a 15 s fault horizon")
+	fs.BoolVar(&o.short, "short", false, "smoke mode for CI: 2 matrix seeds (unless -seeds is given) and a 15 s fault horizon")
 	fs.StringVar(&o.protocol, "protocol", "both", "termination variant under test: conservative, optimistic, or both")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if o.short {
-		o.seeds = 2
-	}
 	given := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	if o.replayFile != "" && !given["seeds"] {
+	switch {
+	case given["seeds"]: // an explicit -seeds wins over both defaults below
+	case o.replayFile != "":
 		o.seeds = 0 // a run file is one fault load: one run, at its own seed
+	case o.short:
+		o.seeds = 2
 	}
 	return o, nil
 }
@@ -395,8 +396,8 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 		fmt.Printf("explore: violation at run %d (seed %d): %s\n", f.Run, f.Seed, f.Detail)
 		min, stats := explore.Minimize(base, params, f.Genes, f.Seed)
 		fmt.Printf("explore: minimized %d -> %d gene(s) in %d probes\n", stats.From, stats.To, stats.Probes)
-		// Rerun the minimized schedule, so the saved triage is what the
-		// file reproduces.
+		// Rerun the minimized schedule, so the saved kind is what the file
+		// reproduces.
 		cfg := explore.Config(base, params, min, f.Seed)
 		res, err := core.Run(cfg)
 		if err != nil {
@@ -443,8 +444,8 @@ func runReplayFile(path string, seeds int, base int64, parallel int) int {
 		seed = fmt.Sprintf("seeds=DeriveSeed(%d, 0..%d)", base, seeds-1)
 	}
 	fmt.Printf("replaying %s: protocol=%s sites=%d groups=%d %s", path, c.Protocol, c.Sites, c.Groups, seed)
-	if r.Expect != nil {
-		fmt.Printf(" expect=%s/%s", r.Expect.Verdict, r.Expect.Kind)
+	if r.Expect != "" {
+		fmt.Printf(" expect=%s", r.Expect)
 	}
 	fmt.Println()
 	n := max(seeds, 1)
@@ -462,18 +463,14 @@ func runReplayFile(path string, seeds int, base int64, parallel int) int {
 	}
 	if seeds == 0 {
 		switch kind, detail := kinds[0], details[0]; {
-		case r.Expect == nil && kind == "":
+		case r.Expect == "" && kind == "":
 			fmt.Println("SAFE")
-		case r.Expect == nil:
+		case r.Expect == "":
 			fmt.Printf("%s: %s\n", core.VerdictWord(kind), detail)
 		case !r.Reproduces(kind):
 			fmt.Printf("did not reproduce: %s\n", detail)
 		default:
 			fmt.Printf("REPRODUCED: %s\n", detail)
-			if t := r.Triage; t != nil {
-				fmt.Printf("triage: kind=%s site=%d ref=%d group=%d pos=%d detail=%q\n",
-					t.Kind, t.Site, t.Ref, t.Group, t.Pos, t.Detail)
-			}
 		}
 		if r.Reproduces(kinds[0]) {
 			return 1

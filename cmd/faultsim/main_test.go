@@ -17,8 +17,9 @@ import (
 // variants in testdata.
 const smoke = "../../configs/smoke.json"
 
-// goldenRuns are the invocations CI used to run as separate `go run` steps:
-// the five short campaigns and the fixed matrix.
+// goldenRuns are the invocations CI used to run as separate `go run` steps —
+// the five short campaigns, the fixed matrix and the failure-rate sweep —
+// and -list on the matrix and on the first campaign.
 var goldenRuns = []struct{ name, args string }{
 	{"campaign", "-config " + smoke + " -short -campaign 12"},
 	{"rejoin", "-config " + smoke + " -short -campaign 8 -rejoin"},
@@ -27,6 +28,8 @@ var goldenRuns = []struct{ name, args string }{
 	{"aggregate", "-config testdata/smoke_aggregate.json -short -campaign 8"},
 	{"matrix", "-config " + smoke + " -short"},
 	{"sweep", "-replay-file ../../configs/lossy_rejoin.json -seeds 20"},
+	{"list", "-config " + smoke + " -short -list"},
+	{"campaign-list", "-config " + smoke + " -short -campaign 12 -list"},
 }
 
 // TestGolden pins every verdict line faultsim prints for goldenRuns against
@@ -62,15 +65,15 @@ const goldenRepro = "testdata/repro-conservative-s3-non-prefix--2362459762591223
 
 // TestGoldenReproReproduces is the regression guard for the uniform-delivery
 // fix: on the tree the repro must replay SAFE (faultsim -replay-file exits 0
-// on it) while keeping its expected non-prefix verdict and triage. It is the
+// on it) while keeping its expected non-prefix verdict kind. It is the
 // non-uniform-sequencer mutant's killer: with the fix reverted it reproduces.
 func TestGoldenReproReproduces(t *testing.T) {
 	r, err := explore.LoadRepro(goldenRepro)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if r.Expect == nil || r.Expect.Kind != "non-prefix" || r.Triage == nil || r.Triage.Kind != "non-prefix" {
-		t.Fatalf("golden repro triage drifted: expect=%+v triage=%+v", r.Expect, r.Triage)
+	if r.Expect != "non-prefix" {
+		t.Fatalf("golden repro expect drifted: %q", r.Expect)
 	}
 	kind, detail, err := r.Replay()
 	if err != nil {
@@ -122,8 +125,8 @@ func TestResidualWindowReproduces(t *testing.T) {
 		t.Fatalf("the documented n>=5 window no longer reproduces (verdict %q) — "+
 			"if it was closed on purpose, update gcs/totalorder.go's comment and this guard", detail)
 	}
-	if r.Triage == nil || r.Triage.Kind != "non-prefix" {
-		t.Fatalf("window repro triage drifted: %+v", r.Triage)
+	if r.Expect != "non-prefix" {
+		t.Fatalf("window repro expect drifted: %q", r.Expect)
 	}
 }
 
@@ -166,7 +169,7 @@ func TestRunReplayFile(t *testing.T) {
 		t.Fatalf("runReplayFile(missing) = %d, want 2", got)
 	}
 	typo := filepath.Join(t.TempDir(), "typo.json")
-	if err := os.WriteFile(typo, []byte(`{"version": 2, "config": {"sites": 3, "clinets": 60}}`), 0o644); err != nil {
+	if err := os.WriteFile(typo, []byte(`{"version": 3, "config": {"sites": 3, "clinets": 60}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, cmdline := range []string{"-replay-file " + typo, "-config " + typo + " -short", "-short -campaign 2"} {
@@ -239,6 +242,34 @@ func TestGroupModeUsageErrors(t *testing.T) {
 	} {
 		if got := run(strings.Fields(cmdline)); got != 2 {
 			t.Errorf("faultsim %s = %d, want 2", cmdline, got)
+		}
+	}
+}
+
+// TestParseFlags pins how -seeds resolves: its default of 3, 2 under -short,
+// 0 (one run at the file's seed) under -replay-file, and an explicit -seeds
+// over both.
+func TestParseFlags(t *testing.T) {
+	for _, c := range []struct {
+		args  string
+		seeds int
+		short bool
+	}{
+		{"-config c.json", 3, false},
+		{"-config c.json -short", 2, true},
+		{"-config c.json -short -seeds 5", 5, true},
+		{"-config c.json -seeds 5 -short", 5, true},
+		{"-replay-file r.json", 0, false},
+		{"-replay-file r.json -short", 0, true},
+		{"-replay-file r.json -seeds 20", 20, false},
+		{"-replay-file r.json -short -seeds 5", 5, true},
+	} {
+		o, err := parseFlags(strings.Fields(c.args))
+		if err != nil {
+			t.Fatalf("parseFlags(%s): %v", c.args, err)
+		}
+		if o.seeds != c.seeds || o.short != c.short {
+			t.Errorf("parseFlags(%s): seeds=%d short=%v, want seeds=%d short=%v", c.args, o.seeds, o.short, c.seeds, c.short)
 		}
 	}
 }

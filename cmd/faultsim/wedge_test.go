@@ -15,7 +15,7 @@ import (
 // first gossip vouched for a survivor still repairing toward its flush target,
 // and the stream's origin freed the chunk that survivor lacked. Two seeds
 // ended with one survivor ahead, a length-mismatch verdict; they are saved as
-// format-2 repros and kept as regression runs.
+// repros and kept as regression runs.
 const (
 	wedgeRepro1029 = "testdata/repro-conservative-s3-length-mismatch-1029.json"
 	wedgeRepro29   = "testdata/repro-conservative-s3-length-mismatch-29.json"
@@ -43,8 +43,8 @@ func TestLossyRejoinWedgeReproduces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
-		if r.Expect == nil || r.Expect.Kind != "length-mismatch" {
-			t.Fatalf("%s: expect %+v", path, r.Expect)
+		if r.Expect != "length-mismatch" {
+			t.Fatalf("%s: expect %q", path, r.Expect)
 		}
 		if got := runReplayFile(path, 0, 0, 0); got != 0 {
 			t.Fatalf("runReplayFile(%s) = %d, want 0 (wedge fixed)", path, got)
@@ -82,8 +82,8 @@ func TestLostTerminationWedgeReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if r.Expect == nil || r.Expect.Kind != "wedged" || len(r.Config.Faults.Recovers) != 0 {
-		t.Fatalf("repro drifted: expect %+v, recovers %v", r.Expect, r.Config.Faults.Recovers)
+	if r.Expect != "wedged" || len(r.Config.Faults.Recovers) != 0 {
+		t.Fatalf("repro drifted: expect %q, recovers %v", r.Expect, r.Config.Faults.Recovers)
 	}
 	kind, detail, err := r.Replay()
 	if err != nil {

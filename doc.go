@@ -101,10 +101,10 @@
 // internal/expr pool — deterministically, so the same seed and budget give
 // byte-identical results at any worker count. Every UNSAFE schedule is
 // delta-debugged down to a locally-minimal repro and saved as self-contained
-// JSON — format version 2 carries the run's core.Config whole, so a replay is
-// the run that failed whatever flags produced it (replayed by `faultsim
-// -replay-file`, triaged by internal/check). It is the one run-file format:
-// without an expected verdict the same file is a plain configuration, which
+// JSON — format version 3 is the run's core.Config whole and the verdict
+// kind it must reproduce, so a replay is the run that failed whatever flags
+// produced it (replayed by `faultsim -replay-file`). It is the one run-file
+// format: without an expected kind the same file is a plain configuration, which
 // is how dbsim and faultsim take their workload (-config configs/*.json),
 // and a failing random-campaign schedule is saved the same way. The search
 // cornered the residual n>=5 non-uniform delivery window documented in

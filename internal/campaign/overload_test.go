@@ -23,14 +23,7 @@ func overloadBase(protocol core.Protocol) core.Config {
 		TotalTxns:   2000,
 		Protocol:    protocol,
 		Calibration: cal,
-		Admission: &core.AdmissionConfig{
-			MaxActivePerSite: 4,
-			Retry: tpcc.RetryPolicy{
-				MaxAttempts: 4,
-				BaseBackoff: 20 * sim.Millisecond,
-				MaxBackoff:  500 * sim.Millisecond,
-			},
-		},
+		Admission:   &core.AdmissionConfig{MaxActivePerSite: 4},
 	}
 }
 

@@ -90,8 +90,6 @@ type Config struct {
 	AggregateClients int `json:"aggregateClients,omitempty"`
 	// Seed drives every random stream; same seed, same run.
 	Seed int64 `json:"seed,omitempty"`
-	// Warehouses overrides the database scale (0 derives clients/10).
-	Warehouses int `json:"warehouses,omitempty"`
 	// Calibration is the workload cost model (nil for default): empirical
 	// distributions with no serialized form, so the one field JSON does not
 	// carry.
@@ -135,23 +133,22 @@ type AdmissionConfig struct {
 	// (Results.BacklogPeak) up to preemptions, and with it the messages the
 	// replica queues in gcs.
 	MaxActivePerSite int
-	// Retry governs client resubmission after rejections; the zero value
-	// makes every rejection final.
-	Retry tpcc.RetryPolicy
 }
 
 // DefaultAdmissionConfig returns the tuning the fault campaigns run with:
-// 64 active transactions per site and up to 4 attempts with 50ms-to-2s
-// exponential backoff.
+// 64 active transactions per site.
 func DefaultAdmissionConfig() *AdmissionConfig {
-	return &AdmissionConfig{
-		MaxActivePerSite: 64,
-		Retry: tpcc.RetryPolicy{
-			MaxAttempts: 4,
-			BaseBackoff: 50 * sim.Millisecond,
-			MaxBackoff:  2 * sim.Second,
-		},
-	}
+	return &AdmissionConfig{MaxActivePerSite: 64}
+}
+
+// admissionRetry is the client resubmission policy of every run with
+// admission: up to 4 attempts after a rejection, with 50ms-to-2s exponential
+// backoff. Without admission no rejection happens, and clients run with the
+// zero policy.
+var admissionRetry = tpcc.RetryPolicy{
+	MaxAttempts: 4,
+	BaseBackoff: 50 * sim.Millisecond,
+	MaxBackoff:  2 * sim.Second,
 }
 
 func (c *Config) fill() {
@@ -205,9 +202,6 @@ type Site struct {
 	deadGCS     gcs.Stats
 	deadReplica replica.Stats
 }
-
-// Lifecycle exposes the site's state machine.
-func (s *Site) Lifecycle() *recovery.Lifecycle { return s.Life }
 
 // operational reports whether the site participates in the protocol right
 // now: lifecycle Up, never isolated in a partition minority, and its stack
@@ -348,10 +342,7 @@ func (m *Model) buildSites() error {
 	for g, members := range m.members {
 		m.net.SetGroup(runtimeapi.Group(g+1), members)
 	}
-	warehouses := m.cfg.Warehouses
-	if warehouses == 0 {
-		warehouses = tpcc.Warehouses(m.cfg.Clients)
-	}
+	warehouses := tpcc.Warehouses(m.cfg.Clients)
 	for id := first; id <= total; id++ {
 		site, err := m.buildSite(runtimeapi.NodeID(id), total > 1, warehouses)
 		if err != nil {
@@ -583,7 +574,7 @@ func (m *Model) startClients() {
 	cfg := m.cfg
 	var retry tpcc.RetryPolicy
 	if cfg.Admission != nil {
-		retry = cfg.Admission.Retry
+		retry = admissionRetry
 	}
 	if cfg.AggregateClients > 0 && cfg.Clients >= cfg.AggregateClients {
 		proc := cfg.Calibration.ArrivalProcess()

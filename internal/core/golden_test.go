@@ -59,7 +59,7 @@ var goldenRuns = []struct {
 			Partitions: []faults.Partition{{Sites: []int32{6}, At: 6 * sim.Second, Heal: 14 * sim.Second}},
 		}}},
 	{"admission-saturation", core.Config{Sites: 3, Clients: 300, TotalTxns: 500,
-		Admission: &core.AdmissionConfig{MaxActivePerSite: 3, Retry: core.DefaultAdmissionConfig().Retry},
+		Admission: &core.AdmissionConfig{MaxActivePerSite: 3},
 		Faults: faults.Config{
 			Saturation: faults.Saturation{Factor: 8, At: 1 * sim.Second, Until: 6 * sim.Second},
 		}}},

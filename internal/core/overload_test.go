@@ -18,17 +18,10 @@ func overloadCalibration() *tpcc.Calibration {
 	return cal
 }
 
-// tightAdmission is an admission tuning small enough for rejections and
+// tightAdmission is an admission cap small enough for rejections and
 // retries to occur at unit-test scale.
 func tightAdmission() *AdmissionConfig {
-	return &AdmissionConfig{
-		MaxActivePerSite: 4,
-		Retry: tpcc.RetryPolicy{
-			MaxAttempts: 4,
-			BaseBackoff: 20 * sim.Millisecond,
-			MaxBackoff:  500 * sim.Millisecond,
-		},
-	}
+	return &AdmissionConfig{MaxActivePerSite: 4}
 }
 
 // TestAdmissionRejectsAndRetriesStaySafe drives a replicated cluster hard

@@ -474,7 +474,7 @@ func (r *Results) Verdict() error {
 // VerdictKind is Verdict with the name of the leg that fired: the
 // check.Kind's name for a safety violation, then "rejoin-prefix",
 // "inconsistency", "cert-drop", "parse-error" and "wedged"; "" when the run
-// is clean. Sweeps tally by it and a repro's expect.kind holds it.
+// is clean. Sweeps tally by it and a repro's expect holds it.
 func (r *Results) VerdictKind() (string, error) {
 	switch {
 	case r.SafetyErr != nil:

@@ -33,14 +33,3 @@ func TestReadSetThresholdTradeoff(t *testing.T) {
 			coarsePerMsg, finePerMsg)
 	}
 }
-
-// Warehouses override decouples database scale from client count.
-func TestWarehousesOverride(t *testing.T) {
-	// One warehouse for 100 clients: extreme contention on its hot rows.
-	hot := run(t, Config{Sites: 1, Clients: 100, TotalTxns: 500, Seed: 33, Warehouses: 1})
-	spread := run(t, Config{Sites: 1, Clients: 100, TotalTxns: 500, Seed: 33, Warehouses: 50})
-	if hot.AbortRatePct <= spread.AbortRatePct {
-		t.Fatalf("1 warehouse should conflict more than 50: %.2f%% vs %.2f%%",
-			hot.AbortRatePct, spread.AbortRatePct)
-	}
-}

@@ -138,9 +138,6 @@ func (s *Server) Site() dbsm.SiteID { return s.site }
 // Storage exposes the disk model (resource usage reporting).
 func (s *Server) Storage() *Storage { return s.storage }
 
-// CPUs exposes the processor set.
-func (s *Server) CPUs() *csrt.CPUSet { return s.cpus }
-
 // Locks exposes the lock manager (tests, introspection).
 func (s *Server) Locks() *LockManager { return s.lm }
 
@@ -158,9 +155,6 @@ func (s *Server) RemoteApplied() int64 { return s.remoteApplied }
 // Inconsistencies counts safety violations observed (a transaction aborted
 // locally but committed by certification); it must remain zero.
 func (s *Server) Inconsistencies() int64 { return s.inconsistencies }
-
-// Down reports whether the site has crashed.
-func (s *Server) Down() bool { return s.down }
 
 // Crash stops the site: in-flight transactions never complete and their
 // clients stay blocked, as in the paper's crash fault model. A later Restart

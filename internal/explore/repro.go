@@ -2,49 +2,37 @@ package explore
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"repro/internal/campaign"
-	"repro/internal/check"
 	"repro/internal/core"
 )
 
 // ReproVersion is the run-file format version. Version 1 mirrored a few
-// Config fields by hand and silently dropped the rest; version 2 carries the
-// Config whole.
-const ReproVersion = 2
-
-// Expect states what a repro must reproduce.
-type Expect struct {
-	// Verdict is the expected classification, always "UNSAFE": the run
-	// fails its verdict.
-	Verdict string `json:"verdict"`
-	// Kind is the expected verdict kind, core.Results.VerdictKind's name
-	// for it (empty accepts any failing verdict).
-	Kind string `json:"kind,omitempty"`
-}
+// Config fields by hand and silently dropped the rest; version 2 carried the
+// Config whole beside a verdict object and a triage block that copied its
+// kind and the description; version 3 is the Config and the expected kind.
+const ReproVersion = 3
 
 // Repro is the one file format of a run: the whole run configuration —
-// workload, topology, seed and the exact fault schedule. A file with
-// an expected verdict is a self-contained, replayable violation, with the
-// checker's first-divergence triage attached; a file without one is a plain
-// configuration (configs/*.json). Either needs nothing but the binary to run:
-// `faultsim -replay-file <path>`.
+// workload, topology, seed and the exact fault schedule. A file with an
+// expected verdict kind is a self-contained, replayable violation; a file
+// without one is a plain configuration (configs/*.json). Either needs nothing
+// but the binary to run: `faultsim -replay-file <path>`.
 type Repro struct {
 	Version     int    `json:"version"`
 	Description string `json:"description,omitempty"`
 	// Config is the run: for a repro, the one that violated, under the
 	// (minimized) schedule.
 	Config core.Config `json:"config"`
-	// Expect is the verdict the replay must produce; nil for a plain
-	// configuration.
-	Expect *Expect `json:"expect,omitempty"`
-	// Triage is the checker's first-divergence annotation from the run
-	// that produced the repro.
-	Triage *check.Triage `json:"triage,omitempty"`
+	// Expect is the verdict kind the replay must produce,
+	// core.Results.VerdictKind's name for it; "" for a plain configuration,
+	// which any failing verdict reproduces.
+	Expect string `json:"expect,omitempty"`
 }
 
 // Config is the run configuration of one schedule in the fault space p
@@ -60,22 +48,17 @@ func (s space) config(base core.Config, genes []Gene, seed int64) core.Config {
 }
 
 // ReproOf packages a violating run as a self-contained repro: its whole
-// configuration, the expected verdict and, when res is given, the triage and
-// description of its violation. A config with a Calibration is refused: the
-// file could not carry it, so the replay would be a different run.
+// configuration and, when res is given, the kind and description of its
+// violation. A config with a Calibration is refused: the file could not
+// carry it, so the replay would be a different run.
 func ReproOf(cfg core.Config, res *core.Results) (*Repro, error) {
 	if cfg.Calibration != nil {
 		return nil, fmt.Errorf("explore: a repro cannot carry Config.Calibration")
 	}
-	r := &Repro{
-		Version: ReproVersion,
-		Config:  cfg,
-		Expect:  &Expect{Verdict: "UNSAFE"},
-	}
+	r := &Repro{Version: ReproVersion, Config: cfg}
 	if res != nil {
-		r.Triage = check.TriageOf(res.SafetyErr)
 		if kind, v := res.VerdictKind(); v != nil {
-			r.Expect.Kind, r.Description = kind, v.Error()
+			r.Expect, r.Description = kind, v.Error()
 		}
 	}
 	return r, nil
@@ -97,10 +80,10 @@ func (r *Repro) Replay() (kind, detail string, err error) {
 }
 
 // Reproduces reports whether a run whose verdict has the given kind
-// reproduces the file: any failing kind for a plain configuration or a
-// repro without a kind, else exactly the repro's.
+// reproduces the file: any failing kind for a plain configuration, else
+// exactly the repro's.
 func (r *Repro) Reproduces(kind string) bool {
-	return kind != "" && (r.Expect == nil || r.Expect.Kind == "" || kind == r.Expect.Kind)
+	return kind != "" && (r.Expect == "" || kind == r.Expect)
 }
 
 // Marshal renders the repro as stable, indented JSON (struct field order,
@@ -130,10 +113,7 @@ func (r *Repro) Save(dir string) (string, error) {
 // Name is the repro's canonical file name: protocol, topology, seed, and
 // violation kind, so a corpus directory reads as an index.
 func (r *Repro) Name() string {
-	kind := "unsafe"
-	if r.Expect != nil && r.Expect.Kind != "" {
-		kind = r.Expect.Kind
-	}
+	kind := cmp.Or(r.Expect, "unsafe")
 	c := &r.Config
 	topo := fmt.Sprintf("s%d", c.Sites)
 	if c.Groups > 1 {
@@ -142,28 +122,38 @@ func (r *Repro) Name() string {
 	return fmt.Sprintf("repro-%s-%s-%s-%d.json", c.Protocol, topo, kind, c.Seed)
 }
 
-// LoadRepro reads a run file, repro or plain configuration. It is strict: a
-// key the format does not have (a misspelled "clinets", say) is an error
-// naming it, not a field silently left at its default.
+// LoadRepro reads a run file, repro or plain configuration, and parses it
+// with parseRepro.
 func LoadRepro(path string) (*Repro, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	r, err := parseRepro(b)
+	if err != nil {
+		return nil, fmt.Errorf("explore: %s: %w", path, err)
+	}
+	return r, nil
+}
+
+// parseRepro decodes a run file. It is strict: a key the format does not
+// have (a misspelled "clinets", say) is an error naming it, not a field
+// silently left at its default.
+func parseRepro(b []byte) (*Repro, error) {
 	// The version first, so a file of another version is refused by its
 	// number rather than by the first key this version lacks.
 	var v struct{ Version int }
 	if err := json.Unmarshal(b, &v); err != nil {
-		return nil, fmt.Errorf("explore: %s: %w", path, err)
+		return nil, err
 	}
 	if v.Version != ReproVersion {
-		return nil, fmt.Errorf("explore: %s: unsupported repro version %d (this tree reads version %d)", path, v.Version, ReproVersion)
+		return nil, fmt.Errorf("unsupported repro version %d (this tree reads version %d)", v.Version, ReproVersion)
 	}
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	var r Repro
 	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("explore: %s: %w", path, err)
+		return nil, err
 	}
 	return &r, nil
 }

@@ -87,15 +87,21 @@ func TestReproCarriesWholeConfig(t *testing.T) {
 	}
 }
 
-// TestLoadReproRejectsVersion1 pins the one-way format change: a version-1
-// file is refused by name, not half-read through the version-2 struct.
-func TestLoadReproRejectsVersion1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.json")
-	if err := os.WriteFile(path, []byte(`{"version": 1, "protocol": "conservative", "sites": 3}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadRepro(path); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("LoadRepro(v1) = %v, want an error naming version 1", err)
+// TestLoadReproRejectsOldVersions pins the one-way format changes: a
+// version-1 or version-2 file is refused by its number, not half-read
+// through the version-3 struct.
+func TestLoadReproRejectsOldVersions(t *testing.T) {
+	for v, file := range map[int]string{
+		1: `{"version": 1, "protocol": "conservative", "sites": 3}`,
+		2: `{"version": 2, "config": {"sites": 3, "admission": {"MaxActivePerSite": 64, "Retry": {"MaxAttempts": 4}}}, "expect": {"verdict": "UNSAFE", "kind": "wedged"}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "old.json")
+		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadRepro(path); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("LoadRepro(v%d) = %v, want an error naming version %d", v, err, v)
+		}
 	}
 }
 
@@ -103,10 +109,52 @@ func TestLoadReproRejectsVersion1(t *testing.T) {
 // an error naming it, not a run of the default it failed to set.
 func TestLoadReproRejectsUnknownKey(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "typo.json")
-	if err := os.WriteFile(path, []byte(`{"version": 2, "config": {"sites": 3, "clinets": 60}}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"version": 3, "config": {"sites": 3, "clinets": 60}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadRepro(path); err == nil || !strings.Contains(err.Error(), `"clinets"`) {
 		t.Fatalf("LoadRepro(typo) = %v, want an error naming \"clinets\"", err)
 	}
+}
+
+// FuzzLoadRepro holds the run-file parser to three properties on any input:
+// it never panics, a file it accepts re-marshals to one that parses back to
+// the same value, and every version but ReproVersion is refused. The seed
+// corpus is every committed run file.
+//
+//	go test ./internal/explore -run '^$' -fuzz '^FuzzLoadRepro$' -fuzztime 20s -fuzzminimizetime 1s
+func FuzzLoadRepro(f *testing.F) {
+	for _, pattern := range []string{"../../configs/*.json", "../../cmd/faultsim/testdata/*.json"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil || len(paths) == 0 {
+			f.Fatalf("%s: %v (%d files)", pattern, err, len(paths))
+		}
+		for _, path := range paths {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := parseRepro(b)
+		if err != nil {
+			return
+		}
+		if r.Version != ReproVersion {
+			t.Fatalf("accepted version %d", r.Version)
+		}
+		out, err := r.Marshal()
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		again, err := parseRepro(out)
+		if err != nil {
+			t.Fatalf("re-parse: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(r, again) {
+			t.Fatalf("round trip changed the run file:\n got %+v\nwant %+v", again, r)
+		}
+	})
 }

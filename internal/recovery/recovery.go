@@ -67,7 +67,6 @@ type Lifecycle struct {
 
 	downtime     sim.Time // total time not Up (closed intervals only)
 	recoveryTime sim.Time // the Recovering share of the downtime
-	crashes      int
 	recoveries   int
 
 	transferBytes int64
@@ -86,9 +85,6 @@ func NewLifecycle(site dbsm.SiteID) *Lifecycle {
 
 // State reports the current lifecycle state.
 func (l *Lifecycle) State() State { return l.state }
-
-// Crashes and Recoveries report transition counts.
-func (l *Lifecycle) Crashes() int { return l.crashes }
 
 // Recoveries reports completed rejoins.
 func (l *Lifecycle) Recoveries() int { return l.recoveries }
@@ -135,7 +131,6 @@ func (l *Lifecycle) Crash(now sim.Time, lastApplied uint64, commits []trace.Comm
 	}
 	l.state = StateCrashed
 	l.crashedAt = now
-	l.crashes++
 	l.lastAppliedAtCrash = lastApplied
 	l.commitsAtCrash = append([]trace.CommitEntry(nil), commits...)
 	return nil

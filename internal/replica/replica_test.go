@@ -406,20 +406,7 @@ func TestOptimisticPipelineFaultFree(t *testing.T) {
 // replicaThunk.run allocates nothing, and the drained kernel leaves no thunk
 // lent. The lone replica's stack is never started, so no gcs timer runs.
 func TestScheduleAllocFree(t *testing.T) {
-	k := sim.NewKernel()
-	rng := sim.NewRNG(5)
-	net := simnet.NewNetwork(k, rng.Fork("net"))
-	net.SetGroup(1, []gcs.NodeID{1})
-	if _, err := net.NewHost(1, net.NewLAN(simnet.DefaultLANConfig("lan"))); err != nil {
-		t.Fatal(err)
-	}
-	rt := csrt.NewRuntime(k, 1, &csrt.ModelProfiler{}, net.Port(1, 1400), csrt.DefaultCostParams(), rng.Fork("rt"))
-	rt.Bind(csrt.NewCPUSet(1, k, nil))
-	stack, err := gcs.New(rt, gcs.Config{Self: 1, Members: []gcs.NodeID{1}, Group: 1, UseMulticast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(rt, stack, db.NewServer(k, 1, rt.CPUs(), db.NewStorage(k, db.StorageConfig{}, rng.Fork("disk"))), Options{})
+	k, r := loneReplica(t, Options{})
 	ran := 0
 	stage := func(*Replica, *db.Txn, []byte, uint64) { ran++ }
 	step := func() {
@@ -439,6 +426,78 @@ func TestScheduleAllocFree(t *testing.T) {
 	}
 	if n := r.freeThunks.Out(); n != 0 {
 		t.Fatalf("%d stage thunks lent after the kernel drained", n)
+	}
+}
+
+// loneReplica builds site 1 of a one-member group whose stack is never
+// started, so no gcs timer runs and a test drives the replica's upcalls and
+// stages itself.
+func loneReplica(t *testing.T, opts Options) (*sim.Kernel, *Replica) {
+	t.Helper()
+	k := sim.NewKernel()
+	rng := sim.NewRNG(5)
+	net := simnet.NewNetwork(k, rng.Fork("net"))
+	net.SetGroup(1, []gcs.NodeID{1})
+	if _, err := net.NewHost(1, net.NewLAN(simnet.DefaultLANConfig("lan"))); err != nil {
+		t.Fatal(err)
+	}
+	rt := csrt.NewRuntime(k, 1, &csrt.ModelProfiler{}, net.Port(1, 1400), csrt.DefaultCostParams(), rng.Fork("rt"))
+	rt.Bind(csrt.NewCPUSet(1, k, nil))
+	stack, err := gcs.New(rt, gcs.Config{Self: 1, Members: []gcs.NodeID{1}, Group: 1, UseMulticast: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, New(rt, stack, db.NewServer(k, 1, rt.CPUs(), db.NewStorage(k, db.StorageConfig{}, rng.Fork("disk"))), opts)
+}
+
+// TestOptimisticDiscardCancelsSpeculation drives the view-change discard
+// path (onOptDiscard, stageDiscard, SpecCertifier.Invalidate): two remote
+// transactions from site 2 are tentatively certified and pre-applied, the
+// group discards the first, and the second's final delivery then matches the
+// head of the tentative queue. The discard unwinds the queue once and
+// re-speculates the survivor; the final delivery rolls nothing back.
+func TestOptimisticDiscardCancelsSpeculation(t *testing.T) {
+	k, r := loneReplica(t, Options{Optimistic: true})
+	wire := func(seq uint32, row uint64) []byte {
+		ws := dbsm.NewItemSet(dbsm.MakeTupleID(1, row))
+		return (&dbsm.TxnCert{TID: dbsm.MakeTID(2, seq), Site: 2, ReadSet: ws.Clone(), WriteSet: ws}).MarshalTo(nil)
+	}
+	discarded, kept := wire(1, 5), wire(2, 6)
+	drain := func() {
+		t.Helper()
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r.onOptimistic(gcs.OptDelivery{Sender: 2, MsgID: 1, Payload: discarded})
+	r.onOptimistic(gcs.OptDelivery{Sender: 2, MsgID: 2, Payload: kept})
+	drain()
+	if st := r.Stats(); len(r.tent) != 2 || r.spec.Pending() != 2 || st.PreApplied != 2 {
+		t.Fatalf("after two tentative deliveries: tent=%d pending=%d preapplied=%d, want 2, 2, 2",
+			len(r.tent), r.spec.Pending(), st.PreApplied)
+	}
+
+	r.onOptDiscard(gcs.OptDelivery{Sender: 2, MsgID: 1, Payload: discarded})
+	drain()
+	if st := r.Stats(); len(r.tent) != 1 || r.tent[dbsm.MakeTID(2, 2)] == nil || r.spec.Pending() != 1 ||
+		st.Rollbacks != 1 || st.Recertified != 1 {
+		t.Fatalf("after the discard: tent=%d pending=%d rollbacks=%d recertified=%d, want the survivor alone, 1 rollback, 1 re-certification",
+			len(r.tent), r.spec.Pending(), st.Rollbacks, st.Recertified)
+	}
+
+	r.onDeliver(gcs.Delivery{Global: 1, Sender: 2, Payload: kept})
+	drain()
+	st := r.Stats()
+	if st.Rollbacks != 1 || r.spec.Matches != 1 || st.Delivered != 1 || r.spec.Pending() != 0 {
+		t.Fatalf("final delivery: rollbacks=%d matches=%d delivered=%d pending=%d, want 1, 1, 1, 0",
+			st.Rollbacks, r.spec.Matches, st.Delivered, r.spec.Pending())
+	}
+	if got := r.CommitLog().Entries(); len(got) != 1 || got[0].TID != dbsm.MakeTID(2, 2) {
+		t.Fatalf("commit log %v, want the kept transaction alone", got)
+	}
+	if len(r.tent) != 0 || len(r.done) != 0 || r.freeTent.Out() != 0 || st.CertDrops != 0 {
+		t.Fatalf("residue: tent=%d done=%d tentative states lent=%d drops=%d", len(r.tent), len(r.done), r.freeTent.Out(), st.CertDrops)
 	}
 }
 

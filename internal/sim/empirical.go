@@ -73,6 +73,3 @@ func (e *Empirical) Min() float64 { return e.sorted[0] }
 
 // Max returns the largest sample.
 func (e *Empirical) Max() float64 { return e.sorted[len(e.sorted)-1] }
-
-// N reports the number of underlying samples.
-func (e *Empirical) N() int { return len(e.sorted) }

@@ -182,9 +182,6 @@ func (h *Host) SetExtraDelay(d sim.Time) {
 	h.extraDelay = d
 }
 
-// Down reports crash status.
-func (h *Host) Down() bool { return h.down }
-
 // Sent and Received expose per-host traffic meters; Dropped counts packets
 // discarded by the loss model.
 func (h *Host) Sent() *metrics.ByteMeter { return &h.sent }

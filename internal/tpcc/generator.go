@@ -72,9 +72,6 @@ func NewGenerator(site dbsm.SiteID, warehouses int, cal *Calibration, rng *sim.R
 	return &Generator{cal: cal, rng: rng, site: site, warehouses: warehouses}
 }
 
-// Warehouses reports the configured database scale.
-func (g *Generator) Warehouses() int { return g.warehouses }
-
 // Next draws and builds the next transaction for a client whose home
 // warehouse is homeWH (0-based).
 func (g *Generator) Next(homeWH int) *db.Txn {
