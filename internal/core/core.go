@@ -245,7 +245,8 @@ type Model struct {
 	members [][]runtimeapi.NodeID
 
 	sites     []*Site
-	dedicated *Site // dedicated sequencer member, when configured
+	dedicated *Site          // dedicated sequencer member, when configured
+	cpus      []*csrt.CPUSet // every member's, the dedicated sequencer's included
 	clients   []clientTier
 
 	issued   int
@@ -373,6 +374,7 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 		ncpu = 1 // the dedicated sequencer only runs protocol code
 	}
 	cpus := csrt.NewCPUSet(ncpu, m.k, nil)
+	m.cpus = append(m.cpus, cpus)
 	rt.Bind(cpus)
 	host.DeliverTo(rt.Deliver)
 
@@ -840,7 +842,7 @@ func (m *Model) run() (*Results, error) {
 		if err := m.k.RunUntil(cursor); err != nil {
 			return nil, fmt.Errorf("core: run: %w", err)
 		}
-		if m.k.Pending() == 0 || cursor >= cfg.MaxSimTime {
+		if m.k.Pending() == 0 && !m.cpusOwe() || cursor >= cfg.MaxSimTime {
 			// Out of events or out of time: a run that has not quiesced
 			// stops with work unfinished, and its verdict says so.
 			wedged = !m.quiesced()
@@ -858,6 +860,17 @@ func (m *Model) run() (*Results, error) {
 	r := m.results()
 	r.Wedged = wedged
 	return r, nil
+}
+
+// cpusOwe reports whether a site's CPU owes a real job's end that has no
+// kernel event (csrt.CPU): the run has not run out of events yet.
+func (m *Model) cpusOwe() bool {
+	for _, c := range m.cpus {
+		if c.Owes() {
+			return true
+		}
+	}
+	return false
 }
 
 // quiesced reports whether issuance stopped and no live site has work in

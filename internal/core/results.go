@@ -172,7 +172,9 @@ type Results struct {
 	Wedged bool
 	// TxnLog holds per-transaction records when CollectTxnLog was set.
 	TxnLog *trace.TxnLog
-	// Events is the number of simulation events dispatched.
+	// Events is the model's event count: the kernel's dispatches plus the
+	// CPU completions settled without one (csrt.CPUSet.Elided), so it counts
+	// one event per CPU slice and per job.
 	Events int64
 }
 
@@ -190,16 +192,22 @@ func (m *Model) results() *Results {
 		TxnLog:        m.txnLog,
 		Events:        m.k.Executed(),
 	}
+	// The clock is where the last event left the kernel, or a CPU
+	// completion settled later without one.
+	now := m.k.Now()
+	for _, c := range m.cpus {
+		r.Events += c.Elided()
+		now = max(now, c.Settled())
+	}
 	duration := m.lastDone
 	if duration <= 0 {
-		duration = m.k.Now()
+		duration = now
 	}
 	r.Duration = duration
 
 	classAgg := map[string]*ClassResult{}
 	classLat := map[string]*metrics.Sample{}
 	liveSites := 0
-	now := m.k.Now()
 	for _, s := range m.sites {
 		sub, com, ab, rej := s.Server.Totals()
 		life := s.Life

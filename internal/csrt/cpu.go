@@ -21,7 +21,8 @@ const (
 // function Fn whose cost is unknown beforehand: Fn is executed when the job
 // is dispatched, its cost is the sum of what it charges, and the CPU stays
 // busy for exactly that long (Section 2.2, Figure 1a). Done, if set, fires
-// when the CPU completes the job.
+// when the CPU completes the job. A simulated job may also be a run of
+// slices (CPUSet.SubmitRun).
 type Job struct {
 	// Dur is the duration of a simulated job. Ignored when Fn is set.
 	Dur sim.Time
@@ -31,8 +32,11 @@ type Job struct {
 	// Done fires when the CPU finishes the job.
 	Done func()
 
-	remaining sim.Time // for preempted simulated jobs
-	pooled    bool     // created by SubmitSim/SubmitReal: recycled on completion
+	remaining sim.Time  // simulated: the part of Dur not yet run
+	quantum   sim.Time  // a run's slice length (SubmitRun); 0: one slice
+	left      *sim.Time // a run's owner's count of the processing it has left
+	pooled    bool      // created by a CPUSet's Submit*: recycled on completion
+	cut       bool      // simulated: end at the next slice boundary
 }
 
 func (j *Job) class() Class {
@@ -40,6 +44,28 @@ func (j *Job) class() Class {
 		return ClassReal
 	}
 	return ClassSim
+}
+
+// boundaryAfter reports the first slice boundary, or the end, strictly
+// after c ns of the job have run.
+func (j *Job) boundaryAfter(c sim.Time) sim.Time {
+	if q := j.quantum; q > 0 {
+		if b := (c/q + 1) * q; b < j.Dur {
+			return b
+		}
+	}
+	return j.Dur
+}
+
+// boundaries reports how many slice boundaries, the end not counted, lie in
+// (a, b] ns of the job.
+func (j *Job) boundaries(a, b sim.Time) int64 {
+	q := j.quantum
+	b = min(b, j.Dur-1)
+	if q <= 0 || b <= a {
+		return 0
+	}
+	return int64(b/q - a/q)
 }
 
 // runReal is installed by Runtime.Bind: it executes a real job body and
@@ -50,6 +76,21 @@ type runReal func(fn func()) sim.Time
 // (Section 2.2). Real jobs take priority over simulated jobs and preempt a
 // running simulated job; the preempted job resumes afterwards with its
 // remaining duration.
+//
+// A completion is a kernel event only when something depends on it. A run's
+// slice boundary becomes one when another simulated job waits on the CPU,
+// when the run is cut (CPUSet.Cut, SetSimSlowdown, a crash of the server
+// that owns it), and otherwise the run takes one event, at its end; the boundaries are
+// counted in the run's own CPU time, so a real job that preempts it moves
+// them by the time it takes. A real job without Done that a CPU alone in its
+// set dispatches with nothing queued has no event at all: it reserves the
+// insertion sequence its completion would take (Kernel.Reserve) and is
+// settled without one by whichever comes first — the next Submit at or after
+// its end, Stop, or the kernel coming to rest past its end (Kernel.AtRest).
+// A Submit before its end files the completion at the reserved sequence, so
+// ties at that instant fall as they would have. Every completion settled
+// without an event counts in Elided, so dispatches plus Elided is what a CPU
+// with one event per slice and per job would have dispatched.
 type CPU struct {
 	id       int
 	k        *sim.Kernel
@@ -60,9 +101,17 @@ type CPU struct {
 	busy     bool
 	cur      *Job
 	curStart sim.Time
-	curEnd   sim.Time
+	curEnd   sim.Time // when cur completes, or stops at a slice boundary
 	curEvt   sim.EventID
 	stopped  bool
+	solo     bool // the only CPU of its set: a real job's end may go unheard
+
+	// unheard: cur is a real job whose end at curEnd has no kernel event yet;
+	// seq is the insertion sequence reserved for it.
+	unheard bool
+	seq     int64
+	elided  int64    // completions settled without a kernel event
+	settled sim.Time // latest of them settled at rest, past the kernel clock
 
 	// onComplete is the single completion closure, bound once: completion
 	// always applies to the running job, so dispatch schedules this
@@ -71,11 +120,13 @@ type CPU struct {
 	free       sim.FreeList[*Job] // recycled pooled jobs
 }
 
-// NewCPU returns an idle CPU attached to the kernel. exec may be nil when
-// the CPU will only ever run simulated jobs (e.g. a non-replicated server).
+// NewCPU returns an idle CPU attached to the kernel, alone in its set until
+// NewCPUSet gives it company. exec may be nil when the CPU will only ever run
+// simulated jobs (e.g. a non-replicated server).
 func NewCPU(id int, k *sim.Kernel, exec runReal) *CPU {
-	c := &CPU{id: id, k: k, exec: exec}
-	c.onComplete = func() { c.complete(c.cur) }
+	c := &CPU{id: id, k: k, exec: exec, solo: true}
+	c.onComplete = c.complete
+	k.AtRest(c.rest)
 	return c
 }
 
@@ -94,9 +145,22 @@ func (c *CPU) BusyNS(class Class) int64 { return c.busyNS[class] }
 // idle reports whether the CPU has nothing running and nothing queued.
 func (c *CPU) idle() bool { return !c.busy && len(c.realQ)+len(c.simQ) == 0 }
 
+// runsSim reports whether a simulated job is running.
+func (c *CPU) runsSim() bool { return c.busy && c.cur.Fn == nil }
+
 // Stop makes the CPU drop all work, modeling a crashed host. Pending and
-// future jobs are discarded and Done callbacks never fire.
+// future jobs are discarded and Done callbacks never fire. What completed
+// before now counts: an unheard end, and the slices a run has finished.
 func (c *CPU) Stop() {
+	now := c.k.Now()
+	switch {
+	case c.unheard && c.curEnd <= now:
+		c.settle()
+	case c.unheard:
+		c.unheard = false
+	case c.runsSim():
+		c.finishSlices(now)
+	}
 	c.stopped = true
 	c.realQ = nil
 	c.simQ = nil
@@ -116,17 +180,82 @@ func (c *CPU) Submit(j *Job) {
 	if c.stopped {
 		return
 	}
+	c.hear()
 	if j.Fn != nil {
 		c.realQ = append(c.realQ, j)
-		if c.busy && c.cur != nil && c.cur.Fn == nil {
+		if c.runsSim() {
 			c.preemptCurrent()
 		}
 	} else {
 		j.remaining = j.Dur
 		c.simQ = append(c.simQ, j)
+		if c.runsSim() {
+			c.yield()
+		}
 	}
 	if !c.busy {
 		c.dispatch()
+	}
+}
+
+// cut ends the run that counts its processing in left at its next slice
+// boundary, where Done fires: running, it stops there; queued, it runs only
+// to there. It does nothing when no such run is on the CPU.
+func (c *CPU) cut(left *sim.Time) {
+	if c.runsSim() && c.cur.left == left {
+		c.cur.cut = true
+		c.yield()
+		return
+	}
+	for _, j := range c.simQ {
+		if j.left == left {
+			j.cut = true
+		}
+	}
+}
+
+// cutAll cuts every simulated job on the CPU.
+func (c *CPU) cutAll() {
+	for _, j := range c.simQ {
+		j.cut = true
+	}
+	if c.runsSim() {
+		c.cur.cut = true
+		c.yield()
+	}
+}
+
+// hear settles the running real job's unheard end if it has passed, and
+// otherwise files its completion at the reserved sequence: a job is about to
+// queue behind it.
+func (c *CPU) hear() {
+	switch {
+	case !c.unheard:
+	case c.curEnd <= c.k.Now():
+		c.settle()
+	default:
+		c.unheard = false
+		c.curEvt = c.k.ScheduleReserved(c.curEnd, sim.PriorityHigh, c.seq, c.onComplete)
+	}
+}
+
+// settle ends the unheard real job at curEnd, a completion without an event.
+func (c *CPU) settle() {
+	c.unheard = false
+	c.elided++
+	c.retire()
+}
+
+// yield moves the running simulated job's completion to its next slice
+// boundary, if it lies later: a job now waits for that boundary.
+func (c *CPU) yield() {
+	j := c.cur
+	ran := j.Dur - j.remaining
+	at := c.curStart + j.boundaryAfter(ran+c.k.Now()-c.curStart) - ran
+	if at < c.curEnd {
+		c.k.Cancel(c.curEvt)
+		c.curEnd = at
+		c.curEvt = c.k.SchedulePriAt(at, sim.PriorityHigh, c.onComplete)
 	}
 }
 
@@ -136,8 +265,10 @@ func (c *CPU) Submit(j *Job) {
 func (c *CPU) preemptCurrent() {
 	j := c.cur
 	now := c.k.Now()
+	ran := j.Dur - j.remaining
+	c.elided += j.boundaries(ran, ran+now-c.curStart)
 	c.busyNS[ClassSim] += int64(now - c.curStart)
-	j.remaining = c.curEnd - now
+	j.remaining -= now - c.curStart
 	c.k.Cancel(c.curEvt)
 	// Resume at the front of the simulated queue (shift in place).
 	c.simQ = append(c.simQ, nil)
@@ -146,6 +277,37 @@ func (c *CPU) preemptCurrent() {
 	c.busy = false
 	c.cur = nil
 	c.curEvt = 0
+}
+
+// finishSlices counts the slices the running simulated job has finished by
+// to, the slice under way not included, and restarts its account at the last
+// boundary.
+func (c *CPU) finishSlices(to sim.Time) {
+	j := c.cur
+	ran := j.Dur - j.remaining
+	n := j.boundaries(ran, ran+to-c.curStart)
+	if n <= 0 {
+		return
+	}
+	last := (ran + to - c.curStart) / j.quantum * j.quantum
+	c.elided += n
+	c.busyNS[ClassSim] += int64(last - ran)
+	c.curStart += last - ran
+	j.remaining = j.Dur - last
+}
+
+// rest settles, once the kernel has run everything due by limit, what the
+// CPU owes by then without an event: an unheard end, and the slice
+// boundaries a run has passed.
+func (c *CPU) rest(limit sim.Time) {
+	switch {
+	case c.unheard && c.curEnd <= limit:
+		c.settled = max(c.settled, c.curEnd)
+		c.settle()
+	case c.runsSim():
+		c.finishSlices(limit)
+		c.settled = max(c.settled, c.curStart) // the last boundary passed, if any
+	}
 }
 
 // dispatch starts the next pending job, real jobs first.
@@ -178,30 +340,59 @@ func (c *CPU) dispatch() {
 		// busy period (Figure 1a: δ2 = ∆1).
 		dur = c.exec(j.Fn)
 	} else {
-		dur = j.remaining
+		// A run goes to its end unless a job waits or it is cut.
+		ran := j.Dur - j.remaining
+		stop := j.Dur
+		if j.cut || len(c.simQ) > 0 {
+			stop = j.boundaryAfter(ran)
+		}
+		dur = stop - ran
 	}
 	if dur < 0 {
 		dur = 0
 	}
 	c.curStart = c.k.Now()
 	c.curEnd = c.curStart + dur
+	if j.Fn != nil && j.Done == nil && c.solo && len(c.realQ)+len(c.simQ) == 0 {
+		c.unheard, c.seq = true, c.k.Reserve()
+		return
+	}
 	c.curEvt = c.k.SchedulePri(dur, sim.PriorityHigh, c.onComplete)
 }
 
-func (c *CPU) complete(j *Job) {
-	c.busyNS[j.class()] += int64(c.k.Now() - c.curStart)
-	c.busy = false
-	c.cur = nil
-	c.curEvt = 0
-	done := j.Done
-	if j.pooled {
-		*j = Job{pooled: true}
-		c.free.Put(j)
+// complete is the running job's completion event: at the end of a real job,
+// or where a simulated job ends or stops at a slice boundary.
+func (c *CPU) complete() {
+	if j := c.cur; j.Fn == nil {
+		ran := j.Dur - j.remaining
+		c.elided += j.boundaries(ran, ran+c.curEnd-c.curStart-1)
+		j.remaining -= c.curEnd - c.curStart
 	}
+	done := c.retire()
 	if done != nil && !c.stopped {
 		done()
 	}
 	c.dispatch()
+}
+
+// retire ends the running job at curEnd: its busy time counts, a run's
+// owner learns what it has left, and a pooled job goes back to the free
+// list. It returns the job's Done.
+func (c *CPU) retire() func() {
+	j := c.cur
+	c.busyNS[j.class()] += int64(c.curEnd - c.curStart)
+	c.busy = false
+	c.cur = nil
+	c.curEvt = 0
+	done := j.Done
+	if j.left != nil {
+		*j.left = j.remaining
+	}
+	if j.pooled {
+		*j = Job{pooled: true}
+		c.free.Put(j)
+	}
+	return done
 }
 
 // CPUSet is the collection of processors of one site. Simulated jobs are
@@ -226,6 +417,7 @@ func NewCPUSet(n int, k *sim.Kernel, exec runReal) *CPUSet {
 	s := &CPUSet{cpus: make([]*CPU, n)}
 	for i := range s.cpus {
 		s.cpus[i] = NewCPU(i, k, nil)
+		s.cpus[i].solo = n == 1
 	}
 	s.cpus[0].exec = exec
 	return s
@@ -249,11 +441,55 @@ func (s *CPUSet) SubmitSim(dur sim.Time, done func()) {
 	cpu.Submit(j)
 }
 
+// SubmitRun hands *left of simulated processing to the CPUs as a run: round-
+// robin slices of at most quantum, the last one the remainder, a quantum of
+// 0 making it one slice (Section 3.1). Done fires where the CPU stops the
+// run, with *left what it has left (0 once all of it is spent), and the
+// owner submits that again to go on. A set of one CPU at full speed takes
+// the run whole, as one pooled job, and stops it at the first slice
+// boundary where another simulated job waits or Cut asks it to, and at its
+// end otherwise. A larger set, or a slowed one, takes one slice at a time
+// through SubmitSim and takes it off *left at once: pick may place each slice
+// on another CPU, and the slowdown scales each slice as it is submitted.
+func (s *CPUSet) SubmitRun(left *sim.Time, quantum sim.Time, done func()) {
+	if len(s.cpus) > 1 || s.simFactor > 1 {
+		q := *left
+		if quantum > 0 && q > quantum {
+			q = quantum
+		}
+		*left -= q
+		s.SubmitSim(q, done)
+		return
+	}
+	c := s.cpus[0]
+	j := c.newJob()
+	j.Dur, j.quantum, j.left, j.Done = *left, quantum, left, done
+	c.Submit(j)
+}
+
+// Cut ends the run that counts its processing in left (SubmitRun) at its
+// next slice boundary. Only a set of one CPU holds runs whole; a larger
+// set's slices end at their boundaries anyway.
+func (s *CPUSet) Cut(left *sim.Time) { s.cpus[0].cut(left) }
+
+// CutRuns cuts every run on the set.
+func (s *CPUSet) CutRuns() {
+	for _, c := range s.cpus {
+		c.cutAll()
+	}
+}
+
 // SetSimSlowdown scales every subsequent simulated job's duration by factor
 // (gray failure: a degraded site processes transactions factor times slower
 // while real protocol jobs run at full speed). factor <= 1 restores normal
-// speed.
-func (s *CPUSet) SetSimSlowdown(factor float64) { s.simFactor = factor }
+// speed. A slowdown cuts every run, so each goes on a slice at a time at the
+// new speed from its next boundary.
+func (s *CPUSet) SetSimSlowdown(factor float64) {
+	s.simFactor = factor
+	if factor > 1 {
+		s.CutRuns()
+	}
+}
 
 // SubmitReal schedules a real job on CPU 0.
 func (s *CPUSet) SubmitReal(fn func(), done func()) {
@@ -298,6 +534,38 @@ func (s *CPUSet) BusyNS(class Class) int64 {
 		t += c.busyNS[class]
 	}
 	return t
+}
+
+// Elided reports the completions the set's CPUs settled without a kernel
+// event: the kernel's dispatches plus these are what one event per slice and
+// per job would have dispatched.
+func (s *CPUSet) Elided() int64 {
+	var n int64
+	for _, c := range s.cpus {
+		n += c.elided
+	}
+	return n
+}
+
+// Settled reports the latest instant a CPU settled at rest (Kernel.AtRest):
+// the clock an event for it would have moved the kernel to.
+func (s *CPUSet) Settled() sim.Time {
+	var t sim.Time
+	for _, c := range s.cpus {
+		t = max(t, c.settled)
+	}
+	return t
+}
+
+// Owes reports whether a CPU still owes a real job's end that has no kernel
+// event: a kernel with nothing pending has not run out of work.
+func (s *CPUSet) Owes() bool {
+	for _, c := range s.cpus {
+		if c.unheard {
+			return true
+		}
+	}
+	return false
 }
 
 // percent reports busy nanoseconds as a share of elapsed time on every CPU.

@@ -389,15 +389,41 @@ func TestModelProfilerIgnoresNegativeCharge(t *testing.T) {
 // simulated job allocate nothing. That includes Deliver's copy of the
 // datagram: the reception waits behind a busy CPU while the caller
 // overwrites its buffer, and the receiver still reads what was delivered.
-// (Schedule allocates its timer by design.) The pin holds Runtime.StartJob,
-// Deliver, Send and Multicast, oneShot.run, delivery.run, CPUSet.SubmitReal
-// and SubmitSim, and CPU.Submit, dispatch and complete. Once the kernel
+// (Schedule allocates its timer by design.) So does a run on a CPU alone in
+// its set, through an unheard real job settled by the run's submission, a
+// real job that preempts the run, a simulated job that makes it stop at a
+// boundary, a cut, and an unheard real job the kernel settles at rest. The
+// pin holds Runtime.StartJob, Deliver, Send and Multicast, oneShot.run,
+// delivery.run, CPUSet.SubmitReal, SubmitSim, SubmitRun and Cut, CPU.Submit,
+// cut, hear, yield, preemptCurrent, dispatch, complete, retire, rest and
+// finishSlices, and Kernel.Reserve and ScheduleReserved. Once the kernel
 // drains, the three pools (CPU.free, freeJob, freeDlv) have nothing lent.
 func TestRuntimeSteadyStateAllocs(t *testing.T) {
 	k := sim.NewKernel()
 	port := &fakePort{}
 	rt := NewRuntime(k, 1, &ModelProfiler{}, port, DefaultCostParams(), sim.NewRNG(1))
 	rt.Bind(NewCPUSet(2, k, nil))
+	solo := NewRuntime(k, 2, &ModelProfiler{}, port, DefaultCostParams(), sim.NewRNG(2))
+	solo.Bind(NewCPUSet(1, k, nil))
+	var left sim.Time
+	var cut bool
+	var resume func()
+	resume = func() {
+		if left > 0 && !cut {
+			solo.CPUs().SubmitRun(&left, sim.Millisecond, resume)
+		}
+	}
+	protocol := func() { solo.Charge(5 * sim.Microsecond) }
+	start := func() { // the unheard job ended 5 us ago
+		cut, left = false, 3*sim.Millisecond
+		resume()
+	}
+	preempt := func() { solo.CPUs().SubmitReal(protocol, nil) }
+	contend := func() { solo.CPUs().SubmitSim(50*sim.Microsecond, resume) }
+	abort := func() {
+		cut = true
+		solo.CPUs().Cut(&left)
+	}
 	payload := make([]byte, 256)
 	var sent byte
 	rt.SetReceiver(func(src runtimeapi.NodeID, data []byte) {
@@ -419,6 +445,12 @@ func TestRuntimeSteadyStateAllocs(t *testing.T) {
 		rt.Deliver(2, payload)
 		payload[0], payload[255] = 0, 0
 		rt.CPUs().SubmitSim(50*sim.Microsecond, done)
+		solo.CPUs().SubmitReal(protocol, nil)
+		k.Schedule(10*sim.Microsecond, start)
+		k.Schedule(500*sim.Microsecond, preempt)
+		k.Schedule(1200*sim.Microsecond, contend)
+		k.Schedule(1600*sim.Microsecond, abort)
+		k.Schedule(5*sim.Millisecond, preempt)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +459,11 @@ func TestRuntimeSteadyStateAllocs(t *testing.T) {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
-		t.Fatalf("StartJob+Deliver+SubmitSim+Run: %v allocs/op, want 0", allocs)
+		t.Fatalf("StartJob+Deliver+SubmitSim+SubmitRun+Run: %v allocs/op, want 0", allocs)
+	}
+	if left != sim.Millisecond || solo.CPUs().Elided() == 0 || solo.CPUs().Owes() {
+		t.Fatalf("run left %v (want 1ms, cut at its second boundary), %d elided, owes %v",
+			left, solo.CPUs().Elided(), solo.CPUs().Owes())
 	}
 	if len(port.sends) != 2 {
 		t.Fatalf("receiver sent %d datagrams per step, want 2", len(port.sends))
@@ -436,6 +472,9 @@ func TestRuntimeSteadyStateAllocs(t *testing.T) {
 		if n := rt.CPUs().CPU(i).free.Out(); n != 0 {
 			t.Errorf("CPU %d: %d pooled jobs lent after the kernel drained", i, n)
 		}
+	}
+	if n := solo.CPUs().CPU(0).free.Out(); n != 0 {
+		t.Errorf("solo CPU: %d pooled jobs lent after the kernel drained", n)
 	}
 	if j, d := rt.freeJob.Out(), rt.freeDlv.Out(); j != 0 || d != 0 {
 		t.Errorf("%d job thunks and %d receptions lent after the kernel drained", j, d)

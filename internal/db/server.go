@@ -158,8 +158,12 @@ func (s *Server) Inconsistencies() int64 { return s.inconsistencies }
 
 // Crash stops the site: in-flight transactions never complete and their
 // clients stay blocked, as in the paper's crash fault model. A later Restart
-// resolves them with AbortCrash.
-func (s *Server) Crash() { s.down = true }
+// resolves them with AbortCrash. A CPU run still going ends at its next
+// slice boundary, where step finds the site down.
+func (s *Server) Crash() {
+	s.down = true
+	s.cpus.CutRuns()
+}
 
 // Restart brings a crashed site back up with empty volatile state: the lock
 // table is rebuilt from scratch, pending certifications are forgotten, and
@@ -287,6 +291,7 @@ func (s *Server) Submit(t *Txn) {
 	if t.bound != s {
 		s.bind(t)
 	}
+	t.cpuLeft = t.CPU
 	s.lm.AcquireAll(t, t.granted)
 }
 
@@ -340,8 +345,9 @@ func (s *Server) classOf(t *Txn) *ClassStats {
 }
 
 // step advances the execution script: every fetch, then the processing time
-// a quantum at a time, then the commit operation's CPU cost. Each hand-off
-// takes a hold its continuation gives back.
+// as one CPU run of Quantum slices (csrt.CPUSet.SubmitRun), handed over again
+// whenever the CPU stops it at a slice boundary, then the commit operation's
+// CPU cost. Each hand-off takes a hold its continuation gives back.
 func (s *Server) step(t *Txn) {
 	if t.aborted || t.finished || s.down {
 		return
@@ -353,13 +359,8 @@ func (s *Server) step(t *Txn) {
 		if s.storage.Read(t.stepFn) {
 			t.stepFn() // cache hit: no storage resources consumed
 		}
-	case t.cpuSpent < t.CPU:
-		q := t.CPU - t.cpuSpent
-		if t.Quantum > 0 && q > t.Quantum {
-			q = t.Quantum
-		}
-		t.cpuSpent += q
-		s.cpus.SubmitSim(q, t.stepFn)
+	case t.cpuLeft > 0:
+		s.cpus.SubmitRun(&t.cpuLeft, t.Quantum, t.stepFn)
 	default:
 		s.cpus.SubmitSim(t.CommitCPU, t.committed)
 	}
@@ -563,6 +564,11 @@ func (s *Server) finish(t *Txn, outcome Outcome) {
 	}
 	t.finished = true
 	t.EndAt = s.k.Now()
+	if t.aborted {
+		// A run still on the CPU ends at its next slice boundary, where
+		// step finds t aborted.
+		s.cpus.Cut(&t.cpuLeft)
+	}
 	// Identity-checked removal: a rejected duplicate shares the TID of the
 	// still-active original and must not evict its entry.
 	if cur, ok := s.active[t.TID]; ok && cur == t {

@@ -48,8 +48,8 @@ func (o Outcome) String() string {
 // Txn is one transaction instance flowing through a server.
 //
 // A server holds t from Submit until Done has fired and every continuation
-// it handed out for t has run: a storage read that missed the cache, a CPU
-// slice, the commit CPU job, the write-back, and the pendingCert entry, which
+// it handed out for t has run: a storage read that missed the cache, the CPU
+// run, the commit CPU job, the write-back, and the pendingCert entry, which
 // outlives the replica's queued termination stage. Held reports it. While t
 // is held only the server changes it; once it is not, the submitter may
 // Recycle it and build its next transaction into the same memory. A hold that
@@ -111,7 +111,7 @@ type Txn struct {
 
 	// internal state
 	fetched   int      // script position: storage reads issued
-	cpuSpent  sim.Time // script position: processing time handed to the CPU
+	cpuLeft   sim.Time // script position: processing time the CPU has yet to run
 	aborted   bool
 	certified bool
 	decided   bool // first certification verdict already sampled
@@ -124,7 +124,7 @@ type Txn struct {
 	// The pipeline's continuations, bound once per (transaction, server) by
 	// Server.bind and kept across retries and Recycle.
 	bound     *Server
-	stepFn    func() // after a fetch or a CPU slice
+	stepFn    func() // after a fetch, or where the CPU stops the run
 	granted   func() // all write locks held
 	committed func() // the commit CPU job ran
 	written   func() // the commit write-back landed
@@ -194,7 +194,7 @@ func (t *Txn) Latency() sim.Time { return t.EndAt - t.SubmitAt }
 // The class bucket the last server resolved and the continuations it bound
 // stay: they belong to the transaction and that server, not to the attempt.
 func (t *Txn) ResetForRetry() {
-	t.fetched, t.cpuSpent = 0, 0
+	t.fetched, t.cpuLeft = 0, 0
 	t.aborted = false
 	t.certified = false
 	t.decided = false

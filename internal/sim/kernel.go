@@ -135,6 +135,8 @@ type Kernel struct {
 	running   bool
 	released  bool
 	executed  int64
+	// rest runs when RunUntil runs out of events due by its limit (AtRest).
+	rest []func(limit Time)
 
 	// front is the next owed dispatch of an event that has run at least
 	// once; owing reports that it holds one.
@@ -227,6 +229,33 @@ func (k *Kernel) SchedulePri(delay Time, pri Priority, fn func()) EventID {
 
 // SchedulePriAt is ScheduleAt with an explicit priority band.
 func (k *Kernel) SchedulePriAt(at Time, pri Priority, fn func()) EventID {
+	k.nextSeq++
+	k.latest = k.schedule(at, pri, k.nextSeq, fn)
+	return k.latest
+}
+
+// Reserve takes the next insertion sequence number for an event that
+// ScheduleReserved files later, so the event ties at its instant as if it had
+// been scheduled now. Nothing is pending until then. Again's reach ends here,
+// as it would at a Schedule: the number it would hand on is taken.
+func (k *Kernel) Reserve() int64 {
+	k.nextSeq++
+	k.latest = 0
+	return k.nextSeq
+}
+
+// ScheduleReserved is SchedulePriAt at the insertion sequence seq, taken
+// earlier by Reserve. It leaves Again's reach where it was: Again extends the
+// event scheduled last, and this one takes no new number.
+func (k *Kernel) ScheduleReserved(at Time, pri Priority, seq int64, fn func()) EventID {
+	if seq <= 0 || seq > k.nextSeq {
+		panic(fmt.Sprintf("sim: sequence %d was never reserved", seq))
+	}
+	return k.schedule(at, pri, seq, fn)
+}
+
+// schedule files fn at (at, pri, seq) and returns its ID.
+func (k *Kernel) schedule(at Time, pri Priority, seq int64, fn func()) EventID {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at=%v now=%v", at, k.now))
 	}
@@ -249,12 +278,10 @@ func (k *Kernel) SchedulePriAt(at Time, pri Priority, fn func()) EventID {
 	}
 	s := &k.slots[slot]
 	s.fn = fn
-	k.nextSeq++
-	s.next, s.last = uint32(k.nextSeq), uint32(k.nextSeq)
-	k.enqueue(event{at: at, key: int64(pri)<<48 | k.nextSeq, slot: slot, gen: s.gen})
+	s.next, s.last = uint32(seq), uint32(seq)
+	k.enqueue(event{at: at, key: int64(pri)<<48 | seq, slot: slot, gen: s.gen})
 	k.live++
-	k.latest = EventID(int64(slot)<<32 | int64(s.gen))
-	return k.latest
+	return EventID(int64(slot)<<32 | int64(s.gen))
 }
 
 // Again gives the most recently scheduled event one more dispatch, right
@@ -611,12 +638,21 @@ func (k *Kernel) RunUntil(limit Time) error {
 	for !k.halted {
 		ev, ok := k.take(limit)
 		if !ok {
+			for _, fn := range k.rest {
+				fn(limit)
+			}
 			return nil
 		}
 		k.dispatch(ev)
 	}
 	return ErrHalted
 }
+
+// AtRest registers fn to run each time RunUntil (or Run) returns because no
+// event due by its limit is left, not when Stop halted it. A model part that
+// owes work due by then without a kernel event of its own settles it in fn:
+// it must schedule nothing at or before limit.
+func (k *Kernel) AtRest(fn func(limit Time)) { k.rest = append(k.rest, fn) }
 
 // Stop halts Run/RunUntil after the current dispatch completes, also
 // between two dispatches of an event Again extended. It is safe to call

@@ -11,14 +11,16 @@ import (
 // event kept in a plain list, the next dispatch being its minimum by (at,
 // priority, insertion sequence). An orderScript reads a byte string as a
 // stream of schedule, Again, cancel, reschedule, Step, RunUntil, Stop and Run
-// operations — handlers schedule, Again and cancel too — with delays drawn from
+// operations, and Reserve followed later by ScheduleReserved — handlers
+// schedule, Again and cancel too — with delays drawn from
 // every region of the queue: before the horizon (the bucket already
 // spilled), level 0, level 1, beyond level 1, and exactly on or one
 // nanosecond before a tick, span or horizon boundary. Every dispatch must be
 // the reference minimum, at its time, and Pending() must equal the
 // reference count after every operation and inside every handler. An Again
 // is one more reference event: the same tag, time and priority, the next
-// sequence; a Cancel drops every reference event of its ID.
+// sequence; a Cancel drops every reference event of its ID. A reserved event
+// is a reference event at the sequence of its Reserve, as if scheduled then.
 
 type refEvent struct {
 	at    Time
@@ -166,6 +168,35 @@ func (sc *orderScript) again() {
 	}
 }
 
+// reserve takes a sequence number with Reserve, lets an Again (which must be
+// refused) and up to two schedules come after it, and only then files
+// the event at the reserved number; the reference files it at that number,
+// where a Schedule at the Reserve would have. Again's reach ends at the
+// Reserve, and ScheduleReserved does not restore it.
+func (sc *orderScript) reserve() {
+	seq := sc.k.Reserve()
+	sc.seq++
+	if seq != sc.seq {
+		sc.fail("Reserve = %d, want %d", seq, sc.seq)
+	}
+	sc.latest = 0
+	d := sc.delay()
+	pri := [...]Priority{PriorityHigh, PriorityNormal, PriorityLow}[sc.next()%3]
+	child := sc.next()
+	n := sc.next()
+	if n&4 != 0 {
+		sc.again()
+	}
+	for i := n % 3; i > 0; i-- {
+		sc.schedule(sc.next() / 2)
+	}
+	tag := sc.tags
+	sc.tags++
+	ev := refEvent{at: sc.k.now + d, pri: pri, seq: seq, tag: tag, child: child}
+	ev.id = sc.k.ScheduleReserved(ev.at, pri, seq, func() { sc.fire(tag) })
+	sc.pend = append(sc.pend, ev)
+}
+
 // cancel cancels the pending event the next byte picks, or — one time in
 // four — an ID that is already spent, which must report false.
 func (sc *orderScript) cancel() (ok bool) {
@@ -251,7 +282,7 @@ func (sc *orderScript) checkPending() {
 func runOrderScript(t testing.TB, k *Kernel, in []byte) {
 	sc := &orderScript{t: t, k: k, in: in, stopAt: -1}
 	for !sc.done() {
-		switch op := sc.next(); op % 11 {
+		switch op := sc.next(); op % 12 {
 		case 0, 1, 2, 3:
 			sc.schedule(sc.next())
 		case 4:
@@ -288,6 +319,8 @@ func runOrderScript(t testing.TB, k *Kernel, in []byte) {
 			sc.stopAt = -1
 		case 10:
 			sc.again()
+		case 11:
+			sc.reserve()
 		}
 		sc.checkPending()
 	}
@@ -333,6 +366,9 @@ func orderSeeds() [][]byte {
 		[]byte{0, 0, 9, 1, 1, 1, 10, 0, 0, 10, 0, 0, 4, 0, 0, 0, 9, 1, 1, 1, 10, 0, 0, 6, 6},
 		// cancel an Again'd event between its dispatches, from a tie's handler
 		[]byte{0, 0, 13, 0, 0, 1, 10, 0, 2, 0, 2, 13, 0, 0, 1, 6, 6, 6, 6},
+		// reserve at a pending event's instant, an Again refused and two
+		// ties scheduled before the reserved one is filed, then Steps
+		[]byte{0, 0, 9, 1, 1, 1, 11, 13, 0, 0, 1, 0, 5, 0, 0, 13, 0, 0, 1, 0, 13, 0, 0, 1, 6, 6, 6, 6},
 	)
 	return seeds
 }

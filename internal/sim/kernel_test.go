@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -209,5 +210,33 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if (Second).Duration().Milliseconds() != 1000 {
 		t.Fatalf("Duration() wrong")
+	}
+}
+
+// TestAgainRefusedAcrossReserve: a Reserve takes the number Again would hand
+// on, so Again refuses the event scheduled before it — an extended event
+// would otherwise owe a dispatch for the reserved number — and
+// ScheduleReserved, which takes no number, does not give the reach back. The
+// reserved event ties at its instant by its Reserve: ahead of an event
+// scheduled between the two calls.
+func TestAgainRefusedAcrossReserve(t *testing.T) {
+	k := NewKernel()
+	var got []string
+	note := func(s string) func() { return func() { got = append(got, s) } }
+	id := k.Schedule(Millisecond, note("first"))
+	seq := k.Reserve()
+	if k.Again(id) {
+		t.Fatal("Again held across a Reserve")
+	}
+	k.Schedule(Millisecond, note("between"))
+	k.ScheduleReserved(Millisecond, PriorityNormal, seq, note("reserved"))
+	if k.Again(id) || k.Pending() != 3 {
+		t.Fatalf("after ScheduleReserved: Again held, or %d pending, want 3", k.Pending())
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[first reserved between]"; fmt.Sprint(got) != want {
+		t.Fatalf("order %v, want %s", got, want)
 	}
 }
