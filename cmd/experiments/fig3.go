@@ -70,9 +70,9 @@ func floodAndRTT(size int, realSystem bool, seed int64) (outMbit, inMbit, rttUS 
 		lan := net.NewLAN(lanCfg)
 		h1, _ := net.NewHost(1, lan)
 		h2, _ := net.NewHost(2, lan)
-		rt1 := csrt.NewRuntime(k, 1, &csrt.ModelProfiler{}, net.Port(1, 65536), costs, rng.Fork("rt1"))
+		rt1 := csrt.NewRuntime(k, 1, &csrt.ModelProfiler{}, net.Port(1, 65536), costs, nil)
 		rt1.Bind(csrt.NewCPUSet(1, k, nil))
-		rt2 := csrt.NewRuntime(k, 2, &csrt.ModelProfiler{}, net.Port(2, 65536), costs, rng.Fork("rt2"))
+		rt2 := csrt.NewRuntime(k, 2, &csrt.ModelProfiler{}, net.Port(2, 65536), costs, nil)
 		rt2.Bind(csrt.NewCPUSet(1, k, nil))
 		h1.DeliverTo(rt1.Deliver)
 		h2.DeliverTo(rt2.Deliver)

@@ -367,8 +367,7 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 	if err != nil {
 		return nil, fmt.Errorf("core: site %d: %w", id, err)
 	}
-	rt := csrt.NewRuntime(m.k, id, &csrt.ModelProfiler{}, m.net.Port(id, 0), csrt.DefaultCostParams(),
-		m.rng.Fork(fmt.Sprintf("rt-%d", id)))
+	rt := csrt.NewRuntime(m.k, id, &csrt.ModelProfiler{}, m.net.Port(id, 0), csrt.DefaultCostParams(), nil)
 	ncpu := cfg.CPUsPerSite
 	if id == 0 {
 		ncpu = 1 // the dedicated sequencer only runs protocol code

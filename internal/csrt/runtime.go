@@ -60,7 +60,6 @@ type Runtime struct {
 	prof *ModelProfiler
 	port Port
 	cost CostParams
-	rng  *sim.RNG
 	recv runtimeapi.Receiver
 
 	inJob bool
@@ -121,9 +120,10 @@ func (d *delivery) run() {
 var _ runtimeapi.Runtime = (*Runtime)(nil)
 
 // NewRuntime creates the runtime for one node. It runs nothing until Bind
-// gives it the CPU set its jobs execute on.
-func NewRuntime(k *sim.Kernel, node runtimeapi.NodeID, prof *ModelProfiler, port Port, cost CostParams, rng *sim.RNG) *Runtime {
-	return &Runtime{k: k, node: node, prof: prof, port: port, cost: cost, rng: rng}
+// gives it the CPU set its jobs execute on. The last argument is unused; it
+// stays until bench/drivers.go stops passing one (ROADMAP item 7).
+func NewRuntime(k *sim.Kernel, node runtimeapi.NodeID, prof *ModelProfiler, port Port, cost CostParams, _ *sim.RNG) *Runtime {
+	return &Runtime{k: k, node: node, prof: prof, port: port, cost: cost}
 }
 
 // Bind attaches the CPU set that executes this node's jobs and installs this
@@ -214,9 +214,6 @@ func (r *Runtime) Self() runtimeapi.NodeID { return r.node }
 func (r *Runtime) Now() sim.Time {
 	return r.k.Now() + r.elapsedInJob()
 }
-
-// Rand implements runtimeapi.Runtime.
-func (r *Runtime) Rand() *sim.RNG { return r.rng }
 
 // Charge implements runtimeapi.Runtime: real code declares model cost.
 // Charges outside a job context (setup code) are discarded — there is no

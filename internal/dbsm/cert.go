@@ -3,7 +3,6 @@ package dbsm
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"repro/internal/sim"
 )
@@ -492,9 +491,6 @@ func NewScanCertifier() *Certifier {
 	return &Certifier{scan: true}
 }
 
-// Scan reports whether this certifier uses the reference scan procedure.
-func (c *Certifier) Scan() bool { return c.scan }
-
 // Seq reports the current commit sequence number (count of committed
 // transactions so far).
 func (c *Certifier) Seq() uint64 { return c.seq }
@@ -760,9 +756,4 @@ func (c *Certifier) dropOldest(drop int) {
 		c.pruned = boundary
 	}
 	c.hist.dropFront(drop)
-}
-
-// String aids debugging.
-func (c *Certifier) String() string {
-	return fmt.Sprintf("certifier{seq=%d history=%d}", c.seq, c.hist.n)
 }

@@ -196,6 +196,43 @@ func TestMinimizeProperties(t *testing.T) {
 	}
 }
 
+// TestMinimizeDropsUnneededGenes runs the shrinker on the plain tree: cut at
+// 2 s of simulated time, every run of the base is wedged with no fault at
+// all, so Minimize must drop every gene of a padded schedule, the same way
+// twice, spending at most one probe per gene.
+func TestMinimizeDropsUnneededGenes(t *testing.T) {
+	base, params := shortBase(), shortParams()
+	base.MaxSimTime = 2 * sim.Second
+	res, err := core.Run(Config(base, params, nil, shortSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind, _ := res.VerdictKind(); kind != "wedged" {
+		t.Fatalf("test premise broken: the fault-free base ends %q, want wedged", kind)
+	}
+	genes := []Gene{
+		{Kind: GeneLoss, Rate: 0.05, At: sim.Second, Until: 5 * sim.Second},
+		{Kind: GeneDrift, Rate: 0.01, At: sim.Second},
+		{Kind: GeneLatency, Dur: sim.Millisecond, At: sim.Second, Until: 3 * sim.Second},
+		{Kind: GeneCrash, Site: 2, At: 1500 * sim.Millisecond},
+	}
+	var first MinStats
+	for i := 0; i < 2; i++ {
+		min, stats := Minimize(base, params, genes, shortSeed)
+		if len(min) != 0 || stats.From != len(genes) || stats.To != 0 {
+			t.Fatalf("minimized %d -> %d genes, kept %+v; want every gene dropped", stats.From, stats.To, min)
+		}
+		if stats.Probes > len(genes) {
+			t.Fatalf("%d probes for %d genes", stats.Probes, len(genes))
+		}
+		if i == 0 {
+			first = stats
+		} else if stats != first {
+			t.Fatalf("second minimization %+v, first %+v", stats, first)
+		}
+	}
+}
+
 // TestReproReplayRoundTrip saves the minimized repro to disk, loads it back,
 // and replays it: the violation must reproduce with its recorded kind, and
 // the reload must be byte-stable.

@@ -293,23 +293,94 @@ func TestNackMissesCounted(t *testing.T) {
 	}
 }
 
+// TestBufferShareBlocksThenDrains drives both phases of the sender's flow
+// control. A tiny pool blocks casts on the buffer share until stability
+// frees it (phase two). A large pool lets a burst past the 120 KB rate
+// bucket stay inside the share and the 256-chunk window, so the rate timer
+// (phase one) paces it: its last chunk leaves no earlier than the bucket's
+// deficit at 6 MB/s after the cast.
 func TestBufferShareBlocksThenDrains(t *testing.T) {
-	// Tiny buffer pool: casts must block on the share and recover as
-	// stability advances.
-	c := newCluster(t, 3, 9, func(cfg *Config) {
-		cfg.BufferBytes = 9 * 1024 // 3 KiB per member
-		cfg.stabilityPeriod = 5 * sim.Millisecond
+	for _, tc := range []struct {
+		name        string
+		bufferBytes int
+		at          sim.Time
+		msgs, size  int
+		rate        bool
+	}{
+		{name: "tiny-pool", bufferBytes: 9 * 1024, at: 10 * sim.Millisecond, msgs: 20, size: 1000}, // 3 KiB per member
+		// By 100 ms the bucket is full; the burst is about 260 KB.
+		{name: "rate-bucket", bufferBytes: 3 << 20, at: 100 * sim.Millisecond, msgs: 20, size: 13_000, rate: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, 3, 9, func(cfg *Config) {
+				cfg.BufferBytes = tc.bufferBytes
+				cfg.stabilityPeriod = 5 * sim.Millisecond
+			})
+			for i := 0; i < tc.msgs; i++ {
+				c.castAt(tc.at, 1, make([]byte, tc.size)) // all at once
+			}
+			rm := c.stacks[1].rm
+			var rateTimer runtimeapi.Timer
+			if tc.rate {
+				burst, bucket := tc.msgs*tc.size, rateBps/50
+				if burst <= bucket || burst > rm.share() || burst/(maxDatagram-dataHeader) >= sendWindow {
+					t.Fatalf("a %d B burst must pass the %d B bucket inside the %d B share and the window", burst, bucket, rm.share())
+				}
+				earliest := tc.at + sim.FromSeconds(float64(burst-bucket)/rateBps)
+				c.k.ScheduleAt(earliest-1, func() {
+					if rm.outHead == len(rm.outQ) {
+						t.Errorf("the burst's last chunk left before %v, the rate bucket's earliest", earliest)
+					}
+					rateTimer = rm.rateTimer
+				})
+			}
+			c.run(10 * sim.Second)
+			c.checkAgreement(nodes(3), tc.msgs)
+			st := c.stacks[1].Stats()
+			if st.Blocked == 0 {
+				t.Fatal("expected flow-control blocking")
+			}
+			if st.BlockedTime <= 0 {
+				t.Fatal("expected nonzero blocked time")
+			}
+			// Cancel on a timer that has fired reports false.
+			if tc.rate && (rateTimer == nil || rateTimer.Cancel()) {
+				t.Fatalf("the rate timer was not waiting on the queued burst, or never fired (waiting: %v)", rateTimer != nil)
+			}
+		})
+	}
+}
+
+// TestAssignWindowDefersThenDrains drives the sequencer's assign-window
+// throttle. While hosts 2-5 drop every arrival, the sequencer holds every
+// body it gets but no majority holds its announcements, so it delivers
+// nothing. Each other member's send window lets 256 of its casts out, 1 024
+// in all; with the sequencer's own casts the assigned-but-undelivered span
+// reaches assignWindow and later bodies wait in deferred. After the heal
+// delivery catches up, drainDeferred assigns them, and every member delivers
+// every message in one order.
+func TestAssignWindowDefersThenDrains(t *testing.T) {
+	const senders, casts = 5, 300
+	const heal = 2 * sim.Second
+	c := newCluster(t, 5, 13, func(cfg *Config) {
+		cfg.failTimeout = 30 * sim.Second // no view change during the blackout
 	})
-	for i := 0; i < 20; i++ {
-		c.castAt(10*sim.Millisecond, 1, make([]byte, 1000)) // all at once
+	for _, id := range nodes(senders) {
+		if id != 1 {
+			c.net.Host(id).SetLoss(&simnet.RandomLoss{P: 1})
+			c.k.ScheduleAt(heal, func() { c.net.Host(id).SetLoss(nil) })
+		}
+		for i := 0; i < casts; i++ {
+			c.castAt(100*sim.Millisecond+sim.Time(i)*sim.Millisecond, id, []byte(fmt.Sprintf("%d-%d", id, i)))
+		}
 	}
-	c.run(10 * sim.Second)
-	c.checkAgreement(nodes(3), 20)
-	if c.stacks[1].Stats().Blocked == 0 {
-		t.Fatal("expected flow-control blocking with a tiny buffer pool")
+	c.run(20 * sim.Second)
+	if n := c.stacks[1].Stats().AssignDeferred; n == 0 {
+		t.Fatal("the sequencer never deferred an assignment")
 	}
-	if c.stacks[1].Stats().BlockedTime <= 0 {
-		t.Fatal("expected nonzero blocked time")
+	c.checkAgreement(nodes(5), senders*casts)
+	if d := c.stacks[1].to.deferred; len(d) != 0 {
+		t.Fatalf("%d assignments still deferred at the end", len(d))
 	}
 }
 
@@ -428,6 +499,68 @@ func TestNewSequencerNumbersQueuedOwnMessagesAfterAnchor(t *testing.T) {
 			t.Fatalf("global sequence has gaps: position %d = %d", i, d.Global)
 		}
 	}
+}
+
+// TestFlushRollsBackUnagreedAnnouncement makes the dying sequencer's last
+// announcement reach one survivor only, and only after that survivor's
+// flush ack: node 1 orders node 3's message m3 in a chunk that node 3 never
+// receives and node 2 receives mid-flush, past the agreed target of node 1's
+// stream. Node 2 cast m2 after node 1 died, so both survivors hold m2 and m3
+// unordered except for node 2's beyond-target global for m3. The install
+// must take that global back (rollbackUnagreed) so both renumber m2, m3 from
+// the same base; kept, node 2 delivers m3 before m2 and node 3 the reverse.
+func TestFlushRollsBackUnagreedAnnouncement(t *testing.T) {
+	c := newCluster(t, 3, 12, func(cfg *Config) {
+		cfg.failTimeout = 500 * sim.Millisecond
+	})
+	for i := 0; i < 3; i++ {
+		c.castAt(sim.Time(i+1)*10*sim.Millisecond, NodeID(2+i%2), []byte(fmt.Sprintf("warm%d", i)))
+	}
+	// From 100 ms on, nodes 2 and 3 drop every chunk of node 1's stream past
+	// the last one sent before; node 2 keeps the first for later.
+	var tail uint64
+	c.k.ScheduleAt(100*sim.Millisecond, func() { tail = c.stacks[1].rm.sendSeq })
+	var held []byte
+	beyondTail := func(data []byte) bool {
+		var m dataMsg
+		return c.k.Now() >= 100*sim.Millisecond && len(data) >= dataHeader && data[0] == kindData &&
+			parseDataInto(&m, data) == nil && m.Sender == 1 && m.Seq > tail
+	}
+	deliver2, deliver3 := c.rts[2].Deliver, c.rts[3].Deliver
+	injected := false
+	c.net.Host(2).DeliverTo(func(src NodeID, data []byte) {
+		if beyondTail(data) {
+			if held == nil {
+				held = bytes.Clone(data)
+			}
+			return
+		}
+		// Node 2 coordinates the flush; node 3's first packet after node
+		// 2's own ack is delivered behind the held chunk, so the chunk is
+		// processed frozen and before the decision fixes the targets.
+		if src == 3 && held != nil && !injected && c.stacks[2].memb.state == membFlushing {
+			injected = true
+			deliver2(1, held)
+		}
+		deliver2(src, data)
+	})
+	c.net.Host(3).DeliverTo(func(src NodeID, data []byte) {
+		if !beyondTail(data) {
+			deliver3(src, data)
+		}
+	})
+	c.castAt(100*sim.Millisecond, 3, []byte("m3"))
+	c.crashNode(120*sim.Millisecond, 1)
+	c.castAt(150*sim.Millisecond, 2, []byte("m2"))
+	c.run(5 * sim.Second)
+
+	if held == nil || !injected {
+		t.Fatalf("test premise broken: node 1's announcement held %v, injected mid-flush %v", held != nil, injected)
+	}
+	if v := c.stacks[2].View(); v.Sequencer() != 2 || len(v.Members) != 2 {
+		t.Fatalf("node 2 ends in view %+v, want {2, 3}", v)
+	}
+	c.checkAgreement([]NodeID{2, 3}, 5)
 }
 
 func TestCrashDuringHeavyTrafficAgreement(t *testing.T) {

@@ -41,7 +41,6 @@ func TestStackRunsOnNativeRuntime(t *testing.T) {
 		nat, err := runtimeapi.NewNative(runtimeapi.NativeConfig{
 			Self:   id,
 			Listen: addrs[id],
-			Seed:   int64(id),
 			Peers:  addrs,
 			Groups: map[runtimeapi.Group][]runtimeapi.NodeID{1: {1, 2, 3}},
 		})

@@ -25,8 +25,6 @@ type NativeConfig struct {
 	Groups map[Group][]NodeID
 	// MTU bounds payload sizes; defaults to 1400 if zero.
 	MTU int
-	// Seed seeds the node's random stream.
-	Seed int64
 }
 
 // Native runs protocol code on the real Go runtime and network. All
@@ -38,7 +36,6 @@ type Native struct {
 	peers map[NodeID]*net.UDPAddr
 
 	start time.Time
-	rng   *sim.RNG
 
 	mu     sync.Mutex
 	recv   Receiver
@@ -72,7 +69,6 @@ func NewNative(cfg NativeConfig) (*Native, error) {
 		conn:   conn,
 		peers:  make(map[NodeID]*net.UDPAddr, len(cfg.Peers)),
 		start:  time.Now(),
-		rng:    sim.NewRNG(cfg.Seed),
 		loopCh: make(chan func(), 1024),
 		done:   make(chan struct{}),
 	}
@@ -167,9 +163,6 @@ func (n *Native) Now() sim.Time { return sim.FromDuration(time.Since(n.start)) }
 // Charge implements Runtime; real executions are measured by the OS, so the
 // model cost declaration is a no-op here.
 func (n *Native) Charge(sim.Time) {}
-
-// Rand implements Runtime.
-func (n *Native) Rand() *sim.RNG { return n.rng }
 
 // MTU implements Runtime.
 func (n *Native) MTU() int { return n.cfg.MTU }

@@ -28,7 +28,7 @@ func newPair(t *testing.T) (*runtimeapi.Native, *runtimeapi.Native) {
 	pb.Close()
 
 	a, err := runtimeapi.NewNative(runtimeapi.NativeConfig{
-		Self: 1, Listen: addrA, Seed: 1,
+		Self: 1, Listen: addrA,
 		Peers:  map[runtimeapi.NodeID]string{1: addrA, 2: addrB},
 		Groups: map[runtimeapi.Group][]runtimeapi.NodeID{1: {1, 2}},
 	})
@@ -36,7 +36,7 @@ func newPair(t *testing.T) (*runtimeapi.Native, *runtimeapi.Native) {
 		t.Fatal(err)
 	}
 	b, err := runtimeapi.NewNative(runtimeapi.NativeConfig{
-		Self: 2, Listen: addrB, Seed: 2,
+		Self: 2, Listen: addrB,
 		Peers:  map[runtimeapi.NodeID]string{1: addrA, 2: addrB},
 		Groups: map[runtimeapi.Group][]runtimeapi.NodeID{1: {1, 2}},
 	})
@@ -144,9 +144,6 @@ func TestNativeErrors(t *testing.T) {
 	}
 	if a.Self() != 1 {
 		t.Fatal("self wrong")
-	}
-	if a.Rand() == nil {
-		t.Fatal("nil RNG")
 	}
 	a.Close()
 	if err := a.Send(2, []byte("x")); err != runtimeapi.ErrDown {

@@ -77,9 +77,6 @@ type Runtime interface {
 	// The native runtime, where the code costs what it costs, ignores it.
 	Charge(cost sim.Time)
 
-	// Rand returns the node's deterministic random stream.
-	Rand() *sim.RNG
-
 	// Send transmits a unicast datagram (unreliable, unordered). It has
 	// socket semantics: data is copied before Send returns, so the caller
 	// may reuse the buffer at once, and the receiver gets its own bytes.

@@ -101,9 +101,6 @@ type LAN struct {
 // segment (Figure 6c reports this as KB/s).
 func (l *LAN) Bytes() *metrics.ByteMeter { return &l.bytes }
 
-// Name reports the LAN label.
-func (l *LAN) Name() string { return l.cfg.Name }
-
 // wireSize computes on-the-wire bytes for a payload, honouring the
 // fragmentation policy.
 func (l *LAN) wireSize(payload int) int {
@@ -315,9 +312,6 @@ func (n *Network) SetGroup(g Group, members []NodeID) {
 	copy(m, members)
 	n.groups[g] = m
 }
-
-// Group reports the members of g.
-func (n *Network) Group(g Group) []NodeID { return n.groups[g] }
 
 // TotalBytes sums wire bytes over all LANs (Figure 6c).
 func (n *Network) TotalBytes() int64 {
