@@ -6,9 +6,10 @@
 # function that is now reached, so the file ratchets both ways.
 #
 # Run from anywhere in the checkout: bash .github/reach.sh
-# (about 3 minutes on 2 cores). It prints the merged statement total and
-# the current zero list; the output holds no timing, so two runs compare
-# equal.
+# (about 3 minutes on 2 cores). It prints the merged total over production
+# statements, the command set's own total over the same statements (what runs
+# without the tests) and the current zero list; the output holds no timing,
+# so two runs compare equal.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ledger=.github/unreached.txt
@@ -49,7 +50,16 @@ go tool covdata textfmt -i="$work/cov" -o "$work/cmds.out"
 	tail -n +2 "$work/cmds.out"
 } >"$work/all.out"
 go tool cover -func="$work/all.out" >"$work/func.txt"
-grep '^total:' "$work/func.txt" | tr -s '\t' ' '
+
+# The two totals count the same statements, the production files' blocks:
+# prod.out keeps every count, cmdsprod.out zeroes tier-1's.
+awk -v mod="$mod/" -v all="$work/prod.out" -v cmds="$work/cmdsprod.out" '
+	FNR == 1 { if (NR == 1) { print >all; print >cmds }; next }
+	{ f = substr($1, length(mod) + 1); sub(/:.*/, "", f) }
+	f ~ /^bench\// || f ~ /(^|\/)testdata\// { next }
+	{ print >all; if (NR == FNR) $NF = 0; print >cmds }' "$work/tests.out" "$work/cmds.out"
+go tool cover -func="$work/prod.out" | grep '^total:' | tr -s '\t' ' '
+go tool cover -func="$work/cmdsprod.out" | grep '^total:' | sed 's/^total:/commands alone:/' | tr -s '\t' ' '
 
 # A function counts when a block with statements starts between its line and
 # the next function's in the same file; cover -func prints an empty body as

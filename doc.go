@@ -82,7 +82,7 @@
 // admission/retry path individual clients use. A transaction
 // is drawn (tpcc.Generator.Draw into a tpcc.Draft: every RNG draw and
 // counter step) apart from being built (Generator.Build: the script — a
-// fetch count, a processing time and a quantum — and the item sets);
+// processing time and a quantum — and the item sets);
 // db.Server.Submit calls the db.Txn.Build hook once, on the
 // attempt it admits, so a refused arrival is never built; and an arrival's
 // record, like an individual client's last transaction, is reused once the

@@ -388,7 +388,7 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 		}
 	}
 	if id != 0 {
-		storage := db.NewStorage(m.k, db.StorageConfig{}, m.rng.Fork(fmt.Sprintf("disk-%d", id)))
+		storage := db.NewStorage(m.k, db.StorageConfig{}, nil)
 		server := db.NewServer(m.k, dbsm.SiteID(id), cpus, storage)
 		if cfg.Admission != nil {
 			server.MaxActive = cfg.Admission.MaxActivePerSite

@@ -12,7 +12,7 @@ func newTestServer(t *testing.T, ncpu int) (*sim.Kernel, *Server) {
 	t.Helper()
 	k := sim.NewKernel()
 	cpus := csrt.NewCPUSet(ncpu, k, nil)
-	st := NewStorage(k, StorageConfig{}, sim.NewRNG(1))
+	st := NewStorage(k, StorageConfig{}, nil)
 	return k, NewServer(k, 1, cpus, st)
 }
 
@@ -42,7 +42,7 @@ func TestCentralizedCommitPath(t *testing.T) {
 		t.Fatalf("outcome = %v", outcome)
 	}
 	// Latency = 5ms exec + 2ms commit + 1 sector write.
-	want := 5*sim.Millisecond + 2*sim.Millisecond + StorageConfig{}.Latency()
+	want := 5*sim.Millisecond + 2*sim.Millisecond + sectorLatency
 	if txn.Latency() != want {
 		t.Fatalf("latency = %v, want %v", txn.Latency(), want)
 	}
@@ -57,8 +57,7 @@ func TestCentralizedCommitPath(t *testing.T) {
 func TestReadOnlySkipsDiskAndLocks(t *testing.T) {
 	k, s := newTestServer(t, 1)
 	txn := &Txn{
-		TID: 1, Class: "ro", ReadOnly: true,
-		Fetches: 1, CPU: 3 * sim.Millisecond,
+		TID: 1, Class: "ro", ReadOnly: true, CPU: 3 * sim.Millisecond,
 		ReadSet:   dbsm.NewItemSet(dbsm.MakeTupleID(1, 1)),
 		CommitCPU: 2 * sim.Millisecond,
 	}
@@ -75,7 +74,7 @@ func TestReadOnlySkipsDiskAndLocks(t *testing.T) {
 		t.Fatal("read-only transaction touched the disk")
 	}
 	if txn.Latency() != 5*sim.Millisecond {
-		t.Fatalf("latency = %v, want 5ms (100%% cache hits)", txn.Latency())
+		t.Fatalf("latency = %v, want 5ms", txn.Latency())
 	}
 }
 
@@ -196,7 +195,7 @@ func TestDistributedCommitLatencyIncludesCertification(t *testing.T) {
 	if outcome != Committed {
 		t.Fatalf("outcome = %v", outcome)
 	}
-	want := 5*sim.Millisecond + 2*sim.Millisecond + 8*sim.Millisecond + StorageConfig{}.Latency()
+	want := 5*sim.Millisecond + 2*sim.Millisecond + 8*sim.Millisecond + sectorLatency
 	if txn.Latency() != want {
 		t.Fatalf("latency = %v, want %v", txn.Latency(), want)
 	}
@@ -266,51 +265,30 @@ func TestCrashFreezesClients(t *testing.T) {
 	}
 }
 
+// TestStorageQueueing fills the device's eight slots twice over: eight
+// sectors complete after one sector latency, the eight queued behind them
+// after two, and the device is busy throughout.
 func TestStorageQueueing(t *testing.T) {
 	k := sim.NewKernel()
-	st := NewStorage(k, StorageConfig{MaxConcurrent: 2, SectorSize: 4096, ThroughputBps: 8192.0 / 1}, sim.NewRNG(1))
-	// Latency = 2*4096/8192 = 1s per sector.
+	st := NewStorage(k, StorageConfig{}, nil)
 	var doneAt []sim.Time
-	for i := 0; i < 4; i++ {
-		st.Write(1, func() { doneAt = append(doneAt, k.Now()) })
+	for range 2 * maxConcurrent {
+		st.WriteSectors(1, func() { doneAt = append(doneAt, k.Now()) })
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(doneAt) != 4 {
+	if len(doneAt) != 2*maxConcurrent {
 		t.Fatalf("completions = %d", len(doneAt))
 	}
-	// 2 at 1s, 2 at 2s.
-	if doneAt[1] != sim.Second || doneAt[3] != 2*sim.Second {
+	if doneAt[maxConcurrent-1] != sectorLatency || doneAt[maxConcurrent] != 2*sectorLatency || doneAt[2*maxConcurrent-1] != 2*sectorLatency {
 		t.Fatalf("completion times = %v", doneAt)
 	}
-	if st.MaxQueueLen() != 2 {
-		t.Fatalf("max queue = %d, want 2", st.MaxQueueLen())
+	if st.MaxQueueLen() != maxConcurrent {
+		t.Fatalf("max queue = %d, want %d", st.MaxQueueLen(), maxConcurrent)
 	}
-	if st.Utilization(2*sim.Second) != 100 {
-		t.Fatalf("utilization = %v, want 100", st.Utilization(2*sim.Second))
-	}
-}
-
-func TestStorageCacheMisses(t *testing.T) {
-	k := sim.NewKernel()
-	st := NewStorage(k, StorageConfig{CacheHitRatio: 0.5}, sim.NewRNG(7))
-	hits := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if st.Read(func() {}) {
-			hits++
-		}
-	}
-	ratio := float64(hits) / n
-	if ratio < 0.45 || ratio > 0.55 {
-		t.Fatalf("hit ratio = %v, want ~0.5", ratio)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Sectors() != int64(n-hits) {
-		t.Fatal("misses must consume sectors")
+	if st.Utilization(2*sectorLatency) != 100 {
+		t.Fatalf("utilization = %v, want 100", st.Utilization(2*sectorLatency))
 	}
 }
 
@@ -337,16 +315,14 @@ func TestMultiCPUParallelism(t *testing.T) {
 	}
 }
 
-// TestScriptRunsFetchesThenQuanta pins the sequence the server derives from
-// the three script numbers: every fetch, then the processing time in slices
-// of one quantum with a short last one — so on one CPU a later transaction
-// gets in after the first slice, not after the whole script — and nothing
-// allocated at all when an already-bound transaction is resubmitted, however
-// long its script is (Server.Submit, bind, step, commitPhase, finish).
-func TestScriptRunsFetchesThenQuanta(t *testing.T) {
-	k := sim.NewKernel()
-	st := NewStorage(k, StorageConfig{CacheHitRatio: 0.5}, sim.NewRNG(1))
-	s := NewServer(k, 1, csrt.NewCPUSet(1, k, nil), st)
+// TestScriptRunsQuanta pins the sequence the server derives from the two
+// script numbers: the processing time in slices of one quantum with a short
+// last one — so on one CPU a later transaction gets in after the first
+// slice, not after the whole script — and nothing allocated at all when an
+// already-bound transaction is resubmitted, however long its script is
+// (Server.Submit, bind, step, commitPhase, finish).
+func TestScriptRunsQuanta(t *testing.T) {
+	k, s := newTestServer(t, 1)
 	ends := map[uint64]sim.Time{}
 	done := func(txn *Txn, _ Outcome) { ends[txn.TID] = k.Now() }
 	long := &Txn{TID: 1, Class: "ro", ReadOnly: true, CPU: 2500 * sim.Microsecond, Quantum: sim.Millisecond, Done: done}
@@ -373,15 +349,12 @@ func TestScriptRunsFetchesThenQuanta(t *testing.T) {
 			}
 		})
 	}
-	brief := &Txn{TID: 3, Class: "ro", ReadOnly: true, Fetches: 1, CPU: sim.Millisecond, Quantum: sim.Millisecond}
-	lengthy := &Txn{TID: 4, Class: "ro", ReadOnly: true, Fetches: 40, CPU: 30 * sim.Millisecond, Quantum: sim.Millisecond}
+	brief := &Txn{TID: 3, Class: "ro", ReadOnly: true, CPU: sim.Millisecond, Quantum: sim.Millisecond}
+	lengthy := &Txn{TID: 4, Class: "ro", ReadOnly: true, CPU: 30 * sim.Millisecond, Quantum: sim.Millisecond}
 	run(brief)
 	run(lengthy) // both now bound to s
 	if a, b := run(brief), run(lengthy); a != 0 || b != 0 {
-		t.Fatalf("a resubmitted, bound transaction allocates %v times on a 2-step script and %v on a 70-step one, want 0", a, b)
-	}
-	if st.Sectors() < 40 {
-		t.Fatalf("%d sectors read: the comparison did not cover fetches that miss the cache", st.Sectors())
+		t.Fatalf("a resubmitted, bound transaction allocates %v times on a 2-step script and %v on a 31-step one, want 0", a, b)
 	}
 }
 

@@ -9,21 +9,19 @@ import (
 	"repro/internal/sim"
 )
 
-// heldServer is a one-CPU server whose fetches hit the cache with the given
-// ratio (1e-12: a fetch is always a storage read in flight).
-func heldServer(hit float64) (*sim.Kernel, *Server) {
+// heldServer is a one-CPU server.
+func heldServer() (*sim.Kernel, *Server) {
 	k := sim.NewKernel()
-	st := NewStorage(k, StorageConfig{CacheHitRatio: hit}, sim.NewRNG(1))
-	return k, NewServer(k, 1, csrt.NewCPUSet(1, k, nil), st)
+	return k, NewServer(k, 1, csrt.NewCPUSet(1, k, nil), NewStorage(k, StorageConfig{}, nil))
 }
 
 var heldHot = dbsm.MakeTupleID(1, 7)
 
 // heldTxn is an update of heldHot; its outcome and whether it was held as
 // Done fired land in the two pointers.
-func heldTxn(fetches int, cpu, commitCPU sim.Time, got *Outcome, heldInDone *bool) *Txn {
+func heldTxn(cpu, commitCPU sim.Time, got *Outcome, heldInDone *bool) *Txn {
 	return &Txn{
-		TID: 1, Class: "w", Fetches: fetches, CPU: cpu, CommitCPU: commitCPU,
+		TID: 1, Class: "w", CPU: cpu, CommitCPU: commitCPU,
 		ReadSet: dbsm.NewItemSet(heldHot), WriteSet: dbsm.NewItemSet(heldHot), WriteBytes: 100,
 		Done: func(t *Txn, o Outcome) {
 			if *got != 0 {
@@ -41,32 +39,28 @@ func preempt(s *Server) {
 }
 
 // TestHeldUntilEveryContinuationRuns preempts a lock holder at each point a
-// continuation of it is in flight — a storage read that missed the cache, a
-// CPU slice, the commit CPU job, the pendingCert entry — and checks the
-// ownership rule: Done fires at the preemption, Held stays true until that
-// continuation has run (for pendingCert: until ResolveLocal(commit=false)
-// deletes the entry), and is false afterwards.
+// continuation of it is in flight — a CPU slice, the commit CPU job, the
+// pendingCert entry — and checks the ownership rule: Done fires at the
+// preemption, Held stays true until that continuation has run (for
+// pendingCert: until ResolveLocal(commit=false) deletes the entry), and is
+// false afterwards.
 func TestHeldUntilEveryContinuationRuns(t *testing.T) {
-	lat := StorageConfig{}.Latency()
 	cases := []struct {
 		name               string
-		hit                float64
-		fetches            int
 		cpu, commitCPU     sim.Time
 		replicated         bool
 		preemptAt, landsAt sim.Time // the preemption; when the continuation in flight runs
 	}{
-		{"storage read miss", 1e-12, 1, sim.Millisecond, sim.Millisecond, false, lat / 2, lat},
-		{"CPU slice", 1, 0, 4 * sim.Millisecond, sim.Millisecond, false, 2 * sim.Millisecond, 4 * sim.Millisecond},
-		{"commit CPU job", 1, 0, sim.Millisecond, 4 * sim.Millisecond, false, 3 * sim.Millisecond, 5 * sim.Millisecond},
-		{"pendingCert", 1, 0, sim.Millisecond, sim.Millisecond, true, 3 * sim.Millisecond, 10 * sim.Millisecond},
+		{"CPU slice", 4 * sim.Millisecond, sim.Millisecond, false, 2 * sim.Millisecond, 4 * sim.Millisecond},
+		{"commit CPU job", sim.Millisecond, 4 * sim.Millisecond, false, 3 * sim.Millisecond, 5 * sim.Millisecond},
+		{"pendingCert", sim.Millisecond, sim.Millisecond, true, 3 * sim.Millisecond, 10 * sim.Millisecond},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			k, s := heldServer(tc.hit)
+			k, s := heldServer()
 			var got Outcome
 			var heldInDone bool
-			txn := heldTxn(tc.fetches, tc.cpu, tc.commitCPU, &got, &heldInDone)
+			txn := heldTxn(tc.cpu, tc.commitCPU, &got, &heldInDone)
 			if tc.replicated {
 				s.SetTerminator(func(*Txn) {})
 				k.Schedule(tc.landsAt, func() { s.ResolveLocal(txn.TID, false, 0) })
@@ -103,16 +97,16 @@ func TestHeldUntilEveryContinuationRuns(t *testing.T) {
 
 // TestHeldThroughRejectPendingAndRestart covers the other roads out: a
 // submission swallowed by a down site is held until Restart wakes it; a
-// transaction in a storage read at the crash is held until the read lands;
-// and one in pendingCert at the crash stays held for good, because Restart
-// forgets the entry — which costs its submitter a fresh transaction, never a
-// stale continuation.
+// transaction whose write-back is in flight at the crash is held until the
+// write lands; and one in pendingCert at the crash stays held for good,
+// because Restart forgets the entry — which costs its submitter a fresh
+// transaction, never a stale continuation.
 func TestHeldThroughRejectPendingAndRestart(t *testing.T) {
 	t.Run("blocked submit", func(t *testing.T) {
-		_, s := heldServer(1)
+		_, s := heldServer()
 		var got Outcome
 		var heldInDone bool
-		txn := heldTxn(0, sim.Millisecond, sim.Millisecond, &got, &heldInDone)
+		txn := heldTxn(sim.Millisecond, sim.Millisecond, &got, &heldInDone)
 		s.Crash()
 		s.Submit(txn)
 		if !txn.Held() {
@@ -123,15 +117,15 @@ func TestHeldThroughRejectPendingAndRestart(t *testing.T) {
 			t.Fatalf("outcome %v, held as Done fired %v, held after %v; want abort-crash and let go of", got, heldInDone, txn.Held())
 		}
 	})
-	t.Run("storage read at crash", func(t *testing.T) {
-		k, s := heldServer(1e-12)
+	t.Run("write-back at crash", func(t *testing.T) {
+		k, s := heldServer()
 		var got Outcome
 		var heldInDone bool
-		txn := heldTxn(1, sim.Millisecond, sim.Millisecond, &got, &heldInDone)
+		txn := heldTxn(sim.Millisecond, sim.Millisecond, &got, &heldInDone)
 		s.Submit(txn)
-		lat := StorageConfig{}.Latency()
-		k.Schedule(lat/2, func() { s.Crash(); s.Restart() })
-		if err := k.RunUntil(lat - 1); err != nil {
+		written := 2*sim.Millisecond + sectorLatency // the processing run, the commit job, one sector
+		k.Schedule(written-sectorLatency/2, func() { s.Crash(); s.Restart() })
+		if err := k.RunUntil(written - 1); err != nil {
 			t.Fatal(err)
 		}
 		if got != AbortCrash || !heldInDone || !txn.Held() {
@@ -141,14 +135,14 @@ func TestHeldThroughRejectPendingAndRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		if txn.Held() {
-			t.Fatal("still held after the read landed")
+			t.Fatal("still held after the write landed")
 		}
 	})
 	t.Run("pendingCert at crash", func(t *testing.T) {
-		k, s := heldServer(1)
+		k, s := heldServer()
 		var got Outcome
 		var heldInDone bool
-		txn := heldTxn(0, sim.Millisecond, sim.Millisecond, &got, &heldInDone)
+		txn := heldTxn(sim.Millisecond, sim.Millisecond, &got, &heldInDone)
 		s.SetTerminator(func(*Txn) {})
 		s.Submit(txn)
 		k.Schedule(3*sim.Millisecond, func() { s.Crash(); s.Restart() })
@@ -174,7 +168,7 @@ func TestHeldThroughRejectPendingAndRestart(t *testing.T) {
 // class at the same server is counted in the new class's bucket, not in the
 // one its last life resolved.
 func TestRecycledTxnCountsInItsNewClass(t *testing.T) {
-	k, s := heldServer(1)
+	k, s := heldServer()
 	txn := &Txn{TID: 1, Class: "a", ReadOnly: true, CPU: sim.Millisecond}
 	s.Submit(txn)
 	if err := k.Run(); err != nil {
@@ -194,12 +188,12 @@ func TestRecycledTxnCountsInItsNewClass(t *testing.T) {
 
 // TestRecycledSubmitAllocFree pins the centralized transaction path for a
 // recycled transaction: Txn.Recycle, dbsm.AppendItemSet into its arrays,
-// Server.Submit with classOf and the lock grant, step through a cache-missing
-// fetch and two CPU slices, commitPhase, the write-back, finish and Done —
-// with every continuation bound once (Server.bind) — allocate nothing. So
-// does Txn.CertInfoInto, the message the replica builds at termination.
+// Server.Submit with classOf and the lock grant, step through two CPU
+// slices, commitPhase, the write-back, finish and Done — with every
+// continuation bound once (Server.bind) — allocate nothing. So does
+// Txn.CertInfoInto, the message the replica builds at termination.
 func TestRecycledSubmitAllocFree(t *testing.T) {
-	k, s := heldServer(1e-12)
+	k, s := heldServer()
 	items := []dbsm.TupleID{dbsm.MakeTupleID(1, 3), dbsm.MakeTupleID(1, 1), dbsm.MakeTupleID(2, 9)}
 	var txn Txn
 	var tid uint64
@@ -213,7 +207,7 @@ func TestRecycledSubmitAllocFree(t *testing.T) {
 		txn.Recycle()
 		tid++
 		txn.TID, txn.Class, txn.Done = tid, "w", done
-		txn.Fetches, txn.CPU, txn.Quantum, txn.CommitCPU = 1, 2*sim.Millisecond, sim.Millisecond, sim.Millisecond
+		txn.CPU, txn.Quantum, txn.CommitCPU = 2*sim.Millisecond, sim.Millisecond, sim.Millisecond
 		txn.ReadSet = dbsm.AppendItemSet(txn.ReadSet[:0], items...)
 		txn.WriteSet = dbsm.AppendItemSet(txn.WriteSet[:0], items[:2]...)
 		txn.WriteBytes = 200
@@ -230,9 +224,6 @@ func TestRecycledSubmitAllocFree(t *testing.T) {
 	}
 	if committed != 16+101 || s.Locks().HeldLocks() != 0 || txn.Held() {
 		t.Fatalf("%d commits, %d locks held, held %v; want %d, 0, false", committed, s.Locks().HeldLocks(), txn.Held(), 16+101)
-	}
-	if s.Storage().Sectors() < 2*(16+101) {
-		t.Fatalf("%d sectors: the fetches did not miss the cache", s.Storage().Sectors())
 	}
 	var c dbsm.TxnCert
 	if n := testing.AllocsPerRun(100, func() { txn.CertInfoInto(&c, 1, 0) }); n != 0 || c.TID != tid || len(c.WriteSet) != 2 {

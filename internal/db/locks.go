@@ -150,27 +150,6 @@ func (lm *LockManager) ReleaseAbort(t *Txn) {
 	lm.processDirty()
 }
 
-// RemoveWaiter drops a waiter (whose transaction aborted for another
-// reason) from all wait lists.
-func (lm *LockManager) RemoveWaiter(t *Txn) {
-	for _, id := range t.WriteSet {
-		ws, ok := lm.waiters[id]
-		if !ok {
-			continue
-		}
-		kept := ws[:0]
-		for _, w := range ws {
-			if w.t != t {
-				kept = append(kept, w)
-			}
-		}
-		for i := len(kept); i < len(ws); i++ {
-			ws[i] = nil
-		}
-		lm.setWaiters(id, kept)
-	}
-}
-
 // processDirty retries waiters of released locks, FIFO, until quiescent.
 func (lm *LockManager) processDirty() {
 	if lm.busy {

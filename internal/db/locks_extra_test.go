@@ -8,28 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestLockManagerRemoveWaiter(t *testing.T) {
-	lm := NewLockManager()
-	hot := dbsm.NewItemSet(dbsm.MakeTupleID(1, 1))
-	holder := &Txn{TID: 1, WriteSet: hot}
-	granted := 0
-	lm.AcquireAll(holder, func() { granted++ })
-	waiter := &Txn{TID: 2, WriteSet: hot.Clone()}
-	lm.AcquireAll(waiter, func() { granted++ })
-	if granted != 1 || lm.WaiterCount() != 1 {
-		t.Fatalf("granted=%d waiters=%d", granted, lm.WaiterCount())
-	}
-	lm.RemoveWaiter(waiter)
-	if lm.WaiterCount() != 0 {
-		t.Fatal("waiter not removed")
-	}
-	// Releasing now must not grant the removed waiter.
-	lm.ReleaseAbort(holder)
-	if granted != 1 {
-		t.Fatal("removed waiter was granted")
-	}
-}
-
 func TestLockManagerSkipsFinishedWaiters(t *testing.T) {
 	lm := NewLockManager()
 	hot := dbsm.NewItemSet(dbsm.MakeTupleID(1, 1))
@@ -66,7 +44,7 @@ func TestLockWaitsCounter(t *testing.T) {
 func TestUserAbortPath(t *testing.T) {
 	k := sim.NewKernel()
 	cpus := csrt.NewCPUSet(1, k, nil)
-	st := NewStorage(k, StorageConfig{}, sim.NewRNG(1))
+	st := NewStorage(k, StorageConfig{}, nil)
 	s := NewServer(k, 1, cpus, st)
 	ws := dbsm.NewItemSet(dbsm.MakeTupleID(1, 1))
 	var outcome Outcome
@@ -99,7 +77,7 @@ func TestUserAbortPath(t *testing.T) {
 func TestSectorFilterApplied(t *testing.T) {
 	k := sim.NewKernel()
 	cpus := csrt.NewCPUSet(1, k, nil)
-	st := NewStorage(k, StorageConfig{}, sim.NewRNG(1))
+	st := NewStorage(k, StorageConfig{}, nil)
 	s := NewServer(k, 1, cpus, st)
 	s.SectorFilter = func(ws dbsm.ItemSet) int { return 1 } // partial: one row local
 	ws := dbsm.NewItemSet(
@@ -120,7 +98,7 @@ func TestSectorFilterApplied(t *testing.T) {
 
 func TestNoteApplied(t *testing.T) {
 	k := sim.NewKernel()
-	s := NewServer(k, 1, csrt.NewCPUSet(1, k, nil), NewStorage(k, StorageConfig{}, sim.NewRNG(1)))
+	s := NewServer(k, 1, csrt.NewCPUSet(1, k, nil), NewStorage(k, StorageConfig{}, nil))
 	s.NoteApplied(5)
 	s.NoteApplied(3) // regressions ignored
 	if s.LastApplied() != 5 {

@@ -11,9 +11,7 @@ import (
 func restartServer(t *testing.T) (*sim.Kernel, *Server) {
 	t.Helper()
 	k := sim.NewKernel()
-	rng := sim.NewRNG(1)
-	storage := NewStorage(k, StorageConfig{}, rng.Fork("disk"))
-	return k, NewServer(k, 1, csrt.NewCPUSet(1, k, nil), storage)
+	return k, NewServer(k, 1, csrt.NewCPUSet(1, k, nil), NewStorage(k, StorageConfig{}, nil))
 }
 
 func restartTxn(tid uint64, done func(*Txn, Outcome)) *Txn {

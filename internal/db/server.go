@@ -344,24 +344,18 @@ func (s *Server) classOf(t *Txn) *ClassStats {
 	return t.stats
 }
 
-// step advances the execution script: every fetch, then the processing time
-// as one CPU run of Quantum slices (csrt.CPUSet.SubmitRun), handed over again
-// whenever the CPU stops it at a slice boundary, then the commit operation's
-// CPU cost. Each hand-off takes a hold its continuation gives back.
+// step advances the execution script: the processing time as one CPU run of
+// Quantum slices (csrt.CPUSet.SubmitRun), handed over again whenever the CPU
+// stops it at a slice boundary, then the commit operation's CPU cost. Each
+// hand-off takes a hold its continuation gives back.
 func (s *Server) step(t *Txn) {
 	if t.aborted || t.finished || s.down {
 		return
 	}
 	t.holds++
-	switch {
-	case t.fetched < t.Fetches:
-		t.fetched++
-		if s.storage.Read(t.stepFn) {
-			t.stepFn() // cache hit: no storage resources consumed
-		}
-	case t.cpuLeft > 0:
+	if t.cpuLeft > 0 {
 		s.cpus.SubmitRun(&t.cpuLeft, t.Quantum, t.stepFn)
-	default:
+	} else {
 		s.cpus.SubmitSim(t.CommitCPU, t.committed)
 	}
 }

@@ -1,56 +1,35 @@
 // Package db implements the simulated database server of Section 3.1: a
 // scheduler over a collection of resources (CPUs, storage) plus a
 // concurrency control policy modeled on PostgreSQL's multi-version locking.
-// Transactions are sequences of fetch/process/write operations whose costs
-// come from profiling a real database engine (see internal/tpcc for the
-// calibration data).
+// A transaction is a processing run followed by a commit whose write-back
+// goes to disk (its fetches hit the storage cache and cost no device time);
+// the costs come from profiling a real database engine (see internal/tpcc
+// for the calibration data).
 package db
 
 import "repro/internal/sim"
 
-// StorageConfig describes the disk subsystem. The paper's test system is a
-// RAID-5 fibre-channel box sustaining 9.486 MB/s of synchronous 4 KB writes
-// (measured with IOzone), with a cache hit ratio above 98% configured as
-// 100%.
-type StorageConfig struct {
-	// SectorSize is the unit of transfer (default 4096).
-	SectorSize int
-	// MaxConcurrent is the number of in-flight requests the device
-	// sustains (default 8).
-	MaxConcurrent int
-	// ThroughputBps is the sustained bandwidth in bytes/s; the per-sector
-	// latency is derived as MaxConcurrent*SectorSize/Throughput.
-	// Default 9.486e6.
-	ThroughputBps float64
-	// CacheHitRatio is the probability a read is served from cache
-	// without consuming storage resources (default 1.0).
-	CacheHitRatio float64
-}
+// The device is the paper's test system: a RAID-5 fibre-channel box
+// sustaining 9.486 MB/s of synchronous 4 KB writes (measured with IOzone)
+// with eight requests in flight. Its cache hit ratio was above 98 %,
+// configured as 100 %: a transaction's fetches take no device time, and
+// only write-back and bulk snapshot reads reach it.
+const (
+	sectorSize    = 4096      // bytes per transfer
+	maxConcurrent = 8         // requests in flight
+	throughputBps = 9_486_000 // sustained bytes/s
+	// sectorLatency is one sector's service time, about 3.454 ms, truncated
+	// to the nanosecond.
+	sectorLatency = maxConcurrent * sectorSize * sim.Second / throughputBps
+)
 
-func (c *StorageConfig) fill() {
-	if c.SectorSize == 0 {
-		c.SectorSize = 4096
-	}
-	if c.MaxConcurrent == 0 {
-		c.MaxConcurrent = 8
-	}
-	if c.ThroughputBps == 0 {
-		c.ThroughputBps = 9.486e6
-	}
-	if c.CacheHitRatio == 0 {
-		c.CacheHitRatio = 1.0
-	}
-}
+// StorageConfig has no field: the device is fixed (see sectorLatency).
+// NewStorage still takes one, as it takes an RNG it does not draw from, so
+// that existing callers build unchanged.
+type StorageConfig struct{}
 
-// Latency reports the derived per-sector service time.
-func (c StorageConfig) Latency() sim.Time {
-	c.fill()
-	return sim.FromSeconds(float64(c.SectorSize) * float64(c.MaxConcurrent) / c.ThroughputBps)
-}
-
-// Storage is the simulated disk: a fixed number of service slots with a
-// per-sector latency; excess requests queue. A cache hit ratio short-cuts
-// reads.
+// Storage is the simulated disk: maxConcurrent service slots with a
+// per-sector latency; excess requests queue.
 //
 // Sectors that start completing at the same instant share one kernel event:
 // a sector whose completion falls at the instant of the batch started last
@@ -68,9 +47,7 @@ func (c StorageConfig) Latency() sim.Time {
 // stays, pinned by TestStorageCompletionTrace.
 type Storage struct {
 	k   *sim.Kernel
-	cfg StorageConfig
-	rng *sim.RNG
-	lat sim.Time // cached per-sector latency
+	lat sim.Time // per-sector latency: sectorLatency, or more under SetSlowdown
 
 	inFlight int
 	queue    []*ioReq // one entry per sector awaiting a free slot
@@ -111,36 +88,14 @@ type sectorBatch struct {
 	complete func()
 }
 
-// NewStorage builds the device.
-func NewStorage(k *sim.Kernel, cfg StorageConfig, rng *sim.RNG) *Storage {
-	cfg.fill()
-	return &Storage{k: k, cfg: cfg, rng: rng, lat: cfg.Latency()}
+// NewStorage builds the device. Its last two arguments are unused.
+func NewStorage(k *sim.Kernel, _ StorageConfig, _ *sim.RNG) *Storage {
+	return &Storage{k: k, lat: sectorLatency}
 }
 
-// Read serves a single-item fetch: with probability CacheHitRatio it
-// completes immediately (cache hit, reported by the return value true);
-// otherwise one sector read is issued and done fires on completion.
-func (s *Storage) Read(done func()) bool {
-	if s.rng.Bool(s.cfg.CacheHitRatio) {
-		return true
-	}
-	s.request(1, done)
-	return false
-}
-
-// Write issues the synchronous write of n bytes (rounded up to whole
-// sectors); done fires when the last sector completes.
-func (s *Storage) Write(n int, done func()) {
-	sectors := (n + s.cfg.SectorSize - 1) / s.cfg.SectorSize
-	if sectors == 0 {
-		sectors = 1
-	}
-	s.WriteSectors(sectors, done)
-}
-
-// ReadSectors issues n whole-sector reads that bypass the cache model —
-// used for bulk operations like exporting a recovery snapshot, where the
-// pages are certainly not all cached; done fires when the last one completes.
+// ReadSectors issues n whole-sector reads — used for bulk operations like
+// exporting a recovery snapshot, where the pages are certainly not all
+// cached; done fires when the last one completes.
 func (s *Storage) ReadSectors(n int, done func()) {
 	if n < 1 {
 		n = 1
@@ -168,7 +123,7 @@ func (s *Storage) request(n int, done func()) {
 	req.remaining = n
 	req.done = done
 	for i := 0; i < n; i++ {
-		if s.inFlight < s.cfg.MaxConcurrent {
+		if s.inFlight < maxConcurrent {
 			s.start(req)
 		} else {
 			s.queue = append(s.queue, req)
@@ -230,7 +185,7 @@ func (b *sectorBatch) completeNext() {
 // head cursor — O(1) per sector — and the backing array resets for reuse
 // whenever the queue fully drains.
 func (s *Storage) dispatch() {
-	for s.inFlight < s.cfg.MaxConcurrent && s.qhead < len(s.queue) {
+	for s.inFlight < maxConcurrent && s.qhead < len(s.queue) {
 		req := s.queue[s.qhead]
 		s.queue[s.qhead] = nil
 		s.qhead++
@@ -244,9 +199,9 @@ func (s *Storage) dispatch() {
 
 // SetSlowdown scales the per-sector service time by factor (gray-failure
 // degradation: the device still works, just slower). factor <= 1 restores
-// the configured latency.
+// sectorLatency.
 func (s *Storage) SetSlowdown(factor float64) {
-	lat := s.cfg.Latency()
+	lat := sectorLatency
 	if factor > 1 {
 		lat = sim.Time(float64(lat) * factor)
 	}
@@ -265,5 +220,5 @@ func (s *Storage) Utilization(elapsed sim.Time) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return 100 * float64(s.busyNS) / (float64(elapsed) * float64(s.cfg.MaxConcurrent))
+	return 100 * float64(s.busyNS) / (float64(elapsed) * maxConcurrent)
 }

@@ -8,14 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-// TestStorageCompletionTrace pins the disk's completion order on one device
-// with eight slots and a one-second sector: a 22-sector request behind a
-// one-sector one, a second request issued while the first is still queued, a
-// request issued from inside a done() callback, and a slowdown to three
-// times the sector time and back while sectors are in flight, in the middle
-// of the run and on an idle device, so that sectors started after the
-// recovery finish before ones started during it.
-// Every done() records (Now, request); the device's counters and the
+// TestStorageCompletionTrace pins the disk's completion order on the
+// device's eight slots, every instant stated in sector latencies (L): a
+// 22-sector request behind a one-sector one, a second request issued while
+// the first is still queued, a request issued from inside a done() callback,
+// and a slowdown to three times the sector time and back while sectors are
+// in flight, in the middle of the run and on an idle device, so that sectors
+// started after the recovery finish before ones started during it.
+// Every done() records (Now in L, request); the device's counters and the
 // kernel's dispatch count follow.
 // The expected values are literals: any change to how sectors are started,
 // queued or completed shows here.
@@ -25,11 +25,12 @@ import (
 // freed although request 2's sectors were waiting for it.
 func TestStorageCompletionTrace(t *testing.T) {
 	k := sim.NewKernel()
-	st := NewStorage(k, StorageConfig{MaxConcurrent: 8, SectorSize: 4096, ThroughputBps: 8 * 4096}, sim.NewRNG(1))
+	st := NewStorage(k, StorageConfig{}, nil)
+	at := func(halves sim.Time) sim.Time { return halves * sectorLatency / 2 }
 	var got []string
 	done := func(req int, then func()) func() {
 		return func() {
-			got = append(got, fmt.Sprintf("%v:%d", k.Now(), req))
+			got = append(got, fmt.Sprintf("%.1fL:%d", float64(k.Now())/float64(sectorLatency), req))
 			if then != nil {
 				then()
 			}
@@ -39,30 +40,30 @@ func TestStorageCompletionTrace(t *testing.T) {
 		st.WriteSectors(2, done(4, nil))
 	}))
 	st.WriteSectors(22, done(2, nil))
-	k.Schedule(sim.Second/2, func() {
+	k.Schedule(at(1), func() {
 		st.ReadSectors(3, done(3, func() {
 			k.Schedule(0, func() {}) // an event between two sector starts at one instant
-			st.Write(3*4096, done(5, nil))
+			st.WriteSectors(3, done(5, nil))
 		}))
 	})
-	k.Schedule(3*sim.Second/2, func() { st.SetSlowdown(3) })
-	k.Schedule(5*sim.Second/2, func() { st.SetSlowdown(1) })
-	k.Schedule(7*sim.Second/2, func() { st.WriteSectors(2, done(6, nil)) })
+	k.Schedule(at(3), func() { st.SetSlowdown(3) })
+	k.Schedule(at(5), func() { st.SetSlowdown(1) })
+	k.Schedule(at(7), func() { st.WriteSectors(2, done(6, nil)) })
 	// On an idle device: a slow sector, then a fast one that overtakes it.
-	k.Schedule(10*sim.Second, func() {
+	k.Schedule(at(20), func() {
 		st.SetSlowdown(3)
 		st.WriteSectors(1, done(7, nil))
 		st.WriteSectors(2, done(8, nil))
 	})
-	k.Schedule(21*sim.Second/2, func() {
+	k.Schedule(at(21), func() {
 		st.SetSlowdown(1)
 		st.WriteSectors(1, done(9, nil))
 	})
-	k.Schedule(11*sim.Second, func() { st.WriteSectors(1, done(10, nil)) })
+	k.Schedule(at(22), func() { st.WriteSectors(1, done(10, nil)) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"1s:1", "5s:2", "6s:3", "6s:4", "6s:6", "7s:5", "11.5s:9", "12s:10", "13s:7", "13s:8"}
+	want := []string{"1.0L:1", "5.0L:2", "6.0L:3", "6.0L:4", "6.0L:6", "7.0L:5", "11.5L:9", "12.0L:10", "13.0L:7", "13.0L:8"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("completions %q, want %q", got, want)
 	}

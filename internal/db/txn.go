@@ -48,15 +48,15 @@ func (o Outcome) String() string {
 // Txn is one transaction instance flowing through a server.
 //
 // A server holds t from Submit until Done has fired and every continuation
-// it handed out for t has run: a storage read that missed the cache, the CPU
-// run, the commit CPU job, the write-back, and the pendingCert entry, which
-// outlives the replica's queued termination stage. Held reports it. While t
-// is held only the server changes it; once it is not, the submitter may
-// Recycle it and build its next transaction into the same memory. A hold that
-// is never given back — a pendingCert entry Restart forgets, a job a crashed
-// CPU drops — keeps t held for good, which costs its submitter one fresh
-// allocation and never correctness: no continuation of an old attempt can
-// ever run against a new one.
+// it handed out for t has run: the CPU run, the commit CPU job, the
+// write-back, and the pendingCert entry, which outlives the replica's queued
+// termination stage. Held reports it. While t is held only the server
+// changes it; once it is not, the submitter may Recycle it and build its
+// next transaction into the same memory. A hold that is never given back —
+// a pendingCert entry Restart forgets, a job a crashed CPU drops — keeps t
+// held for good, which costs its submitter one fresh allocation and never
+// correctness: no continuation of an old attempt can ever run against a new
+// one.
 type Txn struct {
 	// TID is the global transaction identifier.
 	TID uint64
@@ -66,15 +66,13 @@ type Txn struct {
 	// ReadOnly transactions skip the distributed termination protocol;
 	// their latency is unaffected by replication (Section 5.1).
 	ReadOnly bool
-	// Fetches, CPU and Quantum are the execution script (Section 3.1: fetch
-	// a data item, do some processing, write back at commit). The server
-	// first performs Fetches storage reads, one after the other — which
-	// items they name does not matter to the storage model, only how many —
-	// and then spends CPU of processing time in slices of at most Quantum
-	// (the round-robin quantum; the last slice is the remainder, and a
-	// Quantum of 0 leaves CPU as one slice). Write-back happens at commit
-	// and is sized by WriteSet.
-	Fetches int
+	// CPU and Quantum are the execution script (Section 3.1: fetch a data
+	// item, do some processing, write back at commit). Fetches hit the
+	// storage cache and take no time, so the server spends CPU of
+	// processing time in slices of at most Quantum (the round-robin
+	// quantum; the last slice is the remainder, and a Quantum of 0 leaves
+	// CPU as one slice). Write-back happens at commit and is sized by
+	// WriteSet.
 	CPU     sim.Time
 	Quantum sim.Time
 	// ReadSet and WriteSet are known before execution starts, enabling
@@ -110,7 +108,6 @@ type Txn struct {
 	Snapshot uint64
 
 	// internal state
-	fetched   int      // script position: storage reads issued
 	cpuLeft   sim.Time // script position: processing time the CPU has yet to run
 	aborted   bool
 	certified bool
@@ -124,7 +121,7 @@ type Txn struct {
 	// The pipeline's continuations, bound once per (transaction, server) by
 	// Server.bind and kept across retries and Recycle.
 	bound     *Server
-	stepFn    func() // after a fetch, or where the CPU stops the run
+	stepFn    func() // where the CPU stops the run
 	granted   func() // all write locks held
 	committed func() // the commit CPU job ran
 	written   func() // the commit write-back landed
@@ -194,7 +191,7 @@ func (t *Txn) Latency() sim.Time { return t.EndAt - t.SubmitAt }
 // The class bucket the last server resolved and the continuations it bound
 // stay: they belong to the transaction and that server, not to the attempt.
 func (t *Txn) ResetForRetry() {
-	t.fetched, t.cpuLeft = 0, 0
+	t.cpuLeft = 0
 	t.aborted = false
 	t.certified = false
 	t.decided = false

@@ -384,6 +384,80 @@ func TestAssignWindowDefersThenDrains(t *testing.T) {
 	}
 }
 
+// TestInstallHonoursAssignWindow crashes one of nine members before anyone
+// casts. Until a view change excludes it no chunk is stable (a stability
+// round needs every member's vote), so send windows fill, the sequencer's
+// delivery stalls behind its unannounced batches, and its assignments reach
+// assignWindow: the rest wait in deferred, frozen there through the view
+// change. The install offers them again, with everything that arrived while
+// it was frozen, through the same gate as an arrival. From the install on,
+// the sequencer's assigned-but-undelivered span never exceeds assignWindow;
+// every survivor delivers every message in one order, and nothing is left
+// deferred.
+//
+// In "rejoin" the crashed member restarts before the failure detector
+// excludes it, so the one install both excludes the dead incarnation and
+// admits the new one over the backlog. The joiner's stream cursors start at
+// the flush targets, so it can never receive an old-view message numbered
+// above its catch-up sequence: it must deliver exactly the survivors' suffix
+// above that sequence.
+func TestInstallHonoursAssignWindow(t *testing.T) {
+	for _, rejoin := range []bool{false, true} {
+		name := map[bool]string{false: "exclude", true: "rejoin"}[rejoin]
+		t.Run(name, func(t *testing.T) {
+			const n, casts = 9, 300
+			c := newCluster(t, n, 13, nil)
+			c.crashNode(50*sim.Millisecond, n)
+			for _, id := range nodes(n - 1) {
+				for i := 0; i < casts; i++ {
+					c.castAt(100*sim.Millisecond+sim.Time(i)*sim.Millisecond, id, []byte(fmt.Sprintf("%d-%d", id, i)))
+				}
+			}
+			var joinSeq uint64
+			members := n - 1 // the install's view
+			if rejoin {
+				c.rejoinNode(600*sim.Millisecond, n, n, &joinSeq)
+				members = n
+			}
+			const end = 20 * sim.Second
+			seq := c.stacks[1].to
+			var span uint64
+			backlog := false // deferred held messages after the install
+			var sample func()
+			sample = func() {
+				if len(c.views[1]) > 0 {
+					span = max(span, seq.nextGlobal-seq.nextDeliver)
+					backlog = backlog || len(seq.deferred) > 0
+				}
+				if c.k.Now() < end {
+					c.k.Schedule(100*sim.Microsecond, sample)
+				}
+			}
+			c.k.Schedule(0, sample)
+			c.run(end)
+			if len(c.views[1]) != 1 || len(c.views[1][0].Members) != members {
+				t.Fatalf("sequencer views %v, want one of %d members", c.views[1], members)
+			}
+			if span > assignWindow {
+				t.Fatalf("after the install the sequencer assigned %d globals past delivery, want at most %d", span, assignWindow)
+			}
+			if !backlog {
+				t.Fatal("nothing was deferred after the install: the run does not cover the backlog")
+			}
+			c.checkAgreement(nodes(n-1), (n-1)*casts)
+			if d := seq.deferred; len(d) != 0 {
+				t.Fatalf("%d assignments still deferred at the end", len(d))
+			}
+			if rejoin {
+				if joinSeq == 0 {
+					t.Fatal("the joiner never learned its catch-up sequence")
+				}
+				checkSuffixAgreement(t, c.delivered[1], c.delivered[n], joinSeq)
+			}
+		})
+	}
+}
+
 func TestCrashNonSequencerInstallsNewView(t *testing.T) {
 	c := newCluster(t, 3, 10, func(cfg *Config) {
 		cfg.failTimeout = 500 * sim.Millisecond

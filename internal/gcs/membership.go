@@ -536,10 +536,11 @@ func (mb *membership) checkInstall() {
 		mb.installAcks[mb.s.cfg.Self] = true
 	}
 	if mb.s.IsSequencer() {
-		// Tell each joiner its catch-up sequence: by install time every
-		// old-view message has an assignment here (install waits for the
-		// full flush), so maxAssigned bounds everything the joiner can
-		// never receive through the streams.
+		// Tell each joiner its catch-up sequence: install waits for the
+		// full flush, so once the old-view messages the assign window
+		// deferred are numbered (sendJoinSync holds until then) maxAssigned
+		// bounds everything the joiner can never receive through the
+		// streams.
 		for _, j := range m.Joiners {
 			mb.sendJoinSync(j)
 		}
@@ -635,8 +636,14 @@ func (mb *membership) onJoinReq(src NodeID, m *joinReqMsg) {
 // below it must come from a database snapshot; everything above arrives as
 // normal deliveries. Any maxAssigned value taken at or after the join
 // install is sound — later values only widen the snapshot's coverage — so
-// retries simply use the current one.
+// retries simply use the current one. While the install's deferred backlog
+// still holds old-view messages it sends nothing: numbered later, they would
+// land above the catch-up sequence, and the joiner's cursors start past their
+// chunks. The joiner's join tick asks again.
 func (mb *membership) sendJoinSync(dst NodeID) {
+	if mb.s.to.installBacklog > 0 {
+		return
+	}
 	sync := joinSyncMsg{ViewID: mb.s.view.ID, JoinSeq: mb.s.to.maxAssigned}
 	mb.s.transmitTo(dst, sync.marshal(mb.s.wire[:0]))
 }

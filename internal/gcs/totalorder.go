@@ -44,6 +44,11 @@ type totalOrder struct {
 	// assigned-but-undelivered span hit assignWindow; they are assigned in
 	// arrival order as delivery catches up.
 	deferred []msgKey
+	// installBacklog counts deferred's leading keys that the last install
+	// offered: old-view messages a joiner admitted there can never receive
+	// through the streams, so the sequencer withholds joinSync until they
+	// are numbered (membership.sendJoinSync).
+	installBacklog int
 
 	// Optimistic delivery bookkeeping: arrival positions (msgState.optIdx),
 	// compared with the final order to count mispredictions.
@@ -98,7 +103,11 @@ type msgKey struct {
 type msgState struct {
 	// The body, written by onAppData: a free-list buffer that tryDeliver
 	// hands back. held is false while only the assignment has arrived.
-	held    bool
+	held bool
+	// waited is set the first time the sequencer defers the message
+	// (offer), which counts it in AssignDeferred once, however often it
+	// waits.
+	waited  bool
 	data    []byte
 	lastSeq uint64 // sequence number of the message's last chunk
 
@@ -212,18 +221,29 @@ func (to *totalOrder) onAppData(sender NodeID, msgID, lastSeq uint64, data []byt
 		to.s.onOpt(OptDelivery{Sender: sender, MsgID: msgID, Payload: data})
 	}
 	if to.s.IsSequencer() && to.msgs[key].global == 0 && !to.s.rm.frozen && !to.handover {
-		if to.assignWindowFull() {
-			// Assign-window throttle: delivery has fallen assignWindow
-			// behind assignment, so issuing more numbers would only grow
-			// every member's order buffers. Defer until delivery catches
-			// up (drainDeferred, below).
-			to.deferred = append(to.deferred, key)
-			to.s.stats.AssignDeferred++
-		} else {
-			to.assign(key)
-		}
+		to.offer(key)
 	}
 	to.tryDeliver()
+}
+
+// offer is the one gate in front of assign for a message the sequencer has
+// not numbered — on arrival, from the backlog and at install. It assigns key
+// while the assign window has room; otherwise delivery has fallen
+// assignWindow behind assignment, so issuing more numbers would only grow
+// every member's order buffers, and key joins deferred until delivery
+// catches up (drainDeferred). It reports whether key was assigned.
+func (to *totalOrder) offer(key msgKey) bool {
+	if !to.assignWindowFull() {
+		to.assign(key)
+		return true
+	}
+	to.deferred = append(to.deferred, key)
+	if m := to.msgs[key]; !m.waited {
+		m.waited = true
+		to.msgs[key] = m
+		to.s.stats.AssignDeferred++
+	}
+	return false
 }
 
 // assignWindow caps the sequencer's assigned-but-undelivered span: when
@@ -248,31 +268,28 @@ func (to *totalOrder) drainDeferred() {
 	}
 	if !to.s.IsSequencer() {
 		to.deferred = to.deferred[:0]
+		to.installBacklog = 0
 		return
 	}
 	if to.s.rm.frozen {
 		return
 	}
-	n := 0
-	for i := 0; i < len(to.deferred); i++ {
-		key := to.deferred[i]
+	// offer refills deferred in place: it appends at most one key per key
+	// read, so it never overwrites one not yet read.
+	backlog := to.deferred
+	to.deferred = backlog[:0]
+	for i, key := range backlog {
 		m := to.msgs[key]
-		if m.global != 0 {
-			continue // ordered at install while we weren't looking
+		if m.global != 0 || !m.held || !to.s.view.Contains(key.sender) {
+			continue // ordered at install, or purged with an excluded sender
 		}
-		if !m.held {
-			continue // purged with an excluded sender
+		if !to.offer(key) {
+			to.deferred = append(to.deferred, backlog[i+1:]...)
+			to.installBacklog = max(0, to.installBacklog-i)
+			return
 		}
-		if !to.s.view.Contains(key.sender) {
-			continue
-		}
-		if to.assignWindowFull() {
-			n += copy(to.deferred[n:], to.deferred[i:])
-			break
-		}
-		to.assign(key)
 	}
-	to.deferred = to.deferred[:n]
+	to.installBacklog = 0
 }
 
 // assign issues the next global sequence number and batches the
@@ -514,6 +531,7 @@ func (to *totalOrder) releaseAll() {
 	to.order.release()
 	to.batch = nil
 	to.deferred = nil
+	to.installBacklog = 0
 	to.unacked = nil
 }
 
@@ -598,10 +616,12 @@ func (to *totalOrder) onInstall(oldSequencer NodeID, oldSequencerGone bool, targ
 		to.unacked = to.unacked[:0]
 	}
 	if to.s.IsSequencer() {
-		// Assign everything still unassigned from in-view senders, in
-		// deterministic order: the messages deferred while assignment was
-		// frozen mid-change, plus — after a sequencer replacement — the
-		// pending messages nobody ordered.
+		// Offer everything still unassigned from in-view senders, in
+		// deterministic order: the messages that arrived while assignment
+		// was frozen mid-change, the backlog the assign window deferred,
+		// plus — after a sequencer replacement — the pending messages
+		// nobody ordered. rest covers every key deferred still holds that
+		// drainDeferred would assign, so it replaces the backlog.
 		var rest []msgKey
 		for key, m := range to.msgs {
 			if m.held && m.global == 0 && to.s.view.Contains(key.sender) {
@@ -609,9 +629,11 @@ func (to *totalOrder) onInstall(oldSequencer NodeID, oldSequencerGone bool, targ
 			}
 		}
 		sortKeys(rest)
+		to.deferred = to.deferred[:0]
 		for _, key := range rest {
-			to.assign(key)
+			to.offer(key)
 		}
+		to.installBacklog = len(to.deferred)
 	}
 	to.tryDeliver()
 }

@@ -57,7 +57,7 @@ func buildClusterWith(t *testing.T, n int, optsFor func(i int) Options) (*sim.Ke
 			csrt.DefaultCostParams(), rng.Fork(fmt.Sprintf("rt-%d", id)))
 		rt.Bind(csrt.NewCPUSet(1, k, nil))
 		host.DeliverTo(rt.Deliver)
-		storage := db.NewStorage(k, db.StorageConfig{}, rng.Fork(fmt.Sprintf("disk-%d", id)))
+		storage := db.NewStorage(k, db.StorageConfig{}, nil)
 		server := db.NewServer(k, dbsm.SiteID(id), rt.CPUs(), storage)
 		stack, err := gcs.New(rt, gcs.Config{Self: id, Members: members, Group: 1, UseMulticast: true})
 		if err != nil {
@@ -447,7 +447,7 @@ func loneReplica(t *testing.T, opts Options) (*sim.Kernel, *Replica) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, New(rt, stack, db.NewServer(k, 1, rt.CPUs(), db.NewStorage(k, db.StorageConfig{}, rng.Fork("disk"))), opts)
+	return k, New(rt, stack, db.NewServer(k, 1, rt.CPUs(), db.NewStorage(k, db.StorageConfig{}, nil)), opts)
 }
 
 // TestOptimisticDiscardCancelsSpeculation drives the view-change discard

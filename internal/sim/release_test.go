@@ -18,7 +18,7 @@ func mixedDraw(g *RNG, i int) float64 {
 	case 2:
 		return float64(g.Int63n(1 << 40))
 	case 3:
-		return g.Exp(5)
+		return float64(g.ExpDur(5 * Millisecond))
 	case 4:
 		return g.LogNormal(3.4, 0.8)
 	case 5:

@@ -91,9 +91,6 @@ func (g *RNG) IntRange(lo, hi int) int {
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 
-// Exp returns an exponential draw with the given mean.
-func (g *RNG) Exp(mean float64) float64 { return g.r.ExpFloat64() * mean }
-
 // LogNormal returns a draw from a log-normal distribution parameterized by
 // the mean and standard deviation of the underlying normal.
 func (g *RNG) LogNormal(mu, sigma float64) float64 {

