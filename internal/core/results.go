@@ -173,8 +173,9 @@ type Results struct {
 	// TxnLog holds per-transaction records when CollectTxnLog was set.
 	TxnLog *trace.TxnLog
 	// Events is the model's event count: the kernel's dispatches plus the
-	// CPU completions settled without one (csrt.CPUSet.Elided), so it counts
-	// one event per CPU slice and per job.
+	// CPU completions settled without one (csrt.CPUSet.Elided) and the disk
+	// sectors completed by another sector's event (db.Storage.Elided), so it
+	// counts one event per CPU slice, per job and per sector.
 	Events int64
 }
 
@@ -210,6 +211,7 @@ func (m *Model) results() *Results {
 	liveSites := 0
 	for _, s := range m.sites {
 		sub, com, ab, rej := s.Server.Totals()
+		r.Events += s.Server.Storage().Elided()
 		life := s.Life
 		sr := SiteResult{
 			Site:          s.ID,

@@ -31,13 +31,17 @@ type StorageConfig struct{}
 // Storage is the simulated disk: maxConcurrent service slots with a
 // per-sector latency; excess requests queue.
 //
-// Sectors that start completing at the same instant share one kernel event:
-// a sector whose completion falls at the instant of the batch started last
-// joins it through Kernel.Again, so long as nothing was scheduled in
-// between, and takes exactly the dispatch its own event would have had.
-// Batches and requests are pooled, and each batch carries a completion
-// closure bound once at creation — so the steady-state hot path allocates
-// nothing per sector.
+// Sectors that complete at the same instant share one kernel event, which
+// completes them in start order: a sector whose completion falls at the
+// instant of the batch started last joins it while nothing was scheduled
+// since that batch's event (Kernel.Seq). Events of their own would have run
+// back to back at that place in the order, so only one order differs: an
+// event that a sector's done() schedules at delay 0 with a priority above
+// PriorityNormal runs after the rest of the batch, not before the next
+// sector. Each sector after a batch's first counts in Elided, so kernel
+// dispatches plus Elided is one event per sector. Batches and requests are
+// pooled, and each batch carries a completion closure bound once at
+// creation — so the steady-state hot path allocates nothing per sector.
 //
 // The queue is not FIFO for a request issued from inside another's done():
 // the completing sector runs done() before it starts the next queued one, so
@@ -54,17 +58,19 @@ type Storage struct {
 	qhead    int      // consumed prefix of queue (popped lazily, O(1))
 	maxQueue int
 
-	// last is the batch started most recently, id its kernel event. A sector
-	// joins it only while Again(id) holds, which ends with its last sector:
-	// a recycled batch is never joined.
+	// last is the batch started most recently, seq the kernel's Seq right
+	// after its event was scheduled. A sector joins it only while the
+	// kernel's Seq still equals seq and its instant is still to come: a
+	// batch that has run, and so may be recycled, is never joined.
 	last *sectorBatch
-	id   sim.EventID
+	seq  int64
 
 	freeBatches sim.FreeList[*sectorBatch]
 	freeReqs    sim.FreeList[*ioReq]
 
 	busyNS  int64 // integrated slot-busy time
 	sectors int64
+	elided  int64 // sectors completed by another sector's event
 }
 
 // ioReq tracks one multi-sector request until its last sector completes.
@@ -74,17 +80,15 @@ type ioReq struct {
 }
 
 // sectorBatch is the sectors that complete at one instant under one kernel
-// event, each entry the request of one sector, in start order: each
-// dispatch of the event completes the next. A batch holds only its own
-// sectors, because completion order is not start order across batches: a
-// sector started after SetSlowdown restores the latency finishes before
-// ones started under the slowdown. complete is bound once, when the batch
-// is first allocated, and reused across recycles.
+// event, each entry the request of one sector, in start order. A batch holds
+// only its own sectors, because completion order is not start order across
+// batches: a sector started after SetSlowdown restores the latency finishes
+// before ones started under the slowdown. complete is bound once, when the
+// batch is first allocated, and reused across recycles.
 type sectorBatch struct {
 	s        *Storage
 	at       sim.Time
 	reqs     []*ioReq
-	next     int
 	complete func()
 }
 
@@ -136,49 +140,51 @@ func (s *Storage) request(n int, done func()) {
 
 // start occupies a device slot for one sector service time: the sector
 // joins the batch started last when it completes at the same instant and
-// the kernel still lets that batch's event take one more dispatch, and
-// starts a batch of its own otherwise.
+// nothing was scheduled since that batch's event, and starts a batch of its
+// own otherwise.
 func (s *Storage) start(req *ioReq) {
 	s.inFlight++
 	s.sectors++
 	s.busyNS += int64(s.lat)
 	at := s.k.Now() + s.lat
-	if b := s.last; b != nil && b.at == at && s.k.Again(s.id) {
+	if b := s.last; b != nil && b.at == at && s.k.Seq() == s.seq {
 		b.reqs = append(b.reqs, req)
 		return
 	}
 	b := s.freeBatches.Get()
 	if b == nil {
 		b = &sectorBatch{s: s}
-		b.complete = b.completeNext
+		b.complete = b.run
 	}
 	b.at = at
 	b.reqs = append(b.reqs, req)
-	s.last, s.id = b, s.k.Schedule(s.lat, b.complete)
+	s.k.Schedule(s.lat, b.complete)
+	s.last, s.seq = b, s.k.Seq()
 }
 
-// completeNext finishes the batch's next sector: the owning request
-// resolves when its last sector lands and returns to the pool, as does the
-// batch after its last sector.
-func (b *sectorBatch) completeNext() {
+// run is the batch's event: it completes the sectors in start order, each
+// one's request resolving when its last sector lands and returning to the
+// pool, and starts queued sectors after each. The batch returns to the pool
+// once its last sector is done.
+func (b *sectorBatch) run() {
 	s := b.s
-	req := b.reqs[b.next]
-	b.reqs[b.next] = nil
-	if b.next++; b.next == len(b.reqs) {
-		b.reqs, b.next = b.reqs[:0], 0
-		s.freeBatches.Put(b)
-	}
-	s.inFlight--
-	req.remaining--
-	if req.remaining == 0 {
-		done := req.done
-		req.done = nil
-		s.freeReqs.Put(req)
-		if done != nil {
-			done()
+	s.elided += int64(len(b.reqs) - 1)
+	for i, req := range b.reqs {
+		b.reqs[i] = nil
+		s.inFlight--
+		req.remaining--
+		if req.remaining == 0 {
+			done := req.done
+			req.done = nil
+			s.freeReqs.Put(req)
+			if done != nil {
+				done()
+			}
 		}
+		s.dispatch()
 	}
-	s.dispatch()
+	b.reqs = b.reqs[:0]
+	s.freeBatches.Put(b)
 }
 
 // dispatch starts queued sectors while slots are free. The queue pops via a
@@ -213,6 +219,10 @@ func (s *Storage) MaxQueueLen() int { return s.maxQueue }
 
 // Sectors reports total sector operations served.
 func (s *Storage) Sectors() int64 { return s.sectors }
+
+// Elided reports the sectors completed by the event of an earlier sector in
+// their batch rather than by one of their own.
+func (s *Storage) Elided() int64 { return s.elided }
 
 // Utilization reports the fraction of device capacity used over elapsed
 // time, as a percentage — the paper's Figure 6(b) "disk bandwidth usage".

@@ -16,7 +16,9 @@ import (
 // in flight, in the middle of the run and on an idle device, so that sectors
 // started after the recovery finish before ones started during it.
 // Every done() records (Now in L, request); the device's counters and the
-// kernel's dispatch count follow.
+// event count follow: kernel dispatches plus the sectors that shared a
+// batch's event (Elided) is one event per sector and per scheduled call,
+// as when every sector had an event of its own.
 // The expected values are literals: any change to how sectors are started,
 // queued or completed shows here.
 //
@@ -67,10 +69,51 @@ func TestStorageCompletionTrace(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("completions %q, want %q", got, want)
 	}
-	if k.Executed() != 46 {
-		t.Fatalf("%d kernel dispatches", k.Executed())
+	if k.Executed()+st.Elided() != 46 || k.Executed() != 16 {
+		t.Fatalf("%d kernel dispatches and %d elided sectors, want 16 and 30", k.Executed(), st.Elided())
 	}
 	if end := k.Now(); st.Sectors() != 38 || st.MaxQueueLen() != 19 || fmt.Sprintf("%.4f", st.Utilization(end)) != "57.6923" {
 		t.Fatalf("at %v: %d sectors, max queue %d, utilization %.4f", end, st.Sectors(), st.MaxQueueLen(), st.Utilization(end))
+	}
+}
+
+// TestStorageBatchEndsAtASchedule: a sector joins the batch started last
+// only while nothing was scheduled since. An event at the batch's instant,
+// scheduled between two one-sector writes, completes between them.
+func TestStorageBatchEndsAtASchedule(t *testing.T) {
+	k := sim.NewKernel()
+	st := NewStorage(k, StorageConfig{}, nil)
+	var got []string
+	note := func(s string) func() { return func() { got = append(got, s) } }
+	st.WriteSectors(1, note("first"))
+	k.Schedule(sectorLatency, note("between"))
+	st.WriteSectors(1, note("second"))
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[first between second]"; fmt.Sprint(got) != want || st.Elided() != 0 {
+		t.Fatalf("order %v, %d elided, want %s and 0", got, st.Elided(), want)
+	}
+}
+
+// TestStorageBatchRunsBeforeAnUrgentEvent pins the one rule a shared batch
+// event changes: a PriorityHigh event that a sector's done() schedules at
+// delay 0 runs after the rest of the batch, where with an event per sector
+// it would have run before the next sector.
+func TestStorageBatchRunsBeforeAnUrgentEvent(t *testing.T) {
+	k := sim.NewKernel()
+	st := NewStorage(k, StorageConfig{}, nil)
+	var got []string
+	note := func(s string) func() { return func() { got = append(got, s) } }
+	st.WriteSectors(1, func() {
+		note("first")()
+		k.SchedulePri(0, sim.PriorityHigh, note("urgent"))
+	})
+	st.WriteSectors(1, note("second"))
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[first second urgent]"; fmt.Sprint(got) != want || st.Elided() != 1 || k.Executed() != 2 {
+		t.Fatalf("order %v, %d elided, %d dispatches, want %s, 1 and 2", got, st.Elided(), k.Executed(), want)
 	}
 }

@@ -384,6 +384,53 @@ func TestAssignWindowDefersThenDrains(t *testing.T) {
 	}
 }
 
+// TestBlackoutRepairStorm pins the cost of a flush-time repair after a
+// receive blackout. Member 9 of nine crashes at 50 ms; members 2–8 drop every
+// packet they receive until 1 s, and only the sequencer, whose failure
+// detector waits 500 ms (the others 30 s), suspects member 9. Its flush
+// makes it the repair holder of every stream, and once the blackout ends
+// each survivor NACKs each stream to it every retransPeriod while the gap
+// lasts. The sequencer answers every NACK with every chunk of its ranges
+// that it holds, charging costPerRetrans each, so the NACKs of about two
+// seconds queue some forty seconds of retransmission on its one CPU: the
+// survivors have every chunk by 4 s and stop asking, but the sequencer
+// delivers nothing and its casts stay blocked until the backlog drains.
+// Every cast is still delivered in one order. The figures are pinned as
+// they are; a receiver that backs off while no repair arrives cuts them
+// about fourfold but moves lossy_rejoin's fingerprint (ROADMAP item 22).
+func TestBlackoutRepairStorm(t *testing.T) {
+	const n, casts = 9, 300
+	c := newCluster(t, n, 13, func(cfg *Config) {
+		cfg.failTimeout = 30 * sim.Second
+		if cfg.Self == 1 {
+			cfg.failTimeout = 500 * sim.Millisecond
+		}
+	})
+	c.crashNode(50*sim.Millisecond, n)
+	for _, id := range nodes(n - 1) {
+		if id != 1 {
+			c.net.Host(id).SetLoss(&simnet.RandomLoss{P: 1})
+			c.k.ScheduleAt(sim.Second, func() { c.net.Host(id).SetLoss(nil) })
+		}
+		for i := 0; i < casts; i++ {
+			c.castAt(100*sim.Millisecond+sim.Time(i)*sim.Millisecond, id, []byte(fmt.Sprintf("%d-%d", id, i)))
+		}
+	}
+	var idle int64 // the sequencer's deliveries by 20 s
+	c.k.ScheduleAt(20*sim.Second, func() { idle = c.stacks[1].Stats().Delivered })
+	c.run(60 * sim.Second)
+	c.checkAgreement(nodes(n-1), (n-1)*casts)
+	var nacks int64
+	for _, id := range nodes(n - 1)[1:] {
+		nacks += c.stacks[id].Stats().Nacks
+	}
+	seq := c.stacks[1].Stats()
+	if seq.Sent != 660 || seq.Retransmits != 262411 || nacks != 1046 || idle != 0 || seq.BlockedTime/sim.Millisecond != 43057 {
+		t.Fatalf("sequencer: %d chunks sent, %d retransmitted for %d NACKs, %d delivered by 20 s, blocked %v",
+			seq.Sent, seq.Retransmits, nacks, idle, seq.BlockedTime)
+	}
+}
+
 // TestInstallHonoursAssignWindow crashes one of nine members before anyone
 // casts. Until a view change excludes it no chunk is stable (a stability
 // round needs every member's vote), so send windows fill, the sequencer's

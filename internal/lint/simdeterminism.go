@@ -152,7 +152,7 @@ func isMap(t types.Type) bool {
 // an event or transmitting a message from inside a map range bakes the
 // iteration order into the event stream.
 var schedulingCalls = map[string]bool{
-	"Schedule": true, "ScheduleAt": true, "SchedulePri": true, "SchedulePriAt": true, "Again": true,
+	"Schedule": true, "ScheduleAt": true, "SchedulePri": true, "SchedulePriAt": true,
 	"StartJob": true, "Send": true, "Multicast": true,
 }
 

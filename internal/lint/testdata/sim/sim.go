@@ -10,8 +10,6 @@ type kernel struct{ now int64 }
 
 func (k *kernel) Schedule(d int64, fn func()) {}
 
-func (k *kernel) Again(id int64) bool { return false }
-
 func clocks() time.Duration {
 	t := time.Now()              // want `time.Now in deterministic package`
 	time.Sleep(time.Millisecond) // want `time.Sleep in deterministic package`
@@ -79,9 +77,6 @@ func mapRanges(k *kernel, m map[int]int, ch chan int) ([]int, int) {
 	}
 	for key := range m {
 		k.Schedule(int64(key), func() {}) // want `Schedule call inside range over map`
-	}
-	for key := range m {
-		k.Again(int64(key)) // want `Again call inside range over map`
 	}
 	for key := range m {
 		delete(m, key) // delete by loop key: fine

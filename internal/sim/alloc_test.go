@@ -67,35 +67,3 @@ func TestKernelCancelAllocFree(t *testing.T) {
 		})
 	}
 }
-
-// TestKernelAgainAllocFree pins Kernel.Again and the dispatches it adds at
-// zero allocations: an owed dispatch takes a sequence number and waits in
-// the front register, with no slot, calendar node or heap push of its own.
-// It holds Again, pending, take and dispatch.
-func TestKernelAgainAllocFree(t *testing.T) {
-	for _, d := range farDelays {
-		t.Run(d.String(), func(t *testing.T) {
-			k := NewKernel()
-			fn := func() {}
-			cycle := func() {
-				id := k.Schedule(d, fn)
-				if !k.Again(id) || !k.Again(id) || k.Pending() != 3 {
-					t.Fatalf("%v: Again refused, or %d pending after two", d, k.Pending())
-				}
-				for k.Step() {
-				}
-			}
-			for i := 0; i < 64; i++ {
-				cycle()
-			}
-			before := k.Executed()
-			allocs := testing.AllocsPerRun(1000, cycle)
-			if allocs != 0 {
-				t.Fatalf("Schedule(%v)+2×Again+3×Step: %v allocs/op, want 0", d, allocs)
-			}
-			if n := k.Executed() - before; n != 3*1001 {
-				t.Fatalf("%v: %d dispatches over 1001 cycles, want 3 each", d, n)
-			}
-		})
-	}
-}

@@ -57,16 +57,11 @@ func (e event) before(o event) bool {
 }
 
 // slotEntry holds a scheduled event's callback. gen increments every time
-// the slot is vacated (last dispatch or cancel), invalidating outstanding
-// EventIDs and any stale queue node still referring to the slot. An event
-// owes one dispatch per insertion sequence number in [next, last] (low 32
-// bits of each): one unless Again gave it more. Its queue node stands for
-// the dispatch numbered next, and each dispatch but the last hands on a node
-// one number on.
+// the slot is vacated (dispatch or cancel), invalidating outstanding
+// EventIDs and any stale queue node still referring to the slot.
 type slotEntry struct {
-	fn         func()
-	gen        uint32
-	next, last uint32
+	fn  func()
+	gen uint32
 }
 
 // Calendar geometry. A tick is 2^tickShift ns (about 1 ms). Level 0 has one
@@ -114,13 +109,6 @@ const nodeBlockBits = 8 // 256 nodes, 8 KiB
 // the same total (at, priority, seq) order as a heap holding everything:
 // the calendar only defers sorting what is not due soon.
 //
-// A dispatch an event still owes after one has run (see Again) waits in a
-// one-event front register, not in the heap: it is due now, and only an
-// event at the same instant with a smaller key — a PriorityHigh scheduled at
-// delay 0 by the dispatch before it — can precede it. Such an event is in the
-// heap once the horizon lies past now, which it does unless the calendar was
-// empty when the last dispatch left the heap.
-//
 // The zero value is not usable; construct with NewKernel. A Kernel must be
 // driven from a single goroutine; it performs no locking.
 type Kernel struct {
@@ -129,19 +117,13 @@ type Kernel struct {
 	slots     []slotEntry
 	freeSlots []uint32
 	nextSeq   int64
-	latest    EventID // the event scheduled last: the one Again may extend
-	live      int     // dispatches owed: scheduled, Again'd, not yet run or cancelled
+	live      int // events scheduled, not yet run or cancelled
 	halted    bool
 	running   bool
 	released  bool
 	executed  int64
 	// rest runs when RunUntil runs out of events due by its limit (AtRest).
 	rest []func(limit Time)
-
-	// front is the next owed dispatch of an event that has run at least
-	// once; owing reports that it holds one.
-	front event
-	owing bool
 
 	// horizon is a tick boundary: calendar events are due at or after it,
 	// and it only moves forward, by spill.
@@ -197,13 +179,17 @@ func (k *Kernel) Release() {
 // Now reports the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Executed reports how many events have been dispatched so far, counting
-// every dispatch of an event Again extended.
+// Executed reports how many events have been dispatched so far.
 func (k *Kernel) Executed() int64 { return k.executed }
 
-// Pending reports how many dispatches are owed: one per scheduled event,
-// plus one per Again not yet run.
+// Pending reports how many events are scheduled and not yet run or
+// cancelled.
 func (k *Kernel) Pending() int { return k.live }
+
+// Seq reports the insertion sequence number taken last (by a schedule or a
+// Reserve). A caller that notes it when scheduling an event can tell later
+// whether anything was scheduled since.
+func (k *Kernel) Seq() int64 { return k.nextSeq }
 
 // Schedule arranges for fn to run after delay (which may be zero) at normal
 // priority, returning an ID usable with Cancel. Negative delays are an
@@ -230,23 +216,19 @@ func (k *Kernel) SchedulePri(delay Time, pri Priority, fn func()) EventID {
 // SchedulePriAt is ScheduleAt with an explicit priority band.
 func (k *Kernel) SchedulePriAt(at Time, pri Priority, fn func()) EventID {
 	k.nextSeq++
-	k.latest = k.schedule(at, pri, k.nextSeq, fn)
-	return k.latest
+	return k.schedule(at, pri, k.nextSeq, fn)
 }
 
 // Reserve takes the next insertion sequence number for an event that
 // ScheduleReserved files later, so the event ties at its instant as if it had
-// been scheduled now. Nothing is pending until then. Again's reach ends here,
-// as it would at a Schedule: the number it would hand on is taken.
+// been scheduled now. Nothing is pending until then.
 func (k *Kernel) Reserve() int64 {
 	k.nextSeq++
-	k.latest = 0
 	return k.nextSeq
 }
 
 // ScheduleReserved is SchedulePriAt at the insertion sequence seq, taken
-// earlier by Reserve. It leaves Again's reach where it was: Again extends the
-// event scheduled last, and this one takes no new number.
+// earlier by Reserve.
 func (k *Kernel) ScheduleReserved(at Time, pri Priority, seq int64, fn func()) EventID {
 	if seq <= 0 || seq > k.nextSeq {
 		panic(fmt.Sprintf("sim: sequence %d was never reserved", seq))
@@ -278,43 +260,9 @@ func (k *Kernel) schedule(at Time, pri Priority, seq int64, fn func()) EventID {
 	}
 	s := &k.slots[slot]
 	s.fn = fn
-	s.next, s.last = uint32(seq), uint32(seq)
 	k.enqueue(event{at: at, key: int64(pri)<<48 | seq, slot: slot, gen: s.gen})
 	k.live++
 	return EventID(int64(slot)<<32 | int64(s.gen))
-}
-
-// Again gives the most recently scheduled event one more dispatch, right
-// after the ones it already owes: exactly what scheduling the same callback
-// again at the same time and priority would do, since the extra dispatch
-// takes the next insertion sequence number, but without a second slot, queue
-// node or heap pop. It reports false, and does nothing, when anything was
-// scheduled since id or id is no longer pending. Cancel(id) drops every
-// dispatch the event owes.
-func (k *Kernel) Again(id EventID) bool {
-	if id != k.latest {
-		return false
-	}
-	s := k.pending(id)
-	if s == nil {
-		return false
-	}
-	k.nextSeq++
-	s.last = uint32(k.nextSeq)
-	k.live++
-	return true
-}
-
-// pending returns id's slot while id is scheduled, nil otherwise.
-func (k *Kernel) pending(id EventID) *slotEntry {
-	slot := uint32(id >> 32)
-	if int(slot) >= len(k.slots) {
-		return nil
-	}
-	if s := &k.slots[slot]; s.gen == uint32(id) && s.fn != nil {
-		return s
-	}
-	return nil
 }
 
 // enqueue files ev where the horizon invariant puts it: the heap if it is
@@ -527,19 +475,20 @@ func (k *Kernel) vacate(slot uint32) {
 	k.live--
 }
 
-// Cancel removes a pending event, with every dispatch it still owes. It
-// reports whether the event was still pending (false if its last dispatch
-// ran, it was cancelled, or it never existed). Cancellation is lazy: the
-// slot is freed immediately but the queue node stays where it is — front
-// register, heap or calendar — until reached, where the generation mismatch
+// Cancel removes a pending event. It reports whether the event was still
+// pending (false if it ran, was cancelled, or never existed). Cancellation
+// is lazy: the slot is freed immediately but the queue node stays where it
+// is — heap or calendar — until reached, where the generation mismatch
 // discards it, keeping Cancel O(1).
 func (k *Kernel) Cancel(id EventID) bool {
-	s := k.pending(id)
-	if s == nil {
+	slot := uint32(id >> 32)
+	if int(slot) >= len(k.slots) {
 		return false
 	}
-	k.live -= int(s.last - s.next)
-	k.vacate(uint32(id >> 32))
+	if s := &k.slots[slot]; s.gen != uint32(id) || s.fn == nil {
+		return false
+	}
+	k.vacate(slot)
 	return true
 }
 
@@ -549,61 +498,32 @@ func (k *Kernel) stale(ev event) bool {
 	return s.gen != ev.gen || s.fn == nil
 }
 
-// take removes and returns the next live node due at or before limit —
-// the front register's unless a heap node precedes it — dropping cancelled
-// nodes on the way. It reports false, leaving the node queued, when the next
-// one is due after limit or nothing is queued.
+// take removes and returns the next live node due at or before limit,
+// dropping cancelled nodes on the way. It reports false, leaving the node
+// queued, when the next one is due after limit or nothing is queued.
 func (k *Kernel) take(limit Time) (event, bool) {
-	for {
-		if k.owing && k.front.at >= k.horizon {
-			k.settle() // an event at the front's instant may still wait in the calendar
-		}
-		front := k.owing && (len(k.events) == 0 || !k.events[0].before(k.front))
-		var ev event
-		switch {
-		case front:
-			ev = k.front
-		case k.settle():
-			ev = k.events[0]
-		default:
-			return event{}, false
-		}
+	for k.settle() {
+		ev := k.events[0]
 		stale := k.stale(ev)
 		if !stale && ev.at > limit {
 			return ev, false
 		}
-		if front {
-			k.owing = false
-		} else {
-			k.pop()
-		}
+		k.pop()
 		if !stale {
 			return ev, true
 		}
 	}
+	return event{}, false
 }
 
-// dispatch runs the dispatch node ev stands for. Unless it is the event's
-// last, the node one sequence number on goes to the front register, and one
-// already there — a later key, whose event this one preceded — back into the
-// heap.
+// dispatch runs the event ev stands for, vacating its slot first so the
+// callback may reuse it.
 func (k *Kernel) dispatch(ev event) {
 	if ev.at < k.now {
 		panic(fmt.Sprintf("sim: time went backwards: event at %v, now %v", ev.at, k.now))
 	}
-	s := &k.slots[ev.slot]
-	fn := s.fn
-	if uint32(ev.key) == s.last {
-		k.vacate(ev.slot)
-	} else {
-		k.live--
-		ev.key++
-		s.next = uint32(ev.key)
-		if k.owing && !k.stale(k.front) {
-			k.push(k.front)
-		}
-		k.front, k.owing = ev, true
-	}
+	fn := k.slots[ev.slot].fn
+	k.vacate(ev.slot)
 	k.now = ev.at
 	k.executed++
 	fn()
@@ -654,7 +574,6 @@ func (k *Kernel) RunUntil(limit Time) error {
 // it must schedule nothing at or before limit.
 func (k *Kernel) AtRest(fn func(limit Time)) { k.rest = append(k.rest, fn) }
 
-// Stop halts Run/RunUntil after the current dispatch completes, also
-// between two dispatches of an event Again extended. It is safe to call
-// from within an event handler.
+// Stop halts Run/RunUntil after the current dispatch completes. It is safe
+// to call from within an event handler.
 func (k *Kernel) Stop() { k.halted = true }

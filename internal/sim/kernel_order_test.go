@@ -10,17 +10,16 @@ import (
 // The kernel's dispatch order is proven against a reference: every pending
 // event kept in a plain list, the next dispatch being its minimum by (at,
 // priority, insertion sequence). An orderScript reads a byte string as a
-// stream of schedule, Again, cancel, reschedule, Step, RunUntil, Stop and Run
+// stream of schedule, cancel, reschedule, Step, RunUntil, Stop and Run
 // operations, and Reserve followed later by ScheduleReserved — handlers
-// schedule, Again and cancel too — with delays drawn from
+// schedule and cancel too — with delays drawn from
 // every region of the queue: before the horizon (the bucket already
 // spilled), level 0, level 1, beyond level 1, and exactly on or one
 // nanosecond before a tick, span or horizon boundary. Every dispatch must be
 // the reference minimum, at its time, and Pending() must equal the
-// reference count after every operation and inside every handler. An Again
-// is one more reference event: the same tag, time and priority, the next
-// sequence; a Cancel drops every reference event of its ID. A reserved event
-// is a reference event at the sequence of its Reserve, as if scheduled then.
+// reference count after every operation and inside every handler. A
+// reserved event is a reference event at the sequence of its Reserve, as if
+// scheduled then.
 
 type refEvent struct {
 	at    Time
@@ -40,8 +39,6 @@ type orderScript struct {
 	tags int
 	pend []refEvent
 	gone []EventID // IDs already dispatched or cancelled
-	// latest is the ID scheduled last, the one Again may extend.
-	latest EventID
 	// stopAt is the tag whose handler calls Stop, or -1; stopped records
 	// that it did.
 	stopAt  int
@@ -125,69 +122,22 @@ func (sc *orderScript) scheduleWith(d Time, pri Priority, child byte) {
 	ev := refEvent{at: sc.k.now + d, pri: pri, seq: sc.seq, tag: tag, child: child}
 	ev.id = sc.k.SchedulePri(d, pri, func() { sc.fire(tag) })
 	sc.pend = append(sc.pend, ev)
-	sc.latest = ev.id
 }
 
-// owes returns the index of a reference event of id, or -1 when it owes
-// no dispatch.
-func (sc *orderScript) owes(id EventID) int {
-	for i, e := range sc.pend {
-		if e.id == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// again calls Again on the ID scheduled last or — one time in four — on any
-// other pending or spent ID, which must report false unless it is the
-// latest one still pending. An Again that holds adds the reference event
-// with the next sequence and a child byte of its own.
-func (sc *orderScript) again() {
-	b := sc.next()
-	id := sc.latest
-	if b%4 == 3 {
-		if ids := len(sc.pend) + len(sc.gone); ids > 0 {
-			if j := int(b) % ids; j < len(sc.pend) {
-				id = sc.pend[j].id
-			} else {
-				id = sc.gone[j-len(sc.pend)]
-			}
-		}
-	}
-	i := sc.owes(id)
-	want := id == sc.latest && i >= 0
-	if got := sc.k.Again(id); got != want {
-		sc.fail("Again = %v, want %v (latest %v)", got, want, id == sc.latest)
-	}
-	if want {
-		sc.seq++
-		ev := sc.pend[i]
-		ev.seq, ev.child = sc.seq, sc.next()
-		sc.pend = append(sc.pend, ev)
-	}
-}
-
-// reserve takes a sequence number with Reserve, lets an Again (which must be
-// refused) and up to two schedules come after it, and only then files
-// the event at the reserved number; the reference files it at that number,
-// where a Schedule at the Reserve would have. Again's reach ends at the
-// Reserve, and ScheduleReserved does not restore it.
+// reserve takes a sequence number with Reserve, lets up to two schedules
+// come after it, and only then files the event at the reserved number; the
+// reference files it at that number, where a Schedule at the Reserve would
+// have.
 func (sc *orderScript) reserve() {
 	seq := sc.k.Reserve()
 	sc.seq++
 	if seq != sc.seq {
 		sc.fail("Reserve = %d, want %d", seq, sc.seq)
 	}
-	sc.latest = 0
 	d := sc.delay()
 	pri := [...]Priority{PriorityHigh, PriorityNormal, PriorityLow}[sc.next()%3]
 	child := sc.next()
-	n := sc.next()
-	if n&4 != 0 {
-		sc.again()
-	}
-	for i := n % 3; i > 0; i-- {
+	for i := sc.next() % 3; i > 0; i-- {
 		sc.schedule(sc.next() / 2)
 	}
 	tag := sc.tags
@@ -240,9 +190,7 @@ func (sc *orderScript) fire(tag int) {
 		sc.fail("dispatched tag %d at %v, want tag %d at %v", tag, sc.k.Now(), want.tag, want.at)
 	}
 	sc.pend = append(sc.pend[:i], sc.pend[i+1:]...)
-	if sc.owes(want.id) < 0 {
-		sc.gone = append(sc.gone, want.id)
-	}
+	sc.gone = append(sc.gone, want.id)
 	sc.checkPending()
 	if tag == sc.stopAt {
 		sc.k.Stop()
@@ -252,7 +200,7 @@ func (sc *orderScript) fire(tag int) {
 	if sc.done() { // the final Run drains without growing the queue
 		return
 	}
-	switch want.child % 8 {
+	switch want.child % 6 {
 	case 0, 1:
 		sc.schedule(sc.next() / 2) // a chain continues one time in two
 	case 2:
@@ -261,11 +209,6 @@ func (sc *orderScript) fire(tag int) {
 		if sc.cancel() {
 			sc.schedule(0)
 		}
-	case 4: // ahead of an owed dispatch at this instant: the front register's one rival
-		sc.scheduleWith(0, PriorityHigh, sc.next()/2)
-		sc.again()
-	case 5:
-		sc.again()
 	}
 	sc.checkPending()
 }
@@ -282,7 +225,7 @@ func (sc *orderScript) checkPending() {
 func runOrderScript(t testing.TB, k *Kernel, in []byte) {
 	sc := &orderScript{t: t, k: k, in: in, stopAt: -1}
 	for !sc.done() {
-		switch op := sc.next(); op % 12 {
+		switch op := sc.next(); op % 11 {
 		case 0, 1, 2, 3:
 			sc.schedule(sc.next())
 		case 4:
@@ -305,12 +248,9 @@ func runOrderScript(t testing.TB, k *Kernel, in []byte) {
 			if len(sc.pend) > 0 && sc.pend[sc.min()].at <= limit {
 				sc.fail("RunUntil(%v) left tag %d due at %v", limit, sc.pend[sc.min()].tag, sc.pend[sc.min()].at)
 			}
-		case 9: // Stop from a handler, possibly mid-bucket or with dispatches still owed
+		case 9: // Stop from a handler, possibly mid-bucket
 			sc.stopAt, sc.stopped = sc.tags, false
 			sc.schedule(0)
-			for n := sc.next() % 3; n > 0; n-- {
-				sc.again()
-			}
 			err := sc.k.Run()
 			// A handler may have cancelled the stopper: Run then drains.
 			if sc.stopped && !errors.Is(err, ErrHalted) || !sc.stopped && (err != nil || len(sc.pend) > 0) {
@@ -318,8 +258,6 @@ func runOrderScript(t testing.TB, k *Kernel, in []byte) {
 			}
 			sc.stopAt = -1
 		case 10:
-			sc.again()
-		case 11:
 			sc.reserve()
 		}
 		sc.checkPending()
@@ -352,23 +290,23 @@ func orderSeeds() [][]byte {
 		[]byte{0, 8, 10, 0, 3, 1, 0, 8, 5, 1, 0, 1, 8, 5, 0, 0, 0, 8, 9, 0, 200, 6, 6},
 		// cancel and reschedule wheel-resident timers
 		[]byte{0, 0, 9, 1, 1, 1, 0, 0, 10, 2, 2, 2, 4, 0, 5, 0, 0, 10, 0, 1, 1, 6, 0, 0, 11, 0, 1, 1, 4, 0, 6},
-		// stop mid-bucket with ties at the same instant
-		[]byte{0, 0, 9, 0, 40, 1, 0, 0, 13, 0, 0, 2, 0, 0, 13, 0, 0, 0, 9, 1, 13, 0, 0, 6, 6, 9, 2, 9, 0, 10, 0},
-		// Again twice right after a schedule, a tie scheduled after it, Steps
-		[]byte{0, 0, 9, 1, 1, 1, 10, 0, 0, 10, 0, 0, 0, 0, 13, 0, 0, 1, 6, 6, 6, 6},
-		// Again refused: after another schedule, on a spent ID, on an older pending one
-		[]byte{0, 0, 9, 1, 1, 1, 0, 0, 9, 2, 2, 1, 0, 0, 9, 3, 3, 1, 10, 3, 6, 10, 7, 10, 11, 6, 6, 6},
-		// a handler schedules PriorityHigh at delay 0 and Agains it while its own dispatches are owed
-		[]byte{0, 4, 9, 1, 1, 1, 10, 4, 0, 10, 4, 0, 12, 10, 5, 6, 6, 6, 6, 6, 6},
-		// Stop while the stopper still owes two dispatches, then Run on
-		[]byte{0, 0, 13, 0, 0, 1, 9, 2, 0, 0, 0, 0, 0, 0, 6},
-		// Cancel of an Again'd event drops every owed dispatch; the slot is reused
-		[]byte{0, 0, 9, 1, 1, 1, 10, 0, 0, 10, 0, 0, 4, 0, 0, 0, 9, 1, 1, 1, 10, 0, 0, 6, 6},
-		// cancel an Again'd event between its dispatches, from a tie's handler
-		[]byte{0, 0, 13, 0, 0, 1, 10, 0, 2, 0, 2, 13, 0, 0, 1, 6, 6, 6, 6},
-		// reserve at a pending event's instant, an Again refused and two
-		// ties scheduled before the reserved one is filed, then Steps
-		[]byte{0, 0, 9, 1, 1, 1, 11, 13, 0, 0, 1, 0, 5, 0, 0, 13, 0, 0, 1, 0, 13, 0, 0, 1, 6, 6, 6, 6},
+		// stop mid-bucket with ties at the same instant, twice
+		[]byte{0, 0, 9, 0, 40, 1, 0, 0, 13, 0, 0, 2, 0, 0, 13, 0, 0, 0, 9, 13, 0, 1, 1, 6, 6, 9, 9, 0, 10, 0},
+		// ties at one instant at each priority, then Steps
+		[]byte{0, 0, 9, 1, 1, 1, 0, 0, 13, 0, 0, 0, 0, 0, 13, 0, 0, 2, 0, 0, 13, 0, 0, 1, 6, 6, 6, 6},
+		// Cancel of a spent ID refused, a pending one cancelled, its slot reused
+		[]byte{0, 0, 9, 1, 1, 1, 0, 0, 9, 2, 2, 1, 6, 4, 3, 4, 0, 0, 0, 9, 3, 3, 1, 6, 6},
+		// handlers chain PriorityHigh events at delay 0 behind a tie at their instant
+		[]byte{0, 0, 9, 1, 1, 1, 0, 0, 13, 0, 0, 1, 6, 0, 0, 0, 0, 0, 6, 6, 0, 0, 0, 0, 6, 0, 6, 6},
+		// Stop from a handler at delay 0 with a tie behind it, then Run on
+		[]byte{0, 0, 13, 0, 0, 1, 9, 0, 0, 0, 1, 0, 0, 13, 0, 0, 1, 6},
+		// cancel from a tie's handler
+		[]byte{0, 2, 13, 0, 0, 1, 0, 2, 13, 0, 0, 1, 0, 0, 13, 0, 0, 1, 6, 1, 6, 6, 6},
+		// RunUntil into a level-1 bucket, then a reserve there with a tie filed after it
+		[]byte{0, 0, 10, 1, 1, 1, 8, 9, 0, 100, 10, 10, 0, 1, 0, 0, 1, 0, 10, 0, 1, 2, 6, 6, 6, 6},
+		// reserve at a pending event's instant and two ties scheduled before
+		// the reserved one is filed, then Steps
+		[]byte{0, 0, 9, 1, 1, 1, 10, 13, 0, 0, 1, 0, 2, 0, 13, 0, 0, 1, 0, 13, 0, 0, 1, 6, 6, 6, 6},
 	)
 	return seeds
 }

@@ -213,25 +213,22 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
-// TestAgainRefusedAcrossReserve: a Reserve takes the number Again would hand
-// on, so Again refuses the event scheduled before it — an extended event
-// would otherwise owe a dispatch for the reserved number — and
-// ScheduleReserved, which takes no number, does not give the reach back. The
-// reserved event ties at its instant by its Reserve: ahead of an event
-// scheduled between the two calls.
-func TestAgainRefusedAcrossReserve(t *testing.T) {
+// TestReservedTiesAtItsReserve: an event filed by ScheduleReserved ties at
+// its instant by the number its Reserve took, ahead of an event scheduled
+// between the two calls.
+func TestReservedTiesAtItsReserve(t *testing.T) {
 	k := NewKernel()
 	var got []string
 	note := func(s string) func() { return func() { got = append(got, s) } }
-	id := k.Schedule(Millisecond, note("first"))
+	k.Schedule(Millisecond, note("first"))
 	seq := k.Reserve()
-	if k.Again(id) {
-		t.Fatal("Again held across a Reserve")
+	if k.Pending() != 1 || k.Seq() != seq {
+		t.Fatalf("after Reserve: %d pending, Seq %d, want 1 and %d", k.Pending(), k.Seq(), seq)
 	}
 	k.Schedule(Millisecond, note("between"))
 	k.ScheduleReserved(Millisecond, PriorityNormal, seq, note("reserved"))
-	if k.Again(id) || k.Pending() != 3 {
-		t.Fatalf("after ScheduleReserved: Again held, or %d pending, want 3", k.Pending())
+	if k.Pending() != 3 || k.Seq() != seq+1 {
+		t.Fatalf("after ScheduleReserved: %d pending, Seq %d, want 3 and %d", k.Pending(), k.Seq(), seq+1)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
