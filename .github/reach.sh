@@ -8,8 +8,9 @@
 # Run from anywhere in the checkout: bash .github/reach.sh
 # (about 3 minutes on 2 cores). It prints the merged total over production
 # statements, the command set's own total over the same statements (what runs
-# without the tests) and the current zero list; the output holds no timing,
-# so two runs compare equal.
+# without the tests) and, under it, the functions no command reaches, then
+# the current zero list; the output holds no timing, so two runs compare
+# equal. The command-only list is a ledger to read, not a gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ledger=.github/unreached.txt
@@ -24,8 +25,10 @@ if ! go test -count=1 -coverpkg=./... -coverprofile="$work/tests.out" ./... >"$w
 	exit 1
 fi
 
-# The command set: the CI campaigns, the explore smoke, the experiments at
-# -fast and dbsim's smoke run, each a -cover build writing to GOCOVERDIR.
+# The command set, each a -cover build writing to GOCOVERDIR: the CI
+# campaigns (single-group and group mode), the explore smoke, the fixed
+# matrix, a failure-rate sweep and a saved repro's replay, a listed campaign,
+# the experiments at -fast and dbsim's smoke run with its trace.
 mkdir -p "$work/bin" "$work/cov" "$work/corpus"
 for c in faultsim experiments dbsim; do
 	go build -cover -coverpkg=./... -o "$work/bin/$c" "./cmd/$c"
@@ -39,9 +42,14 @@ run() {
 }
 run "$work/bin/faultsim" -config configs/faultsim.json -campaign 300 -seed 2 -corpus "$work/corpus"
 run "$work/bin/faultsim" -config configs/faultsim.json -campaign 100 -rejoin -seed 7 -corpus "$work/corpus"
+run "$work/bin/faultsim" -config cmd/faultsim/testdata/smoke_groups.json -campaign 300 -seed 2 -corpus "$work/corpus"
 run "$work/bin/faultsim" -config configs/smoke.json -short -explore -seed 1 -generations 4 -population 8 -parallel 4 -corpus "$work/corpus"
+run "$work/bin/faultsim" -config configs/smoke.json -short
+run "$work/bin/faultsim" -replay-file configs/lossy_rejoin.json -seeds 20
+run "$work/bin/faultsim" -replay-file cmd/faultsim/testdata/repro-conservative-s3-wedged-6836129103706797786.json
+run "$work/bin/faultsim" -config configs/faultsim.json -campaign 5 -list
 run "$work/bin/experiments" -fast all
-run "$work/bin/dbsim" -config configs/smoke.json
+run "$work/bin/dbsim" -config configs/smoke.json -v -trace "$work/trace.txt"
 
 # One text profile: blocks at one position merge (set mode ORs them).
 go tool covdata textfmt -i="$work/cov" -o "$work/cmds.out"
@@ -49,7 +57,6 @@ go tool covdata textfmt -i="$work/cov" -o "$work/cmds.out"
 	cat "$work/tests.out"
 	tail -n +2 "$work/cmds.out"
 } >"$work/all.out"
-go tool cover -func="$work/all.out" >"$work/func.txt"
 
 # The two totals count the same statements, the production files' blocks:
 # prod.out keeps every count, cmdsprod.out zeroes tier-1's.
@@ -58,40 +65,49 @@ awk -v mod="$mod/" -v all="$work/prod.out" -v cmds="$work/cmdsprod.out" '
 	{ f = substr($1, length(mod) + 1); sub(/:.*/, "", f) }
 	f ~ /^bench\// || f ~ /(^|\/)testdata\// { next }
 	{ print >all; if (NR == FNR) $NF = 0; print >cmds }' "$work/tests.out" "$work/cmds.out"
+
+# zeros prints "file function" for every production function of profile $1
+# with a statement that nothing in the profile ran, sorted. A function counts
+# when a block with statements starts between its line and the next
+# function's in the same file; cover -func prints an empty body as 0.0 % too.
+zeros() {
+	go tool cover -func="$1" >"$work/func.txt"
+	awk -v mod="$mod/" '
+		function prod(f) { return f !~ /^bench\// && f !~ /(^|\/)testdata\// && f !~ /_test\.go$/ }
+		FNR == NR {
+			if (FNR == 1 || $2 == 0) next
+			split($1, a, ":"); split(a[2], p, ".")
+			f = substr(a[1], length(mod) + 1)
+			blocks[f] = blocks[f] " " p[1]
+			next
+		}
+		$1 == "total:" { next }
+		{
+			split($1, a, ":")
+			f = substr(a[1], length(mod) + 1)
+			if (!prod(f)) next
+			n[f]++
+			line[f, n[f]] = a[2]; name[f, n[f]] = $2; zero[f, n[f]] = ($3 == "0.0%")
+		}
+		END {
+			for (f in n) {
+				k = split(blocks[f], b, " ")
+				for (i = 1; i <= n[f]; i++) {
+					if (!zero[f, i]) continue
+					lo = line[f, i] + 0; hi = (i < n[f]) ? line[f, i + 1] + 0 : 1e9
+					for (j = 1; j <= k; j++)
+						if (b[j] + 0 >= lo && b[j] + 0 < hi) { print f, name[f, i]; break }
+				}
+			}
+		}' "$1" "$work/func.txt" | LC_ALL=C sort -u
+}
+zeros "$work/all.out" >"$work/zero.txt"
+zeros "$work/cmdsprod.out" >"$work/cmdzero.txt"
+
 go tool cover -func="$work/prod.out" | grep '^total:' | tr -s '\t' ' '
 go tool cover -func="$work/cmdsprod.out" | grep '^total:' | sed 's/^total:/commands alone:/' | tr -s '\t' ' '
-
-# A function counts when a block with statements starts between its line and
-# the next function's in the same file; cover -func prints an empty body as
-# 0.0 % too. Output: "file function", production files only.
-awk -v mod="$mod/" '
-	function prod(f) { return f !~ /^bench\// && f !~ /(^|\/)testdata\// && f !~ /_test\.go$/ }
-	FNR == NR {
-		if (FNR == 1 || $2 == 0) next
-		split($1, a, ":"); split(a[2], p, ".")
-		f = substr(a[1], length(mod) + 1)
-		blocks[f] = blocks[f] " " p[1]
-		next
-	}
-	$1 == "total:" { next }
-	{
-		split($1, a, ":")
-		f = substr(a[1], length(mod) + 1)
-		if (!prod(f)) next
-		n[f]++
-		line[f, n[f]] = a[2]; name[f, n[f]] = $2; zero[f, n[f]] = ($3 == "0.0%")
-	}
-	END {
-		for (f in n) {
-			k = split(blocks[f], b, " ")
-			for (i = 1; i <= n[f]; i++) {
-				if (!zero[f, i]) continue
-				lo = line[f, i] + 0; hi = (i < n[f]) ? line[f, i + 1] + 0 : 1e9
-				for (j = 1; j <= k; j++)
-					if (b[j] + 0 >= lo && b[j] + 0 < hi) { print f, name[f, i]; break }
-			}
-		}
-	}' "$work/all.out" "$work/func.txt" | LC_ALL=C sort -u >"$work/zero.txt"
+echo "reached by no command ($(wc -l <"$work/cmdzero.txt") functions):"
+sed 's/^/  /' "$work/cmdzero.txt"
 
 awk -v ledger="$ledger" '/^[[:space:]]*(#|$)/ { next }
 	NF < 3 { print "reach: " ledger ": no reason on: " $0 >"/dev/stderr"; bad = 1 }

@@ -49,8 +49,9 @@ type options struct {
 	explore, list, rejoin, overload, short             bool
 }
 
-// parseFlags parses a faultsim command line (without the program name) and
-// resolves -seeds when it was not given: 0 with -replay-file, 2 with -short.
+// parseFlags parses a faultsim command line (without the program name),
+// resolves -seeds when it was not given (0 with -replay-file, 2 with -short),
+// and refuses, printing why, a run count out of range for its mode.
 func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
@@ -81,7 +82,33 @@ func parseFlags(args []string) (*options, error) {
 	case o.short:
 		o.seeds = 2
 	}
+	if err := o.checkCounts(); err != nil {
+		fmt.Fprintln(fs.Output(), "faultsim:", err)
+		return nil, err
+	}
 	return o, nil
+}
+
+// checkCounts refuses a run count out of range for the mode it selects: a
+// -replay-file sweep takes -seeds 0 (one run at the file's seed) or more,
+// -campaign is not negative, the explorer runs at least one generation of one
+// schedule, and the fixed matrix at least one seed per fault type.
+func (o *options) checkCounts() error {
+	switch {
+	case o.replayFile != "":
+		if o.seeds < 0 {
+			return fmt.Errorf("-seeds %d: a sweep needs a positive count (0 runs the file once, at its own seed)", o.seeds)
+		}
+	case o.campaign < 0:
+		return fmt.Errorf("-campaign %d: a campaign needs a positive number of schedules", o.campaign)
+	case o.explore:
+		if o.generations < 1 || o.population < 1 {
+			return fmt.Errorf("-generations %d -population %d: the explorer needs at least one of each", o.generations, o.population)
+		}
+	case o.campaign == 0 && o.seeds < 1:
+		return fmt.Errorf("-seeds %d: the fixed matrix needs at least one seed per fault type", o.seeds)
+	}
+	return nil
 }
 
 // params are the campaign generator's inputs: with a seed they determine a
@@ -105,7 +132,7 @@ func run(args []string) int {
 	if errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
-		return 2 // the flag package already printed the error and usage
+		return 2 // parseFlags (or the flag package) already printed the error
 	}
 	var protocols []core.Protocol
 	switch o.protocol {

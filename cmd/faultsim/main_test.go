@@ -246,6 +246,25 @@ func TestGroupModeUsageErrors(t *testing.T) {
 	}
 }
 
+// TestRunCountUsageErrors: a run count out of range for its mode exits 2
+// before anything runs.
+func TestRunCountUsageErrors(t *testing.T) {
+	const smoke = "-config ../../configs/smoke.json -short"
+	for _, cmdline := range []string{
+		smoke + " -seeds 0",                              // the matrix, no seed
+		smoke + " -seeds -1",                             // the matrix, a negative seed count
+		smoke + " -campaign -3",                          // a negative campaign, not the fixed matrix
+		smoke + " -explore -generations 0 -population 0", // an explorer with nothing to run
+		smoke + " -explore -population 0",
+		smoke + " -explore -generations -1",
+		"-replay-file ../../configs/smoke.json -seeds -4", // a negative sweep, not one run
+	} {
+		if got := run(strings.Fields(cmdline)); got != 2 {
+			t.Errorf("faultsim %s = %d, want 2", cmdline, got)
+		}
+	}
+}
+
 // TestParseFlags pins how -seeds resolves: its default of 3, 2 under -short,
 // 0 (one run at the file's seed) under -replay-file, and an explicit -seeds
 // over both.
@@ -262,6 +281,7 @@ func TestParseFlags(t *testing.T) {
 		{"-replay-file r.json", 0, false},
 		{"-replay-file r.json -short", 0, true},
 		{"-replay-file r.json -seeds 20", 20, false},
+		{"-replay-file r.json -seeds 0", 0, false},
 		{"-replay-file r.json -short -seeds 5", 5, true},
 	} {
 		o, err := parseFlags(strings.Fields(c.args))

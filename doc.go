@@ -116,7 +116,7 @@
 // The simulation critical path is engineered to allocate nothing in steady
 // state: certification runs against an inverted last-writer index
 // (O(|ReadSet|) per transaction, differential-tested against the paper's
-// history scan, kept as dbsm.NewScanCertifier for exactly that purpose), the
+// history scan, which dbsm's tests keep as their reference), the
 // kernel sorts only what is due soon — a pointer-free 4-ary heap over pooled
 // event slots holds what is due before a ~1 ms horizon, a two-level calendar
 // of ~1 ms buckets and ~4 s slots the rest, spilled into the heap bucket by

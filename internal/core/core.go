@@ -260,7 +260,8 @@ type Model struct {
 	rejoinViolation  error
 }
 
-// validate rejects configurations the model does not support.
+// validate rejects configurations the model does not support, a negative
+// count among them (a zero one has taken its default in fill).
 func (c *Config) validate() error {
 	groups := max(c.Groups, 1)
 	if total := c.Sites * groups; c.Sites < 1 || total > 32 {
@@ -268,6 +269,30 @@ func (c *Config) validate() error {
 	}
 	if c.Protocol != ProtocolConservative && c.Protocol != ProtocolOptimistic {
 		return fmt.Errorf("core: unknown protocol %q", c.Protocol)
+	}
+	admissionCap := 0
+	if c.Admission != nil {
+		admissionCap = c.Admission.MaxActivePerSite
+	}
+	type count struct {
+		name string
+		n    int64
+	}
+	for _, f := range []count{
+		{"groups", int64(c.Groups)},
+		{"clients", int64(c.Clients)},
+		{"txns", int64(c.TotalTxns)},
+		{"cpusPerSite", int64(c.CPUsPerSite)},
+		{"aggregateClients", int64(c.AggregateClients)},
+		{"gcsBufferBytes", int64(c.GCSBufferBytes)},
+		{"readSetThreshold", int64(c.ReadSetThreshold)},
+		{"replicationDegree", int64(c.ReplicationDegree)},
+		{"maxSimTimeNs", int64(c.MaxSimTime)},
+		{"admission.MaxActivePerSite", int64(admissionCap)},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("core: negative %s %d (0 takes the default)", f.name, f.n)
+		}
 	}
 	if groups > 1 {
 		// The cross-group commit path composes with the plain per-group

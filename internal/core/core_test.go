@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -255,5 +256,22 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Sites: 2, Faults: faults.Config{Crashes: []faults.Crash{{Site: 9, At: sim.Second}}}}); err == nil {
 		t.Fatal("crash on unknown site accepted")
+	}
+	for name, cfg := range map[string]Config{
+		"groups":                     {Sites: 3, Groups: -3},
+		"clients":                    {Sites: 3, Clients: -30},
+		"txns":                       {Sites: 3, TotalTxns: -200},
+		"cpusPerSite":                {Sites: 3, CPUsPerSite: -2},
+		"aggregateClients":           {Sites: 3, AggregateClients: -1},
+		"gcsBufferBytes":             {Sites: 3, GCSBufferBytes: -1},
+		"readSetThreshold":           {Sites: 3, ReadSetThreshold: -1},
+		"replicationDegree":          {Sites: 3, ReplicationDegree: -1},
+		"maxSimTimeNs":               {Sites: 3, MaxSimTime: -sim.Second},
+		"admission.MaxActivePerSite": {Sites: 3, Admission: &AdmissionConfig{MaxActivePerSite: -64}},
+	} {
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), "negative "+name) {
+			t.Errorf("negative %s: err = %v", name, err)
+		}
 	}
 }

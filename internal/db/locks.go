@@ -186,12 +186,3 @@ func (lm *LockManager) processDirty() {
 
 // HeldLocks reports how many locks are currently held (for tests).
 func (lm *LockManager) HeldLocks() int { return lm.holders.Len() }
-
-// WaiterCount reports how many waiters are queued (for tests).
-func (lm *LockManager) WaiterCount() int {
-	n := 0
-	for _, ws := range lm.waiters {
-		n += len(ws)
-	}
-	return n
-}

@@ -32,12 +32,6 @@ func (c *ClassStats) Aborted() int64 {
 	return c.AbortLock + c.AbortCert + c.AbortUser + c.AbortCrash
 }
 
-// AbortRate reports aborted/completed as a percentage.
-func (c *ClassStats) AbortRate() float64 {
-	done := c.Committed + c.Aborted()
-	return metrics.Rate(c.Aborted(), done)
-}
-
 // Server is one database site (Section 3.1): CPUs, storage, locks, and the
 // transaction execution pipeline. Replication (termination protocol) is
 // plugged in via SetTerminator; without it the server runs as a classic
@@ -251,12 +245,6 @@ func (s *Server) Totals() (submitted, committed, aborted, rejected int64) {
 // submission is rejected, as a full admission cap would reject it. Drivers
 // that time or test the refusal path set it; no layer of the model does.
 func (s *Server) SetBackpressure(on bool) { s.backpressured = on }
-
-// Backpressured reports the admission gate state (tests, introspection).
-func (s *Server) Backpressured() bool { return s.backpressured }
-
-// ActiveCount reports in-flight transactions (tests, introspection).
-func (s *Server) ActiveCount() int { return len(s.active) }
 
 // Submit starts a transaction: take the snapshot, acquire all write locks
 // atomically, then execute. s holds t from here on (see Txn).

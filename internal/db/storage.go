@@ -214,9 +214,6 @@ func (s *Storage) SetSlowdown(factor float64) {
 	s.lat = lat
 }
 
-// MaxQueueLen reports the high-water queue length.
-func (s *Storage) MaxQueueLen() int { return s.maxQueue }
-
 // Sectors reports total sector operations served.
 func (s *Storage) Sectors() int64 { return s.sectors }
 

@@ -31,8 +31,8 @@ func TestMarshalToAllocFree(t *testing.T) {
 
 // TestUnmarshalAllocBudget pins the decode path: into a reused record
 // (TxnCert.UnmarshalFrom) whose arrays have held sets as large, nothing at
-// all, whichever message comes next; through the fresh-record wrapper, the
-// record and its two sets.
+// all, whichever message comes next; PeekTID, nothing; through the
+// fresh-record wrapper, the record and its two sets.
 func TestUnmarshalAllocBudget(t *testing.T) {
 	big := (&TxnCert{
 		TID: 7, ReadSet: NewItemSet(1, 2, 3), WriteSet: NewItemSet(9, 10),
@@ -51,6 +51,13 @@ func TestUnmarshalAllocBudget(t *testing.T) {
 	}
 	if rec.TID != 7 || len(rec.ReadSet) != 3 || len(rec.WriteSet) != 2 {
 		t.Fatalf("last decode left %+v", rec)
+	}
+	if n := mallocs(100, func() {
+		if tid, err := PeekTID(big); err != nil || tid != 7 {
+			t.Fatalf("PeekTID = %d, %v", tid, err)
+		}
+	}); n != 0 {
+		t.Fatalf("PeekTID: %d allocs, want 0", n)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := Unmarshal(big); err != nil {
@@ -171,36 +178,6 @@ func TestStaleSnapshotAllocFree(t *testing.T) {
 	}
 	if got := c.StaleAnswers() - before; got != runs+1 {
 		t.Fatalf("%d of %d certifications answered from the history", got, runs+1)
-	}
-}
-
-// TestScanCertifierAllocFree pins the reference procedure,
-// Certifier.certifyScan, at its history bound, warmed through two arena
-// blocks, and PeekTID.
-func TestScanCertifierAllocFree(t *testing.T) {
-	const warm, runs = arenaBlock, 8 * histBlock
-	stream := steadyStream(warm + runs + 1)
-	c := NewScanCertifier()
-	c.MaxHistory = 300
-	i := 0
-	next := func() *TxnCert { i++; return stream[i-1] }
-	for i < warm {
-		c.Certify(next())
-	}
-	if n := mallocs(runs, func() {
-		if !c.Certify(next()).Commit {
-			t.Fatal("steady stream aborted")
-		}
-	}); n != 0 {
-		t.Fatalf("scan Certify at the history bound: %d allocs in %d commits, want 0", n, runs)
-	}
-	wire := stream[0].Marshal()
-	if n := mallocs(100, func() {
-		if tid, err := PeekTID(wire); err != nil || tid != 1 {
-			t.Fatalf("PeekTID = %d, %v", tid, err)
-		}
-	}); n != 0 {
-		t.Fatalf("PeekTID: %d allocs, want 0", n)
 	}
 }
 

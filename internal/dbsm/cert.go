@@ -181,22 +181,20 @@ type Outcome struct {
 // order and the procedure are identical everywhere, every replica reaches
 // the same verdict for every transaction.
 //
-// Two interchangeable implementations produce the identical outcome stream.
-// The default (NewCertifier) maintains an inverted last-writer index — per
-// tuple, the highest sequence number that committed a write to it, with
-// table-level entries carrying the table-lock semantics — so certifying a
-// transaction costs O(|ReadSet|) lookups. The index covers only the last one
-// or two windows of indexWindow commits, which is all a live snapshot reaches
-// back; a snapshot older than that (and not already refused by MaxHistory
-// pruning) is answered from the retained history, with the same verdict and
-// the same Charge. The reference implementation (NewScanCertifier) scans the
-// retained history as the paper formulates the procedure; it is kept behind
-// this switch for differential testing and as a fallback.
+// The paper formulates the procedure as a scan of the retained history. The
+// certifier instead maintains an inverted last-writer index — per tuple, the
+// highest sequence number that committed a write to it, with table-level
+// entries carrying the table-lock semantics — so certifying a transaction
+// costs O(|ReadSet|) lookups. The index covers only the last one or two
+// windows of indexWindow commits, which is all a live snapshot reaches back; a
+// snapshot older than that (and not already refused by MaxHistory pruning) is
+// answered from the retained history, with the same verdict and the same
+// Charge. The package's differential tests hold the outcome stream to the
+// paper's scan, which they keep as their reference.
 type Certifier struct {
 	// Charge, if set, is invoked with the number of set items the
-	// certification actually touched (index lookups and insertions, or
-	// identifier comparisons in scan mode), letting the caller account
-	// CPU cost for this real code.
+	// certification actually touched (index lookups and insertions),
+	// letting the caller account CPU cost for this real code.
 	Charge func(items int)
 	// MaxHistory bounds retained committed write-sets (0 = unlimited).
 	// Pruning is a pure function of the certified stream, so every
@@ -210,7 +208,6 @@ type Certifier struct {
 	// from the certified stream, so every replica vetoes identically.
 	Veto func(*TxnCert) bool
 
-	scan bool
 	// logUndo makes a commit push its index restore records on undo.
 	// SpecCertifier.Tentative sets it around its own certification: only a
 	// tentative commit is ever rolled back, so a conservative certifier —
@@ -227,7 +224,7 @@ type Certifier struct {
 	seq    uint64
 	pruned uint64 // highest seq dropped by pruning
 
-	// Inverted last-writer index (unused in scan mode), in two generations.
+	// Inverted last-writer index, in two generations.
 	// lastWriter maps a tuple to the highest sequence number at or after
 	// genStart that committed a write to it, older does the same for
 	// [horizon, genStart), and a tuple last written before horizon has no
@@ -440,8 +437,8 @@ const (
 	undoTAny               // tableAny[key.Table()]
 )
 
-// NewCertifier returns an empty certifier using the inverted last-writer
-// index, on the storage of a released certifier when one is waiting.
+// NewCertifier returns an empty certifier, on the storage of a released
+// certifier when one is waiting.
 func NewCertifier() *Certifier {
 	st, _ := certStores.Get()
 	return &Certifier{
@@ -463,16 +460,14 @@ func (c *Certifier) Release() {
 		return
 	}
 	c.released = true
-	if !c.scan {
-		c.lastWriter.Clear()
-		c.older.Clear()
-		c.hist.reset()
-		certStores.Put(certStore{
-			lastWriter: c.lastWriter, older: c.older,
-			tableLock: c.tableLock[:0], tableAny: c.tableAny[:0],
-			blocks: c.hist.blocks, items: c.hist.items.blocks, undo: c.undo[:0],
-		})
-	}
+	c.lastWriter.Clear()
+	c.older.Clear()
+	c.hist.reset()
+	certStores.Put(certStore{
+		lastWriter: c.lastWriter, older: c.older,
+		tableLock: c.tableLock[:0], tableAny: c.tableAny[:0],
+		blocks: c.hist.blocks, items: c.hist.items.blocks, undo: c.undo[:0],
+	})
 	c.lastWriter, c.older = TupleMap[uint64]{}, TupleMap[uint64]{}
 	c.tableLock, c.tableAny = nil, nil
 	c.hist, c.undo = history{}, nil
@@ -485,18 +480,9 @@ func (c *Certifier) checkLive() {
 	}
 }
 
-// NewScanCertifier returns an empty certifier using the reference
-// history-scan procedure (O(concurrent-history × read-set) per transaction).
-func NewScanCertifier() *Certifier {
-	return &Certifier{scan: true}
-}
-
 // Seq reports the current commit sequence number (count of committed
 // transactions so far).
 func (c *Certifier) Seq() uint64 { return c.seq }
-
-// HistoryLen reports retained committed write-sets (for GC tests).
-func (c *Certifier) HistoryLen() int { return c.hist.n }
 
 // IndexCells reports the last-writer index's tuple cells, both generations,
 // and the horizon: the oldest commit the index is sure to know about.
@@ -524,9 +510,6 @@ func (c *Certifier) Certify(t *TxnCert) Outcome {
 		// deterministically, since pruning follows the certified
 		// stream identically at every replica.
 		return Outcome{Commit: false}
-	}
-	if c.scan {
-		return c.certifyScan(t)
 	}
 	if pos := c.firstConflict(t); pos > 0 {
 		if c.Charge != nil {
@@ -636,27 +619,6 @@ func tableSlot(cells *[]uint64, t uint16) *uint64 {
 	return &(*cells)[t]
 }
 
-// certifyScan is the reference procedure: scan every retained write-set that
-// committed after the transaction's snapshot.
-func (c *Certifier) certifyScan(t *TxnCert) Outcome {
-	comparisons := 0
-	for i := c.hist.firstAfter(t.LastCommitted); i < c.hist.n; i++ {
-		e := c.hist.at(i)
-		comparisons += len(e.writeSet) + len(t.ReadSet)
-		if e.writeSet.Intersects(t.ReadSet) {
-			if c.Charge != nil {
-				c.Charge(comparisons)
-			}
-			return Outcome{Commit: false}
-		}
-	}
-	if c.Charge != nil {
-		c.Charge(comparisons)
-	}
-	c.commit(t)
-	return Outcome{Commit: true, Seq: c.seq}
-}
-
 // commit advances the sequence, copies the write-set into the history's own
 // storage (the message's set lives in storage its owner reuses, so it is
 // read here and never kept), and applies the in-certify MaxHistory pruning.
@@ -665,9 +627,7 @@ func (c *Certifier) commit(t *TxnCert) {
 	if len(t.WriteSet) == 0 {
 		return
 	}
-	if !c.scan {
-		c.indexWrites(t.WriteSet, c.logUndo)
-	}
+	c.indexWrites(t.WriteSet, c.logUndo)
 	c.hist.push(c.seq, t.WriteSet)
 	if c.MaxHistory > 0 && c.hist.n > c.MaxHistory {
 		c.dropOldest(c.hist.n - c.MaxHistory)

@@ -30,14 +30,14 @@ func forWindows(t *testing.T, f func(t *testing.T, window uint64)) {
 	}
 }
 
-// indexRule is what the index rule says of t, worked out from a scan
-// certifier's history before t is certified there: whether the pruning rule
+// indexRule is what the index rule says of t, worked out from the scan
+// reference's history before t is certified there: whether the pruning rule
 // refuses it, and the 1-based position of the first read that a write
 // committed after the snapshot conflicts with (0 for none). Certify charges
 // nothing for a refusal, that position for a conflict and |RS|+|WS| for a
 // commit; CheckOnly charges |RS| for a pass.
-func indexRule(ref *Certifier, t *TxnCert) (refused bool, pos int) {
-	if t.LastCommitted < ref.pruned && len(t.ReadSet) > 0 {
+func indexRule(ref *scanCertifier, t *TxnCert) (refused bool, pos int) {
+	if ref.refused(t) {
 		return true, 0
 	}
 	from := ref.hist.firstAfter(t.LastCommitted)
@@ -187,8 +187,7 @@ func certifierDifferential(t *testing.T, maxHistory, txns int, window uint64) {
 		return c
 	}
 	idx := newIdx()
-	scan := NewScanCertifier()
-	scan.MaxHistory = maxHistory
+	scan := &scanCertifier{MaxHistory: maxHistory}
 	stream := randCertStream(rng, txns, scan.Seq)
 	stream.edges = indexEdges(func() *Certifier { return idx })
 	commits, aborts := 0, 0
@@ -239,8 +238,8 @@ func certifierDifferential(t *testing.T, maxHistory, txns int, window uint64) {
 		if idx.Seq() != scan.Seq() {
 			t.Fatalf("txn %d: seq diverged: indexed=%d scan=%d", i, idx.Seq(), scan.Seq())
 		}
-		if idx.HistoryLen() != scan.HistoryLen() {
-			t.Fatalf("txn %d: history diverged: indexed=%d scan=%d", i, idx.HistoryLen(), scan.HistoryLen())
+		if idx.HistoryLen() != scan.hist.n {
+			t.Fatalf("txn %d: history diverged: indexed=%d scan=%d", i, idx.HistoryLen(), scan.hist.n)
 		}
 	}
 	if commits == 0 || aborts == 0 || stream.edgeSnaps < txns/20 {
@@ -269,8 +268,7 @@ func specCertifierIndexedDifferential(t *testing.T, window uint64) {
 		base := newWindowed(window)
 		base.MaxHistory = maxHistory
 		spec := NewSpecCertifier(base)
-		scan := NewScanCertifier()
-		scan.MaxHistory = maxHistory
+		scan := &scanCertifier{MaxHistory: maxHistory}
 
 		stream := randCertStream(rng, 10000, scan.Seq)
 		const batchLen = 6
@@ -325,8 +323,7 @@ func specSlidingWindowDifferential(t *testing.T, window uint64) {
 			return base, NewSpecCertifier(base)
 		}
 		base, spec := newSpec()
-		scan := NewScanCertifier()
-		scan.MaxHistory = maxHistory
+		scan := &scanCertifier{MaxHistory: maxHistory}
 		stream := randCertStream(rng, 10000, scan.Seq)
 		stream.edges = indexEdges(func() *Certifier { return base })
 
@@ -393,9 +390,9 @@ func specSlidingWindowDifferential(t *testing.T, window uint64) {
 		if window <= 7 && flips == 0 {
 			t.Fatalf("maxHistory=%d: no rollback crossed a generation change", maxHistory)
 		}
-		if base.HistoryLen() != scan.HistoryLen() || base.pruned != scan.pruned {
+		if base.HistoryLen() != scan.hist.n || base.pruned != scan.pruned {
 			t.Fatalf("maxHistory=%d: history %d pruned %d, scan reference %d / %d",
-				maxHistory, base.HistoryLen(), base.pruned, scan.HistoryLen(), scan.pruned)
+				maxHistory, base.HistoryLen(), base.pruned, scan.hist.n, scan.pruned)
 		}
 	}
 }
@@ -595,7 +592,7 @@ func TestRollbackPastRotation(t *testing.T) {
 	const window = 4
 	base := newWindowed(window)
 	spec := NewSpecCertifier(base)
-	ref := NewScanCertifier()
+	ref := &scanCertifier{}
 	final := func(tc *TxnCert) (Outcome, []*TxnCert) {
 		t.Helper()
 		out, rolled := spec.Final(tc)

@@ -94,8 +94,8 @@ func sameCert(a, b *TxnCert) bool {
 // record's storage — ten further decodes into the same record overwrite them
 // in place (with a poison pattern first, in race builds) — so the certifier's
 // history must hold a copy of a committed write-set: after A is decoded and
-// certified and B decoded into the same record, ExportState still shows A's
-// write-set, for the indexed and the scan certifier alike.
+// certified and B decoded into the same record, the history still holds A's
+// write-set, in the certifier and in the scan reference alike.
 func TestHistoryKeepsItsOwnCopy(t *testing.T) {
 	msg := func(i uint64) *TxnCert {
 		return &TxnCert{
@@ -104,17 +104,21 @@ func TestHistoryKeepsItsOwnCopy(t *testing.T) {
 			WriteSet: NewItemSet(MakeTupleID(1, i), MakeTupleID(3, i+2)),
 		}
 	}
-	for _, scan := range []bool{false, true} {
-		c := NewCertifier()
-		if scan {
-			c = NewScanCertifier()
-		}
+	indexed, ref := NewCertifier(), &scanCertifier{}
+	for _, c := range []struct {
+		name    string
+		certify func(*TxnCert) Outcome
+		hist    *history
+	}{
+		{"indexed", indexed.Certify, &indexed.hist},
+		{"scan", ref.Certify, &ref.hist},
+	} {
 		var rec TxnCert
 		if err := rec.UnmarshalFrom(msg(1).Marshal()); err != nil {
 			t.Fatal(err)
 		}
-		if out := c.Certify(&rec); !out.Commit {
-			t.Fatalf("scan=%v: A aborted", scan)
+		if out := c.certify(&rec); !out.Commit {
+			t.Fatalf("%s: A aborted", c.name)
 		}
 		reads, writes := rec.ReadSet, rec.WriteSet
 		for i := uint64(2); i <= 11; i++ {
@@ -128,9 +132,9 @@ func TestHistoryKeepsItsOwnCopy(t *testing.T) {
 		if &reads[0] != &rec.ReadSet[0] || &writes[0] != &rec.WriteSet[0] {
 			t.Fatal("the record's set storage was not reused")
 		}
-		st := c.ExportState()
-		if len(st.History) != 1 || !slices.Equal(st.History[0].WriteSet, msg(1).WriteSet) {
-			t.Fatalf("scan=%v: history after ten more decodes holds %+v, want A's write-set %v", scan, st.History, msg(1).WriteSet)
+		if c.hist.n != 1 || !slices.Equal(c.hist.at(0).writeSet, msg(1).WriteSet) {
+			t.Fatalf("%s: history after ten more decodes holds %d entries, the oldest %v; want A's write-set %v",
+				c.name, c.hist.n, c.hist.at(0).writeSet, msg(1).WriteSet)
 		}
 	}
 }

@@ -71,9 +71,7 @@ func (c *Certifier) ImportState(st *CertState) {
 	for i := range st.History {
 		rec := &st.History[i]
 		c.seq = rec.Seq
-		if !c.scan {
-			c.indexWrites(rec.WriteSet, false)
-		}
+		c.indexWrites(rec.WriteSet, false)
 		c.hist.push(rec.Seq, rec.WriteSet)
 	}
 	c.seq = st.Seq

@@ -72,8 +72,8 @@ func TestExportImportVerdictEquivalence(t *testing.T) {
 	}
 }
 
-// TestExportImportScanAgreesWithIndexed imports the same snapshot into an
-// indexed and a scan certifier; the suffix verdicts must agree.
+// TestExportImportScanAgreesWithIndexed imports the same snapshot into a
+// certifier and the scan reference; the suffix verdicts must agree.
 func TestExportImportScanAgreesWithIndexed(t *testing.T) {
 	stream := streamGen(7, 300)
 	cut := 180
@@ -86,7 +86,7 @@ func TestExportImportScanAgreesWithIndexed(t *testing.T) {
 
 	idx := NewCertifier()
 	idx.ImportState(snap)
-	scan := NewScanCertifier()
+	scan := &scanCertifier{}
 	scan.ImportState(snap)
 	for i := cut; i < len(stream); i++ {
 		a, b := idx.Certify(stream[i]), scan.Certify(stream[i])

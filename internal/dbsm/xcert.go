@@ -18,9 +18,6 @@ func (c *Certifier) CheckOnly(t *TxnCert) bool {
 	if t.LastCommitted < c.pruned && len(t.ReadSet) > 0 {
 		return false
 	}
-	if c.scan {
-		return c.checkOnlyScan(t)
-	}
 	pos := c.firstConflict(t)
 	if c.Charge != nil {
 		if pos > 0 {
@@ -30,24 +27,6 @@ func (c *Certifier) CheckOnly(t *TxnCert) bool {
 		}
 	}
 	return pos == 0
-}
-
-// checkOnlyScan is the reference-procedure variant of CheckOnly.
-func (c *Certifier) checkOnlyScan(t *TxnCert) bool {
-	comparisons := 0
-	ok := true
-	for i := c.hist.firstAfter(t.LastCommitted); i < c.hist.n; i++ {
-		e := c.hist.at(i)
-		comparisons += len(e.writeSet) + len(t.ReadSet)
-		if e.writeSet.Intersects(t.ReadSet) {
-			ok = false
-			break
-		}
-	}
-	if c.Charge != nil {
-		c.Charge(comparisons)
-	}
-	return ok
 }
 
 // ForceCommit installs t unconditionally: the decide of the cross-group

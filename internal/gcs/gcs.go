@@ -344,13 +344,6 @@ func (s *Stack) OnRelay(fn func(src NodeID, payload []byte)) { s.onRelay = fn }
 // below joinSeq by state transfer. Must be set before Start.
 func (s *Stack) OnJoined(fn func(joinSeq uint64)) { s.onJoined = fn }
 
-// Joined reports whether a joining stack has been admitted and synced (a
-// stack that never joined reports true).
-func (s *Stack) Joined() bool { return !s.joining && s.joinSynced }
-
-// JoinSeq reports the catch-up sequence learned at join time.
-func (s *Stack) JoinSeq() uint64 { return s.joinSeq }
-
 // View reports the current view.
 func (s *Stack) View() View { return s.view }
 
@@ -397,38 +390,6 @@ func (s *Stack) halt() {
 // Stopped reports whether the stack has halted — by Stop, by exclusion from
 // the view, or by wedging on quorum loss under the primary-component rule.
 func (s *Stack) Stopped() bool { return s.stopped }
-
-// BufferedMessages reports chunks held in receive and send buffers plus
-// queued unsent chunks (leak diagnostics: must drop to zero at halt).
-func (s *Stack) BufferedMessages() int {
-	n := s.rm.sendBuf.len() + len(s.rm.outQ) - s.rm.outHead
-	for _, ps := range s.rm.peers {
-		n += ps.recvBuf.len()
-	}
-	for _, m := range s.to.msgs {
-		if m.held {
-			n++
-		}
-	}
-	return n
-}
-
-// BufferedBytes reports the payload bytes those buffers pin.
-func (s *Stack) BufferedBytes() int {
-	n := s.rm.sendBufBytes
-	for _, c := range s.rm.outQ[s.rm.outHead:] {
-		n += len(c.wire)
-	}
-	for _, ps := range s.rm.peers {
-		for _, m := range ps.recvBuf.all() {
-			n += len(m.Data)
-		}
-	}
-	for _, m := range s.to.msgs {
-		n += len(m.data)
-	}
-	return n
-}
 
 // Multicast submits an application payload for atomic (totally ordered)
 // multicast to the group, including self-delivery. It never blocks the

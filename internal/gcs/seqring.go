@@ -37,9 +37,6 @@ type seqSlot[V any] struct {
 	ok bool
 }
 
-// len reports the live keys.
-func (r *seqRing[V]) len() int { return r.n }
-
 // get returns the value of k and whether k is live.
 func (r *seqRing[V]) get(k uint64) (V, bool) {
 	if r.n == 0 || k < r.lo || k > r.hi {

@@ -20,12 +20,6 @@ func (n *Network) Partition(isolated []NodeID) {
 // Heal removes the current partition; all hosts can communicate again.
 func (n *Network) Heal() { n.isolated = nil }
 
-// PartitionActive reports whether a cut is currently in place.
-func (n *Network) PartitionActive() bool { return len(n.isolated) > 0 }
-
-// PartitionDrops counts packets discarded at the cut.
-func (n *Network) PartitionDrops() int64 { return n.partitionDrops }
-
 // reachable reports whether traffic from a to b crosses the current cut.
 func (n *Network) reachable(a, b NodeID) bool {
 	if len(n.isolated) == 0 {

@@ -179,12 +179,8 @@ func (h *Host) SetExtraDelay(d sim.Time) {
 	h.extraDelay = d
 }
 
-// Sent and Received expose per-host traffic meters; Dropped counts packets
-// discarded by the loss model.
+// Sent exposes the bytes this host put on the wire.
 func (h *Host) Sent() *metrics.ByteMeter { return &h.sent }
-
-// Received exposes the bytes successfully delivered to this host.
-func (h *Host) Received() *metrics.ByteMeter { return &h.received }
 
 // Dropped reports packets discarded by loss injection at this host.
 func (h *Host) Dropped() int64 { return h.dropped }

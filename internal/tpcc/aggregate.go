@@ -128,9 +128,6 @@ func (a *Aggregate) Start(k *sim.Kernel, rng *sim.RNG) {
 // (retries of a rejected transaction do not count again).
 func (a *Aggregate) Issued() int64 { return a.issued }
 
-// IssuedOfClass reports submissions of one top-level mix class.
-func (a *Aggregate) IssuedOfClass(c ArrivalClass) int64 { return a.issuedByClass[c] }
-
 // SetLoadFactor scales the offered load: the arrival rate multiplies by f
 // (f <= 1 restores nominal load), mirroring Client.SetLoadFactor's think
 // compression.
