@@ -96,7 +96,7 @@ func floodAndRTT(size int, realSystem bool, seed int64) (outMbit, inMbit, rttUS 
 					sent++
 				}
 			}
-			rt1.Schedule(0, pump)
+			rt1.StartJob(0, pump)
 		}
 		var received int64
 		rt2.SetReceiver(func(_ runtimeapi.NodeID, data []byte) {
@@ -104,7 +104,7 @@ func floodAndRTT(size int, realSystem bool, seed int64) (outMbit, inMbit, rttUS 
 				received += int64(len(data))
 			}
 		})
-		rt1.Schedule(0, pump)
+		rt1.StartJob(0, pump)
 		k.ScheduleAt(window, func() { stop = true })
 		_ = k.RunUntil(window + 50*sim.Millisecond)
 		elapsed := window.Seconds()
@@ -135,7 +135,7 @@ func floodAndRTT(size int, realSystem bool, seed int64) (outMbit, inMbit, rttUS 
 				ping()
 			}
 		})
-		rt1.Schedule(0, ping)
+		rt1.StartJob(0, ping)
 		_ = k.RunUntil(30 * sim.Second)
 		if count > 0 {
 			rttUS = (total.Seconds() / float64(count)) * 1e6

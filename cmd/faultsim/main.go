@@ -160,6 +160,14 @@ func run(args []string) int {
 		return 2
 	}
 	base := file.Config
+	// Each run sets its protocol from -protocol; the rest of core's check
+	// does not depend on it.
+	check := base
+	check.Protocol = protocols[0]
+	if err := check.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "faultsim: %s: %v\n", o.config, err)
+		return 2
+	}
 
 	if base.Groups > 1 && o.campaign == 0 && !o.list && !o.explore {
 		// The fixed matrix encodes single-group assumptions (rejoin rows,
@@ -463,6 +471,10 @@ func runReplayFile(path string, seeds int, base int64, parallel int) int {
 	r, err := explore.LoadRepro(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
+		return 2
+	}
+	if err := r.Config.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "faultsim: %s: %v\n", path, err)
 		return 2
 	}
 	c := &r.Config

@@ -231,14 +231,21 @@ func TestCampaignFailureSavesRepro(t *testing.T) {
 }
 
 // TestGroupModeUsageErrors pins the two flag combinations group mode cannot
-// honour: both exit 2 before a run starts, neither drops a flag silently.
+// honour, and a negative group count that core refuses: each exits 2 before
+// a run starts, none drops a flag silently.
 func TestGroupModeUsageErrors(t *testing.T) {
 	const groups = "-config testdata/smoke_groups.json -short"
+	negative := filepath.Join(t.TempDir(), "negative_groups.json")
+	if err := os.WriteFile(negative, []byte(`{"version": 3, "config": {"sites": 3, "groups": -3, "clients": 60, "txns": 300}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, cmdline := range []string{
-		groups,                                // the fixed matrix is single-group
-		groups + " -campaign 2 -rejoin",       // no recovery inside groups
-		groups + " -explore -rejoin",          // nor in the explorer's gene set
-		groups + " -campaign 2 -rejoin -list", // nor in a listed schedule
+		groups,                                   // the fixed matrix is single-group
+		groups + " -campaign 2 -rejoin",          // no recovery inside groups
+		groups + " -explore -rejoin",             // nor in the explorer's gene set
+		groups + " -campaign 2 -rejoin -list",    // nor in a listed schedule
+		"-config " + negative + " -campaign 2",   // a config core refuses, before any run
+		"-replay-file " + negative + " -seeds 3", // the same file as a run file
 	} {
 		if got := run(strings.Fields(cmdline)); got != 2 {
 			t.Errorf("faultsim %s = %d, want 2", cmdline, got)

@@ -260,6 +260,13 @@ type Model struct {
 	rejoinViolation  error
 }
 
+// Validate reports the error New would return for this configuration,
+// without building anything: the defaults fill in, then validate judges.
+func (c Config) Validate() error {
+	c.fill()
+	return c.validate()
+}
+
 // validate rejects configurations the model does not support, a negative
 // count among them (a zero one has taken its default in fill).
 func (c *Config) validate() error {

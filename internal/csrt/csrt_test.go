@@ -177,7 +177,7 @@ func TestRuntimeScheduleFromRealCodeOffsetsByElapsed(t *testing.T) {
 	var fired sim.Time
 	rt.CPUs().SubmitReal(func() {
 		rt.Charge(10 * sim.Millisecond) // ∆1
-		rt.Schedule(2*sim.Millisecond, func() { fired = k.Now() })
+		rt.NewTimer(func() { fired = k.Now() }).Arm(2 * sim.Millisecond)
 		rt.Charge(5 * sim.Millisecond) // ∆2, after scheduling
 	}, nil)
 	if err := k.Run(); err != nil {
@@ -198,7 +198,7 @@ func TestRuntimeScheduleFiresAtOffsetWhenCPUIdle(t *testing.T) {
 	var fired sim.Time
 	rt.CPUs().SubmitReal(func() {
 		rt.Charge(10 * sim.Millisecond) // ∆1
-		rt.Schedule(4*sim.Millisecond, func() { fired = k.Now() })
+		rt.NewTimer(func() { fired = k.Now() }).Arm(4 * sim.Millisecond)
 	}, nil)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestRuntimeScheduleDelayShorterThanElapsedNotInPast(t *testing.T) {
 	rt.CPUs().SubmitReal(func() {
 		rt.Charge(10 * sim.Millisecond)
 		// δq < ∆1: would land in the past without the correction.
-		rt.Schedule(sim.Millisecond, func() { fired = k.Now() })
+		rt.NewTimer(func() { fired = k.Now() }).Arm(sim.Millisecond)
 	}, nil)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestRuntimeCrashDropsDeliveriesAndTimers(t *testing.T) {
 	fired := false
 	received := false
 	rt.SetReceiver(func(runtimeapi.NodeID, []byte) { received = true })
-	rt.Schedule(10*sim.Millisecond, func() { fired = true })
+	rt.NewTimer(func() { fired = true }).Arm(10 * sim.Millisecond)
 	k.Schedule(5*sim.Millisecond, rt.Crash)
 	k.Schedule(6*sim.Millisecond, func() { rt.Deliver(2, []byte{1}) })
 	if err := k.Run(); err != nil {
@@ -314,12 +314,13 @@ func TestRuntimeTimerCancel(t *testing.T) {
 	k := sim.NewKernel()
 	rt, _ := newTestRuntime(k, 1)
 	fired := false
-	tm := rt.Schedule(10*sim.Millisecond, func() { fired = true })
-	if !tm.Cancel() {
-		t.Fatal("Cancel returned false for pending timer")
+	tm := rt.NewTimer(func() { fired = true })
+	tm.Arm(10 * sim.Millisecond)
+	if !tm.Stop() {
+		t.Fatal("Stop returned false for pending timer")
 	}
-	if tm.Cancel() {
-		t.Fatal("second Cancel returned true")
+	if tm.Stop() {
+		t.Fatal("second Stop returned true")
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -329,12 +330,92 @@ func TestRuntimeTimerCancel(t *testing.T) {
 	}
 }
 
+// TestRuntimeTimerLifecycle pins what a Timer's owner relies on. A stop
+// before the fire withdraws the kernel event itself, so no event and no job
+// runs; a second stop reports false. A timer that fired can be armed again.
+// An arm while another is pending leaves that one to fire: Stop withdraws
+// the latest alone. A fire while the node is down runs nothing and leaves
+// the timer disarmed, so it can be armed again after the restart.
+func TestRuntimeTimerLifecycle(t *testing.T) {
+	k := sim.NewKernel()
+	rt, _ := newTestRuntime(k, 1)
+	var fired []sim.Time
+	tm := rt.NewTimer(func() { fired = append(fired, k.Now()) })
+	run := func(until sim.Time) {
+		t.Helper()
+		if err := k.RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tm.Arm(10 * sim.Millisecond)
+	run(5 * sim.Millisecond)
+	executed := k.Executed()
+	if !tm.Stop() {
+		t.Fatal("Stop of an armed timer reported false")
+	}
+	if tm.Stop() {
+		t.Fatal("second Stop reported true")
+	}
+	run(20 * sim.Millisecond)
+	if k.Executed() != executed || len(fired) != 0 || rt.CPUs().BusyNS(ClassReal) != 0 {
+		t.Fatalf("stopped timer: %d events ran (want 0), fired at %v", k.Executed()-executed, fired)
+	}
+
+	first := k.Now() + sim.Millisecond
+	tm.Arm(sim.Millisecond)
+	run(30 * sim.Millisecond)
+	if tm.Stop() {
+		t.Fatal("Stop after the fire reported true")
+	}
+	second := k.Now() + sim.Millisecond
+	tm.Arm(sim.Millisecond)
+	run(40 * sim.Millisecond)
+	if len(fired) != 2 || fired[0] != first || fired[1] != second {
+		t.Fatalf("fired at %v, want [%v %v]", fired, first, second)
+	}
+
+	early := k.Now() + 2*sim.Millisecond
+	tm.Arm(2 * sim.Millisecond)
+	tm.Arm(5 * sim.Millisecond)
+	if !tm.Stop() || tm.Stop() {
+		t.Fatal("Stop of the latest arm: want true once")
+	}
+	tm.Arm(6 * sim.Millisecond)
+	late := k.Now() + 6*sim.Millisecond
+	run(50 * sim.Millisecond)
+	if len(fired) != 4 || fired[2] != early || fired[3] != late {
+		t.Fatalf("two pending arms fired at %v, want [%v %v] after the first two", fired, early, late)
+	}
+	if tm.Stop() {
+		t.Fatal("Stop after both arms fired reported true")
+	}
+	fired = fired[:2]
+
+	tm.Arm(10 * sim.Millisecond)
+	k.Schedule(5*sim.Millisecond, rt.Crash)
+	run(70 * sim.Millisecond)
+	if len(fired) != 2 {
+		t.Fatalf("a timer fired on a crashed node: %v", fired)
+	}
+	if tm.Stop() {
+		t.Fatal("a timer that fired while down still reports armed")
+	}
+	rt.Restart()
+	third := k.Now() + sim.Millisecond
+	tm.Arm(sim.Millisecond)
+	run(80 * sim.Millisecond)
+	if len(fired) != 3 || fired[2] != third {
+		t.Fatalf("after the restart fired at %v, want a third fire at %v", fired, third)
+	}
+}
+
 func TestRuntimeClockDrift(t *testing.T) {
 	k := sim.NewKernel()
 	rt, _ := newTestRuntime(k, 1)
 	rt.SetClockDrift(1.0) // local clock runs at half speed
 	var fired sim.Time
-	rt.Schedule(10*sim.Millisecond, func() { fired = k.Now() })
+	rt.NewTimer(func() { fired = k.Now() }).Arm(10 * sim.Millisecond)
 	var busy sim.Time
 	rt.CPUs().SubmitReal(func() { rt.Charge(4 * sim.Millisecond) }, func() { busy = k.Now() })
 	if err := k.Run(); err != nil {
@@ -355,7 +436,7 @@ func TestRuntimeSchedulingLatencyFault(t *testing.T) {
 	rt, _ := newTestRuntime(k, 1)
 	rt.SetSchedulingLatency(func(*sim.RNG) sim.Time { return 7 * sim.Millisecond }, sim.NewRNG(1))
 	var fired sim.Time
-	rt.Schedule(3*sim.Millisecond, func() { fired = k.Now() })
+	rt.NewTimer(func() { fired = k.Now() }).Arm(3 * sim.Millisecond)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +445,7 @@ func TestRuntimeSchedulingLatencyFault(t *testing.T) {
 	}
 	// Zero-delay events (process not suspended) are not delayed.
 	var immediate sim.Time = -1
-	rt.Schedule(0, func() { immediate = k.Now() })
+	rt.NewTimer(func() { immediate = k.Now() }).Arm(0)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -389,12 +470,12 @@ func TestModelProfilerIgnoresNegativeCharge(t *testing.T) {
 // simulated job allocate nothing. That includes Deliver's copy of the
 // datagram: the reception waits behind a busy CPU while the caller
 // overwrites its buffer, and the receiver still reads what was delivered.
-// (Schedule allocates its timer by design.) So does a run on a CPU alone in
-// its set, through an unheard real job settled by the run's submission, a
+// So does a timer's cycle: armed, fired, armed again from its own callback
+// and stopped before it fires again. So does a run on a CPU alone in its set, through an unheard real job settled by the run's submission, a
 // real job that preempts the run, a simulated job that makes it stop at a
 // boundary, a cut, and an unheard real job the kernel settles at rest. The
-// pin holds Runtime.StartJob, Deliver, Send and Multicast, oneShot.run,
-// delivery.run, CPUSet.SubmitReal, SubmitSim, SubmitRun and Cut, CPU.Submit,
+// pin holds Runtime.StartJob, Deliver, Send and Multicast, timer.Arm, Stop
+// and expire, oneShot.run, delivery.run, CPUSet.SubmitReal, SubmitSim, SubmitRun and Cut, CPU.Submit,
 // cut, hear, yield, preemptCurrent, dispatch, complete, retire, rest and
 // finishSlices, and Kernel.Reserve and ScheduleReserved. Once the kernel
 // drains, the three pools (CPU.free, freeJob, freeDlv) have nothing lent.
@@ -436,9 +517,28 @@ func TestRuntimeSteadyStateAllocs(t *testing.T) {
 	})
 	job := func() { rt.Charge(5 * sim.Microsecond) }
 	done := func() {}
+	var tm runtimeapi.Timer
+	fires := 0
+	rearmed := false
+	tm = rt.NewTimer(func() {
+		fires++
+		if !rearmed { // once a step, so a Stop that misses cannot loop
+			rearmed = true
+			tm.Arm(2 * sim.Millisecond)
+		}
+	})
+	stopped := 0
+	stop := func() {
+		if tm.Stop() {
+			stopped++
+		}
+	}
 	step := func() {
 		port.sends = port.sends[:0]
 		rt.StartJob(sim.Microsecond, job)
+		rearmed = false
+		tm.Arm(2 * sim.Microsecond)
+		k.Schedule(1500*sim.Microsecond, stop)
 		rt.CPUs().SubmitReal(job, nil) // the CPU is busy: the reception queues
 		sent++
 		payload[0], payload[255] = sent, sent
@@ -459,7 +559,10 @@ func TestRuntimeSteadyStateAllocs(t *testing.T) {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
-		t.Fatalf("StartJob+Deliver+SubmitSim+SubmitRun+Run: %v allocs/op, want 0", allocs)
+		t.Fatalf("StartJob+Timer+Deliver+SubmitSim+SubmitRun+Run: %v allocs/op, want 0", allocs)
+	}
+	if runs := 64 + 1000 + 1; fires != runs || stopped != runs {
+		t.Fatalf("timer fired %d and was stopped armed %d times in %d steps, want each once a step", fires, stopped, runs)
 	}
 	if left != sim.Millisecond || solo.CPUs().Elided() == 0 || solo.CPUs().Owes() {
 		t.Fatalf("run left %v (want 1ms, cut at its second boundary), %d elided, owes %v",

@@ -76,8 +76,8 @@ type Runtime struct {
 	freeJob sim.FreeList[*oneShot]  // recycled fire-and-forget job thunks
 }
 
-// oneShot is a pooled fire-and-forget scheduled job (StartJob): no Timer
-// handle exists, so the struct can be recycled the moment it fires.
+// oneShot is a pooled fire-and-forget scheduled job (StartJob): no handle
+// exists, so the struct can be recycled the moment it fires.
 type oneShot struct {
 	r    *Runtime
 	fn   func()
@@ -230,22 +230,6 @@ func (r *Runtime) MTU() int { return r.port.MTU() }
 // SetReceiver implements runtimeapi.Runtime.
 func (r *Runtime) SetReceiver(recv runtimeapi.Receiver) { r.recv = recv }
 
-type simTimer struct {
-	evt       sim.EventID
-	k         *sim.Kernel
-	cancelled bool
-	fired     bool
-}
-
-func (t *simTimer) Cancel() bool {
-	if t.cancelled || t.fired {
-		return false
-	}
-	t.cancelled = true
-	t.k.Cancel(t.evt)
-	return true
-}
-
 // delay is the one rule for when work requested d from now enters the kernel:
 // d is clamped at zero, stretched by clock drift, extended by the
 // scheduling-latency fault when it lies in the future, and offset by the
@@ -264,23 +248,10 @@ func (r *Runtime) delay(d sim.Time) sim.Time {
 	return r.elapsedInJob() + d
 }
 
-// Schedule implements runtimeapi.Runtime. The callback executes as a real
-// job on the node's CPU, delay(d) from the current kernel time.
-func (r *Runtime) Schedule(d sim.Time, fn func()) runtimeapi.Timer {
-	t := &simTimer{k: r.k}
-	t.evt = r.k.Schedule(r.delay(d), func() {
-		t.fired = true
-		if t.cancelled || r.down {
-			return
-		}
-		r.cpus.SubmitReal(fn, nil)
-	})
-	return t
-}
-
-// StartJob implements runtimeapi.Runtime: Schedule without a cancellation
-// handle. The scheduled thunk is pooled, so hot one-shot jobs allocate
-// nothing here (the kernel event is pooled too).
+// StartJob implements runtimeapi.Runtime: fn runs as a real job on the
+// node's CPU, delay(d) from the current kernel time. The scheduled thunk is
+// pooled, so hot one-shot jobs allocate nothing here (the kernel event is
+// pooled too).
 func (r *Runtime) StartJob(d sim.Time, fn func()) {
 	o := r.freeJob.Get()
 	if o == nil {
@@ -289,6 +260,55 @@ func (r *Runtime) StartJob(d sim.Time, fn func()) {
 	}
 	o.fn = fn
 	r.k.Schedule(r.delay(d), o.fire)
+}
+
+// timer is csrt's runtimeapi.Timer: the kernel event of its latest arm and
+// the count of arms still pending. Its fire thunk is bound once, so arming,
+// firing and stopping it allocate nothing.
+type timer struct {
+	r       *Runtime
+	fn      func()
+	fire    func()
+	evt     sim.EventID // the latest arm's event; 0 once no arm is pending
+	pending int         // arms filed that have neither fired nor been stopped
+}
+
+// NewTimer implements runtimeapi.Runtime.
+func (r *Runtime) NewTimer(fn func()) runtimeapi.Timer {
+	t := &timer{r: r, fn: fn}
+	t.fire = t.expire
+	return t
+}
+
+// Arm implements runtimeapi.Timer: the callback runs as a real job on the
+// node's CPU, delay(d) from the current kernel time, like StartJob's.
+func (t *timer) Arm(d sim.Time) {
+	t.pending++
+	t.evt = t.r.k.Schedule(t.r.delay(d), t.fire)
+}
+
+// Stop implements runtimeapi.Timer.
+func (t *timer) Stop() bool {
+	if t.evt == 0 {
+		return false
+	}
+	ok := t.r.k.Cancel(t.evt)
+	t.evt = 0
+	if ok {
+		t.pending--
+	}
+	return ok
+}
+
+// expire is an arm's kernel event: a crashed node runs nothing.
+func (t *timer) expire() {
+	if t.pending--; t.pending == 0 {
+		t.evt = 0
+	}
+	if t.r.down {
+		return
+	}
+	t.r.cpus.SubmitReal(t.fn, nil)
 }
 
 // chargeSend is the guard and the charge Send and Multicast share: a crashed

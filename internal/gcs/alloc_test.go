@@ -1,6 +1,10 @@
 package gcs
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // TestDataMarshalAllocFree pins the wire encoder's budget: marshaling a data
 // chunk into a warm buffer (dataMsg.marshal) allocates nothing.
@@ -55,5 +59,33 @@ func TestAssignsMarshalAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("assigns marshal+parse with warm scratch: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestIdleClusterAllocFree pins the timers of an idle group: once a
+// 3-member cluster has run a second, each further heartbeat period (the
+// heartbeat, the failure detector's tick every failTimeout/4, stability
+// gossip, and the messages they send and receive) allocates nothing. Every
+// periodic job is bound once on its owner, and every measured period is
+// counted on its own, so a single allocation anywhere fails the pin.
+func TestIdleClusterAllocFree(t *testing.T) {
+	c := newCluster(t, 3, 1, nil)
+	c.run(sim.Second)
+	until := sim.Second
+	period := func() {
+		until += heartbeatPeriod
+		if err := c.k.RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.stacks[1].Stats()
+	for i := 0; i < 20; i++ {
+		if allocs := testing.AllocsPerRun(1, period); allocs != 0 {
+			t.Fatalf("idle period ending at %v: %v allocs, want 0", until, allocs)
+		}
+	}
+	if after := c.stacks[1].Stats(); after.Gossips < before.Gossips+20 || after.ViewChanges != before.ViewChanges {
+		t.Fatalf("test premise broken: %d gossips and %d view changes in 20 periods, want at least 20 and none",
+			after.Gossips-before.Gossips, after.ViewChanges-before.ViewChanges)
 	}
 }

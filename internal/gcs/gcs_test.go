@@ -320,7 +320,7 @@ func TestBufferShareBlocksThenDrains(t *testing.T) {
 				c.castAt(tc.at, 1, make([]byte, tc.size)) // all at once
 			}
 			rm := c.stacks[1].rm
-			var rateTimer runtimeapi.Timer
+			rateWaiting := false
 			if tc.rate {
 				burst, bucket := tc.msgs*tc.size, rateBps/50
 				if burst <= bucket || burst > rm.share() || burst/(maxDatagram-dataHeader) >= sendWindow {
@@ -331,7 +331,7 @@ func TestBufferShareBlocksThenDrains(t *testing.T) {
 					if rm.outHead == len(rm.outQ) {
 						t.Errorf("the burst's last chunk left before %v, the rate bucket's earliest", earliest)
 					}
-					rateTimer = rm.rateTimer
+					rateWaiting = rm.rateArmed
 				})
 			}
 			c.run(10 * sim.Second)
@@ -343,9 +343,9 @@ func TestBufferShareBlocksThenDrains(t *testing.T) {
 			if st.BlockedTime <= 0 {
 				t.Fatal("expected nonzero blocked time")
 			}
-			// Cancel on a timer that has fired reports false.
-			if tc.rate && (rateTimer == nil || rateTimer.Cancel()) {
-				t.Fatalf("the rate timer was not waiting on the queued burst, or never fired (waiting: %v)", rateTimer != nil)
+			// Stop on a timer that has fired reports false.
+			if tc.rate && (!rateWaiting || rm.rateTimer.Stop()) {
+				t.Fatalf("the rate timer was not waiting on the queued burst, or never fired (waiting: %v)", rateWaiting)
 			}
 		})
 	}

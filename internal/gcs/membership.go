@@ -3,7 +3,6 @@ package gcs
 import (
 	"sort"
 
-	"repro/internal/runtimeapi"
 	"repro/internal/sim"
 )
 
@@ -35,7 +34,7 @@ type membership struct {
 	acks        map[NodeID]*flushAckMsg
 	decision    *decideMsg
 	installAcks map[NodeID]bool
-	retryTimer  runtimeapi.Timer
+	retrying    bool // a retryTick is scheduled
 
 	// Member state.
 	pendingDecide *decideMsg
@@ -51,13 +50,35 @@ type membership struct {
 	pendingJoiners  map[NodeID]bool
 	pendingJoinSync *joinSyncMsg
 	joinTicking     bool
+
+	// The jobs the membership's timers run, bound once so that arming one
+	// allocates nothing.
+	fdJob, hbJob, retryJob, joinJob func()
 }
 
 func newMembership(s *Stack) *membership {
-	return &membership{
+	mb := &membership{
 		s:              s,
 		pendingJoiners: make(map[NodeID]bool),
 	}
+	mb.fdJob = func() {
+		mb.fdTick()
+		if !mb.s.stopped {
+			mb.scheduleFD()
+		}
+	}
+	mb.hbJob = func() {
+		mb.hbTick()
+		if !mb.s.stopped {
+			mb.scheduleHB()
+		}
+	}
+	mb.retryJob = func() {
+		mb.retrying = false
+		mb.retryTick()
+	}
+	mb.joinJob = mb.joinTick
+	return mb
 }
 
 // startTimers begins failure detection and heartbeating.
@@ -67,26 +88,12 @@ func (mb *membership) startTimers() {
 	mb.scheduleHB()
 }
 
-func (mb *membership) scheduleFD() {
-	mb.s.rt.Schedule(mb.s.cfg.failTimeout/4, func() {
-		mb.fdTick()
-		if !mb.s.stopped {
-			mb.scheduleFD()
-		}
-	})
-}
+func (mb *membership) scheduleFD() { mb.s.rt.StartJob(mb.s.cfg.failTimeout/4, mb.fdJob) }
 
 // heartbeatPeriod paces liveness heartbeats.
 const heartbeatPeriod = 100 * sim.Millisecond
 
-func (mb *membership) scheduleHB() {
-	mb.s.rt.Schedule(heartbeatPeriod, func() {
-		mb.hbTick()
-		if !mb.s.stopped {
-			mb.scheduleHB()
-		}
-	})
-}
+func (mb *membership) scheduleHB() { mb.s.rt.StartJob(heartbeatPeriod, mb.hbJob) }
 
 // heard records liveness evidence for a peer. Traffic from outside the member
 // universe (a relay from another group) has no row and needs none.
@@ -258,13 +265,11 @@ func (mb *membership) broadcastProposal() {
 }
 
 func (mb *membership) armRetry() {
-	if mb.retryTimer != nil {
+	if mb.retrying {
 		return
 	}
-	mb.retryTimer = mb.s.rt.Schedule(mb.s.cfg.retransPeriod, func() {
-		mb.retryTimer = nil
-		mb.retryTick()
-	})
+	mb.retrying = true
+	mb.s.rt.StartJob(mb.s.cfg.retransPeriod, mb.retryJob)
 }
 
 // retryTick retransmits coordinator messages until everyone progressed. A
@@ -600,7 +605,7 @@ func (mb *membership) joinTick() {
 	}
 	s.stats.JoinRequests++
 	s.transmit(req.marshal(s.wire[:0]))
-	s.rt.StartJob(s.cfg.retransPeriod, func() { mb.joinTick() })
+	s.rt.StartJob(s.cfg.retransPeriod, mb.joinJob)
 }
 
 // onJoinReq handles an admission request at a live member.

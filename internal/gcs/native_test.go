@@ -82,7 +82,7 @@ func TestStackRunsOnNativeRuntime(t *testing.T) {
 		sender := id
 		for i := 0; i < perMember; i++ {
 			payload := []byte(fmt.Sprintf("%d-%d", sender, i))
-			nat.Schedule(sim.Time(i+1)*5*sim.Millisecond, func() {
+			nat.StartJob(sim.Time(i+1)*5*sim.Millisecond, func() {
 				st.Multicast(payload)
 			})
 		}

@@ -330,7 +330,7 @@ func TestPeerRowReset(t *testing.T) {
 		ps.excluded, ps.acked = true, 0 // as excludePeer leaves them
 		ps.suspected = true
 		heard := ps.lastHeard
-		if ps.recvBuf.len() == 0 || ps.body == nil || ps.nackTimer == nil || ps.stable == 0 || ps.roundMin == 0 ||
+		if ps.recvBuf.len() == 0 || ps.body == nil || !ps.nackArmed || ps.stable == 0 || ps.roundMin == 0 ||
 			rm.self.stable == 0 || heard == 0 {
 			t.Fatalf("test premise broken: row not warm: %+v (own stable %d)", ps, rm.self.stable)
 		}
@@ -341,8 +341,8 @@ func TestPeerRowReset(t *testing.T) {
 			t.Errorf("cursors after reset(3, 0): recvNext=%d maxSeen=%d stable=%d roundMin=%d, want 1 0 0 0",
 				ps.recvNext, ps.maxSeen, ps.stable, ps.roundMin)
 		}
-		if ps.recvBuf.len() != 0 || ps.body != nil || ps.nackTimer != nil {
-			t.Errorf("buffers after reset: %d chunks, body %v, nackTimer %v", ps.recvBuf.len(), ps.body != nil, ps.nackTimer != nil)
+		if ps.recvBuf.len() != 0 || ps.body != nil || ps.nackArmed || ps.nackTimer.Stop() {
+			t.Errorf("buffers after reset: %d chunks, body %v, nackArmed %v", ps.recvBuf.len(), ps.body != nil, ps.nackArmed)
 		}
 		if ps.excluded || ps.repairTarget != 3 {
 			t.Errorf("excluded=%v repairTarget=%d after reset, want false 3", ps.excluded, ps.repairTarget)

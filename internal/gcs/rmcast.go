@@ -41,7 +41,8 @@ type relMcast struct {
 	// Rate-based flow control (phase one).
 	tokens     float64
 	lastRefill sim.Time
-	rateTimer  runtimeapi.Timer
+	rateTimer  runtimeapi.Timer // drains the queue once the tokens suffice
+	rateArmed  bool             // rateTimer is armed or its drain queued
 
 	// The peer table: one row per member of the configured universe, self
 	// included (self is the same row, kept at hand for the send path), plus
@@ -105,8 +106,9 @@ type peerState struct {
 	recvNext     uint64 // next expected (contiguous prefix is recvNext-1)
 	maxSeen      uint64
 	recvBuf      seqRing[*dataMsg]
-	nackTimer    runtimeapi.Timer
-	repairTarget NodeID // where to send NACKs (sender, or holder in flush)
+	nackTimer    runtimeapi.Timer // runs repairGaps for this row
+	nackArmed    bool             // nackTimer is armed or its repair queued
+	repairTarget NodeID           // where to send NACKs (sender, or holder in flush)
 	excluded     bool
 
 	// Reassembly of a fragmented message: body is the pooled buffer its
@@ -141,6 +143,10 @@ func newRelMcast(s *Stack) *relMcast {
 		s:      s,
 		tokens: float64(s.maxPacket * 2),
 	}
+	rm.rateTimer = s.rt.NewTimer(func() {
+		rm.rateArmed = false
+		rm.drain()
+	})
 	for _, m := range s.cfg.Members {
 		rm.peer(m)
 	}
@@ -234,6 +240,10 @@ func (rm *relMcast) peer(id NodeID) *peerState {
 		return p
 	}
 	p := &peerState{id: id, recvNext: 1, repairTarget: id}
+	p.nackTimer = rm.s.rt.NewTimer(func() {
+		p.nackArmed = false
+		rm.repairGaps(p)
+	})
 	rm.peers = append(rm.peers, p)
 	return p
 }
@@ -389,7 +399,7 @@ func (rm *relMcast) refillTokens() {
 }
 
 func (rm *relMcast) scheduleRateTimer(need int) {
-	if rm.rateTimer != nil {
+	if rm.rateArmed {
 		return
 	}
 	deficit := float64(need) - rm.tokens
@@ -397,10 +407,8 @@ func (rm *relMcast) scheduleRateTimer(need int) {
 	if wait < sim.Microsecond {
 		wait = sim.Microsecond
 	}
-	rm.rateTimer = rm.s.rt.Schedule(wait, func() {
-		rm.rateTimer = nil
-		rm.drain()
-	})
+	rm.rateArmed = true
+	rm.rateTimer.Arm(wait)
 }
 
 // freeze suspends first transmissions during a view-change flush. Repair
@@ -451,13 +459,22 @@ func (rm *relMcast) onData(m *dataMsg) {
 
 // armNackTimer schedules gap repair for a peer's stream.
 func (rm *relMcast) armNackTimer(ps *peerState) {
-	if ps.nackTimer != nil {
+	if ps.nackArmed {
 		return
 	}
-	ps.nackTimer = rm.s.rt.Schedule(rm.s.cfg.nackDelay, func() {
-		ps.nackTimer = nil
-		rm.repairGaps(ps)
-	})
+	ps.nackArmed = true
+	ps.nackTimer.Arm(rm.s.cfg.nackDelay)
+}
+
+// stopNackTimer withdraws a peer's armed repair. A repair whose timer has
+// fired still runs from the CPU queue, and so does an earlier arm that a
+// direct repairGaps call left pending; repairGaps then decides afresh
+// whether anything is missing.
+func stopNackTimer(ps *peerState) {
+	if ps.nackArmed {
+		ps.nackTimer.Stop()
+		ps.nackArmed = false
+	}
 }
 
 // maxNackRanges bounds the ranges one NACK lists.
@@ -497,10 +514,8 @@ func (rm *relMcast) repairGaps(ps *peerState) {
 	rm.s.stats.Nacks++
 	rm.s.transmitTo(target, nack.marshal(rm.s.wire[:0]))
 	// Re-arm: keep nagging until the gap closes.
-	ps.nackTimer = rm.s.rt.Schedule(rm.s.cfg.retransPeriod, func() {
-		ps.nackTimer = nil
-		rm.repairGaps(ps)
-	})
+	ps.nackArmed = true
+	ps.nackTimer.Arm(rm.s.cfg.retransPeriod)
 }
 
 // learnHorizon records that p's stream extends at least to seq (learned from
@@ -527,6 +542,9 @@ func (rm *relMcast) requestRepairTo(p NodeID, target uint64, holder NodeID) {
 	}
 	ps.repairTarget = holder
 	if ps.recvNext <= ps.maxSeen {
+		// If the row's NACK timer is armed, this arms it again and the
+		// earlier arm fires as well: the stream runs two repair chains
+		// until its gap closes.
 		rm.repairGaps(ps)
 	}
 }
@@ -705,10 +723,7 @@ func (rm *relMcast) reset(p NodeID, upto uint64) {
 		rm.mergeAck(p, rm.self.stable)
 	}
 	rm.dropPartial(ps)
-	if ps.nackTimer != nil {
-		ps.nackTimer.Cancel()
-		ps.nackTimer = nil
-	}
+	stopNackTimer(ps)
 }
 
 // resetSelf restarts this node's own stream. Meaningful when a joiner is
@@ -747,10 +762,7 @@ func (rm *relMcast) releaseAll() {
 	for _, ps := range rm.peers {
 		ps.recvBuf.release()
 		ps.body = nil
-		if ps.nackTimer != nil {
-			ps.nackTimer.Cancel()
-			ps.nackTimer = nil
-		}
+		stopNackTimer(ps)
 	}
 	rm.sendBuf.release()
 	rm.sendBufBytes = 0
@@ -759,9 +771,9 @@ func (rm *relMcast) releaseAll() {
 	rm.freeMsgs.Drop()
 	rm.freeChunks.Drop()
 	rm.freeBodies.Drop()
-	if rm.rateTimer != nil {
-		rm.rateTimer.Cancel()
-		rm.rateTimer = nil
+	if rm.rateArmed {
+		rm.rateTimer.Stop()
+		rm.rateArmed = false
 	}
 }
 
@@ -779,8 +791,5 @@ func (rm *relMcast) excludePeer(p NodeID, upto uint64) {
 		ps.maxSeen = upto
 	}
 	rm.dropPartial(ps)
-	if ps.nackTimer != nil {
-		ps.nackTimer.Cancel()
-		ps.nackTimer = nil
-	}
+	stopNackTimer(ps)
 }

@@ -1,7 +1,5 @@
 package gcs
 
-import "repro/internal/runtimeapi"
-
 // stability implements the scalable stability detection protocol of
 // Section 3.4: asynchronous rounds gossiping (i) a vector S of sequence
 // numbers of known stable messages, (ii) a set W of processes that have
@@ -18,7 +16,9 @@ type stability struct {
 	s     *Stack
 	round uint64
 	w     uint32
-	timer runtimeapi.Timer
+	// tickJob is the gossip job, bound once: it ticks and schedules itself
+	// again.
+	tickJob func()
 
 	// vecScratch backs the three wire vectors of a gossip tick; they are
 	// marshalled into the stack's scratch buffer.
@@ -30,6 +30,12 @@ type stability struct {
 
 func newStability(s *Stack) *stability {
 	st := &stability{s: s}
+	st.tickJob = func() {
+		st.tick()
+		if !st.s.stopped {
+			st.scheduleTick()
+		}
+	}
 	st.beginRound(1)
 	return st
 }
@@ -37,14 +43,7 @@ func newStability(s *Stack) *stability {
 // startTimer begins periodic gossip.
 func (st *stability) startTimer() { st.scheduleTick() }
 
-func (st *stability) scheduleTick() {
-	st.timer = st.s.rt.Schedule(st.s.cfg.stabilityPeriod, func() {
-		st.tick()
-		if !st.s.stopped {
-			st.scheduleTick()
-		}
-	})
-}
+func (st *stability) scheduleTick() { st.s.rt.StartJob(st.s.cfg.stabilityPeriod, st.tickJob) }
 
 // beginRound resets round state with only the local vote. Departed members
 // keep a stale M in their rows, harmlessly: every reader iterates the current

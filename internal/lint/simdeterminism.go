@@ -149,11 +149,11 @@ func isMap(t types.Type) bool {
 }
 
 // schedulingCalls are method names that publish ordered work: scheduling
-// an event or transmitting a message from inside a map range bakes the
-// iteration order into the event stream.
+// an event, arming a runtime timer or transmitting a message from inside a
+// map range bakes the iteration order into the event stream.
 var schedulingCalls = map[string]bool{
 	"Schedule": true, "ScheduleAt": true, "SchedulePri": true, "SchedulePriAt": true,
-	"StartJob": true, "Send": true, "Multicast": true,
+	"StartJob": true, "Arm": true, "Send": true, "Multicast": true,
 }
 
 func (p *pass) checkRangeCall(call *ast.CallExpr, keyObj types.Object) {

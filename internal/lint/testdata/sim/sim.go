@@ -10,6 +10,10 @@ type kernel struct{ now int64 }
 
 func (k *kernel) Schedule(d int64, fn func()) {}
 
+type timer struct{}
+
+func (t *timer) Arm(d int64) {}
+
 func clocks() time.Duration {
 	t := time.Now()              // want `time.Now in deterministic package`
 	time.Sleep(time.Millisecond) // want `time.Sleep in deterministic package`
@@ -52,7 +56,7 @@ func spawn() {
 	go func() {}() // want `raw goroutine in deterministic package`
 }
 
-func mapRanges(k *kernel, m map[int]int, ch chan int) ([]int, int) {
+func mapRanges(k *kernel, tm *timer, m map[int]int, ch chan int) ([]int, int) {
 	var keys []int
 	sum := 0
 	for key := range m {
@@ -77,6 +81,9 @@ func mapRanges(k *kernel, m map[int]int, ch chan int) ([]int, int) {
 	}
 	for key := range m {
 		k.Schedule(int64(key), func() {}) // want `Schedule call inside range over map`
+	}
+	for key := range m {
+		tm.Arm(int64(key)) // want `Arm call inside range over map`
 	}
 	for key := range m {
 		delete(m, key) // delete by loop key: fine

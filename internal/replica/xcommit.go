@@ -139,6 +139,7 @@ type xtxn struct {
 	coordDecided bool // decision fixed (all votes in, or adopted)
 	homeDecided  bool
 	doneC        bool
+	retry        func() // the retransmit tick, bound at the first armTimer
 }
 
 func xbit(g int) uint32 { return 1 << uint(g) }
@@ -640,7 +641,10 @@ const xRetryPeriod = 100 * sim.Millisecond
 
 // armTimer schedules the coordinator's retransmit tick.
 func (x *xmgr) armTimer(e *xtxn) {
-	x.r.rt.Schedule(xRetryPeriod, func() { x.tick(e) })
+	if e.retry == nil {
+		e.retry = func() { x.tick(e) }
+	}
+	x.r.rt.StartJob(xRetryPeriod, e.retry)
 }
 
 // tick retransmits whatever the round is still missing: prepares to groups

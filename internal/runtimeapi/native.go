@@ -174,42 +174,78 @@ func (n *Native) SetReceiver(r Receiver) {
 	n.recv = r
 }
 
+// nativeTimer is Native's Timer. Its latest arm is a nativeArm whose
+// time.Timer every later Arm resets, once that arm has fired or been
+// stopped; an Arm while it is still pending leaves it to fire and takes a
+// new one.
 type nativeTimer struct {
-	t       *time.Timer
-	stopped bool
-	mu      sync.Mutex
+	n      *Native
+	fn     func()
+	mu     sync.Mutex
+	latest *nativeArm
 }
 
-func (t *nativeTimer) Cancel() bool {
+// nativeArm is one time.Timer of a nativeTimer, with the callbacks bound to
+// it once: post, its expiry, hands run to the dispatch loop. A Stop that
+// comes too late to stop an expiry already under way counts it stale, and
+// run drops it.
+type nativeArm struct {
+	t         *nativeTimer
+	tt        *time.Timer
+	post, run func()
+	armed     bool
+	stale     int
+}
+
+// NewTimer implements Runtime.
+func (n *Native) NewTimer(fn func()) Timer { return &nativeTimer{n: n, fn: fn} }
+
+// Arm implements Timer.
+func (t *nativeTimer) Arm(d sim.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.stopped {
+	if a := t.latest; a != nil && !a.armed {
+		a.armed = true
+		a.tt.Reset(d.Duration())
+		return
+	}
+	a := &nativeArm{t: t, armed: true}
+	a.run = a.expire
+	a.post = func() { t.n.post(a.run) }
+	a.tt = time.AfterFunc(d.Duration(), a.post)
+	t.latest = a
+}
+
+// Stop implements Timer.
+func (t *nativeTimer) Stop() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	a := t.latest
+	if a == nil || !a.armed {
 		return false
 	}
-	t.stopped = true
-	return t.t.Stop()
+	a.armed = false
+	if !a.tt.Stop() {
+		a.stale++
+	}
+	return true
 }
 
-// Schedule implements Runtime. The callback is serialized onto the dispatch
-// loop.
-func (n *Native) Schedule(d sim.Time, fn func()) Timer {
-	nt := &nativeTimer{}
-	nt.t = time.AfterFunc(d.Duration(), func() {
-		n.post(func() {
-			nt.mu.Lock()
-			stopped := nt.stopped
-			nt.stopped = true
-			nt.mu.Unlock()
-			if !stopped {
-				fn()
-			}
-		})
-	})
-	return nt
+func (a *nativeArm) expire() {
+	t := a.t
+	t.mu.Lock()
+	if a.stale > 0 {
+		a.stale--
+		t.mu.Unlock()
+		return
+	}
+	a.armed = false
+	t.mu.Unlock()
+	t.fn()
 }
 
-// StartJob implements Runtime: a fire-and-forget Schedule. The native
-// bridge has no bookkeeping worth recycling, so it simply drops the handle.
+// StartJob implements Runtime. The native bridge has no bookkeeping worth
+// recycling: each call is a time.AfterFunc.
 func (n *Native) StartJob(d sim.Time, fn func()) {
 	time.AfterFunc(d.Duration(), func() { n.post(fn) })
 }

@@ -2,7 +2,6 @@ package runtimeapi_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -91,30 +90,54 @@ func TestNativeMulticastExcludesSender(t *testing.T) {
 	}
 }
 
+// TestNativeScheduleAndCancel arms one timer, lets it fire, arms it again,
+// stops that arm before it is due and arms it once more: two fires, and the
+// stopped arm never runs. Two arms in a row, the first still pending at the
+// second, fire twice.
 func TestNativeScheduleAndCancel(t *testing.T) {
 	a, _ := newPair(t)
-	fired := make(chan struct{})
-	a.Schedule(20*sim.Millisecond, func() { close(fired) })
+	fired := make(chan time.Time, 4)
+	tm := a.NewTimer(func() { fired <- time.Now() })
+	tm.Arm(20 * sim.Millisecond)
 	select {
 	case <-fired:
 	case <-time.After(5 * time.Second):
 		t.Fatal("timer never fired")
 	}
-	var mu sync.Mutex
-	ran := false
-	tm := a.Schedule(50*sim.Millisecond, func() {
-		mu.Lock()
-		ran = true
-		mu.Unlock()
-	})
-	if !tm.Cancel() {
-		t.Fatal("Cancel returned false for pending timer")
+	if tm.Stop() {
+		t.Fatal("Stop after the fire returned true")
+	}
+	tm.Arm(50 * sim.Millisecond)
+	if !tm.Stop() {
+		t.Fatal("Stop returned false for an armed timer")
+	}
+	if tm.Stop() {
+		t.Fatal("second Stop returned true")
 	}
 	time.Sleep(150 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if ran {
-		t.Fatal("cancelled timer fired")
+	select {
+	case <-fired:
+		t.Fatal("stopped timer fired")
+	default:
+	}
+	armed := time.Now()
+	tm.Arm(20 * sim.Millisecond)
+	select {
+	case at := <-fired:
+		if at.Sub(armed) < 20*time.Millisecond {
+			t.Fatalf("re-armed timer fired after %v, want at least 20ms", at.Sub(armed))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("re-armed timer never fired")
+	}
+	tm.Arm(20 * sim.Millisecond)
+	tm.Arm(40 * sim.Millisecond)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-fired:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("of two pending arms, %d fired", i)
+		}
 	}
 }
 

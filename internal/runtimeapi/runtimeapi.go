@@ -35,10 +35,18 @@ type Group int32
 // whatever it keeps.
 type Receiver func(src NodeID, data []byte)
 
-// Timer is a cancellable pending callback.
+// Timer is a re-armable callback, created once by the code that owns it
+// (Runtime.NewTimer) and armed as often as that code needs, so arming it
+// allocates nothing. Its callback is real code, run as a job on the node's
+// CPU like any other. An arm is pending from Arm until it fires or Stop
+// withdraws it. Under simulation, a fired arm's callback may still wait
+// behind a busy CPU, where Stop no longer reaches it.
 type Timer interface {
-	// Cancel stops the timer, reporting whether it was still pending.
-	Cancel() bool
+	// Arm files the callback to run d from now. It does not withdraw an
+	// earlier arm that is still pending: that one fires as well.
+	Arm(d sim.Time)
+	// Stop withdraws the latest arm, reporting whether it was pending.
+	Stop() bool
 }
 
 // Errors returned by Runtime network operations.
@@ -63,14 +71,15 @@ type Runtime interface {
 	// the native bridge it is monotonic wall time since start.
 	Now() sim.Time
 
-	// Schedule runs fn after d. fn is real code: it is profiled and its
-	// cost occupies the node's CPU.
-	Schedule(d sim.Time, fn func()) Timer
-
-	// StartJob runs fn after d like Schedule but fire-and-forget: no
-	// cancellation handle is returned, which lets the runtime recycle
-	// its timer bookkeeping. Prefer it for one-shot jobs on hot paths.
+	// StartJob runs fn after d, fire and forget. fn is real code: it is
+	// profiled and its cost occupies the node's CPU. Nothing can cancel
+	// it, so the runtime recycles its bookkeeping; a caller that arms the
+	// same job again and again binds fn once and allocates nothing.
 	StartJob(d sim.Time, fn func())
+
+	// NewTimer creates a Timer that runs fn, disarmed. A caller that must
+	// be able to cancel a pending job keeps one and re-arms it.
+	NewTimer(fn func()) Timer
 
 	// Charge accounts explicit model cost for the current job: it is how
 	// real code declares its CPU consumption to the simulation runtime.

@@ -130,9 +130,8 @@ type Host struct {
 	// gray-failure link degradation: the host is reachable, just slow.
 	extraDelay sim.Time
 
-	sent     metrics.ByteMeter
-	received metrics.ByteMeter
-	dropped  int64
+	sent    metrics.ByteMeter
+	dropped int64
 }
 
 // ID reports the host identifier.
@@ -565,7 +564,6 @@ func (n *Network) arrive(dst *Host, pkt *Packet) {
 		}
 		return
 	}
-	dst.received.Add(len(pkt.Data))
 	if n.tracer != nil {
 		n.tracer(TraceRecord{At: n.k.Now(), Event: TraceRecv, Seq: pkt.Seq, Src: pkt.Src, Dst: dst.id, Multi: pkt.Multicast, Size: len(pkt.Data)})
 	}

@@ -22,12 +22,16 @@ func runTraceScenario(t *testing.T, withTracer bool) (netStats, int) {
 	lan := n.NewLAN(DefaultLANConfig("lan"))
 	hosts := make([]*Host, 3)
 	delivered := 0
+	recv := make([]int, len(hosts)) // bytes each host's upcall received
 	for i := range hosts {
 		h, err := n.NewHost(NodeID(i+1), lan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.SetDeliver(func(pkt *Packet) { delivered++ })
+		h.SetDeliver(func(pkt *Packet) {
+			delivered++
+			recv[i] += len(pkt.Data)
+		})
 		hosts[i] = h
 	}
 	hosts[1].SetLoss(&RandomLoss{P: 0.3})
@@ -49,8 +53,8 @@ func runTraceScenario(t *testing.T, withTracer bool) (netStats, int) {
 		t.Fatal(err)
 	}
 	s := fmt.Sprintf("delivered=%d cut=%d total=%d now=%v", delivered, n.PartitionDrops(), n.TotalBytes(), k.Now())
-	for _, h := range hosts {
-		s += fmt.Sprintf(" h%d[sent=%d recv=%d drop=%d]", h.ID(), h.Sent().Bytes(), h.Received().Bytes(), h.Dropped())
+	for i, h := range hosts {
+		s += fmt.Sprintf(" h%d[sent=%d recv=%d drop=%d]", h.ID(), h.Sent().Bytes(), recv[i], h.Dropped())
 	}
 	return netStats{summary: s}, traced
 }
