@@ -142,14 +142,10 @@ func DefaultAdmissionConfig() *AdmissionConfig {
 }
 
 // admissionRetry is the client resubmission policy of every run with
-// admission: up to 4 attempts after a rejection, with 50ms-to-2s exponential
-// backoff. Without admission no rejection happens, and clients run with the
-// zero policy.
-var admissionRetry = tpcc.RetryPolicy{
-	MaxAttempts: 4,
-	BaseBackoff: 50 * sim.Millisecond,
-	MaxBackoff:  2 * sim.Second,
-}
+// admission: up to 4 attempts after a rejection, with tpcc's 50ms-to-2s
+// exponential backoff. Without admission no rejection happens, and clients
+// run with the zero policy.
+var admissionRetry = tpcc.RetryPolicy{MaxAttempts: 4}
 
 func (c *Config) fill() {
 	if c.Sites == 0 {
@@ -245,8 +241,7 @@ type Model struct {
 	members [][]runtimeapi.NodeID
 
 	sites     []*Site
-	dedicated *Site          // dedicated sequencer member, when configured
-	cpus      []*csrt.CPUSet // every member's, the dedicated sequencer's included
+	dedicated *Site // dedicated sequencer member, when configured
 	clients   []clientTier
 
 	issued   int
@@ -405,7 +400,6 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 		ncpu = 1 // the dedicated sequencer only runs protocol code
 	}
 	cpus := csrt.NewCPUSet(ncpu, m.k, nil)
-	m.cpus = append(m.cpus, cpus)
 	rt.Bind(cpus)
 	host.DeliverTo(rt.Deliver)
 
@@ -873,7 +867,7 @@ func (m *Model) run() (*Results, error) {
 		if err := m.k.RunUntil(cursor); err != nil {
 			return nil, fmt.Errorf("core: run: %w", err)
 		}
-		if m.k.Pending() == 0 && !m.cpusOwe() || cursor >= cfg.MaxSimTime {
+		if m.k.Pending() == 0 || cursor >= cfg.MaxSimTime {
 			// Out of events or out of time: a run that has not quiesced
 			// stops with work unfinished, and its verdict says so.
 			wedged = !m.quiesced()
@@ -891,17 +885,6 @@ func (m *Model) run() (*Results, error) {
 	r := m.results()
 	r.Wedged = wedged
 	return r, nil
-}
-
-// cpusOwe reports whether a site's CPU owes a real job's end that has no
-// kernel event (csrt.CPU): the run has not run out of events yet.
-func (m *Model) cpusOwe() bool {
-	for _, c := range m.cpus {
-		if c.Owes() {
-			return true
-		}
-	}
-	return false
 }
 
 // quiesced reports whether issuance stopped and no live site has work in

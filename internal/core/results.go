@@ -172,10 +172,10 @@ type Results struct {
 	Wedged bool
 	// TxnLog holds per-transaction records when CollectTxnLog was set.
 	TxnLog *trace.TxnLog
-	// Events is the model's event count: the kernel's dispatches plus the
-	// CPU completions settled without one (csrt.CPUSet.Elided) and the disk
-	// sectors completed by another sector's event (db.Storage.Elided), so it
-	// counts one event per CPU slice, per job and per sector.
+	// Events is the model's event count, the kernel's Events: its
+	// dispatches plus the completions settled without one (a CPU's slice
+	// boundaries and unheard real-job ends, a disk batch's later sectors),
+	// so it counts one event per CPU slice, per job and per sector.
 	Events int64
 }
 
@@ -191,15 +191,9 @@ func (m *Model) results() *Results {
 		CertDecideLat: &metrics.Sample{},
 		RetryLat:      &metrics.Sample{},
 		TxnLog:        m.txnLog,
-		Events:        m.k.Executed(),
+		Events:        m.k.Events(),
 	}
-	// The clock is where the last event left the kernel, or a CPU
-	// completion settled later without one.
 	now := m.k.Now()
-	for _, c := range m.cpus {
-		r.Events += c.Elided()
-		now = max(now, c.Settled())
-	}
 	duration := m.lastDone
 	if duration <= 0 {
 		duration = now
@@ -211,7 +205,6 @@ func (m *Model) results() *Results {
 	liveSites := 0
 	for _, s := range m.sites {
 		sub, com, ab, rej := s.Server.Totals()
-		r.Events += s.Server.Storage().Elided()
 		life := s.Life
 		sr := SiteResult{
 			Site:          s.ID,

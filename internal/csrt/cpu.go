@@ -89,8 +89,9 @@ type runReal func(fn func()) sim.Time
 // its end, Stop, or the kernel coming to rest past its end (Kernel.AtRest).
 // A Submit before its end files the completion at the reserved sequence, so
 // ties at that instant fall as they would have. Every completion settled
-// without an event counts in Elided, so dispatches plus Elided is what a CPU
-// with one event per slice and per job would have dispatched.
+// without an event goes to the kernel's ledger (Kernel.Settle), so its Events,
+// clock and Pending read what they would with one event per slice and per
+// job.
 type CPU struct {
 	id       int
 	k        *sim.Kernel
@@ -110,8 +111,6 @@ type CPU struct {
 	// seq is the insertion sequence reserved for it.
 	unheard bool
 	seq     int64
-	elided  int64    // completions settled without a kernel event
-	settled sim.Time // latest of them settled at rest, past the kernel clock
 
 	// onComplete is the single completion closure, bound once: completion
 	// always applies to the running job, so dispatch schedules this
@@ -158,6 +157,7 @@ func (c *CPU) Stop() {
 		c.settle()
 	case c.unheard:
 		c.unheard = false
+		c.k.Unreserve(c.seq)
 	case c.runsSim():
 		c.finishSlices(now)
 	}
@@ -242,7 +242,7 @@ func (c *CPU) hear() {
 // settle ends the unheard real job at curEnd, a completion without an event.
 func (c *CPU) settle() {
 	c.unheard = false
-	c.elided++
+	c.k.SettleReserved(c.seq, c.curEnd)
 	c.retire()
 }
 
@@ -266,7 +266,7 @@ func (c *CPU) preemptCurrent() {
 	j := c.cur
 	now := c.k.Now()
 	ran := j.Dur - j.remaining
-	c.elided += j.boundaries(ran, ran+now-c.curStart)
+	c.k.Settle(j.boundaries(ran, ran+now-c.curStart), now)
 	c.busyNS[ClassSim] += int64(now - c.curStart)
 	j.remaining -= now - c.curStart
 	c.k.Cancel(c.curEvt)
@@ -290,10 +290,10 @@ func (c *CPU) finishSlices(to sim.Time) {
 		return
 	}
 	last := (ran + to - c.curStart) / j.quantum * j.quantum
-	c.elided += n
 	c.busyNS[ClassSim] += int64(last - ran)
 	c.curStart += last - ran
 	j.remaining = j.Dur - last
+	c.k.Settle(n, c.curStart)
 }
 
 // rest settles, once the kernel has run everything due by limit, what the
@@ -302,11 +302,9 @@ func (c *CPU) finishSlices(to sim.Time) {
 func (c *CPU) rest(limit sim.Time) {
 	switch {
 	case c.unheard && c.curEnd <= limit:
-		c.settled = max(c.settled, c.curEnd)
 		c.settle()
 	case c.runsSim():
 		c.finishSlices(limit)
-		c.settled = max(c.settled, c.curStart) // the last boundary passed, if any
 	}
 }
 
@@ -365,7 +363,7 @@ func (c *CPU) dispatch() {
 func (c *CPU) complete() {
 	if j := c.cur; j.Fn == nil {
 		ran := j.Dur - j.remaining
-		c.elided += j.boundaries(ran, ran+c.curEnd-c.curStart-1)
+		c.k.Settle(j.boundaries(ran, ran+c.curEnd-c.curStart-1), c.curEnd)
 		j.remaining -= c.curEnd - c.curStart
 	}
 	done := c.retire()
@@ -534,38 +532,6 @@ func (s *CPUSet) BusyNS(class Class) int64 {
 		t += c.busyNS[class]
 	}
 	return t
-}
-
-// Elided reports the completions the set's CPUs settled without a kernel
-// event: the kernel's dispatches plus these are what one event per slice and
-// per job would have dispatched.
-func (s *CPUSet) Elided() int64 {
-	var n int64
-	for _, c := range s.cpus {
-		n += c.elided
-	}
-	return n
-}
-
-// Settled reports the latest instant a CPU settled at rest (Kernel.AtRest):
-// the clock an event for it would have moved the kernel to.
-func (s *CPUSet) Settled() sim.Time {
-	var t sim.Time
-	for _, c := range s.cpus {
-		t = max(t, c.settled)
-	}
-	return t
-}
-
-// Owes reports whether a CPU still owes a real job's end that has no kernel
-// event: a kernel with nothing pending has not run out of work.
-func (s *CPUSet) Owes() bool {
-	for _, c := range s.cpus {
-		if c.unheard {
-			return true
-		}
-	}
-	return false
 }
 
 // percent reports busy nanoseconds as a share of elapsed time on every CPU.

@@ -564,9 +564,9 @@ func TestRuntimeSteadyStateAllocs(t *testing.T) {
 	if runs := 64 + 1000 + 1; fires != runs || stopped != runs {
 		t.Fatalf("timer fired %d and was stopped armed %d times in %d steps, want each once a step", fires, stopped, runs)
 	}
-	if left != sim.Millisecond || solo.CPUs().Elided() == 0 || solo.CPUs().Owes() {
-		t.Fatalf("run left %v (want 1ms, cut at its second boundary), %d elided, owes %v",
-			left, solo.CPUs().Elided(), solo.CPUs().Owes())
+	if left != sim.Millisecond || k.Events() == k.Executed() || k.Pending() != 0 {
+		t.Fatalf("run left %v (want 1ms, cut at its second boundary), %d events in %d dispatches, %d pending",
+			left, k.Events(), k.Executed(), k.Pending())
 	}
 	if len(port.sends) != 2 {
 		t.Fatalf("receiver sent %d datagrams per step, want 2", len(port.sends))

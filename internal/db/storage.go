@@ -38,10 +38,11 @@ type StorageConfig struct{}
 // back to back at that place in the order, so only one order differs: an
 // event that a sector's done() schedules at delay 0 with a priority above
 // PriorityNormal runs after the rest of the batch, not before the next
-// sector. Each sector after a batch's first counts in Elided, so kernel
-// dispatches plus Elided is one event per sector. Batches and requests are
-// pooled, and each batch carries a completion closure bound once at
-// creation — so the steady-state hot path allocates nothing per sector.
+// sector. Each sector after a batch's first is settled without an event
+// (Kernel.Settle), so the kernel's Events is one per sector. Batches and
+// requests are pooled, and each batch carries a completion closure bound
+// once at creation — so the steady-state hot path allocates nothing per
+// sector.
 //
 // The queue is not FIFO for a request issued from inside another's done():
 // the completing sector runs done() before it starts the next queued one, so
@@ -70,7 +71,6 @@ type Storage struct {
 
 	busyNS  int64 // integrated slot-busy time
 	sectors int64
-	elided  int64 // sectors completed by another sector's event
 }
 
 // ioReq tracks one multi-sector request until its last sector completes.
@@ -168,7 +168,7 @@ func (s *Storage) start(req *ioReq) {
 // once its last sector is done.
 func (b *sectorBatch) run() {
 	s := b.s
-	s.elided += int64(len(b.reqs) - 1)
+	s.k.Settle(int64(len(b.reqs)-1), b.at)
 	for i, req := range b.reqs {
 		b.reqs[i] = nil
 		s.inFlight--
@@ -216,10 +216,6 @@ func (s *Storage) SetSlowdown(factor float64) {
 
 // Sectors reports total sector operations served.
 func (s *Storage) Sectors() int64 { return s.sectors }
-
-// Elided reports the sectors completed by the event of an earlier sector in
-// their batch rather than by one of their own.
-func (s *Storage) Elided() int64 { return s.elided }
 
 // Utilization reports the fraction of device capacity used over elapsed
 // time, as a percentage — the paper's Figure 6(b) "disk bandwidth usage".

@@ -16,9 +16,9 @@ import (
 // in flight, in the middle of the run and on an idle device, so that sectors
 // started after the recovery finish before ones started during it.
 // Every done() records (Now in L, request); the device's counters and the
-// event count follow: kernel dispatches plus the sectors that shared a
-// batch's event (Elided) is one event per sector and per scheduled call,
-// as when every sector had an event of its own.
+// event count follow: the kernel's Events, its dispatches plus the sectors
+// settled under another sector's event, is one event per sector and per
+// scheduled call, as when every sector had an event of its own.
 // The expected values are literals: any change to how sectors are started,
 // queued or completed shows here.
 //
@@ -69,8 +69,8 @@ func TestStorageCompletionTrace(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("completions %q, want %q", got, want)
 	}
-	if k.Executed()+st.Elided() != 46 || k.Executed() != 16 {
-		t.Fatalf("%d kernel dispatches and %d elided sectors, want 16 and 30", k.Executed(), st.Elided())
+	if k.Events() != 46 || k.Executed() != 16 {
+		t.Fatalf("%d events in %d kernel dispatches, want 46 in 16", k.Events(), k.Executed())
 	}
 	if end := k.Now(); st.Sectors() != 38 || st.MaxQueueLen() != 19 || fmt.Sprintf("%.4f", st.Utilization(end)) != "57.6923" {
 		t.Fatalf("at %v: %d sectors, max queue %d, utilization %.4f", end, st.Sectors(), st.MaxQueueLen(), st.Utilization(end))
@@ -91,8 +91,8 @@ func TestStorageBatchEndsAtASchedule(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := "[first between second]"; fmt.Sprint(got) != want || st.Elided() != 0 {
-		t.Fatalf("order %v, %d elided, want %s and 0", got, st.Elided(), want)
+	if want := "[first between second]"; fmt.Sprint(got) != want || k.Events() != 3 || k.Executed() != 3 {
+		t.Fatalf("order %v, %d events in %d dispatches, want %s and 3 in 3", got, k.Events(), k.Executed(), want)
 	}
 }
 
@@ -113,7 +113,7 @@ func TestStorageBatchRunsBeforeAnUrgentEvent(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := "[first second urgent]"; fmt.Sprint(got) != want || st.Elided() != 1 || k.Executed() != 2 {
-		t.Fatalf("order %v, %d elided, %d dispatches, want %s, 1 and 2", got, st.Elided(), k.Executed(), want)
+	if want := "[first second urgent]"; fmt.Sprint(got) != want || k.Events() != 3 || k.Executed() != 2 {
+		t.Fatalf("order %v, %d events in %d dispatches, want %s and 3 in 2", got, k.Events(), k.Executed(), want)
 	}
 }

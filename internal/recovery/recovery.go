@@ -222,27 +222,18 @@ type ManagerConfig struct {
 	// WriteSectors models the joiner-side disk install of the shipped
 	// pages.
 	WriteSectors func(n int, done func())
-	// RateBps is the bulk-transfer bandwidth (default 6 MB/s — the
-	// protocol stack's rate-control default, about half of Ethernet-100,
-	// leaving headroom for the group's live traffic).
-	RateBps float64
-	// PollPeriod paces donor-readiness checks (default 25ms).
-	PollPeriod sim.Time
-	// OnComplete observes the finished rejoin.
-	OnComplete func(transferBytes int64, lag uint64)
 	// OnViolation observes a rejoin safety violation (the dead
 	// incarnation's log was not a prefix of the snapshot's).
 	OnViolation func(v *check.Violation)
 }
 
-func (c *ManagerConfig) fill() {
-	if c.RateBps == 0 {
-		c.RateBps = 6_000_000
-	}
-	if c.PollPeriod == 0 {
-		c.PollPeriod = 25 * sim.Millisecond
-	}
-}
+// The snapshot ships at the protocol stack's rate-control default, 6 MB/s:
+// about half of Ethernet-100, leaving headroom for the group's live traffic.
+// Donor readiness is polled every 25 ms.
+const (
+	transferBps = 6_000_000
+	pollPeriod  = 25 * sim.Millisecond
+)
 
 // Manager drives one site's rejoin after the gcs layer admits it.
 type Manager struct {
@@ -253,10 +244,7 @@ type Manager struct {
 }
 
 // NewManager builds a rejoin driver.
-func NewManager(cfg ManagerConfig) *Manager {
-	cfg.fill()
-	return &Manager{cfg: cfg}
-}
+func NewManager(cfg ManagerConfig) *Manager { return &Manager{cfg: cfg} }
 
 // Done reports whether the rejoin has completed.
 func (m *Manager) Done() bool { return m.done }
@@ -288,7 +276,7 @@ func (m *Manager) pollDonor() {
 	}
 	donor := m.cfg.PickDonor()
 	if donor == nil || donor.LastGlobal() < m.joinSeq {
-		m.cfg.K.Schedule(m.cfg.PollPeriod, func() { m.pollDonor() })
+		m.cfg.K.Schedule(pollPeriod, func() { m.pollDonor() })
 		return
 	}
 	m.transfer(donor)
@@ -310,7 +298,7 @@ func (m *Manager) transfer(donor Donor) {
 			m.cfg.OnViolation(v)
 		}
 	}
-	wire := sim.FromSeconds(float64(snap.Bytes) / m.cfg.RateBps)
+	wire := sim.FromSeconds(float64(snap.Bytes) / transferBps)
 	donor.ReadSectors(snap.Pages, func() {
 		m.cfg.K.Schedule(wire, func() {
 			m.cfg.WriteSectors(snap.Pages, func() {
@@ -320,7 +308,8 @@ func (m *Manager) transfer(donor Donor) {
 	})
 }
 
-// complete closes the lifecycle transition and reports the rejoin metrics.
+// complete closes the lifecycle transition, which records the rejoin
+// metrics.
 func (m *Manager) complete(donor Donor, snap *Snapshot) {
 	m.done = true
 	var lag uint64
@@ -329,7 +318,4 @@ func (m *Manager) complete(donor Donor, snap *Snapshot) {
 	}
 	now := m.cfg.K.Now()
 	_ = m.cfg.Life.Complete(now, snap.Bytes, lag)
-	if m.cfg.OnComplete != nil {
-		m.cfg.OnComplete(snap.Bytes, lag)
-	}
 }

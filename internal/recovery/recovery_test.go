@@ -94,7 +94,6 @@ type rejoin struct {
 	donor      Donor // what PickDonor returns right now
 	polls      int
 	writes     int
-	completes  int
 	violations []*check.Violation
 }
 
@@ -121,9 +120,6 @@ func newRejoin(t *testing.T, crashLog []trace.CommitEntry) *rejoin {
 			r.writes++
 			k.Schedule(sim.Time(n)*sim.Millisecond, done)
 		},
-		RateBps:     1_000_000,
-		PollPeriod:  10 * sim.Millisecond,
-		OnComplete:  func(int64, uint64) { r.completes++ },
 		OnViolation: func(v *check.Violation) { r.violations = append(r.violations, v) },
 	})
 	return r
@@ -154,19 +150,19 @@ func TestManagerWaitsForAReadyDonor(t *testing.T) {
 	r.k.ScheduleAt(2*sim.Second, func() { r.mgr.OnJoined(50) })
 
 	r.runUntil(t, 2*sim.Second+95*sim.Millisecond)
-	if r.polls != 10 {
-		t.Fatalf("polled %d times in 95ms at a 10ms period without a donor, want 10", r.polls)
+	if r.polls != 4 {
+		t.Fatalf("polled %d times in 95ms at a 25ms period without a donor, want 4", r.polls)
 	}
 	if r.mgr.Done() || r.life.State() != StateRecovering {
 		t.Fatalf("done=%v state=%v before any donor existed", r.mgr.Done(), r.life.State())
 	}
 
 	// A donor appears but lags the catch-up sequence: still polling.
-	donor := &fakeDonor{k: r.k, global: 49, certSeq: 5, commits: log(101, 102, 103), pages: 20, bytes: 500_000}
+	donor := &fakeDonor{k: r.k, global: 49, certSeq: 5, commits: log(101, 102, 103), pages: 20, bytes: 600_000}
 	r.donor = donor
 	r.runUntil(t, 2*sim.Second+195*sim.Millisecond)
-	if donor.exports != 0 || r.polls != 20 {
-		t.Fatalf("lagging donor: %d exports after %d polls, want 0 after 20", donor.exports, r.polls)
+	if donor.exports != 0 || r.polls != 8 {
+		t.Fatalf("lagging donor: %d exports after %d polls, want 0 after 8", donor.exports, r.polls)
 	}
 	// A readmission raises the catch-up sequence; the poll must use it.
 	r.mgr.OnJoined(60)
@@ -178,9 +174,9 @@ func TestManagerWaitsForAReadyDonor(t *testing.T) {
 
 	donor.global = 60
 	r.runUntil(t, 10*sim.Second)
-	if donor.exports != 1 || r.joiner.installs != 1 || r.writes != 1 || r.completes != 1 {
-		t.Fatalf("exports=%d installs=%d writes=%d completes=%d, want one of each",
-			donor.exports, r.joiner.installs, r.writes, r.completes)
+	if donor.exports != 1 || r.joiner.installs != 1 || r.writes != 1 || r.life.Recoveries() != 1 {
+		t.Fatalf("exports=%d installs=%d writes=%d recoveries=%d, want one of each",
+			donor.exports, r.joiner.installs, r.writes, r.life.Recoveries())
 	}
 	if donor.since != 40 {
 		t.Fatalf("export bounded by applied horizon %d, want the crash horizon 40", donor.since)
@@ -188,15 +184,15 @@ func TestManagerWaitsForAReadyDonor(t *testing.T) {
 	if len(r.violations) != 0 {
 		t.Fatalf("prefix crash log flagged: %v", r.violations[0])
 	}
-	if !r.mgr.Done() || r.life.State() != StateUp || r.life.Recoveries() != 1 {
-		t.Fatalf("done=%v state=%v recoveries=%d after the transfer", r.mgr.Done(), r.life.State(), r.life.Recoveries())
+	if !r.mgr.Done() || r.life.State() != StateUp {
+		t.Fatalf("done=%v state=%v after the transfer", r.mgr.Done(), r.life.State())
 	}
-	if r.life.TransferBytes() != 500_000 || r.life.RejoinLag() != 2 {
-		t.Fatalf("transfer=%dB lag=%d, want 500000B and donor 5 - joiner 3 = 2", r.life.TransferBytes(), r.life.RejoinLag())
+	if r.life.TransferBytes() != 600_000 || r.life.RejoinLag() != 2 {
+		t.Fatalf("transfer=%dB lag=%d, want 600000B and donor 5 - joiner 3 = 2", r.life.TransferBytes(), r.life.RejoinLag())
 	}
-	// Poll at +300ms finds the donor; 20ms donor read + 500ms on the wire at
-	// 1 MB/s + 20ms joiner write + the install job.
-	if got, want := r.life.RecoveryTime(r.k.Now()), 840*sim.Millisecond; got != want {
+	// Poll at +300ms finds the donor; 20ms donor read + 100ms on the wire at
+	// 6 MB/s + 20ms joiner write + the install job.
+	if got, want := r.life.RecoveryTime(r.k.Now()), 440*sim.Millisecond; got != want {
 		t.Fatalf("recovery took %v, want %v", got, want)
 	}
 
@@ -204,9 +200,9 @@ func TestManagerWaitsForAReadyDonor(t *testing.T) {
 	polls := r.polls
 	r.mgr.OnJoined(70)
 	r.runUntil(t, 20*sim.Second)
-	if !r.mgr.Done() || donor.exports != 1 || r.completes != 1 || r.polls != polls {
-		t.Fatalf("after completion: done=%v exports=%d completes=%d polls %d -> %d",
-			r.mgr.Done(), donor.exports, r.completes, polls, r.polls)
+	if !r.mgr.Done() || donor.exports != 1 || r.life.Recoveries() != 1 || r.polls != polls {
+		t.Fatalf("after completion: done=%v exports=%d recoveries=%d polls %d -> %d",
+			r.mgr.Done(), donor.exports, r.life.Recoveries(), polls, r.polls)
 	}
 }
 

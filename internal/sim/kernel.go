@@ -118,10 +118,12 @@ type Kernel struct {
 	freeSlots []uint32
 	nextSeq   int64
 	live      int // events scheduled, not yet run or cancelled
+	reserved  int // sequences taken by Reserve, not yet resolved
 	halted    bool
 	running   bool
 	released  bool
 	executed  int64
+	settled   int64 // completions settled without a dispatch (Settle)
 	// rest runs when RunUntil runs out of events due by its limit (AtRest).
 	rest []func(limit Time)
 
@@ -165,15 +167,16 @@ func NewKernel() *Kernel {
 
 // Release ends the kernel's life. Every pending callback is dropped — they
 // close over whatever the kernel was driving — and the slot slab, the heap,
-// the free-slot stack and the node blocks go to the next NewKernel. Now and
-// Executed stay readable; Schedule panics. Releasing again does nothing.
+// the free-slot stack and the node blocks go to the next NewKernel. Now,
+// Executed and Events stay readable; Schedule panics. Releasing again does
+// nothing.
 func (k *Kernel) Release() {
 	if k.released {
 		return
 	}
 	clear(k.slots)
 	kernels.Put(kernelStore{slots: k.slots[:0], events: k.events[:0], freeSlots: k.freeSlots[:0], nodes: k.nodes})
-	*k = Kernel{now: k.now, executed: k.executed, released: true}
+	*k = Kernel{now: k.now, executed: k.executed, settled: k.settled, released: true}
 }
 
 // Now reports the current simulated time.
@@ -182,9 +185,15 @@ func (k *Kernel) Now() Time { return k.now }
 // Executed reports how many events have been dispatched so far.
 func (k *Kernel) Executed() int64 { return k.executed }
 
+// Events reports the dispatches plus the completions settled without one
+// (Settle): what a kernel with one event per completion would have
+// dispatched.
+func (k *Kernel) Events() int64 { return k.executed + k.settled }
+
 // Pending reports how many events are scheduled and not yet run or
-// cancelled.
-func (k *Kernel) Pending() int { return k.live }
+// cancelled, plus the sequences Reserve took that are not yet resolved: a
+// kernel with nothing pending has no work left.
+func (k *Kernel) Pending() int { return k.live + k.reserved }
 
 // Seq reports the insertion sequence number taken last (by a schedule or a
 // Reserve). A caller that notes it when scheduling an event can tell later
@@ -220,20 +229,47 @@ func (k *Kernel) SchedulePriAt(at Time, pri Priority, fn func()) EventID {
 }
 
 // Reserve takes the next insertion sequence number for an event that
-// ScheduleReserved files later, so the event ties at its instant as if it had
-// been scheduled now. Nothing is pending until then.
+// ScheduleReserved may file later, so the event ties at its instant as if it
+// had been scheduled now. The sequence counts in Pending until it is
+// resolved: filed by ScheduleReserved, settled by SettleReserved, or given
+// up by Unreserve.
 func (k *Kernel) Reserve() int64 {
 	k.nextSeq++
+	k.reserved++
 	return k.nextSeq
 }
 
 // ScheduleReserved is SchedulePriAt at the insertion sequence seq, taken
 // earlier by Reserve.
 func (k *Kernel) ScheduleReserved(at Time, pri Priority, seq int64, fn func()) EventID {
-	if seq <= 0 || seq > k.nextSeq {
+	k.Unreserve(seq)
+	return k.schedule(at, pri, seq, fn)
+}
+
+// Unreserve resolves seq, taken by Reserve, without an event: the work it
+// stood for is gone (a crash dropped it).
+func (k *Kernel) Unreserve(seq int64) {
+	if seq <= 0 || seq > k.nextSeq || k.reserved == 0 {
 		panic(fmt.Sprintf("sim: sequence %d was never reserved", seq))
 	}
-	return k.schedule(at, pri, seq, fn)
+	k.reserved--
+}
+
+// Settle counts n completions finished by at without a dispatch of their own
+// (a model part that completes several at one event, or none): Events counts
+// them as events. The clock moves to at when it lies later, as their events
+// would have moved it; only an AtRest hook settles past the clock, where no
+// event due by at is left.
+func (k *Kernel) Settle(n int64, at Time) {
+	k.settled += n
+	k.now = max(k.now, at)
+}
+
+// SettleReserved resolves seq, taken by Reserve, as one completion settled at
+// at without its event (Settle).
+func (k *Kernel) SettleReserved(seq int64, at Time) {
+	k.Unreserve(seq)
+	k.Settle(1, at)
 }
 
 // schedule files fn at (at, pri, seq) and returns its ID.
@@ -546,8 +582,8 @@ func (k *Kernel) Run() error {
 }
 
 // RunUntil dispatches events with timestamps at or before limit. The clock
-// is left at the time of the last dispatched event (it does not jump to
-// limit). Returns ErrHalted if Stop was called.
+// is left at the time of the last dispatched event or settled completion
+// (it does not jump to limit). Returns ErrHalted if Stop was called.
 func (k *Kernel) RunUntil(limit Time) error {
 	if k.running {
 		return errors.New("sim: kernel already running")
@@ -570,8 +606,8 @@ func (k *Kernel) RunUntil(limit Time) error {
 
 // AtRest registers fn to run each time RunUntil (or Run) returns because no
 // event due by its limit is left, not when Stop halted it. A model part that
-// owes work due by then without a kernel event of its own settles it in fn:
-// it must schedule nothing at or before limit.
+// owes work due by then without a kernel event of its own settles it in fn
+// (Settle, SettleReserved): it must schedule nothing at or before limit.
 func (k *Kernel) AtRest(fn func(limit Time)) { k.rest = append(k.rest, fn) }
 
 // Stop halts Run/RunUntil after the current dispatch completes. It is safe

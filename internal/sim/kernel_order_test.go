@@ -11,15 +11,16 @@ import (
 // event kept in a plain list, the next dispatch being its minimum by (at,
 // priority, insertion sequence). An orderScript reads a byte string as a
 // stream of schedule, cancel, reschedule, Step, RunUntil, Stop and Run
-// operations, and Reserve followed later by ScheduleReserved — handlers
-// schedule and cancel too — with delays drawn from
-// every region of the queue: before the horizon (the bucket already
-// spilled), level 0, level 1, beyond level 1, and exactly on or one
-// nanosecond before a tick, span or horizon boundary. Every dispatch must be
+// operations, and Reserve followed later by ScheduleReserved, by
+// SettleReserved or by Unreserve — handlers schedule and cancel too — with
+// delays drawn from every region of the queue: before the horizon (the
+// bucket already spilled), level 0, level 1, beyond level 1, and exactly on
+// or one nanosecond before a tick, span or horizon boundary. Every dispatch must be
 // the reference minimum, at its time, and Pending() must equal the
-// reference count after every operation and inside every handler. A
-// reserved event is a reference event at the sequence of its Reserve, as if
-// scheduled then.
+// reference count, open reservations included, after every operation and
+// inside every handler, and Events the reference's dispatches plus its
+// settled reservations. A reserved event is a reference event at the
+// sequence of its Reserve, as if scheduled then.
 
 type refEvent struct {
 	at    Time
@@ -39,6 +40,10 @@ type orderScript struct {
 	tags int
 	pend []refEvent
 	gone []EventID // IDs already dispatched or cancelled
+	// open holds the sequences reserved and not yet resolved; fired counts
+	// dispatches and settled the reservations settled without one.
+	open           []int64
+	fired, settled int64
 	// stopAt is the tag whose handler calls Stop, or -1; stopped records
 	// that it did.
 	stopAt  int
@@ -191,6 +196,7 @@ func (sc *orderScript) fire(tag int) {
 	}
 	sc.pend = append(sc.pend[:i], sc.pend[i+1:]...)
 	sc.gone = append(sc.gone, want.id)
+	sc.fired++
 	sc.checkPending()
 	if tag == sc.stopAt {
 		sc.k.Stop()
@@ -215,8 +221,44 @@ func (sc *orderScript) fire(tag int) {
 
 func (sc *orderScript) checkPending() {
 	sc.t.Helper()
-	if got := sc.k.Pending(); got != len(sc.pend) {
-		sc.fail("Pending() = %d, reference holds %d", got, len(sc.pend))
+	if got := sc.k.Pending(); got != len(sc.pend)+len(sc.open) {
+		sc.fail("Pending() = %d, reference holds %d and %d open reservations", got, len(sc.pend), len(sc.open))
+	}
+	if sc.k.Executed() != sc.fired || sc.k.Events() != sc.fired+sc.settled {
+		sc.fail("Executed() = %d, Events() = %d, reference fired %d and settled %d",
+			sc.k.Executed(), sc.k.Events(), sc.fired, sc.settled)
+	}
+}
+
+// hold takes a sequence with Reserve and keeps it open, or resolves the open
+// reservation the next byte picks without an event: settled as a completion
+// at the current instant, or given up. Either way the clock stays put.
+func (sc *orderScript) hold() {
+	b := sc.next()
+	if b%3 == 0 || len(sc.open) == 0 {
+		sc.seq++
+		if seq := sc.k.Reserve(); seq != sc.seq {
+			sc.fail("Reserve = %d, want %d", seq, sc.seq)
+		}
+		sc.open = append(sc.open, sc.seq)
+		return
+	}
+	i := int(b/3) % len(sc.open)
+	sc.resolve(i, b%3 == 1)
+}
+
+// resolve settles open reservation i at the current instant, or gives it up.
+func (sc *orderScript) resolve(i int, settle bool) {
+	now := sc.k.Now()
+	if settle {
+		sc.k.SettleReserved(sc.open[i], now)
+		sc.settled++
+	} else {
+		sc.k.Unreserve(sc.open[i])
+	}
+	sc.open = slices.Delete(sc.open, i, i+1)
+	if sc.k.Now() != now {
+		sc.fail("resolving a reservation moved the clock from %v to %v", now, sc.k.Now())
 	}
 }
 
@@ -225,7 +267,7 @@ func (sc *orderScript) checkPending() {
 func runOrderScript(t testing.TB, k *Kernel, in []byte) {
 	sc := &orderScript{t: t, k: k, in: in, stopAt: -1}
 	for !sc.done() {
-		switch op := sc.next(); op % 11 {
+		switch op := sc.next(); op % 12 {
 		case 0, 1, 2, 3:
 			sc.schedule(sc.next())
 		case 4:
@@ -259,7 +301,13 @@ func runOrderScript(t testing.TB, k *Kernel, in []byte) {
 			sc.stopAt = -1
 		case 10:
 			sc.reserve()
+		case 11:
+			sc.hold()
 		}
+		sc.checkPending()
+	}
+	for len(sc.open) > 0 { // settle and give up the rest in turn
+		sc.resolve(0, len(sc.open)%2 == 0)
 		sc.checkPending()
 	}
 	if err := sc.k.Run(); err != nil {
@@ -307,6 +355,9 @@ func orderSeeds() [][]byte {
 		// reserve at a pending event's instant and two ties scheduled before
 		// the reserved one is filed, then Steps
 		[]byte{0, 0, 9, 1, 1, 1, 10, 13, 0, 0, 1, 0, 2, 0, 13, 0, 0, 1, 0, 13, 0, 0, 1, 6, 6, 6, 6},
+		// two reservations held open across schedules and Steps: the first
+		// settled, the second given up, then a third held to the end
+		[]byte{11, 0, 0, 4, 9, 1, 1, 1, 11, 0, 6, 11, 1, 0, 4, 9, 2, 2, 1, 6, 11, 2, 11, 0, 6},
 	)
 	return seeds
 }

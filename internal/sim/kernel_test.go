@@ -215,15 +215,15 @@ func TestTimeConversions(t *testing.T) {
 
 // TestReservedTiesAtItsReserve: an event filed by ScheduleReserved ties at
 // its instant by the number its Reserve took, ahead of an event scheduled
-// between the two calls.
+// between the two calls. The reserved sequence is pending from its Reserve.
 func TestReservedTiesAtItsReserve(t *testing.T) {
 	k := NewKernel()
 	var got []string
 	note := func(s string) func() { return func() { got = append(got, s) } }
 	k.Schedule(Millisecond, note("first"))
 	seq := k.Reserve()
-	if k.Pending() != 1 || k.Seq() != seq {
-		t.Fatalf("after Reserve: %d pending, Seq %d, want 1 and %d", k.Pending(), k.Seq(), seq)
+	if k.Pending() != 2 || k.Seq() != seq {
+		t.Fatalf("after Reserve: %d pending, Seq %d, want 2 and %d", k.Pending(), k.Seq(), seq)
 	}
 	k.Schedule(Millisecond, note("between"))
 	k.ScheduleReserved(Millisecond, PriorityNormal, seq, note("reserved"))
@@ -235,5 +235,40 @@ func TestReservedTiesAtItsReserve(t *testing.T) {
 	}
 	if want := "[first reserved between]"; fmt.Sprint(got) != want {
 		t.Fatalf("order %v, want %s", got, want)
+	}
+}
+
+// TestSettleKeepsTheLedger: completions settled without a dispatch count in
+// Events, not in Executed. One settled inside an event at an earlier instant
+// leaves the clock alone; one an AtRest hook settles past the clock moves it
+// there, as its own event would have, and the next schedule counts from it.
+// A reservation is pending until it is settled.
+func TestSettleKeepsTheLedger(t *testing.T) {
+	k := NewKernel()
+	var seq int64
+	k.Schedule(2*Millisecond, func() {
+		k.Settle(3, Millisecond)
+		seq = k.Reserve()
+	})
+	k.AtRest(func(limit Time) {
+		if seq != 0 {
+			k.SettleReserved(seq, limit-Microsecond)
+			seq = 0
+		}
+	})
+	if err := k.RunUntil(5 * Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if k.Executed() != 1 || k.Events() != 5 || k.Now() != 5*Millisecond-Microsecond || k.Pending() != 0 {
+		t.Fatalf("after the rest: %d dispatches, %d events, now %v, %d pending; want 1, 5, %v and 0",
+			k.Executed(), k.Events(), k.Now(), k.Pending(), 5*Millisecond-Microsecond)
+	}
+	var at Time
+	k.Schedule(Millisecond, func() { at = k.Now() })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if at != 6*Millisecond-Microsecond {
+		t.Fatalf("an event scheduled 1ms after the settled clock ran at %v", at)
 	}
 }

@@ -78,7 +78,7 @@ func TestAggregateRetryAndGiveUp(t *testing.T) {
 	k := sim.NewKernel()
 	server := newAggServer(k)
 	server.MaxActive = 1
-	retry := RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * sim.Millisecond, MaxBackoff: 200 * sim.Millisecond}
+	retry := RetryPolicy{MaxAttempts: 3}
 	a := newAggUnderTest(k, server, 150, retry)
 	var done int64
 	budget := 300
@@ -301,9 +301,9 @@ func TestAggregateLazyBuildMatchesEagerTwin(t *testing.T) {
 	k := sim.NewKernel()
 	server := newAggServer(k)
 	server.MaxActive = 1
-	// Backoff windows that cannot overlap — retry n waits [10,20]·2^(n-1) ms —
+	// Backoff windows that cannot overlap — retry n waits [25,50]·2^(n-1) ms —
 	// so the time from arrival to the admitted submission tells the attempt.
-	retry := RetryPolicy{MaxAttempts: 4, BaseBackoff: 20 * sim.Millisecond, MaxBackoff: sim.Second}
+	retry := RetryPolicy{MaxAttempts: 4}
 	a := newAggUnderTest(k, server, pop, retry)
 	type arrived struct {
 		at    sim.Time
@@ -351,7 +351,7 @@ func TestAggregateLazyBuildMatchesEagerTwin(t *testing.T) {
 		}
 		wait := got.SubmitAt - e.at
 		refusals := 0
-		for d := 10 * sim.Millisecond; wait >= d; d *= 2 {
+		for d := 25 * sim.Millisecond; wait >= d; d *= 2 {
 			wait -= d
 			refusals++
 		}
@@ -380,7 +380,7 @@ func TestAggregateCrashWakesParkedArrivalsOnce(t *testing.T) {
 	k := sim.NewKernel()
 	server := newAggServer(k)
 	server.MaxActive = 2
-	a := newAggUnderTest(k, server, pop, RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * sim.Millisecond, MaxBackoff: 200 * sim.Millisecond})
+	a := newAggUnderTest(k, server, pop, RetryPolicy{MaxAttempts: 3})
 	outcomes := map[uint64]db.Outcome{}
 	crashed := 0
 	a.OnDone = func(txn *db.Txn, o db.Outcome) {
@@ -435,7 +435,7 @@ func TestAggregateFreeListDroppedAtStop(t *testing.T) {
 	k := sim.NewKernel()
 	server := newAggServer(k)
 	server.MaxActive = 1
-	a := newAggUnderTest(k, server, 600, RetryPolicy{MaxAttempts: 3, BaseBackoff: 20 * sim.Millisecond, MaxBackoff: 200 * sim.Millisecond})
+	a := newAggUnderTest(k, server, 600, RetryPolicy{MaxAttempts: 3})
 	budget, peak, afterStop := 800, 0, 0
 	a.Stop = func() bool {
 		peak = max(peak, a.free.Len())

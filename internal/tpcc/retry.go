@@ -11,40 +11,31 @@ import (
 // (Section 5.1) — a rejection is different: the transaction never executed,
 // and the server explicitly invited a retry. The retried submission reuses
 // the same transaction instance, so its TID survives and resubmission is
-// idempotent end to end.
+// idempotent end to end. The wait before each retry is fixed (backoff).
 type RetryPolicy struct {
 	// MaxAttempts is the total number of submissions tried, including the
 	// first; 0 or 1 disables retry (a rejection is final).
 	MaxAttempts int
-	// BaseBackoff is the nominal delay before the first retry; attempt n
-	// waits BaseBackoff·2^(n-1), capped at MaxBackoff. Defaults to 50ms.
-	BaseBackoff sim.Time
-	// MaxBackoff caps the exponential growth. Defaults to 2s.
-	MaxBackoff sim.Time
 }
 
 // Enabled reports whether the policy allows any retry at all.
 func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 
-// Backoff computes the delay before retry number attempt (1 = first retry):
+// Retry number n waits about baseBackoff·2^(n-1), capped at maxBackoff.
+const (
+	baseBackoff = 50 * sim.Millisecond
+	maxBackoff  = 2 * sim.Second
+)
+
+// backoff computes the delay before retry number attempt (1 = first retry):
 // exponential growth with a half-spread jitter drawn from the client's own
 // RNG stream, so identical seeds produce identical retry schedules.
-func (p RetryPolicy) Backoff(attempt int, rng *sim.RNG) sim.Time {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = 50 * sim.Millisecond
-	}
-	cap := p.MaxBackoff
-	if cap <= 0 {
-		cap = 2 * sim.Second
-	}
-	d := base
-	for i := 1; i < attempt && d < cap; i++ {
+func backoff(attempt int, rng *sim.RNG) sim.Time {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
-	}
+	d = min(d, maxBackoff)
 	// Jitter over [d/2, d]: desynchronizes rejected clients so they do not
 	// stampede back in lockstep.
 	return d/2 + rng.UniformDur(0, d/2)
@@ -119,7 +110,7 @@ func (at *attempt) onDone(t *db.Txn, o db.Outcome) {
 	if o == db.Rejected && at.n < l.policy.MaxAttempts {
 		l.retries++
 		l.pending++
-		l.k.Schedule(l.policy.Backoff(at.n, l.rng), at.again)
+		l.k.Schedule(backoff(at.n, l.rng), at.again)
 		return
 	}
 	if o == db.Rejected && l.policy.Enabled() {
