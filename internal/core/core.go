@@ -239,6 +239,8 @@ type Model struct {
 	// members[g-1] is group g's membership universe, the dedicated sequencer
 	// included (rebuilt stacks need it).
 	members [][]runtimeapi.NodeID
+	// logs[g-1] is the array group g's commit logs share while they agree.
+	logs []trace.LogArray
 
 	sites     []*Site
 	dedicated *Site // dedicated sequencer member, when configured
@@ -358,6 +360,7 @@ func newOnLAN(cfg Config, lan simnet.LANConfig) (*Model, error) {
 func (m *Model) buildSites() error {
 	total := len(m.place.home)
 	m.members = make([][]runtimeapi.NodeID, m.place.groups)
+	m.logs = make([]trace.LogArray, m.place.groups)
 	for g := range m.members {
 		m.members[g] = m.place.members(g + 1)
 	}
@@ -743,6 +746,7 @@ func (m *Model) buildReplica(s *Site, recovering bool) {
 		GroupOf:          m.place.owner(),
 	}
 	s.Replica = replica.New(s.RT, s.Stack, s.Server, opts)
+	s.Replica.CommitLog().Share(&m.logs[s.group-1])
 }
 
 // crash stops a site completely, capturing its crash horizon (applied

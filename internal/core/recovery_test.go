@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dbsm"
 	"repro/internal/faults"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // rejoinConfig is a 3-site run with a crash-and-rejoin of one site and
@@ -206,5 +208,48 @@ func TestRecoverReleasesTheDeadCertifier(t *testing.T) {
 			dead.CheckOnly(&dbsm.TxnCert{})
 		}()
 		m.release()
+	}
+}
+
+// TestCommitLogsShareOneArrayUntilRejoin: the three sites of a fault-free
+// run end with equal commit logs held in one backing array, and after a
+// crash and rejoin the survivors still share theirs while the rejoined
+// site, restarted from its donor's snapshot, keeps a private copy.
+func TestCommitLogsShareOneArrayUntilRejoin(t *testing.T) {
+	logs := func(cfg Config) []trace.CommitLog {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.release()
+		r, err := m.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Verdict(); err != nil {
+			t.Fatal(err)
+		}
+		var out []trace.CommitLog
+		for _, s := range m.Sites() {
+			out = append(out, *s.Replica.CommitLog())
+			if out[len(out)-1].Len() == 0 {
+				t.Fatalf("site %d committed nothing", s.ID)
+			}
+		}
+		return out
+	}
+	same := func(a, b trace.CommitLog) bool { return &a.Entries()[0] == &b.Entries()[0] }
+	equal := func(a, b trace.CommitLog) bool { return slices.Equal(a.Entries(), b.Entries()) }
+
+	free := logs(Config{Sites: 3, Clients: 90, TotalTxns: 1500, Seed: 1})
+	for i := 1; i < len(free); i++ {
+		if !equal(free[i], free[0]) || !same(free[i], free[0]) {
+			t.Fatalf("fault-free site %d: equal %v, same array %v; want both", i+1, equal(free[i], free[0]), same(free[i], free[0]))
+		}
+	}
+	rejoined := logs(rejoinConfig(ProtocolConservative, 3, 1))
+	if !equal(rejoined[0], rejoined[2]) || !same(rejoined[0], rejoined[1]) || same(rejoined[0], rejoined[2]) {
+		t.Fatalf("after a rejoin of site 3: equal %v, survivors share %v, rejoined shares %v; want true, true, false",
+			equal(rejoined[0], rejoined[2]), same(rejoined[0], rejoined[1]), same(rejoined[0], rejoined[2]))
 	}
 }

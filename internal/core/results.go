@@ -201,7 +201,10 @@ func (m *Model) results() *Results {
 	r.Duration = duration
 
 	classAgg := map[string]*ClassResult{}
-	classLat := map[string]*metrics.Sample{}
+	classLat := map[string][]*metrics.Sample{}
+	// siteLat[i] holds every site's operand of the i-th latency sample
+	// merged below, in site order: each target merges once.
+	var siteLat [5][]*metrics.Sample
 	liveSites := 0
 	for _, s := range m.sites {
 		sub, com, ab, rej := s.Server.Totals()
@@ -260,18 +263,22 @@ func (m *Model) results() *Results {
 			r.DiskUtilPct += sr.DiskUtilPct
 		}
 		collectClasses(s, classAgg, classLat)
-		r.LatCommitted.Merge(&s.Server.LatCommitted)
-		r.LatReadOnly.Merge(&s.Server.LatReadOnly)
-		r.LatUpdate.Merge(&s.Server.LatUpdate)
-		r.CertLat.Merge(&s.Server.CertLat)
-		r.CertDecideLat.Merge(&s.Server.CertDecideLat)
+		sv := s.Server
+		for i, o := range [...]*metrics.Sample{&sv.LatCommitted, &sv.LatReadOnly, &sv.LatUpdate, &sv.CertLat, &sv.CertDecideLat} {
+			siteLat[i] = append(siteLat[i], o)
+		}
 		r.Inconsistencies += s.Server.Inconsistencies()
 	}
-	for _, c := range m.clients {
+	for i, dst := range [...]*metrics.Sample{r.LatCommitted, r.LatReadOnly, r.LatUpdate, r.CertLat, r.CertDecideLat} {
+		dst.Merge(siteLat[i]...)
+	}
+	retryLat := make([]*metrics.Sample, len(m.clients))
+	for i, c := range m.clients {
 		r.Retries += c.Retries()
 		r.GiveUps += c.GiveUps()
-		r.RetryLat.Merge(c.RetryLat())
+		retryLat[i] = c.RetryLat()
 	}
+	r.RetryLat.Merge(retryLat...)
 	r.RejoinViolations = m.rejoinViolations
 	r.RejoinErr = m.rejoinViolation
 	if liveSites > 0 {
@@ -297,18 +304,19 @@ func (m *Model) results() *Results {
 	done := r.Committed + r.Aborted
 	r.AbortRatePct = metrics.Rate(r.Aborted, done)
 
-	for name, cr := range classAgg {
-		cr.AbortRatePct = metrics.Rate(cr.AbortLock+cr.AbortCert+cr.AbortUser,
-			cr.Committed+cr.AbortLock+cr.AbortCert+cr.AbortUser)
-		cr.MeanLatencyMS = classLat[name].Mean()
-	}
 	names := make([]string, 0, len(classAgg))
 	for n := range classAgg {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		r.Classes = append(r.Classes, *classAgg[n])
+		cr := classAgg[n]
+		cr.AbortRatePct = metrics.Rate(cr.AbortLock+cr.AbortCert+cr.AbortUser,
+			cr.Committed+cr.AbortLock+cr.AbortCert+cr.AbortUser)
+		var lat metrics.Sample
+		lat.Merge(classLat[n]...)
+		cr.MeanLatencyMS = lat.Mean()
+		r.Classes = append(r.Classes, *cr)
 	}
 
 	// Off-line safety check over commit logs (replicated runs only):
@@ -412,13 +420,14 @@ func (r *Results) Features() map[string]int64 {
 	}
 }
 
-func collectClasses(s *Site, agg map[string]*ClassResult, lat map[string]*metrics.Sample) {
+// collectClasses adds a site's class counters to agg and its class latency
+// samples to lat, which holds each class's operands in site order.
+func collectClasses(s *Site, agg map[string]*ClassResult, lat map[string][]*metrics.Sample) {
 	s.Server.EachClass(func(name string, cs *db.ClassStats) {
 		cr := agg[name]
 		if cr == nil {
 			cr = &ClassResult{Name: name}
 			agg[name] = cr
-			lat[name] = &metrics.Sample{}
 		}
 		cr.Submitted += cs.Submitted
 		cr.Committed += cs.Committed
@@ -426,7 +435,7 @@ func collectClasses(s *Site, agg map[string]*ClassResult, lat map[string]*metric
 		cr.AbortCert += cs.AbortCert
 		cr.AbortUser += cs.AbortUser
 		cr.Rejected += cs.Rejected
-		lat[name].Merge(&cs.Lat)
+		lat[name] = append(lat[name], &cs.Lat)
 	})
 }
 
@@ -606,10 +615,12 @@ func (a *Aggregate) Stat(get func(*Results) float64) Stat {
 // Pool concatenates one latency sample of every replication — the
 // distribution plots of Figures 4 and 7.
 func (a *Aggregate) Pool(get func(*Results) *metrics.Sample) *metrics.Sample {
-	pooled := &metrics.Sample{}
-	for _, r := range a.Runs {
-		pooled.Merge(get(r))
+	runs := make([]*metrics.Sample, len(a.Runs))
+	for i, r := range a.Runs {
+		runs[i] = get(r)
 	}
+	pooled := &metrics.Sample{}
+	pooled.Merge(runs...)
 	return pooled
 }
 

@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -18,24 +19,39 @@ type Sample struct {
 	sumSq  float64
 }
 
-// Add records one observation.
+// Add records one observation. The observations grow by doubling, so a
+// sample of n values has copied fewer than n of them.
 func (s *Sample) Add(v float64) {
+	if len(s.values) == cap(s.values) {
+		s.values = slices.Grow(s.values, len(s.values))
+	}
 	s.values = append(s.values, v)
 	s.sorted = false
 	s.sum += v
 	s.sumSq += v * v
 }
 
-// Merge adds every observation of o to s, in o's sorted order — exactly what
-// adding o.Values() one by one does (same floating-point accumulation order,
-// so Mean, StdDev and CI95 come out bit-identical), without the copy.
-func (s *Sample) Merge(o *Sample) {
-	o.ensureSorted()
-	for _, v := range o.values {
-		s.sum += v
-		s.sumSq += v * v
+// Merge adds every observation of each operand to s: operand by operand in
+// argument order, each in its sorted order — exactly what adding each
+// o.Values() one by one does (the same floating-point accumulation order, so
+// Mean, StdDev and CI95 come out bit-identical), without the copies. s grows
+// at most once, to the exact total.
+func (s *Sample) Merge(os ...*Sample) {
+	n := len(s.values)
+	for _, o := range os {
+		n += len(o.values)
 	}
-	s.values = append(s.values, o.values...)
+	if n > cap(s.values) {
+		s.values = append(make([]float64, 0, n), s.values...)
+	}
+	for _, o := range os {
+		o.ensureSorted()
+		for _, v := range o.values {
+			s.sum += v
+			s.sumSq += v * v
+		}
+		s.values = append(s.values, o.values...)
+	}
 	s.sorted = false
 }
 

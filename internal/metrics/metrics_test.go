@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -61,6 +62,70 @@ func TestSampleMergeMatchesAddLoop(t *testing.T) {
 		if src2.N() != sizes[1] || src2.Mean() != src1.Mean() {
 			t.Fatalf("sizes %v: Merge changed its source", sizes)
 		}
+	}
+}
+
+// TestSampleMergeVariadicMatchesOneAtATime pins a many-operand Merge to the
+// same operands merged one at a time, bit for bit, and holds its growth to
+// one allocation.
+func TestSampleMergeVariadicMatchesOneAtATime(t *testing.T) {
+	fill := func(s *Sample, n int, seed float64) {
+		for i := 0; i < n; i++ {
+			s.Add(math.Mod(seed*float64(i+1)*math.Pi, 97) / 7)
+		}
+	}
+	sizes := []int{7, 0, 1000, 1, 333}
+	ops1 := make([]*Sample, len(sizes))
+	ops2 := make([]*Sample, len(sizes))
+	for i, n := range sizes {
+		ops1[i], ops2[i] = &Sample{}, &Sample{}
+		fill(ops1[i], n, 1.1+float64(i))
+		fill(ops2[i], n, 1.1+float64(i))
+	}
+	var oneByOne, variadic Sample
+	fill(&oneByOne, 50, 0.3)
+	fill(&variadic, 50, 0.3)
+	for _, o := range ops1 {
+		oneByOne.Merge(o)
+	}
+	variadic.Merge(ops2...)
+	if variadic.N() != oneByOne.N() || variadic.Mean() != oneByOne.Mean() || variadic.StdDev() != oneByOne.StdDev() {
+		t.Fatalf("n/mean/stddev %d %v %v, one at a time %d %v %v",
+			variadic.N(), variadic.Mean(), variadic.StdDev(), oneByOne.N(), oneByOne.Mean(), oneByOne.StdDev())
+	}
+	for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1} {
+		if variadic.Quantile(q) != oneByOne.Quantile(q) {
+			t.Fatalf("q%.2f = %v, one at a time %v", q, variadic.Quantile(q), oneByOne.Quantile(q))
+		}
+	}
+	if !slices.Equal(variadic.Values(), oneByOne.Values()) {
+		t.Fatal("Values differ from the one-at-a-time merge")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		var dst Sample
+		dst.Add(1)
+		dst.Merge(ops2...)
+	}); allocs != 2 {
+		t.Fatalf("an Add and a growing Merge allocate %v times, want 2", allocs)
+	}
+}
+
+// TestSampleAddGrowsByDoubling: a sample of n values grows its storage at
+// most log2(n)+1 times (Go's own ×1.25 growth past 256 values takes 27 at
+// 2^16). It counts capacity changes, not allocations: a race build's
+// slices.Grow allocates a second time.
+func TestSampleAddGrowsByDoubling(t *testing.T) {
+	var s Sample
+	grows := 0
+	for i := 0; i < 1<<16; i++ {
+		c := cap(s.values)
+		s.Add(float64(i))
+		if cap(s.values) != c {
+			grows++
+		}
+	}
+	if grows > 17 {
+		t.Fatalf("2^16 Adds grow the storage %d times, want at most 17", grows)
 	}
 }
 

@@ -124,7 +124,9 @@ func (l *Lifecycle) RecoveryTime(now sim.Time) sim.Time {
 
 // Crash transitions Up → Crashed, capturing the crash horizon: the applied
 // sequence (which bounds the pages a later snapshot must ship) and the
-// commit log (against which the rejoin prefix condition is checked).
+// commit log (against which the rejoin prefix condition is checked). It
+// keeps commits as given, which must not change: a CommitLog's Entries do
+// not.
 func (l *Lifecycle) Crash(now sim.Time, lastApplied uint64, commits []trace.CommitEntry) error {
 	if l.state != StateUp {
 		return fmt.Errorf("recovery: site %d crash in state %v", l.site, l.state)
@@ -132,7 +134,7 @@ func (l *Lifecycle) Crash(now sim.Time, lastApplied uint64, commits []trace.Comm
 	l.state = StateCrashed
 	l.crashedAt = now
 	l.lastAppliedAtCrash = lastApplied
-	l.commitsAtCrash = append([]trace.CommitEntry(nil), commits...)
+	l.commitsAtCrash = commits
 	return nil
 }
 
@@ -176,6 +178,7 @@ type Snapshot struct {
 	Cert *dbsm.CertState
 	// Commits is the donor's commit log — the joiner's log restarts from
 	// it, which is what makes the post-rejoin stream provably convergent.
+	// It is the donor's Entries slice, which never changes, not a copy.
 	Commits []trace.CommitEntry
 	// LastApplied seeds the joiner's applied-sequence horizon.
 	LastApplied uint64

@@ -344,7 +344,7 @@ func (r *Replica) ExportSnapshot(sinceApplied uint64) *recovery.Snapshot {
 		Donor:       r.site,
 		Global:      r.lastGlobal,
 		Cert:        st,
-		Commits:     append([]trace.CommitEntry(nil), r.commitLog.Entries()...),
+		Commits:     r.commitLog.Entries(),
 		LastApplied: r.server.LastApplied(),
 	}
 	full := sinceApplied < st.Pruned

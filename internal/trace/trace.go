@@ -1,9 +1,17 @@
 // Package trace records per-transaction logs and per-site commit logs. The
 // off-line safety check over commit logs (Section 5.3) lives in
 // internal/check, which consumes the CommitLog sequences recorded here.
+//
+// The sites of a replication group commit the same sequence, so their logs
+// are stored once: each site's CommitLog is a prefix of the group's
+// LogArray for as long as its entries agree with it, and the first entry
+// that does not moves that log into storage of its own for the rest of the
+// run. A divergence is thus kept exactly as the site committed it.
 package trace
 
 import (
+	"slices"
+
 	"repro/internal/db"
 	"repro/internal/dbsm"
 	"repro/internal/sim"
@@ -65,27 +73,75 @@ type CommitEntry struct {
 	TID uint64
 }
 
-// CommitLog is the sequence of transactions a site committed, in
-// certification order. Comparing these logs off-line is the paper's safety
-// condition.
-type CommitLog struct {
+// LogArray is the one array a replication group's commit logs share: its
+// entries are the longest sequence some sharing log committed. An entry once
+// written is never rewritten, and the array grows by doubling.
+type LogArray struct {
 	entries []CommitEntry
 }
 
-// Append records a commit decision.
+// CommitLog is the sequence of transactions a site committed, in
+// certification order. Comparing these logs off-line is the paper's safety
+// condition.
+//
+// A log given a LogArray by Share is the capped prefix shared[:n:n] of it
+// while its entries agree with the array's; a log that diverges, or takes a
+// snapshot by Reset, keeps private storage from then on. Either way, a slice
+// Entries returned never changes: the array's prefix is never rewritten, and
+// a private append lands past every length already returned.
+type CommitLog struct {
+	entries []CommitEntry
+	shared  *LogArray // nil once the log is private
+}
+
+// Share makes an empty log a prefix of a: its appends extend a while they
+// agree with what a already holds.
+func (l *CommitLog) Share(a *LogArray) {
+	if len(l.entries) != 0 {
+		panic("trace: Share on a non-empty commit log")
+	}
+	l.shared = a
+}
+
+// Append records a commit decision. A sharing log extends its prefix when the
+// array already holds the same entry at the log's next position, or appends
+// to the array when the log is the array's end; any other entry diverges,
+// and the log copies its prefix into private storage before appending.
 func (l *CommitLog) Append(seq, tid uint64) {
-	l.entries = append(l.entries, CommitEntry{Seq: seq, TID: tid})
+	e := CommitEntry{Seq: seq, TID: tid}
+	if a := l.shared; a != nil {
+		n := len(l.entries)
+		if n == len(a.entries) {
+			if n == cap(a.entries) {
+				a.entries = slices.Grow(a.entries, n)
+			}
+			a.entries = append(a.entries, e)
+		}
+		if a.entries[n] == e {
+			l.entries = a.entries[: n+1 : n+1]
+			return
+		}
+		l.shared = nil
+	}
+	// A private log's first append copies: a shared prefix, or a slice
+	// Reset aliased, has its capacity trimmed to its length.
+	l.entries = append(l.entries, e)
 }
 
 // Reset replaces the log with a snapshot-transferred sequence — a recovered
 // site restarts its log from the donor's, so the post-rejoin stream extends
-// a prefix shared with every survivor.
+// a prefix shared with every survivor. The log aliases entries, which must
+// not change (an Entries slice does not), and is private from then on.
 func (l *CommitLog) Reset(entries []CommitEntry) {
-	l.entries = append(l.entries[:0], entries...)
+	l.entries = entries[:len(entries):len(entries)]
+	l.shared = nil
 }
 
-// Entries returns the committed sequence.
-func (l *CommitLog) Entries() []CommitEntry { return l.entries }
+// Entries returns the committed sequence. The slice never changes, whatever
+// the log appends later, and an append to it copies.
+func (l *CommitLog) Entries() []CommitEntry {
+	return l.entries[:len(l.entries):len(l.entries)]
+}
 
 // Len reports the number of commits.
 func (l *CommitLog) Len() int { return len(l.entries) }
