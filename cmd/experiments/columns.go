@@ -35,6 +35,19 @@ func transferKB(r *core.Results) float64    { return float64(r.TransferBytes) / 
 func deltaApplied(r *core.Results) float64  { return float64(r.DeltaApplied) }
 func multiGroupPct(r *core.Results) float64 { return r.MultiGroupPct }
 
+// classAbortPct is the getter of one class's abort rate: 0 in a run that
+// never saw the class, so every replication still counts once.
+func classAbortPct(class string) func(*core.Results) float64 {
+	return func(r *core.Results) float64 {
+		for _, c := range r.Classes {
+			if c.Name == class {
+				return c.AbortRatePct
+			}
+		}
+		return 0
+	}
+}
+
 // The latency samples the distribution plots pool, for core.Aggregate.Pool.
 func latCommitted(r *core.Results) *metrics.Sample { return r.LatCommitted }
 func latReadOnly(r *core.Results) *metrics.Sample  { return r.LatReadOnly }

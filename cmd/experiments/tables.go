@@ -19,14 +19,6 @@ var classOrder = []struct{ key, label string }{
 	{"stocklevel", "stocklevel"},
 }
 
-// abortRow extracts a class abort-rate stat from an aggregate.
-func abortRow(a *core.Aggregate, class string) core.Stat {
-	if c := a.Class(class); c != nil {
-		return c.AbortRatePct
-	}
-	return core.Stat{}
-}
-
 // abortTable runs one task per column and prints the per-class abort rates
 // under the task labels.
 func (h *harness) abortTable(name string, tasks []expr.Task) error {
@@ -44,7 +36,7 @@ func (h *harness) abortTable(name string, tasks []expr.Task) error {
 	for _, row := range classOrder {
 		fmt.Printf("%-20s", row.label)
 		for _, p := range pts {
-			fmt.Printf(" %16s", pct(abortRow(p.Agg, row.key)))
+			fmt.Printf(" %16s", pct(p.Agg.Stat(classAbortPct(row.key))))
 		}
 		fmt.Println()
 	}

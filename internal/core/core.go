@@ -21,7 +21,6 @@ import (
 	"repro/internal/dbsm"
 	"repro/internal/faults"
 	"repro/internal/gcs"
-	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/replica"
 	"repro/internal/runtimeapi"
@@ -220,7 +219,6 @@ func (s *Site) operational() bool {
 type clientTier interface {
 	Retries() int64
 	GiveUps() int64
-	RetryLat() *metrics.Sample
 	// RetryPending reports a backoff timer holding an unsubmitted retry: the
 	// run must stay open for the resubmission, or the retried transaction
 	// would be cut off mid-flight.

@@ -76,9 +76,6 @@ func TestAdmissionRejectsAndRetriesStaySafe(t *testing.T) {
 				s.Site, s.BacklogPeak, maxActive, s.Aborted)
 		}
 	}
-	if r.RetryLat.N() == 0 {
-		t.Fatal("no retry-latency samples despite retries")
-	}
 }
 
 // TestSaturationBoundedQueues holds a 2x saturation for the whole run and

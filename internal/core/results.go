@@ -59,18 +59,12 @@ type SiteResult struct {
 	BacklogPeak   int64
 	CPUUtilPct    float64 // all work
 	CPUSimUtilPct float64 // transaction processing
-	CPURealUtil   float64 // protocol (real) jobs — Figure 7(c)
 	DiskUtilPct   float64 // Figure 6(b)
 	RemoteApplied int64
-	// Availability metrics of the lifecycle refactor: total time not Up,
-	// the share of it spent in the Recovering state, snapshot bytes
-	// shipped to this site, the commit-sequence gap to the donor at
-	// rejoin, and the deliveries replayed in the delta catch-up.
-	DowntimeMS   float64
-	RecoveryMS   float64
-	TransferKB   float64
-	RejoinLag    uint64
-	DeltaApplied int64
+	// Recovery detail: snapshot bytes shipped to this site and the
+	// commit-sequence gap to the donor at rejoin.
+	TransferKB float64
+	RejoinLag  uint64
 }
 
 // Results carries everything the paper's evaluation reports for one run.
@@ -99,12 +93,10 @@ type Results struct {
 	GCS gcs.Stats
 	// Overload counters. Rejected sums explicit admission refusals (server
 	// side); Retries and GiveUps sum client resubmissions and abandoned
-	// transactions; RetryLat samples first-submit-to-final-outcome latency
-	// (ms) of transactions that needed at least one retry.
+	// transactions.
 	Rejected int64
 	Retries  int64
 	GiveUps  int64
-	RetryLat *metrics.Sample
 	// TPM is committed transactions per minute — Figure 5(a).
 	TPM float64
 	// MeanLatencyMS and P95LatencyMS summarize committed latency —
@@ -142,14 +134,12 @@ type Results struct {
 	OptMispredictPct float64
 	// Recovery metrics, summed over sites: completed rejoins, snapshot
 	// bytes shipped, mean recovery duration and downtime per rejoin, and
-	// install-time prefix-check failures (RejoinViolations must be zero;
-	// RejoinErr carries the first one).
+	// install-time prefix-check failures (RejoinViolations must be zero).
 	Recoveries       int
 	TransferBytes    int64
 	MeanRecoveryMS   float64
 	MeanDowntimeMS   float64
 	RejoinViolations int64
-	RejoinErr        error
 	// Partial-replication (group mode) detail. Groups echoes the group
 	// count (0 for the classic model). MultiGroupCommitted/MultiGroupAborted
 	// count the cross-group rounds' decisions as recorded by the home
@@ -189,7 +179,6 @@ func (m *Model) results() *Results {
 		LatUpdate:     &metrics.Sample{},
 		CertLat:       &metrics.Sample{},
 		CertDecideLat: &metrics.Sample{},
-		RetryLat:      &metrics.Sample{},
 		TxnLog:        m.txnLog,
 		Events:        m.k.Events(),
 	}
@@ -221,8 +210,6 @@ func (m *Model) results() *Results {
 			Aborted:       ab,
 			Rejected:      rej,
 			RemoteApplied: s.Server.RemoteApplied(),
-			DowntimeMS:    life.Downtime(now).Millis(),
-			RecoveryMS:    life.RecoveryTime(now).Millis(),
 			TransferKB:    float64(life.TransferBytes()) / 1024,
 			RejoinLag:     life.RejoinLag(),
 		}
@@ -235,7 +222,6 @@ func (m *Model) results() *Results {
 		if duration > 0 {
 			sr.CPUUtilPct = s.CPUs.Utilization(duration)
 			sr.CPUSimUtilPct = s.CPUs.ClassUtilization(csrt.ClassSim, duration)
-			sr.CPURealUtil = s.CPUs.ClassUtilization(csrt.ClassReal, duration)
 			sr.DiskUtilPct = s.Server.Storage().Utilization(duration)
 		}
 		// Fold the live incarnation's counters on top of any dead
@@ -249,7 +235,6 @@ func (m *Model) results() *Results {
 		}
 		fold(&r.Stats, repStats)
 		fold(&r.GCS, gcsStats)
-		sr.DeltaApplied = repStats.DeltaApplied
 		sr.BacklogPeak = repStats.BacklogPeak
 		r.Sites = append(r.Sites, sr)
 		r.Submitted += sub
@@ -259,7 +244,7 @@ func (m *Model) results() *Results {
 		if s.operational() {
 			liveSites++
 			r.CPUUtilPct += sr.CPUUtilPct
-			r.CPURealUtilPct += sr.CPURealUtil
+			r.CPURealUtilPct += s.CPUs.ClassUtilization(csrt.ClassReal, duration)
 			r.DiskUtilPct += sr.DiskUtilPct
 		}
 		collectClasses(s, classAgg, classLat)
@@ -272,15 +257,11 @@ func (m *Model) results() *Results {
 	for i, dst := range [...]*metrics.Sample{r.LatCommitted, r.LatReadOnly, r.LatUpdate, r.CertLat, r.CertDecideLat} {
 		dst.Merge(siteLat[i]...)
 	}
-	retryLat := make([]*metrics.Sample, len(m.clients))
-	for i, c := range m.clients {
+	for _, c := range m.clients {
 		r.Retries += c.Retries()
 		r.GiveUps += c.GiveUps()
-		retryLat[i] = c.RetryLat()
 	}
-	r.RetryLat.Merge(retryLat...)
 	r.RejoinViolations = m.rejoinViolations
-	r.RejoinErr = m.rejoinViolation
 	if liveSites > 0 {
 		r.CPUUtilPct /= float64(liveSites)
 		r.CPURealUtilPct /= float64(liveSites)
@@ -313,9 +294,7 @@ func (m *Model) results() *Results {
 		cr := classAgg[n]
 		cr.AbortRatePct = metrics.Rate(cr.AbortLock+cr.AbortCert+cr.AbortUser,
 			cr.Committed+cr.AbortLock+cr.AbortCert+cr.AbortUser)
-		var lat metrics.Sample
-		lat.Merge(classLat[n]...)
-		cr.MeanLatencyMS = lat.Mean()
+		cr.MeanLatencyMS = metrics.MergedMean(classLat[n]...)
 		r.Classes = append(r.Classes, *cr)
 	}
 
@@ -372,10 +351,10 @@ func (m *Model) results() *Results {
 		}
 		r.MultiGroupPct = metrics.Rate(r.MultiGroupCommitted, r.Committed)
 	}
-	if len(m.sites) > 1 && r.SafetyErr == nil && r.RejoinErr != nil {
+	if len(m.sites) > 1 && r.SafetyErr == nil && m.rejoinViolation != nil {
 		// An install-time prefix violation is a safety violation even
 		// if the final logs happen to line up.
-		r.SafetyErr = r.RejoinErr
+		r.SafetyErr = m.rejoinViolation
 	}
 	return r
 }
@@ -521,95 +500,43 @@ func VerdictWord(kind string) string {
 type Stat struct {
 	Mean float64
 	CI95 float64 // half-width of the 95% Student-t confidence interval
-	Min  float64
-	Max  float64
 	N    int
 }
 
 // String renders "mean±ci" with one decimal.
 func (st Stat) String() string { return fmt.Sprintf("%.1f±%.1f", st.Mean, st.CI95) }
 
-func statOf(vals []float64) Stat {
-	var s metrics.Sample
-	for _, v := range vals {
-		s.Add(v)
-	}
-	return Stat{Mean: s.Mean(), CI95: s.CI95(), Min: s.Min(), Max: s.Max(), N: s.N()}
-}
-
-// ClassAggregate is one row of an abort-rate table aggregated over
-// replications.
-type ClassAggregate struct {
-	Name          string
-	AbortRatePct  Stat
-	MeanLatencyMS Stat
-}
-
 // Aggregate holds R replicated Results of the same configuration (run with
-// different seeds). It stores no per-metric column: a table asks Stat for
-// the mean ± 95% CI of exactly the quantity it prints, and Pool for a
-// latency distribution over all replications. Both walk Runs in replication
-// order, so the same runs always produce the identical numbers regardless of
-// how the runs themselves were scheduled.
+// different seeds). It stores no per-metric column, per-class rows
+// included: a table asks Stat for the mean ± 95% CI of exactly the quantity
+// it prints (a class's abort rate is a getter that reads 0 in a replication
+// that never saw the class), and Pool for a latency distribution over all
+// replications. Both walk Runs in replication order, so the same runs always
+// produce the identical numbers regardless of how the runs themselves were
+// scheduled.
 type Aggregate struct {
 	Reps int
-	// Classes aggregates abort-rate rows — Tables 1 and 2.
-	Classes []ClassAggregate
 	// Runs holds the underlying per-replication results, in order.
 	Runs []*Results
 }
 
-// AggregateRuns merges replicated results. It panics on an empty slice —
+// AggregateRuns gathers replicated results. It panics on an empty slice —
 // every grid point runs at least one replication.
 func AggregateRuns(runs []*Results) *Aggregate {
 	if len(runs) == 0 {
 		panic("core: AggregateRuns on empty run set")
 	}
-	a := &Aggregate{Reps: len(runs), Runs: runs}
-
-	// Class rows: union of class names in sorted order; a replication that
-	// never saw a class contributes a zero observation, keeping every
-	// column the same width.
-	nameSet := map[string]bool{}
-	for _, r := range runs {
-		for _, c := range r.Classes {
-			nameSet[c.Name] = true
-		}
-	}
-	names := make([]string, 0, len(nameSet))
-	for n := range nameSet {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		abort := make([]float64, len(runs))
-		lat := make([]float64, len(runs))
-		for i, r := range runs {
-			for _, c := range r.Classes {
-				if c.Name == name {
-					abort[i] = c.AbortRatePct
-					lat[i] = c.MeanLatencyMS
-					break
-				}
-			}
-		}
-		a.Classes = append(a.Classes, ClassAggregate{
-			Name:          name,
-			AbortRatePct:  statOf(abort),
-			MeanLatencyMS: statOf(lat),
-		})
-	}
-	return a
+	return &Aggregate{Reps: len(runs), Runs: runs}
 }
 
 // Stat summarizes one scalar of every replication, e.g.
 // a.Stat(func(r *Results) float64 { return float64(r.GCS.Nacks) }).
 func (a *Aggregate) Stat(get func(*Results) float64) Stat {
-	vals := make([]float64, len(a.Runs))
-	for i, r := range a.Runs {
-		vals[i] = get(r)
+	var s metrics.Sample
+	for _, r := range a.Runs {
+		s.Add(get(r))
 	}
-	return statOf(vals)
+	return Stat{Mean: s.Mean(), CI95: s.CI95(), N: s.N()}
 }
 
 // Pool concatenates one latency sample of every replication — the
@@ -622,16 +549,6 @@ func (a *Aggregate) Pool(get func(*Results) *metrics.Sample) *metrics.Sample {
 	pooled := &metrics.Sample{}
 	pooled.Merge(runs...)
 	return pooled
-}
-
-// Class returns the aggregated row for a class name, or nil.
-func (a *Aggregate) Class(name string) *ClassAggregate {
-	for i := range a.Classes {
-		if a.Classes[i].Name == name {
-			return &a.Classes[i]
-		}
-	}
-	return nil
 }
 
 // Verdict is the first replication's Results.Verdict that is not nil: the

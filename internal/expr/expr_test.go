@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/tpcc"
 )
 
 // smallGrid is a reduced (configuration × clients) grid that runs in a few
@@ -65,9 +66,28 @@ func aggKey(a *core.Aggregate) string {
 	} {
 		fmt.Fprintf(&b, "%v|", a.Stat(get))
 	}
-	fmt.Fprintf(&b, "%d|%d|%v|%v", pooledLat(a).N(),
-		a.Pool(func(r *core.Results) *metrics.Sample { return r.CertLat }).N(), a.Classes, a.Reps)
+	for _, class := range []string{tpcc.ClassNewOrder, tpcc.ClassPaymentLong, tpcc.ClassPaymentShort,
+		tpcc.ClassOrderStatusLong, tpcc.ClassOrderStatusShort, tpcc.ClassDelivery, tpcc.ClassStockLevel} {
+		fmt.Fprintf(&b, "%s %v %v|", class,
+			a.Stat(classGetter(class, func(c core.ClassResult) float64 { return c.AbortRatePct })),
+			a.Stat(classGetter(class, func(c core.ClassResult) float64 { return c.MeanLatencyMS })))
+	}
+	fmt.Fprintf(&b, "%d|%d|%v", pooledLat(a).N(),
+		a.Pool(func(r *core.Results) *metrics.Sample { return r.CertLat }).N(), a.Reps)
 	return b.String()
+}
+
+// classGetter reads one field of a class's row, 0 in a run that never saw
+// the class — how the abort-rate tables read a class.
+func classGetter(class string, field func(core.ClassResult) float64) func(*core.Results) float64 {
+	return func(r *core.Results) float64 {
+		for _, c := range r.Classes {
+			if c.Name == class {
+				return field(c)
+			}
+		}
+		return 0
+	}
 }
 
 // pooledLat pools the committed-latency samples of a point's replications.

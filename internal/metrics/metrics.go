@@ -55,6 +55,25 @@ func (s *Sample) Merge(os ...*Sample) {
 	s.sorted = false
 }
 
+// MergedMean is the Mean of an empty Sample after Merge(os...), bit for
+// bit, without building it: the operands' values are summed in the order
+// Merge adds them, operand by operand, each in its sorted order.
+func MergedMean(os ...*Sample) float64 {
+	var sum float64
+	n := 0
+	for _, o := range os {
+		o.ensureSorted()
+		for _, v := range o.values {
+			sum += v
+		}
+		n += len(o.values)
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.values) }
 
@@ -137,24 +156,6 @@ func (s *Sample) Quantile(q float64) float64 {
 		return s.values[len(s.values)-1]
 	}
 	return s.values[i]*(1-frac) + s.values[i+1]*frac
-}
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.values[0]
-}
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.values[len(s.values)-1]
 }
 
 // ECDF returns the empirical CDF evaluated at x: the fraction of

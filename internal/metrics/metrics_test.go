@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,7 @@ func TestSampleSummary(t *testing.T) {
 	if math.Abs(s.StdDev()-want) > 1e-9 {
 		t.Fatalf("StdDev = %v, want %v", s.StdDev(), want)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
+	if s.Quantile(0) != 2 || s.Quantile(1) != 9 {
 		t.Fatal("min/max wrong")
 	}
 }
@@ -110,6 +111,51 @@ func TestSampleMergeVariadicMatchesOneAtATime(t *testing.T) {
 	}
 }
 
+// TestMergedMeanMatchesMerge pins MergedMean to the Mean of a Merge into an
+// empty sample with ==, over random operand sets whose values span many
+// magnitudes and are added unsorted. It also checks that the sets would tell
+// a different summation order apart: each operand's insertion order, or the
+// operands in reverse, gives other bits on some of them.
+func TestMergedMeanMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	insertedShows, reversedShows := 0, 0
+	for trial := 0; trial < 500; trial++ {
+		ops := make([]*Sample, rng.Intn(6))
+		var inserted, reversed float64
+		n := 0
+		for i := range ops {
+			ops[i] = &Sample{}
+			for range rng.Intn(40) {
+				v := math.Exp(rng.Float64()*30-10) * rng.Float64()
+				ops[i].Add(v)
+				inserted += v
+				n++
+			}
+		}
+		var merged Sample
+		merged.Merge(ops...)
+		got, want := MergedMean(ops...), merged.Mean()
+		if got != want {
+			t.Fatalf("trial %d: MergedMean %v, Merge then Mean %v", trial, got, want)
+		}
+		for i := len(ops) - 1; i >= 0; i-- {
+			for _, v := range ops[i].values {
+				reversed += v
+			}
+		}
+		if n > 0 && inserted/float64(n) != want {
+			insertedShows++
+		}
+		if n > 0 && reversed/float64(n) != want {
+			reversedShows++
+		}
+	}
+	if insertedShows == 0 || reversedShows == 0 {
+		t.Fatalf("insertion order differs on %d sets, reversed operands on %d: want both above 0",
+			insertedShows, reversedShows)
+	}
+}
+
 // TestSampleAddGrowsByDoubling: a sample of n values grows its storage at
 // most log2(n)+1 times (Go's own ×1.25 growth past 256 values takes 27 at
 // 2^16). It counts capacity changes, not allocations: a race build's
@@ -131,7 +177,7 @@ func TestSampleAddGrowsByDoubling(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.StdDev() != 0 || s.Quantile(0.5) != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 || s.StdDev() != 0 || s.Quantile(0.5) != 0 || s.Quantile(0) != 0 || s.Quantile(1) != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 }

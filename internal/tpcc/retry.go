@@ -2,7 +2,6 @@ package tpcc
 
 import (
 	"repro/internal/db"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -52,10 +51,9 @@ type retryLoop struct {
 	server *db.Server
 	policy RetryPolicy
 
-	retries  int64
-	giveUps  int64
-	pending  int // backoff timers whose resubmission has not fired yet
-	retryLat metrics.Sample
+	retries int64
+	giveUps int64
+	pending int // backoff timers whose resubmission has not fired yet
 }
 
 // Retries reports resubmissions after rejections.
@@ -63,10 +61,6 @@ func (l *retryLoop) Retries() int64 { return l.retries }
 
 // GiveUps reports transactions abandoned after exhausting MaxAttempts.
 func (l *retryLoop) GiveUps() int64 { return l.giveUps }
-
-// RetryLat exposes the first-submit-to-final-outcome latency sample (ms) of
-// transactions that needed at least one retry.
-func (l *retryLoop) RetryLat() *metrics.Sample { return &l.retryLat }
 
 // RetryPending reports whether any backoff timer holds an unsubmitted
 // retry; quiescence detection must hold the run open for them.
@@ -77,10 +71,9 @@ func (l *retryLoop) RetryPending() bool { return l.pending > 0 }
 // once, so a refused submission, its backoff and its resubmission allocate
 // nothing.
 type attempt struct {
-	loop    *retryLoop
-	txn     *db.Txn
-	n       int      // submissions so far
-	firstAt sim.Time // when the first was made
+	loop *retryLoop
+	txn  *db.Txn
+	n    int // submissions so far
 	// resolved receives the final outcome, once: never between a rejection
 	// and its resubmission.
 	resolved func(*db.Txn, db.Outcome)
@@ -96,7 +89,7 @@ func (at *attempt) bind(l *retryLoop, resolved func(*db.Txn, db.Outcome)) {
 
 // submit makes the first submission of t.
 func (at *attempt) submit(t *db.Txn) {
-	at.txn, at.n, at.firstAt = t, 1, at.loop.k.Now()
+	at.txn, at.n = t, 1
 	t.Done = at.done
 	at.loop.server.Submit(t)
 }
@@ -115,9 +108,6 @@ func (at *attempt) onDone(t *db.Txn, o db.Outcome) {
 	}
 	if o == db.Rejected && l.policy.Enabled() {
 		l.giveUps++
-	}
-	if at.n > 1 {
-		l.retryLat.Add((l.k.Now() - at.firstAt).Millis())
 	}
 	at.txn = nil
 	at.resolved(t, o)

@@ -24,8 +24,8 @@ func TestRetryPolicyEnabled(t *testing.T) {
 // tier, which runs the same retry loop: one Client against a server that
 // refuses everything until, in the middle of some backoff, the gate opens.
 // Refusals are retried within the budget, exhausted budgets are give-ups,
-// RetryLat samples exactly the transactions that needed a retry, and OnDone
-// fires once per transaction, never between a rejection and its resubmission.
+// and OnDone fires once per transaction, never between a rejection and its
+// resubmission.
 func TestClientRetryAndGiveUp(t *testing.T) {
 	k := sim.NewKernel()
 	server := newAggServer(k)
@@ -78,12 +78,6 @@ func TestClientRetryAndGiveUp(t *testing.T) {
 	// one on its first.
 	if r := cl.Retries() - 2*refused; r != 1 && r != 2 {
 		t.Fatalf("%d retries for %d give-ups: the admitted-on-retry transaction used %d", cl.Retries(), refused, r)
-	}
-	if n := int64(cl.RetryLat().N()); n != refused+1 {
-		t.Fatalf("%d retry latencies, want one per give-up plus the one admitted on a retry (%d)", n, refused+1)
-	}
-	if min := cl.RetryLat().Min(); min < 25 {
-		t.Fatalf("shortest retried latency %.1fms, below the shortest first backoff", min)
 	}
 	if sub, _, _, rej := server.Totals(); sub != cl.Issued()+cl.Retries() || rej != refused+cl.Retries() {
 		t.Fatalf("server saw %d submissions and %d rejections, want issued %d + retries %d and give-ups %d + retries",
