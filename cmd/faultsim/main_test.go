@@ -41,11 +41,12 @@ var goldenRuns = []struct{ name, args string }{
 // an intended change, and say which lines moved and why. Race builds compare
 // the sweep at one worker count only: its 20 lossy_rejoin runs take about
 // 13 s each there (against 0.2 s), and the output does not depend on the
-// build, so the plain build's comparison covers it.
+// build, so the plain build's comparison covers it. A failing schedule's
+// repro goes to a temporary -corpus, not into the source tree.
 func TestGolden(t *testing.T) {
 	for i, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
-			args := strings.Fields(g.args)
+			args := append(strings.Fields(g.args), "-corpus", t.TempDir())
 			got := golden.Stdout(t, run, append(args, "-parallel", "4")...)
 			if (i == 0 || g.name == "sweep" && !sim.RaceBuild) && !bytes.Equal(got, golden.Stdout(t, run, append(args, "-parallel", "1")...)) {
 				t.Fatal("stdout differs between -parallel 4 and -parallel 1")

@@ -12,10 +12,11 @@
 //
 // Schedules are generated quorum-safe by construction: crashed plus
 // partitioned sites never reach half of the group, so a primary component
-// always survives to make progress, and partition minorities are drawn from
-// the highest-numbered sites so the sequencer (the lowest live member, and
-// the only node guaranteed to hold every ordered message) stays on the
-// majority side.
+// survives to make progress (gcs wedges, in every run, a member that suspects
+// a majority of its view). Partition minorities are drawn from the
+// highest-numbered sites so the sequencer (the lowest live member, and the
+// only node guaranteed to hold every ordered message) stays on the majority
+// side.
 package campaign
 
 import (

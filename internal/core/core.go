@@ -200,8 +200,8 @@ type Site struct {
 
 // operational reports whether the site participates in the protocol right
 // now: lifecycle Up, never isolated in a partition minority, and its stack
-// not wedged (a stack halts on exclusion from the view or on quorum loss
-// under the primary-component rule — e.g. a loss-induced false suspicion).
+// not wedged (a stack halts on exclusion from the view or on quorum loss,
+// when a partition or a loss-induced suspicion hides a majority of its view).
 // Non-operational sites are held to the prefix safety condition and
 // excluded from quiescence accounting; a recovered site is operational
 // again and held to full equality.
@@ -533,7 +533,7 @@ func (m *Model) armFaults() error {
 // one active cut at a time, so partitions must not overlap in time; and the
 // structural faults combined (crashes plus partitioned minorities) must leave
 // every replication group a strict majority — each group runs its own view —
-// or the primary-component rule would wedge every survivor.
+// or gcs's primary-component rule would wedge every survivor.
 func (m *Model) armPartitions() error {
 	f := &m.cfg.Faults
 	if len(f.Partitions) == 0 {
@@ -711,7 +711,7 @@ func (m *Model) onDone(s *Site, client int, t *db.Txn, o db.Outcome) {
 
 // buildStack assembles a site's group communication stack — at model build
 // time (joining false) or for a fresh incarnation rejoining after a crash
-// (joining true).
+// (joining true). It wedges rather than install a view without a majority.
 func (m *Model) buildStack(s *Site, joining bool) error {
 	gcfg := gcs.Config{
 		Self:         runtimeapi.NodeID(s.ID),
@@ -720,9 +720,6 @@ func (m *Model) buildStack(s *Site, joining bool) error {
 		UseMulticast: true,
 		BufferBytes:  m.cfg.GCSBufferBytes,
 		Joining:      joining,
-		// Partitions need the primary-component rule: the minority side
-		// must wedge rather than split-brain.
-		PrimaryComponent: len(m.cfg.Faults.Partitions) > 0,
 	}
 	stack, err := gcs.New(s.RT, gcfg)
 	if err != nil {

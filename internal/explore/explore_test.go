@@ -13,10 +13,12 @@ import (
 
 // The self-test workload, under the short-campaign shape. With
 // internal/mutants' non-uniform-sequencer mutant applied (the uniform-delivery
-// fix reverted) it has a bug to find: a sequencer cut off inside the narrow
-// window between its non-uniform local delivery and the survivors learning
-// the assignment — exactly the kind of timing coincidence random campaigning
-// almost never draws and coverage-guided mutation homes in on.
+// fix reverted) it has a bug to find: a sequencer cut off inside the window
+// between its non-uniform local delivery and the survivors learning the
+// assignment. The random campaign cannot draw that schedule, because it keeps
+// the sequencer out of partition minorities; the explorer's genes have no
+// such rule, and its minimized find is one gene, a partition that isolates
+// site 1.
 func shortBase() core.Config {
 	return core.Config{
 		Sites: 3, Clients: 60, TotalTxns: 300,
@@ -105,7 +107,10 @@ func minimizedRepro(t *testing.T, f *Found) *Repro {
 // uniform-delivery fix reverted, the coverage-guided explorer must find the
 // violation in at most half the runs random campaigning needs, under the same
 // run budget and seeds (generation zero IS the random campaign's schedule
-// sequence).
+// sequence). The campaign never isolates the sequencer, so its baseline finds
+// nothing and reads budget+1: what this measures is that mutation leaves the
+// campaign's space and reaches a sequencer-isolating partition within 50 runs
+// at this seed, not that it searches a shared space faster.
 func TestExplorerBeatsRandom(t *testing.T) {
 	if !mutants.Require(t, nonUniform) {
 		return

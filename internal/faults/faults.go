@@ -36,8 +36,15 @@ type Loss struct {
 // one message every 10ms.
 const nominalMsgInterval = 10 * sim.Millisecond
 
-// NewModel builds a fresh (per-host) loss model, or nil for LossNone.
+// Active reports whether the loss discards anything: a kind and a rate > 0.
+func (l Loss) Active() bool { return l.Kind != LossNone && l.Rate > 0 }
+
+// NewModel builds a fresh (per-host) loss model, or nil when inactive, so an
+// inactive loss draws nothing from the host stream the injectors share.
 func (l Loss) NewModel() simnet.LossModel {
+	if !l.Active() {
+		return nil
+	}
 	switch l.Kind {
 	case LossRandom:
 		return &simnet.RandomLoss{P: l.Rate}
@@ -187,7 +194,7 @@ type Config struct {
 // Any reports whether the configuration injects any fault.
 func (c Config) Any() bool {
 	return c.ClockDriftRate != 0 || c.SchedLatencyMean != 0 ||
-		c.Loss.Kind != LossNone || len(c.Crashes) > 0 || len(c.Partitions) > 0 ||
+		c.Loss.Active() || len(c.Crashes) > 0 || len(c.Partitions) > 0 ||
 		c.Saturation.Active() || len(c.SlowNodes) > 0 ||
 		c.Duplicate.Active() || c.Reorder.Active()
 }

@@ -11,6 +11,11 @@ func TestLossModelConstruction(t *testing.T) {
 	if (Loss{}).NewModel() != nil {
 		t.Fatal("LossNone must build no model")
 	}
+	for _, k := range []LossKind{LossRandom, LossBursty} {
+		if l := (Loss{Kind: k}); l.Active() || l.NewModel() != nil {
+			t.Fatalf("kind %d at rate 0 must be inactive and build no model", k)
+		}
+	}
 	m := Loss{Kind: LossRandom, Rate: 0.1}.NewModel()
 	if _, ok := m.(*simnet.RandomLoss); !ok {
 		t.Fatalf("random loss built %T", m)
@@ -54,6 +59,9 @@ func TestSiteMatching(t *testing.T) {
 func TestAny(t *testing.T) {
 	if (Config{}).Any() {
 		t.Fatal("empty config reports faults")
+	}
+	if (Config{Loss: Loss{Kind: LossRandom}}).Any() {
+		t.Fatal("loss at rate 0 reports faults")
 	}
 	cases := []Config{
 		{ClockDriftRate: 0.01},

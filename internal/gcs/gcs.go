@@ -70,14 +70,6 @@ type Config struct {
 	// when that sequence is known. Members must use the same full member
 	// universe in Members as the original group.
 	Joining bool
-	// PrimaryComponent enforces the primary-partition membership rule: a
-	// member that can no longer reach a strict majority of its current
-	// view wedges (halts the stack) instead of installing a minority view,
-	// so a network partition cannot produce split-brain progress. The
-	// majority side keeps quorum, excludes the silent members, and
-	// continues. Off by default: crash-only runs never lose quorum and
-	// keep the paper's original behaviour.
-	PrimaryComponent bool
 
 	// The protocol's timers, which no caller varies: fill sets the
 	// defaults and only this package's tests override them.
@@ -211,8 +203,8 @@ type Stats struct {
 	QueuePeakBytes int64 `fold:"max"`
 	ViewChanges    int64
 	// QuorumLosses counts wedges under the primary-component rule: the
-	// member found itself unable to reach a majority of its view and
-	// halted rather than risk minority progress.
+	// member suspected a majority of its view and halted rather than
+	// install a minority view (0 or 1).
 	QuorumLosses int64
 	// JoinRequests counts admission requests sent while joining; Joins
 	// counts views this stack was admitted into as a joiner (0 or 1).
@@ -388,7 +380,7 @@ func (s *Stack) halt() {
 }
 
 // Stopped reports whether the stack has halted — by Stop, by exclusion from
-// the view, or by wedging on quorum loss under the primary-component rule.
+// the view, or by wedging on quorum loss (the primary-component rule).
 func (s *Stack) Stopped() bool { return s.stopped }
 
 // Multicast submits an application payload for atomic (totally ordered)

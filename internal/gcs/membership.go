@@ -177,10 +177,10 @@ func (mb *membership) fdTick() {
 		return
 	}
 	if mb.quorumLost() {
-		// Primary-component rule: this member is on the minority side of
-		// a partition. Wedge instead of installing a minority view —
-		// committing anything here could diverge from the primary
-		// component that keeps running on the other side.
+		// Primary-component rule: this member no longer hears a majority
+		// of its view, whether a partition cut it off or loss made it
+		// suspect live peers. Wedge instead of installing a minority view:
+		// committing anything here could diverge from the primary component.
 		mb.s.stats.QuorumLosses++
 		mb.s.halt()
 		return
@@ -188,12 +188,9 @@ func (mb *membership) fdTick() {
 	mb.maybeInitiate()
 }
 
-// quorumLost reports whether, under the primary-component rule, the
-// unsuspected members no longer form a strict majority of the current view.
+// quorumLost reports whether the unsuspected members no longer form a strict
+// majority of the current view.
 func (mb *membership) quorumLost() bool {
-	if !mb.s.cfg.PrimaryComponent {
-		return false
-	}
 	return 2*len(mb.alive()) <= len(mb.s.view.Members)
 }
 

@@ -42,9 +42,12 @@ func TestUniformDeliveryGatesSequencer(t *testing.T) {
 // first, leaving a committed suffix the survivors — who renumber without the
 // lost announcement — could never reproduce (a non-prefix log divergence).
 // Now its delivered log must stay a prefix of the survivors': here, empty.
+// The survivors' blackout (1 s) stays shorter than their failure timeout, so
+// neither suspects the other and wedges on quorum loss; only the sequencer,
+// silent from its crash on, is suspected.
 func TestUniformDeliveryCrashLeavesNoSuffix(t *testing.T) {
 	c := newCluster(t, 3, 43, func(cfg *Config) {
-		cfg.failTimeout = 500 * sim.Millisecond
+		cfg.failTimeout = 1500 * sim.Millisecond
 	})
 	c.k.ScheduleAt(sim.Second, func() {
 		c.net.Host(2).SetDown(true)
