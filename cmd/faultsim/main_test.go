@@ -232,12 +232,19 @@ func TestCampaignFailureSavesRepro(t *testing.T) {
 }
 
 // TestGroupModeUsageErrors pins the two flag combinations group mode cannot
-// honour, and a negative group count that core refuses: each exits 2 before
-// a run starts, none drops a flag silently.
+// honour, and run files core refuses (a negative group count; crashes that
+// leave a group no majority): each exits 2 before a run starts, none drops a
+// flag silently.
 func TestGroupModeUsageErrors(t *testing.T) {
 	const groups = "-config testdata/smoke_groups.json -short"
-	negative := filepath.Join(t.TempDir(), "negative_groups.json")
+	dir := t.TempDir()
+	negative := filepath.Join(dir, "negative_groups.json")
 	if err := os.WriteFile(negative, []byte(`{"version": 3, "config": {"sites": 3, "groups": -3, "clients": 60, "txns": 300}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	majority := filepath.Join(dir, "majority_crashed.json")
+	if err := os.WriteFile(majority, []byte(`{"version": 3, "config": {"sites": 3, "clients": 60, "txns": 300,
+		"faults": {"Crashes": [{"Site": 3, "At": 5000000000}, {"Site": 2, "At": 10000000000}]}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, cmdline := range []string{
@@ -247,6 +254,7 @@ func TestGroupModeUsageErrors(t *testing.T) {
 		groups + " -campaign 2 -rejoin -list",    // nor in a listed schedule
 		"-config " + negative + " -campaign 2",   // a config core refuses, before any run
 		"-replay-file " + negative + " -seeds 3", // the same file as a run file
+		"-replay-file " + majority,               // a crash-only file that crashes 2 of 3 sites
 	} {
 		if got := run(strings.Fields(cmdline)); got != 2 {
 			t.Errorf("faultsim %s = %d, want 2", cmdline, got)

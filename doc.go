@@ -138,9 +138,11 @@
 // its setup: core.Model.Run is the model's end of life, and what the model
 // sized for its run — about 4.9 KB of math/rand state per RNG stream (one
 // per client, host, disk and generator), the kernel's slot and node slabs,
-// each certifier's index maps and history blocks — goes to process-wide
-// sim.Shelf shelves for the next core.New, reseeded or emptied, so the run
-// that takes it back is byte-identical to one on fresh storage. What that
+// each certifier's index maps and history blocks, the buffers waiting on
+// each gcs stack's free lists, each client's transaction with its item-set
+// arrays — goes to process-wide sim.Shelf shelves for the next core.New,
+// reseeded, emptied or overwritten before it is read, so the run that takes
+// it back is byte-identical to one on fresh storage. What that
 // costs the host is measured by
 // one command, `bash bench/run.sh all` (five workloads, eight end-to-end
 // metrics, a per-layer ledger; bench/README.md holds the committed

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/check"
@@ -533,12 +534,11 @@ func (m *Model) armFaults() error {
 // one active cut at a time, so partitions must not overlap in time; and the
 // structural faults combined (crashes plus partitioned minorities) must leave
 // every replication group a strict majority — each group runs its own view —
-// or gcs's primary-component rule would wedge every survivor.
+// or gcs's primary-component rule would wedge every survivor. That holds for
+// a run with crashes and no partition too: one that crashes a majority of a
+// group could only end wedged.
 func (m *Model) armPartitions() error {
 	f := &m.cfg.Faults
-	if len(f.Partitions) == 0 {
-		return nil
-	}
 	sorted := append([]faults.Partition(nil), f.Partitions...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
 	for i := 1; i < len(sorted); i++ {
@@ -825,25 +825,43 @@ func (m *Model) pickDonor(joiner *Site) recovery.Donor {
 
 // Run executes the model to completion and assembles results. It is the
 // model's end of life, error or not: the RNG streams, the kernel's pending
-// events and the sites' certifiers are released, and what they had sized for
-// the run goes to the next New. Afterwards the Results, and the model's
-// servers, hosts, lifecycles, stack Stats, commit logs and network counters,
-// stay readable; nothing can run on the model again.
+// events, the sites' certifiers, the stacks' free buffers and the clients'
+// transactions are released, and what they had sized for the run goes to the
+// next New. Afterwards the Results, and the model's servers, hosts,
+// lifecycles, stack Stats, commit logs and network counters, stay readable;
+// nothing can run on the model again.
 func (m *Model) Run() (*Results, error) {
 	defer m.release()
 	return m.run()
 }
 
-// release frees what the model took for its run: the RNG family, the kernel
-// and each site's current certifier. A dead incarnation's certifier goes
-// when its site recovers (recover); that of a site still down at the end
-// goes here with the rest.
+// release frees what the model took for its run: the RNG family, the kernel,
+// each site's current certifier, the buffers waiting on each live stack's
+// free lists, and every individual client's transaction that no server
+// holds. A dead incarnation's certifier goes when its site recovers
+// (recover); that of a site still down at the end goes here with the rest. A
+// halted stack has no free buffers left, and an aggregate's arrival records
+// are not kept: a saturated run holds tens of thousands of them. The sites go
+// in the reverse of the order New builds them, so on the last-in, first-out
+// shelves each site of a next model of the same shape takes what its
+// counterpart left: the sequencer's larger pools go to the sequencer.
 func (m *Model) release() {
 	m.rng.Release()
 	m.k.Release()
-	for _, s := range m.sites {
+	for _, s := range slices.Backward(m.sites) {
 		if s.Replica != nil {
 			s.Replica.Certifier().Release()
+		}
+		if s.Stack != nil {
+			s.Stack.Release()
+		}
+	}
+	if m.dedicated != nil {
+		m.dedicated.Stack.Release()
+	}
+	for _, c := range m.clients {
+		if c, ok := c.(*tpcc.Client); ok {
+			c.Release()
 		}
 	}
 }

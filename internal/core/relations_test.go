@@ -5,18 +5,25 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // TestRelations pins changes that must move nothing: each row's base run and
-// its patched run mean the same simulation, so they must agree on the event
-// count, the duration and the printed summary. A component that is present
-// but inactive must draw from no stream another component shares, schedule
-// no event and shift no tie.
+// its second run mean the same simulation, so they must agree on the event
+// count, the duration, the printed summary and the folded layer counters
+// (Results.Stats and Results.GCS). A component that is present but inactive
+// must draw from no stream another component shares, schedule no event and
+// shift no tie; storage a model takes off a shelf must carry nothing from
+// the model that left it there.
 func TestRelations(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		base  Config
+		name string
+		base Config
+		// patch turns the base into the second run's config; nil runs the
+		// base again.
 		patch func(*Config)
+		// between runs after the base and before the second run.
+		between func(t *testing.T)
 	}{
 		{
 			// The loss model, the reorder injector and the duplicate
@@ -27,14 +34,41 @@ func TestRelations(t *testing.T) {
 				Faults: faults.Config{Reorder: faults.Chaos{Rate: 0.3, Delay: 2 * sim.Millisecond, At: sim.Second}}},
 			patch: func(c *Config) { c.Faults.Loss = faults.Loss{Kind: faults.LossRandom, Rate: 0} },
 		},
+		{
+			// A model takes what finished ones shelved: RNG sources, kernel
+			// slabs, the certifier index, clients' transactions and stacks'
+			// free buffers. The base run must not tell whether an aggregate
+			// model (buffers, no client transactions), an optimistic one and
+			// one on a squeezed MTU (buffers too small for the base's
+			// datagrams) ran before it.
+			name: "warm shelves",
+			base: Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 5},
+			between: func(t *testing.T) {
+				runModel(t, Config{Sites: 3, Clients: 3000, AggregateClients: 1000, TotalTxns: 400, Seed: 8,
+					Admission: &AdmissionConfig{MaxActivePerSite: 8}})
+				runModel(t, Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 9, Protocol: ProtocolOptimistic})
+				m, err := newOnLAN(groupCfg(ProtocolConservative, 11), simnet.LANConfig{MTU: 96})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, err := Run(tc.base)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.between != nil {
+				tc.between(t)
+			}
 			cfg := tc.base
-			tc.patch(&cfg)
+			if tc.patch != nil {
+				tc.patch(&cfg)
+			}
 			b, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -44,6 +78,12 @@ func TestRelations(t *testing.T) {
 			}
 			if sa, sb := a.Summary(), b.Summary(); sa != sb {
 				t.Fatalf("summary moved:\n%s\n→\n%s", sa, sb)
+			}
+			if a.Stats != b.Stats {
+				t.Fatalf("replica counters moved:\n%+v\n→\n%+v", a.Stats, b.Stats)
+			}
+			if a.GCS != b.GCS {
+				t.Fatalf("gcs counters moved:\n%+v\n→\n%+v", a.GCS, b.GCS)
 			}
 		})
 	}

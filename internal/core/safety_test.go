@@ -180,6 +180,22 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
+// TestCrashOnlyMajorityRefused: a run with crashes and no partition is held
+// to the same strict-majority rule, with the same error, as one with a
+// partition. Crashing sites 3 and 2 of 3 could only end wedged, so New
+// refuses it up front; crashing one of them is accepted.
+func TestCrashOnlyMajorityRefused(t *testing.T) {
+	majority := faults.Config{Crashes: []faults.Crash{{Site: 3, At: 5 * sim.Second}, {Site: 2, At: 10 * sim.Second}}}
+	const want = "core: crashes and partitions disable 2 of group 1's 3 sites; a strict majority must survive in every group"
+	if _, err := New(Config{Sites: 3, Faults: majority}); err == nil || err.Error() != want {
+		t.Fatalf("New with a majority crashed: err = %v, want %q", err, want)
+	}
+	minority := faults.Config{Crashes: majority.Crashes[:1]}
+	if _, err := New(Config{Sites: 3, Faults: minority}); err != nil {
+		t.Fatalf("New with one site of three crashed: %v", err)
+	}
+}
+
 // TestShortPartitionHealsBeforeDetection: a cut shorter than the failure
 // detector's timeout must be absorbed by retransmission — no view change,
 // no wedge, and full agreement (the minority log is held to the prefix rule

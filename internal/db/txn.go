@@ -153,6 +153,15 @@ func (t *Txn) Recycle() {
 	}
 }
 
+// Unbind is Recycle for a submitter in another model: the continuations the
+// last server bound go too, so a t kept past its model keeps no server
+// reachable, and the next server to take it binds its own. t must not be
+// held.
+func (t *Txn) Unbind() {
+	t.Recycle()
+	t.bound, t.stepFn, t.granted, t.committed, t.written = nil, nil, nil, nil, nil
+}
+
 // CertInfo builds the certification message for this transaction into a new
 // record.
 func (t *Txn) CertInfo(site dbsm.SiteID, readSetThreshold int) *dbsm.TxnCert {

@@ -41,3 +41,32 @@ func (s *Stack) BufferedBytes() int {
 
 // len reports the live keys.
 func (r *seqRing[V]) len() int { return r.n }
+
+// ShelvedBuffers reports how many stores released stacks left on the shelf
+// and the buffers those hold, and leaves them there in their order.
+func ShelvedBuffers() (stores, buffers int) {
+	var all []bufStore
+	for {
+		st, ok := bufStores.Get()
+		if !ok {
+			break
+		}
+		all = append(all, st)
+	}
+	for i := len(all) - 1; i >= 0; i-- {
+		st := all[i]
+		buffers += len(st.msgs) + len(st.chunks) + len(st.bodies)
+		bufStores.Put(st)
+	}
+	return len(all), buffers
+}
+
+// DropShelvedBuffers empties the shelf, so the stacks later tests build start
+// with empty free lists.
+func DropShelvedBuffers() {
+	for {
+		if _, ok := bufStores.Get(); !ok {
+			return
+		}
+	}
+}

@@ -379,6 +379,14 @@ func (s *Stack) halt() {
 	s.to.releaseAll()
 }
 
+// Release hands the buffers waiting on the stack's free lists — received
+// chunks' records, own chunks and message bodies — to the next stack New
+// builds in this process, which keeps those large enough for its datagrams.
+// The stack's Stats, view and Stopped stay readable; one that ran on would
+// only grow its buffers again. A model releases its live stacks when its run
+// ends (a halted stack keeps no lists).
+func (s *Stack) Release() { s.rm.release() }
+
 // Stopped reports whether the stack has halted — by Stop, by exclusion from
 // the view, or by wedging on quorum loss (the primary-component rule).
 func (s *Stack) Stopped() bool { return s.stopped }

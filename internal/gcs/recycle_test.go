@@ -219,6 +219,60 @@ func TestFreeListsDrain(t *testing.T) {
 	}
 }
 
+// TestReleasedBuffersGoToTheNextStack: Release hands the buffers waiting on
+// a stack's free lists to the next stack New builds, which starts with them
+// waiting, none lent, and runs as before. A buffer too small for the new
+// stack's datagrams — one a stack on a smaller MTU released — is dropped at
+// take, so a buffer taken off a list never grows.
+func TestReleasedBuffersGoToTheNextStack(t *testing.T) {
+	DropShelvedBuffers()
+	t.Cleanup(DropShelvedBuffers)
+	c := newCluster(t, 3, 76, nil)
+	for i := range 30 {
+		size := 300
+		if i%3 == 0 {
+			size = 5000 // four chunks
+		}
+		c.castAt(sim.Time(10+i)*sim.Millisecond, NodeID(i%3+1), pattern(size, byte(i)))
+	}
+	c.run(2 * sim.Second)
+	old := c.stacks[1]
+	msgs, chunks, bodies := old.rm.freeMsgs.Len(), old.rm.freeChunks.Len(), old.rm.freeBodies.Len()
+	if msgs == 0 || chunks == 0 || bodies == 0 {
+		t.Fatalf("free lists hold %d dataMsgs, %d chunks, %d bodies: the run does not cover the case", msgs, chunks, bodies)
+	}
+	old.Release()
+	if n := old.rm.freeMsgs.Len() + old.rm.freeChunks.Len() + old.rm.freeBodies.Len(); n != 0 {
+		t.Fatalf("a released stack still has %d buffers waiting", n)
+	}
+	checkLent(t, 1, old)
+
+	st, ok := bufStores.Get()
+	if !ok {
+		t.Fatal("Release shelved nothing")
+	}
+	st.msgs = append(st.msgs, &dataMsg{Data: make([]byte, 0, old.maxPacket-dataHeader-1)})
+	st.chunks = append(st.chunks, make([]byte, 0, old.maxPacket-1))
+	st.bodies = append(st.bodies, make([]byte, 0, bodyCap-1))
+	bufStores.Put(st)
+
+	next := newCluster(t, 3, 77, nil)
+	rm := next.stacks[1].rm
+	if rm.freeMsgs.Len() != msgs || rm.freeChunks.Len() != chunks || rm.freeBodies.Len() != bodies {
+		t.Fatalf("the next stack took %d dataMsgs, %d chunks, %d bodies; want the %d, %d and %d released, and none of the small ones",
+			rm.freeMsgs.Len(), rm.freeChunks.Len(), rm.freeBodies.Len(), msgs, chunks, bodies)
+	}
+	for m := range rm.freeMsgs.All() {
+		if cap(m.Data) < next.stacks[1].maxPacket-dataHeader {
+			t.Fatal("a dataMsg too small for a chunk was taken")
+		}
+	}
+	next.castAt(10*sim.Millisecond, 1, pattern(5000, 1))
+	next.castAt(20*sim.Millisecond, 2, pattern(300, 2))
+	next.run(2 * sim.Second)
+	next.checkAgreement(nodes(3), 2)
+}
+
 // TestRecycledBuffersReadPoison: every buffer the reliable layer takes back —
 // a received chunk's dataMsg, a stable chunk of the own stream, a delivered
 // body — is filled with 0xFF in race builds, so a reader that kept one sees

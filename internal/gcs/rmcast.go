@@ -1,6 +1,8 @@
 package gcs
 
 import (
+	"slices"
+
 	"repro/internal/runtimeapi"
 	"repro/internal/sim"
 )
@@ -87,6 +89,16 @@ const (
 	maxFreeChunks = sendWindow
 )
 
+// bufStore is what a released stack leaves for the next newRelMcast: the
+// buffers waiting on its three free lists.
+type bufStore struct {
+	msgs           []*dataMsg
+	chunks, bodies [][]byte
+}
+
+// bufStores holds the buffers of released stacks.
+var bufStores sim.Shelf[bufStore]
+
 type outChunk struct {
 	seq  uint64
 	wire []byte
@@ -151,7 +163,30 @@ func newRelMcast(s *Stack) *relMcast {
 		rm.peer(m)
 	}
 	rm.self = rm.peer(s.cfg.Self)
+	if st, ok := bufStores.Get(); ok {
+		rm.adopt(st)
+	}
 	return rm
+}
+
+// adopt starts the free lists with a released stack's buffers. One too small
+// for this stack's datagrams — a stack on a smaller MTU released it — is
+// dropped, so a buffer taken off a list never grows.
+func (rm *relMcast) adopt(st bufStore) {
+	chunk := rm.s.maxPacket
+	rm.freeMsgs.Adopt(slices.DeleteFunc(st.msgs, func(m *dataMsg) bool { return cap(m.Data) < chunk-dataHeader }))
+	rm.freeChunks.Adopt(slices.DeleteFunc(st.chunks, func(b []byte) bool { return cap(b) < chunk }))
+	rm.freeBodies.Adopt(slices.DeleteFunc(st.bodies, func(b []byte) bool { return cap(b) < bodyCap }))
+}
+
+// release hands the buffers waiting on the free lists to the next
+// newRelMcast. What is lent stays lent: a buffer put back later goes on the
+// emptied list.
+func (rm *relMcast) release() {
+	st := bufStore{msgs: rm.freeMsgs.Handover(), chunks: rm.freeChunks.Handover(), bodies: rm.freeBodies.Handover()}
+	if len(st.msgs)+len(st.chunks)+len(st.bodies) > 0 {
+		bufStores.Put(st)
+	}
 }
 
 // newMsg takes a dataMsg from the pool (or allocates one whose Data has room

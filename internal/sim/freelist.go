@@ -49,16 +49,47 @@ func (f *FreeList[T]) Get() T {
 func (f *FreeList[T]) Put(v T) {
 	f.out--
 	if RaceBuild {
-		p := address(v)
-		if _, dup := f.waiting[p]; dup {
-			panic("sim: FreeList.Put of a value that is already on the list")
-		}
-		if f.waiting == nil {
-			f.waiting = make(map[uintptr]struct{})
-		}
-		f.waiting[p] = struct{}{}
+		f.key(v)
 	}
 	f.free = append(f.free, v)
+}
+
+// key enters v in the race build's set of waiting values, and panics when
+// it is there already.
+func (f *FreeList[T]) key(v T) {
+	p := address(v)
+	if _, dup := f.waiting[p]; dup {
+		panic("sim: FreeList.Put of a value that is already on the list")
+	}
+	if f.waiting == nil {
+		f.waiting = make(map[uintptr]struct{})
+	}
+	f.waiting[p] = struct{}{}
+}
+
+// Handover empties the list and returns its waiting values, oldest first,
+// for an owner that comes after this one (Adopt). They were not lent, so
+// Out does not change.
+func (f *FreeList[T]) Handover() []T {
+	vs := f.free
+	f.free, f.waiting = nil, nil
+	return vs
+}
+
+// Adopt starts an empty list with vs as its waiting values, on vs's backing
+// array: what a Handover returned. They are not lent, so Out does not
+// change; race builds key them as waiting, so a Put of one of them panics as
+// for any other waiting value.
+func (f *FreeList[T]) Adopt(vs []T) {
+	if len(f.free) != 0 {
+		panic("sim: FreeList.Adopt on a list that is not empty")
+	}
+	f.free = vs
+	if RaceBuild {
+		for _, v := range vs {
+			f.key(v)
+		}
+	}
 }
 
 // Discard takes back a lent value the owner leaves to the garbage collector

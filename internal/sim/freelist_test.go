@@ -82,6 +82,48 @@ func TestFreeListOut(t *testing.T) {
 	}
 }
 
+// TestFreeListHandover: the waiting values move to the next owner's list
+// in their order, on the same backing array, and neither side counts them
+// as lent. Race builds key adopted values as waiting, so the double-put
+// check holds on the new list.
+func TestFreeListHandover(t *testing.T) {
+	var old FreeList[*rec]
+	a, b := &rec{1}, &rec{2}
+	old.Get() // two misses: the owner allocates a and b
+	old.Get()
+	old.Put(a)
+	old.Put(b)
+	leaked := old.Get() // b, still lent when the owner hands over
+	vs := old.Handover()
+	if old.Len() != 0 || old.Out() != 1 || !slices.Equal(vs, []*rec{a}) {
+		t.Fatalf("after Handover: %d waiting, %d lent, handed %v; want 0, 1 and [a]", old.Len(), old.Out(), vs)
+	}
+	old.Put(leaked)
+	if old.Len() != 1 { // the old list is the zero list plus what it still lends
+		t.Fatal("Put after Handover lost the value")
+	}
+	var next FreeList[*rec]
+	next.Adopt(append(vs, b))
+	if next.Out() != 0 || !slices.Equal(slices.Collect(next.All()), []*rec{a, b}) {
+		t.Fatalf("adopted list: %d lent, waiting %v; want 0 and [a b]", next.Out(), slices.Collect(next.All()))
+	}
+	panics := func(f func()) (did bool) {
+		defer func() { did = recover() != nil }()
+		f()
+		return
+	}
+	if got := next.Get(); got != b || next.Out() != 1 {
+		t.Fatalf("Get = %v with %d lent, want b and 1", got, next.Out())
+	}
+	next.Put(b)
+	if got := panics(func() { next.Put(a) }); got != RaceBuild {
+		t.Fatalf("Put of an adopted value still waiting panicked = %v, want %v", got, RaceBuild)
+	}
+	if !panics(func() { next.Adopt([]*rec{{3}}) }) {
+		t.Fatal("Adopt onto a list with values waiting did not panic")
+	}
+}
+
 func TestFreeListWarmCycleAllocFree(t *testing.T) {
 	var f FreeList[*rec]
 	f.Put(&rec{})

@@ -66,16 +66,19 @@ type Aggregate struct {
 	Window sim.Time
 
 	retryLoop
-	// free holds resolved records whose transaction no server holds any
-	// more, for reuse; a record whose transaction a server still holds is
-	// left to the collector. Once Stop ends the stream the list is dropped
-	// and stays empty, so a finished model a caller keeps does not pin it.
-	// What the list cannot bound is the population in backoff: every
-	// refused arrival waiting to retry holds a record, so past saturation
-	// the peak of that population, not admissions, sizes the records
-	// allocated — on agg1m_shed at seed 1, 31 698 records a replication
-	// against 334 admissions, each 1 072 B of which 600 are key backing.
-	free sim.FreeList[*arrival]
+	// free[c] holds resolved records of class c whose transaction no server
+	// holds any more, for reuse by the next arrival of that class; a record
+	// whose transaction a server still holds is left to the collector. Once
+	// Stop ends the stream the lists are dropped and stay empty, so a
+	// finished model a caller keeps does not pin them. What the lists cannot
+	// bound is the population in backoff: every refused arrival waiting to
+	// retry holds a record, so past saturation the peak of that population,
+	// not admissions, sizes the records allocated — on agg1m_shed at seed 1,
+	// 31 807 records a replication against 333 commits. A record is 432 B,
+	// and its keys a separate array sized to its class (classKeys): 504 B
+	// for a new-order, 56 for a payment. With one list and room for every
+	// class in each record, 31 698 records took 1 008 B each.
+	free [NumArrivalClasses]sim.FreeList[*arrival]
 	// unfired is the warmup pool: users who have not submitted their first
 	// transaction yet. Individual clients de-synchronize by deferring their
 	// first issue uniformly over one think interval, so this pool drains by
@@ -96,18 +99,18 @@ type Aggregate struct {
 	issuedByClass [NumArrivalClasses]int64
 }
 
-// arrival is one emulated user's transaction from its draw to its final
-// outcome: the retry state, the db.Txn shell the server sees, and the draft
-// with backing for the largest key sets any class draws, with every
-// continuation bound when the record is first allocated. The keys come last
-// so the collector, which scans an object up to its last pointer, skips them.
+// arrival is one emulated user's transaction of one class from its draw to
+// its final outcome: the retry state, the db.Txn shell the server sees, and
+// the draft, whose keys live in one pointer-free array with room for the
+// most its class draws (classKeys), with every continuation bound when the
+// record is first allocated.
 type arrival struct {
 	attempt
 	agg   *Aggregate
+	class ArrivalClass
 	build func(*db.Txn)
 	txn   db.Txn
 	draft Draft
-	keys  [maxReads + maxWrites]dbsm.TupleID
 }
 
 // Start begins the arrival process. The first tick is deferred by a uniform
@@ -166,7 +169,9 @@ func (a *Aggregate) tick() {
 	for i := n1 + n2; i > 0; i-- {
 		if a.Stop != nil && a.Stop() {
 			a.stopped = true
-			a.free.Drop()
+			for c := range a.free {
+				a.free[c].Drop()
+			}
 			return
 		}
 		a.arrive()
@@ -199,25 +204,27 @@ func (a *Aggregate) arrive() {
 	class := a.classOf()
 	a.issuedByClass[class]++
 	wh := a.HomeWH(a.rng.Intn(a.Population))
-	r := a.record()
+	r := a.record(class)
 	a.Gen.Draw(&r.draft, class, wh)
 	r.txn.Recycle()
 	r.txn.TID, r.txn.Class, r.txn.Build = r.draft.TID, r.draft.Class, r.build
 	r.submit(&r.txn)
 }
 
-// record takes an arrival record off the free list, or allocates one and
-// binds its continuations.
-func (a *Aggregate) record() *arrival {
-	r := a.free.Get()
+// record takes an arrival record of class c off its free list, or allocates
+// one with its class's key array and binds its continuations.
+func (a *Aggregate) record(c ArrivalClass) *arrival {
+	r := a.free[c].Get()
 	if r != nil {
 		return r
 	}
-	r = &arrival{agg: a}
+	r = &arrival{agg: a, class: c}
 	r.bind(&a.retryLoop, r.resolved)
 	r.build = r.admit
-	r.draft.Reads = r.keys[:0:maxReads]
-	r.draft.Writes = r.keys[maxReads:maxReads]
+	n := classKeys[c]
+	keys := make([]dbsm.TupleID, n.reads+n.writes)
+	r.draft.Reads = keys[:0:n.reads]
+	r.draft.Writes = keys[n.reads:n.reads]
 	return r
 }
 
@@ -238,10 +245,10 @@ func (r *arrival) resolved(t *db.Txn, o db.Outcome) {
 	}
 	a.thinking++
 	switch {
-	case a.stopped: // the list is dropped
+	case a.stopped: // the lists are dropped
 	case !t.Held():
-		a.free.Put(r)
+		a.free[r.class].Put(r)
 	default:
-		a.free.Discard()
+		a.free[r.class].Discard()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/csrt"
 	"repro/internal/db"
@@ -170,12 +171,27 @@ func boundAgg(k *sim.Kernel, server *db.Server, retry RetryPolicy) *Aggregate {
 	return a
 }
 
+// waiting and lent sum Len and Out over the per-class free lists.
+func (a *Aggregate) waiting() (n int) {
+	for c := range a.free {
+		n += a.free[c].Len()
+	}
+	return n
+}
+
+func (a *Aggregate) lent() (n int) {
+	for c := range a.free {
+		n += a.free[c].Out()
+	}
+	return n
+}
+
 // TestAggregateDrawPathZeroAlloc pins the zero-allocation property of the
 // arrival path past saturation. The per-window draws — the Poisson and
 // Binomial samplers, the class thinning, the home-warehouse closure — must
-// not allocate; and with a warm free list neither does one whole refused
+// not allocate; and with warm free lists neither does one whole refused
 // arrival: draw, MaxAttempts refusals with their backoffs, give-up, OnDone,
-// record recycled. Only an admitted transaction is built, and Build
+// record recycled onto its class's list. Only an admitted transaction is built, and Build
 // allocates what it needs. It holds Aggregate.arrive and classOf,
 // arrival.resolved, attempt.submit, onDone and resubmit, Generator.Draw with
 // every class's drawer (newOrder, payment, orderStatus, delivery, stockLevel)
@@ -207,8 +223,10 @@ func TestAggregateDrawPathZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ { // every class seen, every slice at its size
 		cycle()
 	}
-	if a.free.Len() != 1 {
-		t.Fatalf("free list holds %d records after serial refused cycles, want the one reused", a.free.Len())
+	for c := range a.free {
+		if n := a.free[c].Len(); n != 1 {
+			t.Fatalf("class %d's free list holds %d records after serial refused cycles, want the one reused", c, n)
+		}
 	}
 	if n := testing.AllocsPerRun(1, func() {
 		for range 2000 {
@@ -220,8 +238,42 @@ func TestAggregateDrawPathZeroAlloc(t *testing.T) {
 	if done != a.Issued() || a.GiveUps() != a.Issued() || a.Retries() != 3*a.Issued() {
 		t.Fatalf("issued %d: done %d, give-ups %d, retries %d", a.Issued(), done, a.GiveUps(), a.Retries())
 	}
-	if n := a.free.Out(); n != 0 {
+	if n := a.lent(); n != 0 {
 		t.Fatalf("%d arrival records lent after every arrival resolved", n)
+	}
+}
+
+// TestClassKeysHoldEveryDraw: an arrival record's key array is sized to its
+// class (classKeys), so 10^4 seeded draws of each class into one record of
+// that class never move its reads or writes off that array, and the table
+// holds the largest draw, not a looser bound. maxReads and maxWrites, the
+// generator's scratch size, are the largest over the classes.
+func TestClassKeysHoldEveryDraw(t *testing.T) {
+	k := sim.NewKernel()
+	a := boundAgg(k, newAggServer(k), RetryPolicy{})
+	var most struct{ reads, writes int }
+	for c := range ArrivalClass(NumArrivalClasses) {
+		r := a.record(c)
+		reads, writes := unsafe.SliceData(r.draft.Reads), unsafe.SliceData(r.draft.Writes)
+		want := classKeys[c]
+		var got struct{ reads, writes int }
+		for range 10000 {
+			a.Gen.Draw(&r.draft, c, a.HomeWH(a.rng.Intn(a.Population)))
+			d := &r.draft
+			if unsafe.SliceData(d.Reads) != reads || unsafe.SliceData(d.Writes) != writes ||
+				cap(d.Reads) != want.reads || cap(d.Writes) != want.writes {
+				t.Fatalf("class %d: a draw of %d reads and %d writes grew the record's keys (room for %d and %d)",
+					c, len(d.Reads), len(d.Writes), want.reads, want.writes)
+			}
+			got.reads, got.writes = max(got.reads, len(d.Reads)), max(got.writes, len(d.Writes))
+		}
+		if got != want {
+			t.Fatalf("class %d: largest draw %d reads and %d writes, classKeys says %d and %d", c, got.reads, got.writes, want.reads, want.writes)
+		}
+		most.reads, most.writes = max(most.reads, got.reads), max(most.writes, got.writes)
+	}
+	if maxReads != most.reads || maxWrites != most.writes {
+		t.Fatalf("maxReads %d, maxWrites %d; the largest draws are %d and %d", maxReads, maxWrites, most.reads, most.writes)
 	}
 }
 
@@ -250,8 +302,10 @@ func TestAggregateTickAllocFree(t *testing.T) {
 	if a.unfired != 0 || a.Issued()-before < 101*10 {
 		t.Fatalf("%d unfired, %d arrivals in 101 windows: the pin did not cover the steady pool", a.unfired, a.Issued()-before)
 	}
-	if a.free.Len() != 1 || a.free.Out() != 0 {
-		t.Fatalf("free list: %d waiting, %d lent; want the one record every arrival reuses", a.free.Len(), a.free.Out())
+	for c := range a.free {
+		if a.free[c].Len() != 1 || a.free[c].Out() != 0 {
+			t.Fatalf("class %d's free list: %d waiting, %d lent; want the one record every arrival of the class reuses", c, a.free[c].Len(), a.free[c].Out())
+		}
 	}
 }
 
@@ -276,7 +330,7 @@ func TestAggregateFreeListDrains(t *testing.T) {
 	if outcomes[db.Rejected] == 0 || outcomes[db.Committed] == 0 {
 		t.Fatalf("outcomes %v: the run does not cover both fates", outcomes)
 	}
-	if n := a.free.Out(); n != 0 {
+	if n := a.lent(); n != 0 {
 		t.Fatalf("%d arrival records lent after every arrival resolved (outcomes %v)", n, outcomes)
 	}
 }
@@ -412,11 +466,16 @@ func TestAggregateCrashWakesParkedArrivalsOnce(t *testing.T) {
 			t.Fatalf("t=%v: unfired %d + thinking %d + in flight %d = %d, want %d", tick, a.unfired, a.thinking, inFlight, got, pop)
 		}
 		seen := map[*arrival]bool{}
-		for r := range a.free.All() {
-			if seen[r] {
-				t.Fatalf("t=%v: a record is on the free list twice", tick)
+		for c := range a.free {
+			for r := range a.free[c].All() {
+				if seen[r] {
+					t.Fatalf("t=%v: a record is on the free lists twice", tick)
+				}
+				if r.class != ArrivalClass(c) {
+					t.Fatalf("t=%v: a record of class %d is on class %d's free list", tick, r.class, c)
+				}
+				seen[r] = true
 			}
-			seen[r] = true
 		}
 	}
 	if issuedAtRestart == issuedAtCrash {
@@ -445,15 +504,15 @@ func TestAggregateFreeListDroppedAtStop(t *testing.T) {
 	a := newAggUnderTest(k, server, 600, RetryPolicy{MaxAttempts: 3})
 	budget, peak, afterStop := 800, 0, 0
 	a.Stop = func() bool {
-		peak = max(peak, a.free.Len())
+		peak = max(peak, a.waiting())
 		budget--
 		return budget < 0
 	}
 	a.OnDone = func(*db.Txn, db.Outcome) {
 		if a.stopped {
 			afterStop++
-			if a.free.Len() != 0 {
-				t.Fatalf("free list refilled after Stop: %d records", a.free.Len())
+			if n := a.waiting(); n != 0 {
+				t.Fatalf("free lists refilled after Stop: %d records", n)
 			}
 		}
 	}
@@ -467,7 +526,7 @@ func TestAggregateFreeListDroppedAtStop(t *testing.T) {
 	if afterStop == 0 {
 		t.Fatal("no transaction resolved after Stop: the run does not cover the case")
 	}
-	if a.free.Len() != 0 {
-		t.Fatalf("free list holds %d records after Stop", a.free.Len())
+	if n := a.waiting(); n != 0 {
+		t.Fatalf("free lists hold %d records after Stop", n)
 	}
 }

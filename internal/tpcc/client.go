@@ -83,7 +83,7 @@ func (c *Client) issue() {
 	}
 	t := c.txn
 	if t == nil || t.Held() {
-		t = new(db.Txn)
+		t = takeTxn()
 		c.txn = t
 	} else {
 		t.Recycle()
@@ -91,6 +91,30 @@ func (c *Client) issue() {
 	c.Gen.NextInto(t, c.homeWH)
 	c.issued++
 	c.cur.submit(t)
+}
+
+// txns holds the transactions finished models' clients left (Release), for
+// the next model's clients to build into: a replication does not regrow
+// every client's item sets from empty.
+var txns sim.Shelf[*db.Txn]
+
+// takeTxn takes a transaction a released client left, or allocates one.
+func takeTxn() *db.Txn {
+	if t, ok := txns.Get(); ok {
+		return t
+	}
+	return new(db.Txn)
+}
+
+// Release ends the client's part in its model: its transaction, unless a
+// server still holds it, is unbound from that server and shelved for a
+// client of the next model.
+func (c *Client) Release() {
+	if t := c.txn; t != nil && !t.Held() {
+		t.Unbind()
+		txns.Put(t)
+	}
+	c.txn = nil
 }
 
 // resolved receives a transaction's final outcome from the retry loop:

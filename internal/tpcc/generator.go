@@ -26,8 +26,8 @@ type Generator struct {
 	tidCounter    uint32
 	insertCounter uint64
 
-	// scratch is the draft Next and NextInto draw into; it
-	// keeps its backing arrays from one transaction to the next.
+	// scratch is the draft Next and NextInto draw into, with room for the
+	// largest class's keys.
 	scratch Draft
 }
 
@@ -49,12 +49,29 @@ type Draft struct {
 	Writes    []dbsm.TupleID
 }
 
-// Key-count maxima over the five classes: new-order writes 2 rows per order
-// line plus 2 inserts; stock-level reads the most.
-const (
-	maxReads  = 1 + 2*20
-	maxWrites = 2*15 + 2
-)
+// classKeys is the most keys a draw of each class holds, reads and writes:
+// new-order reads a customer and 2 rows per order line and writes 2 rows per
+// line plus 2 inserts (up to 15 lines); payment reads 3 rows and writes them
+// and a history insert; order-status reads a customer, an order and 10
+// lines; delivery reads and writes a queue head plus an order and a
+// customer per district; stock-level reads a district and 2 rows for each
+// of 20 order lines.
+var classKeys = [NumArrivalClasses]struct{ reads, writes int }{
+	ArrivalNewOrder:    {1 + 2*15, 2*15 + 2},
+	ArrivalPayment:     {3, 4},
+	ArrivalOrderStatus: {2 + 10, 0},
+	ArrivalDelivery:    {1 + 2*DistrictsPerWarehouse, 1 + 2*DistrictsPerWarehouse},
+	ArrivalStockLevel:  {1 + 2*20, 0},
+}
+
+// maxReads and maxWrites are the largest read and write counts any class
+// draws.
+var maxReads, maxWrites = func() (r, w int) {
+	for _, k := range classKeys {
+		r, w = max(r, k.reads), max(w, k.writes)
+	}
+	return r, w
+}()
 
 // NewGenerator builds a generator for a site over a database of the given
 // scale.
@@ -62,7 +79,8 @@ func NewGenerator(site dbsm.SiteID, warehouses int, cal *Calibration, rng *sim.R
 	if warehouses < 1 {
 		warehouses = 1
 	}
-	return &Generator{cal: cal, rng: rng, site: site, warehouses: warehouses}
+	scratch := Draft{Reads: make([]dbsm.TupleID, 0, maxReads), Writes: make([]dbsm.TupleID, 0, maxWrites)}
+	return &Generator{cal: cal, rng: rng, site: site, warehouses: warehouses, scratch: scratch}
 }
 
 // Next draws and builds the next transaction for a client whose home
