@@ -233,8 +233,8 @@ func TestCampaignFailureSavesRepro(t *testing.T) {
 
 // TestGroupModeUsageErrors pins the two flag combinations group mode cannot
 // honour, and run files core refuses (a negative group count; crashes that
-// leave a group no majority): each exits 2 before a run starts, none drops a
-// flag silently.
+// leave a group no majority): each exits 2 before a run starts, with
+// nothing on stdout (a sweep's header included), none drops a flag silently.
 func TestGroupModeUsageErrors(t *testing.T) {
 	const groups = "-config testdata/smoke_groups.json -short"
 	dir := t.TempDir()
@@ -256,8 +256,14 @@ func TestGroupModeUsageErrors(t *testing.T) {
 		"-replay-file " + negative + " -seeds 3", // the same file as a run file
 		"-replay-file " + majority,               // a crash-only file that crashes 2 of 3 sites
 	} {
-		if got := run(strings.Fields(cmdline)); got != 2 {
-			t.Errorf("faultsim %s = %d, want 2", cmdline, got)
+		out := golden.Stdout(t, func(args []string) int {
+			if got := run(args); got != 2 {
+				t.Errorf("faultsim %s = %d, want 2", cmdline, got)
+			}
+			return 0
+		}, strings.Fields(cmdline)...)
+		if len(out) != 0 {
+			t.Errorf("faultsim %s printed before exiting:\n%s", cmdline, out)
 		}
 	}
 }

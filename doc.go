@@ -140,7 +140,9 @@
 // per client, host, disk and generator), the kernel's slot and node slabs,
 // each certifier's index maps and history blocks, the buffers waiting on
 // each gcs stack's free lists, each client's transaction with its item-set
-// arrays — goes to process-wide sim.Shelf shelves for the next core.New,
+// arrays, each server's latency arrays and lock table, each replica's
+// cross-group records and transaction table — goes to process-wide
+// sim.Shelf shelves for the next core.New,
 // reseeded, emptied or overwritten before it is read, so the run that takes
 // it back is byte-identical to one on fresh storage. What that
 // costs the host is measured by

@@ -235,8 +235,9 @@ func findDuplicate(s *SiteLog, sc *scratch) *Violation {
 // and shelved between checks, so a check reuses the tables an earlier one
 // grew instead of allocating tables sized to the run.
 type scratch struct {
-	seen dbsm.TupleMap[int] // TID → position+1, for the duplicate scans
-	x    xIndex             // CrossGroup's serialization graph
+	seen  dbsm.TupleMap[int]       // TID → position+1, for the duplicate scans
+	first dbsm.TupleMap[xDecision] // TID → first decision, for CrossGroup's atomicity
+	x     xIndex                   // CrossGroup's serialization graph
 }
 
 // scratches holds the storage of finished checks.

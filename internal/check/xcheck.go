@@ -56,25 +56,30 @@ func CrossGroup(groups []GroupXLog) *Violation {
 		}
 	}
 
-	if v := xAtomicity(ordered); v != nil {
+	if v := xAtomicity(ordered, &sc.first); v != nil {
 		return v
 	}
 	return xSerialization(ordered, &sc.x)
 }
 
-// xAtomicity flags a transaction decided differently by two groups.
-func xAtomicity(ordered []GroupXLog) *Violation {
-	type decision struct {
-		group  int
-		pos    int
-		commit bool
-	}
-	first := make(map[uint64]decision)
+// xDecision is a transaction's first resolution among the groups' records,
+// in first's table: set is always true, so no decision is the empty cell.
+type xDecision struct {
+	group  int
+	set    bool
+	commit bool
+}
+
+// xAtomicity flags a transaction decided differently by two groups. first
+// is the table of each TID's first decision, emptied here.
+func xAtomicity(ordered []GroupXLog, first *dbsm.TupleMap[xDecision]) *Violation {
+	first.Clear()
 	for _, g := range ordered {
 		for i, r := range g.Records {
-			d, ok := first[r.TID]
-			if !ok {
-				first[r.TID] = decision{group: g.Group, pos: i, commit: r.Commit}
+			k := dbsm.TupleID(r.TID)
+			d := first.Get(k)
+			if !d.set {
+				first.Put(k, xDecision{group: g.Group, set: true, commit: r.Commit})
 				continue
 			}
 			if d.commit != r.Commit {

@@ -39,6 +39,41 @@ func pairwiseEdges(ordered []GroupXLog, visit func(a, b uint64, group int)) {
 	}
 }
 
+// refAtomicity is xAtomicity with a Go map of first decisions, as it was
+// first written.
+func refAtomicity(ordered []GroupXLog) *Violation {
+	type decision struct {
+		group  int
+		commit bool
+	}
+	first := make(map[uint64]decision)
+	for _, g := range ordered {
+		for i, r := range g.Records {
+			d, ok := first[r.TID]
+			if !ok {
+				first[r.TID] = decision{group: g.Group, commit: r.Commit}
+				continue
+			}
+			if d.commit != r.Commit {
+				verdict := func(c bool) string {
+					if c {
+						return "committed"
+					}
+					return "aborted"
+				}
+				return &Violation{
+					Kind: KindAtomicity,
+					Site: dbsm.SiteID(d.group), Ref: dbsm.SiteID(g.Group),
+					Group: d.group, Pos: i,
+					Detail: fmt.Sprintf("tid=%x %s in group %d but %s in group %d",
+						r.TID, verdict(d.commit), d.group, verdict(r.Commit), g.Group),
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // refCrossGroup is CrossGroup with the pairwise graph: it returns the first
 // violation, as CrossGroup words it, and the first group that drew each edge
 // of the graph.
@@ -59,7 +94,7 @@ func refCrossGroup(groups []GroupXLog) (*Violation, map[[2]uint64]int) {
 			seen[r.TID] = i
 		}
 	}
-	if v := xAtomicity(ordered); v != nil {
+	if v := refAtomicity(ordered); v != nil {
 		return v, nil
 	}
 

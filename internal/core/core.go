@@ -29,6 +29,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/tpcc"
 	"repro/internal/trace"
+	"repro/internal/xgroup"
 )
 
 // Protocol selects the replication termination variant.
@@ -314,6 +315,107 @@ func (c *Config) validate() error {
 			return fmt.Errorf("core: crash recovery is incompatible with %d groups", groups)
 		}
 	}
+	return c.validateFaults()
+}
+
+// validateFaults judges the fault load against the sites the configuration
+// builds, without building them: every fault names one of them; a site
+// crashes at most once and recovers at most once, after its crash; a window
+// ends after it starts; and the structural faults leave every group a
+// strict majority (see armPartitions). armFaults and armPartitions then only
+// schedule what it let through.
+func (c *Config) validateFaults() error {
+	f := &c.Faults
+	total := int32(c.Sites * max(c.Groups, 1))
+	known := func(id int32, fault string) error {
+		if id < 1 || id > total {
+			return fmt.Errorf("core: %s targets unknown site %d", fault, id)
+		}
+		return nil
+	}
+	crashAt := map[int32]sim.Time{}
+	for _, cr := range f.Crashes {
+		if err := known(cr.Site, "crash"); err != nil {
+			return err
+		}
+		if _, dup := crashAt[cr.Site]; dup {
+			return fmt.Errorf("core: site %d crashes twice", cr.Site)
+		}
+		crashAt[cr.Site] = cr.At
+	}
+	recovers := map[int32]bool{}
+	for _, rc := range f.Recovers {
+		if err := known(rc.Site, "recovery"); err != nil {
+			return err
+		}
+		at, crashed := crashAt[rc.Site]
+		if !crashed {
+			return fmt.Errorf("core: recovery of site %d without a crash", rc.Site)
+		}
+		if rc.At <= at {
+			return fmt.Errorf("core: site %d recovers at %v, not after its crash at %v", rc.Site, rc.At, at)
+		}
+		if recovers[rc.Site] {
+			return fmt.Errorf("core: site %d recovers twice", rc.Site)
+		}
+		recovers[rc.Site] = true
+	}
+
+	// The network supports one active cut at a time.
+	sorted := append([]faults.Partition(nil), f.Partitions...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
+	for i := 1; i < len(sorted); i++ {
+		if prev := sorted[i-1]; prev.Heal == 0 || prev.Heal > sorted[i].At {
+			return fmt.Errorf("core: partitions overlap: cut at %v starts before the cut at %v heals",
+				sorted[i].At, prev.At)
+		}
+	}
+	disabled := make([]bool, total+1) // by site id
+	for _, cr := range f.Crashes {
+		disabled[cr.Site] = true
+	}
+	for _, pt := range f.Partitions {
+		if len(pt.Sites) == 0 {
+			return fmt.Errorf("core: partition isolates no sites")
+		}
+		if pt.Heal != 0 && pt.Heal <= pt.At {
+			return fmt.Errorf("core: partition heals at %v, not after its start %v", pt.Heal, pt.At)
+		}
+		for _, sid := range pt.Sites {
+			if err := known(sid, "partition"); err != nil {
+				return err
+			}
+			disabled[sid] = true
+		}
+	}
+	groups := max(c.Groups, 1)
+	down := make([]int, groups+1)
+	for id := 1; id <= int(total); id++ {
+		if disabled[id] {
+			down[xgroup.GroupOfSite(id, c.Sites)]++
+		}
+	}
+	for g := 1; g <= groups; g++ {
+		if 2*down[g] >= c.Sites {
+			return fmt.Errorf("core: crashes and partitions disable %d of group %d's %d sites; a strict majority must survive in every group",
+				down[g], g, c.Sites)
+		}
+	}
+
+	if sat := f.Saturation; sat.Active() && sat.Until != 0 && sat.Until <= sat.At {
+		return fmt.Errorf("core: saturation ends at %v, not after its start %v", sat.Until, sat.At)
+	}
+	for _, sn := range f.SlowNodes {
+		if sn.Factor <= 1 {
+			continue
+		}
+		if err := known(sn.Site, "slow-node"); err != nil {
+			return err
+		}
+		if sn.Until != 0 && sn.Until <= sn.At {
+			return fmt.Errorf("core: slow-node ends at %v, not after its start %v", sn.Until, sn.At)
+		}
+	}
 	return nil
 }
 
@@ -343,14 +445,11 @@ func newOnLAN(cfg Config, lan simnet.LANConfig) (*Model, error) {
 	m := &Model{cfg: cfg, k: sim.NewKernel(), rng: sim.NewRNG(cfg.Seed), place: newPlacement(&cfg), txnLog: new(trace.TxnLog)}
 	m.net = simnet.NewNetwork(m.k, m.rng.Fork("net"))
 	m.lan = m.net.NewLAN(lan)
-	err := m.buildSites()
-	if err == nil {
-		err = m.armFaults()
-	}
-	if err != nil {
+	if err := m.buildSites(); err != nil {
 		m.release()
 		return nil, err
 	}
+	m.armFaults()
 	m.startClients()
 	return m, nil
 }
@@ -452,60 +551,26 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 	return site, nil
 }
 
-// siteByID resolves a fault's target site; fault names it in the error.
-func (m *Model) siteByID(id int32, fault string) (*Site, error) {
-	if id < 1 || int(id) > len(m.sites) {
-		return nil, fmt.Errorf("core: %s targets unknown site %d", fault, id)
-	}
-	return m.sites[id-1], nil
-}
-
-// armFaults validates the scheduled fault load and arms it on the kernel.
-func (m *Model) armFaults() error {
+// armFaults arms the fault load on the kernel; validateFaults has judged it.
+func (m *Model) armFaults() {
 	f := &m.cfg.Faults
-	crashAt := map[int32]sim.Time{}
 	for _, cr := range f.Crashes {
-		site, err := m.siteByID(cr.Site, "crash")
-		if err != nil {
-			return err
-		}
-		if _, dup := crashAt[cr.Site]; dup {
-			return fmt.Errorf("core: site %d crashes twice", cr.Site)
-		}
-		crashAt[cr.Site] = cr.At
+		site := m.sites[cr.Site-1]
 		m.k.ScheduleAt(cr.At, func() { m.crash(site) })
 	}
 	for _, rc := range f.Recovers {
-		site, err := m.siteByID(rc.Site, "recovery")
-		if err != nil {
-			return err
-		}
-		at, crashed := crashAt[rc.Site]
-		if !crashed {
-			return fmt.Errorf("core: recovery of site %d without a crash", rc.Site)
-		}
-		if rc.At <= at {
-			return fmt.Errorf("core: site %d recovers at %v, not after its crash at %v", rc.Site, rc.At, at)
-		}
-		if site.pendingRecover {
-			return fmt.Errorf("core: site %d recovers twice", rc.Site)
-		}
+		site := m.sites[rc.Site-1]
 		site.pendingRecover = true
 		m.k.ScheduleAt(rc.At, func() {
 			site.pendingRecover = false
 			m.recover(site)
 		})
 	}
-	if err := m.armPartitions(); err != nil {
-		return err
-	}
+	m.armPartitions()
 
 	// Overload faults. Saturation compresses every client's think time (the
 	// clients are started later; the closures fire only once the kernel runs).
 	if sat := f.Saturation; sat.Active() {
-		if sat.Until != 0 && sat.Until <= sat.At {
-			return fmt.Errorf("core: saturation ends at %v, not after its start %v", sat.Until, sat.At)
-		}
 		m.k.ScheduleAt(sat.At, func() { m.setLoadFactor(sat.Factor) })
 		if sat.Until != 0 {
 			m.k.ScheduleAt(sat.Until, func() { m.setLoadFactor(1) })
@@ -515,59 +580,28 @@ func (m *Model) armFaults() error {
 		if sn.Factor <= 1 {
 			continue
 		}
-		site, err := m.siteByID(sn.Site, "slow-node")
-		if err != nil {
-			return err
-		}
-		if sn.Until != 0 && sn.Until <= sn.At {
-			return fmt.Errorf("core: slow-node ends at %v, not after its start %v", sn.Until, sn.At)
-		}
+		site := m.sites[sn.Site-1]
 		m.k.ScheduleAt(sn.At, func() { m.setSlow(site, sn.Factor) })
 		if sn.Until != 0 {
 			m.k.ScheduleAt(sn.Until, func() { m.setSlow(site, 1) })
 		}
 	}
-	return nil
 }
 
-// armPartitions validates and arms the network cuts. The network supports
-// one active cut at a time, so partitions must not overlap in time; and the
-// structural faults combined (crashes plus partitioned minorities) must leave
-// every replication group a strict majority — each group runs its own view —
-// or gcs's primary-component rule would wedge every survivor. That holds for
-// a run with crashes and no partition too: one that crashes a majority of a
-// group could only end wedged.
-func (m *Model) armPartitions() error {
-	f := &m.cfg.Faults
-	sorted := append([]faults.Partition(nil), f.Partitions...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	for i := 1; i < len(sorted); i++ {
-		if prev := sorted[i-1]; prev.Heal == 0 || prev.Heal > sorted[i].At {
-			return fmt.Errorf("core: partitions overlap: cut at %v starts before the cut at %v heals",
-				sorted[i].At, prev.At)
-		}
-	}
-	disabled := map[*Site]bool{}
-	for _, cr := range f.Crashes {
-		disabled[m.sites[cr.Site-1]] = true // ids validated by armFaults
-	}
-	for _, pt := range f.Partitions {
-		if len(pt.Sites) == 0 {
-			return fmt.Errorf("core: partition isolates no sites")
-		}
-		if pt.Heal != 0 && pt.Heal <= pt.At {
-			return fmt.Errorf("core: partition heals at %v, not after its start %v", pt.Heal, pt.At)
-		}
+// armPartitions arms the network cuts. validateFaults has held them to the
+// network's one active cut at a time, and the structural faults combined
+// (crashes plus partitioned minorities) to leaving every replication group a
+// strict majority — each group runs its own view — or gcs's
+// primary-component rule would wedge every survivor. That holds for a run
+// with crashes and no partition too: one that crashes a majority of a group
+// could only end wedged.
+func (m *Model) armPartitions() {
+	for _, pt := range m.cfg.Faults.Partitions {
 		minority := make([]*Site, 0, len(pt.Sites))
 		ids := make([]runtimeapi.NodeID, 0, len(pt.Sites))
 		for _, sid := range pt.Sites {
-			site, err := m.siteByID(sid, "partition")
-			if err != nil {
-				return err
-			}
-			minority = append(minority, site)
+			minority = append(minority, m.sites[sid-1])
 			ids = append(ids, runtimeapi.NodeID(sid))
-			disabled[site] = true
 		}
 		m.k.ScheduleAt(pt.At, func() {
 			for _, s := range minority {
@@ -579,19 +613,6 @@ func (m *Model) armPartitions() error {
 			m.k.ScheduleAt(pt.Heal, func() { m.net.Heal() })
 		}
 	}
-	down := make([]int, m.place.groups+1)
-	for _, s := range m.sites {
-		if disabled[s] {
-			down[s.group]++
-		}
-	}
-	for g := 1; g <= m.place.groups; g++ {
-		if 2*down[g] >= m.place.perGroup {
-			return fmt.Errorf("core: crashes and partitions disable %d of group %d's %d sites; a strict majority must survive in every group",
-				down[g], g, m.place.perGroup)
-		}
-	}
-	return nil
 }
 
 // startClients attaches the client population where placement puts it. At or
@@ -775,14 +796,14 @@ func (m *Model) recover(s *Site) {
 		panic(err)
 	}
 	// Fold the dead incarnation's protocol counters into the site totals
-	// before discarding it, and release its certifier: the new replica's
+	// before discarding it, and release its replica: the new replica's
 	// certifier takes that storage instead of growing its own from empty.
 	if s.Stack != nil {
 		fold(&s.deadGCS, s.Stack.Stats())
 	}
 	if s.Replica != nil {
 		fold(&s.deadReplica, s.Replica.Stats())
-		s.Replica.Certifier().Release()
+		s.Replica.Release()
 	}
 	s.RT.Restart()
 	s.Host.SetDown(false)
@@ -825,32 +846,40 @@ func (m *Model) pickDonor(joiner *Site) recovery.Donor {
 
 // Run executes the model to completion and assembles results. It is the
 // model's end of life, error or not: the RNG streams, the kernel's pending
-// events, the sites' certifiers, the stacks' free buffers and the clients'
-// transactions are released, and what they had sized for the run goes to the
-// next New. Afterwards the Results, and the model's servers, hosts,
-// lifecycles, stack Stats, commit logs and network counters, stay readable;
-// nothing can run on the model again.
+// events, the servers' latency samples and lock tables, the sites'
+// certifiers and cross-group tables, the stacks' free buffers and the
+// clients' transactions are released, and what they had sized for the run
+// goes to the next New. Afterwards the Results, their merged samples
+// included, and the model's server counters, hosts, lifecycles, stack Stats,
+// commit logs and network counters stay readable; a server's latency
+// samples and a replica's XRecords read empty. Nothing can run on the model
+// again.
 func (m *Model) Run() (*Results, error) {
 	defer m.release()
 	return m.run()
 }
 
 // release frees what the model took for its run: the RNG family, the kernel,
-// each site's current certifier, the buffers waiting on each live stack's
-// free lists, and every individual client's transaction that no server
-// holds. A dead incarnation's certifier goes when its site recovers
-// (recover); that of a site still down at the end goes here with the rest. A
-// halted stack has no free buffers left, and an aggregate's arrival records
-// are not kept: a saturated run holds tens of thousands of them. The sites go
-// in the reverse of the order New builds them, so on the last-in, first-out
+// each server's latency samples (the per-class ones too) and lock table,
+// each site's current replica (its certifier, and in group mode its
+// cross-group records and transaction table), the buffers waiting on each
+// live stack's free lists, and every individual client's transaction that no
+// server holds. results has merged the samples and checked the records by
+// then, into storage of its own. A dead incarnation's replica goes when its
+// site recovers (recover); that of a site still down at the end goes here
+// with the rest. A halted stack has no free buffers left, and an aggregate's
+// arrival records are not kept: a saturated run holds tens of thousands of
+// them. The commit logs stay: they are readable after Run. The sites go in
+// the reverse of the order New builds them, so on the last-in, first-out
 // shelves each site of a next model of the same shape takes what its
 // counterpart left: the sequencer's larger pools go to the sequencer.
 func (m *Model) release() {
 	m.rng.Release()
 	m.k.Release()
 	for _, s := range slices.Backward(m.sites) {
+		s.Server.Release()
 		if s.Replica != nil {
-			s.Replica.Certifier().Release()
+			s.Replica.Release()
 		}
 		if s.Stack != nil {
 			s.Stack.Release()

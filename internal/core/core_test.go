@@ -275,3 +275,82 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateReportsFaultErrors: Validate refuses every fault load New
+// refuses, with New's error, without building a model: each fault kind's
+// checks (unknown site, double crash, recovery order, windows, overlapping
+// cuts, the strict-majority rule in one group and in two) have a row.
+func TestValidateReportsFaultErrors(t *testing.T) {
+	crash := func(site int32, at sim.Time) faults.Crash { return faults.Crash{Site: site, At: at} }
+	cut := func(at, heal sim.Time, sites ...int32) faults.Partition {
+		return faults.Partition{Sites: sites, At: at, Heal: heal}
+	}
+	for _, tc := range []struct {
+		name   string
+		groups int
+		f      faults.Config
+		want   string
+	}{
+		{"crash of an unknown site", 0, faults.Config{Crashes: []faults.Crash{crash(4, sim.Second)}},
+			"core: crash targets unknown site 4"},
+		{"double crash", 0, faults.Config{Crashes: []faults.Crash{crash(3, sim.Second), crash(3, 2*sim.Second)}},
+			"core: site 3 crashes twice"},
+		{"recovery of an unknown site", 0, faults.Config{Recovers: []faults.Recover{{Site: 0, At: sim.Second}}},
+			"core: recovery targets unknown site 0"},
+		{"recovery without a crash", 0, faults.Config{Recovers: []faults.Recover{{Site: 2, At: sim.Second}}},
+			"core: recovery of site 2 without a crash"},
+		{"recovery before its crash", 0, faults.Config{Crashes: []faults.Crash{crash(2, 2*sim.Second)},
+			Recovers: []faults.Recover{{Site: 2, At: sim.Second}}},
+			"core: site 2 recovers at 1s, not after its crash at 2s"},
+		{"recovery twice", 0, faults.Config{Crashes: []faults.Crash{crash(2, sim.Second)},
+			Recovers: []faults.Recover{{Site: 2, At: 2 * sim.Second}, {Site: 2, At: 3 * sim.Second}}},
+			"core: site 2 recovers twice"},
+		{"overlapping cuts", 0, faults.Config{Partitions: []faults.Partition{cut(sim.Second, 5*sim.Second, 3), cut(2*sim.Second, 6*sim.Second, 3)}},
+			"core: partitions overlap: cut at 2s starts before the cut at 1s heals"},
+		{"a cut of nobody", 0, faults.Config{Partitions: []faults.Partition{cut(sim.Second, 0)}},
+			"core: partition isolates no sites"},
+		{"a cut that heals before it starts", 0, faults.Config{Partitions: []faults.Partition{cut(2*sim.Second, sim.Second, 3)}},
+			"core: partition heals at 1s, not after its start 2s"},
+		{"a cut of an unknown site", 0, faults.Config{Partitions: []faults.Partition{cut(sim.Second, 0, 7)}},
+			"core: partition targets unknown site 7"},
+		{"crashes take a majority", 0, faults.Config{Crashes: []faults.Crash{crash(3, 5*sim.Second), crash(2, 10*sim.Second)}},
+			"core: crashes and partitions disable 2 of group 1's 3 sites; a strict majority must survive in every group"},
+		{"a crash and a cut take a majority", 0, faults.Config{Crashes: []faults.Crash{crash(1, sim.Second)},
+			Partitions: []faults.Partition{cut(2*sim.Second, 0, 2)}},
+			"core: crashes and partitions disable 2 of group 1's 3 sites; a strict majority must survive in every group"},
+		{"a crash and a cut take group 2's majority", 2, faults.Config{Crashes: []faults.Crash{crash(1, sim.Second), crash(5, sim.Second)},
+			Partitions: []faults.Partition{cut(2*sim.Second, 0, 6)}},
+			"core: crashes and partitions disable 2 of group 2's 3 sites; a strict majority must survive in every group"},
+		{"saturation that ends before it starts", 0, faults.Config{Saturation: faults.Saturation{Factor: 4, At: 2 * sim.Second, Until: sim.Second}},
+			"core: saturation ends at 1s, not after its start 2s"},
+		{"a slow node that is not there", 0, faults.Config{SlowNodes: []faults.SlowNode{{Site: 9, Factor: 3, At: sim.Second}}},
+			"core: slow-node targets unknown site 9"},
+		{"a slow node that recovers before it slows", 0, faults.Config{SlowNodes: []faults.SlowNode{{Site: 1, Factor: 3, At: 2 * sim.Second, Until: sim.Second}}},
+			"core: slow-node ends at 1s, not after its start 2s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Sites: 3, Groups: tc.groups, Clients: 60, TotalTxns: 100, Faults: tc.f}
+			verr := cfg.Validate()
+			_, nerr := New(cfg)
+			if verr == nil || nerr == nil || verr.Error() != tc.want || nerr.Error() != tc.want {
+				t.Fatalf("Validate: %v\nNew:      %v\nwant:     %s", verr, nerr, tc.want)
+			}
+		})
+	}
+	// What the checks let through, New arms: one crash, a recovery after
+	// it, a cut of the other minority site after the recovery, and an
+	// overload window.
+	ok := Config{Sites: 3, Clients: 60, TotalTxns: 100, Faults: faults.Config{
+		Crashes:    []faults.Crash{crash(3, sim.Second)},
+		Recovers:   []faults.Recover{{Site: 3, At: 3 * sim.Second}},
+		Partitions: []faults.Partition{cut(5*sim.Second, 6*sim.Second, 3)},
+		Saturation: faults.Saturation{Factor: 2, At: sim.Second, Until: 2 * sim.Second},
+		SlowNodes:  []faults.SlowNode{{Site: 2, Factor: 3, At: sim.Second, Until: 2 * sim.Second}},
+	}}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("Validate refuses a load New arms: %v", err)
+	}
+	if _, err := New(ok); err != nil {
+		t.Fatalf("New refuses a load Validate passes: %v", err)
+	}
+}

@@ -11,7 +11,8 @@ import (
 // TestRelations pins changes that must move nothing: each row's base run and
 // its second run mean the same simulation, so they must agree on the event
 // count, the duration, the printed summary and the folded layer counters
-// (Results.Stats and Results.GCS). A component that is present but inactive
+// (Results.Stats and Results.GCS), and the cross-group outcomes. A component
+// that is present but inactive
 // must draw from no stream another component shares, schedule no event and
 // shift no tie; storage a model takes off a shelf must carry nothing from
 // the model that left it there.
@@ -56,6 +57,28 @@ func TestRelations(t *testing.T) {
 				}
 			},
 		},
+		{
+			// A group-mode model takes, besides those, servers' latency
+			// arrays and lock tables and replicas' cross-group records and
+			// transaction tables. A model with loss, a crash and a rejoin (a
+			// dead incarnation's replica released mid-run) and a
+			// single-group one fill the shelves between the base's runs.
+			name: "warm shelves, group mode",
+			base: groupCfg(ProtocolConservative, 13),
+			between: func(t *testing.T) {
+				_, r := runModel(t, Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 14,
+					Admission: DefaultAdmissionConfig(),
+					Faults: faults.Config{
+						Loss:     faults.Loss{Kind: faults.LossRandom, Rate: 0.05},
+						Crashes:  []faults.Crash{{Site: 3, At: 3 * sim.Second}},
+						Recovers: []faults.Recover{{Site: 3, At: 6 * sim.Second}},
+					}})
+				if r.Recoveries != 1 {
+					t.Fatalf("the lossy model recovered %d times, want 1", r.Recoveries)
+				}
+				runModel(t, Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 15})
+			},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, err := Run(tc.base)
@@ -84,6 +107,13 @@ func TestRelations(t *testing.T) {
 			}
 			if a.GCS != b.GCS {
 				t.Fatalf("gcs counters moved:\n%+v\n→\n%+v", a.GCS, b.GCS)
+			}
+			if a.MultiGroupCommitted != b.MultiGroupCommitted || a.MultiGroupAborted != b.MultiGroupAborted {
+				t.Fatalf("cross-group outcomes moved: %d committed, %d aborted → %d, %d",
+					a.MultiGroupCommitted, a.MultiGroupAborted, b.MultiGroupCommitted, b.MultiGroupAborted)
+			}
+			if tc.base.Groups > 1 && a.MultiGroupCommitted == 0 {
+				t.Fatal("the group-mode base committed no cross-group transaction")
 			}
 		})
 	}

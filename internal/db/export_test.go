@@ -25,3 +25,29 @@ func (c *ClassStats) AbortRate() float64 {
 
 // MaxQueueLen reports the high-water queue length.
 func (s *Storage) MaxQueueLen() int { return s.maxQueue }
+
+// ShelvedServers reports how many stores released servers left on the shelf,
+// the latency capacity (values) those hold and the locks their tables still
+// hold, and leaves them there in their order.
+func ShelvedServers() (stores, latCap, locks int) {
+	var all []serverStore
+	for {
+		st, ok := serverStores.Get()
+		if !ok {
+			break
+		}
+		all = append(all, st)
+	}
+	for i := len(all) - 1; i >= 0; i-- {
+		st := all[i]
+		for _, vs := range st.lat {
+			latCap += cap(vs)
+		}
+		for _, c := range st.classes {
+			latCap += cap(c.values)
+		}
+		locks += st.holders.Len()
+		serverStores.Put(st)
+	}
+	return len(all), latCap, locks
+}

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/csrt"
@@ -66,6 +67,9 @@ type Server struct {
 	down        bool
 
 	classes map[string]*ClassStats
+	// spare holds the class latency storage NewServer took off the shelf
+	// and no class has adopted yet (Class adopts its class's on creation).
+	spare []classLat
 	// CertLat samples the distributed termination latency in ms (commit
 	// request to certification outcome) for Figure 7(b).
 	CertLat metrics.Sample
@@ -97,7 +101,8 @@ type Server struct {
 	blockedSubmits []*Txn
 }
 
-// NewServer builds a site over its CPU set and storage.
+// NewServer builds a site over its CPU set and storage. The server starts
+// on the storage a finished one left (Release), when there is some.
 func NewServer(k *sim.Kernel, site dbsm.SiteID, cpus *csrt.CPUSet, storage *Storage) *Server {
 	s := &Server{
 		k:           k,
@@ -109,8 +114,55 @@ func NewServer(k *sim.Kernel, site dbsm.SiteID, cpus *csrt.CPUSet, storage *Stor
 		active:      make(map[uint64]*Txn),
 		classes:     make(map[string]*ClassStats),
 	}
+	st, _ := serverStores.Get()
+	for i, smp := range s.samples() {
+		smp.Adopt(st.lat[i])
+	}
+	s.spare = st.classes
+	s.lm.holders = st.holders
 	s.wireLockHooks()
 	return s
+}
+
+// serverStore is the storage a finished server leaves for the next one: its
+// five latency samples' arrays (in samples order), its classes', and its
+// emptied lock table.
+type serverStore struct {
+	lat     [5][]float64
+	classes []classLat
+	holders dbsm.TupleMap[*Txn]
+}
+
+// classLat is one class's latency storage, kept for the class of that name.
+type classLat struct {
+	name   string
+	values []float64
+}
+
+// serverStores holds the storage of finished models' servers (Release).
+var serverStores sim.Shelf[serverStore]
+
+// samples lists the server's five latency samples.
+func (s *Server) samples() [5]*metrics.Sample {
+	return [...]*metrics.Sample{&s.LatCommitted, &s.LatReadOnly, &s.LatUpdate, &s.CertLat, &s.CertDecideLat}
+}
+
+// Release ends the server's part in its model: the arrays of its latency
+// samples, the per-class ones included, and its lock table's go to a shelf
+// the next NewServer takes from. Afterwards every latency sample reads
+// empty and the lock table holds nothing; the counters (Totals, EachClass's,
+// lock waits) stay readable. Nothing may run on the server again.
+func (s *Server) Release() {
+	st := serverStore{classes: s.spare, holders: s.lm.holders}
+	for i, smp := range s.samples() {
+		st.lat[i] = smp.Handover()
+	}
+	s.EachClass(func(name string, cs *ClassStats) {
+		st.classes = append(st.classes, classLat{name, cs.Lat.Handover()})
+	})
+	st.holders.Clear()
+	s.spare, s.lm.holders = nil, dbsm.TupleMap[*Txn]{}
+	serverStores.Put(st)
 }
 
 // wireLockHooks installs the preemption/abort callbacks on the current lock
@@ -212,6 +264,10 @@ func (s *Server) Class(name string) *ClassStats {
 	cs := s.classes[name]
 	if cs == nil {
 		cs = &ClassStats{}
+		if i := slices.IndexFunc(s.spare, func(c classLat) bool { return c.name == name }); i >= 0 {
+			cs.Lat.Adopt(s.spare[i].values)
+			s.spare = slices.Delete(s.spare, i, i+1)
+		}
 		s.classes[name] = cs
 	}
 	return cs

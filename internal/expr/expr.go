@@ -9,10 +9,11 @@
 // seeds, never on worker count or scheduling, and a -parallel 1 run is
 // byte-identical to a multi-worker run. Runs do share storage: when a
 // model's Run returns, its RNG sources, kernel slabs, certifier index, the
-// buffers waiting on its gcs stacks' free lists and its clients'
-// transactions go to process-wide shelves, and the next core.New on any
-// worker takes them back. They stay independent because that storage is
-// reset before reuse — a source reseeded, a slab or map emptied, a
+// buffers waiting on its gcs stacks' free lists, its clients' transactions,
+// its servers' latency arrays and lock tables and its replicas' cross-group
+// tables go to process-wide shelves, and the next core.New on any worker
+// takes them back. They stay independent because that storage is reset
+// before reuse — a source reseeded, a slab, table or map emptied, a
 // transaction recycled and unbound from its server, a buffer overwritten
 // before it is read — not because it is separate.
 package expr

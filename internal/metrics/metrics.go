@@ -74,6 +74,23 @@ func MergedMean(os ...*Sample) float64 {
 	return sum / float64(n)
 }
 
+// Handover empties the sample and returns the storage its observations were
+// in, at length 0, for a sample that comes after this one (Adopt).
+func (s *Sample) Handover() []float64 {
+	vs := s.values[:0]
+	*s = Sample{}
+	return vs
+}
+
+// Adopt starts an empty sample on vs's backing array: what a Handover
+// returned. It panics on a sample that holds observations.
+func (s *Sample) Adopt(vs []float64) {
+	if len(s.values) != 0 {
+		panic("metrics: Sample.Adopt on a sample that is not empty")
+	}
+	s.values = vs[:0]
+}
+
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.values) }
 

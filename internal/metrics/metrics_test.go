@@ -175,6 +175,40 @@ func TestSampleAddGrowsByDoubling(t *testing.T) {
 	}
 }
 
+// TestSampleHandover pins the storage hand-off between two samples: the
+// giver reads empty, the taker starts empty on the giver's array and grows
+// only past its capacity, and Adopt refuses a sample with observations.
+func TestSampleHandover(t *testing.T) {
+	var a, b Sample
+	for i := 0; i < 100; i++ {
+		a.Add(float64(i))
+	}
+	a.Quantile(0.5) // sorted
+	vs := a.Handover()
+	if a.N() != 0 || a.Mean() != 0 || a.StdDev() != 0 || len(vs) != 0 || cap(vs) < 100 {
+		t.Fatalf("after Handover: N=%d mean=%v stddev=%v, storage %d/%d", a.N(), a.Mean(), a.StdDev(), len(vs), cap(vs))
+	}
+	b.Adopt(vs)
+	if b.N() != 0 || b.Mean() != 0 {
+		t.Fatalf("adopted sample: N=%d mean=%v", b.N(), b.Mean())
+	}
+	for _, v := range []float64{3, 1, 2} {
+		b.Add(v)
+	}
+	if &b.values[0] != &vs[:1][0] || b.Mean() != 2 || b.Quantile(0) != 1 || b.Quantile(1) != 3 {
+		t.Fatalf("adopted sample: values %v off the handed-over array, mean %v", b.values, b.Mean())
+	}
+	if n := testing.AllocsPerRun(10, func() { b.Add(4) }); n != 0 {
+		t.Fatalf("an Add within the adopted capacity allocates %v times", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Adopt on a sample with observations did not panic")
+		}
+	}()
+	b.Adopt(nil)
+}
+
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
 	if s.Mean() != 0 || s.StdDev() != 0 || s.Quantile(0.5) != 0 || s.Quantile(0) != 0 || s.Quantile(1) != 0 {

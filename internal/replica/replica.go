@@ -283,6 +283,18 @@ func (r *Replica) CommitLog() *trace.CommitLog { return &r.commitLog }
 // Certifier exposes the certification state (tests, introspection).
 func (r *Replica) Certifier() *dbsm.Certifier { return r.cert }
 
+// Release ends the replica's life: its certifier's storage (Certifier.Release)
+// and, in group mode, the cross-group records' array and transaction table
+// go to shelves the next replica takes from. Afterwards XRecords reads empty;
+// the commit log and Stats stay readable. Nothing may run on the replica
+// again.
+func (r *Replica) Release() {
+	r.cert.Release()
+	if r.x != nil {
+		r.x.release()
+	}
+}
+
 // Stats reports the replica's termination counters.
 func (r *Replica) Stats() Stats {
 	s := r.stats
@@ -294,7 +306,9 @@ func (r *Replica) Stats() Stats {
 }
 
 // XRecords exposes this site's cross-group transaction records for the
-// off-line cross-group serialization check (nil outside group mode).
+// off-line cross-group serialization check (nil outside group mode). Their
+// item sets alias the prepares delivered on the group's stream. They live
+// until Release, which shelves their array: read them before.
 func (r *Replica) XRecords() []trace.XRecord {
 	if r.x == nil {
 		return nil

@@ -70,7 +70,9 @@ type xmgr struct {
 	// That lookup is its only job: no per-transaction path iterates it. The
 	// heavy state (prep, part) is dropped at decide; the residue is a few
 	// words per multi-group transaction, so memory — not CPU — grows with
-	// run length until an epoch-based retirement handshake prunes it.
+	// run length until an epoch-based retirement handshake prunes it. The
+	// table itself outlives the run: release empties it onto a shelf and the
+	// next model's xmgr starts on it, its buckets already grown.
 	pending map[uint64]*xtxn
 	// active is the reservation table: the entries holding a commit-voted,
 	// undecided part, in the order their prepares were delivered. It is what
@@ -99,8 +101,36 @@ type xmgr struct {
 	// buf is the control-message scratch (Relay and Multicast both copy the
 	// payload out before returning).
 	buf []byte
+	// relayed is what a relayed prepare decodes into: onRelay reads only its
+	// TID, so the next relay may overwrite it.
+	relayed xgroup.Prepare
+	// parts and store are the split terminate encodes at once: nothing keeps
+	// them past AppendPrepare.
+	parts []xgroup.Part
+	store dbsm.ItemSet
 
+	// records is every resolution this member delivered, in stream order
+	// (Replica.XRecords); their sets alias the delivered prepares.
 	records []trace.XRecord
+}
+
+// xStore is the storage a finished xmgr leaves for the next one: its records'
+// array and its transaction table, both emptied.
+type xStore struct {
+	records []trace.XRecord
+	pending map[uint64]*xtxn
+}
+
+// xStores holds the storage of finished models' xmgrs (release).
+var xStores sim.Shelf[xStore]
+
+// release empties the records and the transaction table onto xStores, so
+// neither pins this model's transactions, for the next newXmgr.
+func (x *xmgr) release() {
+	clear(x.records)
+	clear(x.pending)
+	xStores.Put(xStore{records: x.records[:0], pending: x.pending})
+	x.records, x.pending = nil, nil
 }
 
 // fragAsm is one oversized prepare's reassembly state: fragments land in
@@ -144,17 +174,23 @@ type xtxn struct {
 
 func xbit(g int) uint32 { return 1 << uint(g) }
 
+// newXmgr builds a replica's cross-group manager on the records' array and
+// the transaction table a finished one left (release), when there are some.
 func newXmgr(r *Replica) *xmgr {
-	x := &xmgr{
+	st, ok := xStores.Get()
+	if !ok {
+		st.pending = make(map[uint64]*xtxn)
+	}
+	return &xmgr{
 		r:        r,
 		group:    xgroup.GroupOfSite(int(r.site), r.opts.SitesPerGroup),
 		groups:   r.opts.GroupCount,
 		perGroup: r.opts.SitesPerGroup,
-		pending:  make(map[uint64]*xtxn),
+		pending:  st.pending,
 		stash:    make(map[uint64]bool),
 		frags:    make(map[uint64]*fragAsm),
+		records:  st.records,
 	}
-	return x
 }
 
 func (x *xmgr) self() runtimeapi.NodeID { return x.r.rt.Self() }
@@ -222,18 +258,18 @@ func (x *xmgr) terminate(tc *dbsm.TxnCert) {
 		r.submit(tc.AppendTo(append(r.scratch[:0], xgroup.MsgTxn)))
 		return
 	}
-	parts := xgroup.Split(tc, r.opts.GroupOf, x.group)
-	prep := &xgroup.Prepare{
+	x.parts, x.store = xgroup.Split(x.parts, x.store, tc, r.opts.GroupOf, x.group)
+	prep := xgroup.Prepare{
 		TID:         tc.TID,
 		Coordinator: x.self(),
 		HomeGroup:   x.group,
-		Parts:       parts,
+		Parts:       x.parts,
 	}
-	r.submit(xgroup.AppendPrepare(r.scratch[:0], xgroup.MsgPrepare, prep, 0))
+	r.submit(xgroup.AppendPrepare(r.scratch[:0], xgroup.MsgPrepare, &prep, 0))
 	r.stats.MultiGroupTxns++
 	e := &xtxn{tid: tc.TID, home: x.group, coordID: x.self(), coord: true, allCommit: true}
-	for i := range parts {
-		e.involved |= xbit(parts[i].Group)
+	for i := range x.parts {
+		e.involved |= xbit(x.parts[i].Group)
 	}
 	x.pending[tc.TID] = e
 	// Remote relays wait for the home prepare delivery (home-first rule:
@@ -422,13 +458,12 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	}
 	switch payload[0] {
 	case xgroup.MsgPrepare:
-		p, err := xgroup.ParsePrepare(payload[1:])
-		if err != nil {
+		if err := xgroup.ParsePrepareInto(&x.relayed, payload[1:]); err != nil {
 			r.stats.CertDrops++
 			return
 		}
 		r.chargeUnmarshal(len(payload))
-		e := x.pending[p.TID]
+		e := x.pending[x.relayed.TID]
 		if e == nil {
 			// Not yet on this group's stream: the sequencer injects it.
 			// Multicast copies the payload before returning, so handing it

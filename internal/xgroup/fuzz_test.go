@@ -24,15 +24,36 @@ func sameCert(a, b *dbsm.TxnCert) bool {
 		a.WriteBytes == b.WriteBytes && sameSet(a.ReadSet, b.ReadSet) && sameSet(a.WriteSet, b.WriteSet)
 }
 
+// samePrepare reports whether two prepares carry the same message.
+func samePrepare(a, b *Prepare) bool {
+	if a.TID != b.TID || a.Coordinator != b.Coordinator || a.HomeGroup != b.HomeGroup || len(a.Parts) != len(b.Parts) {
+		return false
+	}
+	for i := range a.Parts {
+		if a.Parts[i].Group != b.Parts[i].Group || !sameCert(&a.Parts[i].Cert, &b.Parts[i].Cert) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzParse feeds arbitrary bytes to the cross-group wire parsers, dispatched
 // on the lead byte the way the replica's stream and relay handlers dispatch
 // them. No input may panic, and whatever a parser accepts must survive the
 // matching encoder: re-encoded and parsed again it yields the same message.
-// The input is also pushed through FragmentPrepare as if it were an oversized
-// prepare body — the frames must fit, parse, and reassemble byte-exactly.
+// A prepare decoded by ParsePrepareInto into storage that holds an earlier
+// prepare's parts must be accepted or refused exactly as ParsePrepare does,
+// with the same error, and equal the fresh decode. The input is also pushed
+// through FragmentPrepare as if it were an oversized prepare body — the
+// frames must fit, parse, and reassemble byte-exactly.
 func FuzzParse(f *testing.F) {
 	small := bigPrepare(6)
 	big := AppendPrepare(nil, MsgPrepare, bigPrepare(200), 0)
+	// earlier is the prepare the warm storage holds before each decode: more
+	// parts than most inputs announce, sets of several sizes.
+	earlier := bigPrepare(40)
+	earlier.Parts = append(earlier.Parts, bigPrepare(3).Parts...)
+	earlierWire := AppendPrepare(nil, MsgPrepare, earlier, 0)[1:]
 	seeds := [][]byte{
 		AppendPrepare(nil, MsgPrepare, small, 0),
 		AppendPrepare(nil, MsgPrepare, small, 256), // padding trimmed toward the bound
@@ -58,8 +79,18 @@ func FuzzParse(f *testing.F) {
 		switch data[0] {
 		case MsgPrepare:
 			p, err := ParsePrepare(body)
+			var warm Prepare
+			if werr := ParsePrepareInto(&warm, earlierWire); werr != nil {
+				t.Fatalf("warming the storage: %v", werr)
+			}
+			if werr := ParsePrepareInto(&warm, body); werr != err {
+				t.Fatalf("decode into warm storage: error %v, a fresh decode's %v", werr, err)
+			}
 			if err != nil {
 				return
+			}
+			if !samePrepare(&warm, p) {
+				t.Fatalf("decode into warm storage: %+v, a fresh decode %+v", warm, *p)
 			}
 			// A hostile WriteBytes announces up to 4 GiB of padding; bounding
 			// the re-encoding by the input size trims it, and the true value
@@ -68,13 +99,8 @@ func FuzzParse(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-parse of an accepted prepare: %v", err)
 			}
-			if again.TID != p.TID || again.Coordinator != p.Coordinator || again.HomeGroup != p.HomeGroup || len(again.Parts) != len(p.Parts) {
+			if !samePrepare(again, p) {
 				t.Fatalf("prepare round trip: %+v became %+v", p, again)
-			}
-			for i := range p.Parts {
-				if again.Parts[i].Group != p.Parts[i].Group || !sameCert(&again.Parts[i].Cert, &p.Parts[i].Cert) {
-					t.Fatalf("prepare part %d round trip: %+v became %+v", i, p.Parts[i], again.Parts[i])
-				}
 			}
 		case MsgVote:
 			tid, g, commit, err := ParseVote(body)

@@ -117,7 +117,7 @@ func TestSplit(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cert := &dbsm.TxnCert{TID: 9, Site: 4, LastCommitted: 33,
 				ReadSet: tc.reads, WriteSet: tc.writes, WriteBytes: tc.writeBytes}
-			parts := Split(cert, byTable, tc.home)
+			parts, _ := Split(nil, nil, cert, byTable, tc.home)
 			if len(parts) != len(tc.groups) {
 				t.Fatalf("got %d parts, want groups %v", len(parts), tc.groups)
 			}
@@ -177,8 +177,11 @@ func checkSplit(t *testing.T, cert *dbsm.TxnCert, parts []Part, home int) {
 }
 
 // TestSplitAndEncodeMatchReference: on random transactions the split equals
-// the append-built one, allocates the parts and one array, and the prepare
+// the append-built one, allocates the parts and one array on fresh storage, and the prepare
 // built from it encodes to the reference's bytes at every trimming bound.
+// Split on storage an earlier split grew, and ParsePrepareInto into a
+// prepare an earlier decode filled, give the same parts and allocate nothing
+// once the storage is large enough.
 func TestSplitAndEncodeMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	randomSet := func(n int) dbsm.ItemSet {
@@ -188,12 +191,19 @@ func TestSplitAndEncodeMatchReference(t *testing.T) {
 		}
 		return dbsm.NewItemSet(ids...)
 	}
+	var (
+		warmParts []Part
+		warmStore dbsm.ItemSet
+		warmPrep  Prepare
+	)
 	for round := 0; round < 300; round++ {
 		cert := &dbsm.TxnCert{TID: uint64(round), Site: 2, LastCommitted: uint64(rng.Intn(100)),
 			ReadSet: randomSet(rng.Intn(30)), WriteSet: randomSet(rng.Intn(12)), WriteBytes: rng.Intn(5000)}
 		home := 1 + rng.Intn(4)
-		parts := Split(cert, byTable, home)
+		parts, _ := Split(nil, nil, cert, byTable, home)
 		checkSplit(t, cert, parts, home)
+		warmParts, warmStore = Split(warmParts, warmStore, cert, byTable, home)
+		checkSplit(t, cert, warmParts, home)
 
 		p := &Prepare{TID: cert.TID, Coordinator: 2, HomeGroup: home, Parts: parts}
 		full := len(appendPrepareRef(nil, MsgPrepare, p, 0))
@@ -212,17 +222,30 @@ func TestSplitAndEncodeMatchReference(t *testing.T) {
 					t.Fatalf("round %d, maxSize %d: part %d did not survive the wire", round, maxSize, i)
 				}
 			}
+			if err := ParsePrepareInto(&warmPrep, got[2:]); err != nil || !samePrepare(&warmPrep, back) {
+				t.Fatalf("round %d, maxSize %d: decode into warm storage %+v, fresh %+v (%v)", round, maxSize, warmPrep, *back, err)
+			}
 		}
 	}
 
 	cert := &dbsm.TxnCert{TID: 1, Site: 2, ReadSet: randomSet(30), WriteSet: randomSet(12), WriteBytes: 900}
 	var parts []Part
-	if n := testing.AllocsPerRun(100, func() { parts = Split(cert, byTable, 1) }); n > 3 {
+	if n := testing.AllocsPerRun(100, func() { parts, _ = Split(make([]Part, 0, 2), nil, cert, byTable, 1) }); n > 3 {
 		t.Fatalf("Split allocates %v times, want the parts (grown once past two) and one tuple array", n)
 	}
 	p := &Prepare{TID: 1, Coordinator: 2, HomeGroup: 1, Parts: parts}
 	buf := AppendPrepare(nil, MsgPrepare, p, 0)
 	if n := testing.AllocsPerRun(100, func() { buf = AppendPrepare(buf[:0], MsgPrepare, p, 1400) }); n != 0 {
 		t.Fatalf("AppendPrepare onto a sized buffer allocates %v times", n)
+	}
+	warmParts, warmStore = Split(warmParts, warmStore, cert, byTable, 1)
+	if n := testing.AllocsPerRun(100, func() { warmParts, warmStore = Split(warmParts, warmStore, cert, byTable, 1) }); n != 0 {
+		t.Fatalf("Split on grown storage allocates %v times", n)
+	}
+	if err := ParsePrepareInto(&warmPrep, buf[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ParsePrepareInto(&warmPrep, buf[1:]) }); n != 0 {
+		t.Fatalf("ParsePrepareInto into grown storage allocates %v times", n)
 	}
 }

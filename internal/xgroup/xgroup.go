@@ -55,11 +55,13 @@ type Part struct {
 // are copied into every part (LastCommitted is only meaningful to the home
 // group's certifier; remote votes skip the staleness test). WriteBytes is
 // distributed proportionally to each part's write count, remainder to the
-// home part. Parts are returned sorted by group; their item sets are carved
-// out of one array of exactly t's tuple count (sortedness carries over from
-// t's, so the dbsm invariants hold).
-func Split(t *dbsm.TxnCert, classify func(dbsm.TupleID) int, home int) []Part {
-	parts := make([]Part, 0, 2)
+// home part. Parts are returned sorted by group. They are built on parts'
+// array, and their item sets carved out of one array, store's (sortedness
+// carries over from t's, so the dbsm invariants hold); each is grown only
+// when too small, store to exactly t's tuple count. Both come back for the
+// next call, and the parts' sets alias store until then.
+func Split(parts []Part, store dbsm.ItemSet, t *dbsm.TxnCert, classify func(dbsm.TupleID) int, home int) ([]Part, dbsm.ItemSet) {
+	parts = parts[:0]
 	get := func(g int) *dbsm.TxnCert {
 		if g == 0 {
 			g = home
@@ -82,7 +84,11 @@ func Split(t *dbsm.TxnCert, classify func(dbsm.TupleID) int, home int) []Part {
 	get(home)
 	// Count first: until the carve below a part's set is store[:n], n being
 	// the number of tuples it will hold.
-	store := make(dbsm.ItemSet, len(t.ReadSet)+len(t.WriteSet))
+	n := len(t.ReadSet) + len(t.WriteSet)
+	if cap(store) < n {
+		store = make(dbsm.ItemSet, n)
+	}
+	store = store[:n]
 	for _, r := range t.ReadSet {
 		c := get(classify(r))
 		c.ReadSet = store[:len(c.ReadSet)+1]
@@ -114,7 +120,7 @@ func Split(t *dbsm.TxnCert, classify func(dbsm.TupleID) int, home int) []Part {
 		c := get(classify(w))
 		c.WriteSet = append(c.WriteSet, w)
 	}
-	return parts
+	return parts, store
 }
 
 // Message discriminators: the first byte of every group-mode ordered-stream
@@ -182,40 +188,60 @@ func AppendPrepare(buf []byte, lead byte, p *Prepare, maxSize int) []byte {
 	return buf
 }
 
-// ParsePrepare decodes a prepare body (the lead byte already consumed). The
-// parts' item sets are copied out of b; b may be reused afterwards.
+// ParsePrepare decodes a prepare body (the lead byte already consumed) into
+// a new Prepare. The parts' item sets are copied out of b; b may be reused
+// afterwards.
 func ParsePrepare(b []byte) (*Prepare, error) {
+	p := new(Prepare)
+	if err := ParsePrepareInto(p, b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// ParsePrepareInto decodes a prepare body (the lead byte already consumed)
+// into p, overwriting every field. Each part is decoded into the storage p
+// held for a part at that index (dbsm.TxnCert.UnmarshalFrom), which grows
+// only past what p held before, so the parts live until the next decode
+// into p: a reader copies what it keeps. b is not retained. On error p's
+// fields are unspecified, but its storage stays for the next decode.
+func ParsePrepareInto(p *Prepare, b []byte) error {
 	if len(b) < prepareHeader {
-		return nil, errBadXMsg
+		return errBadXMsg
 	}
-	p := &Prepare{
-		TID:         binary.BigEndian.Uint64(b[0:8]),
-		Coordinator: runtimeapi.NodeID(binary.BigEndian.Uint32(b[8:12])),
-		HomeGroup:   int(b[12]),
-	}
+	p.TID = binary.BigEndian.Uint64(b[0:8])
+	p.Coordinator = runtimeapi.NodeID(binary.BigEndian.Uint32(b[8:12]))
+	p.HomeGroup = int(b[12])
 	n := int(b[13])
 	o := prepareHeader
-	p.Parts = make([]Part, 0, n)
+	parts := p.Parts[:cap(p.Parts)]
+	if n > len(parts) {
+		// Grow keeping the earlier parts' storage: the copy carries their
+		// sets' arrays along.
+		parts = append(parts, make([]Part, n-len(parts))...)
+	}
+	p.Parts = parts[:0]
 	for i := 0; i < n; i++ {
 		if len(b)-o < partHeader {
-			return nil, errBadXMsg
+			return errBadXMsg
 		}
 		g := int(b[o])
 		wb := int(binary.BigEndian.Uint32(b[o+1 : o+5]))
 		clen := int(binary.BigEndian.Uint32(b[o+5 : o+9]))
 		o += partHeader
 		if wb < 0 || clen < 0 || clen > len(b)-o {
-			return nil, errBadXMsg
+			return errBadXMsg
 		}
-		c, err := dbsm.Unmarshal(b[o : o+clen])
-		if err != nil {
-			return nil, err
+		pt := &parts[i]
+		if err := pt.Cert.UnmarshalFrom(b[o : o+clen]); err != nil {
+			return err
 		}
-		c.WriteBytes = wb
+		pt.Group = g
+		pt.Cert.WriteBytes = wb
 		o += clen
-		p.Parts = append(p.Parts, Part{Group: g, Cert: *c})
+		p.Parts = parts[:i+1]
 	}
-	return p, nil
+	return nil
 }
 
 // fragHeader is a fragment frame's fixed prefix: lead byte, TID, total
