@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/explore"
@@ -123,9 +124,9 @@ func simulate(cfg core.Config, name string, verbose bool, traceFile string) (fai
 		}
 		fmt.Println("\nper site:")
 		for _, s := range r.Sites {
-			status := "up"
-			if s.Crashed {
-				status = "CRASHED"
+			status := s.State
+			if status != "up" {
+				status = strings.ToUpper(status)
 			}
 			fmt.Printf("  site %d: %s committed=%d aborted=%d remote=%d cpu=%.1f%% disk=%.1f%%\n",
 				s.Site, status, s.Committed, s.Aborted, s.RemoteApplied, s.CPUUtilPct, s.DiskUtilPct)

@@ -66,25 +66,50 @@ func failingRun(t *testing.T, args ...string) string {
 // smoke run stops before quiescing (WEDGED); the n = 5 non-prefix repro
 // breaks the safety check (UNSAFE).
 func TestFailedVerdictExitsOne(t *testing.T) {
-	r, err := explore.LoadRepro(smoke)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Config.MaxSimTime = 2 * sim.Second
-	cut, err := r.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := filepath.Join(t.TempDir(), "smoke-2s.json")
-	if err := os.WriteFile(short, cut, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct{ file, word string }{
-		{short, "WEDGED: stopped before quiescing"},
+		{cutAt(t, smoke, 2*sim.Second), "WEDGED: stopped before quiescing"},
 		{"../faultsim/testdata/repro-conservative-s5-non-prefix--3610918436655193305.json", "UNSAFE: "},
 	} {
 		if out := failingRun(t, "-config", c.file); !strings.Contains(out, "\n"+c.word) {
 			t.Errorf("dbsim -config %s does not print %q:\n%s", c.file, c.word, out)
 		}
 	}
+}
+
+// TestSiteStates: -v prints each site's state at the end of the run, up as
+// is and any other upper-cased. lossy_rejoin crashes site 3 at 30 s and
+// rejoins it at 60 s; cut at 45 s the site is CRASHED, cut at 61 s, while
+// the state transfer still runs, RECOVERING.
+func TestSiteStates(t *testing.T) {
+	for _, c := range []struct {
+		bound sim.Time
+		want  string
+	}{{45 * sim.Second, "CRASHED"}, {61 * sim.Second, "RECOVERING"}} {
+		out := failingRun(t, "-config", cutAt(t, "../../configs/lossy_rejoin.json", c.bound), "-v")
+		for _, line := range []string{"  site 1: up ", "  site 3: " + c.want + " "} {
+			if !strings.Contains(out, "\n"+line) {
+				t.Errorf("cut at %v: no line starting %q:\n%s", c.bound, line, out)
+			}
+		}
+	}
+}
+
+// cutAt writes the run file at path with its simulated time bounded to
+// bound into a temporary directory, and returns the copy's path.
+func cutAt(t *testing.T, path string, bound sim.Time) string {
+	t.Helper()
+	r, err := explore.LoadRepro(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Config.MaxSimTime = bound
+	b, err := r.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.json")
+	if err := os.WriteFile(cut, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return cut
 }

@@ -92,13 +92,16 @@ type Params struct {
 	Groups int
 }
 
-func (p *Params) fill() {
-	if p.Sites == 0 {
+// WithDefaults returns p with the defaults in place of unset (zero or
+// negative) fields: 3 sites, a 40 s horizon.
+func (p Params) WithDefaults() Params {
+	if p.Sites <= 0 {
 		p.Sites = 3
 	}
-	if p.Horizon == 0 {
+	if p.Horizon <= 0 {
 		p.Horizon = 40 * sim.Second
 	}
+	return p
 }
 
 // Schedule is one generated fault load.
@@ -211,7 +214,7 @@ func (s Schedule) Describe() string {
 // in how often the faults the cross-group relays care about are drawn, and in
 // the structural (crash/partition) section, which spends a per-group budget.
 func New(seed int64, p Params) Schedule {
-	p.fill()
+	p = p.WithDefaults()
 	b := builder{g: sim.NewRNG(seed).Fork("campaign"), p: p, s: Schedule{Seed: seed},
 		sites: p.Sites, lossRandom: 3, lossBursty: 6, chaos: 0.2}
 	if p.Groups > 1 {

@@ -154,7 +154,7 @@ func TestCrashKeepsSafetyAndSurvivorsContinue(t *testing.T) {
 	}
 	var crashed, live int
 	for _, sr := range r.Sites {
-		if sr.Crashed {
+		if sr.State == "crashed" {
 			crashed++
 		} else {
 			live++

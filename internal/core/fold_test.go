@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
-	"os"
 	"reflect"
 	"testing"
 
@@ -177,19 +175,12 @@ func TestVerdict(t *testing.T) {
 // "wedged"; the same file under its own bound runs to quiescence and is
 // clean.
 func TestVerdictWedged(t *testing.T) {
-	b, err := os.ReadFile("../../configs/smoke.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file struct{ Config Config }
-	if err := json.Unmarshal(b, &file); err != nil {
-		t.Fatal(err)
-	}
+	base := runFile(t, "smoke")
 	for _, c := range []struct {
 		bound sim.Time
 		want  string
-	}{{2 * sim.Second, "wedged"}, {file.Config.MaxSimTime, ""}} {
-		cfg := file.Config
+	}{{2 * sim.Second, "wedged"}, {base.MaxSimTime, ""}} {
+		cfg := base
 		cfg.MaxSimTime = c.bound
 		res, err := Run(cfg)
 		if err != nil {

@@ -141,7 +141,7 @@ func TestGrayFailureNeverSuspected(t *testing.T) {
 		t.Fatalf("gray-failed site was suspected: %d view changes", r.GCS.ViewChanges)
 	}
 	for _, sr := range r.Sites {
-		if sr.Crashed {
+		if sr.State == "crashed" {
 			t.Fatalf("site %d marked crashed under a slow-node fault", sr.Site)
 		}
 		if sr.Committed == 0 {

@@ -79,9 +79,6 @@ func checkRejoinResults(t *testing.T, r *Results, site int32) {
 	if !sr.Recovered || sr.State != "up" {
 		t.Fatalf("site %d: recovered=%v state=%q, want a completed rejoin", site, sr.Recovered, sr.State)
 	}
-	if sr.TransferKB <= 0 {
-		t.Fatalf("site %d transferred %.1fKB", site, sr.TransferKB)
-	}
 	// The recovered site must serve traffic again after the rejoin: its
 	// clients were woken with AbortCrash and resubmitted.
 	if sr.Committed == 0 {

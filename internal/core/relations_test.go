@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/faults"
@@ -96,25 +99,106 @@ func TestRelations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Events != b.Events || a.Duration != b.Duration {
-				t.Fatalf("run shape moved: events %d → %d, duration %v → %v", a.Events, b.Events, a.Duration, b.Duration)
-			}
-			if sa, sb := a.Summary(), b.Summary(); sa != sb {
-				t.Fatalf("summary moved:\n%s\n→\n%s", sa, sb)
-			}
-			if a.Stats != b.Stats {
-				t.Fatalf("replica counters moved:\n%+v\n→\n%+v", a.Stats, b.Stats)
-			}
-			if a.GCS != b.GCS {
-				t.Fatalf("gcs counters moved:\n%+v\n→\n%+v", a.GCS, b.GCS)
-			}
-			if a.MultiGroupCommitted != b.MultiGroupCommitted || a.MultiGroupAborted != b.MultiGroupAborted {
-				t.Fatalf("cross-group outcomes moved: %d committed, %d aborted → %d, %d",
-					a.MultiGroupCommitted, a.MultiGroupAborted, b.MultiGroupCommitted, b.MultiGroupAborted)
-			}
+			sameRun(t, a, b)
 			if tc.base.Groups > 1 && a.MultiGroupCommitted == 0 {
 				t.Fatal("the group-mode base committed no cross-group transaction")
 			}
 		})
+	}
+	// Four committed run files, cut to 1 000 transactions, each against
+	// itself plus one inert fault of a kind the file does not carry, at
+	// seeds 1-3; a file's rows share each seed's base run.
+	for _, file := range []string{"lan3_cons", "lan3_opt", "groups3_x", "lossy_rejoin"} {
+		t.Run(file, func(t *testing.T) {
+			base := runFile(t, file)
+			base.TotalTxns = 1000
+			for seed := int64(1); seed <= 3; seed++ {
+				base.Seed = seed
+				a, err := Run(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, in := range inertFaults {
+					if in.carried(base.Faults) {
+						continue
+					}
+					t.Run(fmt.Sprintf("%s/seed=%d", in.name, seed), func(t *testing.T) {
+						cfg := base
+						in.patch(&cfg.Faults)
+						b, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameRun(t, a, b)
+					})
+				}
+			}
+		})
+	}
+}
+
+// inertFaults are faults present in a run but injecting nothing: a rate or
+// factor that does nothing, or an onset long after the run has quiesced.
+// patch adds one to a run that does not carry its kind already.
+var inertFaults = []struct {
+	name    string
+	carried func(faults.Config) bool
+	patch   func(*faults.Config)
+}{
+	{"loss at rate 0",
+		func(f faults.Config) bool { return f.Loss.Kind != faults.LossNone },
+		func(f *faults.Config) { f.Loss = faults.Loss{Kind: faults.LossRandom} }},
+	{"duplication at rate 0",
+		func(f faults.Config) bool { return f.Duplicate != faults.Chaos{} },
+		func(f *faults.Config) { f.Duplicate = faults.Chaos{Delay: 2 * sim.Millisecond, At: sim.Second} }},
+	{"reordering at rate 0",
+		func(f faults.Config) bool { return f.Reorder != faults.Chaos{} },
+		func(f *faults.Config) { f.Reorder = faults.Chaos{Delay: 2 * sim.Millisecond, At: sim.Second} }},
+	{"saturation at factor 1",
+		func(f faults.Config) bool { return f.Saturation != faults.Saturation{} },
+		func(f *faults.Config) { f.Saturation = faults.Saturation{Factor: 1, At: sim.Second} }},
+	{"slow node at factor 1",
+		func(f faults.Config) bool { return len(f.SlowNodes) > 0 },
+		func(f *faults.Config) { f.SlowNodes = []faults.SlowNode{{Site: 2, Factor: 1, At: sim.Second}} }},
+	{"clock drift at rate 0",
+		func(f faults.Config) bool { return f.ClockDriftRate != 0 || len(f.ClockDriftSites) > 0 },
+		func(f *faults.Config) { f.ClockDriftSites = []int32{2} }},
+	{"crash at 7000 s",
+		func(f faults.Config) bool { return len(f.Crashes) > 0 },
+		func(f *faults.Config) { f.Crashes = []faults.Crash{{Site: 3, At: 7000 * sim.Second}} }},
+}
+
+// runFile decodes the run configuration of configs/<name>.json.
+func runFile(t *testing.T, name string) Config {
+	t.Helper()
+	b, err := os.ReadFile("../../configs/" + name + ".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct{ Config Config }
+	if err := json.Unmarshal(b, &file); err != nil {
+		t.Fatal(err)
+	}
+	return file.Config
+}
+
+// sameRun fails t unless a and b agree on everything TestRelations compares.
+func sameRun(t *testing.T, a, b *Results) {
+	t.Helper()
+	if a.Events != b.Events || a.Duration != b.Duration {
+		t.Fatalf("run shape moved: events %d → %d, duration %v → %v", a.Events, b.Events, a.Duration, b.Duration)
+	}
+	if sa, sb := a.Summary(), b.Summary(); sa != sb {
+		t.Fatalf("summary moved:\n%s\n→\n%s", sa, sb)
+	}
+	if a.Stats != b.Stats {
+		t.Fatalf("replica counters moved:\n%+v\n→\n%+v", a.Stats, b.Stats)
+	}
+	if a.GCS != b.GCS {
+		t.Fatalf("gcs counters moved:\n%+v\n→\n%+v", a.GCS, b.GCS)
+	}
+	if a.MultiGroupCommitted != b.MultiGroupCommitted || a.MultiGroupAborted != b.MultiGroupAborted {
+		t.Fatalf("cross-group outcomes moved: %d committed, %d aborted → %d, %d",
+			a.MultiGroupCommitted, a.MultiGroupAborted, b.MultiGroupCommitted, b.MultiGroupAborted)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dbsm"
 	"repro/internal/gcs"
 	"repro/internal/metrics"
-	"repro/internal/recovery"
 	"repro/internal/replica"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -41,9 +40,8 @@ type SiteResult struct {
 	// Group is the site's replication group (0 under full replication).
 	Group int
 	// State is the lifecycle state at the end of the run (up, crashed,
-	// recovering). Crashed is kept as the terminal-crash shorthand.
-	State   string
-	Crashed bool
+	// recovering).
+	State string
 	// Recovered reports the site crashed and completed at least one
 	// rejoin; its commit log is then held to full equality again.
 	Recovered bool
@@ -61,10 +59,8 @@ type SiteResult struct {
 	CPUSimUtilPct float64 // transaction processing
 	DiskUtilPct   float64 // Figure 6(b)
 	RemoteApplied int64
-	// Recovery detail: snapshot bytes shipped to this site and the
-	// commit-sequence gap to the donor at rejoin.
-	TransferKB float64
-	RejoinLag  uint64
+	// RejoinLag is the commit-sequence gap to the donor at rejoin.
+	RejoinLag uint64
 }
 
 // Results carries everything the paper's evaluation reports for one run.
@@ -190,7 +186,6 @@ func (m *Model) results() *Results {
 	r.Duration = duration
 
 	classAgg := map[string]*ClassResult{}
-	classLat := map[string][]*metrics.Sample{}
 	// siteLat[i] holds every site's operand of the i-th latency sample
 	// merged below, in site order: each target merges once.
 	var siteLat [5][]*metrics.Sample
@@ -202,7 +197,6 @@ func (m *Model) results() *Results {
 			Site:          s.ID,
 			Group:         m.place.reported(s.group),
 			State:         life.State().String(),
-			Crashed:       life.State() == recovery.StateCrashed,
 			Recovered:     life.Recoveries() > 0,
 			Partitioned:   s.partitioned,
 			Submitted:     sub,
@@ -210,7 +204,6 @@ func (m *Model) results() *Results {
 			Aborted:       ab,
 			Rejected:      rej,
 			RemoteApplied: s.Server.RemoteApplied(),
-			TransferKB:    float64(life.TransferBytes()) / 1024,
 			RejoinLag:     life.RejoinLag(),
 		}
 		r.Recoveries += life.Recoveries()
@@ -247,7 +240,7 @@ func (m *Model) results() *Results {
 			r.CPURealUtilPct += s.CPUs.ClassUtilization(csrt.ClassReal, duration)
 			r.DiskUtilPct += sr.DiskUtilPct
 		}
-		collectClasses(s, classAgg, classLat)
+		collectClasses(s, classAgg)
 		sv := s.Server
 		for i, o := range [...]*metrics.Sample{&sv.LatCommitted, &sv.LatReadOnly, &sv.LatUpdate, &sv.CertLat, &sv.CertDecideLat} {
 			siteLat[i] = append(siteLat[i], o)
@@ -294,7 +287,9 @@ func (m *Model) results() *Results {
 		cr := classAgg[n]
 		cr.AbortRatePct = metrics.Rate(cr.AbortLock+cr.AbortCert+cr.AbortUser,
 			cr.Committed+cr.AbortLock+cr.AbortCert+cr.AbortUser)
-		cr.MeanLatencyMS = metrics.MergedMean(classLat[n]...)
+		if cr.Committed > 0 {
+			cr.MeanLatencyMS /= float64(cr.Committed)
+		}
 		r.Classes = append(r.Classes, *cr)
 	}
 
@@ -399,9 +394,9 @@ func (r *Results) Features() map[string]int64 {
 	}
 }
 
-// collectClasses adds a site's class counters to agg and its class latency
-// samples to lat, which holds each class's operands in site order.
-func collectClasses(s *Site, agg map[string]*ClassResult, lat map[string][]*metrics.Sample) {
+// collectClasses adds a site's class counters and latency sums to agg; the
+// caller divides each class's sum by its commits once every site is in.
+func collectClasses(s *Site, agg map[string]*ClassResult) {
 	s.Server.EachClass(func(name string, cs *db.ClassStats) {
 		cr := agg[name]
 		if cr == nil {
@@ -414,7 +409,7 @@ func collectClasses(s *Site, agg map[string]*ClassResult, lat map[string][]*metr
 		cr.AbortCert += cs.AbortCert
 		cr.AbortUser += cs.AbortUser
 		cr.Rejected += cs.Rejected
-		lat[name] = append(lat[name], &cs.Lat)
+		cr.MeanLatencyMS += cs.LatSumMS
 	})
 }
 

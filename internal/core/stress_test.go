@@ -38,7 +38,7 @@ func TestCombinedFaultStress(t *testing.T) {
 		}
 		live := 0
 		for _, s := range r.Sites {
-			if !s.Crashed && s.Committed > 0 {
+			if s.State != "crashed" && s.Committed > 0 {
 				live++
 			}
 		}

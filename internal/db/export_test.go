@@ -43,9 +43,6 @@ func ShelvedServers() (stores, latCap, locks int) {
 		for _, vs := range st.lat {
 			latCap += cap(vs)
 		}
-		for _, c := range st.classes {
-			latCap += cap(c.values)
-		}
 		locks += st.holders.Len()
 		serverStores.Put(st)
 	}

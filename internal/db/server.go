@@ -1,7 +1,6 @@
 package db
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/csrt"
@@ -24,8 +23,9 @@ type ClassStats struct {
 	// server just declined to take it on — so it stays out of Aborted()
 	// and the abort-rate figures.
 	Rejected int64
-	// Lat holds committed-transaction latencies in milliseconds.
-	Lat metrics.Sample
+	// LatSumMS sums committed-transaction latencies in milliseconds: the
+	// class's mean is LatSumMS / Committed.
+	LatSumMS float64
 }
 
 // Aborted reports all aborts of the class.
@@ -67,9 +67,6 @@ type Server struct {
 	down        bool
 
 	classes map[string]*ClassStats
-	// spare holds the class latency storage NewServer took off the shelf
-	// and no class has adopted yet (Class adopts its class's on creation).
-	spare []classLat
 	// CertLat samples the distributed termination latency in ms (commit
 	// request to certification outcome) for Figure 7(b).
 	CertLat metrics.Sample
@@ -118,25 +115,16 @@ func NewServer(k *sim.Kernel, site dbsm.SiteID, cpus *csrt.CPUSet, storage *Stor
 	for i, smp := range s.samples() {
 		smp.Adopt(st.lat[i])
 	}
-	s.spare = st.classes
 	s.lm.holders = st.holders
 	s.wireLockHooks()
 	return s
 }
 
 // serverStore is the storage a finished server leaves for the next one: its
-// five latency samples' arrays (in samples order), its classes', and its
-// emptied lock table.
+// five latency samples' arrays (in samples order) and its emptied lock table.
 type serverStore struct {
 	lat     [5][]float64
-	classes []classLat
 	holders dbsm.TupleMap[*Txn]
-}
-
-// classLat is one class's latency storage, kept for the class of that name.
-type classLat struct {
-	name   string
-	values []float64
 }
 
 // serverStores holds the storage of finished models' servers (Release).
@@ -148,20 +136,17 @@ func (s *Server) samples() [5]*metrics.Sample {
 }
 
 // Release ends the server's part in its model: the arrays of its latency
-// samples, the per-class ones included, and its lock table's go to a shelf
-// the next NewServer takes from. Afterwards every latency sample reads
-// empty and the lock table holds nothing; the counters (Totals, EachClass's,
-// lock waits) stay readable. Nothing may run on the server again.
+// samples and its lock table's go to a shelf the next NewServer takes from.
+// Afterwards every latency sample reads empty and the lock table holds
+// nothing; the counters (Totals, EachClass's, lock waits) stay readable.
+// Nothing may run on the server again.
 func (s *Server) Release() {
-	st := serverStore{classes: s.spare, holders: s.lm.holders}
+	st := serverStore{holders: s.lm.holders}
 	for i, smp := range s.samples() {
 		st.lat[i] = smp.Handover()
 	}
-	s.EachClass(func(name string, cs *ClassStats) {
-		st.classes = append(st.classes, classLat{name, cs.Lat.Handover()})
-	})
 	st.holders.Clear()
-	s.spare, s.lm.holders = nil, dbsm.TupleMap[*Txn]{}
+	s.lm.holders = dbsm.TupleMap[*Txn]{}
 	serverStores.Put(st)
 }
 
@@ -264,10 +249,6 @@ func (s *Server) Class(name string) *ClassStats {
 	cs := s.classes[name]
 	if cs == nil {
 		cs = &ClassStats{}
-		if i := slices.IndexFunc(s.spare, func(c classLat) bool { return c.name == name }); i >= 0 {
-			cs.Lat.Adopt(s.spare[i].values)
-			s.spare = slices.Delete(s.spare, i, i+1)
-		}
 		s.classes[name] = cs
 	}
 	return cs
@@ -617,7 +598,7 @@ func (s *Server) finish(t *Txn, outcome Outcome) {
 	case Committed:
 		cs.Committed++
 		lat := t.Latency().Millis()
-		cs.Lat.Add(lat)
+		cs.LatSumMS += lat
 		s.LatCommitted.Add(lat)
 		if t.ReadOnly {
 			s.LatReadOnly.Add(lat)

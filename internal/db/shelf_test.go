@@ -37,11 +37,6 @@ func TestShelfHoldsOneModel(t *testing.T) {
 		for _, s := range m.Sites() {
 			_, c, _, _ := s.Server.Totals()
 			committed += c
-			s.Server.EachClass(func(name string, cs *db.ClassStats) {
-				if cs.Lat.N() != 0 {
-					t.Errorf("site %d: class %s's latency sample holds %d values after Run", s.ID, name, cs.Lat.N())
-				}
-			})
 			if s.Server.LatCommitted.N() != 0 || s.Server.CertLat.N() != 0 {
 				t.Errorf("site %d: latency samples hold %d and %d values after Run", s.ID, s.Server.LatCommitted.N(), s.Server.CertLat.N())
 			}

@@ -61,17 +61,12 @@ type Gene struct {
 // spaceOf builds every space.
 type space campaign.Params
 
-// spaceOf fills the campaign's defaults into p.
+// spaceOf fills the campaign's defaults into p, and one group for a classic
+// run.
 func spaceOf(p campaign.Params) space {
-	s := space(p)
-	if s.Sites <= 0 {
-		s.Sites = 3
-	}
+	s := space(p.WithDefaults())
 	if s.Groups <= 0 {
 		s.Groups = 1
-	}
-	if s.Horizon <= 0 {
-		s.Horizon = 40 * sim.Second
 	}
 	return s
 }

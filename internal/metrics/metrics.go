@@ -55,25 +55,6 @@ func (s *Sample) Merge(os ...*Sample) {
 	s.sorted = false
 }
 
-// MergedMean is the Mean of an empty Sample after Merge(os...), bit for
-// bit, without building it: the operands' values are summed in the order
-// Merge adds them, operand by operand, each in its sorted order.
-func MergedMean(os ...*Sample) float64 {
-	var sum float64
-	n := 0
-	for _, o := range os {
-		o.ensureSorted()
-		for _, v := range o.values {
-			sum += v
-		}
-		n += len(o.values)
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Handover empties the sample and returns the storage its observations were
 // in, at length 0, for a sample that comes after this one (Adopt).
 func (s *Sample) Handover() []float64 {

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -108,51 +107,6 @@ func TestSampleMergeVariadicMatchesOneAtATime(t *testing.T) {
 		dst.Merge(ops2...)
 	}); allocs != 2 {
 		t.Fatalf("an Add and a growing Merge allocate %v times, want 2", allocs)
-	}
-}
-
-// TestMergedMeanMatchesMerge pins MergedMean to the Mean of a Merge into an
-// empty sample with ==, over random operand sets whose values span many
-// magnitudes and are added unsorted. It also checks that the sets would tell
-// a different summation order apart: each operand's insertion order, or the
-// operands in reverse, gives other bits on some of them.
-func TestMergedMeanMatchesMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	insertedShows, reversedShows := 0, 0
-	for trial := 0; trial < 500; trial++ {
-		ops := make([]*Sample, rng.Intn(6))
-		var inserted, reversed float64
-		n := 0
-		for i := range ops {
-			ops[i] = &Sample{}
-			for range rng.Intn(40) {
-				v := math.Exp(rng.Float64()*30-10) * rng.Float64()
-				ops[i].Add(v)
-				inserted += v
-				n++
-			}
-		}
-		var merged Sample
-		merged.Merge(ops...)
-		got, want := MergedMean(ops...), merged.Mean()
-		if got != want {
-			t.Fatalf("trial %d: MergedMean %v, Merge then Mean %v", trial, got, want)
-		}
-		for i := len(ops) - 1; i >= 0; i-- {
-			for _, v := range ops[i].values {
-				reversed += v
-			}
-		}
-		if n > 0 && inserted/float64(n) != want {
-			insertedShows++
-		}
-		if n > 0 && reversed/float64(n) != want {
-			reversedShows++
-		}
-	}
-	if insertedShows == 0 || reversedShows == 0 {
-		t.Fatalf("insertion order differs on %d sets, reversed operands on %d: want both above 0",
-			insertedShows, reversedShows)
 	}
 }
 
