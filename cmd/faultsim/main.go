@@ -429,7 +429,8 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 			break
 		}
 		fmt.Printf("explore: violation at run %d (seed %d): %s\n", f.Run, f.Seed, f.Detail)
-		min, stats := explore.Minimize(base, params, f.Genes, f.Seed)
+		kind, _ := f.Results.VerdictKind()
+		min, stats := explore.Minimize(base, params, f.Genes, f.Seed, kind)
 		fmt.Printf("explore: minimized %d -> %d gene(s) in %d probes\n", stats.From, stats.To, stats.Probes)
 		// Rerun the minimized schedule, so the saved kind is what the file
 		// reproduces.
@@ -450,11 +451,7 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 // saveRepro writes a failing run under dir as a repro file and returns its
 // path, or "" after reporting why it could not.
 func saveRepro(cfg core.Config, res *core.Results, dir string) string {
-	r, err := explore.ReproOf(cfg, res)
-	var path string
-	if err == nil {
-		path, err = r.Save(dir)
-	}
+	path, err := explore.ReproOf(cfg, res).Save(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim: repro:", err)
 		return ""

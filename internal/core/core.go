@@ -51,8 +51,9 @@ const (
 // Protocols lists the selectable variants in report order.
 func Protocols() []Protocol { return []Protocol{ProtocolConservative, ProtocolOptimistic} }
 
-// Config describes one experiment run. Every field but Calibration is plain
-// data and travels in JSON (a saved repro carries its Config whole).
+// Config describes one experiment run. Every exported field is plain data and
+// travels in JSON, so a run file carries its Config whole; every model runs on
+// the one calibrated cost model, calibration.
 type Config struct {
 	// Sites is the number of replicas; 1 runs the centralized baseline
 	// without any replication protocol. When Groups > 1, Sites is the
@@ -91,10 +92,6 @@ type Config struct {
 	AggregateClients int `json:"aggregateClients,omitempty"`
 	// Seed drives every random stream; same seed, same run.
 	Seed int64 `json:"seed,omitempty"`
-	// Calibration is the workload cost model (nil for default): empirical
-	// distributions with no serialized form, so the one field JSON does not
-	// carry.
-	Calibration *tpcc.Calibration `json:"-"`
 	// GCSBufferBytes overrides the group communication buffer pool
 	// (gcs.Config.BufferBytes; 0 for its default).
 	GCSBufferBytes int `json:"gcsBufferBytes,omitempty"`
@@ -120,9 +117,16 @@ type Config struct {
 	// MaxSimTime bounds simulated time, in simulated nanoseconds (default
 	// 2h).
 	MaxSimTime sim.Time `json:"maxSimTimeNs,omitempty"`
-	// CollectTxnLog records every transaction in Results.TxnLog.
-	CollectTxnLog bool `json:"collectTxnLog,omitempty"`
+	// What no run file varies: fill sets the defaults and only this
+	// package's tests override them.
+	thinkTime sim.Time         // a client's mean think time: calibration's 9s
+	logTxns   bool             // record every transaction in Results.TxnLog
+	lan       simnet.LANConfig // the segment: the paper's Ethernet-100
 }
+
+// calibration is every model's workload cost model (Section 4.1). Models only
+// read it, so concurrent models share it.
+var calibration = tpcc.DefaultCalibration()
 
 // AdmissionConfig tunes overload protection.
 type AdmissionConfig struct {
@@ -164,11 +168,14 @@ func (c *Config) fill() {
 	if c.TotalTxns == 0 {
 		c.TotalTxns = 10000
 	}
-	if c.Calibration == nil {
-		c.Calibration = tpcc.DefaultCalibration()
-	}
 	if c.MaxSimTime == 0 {
 		c.MaxSimTime = 2 * sim.Hour
+	}
+	if c.thinkTime == 0 {
+		c.thinkTime = calibration.ThinkTime
+	}
+	if c.lan == (simnet.LANConfig{}) {
+		c.lan = simnet.DefaultLANConfig("lan0")
 	}
 }
 
@@ -422,7 +429,20 @@ func (c *Config) validateFaults() error {
 // New builds a model from a config: validate, build the sites on the paper's
 // Ethernet-100 segment, arm the fault load, start the clients.
 func New(cfg Config) (*Model, error) {
-	return newOnLAN(cfg, simnet.DefaultLANConfig("lan0"))
+	cfg.fill()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	m := &Model{cfg: cfg, k: sim.NewKernel(), rng: sim.NewRNG(cfg.Seed), place: newPlacement(&cfg), txnLog: new(trace.TxnLog)}
+	m.net = simnet.NewNetwork(m.k, m.rng.Fork("net"))
+	m.lan = m.net.NewLAN(cfg.lan)
+	if err := m.buildSites(); err != nil {
+		m.release()
+		return nil, err
+	}
+	m.armFaults()
+	m.startClients()
+	return m, nil
 }
 
 // Run builds a model from cfg and runs it (New, then Model.Run).
@@ -432,26 +452,6 @@ func Run(cfg Config) (*Results, error) {
 		return nil, err
 	}
 	return m.Run()
-}
-
-// newOnLAN is New on a segment of the caller's choosing. Every run uses the
-// one segment New names; the parameter stays for the in-package regression
-// test that squeezes the MTU until cross-group prepares must fragment.
-func newOnLAN(cfg Config, lan simnet.LANConfig) (*Model, error) {
-	cfg.fill()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	m := &Model{cfg: cfg, k: sim.NewKernel(), rng: sim.NewRNG(cfg.Seed), place: newPlacement(&cfg), txnLog: new(trace.TxnLog)}
-	m.net = simnet.NewNetwork(m.k, m.rng.Fork("net"))
-	m.lan = m.net.NewLAN(lan)
-	if err := m.buildSites(); err != nil {
-		m.release()
-		return nil, err
-	}
-	m.armFaults()
-	m.startClients()
-	return m, nil
 }
 
 // buildSites registers the group memberships and assembles every member.
@@ -521,7 +521,7 @@ func (m *Model) buildSite(id runtimeapi.NodeID, replicated bool, warehouses int)
 			server.MaxActive = cfg.Admission.MaxActivePerSite
 		}
 		site.Server = server
-		site.Gen = tpcc.NewGenerator(dbsm.SiteID(id), warehouses, cfg.Calibration,
+		site.Gen = tpcc.NewGenerator(dbsm.SiteID(id), warehouses, calibration,
 			m.rng.Fork(fmt.Sprintf("gen-%d", id)))
 		if site.Stack != nil {
 			m.buildReplica(site, false)
@@ -626,7 +626,8 @@ func (m *Model) startClients() {
 		retry = admissionRetry
 	}
 	if cfg.AggregateClients > 0 && cfg.Clients >= cfg.AggregateClients {
-		proc := cfg.Calibration.ArrivalProcess()
+		proc := calibration.ArrivalProcess()
+		proc.Think = cfg.thinkTime
 		for idx, site := range m.sites {
 			blocks := m.place.clientsAt(idx)
 			pop := blocks.population()
@@ -659,7 +660,7 @@ func (m *Model) startClients() {
 			ID:     i,
 			Server: m.sites[idx].Server,
 			Gen:    m.sites[idx].Gen,
-			Think:  cfg.Calibration.ThinkTime,
+			Think:  cfg.thinkTime,
 			Retry:  retry,
 			Stop:   m.takeTxnSlot,
 			OnDone: done[idx],
@@ -669,14 +670,8 @@ func (m *Model) startClients() {
 	}
 }
 
-// Kernel exposes the simulation kernel (tests, custom drivers).
-func (m *Model) Kernel() *sim.Kernel { return m.k }
-
 // Sites exposes the assembled replicas.
 func (m *Model) Sites() []*Site { return m.sites }
-
-// Dedicated exposes the dedicated sequencer member, or nil.
-func (m *Model) Dedicated() *Site { return m.dedicated }
 
 // Network exposes the simulated network.
 func (m *Model) Network() *simnet.Network { return m.net }
@@ -717,7 +712,7 @@ func (m *Model) takeTxnSlot() bool {
 func (m *Model) onDone(s *Site, client int, t *db.Txn, o db.Outcome) {
 	m.finished++
 	m.lastDone = m.k.Now()
-	if m.cfg.CollectTxnLog {
+	if m.cfg.logTxns {
 		m.txnLog.Add(trace.Record{
 			TID:     t.TID,
 			Class:   t.Class,

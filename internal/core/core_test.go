@@ -233,7 +233,7 @@ func TestReadOnlyLatencyUnaffectedByReplication(t *testing.T) {
 }
 
 func TestTxnLogCollection(t *testing.T) {
-	r := run(t, Config{Sites: 1, Clients: 20, TotalTxns: 100, Seed: 9, CollectTxnLog: true})
+	r := run(t, Config{Sites: 1, Clients: 20, TotalTxns: 100, Seed: 9, logTxns: true})
 	if r.TxnLog.Len() == 0 {
 		t.Fatal("transaction log empty")
 	}

@@ -106,7 +106,7 @@ func TestRunLeavesTheModelCollectable(t *testing.T) {
 // its model, so a long campaign holds results, not models.
 func TestKeptResultsLeaveTheModelCollectable(t *testing.T) {
 	ref, res := func() (weak.Pointer[Model], *Results) {
-		m, r := runModel(t, Config{Sites: 3, Clients: 30, TotalTxns: 200, Seed: 99, CollectTxnLog: true})
+		m, r := runModel(t, Config{Sites: 3, Clients: 30, TotalTxns: 200, Seed: 99, logTxns: true})
 		return weak.Make(m), r
 	}()
 	runtime.GC()

@@ -39,12 +39,12 @@ var goldenRuns = []struct {
 	{"aggregate-primarysite", core.Config{Sites: 3, ReplicationDegree: 2, Clients: 127, TotalTxns: 400,
 		AggregateClients: 1}},
 	{"aggregate-grouphomed", core.Config{Groups: 3, Sites: 2, Clients: 127, TotalTxns: 400, AggregateClients: 1}},
-	{"loss-crash-rejoin", core.Config{Sites: 3, Clients: 90, TotalTxns: 500, CollectTxnLog: true,
+	{"loss-crash-rejoin", core.WithTxnLog(core.Config{Sites: 3, Clients: 90, TotalTxns: 500,
 		Faults: faults.Config{
 			Loss:     faults.Loss{Kind: faults.LossRandom, Rate: 0.05},
 			Crashes:  []faults.Crash{{Site: 3, At: 4 * sim.Second}},
 			Recovers: []faults.Recover{{Site: 3, At: 12 * sim.Second}},
-		}}},
+		}})},
 	{"partition-heal", core.Config{Sites: 5, Clients: 100, TotalTxns: 500,
 		Faults: faults.Config{
 			ClockDriftRate:   0.05,

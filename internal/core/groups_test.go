@@ -147,14 +147,9 @@ func TestGroupsSmallMTUFragmentsPrepares(t *testing.T) {
 		t.Run(string(p), func(t *testing.T) {
 			// The relay MTU is the LAN's, and each stack derives its
 			// stream's chunk bound from the same port.
-			m, err := newOnLAN(groupCfg(p, 11), simnet.LANConfig{MTU: 96})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			r, err := m.Run()
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+			cfg := groupCfg(p, 11)
+			cfg.lan = simnet.LANConfig{MTU: 96}
+			_, r := runModel(t, cfg)
 			if r.SafetyErr != nil {
 				t.Fatalf("safety: %v", r.SafetyErr)
 			}

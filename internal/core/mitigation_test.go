@@ -55,7 +55,7 @@ func TestSequencerMitigations(t *testing.T) {
 		if r.SafetyErr != nil {
 			t.Fatalf("safety: %v", r.SafetyErr)
 		}
-		seq := m.Dedicated()
+		seq := m.dedicated
 		if seq == nil {
 			seq = m.Sites()[0] // member 1 sequences without the dedicated node
 		}
@@ -89,7 +89,7 @@ func TestDedicatedSequencerOrders(t *testing.T) {
 	if r.SafetyErr != nil {
 		t.Fatalf("safety: %v", r.SafetyErr)
 	}
-	ded := m.Dedicated()
+	ded := m.dedicated
 	if ded == nil || ded.Stack == nil {
 		t.Fatal("dedicated member missing")
 	}
@@ -116,8 +116,8 @@ func TestDedicatedSequencerCountersReachResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ded := m.Dedicated()
-	m.Kernel().ScheduleAt(sim.Second, func() { ded.RT.Deliver(1, []byte{0xff}) })
+	ded := m.dedicated
+	m.k.ScheduleAt(sim.Second, func() { ded.RT.Deliver(1, []byte{0xff}) })
 	r, err := m.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -5,18 +5,13 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/sim"
-	"repro/internal/tpcc"
 )
 
-// overloadCalibration compresses the think time so the closed-loop workload
+// overloadThink compresses the think time so the closed-loop workload
 // actually outruns a small admission cap: with the paper's 9s think time the
 // per-site active count stays far below any sane cap and rejections never
 // fire at test scale.
-func overloadCalibration() *tpcc.Calibration {
-	cal := tpcc.DefaultCalibration()
-	cal.ThinkTime = 200 * sim.Millisecond
-	return cal
-}
+const overloadThink = 200 * sim.Millisecond
 
 // tightAdmission is an admission cap small enough for rejections and
 // retries to occur at unit-test scale.
@@ -36,12 +31,12 @@ func tightAdmission() *AdmissionConfig {
 // abort that frees its slot with the termination still in flight.
 func TestAdmissionRejectsAndRetriesStaySafe(t *testing.T) {
 	r := run(t, Config{
-		Sites:       3,
-		Clients:     120,
-		TotalTxns:   400,
-		Seed:        11,
-		Calibration: overloadCalibration(),
-		Admission:   tightAdmission(),
+		Sites:     3,
+		Clients:   120,
+		TotalTxns: 400,
+		Seed:      11,
+		thinkTime: overloadThink,
+		Admission: tightAdmission(),
 	})
 	if r.SafetyErr != nil {
 		t.Fatalf("safety under admission pressure: %v", r.SafetyErr)
@@ -94,13 +89,13 @@ func TestSaturationBoundedQueues(t *testing.T) {
 		for _, p := range Protocols() {
 			t.Run(c.name+"/"+string(p), func(t *testing.T) {
 				r := run(t, Config{
-					Sites:       3,
-					Clients:     120,
-					TotalTxns:   400,
-					Seed:        12,
-					Protocol:    p,
-					Calibration: overloadCalibration(),
-					Admission:   tightAdmission(),
+					Sites:     3,
+					Clients:   120,
+					TotalTxns: 400,
+					Seed:      12,
+					Protocol:  p,
+					thinkTime: overloadThink,
+					Admission: tightAdmission(),
 					Faults: faults.Config{
 						Saturation: faults.Saturation{Factor: 2, At: 2 * sim.Second},
 						SlowNodes:  c.slow,
@@ -180,12 +175,12 @@ func TestGrayFailureRecovers(t *testing.T) {
 // summaries.
 func TestOverloadReplayDeterministic(t *testing.T) {
 	cfg := Config{
-		Sites:       3,
-		Clients:     90,
-		TotalTxns:   300,
-		Seed:        15,
-		Calibration: overloadCalibration(),
-		Admission:   tightAdmission(),
+		Sites:     3,
+		Clients:   90,
+		TotalTxns: 300,
+		Seed:      15,
+		thinkTime: overloadThink,
+		Admission: tightAdmission(),
 		Faults: faults.Config{
 			Saturation: faults.Saturation{Factor: 2, At: 2 * sim.Second},
 			SlowNodes:  []faults.SlowNode{{Site: 3, Factor: 10, At: 3 * sim.Second}},

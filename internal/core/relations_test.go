@@ -39,6 +39,25 @@ func TestRelations(t *testing.T) {
 			patch: func(c *Config) { c.Faults.Loss = faults.Loss{Kind: faults.LossRandom, Rate: 0} },
 		},
 		{
+			// The fields only tests set, at the values fill gives them when
+			// unset: the think time (the aggregate tier reads it from its
+			// arrival process, not from a client) and the segment.
+			name:  "think time set to the calibration's",
+			base:  Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 5},
+			patch: func(c *Config) { c.thinkTime = calibration.ThinkTime },
+		},
+		{
+			name: "think time set to the calibration's, aggregate tier",
+			base: Config{Sites: 3, Clients: 3000, AggregateClients: 1000, TotalTxns: 400, Seed: 8,
+				Admission: &AdmissionConfig{MaxActivePerSite: 8}},
+			patch: func(c *Config) { c.thinkTime = calibration.ThinkTime },
+		},
+		{
+			name:  "segment set to the default",
+			base:  Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 5},
+			patch: func(c *Config) { c.lan = simnet.DefaultLANConfig("lan0") },
+		},
+		{
 			// A model takes what finished ones shelved: RNG sources, kernel
 			// slabs, the certifier index, clients' transactions and stacks'
 			// free buffers. The base run must not tell whether an aggregate
@@ -51,13 +70,9 @@ func TestRelations(t *testing.T) {
 				runModel(t, Config{Sites: 3, Clients: 3000, AggregateClients: 1000, TotalTxns: 400, Seed: 8,
 					Admission: &AdmissionConfig{MaxActivePerSite: 8}})
 				runModel(t, Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 9, Protocol: ProtocolOptimistic})
-				m, err := newOnLAN(groupCfg(ProtocolConservative, 11), simnet.LANConfig{MTU: 96})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := m.Run(); err != nil {
-					t.Fatal(err)
-				}
+				squeezed := groupCfg(ProtocolConservative, 11)
+				squeezed.lan = simnet.LANConfig{MTU: 96}
+				runModel(t, squeezed)
 			},
 		},
 		{
@@ -106,8 +121,10 @@ func TestRelations(t *testing.T) {
 		})
 	}
 	// Four committed run files, cut to 1 000 transactions, each against
-	// itself plus one inert fault of a kind the file does not carry, at
-	// seeds 1-3; a file's rows share each seed's base run.
+	// itself plus one inert fault of a kind the file does not carry, or with
+	// the transaction log on, at seeds 1-3; a file's rows share each seed's
+	// base run. The files run in parallel: a model's outcome may not depend
+	// on what another left on the shelves.
 	for _, file := range []string{"lan3_cons", "lan3_opt", "groups3_x", "lossy_rejoin"} {
 		t.Run(file, func(t *testing.T) {
 			base := runFile(t, file)
@@ -118,13 +135,10 @@ func TestRelations(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, in := range inertFaults {
-					if in.carried(base.Faults) {
-						continue
-					}
-					t.Run(fmt.Sprintf("%s/seed=%d", in.name, seed), func(t *testing.T) {
+				row := func(name string, patch func(*Config)) {
+					t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 						cfg := base
-						in.patch(&cfg.Faults)
+						patch(&cfg)
 						b, err := Run(cfg)
 						if err != nil {
 							t.Fatal(err)
@@ -132,6 +146,12 @@ func TestRelations(t *testing.T) {
 						sameRun(t, a, b)
 					})
 				}
+				for _, in := range inertFaults {
+					if !in.carried(base.Faults) {
+						row(in.name, func(c *Config) { in.patch(&c.Faults) })
+					}
+				}
+				row("txn log on", func(c *Config) { c.logTxns = true })
 			}
 		})
 	}

@@ -156,7 +156,7 @@ type Results struct {
 	// Wedged: the run stopped, at MaxSimTime or out of events, before it
 	// quiesced (Model.quiesced), leaving work unfinished.
 	Wedged bool
-	// TxnLog holds per-transaction records when CollectTxnLog was set.
+	// TxnLog holds per-transaction records if a test turned the log on.
 	TxnLog *trace.TxnLog
 	// Events is the model's event count, the kernel's Events: its
 	// dispatches plus the completions settled without one (a CPU's slice

@@ -87,18 +87,20 @@ func TestExploreCountsCandidatesThatDidNotRun(t *testing.T) {
 }
 
 // minimizedRepro shrinks a found violation and packages the minimized
-// schedule's own run, the way faultsim -explore saves a repro.
+// schedule's own run, the way faultsim -explore saves a repro. The repro
+// must expect the find's own kind.
 func minimizedRepro(t *testing.T, f *Found) *Repro {
 	t.Helper()
-	min, _ := Minimize(shortBase(), shortParams(), f.Genes, f.Seed)
+	want, _ := f.Results.VerdictKind()
+	min, _ := Minimize(shortBase(), shortParams(), f.Genes, f.Seed, want)
 	cfg := Config(shortBase(), shortParams(), min, f.Seed)
 	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
-	r, err := ReproOf(cfg, res)
-	if err != nil {
-		t.Fatalf("repro: %v", err)
+	r := ReproOf(cfg, res)
+	if r.Expect != want {
+		t.Fatalf("minimizing turned a %q find into a %q repro", want, r.Expect)
 	}
 	return r
 }
@@ -171,24 +173,30 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestMinimizeProperties is the shrinker property test: the minimized
-// schedule still violates, is small, and is locally minimal — removing any
-// single remaining fault makes the violation disappear.
+// schedule still violates with the find's kind, is small, and is locally
+// minimal — removing any single remaining fault makes that violation
+// disappear.
 func TestMinimizeProperties(t *testing.T) {
 	if !mutants.Require(t, nonUniform) {
 		return
 	}
 	base, params := shortBase(), shortParams()
 	f := exploreWithWorkers(t, 0).Found[0]
-	min, stats := Minimize(base, params, f.Genes, f.Seed)
+	want, _ := f.Results.VerdictKind()
+	min, stats := Minimize(base, params, f.Genes, f.Seed, want)
 	t.Logf("minimized %d -> %d genes in %d probes", stats.From, stats.To, stats.Probes)
 
 	violates := func(genes []Gene) bool {
 		res, err := core.Run(Config(base, params, genes, f.Seed))
-		return err == nil && res.Verdict() != nil
+		if err != nil {
+			return false
+		}
+		kind, _ := res.VerdictKind()
+		return kind == want
 	}
 
 	if !violates(min) {
-		t.Fatalf("minimized schedule no longer violates: %+v", min)
+		t.Fatalf("minimized schedule no longer ends %q: %+v", want, min)
 	}
 	if len(min) > 4 {
 		t.Fatalf("minimized schedule keeps %d faults, want <= 4: %+v", len(min), min)
@@ -223,7 +231,7 @@ func TestMinimizeDropsUnneededGenes(t *testing.T) {
 	}
 	var first MinStats
 	for i := 0; i < 2; i++ {
-		min, stats := Minimize(base, params, genes, shortSeed)
+		min, stats := Minimize(base, params, genes, shortSeed, "wedged")
 		if len(min) != 0 || stats.From != len(genes) || stats.To != 0 {
 			t.Fatalf("minimized %d -> %d genes, kept %+v; want every gene dropped", stats.From, stats.To, min)
 		}

@@ -23,16 +23,22 @@ const maxShrinkProbes = 200
 // (drop recoveries, halve rates, narrow windows, snap onsets to a coarse
 // grid), then a final pass that re-verifies single-gene removals until none
 // passes — so removing any single fault from the result makes the violation
-// disappear. Runs are serial and every probe uses the same seed, so the
-// result is a pure function of the inputs.
-func Minimize(base core.Config, p campaign.Params, genes []Gene, seed int64) ([]Gene, MinStats) {
+// disappear. kind is the schedule's own verdict kind (its find's
+// Results.VerdictKind, never empty); a candidate violates only when its run
+// ends with that kind, so the shrink never trades one bug for another. Runs
+// are serial and every probe uses the same seed, so the result is a pure
+// function of the inputs.
+func Minimize(base core.Config, p campaign.Params, genes []Gene, seed int64, kind string) ([]Gene, MinStats) {
 	s := spaceOf(p)
-	stats := MinStats{From: len(genes)}
 	probes := 0
 	violates := func(cand []Gene) bool {
 		probes++
 		res, err := core.Run(s.config(base, cand, seed))
-		return err == nil && res.Verdict() != nil
+		if err != nil {
+			return false
+		}
+		got, _ := res.VerdictKind()
+		return got == kind
 	}
 
 	cur := s.repair(genes)
@@ -115,7 +121,5 @@ func Minimize(base core.Config, p campaign.Params, genes []Gene, seed int64) ([]
 		}
 	}
 
-	stats.Probes = probes
-	stats.To = len(cur)
-	return cur, stats
+	return cur, MinStats{Probes: probes, From: len(genes), To: len(cur)}
 }

@@ -49,19 +49,15 @@ func (s space) config(base core.Config, genes []Gene, seed int64) core.Config {
 
 // ReproOf packages a violating run as a self-contained repro: its whole
 // configuration and, when res is given, the kind and description of its
-// violation. A config with a Calibration is refused: the file could not
-// carry it, so the replay would be a different run.
-func ReproOf(cfg core.Config, res *core.Results) (*Repro, error) {
-	if cfg.Calibration != nil {
-		return nil, fmt.Errorf("explore: a repro cannot carry Config.Calibration")
-	}
+// violation.
+func ReproOf(cfg core.Config, res *core.Results) *Repro {
 	r := &Repro{Version: ReproVersion, Config: cfg}
 	if res != nil {
 		if kind, v := res.VerdictKind(); v != nil {
 			r.Expect, r.Description = kind, v.Error()
 		}
 	}
-	return r, nil
+	return r
 }
 
 // Replay runs the file and returns its verdict's kind ("" when clean) and

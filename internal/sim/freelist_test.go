@@ -167,8 +167,10 @@ func TestFreeListDoublePut(t *testing.T) {
 
 // TestPoisonFillsTheWholeArray: Poison overwrites every element of the
 // backing array, past the slice's length too, with all-ones, for bytes and
-// for a defined slice of 64-bit identifiers alike.
+// for a defined slice of 64-bit identifiers alike, and leaves an empty
+// array alone.
 func TestPoisonFillsTheWholeArray(t *testing.T) {
+	Poison([]byte(nil))
 	b := []byte{1, 2, 3, 4, 5}[:2]
 	Poison(b)
 	if b = b[:cap(b)]; !slices.Equal(b, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) {
