@@ -45,8 +45,8 @@ run "$work/bin/faultsim" -config configs/faultsim.json -campaign 100 -rejoin -se
 run "$work/bin/faultsim" -config cmd/faultsim/testdata/smoke_groups.json -campaign 300 -seed 2 -corpus "$work/corpus"
 run "$work/bin/faultsim" -config configs/smoke.json -short -explore -seed 1 -generations 4 -population 8 -parallel 4 -corpus "$work/corpus"
 run "$work/bin/faultsim" -config configs/smoke.json -short
-run "$work/bin/faultsim" -replay-file configs/lossy_rejoin.json -seeds 20
-run "$work/bin/faultsim" -replay-file cmd/faultsim/testdata/repro-conservative-s3-wedged-6836129103706797786.json
+run "$work/bin/faultsim" -replay-file configs/lossy_rejoin.json -seeds 20 -corpus "$work/corpus"
+run "$work/bin/faultsim" -replay-file cmd/faultsim/testdata/repro-conservative-s3-wedged-6836129103706797786.json -corpus "$work/corpus"
 run "$work/bin/faultsim" -config configs/faultsim.json -campaign 5 -list
 run "$work/bin/experiments" -fast all
 run "$work/bin/dbsim" -config configs/smoke.json -v -trace "$work/trace.txt"

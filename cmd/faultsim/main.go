@@ -15,15 +15,17 @@
 // candidates replace its seed, faults and protocol per run. A failing
 // campaign schedule or explorer find is saved under -corpus as a repro file,
 // and -replay-file runs any run file again, or, with -seeds N, over N seeds
-// derived from -seed as a failure-rate sweep. The process exits non-zero when
-// any run fails its verdict: unsafe, or wedged (it never quiesced). Stdout is
-// a pure function of the flags and the file — nothing on the way to it reads
+// derived from -seed as a failure-rate sweep, writing each run's Results to
+// runs.jsonl under -corpus. The process exits non-zero when any run fails its
+// verdict: unsafe, or wedged (it never quiesced). Stdout and runs.jsonl are
+// pure functions of the flags and the file — nothing on the way to them reads
 // the host clock, and the worker count does not change a byte — so
-// testdata/*.golden pins it.
+// testdata/*.golden pins stdout.
 package main
 
 import (
 	"cmp"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -64,7 +66,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.explore, "explore", false, "run the coverage-guided adversarial explorer instead of the fixed matrix")
 	fs.IntVar(&o.generations, "generations", 8, "explorer generations")
 	fs.IntVar(&o.population, "population", 16, "explorer schedules per generation")
-	fs.StringVar(&o.corpus, "corpus", "corpus", "output directory: the explorer's coverage corpus, and a repro of every failing campaign schedule or explorer find")
+	fs.StringVar(&o.corpus, "corpus", "corpus", "output directory: the explorer's coverage corpus, a repro of every failing campaign schedule or explorer find, and a -replay-file run's runs.jsonl (each run's seed, verdict kind and Results)")
 	fs.BoolVar(&o.list, "list", false, "print the resolved fault matrix or campaign schedule and exit without running")
 	fs.BoolVar(&o.rejoin, "rejoin", false, "force every campaign schedule to include a crash-and-rejoin")
 	fs.BoolVar(&o.overload, "overload", false, "force every campaign schedule to include saturation and a slow-node gray failure")
@@ -148,7 +150,7 @@ func run(args []string) int {
 	if o.replayFile != "" {
 		// A run file is self-contained (the whole Config, and for a repro
 		// the expected verdict): run it, independent of every other flag.
-		return runReplayFile(o.replayFile, o.seeds, o.seed, o.parallel)
+		return runReplayFile(o.replayFile, o.seeds, o.seed, o.parallel, o.corpus)
 	}
 	if o.config == "" {
 		fmt.Fprintln(os.Stderr, "faultsim: -config is required (or -replay-file)")
@@ -428,19 +430,10 @@ func runExplore(base core.Config, params campaign.Params, seed int64, generation
 			fmt.Printf("explore: %d further violation(s) not minimized\n", len(rep.Found)-maxRepros)
 			break
 		}
-		fmt.Printf("explore: violation at run %d (seed %d): %s\n", f.Run, f.Seed, f.Detail)
-		kind, _ := f.Results.VerdictKind()
-		min, stats := explore.Minimize(base, params, f.Genes, f.Seed, kind)
-		fmt.Printf("explore: minimized %d -> %d gene(s) in %d probes\n", stats.From, stats.To, stats.Probes)
-		// Rerun the minimized schedule, so the saved kind is what the file
-		// reproduces.
-		cfg := explore.Config(base, params, min, f.Seed)
-		res, err := core.Run(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "faultsim: rerun:", err)
-			res = f.Results
-		}
-		if path := saveRepro(cfg, res, corpusDir); path != "" {
+		fmt.Printf("explore: violation at run %d (seed %d): %v\n", f.Run, f.Seed, f.Results.Verdict())
+		min, res, probes := explore.Minimize(base, params, f)
+		fmt.Printf("explore: minimized %d -> %d gene(s) in %d probes\n", len(f.Genes), len(min), probes)
+		if path := saveRepro(explore.Config(base, params, min, f.Seed), res, corpusDir); path != "" {
 			fmt.Printf("explore: repro -> %s (replay: faultsim -replay-file %s)\n", path, path)
 		}
 	}
@@ -459,12 +452,12 @@ func saveRepro(cfg core.Config, res *core.Results, dir string) string {
 	return path
 }
 
-// runReplayFile runs a run file: once at its own seed when seeds is 0, else
-// at expr.DeriveSeed(base, 0…seeds-1) on the pool, tallying the verdict kinds
-// with Wilson 95 % intervals. A run fails when its verdict is not clean, or,
-// for a repro, when its violation reproduces. It exits 1 if a run failed, 0
-// if none did, and 2 on a file or config error.
-func runReplayFile(path string, seeds int, base int64, parallel int) int {
+// runReplayFile runs a run file as one task on the pool, once at its own seed
+// when seeds is 0, else at expr.DeriveSeed(base, 0…seeds-1) with the verdict
+// kinds tallied in Wilson 95 % intervals, and writes corpusDir/runs.jsonl. A
+// run fails when its verdict is not clean, or, for a repro, when its violation
+// reproduces. It exits 1 if a run failed, 0 if none did, and 2 on an error.
+func runReplayFile(path string, seeds int, base int64, parallel int, corpusDir string) int {
 	r, err := explore.LoadRepro(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
@@ -474,9 +467,11 @@ func runReplayFile(path string, seeds int, base int64, parallel int) int {
 		fmt.Fprintf(os.Stderr, "faultsim: %s: %v\n", path, err)
 		return 2
 	}
-	c := &r.Config
+	task := expr.Task{Label: path, Config: r.Config, Reps: max(seeds, 1)}
+	c := &task.Config
 	seed := fmt.Sprintf("seed=%d", c.Seed)
 	if seeds > 0 {
+		c.Seed = base
 		seed = fmt.Sprintf("seeds=DeriveSeed(%d, 0..%d)", base, seeds-1)
 	}
 	fmt.Printf("replaying %s: protocol=%s sites=%d groups=%d %s", path, c.Protocol, c.Sites, c.Groups, seed)
@@ -484,39 +479,45 @@ func runReplayFile(path string, seeds int, base int64, parallel int) int {
 		fmt.Printf(" expect=%s", r.Expect)
 	}
 	fmt.Println()
-	n := max(seeds, 1)
-	kinds, details, errs := make([]string, n), make([]string, n), make([]error, n)
-	expr.ForEach(parallel, n, func(i int) {
-		one := *r
-		if seeds > 0 {
-			one.Config.Seed = expr.DeriveSeed(base, i)
+	// The runner keeps every run until the last ends, and the latency samples,
+	// which nothing here reads, are most of a run (0.3 MB at lossy_rejoin's).
+	rn := &expr.Runner{Workers: parallel, OnRun: func(_, _ int, _ expr.Task, _ int, res *core.Results, _ error) {
+		if res != nil {
+			res.LatCommitted, res.LatReadOnly, res.LatUpdate, res.CertLat, res.CertDecideLat = nil, nil, nil, nil, nil
 		}
-		kinds[i], details[i], errs[i] = one.Replay()
-	})
-	if err := errors.Join(errs...); err != nil {
+	}}
+	points, err := rn.Run([]expr.Task{task})
+	if err == nil {
+		err = writeRuns(corpusDir, c.Seed, points[0].Agg.Runs)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
 		return 2
 	}
+	runs := points[0].Agg.Runs
 	if seeds == 0 {
-		switch kind, detail := kinds[0], details[0]; {
-		case r.Expect == "" && kind == "":
+		switch kind, v := runs[0].VerdictKind(); {
+		case v == nil && r.Expect == "":
 			fmt.Println("SAFE")
+		case v == nil:
+			fmt.Println("did not reproduce: SAFE")
 		case r.Expect == "":
-			fmt.Printf("%s: %s\n", core.VerdictWord(kind), detail)
+			fmt.Printf("%s: %v\n", core.VerdictWord(kind), v)
+			return 1
 		case !r.Reproduces(kind):
-			fmt.Printf("did not reproduce: %s\n", detail)
+			fmt.Printf("did not reproduce: %v\n", v)
 		default:
-			fmt.Printf("REPRODUCED: %s\n", detail)
-		}
-		if r.Reproduces(kinds[0]) {
+			fmt.Printf("REPRODUCED: %v\n", v)
 			return 1
 		}
 		return 0
 	}
 
+	n := len(runs)
 	count := map[string]int{}
-	for _, k := range kinds {
-		count[k]++
+	for _, res := range runs {
+		kind, _ := res.VerdictKind()
+		count[kind]++
 	}
 	fmt.Printf("  %-17s %5s %8s  %s\n", "verdict kind", "runs", "rate", "Wilson 95%")
 	for _, k := range slices.Sorted(maps.Keys(count)) { // "" (clean) first
@@ -525,14 +526,36 @@ func runReplayFile(path string, seeds int, base int64, parallel int) int {
 			metrics.Rate(int64(count[k]), int64(n)), lo, hi)
 	}
 	failed := 0
-	for i, k := range kinds {
-		if r.Reproduces(k) {
+	for i, res := range runs {
+		if kind, v := res.VerdictKind(); r.Reproduces(kind) {
 			failed++
-			fmt.Printf("  run %4d seed=%-20d %-15s %s\n", i, expr.DeriveSeed(base, i), k, details[i])
+			fmt.Printf("  run %4d seed=%-20d %-15s %v\n", i, expr.DeriveSeed(base, i), kind, v)
 		}
 	}
 	fmt.Printf("\n%d of %d run(s) failed\n", failed, n)
 	return min(failed, 1) // 1 when any run failed
+}
+
+// writeRuns writes dir/runs.jsonl: one json.Marshal line per run, in seed
+// order, holding its seed, verdict kind ("" when clean) and Results.
+func writeRuns(dir string, base int64, runs []*core.Results) error {
+	var b []byte
+	for i, res := range runs {
+		kind, _ := res.VerdictKind()
+		line, err := json.Marshal(struct {
+			Seed    int64
+			Verdict string
+			Results *core.Results
+		}{expr.DeriveSeed(base, i), kind, res})
+		if err != nil {
+			return fmt.Errorf("runs.jsonl: run %d: %w", i, err)
+		}
+		b = append(append(b, line...), '\n')
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, "runs.jsonl"), b, 0o644)
 }
 
 // verdictOf classifies one completed grid point.

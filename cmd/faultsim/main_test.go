@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/expr"
 	"repro/internal/golden"
 	"repro/internal/sim"
 )
@@ -46,14 +51,145 @@ var goldenRuns = []struct{ name, args string }{
 func TestGolden(t *testing.T) {
 	for i, g := range goldenRuns {
 		t.Run(g.name, func(t *testing.T) {
-			args := append(strings.Fields(g.args), "-corpus", t.TempDir())
-			got := golden.Stdout(t, run, append(args, "-parallel", "4")...)
-			if (i == 0 || g.name == "sweep" && !sim.RaceBuild) && !bytes.Equal(got, golden.Stdout(t, run, append(args, "-parallel", "1")...)) {
-				t.Fatal("stdout differs between -parallel 4 and -parallel 1")
+			// faultsim at a worker count: its stdout and its runs.jsonl
+			// (nil unless it replayed a run file).
+			at := func(parallel string) (stdout, runs []byte) {
+				dir := t.TempDir()
+				stdout = golden.Stdout(t, run, append(strings.Fields(g.args), "-corpus", dir, "-parallel", parallel)...)
+				runs, _ = os.ReadFile(filepath.Join(dir, "runs.jsonl"))
+				return stdout, runs
+			}
+			got, runs := at("4")
+			if g.name == "sweep" && bytes.Count(runs, []byte("\n")) != 20 {
+				t.Fatalf("runs.jsonl holds %d lines, want one per seed (20)", bytes.Count(runs, []byte("\n")))
+			}
+			if i == 0 || g.name == "sweep" && !sim.RaceBuild {
+				got1, runs1 := at("1")
+				if !bytes.Equal(got, got1) {
+					t.Fatal("stdout differs between -parallel 4 and -parallel 1")
+				}
+				if !bytes.Equal(runs, runs1) {
+					t.Fatal("runs.jsonl differs between -parallel 4 and -parallel 1")
+				}
 			}
 			golden.Check(t, filepath.Join("testdata", g.name+".golden"), got)
 		})
 	}
+}
+
+// replay runs a run file's configuration and returns its verdict kind (""
+// when clean) and detail ("SAFE" when clean).
+func replay(t *testing.T, r *explore.Repro) (kind, detail string) {
+	t.Helper()
+	kind, v := runConfig(t, r.Config).VerdictKind()
+	if v == nil {
+		return "", "SAFE"
+	}
+	return kind, v.Error()
+}
+
+// TestReplayRunsFile: a -replay-file sweep writes one runs.jsonl line per
+// seed, in seed order, holding the derived seed, that run's verdict kind and
+// its Results, which decode back to the run's own counters, classes and
+// sites. The residual-window repro reproduces at one of its first seeds, so
+// a failing verdict is written too.
+func TestReplayRunsFile(t *testing.T) {
+	dir := t.TempDir()
+	if got := run([]string{"-replay-file", residualWindowRepro, "-seeds", "3", "-parallel", "2", "-corpus", dir}); got != 1 {
+		t.Fatalf("faultsim = %d, want 1 (the violation reproduces)", got)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("runs.jsonl holds %d lines, want 3", len(lines))
+	}
+	r, err := explore.LoadRepro(residualWindowRepro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for i, line := range lines {
+		var got struct {
+			Seed    int64
+			Verdict string
+			Results core.Results
+		}
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		cfg := r.Config
+		cfg.Seed = expr.DeriveSeed(1, i)
+		want := runConfig(t, cfg)
+		kind, _ := want.VerdictKind()
+		if got.Seed != cfg.Seed || got.Verdict != kind {
+			t.Fatalf("line %d: seed %d verdict %q, want %d %q", i, got.Seed, got.Verdict, cfg.Seed, kind)
+		}
+		if kind != "" {
+			failed++
+		}
+		res := &got.Results
+		if res.Stats != want.Stats || res.GCS != want.GCS || !reflect.DeepEqual(res.Classes, want.Classes) || !reflect.DeepEqual(res.Sites, want.Sites) {
+			t.Fatalf("line %d decodes to other counters than its run's:\n%+v\nwant\n%+v", i, res, want)
+		}
+		var keys map[string]any
+		if err := json.Unmarshal([]byte(line), &keys); err != nil {
+			t.Fatal(err)
+		}
+		for _, missing := range missingKeys(reflect.TypeFor[core.Results](), keys["Results"], "Results") {
+			t.Errorf("line %d: %s is not in runs.jsonl", i, missing)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("test premise broken: no run reproduced the violation")
+	}
+}
+
+// missingKeys walks struct type typ against its decoded JSON v and returns
+// the path of every exported scalar field, at any depth and not tagged
+// json:"-", that v does not carry; an embedded struct's fields are its
+// parent's keys, as encoding/json promotes them. A field of a kind the walk
+// does not know is reported too, so a new one cannot pass unwalked.
+func missingKeys(typ reflect.Type, v any, path string) []string {
+	obj, ok := v.(map[string]any)
+	if !ok {
+		return []string{path + " (not an object)"}
+	}
+	var missing []string
+	for _, f := range reflect.VisibleFields(typ) {
+		if !f.IsExported() || f.Tag.Get("json") == "-" || len(f.Index) > 1 {
+			continue
+		}
+		if f.Anonymous {
+			missing = append(missing, missingKeys(f.Type, v, path)...)
+			continue
+		}
+		at := path + "." + f.Name
+		val, present := obj[f.Name]
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.String, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+			if !present {
+				missing = append(missing, at)
+			}
+		case reflect.Struct:
+			missing = append(missing, missingKeys(f.Type, val, at)...)
+		case reflect.Slice:
+			elems, _ := val.([]any)
+			if f.Type.Elem().Kind() != reflect.Struct || len(elems) == 0 {
+				missing = append(missing, at+" (not a non-empty list of objects)")
+				continue
+			}
+			for j, e := range elems {
+				missing = append(missing, missingKeys(f.Type.Elem(), e, fmt.Sprintf("%s[%d]", at, j))...)
+			}
+		default:
+			missing = append(missing, at+" (a "+f.Type.Kind().String()+" the walk does not know)")
+		}
+	}
+	return missing
 }
 
 // goldenRepro is a minimized repro the explorer produced against the
@@ -76,15 +212,12 @@ func TestGoldenReproReproduces(t *testing.T) {
 	if r.Expect != "non-prefix" {
 		t.Fatalf("golden repro expect drifted: %q", r.Expect)
 	}
-	kind, detail, err := r.Replay()
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
+	kind, detail := replay(t, r)
 	if r.Reproduces(kind) {
 		t.Fatalf("the fixed non-uniform sequencer divergence reproduced again (%s) — "+
 			"the uniform-delivery gate in gcs/totalorder.go regressed", detail)
 	}
-	if got := runReplayFile(goldenRepro, 0, 0, 0); got != 0 {
+	if got := runReplayFile(goldenRepro, 0, 0, 0, t.TempDir()); got != 0 {
 		t.Fatalf("runReplayFile(golden) = %d, want 0 (violation fixed)", got)
 	}
 }
@@ -118,10 +251,7 @@ func TestResidualWindowReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	kind, detail, err := r.Replay()
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
+	kind, detail := replay(t, r)
 	if !r.Reproduces(kind) {
 		t.Fatalf("the documented n>=5 window no longer reproduces (verdict %q) — "+
 			"if it was closed on purpose, update gcs/totalorder.go's comment and this guard", detail)
@@ -140,15 +270,12 @@ func TestRenumberWedgeReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	kind, detail, err := r.Replay()
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
+	kind, detail := replay(t, r)
 	if r.Reproduces(kind) {
 		t.Fatalf("the fixed renumbering divergence reproduced again (%s) — "+
 			"the flush-agreed renumbering base in gcs/totalorder.go regressed", detail)
 	}
-	if got := runReplayFile(renumberWedgeRepro, 0, 0, 0); got != 0 {
+	if got := runReplayFile(renumberWedgeRepro, 0, 0, 0, t.TempDir()); got != 0 {
 		t.Fatalf("runReplayFile(wedge) = %d, want 0 (violation fixed)", got)
 	}
 }
@@ -159,14 +286,14 @@ func TestRenumberWedgeReproduces(t *testing.T) {
 // no run file at all.
 func TestRunReplayFile(t *testing.T) {
 	for _, seeds := range []int{0, 2} {
-		if got := runReplayFile(residualWindowRepro, seeds, 1, 0); got != 1 {
+		if got := runReplayFile(residualWindowRepro, seeds, 1, 0, t.TempDir()); got != 1 {
 			t.Fatalf("runReplayFile(residual window, %d seeds) = %d, want 1 (violation reproduces)", seeds, got)
 		}
-		if got := runReplayFile(smoke, seeds, 1, 0); got != 0 {
+		if got := runReplayFile(smoke, seeds, 1, 0, t.TempDir()); got != 0 {
 			t.Fatalf("runReplayFile(smoke, %d seeds) = %d, want 0 (a clean config)", seeds, got)
 		}
 	}
-	if got := runReplayFile(filepath.Join(t.TempDir(), "missing.json"), 0, 0, 0); got != 2 {
+	if got := runReplayFile(filepath.Join(t.TempDir(), "missing.json"), 0, 0, 0, t.TempDir()); got != 2 {
 		t.Fatalf("runReplayFile(missing) = %d, want 2", got)
 	}
 	typo := filepath.Join(t.TempDir(), "typo.json")
@@ -226,7 +353,7 @@ func TestCampaignFailureSavesRepro(t *testing.T) {
 	if want := "  reproduce: faultsim -replay-file " + saved[0] + "\n"; !strings.Contains(string(out), want) {
 		t.Fatalf("stdout does not name the saved repro:\n%s", out)
 	}
-	if got := runReplayFile(saved[0], 0, 0, 0); got != 1 {
+	if got := runReplayFile(saved[0], 0, 0, 0, t.TempDir()); got != 1 {
 		t.Fatalf("runReplayFile(saved) = %d, want 1 (violation reproduces)", got)
 	}
 }

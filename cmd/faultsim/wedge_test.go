@@ -46,7 +46,7 @@ func TestLossyRejoinWedgeReproduces(t *testing.T) {
 		if r.Expect != "length-mismatch" {
 			t.Fatalf("%s: expect %q", path, r.Expect)
 		}
-		if got := runReplayFile(path, 0, 0, 0); got != 0 {
+		if got := runReplayFile(path, 0, 0, 0, t.TempDir()); got != 0 {
 			t.Fatalf("runReplayFile(%s) = %d, want 0 (wedge fixed)", path, got)
 		}
 		cfg = r.Config
@@ -85,14 +85,11 @@ func TestLostTerminationWedgeReproduces(t *testing.T) {
 	if r.Expect != "wedged" || len(r.Config.Faults.Recovers) != 0 {
 		t.Fatalf("repro drifted: expect %q, recovers %v", r.Expect, r.Config.Faults.Recovers)
 	}
-	kind, detail, err := r.Replay()
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
+	kind, detail := replay(t, r)
 	if kind != "" {
 		t.Fatalf("the lost-termination wedge is back: %s", detail)
 	}
-	if got := runReplayFile(lostTerminationRepro, 0, 0, 0); got != 0 {
+	if got := runReplayFile(lostTerminationRepro, 0, 0, 0, t.TempDir()); got != 0 {
 		t.Fatalf("runReplayFile(lost termination) = %d, want 0 (wedge fixed)", got)
 	}
 }

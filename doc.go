@@ -36,7 +36,9 @@
 // post-rejoin commit lag surface through core.Results, the faultsim verdict
 // lines, and cmd/experiments's "recovery" table. A run that stops before it
 // quiesces fails its verdict as wedged, and `faultsim -replay-file F -seeds
-// N` turns any run file into a failure rate with a Wilson interval.
+// N` turns any run file into a failure rate with a Wilson interval, leaving
+// every run's seed, verdict kind and core.Results (as JSON) in the corpus
+// directory's runs.jsonl.
 //
 // Overload is a first-class faultload. The protection is one per-site
 // admission cap: the database refuses past-capacity work with an explicit

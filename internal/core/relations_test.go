@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -56,6 +57,49 @@ func TestRelations(t *testing.T) {
 			name:  "segment set to the default",
 			base:  Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 5},
 			patch: func(c *Config) { c.lan = simnet.DefaultLANConfig("lan0") },
+		},
+		{
+			// Options whose value binds nothing: one group is the classic
+			// model, a replication degree of every site is full
+			// replication, a threshold no read set reaches upgrades none, the
+			// time bound is fill's, and a cap no site reaches rejects none.
+			name:  "groups 1",
+			base:  Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 5},
+			patch: func(c *Config) { c.Groups = 1 },
+		},
+		{
+			name:  "replication degree equal to sites",
+			base:  Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 5},
+			patch: func(c *Config) { c.ReplicationDegree = c.Sites },
+		},
+		{
+			name:  "read-set threshold 10^9",
+			base:  Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 5},
+			patch: func(c *Config) { c.ReadSetThreshold = 1e9 },
+		},
+		{
+			name:  "time bound set to the default",
+			base:  Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 5},
+			patch: func(c *Config) { c.MaxSimTime = 2 * sim.Hour },
+		},
+		{
+			name:  "admission cap 10^9",
+			base:  Config{Sites: 3, Clients: 90, TotalTxns: 400, Seed: 5},
+			patch: func(c *Config) { c.Admission = &AdmissionConfig{MaxActivePerSite: 1e9} },
+		},
+		{
+			// Faults at the same instant apply in a fixed order, not in the
+			// order the file lists them.
+			name: "same-instant crashes in either order",
+			base: Config{Sites: 5, Clients: 150, TotalTxns: 600, Seed: 6,
+				Faults: faults.Config{Crashes: []faults.Crash{{Site: 4, At: 2 * sim.Second}, {Site: 2, At: 2 * sim.Second}}}},
+			patch: func(c *Config) { slices.Reverse(c.Faults.Crashes) },
+		},
+		{
+			name: "same-instant slow nodes in either order",
+			base: Config{Sites: 5, Clients: 150, TotalTxns: 600, Seed: 6,
+				Faults: faults.Config{SlowNodes: []faults.SlowNode{{Site: 3, Factor: 10, At: 2 * sim.Second}, {Site: 1, Factor: 4, At: 2 * sim.Second}}}},
+			patch: func(c *Config) { slices.Reverse(c.Faults.SlowNodes) },
 		},
 		{
 			// A model takes what finished ones shelved: RNG sources, kernel

@@ -63,7 +63,8 @@ type SiteResult struct {
 	RejoinLag uint64
 }
 
-// Results carries everything the paper's evaluation reports for one run.
+// Results carries everything the paper's evaluation reports for one run; its
+// JSON (faultsim's runs.jsonl) is every field that is a metric.
 type Results struct {
 	// Protocol echoes the run's termination variant.
 	Protocol Protocol
@@ -114,15 +115,15 @@ type Results struct {
 	NetKBps float64
 	// LatCommitted/LatReadOnly/LatUpdate/CertLat are latency samples (ms)
 	// for distribution plots — Figures 4, 7(a), 7(b).
-	LatCommitted *metrics.Sample
-	LatReadOnly  *metrics.Sample
-	LatUpdate    *metrics.Sample
-	CertLat      *metrics.Sample
+	LatCommitted *metrics.Sample `json:"-"`
+	LatReadOnly  *metrics.Sample `json:"-"`
+	LatUpdate    *metrics.Sample `json:"-"`
+	CertLat      *metrics.Sample `json:"-"`
 	// CertDecideLat samples the certification-decision latency: commit
 	// request to first verdict. Equals CertLat under the conservative
 	// protocol; one ordering round shorter under optimistic delivery —
 	// the latency split the protocol comparison reports.
-	CertDecideLat    *metrics.Sample
+	CertDecideLat    *metrics.Sample `json:"-"`
 	MeanCertDecideMS float64
 	// OptMispredictPct is the stack-level tentative-order misprediction
 	// rate: final deliveries whose spontaneous position disagreed with the
@@ -150,14 +151,14 @@ type Results struct {
 	// nil means all operational sites committed identical sequences and
 	// every crashed or partitioned-minority site's log is a prefix of the
 	// survivors'. When non-nil it is a *check.Violation.
-	SafetyErr error
+	SafetyErr error `json:"-"`
 	// Inconsistencies must be zero (local abort vs global commit).
 	Inconsistencies int64
 	// Wedged: the run stopped, at MaxSimTime or out of events, before it
 	// quiesced (Model.quiesced), leaving work unfinished.
 	Wedged bool
 	// TxnLog holds per-transaction records if a test turned the log on.
-	TxnLog *trace.TxnLog
+	TxnLog *trace.TxnLog `json:"-"`
 	// Events is the model's event count, the kernel's Events: its
 	// dispatches plus the completions settled without one (a CPU's slice
 	// boundaries and unheard real-job ends, a disk batch's later sectors),

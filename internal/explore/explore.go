@@ -53,9 +53,7 @@ type Found struct {
 	Seed  int64
 	// Run is the 1-based global run index the violation appeared at — the
 	// search's cost in runs, comparable against a random campaign's.
-	Run int
-	// Detail is the verdict line.
-	Detail  string
+	Run     int
 	Results *core.Results
 }
 
@@ -123,12 +121,11 @@ func Run(opts Options) (*Report, error) {
 				continue
 			}
 			res := pt.Agg.Runs[0]
-			if v := res.Verdict(); v != nil {
+			if res.Verdict() != nil {
 				rep.Found = append(rep.Found, &Found{
 					Genes:   cands[i],
 					Seed:    seeds[i],
 					Run:     runs + i + 1,
-					Detail:  v.Error(),
 					Results: res,
 				})
 			}
@@ -155,14 +152,10 @@ func Run(opts Options) (*Report, error) {
 		}
 		cands = nextGen(rng, s, rep.Corpus, cands, pop)
 	}
-	if len(rep.Found) > 0 {
+	rep.Runs = runs
+	if opts.StopOnFirst && len(rep.Found) > 0 {
 		// Runs as a search cost: the index the first violation appeared at.
 		rep.Runs = rep.Found[0].Run
-		if !opts.StopOnFirst {
-			rep.Runs = runs
-		}
-	} else {
-		rep.Runs = runs
 	}
 	rep.Buckets = len(cover)
 	return rep, nil

@@ -92,13 +92,8 @@ func TestExploreCountsCandidatesThatDidNotRun(t *testing.T) {
 func minimizedRepro(t *testing.T, f *Found) *Repro {
 	t.Helper()
 	want, _ := f.Results.VerdictKind()
-	min, _ := Minimize(shortBase(), shortParams(), f.Genes, f.Seed, want)
-	cfg := Config(shortBase(), shortParams(), min, f.Seed)
-	res, err := core.Run(cfg)
-	if err != nil {
-		t.Fatalf("rerun: %v", err)
-	}
-	r := ReproOf(cfg, res)
+	min, res, _ := Minimize(shortBase(), shortParams(), f)
+	r := ReproOf(Config(shortBase(), shortParams(), min, f.Seed), res)
 	if r.Expect != want {
 		t.Fatalf("minimizing turned a %q find into a %q repro", want, r.Expect)
 	}
@@ -175,7 +170,7 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 // TestMinimizeProperties is the shrinker property test: the minimized
 // schedule still violates with the find's kind, is small, and is locally
 // minimal — removing any single remaining fault makes that violation
-// disappear.
+// disappear. The Results Minimize returns are the minimized schedule's run.
 func TestMinimizeProperties(t *testing.T) {
 	if !mutants.Require(t, nonUniform) {
 		return
@@ -183,19 +178,25 @@ func TestMinimizeProperties(t *testing.T) {
 	base, params := shortBase(), shortParams()
 	f := exploreWithWorkers(t, 0).Found[0]
 	want, _ := f.Results.VerdictKind()
-	min, stats := Minimize(base, params, f.Genes, f.Seed, want)
-	t.Logf("minimized %d -> %d genes in %d probes", stats.From, stats.To, stats.Probes)
+	min, minRes, probes := Minimize(base, params, f)
+	t.Logf("minimized %d -> %d genes in %d probes", len(f.Genes), len(min), probes)
 
-	violates := func(genes []Gene) bool {
+	run := func(genes []Gene) *core.Results {
 		res, err := core.Run(Config(base, params, genes, f.Seed))
 		if err != nil {
-			return false
+			t.Fatalf("run: %v", err)
 		}
-		kind, _ := res.VerdictKind()
+		return res
+	}
+	violates := func(genes []Gene) bool {
+		kind, _ := run(genes).VerdictKind()
 		return kind == want
 	}
 
-	if !violates(min) {
+	if res := run(min); res.Events != minRes.Events || res.Summary() != minRes.Summary() {
+		t.Fatalf("Minimize returned another run's Results:\n%s\nwant the minimized schedule's\n%s", minRes.Summary(), res.Summary())
+	}
+	if kind, _ := minRes.VerdictKind(); kind != want {
 		t.Fatalf("minimized schedule no longer ends %q: %+v", want, min)
 	}
 	if len(min) > 4 {
@@ -212,36 +213,43 @@ func TestMinimizeProperties(t *testing.T) {
 // TestMinimizeDropsUnneededGenes runs the shrinker on the plain tree: cut at
 // 2 s of simulated time, every run of the base is wedged with no fault at
 // all, so Minimize must drop every gene of a padded schedule, the same way
-// twice, spending at most one probe per gene.
+// twice, spending at most one probe per gene, and return the fault-free run.
 func TestMinimizeDropsUnneededGenes(t *testing.T) {
 	base, params := shortBase(), shortParams()
 	base.MaxSimTime = 2 * sim.Second
-	res, err := core.Run(Config(base, params, nil, shortSeed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind, _ := res.VerdictKind(); kind != "wedged" {
-		t.Fatalf("test premise broken: the fault-free base ends %q, want wedged", kind)
-	}
 	genes := []Gene{
 		{Kind: GeneLoss, Rate: 0.05, At: sim.Second, Until: 5 * sim.Second},
 		{Kind: GeneDrift, Rate: 0.01, At: sim.Second},
 		{Kind: GeneLatency, Dur: sim.Millisecond, At: sim.Second, Until: 3 * sim.Second},
 		{Kind: GeneCrash, Site: 2, At: 1500 * sim.Millisecond},
 	}
-	var first MinStats
-	for i := 0; i < 2; i++ {
-		min, stats := Minimize(base, params, genes, shortSeed, "wedged")
-		if len(min) != 0 || stats.From != len(genes) || stats.To != 0 {
-			t.Fatalf("minimized %d -> %d genes, kept %+v; want every gene dropped", stats.From, stats.To, min)
+	var runs [2]*core.Results
+	for i, g := range [][]Gene{nil, genes} {
+		res, err := core.Run(Config(base, params, g, shortSeed))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if stats.Probes > len(genes) {
-			t.Fatalf("%d probes for %d genes", stats.Probes, len(genes))
+		if kind, _ := res.VerdictKind(); kind != "wedged" {
+			t.Fatalf("test premise broken: the base with %d genes ends %q, want wedged", len(g), kind)
+		}
+		runs[i] = res
+	}
+	first := 0
+	for i := 0; i < 2; i++ {
+		min, res, probes := Minimize(base, params, &Found{Genes: genes, Seed: shortSeed, Results: runs[1]})
+		if len(min) != 0 {
+			t.Fatalf("minimized %d -> %d genes, kept %+v; want every gene dropped", len(genes), len(min), min)
+		}
+		if res.Events != runs[0].Events || res.Summary() != runs[0].Summary() {
+			t.Fatalf("Minimize returned %s, want the fault-free run %s", res.Summary(), runs[0].Summary())
+		}
+		if probes > len(genes) {
+			t.Fatalf("%d probes for %d genes", probes, len(genes))
 		}
 		if i == 0 {
-			first = stats
-		} else if stats != first {
-			t.Fatalf("second minimization %+v, first %+v", stats, first)
+			first = probes
+		} else if probes != first {
+			t.Fatalf("second minimization took %d probes, first %d", probes, first)
 		}
 	}
 }
@@ -269,11 +277,11 @@ func TestReproReplayRoundTrip(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("repro not byte-stable across save/load:\n%s\n--- vs ---\n%s", a, b)
 	}
-	kind, detail, err := loaded.Replay()
+	res, err := core.Run(loaded.Config)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if !loaded.Reproduces(kind) {
-		t.Fatalf("saved repro did not reproduce (verdict %q)", detail)
+	if kind, v := res.VerdictKind(); !loaded.Reproduces(kind) {
+		t.Fatalf("saved repro did not reproduce (verdict %v)", v)
 	}
 }

@@ -6,14 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-// MinStats reports a minimization's cost and outcome.
-type MinStats struct {
-	// Probes is the number of model runs the shrinker spent.
-	Probes int
-	// From and To are the gene counts before and after.
-	From, To int
-}
-
 // maxShrinkProbes bounds the field-shrinking phase; structural removal is
 // bounded by ddmin itself.
 const maxShrinkProbes = 200
@@ -23,25 +15,30 @@ const maxShrinkProbes = 200
 // (drop recoveries, halve rates, narrow windows, snap onsets to a coarse
 // grid), then a final pass that re-verifies single-gene removals until none
 // passes — so removing any single fault from the result makes the violation
-// disappear. kind is the schedule's own verdict kind (its find's
-// Results.VerdictKind, never empty); a candidate violates only when its run
-// ends with that kind, so the shrink never trades one bug for another. Runs
-// are serial and every probe uses the same seed, so the result is a pure
-// function of the inputs.
-func Minimize(base core.Config, p campaign.Params, genes []Gene, seed int64, kind string) ([]Gene, MinStats) {
+// disappear. A candidate violates only when its run ends with the find's own
+// verdict kind, so the shrink never trades one bug for another. It returns
+// the schedule, its run (the last violating probe's, or the find's own if
+// nothing shrank) and the probes spent. Probes are serial, all at the find's
+// seed, so the result is a pure function of the inputs.
+func Minimize(base core.Config, p campaign.Params, f *Found) ([]Gene, *core.Results, int) {
 	s := spaceOf(p)
+	kind, _ := f.Results.VerdictKind()
+	last := f.Results
 	probes := 0
 	violates := func(cand []Gene) bool {
 		probes++
-		res, err := core.Run(s.config(base, cand, seed))
+		res, err := core.Run(s.config(base, cand, f.Seed))
 		if err != nil {
 			return false
 		}
-		got, _ := res.VerdictKind()
-		return got == kind
+		if got, _ := res.VerdictKind(); got != kind {
+			return false
+		}
+		last = res
+		return true
 	}
 
-	cur := s.repair(genes)
+	cur := s.repair(f.Genes)
 
 	// Phase 1: ddmin-style chunk removal, halving the chunk size until
 	// single-gene removals stop helping.
@@ -121,5 +118,5 @@ func Minimize(base core.Config, p campaign.Params, genes []Gene, seed int64, kin
 		}
 	}
 
-	return cur, MinStats{Probes: probes, From: len(genes), To: len(cur)}
+	return cur, last, probes
 }

@@ -60,21 +60,6 @@ func ReproOf(cfg core.Config, res *core.Results) *Repro {
 	return r
 }
 
-// Replay runs the file and returns its verdict's kind ("" when clean) and
-// detail ("SAFE" when clean); Reproduces says whether the kind is the one
-// the file expects.
-func (r *Repro) Replay() (kind, detail string, err error) {
-	res, err := core.Run(r.Config)
-	if err != nil {
-		return "", "", fmt.Errorf("explore: repro: %w", err)
-	}
-	kind, v := res.VerdictKind()
-	if v == nil {
-		return "", "SAFE", nil
-	}
-	return kind, v.Error(), nil
-}
-
 // Reproduces reports whether a run whose verdict has the given kind
 // reproduces the file: any failing kind for a plain configuration, else
 // exactly the repro's.

@@ -495,12 +495,18 @@ func (to *totalOrder) tryDeliver() {
 // target: other members may not have them, so they can never be ordered. The
 // optimistic consumer is told so it can cancel speculative state. Used for
 // members excluded from the view and for fresh incarnations readmitted by a
-// recovery join (whose old-stream tail dies with the old incarnation).
+// recovery join (whose old-stream tail dies with the old incarnation). The
+// consumer schedules work per discard, so they go in message order.
 func (to *totalOrder) purgeSender(sender NodeID, upto uint64) {
+	var purged []msgKey
 	for key, m := range to.msgs {
-		if key.sender != sender || !m.held || m.global != 0 || m.lastSeq <= upto {
-			continue
+		if key.sender == sender && m.held && m.global == 0 && m.lastSeq > upto {
+			purged = append(purged, key)
 		}
+	}
+	sortKeys(purged)
+	for _, key := range purged {
+		m := to.msgs[key]
 		to.forget(key)
 		if to.s.onOptDiscard != nil {
 			to.s.onOptDiscard(OptDelivery{Sender: key.sender, MsgID: key.msgID, Payload: m.data})

@@ -64,10 +64,12 @@ func TestTotalOrderMapsDrainAfterDelivery(t *testing.T) {
 		}
 	})
 
-	// A message of the crashed member reaches node 2 after its flush ack —
-	// beyond the flush target, so nobody can order it: the install purges
-	// the record (telling the optimistic consumer) instead of pinning it.
+	// Messages of the crashed member reach node 2 after its flush ack —
+	// beyond the flush target, so nobody can order them: the install purges
+	// the records (telling the optimistic consumer, in message order, since
+	// each discard schedules work) instead of pinning them.
 	t.Run("purged beyond the flush target", func(t *testing.T) {
+		const lateMsgs = 6
 		c := newCluster(t, 3, 32, func(cfg *Config) { cfg.failTimeout = 500 * sim.Millisecond })
 		burst(c, 0, 3, "pre")
 		c.crashNode(300*sim.Millisecond, 3)
@@ -80,7 +82,9 @@ func TestTotalOrderMapsDrainAfterDelivery(t *testing.T) {
 			c.k.ScheduleAt(at, func() {
 				if late == 0 && st2.rm.frozen {
 					late = st2.rm.contiguous(3) + 1
-					feed(st2, 3, late, payloadApp, []byte("late"))
+					for i := range uint64(lateMsgs) {
+						feed(st2, 3, late+i, payloadApp, []byte("late"))
+					}
 				}
 			})
 		}
@@ -89,8 +93,13 @@ func TestTotalOrderMapsDrainAfterDelivery(t *testing.T) {
 		if late == 0 {
 			t.Fatal("test premise broken: node 2 was never observed frozen")
 		}
-		if len(discarded) != 1 || discarded[0].Sender != 3 || discarded[0].MsgID != late {
-			t.Fatalf("discards at node 2 = %+v, want the one late message (3, %d)", discarded, late)
+		if len(discarded) != lateMsgs {
+			t.Fatalf("discards at node 2 = %+v, want the %d late messages", discarded, lateMsgs)
+		}
+		for i, d := range discarded {
+			if d.Sender != 3 || d.MsgID != late+uint64(i) {
+				t.Fatalf("discard %d at node 2 = (%d, %d), want (3, %d): discards in message order", i, d.Sender, d.MsgID, late+uint64(i))
+			}
 		}
 		c.checkAgreement([]NodeID{1, 2}, -1)
 		for id, st := range c.stacks {

@@ -58,8 +58,9 @@ var randConstructors = map[string]bool{
 //   - writes to variables declared inside the loop body.
 //
 // Everything else — channel sends, go/defer statements, event scheduling
-// and network sends, float accumulation, plain assignment to outer state —
-// depends on iteration order and is reported.
+// and network sends, calls through func-typed struct fields (upcalls),
+// float accumulation, plain assignment to outer state — depends on
+// iteration order and is reported.
 func simdeterminism(p *pass) {
 	if !deterministicPkgs[path.Base(p.path)] {
 		return
@@ -170,6 +171,13 @@ func (p *pass) checkRangeCall(call *ast.CallExpr, keyObj types.Object) {
 	name := calleeName(call)
 	if fn := p.callee(call); schedulingCalls[name] && fn != nil && fn.Signature().Recv() != nil {
 		p.report(call.Pos(), "%s call inside range over map: events are published in nondeterministic iteration order", name)
+	}
+	// An upcall through a func-typed field runs code the rule cannot see,
+	// which may schedule or send in the loop's order.
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if v, ok := p.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+			p.report(call.Pos(), "call through func field %s inside range over map: its effects follow nondeterministic iteration order", name)
+		}
 	}
 }
 

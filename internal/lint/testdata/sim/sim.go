@@ -56,6 +56,23 @@ func spawn() {
 	go func() {}() // want `raw goroutine in deterministic package`
 }
 
+type cache struct {
+	entries map[int]int
+	onEvict func(int)
+}
+
+// evict hands every entry to an upcall the rule cannot see into: the
+// consumer observes the map's iteration order. A plain func value is not a
+// field, and stays unreported.
+func (c *cache) evict(fn func(int)) {
+	for key := range c.entries {
+		c.onEvict(key) // want `call through func field onEvict inside range over map`
+	}
+	for key := range c.entries {
+		fn(key)
+	}
+}
+
 func mapRanges(k *kernel, tm *timer, m map[int]int, ch chan int) ([]int, int) {
 	var keys []int
 	sum := 0
