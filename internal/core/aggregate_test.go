@@ -260,7 +260,7 @@ func TestPlacementStorage(t *testing.T) {
 				stores[idx] = func(dbsm.TupleID) bool { return true }
 			}
 		}
-		owner := p.owner()
+		owner := p.owner(0)
 		for wh := 0; wh < 4*len(p.home); wh++ {
 			row := tpcc.StockRow(wh, 7)
 			holders, group := 0, 0

@@ -754,7 +754,7 @@ func (m *Model) buildReplica(s *Site, recovering bool) {
 		Recovering:       recovering,
 		GroupCount:       m.place.groups,
 		SitesPerGroup:    m.place.perGroup,
-		GroupOf:          m.place.owner(),
+		GroupOf:          m.place.owner(int(s.ID) - 1),
 	}
 	s.Replica = replica.New(s.RT, s.Stack, s.Server, opts)
 	s.Replica.CommitLog().Share(&m.logs[s.group-1])

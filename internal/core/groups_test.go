@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 func runGroups(t *testing.T, cfg Config) *Results {
@@ -76,6 +78,62 @@ func TestGroupsEndToEnd(t *testing.T) {
 				t.Fatalf("summary misses group detail: %s", r.Summary())
 			}
 		})
+	}
+}
+
+// TestGroupMembersHoldIdenticalXRecords runs a short groups3_x and requires
+// every member of a group to hold the same cross-group records — TID,
+// decision, Seq, Involved and both sets — where results hands only one
+// member's to check.CrossGroup, and every tuple of a record's sets to be one
+// its group owns, or catalog data in the home group's part. A record whose
+// sets alias the decode scratch instead of the xmgr's arena copies fails
+// both: every later prepare decoded overwrites them.
+func TestGroupMembersHoldIdenticalXRecords(t *testing.T) {
+	m, err := New(Config{Sites: 3, Groups: 3, CPUsPerSite: 1, Clients: 450, TotalTxns: 3000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.release()
+	r, err := m.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.SafetyErr != nil || r.MultiGroupCommitted == 0 {
+		t.Fatalf("safety %v, %d cross-group commits", r.SafetyErr, r.MultiGroupCommitted)
+	}
+	same := func(a, b trace.XRecord) bool {
+		return a.TID == b.TID && a.Group == b.Group && a.HomeGroup == b.HomeGroup && a.Commit == b.Commit &&
+			a.Seq == b.Seq && a.Involved == b.Involved && slices.Equal(a.ReadSet, b.ReadSet) && slices.Equal(a.WriteSet, b.WriteSet)
+	}
+	first := map[int][]trace.XRecord{}
+	for _, s := range m.Sites() {
+		records, owner := s.Replica.XRecords(), m.place.owner(int(s.ID)-1)
+		for _, rec := range records {
+			for _, id := range slices.Concat(rec.ReadSet, rec.WriteSet) {
+				if g := owner(id); g != rec.Group && (g != 0 || rec.Group != rec.HomeGroup) {
+					t.Fatalf("site %d: transaction %#x's record for group %d holds %v, owned by group %d", s.ID, rec.TID, rec.Group, id, g)
+				}
+			}
+		}
+		want, ok := first[s.group]
+		if !ok {
+			if len(records) == 0 {
+				t.Fatalf("site %d holds no cross-group record", s.ID)
+			}
+			first[s.group] = records
+			continue
+		}
+		if len(records) != len(want) {
+			t.Fatalf("site %d holds %d cross-group records, its group's first member %d", s.ID, len(records), len(want))
+		}
+		for i := range records {
+			if !same(records[i], want[i]) {
+				t.Fatalf("site %d's record %d differs from its group's first member's:\n%+v\n%+v", s.ID, i, records[i], want[i])
+			}
+		}
+	}
+	if len(first) != 3 {
+		t.Fatalf("records from %d groups, want 3", len(first))
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/dbsm"
 	"repro/internal/sim"
 	"repro/internal/tpcc"
 )
@@ -89,3 +90,62 @@ func TestPartialReplicationSafetyUnderLoad(t *testing.T) {
 }
 
 func newTestRNG() *sim.RNG { return sim.NewRNG(7) }
+
+// TestPlacementTableMatchesArithmetic holds the per-site placement table to
+// the arithmetic it replaced, which recomputed a tuple's home site and group
+// on every call: for every tuple the workload's transactions touch, at every
+// site, under replication groups (groups3_x's shape), degree-k and full
+// replication, stores and owner answer what the arithmetic does. Warehouse
+// numbers past the population (an insert's encoded warehouse) wrap the same
+// way.
+func TestPlacementTableMatchesArithmetic(t *testing.T) {
+	for _, cfg := range []Config{
+		{Groups: 3, Sites: 3, Clients: 450},
+		{Sites: 6, ReplicationDegree: 2, Clients: 300},
+		{Sites: 3, Clients: 300},
+	} {
+		p := newPlacement(&cfg)
+		storesRef := func(idx int, id dbsm.TupleID) bool {
+			wh, ok := tpcc.WarehouseOf(id)
+			if !ok {
+				return true
+			}
+			h := p.home[wh%len(p.home)]
+			return p.group(h) == p.group(idx) && (idx-h+p.perGroup)%p.perGroup < p.span
+		}
+		ownerRef := func(id dbsm.TupleID) int {
+			wh, ok := tpcc.WarehouseOf(id)
+			if !ok {
+				return 0
+			}
+			return p.group(p.home[wh%len(p.home)])
+		}
+		sites := len(p.home) // G·S
+		warehouses := tpcc.Warehouses(cfg.Clients)
+		gen := tpcc.NewGenerator(1, warehouses, tpcc.DefaultCalibration(), newTestRNG())
+		ids := []dbsm.TupleID{tpcc.ItemRow(3), tpcc.WarehouseRow(0xFFFF), tpcc.StockRow(warehouses+5, 1)}
+		for i := range 3000 {
+			txn := gen.Next(i % warehouses)
+			ids = append(append(ids, txn.ReadSet...), txn.WriteSet...)
+		}
+		checked := 0
+		for idx := range sites {
+			stores, owner := p.stores(idx), p.owner(idx)
+			if (stores == nil) != p.everywhere() {
+				t.Fatalf("%+v: site %d has a stored-here predicate %t under full replication %t", cfg, idx+1, stores != nil, p.everywhere())
+			}
+			for _, id := range ids {
+				if stores != nil && stores(id) != storesRef(idx, id) {
+					t.Fatalf("%+v: site %d stores %v: table %t, arithmetic %t", cfg, idx+1, id, stores(id), storesRef(idx, id))
+				}
+				if got, want := owner(id), ownerRef(id); got != want {
+					t.Fatalf("%+v: site %d classifies %v to group %d, arithmetic %d", cfg, idx+1, id, got, want)
+				}
+				checked++
+			}
+		}
+		if checked < 100000 {
+			t.Fatalf("%+v: only %d lookups checked", cfg, checked)
+		}
+	}
+}

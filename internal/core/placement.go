@@ -41,6 +41,17 @@ type placement struct {
 	// home[b mod len(home)] is the 0-based site homing block b (a warehouse,
 	// or a single client when unit is 1).
 	home []int
+	// at[idx] is site idx's answer, per entry of home, to both questions a
+	// replica asks per tuple (stores, owner): whether the site stores the
+	// warehouses homed there, and which group owns them. Both depend only on
+	// the warehouse's entry of home, so a lookup is a table read.
+	at [][]placed
+}
+
+// placed is what a site knows about the warehouses one entry of home homes.
+type placed struct {
+	group  int  // the owning group
+	stored bool // stored at this site
 }
 
 func newPlacement(cfg *Config) placement {
@@ -55,6 +66,16 @@ func newPlacement(cfg *Config) placement {
 	p.home = make([]int, p.groups*p.perGroup)
 	for b := range p.home {
 		p.home[b] = xgroup.HomeSite(b, p.groups, p.perGroup) - 1
+	}
+	p.at = make([][]placed, len(p.home))
+	for idx := range p.at {
+		p.at[idx] = make([]placed, len(p.home))
+		for b, h := range p.home {
+			p.at[idx][b] = placed{
+				group:  p.group(h),
+				stored: p.group(h) == p.group(idx) && (idx-h+p.perGroup)%p.perGroup < p.span,
+			}
+		}
 	}
 	return p
 }
@@ -130,31 +151,29 @@ func (c clientBlocks) client(k int) int {
 	return (c.start+k/c.unit*c.stride)*c.unit + k%c.unit
 }
 
-// stores builds site idx's stored-here predicate, or nil when every site
-// stores everything.
+// stores builds site idx's stored-here predicate, a read of its table, or
+// nil when every site stores everything. The catalog is stored everywhere.
 func (p *placement) stores(idx int) func(dbsm.TupleID) bool {
 	if p.everywhere() {
 		return nil
 	}
+	at := p.at[idx]
 	return func(id dbsm.TupleID) bool {
 		wh, ok := tpcc.WarehouseOf(id)
-		if !ok {
-			return true
-		}
-		h := p.home[wh%len(p.home)]
-		return p.group(h) == p.group(idx) && (idx-h+p.perGroup)%p.perGroup < p.span
+		return !ok || at[wh%len(at)].stored
 	}
 }
 
-// owner builds the tuple→owning-group classifier the replicas split
-// certification messages with; the catalog classifies to 0 and folds into a
-// transaction's home part.
-func (p *placement) owner() func(dbsm.TupleID) int {
+// owner builds the tuple→owning-group classifier site idx's replica splits
+// certification messages with, a read of its table; the catalog classifies
+// to 0 and folds into a transaction's home part.
+func (p *placement) owner(idx int) func(dbsm.TupleID) int {
+	at := p.at[idx]
 	return func(id dbsm.TupleID) int {
 		wh, ok := tpcc.WarehouseOf(id)
 		if !ok {
 			return 0
 		}
-		return p.group(p.home[wh%len(p.home)])
+		return at[wh%len(at)].group
 	}
 }

@@ -104,7 +104,7 @@ func mallocs(runs int, f func()) uint64 {
 // are cut back to the same arrays. Through four generation changes and
 // several arena blocks, not one allocation. It holds Certifier.Certify,
 // commit, indexWrites and firstConflict, history.push and dropFront,
-// arena.copy and keep, and SpecCertifier.Tentative and Final.
+// Arena.Copy and keep, and SpecCertifier.Tentative and Final.
 func TestCertifySteadyStateAllocs(t *testing.T) {
 	const warm, runs = 3 * indexWindow, 4*indexWindow + 1
 	stream := steadyStream(warm + runs + 1)

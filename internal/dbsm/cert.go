@@ -300,7 +300,7 @@ type history struct {
 	blocks []*[histBlock]histEntry
 	head   int // position of the oldest entry in blocks[0]
 	n      int // retained entries
-	items  arena
+	items  Arena
 }
 
 // at returns entry i, 0 being the oldest.
@@ -317,7 +317,7 @@ func (h *history) push(seq uint64, ws ItemSet) {
 	h.n++
 	e := h.at(h.n - 1)
 	e.seq = seq
-	e.writeSet, e.end = h.items.copy(ws)
+	e.writeSet, e.end = h.items.Copy(ws)
 }
 
 // dropFront removes the k oldest entries, and gives the arena blocks only
@@ -356,27 +356,31 @@ func (h *history) truncate(n int) {
 func (h *history) reset() {
 	h.truncate(0)
 	h.head = 0
-	h.items = arena{blocks: h.items.blocks}
+	h.items.Reset()
 }
 
-// arenaBlock is the number of items in one block of a history's arena.
+// arenaBlock is the number of items in one block of an Arena.
 const arenaBlock = 4096
 
-// arena is the storage a history copies its write-sets into: a deque of
-// fixed blocks of items, filled in order. A position counts items from the
-// arena's start, so position p is item p%arenaBlock of block number
-// p/arenaBlock, and blocks[0] is block number first; the blocks after the one
-// being filled are free. A set never spans two blocks: one that does not fit
-// in what is left of the current block starts the next. A set larger than a
-// block gets an allocation of its own and takes no position.
-type arena struct {
+// Arena is storage that item sets are copied into: a deque of fixed blocks
+// of items, filled in order. A position counts items from the arena's
+// start, so position p is item p%arenaBlock of block number p/arenaBlock,
+// and blocks[0] is block number first; the blocks after the one being
+// filled are free. A set never spans two blocks: one that does not fit in
+// what is left of the current block starts the next. A set larger than a
+// block gets an allocation of its own and takes no position. The
+// certifier's history recycles blocks from the front (keep) and rewinds the
+// fill point (truncate); a user that keeps every set until it is done with
+// all of them only copies and, at the end, resets. The zero value is an
+// empty arena.
+type Arena struct {
 	blocks []*[arenaBlock]TupleID
 	first  int // block number of blocks[0]
 	fill   int // position of the next item
 }
 
-// copy stores a copy of ws and returns it with the fill point after it.
-func (a *arena) copy(ws ItemSet) (ItemSet, int) {
+// Copy stores a copy of ws and returns it with the fill point after it.
+func (a *Arena) Copy(ws ItemSet) (ItemSet, int) {
 	n := len(ws)
 	if n == 0 || n > arenaBlock {
 		return ws.Clone(), a.fill
@@ -396,11 +400,15 @@ func (a *arena) copy(ws ItemSet) (ItemSet, int) {
 	return dst, a.fill
 }
 
+// Reset frees every block for the next copies: each set the arena returned
+// is overwritten from then on. The arena keeps its blocks.
+func (a *Arena) Reset() { *a = Arena{blocks: a.blocks} }
+
 // keep moves the blocks before the one holding position end-1 to the back of
 // the deque, free: end is the fill point after the oldest set still retained,
 // so no retained set sits in them. For a set with no position, the block
 // before it is kept too, which is never wrong.
-func (a *arena) keep(end int) {
+func (a *Arena) keep(end int) {
 	for b := max(end-1, 0) / arenaBlock; a.first < b; a.first++ {
 		drained := a.blocks[0]
 		a.blocks[copy(a.blocks, a.blocks[1:])] = drained
@@ -447,7 +455,7 @@ func NewCertifier() *Certifier {
 		window:     indexWindow,
 		tableLock:  st.tableLock,
 		tableAny:   st.tableAny,
-		hist:       history{blocks: st.blocks, items: arena{blocks: st.items}},
+		hist:       history{blocks: st.blocks, items: Arena{blocks: st.items}},
 		undo:       st.undo,
 	}
 }

@@ -17,8 +17,10 @@
 // the server lets go of the transaction. Every set handed over is therefore
 // read, encoded, split or copied, never kept: whoever keeps one past the call
 // that hands it over copies it into storage of its own. The certifier's
-// history copies a committed write-set into an arena it recycles, and
-// ExportState deep-copies, since a snapshot is meant to leave the process.
+// history copies a committed write-set into an Arena it recycles, the
+// cross-group round in internal/replica copies the parts it keeps into an
+// Arena of its own, and ExportState deep-copies, since a snapshot is meant
+// to leave the process.
 package dbsm
 
 import (

@@ -67,13 +67,28 @@ type xmgr struct {
 	// answered with the fixed vote or decision, and pruning a member's entry
 	// would let a delayed relayed prepare be re-injected into the stream and
 	// re-voted after decide (prepareDelivered treats an unknown TID as new).
-	// That lookup is its only job: no per-transaction path iterates it. The
-	// heavy state (prep, part) is dropped at decide; the residue is a few
-	// words per multi-group transaction, so memory — not CPU — grows with
-	// run length until an epoch-based retirement handshake prunes it. The
-	// table itself outlives the run: release empties it onto a shelf and the
-	// next model's xmgr starts on it, its buckets already grown.
+	// That lookup is its only job: no per-transaction path iterates it (only
+	// a view change does). The kept payload (enc) goes back at decide; the
+	// residue is a record and its part's sets in items per multi-group
+	// transaction, so memory — not CPU — grows with run length until an
+	// epoch-based retirement handshake prunes it. The table itself outlives
+	// the run: release empties it onto a shelf and the next model's xmgr
+	// starts on it, its buckets already grown.
 	pending map[uint64]*xtxn
+	// txns is the storage pending's records are carved from, in order: blocks
+	// that never move, since a record's address is its identity in pending
+	// and active. used counts the records carved. The blocks outlive the run
+	// like the table: release zeroes the records and shelves them.
+	txns []*[xtxnBlock]xtxn
+	used int
+	// items holds the sets of every part this member reserved: the records'
+	// parts and XRecords read them for the rest of the run (results reads
+	// XRecords before release), so nothing is freed before release, which
+	// resets the arena and shelves its blocks.
+	items dbsm.Arena
+	// encs lends the buffers home members keep an undecided prepare's payload
+	// in (xtxn.enc): one per prepare delivered at home, back at its decide.
+	encs sim.FreeList[[]byte]
 	// active is the reservation table: the entries holding a commit-voted,
 	// undecided part, in the order their prepares were delivered. It is what
 	// veto and the vote's conflict test scan — the transactions concurrent
@@ -101,36 +116,48 @@ type xmgr struct {
 	// buf is the control-message scratch (Relay and Multicast both copy the
 	// payload out before returning).
 	buf []byte
-	// relayed is what a relayed prepare decodes into: onRelay reads only its
-	// TID, so the next relay may overwrite it.
-	relayed xgroup.Prepare
+	// dec is what every prepare decodes into: one delivered on the stream,
+	// one relayed, and a kept payload re-decoded for the relays. Each reader
+	// copies what it keeps before the next decode overwrites it.
+	dec xgroup.Prepare
 	// parts and store are the split terminate encodes at once: nothing keeps
 	// them past AppendPrepare.
 	parts []xgroup.Part
 	store dbsm.ItemSet
 
 	// records is every resolution this member delivered, in stream order
-	// (Replica.XRecords); their sets alias the delivered prepares.
+	// (Replica.XRecords); their sets are the reserved parts' copies in items.
 	records []trace.XRecord
 }
 
 // xStore is the storage a finished xmgr leaves for the next one: its records'
-// array and its transaction table, both emptied.
+// array, its transaction table and the records' blocks, all emptied, its
+// arena's blocks and its payload buffers.
 type xStore struct {
 	records []trace.XRecord
 	pending map[uint64]*xtxn
+	txns    []*[xtxnBlock]xtxn
+	items   dbsm.Arena
+	encs    [][]byte
 }
 
 // xStores holds the storage of finished models' xmgrs (release).
 var xStores sim.Shelf[xStore]
 
-// release empties the records and the transaction table onto xStores, so
-// neither pins this model's transactions, for the next newXmgr.
+// release empties the records, the transaction table and its records onto
+// xStores, so none pins this model's transactions, for the next newXmgr. A
+// record keeps only its retransmit tick, which reads the xmgr that takes it
+// next. Payloads still kept for undecided rounds are left to the collector.
 func (x *xmgr) release() {
 	clear(x.records)
 	clear(x.pending)
-	xStores.Put(xStore{records: x.records[:0], pending: x.pending})
-	x.records, x.pending = nil, nil
+	for i := range x.used {
+		e := &x.txns[i/xtxnBlock][i%xtxnBlock]
+		*e = xtxn{retry: e.retry}
+	}
+	x.items.Reset()
+	xStores.Put(xStore{records: x.records[:0], pending: x.pending, txns: x.txns, items: x.items, encs: x.encs.Handover()})
+	x.records, x.pending, x.txns, x.used = nil, nil, nil, 0
 }
 
 // fragAsm is one oversized prepare's reassembly state: fragments land in
@@ -141,16 +168,23 @@ type fragAsm struct {
 	parts [][]byte
 }
 
+// xtxnBlock is the number of records in one block of an xmgr's txns.
+const xtxnBlock = 256
+
 // xtxn is one multi-group transaction's state at this site.
 type xtxn struct {
+	x       *xmgr // the manager that carved the record; retry reads it
 	tid     uint64
 	home    int
 	coordID runtimeapi.NodeID
-	// prep is the prepare as delivered on this group's stream: full at home
-	// members (the handover inheritance), restricted elsewhere. Released at
-	// decide.
-	prep *xgroup.Prepare
-	part *dbsm.TxnCert // this group's part (nil when the group has none)
+	// enc is the prepare's payload as delivered on the home stream, lead byte
+	// included, kept at home members only (the handover inheritance: any of
+	// them may have to relay it) in a buffer lent by x.encs until decide.
+	enc []byte
+	// part is this group's part, &cert with its sets in x.items (nil when the
+	// group has none, and from decide on; the record keeps reading cert).
+	part *dbsm.TxnCert
+	cert dbsm.TxnCert
 
 	voted bool // prepare delivered on this group's stream
 	vote  bool // this group's stored vote (never recomputed)
@@ -169,28 +203,44 @@ type xtxn struct {
 	coordDecided bool // decision fixed (all votes in, or adopted)
 	homeDecided  bool
 	doneC        bool
-	retry        func() // the retransmit tick, bound at the first armTimer
+	retry        func() // the retransmit tick, bound once for the record's life
+}
+
+// newTxn carves a zeroed record for tid, homed at group home, out of txns.
+func (x *xmgr) newTxn(tid uint64, home int) *xtxn {
+	i := x.used / xtxnBlock
+	if i == len(x.txns) {
+		x.txns = append(x.txns, new([xtxnBlock]xtxn))
+	}
+	e := &x.txns[i][x.used%xtxnBlock]
+	x.used++
+	e.x, e.tid, e.home = x, tid, home
+	return e
 }
 
 func xbit(g int) uint32 { return 1 << uint(g) }
 
-// newXmgr builds a replica's cross-group manager on the records' array and
-// the transaction table a finished one left (release), when there are some.
+// newXmgr builds a replica's cross-group manager on the storage a finished
+// one left (release), when there is some.
 func newXmgr(r *Replica) *xmgr {
 	st, ok := xStores.Get()
 	if !ok {
 		st.pending = make(map[uint64]*xtxn)
 	}
-	return &xmgr{
+	x := &xmgr{
 		r:        r,
 		group:    xgroup.GroupOfSite(int(r.site), r.opts.SitesPerGroup),
 		groups:   r.opts.GroupCount,
 		perGroup: r.opts.SitesPerGroup,
 		pending:  st.pending,
+		txns:     st.txns,
+		items:    st.items,
 		stash:    make(map[uint64]bool),
 		frags:    make(map[uint64]*fragAsm),
 		records:  st.records,
 	}
+	x.encs.Adopt(st.encs)
+	return x
 }
 
 func (x *xmgr) self() runtimeapi.NodeID { return x.r.rt.Self() }
@@ -267,7 +317,8 @@ func (x *xmgr) terminate(tc *dbsm.TxnCert) {
 	}
 	r.submit(xgroup.AppendPrepare(r.scratch[:0], xgroup.MsgPrepare, &prep, 0))
 	r.stats.MultiGroupTxns++
-	e := &xtxn{tid: tc.TID, home: x.group, coordID: x.self(), coord: true, allCommit: true}
+	e := x.newTxn(tc.TID, x.group)
+	e.coordID, e.coord, e.allCommit = x.self(), true, true
 	for i := range x.parts {
 		e.involved |= xbit(x.parts[i].Group)
 	}
@@ -291,13 +342,12 @@ func (x *xmgr) onStream(payload []byte) {
 	}
 	switch payload[0] {
 	case xgroup.MsgPrepare:
-		p, err := xgroup.ParsePrepare(payload[1:])
-		if err != nil {
+		if err := xgroup.ParsePrepareInto(&x.dec, payload[1:]); err != nil {
 			r.stats.CertDrops++
 		} else {
 			r.stats.Delivered++
 			r.chargeUnmarshal(len(payload))
-			x.prepareDelivered(p)
+			x.prepareDelivered(&x.dec, payload)
 		}
 	case xgroup.MsgDecide:
 		tid, commit, err := xgroup.ParseDecision(payload[1:])
@@ -334,24 +384,31 @@ func (x *xmgr) checkActive() {
 
 // prepareDelivered installs the reservation and computes this group's vote.
 // Runs at the same stream position with identical certifier and reservation
-// state at every group member, so every member stores the same vote.
-func (x *xmgr) prepareDelivered(p *xgroup.Prepare) {
+// state at every group member, so every member stores the same vote. p is
+// the decoded prepare and enc its payload, lead byte included; neither is
+// kept: the part goes into the arena and, at home members, enc into a
+// buffer of their own.
+func (x *xmgr) prepareDelivered(p *xgroup.Prepare, enc []byte) {
 	r := x.r
 	e := x.pending[p.TID]
 	if e != nil && e.voted {
 		return // duplicate injection; the first delivery settled everything
 	}
 	if e == nil {
-		e = &xtxn{tid: p.TID, home: p.HomeGroup}
+		e = x.newTxn(p.TID, p.HomeGroup)
 		x.pending[p.TID] = e
 	}
-	e.prep = p
+	if x.group == e.home {
+		e.enc = append(x.encs.Get(), enc...)
+	}
 	e.coordID = p.Coordinator
 	for i := range p.Parts {
 		e.involved |= xbit(p.Parts[i].Group)
 	}
 	if pt := p.PartFor(x.group); pt != nil {
-		e.part = &pt.Cert
+		e.cert = pt.Cert
+		e.cert.ReadSet, e.cert.WriteSet = x.keep(pt.Cert.ReadSet), x.keep(pt.Cert.WriteSet)
+		e.part = &e.cert
 	}
 	vote := true
 	if e.part != nil {
@@ -372,6 +429,7 @@ func (x *xmgr) prepareDelivered(p *xgroup.Prepare) {
 	if e.coord {
 		x.recordVote(e, x.group, vote)
 		if !e.coordDecided {
+			// Re-decodes into x.dec, which p may be: p is not read below.
 			x.sendPrepRelays(e)
 		}
 	} else {
@@ -387,6 +445,12 @@ func (x *xmgr) prepareDelivered(p *xgroup.Prepare) {
 			r.stack.Multicast(x.buf)
 		}
 	}
+}
+
+// keep copies a set of the part this member reserves into the arena.
+func (x *xmgr) keep(s dbsm.ItemSet) dbsm.ItemSet {
+	kept, _ := x.items.Copy(s)
+	return kept
 }
 
 // decideDelivered resolves the reservation at the decision's stream
@@ -439,12 +503,16 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 		e.homeDecided = true
 		x.checkComplete(e)
 	}
-	// Reservation resolved: drop it and the heavy state. The entry itself
-	// stays so duplicate relays get decision replies and re-acks.
+	// Reservation resolved: drop it, and give the kept payload back. The
+	// entry itself stays so duplicate relays get decision replies and
+	// re-acks.
 	if i := slices.Index(x.active, e); i >= 0 {
 		x.active = slices.Delete(x.active, i, i+1)
 	}
-	e.prep = nil
+	if e.enc != nil {
+		x.encs.Put(e.enc[:0])
+		e.enc = nil
+	}
 	e.part = nil
 }
 
@@ -458,12 +526,12 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	}
 	switch payload[0] {
 	case xgroup.MsgPrepare:
-		if err := xgroup.ParsePrepareInto(&x.relayed, payload[1:]); err != nil {
+		if err := xgroup.ParsePrepareInto(&x.dec, payload[1:]); err != nil {
 			r.stats.CertDrops++
 			return
 		}
 		r.chargeUnmarshal(len(payload))
-		e := x.pending[x.relayed.TID]
+		e := x.pending[x.dec.TID]
 		if e == nil {
 			// Not yet on this group's stream: the sequencer injects it.
 			// Multicast copies the payload before returning, so handing it
@@ -612,20 +680,23 @@ func (x *xmgr) adoptDecision(e *xtxn, commit bool) {
 	x.relayDecides(e)
 }
 
-// sendPrepRelays relays the restricted prepare to every member of each
-// remote involved group that has not voted yet. The reply-to coordinator is
-// rewritten to self so votes come back to the current coordinator.
+// sendPrepRelays relays the prepare, restricted to one group's part, to
+// every member of each remote involved group that has not voted yet. It
+// re-decodes the payload the home member kept (nothing once decided). The
+// reply-to coordinator is rewritten to self so votes come back to the
+// current coordinator.
 func (x *xmgr) sendPrepRelays(e *xtxn) {
-	if e.prep == nil {
+	if len(e.enc) == 0 || xgroup.ParsePrepareInto(&x.dec, e.enc[1:]) != nil {
 		return
 	}
+	p := &x.dec
 	mtu := x.r.rt.MTU() - 1 // the gcs relay wire prepends one kind byte
-	for g := 1; g <= x.groups; g++ {
-		if g == e.home || e.involved&xbit(g) == 0 || e.votesMask&xbit(g) != 0 {
+	for i := range p.Parts {
+		g := p.Parts[i].Group
+		if g == e.home || e.votesMask&xbit(g) != 0 {
 			continue
 		}
-		restricted := e.prep.Restrict(g)
-		restricted.Coordinator = x.self()
+		restricted := xgroup.Prepare{TID: p.TID, Coordinator: x.self(), HomeGroup: p.HomeGroup, Parts: p.Parts[i : i+1]}
 		x.buf = xgroup.AppendPrepare(x.buf[:0], xgroup.MsgPrepare, &restricted, mtu)
 		if frames := xgroup.FragmentPrepare(x.buf, restricted.TID, mtu); frames != nil {
 			// Padding trimming alone could not fit the datagram under the
@@ -677,7 +748,7 @@ const xRetryPeriod = 100 * sim.Millisecond
 // armTimer schedules the coordinator's retransmit tick.
 func (x *xmgr) armTimer(e *xtxn) {
 	if e.retry == nil {
-		e.retry = func() { x.tick(e) }
+		e.retry = func() { e.x.tick(e) }
 	}
 	x.r.rt.StartJob(xRetryPeriod, e.retry)
 }

@@ -66,8 +66,8 @@ func TestXActiveHoldsOnlyRoundsInFlight(t *testing.T) {
 	for i := 1; i <= rounds; i++ {
 		tid := remoteTID(i)
 		p := prepFor(tid, rows(1, i), rows(1, i))
-		x.prepareDelivered(p)
-		x.prepareDelivered(p) // a duplicate injection settles nothing twice
+		x.prepareDelivered(p, nil)
+		x.prepareDelivered(p, nil) // a duplicate injection settles nothing twice
 		if len(x.active) != 1 || x.active[0] != x.pending[tid] {
 			t.Fatalf("round %d: active = %d entries after the prepare", i, len(x.active))
 		}
@@ -89,11 +89,11 @@ func TestXActiveHoldsOnlyRoundsInFlight(t *testing.T) {
 func TestXActiveSkipsAbortVotesAndEmptyHanded(t *testing.T) {
 	_, sites := buildGroupCluster(t, 1)
 	x := sites[0].rep.x
-	x.prepareDelivered(prepFor(remoteTID(1), nil, rows(1, 7)))
+	x.prepareDelivered(prepFor(remoteTID(1), nil, rows(1, 7)), nil)
 	// The second writes the reserved row: its vote is abort.
-	x.prepareDelivered(prepFor(remoteTID(2), nil, rows(1, 7)))
+	x.prepareDelivered(prepFor(remoteTID(2), nil, rows(1, 7)), nil)
 	// The third has nothing for this group.
-	x.prepareDelivered(prepFor(remoteTID(3), nil, nil))
+	x.prepareDelivered(prepFor(remoteTID(3), nil, nil), nil)
 	x.checkActive()
 	if e := x.pending[remoteTID(2)]; !e.voted || e.vote {
 		t.Fatal("conflicting prepare was not voted down")
@@ -139,7 +139,7 @@ func TestXVetoEqualsFullScan(t *testing.T) {
 			if rng.Intn(8) == 0 {
 				writes = nil
 			}
-			x.prepareDelivered(prepFor(remoteTID(next), set(4), writes))
+			x.prepareDelivered(prepFor(remoteTID(next), set(4), writes), nil)
 			open = append(open, remoteTID(next))
 			next++
 		case k < 4 && len(open) > 0:
@@ -242,7 +242,7 @@ func TestXHotPathsDoNotAllocate(t *testing.T) {
 	_, sites := buildGroupCluster(t, 1)
 	x := sites[0].rep.x
 	for i := 1; i <= 3; i++ {
-		x.prepareDelivered(prepFor(remoteTID(i), rows(1, 10*i, 10*i+1), rows(1, 10*i)))
+		x.prepareDelivered(prepFor(remoteTID(i), rows(1, 10*i, 10*i+1), rows(1, 10*i)), nil)
 	}
 	if len(x.active) != 3 {
 		t.Fatalf("%d reservations, want 3", len(x.active))
@@ -329,5 +329,69 @@ func TestOnStreamChecksTheReservationTable(t *testing.T) {
 	}()
 	if panicked != sim.RaceBuild {
 		t.Fatalf("a stray active entry panicked = %v, want %v", panicked, sim.RaceBuild)
+	}
+}
+
+// TestXStreamRoundAllocFree pins the cross-group round's stream path at zero
+// allocations on a warm replica: onStream decoding a MsgPrepare into the
+// xmgr's scratch (xgroup.ParsePrepareInto), prepareDelivered carving its
+// record (newTxn), copying the part into the arena (keep) and, for a prepare
+// homed here, keeping the payload (encs), then decideDelivered's forced
+// commit, record and settle, and the kernel draining the install. Warm is
+// what a replica built after a finished model starts with: release shelved
+// the records' blocks, the table's buckets, the arena and the payload
+// buffers, and newXmgr took them.
+func TestXStreamRoundAllocFree(t *testing.T) {
+	k, r := loneReplica(t, Options{
+		GroupCount: 2, SitesPerGroup: 1,
+		GroupOf: func(id dbsm.TupleID) int { return int(id.Table()) },
+	})
+	// The two rounds of a step write different rows, so neither install
+	// waits for the other's locks. The coordinator is this site, so the
+	// votes and acks it owes go nowhere: relays to a site the network does
+	// not know build an error.
+	parts := []xgroup.Part{
+		{Group: 1, Cert: dbsm.TxnCert{Site: 4, ReadSet: rows(1, 1, 2, 3), WriteBytes: 300}},
+		{Group: 2, Cert: dbsm.TxnCert{Site: 4, ReadSet: rows(2, 5), WriteSet: rows(2, 5, 6), WriteBytes: 200}},
+	}
+	writes := []dbsm.ItemSet{nil, rows(1, 11), rows(1, 12)}
+	var prep, decide []byte
+	next := uint32(0)
+	round := func(home int) {
+		next++
+		tid := dbsm.MakeTID(4, next)
+		for i := range parts {
+			parts[i].Cert.TID = tid
+		}
+		parts[0].Cert.WriteSet = writes[home]
+		p := xgroup.Prepare{TID: tid, Coordinator: 1, HomeGroup: home, Parts: parts}
+		prep = xgroup.AppendPrepare(prep[:0], xgroup.MsgPrepare, &p, 0)
+		r.x.onStream(prep)
+		decide = xgroup.AppendDecision(decide[:0], xgroup.MsgDecide, tid, true)
+		r.x.onStream(decide)
+	}
+	step := func() {
+		round(1) // homed here: the payload is kept until decide
+		round(2) // homed at group 2: only the part is kept
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 300 {
+		step()
+	}
+	r.x.release()
+	r.x = newXmgr(r)
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("warm prepare→decide on the stream: %v allocs/op, want 0", n)
+	}
+	if st := r.Stats(); st.XCommitted != 2*(300+101) || st.CertDrops != 0 {
+		t.Fatalf("%d cross-group commits, %d drops; want %d and none", st.XCommitted, st.CertDrops, 2*(300+101))
+	}
+	if n := r.x.encs.Out(); n != 0 {
+		t.Fatalf("%d payload buffers lent after every round was decided", n)
+	}
+	if len(r.x.records) != 2*101 || len(r.x.active) != 0 {
+		t.Fatalf("%d records and %d reservations after 101 decided pairs", len(r.x.records), len(r.x.active))
 	}
 }

@@ -78,8 +78,8 @@ func TestFragmentPrepareBoundary(t *testing.T) {
 			t.Fatalf("maxSize %d: reassembly differs: %d vs %d bytes", maxSize, len(whole), len(enc))
 		}
 		// The reassembled frame must parse back to the original prepare.
-		got, err := ParsePrepare(whole[1:])
-		if err != nil {
+		var got Prepare
+		if err := ParsePrepareInto(&got, whole[1:]); err != nil {
 			t.Fatalf("maxSize %d: reassembled prepare: %v", maxSize, err)
 		}
 		if got.TID != p.TID || len(got.Parts) != len(p.Parts) {

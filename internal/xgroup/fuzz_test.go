@@ -3,9 +3,11 @@ package xgroup
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/dbsm"
+	"repro/internal/sim"
 )
 
 func sameCert(a, b *dbsm.TxnCert) bool {
@@ -41,9 +43,11 @@ func samePrepare(a, b *Prepare) bool {
 // on the lead byte the way the replica's stream and relay handlers dispatch
 // them. No input may panic, and whatever a parser accepts must survive the
 // matching encoder: re-encoded and parsed again it yields the same message.
-// A prepare decoded by ParsePrepareInto into storage that holds an earlier
-// prepare's parts must be accepted or refused exactly as ParsePrepare does,
-// with the same error, and equal the fresh decode. The input is also pushed
+// A prepare decoded by ParsePrepareInto into storage that holds an earlier,
+// larger prepare's parts must be accepted or refused exactly as a decode
+// into a fresh Prepare is, with the same error, and equal the fresh decode;
+// each part's sets, copied into a dbsm.Arena the way the cross-group round
+// keeps its own part, must equal the decoded part. The input is also pushed
 // through FragmentPrepare as if it were an oversized prepare body — the
 // frames must fit, parse, and reassemble byte-exactly.
 func FuzzParse(f *testing.F) {
@@ -78,7 +82,8 @@ func FuzzParse(f *testing.F) {
 		body := data[1:]
 		switch data[0] {
 		case MsgPrepare:
-			p, err := ParsePrepare(body)
+			p := new(Prepare)
+			err := ParsePrepareInto(p, body)
 			var warm Prepare
 			if werr := ParsePrepareInto(&warm, earlierWire); werr != nil {
 				t.Fatalf("warming the storage: %v", werr)
@@ -92,11 +97,23 @@ func FuzzParse(f *testing.F) {
 			if !samePrepare(&warm, p) {
 				t.Fatalf("decode into warm storage: %+v, a fresh decode %+v", warm, *p)
 			}
+			var arena dbsm.Arena
+			kept := make([]dbsm.TxnCert, len(warm.Parts))
+			for i, pt := range warm.Parts {
+				kept[i] = pt.Cert
+				kept[i].ReadSet, _ = arena.Copy(pt.Cert.ReadSet)
+				kept[i].WriteSet, _ = arena.Copy(pt.Cert.WriteSet)
+			}
+			for i := range kept {
+				if !sameCert(&kept[i], &p.Parts[i].Cert) {
+					t.Fatalf("part %d's arena copy %+v, the decoded part %+v", i, kept[i], p.Parts[i].Cert)
+				}
+			}
 			// A hostile WriteBytes announces up to 4 GiB of padding; bounding
 			// the re-encoding by the input size trims it, and the true value
 			// still travels alongside.
-			again, err := ParsePrepare(AppendPrepare(nil, MsgPrepare, p, len(data))[1:])
-			if err != nil {
+			again := new(Prepare)
+			if err := ParsePrepareInto(again, AppendPrepare(nil, MsgPrepare, p, len(data))[1:]); err != nil {
 				t.Fatalf("re-parse of an accepted prepare: %v", err)
 			}
 			if !samePrepare(again, p) {
@@ -167,4 +184,28 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("fragments reassemble to %d bytes, want the %d-byte body", len(whole), len(body))
 		}
 	})
+}
+
+// TestRedecodePoisonsKeptParts: race builds fill every set a Prepare holds
+// with all-ones before ParsePrepareInto decodes into it again, so a reader
+// that kept a part's sets past the next decode reads garbage, even a part
+// the next prepare has no counterpart for (one with fewer parts, which
+// UnmarshalFrom never reaches); other builds leave them as they were.
+func TestRedecodePoisonsKeptParts(t *testing.T) {
+	var p Prepare
+	if err := ParsePrepareInto(&p, AppendPrepare(nil, MsgPrepare, bigPrepare(8), 0)[1:]); err != nil {
+		t.Fatal(err)
+	}
+	kept := []dbsm.ItemSet{p.Parts[1].Cert.ReadSet, p.Parts[1].Cert.WriteSet}
+	one := bigPrepare(2)
+	one.Parts = one.Parts[:1]
+	if err := ParsePrepareInto(&p, AppendPrepare(nil, MsgPrepare, one, 0)[1:]); err != nil || len(p.Parts) != 1 {
+		t.Fatalf("decoded %d parts: %v", len(p.Parts), err)
+	}
+	for i, s := range kept {
+		poisoned := !slices.ContainsFunc(s, func(id dbsm.TupleID) bool { return id != ^dbsm.TupleID(0) })
+		if poisoned != sim.RaceBuild {
+			t.Errorf("kept set %d of a part the redecode did not reach: %v, poisoned = %v, want %v", i, s, poisoned, sim.RaceBuild)
+		}
+	}
 }

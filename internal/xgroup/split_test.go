@@ -213,7 +213,8 @@ func TestSplitAndEncodeMatchReference(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("round %d, maxSize %d: encoding differs from the reference (%d vs %d bytes)", round, maxSize, len(got), len(want))
 			}
-			back, err := ParsePrepare(got[2:])
+			back := new(Prepare)
+			err := ParsePrepareInto(back, got[2:])
 			if err != nil || len(back.Parts) != len(parts) {
 				t.Fatalf("round %d, maxSize %d: %v", round, maxSize, err)
 			}

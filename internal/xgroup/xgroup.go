@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/dbsm"
 	"repro/internal/runtimeapi"
+	"repro/internal/sim"
 )
 
 // GroupOfSite reports the 1-based group owning a 1-based site id.
@@ -188,26 +189,25 @@ func AppendPrepare(buf []byte, lead byte, p *Prepare, maxSize int) []byte {
 	return buf
 }
 
-// ParsePrepare decodes a prepare body (the lead byte already consumed) into
-// a new Prepare. The parts' item sets are copied out of b; b may be reused
-// afterwards.
-func ParsePrepare(b []byte) (*Prepare, error) {
-	p := new(Prepare)
-	if err := ParsePrepareInto(p, b); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // ParsePrepareInto decodes a prepare body (the lead byte already consumed)
-// into p, overwriting every field. Each part is decoded into the storage p
-// held for a part at that index (dbsm.TxnCert.UnmarshalFrom), which grows
-// only past what p held before, so the parts live until the next decode
-// into p: a reader copies what it keeps. b is not retained. On error p's
-// fields are unspecified, but its storage stays for the next decode.
+// into p, overwriting every field; it is the one prepare decoder. Each part
+// is decoded into the storage p held for a part at that index
+// (dbsm.TxnCert.UnmarshalFrom), which grows only past what p held before, so
+// a p that is decoded into again and again allocates nothing once it has
+// held the largest prepare. The parts live until the next decode into p: a
+// reader copies what it keeps (the cross-group round copies its own part
+// into an arena). Race builds poison every set p holds first, so a reader
+// that kept one reads garbage. b is not retained. On error p's fields are
+// unspecified, but its storage stays for the next decode.
 func ParsePrepareInto(p *Prepare, b []byte) error {
 	if len(b) < prepareHeader {
 		return errBadXMsg
+	}
+	if sim.RaceBuild {
+		for _, pt := range p.Parts[:cap(p.Parts)] {
+			sim.Poison(pt.Cert.ReadSet)
+			sim.Poison(pt.Cert.WriteSet)
+		}
 	}
 	p.TID = binary.BigEndian.Uint64(b[0:8])
 	p.Coordinator = runtimeapi.NodeID(binary.BigEndian.Uint32(b[8:12]))
@@ -307,19 +307,6 @@ func (p *Prepare) PartFor(group int) *Part {
 		}
 	}
 	return nil
-}
-
-// Restrict returns a copy of the prepare containing only the parts a remote
-// group needs: its own part. The home part and other groups' parts stay on
-// the home stream.
-func (p *Prepare) Restrict(group int) Prepare {
-	r := *p
-	if pt := p.PartFor(group); pt != nil {
-		r.Parts = []Part{*pt}
-	} else {
-		r.Parts = nil
-	}
-	return r
 }
 
 // AppendVote encodes lead plus a vote body: the voting group and its verdict.
